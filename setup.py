@@ -1,10 +1,11 @@
 """Setuptools entry point.
 
-The project metadata lives in ``pyproject.toml``; this file exists so that
-``pip install -e .`` works in offline environments whose pip/setuptools
-combination cannot build PEP 660 editable wheels (no ``wheel`` package
-available).  In that situation pip falls back to the legacy
-``setup.py develop`` path, which this shim enables.
+This file is the project's only packaging metadata (there is no
+``pyproject.toml``), so ``pip install -e .`` takes the legacy
+``setup.py develop`` path, which also works in offline environments whose
+pip/setuptools combination cannot build PEP 660 editable wheels (no
+``wheel`` package available).  The package has no runtime dependencies;
+the test suite needs ``pytest`` and ``hypothesis``.
 """
 
 from setuptools import find_packages, setup
@@ -19,5 +20,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.20"],
 )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.joins.compiler import QueryCompiler
 from repro.joins.leapfrog import _TrieJoinExecution
@@ -114,10 +114,15 @@ class _GroupingExecution(_TrieJoinExecution):
         self._group_depth = plan.depth_of(variable)
         self.counts: Dict[int, int] = {}
 
-    def _emit(self) -> None:  # noqa: D401 - see base class
-        super()._emit()
-        value = self.binding_values[self._group_depth]
-        self.counts[value] = self.counts.get(value, 0) + 1
+    def _emit_leaf(self, values: Sequence[int]) -> None:  # noqa: D401 - see base class
+        super()._emit_leaf(values)
+        counts = self.counts
+        if self._group_depth == self._last:
+            for value in values:
+                counts[value] = counts.get(value, 0) + 1
+        else:
+            value = self.binding_values[self._group_depth]
+            counts[value] = counts.get(value, 0) + len(values)
 
 
 def count_matches(

@@ -17,8 +17,9 @@ host memory; the bounded hardware PJR cache is modelled separately in
 Execution inherits the slot-compiled hot path of
 :class:`~repro.joins.leapfrog.LeapfrogTrieJoin`: cache keys are tuples of
 depth-indexed binding values and cached entries replay slot-addressed cursor
-positions, so hits skip the leapfrog recomputation without a single string
-lookup.
+positions (a leaf variable's entry is just its value sequence — leaf cursors
+are never read back — charged as if it carried them), so hits skip the
+leapfrog recomputation without a single string lookup.
 """
 
 from __future__ import annotations

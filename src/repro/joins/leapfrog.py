@@ -19,8 +19,12 @@ Hot-path layout: executions run off the plan's
 :class:`~repro.joins.plan.SlotProgram` — per-atom state (tries, cursor
 positions) is addressed by dense integer slot, never by string trie key — the
 backtracking driver is iterative (a stack of per-depth match frames, no
-Python recursion), and lagging cursors catch up with *galloping* searches
-from their current position instead of full-window binary searches.
+Python recursion), lagging cursors catch up with *galloping* searches from
+their current position instead of full-window binary searches, and the
+deepest variable is handled in bulk: its whole intersection comes back as one
+value sequence (an array slice when a single atom participates) and is
+appended to the results with one C-level ``extend`` — no frame, cursor tuple
+or call per binding.
 :class:`~repro.joins.stats.JoinStats` accounting is unchanged from the
 reference implementation: each LUB search still charges the worst-case
 binary-search probe count of its window, so the counters the accelerator and
@@ -29,7 +33,8 @@ baseline cost models consume stay exactly comparable across engine versions.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.joins.base import JoinEngine, JoinResult
 from repro.joins.compiler import QueryCompiler
@@ -157,11 +162,12 @@ class _TrieJoinExecution:
         self.positions: List[int] = [-1] * program.num_positions
         self.binding_values: List[int] = [0] * plan.num_variables
         self.results: List[Tuple[int, ...]] = []
-        # Software partial-join-result cache: (depth, key values) -> list of
-        # matches.  Unbounded, like CTJ's use of host memory; the bounded
-        # hardware PJR cache lives in repro.core.
-        self.cache: Dict[Tuple[int, Tuple[int, ...]], List[Match]] = {}
+        # Software partial-join-result cache: (depth, key values) -> what
+        # _matches_at returned for them.  Unbounded, like CTJ's use of host
+        # memory; the bounded hardware PJR cache lives in repro.core.
+        self.cache: Dict[Tuple[int, Tuple[int, ...]], Sequence] = {}
         self._match_counts: List[int] = [0] * plan.num_variables
+        self._last = plan.num_variables - 1
 
     # ------------------------------------------------------------------ #
     # Execution driver
@@ -170,10 +176,7 @@ class _TrieJoinExecution:
         if any(trie.num_tuples == 0 for trie in self.slot_tries):
             # An empty relation makes the whole join empty.
             return []
-        if self.plan.num_variables == 0:
-            self._emit()
-        else:
-            self._run()
+        self._run()
         order = self.plan.variable_order
         for depth, count in enumerate(self._match_counts):
             if count:
@@ -186,70 +189,84 @@ class _TrieJoinExecution:
         return self.results
 
     def _run(self) -> None:
-        """Iterative backtracking: one match-iterator frame per depth.
+        """Iterative backtracking: one match-iterator frame per non-leaf depth.
 
         A frame yields every match of its depth's variable under the current
         prefix binding; exhausting a frame pops back to the parent, whose
-        iterator resumes where it left off.  The deepest frame is drained in
-        a single tight loop (bind + emit per match, no positions to write —
-        leaf cursors are never read back).
+        iterator resumes where it left off.  The deepest variable never gets
+        a frame: under each match of the depth above it, its whole
+        intersection comes back as one value sequence and is emitted in bulk.
         """
-        last = self.plan.num_variables - 1
+        last = self._last
         positions = self.positions
         binding_values = self.binding_values
         match_counts = self._match_counts
         depth_tables = self._depth_tables
-        emit = self._emit
-        stack: List[Iterator[Match]] = [self._matches_at(0)]
+        matches_at = self._matches_at
+        emit_leaf = self._emit_leaf
+        if last == 0:
+            values = matches_at(0)
+            if values:
+                emit_leaf(values)
+            return
+        stack = [iter(matches_at(0))]
         push = stack.append
-        pop = stack.pop
         while stack:
             depth = len(stack) - 1
-            frame = stack[-1]
-            if depth == last:
-                count = 0
-                for value, _indexes in frame:
-                    binding_values[depth] = value
-                    count += 1
-                    emit()
-                match_counts[depth] += count
-                pop()
-                continue
             position_indexes = depth_tables[depth][3]
-            advanced = False
-            for value, indexes in frame:
+            above_leaf = depth + 1 == last
+            for value, indexes in stack[-1]:
                 match_counts[depth] += 1
                 binding_values[depth] = value
                 for i, index in zip(position_indexes, indexes):
                     positions[i] = index
-                push(self._matches_at(depth + 1))
-                advanced = True
+                if above_leaf:
+                    values = matches_at(last)
+                    if values:
+                        emit_leaf(values)
+                    continue
+                push(iter(matches_at(depth + 1)))
                 break
-            if not advanced:
-                pop()
+            else:
+                stack.pop()
 
-    def _emit(self) -> None:
-        self.stats.bindings_enumerated += 1
-        if self.materialize:
-            binding_values = self.binding_values
-            self.results.append(
-                tuple(binding_values[d] for d in self.program.head_depths)
+    def _emit_leaf(self, values: Sequence[int]) -> None:
+        """Emit one full binding per (non-empty) leaf value under the current prefix."""
+        last = self._last
+        self._match_counts[last] += len(values)
+        self.stats.bindings_enumerated += len(values)
+        if not self.materialize:
+            return
+        binding_values = self.binding_values
+        head_depths = self.program.head_depths
+        if last in head_depths:
+            self.results.extend(
+                zip(*[values if d == last else repeat(binding_values[d]) for d in head_depths])
             )
+        else:
+            # The leaf variable is projected out: every binding maps to the
+            # same head tuple, which the final dedup keeps once.
+            self.results.append(tuple([binding_values[d] for d in head_depths]))
 
     # ------------------------------------------------------------------ #
-    # Per-depth match frames
+    # Per-depth matches
     # ------------------------------------------------------------------ #
-    def _matches_at(self, depth: int) -> Iterator[Match]:
-        """The match iterator of ``depth``: cached replay or a live leapfrog."""
+    def _matches_at(self, depth: int):
+        """The matches of ``depth``'s variable: cached replay or a live leapfrog.
+
+        Non-leaf depths get an iterable of :data:`Match`, computed lazily;
+        the leaf depth gets the whole value sequence (leaf cursor indexes
+        are never read back), which is also what its cache entries hold.
+        """
         depth_program = self._depth_tables[depth][0]
         key_depths = depth_program.cache_key_depths if self.use_cache else None
         if key_depths is None:
-            return self._leapfrog_matches(depth)
+            return self._intersect(depth)
         binding_values = self.binding_values
-        key = tuple(binding_values[d] for d in key_depths)
+        key = (depth, tuple([binding_values[d] for d in key_depths]))
         stats = self.stats
         stats.cache_lookups += 1
-        cached = self.cache.get((depth, key))
+        cached = self.cache.get(key)
         if cached is not None:
             stats.cache_hits += 1
             # Reading each cached value and its per-trie indexes replaces the
@@ -257,37 +274,47 @@ class _TrieJoinExecution:
             stats.index_element_reads += len(cached) * (
                 1 + len(depth_program.participants)
             )
-            return iter(cached)
-        return self._fill_cache(depth, key)
+            return cached
+        if depth == self._last:
+            values = self._intersect(depth)
+            self._cache_insert(key, values)
+            return values
+        return self._fill_cache(key, self._intersect(depth))
 
-    def _fill_cache(self, depth: int, key: Tuple[int, ...]) -> Iterator[Match]:
-        """Miss path: compute matches normally while populating the entry."""
+    def _fill_cache(self, key, matches: Iterable[Match]) -> Iterator[Match]:
+        """Non-leaf miss path: pass matches through while recording the entry."""
         entry: List[Match] = []
         append = entry.append
-        width = 1 + len(self._depth_tables[depth][0].participants)
         try:
-            for match in self._leapfrog_matches(depth):
+            for match in matches:
                 append(match)
                 yield match
         finally:
-            self.cache[(depth, key)] = entry
-            stats = self.stats
-            stats.cache_inserts += 1
-            stats.intermediate_results += len(entry)
-            stats.index_element_writes += len(entry) * width
+            self._cache_insert(key, entry)
 
-    def _leapfrog_matches(self, depth: int) -> Iterator[Match]:
-        """Yield every value of the depth's variable present in all ranges.
+    def _cache_insert(self, key, entry: Sequence) -> None:
+        """Store a completed entry under ``(depth, key values)`` and charge it."""
+        self.cache[key] = entry
+        stats = self.stats
+        stats.cache_inserts += 1
+        stats.intermediate_results += len(entry)
+        # A cached value is charged with its per-trie indexes, at every depth.
+        width = 1 + len(self._depth_tables[key[0]][0].participants)
+        stats.index_element_writes += len(entry) * width
 
-        Each yielded match carries, per participating trie, the absolute
-        index of the matched value in that trie's level array (needed to
-        expand the children at the next depth and to populate cache entries).
-        Stats are accumulated in locals and flushed once on exhaustion (the
-        ``finally`` also covers generators closed early).
+    def _intersect(self, depth: int):
+        """Every value of the depth's variable present in all candidate ranges.
+
+        At a non-leaf depth the result is a lazy iterable of :data:`Match`:
+        each carries, per participating trie, the absolute index of the
+        matched value in that trie's level array (needed to expand the
+        children at the next depth and to populate cache entries).  At the
+        leaf it is the plain sequence of values — an ``array`` slice when a
+        single atom participates.
         """
         _dp, arrays, parent_offsets, _pos_idx, parent_indexes = self._depth_tables[depth]
         positions = self.positions
-        stats = self.stats
+        leaf = depth == self._last
         k = len(arrays)
         reads = 0
         lubs = 0
@@ -307,30 +334,97 @@ class _TrieJoinExecution:
                     hi = offsets[parent + 1]
                     reads += 2
                 if lo >= hi:
-                    return
+                    return ()
                 cursors.append(lo)
                 ends.append(hi)
 
             if k == 1:
                 # Single participating atom: every value in the range matches.
-                values = arrays[0]
-                for position in range(cursors[0], ends[0]):
-                    reads += 1
-                    yield values[position], (position,)
-                return
+                lo = cursors[0]
+                hi = ends[0]
+                reads += hi - lo
+                values = arrays[0][lo:hi]
+                return values if leaf else zip(values, zip(range(lo, hi)))
 
-            vals: List[int] = []
-            for i in range(k):
+            if not leaf:
+                return self._leapfrog(arrays, cursors, ends, False)
+            if k > 2:
+                return list(self._leapfrog(arrays, cursors, ends, True))
+
+            # Two-cursor leaf leapfrog on scalar locals.  arr0 is always the
+            # lagging side: the roles swap whenever a seek overshoots, which
+            # forgets which cursor is whose — fine at the leaf, where
+            # indexes are not reported.  Accounting as in _leapfrog.
+            matches: List[int] = []
+            arr0, arr1 = arrays
+            cur0, cur1 = cursors
+            end0, end1 = ends
+            reads += 2
+            val0 = arr0[cur0]
+            val1 = arr1[cur1]
+            while True:
+                if val0 == val1:
+                    matches.append(val0)
+                    cur0 += 1
+                    cur1 += 1
+                    if cur0 >= end0 or cur1 >= end1:
+                        return matches
+                    reads += 2
+                    val0 = arr0[cur0]
+                    val1 = arr1[cur1]
+                    continue
+                if val0 > val1:
+                    arr0, arr1 = arr1, arr0
+                    cur0, cur1 = cur1, cur0
+                    end0, end1 = end1, end0
+                    val0, val1 = val1, val0
+                lubs += 1
+                reads += (end0 - cur0).bit_length()
+                step = 1
+                prev = cur0
+                probe = cur0 + 1
+                while probe < end0 and arr0[probe] < val1:
+                    prev = probe
+                    step += step
+                    probe = cur0 + step
+                b_lo = prev + 1
+                b_hi = probe if probe < end0 else end0
+                while b_lo < b_hi:
+                    mid = (b_lo + b_hi) >> 1
+                    if arr0[mid] < val1:
+                        b_lo = mid + 1
+                    else:
+                        b_hi = mid
+                if b_lo == end0:
+                    return matches
+                cur0 = b_lo
                 reads += 1
-                vals.append(arrays[i][cursors[i]])
+                val0 = arr0[b_lo]
+        finally:
+            stats = self.stats
+            stats.index_element_reads += reads
+            stats.lub_searches += lubs
 
+    def _leapfrog(self, arrays, cursors: List[int], ends: List[int], leaf: bool):
+        """K-way leapfrog over the ranges ``[cursors[i], ends[i])`` of ``arrays``.
+
+        Yields a :data:`Match` per common value, or the bare value when
+        ``leaf``.  Stats are accumulated in locals and flushed once on
+        exhaustion (the ``finally`` also covers generators closed early).
+        """
+        stats = self.stats
+        k = len(arrays)
+        reads = k
+        lubs = 0
+        try:
+            vals = [arrays[i][cursors[i]] for i in range(k)]
             # Align-to-max loop: every iteration either emits a match (all
             # cursors agree) or gallops at least one lagging cursor forward,
             # so termination is guaranteed.
             while True:
                 max_value = max(vals)
                 if min(vals) == max_value:
-                    yield max_value, tuple(cursors)
+                    yield max_value if leaf else (max_value, tuple(cursors))
                     # Sibling values within a range are distinct, so the
                     # matched value cannot reappear: advance every cursor.
                     for i in range(k):

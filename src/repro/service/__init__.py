@@ -49,6 +49,13 @@ Engines live in :mod:`repro.api.engines` (the single registry shared with
 cost router.
 """
 
+# repro.api and this package import each other (api.session is built from
+# service components; service.scatter/service/shm use api.engines, and
+# service.metrics reaches repro.eval, which imports repro.api).  The cycle
+# only resolves when repro.api's init starts first and has loaded
+# repro.api.engines before session pulls the service modules in, so start it
+# here: `import repro.service` then works as a process's first import too.
+import repro.api
 from repro.service.admission import (
     AdmissionController,
     AdmissionStats,

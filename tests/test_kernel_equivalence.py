@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.graphs import graph_database, pattern_query, uniform_random_graph
 from repro.joins import CachedTrieJoin, GenericJoin, LeapfrogTrieJoin, NaiveJoin
+from repro.joins.aggregates import count_by_variable, count_matches
 from repro.relational import (
     Atom,
     ConjunctiveQuery,
@@ -102,6 +103,260 @@ class TestEngineEquivalenceMatrix:
         # Every depth of cycle3 has exactly two participating cursors.
         assert [len(d.participants) for d in program.depths] == [2, 2, 2]
         assert program.head_depths == (0, 1, 2)
+
+
+#: A fixed 13-vertex digraph for the leaf-kernel cases (spelled out by a
+#: formula, not drawn from a generator, so the pinned counters below can only
+#: move when the kernel's accounting does).  Vertices 0-4 form a bidirected
+#: 5-clique (triangles and 4-cliques); the rest hang off it sparsely.
+LEAF_EDGES = sorted(
+    {(a, b) for a in range(5) for b in range(5) if a != b}
+    | {(a, (3 * a + b * b + 1) % 13) for a in range(5, 13) for b in range(3)}
+    - {(a, a) for a in range(13)}
+)
+
+_TRIANGLE = [Atom("E", ("x", "y")), Atom("E", ("y", "z")), Atom("E", ("z", "x"))]
+_PATH = [Atom("E", ("x", "y")), Atom("E", ("y", "z"))]
+
+#: ``(query, variable order)``; the last variable of the order is the leaf.
+LEAF_CASES = {
+    "leaf_last": (ConjunctiveQuery("t", ("x", "y", "z"), _TRIANGLE), "xyz"),
+    "leaf_first": (ConjunctiveQuery("t", ("z", "x", "y"), _TRIANGLE), "xyz"),
+    "leaf_middle": (ConjunctiveQuery("t", ("x", "z", "y"), _TRIANGLE), "xyz"),
+    "leaf_projected_out": (ConjunctiveQuery("t", ("x", "y"), _TRIANGLE), "xyz"),
+    "one_variable_k1": (ConjunctiveQuery("u", ("x",), [Atom("V", ("x",))]), "x"),
+    "one_variable_k2": (
+        ConjunctiveQuery("u", ("x",), [Atom("V", ("x",)), Atom("W", ("x",))]),
+        "x",
+    ),
+    "leaf_k1_cached": (ConjunctiveQuery("p", ("x", "y", "z"), _PATH), "xyz"),
+    "leaf_k1_projected_cached": (ConjunctiveQuery("p", ("x",), _PATH), "xyz"),
+    "leaf_k2_cached": (pattern_query("cycle4"), "xyzw"),
+    "leaf_k3": (pattern_query("clique4"), "xyzw"),
+    # F's only source is vertex 99, which E never reaches: every (x, y)
+    # prefix visits the leaf and every leaf intersection is empty.
+    "empty_leaf_intersections": (
+        ConjunctiveQuery(
+            "e",
+            ("x", "y", "z"),
+            [Atom("E", ("x", "y")), Atom("E", ("y", "z")), Atom("F", ("z", "x"))],
+        ),
+        "xyz",
+    ),
+}
+
+#: ``JoinStats.as_dict()`` + ``per_variable_matches`` of every case, per
+#: engine, as produced by the per-binding generator kernel of the parent
+#: commit (bff1368).  The bulk leaf kernel must reproduce them exactly.
+LEAF_PINNED = {
+    "leaf_last": {
+        "lftj": {
+            "output_tuples": 75, "bindings_enumerated": 75, "lub_searches": 78,
+            "index_element_reads": 757, "x": 13, "y": 42, "z": 75,
+        },
+        "ctj": {
+            "output_tuples": 75, "bindings_enumerated": 75, "lub_searches": 78,
+            "index_element_reads": 757, "x": 13, "y": 42, "z": 75,
+        },
+    },
+    "leaf_first": {
+        "lftj": {
+            "output_tuples": 75, "bindings_enumerated": 75, "lub_searches": 78,
+            "index_element_reads": 757, "x": 13, "y": 42, "z": 75,
+        },
+        "ctj": {
+            "output_tuples": 75, "bindings_enumerated": 75, "lub_searches": 78,
+            "index_element_reads": 757, "x": 13, "y": 42, "z": 75,
+        },
+    },
+    "leaf_middle": {
+        "lftj": {
+            "output_tuples": 75, "bindings_enumerated": 75, "lub_searches": 78,
+            "index_element_reads": 757, "x": 13, "y": 42, "z": 75,
+        },
+        "ctj": {
+            "output_tuples": 75, "bindings_enumerated": 75, "lub_searches": 78,
+            "index_element_reads": 757, "x": 13, "y": 42, "z": 75,
+        },
+    },
+    "leaf_projected_out": {
+        "lftj": {
+            "output_tuples": 32, "bindings_enumerated": 75, "lub_searches": 78,
+            "index_element_reads": 757, "x": 13, "y": 42, "z": 75,
+        },
+        "ctj": {
+            "output_tuples": 32, "bindings_enumerated": 75, "lub_searches": 78,
+            "index_element_reads": 757, "x": 13, "y": 42, "z": 75,
+        },
+    },
+    "one_variable_k1": {
+        "lftj": {
+            "output_tuples": 7, "bindings_enumerated": 7, "index_element_reads": 7, "x":
+            7,
+        },
+        "ctj": {
+            "output_tuples": 7, "bindings_enumerated": 7, "index_element_reads": 7, "x":
+            7,
+        },
+    },
+    "one_variable_k2": {
+        "lftj": {
+            "output_tuples": 3, "bindings_enumerated": 3, "lub_searches": 6,
+            "index_element_reads": 27, "x": 3,
+        },
+        "ctj": {
+            "output_tuples": 3, "bindings_enumerated": 3, "lub_searches": 6,
+            "index_element_reads": 27, "x": 3,
+        },
+    },
+    "leaf_k1_cached": {
+        "lftj": {
+            "output_tuples": 150, "bindings_enumerated": 150, "lub_searches": 19,
+            "index_element_reads": 448, "x": 13, "y": 42, "z": 150,
+        },
+        "ctj": {
+            "output_tuples": 150, "bindings_enumerated": 150, "intermediate_results":
+            42, "lub_searches": 19, "index_element_reads": 498, "index_element_writes":
+            84, "cache_lookups": 42, "cache_hits": 29, "cache_misses": 13,
+            "cache_inserts": 13, "x": 13, "y": 42, "z": 150,
+        },
+    },
+    "leaf_k1_projected_cached": {
+        "lftj": {
+            "output_tuples": 13, "bindings_enumerated": 150, "lub_searches": 19,
+            "index_element_reads": 448, "x": 13, "y": 42, "z": 150,
+        },
+        "ctj": {
+            "output_tuples": 13, "bindings_enumerated": 150, "intermediate_results": 42,
+            "lub_searches": 19, "index_element_reads": 498, "index_element_writes": 84,
+            "cache_lookups": 42, "cache_hits": 29, "cache_misses": 13, "cache_inserts":
+            13, "x": 13, "y": 42, "z": 150,
+        },
+    },
+    "leaf_k2_cached": {
+        "lftj": {
+            "output_tuples": 268, "bindings_enumerated": 268, "lub_searches": 259,
+            "index_element_reads": 2716, "x": 13, "y": 42, "z": 150, "w": 268,
+        },
+        "ctj": {
+            "output_tuples": 268, "bindings_enumerated": 268, "intermediate_results":
+            130, "lub_searches": 137, "index_element_reads": 2157,
+            "index_element_writes": 390, "cache_lookups": 192, "cache_hits": 103,
+            "cache_misses": 89, "cache_inserts": 89, "x": 13, "y": 42, "z": 150, "w":
+            268,
+        },
+    },
+    "leaf_k3": {
+        "lftj": {
+            "output_tuples": 122, "bindings_enumerated": 122, "lub_searches": 479,
+            "index_element_reads": 3270, "x": 13, "y": 42, "z": 75, "w": 122,
+        },
+        "ctj": {
+            "output_tuples": 122, "bindings_enumerated": 122, "lub_searches": 479,
+            "index_element_reads": 3270, "x": 13, "y": 42, "z": 75, "w": 122,
+        },
+    },
+    "empty_leaf_intersections": {
+        "lftj": {
+            "lub_searches": 61, "index_element_reads": 591, "x": 13, "y": 42,
+        },
+        "ctj": {
+            "lub_searches": 61, "index_element_reads": 591, "x": 13, "y": 42,
+        },
+    },
+}
+
+
+def leaf_database() -> Database:
+    database = Database()
+    database.add_relation(Relation("E", Schema(("src", "dst")), LEAF_EDGES))
+    database.add_relation(
+        Relation("F", Schema(("src", "dst")), [(99, a) for a in range(13)])
+    )
+    database.add_relation(Relation("V", Schema(("v",)), [(v,) for v in range(0, 13, 2)]))
+    database.add_relation(Relation("W", Schema(("v",)), [(v,) for v in range(0, 13, 3)]))
+    return database
+
+
+def run_leaf_case(engine, case):
+    query, order = LEAF_CASES[case]
+    plan = engine.compiler.compile(query, variable_order=tuple(order))
+    return engine.run(query, leaf_database(), plan=plan)
+
+
+def observed_counters(result):
+    """The non-zero ``JoinStats`` counters plus the per-variable match counts."""
+    counters = {**result.stats.as_dict(), **result.stats.per_variable_matches}
+    return {name: count for name, count in counters.items() if count}
+
+
+def oracle_rows(query, order):
+    """Rows in trie-join emission order, derived from the naive oracle."""
+    full = ConjunctiveQuery("full", tuple(order), query.atoms)
+    bindings = sorted(NaiveJoin().run(full, leaf_database()).tuples)
+    columns = [order.index(v) for v in query.head_variables]
+    return list(dict.fromkeys(tuple(row[c] for c in columns) for row in bindings))
+
+
+class TestBulkLeafKernel:
+    @pytest.mark.parametrize("engine", [LeapfrogTrieJoin(), CachedTrieJoin()], ids=lambda e: e.name)
+    @pytest.mark.parametrize("case", list(LEAF_CASES))
+    def test_rows_order_and_counters(self, case, engine):
+        query, order = LEAF_CASES[case]
+        result = run_leaf_case(engine, case)
+        assert result.plan.variable_order[-1] == order[-1]
+        assert result.tuples == oracle_rows(query, order)
+        assert observed_counters(result) == LEAF_PINNED[case][engine.name]
+
+    def test_cases_cover_every_leaf_shape(self):
+        participants = {}
+        for case in LEAF_CASES:
+            result = run_leaf_case(CachedTrieJoin(), case)
+            leaf = result.plan.slot_program().depths[-1]
+            participants[case] = (len(leaf.participants), leaf.cache_key_depths)
+        assert participants["one_variable_k1"] == (1, None)
+        assert participants["one_variable_k2"] == (2, None)
+        assert participants["leaf_last"] == (2, None)
+        assert participants["leaf_k3"] == (3, None)
+        # The cached plans cache the *leaf* variable, and see both a miss
+        # (insert) and a replay (hit) of its value sequence.
+        assert participants["leaf_k1_cached"] == (1, (1,))
+        assert participants["leaf_k2_cached"] == (2, (0, 2))
+        for case in ("leaf_k1_cached", "leaf_k1_projected_cached", "leaf_k2_cached"):
+            pinned = LEAF_PINNED[case]["ctj"]
+            assert pinned["cache_inserts"] > 0 and pinned["cache_hits"] > 0
+        assert "output_tuples" not in LEAF_PINNED["empty_leaf_intersections"]["lftj"]
+        assert LEAF_PINNED["empty_leaf_intersections"]["lftj"]["y"] > 0
+
+    def test_zero_variable_queries_cannot_be_built(self):
+        # The kernel has no zero-variable branch because no query reaches it.
+        with pytest.raises(ValueError):
+            Atom("E", ())
+        with pytest.raises(ValueError):
+            ConjunctiveQuery("q", (), [Atom("E", ("x", "y"))])
+
+    @pytest.mark.parametrize("use_cache", [False, True], ids=["lftj", "ctj"])
+    @pytest.mark.parametrize("variable", ["z", "x", "y"])
+    @pytest.mark.parametrize("case", ["leaf_last", "leaf_k1_cached"])
+    def test_grouped_counts_on_leaf_and_prefix_variables(self, case, variable, use_cache):
+        query, order = LEAF_CASES[case]
+        engine = CachedTrieJoin() if use_cache else LeapfrogTrieJoin()
+        plan = engine.compiler.compile(query, variable_order=tuple(order))
+        grouped = count_by_variable(
+            query, leaf_database(), variable, plan=plan, use_cache=use_cache
+        )
+        column = query.head_variables.index(variable)
+        expected = {}
+        for row in oracle_rows(query, order):
+            expected[row[column]] = expected.get(row[column], 0) + 1
+        assert grouped.counts == expected
+        # Groups appear in first-emission order, as with per-binding emit.
+        assert list(grouped.counts) == list(expected)
+        counters = LEAF_PINNED[case][engine.name]
+        assert observed_counters(grouped) == counters
+        assert count_matches(query, leaf_database(), plan=plan, use_cache=use_cache).count == (
+            counters["bindings_enumerated"]
+        )
 
 
 class TestGallopingSearch:

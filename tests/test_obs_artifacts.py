@@ -181,13 +181,15 @@ class TestBenchCli:
         assert "wrote run artifacts" in capsys.readouterr().out
 
     def test_bench_compare_ok_against_self(self, smoke_report_path, monkeypatch, capsys):
-        # Same seed + scale: meta matches, timings judged, no 25% regression
-        # expected between two immediately consecutive smoke runs.
+        # Same seed + scale: meta matches, so timings are judged.  The
+        # baseline claims an hour per kernel — a bar no smoke kernel can miss
+        # (sub-millisecond kernels lost to a GC pause even with 10x headroom)
+        # — so this checks the OK-verdict plumbing, not the host.
         monkeypatch.setenv("REPRO_BENCH_SEED", "7")
         baseline = copy.deepcopy(load_report(smoke_report_path))
         for payload in baseline["kernels"].values():
             if payload.get("seconds"):
-                payload["seconds"] *= 10.0  # generous headroom against CI noise
+                payload["seconds"] = 3600.0
         relaxed = smoke_report_path + ".relaxed"
         with open(relaxed, "w", encoding="utf-8") as handle:
             json.dump(baseline, handle)

@@ -1,5 +1,9 @@
 """Tests for the query-serving subsystem (``repro.service``)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.graphs import pattern_query
@@ -18,6 +22,33 @@ from repro.service import (
     run_workload,
     workload_database,
 )
+
+
+# --------------------------------------------------------------------------- #
+# Import order
+# --------------------------------------------------------------------------- #
+class TestImportOrder:
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "from repro.service import QueryService",
+            "import repro.service.metrics",
+            "import repro.service.scatter",
+        ],
+    )
+    def test_service_imports_first_in_a_fresh_process(self, statement):
+        # repro.api and repro.service import each other; every other test
+        # module has imported repro.api by now, so only a fresh interpreter
+        # sees the service package as the first repro import.
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        completed = subprocess.run(
+            [sys.executable, "-c", statement],
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
 
 
 # --------------------------------------------------------------------------- #
