@@ -2,15 +2,17 @@
 
 Everything a caller needs lives behind three objects and one registry:
 
-* :class:`~repro.api.session.Session` — owns a database, the plan/result
-  caches and an engine table; ``execute`` / ``explain`` / ``serve``.
+* :class:`~repro.api.session.Session` — owns a database, an engine table
+  and the request pipeline (:mod:`repro.service.pipeline`: plan/result
+  caches, one prepare → execute → publish path); ``execute`` / ``explain``
+  / ``serve``.
 * :class:`~repro.api.statement.Statement` — one query object over the three
   front-ends (patterns, datalog, SQL, raw conjunctive queries) with
   canonical-signature identity.
 * :class:`~repro.api.resultset.ResultSet` — the lazy result surface
   (iterator of tuples, ``.to_list()``, ``.stats``, ``.plan``, ``.backend``).
-* the engine registry (:mod:`repro.api.engines`) — the one table mapping
-  engine names to :class:`~repro.api.engines.EngineProtocol` factories,
+* the engine registry (:mod:`repro.engines`, re-exported here) — the one
+  table mapping engine names to :class:`~repro.engines.EngineProtocol` factories,
   shared by the CLI, the service layer, the evaluation harness and the
   benchmarks; and the cost router (:mod:`repro.api.routing`) that picks the
   cheapest engine per query from the statistics estimates.
@@ -26,7 +28,7 @@ Quick start::
     print(session.explain("clique4").describe())
 """
 
-from repro.api.engines import (
+from repro.engines import (
     AcceleratorEngine,
     CostModel,
     ENGINE_FACTORIES,
@@ -38,21 +40,11 @@ from repro.api.engines import (
     engine_names,
     register_engine,
 )
-from repro.api.routing import (
-    CostRouter,
-    EngineEstimate,
-    RouteDecision,
-    choose_engine,
-)
+from repro.api.routing import CostRouter, EngineEstimate, RouteDecision
 from repro.api.resultset import ExecutionOutcome, ResultSet
 from repro.api.statement import Statement, coerce_statement
-from repro.api.session import (
-    Explanation,
-    RESULT_REPLAY_COST,
-    ResultDelta,
-    Session,
-    Subscription,
-)
+from repro.api.session import Explanation, ResultDelta, Session, Subscription
+from repro.service.pipeline import RESULT_REPLAY_COST
 
 __all__ = [
     "AcceleratorEngine",
@@ -68,7 +60,6 @@ __all__ = [
     "CostRouter",
     "EngineEstimate",
     "RouteDecision",
-    "choose_engine",
     "ExecutionOutcome",
     "ResultSet",
     "Statement",

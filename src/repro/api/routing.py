@@ -4,7 +4,7 @@ This implements the ROADMAP's multi-backend routing item: instead of the
 service's historical round-robin rotation, each query is priced against
 every candidate engine using the cardinality estimates of
 :mod:`repro.relational.statistics` and the engine's declared
-:class:`~repro.api.engines.CostModel`, and the cheapest eligible engine
+:class:`~repro.engines.CostModel`, and the cheapest eligible engine
 wins.  The estimates are pure functions of (query, database), so routing is
 deterministic and reproducible.
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
-from repro.api.engines import EngineProtocol
+from repro.engines import EngineProtocol
 from repro.relational.catalog import Database
 from repro.relational.query import ConjunctiveQuery
 from repro.relational.sharding import SCATTER_DISPATCH_COST_NS
@@ -216,12 +216,3 @@ class CostRouter:
         else:
             cyclic, estimates = is_cyclic(query), ()
         return RouteDecision(engine_name, cyclic, estimates, "pinned by caller")
-
-
-def choose_engine(
-    query: ConjunctiveQuery,
-    database: Database,
-    engines: Mapping[str, EngineProtocol],
-) -> RouteDecision:
-    """Module-level shorthand: route with a default :class:`CostRouter`."""
-    return CostRouter().choose(query, database, engines)

@@ -2,8 +2,9 @@
 
 A :class:`Session` owns a :class:`~repro.relational.catalog.Database`, the
 plan and result caches, an engine table resolved through the shared
-registry (:mod:`repro.api.engines`) and a cost router
-(:mod:`repro.api.routing`).  It exposes three verbs::
+registry (:mod:`repro.engines`), a cost router (:mod:`repro.api.routing`)
+and the request pipeline (:mod:`repro.service.pipeline`) that holds the
+caches and executes every statement.  It exposes three verbs::
 
     session = Session(database)
     session.execute("cycle3")            # -> ResultSet (lazy, cached, routed)
@@ -12,12 +13,13 @@ registry (:mod:`repro.api.engines`) and a cost router
 
 ``execute`` is the synchronous single-statement path: resolve the statement,
 route it (cost-based by default, or pinned to a named engine), and return a
-lazy :class:`~repro.api.resultset.ResultSet`; the session's result cache
-answers α-equivalent repeats without touching an engine, and its plan cache
-compiles each canonical signature exactly once.  ``serve`` delegates a whole
-request stream to :class:`repro.service.QueryService`, sharing this
-session's database, caches, engine instances and router, so results cached
-by either path are visible to both.
+lazy :class:`~repro.api.resultset.ResultSet` that runs the pipeline's
+prepare → execute → finalize → publish stages when first consumed; the
+result cache answers α-equivalent repeats without touching an engine, and
+the plan cache compiles each canonical signature exactly once.  ``serve``
+hands a whole request stream to :class:`repro.service.QueryService` over
+the *same* pipeline object (plus this session's engine instances and
+router), so results cached by either path are visible to both.
 """
 
 from __future__ import annotations
@@ -25,31 +27,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from repro.api.engines import EngineProtocol, create_engine, engine_names
 from repro.api.resultset import ExecutionOutcome, ResultSet
 from repro.api.routing import CostRouter, RouteDecision
 from repro.api.statement import Statement, coerce_statement
+from repro.engines import EngineProtocol, create_engine, engine_names
 from repro.joins.compiler import QueryCompiler
 from repro.joins.plan import JoinPlan
-from repro.obs.instrument import attach_scatter_legs, join_stats_attributes
-from repro.obs.trace import coerce_tracer
 from repro.relational.catalog import Database, MutationEvent
 from repro.relational.query import ConjunctiveQuery
 from repro.relational.sharding import ShardedDatabase, shard_database
-from repro.service.caches import PlanCache, ResultCache
-from repro.service.faults import (
-    FaultInjector,
-    FaultPlan,
-    RetryPolicy,
-    coerce_fault_plan,
-)
-from repro.service.maintenance import (
-    MaintenanceReport,
-    ResultMaintainer,
-    check_maintenance_mode,
-)
-from repro.service.scatter import ScatterGatherExecutor
-from repro.service.service import RESULT_REPLAY_COST
+from repro.service.faults import FaultPlan, RetryPolicy, check_on_shard_loss
+from repro.service.maintenance import ResultMaintainer, check_maintenance_mode
+from repro.service.pipeline import CompletedQuery, QueryPipeline
 from repro.util.validation import check_positive
 
 
@@ -146,6 +135,30 @@ class Explanation:
         return "\n".join(lines)
 
 
+def _outcome_of(completed: CompletedQuery) -> ExecutionOutcome:
+    """Map a pipeline completion onto the :class:`ResultSet` outcome."""
+    prepared, execution = completed.prepared, completed.execution
+    if execution is None:
+        return ExecutionOutcome(
+            completed.tuples, completed.service_time, from_cache=True, trace=prepared.trace
+        )
+    return ExecutionOutcome(
+        tuples=execution.tuples,
+        cost=execution.cost,
+        from_cache=False,
+        stats=execution.stats,
+        plan=execution.plan if execution.plan is not None else prepared.plan,
+        report=execution.report,
+        count=execution.count,
+        plan_cache_hit=completed.plan_cache_hit,
+        compiled=prepared.compiled,
+        scatter=execution.scatter,
+        trace=prepared.trace,
+        degraded=execution.degraded,
+        missing_shards=execution.missing_shards,
+    )
+
+
 class Session:
     """Unified facade over the catalog, the caches and the engine registry.
 
@@ -158,7 +171,7 @@ class Session:
         catalog itself) drop dependent cached results.
     engines:
         Engine names (resolved through the shared registry) and/or ready
-        :class:`~repro.api.engines.EngineProtocol` instances.  Defaults to
+        :class:`~repro.engines.EngineProtocol` instances.  Defaults to
         every registered engine.
     routing:
         ``"auto"`` (default) routes unpinned work through the cost router;
@@ -213,8 +226,9 @@ class Session:
         default timeout/backoff/hedging/breaker parameters; and
         ``replication_factor > 1`` stores that many copies of every
         partitioned fragment on distinct shards so retries can move to a
-        replica.  All four thread through both :meth:`execute` and
-        :meth:`serve`.
+        replica (rejected together with ``storage_dir``: durable stores do
+        not persist replicas).  All four thread through both
+        :meth:`execute` and :meth:`serve`.
     maintenance:
         How the session's caches track catalog mutations.  ``"recompute"``
         (default, the historical behaviour) drops every dependent cached
@@ -253,16 +267,18 @@ class Session:
         if routing not in ("auto", "rotate"):
             raise ValueError(f"routing must be 'auto' or 'rotate', got {routing!r}")
         check_maintenance_mode(maintenance)
-        if on_shard_loss not in ("fail", "partial"):
-            raise ValueError(
-                f"on_shard_loss must be 'fail' or 'partial', got {on_shard_loss!r}"
-            )
+        check_on_shard_loss(on_shard_loss)
         check_positive("concurrency", concurrency)
         if storage_dir is not None:
             if database is not None:
                 raise ValueError(
                     "pass either database= or storage_dir=, not both: a "
                     "durable session owns the catalog it opens"
+                )
+            if replication_factor > 1:
+                raise ValueError(
+                    "replication_factor > 1 cannot be combined with "
+                    "storage_dir=: durable stores do not persist replicas"
                 )
             from repro.storage import open_store
 
@@ -284,84 +300,51 @@ class Session:
                 replication_factor=replication_factor,
             )
         self.database = database
-        self.compiler = compiler or QueryCompiler(enable_caching=True)
         self.router = router or CostRouter()
         self.routing = routing
+        self._route_memo: Dict[Tuple[str, str], RouteDecision] = {}
         self.engines: Dict[str, EngineProtocol] = {}
         for entry in engines if engines is not None else engine_names():
             self.add_engine(create_engine(entry) if isinstance(entry, str) else entry)
         if not self.engines:
             raise ValueError("Session needs at least one engine")
-        self.plan_cache = PlanCache(plan_cache_capacity)
-        self.result_cache = ResultCache(result_cache_capacity)
         self.max_in_flight = max_in_flight
         self.max_queue_depth = max_queue_depth
         self.seed = seed
         self.concurrency = concurrency
         self.execution_backend = execution_backend
-        self.tracer = coerce_tracer(trace)
         # Virtual-time cursor of the synchronous execute() path: each forced
         # execution occupies [cursor, cursor + cost] on the trace timeline.
         self._trace_clock = 0.0
         self._service = None
-        self._route_memo: Dict[Tuple[str, str], RouteDecision] = {}
         self._closed = False
-        self.fault_plan = (
-            coerce_fault_plan(faults, seed=seed) if faults is not None else None
-        )
-        self.on_shard_loss = on_shard_loss
-        self.retry_policy = retry_policy
-        self.maintenance = maintenance
         self._subscriptions: list = []
-        if isinstance(self.database, ShardedDatabase):
-            self._partial_cache: Optional[ResultCache] = ResultCache(
-                result_cache_capacity
-            )
-            injector = (
-                FaultInjector(self.fault_plan)
-                if self.fault_plan is not None and not self.fault_plan.empty
-                else None
-            )
-            self._scatter: Optional[ScatterGatherExecutor] = ScatterGatherExecutor(
-                self.database,
-                self._partial_cache,
-                compiler=self.compiler,
-                retry_policy=retry_policy,
-                injector=injector,
-                on_shard_loss=on_shard_loss,
-            )
-        else:
-            self._partial_cache = None
-            self._scatter = None
-        if maintenance == "incremental":
-            # One maintainer patches both caches from inside
-            # _on_catalog_mutation; the partial cache must NOT also be
-            # subscribed to plain invalidation, or patched fragments would
-            # be dropped right after.
-            self._maintainer: Optional[ResultMaintainer] = ResultMaintainer(
-                self.database,
-                self.result_cache,
-                scatter=self._scatter,
-                compiler=self.compiler,
-                mode="incremental",
-                clock=self._clock_now,
-            )
-        else:
-            self._maintainer = None
-            if self._partial_cache is not None:
-                self.database.subscribe_invalidation(self._partial_cache.invalidate)
-        self.database.subscribe_invalidation(self._on_catalog_mutation)
+        self.pipeline = QueryPipeline(
+            database,
+            compiler=compiler,
+            plan_cache_capacity=plan_cache_capacity,
+            result_cache_capacity=result_cache_capacity,
+            tracer=trace,
+            faults=faults,
+            seed=seed,
+            on_shard_loss=on_shard_loss,
+            retry_policy=retry_policy,
+            maintenance=maintenance,
+            clock=self._clock_now,
+        )
+        self.compiler = self.pipeline.compiler
+        self.plan_cache = self.pipeline.plan_cache
+        self.result_cache = self.pipeline.result_cache
+        self.tracer = self.pipeline.tracer
+        # Subscribed after the pipeline's own listeners, so the caches are
+        # already maintained for an event when subscriptions are advanced.
+        database.subscribe_invalidation(self._on_catalog_mutation)
 
     def _on_catalog_mutation(self, event: MutationEvent) -> None:
-        if self._maintainer is not None:
-            report: Optional[MaintenanceReport] = self._maintainer.on_mutation(event)
-        else:
-            report = None
-            self.result_cache.invalidate(event)
         # Cost estimates depend on relation statistics; recompute on change.
         self._route_memo.clear()
         if self._subscriptions:
-            self._notify_subscriptions(event, report)
+            self._notify_subscriptions(event)
 
     # ------------------------------------------------------------------ #
     # Continuous queries
@@ -376,17 +359,12 @@ class Session:
         Under ``maintenance="incremental"`` the update is a semi-naive
         delta join; otherwise the statement is re-executed and diffed.
         """
-        stmt = coerce_statement(statement)
-        query = stmt.resolve(self.database)
-        self.database.validate_query(query)
-        signature = self.compiler.signature(query)
+        _stmt, query, signature = self._resolve(statement)
         subscription = Subscription(self, query, signature)
         self._subscriptions.append(subscription)
         return subscription
 
-    def _notify_subscriptions(
-        self, event: MutationEvent, report: Optional[MaintenanceReport]
-    ) -> None:
+    def _notify_subscriptions(self, event: MutationEvent) -> None:
         """Advance every live subscription past one catalog mutation.
 
         Runs inside the catalog's notification, *after* the caches were
@@ -394,18 +372,16 @@ class Session:
         be answered straight from the (already patched or dropped) result
         cache.  A delta is queued only when the result actually changed.
         """
-        incremental = (
-            self._maintainer is not None
-            and report is not None
-            and report.patchable
-        )
+        maintainer = self.pipeline.maintainer
+        # The maintainer patches exactly the patchable events.
+        incremental = maintainer is not None and event.patchable
         for subscription in list(self._subscriptions):
             if event.relation not in subscription.query.relation_names():
                 continue
             added: Tuple[Tuple[int, ...], ...]
             removed: Tuple[Tuple[int, ...], ...] = ()
             if incremental:
-                delta = self._maintainer.delta_for(subscription.query, event)
+                delta = maintainer.delta_for(subscription.query, event)
                 added = tuple(
                     sorted(t for t in delta if t not in subscription._snapshot)
                 )
@@ -451,21 +427,22 @@ class Session:
         accumulated delta-join cost (``maintainer.cost_ns``, virtual ns) so
         benchmarks can charge patching honestly against recomputation.
         """
-        return self._maintainer
+        return self.pipeline.maintainer
 
     def close(self) -> None:
         """Detach this session from its catalog (idempotent).
 
         Unsubscribes the invalidation callbacks (the session's and its
-        partial-result cache's), so short-lived sessions over a long-lived
-        shared database do not accumulate dead listeners.  A closed session
-        can still execute; its cached results simply stop tracking catalog
-        mutations.
+        pipeline's), so short-lived sessions over a long-lived shared
+        database do not accumulate dead listeners, and marks every live
+        :class:`Subscription` closed.  A closed session can still execute;
+        its cached results simply stop tracking catalog mutations.
         """
         if not self._closed:
             self.database.unsubscribe_invalidation(self._on_catalog_mutation)
-            if self._partial_cache is not None and self._maintainer is None:
-                self.database.unsubscribe_invalidation(self._partial_cache.invalidate)
+            self.pipeline.detach()
+            for subscription in self._subscriptions:
+                subscription.closed = True
             self._subscriptions = []
             if self._service is not None:
                 self._service.close()  # shut down execution-backend pools
@@ -504,8 +481,7 @@ class Session:
         """Make ``engine`` available to this session (latest name wins)."""
         self.engines[engine.name] = engine
         # The candidate set changed; cached routing decisions are stale.
-        if hasattr(self, "_route_memo"):
-            self._route_memo.clear()
+        self._route_memo.clear()
 
     def engine_names(self) -> Tuple[str, ...]:
         """Engines configured on this session, sorted."""
@@ -541,6 +517,13 @@ class Session:
     # ------------------------------------------------------------------ #
     # Single-statement execution
     # ------------------------------------------------------------------ #
+    def _resolve(self, statement: object) -> Tuple[Statement, ConjunctiveQuery, str]:
+        """The resolve stage: statement → validated query → canonical signature."""
+        stmt = coerce_statement(statement)
+        query = stmt.resolve(self.database)
+        self.database.validate_query(query)
+        return stmt, query, self.pipeline.compiler.signature(query)
+
     def execute(self, statement: object, route: str = "auto") -> ResultSet:
         """Execute ``statement`` and return a lazy :class:`ResultSet`.
 
@@ -551,141 +534,37 @@ class Session:
         the first consumption of the ResultSet and memoised; the result
         cache is consulted/populated at that moment.
         """
-        stmt = coerce_statement(statement)
-        query = stmt.resolve(self.database)
-        self.database.validate_query(query)
-        signature = self.compiler.signature(query)
+        _stmt, query, signature = self._resolve(statement)
         decision = self._route(query, route, signature)
         engine = self.engines[decision.chosen]
+        pipeline = self.pipeline
 
         def run() -> ExecutionOutcome:
-            cached = self.result_cache.get(signature)
-            if cached is not None:
-                return ExecutionOutcome(
-                    tuples=cached, cost=RESULT_REPLAY_COST, from_cache=True
-                )
-            scatter_spec = (
-                self._scatter.spec_for(query) if self._scatter is not None else None
-            )
-            if scatter_spec is not None:
-                # Sharded catalog: scatter-gather through the executor
-                # (rewritten plans and per-shard partials live there, so
-                # the session plan cache is bypassed).
-                execution = self._scatter.execute(
-                    query, engine, spec=scatter_spec, now=self._trace_clock
-                )
-                if execution.cacheable:
-                    self.result_cache.put_result(
-                        signature, execution.tuples, query.relation_names(),
-                        query=query,
-                    )
-                return ExecutionOutcome(
-                    tuples=execution.tuples,
-                    cost=execution.cost,
-                    from_cache=False,
-                    stats=execution.stats,
-                    plan=execution.plan,
-                    count=execution.count,
-                    scatter=execution.scatter,
-                    degraded=execution.degraded,
-                    missing_shards=execution.missing_shards,
-                )
-            plan = None
-            plan_cache_hit = False
-            compiled = False
-            if engine.plan_aware:
-                entry = self.plan_cache.get(signature)
-                if entry is None:
-                    _, canonical, plan = self.compiler.compile_canonical(query)
-                    self.plan_cache.put(signature, (canonical, plan))
-                    compiled = True
-                else:
-                    canonical, plan = entry
-                    plan_cache_hit = True
-                execution = engine.execute(canonical, self.database, plan=plan)
-            else:
-                # Plan-blind engines plan internally; the plan cache is
-                # neither consulted nor credited for them.
-                execution = engine.execute(query, self.database)
-            if not execution.plan_used:
-                plan_cache_hit = False
-            if execution.cacheable:
-                self.result_cache.put_result(
-                    signature, execution.tuples, query.relation_names(),
-                    query=query,
-                )
-            return ExecutionOutcome(
-                tuples=execution.tuples,
-                cost=execution.cost,
-                from_cache=False,
-                stats=execution.stats,
-                plan=execution.plan if execution.plan is not None else plan,
-                report=execution.report,
-                count=execution.count,
-                plan_cache_hit=plan_cache_hit,
-                compiled=compiled,
-            )
-
-        if not self.tracer.enabled:
-
-            def clocked_run() -> ExecutionOutcome:
-                # The virtual-time cursor advances whether or not a trace is
-                # recorded: the incremental maintainer's fault checks read
-                # it (an unreachable fragment cannot be patched *now*).
-                outcome = run()
-                self._trace_clock += outcome.cost
-                return outcome
-
-            return ResultSet(query, signature, engine.name, clocked_run, route=decision)
-
-        def traced_run() -> ExecutionOutcome:
-            # The sync path has no event loop; executions occupy successive
-            # windows of the session's virtual-time cursor.  The trace is
-            # derived entirely from the outcome, so the run itself is
-            # untouched.
-            outcome = run()
+            # The sync path has no event loop: each forced execution runs
+            # the pipeline's stages back to back in the next window of the
+            # session's virtual-time cursor.  The cursor advances whether or
+            # not a trace is recorded — the incremental maintainer's fault
+            # checks read it (an unreachable fragment cannot be patched *now*).
             start = self._trace_clock
-            finish = start + outcome.cost
-            root = self.tracer.begin(
-                "query",
-                start,
-                {
-                    "query": query.name,
-                    "signature": signature,
-                    "backend": engine.name,
-                    "source": "session",
-                },
-            )
-            root.child(
-                "route",
-                start,
-                {"backend": engine.name, "pinned": route not in (None, "auto")},
-            )
-            if outcome.from_cache:
-                root.event("result_cache_hit", start, signature=signature)
-            elif engine.plan_aware and outcome.scatter is None:
-                root.child(
-                    "plan_cache",
+            trace = None
+            if pipeline.tracer.enabled:
+                trace = pipeline.begin_trace(
+                    query,
+                    signature,
+                    engine,
                     start,
-                    {"hit": outcome.plan_cache_hit, "compiled": outcome.compiled},
+                    {"source": "session"},
+                    {"pinned": route not in (None, "auto")},
                 )
-            execute = root.child("execute", start, {"backend": engine.name})
-            execute.end(finish)
-            execute.attributes["cost_ns"] = outcome.cost
-            execute.attributes["cardinality"] = (
-                len(outcome.tuples) if outcome.tuples else (outcome.count or 0)
-            )
-            if outcome.from_cache:
-                execute.attributes["result_cache_hit"] = True
-            execute.attributes.update(join_stats_attributes(outcome.stats))
-            if outcome.scatter is not None:
-                attach_scatter_legs(execute, outcome.scatter)
-            root.end(finish)
-            self._trace_clock = finish
-            outcome.trace = self.tracer.finish(root)
-            return outcome
+            prepared = pipeline.prepare(query, signature, engine, start, trace)
+            completed = pipeline.finalize(prepared, prepared.run())
+            pipeline.publish(completed)
+            self._trace_clock = completed.finish_time
+            if prepared.error is not None:
+                raise prepared.error
+            return _outcome_of(completed)
 
-        return ResultSet(query, signature, engine.name, traced_run, route=decision)
+        return ResultSet(query, signature, engine.name, run, route=decision)
 
     def explain(self, statement: object, route: str = "auto") -> Explanation:
         """Describe how ``statement`` would run: route, costs and plan.
@@ -693,20 +572,11 @@ class Session:
         Explaining a plan-aware route compiles (and caches) the canonical
         plan but executes nothing.
         """
-        stmt = coerce_statement(statement)
-        query = stmt.resolve(self.database)
-        self.database.validate_query(query)
-        signature = self.compiler.signature(query)
+        stmt, query, signature = self._resolve(statement)
         decision = self._route(query, route, signature, with_estimates=True)
-        engine = self.engines[decision.chosen]
         plan = None
-        if engine.plan_aware:
-            entry = self.plan_cache.get(signature)
-            if entry is None:
-                _, canonical, plan = self.compiler.compile_canonical(query)
-                self.plan_cache.put(signature, (canonical, plan))
-            else:
-                _canonical, plan = entry
+        if self.engines[decision.chosen].plan_aware:
+            _canonical, plan, _hit = self.pipeline.plan_for(query, signature)
         estimate = decision.estimate_for(decision.chosen)
         return Explanation(
             statement=stmt,
@@ -724,32 +594,23 @@ class Session:
     def service(self):
         """The session's :class:`~repro.service.QueryService` (lazily built).
 
-        The service shares this session's database, compiler, caches,
-        engine instances and — under ``routing="auto"`` — its cost router,
-        so the two execution paths reuse each other's cached plans and
-        results.
+        The service runs over this session's pipeline (catalog, compiler,
+        caches, tracer, fault and maintenance wiring), engine instances and
+        — under ``routing="auto"`` — its cost router, so the two execution
+        paths reuse each other's cached plans and results.
         """
         if self._service is None:
             from repro.service.service import QueryService
 
             self._service = QueryService(
-                self.database,
+                pipeline=self.pipeline,
                 backends=tuple(self.engines.values()),
-                compiler=self.compiler,
-                plan_cache=self.plan_cache,
-                result_cache=self.result_cache,
                 max_in_flight=self.max_in_flight,
                 max_queue_depth=self.max_queue_depth,
                 seed=self.seed,
                 router=self.router if self.routing == "auto" else None,
-                scatter=self._scatter,
                 backend=self.execution_backend,
                 workers=self.concurrency,
-                tracer=self.tracer,
-                faults=self.fault_plan,
-                on_shard_loss=self.on_shard_loss,
-                retry_policy=self.retry_policy,
-                maintenance=self.maintenance,
             )
         return self._service
 

@@ -34,7 +34,7 @@ The CLI exposes the library's main entry points without writing any Python::
     python -m repro version
 
 ``run`` executes one pattern query on any engine in the shared registry
-(:mod:`repro.api.engines`; ``auto`` routes on cost); ``explain`` prints the
+(:mod:`repro.engines`; ``auto`` routes on cost); ``explain`` prints the
 chosen route, per-engine cost estimates and the compiled plan without
 executing; ``experiment`` regenerates one of the paper's tables/figures;
 ``compare`` pits TrieJax against the four baseline systems on a single
@@ -67,7 +67,7 @@ for Prometheus-style exposition, and ``trace validate|summarize`` checks
 and analyses exported traces (see :mod:`repro.obs`).
 
 All engine names resolve through the single registry in
-:mod:`repro.api.engines`; the CLI keeps no private engine table.
+:mod:`repro.engines`; the CLI keeps no private engine table.
 """
 
 from __future__ import annotations

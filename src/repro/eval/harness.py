@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.api.engines import EngineExecution, create_engine
 from repro.baselines import (
     BaselineResult,
     BaselineSystem,
@@ -28,6 +27,7 @@ from repro.baselines import (
     Q100Model,
 )
 from repro.core import AcceleratorOutcome, TrieJaxAccelerator, TrieJaxConfig
+from repro.engines import EngineExecution, create_engine
 from repro.graphs import DATASET_NAMES, PATTERN_NAMES, load_dataset, pattern_query
 from repro.relational.catalog import Database
 from repro.util.validation import check_in_range
@@ -122,7 +122,7 @@ class ExperimentContext:
         """Run one registry engine on (query, dataset); memoised.
 
         Engines resolve through the shared registry in
-        :mod:`repro.api.engines`, so the harness exercises exactly the same
+        :mod:`repro.engines`, so the harness exercises exactly the same
         execution paths the CLI and the serving layer expose.
         """
         key = (engine_name, query_name, dataset_name)

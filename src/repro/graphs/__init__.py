@@ -34,7 +34,6 @@ from repro.graphs.patterns import (
     PATTERN_NAMES,
     EXTRA_PATTERN_NAMES,
     pattern_query,
-    all_pattern_queries,
     multi_relation_pattern_query,
     pattern_relation_symbols,
     pattern_arity,
@@ -69,7 +68,6 @@ __all__ = [
     "PATTERN_NAMES",
     "EXTRA_PATTERN_NAMES",
     "pattern_query",
-    "all_pattern_queries",
     "multi_relation_pattern_query",
     "pattern_relation_symbols",
     "pattern_arity",

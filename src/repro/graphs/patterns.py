@@ -107,11 +107,6 @@ def pattern_query(name: str, edge_relation: str = "E") -> ConjunctiveQuery:
     return ConjunctiveQuery(name, head, atoms)
 
 
-def all_pattern_queries(edge_relation: str = "E") -> List[ConjunctiveQuery]:
-    """All five Table 1 queries over ``edge_relation``, in paper order."""
-    return [pattern_query(name, edge_relation) for name in PATTERN_NAMES]
-
-
 def pattern_arity(name: str) -> int:
     """Number of output variables of pattern ``name``."""
     head, _edges = _pattern_definition(name)

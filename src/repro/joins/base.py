@@ -16,7 +16,7 @@ freely and lets the correctness tests compare any engine against the oracle.
     is the internal SPI the algorithm implementations fill in.  Callers
     should go through :class:`repro.api.Session` (or
     :func:`repro.api.create_engine`, which wraps these engines behind the
-    unified :class:`repro.api.engines.EngineProtocol` with declared
+    unified :class:`repro.engines.EngineProtocol` with declared
     capabilities and cost models).
 """
 

@@ -25,7 +25,6 @@ from repro.relational.datalog import (
     DatalogSyntaxError,
     parse_datalog,
     parse_program,
-    format_datalog,
 )
 from repro.relational.sql import SQLSyntaxError, parse_sql_join
 from repro.relational.catalog import Catalog, Database, DeltaBatch, MutationEvent
@@ -69,7 +68,6 @@ __all__ = [
     "DatalogSyntaxError",
     "parse_datalog",
     "parse_program",
-    "format_datalog",
     "SQLSyntaxError",
     "parse_sql_join",
     "Catalog",

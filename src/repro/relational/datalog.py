@@ -108,8 +108,3 @@ def parse_program(text: str) -> List[ConjunctiveQuery]:
             continue
         queries.append(parse_datalog(chunk + "."))
     return queries
-
-
-def format_datalog(query: ConjunctiveQuery) -> str:
-    """Inverse of :func:`parse_datalog` (delegates to the query itself)."""
-    return query.to_datalog()

@@ -13,7 +13,7 @@ cross-query, throughput-oriented workloads:
   queries and arbitrates priority classes with a seeded lottery.
 
 :class:`QueryService` (:mod:`repro.service.service`) composes both over the
-pluggable engine registry (:mod:`repro.api.engines`: naive, LFTJ, CTJ,
+pluggable engine registry (:mod:`repro.engines`: naive, LFTJ, CTJ,
 Generic Join, pairwise, and the TrieJax accelerator model);
 :mod:`repro.service.workload` drives it with seeded open/closed-loop query
 streams and :mod:`repro.service.metrics` aggregates per-request records
@@ -41,7 +41,7 @@ Quick start::
     outcomes = run_workload(service, requests)
     print(service.report())
 
-Engines live in :mod:`repro.api.engines` (the single registry shared with
+Engines live in :mod:`repro.engines` (the single registry shared with
 :class:`repro.api.Session`); ``ExecutionBackend`` here names the
 *execution-loop* abstraction from :mod:`repro.service.backends`.
 :class:`QueryService` itself is most conveniently reached through
@@ -49,13 +49,6 @@ Engines live in :mod:`repro.api.engines` (the single registry shared with
 cost router.
 """
 
-# repro.api and this package import each other (api.session is built from
-# service components; service.scatter/service/shm use api.engines, and
-# service.metrics reaches repro.eval, which imports repro.api).  The cycle
-# only resolves when repro.api's init starts first and has loaded
-# repro.api.engines before session pulls the service modules in, so start it
-# here: `import repro.service` then works as a process's first import too.
-import repro.api
 from repro.service.admission import (
     AdmissionController,
     AdmissionStats,
@@ -102,11 +95,11 @@ from repro.service.scatter import (
     ScatterGatherStats,
     ShardTaskStats,
 )
+from repro.service.pipeline import QueryPipeline, RESULT_REPLAY_COST
 from repro.service.service import (
     BackdatedArrivalWarning,
     QueryOutcome,
     QueryService,
-    RESULT_REPLAY_COST,
     ServiceRequest,
 )
 from repro.service.workload import (
@@ -163,6 +156,7 @@ __all__ = [
     "ScatterGatherStats",
     "ShardTaskStats",
     "QueryOutcome",
+    "QueryPipeline",
     "QueryService",
     "RESULT_REPLAY_COST",
     "ServiceRequest",

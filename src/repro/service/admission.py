@@ -123,10 +123,6 @@ class AdmissionController(Generic[T]):
         with self._lock:
             return self._in_flight < self.max_in_flight
 
-    def queue_depth_of(self, priority: str) -> int:
-        with self._lock:
-            return len(self._queues[self._check_priority(priority)])
-
     # ------------------------------------------------------------------ #
     # Submission / dispatch protocol
     # ------------------------------------------------------------------ #

@@ -164,11 +164,10 @@ class ExecutionBackend(abc.ABC):
             nonlocal sequence
             for handle, _start_time in started:
                 completed = self._resolve(service, handle)
-                outcomes[completed.request_id] = completed.outcome
+                record = completed.outcome.record
+                outcomes[record.request_id] = completed.outcome
                 sequence += 1
-                heapq.heappush(
-                    completions, (completed.record.finish_time, sequence, completed)
-                )
+                heapq.heappush(completions, (record.finish_time, sequence, completed))
             started.clear()
 
         while index < len(arrivals) or completions or started:
@@ -223,8 +222,7 @@ class VirtualTimeBackend(ExecutionBackend):
         self, service: "QueryService", request: "ServiceRequest", start_time: float
     ) -> object:
         prepared = service._dispatch(request, start_time)
-        execution = prepared.work() if prepared.work is not None else None
-        return service._finalize(prepared, execution)
+        return service._finalize(request, prepared, prepared.run())
 
     def _resolve(self, service: "QueryService", handle: object):
         return handle  # already completed at _start
@@ -327,7 +325,7 @@ class ThreadPoolBackend(ExecutionBackend):
             engine_runner=self._engine_runner(service),
         )
         if prepared.work is None:
-            return (prepared, None)
+            return (request, prepared, None)
 
         def timed_work():
             wall_start = time.perf_counter()
@@ -335,14 +333,14 @@ class ThreadPoolBackend(ExecutionBackend):
             return execution, time.perf_counter() - wall_start
 
         future: Future = self._request_pool().submit(timed_work)
-        return (prepared, future)
+        return (request, prepared, future)
 
     def _resolve(self, service: "QueryService", handle: object):
-        prepared, future = handle
+        request, prepared, future = handle
         if future is None:
-            return service._finalize(prepared, None)
+            return service._finalize(request, prepared, None)
         execution, wall_elapsed = future.result()
-        return service._finalize(prepared, execution, wall_elapsed=wall_elapsed)
+        return service._finalize(request, prepared, execution, wall_elapsed=wall_elapsed)
 
 
 class ProcessPoolBackend(ThreadPoolBackend):

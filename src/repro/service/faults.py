@@ -51,6 +51,7 @@ __all__ = [
     "TaskSchedule",
     "TransientFault",
     "WorkerCrashFault",
+    "check_on_shard_loss",
     "coerce_fault_plan",
     "parse_fault_spec",
     "schedule_task",
@@ -91,6 +92,13 @@ class ShardUnavailableError(RuntimeError):
             f"unavailable after {attempts} attempt(s); "
             f"use on_shard_loss='partial' for a degraded answer"
         )
+
+
+def check_on_shard_loss(policy: str) -> str:
+    """Validate an ``on_shard_loss`` policy name; returns it for chaining."""
+    if policy not in ("fail", "partial"):
+        raise ValueError(f"on_shard_loss must be 'fail' or 'partial', got {policy!r}")
+    return policy
 
 
 # --------------------------------------------------------------------------- #

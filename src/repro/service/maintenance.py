@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Tuple
 
+from repro.engines import create_engine
 from repro.joins.compiler import QueryCompiler
 from repro.joins.delta import DeltaPlanner, evaluate_delta
 from repro.relational.catalog import MutationEvent
@@ -121,16 +122,12 @@ class ResultMaintainer:
         mode: str = "incremental",
         clock: Optional[Callable[[], float]] = None,
     ):
-        if engine is None:
-            from repro.api.engines import create_engine
-
-            engine = create_engine("lftj")
         self.catalog = catalog
         self.result_cache = result_cache
         self.scatter = scatter
         self.compiler = compiler or QueryCompiler(enable_caching=True)
         self.planner = DeltaPlanner(self.compiler)
-        self.engine = engine
+        self.engine = engine if engine is not None else create_engine("lftj")
         self.mode = check_maintenance_mode(mode)
         self.clock = clock or (lambda: 0.0)
         #: Accumulated virtual-time cost of every delta join run so far.

@@ -25,7 +25,7 @@ class QueryRecord:
     """Everything the service remembers about one completed request.
 
     Times are in the service's virtual clock (modelled nanoseconds, see
-    :mod:`repro.api.engines`); ``service_time`` is the backend-charged
+    :mod:`repro.engines`); ``service_time`` is the backend-charged
     cost, a small constant for result-cache hits.  ``wall_elapsed`` is the
     *host* wall-clock span (seconds) of the request's engine work when a
     concurrent execution backend measured one — ``None`` under the

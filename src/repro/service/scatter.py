@@ -1,6 +1,6 @@
 """Scatter-gather execution: fan one query out over a sharded catalog.
 
-The executor takes any :class:`~repro.api.engines.EngineProtocol` engine and
+The executor takes any :class:`~repro.engines.EngineProtocol` engine and
 a :class:`~repro.relational.sharding.ShardedDatabase` and runs the catalog's
 :class:`~repro.relational.sharding.ScatterSpec`: the seed atom is rewritten
 to the shard alias, each shard's task executes the rewritten query against
@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.api.engines import EngineExecution, EngineProtocol
+from repro.engines import EngineExecution, EngineProtocol
 from repro.joins.compiler import QueryCompiler
 from repro.joins.plan import JoinPlan
 from repro.joins.stats import JoinStats
@@ -61,6 +61,7 @@ from repro.service.faults import (
     NodeBreakers,
     RetryPolicy,
     ShardUnavailableError,
+    check_on_shard_loss,
     schedule_task,
 )
 
@@ -155,10 +156,6 @@ class ScatterGatherStats:
     def hedges(self) -> int:
         return sum(1 for task in self.tasks if task.hedged)
 
-    @property
-    def lost_shards(self) -> Tuple[int, ...]:
-        return tuple(task.shard for task in self.tasks if task.lost)
-
     def describe(self) -> str:
         lines = [
             (
@@ -230,7 +227,8 @@ class ScatterGatherExecutor:
         The sharded catalog to fan out over.
     partial_cache:
         Optional shard-aware result cache for per-shard partials.  The
-        *caller* owns its invalidation wiring (subscribe it to the
+        *caller* owns its invalidation wiring
+        (:class:`repro.service.pipeline.QueryPipeline` subscribes it to the
         catalog's mutation events); the executor only reads and populates
         it.
     compiler:
@@ -264,11 +262,7 @@ class ScatterGatherExecutor:
         self.compiler = compiler or QueryCompiler(enable_caching=True)
         self.retry_policy = retry_policy or RetryPolicy()
         self.injector = injector
-        if on_shard_loss not in ("fail", "partial"):
-            raise ValueError(
-                f"on_shard_loss must be 'fail' or 'partial', got {on_shard_loss!r}"
-            )
-        self.on_shard_loss = on_shard_loss
+        self.on_shard_loss = check_on_shard_loss(on_shard_loss)
         self.breakers = NodeBreakers(self.retry_policy)
         # Rewritten plans by (canonical signature, seed index): pure query
         # structure, shared by every shard and never invalidated by data.
@@ -289,30 +283,6 @@ class ScatterGatherExecutor:
     def fault_tolerant(self) -> bool:
         """Whether the attempt-walk path is armed (an injector is present)."""
         return self.injector is not None
-
-    def configure_faults(
-        self,
-        injector: Optional[FaultInjector] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        on_shard_loss: Optional[str] = None,
-    ) -> None:
-        """Arm or re-arm fault tolerance on an existing executor.
-
-        Used by :class:`~repro.service.service.QueryService` when it is
-        handed a pre-built executor (the :class:`~repro.api.session.Session`
-        path) together with fault knobs of its own.
-        """
-        if retry_policy is not None:
-            self.retry_policy = retry_policy
-            self.breakers = NodeBreakers(retry_policy)
-        if injector is not None:
-            self.injector = injector
-        if on_shard_loss is not None:
-            if on_shard_loss not in ("fail", "partial"):
-                raise ValueError(
-                    f"on_shard_loss must be 'fail' or 'partial', got {on_shard_loss!r}"
-                )
-            self.on_shard_loss = on_shard_loss
 
     def breaker_gate(self, now: float) -> Optional[Dict[int, bool]]:
         """Per-node breaker admission at virtual ``now`` (None when unarmed).
@@ -426,9 +396,10 @@ class ScatterGatherExecutor:
         step either raises :class:`ShardUnavailableError`
         (``on_shard_loss="fail"``) or returns the surviving union flagged
         degraded and non-cacheable.  ``breaker_gate`` is the per-node
-        circuit-breaker admission computed at dispatch; when ``None`` and
-        faults are armed, the executor gates and observes its own breakers
-        inline (the sequential :class:`~repro.api.session.Session` path).
+        circuit-breaker admission computed at dispatch
+        (:meth:`repro.service.pipeline.QueryPipeline.prepare`); when
+        ``None`` and faults are armed, the executor gates and observes its
+        own breakers inline (direct callers with no publish stage).
         """
         if spec is None:
             spec = self.spec_for(query)

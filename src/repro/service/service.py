@@ -2,7 +2,7 @@
 
 :class:`QueryService` turns the single-query reproduction into a serving
 system.  It owns a :class:`~repro.relational.catalog.Database` catalog and a
-set of execution backends (see :mod:`repro.api.engines`) and serves a
+set of execution backends (see :mod:`repro.engines`) and serves a
 stream of requests through three cooperating layers:
 
 1. the **result cache** answers a repeated query without touching an engine
@@ -14,7 +14,7 @@ stream of requests through three cooperating layers:
    reproducible lottery.
 
 Concurrency is modelled in *virtual time* (modelled nanoseconds, see
-:mod:`repro.api.engines`), the same way the core scheduler models
+:mod:`repro.engines`), the same way the core scheduler models
 hardware threads: each execution charges a deterministic backend cost as
 its service time, and :meth:`QueryService.drain` advances a virtual clock
 through arrival/completion events.  The clock persists across drains, and a
@@ -22,6 +22,13 @@ freshly computed result enters the result cache only at its request's
 *completion* event, so a concurrent duplicate can never observe a result
 that has not finished yet in virtual time.  Identical (workload, seed)
 configurations produce bit-identical metrics, queue waits included.
+
+What happens to one request between dispatch and completion — cache
+probes, plan compilation, the engine execution, publication — is the
+shared :class:`~repro.service.pipeline.QueryPipeline`
+(:mod:`repro.service.pipeline`), the same stages
+:meth:`repro.api.Session.execute` runs synchronously; this module adds
+backend choice, admission, the event loop and metrics around it.
 
 *Where* executions physically run is pluggable
 (:mod:`repro.service.backends`): the default
@@ -46,33 +53,26 @@ from __future__ import annotations
 import threading
 import time
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.api.engines import EngineExecution, EngineProtocol
-from repro.api.engines import create_engine as create_backend
+from repro.engines import EngineExecution, EngineProtocol
+from repro.engines import create_engine as create_backend
 from repro.joins.compiler import QueryCompiler
-from repro.obs.instrument import annotate_execute_span
-from repro.obs.trace import Span, Tracer, coerce_tracer
+from repro.obs.trace import Tracer
 from repro.relational.catalog import Database
 from repro.relational.query import ConjunctiveQuery
-from repro.relational.sharding import ShardedDatabase
 from repro.service.admission import AdmissionController
 from repro.service.backends import ExecutionBackend, TaskMap, create_execution_backend
-from repro.service.caches import PlanCache, ResultCache
-from repro.service.maintenance import ResultMaintainer, check_maintenance_mode
 from repro.service.faults import (
-    FaultInjector,
     FaultPlan,
     RetryPolicy,
     ShardUnavailableError,
-    coerce_fault_plan,
+    check_on_shard_loss,
 )
+from repro.service.maintenance import check_maintenance_mode
 from repro.service.metrics import QueryRecord, ServiceMetrics
-from repro.service.scatter import ScatterGatherExecutor, ScatterGatherStats
-
-#: Virtual-time cost charged to a request answered from the result cache.
-RESULT_REPLAY_COST = 1.0
+from repro.service.pipeline import CompletedQuery, PreparedQuery, QueryPipeline
 
 #: Accepted ``backdated_arrivals`` policies.
 BACKDATED_POLICIES = ("warn", "raise")
@@ -128,46 +128,11 @@ class QueryOutcome:
 
 
 @dataclass
-class _PreparedRequest:
-    """The deterministic dispatch phase of one request, work still pending.
-
-    Produced by :meth:`QueryService._dispatch` on the orchestrator thread
-    (cache lookups, plan compilation, backend choice — everything whose
-    *order* must match the virtual-time oracle).  ``work`` is the engine
-    execution itself: a pure closure over the read-only catalog that an
-    execution backend may run on any thread; ``None`` when the result cache
-    already answered.
-    """
-
-    request: ServiceRequest
-    start_time: float
-    signature: str
-    backend: EngineProtocol
-    work: Optional[Callable[[], EngineExecution]]
-    tuples: Optional[List[Tuple[int, ...]]] = None  # set for result-cache hits
-    result_cache_hit: bool = False
-    plan_cache_hit: bool = False
-    compiled: bool = False
-    cache_dependencies: Optional[Tuple[str, ...]] = None
-    partial_entries: List = field(default_factory=list)
-    trace: Optional[Span] = None  # root span of the request's trace, if tracing
-    error: Optional[ShardUnavailableError] = None  # unrecoverable shard loss
-
-
-@dataclass
 class _CompletedRequest:
-    """One finished execution, ready for its virtual-time completion event."""
+    """One finished request, ready for its virtual-time completion event."""
 
-    request_id: int
     outcome: QueryOutcome
-    record: QueryRecord
-    cache_entry: Optional[
-        Tuple[str, List[Tuple[int, ...]], Tuple[str, ...], ConjunctiveQuery]
-    ]
-    partial_entries: List
-    trace: Optional[Span] = None
-    #: Scatter breakdown for circuit-breaker observation at completion.
-    scatter_stats: Optional[ScatterGatherStats] = None
+    completed: CompletedQuery
 
 
 class QueryService:
@@ -182,8 +147,8 @@ class QueryService:
         depend only on query structure, never on data).
     backends:
         Backend names (resolved via the shared registry in
-        :mod:`repro.api.engines`) and/or ready
-        :class:`~repro.api.engines.EngineProtocol` instances.  Requests
+        :mod:`repro.engines`) and/or ready
+        :class:`~repro.engines.EngineProtocol` instances.  Requests
         that do not pin a backend either rotate round-robin through this
         list (the default) or, when ``router`` is given, go to the engine
         the cost router picks for each query.
@@ -191,12 +156,13 @@ class QueryService:
         A :class:`repro.api.routing.CostRouter` (or compatible) used to
         choose the backend of unpinned requests from the statistics-based
         cost estimates; ``None`` keeps the legacy round-robin rotation.
-    plan_cache / result_cache:
-        Externally owned caches to share (used by
-        :class:`repro.api.Session` so its synchronous path and the service
-        reuse each other's plans and results).  When a result cache is
-        passed in, the caller owns its invalidation wiring and the service
-        does not subscribe it again.
+    pipeline:
+        A ready :class:`~repro.service.pipeline.QueryPipeline` to serve
+        through, in place of ``database``/``storage_dir``: its catalog,
+        compiler, caches, tracer, fault and maintenance wiring are used
+        as-is and the matching keywords here are not consulted.  This is
+        how :class:`repro.api.Session` makes its synchronous path and its
+        service reuse each other's plans and results.
     backend / workers:
         The *execution* backend (how admitted requests physically run, see
         :mod:`repro.service.backends`): ``"virtual"`` (deterministic
@@ -239,13 +205,11 @@ class QueryService:
         :class:`repro.service.faults.RetryPolicy` knobs for the
         fault-tolerant scatter path (timeouts, backoff, hedging, breaker).
     maintenance:
-        How caches this service owns track catalog mutations:
-        ``"recompute"`` (default) drops dependent entries;
-        ``"incremental"`` patches them in place with semi-naive delta
-        joins through a :class:`~repro.service.maintenance.ResultMaintainer`
-        (non-patchable events still drop).  Ignored for externally owned
-        caches — their owner (e.g. :class:`repro.api.Session`) wires
-        maintenance itself.
+        How the caches track catalog mutations: ``"recompute"`` (default)
+        drops dependent entries; ``"incremental"`` patches them in place
+        with semi-naive delta joins through a
+        :class:`~repro.service.maintenance.ResultMaintainer`
+        (non-patchable events still drop).
     """
 
     def __init__(
@@ -258,10 +222,7 @@ class QueryService:
         max_in_flight: int = 4,
         max_queue_depth: Optional[int] = None,
         seed: int = 2020,
-        plan_cache: Optional[PlanCache] = None,
-        result_cache: Optional[ResultCache] = None,
         router=None,
-        scatter: Optional[ScatterGatherExecutor] = None,
         backend: Union[str, ExecutionBackend, None] = None,
         workers: Optional[int] = None,
         backdated_arrivals: str = "warn",
@@ -271,20 +232,10 @@ class QueryService:
         on_shard_loss: str = "fail",
         retry_policy: Optional[RetryPolicy] = None,
         maintenance: str = "recompute",
+        pipeline: Optional[QueryPipeline] = None,
     ):
         check_maintenance_mode(maintenance)
-        if storage_dir is not None:
-            if database is not None:
-                raise ValueError(
-                    "pass either database= or storage_dir=, not both: a "
-                    "durable service owns the store it opens"
-                )
-            from repro.storage import open_store
-
-            database = open_store(storage_dir, name="service")
-        self._owns_database = storage_dir is not None
-        if database is None:
-            raise ValueError("QueryService needs a database (or a storage_dir)")
+        check_on_shard_loss(on_shard_loss)
         if not backends:
             raise ValueError("QueryService needs at least one backend")
         if backdated_arrivals not in BACKDATED_POLICIES:
@@ -292,12 +243,41 @@ class QueryService:
                 f"backdated_arrivals must be one of {BACKDATED_POLICIES}, "
                 f"got {backdated_arrivals!r}"
             )
-        if on_shard_loss not in ("fail", "partial"):
+        if sum(given is not None for given in (database, storage_dir, pipeline)) > 1:
             raise ValueError(
-                f"on_shard_loss must be 'fail' or 'partial', got {on_shard_loss!r}"
+                "pass only one of database=, storage_dir= or pipeline=: a "
+                "durable service owns the store it opens, and a pipeline "
+                "already holds its catalog"
             )
-        self.database = database
-        self.compiler = compiler or QueryCompiler(enable_caching=True)
+        if storage_dir is not None:
+            from repro.storage import open_store
+
+            database = open_store(storage_dir, name="service")
+        self._owns_database = storage_dir is not None
+        if pipeline is None:
+            if database is None:
+                raise ValueError("QueryService needs a database (or a storage_dir)")
+            pipeline = QueryPipeline(
+                database,
+                compiler=compiler,
+                plan_cache_capacity=plan_cache_capacity,
+                result_cache_capacity=result_cache_capacity,
+                tracer=tracer,
+                faults=faults,
+                seed=seed,
+                on_shard_loss=on_shard_loss,
+                retry_policy=retry_policy,
+                maintenance=maintenance,
+                clock=lambda: self._clock,
+            )
+        self.pipeline = pipeline
+        self.database = pipeline.database
+        self.compiler = pipeline.compiler
+        self.plan_cache = pipeline.plan_cache
+        self.result_cache = pipeline.result_cache
+        self.scatter = pipeline.scatter
+        self.maintainer = pipeline.maintainer
+        self.tracer = pipeline.tracer
         self.router = router
         self.backends: Dict[str, EngineProtocol] = {}
         self._rotation: List[str] = []
@@ -305,12 +285,10 @@ class QueryService:
             engine = create_backend(entry) if isinstance(entry, str) else entry
             self.backends[engine.name] = engine
             self._rotation.append(engine.name)
-        self.plan_cache = plan_cache if plan_cache is not None else PlanCache(plan_cache_capacity)
         self.admission: AdmissionController[ServiceRequest] = AdmissionController(
             max_in_flight=max_in_flight, max_queue_depth=max_queue_depth, seed=seed
         )
         self.metrics = ServiceMetrics()
-        self.tracer = coerce_tracer(tracer)
         self.execution_backend = create_execution_backend(backend, workers)
         self.backdated_arrivals = backdated_arrivals
         self._pending: List[ServiceRequest] = []
@@ -326,65 +304,8 @@ class QueryService:
         # concurrently over the same admission/cache state.
         self._submit_lock = threading.Lock()
         self._drain_lock = threading.Lock()
-        self.maintenance = maintenance
-        self.maintainer: Optional[ResultMaintainer] = None
-        owns_result_cache = result_cache is None
-        if result_cache is not None:
-            self.result_cache = result_cache
-        else:
-            self.result_cache = ResultCache(result_cache_capacity)
-        owns_scatter = scatter is None and isinstance(database, ShardedDatabase)
-        if scatter is not None:
-            self.scatter = scatter
-        elif isinstance(database, ShardedDatabase):
-            # Per-shard partial results, maintained fragment-by-fragment
-            # by the catalog's shard-tagged mutation events.
-            self.scatter = ScatterGatherExecutor(
-                database, ResultCache(result_cache_capacity), compiler=self.compiler
-            )
-        else:
-            self.scatter = None
-        # Mutation wiring.  Caches this service *owns* track the catalog:
-        # under "recompute" each mutation drops dependent entries; under
-        # "incremental" one ResultMaintainer patches both caches with
-        # semi-naive delta joins (falling back to drops per event).
-        # Externally owned caches (the Session path) are wired by the caller.
-        if owns_result_cache and maintenance == "incremental":
-            self.maintainer = ResultMaintainer(
-                database,
-                self.result_cache,
-                scatter=self.scatter if owns_scatter else None,
-                compiler=self.compiler,
-                mode="incremental",
-                clock=lambda: self._clock,
-            )
-            database.subscribe_invalidation(self.maintainer.on_mutation)
-        else:
-            if owns_result_cache:
-                database.subscribe_invalidation(self.result_cache.invalidate)
-            if owns_scatter:
-                database.subscribe_invalidation(
-                    self.scatter.partial_cache.invalidate
-                )
-        # Fault injection: arm the scatter executor's attempt walk and the
-        # process backend's crash trigger.  A pre-built executor (the
-        # Session path) may arrive already armed; explicit knobs here win.
-        self.fault_plan = (
-            coerce_fault_plan(faults, seed=seed) if faults is not None else None
-        )
-        injector = (
-            FaultInjector(self.fault_plan) if self.fault_plan is not None else None
-        )
-        if self.scatter is not None and (
-            injector is not None
-            or retry_policy is not None
-            or on_shard_loss != "fail"
-        ):
-            self.scatter.configure_faults(
-                injector=injector,
-                retry_policy=retry_policy,
-                on_shard_loss=on_shard_loss,
-            )
+        # A ``crash:`` fault clause arms the process backend's crash trigger.
+        injector = pipeline.injector
         if injector is not None and injector.crash_after is not None:
             runner = getattr(self.execution_backend, "_runner", None)
             if runner is not None:
@@ -595,261 +516,80 @@ class QueryService:
         start_time: float,
         task_map: Optional[TaskMap] = None,
         engine_runner=None,
-    ) -> _PreparedRequest:
-        """The deterministic dispatch phase of one request.
+    ) -> PreparedQuery:
+        """Choose the request's engine and run the pipeline's prepare stage.
 
         Runs on the orchestrator thread, in dispatch order: backend choice
-        (which may consume rotation/router state), the result-cache lookup,
-        and the plan-cache lookup/compile for plan-aware engines.  The plan
-        cache is populated here at dispatch time: compilation is not
-        charged any virtual time, so plan visibility has no causal ordering
-        to violate.  The returned ``work`` closure (the engine execution
-        itself, or the scatter-gather fan-out) touches no ordered service
-        state and may run on any thread.
-
-        ``engine_runner`` (see
-        :class:`repro.service.shm.SharedMemoryRunner`) may take over the
-        pure engine work of plan-aware executions — shipping it to worker
-        processes — and declines by returning ``None``, in which case the
-        inline closure runs unchanged.
+        may consume rotation/router state, and the cache probes of
+        :meth:`QueryPipeline.prepare` must happen in the virtual-time
+        oracle's order on every execution backend.
         """
+        pipeline = self.pipeline
         query = request.query
-        signature = self.compiler.signature(query)
+        signature = pipeline.compiler.signature(query)
         backend = self._choose_backend(request)
-        prepared = _PreparedRequest(
-            request=request,
-            start_time=start_time,
-            signature=signature,
-            backend=backend,
-            work=None,
-        )
-        if self.tracer.enabled:
-            # Span skeleton, built on the orchestrator thread in dispatch
-            # order.  No ids yet — Tracer.finish assigns them at the
-            # request's completion event (see _complete), so ids/ordering
-            # are identical on every execution backend.
-            root = self.tracer.begin(
-                "query",
-                request.arrival_time,
-                {
-                    "request_id": request.request_id,
-                    "query": query.name,
-                    "signature": signature,
-                    "priority": request.priority,
-                    "backend": backend.name,
-                },
-            )
-            root.child(
-                "admission",
-                request.arrival_time,
-                {"queue_wait_ns": start_time - request.arrival_time},
-            ).end(start_time)
-            root.child(
-                "route",
+        trace = None
+        if pipeline.tracer.enabled:
+            trace = pipeline.begin_trace(
+                query,
+                signature,
+                backend,
                 start_time,
+                {"request_id": request.request_id, "priority": request.priority},
                 {
-                    "backend": backend.name,
                     "pinned": request.backend is not None,
                     "routed": request.backend is None and self.router is not None,
                 },
+                arrival_time=request.arrival_time,
             )
-            prepared.trace = root
-
-        cached = self.result_cache.get(signature)
-        scatter_spec = self.scatter.spec_for(query) if self.scatter is not None else None
-        if cached is not None:
-            prepared.tuples = cached
-            prepared.result_cache_hit = True
-            if prepared.trace is not None:
-                prepared.trace.event("result_cache_hit", start_time, signature=signature)
-            return prepared
-        if scatter_spec is not None:
-            # Sharded catalog: fan out through the scatter-gather executor
-            # (which owns the rewritten plans and per-shard partial cache);
-            # the service plan cache is bypassed, so no hit is credited.
-            # Fresh partials are collected and published at completion.
-            prepared.cache_dependencies = query.relation_names()
-            # Breaker admission is read here, at dispatch, on the
-            # orchestrator thread — pooled backends then see the same gate
-            # the virtual-time oracle computed.  Outcomes feed back at the
-            # completion event (_complete), never from worker threads.
-            breaker_gate = self.scatter.breaker_gate(start_time)
-
-            def scatter_work() -> Optional[EngineExecution]:
-                try:
-                    return self.scatter.execute(
-                        query,
-                        backend,
-                        spec=scatter_spec,
-                        collect_partials=prepared.partial_entries,
-                        task_map=task_map,
-                        engine_runner=engine_runner,
-                        now=start_time,
-                        breaker_gate=breaker_gate,
-                    )
-                except ShardUnavailableError as error:
-                    # Typed, expected failure: carry it to _finalize as a
-                    # failed record instead of tearing down the drain loop.
-                    prepared.error = error
-                    return None
-
-            prepared.work = scatter_work
-            return prepared
-
-        prepared.cache_dependencies = query.relation_names()
-        if backend.plan_aware:
-            entry = self.plan_cache.get(signature)
-            if entry is None:
-                _, canonical, plan = self.compiler.compile_canonical(query)
-                self.plan_cache.put(signature, (canonical, plan))
-                prepared.compiled = True
-            else:
-                canonical, plan = entry
-                prepared.plan_cache_hit = True
-            if prepared.trace is not None:
-                # Plan work is charged no virtual time; the probe/compile
-                # outcome lands as an instantaneous span at dispatch.
-                prepared.trace.child(
-                    "plan_cache",
-                    start_time,
-                    {"hit": prepared.plan_cache_hit, "compiled": prepared.compiled},
-                )
-            offloaded = (
-                engine_runner.global_work(backend, canonical, plan, self.database)
-                if engine_runner is not None
-                else None
-            )
-            if offloaded is not None:
-                prepared.work = offloaded
-            else:
-                prepared.work = lambda: backend.execute(
-                    canonical, self.database, plan=plan
-                )
-        else:
-            # Plan-blind backends (naive, pairwise) plan internally; the
-            # plan cache neither helps nor counts for them.
-            prepared.work = lambda: backend.execute(query, self.database)
-        return prepared
+        return pipeline.prepare(
+            query, signature, backend, start_time, trace, task_map, engine_runner
+        )
 
     def _finalize(
         self,
-        prepared: _PreparedRequest,
+        request: ServiceRequest,
+        prepared: PreparedQuery,
         execution: Optional[EngineExecution],
         wall_elapsed: Optional[float] = None,
     ) -> _CompletedRequest:
-        """Turn a finished execution into its completion event payload."""
-        request = prepared.request
-        cache_entry = None
-        scatter_stats: Optional[ScatterGatherStats] = None
-        failed = False
-        if execution is None and prepared.error is not None:
-            # Unrecoverable shard loss under on_shard_loss="fail": a failed
-            # record charging the virtual time burned before giving up.
-            tuples = []
-            service_time = max(prepared.error.cost_ns, RESULT_REPLAY_COST)
-            plan_cache_hit = False
-            failed = True
-            scatter_stats = getattr(prepared.error, "scatter", None)
-        elif execution is None:
-            tuples = prepared.tuples if prepared.tuples is not None else []
-            service_time = RESULT_REPLAY_COST
-            plan_cache_hit = False
-        else:
-            tuples = execution.tuples
-            service_time = execution.cost
-            # A backend that ignored the plan it was handed must not be
-            # credited with a plan-cache hit (see repro.api.engines:
-            # EngineExecution.plan_used).
-            plan_cache_hit = prepared.plan_cache_hit and execution.plan_used
-            if execution.cacheable:
-                cache_entry = (
-                    prepared.signature,
-                    tuples,
-                    prepared.cache_dependencies,
-                    request.query,
-                )
-            if isinstance(execution.scatter, ScatterGatherStats):
-                scatter_stats = execution.scatter
+        """Finalize an execution and write the request's metrics record."""
+        completed = self.pipeline.finalize(prepared, execution, wall_elapsed)
+        scatter_stats = completed.scatter_stats
         record = QueryRecord(
             request_id=request.request_id,
             query_name=request.query.name,
             signature=prepared.signature,
-            backend=prepared.backend.name,
+            backend=prepared.engine.name,
             priority=request.priority,
             arrival_time=request.arrival_time,
             start_time=prepared.start_time,
-            finish_time=prepared.start_time + service_time,
-            service_time=service_time,
-            result_count=len(tuples),
+            finish_time=completed.finish_time,
+            service_time=completed.service_time,
+            result_count=len(completed.tuples),
             result_cache_hit=prepared.result_cache_hit,
-            plan_cache_hit=plan_cache_hit,
+            plan_cache_hit=completed.plan_cache_hit,
             compiled=prepared.compiled,
             wall_elapsed=wall_elapsed,
             retries=scatter_stats.retries if scatter_stats is not None else 0,
             timeouts=scatter_stats.timeouts if scatter_stats is not None else 0,
             degraded=execution.degraded if execution is not None else False,
-            failed=failed,
+            failed=prepared.error is not None,
         )
-        if prepared.trace is not None:
-            execute = prepared.trace.child(
-                "execute", prepared.start_time, {"backend": prepared.backend.name}
-            )
-            execute.end(record.finish_time)
-            if execution is None and failed:
-                execute.attributes["failed"] = True
-                execute.attributes["error"] = "shard_unavailable"
-                execute.attributes["missing_shards"] = list(prepared.error.shards)
-                execute.attributes["cost_ns"] = service_time
-            elif execution is None:
-                execute.attributes["result_cache_hit"] = True
-                execute.attributes["cost_ns"] = service_time
-                execute.attributes["cardinality"] = len(tuples)
-            else:
-                annotate_execute_span(execute, execution)
-            if wall_elapsed is not None:
-                execute.wall_elapsed_s = wall_elapsed
-            prepared.trace.end(record.finish_time)
-        return _CompletedRequest(
-            request_id=request.request_id,
-            outcome=QueryOutcome(tuples, record, error=prepared.error),
-            record=record,
-            cache_entry=cache_entry,
-            partial_entries=prepared.partial_entries,
-            trace=prepared.trace,
-            scatter_stats=scatter_stats,
-        )
+        outcome = QueryOutcome(completed.tuples, record, error=prepared.error)
+        return _CompletedRequest(outcome, completed)
 
     def _complete(self, completed: _CompletedRequest) -> None:
         """Process one completion event: free the slot, publish, record.
 
         Called by the execution backend's event loop in virtual-time
-        completion order — this is the only place freshly computed results
-        (and per-shard partials) become visible, preserving virtual-time
-        causality on every backend.
+        completion order — :meth:`QueryPipeline.publish` is the only place
+        freshly computed results (and per-shard partials) become visible,
+        preserving virtual-time causality on every backend.
         """
         self.admission.release()
-        if completed.cache_entry is not None:
-            signature, tuples, relation_names, query = completed.cache_entry
-            self.result_cache.put_result(signature, tuples, relation_names, query=query)
-        if completed.partial_entries:
-            self.scatter.publish_partials(completed.partial_entries)
-        if (
-            completed.scatter_stats is not None
-            and self.scatter is not None
-            and self.scatter.fault_tolerant
-        ):
-            # Breaker state advances here, in virtual-time completion order
-            # on the orchestrator thread — the only mutation point, so every
-            # execution backend observes identical breaker transitions.
-            self.scatter.observe_attempts(
-                completed.scatter_stats, completed.record.finish_time
-            )
-        if completed.trace is not None:
-            # Traces seal in completion order — the deterministic order both
-            # execution backends share — so span ids never depend on host
-            # scheduling.
-            self.tracer.finish(completed.trace)
-        self.metrics.record(completed.record)
+        self.pipeline.publish(completed.completed)
+        self.metrics.record(completed.outcome.record)
 
     # ------------------------------------------------------------------ #
     # Reporting

@@ -33,7 +33,7 @@ The pieces, in data-flow order:
 
 Determinism: the worker runs the exact same pickled engine over the exact
 same int64 arrays with the exact same plan, so the returned
-:class:`~repro.api.engines.EngineExecution` (tuples, cost, JoinStats) is
+:class:`~repro.engines.EngineExecution` (tuples, cost, JoinStats) is
 bit-identical to an inline execution; all *ordered* state (caches,
 admission, virtual clock, trace spans) never leaves the orchestrator.
 
@@ -63,7 +63,7 @@ from multiprocessing import get_all_start_methods, get_context, shared_memory
 from multiprocessing import resource_tracker
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.api.engines import EngineExecution, EngineProtocol, SoftwareEngine
+from repro.engines import EngineExecution, EngineProtocol, SoftwareEngine
 from repro.joins.plan import JoinPlan
 from repro.relational.catalog import MutationEvent
 from repro.relational.query import Atom, ConjunctiveQuery

@@ -168,6 +168,45 @@ class _DurableState:
         return [tuple(int(v) for v in row) for row in record.data.get("rows", ())]
 
     # -- shared surface ------------------------------------------------- #
+    def insert_into(self, relation_name: str, rows: Iterable[Sequence[int]]) -> int:
+        arity = self.relation(relation_name).schema.arity
+        normalized = self._normalize_rows(rows, arity, relation_name)
+        if not self._replaying:
+            self._log_insert(relation_name, normalized)
+        return super().insert_into(relation_name, normalized)
+
+    def snapshot(self) -> Dict:
+        """Persist the full catalog + cached tries; truncate the WAL.
+
+        What is persisted comes from the host class's
+        ``_snapshot_contents`` (relation records and row fragments) and
+        ``_snapshot_tries`` (cached tries with their shard).  The segment
+        directory is wiped *before* the SQLite commit and repopulated after
+        it, so at no point can a stale segment coexist with newer snapshot
+        rows; a crash anywhere in between recovers from the old (or new)
+        snapshot plus the idempotent WAL.
+        """
+        shutil.rmtree(self._segments.root, ignore_errors=True)
+        records, fragments = self._snapshot_contents()
+        self._store.write_snapshot(
+            records,
+            fragments,
+            meta_updates={
+                "snapshot_seq": str(int(self._store.get_meta("snapshot_seq", "0")) + 1)
+            },
+        )
+        segment_count = 0
+        if self._use_segments:
+            for trie, shard in self._snapshot_tries():
+                self._segments.save(trie, shard=shard)
+                segment_count += 1
+        self._wal.reset()
+        return {
+            "snapshot_seq": int(self._store.get_meta("snapshot_seq", "0")),
+            "relations": len(records),
+            "segments": segment_count,
+        }
+
     def info(self) -> Dict:
         """Operational summary of the store (the CLI's ``store info``)."""
         segment_entries = self._segments.entries()
@@ -241,23 +280,8 @@ class DurableDatabase(_DurableState, Database):
             self._log_define(relation, replace=True)
         super().replace_relation(relation)
 
-    def insert_into(self, relation_name: str, rows: Iterable[Sequence[int]]) -> int:
-        arity = self.relation(relation_name).schema.arity
-        normalized = self._normalize_rows(rows, arity, relation_name)
-        if not self._replaying:
-            self._log_insert(relation_name, normalized)
-        return super().insert_into(relation_name, normalized)
-
     # -- snapshot / recovery -------------------------------------------- #
-    def snapshot(self) -> Dict:
-        """Persist the full catalog + cached tries; truncate the WAL.
-
-        The segment directory is wiped *before* the SQLite commit and
-        repopulated after it, so at no point can a stale segment coexist
-        with newer snapshot rows; a crash anywhere in between recovers from
-        the old (or new) snapshot plus the idempotent WAL.
-        """
-        shutil.rmtree(self._segments.root, ignore_errors=True)
+    def _snapshot_contents(self):
         records, fragments = [], []
         for relation_name in self.relation_names():
             relation = self.relation(relation_name)
@@ -272,24 +296,10 @@ class DurableDatabase(_DurableState, Database):
                     relation.schema.arity,
                 )
             )
-        segment_count = 0
-        self._store.write_snapshot(
-            records,
-            fragments,
-            meta_updates={
-                "snapshot_seq": str(int(self._store.get_meta("snapshot_seq", "0")) + 1)
-            },
-        )
-        if self._use_segments:
-            for trie in self.cached_tries():
-                self._segments.save(trie, shard=None)
-                segment_count += 1
-        self._wal.reset()
-        return {
-            "snapshot_seq": int(self._store.get_meta("snapshot_seq", "0")),
-            "relations": len(records),
-            "segments": segment_count,
-        }
+        return records, fragments
+
+    def _snapshot_tries(self):
+        return [(trie, None) for trie in self.cached_tries()]
 
     def _recover(self) -> None:
         for record in self._store.load_relations():
@@ -411,17 +421,9 @@ class DurableShardedDatabase(_DurableState, ShardedDatabase):
             self._log_define(relation, replace=True, replicate=resolved)
         super().replace_relation(relation, replicate=resolved)
 
-    def insert_into(self, relation_name: str, rows: Iterable[Sequence[int]]) -> int:
-        arity = self.relation(relation_name).schema.arity
-        normalized = self._normalize_rows(rows, arity, relation_name)
-        if not self._replaying:
-            self._log_insert(relation_name, normalized)
-        return super().insert_into(relation_name, normalized)
-
     # -- snapshot / recovery -------------------------------------------- #
-    def snapshot(self) -> Dict:
-        """Persist global + per-shard fragments, partitioners, cached tries."""
-        shutil.rmtree(self._segments.root, ignore_errors=True)
+    def _snapshot_contents(self):
+        """Global + per-shard fragments and each relation's partitioner."""
         records, fragments = [], []
         for relation_name in self.relation_names():
             relation = self.relation(relation_name)
@@ -458,28 +460,13 @@ class DurableShardedDatabase(_DurableState, ShardedDatabase):
                         arity,
                     )
                 )
-        self._store.write_snapshot(
-            records,
-            fragments,
-            meta_updates={
-                "snapshot_seq": str(int(self._store.get_meta("snapshot_seq", "0")) + 1)
-            },
-        )
-        segment_count = 0
-        if self._use_segments:
-            for trie in self.global_database.cached_tries():
-                self._segments.save(trie, shard=None)
-                segment_count += 1
-            for shard, shard_db in enumerate(self.shard_databases):
-                for trie in shard_db.cached_tries():
-                    self._segments.save(trie, shard=shard)
-                    segment_count += 1
-        self._wal.reset()
-        return {
-            "snapshot_seq": int(self._store.get_meta("snapshot_seq", "0")),
-            "relations": len(records),
-            "segments": segment_count,
-        }
+        return records, fragments
+
+    def _snapshot_tries(self):
+        tries = [(trie, None) for trie in self.global_database.cached_tries()]
+        for shard, shard_db in enumerate(self.shard_databases):
+            tries.extend((trie, shard) for trie in shard_db.cached_tries())
+        return tries
 
     def _recover(self) -> None:
         for record in self._store.load_relations():

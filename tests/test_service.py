@@ -33,13 +33,16 @@ class TestImportOrder:
         [
             "from repro.service import QueryService",
             "import repro.service.metrics",
-            "import repro.service.scatter",
+            # The engine registry sits below both packages: the service
+            # layer must load without pulling the API package in.
+            "import repro.service.scatter, sys; assert 'repro.api' not in sys.modules",
+            "import repro.eval",
+            "import repro.storage",
         ],
     )
     def test_service_imports_first_in_a_fresh_process(self, statement):
-        # repro.api and repro.service import each other; every other test
-        # module has imported repro.api by now, so only a fresh interpreter
-        # sees the service package as the first repro import.
+        # Every other test module has imported repro.api by now, so only a
+        # fresh interpreter sees these packages as the first repro import.
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         completed = subprocess.run(
             [sys.executable, "-c", statement],

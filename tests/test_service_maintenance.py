@@ -27,8 +27,10 @@ import pytest
 from repro.api import ResultDelta, Session
 from repro.graphs import pattern_query
 from repro.relational import Database, DeltaBatch, MutationEvent, Relation, Schema
+from repro.relational.sharding import shard_database
 from repro.service import (
     MAINTENANCE_MODES,
+    QueryService,
     ResultCache,
     ResultMaintainer,
     WorkloadSpec,
@@ -262,6 +264,57 @@ class TestWorkloadEquivalence:
         assert patched == oracle
         assert patches > 0
 
+    @pytest.mark.parametrize("maintenance", MAINTENANCE_MODES)
+    @pytest.mark.parametrize("shards", (1, 2), ids=("mono", "hash2"))
+    @pytest.mark.parametrize("engine", ("lftj", "ctj", "naive"))
+    def test_sync_execute_matches_a_fresh_served_run(self, engine, shards, maintenance):
+        """Sync = served: one statement stream through ``Session.execute``
+        and through a fresh ``QueryService.serve`` crosses the same pipeline
+        stages, so rows, virtual-time windows, engine counters and every
+        cache observable agree."""
+
+        def catalog():
+            database = workload_database(num_vertices=24, num_edges=90, seed=SEED)
+            return shard_database(database, shards) if shards > 1 else database
+
+        def observe(owner, span):
+            execute = span.find("execute")
+            partial = owner.pipeline.scatter.partial_cache if shards > 1 else None
+            return (
+                execute.start_ns,
+                execute.end_ns,
+                # JoinStats, cost and plan usage, plus the scatter legs.
+                execute.attributes,
+                [(leg.name, leg.attributes) for leg in execute.children],
+                [
+                    (cache.stats.as_dict(), cache.keys())
+                    for cache in (owner.plan_cache, owner.result_cache, partial)
+                    if cache is not None
+                ],
+            )
+
+        requests = generate_requests(update_heavy_spec(24), seed=SEED)
+        session = Session(catalog(), engines=(engine,), maintenance=maintenance, trace=True)
+        service = QueryService(
+            catalog(), backends=(engine,), maintenance=maintenance, tracer=True
+        )
+        try:
+            for request in requests:
+                if request.kind == "update":
+                    assert session.insert(request.relation, request.rows) == (
+                        service.insert_tuples(request.relation, request.rows)
+                    )
+                    continue
+                result = session.execute(request.query, route=engine)
+                outcome = service.serve(request.query)
+                assert result.tuples == outcome.tuples
+                served_span = [s for s in service.tracer.spans if s.name == "query"][-1]
+                assert observe(session, result.trace) == observe(service, served_span)
+            assert session.result_cache.stats.hits > 0  # both hit and miss paths ran
+        finally:
+            session.close()
+            service.close()
+
     def test_fragment_patches_flow_through_the_partial_cache(self):
         seed = SEED
         requests = generate_requests(update_heavy_spec(20), seed=seed)
@@ -364,6 +417,13 @@ class TestSubscribe:
             # no delta is queued even though the event fires.
             session.insert("E", [tuple(database.relation("E").sorted_rows()[0])])
             assert subscription.poll() == ()
+
+    def test_closing_the_session_closes_its_subscriptions(self):
+        database = workload_database(num_vertices=24, num_edges=90, seed=SEED)
+        session = Session(database)
+        subscription = session.subscribe(pattern_query("cycle3"))
+        session.close()
+        assert subscription.closed  # the holder can tell its feed is dead
 
     def test_close_detaches_the_subscription(self):
         database = workload_database(num_vertices=24, num_edges=90, seed=SEED)

@@ -235,6 +235,13 @@ class TestShardAwareInvalidation:
         reference = create_engine("ctj").execute(query, sharded.global_database)
         assert set(outcome.tuples) == set(reference.tuples)
 
+    def test_result_cache_hit_builds_no_scatter_spec(self, monkeypatch):
+        service = QueryService(two_relation_catalog(), backends=("ctj",), seed=1)
+        service.serve(rs_path_query())  # the miss caches the full result
+        calls = []
+        monkeypatch.setattr(service.scatter, "spec_for", calls.append)
+        assert service.serve(rs_path_query()).record.result_cache_hit and not calls
+
     def test_result_cache_keeps_entries_of_unrelated_relations(self):
         sharded = two_relation_catalog()
         cache = ResultCache(16)
