@@ -46,7 +46,7 @@ thread pool, or a process pool over shared-memory trie segments
 numbers in the report; ``run`` accepts the same flags and serves the
 single query through the service layer) — and prints the service report
 (latencies, queue waits, cache hit rates); ``bench`` runs a microbenchmark suite (currently
-``kernels``: trie build, LUB/gallop probes, per-engine enumeration) without
+``kernels``: trie build, binary-vs-gallop reference probe counts, per-engine enumeration) without
 pytest, honouring ``REPRO_BENCH_SEED``, optionally persisting a
 run-manifest artifact directory (``--run``) and diffing against the
 committed baseline (``--compare BENCH_kernels.json``, nonzero exit on

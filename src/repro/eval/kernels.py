@@ -8,7 +8,11 @@ layers above:
 * **trie build** — flat EmptyHeaded-layout construction from a relation
   (single sort + one linear pass);
 * **probe kernels** — full-window binary LUB versus galloping LUB over a
-  leapfrog-like ascending probe sequence, with actual probe counts;
+  leapfrog-like ascending probe sequence, with actual probe counts.  This
+  pass is the probe-*count* reference (how many elements each scheme
+  compares); it is no longer the engines' search, which is one C-level
+  ``bisect_left`` per seek inside the generated depth kernel of
+  :mod:`repro.joins.leapfrog`;
 * **join kernels** — triangle (``cycle3``) and path (``path3``) enumeration
   per software engine, with cross-engine result-cardinality checks.
 

@@ -27,6 +27,7 @@ both on the software side (the accelerator's count-only mode lives in
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,7 +38,6 @@ from repro.joins.stats import JoinStats
 from repro.relational.catalog import Database
 from repro.relational.query import ConjunctiveQuery
 from repro.util.rng import DeterministicRNG
-from repro.util.sorted_ops import lowest_upper_bound
 from repro.util.validation import check_positive
 
 
@@ -251,7 +251,7 @@ def _sample_walk(program, slot_tries, rng: DeterministicRNG) -> float:
 
         for index, trie, level, lo, hi in participants[1:]:
             values = trie.level_values(level)
-            probe = lowest_upper_bound(values, value, lo, hi)
+            probe = bisect_left(values, value, lo, hi)
             if probe >= hi or values[probe] != value:
                 return 0.0
             positions[depth_program.position_indexes[index]] = probe

@@ -23,6 +23,7 @@ execution.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, Optional, Tuple
 
 from repro.joins.base import JoinEngine, JoinResult
@@ -32,7 +33,6 @@ from repro.joins.plan import JoinPlan
 from repro.joins.stats import JoinStats
 from repro.relational.catalog import Database
 from repro.relational.query import ConjunctiveQuery
-from repro.util.sorted_ops import lowest_upper_bound
 
 
 class GenericJoin(JoinEngine):
@@ -155,7 +155,7 @@ class _GenericJoinExecution:
                 lo, hi = ranges[i]
                 lubs += 1
                 reads += (hi - lo).bit_length()
-                probe = lowest_upper_bound(values, value, lo, hi)
+                probe = bisect_left(values, value, lo, hi)
                 if probe >= hi or values[probe] != value:
                     survived = False
                     break

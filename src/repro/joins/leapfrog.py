@@ -17,24 +17,34 @@ backtracking driver is Cupid.
 
 Hot-path layout: executions run off the plan's
 :class:`~repro.joins.plan.SlotProgram` — per-atom state (tries, cursor
-positions) is addressed by dense integer slot, never by string trie key — the
-backtracking driver is iterative (a stack of per-depth match frames, no
-Python recursion), lagging cursors catch up with *galloping* searches from
-their current position instead of full-window binary searches, and the
-deepest variable is handled in bulk: its whole intersection comes back as one
-value sequence (an array slice when a single atom participates) and is
-appended to the results with one C-level ``extend`` — no frame, cursor tuple
-or call per binding.
-:class:`~repro.joins.stats.JoinStats` accounting is unchanged from the
-reference implementation: each LUB search still charges the worst-case
-binary-search probe count of its window, so the counters the accelerator and
-baseline cost models consume stay exactly comparable across engine versions.
+positions) is addressed by dense integer slot, never by string trie key — and
+the backtracking driver is iterative (a stack of per-depth match frames, no
+Python recursion).  "Candidate ranges → leapfrog intersection" has one
+implementation, the **depth kernel**: a source template instantiated once per
+depth *shape* (number of participants, which of them are root-level, leaf or
+not; memoised module-wide) as straight-line Python over scalar locals, and
+bound by each execution to its depths' arrays (:func:`bind_kernel`).  A
+lagging cursor catches up with one C-level ``bisect_left`` over the rest of
+its range, on whatever sequence backs the level (``array('q')``, ``list`` or
+an mmap/shared-memory ``memoryview``).  The deepest variable is handled in
+bulk: its whole intersection comes back as one value sequence (an array slice
+when a single atom participates) and is appended to the results with one
+C-level ``extend`` — no frame, cursor tuple or call per binding.
+:class:`~repro.joins.stats.JoinStats` accounting is the LUB-unit model, not
+the implementation, and is unchanged from the reference implementation: each
+search charges the worst-case binary-search probe count of its window plus
+the landed value, each non-root range two offset reads, so the counters the
+accelerator and baseline cost models consume stay exactly comparable across
+engine versions.
 """
 
 from __future__ import annotations
 
+import linecache
+from bisect import bisect_left
 from itertools import repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from textwrap import indent
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.joins.base import JoinEngine, JoinResult
 from repro.joins.compiler import QueryCompiler
@@ -92,6 +102,169 @@ def resolve_slot_tables(plan: JoinPlan, database: Database):
             )
         )
     return slot_tries, depth_tables
+
+
+#: Per-participant pieces of the depth-kernel source (``{i}`` = participant).
+#: Candidate range of a non-root participant: what the Midwife unit produces,
+#: two reads of the parent's child-offsets array.  (A root-level participant's
+#: range is its whole level array; its end is bound once, outside the kernel.)
+_CHILD_RANGE = """\
+parent = positions[p{i}]
+c{i} = o{i}[parent]
+e{i} = o{i}[parent + 1]
+reads += 2
+"""
+#: One LUB search: move a lagging cursor to the first value ``>= m``.  The
+#: search is C-level; the charge is the LUB-unit model's — the worst-case
+#: binary probe count of the whole remaining window, plus the landed value.
+_SEEK = """\
+if v{i} < m:
+    lubs += 1
+    reads += (e{i} - c{i}).bit_length()
+    c{i} = bisect_left(a{i}, m, c{i} + 1, e{i})
+    if c{i} == e{i}:
+        {done}
+    reads += 1
+    v{i} = a{i}[c{i}]
+"""
+_KERNEL = """\
+def bind(stats, positions, {parameters}):{root_ends}
+    def kernel():
+        reads = lubs = 0
+        try:
+{ranges}
+            reads += {k}
+            {loads}{out}
+            while True:
+                if {agree}:
+                    {emit}
+                    # Sibling values are distinct: the matched value cannot
+                    # reappear, so every cursor advances.
+{advance}
+                    reads += {k}
+                    {loads}
+                    continue
+                # Align to the maximum: every lagging cursor seeks to it.
+                m = v0
+{maximum}
+{seeks}
+        finally:
+            stats.index_element_reads += reads
+            stats.lub_searches += lubs
+    return kernel
+"""
+
+#: ``(roots, leaf) -> bind``: one generated kernel factory per depth shape.
+_KERNEL_FACTORIES: Dict[Tuple[Tuple[bool, ...], bool], Callable] = {}
+
+
+def kernel_source(roots: Sequence[bool], leaf: bool) -> Tuple[str, str]:
+    """``(pseudo-filename, source)`` of the depth kernel for one shape.
+
+    A shape is which of the depth's ``k >= 2`` participants are root-level
+    (``roots``) and whether the depth is the leaf.  The source is
+    straight-line Python over scalar locals — per participant ``i`` its level
+    array ``a{i}``, cursor ``c{i}``, range end ``e{i}`` and current value
+    ``v{i}`` — defining ``bind(stats, positions, a0.., o{i}, p{i}..)``, which
+    returns the kernel bound to one depth's arrays (``o{i}``/``p{i}``: parent
+    offsets array and parent position index of each non-root participant).
+    The filename names the shape; it is what tracebacks and profiles show.
+    """
+    ids = range(len(roots))
+    done = "return out" if leaf else "return"
+
+    def pieces(width: int, texts: Iterable[str]) -> str:
+        return indent("".join(texts), " " * width).rstrip("\n")
+
+    source = _KERNEL.format(
+        parameters=", ".join(
+            [f"a{i}" for i in ids] + [f"o{i}, p{i}" for i in ids if not roots[i]]
+        ),
+        root_ends="".join(f"\n    e{i} = len(a{i})" for i in ids if roots[i]),
+        k=len(roots),
+        ranges=pieces(
+            12,
+            (
+                (f"c{i} = 0\n" if roots[i] else _CHILD_RANGE.format(i=i))
+                + f"if c{i} >= e{i}:\n    return{' ()' if leaf else ''}\n"
+                for i in ids
+            ),
+        ),
+        loads="; ".join(f"v{i} = a{i}[c{i}]" for i in ids),
+        out="\n            out = []" if leaf else "",
+        agree=" == ".join(f"v{i}" for i in ids),
+        emit="out.append(v0)" if leaf else f"yield v0, ({', '.join(f'c{i}' for i in ids)})",
+        advance=pieces(20, (f"c{i} += 1\nif c{i} >= e{i}:\n    {done}\n" for i in ids)),
+        maximum=pieces(16, (f"if v{i} > m:\n    m = v{i}\n" for i in ids[1:])),
+        seeks=pieces(16, (_SEEK.format(i=i, done=done) for i in ids)),
+    )
+    name = "<repro.joins.leapfrog kernel k={} roots={} {}>".format(
+        len(roots), "".join("01"[root] for root in roots), "leaf" if leaf else "nonleaf"
+    )
+    return name, source
+
+
+def bind_kernel(
+    arrays: Sequence[Sequence[int]],
+    parent_offsets: Sequence[Optional[Sequence[int]]],
+    parent_indexes: Sequence[int],
+    positions: List[int],
+    stats: JoinStats,
+    leaf: bool,
+) -> Callable[[], Iterable]:
+    """Bind one depth's "candidate ranges → leapfrog intersection" callable.
+
+    Each call of the result intersects, under the current ``positions``, the
+    candidate ranges of the depth's participants.  At a non-leaf depth it
+    returns a lazy iterable of :data:`Match` — each carries, per
+    participant, the absolute index of the matched value in that trie's
+    level array (needed to expand the children at the next depth and to
+    populate cache entries); being lazy, it reads its ranges on the first
+    ``next()``.  At the leaf it returns the plain sequence of values.
+    Counters are accumulated into ``stats`` (also when a lazy result is
+    closed early).
+    """
+    if len(arrays) == 1:
+        return _bind_single(
+            arrays[0], parent_offsets[0], parent_indexes[0], positions, stats, leaf
+        )
+    shape = (tuple(offsets is None for offsets in parent_offsets), leaf)
+    bind = _KERNEL_FACTORIES.get(shape)
+    if bind is None:
+        name, source = kernel_source(*shape)
+        # Registered so tracebacks show the generated lines (mtime None: the
+        # entry is never checked against the file system).
+        linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+        namespace = {"bisect_left": bisect_left}
+        exec(compile(source, name, "exec"), namespace)
+        bind = _KERNEL_FACTORIES[shape] = namespace["bind"]
+    children = [
+        argument
+        for offsets, parent in zip(parent_offsets, parent_indexes)
+        if offsets is not None
+        for argument in (offsets, parent)
+    ]
+    return bind(stats, positions, *arrays, *children)
+
+
+def _bind_single(values, offsets, parent_index, positions, stats, leaf):
+    """Single participating atom: every value in its range matches (a slice)."""
+
+    def single():
+        if offsets is None:
+            lo, hi = 0, len(values)
+        else:
+            parent = positions[parent_index]
+            lo = offsets[parent]
+            hi = offsets[parent + 1]
+            stats.index_element_reads += 2
+        if lo >= hi:
+            return ()
+        stats.index_element_reads += hi - lo
+        matched = values[lo:hi]
+        return matched if leaf else zip(matched, zip(range(lo, hi)))
+
+    return single
 
 
 class LeapfrogTrieJoin(JoinEngine):
@@ -168,6 +341,14 @@ class _TrieJoinExecution:
         self.cache: Dict[Tuple[int, Tuple[int, ...]], Sequence] = {}
         self._match_counts: List[int] = [0] * plan.num_variables
         self._last = plan.num_variables - 1
+        # One bound kernel per depth.  They live here, never on the plan:
+        # plans are pickled to process-pool workers, generated code is not.
+        self._kernels = [
+            bind_kernel(
+                arrays, offsets, parents, self.positions, self.stats, depth == self._last
+            )
+            for depth, (_dp, arrays, offsets, _pi, parents) in enumerate(self._depth_tables)
+        ]
 
     # ------------------------------------------------------------------ #
     # Execution driver
@@ -261,7 +442,7 @@ class _TrieJoinExecution:
         depth_program = self._depth_tables[depth][0]
         key_depths = depth_program.cache_key_depths if self.use_cache else None
         if key_depths is None:
-            return self._intersect(depth)
+            return self._kernels[depth]()
         binding_values = self.binding_values
         key = (depth, tuple([binding_values[d] for d in key_depths]))
         stats = self.stats
@@ -276,10 +457,10 @@ class _TrieJoinExecution:
             )
             return cached
         if depth == self._last:
-            values = self._intersect(depth)
+            values = self._kernels[depth]()
             self._cache_insert(key, values)
             return values
-        return self._fill_cache(key, self._intersect(depth))
+        return self._fill_cache(key, self._kernels[depth]())
 
     def _fill_cache(self, key, matches: Iterable[Match]) -> Iterator[Match]:
         """Non-leaf miss path: pass matches through while recording the entry."""
@@ -301,172 +482,3 @@ class _TrieJoinExecution:
         # A cached value is charged with its per-trie indexes, at every depth.
         width = 1 + len(self._depth_tables[key[0]][0].participants)
         stats.index_element_writes += len(entry) * width
-
-    def _intersect(self, depth: int):
-        """Every value of the depth's variable present in all candidate ranges.
-
-        At a non-leaf depth the result is a lazy iterable of :data:`Match`:
-        each carries, per participating trie, the absolute index of the
-        matched value in that trie's level array (needed to expand the
-        children at the next depth and to populate cache entries).  At the
-        leaf it is the plain sequence of values — an ``array`` slice when a
-        single atom participates.
-        """
-        _dp, arrays, parent_offsets, _pos_idx, parent_indexes = self._depth_tables[depth]
-        positions = self.positions
-        leaf = depth == self._last
-        k = len(arrays)
-        reads = 0
-        lubs = 0
-        try:
-            # Candidate ranges: what the Midwife unit produces (two reads of
-            # the child-offsets array per non-root participant).
-            cursors: List[int] = []
-            ends: List[int] = []
-            for i in range(k):
-                offsets = parent_offsets[i]
-                if offsets is None:
-                    lo = 0
-                    hi = len(arrays[i])
-                else:
-                    parent = positions[parent_indexes[i]]
-                    lo = offsets[parent]
-                    hi = offsets[parent + 1]
-                    reads += 2
-                if lo >= hi:
-                    return ()
-                cursors.append(lo)
-                ends.append(hi)
-
-            if k == 1:
-                # Single participating atom: every value in the range matches.
-                lo = cursors[0]
-                hi = ends[0]
-                reads += hi - lo
-                values = arrays[0][lo:hi]
-                return values if leaf else zip(values, zip(range(lo, hi)))
-
-            if not leaf:
-                return self._leapfrog(arrays, cursors, ends, False)
-            if k > 2:
-                return list(self._leapfrog(arrays, cursors, ends, True))
-
-            # Two-cursor leaf leapfrog on scalar locals.  arr0 is always the
-            # lagging side: the roles swap whenever a seek overshoots, which
-            # forgets which cursor is whose — fine at the leaf, where
-            # indexes are not reported.  Accounting as in _leapfrog.
-            matches: List[int] = []
-            arr0, arr1 = arrays
-            cur0, cur1 = cursors
-            end0, end1 = ends
-            reads += 2
-            val0 = arr0[cur0]
-            val1 = arr1[cur1]
-            while True:
-                if val0 == val1:
-                    matches.append(val0)
-                    cur0 += 1
-                    cur1 += 1
-                    if cur0 >= end0 or cur1 >= end1:
-                        return matches
-                    reads += 2
-                    val0 = arr0[cur0]
-                    val1 = arr1[cur1]
-                    continue
-                if val0 > val1:
-                    arr0, arr1 = arr1, arr0
-                    cur0, cur1 = cur1, cur0
-                    end0, end1 = end1, end0
-                    val0, val1 = val1, val0
-                lubs += 1
-                reads += (end0 - cur0).bit_length()
-                step = 1
-                prev = cur0
-                probe = cur0 + 1
-                while probe < end0 and arr0[probe] < val1:
-                    prev = probe
-                    step += step
-                    probe = cur0 + step
-                b_lo = prev + 1
-                b_hi = probe if probe < end0 else end0
-                while b_lo < b_hi:
-                    mid = (b_lo + b_hi) >> 1
-                    if arr0[mid] < val1:
-                        b_lo = mid + 1
-                    else:
-                        b_hi = mid
-                if b_lo == end0:
-                    return matches
-                cur0 = b_lo
-                reads += 1
-                val0 = arr0[b_lo]
-        finally:
-            stats = self.stats
-            stats.index_element_reads += reads
-            stats.lub_searches += lubs
-
-    def _leapfrog(self, arrays, cursors: List[int], ends: List[int], leaf: bool):
-        """K-way leapfrog over the ranges ``[cursors[i], ends[i])`` of ``arrays``.
-
-        Yields a :data:`Match` per common value, or the bare value when
-        ``leaf``.  Stats are accumulated in locals and flushed once on
-        exhaustion (the ``finally`` also covers generators closed early).
-        """
-        stats = self.stats
-        k = len(arrays)
-        reads = k
-        lubs = 0
-        try:
-            vals = [arrays[i][cursors[i]] for i in range(k)]
-            # Align-to-max loop: every iteration either emits a match (all
-            # cursors agree) or gallops at least one lagging cursor forward,
-            # so termination is guaranteed.
-            while True:
-                max_value = max(vals)
-                if min(vals) == max_value:
-                    yield max_value if leaf else (max_value, tuple(cursors))
-                    # Sibling values within a range are distinct, so the
-                    # matched value cannot reappear: advance every cursor.
-                    for i in range(k):
-                        cursors[i] += 1
-                        if cursors[i] >= ends[i]:
-                            return
-                    for i in range(k):
-                        reads += 1
-                        vals[i] = arrays[i][cursors[i]]
-                    continue
-                for i in range(k):
-                    if vals[i] < max_value:
-                        lubs += 1
-                        arr = arrays[i]
-                        cursor = cursors[i]
-                        end = ends[i]
-                        # Accounting is the worst-case binary probe count of
-                        # the full window — identical to the reference
-                        # implementation and to what the LUB-unit models
-                        # charge — while the actual search gallops from the
-                        # cursor (same landing position, better locality).
-                        reads += (end - cursor).bit_length()
-                        step = 1
-                        prev = cursor
-                        probe = cursor + 1
-                        while probe < end and arr[probe] < max_value:
-                            prev = probe
-                            step += step
-                            probe = cursor + step
-                        b_lo = prev + 1
-                        b_hi = probe if probe < end else end
-                        while b_lo < b_hi:
-                            mid = (b_lo + b_hi) >> 1
-                            if arr[mid] < max_value:
-                                b_lo = mid + 1
-                            else:
-                                b_hi = mid
-                        if b_lo == end:
-                            return
-                        cursors[i] = b_lo
-                        reads += 1
-                        vals[i] = arr[b_lo]
-        finally:
-            stats.index_element_reads += reads
-            stats.lub_searches += lubs

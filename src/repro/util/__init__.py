@@ -4,9 +4,9 @@ The modules in this package deliberately contain only small, dependency-free
 helpers that are used by several subsystems:
 
 ``sorted_ops``
-    Binary-search / lowest-upper-bound / galloping-search primitives on sorted
-    integer arrays.  These are the software analogue of the accelerator's LUB
-    unit and are also used by the software join engines.
+    Reference lowest-upper-bound / galloping-search primitives on sorted
+    integer arrays: the software analogue of the accelerator's LUB unit, and
+    the oracle the join engines' C-level searches are tested against.
 
 ``validation``
     Argument-checking helpers that raise consistent, descriptive exceptions.
@@ -18,11 +18,7 @@ helpers that are used by several subsystems:
 
 from repro.util.sorted_ops import (
     lowest_upper_bound,
-    binary_search,
     gallop,
-    galloping_search,
-    intersect_sorted,
-    intersect_many,
     is_strictly_sorted,
 )
 from repro.util.validation import (
@@ -36,11 +32,7 @@ from repro.util.rng import DeterministicRNG
 
 __all__ = [
     "lowest_upper_bound",
-    "binary_search",
     "gallop",
-    "galloping_search",
-    "intersect_sorted",
-    "intersect_many",
     "is_strictly_sorted",
     "check_positive",
     "check_non_negative",

@@ -4,9 +4,11 @@ The LeapFrog TrieJoin family of algorithms (and the TrieJax LUB hardware unit
 that implements their inner loop) is built entirely out of *lowest upper
 bound* searches on sorted arrays: given a sorted array ``arr`` and a value
 ``v``, find the smallest element of ``arr`` that is ``>= v``.  This module
-provides that primitive plus the derived operations used by the software join
-engines: plain binary search, galloping (exponential) search and k-way sorted
-intersection.
+holds the reference forms of that primitive: the plain binary search and the
+galloping (exponential) search that also reports its probe count.  The join
+engines' inner loops search with the C-level ``bisect.bisect_left`` (same
+landing index); these functions are what tests and the kernel
+microbenchmarks compare against.
 
 All functions operate on any indexable sequence of comparable values
 (Python lists, tuples, ``array.array`` and NumPy arrays all work) and accept
@@ -17,7 +19,7 @@ accelerator model avoid).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 def is_strictly_sorted(values: Sequence[int]) -> bool:
@@ -68,53 +70,6 @@ def lowest_upper_bound(
     return lo
 
 
-def binary_search(
-    values: Sequence[int],
-    target: int,
-    lo: int = 0,
-    hi: int | None = None,
-) -> int:
-    """Return the index of ``target`` in ``values[lo:hi]`` or ``-1`` if absent."""
-    if hi is None:
-        hi = len(values)
-    pos = lowest_upper_bound(values, target, lo, hi)
-    if pos < hi and values[pos] == target:
-        return pos
-    return -1
-
-
-def galloping_search(
-    values: Sequence[int],
-    target: int,
-    lo: int = 0,
-    hi: int | None = None,
-) -> int:
-    """Lowest-upper-bound via exponential (galloping) probing from ``lo``.
-
-    Galloping search is what EmptyHeaded-style engines use when the probe
-    position is expected to be near the current cursor: it probes positions
-    ``lo+1, lo+2, lo+4, ...`` until it overshoots, then finishes with a binary
-    search inside the final bracket.  The result is identical to
-    :func:`lowest_upper_bound`.
-    """
-    if hi is None:
-        hi = len(values)
-    if lo < 0 or hi > len(values) or lo > hi:
-        raise ValueError(
-            f"invalid search window [{lo}, {hi}) for array of length {len(values)}"
-        )
-    if lo >= hi or values[lo] >= target:
-        return lo
-    step = 1
-    prev = lo
-    probe = lo + 1
-    while probe < hi and values[probe] < target:
-        prev = probe
-        step *= 2
-        probe = lo + step
-    return lowest_upper_bound(values, target, prev + 1, min(probe + 1, hi))
-
-
 def gallop(
     values: Sequence[int],
     target: int,
@@ -123,16 +78,14 @@ def gallop(
 ) -> Tuple[int, int]:
     """Lowest upper bound via galloping, returning ``(position, probes)``.
 
-    Identical result to :func:`lowest_upper_bound` / :func:`galloping_search`,
-    but it starts probing right at ``lo`` (where a leapfrog cursor already
-    sits, so the answer is usually nearby) and reports how many elements it
-    actually compared.  This is the reference form of the galloping scheme —
-    the kernel microbenchmarks time it and tests pin it against
-    :func:`lowest_upper_bound`; the leapfrog inner loop in
-    :mod:`repro.joins.leapfrog` inlines the same algorithm to avoid a tuple
-    allocation per search, so changes here and there must stay in lockstep.
-    No window validation is performed — callers pass cursor positions that
-    are valid by construction.
+    Identical result to :func:`lowest_upper_bound`, but it starts probing
+    right at ``lo`` (where a leapfrog cursor already sits, so the answer is
+    usually nearby) and reports how many elements it actually compared.  This
+    is the reference form of the galloping scheme — the kernel
+    microbenchmarks time it, and tests pin it against
+    :func:`lowest_upper_bound` and use it as the landing-position oracle for
+    the depth kernel of :mod:`repro.joins.leapfrog`.  No window validation is
+    performed — callers pass cursor positions that are valid by construction.
     """
     if hi is None:
         hi = len(values)
@@ -164,139 +117,3 @@ def gallop(
         else:
             b_hi = mid
     return b_lo, probes
-
-
-def intersect_sorted(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Return the sorted intersection of two strictly sorted sequences.
-
-    Uses the classic leapfrogging two-pointer scheme: the cursor that is
-    behind leaps (via lowest upper bound) to catch up with the other.  This is
-    the two-relation case of the leapfrog join used by MatchMaker.
-    """
-    out: List[int] = []
-    i = j = 0
-    len_a, len_b = len(a), len(b)
-    while i < len_a and j < len_b:
-        va, vb = a[i], b[j]
-        if va == vb:
-            out.append(va)
-            i += 1
-            j += 1
-        elif va < vb:
-            i = lowest_upper_bound(a, vb, i + 1, len_a)
-        else:
-            j = lowest_upper_bound(b, va, j + 1, len_b)
-    return out
-
-
-def intersect_many(arrays: Sequence[Sequence[int]]) -> List[int]:
-    """Return the sorted intersection of ``k`` strictly sorted sequences.
-
-    Implements the full leapfrog join for a single variable: the arrays are
-    visited round-robin, each one leaping to the lowest upper bound of the
-    current maximum until all cursors agree on a value.  An empty input list
-    is rejected because the intersection of zero sets is undefined here.
-    """
-    if not arrays:
-        raise ValueError("intersect_many requires at least one array")
-    if len(arrays) == 1:
-        return list(arrays[0])
-    if any(len(arr) == 0 for arr in arrays):
-        return []
-
-    cursors = [0] * len(arrays)
-    out: List[int] = []
-    # Start the round-robin at the array whose first element is largest.
-    max_val = max(arr[0] for arr in arrays)
-    k = len(arrays)
-    active = 0
-    agreements = 0
-    while True:
-        arr = arrays[active]
-        pos = lowest_upper_bound(arr, max_val, cursors[active], len(arr))
-        if pos == len(arr):
-            return out
-        cursors[active] = pos
-        val = arr[pos]
-        if val == max_val:
-            agreements += 1
-            if agreements == k:
-                out.append(val)
-                # Advance every cursor past the matched value.
-                exhausted = False
-                for idx in range(k):
-                    cursors[idx] += 1
-                    if cursors[idx] >= len(arrays[idx]):
-                        exhausted = True
-                if exhausted:
-                    return out
-                max_val = max(arrays[idx][cursors[idx]] for idx in range(k))
-                agreements = 0
-        else:
-            max_val = val
-            agreements = 1
-        active = (active + 1) % k
-
-
-def merge_sorted_unique(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Merge two sorted sequences, dropping duplicates.
-
-    Used by the dataset generators when composing edge sets and by the trie
-    builder when collapsing sibling values.
-    """
-    out: List[int] = []
-    i = j = 0
-    len_a, len_b = len(a), len(b)
-    while i < len_a and j < len_b:
-        va, vb = a[i], b[j]
-        if va == vb:
-            out.append(va)
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(va)
-            i += 1
-        else:
-            out.append(vb)
-            j += 1
-    while i < len_a:
-        out.append(a[i])
-        i += 1
-    while j < len_b:
-        out.append(b[j])
-        j += 1
-    # Collapse duplicates that were internal to a single input.
-    deduped: List[int] = []
-    for value in out:
-        if not deduped or deduped[-1] != value:
-            deduped.append(value)
-    return deduped
-
-
-def count_binary_search_probes(length: int) -> int:
-    """Number of probes a binary search performs on an array of ``length``.
-
-    The accelerator model charges one memory access per probe of the LUB
-    unit, so this helper centralises the ``ceil(log2(n)) + 1`` arithmetic.
-    The worst-case probe count of a binary search that always keeps the
-    larger half equals ``length.bit_length()``, so this is O(1) — it sits on
-    the accounting path of every software LUB search.
-    """
-    if length <= 0:
-        return 0
-    return length.bit_length()
-
-
-def run_length_ranges(values: Sequence[int]) -> List[Tuple[int, int]]:
-    """Return ``[(start, end), ...]`` half-open ranges of equal consecutive values.
-
-    The trie layout builder uses this to derive child-range arrays from a
-    sorted column of parent keys.
-    """
-    ranges: List[Tuple[int, int]] = []
-    start = 0
-    for idx in range(1, len(values) + 1):
-        if idx == len(values) or values[idx] != values[start]:
-            ranges.append((start, idx))
-            start = idx
-    return ranges

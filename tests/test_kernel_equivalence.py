@@ -1,14 +1,19 @@
 """Equivalence of the overhauled hot-path kernels with the seed semantics.
 
-The PR-4 kernel overhaul (array-backed tries, slot-compiled cursor state,
-iterative galloping leapfrog) must be *invisible* at every observable
-surface: result tuples (and their order), ``JoinStats`` counters, and the
-trie's flat-layout invariants.  These tests pin that down with
-property-style checks across the engine x query correctness matrix, plus
-edge cases for the galloping search and the new storage-layer helpers.
+The kernel overhauls (array-backed tries, slot-compiled cursor state, the
+iterative driver, the bulk leaf, the generated depth kernel with C-level
+seeks) must be *invisible* at every observable surface: result tuples (and
+their order), ``JoinStats`` counters, and the trie's flat-layout invariants.
+These tests pin that down with property-style checks across the engine x
+query correctness matrix, the depth kernel against a transcription of the
+interpreted leapfrog it replaced, and the storage-layer helpers.
 """
 
+import linecache
+import pickle
 from array import array
+from bisect import bisect_left
+from itertools import accumulate, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +22,8 @@ from hypothesis import strategies as st
 from repro.graphs import graph_database, pattern_query, uniform_random_graph
 from repro.joins import CachedTrieJoin, GenericJoin, LeapfrogTrieJoin, NaiveJoin
 from repro.joins.aggregates import count_by_variable, count_matches
+from repro.joins.leapfrog import bind_kernel, kernel_source
+from repro.joins.stats import JoinStats
 from repro.relational import (
     Atom,
     ConjunctiveQuery,
@@ -27,7 +34,7 @@ from repro.relational import (
     TrieIndex,
     ValueDictionary,
 )
-from repro.util.sorted_ops import gallop, galloping_search, lowest_upper_bound
+from repro.util.sorted_ops import gallop, lowest_upper_bound
 
 WCOJ_ENGINES = [LeapfrogTrieJoin(), CachedTrieJoin(), GenericJoin()]
 
@@ -359,25 +366,8 @@ class TestBulkLeafKernel:
         )
 
 
-class TestGallopingSearch:
-    def test_empty_window(self):
-        assert gallop([], 5) == (0, 0)
-        assert gallop([1, 2, 3], 2, lo=1, hi=1) == (1, 0)
-
-    def test_target_past_end(self):
-        values = [2, 4, 6, 8]
-        position, probes = gallop(values, 99)
-        assert position == 4
-        assert probes >= 1
-
-    def test_single_element_runs(self):
-        assert gallop([7], 7) == (0, 1)
-        assert gallop([7], 8)[0] == 1
-        assert gallop([7], 3) == (0, 1)
-
-    def test_cursor_already_at_answer(self):
-        # The first probe hits: exactly one comparison.
-        assert gallop([1, 5, 9], 4, lo=1) == (1, 1)
+class TestGallopReference:
+    """``gallop`` supplies the landing positions of the depth-kernel oracle below."""
 
     @given(
         st.lists(st.integers(0, 100), max_size=40).map(lambda v: sorted(set(v))),
@@ -385,13 +375,211 @@ class TestGallopingSearch:
         st.integers(0, 40),
     )
     @settings(max_examples=200)
-    def test_agrees_with_lowest_upper_bound(self, values, target, lo):
+    def test_agrees_with_lowest_upper_bound_and_bisect(self, values, target, lo):
         lo = min(lo, len(values))
         position, probes = gallop(values, target, lo)
         assert position == lowest_upper_bound(values, target, lo, len(values))
-        assert position == galloping_search(values, target, lo, len(values))
-        if lo < len(values):
-            assert probes >= 1
+        assert position == bisect_left(values, target, lo, len(values))
+        assert (probes >= 1) == (lo < len(values))
+
+
+def reference_kernel(arrays, parent_offsets, parent_indexes, positions, stats, leaf):
+    """The interpreted ``_intersect`` + ``_leapfrog`` the depth kernel replaced.
+
+    A plain-Python transcription, kept as the kernel's oracle: same signature
+    as :func:`bind_kernel`, list-held cursor state, ``max``/``min`` per pass,
+    landing positions from :func:`gallop`.
+    """
+    k = len(arrays)
+
+    def leapfrog(cursors, ends):
+        reads = k
+        lubs = 0
+        try:
+            vals = [arrays[i][cursors[i]] for i in range(k)]
+            while True:
+                max_value = max(vals)
+                if min(vals) == max_value:
+                    yield max_value if leaf else (max_value, tuple(cursors))
+                    for i in range(k):
+                        cursors[i] += 1
+                        if cursors[i] >= ends[i]:
+                            return
+                    for i in range(k):
+                        reads += 1
+                        vals[i] = arrays[i][cursors[i]]
+                    continue
+                for i in range(k):
+                    if vals[i] < max_value:
+                        lubs += 1
+                        reads += (ends[i] - cursors[i]).bit_length()
+                        landing, _ = gallop(arrays[i], max_value, cursors[i] + 1, ends[i])
+                        if landing == ends[i]:
+                            return
+                        cursors[i] = landing
+                        reads += 1
+                        vals[i] = arrays[i][landing]
+        finally:
+            stats.index_element_reads += reads
+            stats.lub_searches += lubs
+
+    def intersect():
+        cursors, ends = [], []
+        for i in range(k):
+            offsets = parent_offsets[i]
+            if offsets is None:
+                lo, hi = 0, len(arrays[i])
+            else:
+                parent = positions[parent_indexes[i]]
+                lo, hi = offsets[parent], offsets[parent + 1]
+                stats.index_element_reads += 2
+            if lo >= hi:
+                return ()
+            cursors.append(lo)
+            ends.append(hi)
+        if k == 1:
+            lo, hi = cursors[0], ends[0]
+            stats.index_element_reads += hi - lo
+            values = arrays[0][lo:hi]
+            return values if leaf else zip(values, zip(range(lo, hi)))
+        matches = leapfrog(cursors, ends)
+        return list(matches) if leaf else matches
+
+    return intersect
+
+
+#: What can back a trie level: boxed values, machine words, an mmap/shm view.
+STORAGES = {
+    "list": list,
+    "array": lambda values: array("q", values),
+    "memoryview": lambda values: memoryview(array("q", values)),
+}
+
+_SIBLINGS = st.lists(st.integers(0, 14), max_size=10).map(lambda v: sorted(set(v)))
+
+#: One participant: the sibling groups of its level and the parent the cursor
+#: above it sits on.  Its candidate range is that parent's group.
+_PARTICIPANT = st.lists(_SIBLINGS, min_size=1, max_size=3).flatmap(
+    lambda groups: st.tuples(st.just(groups), st.integers(0, len(groups) - 1))
+)
+
+
+def depth_inputs(participants, roots, storage):
+    """``bind_kernel``'s data arguments for one depth under one root/non-root mix.
+
+    A root-level participant's level array is its candidate group alone; a
+    deeper one keeps every group behind CSR offsets and a parent position.
+    """
+    store = STORAGES[storage]
+    arrays, parent_offsets, parent_indexes, positions = [], [], [], []
+    for (groups, parent), root in zip(participants, roots):
+        if root:
+            arrays.append(store(groups[parent]))
+            parent_offsets.append(None)
+            parent_indexes.append(-1)
+        else:
+            arrays.append(store([value for group in groups for value in group]))
+            parent_offsets.append(store([0, *accumulate(map(len, groups))]))
+            parent_indexes.append(len(positions))
+            positions.append(parent)
+    return arrays, parent_offsets, parent_indexes, positions
+
+
+def _relay(matches):
+    """A pass-through generator holding the only reference, like CTJ's ``_fill_cache``."""
+    for match in matches:
+        yield match
+
+
+def observe(bind, inputs, leaf, take=None):
+    """Matches and counters of one call; ``take`` closes the result after that many."""
+    stats = JoinStats()
+    if take is None:
+        seen = list(bind(*inputs, stats, leaf)())
+    else:
+        relay = _relay(bind(*inputs, stats, leaf)())
+        seen = list(islice(relay, take))
+        relay.close()
+    return seen, stats.lub_searches, stats.index_element_reads
+
+
+def assert_kernel_matches_reference(participants, leaf, storage, take=None):
+    for roots in product([True, False], repeat=len(participants)):
+        inputs = depth_inputs(participants, roots, storage)
+        assert observe(bind_kernel, inputs, leaf, take) == observe(
+            reference_kernel, inputs, leaf, take
+        ), roots
+
+
+#: Two-participant inputs that take each exit of the seek loop (these were the
+#: gallop edge cases: empty window, target past the end, single-element runs,
+#: cursor already at the answer).
+EXIT_CASES = {
+    "empty_range": [([[], [1, 2]], 0), ([[1, 2]], 0)],
+    "empty_range_second": [([[1, 2]], 0), ([[3], []], 1)],
+    "first_cursor_exhausted": [([[5]], 0), ([[5, 6]], 0)],
+    "second_cursor_exhausted": [([[5, 6]], 0), ([[1], [5]], 1)],
+    "seek_past_end": [([[1, 2, 3, 4, 5]], 0), ([[9]], 0)],
+    "seek_lands_on_last": [([[1, 2, 3, 4, 9]], 0), ([[9]], 0)],
+    "single_element_equal": [([[7]], 0), ([[7]], 0)],
+    "single_element_above": [([[7]], 0), ([[8]], 0)],
+    "single_element_below": [([[7]], 0), ([[3]], 0)],
+    "cursor_next_to_answer": [([[1, 5, 9]], 0), ([[4, 5]], 0)],
+    "overshoot_swaps_the_laggard": [([[1, 4, 8, 9]], 0), ([[2, 3, 9]], 0)],
+}
+
+
+class TestDepthKernel:
+    """The generated depth kernel against the interpreted leapfrog it replaced."""
+
+    @pytest.mark.parametrize("storage", list(STORAGES))
+    @pytest.mark.parametrize("leaf", [True, False], ids=["leaf", "nonleaf"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_indexes_and_counters(self, k, leaf, storage, data):
+        participants = data.draw(st.tuples(*[_PARTICIPANT] * k))
+        assert_kernel_matches_reference(participants, leaf, storage)
+
+    @pytest.mark.parametrize("storage", list(STORAGES))
+    @pytest.mark.parametrize("leaf", [True, False], ids=["leaf", "nonleaf"])
+    @pytest.mark.parametrize("case", list(EXIT_CASES))
+    def test_every_exit(self, case, leaf, storage):
+        assert_kernel_matches_reference(EXIT_CASES[case], leaf, storage)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @given(st.data(), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_result_closed_early_flushes_the_same_counters(self, k, data, take):
+        # CTJ's _fill_cache abandons its source when the driver drops it.
+        # (take >= 1: the kernel reads its ranges on the first next().)
+        participants = data.draw(st.tuples(*[_PARTICIPANT] * k))
+        assert_kernel_matches_reference(participants, False, "array", take)
+
+    def test_source_is_registered_under_a_name_that_reads_as_the_shape(self):
+        name, source = kernel_source((True, False, False), False)
+        assert name == "<repro.joins.leapfrog kernel k=3 roots=100 nonleaf>"
+        assert source.count("bisect_left(") == 3  # one seek per participant
+        kernel = bind_kernel(
+            [[1], [1], ["x"]], [None, [0, 1], [0, 1]], [-1, 0, 1], [0, 0], JoinStats(), False
+        )
+        linecache.checkcache()
+        assert linecache.getlines(name) == source.splitlines(True)
+        with pytest.raises(TypeError) as raised:
+            list(kernel())
+        frame = raised.traceback[-1]
+        assert str(frame.path) == name
+        assert str(frame.statement).strip() == "if v2 > m:"
+
+    def test_plan_carries_no_generated_function(self):
+        database = seeded_database(1)
+        query = pattern_query("cycle3")
+        for engine in (LeapfrogTrieJoin(), CachedTrieJoin()):
+            result = engine.run(query, database)
+            plan = pickle.loads(pickle.dumps(result.plan))
+            again = engine.run(query, database, plan=plan)
+            assert again.tuples == result.tuples
+            assert again.stats.as_dict() == result.stats.as_dict()
 
 
 class TestArrayBackedTrie:

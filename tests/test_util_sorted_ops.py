@@ -1,20 +1,10 @@
-"""Tests for repro.util.sorted_ops — the binary-search / leapfrog primitives."""
+"""Tests for repro.util.sorted_ops — the reference binary-search primitives."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.sorted_ops import (
-    binary_search,
-    count_binary_search_probes,
-    galloping_search,
-    intersect_many,
-    intersect_sorted,
-    is_strictly_sorted,
-    lowest_upper_bound,
-    merge_sorted_unique,
-    run_length_ranges,
-)
+from repro.util.sorted_ops import is_strictly_sorted, lowest_upper_bound
 
 
 class TestIsStrictlySorted:
@@ -66,130 +56,3 @@ class TestLowestUpperBound:
             (i for i, v in enumerate(values) if v >= target), len(values)
         )
         assert lowest_upper_bound(values, target) == expected
-
-
-class TestBinarySearch:
-    def test_found(self):
-        assert binary_search([2, 4, 6, 8], 6) == 2
-
-    def test_not_found_returns_minus_one(self):
-        assert binary_search([2, 4, 6, 8], 5) == -1
-
-    def test_empty(self):
-        assert binary_search([], 1) == -1
-
-
-class TestGallopingSearch:
-    @given(st.lists(st.integers(0, 300), max_size=50), st.integers(-5, 305))
-    def test_agrees_with_lowest_upper_bound(self, values, target):
-        values = sorted(values)
-        assert galloping_search(values, target) == lowest_upper_bound(values, target)
-
-    def test_galloping_within_window(self):
-        values = [1, 2, 3, 10, 20, 30, 40]
-        assert galloping_search(values, 25, lo=3, hi=7) == 5
-
-    def test_invalid_window_raises(self):
-        with pytest.raises(ValueError):
-            galloping_search([1], 1, lo=0, hi=3)
-
-
-class TestIntersections:
-    def test_intersect_sorted_basic(self):
-        assert intersect_sorted([1, 3, 5, 7], [3, 4, 5, 8]) == [3, 5]
-
-    def test_intersect_sorted_disjoint(self):
-        assert intersect_sorted([1, 2], [3, 4]) == []
-
-    def test_intersect_sorted_identical(self):
-        assert intersect_sorted([1, 2, 3], [1, 2, 3]) == [1, 2, 3]
-
-    def test_intersect_many_requires_input(self):
-        with pytest.raises(ValueError):
-            intersect_many([])
-
-    def test_intersect_many_single_array(self):
-        assert intersect_many([[1, 4, 9]]) == [1, 4, 9]
-
-    def test_intersect_many_with_empty_array(self):
-        assert intersect_many([[1, 2], []]) == []
-
-    def test_intersect_many_three_way(self):
-        assert intersect_many([[1, 2, 3, 4, 9], [2, 4, 6, 9], [0, 2, 4, 8, 9]]) == [2, 4, 9]
-
-    @given(
-        st.lists(
-            st.lists(st.integers(0, 40), min_size=0, max_size=25), min_size=2, max_size=4
-        )
-    )
-    @settings(max_examples=60)
-    def test_intersect_many_matches_set_semantics(self, raw_arrays):
-        arrays = [sorted(set(arr)) for arr in raw_arrays]
-        expected = sorted(set.intersection(*(set(a) for a in arrays)))
-        assert intersect_many(arrays) == expected
-
-    @given(
-        st.lists(st.integers(0, 60), max_size=30),
-        st.lists(st.integers(0, 60), max_size=30),
-    )
-    def test_two_way_agrees_with_k_way(self, raw_a, raw_b):
-        a, b = sorted(set(raw_a)), sorted(set(raw_b))
-        assert intersect_sorted(a, b) == intersect_many([a, b])
-
-
-class TestMergeSortedUnique:
-    def test_merges_and_dedups(self):
-        assert merge_sorted_unique([1, 3, 5], [1, 2, 5, 9]) == [1, 2, 3, 5, 9]
-
-    def test_one_empty(self):
-        assert merge_sorted_unique([], [4, 5]) == [4, 5]
-
-    @given(
-        st.lists(st.integers(0, 50), max_size=30), st.lists(st.integers(0, 50), max_size=30)
-    )
-    def test_matches_set_union(self, raw_a, raw_b):
-        a, b = sorted(set(raw_a)), sorted(set(raw_b))
-        assert merge_sorted_unique(a, b) == sorted(set(a) | set(b))
-
-
-class TestProbeCount:
-    def test_zero_length(self):
-        assert count_binary_search_probes(0) == 0
-
-    def test_single_element(self):
-        assert count_binary_search_probes(1) == 1
-
-    def test_probe_count_is_logarithmic(self):
-        assert count_binary_search_probes(1024) <= 11
-
-    def test_monotone_in_length(self):
-        previous = 0
-        for length in range(0, 200, 7):
-            current = count_binary_search_probes(length)
-            assert current >= 0
-            assert current >= previous - 1  # never drops sharply
-            previous = current
-
-
-class TestRunLengthRanges:
-    def test_empty(self):
-        assert run_length_ranges([]) == []
-
-    def test_all_equal(self):
-        assert run_length_ranges([7, 7, 7]) == [(0, 3)]
-
-    def test_mixed_runs(self):
-        assert run_length_ranges([1, 1, 2, 3, 3, 3]) == [(0, 2), (2, 3), (3, 6)]
-
-    @given(st.lists(st.integers(0, 5), max_size=40))
-    def test_ranges_partition_the_sequence(self, values):
-        values = sorted(values)
-        ranges = run_length_ranges(values)
-        # Half-open ranges cover [0, len) without gaps or overlaps.
-        position = 0
-        for start, end in ranges:
-            assert start == position
-            assert end > start
-            assert len({values[i] for i in range(start, end)}) == 1
-            position = end
-        assert position == len(values)
