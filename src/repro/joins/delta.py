@@ -20,11 +20,15 @@ The machinery is deliberately thin over the existing compiler/engine stack:
   (``E`` → ``E@delta``).
 * :class:`DeltaPlanner` compiles each rewritten query through the normal
   :class:`~repro.joins.compiler.QueryCompiler` (memoised per signature and
-  atom position).  Variable-order selection keys only on query *structure*,
-  never relation names, so every delta term shares the base query's order
-  and its compiled :class:`~repro.joins.plan.JoinPlan` runs through the
-  same ``slot_program()`` machinery — ``JoinStats`` accounting stays
-  honest for delta joins.
+  atom position) under a *delta-seeded* variable order: the base query's
+  order, stably partitioned so the Δ atom's variables come first.  The
+  handful of inserted rows then drives the outermost loops — the WCOJ rule
+  "iterate the smallest participant" applied to ``ΔR`` — instead of a scan
+  of every root value of the full relation; the union over terms does not
+  depend on any term's order.  Each compiled
+  :class:`~repro.joins.plan.JoinPlan` runs through the same
+  ``slot_program()`` machinery, so ``JoinStats`` accounting stays honest
+  for delta joins.
 * :class:`DeltaView` is the read-only catalog the delta terms run against:
   delta aliases resolve to a private :class:`Database` holding the batch
   rows; every other name falls through to the base catalog (a
@@ -72,7 +76,7 @@ def delta_rewrites(
     Returns ``(atom_index, rewritten_query)`` for every atom whose relation
     is in ``relation_names``; the rewritten query differs from ``query``
     only in that one atom's relation name, so its variable structure — and
-    therefore the compiler's chosen variable order — is identical.
+    therefore the compiler's heuristic variable order — is identical.
     """
     changed = set(relation_names)
     rewrites: List[Tuple[int, ConjunctiveQuery]] = []
@@ -164,6 +168,8 @@ class DeltaPlanner:
     Plans depend only on query structure and relation names (both carried
     by the canonical signature), never on data, so one compilation per
     ``(signature, relation, atom position)`` serves every subsequent batch.
+    Each term's variable order is the base order with the Δ atom's
+    variables moved to the front (see the module docstring).
     """
 
     def __init__(self, compiler: Optional[QueryCompiler] = None):
@@ -180,7 +186,12 @@ class DeltaPlanner:
             key = (signature, query.atoms[index].relation, index)
             plan = self._memo.get(key)
             if plan is None:
-                plan = DeltaPlan(index, rewritten, self.compiler.compile(rewritten))
+                seeds = rewritten.atoms[index].variables
+                base = self.compiler.choose_variable_order(rewritten)
+                order = sorted(base, key=lambda v: v not in seeds)  # stable
+                plan = DeltaPlan(
+                    index, rewritten, self.compiler.compile(rewritten, order)
+                )
                 self._memo[key] = plan
             plans.append(plan)
         return tuple(plans)

@@ -258,8 +258,8 @@ class Database:
         """Insert ``rows`` into a stored relation; return how many were new.
 
         This is the mutation entry point of the serving layer: cached tries
-        for the relation are *extended* with the new rows (one linear merge
-        pass, no re-sort — see :meth:`TrieIndex.extended`) and every
+        for the relation are rebuilt from its already-spliced sorted rows
+        (no re-sort, see :meth:`_apply_delta`) and every
         invalidation subscriber is notified with the exact
         :class:`DeltaBatch`, whether or not any row was actually new —
         callers cannot observe staleness either way, but cache layers above
@@ -313,12 +313,14 @@ class Database:
     def _apply_delta(self, relation_name: str, batch: DeltaBatch) -> None:
         """Extend cached tries with ``batch`` and notify subscribers.
 
-        Each cached trie of the relation is replaced by a copy-on-write
-        extension (readers holding the old trie keep a consistent
-        snapshot, exactly as under the historical evict-and-rebuild).  A
-        trie whose tuple count no longer matches the relation — someone
-        mutated the :class:`Relation` behind the catalog's back — is
-        evicted instead of patched, so a patched trie is never wrong.
+        Each cached trie of the relation is replaced by a new one built
+        from the relation's sorted rows in that order, which
+        :meth:`Relation.insert_batch` has already spliced the batch into —
+        one linear flat-build pass, no sort and no walk of the old trie
+        (readers holding the old trie keep a consistent snapshot).  A trie
+        whose tuple count no longer matches the relation — someone mutated
+        the :class:`Relation` behind the catalog's back — is evicted
+        instead, so the sort a rebuild then needs is paid lazily.
         """
         relation = self.relation(relation_name)
         with self._trie_lock:
@@ -331,13 +333,7 @@ class Database:
                 if trie.num_tuples + batch.count != relation.cardinality:
                     del self._trie_cache[key]
                 elif batch.rows:
-                    indexes = tuple(
-                        relation.schema.index_of(a) for a in trie.attribute_order
-                    )
-                    permuted = sorted(
-                        tuple(row[i] for i in indexes) for row in batch.rows
-                    )
-                    self._trie_cache[key] = trie.extended(permuted)
+                    self._trie_cache[key] = TrieIndex(relation, trie.attribute_order)
         event = MutationEvent(relation_name, shard=None, delta=batch, kind="insert")
         for callback in self._invalidation_listeners:
             callback(event)

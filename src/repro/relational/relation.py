@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from heapq import merge as heapq_merge
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.relational.schema import Schema
+from repro.util.sorted_ops import splice_sorted
 from repro.util.validation import check_type
 
 
@@ -175,12 +175,13 @@ class Relation:
     def insert_batch(self, rows: Iterable[Sequence[int]]) -> Tuple[Row, ...]:
         """Insert a batch and return the genuinely-new rows, sorted.
 
-        Unlike per-row :meth:`insert`, the sorted-rows caches are *merged*
-        with the (sorted) delta in one linear pass instead of being
-        dropped, so the next trie build after a batch insert pays no
-        re-sort.  The returned rows are normalised, deduplicated against
-        both the stored set and the batch itself, and lexicographically
-        ascending — exactly the canonical form
+        Unlike per-row :meth:`insert`, the sorted-rows caches are kept: the
+        (sorted) delta is spliced into a new list per cached order
+        (:func:`~repro.util.sorted_ops.splice_sorted`), so the next trie
+        build after a batch insert pays no re-sort and a list handed out
+        earlier is unchanged.  The returned rows are normalised,
+        deduplicated against both the stored set and the batch itself, and
+        lexicographically ascending — exactly the canonical form
         :class:`repro.relational.catalog.DeltaBatch` carries.
         """
         fresh: set = set()
@@ -197,10 +198,10 @@ class Relation:
             return ()
         added = sorted(fresh)
         if self._sorted_cache is not None:
-            self._sorted_cache = list(heapq_merge(self._sorted_cache, added))
+            self._sorted_cache = splice_sorted(self._sorted_cache, added)
         for indexes, cached in self._permuted_cache.items():
             permuted = sorted(tuple(row[i] for i in indexes) for row in added)
-            self._permuted_cache[indexes] = list(heapq_merge(cached, permuted))
+            self._permuted_cache[indexes] = splice_sorted(cached, permuted)
         self._rows.update(added)
         self._dictionary = None
         return tuple(added)

@@ -32,7 +32,6 @@ together.
 from __future__ import annotations
 
 from array import array
-from heapq import merge as heapq_merge
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.relational.relation import Relation
@@ -159,39 +158,6 @@ class TrieIndex:
         trie._num_tuples = num_tuples
         if validate:
             trie._check_invariants()
-        return trie
-
-    def extended(self, sorted_new_rows: Sequence[Tuple[int, ...]]) -> "TrieIndex":
-        """A new trie over the union of this trie's paths and the delta rows.
-
-        ``sorted_new_rows`` must be strictly sorted, deduplicated, already
-        permuted into this trie's attribute order, and disjoint from the
-        stored paths — exactly the canonical form a
-        :class:`repro.relational.catalog.DeltaBatch` yields after
-        permutation.  Construction is a single linear merge of the (already
-        sorted) existing paths with the delta, then one
-        :meth:`_build_flat` pass — no re-sort, no set iteration, and the
-        original trie is untouched, so concurrent readers holding it keep a
-        consistent snapshot (copy-on-write, like evict-and-rebuild but
-        without the O(n log n) sort).
-        """
-        if not sorted_new_rows:
-            return self
-        arity = len(self.attribute_order)
-        merged = list(heapq_merge(self.paths(), iter(sorted_new_rows)))
-        trie = TrieIndex.__new__(TrieIndex)
-        trie.relation_name = self.relation_name
-        trie.attribute_order = self.attribute_order
-        trie._num_tuples = len(merged)
-        try:
-            trie._values, trie._offsets = self._build_flat(
-                merged, arity, array_typecode="q"
-            )
-        except OverflowError:
-            trie._values, trie._offsets = self._build_flat(
-                merged, arity, array_typecode=None
-            )
-        trie._check_invariants()
         return trie
 
     def _check_invariants(self) -> None:

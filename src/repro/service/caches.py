@@ -56,6 +56,7 @@ from typing import (
 from repro.joins.plan import JoinPlan
 from repro.relational.catalog import MutationEvent
 from repro.relational.query import ConjunctiveQuery
+from repro.util.sorted_ops import splice_sorted
 from repro.util.validation import check_positive
 
 V = TypeVar("V")
@@ -86,7 +87,9 @@ class CacheStats:
     handled by the incremental-maintenance path *patches* an entry in place
     instead of dropping it (``patches``); ``invalidations`` is the derived
     total of mutation-triggered touches, ``drops + patches``, preserving
-    the historical counter for reports and trace events.
+    the historical counter for reports and trace events.  A maintenance
+    solver that *raised* still degrades its entry to a drop, but is counted
+    under ``solver_errors`` so the failure is visible.
     """
 
     lookups: int = 0
@@ -97,6 +100,7 @@ class CacheStats:
     drops: int = 0
     patches: int = 0
     clears: int = 0
+    solver_errors: int = 0
 
     @property
     def invalidations(self) -> int:
@@ -124,7 +128,16 @@ class CacheStats:
             "patches": self.patches,
             "invalidations": self.invalidations,
             "clears": self.clears,
+            "solver_errors": self.solver_errors,
         }
+
+    def invalidation_summary(self) -> str:
+        """The report-line fragment for mutation-triggered activity."""
+        errors = f", {self.solver_errors} solver errors" if self.solver_errors else ""
+        return (
+            f"{self.invalidations} invalidations "
+            f"({self.drops} drops, {self.patches} patches{errors})"
+        )
 
 
 class LRUCache(Generic[V]):
@@ -248,6 +261,15 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
         # key -> the query the entry answers; only entries that recorded one
         # are patchable by the incremental-maintenance path.
         self._queries: Dict[str, ConjunctiveQuery] = {}
+        # Keys whose stored list this cache itself made sorted and distinct
+        # (publishers promise neither); only those may be splice-patched.
+        self._normalised: Set[str] = set()
+
+    def put(self, key: str, value: List[Tuple[int, ...]]) -> None:
+        """Store ``value`` as published: its order is the publisher's again."""
+        with self._lock:
+            self._normalised.discard(key)
+            super().put(key, value)
 
     def put_result(
         self,
@@ -313,12 +335,16 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
             return self._queries.get(key)
 
     def patch_result(self, key: str, rows: Iterable[Tuple[int, ...]]) -> bool:
-        """Merge delta ``rows`` into ``key``'s cached result, in place.
+        """Merge delta ``rows`` into ``key``'s cached result.
 
         The entry's tuples become the sorted set union of the old result
         and the delta — set semantics, matching every engine's dedup on
-        merge.  Counted under ``patches`` (never ``replacements``); LRU
-        recency is left untouched, exactly like a drop would not have
+        merge.  The first non-empty patch of an entry sorts it once; every
+        later one splices the delta into a *new* list
+        (:func:`~repro.util.sorted_ops.splice_sorted`), so a list handed
+        out by :meth:`get` never changes.  An empty delta keeps the stored
+        list as it is.  Counted under ``patches`` (never ``replacements``);
+        LRU recency is left untouched, exactly like a drop would not have
         refreshed it.  Returns ``False`` (and changes nothing) when the
         key is absent — the caller then falls back to a drop.
         """
@@ -326,11 +352,15 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
             current = self._entries.get(key)
             if current is None:
                 return False
-            delta = [tuple(row) for row in rows]
-            self._entries[key] = (
-                sorted(set(current) | set(delta)) if delta else list(current)
-            )
             self.stats.patches += 1
+            delta = sorted({tuple(row) for row in rows})
+            if not delta:
+                return True
+            if key in self._normalised:
+                self._entries[key] = splice_sorted(current, delta)
+            else:
+                self._entries[key] = sorted(set(current) | set(delta))
+                self._normalised.add(key)
             return True
 
     def maintain(
@@ -356,7 +386,8 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
                 try:
                     rows = solver(key, query, event)
                 except Exception:
-                    rows = None
+                    with self._lock:
+                        self.stats.solver_errors += 1
             if rows is not None and self.patch_result(key, rows):
                 patched += 1
             elif self.discard(key):
@@ -374,6 +405,7 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
 
     def _drop_dependency_index(self, key: str) -> None:
         self._queries.pop(key, None)
+        self._normalised.discard(key)
         for relation, shard in self._dependencies.pop(key, ()):
             by_shard = self._dependents.get(relation)
             if by_shard is None:

@@ -744,8 +744,7 @@ class ScatterGatherExecutor:
         stats = self.partial_cache.stats
         return (
             f"shard partial cache  : {stats.hits}/{stats.lookups} hits "
-            f"({stats.hit_rate:.1%}), {stats.invalidations} invalidations "
-            f"({stats.drops} drops, {stats.patches} patches)"
+            f"({stats.hit_rate:.1%}), {stats.invalidation_summary()}"
         )
 
 

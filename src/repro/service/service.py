@@ -463,7 +463,11 @@ class QueryService:
     # Catalog mutation
     # ------------------------------------------------------------------ #
     def insert_tuples(self, relation_name: str, rows) -> int:
-        """Mutate the catalog through the service; dependent results drop.
+        """Mutate the catalog through the service.
+
+        Dependent cached results drop under ``maintenance="recompute"``;
+        under ``"incremental"`` they are patched with the delta result
+        (only non-patchable events and failed solvers still drop).
 
         With tracing on, the mutation (and the cache invalidations it
         triggered) is recorded as a process-level event span on the
@@ -611,8 +615,7 @@ class QueryService:
             (
                 f"result cache         : {result.hits}/{result.lookups} hits "
                 f"({result.hit_rate:.1%}), {result.evictions} evictions, "
-                f"{result.invalidations} invalidations "
-                f"({result.drops} drops, {result.patches} patches)"
+                f"{result.invalidation_summary()}"
             ),
             (
                 f"admission            : {admission.submitted} submitted, "

@@ -8,7 +8,8 @@ holds the reference forms of that primitive: the plain binary search and the
 galloping (exponential) search that also reports its probe count.  The join
 engines' inner loops search with the C-level ``bisect.bisect_left`` (same
 landing index); these functions are what tests and the kernel
-microbenchmarks compare against.
+microbenchmarks compare against.  :func:`splice_sorted` is the write path's
+one merge primitive (cached results, relation row caches).
 
 All functions operate on any indexable sequence of comparable values
 (Python lists, tuples, ``array.array`` and NumPy arrays all work) and accept
@@ -19,7 +20,10 @@ accelerator model avoid).
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from bisect import bisect_left
+from typing import List, Sequence, Tuple, TypeVar
+
+T = TypeVar("T")
 
 
 def is_strictly_sorted(values: Sequence[int]) -> bool:
@@ -30,6 +34,29 @@ def is_strictly_sorted(values: Sequence[int]) -> bool:
     test suite.
     """
     return all(values[i] < values[i + 1] for i in range(len(values) - 1))
+
+
+def splice_sorted(base: Sequence[T], fresh: Sequence[T]) -> List[T]:
+    """A new sorted list holding ``base`` plus the ``fresh`` rows it lacks.
+
+    Both inputs are strictly sorted.  Each fresh row costs one C-level
+    ``bisect_left`` (O(log n) comparisons) and the output is assembled from
+    slices of ``base`` — O(|fresh|·log n) comparisons plus memcpy, against
+    the O(n) comparisons of any merge or re-sort.  ``base`` is never
+    mutated: readers holding it keep their snapshot (copy-on-write).
+    """
+    merged: List[T] = []
+    size = len(base)
+    start = 0
+    for row in fresh:
+        position = bisect_left(base, row, start)
+        if position < size and base[position] == row:
+            continue
+        merged += base[start:position]
+        merged.append(row)
+        start = position
+    merged += base[start:]
+    return merged
 
 
 def lowest_upper_bound(

@@ -91,12 +91,18 @@ class TestPlannerMemoisation:
         for a, b in zip(first, second):
             assert a is b  # memoised, not recompiled
 
-    def test_terms_share_the_base_variable_order(self):
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_term_orders_are_seeded_by_the_delta_atom(self, pattern):
         planner = DeltaPlanner()
-        query = pattern_query("cycle3")
+        query = pattern_query(pattern)
         base_order = planner.compiler.compile(query).variable_order
         for plan in planner.plans_for(query, ["E"]):
-            assert plan.plan.variable_order == base_order
+            order = plan.plan.variable_order
+            seeds = set(query.atoms[plan.atom_index].variables)
+            assert set(order[: len(seeds)]) == seeds
+            # The base order, stably partitioned: both halves keep its sequence.
+            assert [v for v in base_order if v in seeds] == list(order[: len(seeds)])
+            assert [v for v in base_order if v not in seeds] == list(order[len(seeds):])
 
 
 class TestEvaluateDelta:

@@ -109,15 +109,38 @@ class TestCacheCounters:
         assert cache.stats.patches == 1 and cache.stats.drops == 1
 
     def test_solver_none_and_solver_exception_fall_back_to_drop(self):
-        for solver in (
-            lambda key, query, event: None,
-            lambda key, query, event: (_ for _ in ()).throw(RuntimeError("boom")),
-        ):
+        def boom(key, query, event):
+            raise RuntimeError("boom")
+
+        for solver, errors in ((lambda key, query, event: None, 0), (boom, 1)):
             cache = ResultCache(capacity=4)
             cache.put_result("k", [(1, 2)], ["E"], query=pattern_query("cycle3"))
             patched, dropped = cache.maintain(insert_event([(9, 9)]), solver)
             assert (patched, dropped) == (0, 1)
             assert "k" not in cache
+            # A raising solver degrades to the same drop, but is counted.
+            assert cache.stats.solver_errors == errors
+            assert cache.stats.as_dict()["solver_errors"] == errors
+            summary = cache.stats.invalidation_summary()
+            assert ("1 solver errors" in summary) == bool(errors)
+
+    def test_solver_errors_reach_the_service_report_only_when_nonzero(self):
+        service = QueryService(
+            workload_database(num_vertices=12, num_edges=30, seed=SEED),
+            maintenance="incremental",
+        )
+        before = service.serve(pattern_query("cycle3")).tuples
+        assert "solver errors" not in service.report()
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        service.maintainer.delta_for = boom
+        service.insert_tuples("E", [(0, 11), (11, 5)])
+        assert service.result_cache.stats.solver_errors == 1
+        assert "1 drops, 0 patches, 1 solver errors" in service.report()
+        # Degraded to a drop: the next read recomputes, never a wrong answer.
+        assert set(before) <= set(service.serve(pattern_query("cycle3")).tuples)
 
     def test_mode_validation(self):
         assert set(MAINTENANCE_MODES) == {"recompute", "incremental"}

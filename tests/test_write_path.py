@@ -1,0 +1,205 @@
+"""The write path's seam: one splice primitive under every cached sorted list.
+
+Everything ``insert`` triggers — patching cached results, extending the
+relation's sorted-row caches, rebuilding cached tries, the delta joins that
+compute what to patch — is checked here against the plain oracles it
+replaced: ``sorted(set(old) | set(delta))``, a fresh sort, a fresh
+:class:`TrieIndex`, and recompute-difference.  Cases are drawn by
+``hypothesis``; the one fixed-size test is the comparison-count guard that
+keeps a patch O(Δ·log n).
+"""
+
+from itertools import permutations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engines import create_engine
+from repro.joins import NaiveJoin
+from repro.joins.delta import DeltaPlanner, evaluate_delta
+from repro.relational import Atom, ConjunctiveQuery, Database, Relation, Schema
+from repro.relational.sharding import shard_database
+from repro.relational.trie import TrieIndex
+from repro.service import ResultCache
+from repro.util.sorted_ops import splice_sorted
+
+rows2 = st.tuples(st.integers(0, 12), st.integers(0, 12))
+rows3 = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
+
+
+# --------------------------------------------------------------------------- #
+# (a) splice_sorted / ResultCache.patch_result against sorted(set | set)
+# --------------------------------------------------------------------------- #
+@given(st.sets(rows2), st.sets(rows2))
+def test_splice_sorted_is_the_sorted_union_and_leaves_base_alone(base, fresh):
+    base_list, fresh_list = sorted(base), sorted(fresh)
+    snapshot = list(base_list)
+    merged = splice_sorted(base_list, fresh_list)
+    assert merged == sorted(base | fresh)
+    assert merged is not base_list and base_list == snapshot
+
+
+#: One step of a cached entry's life: a patch (any iterable of rows, with
+#: duplicates, already-present rows, or nothing) or a fresh ``put_result``.
+cache_steps = st.lists(
+    st.tuples(st.sampled_from(["patch", "patch", "put"]), st.lists(rows2, max_size=6)),
+    max_size=8,
+)
+
+
+@given(st.lists(rows2, unique=True, max_size=20), st.booleans(), cache_steps)
+def test_patch_result_equals_the_set_union_oracle(initial, put_sorted, steps):
+    cache = ResultCache(capacity=2)
+    published = sorted(initial) if put_sorted else list(initial)
+    cache.put_result("k", published, ["E"])
+    model, normalised = set(initial), False
+    for kind, rows in steps:
+        held = cache.get("k")
+        before = list(held)
+        if kind == "put":
+            published = list(dict.fromkeys(rows))  # distinct, publisher's order
+            cache.put_result("k", published, ["E"])
+            model, normalised = set(published), False
+        else:
+            patches = cache.stats.patches
+            assert cache.patch_result("k", rows)
+            assert cache.stats.patches == patches + 1
+            model |= set(rows)
+            normalised = normalised or bool(rows)
+            if not rows:
+                assert cache.peek("k") is held  # an empty delta is O(1)
+        # A list handed out earlier never changes under later patches.
+        assert held == before
+        entry = cache.peek("k")
+        assert entry == (sorted(model) if normalised else published)
+
+
+class CountingRow(tuple):
+    """A result row that counts the ``<`` comparisons made against it."""
+
+    comparisons = 0
+
+    def __lt__(self, other):
+        CountingRow.comparisons += 1
+        return tuple.__lt__(self, other)
+
+
+def test_second_patch_makes_o_delta_log_n_comparisons():
+    n, d = 50_000, 8
+    cache = ResultCache(capacity=1)
+    cache.put_result("k", [CountingRow((i, 2 * i)) for i in range(n)], ["E"])
+    assert cache.patch_result("k", [(0, 1)])  # first touch normalises, O(n log n)
+    delta = [(i * (n // d), 1) for i in range(d)]  # (0, 1) is already there
+    CountingRow.comparisons = 0
+    assert cache.patch_result("k", delta)
+    # ~d·log2(n) ≈ 130 for the splice; a re-sort or a timsort-merge of
+    # ``base + fresh`` compares every stored row at least once.
+    assert CountingRow.comparisons < n // 10
+    entry = cache.peek("k")
+    assert len(entry) == n + d and entry == sorted(entry)
+
+
+# --------------------------------------------------------------------------- #
+# (c) cached tries and sorted-row caches after insert_batch, every catalog
+# --------------------------------------------------------------------------- #
+ATTRIBUTES = ("a", "b", "c")
+ORDERS = tuple(permutations(ATTRIBUTES))
+
+
+def levels(trie):
+    """A trie's flat arrays as plain lists, level by level."""
+    return (
+        trie.num_tuples,
+        [list(trie.level_values(level)) for level in range(trie.num_levels)],
+        [list(trie.child_offsets(level)) for level in range(trie.num_levels - 1)],
+    )
+
+
+def backing_databases(catalog):
+    """Every :class:`Database` whose trie cache an insert must keep right."""
+    if isinstance(catalog, Database):
+        return [catalog]
+    if not catalog.is_partitioned("T"):  # an empty relation is broadcast
+        return [catalog.global_database]
+    replicas = [
+        catalog.shard_replica_database("T", shard, 1)
+        for shard in range(catalog.num_shards)
+    ]
+    return [catalog.global_database, *catalog.shard_databases, *replicas]
+
+
+@given(st.sets(rows3, max_size=25), st.lists(st.lists(rows3, max_size=6), max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_cached_tries_and_row_caches_track_every_insert(initial, batches):
+    mono = Database("mono")
+    mono.add_relation(Relation("T", Schema(ATTRIBUTES), initial))
+    sharded = shard_database(mono, 2, replication_factor=2)
+    for catalog in (mono, sharded):
+        model = set(initial)
+        for database in backing_databases(catalog):
+            for order in ORDERS:
+                database.trie("T", order)
+        for batch in batches:
+            model.update(batch)
+            held = [
+                (trie, levels(trie))
+                for database in backing_databases(catalog)
+                for trie in database.cached_tries()
+            ]
+            catalog.insert_into("T", batch)
+            for trie, before in held:
+                assert levels(trie) == before  # readers keep their snapshot
+            for database in backing_databases(catalog):
+                relation = database.relation("T")
+                stored = [row for row in model if row in relation]
+                assert len(stored) == relation.cardinality
+                assert relation.sorted_rows() == sorted(stored)
+                cached = {trie.attribute_order: trie for trie in database.cached_tries()}
+                assert set(cached) == set(ORDERS)
+                for order in ORDERS:
+                    indexes = [ATTRIBUTES.index(a) for a in order]
+                    assert relation.sorted_rows_in(order) == sorted(
+                        tuple(row[i] for i in indexes) for row in stored
+                    )
+                    fresh = TrieIndex(Relation("T", relation.schema, stored), order)
+                    assert levels(cached[order]) == levels(fresh)
+        assert catalog.relation("T").cardinality == len(model)
+
+
+# --------------------------------------------------------------------------- #
+# (d) delta joins under delta-seeded orders equal recompute-difference
+# --------------------------------------------------------------------------- #
+def _query(name, head, *atoms):
+    return ConjunctiveQuery(name, head, [Atom("E", variables) for variables in atoms])
+
+
+#: Self-joins where every atom reads the changed relation, full and projected.
+DELTA_QUERIES = (
+    _query("cycle3", ("x", "y", "z"), ("x", "y"), ("y", "z"), ("z", "x")),
+    _query("path3", ("x", "y", "z", "w"), ("x", "y"), ("y", "z"), ("z", "w")),
+    _query("two_hop_ends", ("x", "z"), ("x", "y"), ("y", "z")),
+    _query("in_triangle", ("z",), ("x", "y"), ("y", "z"), ("z", "x")),
+)
+
+edges = st.tuples(st.integers(0, 6), st.integers(0, 6))
+
+
+@given(
+    st.sets(edges, max_size=20),
+    st.lists(st.lists(edges, min_size=1, max_size=4), min_size=1, max_size=3),
+    st.sampled_from(DELTA_QUERIES),
+    st.sampled_from(["lftj", "ctj"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_seeded_delta_terms_equal_recompute_difference(initial, batches, query, engine_name):
+    database = Database("g")
+    database.add_relation(Relation("E", Schema(("src", "dst")), initial))
+    engine, planner, oracle = create_engine(engine_name), DeltaPlanner(), NaiveJoin()
+    before = oracle.run(query, database).as_set()
+    for batch in batches:
+        added = database.insert_batch("E", batch).rows
+        delta = evaluate_delta(query, database, {"E": added}, engine, planner)
+        after = oracle.run(query, database).as_set()
+        assert list(delta.tuples) == sorted(set(delta.tuples))
+        assert before | set(delta.tuples) == after
+        before = after
