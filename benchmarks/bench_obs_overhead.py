@@ -7,7 +7,7 @@ instrumented at all, so running with the :data:`~repro.obs.NULL_TRACER`
 must cost nothing measurable on the kernel hot path.
 
 This module pins that contract with a min-of-N timing comparison on the
-``bench_kernels`` cycle3 workload: the bare engine run against the same
+``repro bench kernels`` cycle3 workload: the bare engine run against the same
 run behind the exact guard pattern the serving layer uses.  Min-of-N
 de-noises scheduler jitter; the assertion allows 2% slack
 (:data:`MAX_OVERHEAD_RATIO`), two orders of magnitude above the true cost

@@ -22,9 +22,6 @@ The CLI exposes the library's main entry points without writing any Python::
     python -m repro trace summarize out.jsonl --limit 10
     python -m repro bench kernels --output BENCH_kernels.json
     python -m repro bench kernels --compare BENCH_kernels.json --run nightly
-    python -m repro bench storage --smoke
-    python -m repro bench concurrency --compare BENCH_concurrency.json
-    python -m repro bench ivm --compare BENCH_ivm.json
     python -m repro bench all --smoke
     python -m repro workload --dataset grqc --update-fraction 0.3 --maintenance incremental
     python -m repro store init var/store --dataset grqc --scale 0.01
@@ -45,18 +42,14 @@ thread pool, or a process pool over shared-memory trie segments
 (``--backend threads|process --workers N``, same results with wall-clock
 numbers in the report; ``run`` accepts the same flags and serves the
 single query through the service layer) — and prints the service report
-(latencies, queue waits, cache hit rates); ``bench`` runs a microbenchmark suite (currently
-``kernels``: trie build, binary-vs-gallop reference probe counts, per-engine enumeration) without
-pytest, honouring ``REPRO_BENCH_SEED``, optionally persisting a
-run-manifest artifact directory (``--run``) and diffing against the
-committed baseline (``--compare BENCH_kernels.json``, nonzero exit on
-regression; the ``storage`` suite measures mmap cold start vs trie rebuild
-and snapshot/WAL-replay cost, the ``concurrency`` suite sweeps
-execution backends × workers for wall qps plus backend-equivalence and
-segment-leak checks, the ``chaos`` suite serves under deterministic fault
-plans, and the ``ivm`` suite pits incremental result patching against
-drop-and-recompute — ``bench all`` runs every suite and diffs each against
-its committed ``BENCH_<suite>.json`` baseline); ``workload
+(latencies, queue waits, cache hit rates); ``bench`` runs one of the
+suites declared in :mod:`repro.eval.suites` (``kernels``, ``storage``,
+``concurrency``, ``chaos``, ``ivm``) without pytest, seeded like the
+pytest benchmarks, optionally persisting a run-manifest artifact
+directory (``--run``) and diffing against a committed baseline
+(``--compare BENCH_<suite>.json``: nonzero exit on a timing regression or
+a missing kernel row or check) — ``bench all`` runs every suite against
+its committed ``BENCH_<suite>.json``; ``workload
 --maintenance incremental`` serves with delta-patched caches instead of
 drop-and-recompute; ``store init|snapshot|recover|info`` manages
 a durable store directory (:mod:`repro.storage`) and ``run``/``workload``
@@ -81,7 +74,20 @@ import repro
 from repro.api import AcceleratorEngine, Session, Statement, create_engine, engine_names
 from repro.baselines import default_baselines
 from repro.core import TrieJaxConfig
-from repro.eval import EXPERIMENT_REGISTRY, ExperimentContext, format_table
+from repro.eval import (
+    DEFAULT_REGRESSION_THRESHOLD,
+    DEFAULT_RESULTS_ROOT,
+    EXPERIMENT_REGISTRY,
+    SUITE_NAMES,
+    ExperimentContext,
+    compare_kernel_reports,
+    format_comparison,
+    format_kernel_report,
+    format_table,
+    load_report,
+    write_kernel_report,
+    write_run_artifacts,
+)
 from repro.graphs import (
     DATASET_NAMES,
     EXTRA_PATTERN_NAMES,
@@ -389,10 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bench_parser = subparsers.add_parser(
-        "bench", help="run a microbenchmark suite without pytest"
+        "bench", help="run a benchmark suite (repro.eval.suites) without pytest"
     )
     bench_parser.add_argument(
-        "suite", choices=["kernels", "storage", "concurrency", "chaos", "ivm", "all"],
+        "suite", choices=[*SUITE_NAMES, "all"],
         help="which suite to run (``all`` runs every suite and diffs each "
         "against its committed BENCH_<suite>.json baseline)"
     )
@@ -405,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument(
         "--seed", type=int, default=None,
-        help="RNG seed (default: the REPRO_BENCH_SEED environment variable)",
+        help="RNG seed (default: the benchmark-seed environment variable "
+        "documented in the README, else 2020)",
     )
     bench_parser.add_argument(
         "--smoke", action="store_true",
@@ -419,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--compare", default=None, metavar="BASELINE",
         help="diff the run against a committed baseline report "
         "(e.g. BENCH_kernels.json); exits nonzero on a regression beyond "
-        "the threshold or a missing kernel",
+        "the threshold or a missing kernel row or check",
     )
     bench_parser.add_argument(
         "--threshold", type=float, default=None, metavar="FRACTION",
@@ -952,111 +959,60 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.eval.artifacts import (
-        DEFAULT_REGRESSION_THRESHOLD,
-        DEFAULT_RESULTS_ROOT,
-        compare_kernel_reports,
-        format_comparison,
-        load_report,
-        write_run_artifacts,
-    )
-    from repro.eval.kernels import (
-        format_kernel_report,
-        run_kernel_benchmarks,
-        write_kernel_report,
-    )
+    import os.path
 
-    def run_suite(suite: str):
-        if suite == "storage":
-            from repro.eval.storagebench import run_storage_benchmarks as runner
-        elif suite == "concurrency":
-            from repro.eval.concurrencybench import (
-                run_concurrency_benchmarks as runner,
-            )
-        elif suite == "chaos":
-            from repro.eval.chaosbench import run_chaos_benchmarks as runner
-        elif suite == "ivm":
-            from repro.eval.ivmbench import run_ivm_benchmarks as runner
-        else:
-            runner = run_kernel_benchmarks
-        return runner(
-            scale=args.scale, seed=args.seed, repeats=args.repeats, smoke=args.smoke
+    from repro.eval.suites import SUITES, run_suite
+
+    if args.suite == "all" and (args.output or args.run or args.compare):
+        # The umbrella regresses every suite against its own committed
+        # baseline; the single-report flags make no sense here.
+        print(
+            "bench all: --output/--run/--compare apply to single suites",
+            file=sys.stderr,
         )
-
-    if args.suite == "all":
-        # The umbrella regresses every suite against its committed baseline
-        # in one invocation; the single-report flags make no sense here.
-        if args.output or args.run or args.compare:
-            print(
-                "bench all: --output/--run/--compare apply to single suites",
-                file=sys.stderr,
-            )
-            return 2
-        import os.path
-
-        threshold = (
-            args.threshold if args.threshold is not None else DEFAULT_REGRESSION_THRESHOLD
+        return 2
+    threshold = (
+        args.threshold if args.threshold is not None else DEFAULT_REGRESSION_THRESHOLD
+    )
+    exit_code = 0
+    for suite in SUITES if args.suite == "all" else (args.suite,):
+        report = run_suite(
+            suite, scale=args.scale, seed=args.seed, repeats=args.repeats, smoke=args.smoke
         )
-        exit_code = 0
-        for suite in ("kernels", "storage", "concurrency", "chaos", "ivm"):
-            report = run_suite(suite)
-            print(format_kernel_report(report))
-            failed = [name for name, passed in report["checks"].items() if not passed]
-            for name in failed:
-                print(f"FAIL: bench check {name!r} did not hold", file=sys.stderr)
-            if failed:
+        print(format_kernel_report(report))
+        if args.output:
+            write_kernel_report(report, args.output)
+            print(f"wrote {args.output}")
+        if args.run:
+            run_dir = write_run_artifacts(
+                args.run,
+                report,
+                results_root=args.results_root or DEFAULT_RESULTS_ROOT,
+                extra_manifest={"cli": {"suite": suite, "smoke": args.smoke}},
+            )
+            print(f"wrote run artifacts to {run_dir}")
+        for name, verdict in report["checks"].items():
+            if verdict == "fail":
+                print(f"FAIL: {suite} check {name!r} did not hold", file=sys.stderr)
                 exit_code = 1
+        baseline = args.compare
+        if args.suite == "all":
             baseline = f"BENCH_{suite}.json"
-            if os.path.exists(baseline):
-                comparison = compare_kernel_reports(
-                    report, load_report(baseline), threshold=threshold
-                )
-                print(format_comparison(comparison))
-                if not comparison["ok"]:
-                    print(
-                        f"FAIL: {suite} benchmarks regressed against {baseline}",
-                        file=sys.stderr,
-                    )
-                    exit_code = 1
-            else:
+            if not os.path.exists(baseline):
                 print(f"note: no committed baseline {baseline}; comparison skipped")
-        return exit_code
-
-    report = run_suite(args.suite)
-    # All suites share the {meta, kernels, checks} report shape, so the
-    # formatting/artifact/comparison pipeline below serves any of them.
-    print(format_kernel_report(report))
-    if args.output:
-        write_kernel_report(report, args.output)
-        print(f"wrote {args.output}")
-    if args.run:
-        run_dir = write_run_artifacts(
-            args.run,
-            report,
-            results_root=args.results_root or DEFAULT_RESULTS_ROOT,
-            extra_manifest={"cli": {"suite": args.suite, "smoke": args.smoke}},
-        )
-        print(f"wrote run artifacts to {run_dir}")
-    failed = [name for name, passed in report["checks"].items() if not passed]
-    for name in failed:
-        print(f"FAIL: bench check {name!r} did not hold", file=sys.stderr)
-    if failed:
-        return 1
-    if args.compare:
-        threshold = (
-            args.threshold if args.threshold is not None else DEFAULT_REGRESSION_THRESHOLD
-        )
-        comparison = compare_kernel_reports(
-            report, load_report(args.compare), threshold=threshold
-        )
-        print(format_comparison(comparison))
-        if not comparison["ok"]:
-            print(
-                f"FAIL: kernel benchmarks regressed against {args.compare}",
-                file=sys.stderr,
+                baseline = None
+        if baseline:
+            comparison = compare_kernel_reports(
+                report, load_report(baseline), threshold=threshold
             )
-            return 1
-    return 0
+            print(format_comparison(comparison))
+            if not comparison["ok"]:
+                print(
+                    f"FAIL: {suite} benchmarks regressed against {baseline}",
+                    file=sys.stderr,
+                )
+                exit_code = 1
+    return exit_code
 
 
 def _cmd_version() -> int:

@@ -11,7 +11,7 @@ shared memory hierarchy.  The top-level entry point is
 
 from repro.core.config import MT_SCHEMES, TrieJaxConfig
 from repro.core.operations import COMPONENT_NAMES, Operation, SpawnRequest
-from repro.core.thread_state import Task, ThreadStateStore, ThreadStats
+from repro.core.thread_state import Task, ThreadStats
 from repro.core.pjr_cache import PJRCache, PJRCacheStats
 from repro.core.lub import LUBUnit
 from repro.core.midwife import MidwifeUnit
@@ -28,7 +28,6 @@ __all__ = [
     "Operation",
     "SpawnRequest",
     "Task",
-    "ThreadStateStore",
     "ThreadStats",
     "PJRCache",
     "PJRCacheStats",

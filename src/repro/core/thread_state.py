@@ -6,10 +6,6 @@ cursor positions".  Tasks are what the dynamic multithreading scheme passes
 between threads — when Cupid finds a match and spare thread capacity exists,
 it packages the *remaining* matches of the current level into a new task and
 hands it to the scheduler (Section 3.4, Figure 8).
-
-The paper's hardware keeps this state in small per-component SRAM "thread
-stores"; :class:`ThreadStateStore` models their capacity so the report can
-flag configurations whose state would not physically fit.
 """
 
 from __future__ import annotations
@@ -62,44 +58,3 @@ class ThreadStats:
     operations_issued: int = 0
     busy_cycles: int = 0
     results_emitted: int = 0
-
-
-class ThreadStateStore:
-    """Capacity model of a component's thread-state SRAM.
-
-    The paper sizes the Cupid store at 16 KB for 32 threads and the remaining
-    component stores below 512 B (Section 3.7).  The simulator does not need
-    the contents — threads carry their own state — but the store tracks the
-    high-water mark of concurrently parked threads so tests and reports can
-    check the configuration against its physical budget.
-    """
-
-    def __init__(self, name: str, capacity_bytes: int, bytes_per_thread: int):
-        if capacity_bytes <= 0 or bytes_per_thread <= 0:
-            raise ValueError("capacity_bytes and bytes_per_thread must be positive")
-        self.name = name
-        self.capacity_bytes = capacity_bytes
-        self.bytes_per_thread = bytes_per_thread
-        self._parked: set = set()
-        self.peak_parked = 0
-        self.overflows = 0
-
-    @property
-    def capacity_threads(self) -> int:
-        return self.capacity_bytes // self.bytes_per_thread
-
-    def park(self, thread_id: int) -> bool:
-        """Record ``thread_id`` waiting in this store; False when it would overflow."""
-        if len(self._parked) >= self.capacity_threads and thread_id not in self._parked:
-            self.overflows += 1
-            return False
-        self._parked.add(thread_id)
-        self.peak_parked = max(self.peak_parked, len(self._parked))
-        return True
-
-    def release(self, thread_id: int) -> None:
-        self._parked.discard(thread_id)
-
-    @property
-    def currently_parked(self) -> int:
-        return len(self._parked)

@@ -6,6 +6,10 @@ Usage pattern (also what the ``benchmarks/`` directory does)::
 
     context = ExperimentContext(scale=0.01)
     print(figure13(context).to_text())
+
+The ``repro bench`` suites live in :mod:`repro.eval.suites`, which this
+package deliberately does not import: it loads :mod:`repro.service`, whose
+metrics module imports :mod:`repro.eval.metrics`.
 """
 
 from repro.eval.metrics import (
@@ -35,16 +39,14 @@ from repro.eval.harness import (
 from repro.eval.artifacts import (
     DEFAULT_REGRESSION_THRESHOLD,
     DEFAULT_RESULTS_ROOT,
+    SUITE_NAMES,
     compare_kernel_reports,
     format_comparison,
+    format_kernel_report,
     kernel_metrics_rows,
     load_report,
-    write_run_artifacts,
-)
-from repro.eval.kernels import (
-    format_kernel_report,
-    run_kernel_benchmarks,
     write_kernel_report,
+    write_run_artifacts,
 )
 from repro.eval.experiments import (
     ENERGY_COMPONENTS,
@@ -86,13 +88,13 @@ __all__ = [
     "DEFAULT_REGRESSION_THRESHOLD",
     "DEFAULT_RESULTS_ROOT",
     "ExperimentContext",
+    "SUITE_NAMES",
     "compare_kernel_reports",
     "format_comparison",
     "format_kernel_report",
     "kernel_metrics_rows",
     "load_report",
     "write_run_artifacts",
-    "run_kernel_benchmarks",
     "write_kernel_report",
     "ENERGY_COMPONENTS",
     "EXPERIMENT_REGISTRY",

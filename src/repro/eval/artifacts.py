@@ -1,8 +1,10 @@
-"""Run-manifest benchmark artifacts and baseline regression comparison.
+"""Benchmark report formatting, run-manifest artifacts and baseline comparison.
 
-Closes ROADMAP item 6: every ``repro bench *`` invocation can persist a
-self-describing run directory, and kernel runs can be diffed against the
-committed baseline (``BENCH_kernels.json``) with a regression threshold.
+The one formatter, writer and compare tool behind every ``repro bench``
+suite (:mod:`repro.eval.suites`): an invocation can print its report,
+persist it as JSON or as a self-describing run directory, and diff it
+against a committed baseline (``BENCH_<suite>.json``) with a regression
+threshold.
 
 The artifact layout, per run, under a results root (``eval/results/`` by
 convention)::
@@ -21,8 +23,10 @@ artifacts.
 Comparison against a committed baseline is **meta-aware**: per-kernel
 timings are only judged when the run's (dataset, scale, seed) match the
 baseline's — a ``--smoke`` run against the full-scale baseline still gets
-the structural checks (same kernel set, checks pass) but never a bogus
-timing verdict.
+the structural checks (same kernel rows, same check names) but never a
+bogus timing verdict.  Matching meta does not mean the same host: wall
+numbers in a committed baseline are host-specific (``meta.host_cpus`` /
+``meta.machine`` record where it was measured).
 """
 
 from __future__ import annotations
@@ -41,13 +45,37 @@ DEFAULT_RESULTS_ROOT = os.path.join("eval", "results")
 #: may take up to (1 + threshold) × baseline seconds.
 DEFAULT_REGRESSION_THRESHOLD = 0.25
 
+#: The suites :mod:`repro.eval.suites` declares, each with a committed
+#: ``BENCH_<suite>.json``.  Spelled here so the CLI parser can offer them
+#: without importing the suite module (and with it :mod:`repro.storage`).
+SUITE_NAMES = ("kernels", "storage", "concurrency", "chaos", "ivm")
+
 #: Meta fields that must match for timings to be comparable across runs.
 COMPARABLE_META_FIELDS = ("suite", "dataset", "scale", "seed")
 
 
-def _write_json(path: str, payload: Dict) -> None:
+def format_kernel_report(report: Dict) -> str:
+    """Human-readable rendering of a :func:`repro.eval.suites.run_suite` report."""
+    meta = report["meta"]
+    lines = [
+        f"{meta.get('suite', 'kernels')} microbenchmarks — {meta['dataset']} scale {meta['scale']} "
+        f"({meta['edges']} edges, seed {meta['seed']}, best of {meta['repeats']})"
+    ]
+    for name, payload in report["kernels"].items():
+        detail = ", ".join(
+            f"{key}={value}" for key, value in payload.items() if key != "seconds"
+        )
+        lines.append(f"  {name:<24s} {payload['seconds'] * 1e3:9.3f} ms  ({detail})")
+    checks = report["checks"]
+    rendered = " ".join(f"{name}={value}" for name, value in sorted(checks.items()))
+    lines.append(f"  checks: {rendered}")
+    return "\n".join(lines)
+
+
+def write_kernel_report(report: Dict, path: str) -> None:
+    """Write the report as stable, diff-friendly JSON."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
@@ -89,7 +117,7 @@ def write_run_artifacts(
     }
     if extra_manifest:
         manifest.update(extra_manifest)
-    _write_json(os.path.join(run_dir, "manifest.json"), manifest)
+    write_kernel_report(manifest, os.path.join(run_dir, "manifest.json"))
 
     with open(os.path.join(run_dir, "metrics.jsonl"), "w", encoding="utf-8") as handle:
         for row in kernel_metrics_rows(report):
@@ -104,7 +132,7 @@ def write_run_artifacts(
             for name, payload in report.get("kernels", {}).items()
         },
     }
-    _write_json(os.path.join(run_dir, "summary.json"), summary)
+    write_kernel_report(summary, os.path.join(run_dir, "summary.json"))
     return run_dir
 
 
@@ -126,6 +154,9 @@ def compare_kernel_reports(
     ``missing`` / ``extra``
         Kernel names present in only one report.  Missing kernels fail the
         comparison (a renamed/dropped kernel must update the baseline).
+    ``missing_checks``
+        Check names the baseline has and the run lacks; they fail the
+        comparison too (a claim may not disappear silently).
     ``regressions``
         Kernels whose current seconds exceed ``baseline * (1 + threshold)``
         (only populated when comparable).
@@ -134,6 +165,8 @@ def compare_kernel_reports(
         reporting, in baseline order.
     ``ok``
         The overall verdict: structure intact and no timing regressions.
+        (Whether the run's own checks held is the run's verdict, not the
+        comparison's.)
     """
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
@@ -141,6 +174,9 @@ def compare_kernel_reports(
     baseline_kernels = baseline.get("kernels", {})
     missing = sorted(set(baseline_kernels) - set(current_kernels))
     extra = sorted(set(current_kernels) - set(baseline_kernels))
+    missing_checks = sorted(
+        set(baseline.get("checks", {})) - set(current.get("checks", {}))
+    )
     current_meta = current.get("meta", {})
     baseline_meta = baseline.get("meta", {})
     comparable = all(
@@ -177,9 +213,10 @@ def compare_kernel_reports(
         "threshold": threshold,
         "missing": missing,
         "extra": extra,
+        "missing_checks": missing_checks,
         "regressions": regressions,
         "rows": rows,
-        "ok": not missing and not regressions,
+        "ok": not missing and not missing_checks and not regressions,
     }
 
 
@@ -204,6 +241,10 @@ def format_comparison(result: Dict) -> str:
         )
     if result["missing"]:
         lines.append(f"  MISSING kernels vs baseline: {', '.join(result['missing'])}")
+    if result["missing_checks"]:
+        lines.append(
+            f"  MISSING checks vs baseline: {', '.join(result['missing_checks'])}"
+        )
     if result["extra"]:
         lines.append(f"  new kernels not in baseline: {', '.join(result['extra'])}")
     lines.append(f"  verdict: {'OK' if result['ok'] else 'FAIL'}")
@@ -222,7 +263,9 @@ __all__ = [
     "DEFAULT_RESULTS_ROOT",
     "compare_kernel_reports",
     "format_comparison",
+    "format_kernel_report",
     "kernel_metrics_rows",
     "load_report",
+    "write_kernel_report",
     "write_run_artifacts",
 ]

@@ -1,4 +1,4 @@
-"""Memory-system models: caches, DRAM timing, energy and traces.
+"""Memory-system models: caches, DRAM timing and energy.
 
 These are the substitutes for the paper's Ramulator (DRAM timing), DRAMPower
 (DRAM energy) and Cacti (SRAM energy) tool chain — see DESIGN.md for the
@@ -11,7 +11,6 @@ from repro.memory.cache import CacheStats, SetAssociativeCache
 from repro.memory.dram import DRAMConfig, DRAMModel, DRAMStats
 from repro.memory.energy import EnergyBreakdown, EnergyConstants, EnergyModel
 from repro.memory.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.memory.trace import AccessTrace, TraceEntry
 
 __all__ = [
     "CacheStats",
@@ -24,6 +23,4 @@ __all__ = [
     "EnergyModel",
     "HierarchyConfig",
     "MemoryHierarchy",
-    "AccessTrace",
-    "TraceEntry",
 ]

@@ -18,7 +18,7 @@ model need from a relational database:
 
 from repro.relational.schema import Schema
 from repro.relational.relation import Relation, ValueDictionary, relation_from_pairs
-from repro.relational.trie import TrieIndex, TrieSet
+from repro.relational.trie import TrieIndex
 from repro.relational.layout import ArrayRegion, MemoryLayout
 from repro.relational.query import Atom, ConjunctiveQuery, single_relation_query
 from repro.relational.datalog import (
@@ -59,7 +59,6 @@ __all__ = [
     "ValueDictionary",
     "relation_from_pairs",
     "TrieIndex",
-    "TrieSet",
     "ArrayRegion",
     "MemoryLayout",
     "Atom",

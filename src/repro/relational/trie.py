@@ -32,7 +32,7 @@ together.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.relational.relation import Relation
 from repro.util.sorted_ops import is_strictly_sorted
@@ -283,42 +283,3 @@ class TrieIndex:
             f"TrieIndex({self.relation_name!r}, order={self.attribute_order}, "
             f"tuples={self._num_tuples})"
         )
-
-
-class TrieSet:
-    """A collection of tries for one query, keyed by atom identity.
-
-    A query may bind the same stored relation twice with different variable
-    orders (e.g. ``G(x, y)`` and ``G(y, z)`` in a cycle query); each binding
-    gets its own trie because the level order differs.
-    """
-
-    def __init__(self) -> None:
-        self._tries: Dict[str, TrieIndex] = {}
-
-    def add(self, key: str, trie: TrieIndex) -> None:
-        if key in self._tries:
-            raise KeyError(f"trie key {key!r} already registered")
-        self._tries[key] = trie
-
-    def get(self, key: str) -> TrieIndex:
-        try:
-            return self._tries[key]
-        except KeyError:
-            raise KeyError(f"no trie registered under key {key!r}") from None
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._tries
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._tries)
-
-    def items(self):
-        return self._tries.items()
-
-    def __len__(self) -> int:
-        return len(self._tries)
-
-    def total_memory_words(self) -> int:
-        """Combined flat-layout footprint of all registered tries."""
-        return sum(t.memory_words() for t in self._tries.values())

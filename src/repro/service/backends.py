@@ -253,7 +253,7 @@ class ThreadPoolBackend(ExecutionBackend):
     that on CPython the GIL serialises pure-Python engine work, so
     wall-clock gains are modest unless engines release the GIL; the point
     of this backend is the architecture (and honest wall-clock numbers),
-    measured by ``benchmarks/bench_concurrency.py``.
+    measured by ``repro bench concurrency``.
     """
 
     name = "threads"

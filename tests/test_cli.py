@@ -97,12 +97,12 @@ class TestCommands:
         assert main(["bench", "kernels", "--smoke", "--output", str(report_path)]) == 0
         output = capsys.readouterr().out
         assert "kernels microbenchmarks" in output
-        assert "engines_agree=True" in output
+        assert "engines_agree=pass" in output
         import json
 
         report = json.loads(report_path.read_text())
         assert report["meta"]["seed"] == 7  # honours REPRO_BENCH_SEED
-        assert report["checks"]["engines_agree"]
+        assert report["checks"]["engines_agree"] == "pass"
 
     def test_bench_suite_restricted(self):
         with pytest.raises(SystemExit):

@@ -12,7 +12,6 @@ from repro.core import (
     Participant,
     SpawnRequest,
     Task,
-    ThreadStateStore,
     TrieJaxConfig,
 )
 from repro.relational import MemoryLayout, Relation, Schema, TrieIndex
@@ -100,23 +99,6 @@ class TestOperations:
         assert not task.is_replay
         assert Task(depth=0, pending_matches=[]).is_replay
 
-
-class TestThreadStateStore:
-    def test_capacity_and_overflow(self):
-        store = ThreadStateStore("cupid", capacity_bytes=1024, bytes_per_thread=512)
-        assert store.capacity_threads == 2
-        assert store.park(1) and store.park(2)
-        assert not store.park(3)
-        assert store.overflows == 1
-        assert store.park(1)  # already parked is fine
-        store.release(1)
-        assert store.park(3)
-        assert store.peak_parked == 2
-        assert store.currently_parked == 2
-
-    def test_invalid_configuration(self):
-        with pytest.raises(ValueError):
-            ThreadStateStore("x", 0, 8)
 
 
 class TestLUBUnit:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.memory import (
-    AccessTrace,
     DRAMStats,
     EnergyBreakdown,
     EnergyConstants,
@@ -152,31 +151,3 @@ class TestEnergyBreakdown:
         merged = a.merge(b)
         assert merged.components == {"DRAM": 15.0, "L1": 1.0}
         assert a.components == {"DRAM": 10.0}
-
-
-class TestAccessTrace:
-    def test_record_and_analyse(self):
-        trace = AccessTrace()
-        trace.record(0, 0, False, "lub", 5)
-        trace.record(1, 64, False, "lub", 100)
-        trace.record(2, 0, True, "cupid", 3)
-        assert len(trace) == 3
-        assert len(trace.reads()) == 2
-        assert len(trace.writes()) == 1
-        assert len(trace.by_component("lub")) == 2
-        assert trace.unique_lines() == 2
-        assert trace.average_latency() == pytest.approx((5 + 100 + 3) / 3)
-        assert 0.0 < trace.reuse_ratio() < 1.0
-
-    def test_capacity_limit(self):
-        trace = AccessTrace(capacity=2)
-        for i in range(5):
-            trace.record(i, i * 64, False, "lub", 1)
-        assert len(trace) == 2
-        assert trace.dropped == 3
-
-    def test_empty_trace_metrics(self):
-        trace = AccessTrace()
-        assert trace.reuse_ratio() == 0.0
-        assert trace.average_latency() == 0.0
-        assert trace.entries() == ()

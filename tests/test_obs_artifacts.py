@@ -29,7 +29,7 @@ def _report(**meta_overrides):
             "lftj_cycle3": {"seconds": 0.050, "results": 99},
             "ctj_cycle3": {"seconds": 0.040, "results": 99},
         },
-        "checks": {"engines_agree": True},
+        "checks": {"engines_agree": "pass"},
     }
 
 
@@ -63,7 +63,7 @@ class TestRunArtifacts:
         assert all("seconds" in row for row in rows)
 
         summary = json.loads((tmp_path / "nightly" / "summary.json").read_text())
-        assert summary["checks"] == {"engines_agree": True}
+        assert summary["checks"] == {"engines_agree": "pass"}
         assert summary["kernel_seconds"]["lftj_cycle3"] == 0.050
 
     def test_artifacts_deterministic(self, tmp_path):
@@ -111,6 +111,16 @@ class TestComparison:
         assert verdict["missing"] == ["ctj_cycle3"]
         assert verdict["extra"] == ["new_kernel"]
         assert not verdict["ok"]
+
+    def test_missing_check_fails(self):
+        # A claim may not disappear silently: renaming or dropping a check
+        # must update the baseline.
+        current = _report()
+        current["checks"] = {"renamed_check": "pass"}
+        verdict = compare_kernel_reports(current, _report())
+        assert verdict["missing_checks"] == ["engines_agree"]
+        assert not verdict["ok"]
+        assert "MISSING checks" in format_comparison(verdict)
 
     def test_meta_mismatch_skips_timing_judgement(self):
         current = _report(scale=0.01)

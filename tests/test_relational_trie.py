@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.relational import MemoryLayout, Relation, Schema, TrieIndex, TrieSet
+from repro.relational import MemoryLayout, Relation, Schema, TrieIndex
 from repro.util.sorted_ops import is_strictly_sorted
 
 
@@ -107,26 +107,6 @@ class TestTrieConstruction:
                 group = list(trie.level_values(level + 1))[start:end]
                 assert is_strictly_sorted(group)
 
-
-class TestTrieSet:
-    def test_add_get_and_duplicate_rejection(self):
-        trie = TrieIndex(paper_example_relation())
-        trie_set = TrieSet()
-        trie_set.add("k", trie)
-        assert trie_set.get("k") is trie
-        assert "k" in trie_set
-        assert len(trie_set) == 1
-        with pytest.raises(KeyError):
-            trie_set.add("k", trie)
-        with pytest.raises(KeyError):
-            trie_set.get("missing")
-
-    def test_total_memory_words(self):
-        trie = TrieIndex(paper_example_relation())
-        trie_set = TrieSet()
-        trie_set.add("a", trie)
-        trie_set.add("b", trie)
-        assert trie_set.total_memory_words() == 2 * trie.memory_words()
 
 
 class TestMemoryLayout:

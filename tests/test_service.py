@@ -37,6 +37,7 @@ class TestImportOrder:
             # layer must load without pulling the API package in.
             "import repro.service.scatter, sys; assert 'repro.api' not in sys.modules",
             "import repro.eval",
+            "import repro.eval.suites",
             "import repro.storage",
         ],
     )
