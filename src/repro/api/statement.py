@@ -19,10 +19,17 @@ statements need a database to resolve (the parser reads table schemas), so
 their identity is the normalised SQL text instead — *always*, not just
 before resolution, so hashing and equality are stable over a statement's
 lifetime (a resolved and an unresolved copy of the same SQL stay equal).
+
+Statements are immutable values, and :func:`coerce_statement` **interns**
+them by text: the same string always yields the same ``Statement`` (from a
+bounded, thread-safe memo of :data:`STATEMENT_MEMO_SIZE` texts), so a served
+text is parsed once, not once per request.
 """
 
 from __future__ import annotations
 
+import weakref
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 from repro.graphs.patterns import pattern_query
@@ -32,21 +39,31 @@ from repro.relational.datalog import parse_datalog
 from repro.relational.query import Atom, ConjunctiveQuery
 from repro.relational.sql import parse_sql_join
 
+#: Distinct statement texts :func:`coerce_statement` keeps interned (least
+#: recently used beyond it are re-parsed), like ``re``'s pattern cache.
+STATEMENT_MEMO_SIZE = 1024
+
 
 class Statement:
     """A query in one of the supported source forms, resolved lazily.
 
     Use the classmethod constructors; the raw constructor is internal.
+    A statement is an immutable value and may be shared between sessions
+    and threads (interned ones are); its only internal state is the memo of
+    the last SQL resolution.
     """
 
     def __init__(self, kind: str, source: object, label: str):
         self.kind = kind
         self._source = source
         self.label = label
-        # Last SQL resolution as (database, query).  Keyed by object
-        # *identity* with a strong reference to the database, so a recycled
-        # object address can never alias a stale resolution.
-        self._sql_resolution: Optional[Tuple[Database, ConjunctiveQuery]] = None
+        # Last SQL resolution as (weakref to the database, the schemas the
+        # parser read, query).  The catalog is held *weakly* — an interned
+        # statement must not pin a closed catalog for the life of the
+        # process — and compared by identity through the live referent, so
+        # a recycled object address can never alias a stale resolution (a
+        # dead reference yields None, which is no database).
+        self._sql_resolution: Optional[tuple] = None
 
     # ------------------------------------------------------------------ #
     # Constructors (the unified front door)
@@ -98,8 +115,9 @@ class Statement:
     def resolve(self, database: Optional[Database] = None) -> ConjunctiveQuery:
         """The statement as a :class:`ConjunctiveQuery`.
 
-        SQL statements re-parse when resolved against a different catalog
-        (schemas may differ); the latest resolution is memoised.
+        SQL statements re-parse when resolved against a different catalog,
+        or after one of their tables was redefined (schemas may differ);
+        the latest resolution is memoised.
         """
         if self.kind == "query":
             return self._source
@@ -108,11 +126,16 @@ class Statement:
                 "SQL statements need a database to resolve table schemas; "
                 "pass one (or execute through a Session)"
             )
-        if self._sql_resolution is not None and self._sql_resolution[0] is database:
-            return self._sql_resolution[1]
+        memo = self._sql_resolution
+        if memo is not None and memo[0]() is database:
+            if all(database.relation(table).schema is schema for table, schema in memo[1]):
+                return memo[2]
         sql, name = self._source
         query = parse_sql_join(sql, database, query_name=name)
-        self._sql_resolution = (database, query)
+        schemas = tuple(
+            (table, database.relation(table).schema) for table in query.relation_names()
+        )
+        self._sql_resolution = (weakref.ref(database), schemas, query)
         return query
 
     def signature(self, database: Optional[Database] = None) -> str:
@@ -143,25 +166,32 @@ class Statement:
         return f"Statement({self.kind!r}, {self.label!r})"
 
 
+@lru_cache(maxsize=STATEMENT_MEMO_SIZE)
+def _statement_from_text(obj: str) -> Statement:
+    """The interned statement of one text (a parse error is not cached)."""
+    text = obj.strip()
+    if text.lower().startswith("select"):
+        return Statement.from_sql(obj)
+    if "=" in text:
+        return Statement.from_datalog(obj)
+    return Statement.pattern(text)
+
+
 def coerce_statement(obj: object) -> Statement:
     """Accept the duck-typed statement forms :meth:`Session.execute` takes.
 
     ``Statement`` instances pass through; ``ConjunctiveQuery`` objects are
     wrapped; strings are dispatched on shape — ``SELECT ...`` to the SQL
     front-end, anything containing ``=`` to the datalog parser, and bare
-    identifiers to the pattern catalogue.
+    identifiers to the pattern catalogue — and interned: the same text
+    returns the same ``Statement`` object (see the module docstring).
     """
     if isinstance(obj, Statement):
         return obj
     if isinstance(obj, ConjunctiveQuery):
         return Statement.from_query(obj)
     if isinstance(obj, str):
-        text = obj.strip()
-        if text.lower().startswith("select"):
-            return Statement.from_sql(obj)
-        if "=" in text:
-            return Statement.from_datalog(obj)
-        return Statement.pattern(text)
+        return _statement_from_text(obj)
     raise TypeError(
         f"cannot interpret {type(obj).__name__} as a statement; pass a Statement, "
         "a ConjunctiveQuery, or a str (SQL, datalog, or a pattern name)"

@@ -34,6 +34,7 @@ name) share one compiled plan.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.joins.plan import AtomBinding, CacheSpec, JoinPlan
@@ -77,13 +78,21 @@ def canonical_signature(query: ConjunctiveQuery) -> str:
     """Stable text key shared by all α-equivalent forms of ``query``.
 
     This is the plan-cache / result-cache key used by
-    :class:`repro.service.QueryService`.
+    :class:`repro.service.QueryService`.  Computed once per query object
+    (queries are immutable values) and interned, so every α-equivalent
+    query, cache key and metrics record shares one string.
     """
+    try:
+        return query._canonical_signature
+    except AttributeError:
+        pass
     canonical = canonical_form(query)
     body = ";".join(
         f"{atom.relation}({','.join(atom.variables)})" for atom in canonical.atoms
     )
-    return f"{','.join(canonical.head_variables)}<-{body}"
+    signature = sys.intern(f"{','.join(canonical.head_variables)}<-{body}")
+    query._canonical_signature = signature
+    return signature
 
 
 class QueryCompiler:

@@ -7,9 +7,10 @@ cumulative ``_bucket``/``_sum``/``_count`` series for histograms).  Rendering
 is deterministic: families in registration order, label sets sorted.
 
 The serving layer does not push into a registry on the hot path — its
-:class:`~repro.service.metrics.ServiceMetrics` records stay the source of
-truth — instead :func:`service_registry` projects a finished service's
-records, cache counters and admission stats into a registry on demand
+bounded :class:`~repro.service.metrics.ServiceMetrics` stays the source of
+truth — instead :func:`service_registry` projects a service's running
+totals (counters), its window of latest records (histograms), cache
+counters and admission stats into a registry on demand
 (``repro workload --metrics out.prom``).
 """
 
@@ -305,10 +306,13 @@ def service_registry(
 ) -> MetricsRegistry:
     """Project a :class:`~repro.service.QueryService`'s state into a registry.
 
-    Covers the per-request records (requests/latency/queue-wait by backend
+    Covers the per-request metrics (requests/latency/queue-wait by backend
     and priority), the plan/result/partial cache counters, admission stats
-    and the host wall-clock aggregates.  Call it after draining; repeated
-    calls on a fresh registry are idempotent snapshots.
+    and the host wall-clock aggregates.  Counters are lifetime totals
+    (``requests_total`` sums to ``metrics.completed`` however long the
+    service ran); histograms observe the window of latest records.  Call it
+    after draining; repeated calls on a fresh registry are idempotent
+    snapshots.
     """
     registry = registry if registry is not None else MetricsRegistry()
     requests = registry.counter(
@@ -345,24 +349,28 @@ def service_registry(
         "Fault-tolerance events of the scatter path (see repro.service.faults).",
         labels=("kind",),
     )
-    for record in service.metrics.records:
-        requests.labels(backend=record.backend, priority=record.priority).inc()
+    metrics = service.metrics
+    for (backend, priority), totals in metrics.totals.items():
+        requests.labels(backend=backend, priority=priority).inc(totals.requests)
+    total = metrics.total()
+    # A sample appears once its event has happened, never as a zero.
+    if total.result_hits:
+        result_hits.inc(total.result_hits)
+    if total.compiles:
+        compiles.inc(total.compiles)
+    for kind, count in (
+        ("retry", total.retries),
+        ("timeout", total.timeouts),
+        ("degraded", total.degraded),
+        ("failed", total.failed),
+    ):
+        if count:
+            faults.labels(kind=kind).inc(count)
+    for record in metrics.records:
         latency.labels(record.backend).observe(record.latency)
         queue_wait.labels(record.priority).observe(record.queue_wait)
-        if record.result_cache_hit:
-            result_hits.inc()
-        if record.compiled:
-            compiles.inc()
         if record.wall_elapsed is not None:
             wall_execution.observe(record.wall_elapsed)
-        if record.retries:
-            faults.labels(kind="retry").inc(record.retries)
-        if record.timeouts:
-            faults.labels(kind="timeout").inc(record.timeouts)
-        if record.degraded:
-            faults.labels(kind="degraded").inc()
-        if record.failed:
-            faults.labels(kind="failed").inc()
     if service.metrics.inline_fallbacks:
         faults.labels(kind="inline_fallback").inc(service.metrics.inline_fallbacks)
 

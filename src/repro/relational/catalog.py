@@ -421,9 +421,14 @@ class Database:
     # ------------------------------------------------------------------ #
     def validate_query(self, query: ConjunctiveQuery) -> None:
         """Raise if ``query`` references unknown relations or mismatched arities."""
+        relations = self._relations
         for atom in query.atoms:
-            relation = self.relation(atom.relation)
-            if atom.arity != relation.schema.arity:
+            # Runs on every served request: one dict probe and one length
+            # compare per atom.
+            relation = relations.get(atom.relation)
+            if relation is None:
+                relation = self.relation(atom.relation)  # raises the KeyError
+            if len(atom.variables) != len(relation.schema.attributes):
                 raise ValueError(
                     f"atom {atom} has arity {atom.arity}, but relation "
                     f"{relation.name!r} has arity {relation.schema.arity}"

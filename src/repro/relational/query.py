@@ -66,6 +66,12 @@ class ConjunctiveQuery:
         permitted but the WCOJ engines always enumerate full bindings first.
     atoms:
         Body atoms.
+
+    A query is an immutable value: nothing reassigns ``name``,
+    ``head_variables`` or ``atoms`` after construction, which is what lets
+    statements be interned (:func:`repro.api.statement.coerce_statement`)
+    and :func:`repro.joins.compiler.canonical_signature` memoise its key on
+    the object.
     """
 
     def __init__(

@@ -20,20 +20,18 @@ Within a class, requests dispatch in submission order (FIFO, sequence
 numbers assigned at submit time).
 
 Slot accounting (`submit`/`next_request`/`release`) and the activity
-counters are guarded by an internal lock: the threaded execution backend
-releases slots and dispatches from whatever thread drives the event loop
-while request workers may probe ``in_flight``/``queue_depth``, and the
-unguarded read-modify-write sequences (``self._in_flight += 1``, peak
-tracking) would otherwise lose updates and leak slots.  Determinism is
-unaffected — the seeded lottery is only ever drawn under the lock, in the
-event-loop order the execution backend already guarantees.
+counters are guarded by an internal lock: the event loop may be driven from
+any thread while others probe ``in_flight``/``queue_depth``, and unguarded
+read-modify-write sequences (``self._in_flight += 1``, peak tracking) would
+lose updates and leak slots.  Determinism is unaffected — the seeded lottery
+is only drawn under the lock, in the event-loop order the backend guarantees.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Deque, Dict, Generic, Optional, Tuple, TypeVar
 
 from repro.util.rng import DeterministicRNG
@@ -61,15 +59,7 @@ class AdmissionStats:
     peak_queue_depth: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "submitted": self.submitted,
-            "admitted_immediately": self.admitted_immediately,
-            "queued": self.queued,
-            "rejected": self.rejected,
-            "dispatched": self.dispatched,
-            "peak_in_flight": self.peak_in_flight,
-            "peak_queue_depth": self.peak_queue_depth,
-        }
+        return asdict(self)
 
 
 class AdmissionController(Generic[T]):
@@ -102,8 +92,11 @@ class AdmissionController(Generic[T]):
         self.stats = AdmissionStats()
         self._rng = DeterministicRNG(seed)
         self._queues: Dict[str, Deque[T]] = {name: deque() for name in PRIORITY_CLASSES}
+        self._queued = 0  # total length of the queues
         self._in_flight = 0
-        self._lock = threading.RLock()
+        # Not re-entrant: every method below takes it once and works on the
+        # fields directly.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -116,12 +109,7 @@ class AdmissionController(Generic[T]):
     @property
     def queue_depth(self) -> int:
         with self._lock:
-            return sum(len(q) for q in self._queues.values())
-
-    @property
-    def has_capacity(self) -> bool:
-        with self._lock:
-            return self._in_flight < self.max_in_flight
+            return self._queued
 
     # ------------------------------------------------------------------ #
     # Submission / dispatch protocol
@@ -133,24 +121,25 @@ class AdmissionController(Generic[T]):
         caller starts it now); ``"queued"`` means it waits for
         :meth:`next_request`.
         """
-        priority = self._check_priority(priority)
+        if priority not in PRIORITY_WEIGHTS:
+            raise KeyError(
+                f"unknown priority {priority!r}; use one of {PRIORITY_CLASSES}"
+            )
+        stats = self.stats
         with self._lock:
-            self.stats.submitted += 1
-            if self.has_capacity and self.queue_depth == 0:
+            stats.submitted += 1
+            if self._queued == 0 and self._in_flight < self.max_in_flight:
                 self._occupy_slot()
-                self.stats.admitted_immediately += 1
+                stats.admitted_immediately += 1
                 return "admitted"
-            if (
-                self.max_queue_depth is not None
-                and self.queue_depth >= self.max_queue_depth
-            ):
-                self.stats.rejected += 1
+            if self.max_queue_depth is not None and self._queued >= self.max_queue_depth:
+                stats.rejected += 1
                 return "rejected"
             self._queues[priority].append(request)
-            self.stats.queued += 1
-            self.stats.peak_queue_depth = max(
-                self.stats.peak_queue_depth, self.queue_depth
-            )
+            self._queued += 1
+            stats.queued += 1
+            if self._queued > stats.peak_queue_depth:
+                stats.peak_queue_depth = self._queued
             return "queued"
 
     def next_request(self) -> Optional[T]:
@@ -160,15 +149,17 @@ class AdmissionController(Generic[T]):
         classes; the class's oldest request dispatches.
         """
         with self._lock:
-            if not self.has_capacity:
-                return None
-            candidates = [name for name in PRIORITY_CLASSES if self._queues[name]]
-            if not candidates:
+            if not self._queued or self._in_flight >= self.max_in_flight:
                 return None
             winner = self._rng.weighted_choice(
-                {name: PRIORITY_WEIGHTS[name] for name in candidates}
+                {
+                    name: weight
+                    for name, weight in PRIORITY_WEIGHTS.items()
+                    if self._queues[name]
+                }
             )
             request = self._queues[winner].popleft()
+            self._queued -= 1
             self._occupy_slot()
             return request
 
@@ -185,12 +176,5 @@ class AdmissionController(Generic[T]):
     def _occupy_slot(self) -> None:
         self._in_flight += 1
         self.stats.dispatched += 1
-        self.stats.peak_in_flight = max(self.stats.peak_in_flight, self._in_flight)
-
-    @staticmethod
-    def _check_priority(priority: str) -> str:
-        if priority not in PRIORITY_WEIGHTS:
-            raise KeyError(
-                f"unknown priority {priority!r}; use one of {PRIORITY_CLASSES}"
-            )
-        return priority
+        if self._in_flight > self.stats.peak_in_flight:
+            self.stats.peak_in_flight = self._in_flight

@@ -6,10 +6,9 @@ probes; the serving layer mirrors that at request granularity.  An
 admission controller dispatches, while the service keeps the *policy*
 (admission, caches, metrics).  Three backends ship:
 
-* :class:`VirtualTimeBackend` — the deterministic virtual-time event loop
-  the service has always run (extracted here, behaviour-identical).  Every
-  execution runs inline on the calling thread and charges its deterministic
-  backend cost as service time.  This is the oracle the tests trust.
+* :class:`VirtualTimeBackend` — the deterministic virtual-time event loop.
+  Every execution runs inline on the calling thread and charges its
+  deterministic backend cost as service time.  The oracle the tests trust.
 * :class:`ThreadPoolBackend` — real host concurrency.  The *orchestration*
   stays the exact same virtual-time event loop (arrivals, admission
   decisions, cache lookups and publications all happen on the draining
@@ -50,6 +49,7 @@ import heapq
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from math import inf
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.util.validation import check_positive
@@ -73,9 +73,8 @@ class ExecutionBackend(abc.ABC):
 
     Subclasses implement :meth:`_start` (begin executing one dispatched
     request) and :meth:`_resolve` (block until its deterministic virtual
-    finish time is known).  The shared :meth:`drain` loop owns the
-    event order: it is the virtual-time loop the service has always run,
-    so every subclass inherits the same deterministic admission/cache
+    finish time is known).  The shared :meth:`drain` loop owns the event
+    order, so every subclass inherits the same deterministic admission/cache
     behaviour and only changes *where* the engine work runs.
     """
 
@@ -102,7 +101,7 @@ class ExecutionBackend(abc.ABC):
     def _resolve(self, service: "QueryService", handle: object):
         """Block until ``handle``'s execution finished; return its completion.
 
-        Returns the ``_CompletedRequest`` produced by
+        Returns the ``(outcome, completed)`` pair produced by
         :meth:`QueryService._finalize`.
         """
 
@@ -149,55 +148,49 @@ class ExecutionBackend(abc.ABC):
         waits for it, exactly as determinism requires.
         """
         outcomes: Dict[int, "QueryOutcome"] = {}
-        # Completion events: (finish_time, dispatch sequence, completed).
+        # Completion events: (finish_time, dispatch sequence, completed, record).
         completions: list = []
-        # Unresolved executions: (handle, virtual start time), start order.
+        # Unresolved executions as (handle, virtual start time).  The clock
+        # never moves backwards, so starts are appended in non-decreasing
+        # order and the earliest unresolved start is always the head.
         started: List[tuple] = []
+        admission = service.admission
         sequence = 0
         clock = service._clock
-        index = 0
+        index, count = 0, len(arrivals)
 
-        def start(request: "ServiceRequest", start_time: float) -> None:
-            started.append((self._start(service, request, start_time), start_time))
-
-        def settle() -> None:
-            nonlocal sequence
-            for handle, _start_time in started:
-                completed = self._resolve(service, handle)
-                record = completed.outcome.record
-                outcomes[record.request_id] = completed.outcome
-                sequence += 1
-                heapq.heappush(completions, (record.finish_time, sequence, completed))
-            started.clear()
-
-        while index < len(arrivals) or completions or started:
-            next_arrival = (
-                arrivals[index].arrival_time if index < len(arrivals) else float("inf")
-            )
-            next_completion = completions[0][0] if completions else float("inf")
-            if started:
+        while index < count or completions or started:
+            next_arrival = arrivals[index].arrival_time if index < count else inf
+            next_completion = completions[0][0] if completions else inf
+            next_event = next_completion if next_completion <= next_arrival else next_arrival
+            if started and next_event > started[0][1]:
                 # Unresolved completions lie strictly beyond the earliest
                 # unresolved start (positive costs); an event beyond that
                 # horizon forces resolution before the order is known.
-                horizon = min(start_time for _handle, start_time in started)
-                if min(next_completion, next_arrival) > horizon:
-                    settle()
-                    continue
-            if next_completion <= next_arrival:
-                finish, _seq, completed = heapq.heappop(completions)
-                clock = max(clock, finish)
-                service._complete(completed)
-                queued = service.admission.next_request()
+                for handle, _start_time in started:
+                    outcome, completed = self._resolve(service, handle)
+                    record = outcome.record
+                    outcomes[record.request_id] = outcome
+                    sequence += 1
+                    heapq.heappush(completions, (record.finish_time, sequence, completed, record))
+                started.clear()
+            elif next_completion <= next_arrival:
+                finish, _seq, completed, record = heapq.heappop(completions)
+                if finish > clock:
+                    clock = finish
+                service._complete(completed, record)
+                queued = admission.next_request()
                 while queued is not None:
-                    start(queued, clock)
-                    queued = service.admission.next_request()
+                    started.append((self._start(service, queued, clock), clock))
+                    queued = admission.next_request()
             else:
                 request = arrivals[index]
                 index += 1
-                clock = max(clock, request.arrival_time)
-                status = service.admission.submit(request, request.priority)
+                if request.arrival_time > clock:
+                    clock = request.arrival_time
+                status = admission.submit(request, request.priority)
                 if status == "admitted":
-                    start(request, clock)
+                    started.append((self._start(service, request, clock), clock))
                 elif status == "rejected":
                     service._rejected.append(request.request_id)
         service._clock = clock
@@ -210,8 +203,7 @@ class ExecutionBackend(abc.ABC):
 class VirtualTimeBackend(ExecutionBackend):
     """The deterministic oracle: every execution runs inline at dispatch.
 
-    Behaviour-identical to the pre-backend :meth:`QueryService.drain` loop:
-    requests execute synchronously on the draining thread the moment they
+    Requests execute synchronously on the draining thread the moment they
     are dispatched, and virtual time is the only clock (no wall-clock spans
     are recorded).
     """
@@ -246,14 +238,12 @@ class ThreadPoolBackend(ExecutionBackend):
         fans per-shard tasks onto (defaults to ``workers``).  Separate so
         a request worker waiting on its shard tasks cannot deadlock.
 
-    Determinism: dispatch-phase cache/plan lookups, admission decisions and
-    result publications all stay on the orchestrator thread in virtual-time
-    order, so everything observable except wall-clock timings matches
-    :class:`VirtualTimeBackend` exactly (see the module docstring).  Note
-    that on CPython the GIL serialises pure-Python engine work, so
-    wall-clock gains are modest unless engines release the GIL; the point
-    of this backend is the architecture (and honest wall-clock numbers),
-    measured by ``repro bench concurrency``.
+    Everything observable except wall-clock timings matches
+    :class:`VirtualTimeBackend` exactly (see the module docstring).  On
+    CPython the GIL serialises pure-Python engine work, so wall-clock gains
+    are modest unless engines release the GIL; the point of this backend is
+    the architecture (and honest wall-clock numbers), measured by
+    ``repro bench concurrency``.
     """
 
     name = "threads"

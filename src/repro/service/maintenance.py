@@ -31,8 +31,9 @@ service's clock and traces.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Iterable, Optional, Tuple
 
 from repro.engines import create_engine
 from repro.joins.compiler import QueryCompiler
@@ -40,6 +41,7 @@ from repro.joins.delta import DeltaPlanner, evaluate_delta
 from repro.relational.catalog import MutationEvent
 from repro.relational.query import ConjunctiveQuery
 from repro.service.caches import ResultCache
+from repro.service.metrics import RECORD_WINDOW
 
 #: The maintenance policies a service/session can run under.
 MAINTENANCE_MODES = ("recompute", "incremental")
@@ -132,9 +134,10 @@ class ResultMaintainer:
         self.clock = clock or (lambda: 0.0)
         #: Accumulated virtual-time cost of every delta join run so far.
         self.cost_ns = 0.0
-        #: Per-mutation report history, in event order (like the service's
-        #: ``metrics.records``: one entry per observed event).
-        self.reports: List[MaintenanceReport] = []
+        #: The latest per-mutation reports, in event order (a window, like
+        #: the service's ``metrics.records``; ``cost_ns`` and the caches'
+        #: ``stats`` carry the lifetime totals).
+        self.reports: Deque[MaintenanceReport] = deque(maxlen=RECORD_WINDOW)
 
     # ------------------------------------------------------------------ #
     # Event handling

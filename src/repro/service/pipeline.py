@@ -56,7 +56,7 @@ from repro.service.scatter import ScatterGatherExecutor, ScatterGatherStats
 RESULT_REPLAY_COST = 1.0
 
 
-@dataclass
+@dataclass(slots=True)
 class PreparedQuery:
     """The deterministic prepare stage of one query, engine work still pending.
 
@@ -89,7 +89,7 @@ class PreparedQuery:
         return self.work() if self.work is not None else None
 
 
-@dataclass
+@dataclass(slots=True)
 class CompletedQuery:
     """One finished execution, ready to be published.
 

@@ -31,21 +31,15 @@ shared :class:`~repro.service.pipeline.QueryPipeline`
 backend choice, admission, the event loop and metrics around it.
 
 *Where* executions physically run is pluggable
-(:mod:`repro.service.backends`): the default
-:class:`~repro.service.backends.VirtualTimeBackend` runs them inline on the
-draining thread (the deterministic oracle), while
-:class:`~repro.service.backends.ThreadPoolBackend` overlaps the engine work
-of in-flight requests on a host worker pool — same virtual-time event
-order, same results and cache contents, plus wall-clock spans in the
-metrics.
+(:mod:`repro.service.backends`): inline on the draining thread (the
+deterministic oracle, the default) or overlapped on a host worker pool —
+same virtual-time event order, results and cache contents either way.
 
 **Event-order contract.**  Arrivals are served in ``(arrival_time,
 request_id)`` order — equal-time requests always dispatch in submission
-order — and the virtual clock never moves backwards: a submission with an
-explicit ``arrival_time`` earlier than the persisted clock is *back-dated*
-and, per the service's ``backdated_arrivals`` policy, :meth:`submit`
-either rejects it with ``ValueError`` or accepts it under a
-:class:`BackdatedArrivalWarning` (it then drains clamped to the clock).
+order — and the virtual clock never moves backwards: a *back-dated*
+submission (explicit ``arrival_time`` before the persisted clock) is
+rejected or warned about per the ``backdated_arrivals`` policy.
 """
 
 from __future__ import annotations
@@ -96,7 +90,7 @@ class BackdatedArrivalWarning(UserWarning):
     """
 
 
-@dataclass
+@dataclass(slots=True)
 class ServiceRequest:
     """One submitted query, waiting to be served."""
 
@@ -107,7 +101,7 @@ class ServiceRequest:
     backend: Optional[str] = None  # None → service round-robin
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryOutcome:
     """What :meth:`QueryService.drain` returns per request: tuples + record.
 
@@ -125,14 +119,6 @@ class QueryOutcome:
     @property
     def cardinality(self) -> int:
         return len(self.tuples)
-
-
-@dataclass
-class _CompletedRequest:
-    """One finished request, ready for its virtual-time completion event."""
-
-    outcome: QueryOutcome
-    completed: CompletedQuery
 
 
 class QueryService:
@@ -325,11 +311,10 @@ class QueryService:
 
         ``arrival_time`` is in virtual time; omitted, the request arrives
         together with the latest submission so far (a closed-loop backlog).
-        Explicitly dating an arrival before the current :attr:`clock` is
-        back-dating: depending on the service's ``backdated_arrivals``
-        policy, the submission either warns (:class:`BackdatedArrivalWarning`;
-        the request drains clamped to the clock) or is rejected with
-        ``ValueError`` and nothing is enqueued.
+        Dating an arrival before the current :attr:`clock` is back-dating:
+        per the ``backdated_arrivals`` policy the submission warns
+        (:class:`BackdatedArrivalWarning`; it drains clamped to the clock)
+        or is rejected with ``ValueError`` and nothing is enqueued.
         """
         if backend is not None and backend not in self.backends:
             raise KeyError(
@@ -367,13 +352,11 @@ class QueryService:
     def _take_arrivals(self) -> List[ServiceRequest]:
         """Claim the pending requests, apply the arrival-order contract.
 
-        Arrivals before the persisted clock are clamped to it — the clock
-        never moves backwards.  (The ``backdated_arrivals`` policy already
-        fired at :meth:`submit` time for explicitly-dated requests;
-        service-dated ones simply mean "arrive now".)  The returned list is
-        sorted by ``(arrival_time, request_id)`` — the documented
-        tie-break, so equal-time requests always enter admission in
-        submission order, independent of drain boundaries.
+        Arrivals before the persisted clock are clamped to it (the
+        ``backdated_arrivals`` policy already fired at :meth:`submit`;
+        service-dated ones simply mean "arrive now").  The returned list is
+        sorted by ``(arrival_time, request_id)``, so equal-time requests
+        enter admission in submission order, independent of drain boundaries.
         """
         with self._submit_lock:
             pending, self._pending = self._pending, []
@@ -386,15 +369,14 @@ class QueryService:
     def drain(self) -> Dict[int, QueryOutcome]:
         """Serve every pending request to completion; return their outcomes by id.
 
-        Runs the virtual-time event loop (see
-        :meth:`repro.service.backends.ExecutionBackend.drain`): arrivals
-        enter admission control in ``(arrival_time, request_id)`` order,
-        admitted requests execute (charging their deterministic backend
-        cost as service time) and completions free slots for the queued
-        remainder.  The clock carries over from previous drains, and
-        freshly computed results are published to the result cache at their
-        completion event, never earlier.  Rejected requests (bounded queue)
-        appear in :attr:`rejected_requests`, not in the returned outcomes.
+        Runs the virtual-time event loop
+        (:meth:`repro.service.backends.ExecutionBackend.drain`): admitted
+        requests execute, charging their deterministic backend cost as
+        service time, and completions free slots for the queued remainder.
+        The clock carries over from previous drains, and fresh results are
+        published to the result cache at their completion event, never
+        earlier.  Rejected requests (bounded queue) appear in
+        :attr:`rejected_requests`, not in the returned outcomes.
         """
         with self._drain_lock:
             arrivals = self._take_arrivals()
@@ -405,9 +387,7 @@ class QueryService:
                 self.metrics.wall_drain_seconds += time.perf_counter() - started
                 # Surface the process backend's permanent inline fallback
                 # (broken worker pool) in the service report.
-                self.metrics.inline_fallbacks = getattr(
-                    self.execution_backend, "inline_fallbacks", 0
-                )
+                self.metrics.inline_fallbacks = self.execution_backend.inline_fallbacks
 
     def serve(
         self, query: ConjunctiveQuery, priority: str = "normal", backend: Optional[str] = None
@@ -556,34 +536,34 @@ class QueryService:
         prepared: PreparedQuery,
         execution: Optional[EngineExecution],
         wall_elapsed: Optional[float] = None,
-    ) -> _CompletedRequest:
-        """Finalize an execution and write the request's metrics record."""
+    ) -> Tuple[QueryOutcome, CompletedQuery]:
+        """Finalize an execution: the caller's outcome and the completion to publish."""
         completed = self.pipeline.finalize(prepared, execution, wall_elapsed)
-        scatter_stats = completed.scatter_stats
+        stats = completed.scatter_stats
+        # Positional, in field order: a keyword call costs 3x, per request.
         record = QueryRecord(
-            request_id=request.request_id,
-            query_name=request.query.name,
-            signature=prepared.signature,
-            backend=prepared.engine.name,
-            priority=request.priority,
-            arrival_time=request.arrival_time,
-            start_time=prepared.start_time,
-            finish_time=completed.finish_time,
-            service_time=completed.service_time,
-            result_count=len(completed.tuples),
-            result_cache_hit=prepared.result_cache_hit,
-            plan_cache_hit=completed.plan_cache_hit,
-            compiled=prepared.compiled,
-            wall_elapsed=wall_elapsed,
-            retries=scatter_stats.retries if scatter_stats is not None else 0,
-            timeouts=scatter_stats.timeouts if scatter_stats is not None else 0,
-            degraded=execution.degraded if execution is not None else False,
-            failed=prepared.error is not None,
+            request.request_id,
+            request.query.name,
+            prepared.signature,
+            prepared.engine.name,
+            request.priority,
+            request.arrival_time,
+            prepared.start_time,
+            completed.finish_time,
+            completed.service_time,
+            len(completed.tuples),
+            prepared.result_cache_hit,
+            completed.plan_cache_hit,
+            prepared.compiled,
+            wall_elapsed,
+            stats.retries if stats is not None else 0,
+            stats.timeouts if stats is not None else 0,
+            execution is not None and execution.degraded,
+            prepared.error is not None,
         )
-        outcome = QueryOutcome(completed.tuples, record, error=prepared.error)
-        return _CompletedRequest(outcome, completed)
+        return QueryOutcome(completed.tuples, record, prepared.error), completed
 
-    def _complete(self, completed: _CompletedRequest) -> None:
+    def _complete(self, completed: CompletedQuery, record: QueryRecord) -> None:
         """Process one completion event: free the slot, publish, record.
 
         Called by the execution backend's event loop in virtual-time
@@ -592,8 +572,8 @@ class QueryService:
         preserving virtual-time causality on every backend.
         """
         self.admission.release()
-        self.pipeline.publish(completed.completed)
-        self.metrics.record(completed.outcome.record)
+        self.pipeline.publish(completed)
+        self.metrics.record(record)
 
     # ------------------------------------------------------------------ #
     # Reporting

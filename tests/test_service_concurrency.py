@@ -23,11 +23,13 @@ fast.
 
 import dataclasses
 import os
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.api import coerce_statement
 from repro.api.engines import EngineCapabilities, EngineExecution, EngineProtocol
 from repro.graphs import pattern_query
 from repro.relational.sharding import shard_database
@@ -41,6 +43,7 @@ from repro.service import (
     ThreadPoolBackend,
     VirtualTimeBackend,
     WorkloadSpec,
+    alpha_rename,
     create_execution_backend,
     generate_requests,
     run_workload,
@@ -374,6 +377,80 @@ class TestAdmissionHammer:
         assert stats.admitted_immediately + stats.queued + stats.rejected == stats.submitted
         assert stats.dispatched == stats.admitted_immediately + stats.queued
         assert stats.peak_in_flight <= admission.max_in_flight
+
+    @pytest.mark.parametrize("repeat", range(REPEATS))
+    def test_shared_statements_under_concurrent_submit_and_drain(self, repeat):
+        """Eight submitters share interned statements while one thread drains."""
+        database = _build_database(1, seed=5)
+        service = QueryService(database, backends=("lftj", "ctj"))
+        texts = ["path3", "cycle3", "path4", "cycle4"]
+        for tag in range(30):
+            query = alpha_rename(pattern_query(texts[tag % 4]), tag)
+            texts.append(query.to_datalog())
+            aliases = [f"e{tag}_{hop}" for hop in range(2 + tag % 2)]  # a path
+            texts.append(
+                f"SELECT * FROM {', '.join(f'E AS {a}' for a in aliases)} WHERE "
+                + " AND ".join(f"{a}.dst = {b}.src" for a, b in zip(aliases, aliases[1:]))
+            )
+        assert len(set(texts)) == 64
+        # The serial run: expected row counts, and a warm statement memo.
+        warm = {text: coerce_statement(text) for text in texts}
+        expected = {
+            text: service.serve(warm[text].resolve(database)).record.result_count
+            for text in texts
+        }
+        submitters, rounds = 8, 50
+        submitted, outcomes, errors = {}, {}, []
+        done = threading.Event()
+        barrier = threading.Barrier(submitters + 1)
+
+        def submitter() -> None:
+            try:
+                barrier.wait()
+                for _round in range(rounds):
+                    for text in texts:
+                        statement = coerce_statement(text)
+                        if statement is not warm[text]:
+                            errors.append(f"{text!r} was re-parsed")
+                        submitted[service.submit(statement.resolve(database))] = text
+            except Exception as exc:
+                errors.append(exc)
+
+        def drainer() -> None:
+            try:
+                barrier.wait()
+                while True:
+                    last = done.is_set()  # read first: one drain after the end
+                    outcomes.update(service.drain())
+                    if last:
+                        return
+            except Exception as exc:
+                errors.append(exc)
+
+        pool = [threading.Thread(target=submitter) for _ in range(submitters)]
+        draining = threading.Thread(target=drainer)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in pool + [draining]:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=120)
+            done.set()
+            draining.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        assert not any(thread.is_alive() for thread in pool + [draining])
+        assert errors == []
+        assert len(submitted) == submitters * rounds * len(texts)
+        assert set(outcomes) == set(submitted)
+        assert all(
+            outcome.record.result_count == expected[submitted[request_id]]
+            for request_id, outcome in outcomes.items()
+        )
+        assert service.metrics.completed == len(texts) + len(submitted)
+        assert service.admission.in_flight == 0
 
     def test_threaded_drain_leaves_no_slots_held(self):
         service = QueryService(
