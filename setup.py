@@ -12,7 +12,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.9.0",
+    version="1.10.0",
     description=(
         "Reproduction of the TrieJax architecture: WCOJ-based graph pattern "
         "matching acceleration (ASPLOS 2020)"

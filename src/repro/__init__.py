@@ -45,7 +45,7 @@ Quick start::
     print(len(triangles.to_list()), "triangles via", triangles.backend)
 """
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = ["__version__", "ResultSet", "Session", "Statement"]
 

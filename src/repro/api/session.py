@@ -35,7 +35,7 @@ from repro.joins.compiler import QueryCompiler
 from repro.joins.plan import JoinPlan
 from repro.relational.catalog import Database, MutationEvent
 from repro.relational.query import ConjunctiveQuery
-from repro.relational.sharding import ShardedDatabase, shard_database
+from repro.relational.sharding import shard_database
 from repro.service.faults import FaultPlan, RetryPolicy, check_on_shard_loss
 from repro.service.maintenance import ResultMaintainer, check_maintenance_mode
 from repro.service.pipeline import CompletedQuery, QueryPipeline
@@ -292,7 +292,7 @@ class Session:
         self._owns_database = storage_dir is not None
         if database is None:
             database = Database("session")
-        if shards > 1 and not isinstance(database, ShardedDatabase):
+        if shards > 1 and not hasattr(database, "scatter_spec"):
             database = shard_database(
                 database,
                 shards,

@@ -159,22 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--show-results", type=int, default=0, metavar="N", help="print the first N result tuples"
     )
-    run_parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a span trace of the execution and write it to PATH",
-    )
-    run_parser.add_argument(
-        "--trace-format", default="jsonl", choices=["jsonl", "chrome"],
-        help="trace file format: JSONL span lines, or Chrome trace-event "
-        "JSON loadable in chrome://tracing / Perfetto",
-    )
-    run_parser.add_argument(
-        "--storage-dir", default=None, metavar="DIR",
-        help="run against the durable store at DIR: an existing store is "
-        "recovered (mmap cold start + WAL replay) and the dataset flags are "
-        "ignored; a missing one is initialised from the dataset.  The store "
-        "is snapshotted after the run",
-    )
+    _add_session_arguments(run_parser)
 
     explain_parser = subparsers.add_parser(
         "explain", help="print the chosen route, plan and estimated cost of a query"
@@ -309,25 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
         "with semi-naive delta joins",
     )
     workload_parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record per-query span traces of the served stream to PATH",
-    )
-    workload_parser.add_argument(
-        "--trace-format", default="jsonl", choices=["jsonl", "chrome"],
-        help="trace file format: JSONL span lines, or Chrome trace-event "
-        "JSON loadable in chrome://tracing / Perfetto",
-    )
-    workload_parser.add_argument(
         "--metrics", default=None, metavar="PATH",
         help="write Prometheus-style text exposition of the service metrics to PATH",
     )
-    workload_parser.add_argument(
-        "--storage-dir", default=None, metavar="DIR",
-        help="serve against the durable store at DIR: an existing store is "
-        "recovered (mmap cold start + WAL replay) and the dataset flags are "
-        "ignored; a missing one is initialised from the dataset.  The store "
-        "is snapshotted after the stream drains",
-    )
+    _add_session_arguments(workload_parser)
     _add_fault_arguments(workload_parser)
 
     store_parser = subparsers.add_parser(
@@ -503,14 +473,9 @@ def _session_engines(args) -> list:
 
 def _populate_durable_catalog(catalog, args) -> None:
     """Load the dataset into a freshly initialised durable catalog."""
-    from repro.relational.relation import Relation
-
-    source = _load_database(args)
+    source = _load_database(args)  # discarded afterwards, so relations move over as-is
     for name in source.relation_names():
-        relation = source.relation(name)
-        catalog.add_relation(
-            Relation(relation.name, relation.schema, relation.sorted_rows())
-        )
+        catalog.add_relation(source.relation(name))
 
 
 def _add_fault_arguments(parser) -> None:
@@ -537,6 +502,26 @@ def _add_fault_arguments(parser) -> None:
     )
 
 
+def _add_session_arguments(parser) -> None:
+    """The flags ``_open_session`` / ``_finish_session`` consume (``run``, ``workload``)."""
+    parser.add_argument(
+        "--trace", default=None, metavar="PATH",
+        help="record a span trace of every executed query and write it to PATH",
+    )
+    parser.add_argument(
+        "--trace-format", default="jsonl", choices=["jsonl", "chrome"],
+        help="trace file format: JSONL span lines, or Chrome trace-event "
+        "JSON loadable in chrome://tracing / Perfetto",
+    )
+    parser.add_argument(
+        "--storage-dir", default=None, metavar="DIR",
+        help="execute against the durable store at DIR: an existing store is "
+        "recovered (mmap cold start + WAL replay) and the dataset flags are "
+        "ignored; a missing one is initialised from the dataset.  The store "
+        "is snapshotted before exit",
+    )
+
+
 def _fault_session_kwargs(args) -> dict:
     """Session kwargs for the fault flags; {} when all are at defaults."""
     kwargs = {}
@@ -549,57 +534,78 @@ def _fault_session_kwargs(args) -> dict:
     return kwargs
 
 
-def _storage_session_kwargs(args) -> dict:
-    """Session kwargs for ``--storage-dir``; {} when the flag is unset."""
-    if getattr(args, "storage_dir", None):
-        return {"storage_dir": args.storage_dir}
-    return {}
+def _open_session(args, **session_kwargs) -> Session:
+    """The session a ``run`` / ``workload`` command executes against.
 
-
-def _cmd_run(args) -> int:
-    statement = Statement.pattern(args.query)
-    storage_kwargs = _storage_session_kwargs(args)
-    backend_kwargs = dict(
-        execution_backend=args.backend,
-        concurrency=args.workers if args.backend != "virtual" else 1,
-        **_fault_session_kwargs(args),
-    )
-    if storage_kwargs:
+    Without ``--storage-dir`` it holds the loaded dataset in memory.  With
+    it the session owns the durable store at that path — recovered when one
+    exists, otherwise initialised from the dataset — and the ``store:`` line
+    says which.  Prints the shard layout of a sharded session.
+    """
+    storage_dir = args.storage_dir
+    if not storage_dir:
+        session = Session(_load_database(args), **session_kwargs)
+    else:
         from repro.storage import store_exists
 
-        recovered = store_exists(args.storage_dir)
-        session = Session(
-            engines=_session_engines(args),
-            shards=args.shards,
-            partitioner=args.partitioner,
-            trace=bool(args.trace),
-            **backend_kwargs,
-            **storage_kwargs,
-        )
+        recovered = store_exists(storage_dir)
+        session = Session(storage_dir=storage_dir, **session_kwargs)
         if recovered:
             info = session.database.info()
             print(
-                f"store: recovered {args.storage_dir} "
+                f"store: recovered {storage_dir} "
                 f"(snapshot {info['snapshot_seq']}, {info['tuples']} tuples, "
                 f"{info['segments']} segment(s), "
                 f"{info['wal_records']} WAL record(s) pending)"
             )
         else:
             _populate_durable_catalog(session.database, args)
-            print(f"store: initialised {args.storage_dir}")
-    else:
-        session = Session(
-            _load_database(args),
-            engines=_session_engines(args),
-            shards=args.shards,
-            partitioner=args.partitioner,
-            trace=bool(args.trace),
-            **backend_kwargs,
-        )
+            print(f"store: initialised {storage_dir}")
     if session.num_shards > 1:
         print(session.database.describe())
+    return session
+
+
+def _finish_session(session, args) -> int:
+    """The shared epilogue: write ``--trace`` / ``--metrics``, snapshot a
+    ``--storage-dir`` store, close the session (joins worker pools, unlinks
+    shared-memory segments)."""
+    if args.trace:
+        from repro.obs import write_trace
+
+        count = write_trace(session.tracer, args.trace, args.trace_format)
+        print(f"wrote {count} {args.trace_format} trace record(s) to {args.trace}")
+    if getattr(args, "metrics", None):
+        from repro.obs import service_registry
+
+        with open(args.metrics, "w", encoding="utf-8") as handle:
+            handle.write(service_registry(session.service).render())
+        print(f"wrote metrics exposition to {args.metrics}")
+    if args.storage_dir:
+        summary = session.snapshot()
+        print(
+            f"store: snapshot {summary['snapshot_seq']} "
+            f"({summary['relations']} relation(s), "
+            f"{summary['segments']} trie segment(s))"
+        )
+    session.close()
+    return 0
+
+
+def _cmd_run(args) -> int:
+    statement = Statement.pattern(args.query)
+    session = _open_session(
+        args,
+        engines=_session_engines(args),
+        shards=args.shards,
+        partitioner=args.partitioner,
+        trace=bool(args.trace),
+        execution_backend=args.backend,
+        concurrency=args.workers if args.backend != "virtual" else 1,
+        **_fault_session_kwargs(args),
+    )
     if args.backend != "virtual":
-        return _run_on_service(session, statement, args, bool(storage_kwargs))
+        return _run_on_service(session, statement, args)
     result = session.execute(statement, route=args.engine)
     print(f"query: {result.query.to_datalog()}")
     print(f"matches: {result.cardinality}")
@@ -620,23 +626,10 @@ def _cmd_run(args) -> int:
     if args.show_results > 0:
         for row in result.to_list()[: args.show_results]:
             print("  " + ", ".join(str(v) for v in row))
-    if args.trace:
-        from repro.obs import write_trace
-
-        count = write_trace(session.tracer, args.trace, args.trace_format)
-        print(f"wrote {count} {args.trace_format} trace record(s) to {args.trace}")
-    if storage_kwargs:
-        summary = session.snapshot()
-        print(
-            f"store: snapshot {summary['snapshot_seq']} "
-            f"({summary['relations']} relation(s), "
-            f"{summary['segments']} trie segment(s))"
-        )
-    session.close()
-    return 0
+    return _finish_session(session, args)
 
 
-def _run_on_service(session, statement, args, durable: bool) -> int:
+def _run_on_service(session, statement, args) -> int:
     """Serve a single ``run`` query through the session's service layer.
 
     The pooled execution backends (``--backend threads|process``) live
@@ -662,20 +655,7 @@ def _run_on_service(session, statement, args, durable: bool) -> int:
     if args.show_results > 0:
         for row in sorted(outcome.tuples)[: args.show_results]:
             print("  " + ", ".join(str(v) for v in row))
-    if args.trace:
-        from repro.obs import write_trace
-
-        count = write_trace(session.tracer, args.trace, args.trace_format)
-        print(f"wrote {count} {args.trace_format} trace record(s) to {args.trace}")
-    if durable:
-        summary = session.snapshot()
-        print(
-            f"store: snapshot {summary['snapshot_seq']} "
-            f"({summary['relations']} relation(s), "
-            f"{summary['segments']} trie segment(s))"
-        )
-    session.close()  # joins pools, unlinks shared-memory segments
-    return 0
+    return _finish_session(session, args)
 
 
 def _cmd_explain(args) -> int:
@@ -744,8 +724,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_workload(args) -> int:
-    storage_kwargs = _storage_session_kwargs(args)
-    session_kwargs = dict(
+    session = _open_session(
+        args,
         engines=tuple(args.backends),
         max_in_flight=args.max_in_flight,
         max_queue_depth=args.max_queue_depth,
@@ -759,28 +739,6 @@ def _cmd_workload(args) -> int:
         trace=bool(args.trace),
         **_fault_session_kwargs(args),
     )
-    if storage_kwargs:
-        from repro.storage import store_exists
-
-        recovered = store_exists(args.storage_dir)
-        session = Session(**session_kwargs, **storage_kwargs)
-        if recovered:
-            info = session.database.info()
-            print(
-                f"store: recovered {args.storage_dir} "
-                f"(snapshot {info['snapshot_seq']}, {info['tuples']} tuples, "
-                f"{info['segments']} segment(s), "
-                f"{info['wal_records']} WAL record(s) pending)"
-            )
-        else:
-            _populate_durable_catalog(session.database, args)
-            print(f"store: initialised {args.storage_dir}")
-        database = session.database
-    else:
-        database = _load_database(args)
-        session = Session(database, **session_kwargs)
-    if session.num_shards > 1:
-        print(session.database.describe())
     spec_kwargs = {
         "num_queries": args.num_queries,
         "mode": args.mode,
@@ -791,7 +749,7 @@ def _cmd_workload(args) -> int:
     if args.update_fraction > 0.0:
         # Generated update edges should land inside the loaded graph's
         # vertex-id range so they join (and shard) like real edges.
-        domain = database.relation("E").active_domain()
+        domain = session.database.relation("E").active_domain()
         spec_kwargs["update_domain"] = (max(domain) + 1) if domain else 60
     if args.queries:
         spec_kwargs["queries"] = tuple(args.queries)
@@ -804,26 +762,7 @@ def _cmd_workload(args) -> int:
     if session.service.rejected_requests:
         print(f"rejected {len(session.service.rejected_requests)} requests (bounded queue)")
     print(session.report())
-    if args.trace:
-        from repro.obs import write_trace
-
-        count = write_trace(session.tracer, args.trace, args.trace_format)
-        print(f"wrote {count} {args.trace_format} trace record(s) to {args.trace}")
-    if args.metrics:
-        from repro.obs import service_registry
-
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            handle.write(service_registry(session.service).render())
-        print(f"wrote metrics exposition to {args.metrics}")
-    if storage_kwargs:
-        summary = session.snapshot()
-        print(
-            f"store: snapshot {summary['snapshot_seq']} "
-            f"({summary['relations']} relation(s), "
-            f"{summary['segments']} trie segment(s))"
-        )
-    session.close()  # joins the execution backend's worker pools
-    return 0
+    return _finish_session(session, args)
 
 
 def _warm_store_tries(store) -> int:
@@ -833,13 +772,8 @@ def _warm_store_tries(store) -> int:
     permutations the pattern queries' engines actually request — on the
     global view and (for a sharded store) every shard fragment.
     """
-    from repro.relational.sharding import ShardedDatabase
-
-    databases = [store]
-    if isinstance(store, ShardedDatabase):
-        databases = [store.global_database, *store.shard_databases]
     count = 0
-    for database in databases:
+    for database in (store, *getattr(store, "shard_databases", ())):
         for name in database.relation_names():
             attributes = database.relation(name).schema.attributes
             orders = [attributes]
@@ -863,10 +797,6 @@ def _cmd_store(args) -> int:
     )
     from repro.storage.durable import SEGMENTS_DIRNAME
     from repro.storage.segments import TrieSegmentStore
-
-    def show_info(summary: dict) -> None:
-        for key in sorted(summary):
-            print(f"  {key:16}: {summary[key]}")
 
     if args.store_command == "init":
         if store_exists(args.dir):
@@ -892,7 +822,8 @@ def _cmd_store(args) -> int:
         return 1
 
     if args.store_command == "info":
-        show_info(store_info(args.dir))
+        for key, value in sorted(store_info(args.dir).items()):
+            print(f"  {key:16}: {value}")
         return 0
 
     if args.store_command == "snapshot":

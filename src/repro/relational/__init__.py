@@ -27,13 +27,21 @@ from repro.relational.datalog import (
     parse_program,
 )
 from repro.relational.sql import SQLSyntaxError, parse_sql_join
-from repro.relational.catalog import Catalog, Database, DeltaBatch, MutationEvent
+from repro.relational.catalog import (
+    Catalog,
+    CatalogState,
+    Database,
+    DeltaBatch,
+    MutationEvent,
+    RelationState,
+)
 from repro.relational.sharding import (
     HashPartitioner,
     RangePartitioner,
     ScatterSpec,
     ShardView,
     ShardedDatabase,
+    partitioner_from_spec,
     shard_alias,
     shard_database,
 )
@@ -70,14 +78,17 @@ __all__ = [
     "SQLSyntaxError",
     "parse_sql_join",
     "Catalog",
+    "CatalogState",
     "Database",
     "DeltaBatch",
     "MutationEvent",
+    "RelationState",
     "HashPartitioner",
     "RangePartitioner",
     "ScatterSpec",
     "ShardView",
     "ShardedDatabase",
+    "partitioner_from_spec",
     "shard_alias",
     "shard_database",
     "DatabaseStatistics",

@@ -24,7 +24,14 @@ delta rows, instead of dropping everything that mentions the relation.
 The read/write surface every engine and service component relies on is
 captured by the :class:`Catalog` protocol; :class:`Database` is its
 canonical single-node implementation and
-:class:`repro.relational.sharding.ShardedDatabase` the partitioned one.
+:class:`repro.relational.sharding.ShardedDatabase` the partitioned one
+(built from :class:`Database` units: a global view plus one per shard).
+Durability is a layer over either — ``DurableCatalog → {Database |
+ShardedDatabase} → Database units`` — driven through three hooks both
+expose: ``check_define`` (validate before anything is logged),
+``dump_state`` and ``load_state`` (what a snapshot holds, and the rebuild
+from it).  This package knows nothing about files and never imports
+:mod:`repro.storage`.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -47,6 +55,7 @@ from typing import (
 
 from repro.relational.query import Atom, ConjunctiveQuery
 from repro.relational.relation import Relation, Row
+from repro.relational.schema import Schema
 from repro.relational.trie import TrieIndex
 
 
@@ -54,7 +63,7 @@ from repro.relational.trie import TrieIndex
 class DeltaBatch:
     """The exact rows one catalog mutation added, in canonical form.
 
-    Every catalog implementation (in-memory, sharded, durable × both)
+    Every catalog (monolithic or sharded, bare or behind the durable layer)
     emits the same canonical batch for the same mutation: ``rows`` are the
     genuinely-new tuples (normalised ints, deduplicated against both the
     stored relation and the submitted batch) in ascending lexicographic
@@ -172,6 +181,38 @@ class MutationEvent:
 MutationListener = Callable[[MutationEvent], None]
 
 
+@dataclass(frozen=True)
+class RelationState:
+    """One relation as :meth:`Database.dump_state` emits and ``load_state`` reads it.
+
+    ``fragments`` maps ``None`` to the whole relation's sorted rows and, for
+    a ``"partitioned"`` relation, each shard index to that shard's sorted
+    rows; ``partitioner`` is the fitted partitioner's ``to_spec()``.
+    """
+
+    name: str
+    attributes: Tuple[str, ...]
+    placement: str  # 'single' | 'partitioned' | 'replicated'
+    fragments: Dict[Optional[int], Sequence[Row]]
+    shard_attribute: Optional[str] = None
+    partitioner: Optional[Dict[str, Any]] = None
+
+
+@dataclass(frozen=True)
+class CatalogState:
+    """Everything that must be persisted to rebuild a catalog exactly.
+
+    ``shape`` describes the catalog's kind and configuration as strings
+    (what a store is stamped with at creation and checked against on
+    reopen); ``tries`` pairs each cached trie with the shard holding it
+    (``None`` = the whole-relation view).
+    """
+
+    shape: Dict[str, str]
+    relations: Tuple[RelationState, ...]
+    tries: Tuple[Tuple[TrieIndex, Optional[int]], ...]
+
+
 @runtime_checkable
 class Catalog(Protocol):
     """The storage contract engines, caches and the service layer share.
@@ -224,10 +265,20 @@ class Database:
     # ------------------------------------------------------------------ #
     # Relation management
     # ------------------------------------------------------------------ #
+    def check_define(self, relation: Relation, replace: bool = False) -> Dict[str, Any]:
+        """Validate a (re)definition without touching any state.
+
+        Raises what :meth:`add_relation` / :meth:`replace_relation` would and
+        returns the resolved placement keywords (none here).  A write-ahead
+        layer calls this *before* logging, so a rejected definition is never logged.
+        """
+        if not replace and relation.name in self._relations:
+            raise KeyError(f"relation {relation.name!r} already exists in {self.name!r}")
+        return {}
+
     def add_relation(self, relation: Relation) -> None:
         """Register ``relation``; its name must be unused."""
-        if relation.name in self._relations:
-            raise KeyError(f"relation {relation.name!r} already exists in {self.name!r}")
+        self.check_define(relation)
         self._relations[relation.name] = relation
         self._invalidate(relation.name, delta=relation.cardinality, kind="define")
 
@@ -339,26 +390,52 @@ class Database:
             callback(event)
 
     # ------------------------------------------------------------------ #
+    # State hooks (what a durable layer persists and restores)
+    # ------------------------------------------------------------------ #
+    def dump_state(self) -> CatalogState:
+        """The catalog's full contents: relations, rows and cached tries."""
+        return CatalogState(
+            shape={"catalog_kind": "single"},
+            relations=tuple(
+                RelationState(
+                    name, relation.schema.attributes, "single", {None: relation.sorted_rows()}
+                )
+                for name, relation in self._relations.items()
+            ),
+            tries=tuple((trie, None) for trie in self.cached_tries()),
+        )
+
+    def load_state(
+        self,
+        relations: Iterable[RelationState],
+        tries: Iterable[Tuple[TrieIndex, Optional[int]]] = (),
+        fragment: Optional[int] = None,
+    ) -> None:
+        """Rebuild from :meth:`dump_state` output (the cold-start path).
+
+        Loads the ``fragment`` (``None`` = whole relations; a shard unit of
+        a sharded catalog passes its index) of every relation that has one —
+        rows arrive sorted and deduplicated, so the sorted-row cache is
+        pre-seeded — then installs that fragment's prebuilt tries in the
+        cache (the caller guarantees they match the rows; any later mutation
+        evicts them like any other cached trie), so the first query after a
+        restart maps files instead of rebuilding indexes.
+        """
+        for state in relations:
+            if fragment in state.fragments:
+                self.add_relation(
+                    Relation.from_sorted_rows(
+                        state.name, Schema(state.attributes), state.fragments[fragment]
+                    )
+                )
+        with self._trie_lock:
+            for trie, shard in tries:
+                if shard == fragment and trie.relation_name in self._relations:
+                    self._trie_cache[(trie.relation_name, trie.attribute_order)] = trie
+
+    # ------------------------------------------------------------------ #
     # Trie construction
     # ------------------------------------------------------------------ #
-    def adopt_trie(self, trie: TrieIndex) -> None:
-        """Install a prebuilt trie into the cache (the cold-start path).
-
-        The durable store reloads persisted segments this way, so the first
-        query after a restart maps files instead of rebuilding indexes.  The
-        caller guarantees the trie matches the stored relation's current
-        rows — any later mutation of that relation evicts it like any other
-        cached trie.
-        """
-        if trie.relation_name not in self._relations:
-            raise KeyError(
-                f"cannot adopt trie for unknown relation {trie.relation_name!r} "
-                f"in {self.name!r}"
-            )
-        key = (trie.relation_name, trie.attribute_order)
-        with self._trie_lock:
-            self._trie_cache[key] = trie
-
     def cached_tries(self) -> Tuple[TrieIndex, ...]:
         """Snapshot of the currently cached (built or adopted) tries."""
         with self._trie_lock:

@@ -37,8 +37,10 @@ whose dependent (relation, shard) fragments changed.
 from __future__ import annotations
 
 import bisect
+import json
 from dataclasses import dataclass
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -52,7 +54,13 @@ from typing import (
     Union,
 )
 
-from repro.relational.catalog import Database, MutationEvent, MutationListener
+from repro.relational.catalog import (
+    CatalogState,
+    Database,
+    MutationEvent,
+    MutationListener,
+    RelationState,
+)
 from repro.relational.query import Atom, ConjunctiveQuery
 from repro.relational.relation import Relation
 from repro.relational.trie import TrieIndex
@@ -97,6 +105,10 @@ class HashPartitioner:
     def describe(self) -> str:
         return f"hash({self.num_shards})"
 
+    def to_spec(self) -> Dict[str, Any]:
+        """JSON-able ``kind`` + constructor keywords (:func:`partitioner_from_spec`)."""
+        return {"kind": self.kind, "num_shards": self.num_shards}
+
 
 class RangePartitioner:
     """Contiguous value ranges of the shard attribute.
@@ -137,6 +149,14 @@ class RangePartitioner:
     def describe(self) -> str:
         return f"range({self.num_shards}, cuts={list(self.boundaries)})"
 
+    def to_spec(self) -> Dict[str, Any]:
+        """JSON-able ``kind`` + constructor keywords, fitted boundaries included."""
+        return {
+            "kind": self.kind,
+            "num_shards": self.num_shards,
+            "boundaries": list(self.boundaries),
+        }
+
 
 #: Built-in partitioner factories, by name.
 PARTITIONER_KINDS: Dict[str, Callable[[int], object]] = {
@@ -155,6 +175,15 @@ def make_partitioner(kind: Union[str, Callable[[int], object]], num_shards: int)
         raise ValueError(
             f"unknown partitioner {kind!r}; choose from {sorted(PARTITIONER_KINDS)}"
         ) from None
+
+
+def partitioner_from_spec(spec: Mapping[str, Any]):
+    """Rebuild a *fitted* built-in partitioner from its ``to_spec()`` output."""
+    keywords = dict(spec)
+    kind = keywords.pop("kind", None)
+    if kind not in PARTITIONER_KINDS:
+        raise ValueError(f"unknown persisted partitioner kind {kind!r}")
+    return PARTITIONER_KINDS[kind](**keywords)
 
 
 # --------------------------------------------------------------------------- #
@@ -343,101 +372,70 @@ class ShardedDatabase:
     # ------------------------------------------------------------------ #
     # Relation management
     # ------------------------------------------------------------------ #
+    def check_define(
+        self, relation: Relation, replace: bool = False, replicate: Optional[bool] = None
+    ) -> Dict[str, Any]:
+        """Validate a (re)definition and resolve its placement; touches nothing.
+
+        Checks the name is free (unless replacing) and a partitioned
+        placement's shard attribute exists; returns ``replicate`` resolved
+        against ``replicate_threshold``.  Both mutators (and a write-ahead
+        layer, before logging) go through this: a rejected definition leaves no trace.
+        """
+        if not replace and relation.name in self._global:
+            raise KeyError(f"relation {relation.name!r} already exists in {self.name!r}")
+        if replicate is None:
+            replicate = relation.cardinality <= self.replicate_threshold
+        if not replicate:
+            self._shard_position(relation)
+        return {"replicate": replicate}
+
+    def _shard_position(self, relation: Relation) -> int:
+        attribute = self._shard_attributes.get(relation.name, relation.schema.attributes[0])
+        return relation.schema.index_of(attribute)
+
     def add_relation(self, relation: Relation, replicate: Optional[bool] = None) -> None:
         """Register ``relation``, partitioning (or replicating) its rows.
 
         ``replicate`` forces the placement; by default relations at or
         below ``replicate_threshold`` tuples are replicated.
         """
-        if replicate is None:
-            replicate = relation.cardinality <= self.replicate_threshold
-        self._global.add_relation(relation)
-        if replicate:
-            self._replicated.add(relation.name)
-        else:
-            self._partition_relation(relation)
-        self._notify(
-            MutationEvent(relation.name, shard=None, delta=relation.cardinality, kind="define")
-        )
+        self._install(relation, **self.check_define(relation, replicate=replicate))
 
     def replace_relation(self, relation: Relation, replicate: Optional[bool] = None) -> None:
         """Register ``relation``, replacing (and re-partitioning) any existing one."""
-        if replicate is None:
-            replicate = relation.cardinality <= self.replicate_threshold
+        self._install(relation, **self.check_define(relation, True, replicate))
+
+    def _install(self, relation: Relation, replicate: bool) -> None:
+        """The one registration step: clear what the name held, then store
+        the relation whole (replicated) or fit a partitioner and split it."""
+        name = relation.name
         self._global.replace_relation(relation)
-        self._replicated.discard(relation.name)
-        self._partitioners.pop(relation.name, None)
-        self._shard_positions.pop(relation.name, None)
-        for key in [k for k in self._replicas if k[0] == relation.name]:
+        self._replicated.discard(name)
+        self._partitioners.pop(name, None)
+        self._shard_positions.pop(name, None)
+        for key in [k for k in self._replicas if k[0] == name]:
             del self._replicas[key]
-        for shard in self._shards:
-            if relation.name in shard:
-                shard.replace_relation(Relation(relation.name, relation.schema))
         if replicate:
-            self._replicated.add(relation.name)
+            self._replicated.add(name)
+            for shard in self._shards:
+                if name in shard:
+                    shard.replace_relation(Relation(name, relation.schema))
         else:
-            self._partition_relation(relation)
-        self._notify(
-            MutationEvent(relation.name, shard=None, delta=relation.cardinality, kind="define")
-        )
-
-    def adopt_partitioned_relation(
-        self,
-        relation: Relation,
-        fragments: Sequence[Relation],
-        partitioner,
-        position: int,
-    ) -> None:
-        """Install an already partitioned relation without refitting.
-
-        This is the durable-storage recovery path: the partitioner arrives
-        *fitted* (e.g. a :class:`RangePartitioner` with its persisted
-        boundaries), and ``fragments`` are the per-shard relations exactly
-        as they were split — re-running :meth:`_partition_relation` would
-        refit on post-mutation data and route future inserts differently
-        than the original catalog did.
-        """
-        if len(fragments) != self.num_shards:
-            raise ValueError(
-                f"expected {self.num_shards} fragments for {relation.name!r}, "
-                f"got {len(fragments)}"
-            )
-        self._global.add_relation(relation)
-        self._partitioners[relation.name] = partitioner
-        self._shard_positions[relation.name] = position
-        for shard, fragment in zip(self._shards, fragments):
-            shard.add_relation(fragment)
-        self._build_replicas(relation.name)
-        self._notify(
-            MutationEvent(relation.name, shard=None, delta=relation.cardinality, kind="define")
-        )
-
-    def adopt_replicated_relation(self, relation: Relation) -> None:
-        """Install an already replicated relation (recovery path)."""
-        self._global.add_relation(relation)
-        self._replicated.add(relation.name)
-        self._notify(
-            MutationEvent(relation.name, shard=None, delta=relation.cardinality, kind="define")
-        )
-
-    def _partition_relation(self, relation: Relation) -> None:
-        attribute = self._shard_attributes.get(
-            relation.name, relation.schema.attributes[0]
-        )
-        position = relation.schema.index_of(attribute)
-        partitioner = make_partitioner(self.partitioner_kind, self.num_shards)
-        partitioner.fit([row[position] for row in relation.sorted_rows()])
-        self._partitioners[relation.name] = partitioner
-        self._shard_positions[relation.name] = position
-        fragments = [Relation(relation.name, relation.schema) for _ in self._shards]
-        for row in relation.sorted_rows():
-            fragments[partitioner.shard_of(row[position])].insert(row)
-        for shard, fragment in zip(self._shards, fragments):
-            if relation.name in shard:
+            position = self._shard_position(relation)
+            partitioner = make_partitioner(self.partitioner_kind, self.num_shards)
+            partitioner.fit([row[position] for row in relation.sorted_rows()])
+            fragments = [Relation(name, relation.schema) for _ in self._shards]
+            for row in relation.sorted_rows():
+                fragments[partitioner.shard_of(row[position])].insert(row)
+            self._partitioners[name] = partitioner
+            self._shard_positions[name] = position
+            for shard, fragment in zip(self._shards, fragments):
                 shard.replace_relation(fragment)
-            else:
-                shard.add_relation(fragment)
-        self._build_replicas(relation.name)
+            self._build_replicas(name)
+        self._notify(
+            MutationEvent(name, shard=None, delta=relation.cardinality, kind="define")
+        )
 
     def _build_replicas(self, name: str) -> None:
         """Copy ``name``'s fragments onto their replica nodes.
@@ -447,19 +445,79 @@ class ShardedDatabase:
         caches its own tries — exactly what a fragment copy on another
         node would do.  No-op at the default ``replication_factor=1``.
         """
-        for shard in range(self.num_shards):
-            fragment = self._shards[shard].relation(name)
+        for shard, shard_db in enumerate(self._shards):
+            fragment = shard_db.relation(name)
             for r in range(1, self.replication_factor):
-                key = (name, shard, r)
-                replica = self._replicas.get(key)
-                if replica is None:
-                    replica = Database(f"{self.name}.shard{shard}.r{r}")
-                    self._replicas[key] = replica
-                copy = Relation(name, fragment.schema, fragment.sorted_rows())
-                if name in replica:
-                    replica.replace_relation(copy)
-                else:
-                    replica.add_relation(copy)
+                replica = Database(f"{self.name}.shard{shard}.r{r}")
+                replica.add_relation(Relation(name, fragment.schema, fragment.sorted_rows()))
+                self._replicas[(name, shard, r)] = replica
+
+    # ------------------------------------------------------------------ #
+    # State hooks (what a durable layer persists and restores)
+    # ------------------------------------------------------------------ #
+    def dump_state(self) -> CatalogState:
+        """Whole relations, per-shard fragments, fitted partitioners, cached tries."""
+        relations = []
+        for name in self.relation_names():
+            relation = self._global.relation(name)
+            partitioned = name not in self._replicated
+            fragments = {None: relation.sorted_rows()}
+            if partitioned:
+                for shard, shard_db in enumerate(self._shards):
+                    fragments[shard] = shard_db.relation(name).sorted_rows()
+            relations.append(
+                RelationState(
+                    name,
+                    relation.schema.attributes,
+                    "partitioned" if partitioned else "replicated",
+                    fragments,
+                    self.shard_attribute(name),
+                    self._partitioners[name].to_spec() if partitioned else None,
+                )
+            )
+        tries = [(trie, None) for trie in self._global.cached_tries()]
+        for shard, shard_db in enumerate(self._shards):
+            tries.extend((trie, shard) for trie in shard_db.cached_tries())
+        shape = {
+            "catalog_kind": "sharded",
+            "num_shards": str(self.num_shards),
+            "partitioner_kind": self.partitioner_kind,
+            "replicate_threshold": str(self.replicate_threshold),
+            "shard_attributes": json.dumps(self._shard_attributes, sort_keys=True),
+        }
+        return CatalogState(shape, tuple(relations), tuple(tries))
+
+    def load_state(
+        self,
+        relations: Iterable[RelationState],
+        tries: Iterable[Tuple[TrieIndex, Optional[int]]] = (),
+    ) -> None:
+        """Rebuild from :meth:`dump_state` output without refitting anything.
+
+        Every unit loads its own fragment and tries; routing is restored
+        from the *fitted* partitioner specs (a :class:`RangePartitioner`
+        keeps its stored boundaries) — re-partitioning would refit on
+        post-mutation data and route future inserts differently than the
+        original catalog did.
+        """
+        relations, tries = list(relations), list(tries)
+        self._global.load_state(relations, tries)
+        for shard, shard_db in enumerate(self._shards):
+            shard_db.load_state(relations, tries, fragment=shard)
+        for state in relations:
+            if state.placement == "replicated":
+                self._replicated.add(state.name)
+            elif state.placement == "partitioned":
+                self._partitioners[state.name] = partitioner_from_spec(state.partitioner or {})
+                self._shard_positions[state.name] = state.attributes.index(
+                    state.shard_attribute
+                )
+                self._build_replicas(state.name)  # KeyError if a fragment is missing
+            else:
+                raise ValueError(
+                    f"relation {state.name!r} has placement {state.placement!r}, "
+                    "which a sharded catalog cannot hold"
+                )
 
     # ------------------------------------------------------------------ #
     # Catalog read surface (delegates to the merged global view)

@@ -40,7 +40,6 @@ from repro.obs.instrument import annotate_execute_span
 from repro.obs.trace import Span, Tracer, coerce_tracer
 from repro.relational.catalog import Database
 from repro.relational.query import ConjunctiveQuery
-from repro.relational.sharding import ShardedDatabase
 from repro.service.caches import PlanCache, ResultCache
 from repro.service.faults import (
     FaultInjector,
@@ -170,7 +169,7 @@ class QueryPipeline:
             else None
         )
         self.scatter: Optional[ScatterGatherExecutor] = None
-        if isinstance(database, ShardedDatabase):
+        if hasattr(database, "scatter_spec"):  # sharded, bare or durable
             # Per-shard partial results, maintained fragment-by-fragment by
             # the catalog's shard-tagged mutation events.
             self.scatter = ScatterGatherExecutor(

@@ -1,6 +1,16 @@
 """repro.storage — the durable tier: catalog snapshots, a mutation WAL,
 and mmap'd trie segments for instant cold start.
 
+Durability is one layer, :class:`DurableCatalog`, over any in-memory
+catalog::
+
+    DurableCatalog → {Database | ShardedDatabase} → Database units
+
+Every mutation goes **validate → log → apply**: the wrapped catalog checks
+it (and resolves placement) without touching state, the record is fsynced to
+the WAL, then the mutation is applied — so a rejected mutation is never
+logged and a logged one always replays.  A torn final WAL record (a crash
+mid-append) is dropped on replay and truncated away before the next append.
 Layout of a store directory and the recovery contract are documented in
 :mod:`repro.storage.durable`; the usual entry point is::
 
@@ -17,11 +27,8 @@ equivalence suite in ``tests/test_storage_recovery.py`` is the gate).
 """
 
 from repro.storage.durable import (
-    DurableDatabase,
-    DurableShardedDatabase,
-    describe_partitioner,
+    DurableCatalog,
     open_store,
-    restore_partitioner,
     store_exists,
     store_info,
 )
@@ -54,8 +61,7 @@ __all__ = [
     "GLOBAL_FRAGMENT",
     "SEGMENT_FORMAT_VERSION",
     "STORE_FORMAT_VERSION",
-    "DurableDatabase",
-    "DurableShardedDatabase",
+    "DurableCatalog",
     "MutationLog",
     "RelationRecord",
     "SQLiteStore",
@@ -67,12 +73,10 @@ __all__ = [
     "WalCorruptionError",
     "WalRecord",
     "decode_trie_segment",
-    "describe_partitioner",
     "encode_trie_segment",
     "open_store",
     "read_segment_info",
     "read_trie_segment",
-    "restore_partitioner",
     "store_exists",
     "store_info",
     "trie_is_flat",

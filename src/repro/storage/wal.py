@@ -18,6 +18,10 @@ failure modes distinguishable:
   newline or fails its checksum.  Expected; replay drops it.  (The in-memory
   mutation it described was never applied either: records are fsynced before
   the catalog mutates, so a torn record means the mutation never happened.)
+  The first :meth:`MutationLog.append` after a scan that dropped a tail
+  truncates the file back to the end of its last intact record first —
+  appending straight after the torn bytes would fuse the new, acknowledged
+  record with the garbage and lose it (or worse, bury the damage mid-log).
 * **corruption before the final record** — bytes were damaged after being
   durably written.  Replay must not guess past the damage, so this raises
   :class:`~repro.storage.errors.WalCorruptionError`.
@@ -30,7 +34,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.storage.errors import WalCorruptionError
 
@@ -67,7 +71,7 @@ class MutationLog:
 
     The log file is held open for appending; :meth:`append` is durable when
     it returns (``flush`` + ``fsync``).  :meth:`reset` truncates after a
-    successful snapshot.  Replay (:meth:`records`) reads the file fresh, so
+    successful snapshot.  :meth:`replay` reads the file fresh, so
     a log can be replayed by a different process than the one that wrote it.
     """
 
@@ -75,13 +79,10 @@ class MutationLog:
         self.path = path
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         self._handle: Optional[io.TextIOWrapper] = None
-        self._next_seq = self._scan_next_seq()
-
-    def _scan_next_seq(self) -> int:
-        last = -1
-        for record in self.records():
-            last = record.seq
-        return last + 1
+        #: Byte offset where the last scan found a torn tail (``None``: none).
+        self._torn_at: Optional[int] = None
+        records = self.replay()
+        self._next_seq = records[-1].seq + 1 if records else 0
 
     def _open_for_append(self) -> io.TextIOWrapper:
         if self._handle is None or self._handle.closed:
@@ -98,6 +99,8 @@ class MutationLog:
         record = WalRecord(seq=self._next_seq, kind=kind, relation=relation, data=data)
         payload = record.to_json()
         line = f"{zlib.crc32(payload.encode('utf-8')):08x} {payload}\n"
+        if self._torn_at is not None:
+            self._drop_torn_tail()
         handle = self._open_for_append()
         handle.write(line)
         handle.flush()
@@ -105,32 +108,51 @@ class MutationLog:
         self._next_seq += 1
         return record
 
-    def records(self) -> Iterator[WalRecord]:
-        """Replay every intact record in append order.
+    def _drop_torn_tail(self) -> None:
+        """Cut the file back to its last intact record (durably)."""
+        self.close()
+        with open(self.path, "r+b") as handle:
+            handle.truncate(self._torn_at)
+            handle.flush()
+            os.fsync(handle.fileno())
+        self._torn_at = None
 
-        A damaged *final* line (torn append) is silently dropped; damage
-        anywhere earlier raises :class:`WalCorruptionError`.
+    def replay(self) -> List[WalRecord]:
+        """Every intact record in append order, read fresh from the file.
+
+        A damaged *final* line (torn append) is silently dropped — and
+        remembered, so the next :meth:`append` truncates it away first;
+        damage anywhere earlier raises :class:`WalCorruptionError`.
         """
+        self._torn_at = None
         if not os.path.exists(self.path):
-            return
-        with open(self.path, "r", encoding="utf-8", errors="replace") as handle:
-            lines = handle.read().split("\n")
-        # A well-formed log ends with "\n", so the final split element is
-        # empty; anything else is a torn tail candidate.
-        if lines and lines[-1] == "":
+            return []
+        with open(self.path, "rb") as handle:
+            data = handle.read()
+        lines = data.split(b"\n")
+        # Every completed append ends with "\n", so the final split element
+        # is empty; anything else is an unterminated (torn) final line.
+        unterminated = lines[-1] != b""
+        if not unterminated:
             lines.pop()
+        records: List[WalRecord] = []
+        intact_bytes = 0
         for index, line in enumerate(lines):
-            record = self._decode(line)
+            record = self._decode(line.decode("utf-8", errors="replace"))
+            is_last = index == len(lines) - 1
+            if is_last and (record is None or unterminated):
+                self._torn_at = intact_bytes  # the crash interrupted this append
+                break
             if record is None:
-                if index == len(lines) - 1:
-                    return  # torn tail: the crash interrupted this append
                 raise WalCorruptionError(
                     f"mutation log {self.path}: record {index} is damaged but "
                     f"{len(lines) - 1 - index} intact record(s) follow — the "
                     "log was corrupted after being written; refusing to "
                     "replay past the damage"
                 )
-            yield record
+            records.append(record)
+            intact_bytes += len(line) + 1
+        return records
 
     @staticmethod
     def _decode(line: str) -> Optional[WalRecord]:
@@ -144,13 +166,9 @@ class MutationLog:
         except (ValueError, KeyError, TypeError):
             return None
 
-    def replay(self) -> List[WalRecord]:
-        """All intact records as a list (convenience over :meth:`records`)."""
-        return list(self.records())
-
     def record_count(self) -> int:
         """Number of intact records currently in the log."""
-        return sum(1 for _ in self.records())
+        return len(self.replay())
 
     def size_bytes(self) -> int:
         return os.path.getsize(self.path) if os.path.exists(self.path) else 0
@@ -162,6 +180,7 @@ class MutationLog:
             handle.flush()
             os.fsync(handle.fileno())
         self._next_seq = 0
+        self._torn_at = None
 
     def close(self) -> None:
         if self._handle is not None and not self._handle.closed:

@@ -2,12 +2,16 @@
 
 Engines, caches and the serving layer are written against the ``Catalog``
 protocol, not a concrete class — so every implementation (the in-memory
-:class:`Database`, the scatter-gather :class:`ShardedDatabase`, and both
-durable variants from :mod:`repro.storage`) must expose identical observable
-behaviour: lookup and membership, cached trie builds, atom/trie translation,
-query validation, conservative insert semantics and the invalidation event
-stream.  One parametrized suite keeps the implementations from drifting.
+:class:`Database`, the scatter-gather :class:`ShardedDatabase`, and either
+one behind the :class:`repro.storage.DurableCatalog` layer) must expose
+identical observable behaviour: lookup and membership, cached trie builds,
+atom/trie translation, query validation, conservative insert semantics and
+the invalidation event stream.  One parametrized suite, generated as
+``{base} × {plain, durable}`` from one table, keeps them from drifting.
 """
+
+import copy
+import pickle
 
 import pytest
 
@@ -23,17 +27,22 @@ from repro.relational import (
     Schema,
     ShardedDatabase,
 )
-from repro.storage import DurableDatabase, DurableShardedDatabase
+from repro.storage import DurableCatalog
 
 EDGES = [(1, 2), (1, 3), (2, 3), (3, 1), (4, 1), (4, 5)]
 
-CATALOG_KINDS = (
-    "database",
-    "sharded-hash",
-    "sharded-range",
-    "durable",
-    "durable-sharded",
-)
+#: The in-memory catalogs, by name; every one is tested bare and durable.
+BASES = {
+    "database": lambda: Database("conformance"),
+    "sharded-hash": lambda: ShardedDatabase(
+        "conformance", num_shards=2, partitioner="hash"
+    ),
+    "sharded-range": lambda: ShardedDatabase(
+        "conformance", num_shards=2, partitioner="range"
+    ),
+}
+LAYERS = ("plain", "durable")
+CATALOG_KINDS = tuple(f"{base}/{layer}" for base in BASES for layer in LAYERS)
 
 
 def edge_relation():
@@ -41,19 +50,11 @@ def edge_relation():
 
 
 def make_catalog(kind, tmp_path):
-    """One freshly populated catalog of the requested implementation."""
-    if kind == "database":
-        instance = Database("conformance")
-    elif kind == "sharded-hash":
-        instance = ShardedDatabase("conformance", num_shards=2, partitioner="hash")
-    elif kind == "sharded-range":
-        instance = ShardedDatabase("conformance", num_shards=2, partitioner="range")
-    elif kind == "durable":
-        instance = DurableDatabase(str(tmp_path / "store"), name="conformance")
-    else:
-        instance = DurableShardedDatabase(
-            str(tmp_path / "store"), name="conformance", num_shards=2
-        )
+    """One freshly populated catalog of the requested ``base/layer`` kind."""
+    base, layer = kind.split("/")
+    instance = BASES[base]()
+    if layer == "durable":
+        instance = DurableCatalog(instance, str(tmp_path / "store"))
     instance.add_relation(edge_relation())
     return instance
 
@@ -153,7 +154,7 @@ class TestDeltaBatchConformance:
     """
 
     def _observe(self, kind, tmp_path):
-        instance = make_catalog(kind, tmp_path / kind.replace("-", "_"))
+        instance = make_catalog(kind, tmp_path / kind.replace("-", "_").replace("/", "_"))
         try:
             events = []
             instance.subscribe_invalidation(events.append)
@@ -178,7 +179,7 @@ class TestDeltaBatchConformance:
         observed = {
             kind: self._observe(kind, tmp_path) for kind in CATALOG_KINDS
         }
-        reference = observed["database"]
+        reference = observed["database/plain"]
         assert any(count == 0 for _, count in reference)  # duplicate-only batch
         assert any(count > 1 for _, count in reference)
         for kind in CATALOG_KINDS:
@@ -199,3 +200,47 @@ class TestDeltaBatchConformance:
             close = getattr(instance, "close", None)
             if close is not None:
                 close()
+
+
+class TestDurableLayerIsTransparent:
+    """The durable layer adds a log, never behaviour of its own."""
+
+    @pytest.mark.parametrize("base", list(BASES))
+    def test_subscribers_see_the_same_events_plain_and_durable(self, base, tmp_path):
+        """Same stream in → the same events out, shard ids and batches included."""
+        observed = {}
+        for layer in LAYERS:
+            instance = make_catalog(f"{base}/{layer}", tmp_path)
+            try:
+                events = []
+                instance.subscribe_invalidation(events.append)
+                for batch in MUTATION_STREAM:
+                    instance.insert_into("E", batch)
+                instance.replace_relation(edge_relation())
+                instance.add_relation(Relation("F", Schema(("a",)), [(1,), (2,)]))
+                observed[layer] = [
+                    (e.relation, e.shard, e.kind, e.delta.rows, e.delta.count)
+                    for e in events
+                ]
+            finally:
+                getattr(instance, "close", lambda: None)()
+        assert observed["durable"] == observed["plain"]
+        assert {kind for _, _, kind, _, _ in observed["plain"]} == {"insert", "define"}
+
+    @pytest.mark.parametrize("base", list(BASES))
+    def test_copy_and_pickle_probes_do_not_recurse(self, base, tmp_path):
+        """``copy``/``pickle`` probe a blank instance for ``__setstate__`` &
+        co.; attribute forwarding must answer AttributeError, not recurse."""
+        instance = make_catalog(f"{base}/durable", tmp_path)
+        try:
+            blank = DurableCatalog.__new__(DurableCatalog)
+            with pytest.raises(AttributeError):
+                blank.anything
+            assert not hasattr(instance, "__setstate__")
+            assert copy.copy(instance).relation_names() == ("E",)
+            with pytest.raises(TypeError):  # open file handles do not pickle
+                pickle.dumps(instance)
+            # Non-dunder names the layer does not define are the catalog's.
+            assert instance.size_in_bytes() > 0
+        finally:
+            instance.close()

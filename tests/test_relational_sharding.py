@@ -93,6 +93,22 @@ class TestShardedDatabase:
             assert sharded.shard_relation("dims", shard).cardinality == 2
         assert sharded.shard_attribute("dims") is None
 
+    def test_rejected_definition_touches_no_state(self):
+        """A bad shard attribute must fail before the global view, the
+        partitioner table or any fragment sees the relation."""
+        sharded = ShardedDatabase("s", num_shards=2, shard_attributes={"E": "nope"})
+        edges = Relation("E", Schema(("src", "dst")), [(1, 2), (2, 3)])
+        events = []
+        sharded.subscribe_invalidation(events.append)
+        for define in (sharded.add_relation, sharded.replace_relation):
+            with pytest.raises(KeyError, match="nope"):
+                define(edges)
+            assert "E" not in sharded
+            assert all("E" not in shard for shard in sharded.shard_databases)
+            assert sharded.partitioner_for("E") is None and not events
+        sharded.add_relation(edges, replicate=True)  # no shard attribute needed
+        assert sharded.insert_into("E", [(5, 6)]) == 1
+
     def test_replicate_threshold_places_small_relations(self):
         sharded = ShardedDatabase("s", num_shards=2, replicate_threshold=3)
         sharded.add_relation(Relation("tiny", Schema(("a", "b")), [(1, 2)]))

@@ -19,8 +19,6 @@ from repro.joins.generic_join import GenericJoin
 from repro.joins.leapfrog import LeapfrogTrieJoin
 from repro.relational import Database, Relation, Schema, ShardedDatabase
 from repro.storage import (
-    DurableDatabase,
-    DurableShardedDatabase,
     StorageError,
     open_store,
     store_exists,
@@ -108,7 +106,7 @@ class TestMonolithicRecovery:
         store_dir = str(tmp_path / "store")
         workload = update_heavy_workload(7)
 
-        db = DurableDatabase(store_dir, name="gate")
+        db = open_store(store_dir, name="gate")
         db.add_relation(Relation("E", Schema(("src", "dst")), self.seed_edges()))
         reference = Database("gate")
         reference.add_relation(Relation("E", Schema(("src", "dst")), self.seed_edges()))
@@ -129,7 +127,7 @@ class TestMonolithicRecovery:
     def test_recovery_is_idempotent(self, tmp_path):
         """Recover, mutate nothing, recover again — same state both times."""
         store_dir = str(tmp_path / "store")
-        db = DurableDatabase(store_dir, name="gate")
+        db = open_store(store_dir, name="gate")
         db.add_relation(Relation("E", Schema(("src", "dst")), self.seed_edges()))
         db.close()
         for _ in range(2):
@@ -143,7 +141,7 @@ class TestMonolithicRecovery:
         """After a snapshot with warm tries, recovery must adopt the
         persisted segments (mmap'd views), not rebuild from rows."""
         store_dir = str(tmp_path / "store")
-        db = DurableDatabase(store_dir, name="gate")
+        db = open_store(store_dir, name="gate")
         db.add_relation(Relation("E", Schema(("src", "dst")), self.seed_edges()))
         db.trie("E", ("src", "dst"))
         db.snapshot()
@@ -168,7 +166,7 @@ class TestShardedRecovery:
         seed_edges = sorted(set(zipf_edges(DeterministicRNG(11), BASE_EDGES)))
         workload = update_heavy_workload(13)
 
-        db = DurableShardedDatabase(
+        db = open_store(
             store_dir, name="gate", num_shards=num_shards, partitioner=partitioner
         )
         reference = ShardedDatabase(
@@ -194,7 +192,7 @@ class TestShardedRecovery:
         """Recovery must route by the *persisted* boundaries even though the
         relation has since grown rows that would fit differently."""
         store_dir = str(tmp_path / "store")
-        db = DurableShardedDatabase(
+        db = open_store(
             store_dir, name="gate", num_shards=2, partitioner="range"
         )
         db.add_relation(
@@ -217,7 +215,7 @@ class TestStoreHandling:
     def test_store_info_without_recovery(self, tmp_path):
         store_dir = str(tmp_path / "store")
         assert not store_exists(store_dir)
-        db = DurableDatabase(store_dir, name="gate")
+        db = open_store(store_dir, name="gate")
         db.add_relation(Relation("E", Schema(("src", "dst")), [(1, 2)]))
         db.snapshot()
         db.close()
@@ -228,22 +226,22 @@ class TestStoreHandling:
 
     def test_shard_count_mismatch_is_rejected(self, tmp_path):
         store_dir = str(tmp_path / "store")
-        DurableShardedDatabase(store_dir, name="gate", num_shards=2).close()
+        open_store(store_dir, name="gate", num_shards=2).close()
         with pytest.raises(StorageError, match="shard"):
             open_store(store_dir, num_shards=4)
 
     def test_monolithic_store_rejects_shard_request(self, tmp_path):
         store_dir = str(tmp_path / "store")
-        DurableDatabase(store_dir, name="gate").close()
+        open_store(store_dir, name="gate").close()
         with pytest.raises(StorageError):
             open_store(store_dir, num_shards=2)
 
     def test_open_store_defaults_to_existing_shape(self, tmp_path):
         store_dir = str(tmp_path / "store")
-        DurableShardedDatabase(store_dir, name="gate", num_shards=2).close()
+        open_store(store_dir, name="gate", num_shards=2).close()
         recovered = open_store(store_dir)
         try:
-            assert isinstance(recovered, DurableShardedDatabase)
+            assert recovered.info()["kind"] == "sharded"
             assert recovered.num_shards == 2
         finally:
             recovered.close()
@@ -254,7 +252,7 @@ class TestStoreHandling:
         import os
 
         store_dir = str(tmp_path / "store")
-        db = DurableDatabase(store_dir, name="gate")
+        db = open_store(store_dir, name="gate")
         db.add_relation(Relation("E", Schema(("src", "dst")), [(1, 2)]))
         db.snapshot()
         db.insert_into("E", [(3, 4)])
@@ -271,3 +269,66 @@ class TestStoreHandling:
             assert sorted(recovered.relation("E").sorted_rows()) == [(1, 2), (3, 4)]
         finally:
             recovered.close()
+
+
+class TestValidateLogApply:
+    """Regressions on the write-ahead seam: what is acknowledged survives,
+    what is rejected leaves no trace."""
+
+    def test_writes_after_a_torn_tail_survive_reopen(self, tmp_path):
+        """torn tail → open → insert → reopen → insert → reopen: every
+        acknowledged insert is there and the store stays recoverable."""
+        import os
+
+        store_dir = str(tmp_path / "store")
+        with open_store(store_dir, name="gate") as db:
+            db.add_relation(Relation("E", Schema(("src", "dst")), [(1, 2)]))
+            db.snapshot()
+            db.insert_into("E", [(3, 4)])
+        with open(os.path.join(store_dir, "mutations.wal"), "ab") as handle:
+            handle.write(b'0badc0de {"kind":"insert","relation":"E","ro')  # crash mid-append
+
+        with open_store(store_dir) as db:
+            assert db.insert_into("E", [(7, 8)]) == 1
+        with open_store(store_dir) as db:
+            assert sorted(db.relation("E").sorted_rows()) == [(1, 2), (3, 4), (7, 8)]
+            assert db.insert_into("E", [(9, 9)]) == 1
+        with open_store(store_dir) as db:
+            assert sorted(db.relation("E").sorted_rows()) == [
+                (1, 2), (3, 4), (7, 8), (9, 9),
+            ]
+            assert db.info()["wal_records"] == 3
+
+    def test_rejected_define_is_not_logged_and_store_reopens(self, tmp_path):
+        """A definition the catalog rejects (bad shard attribute, duplicate
+        name) must raise *before* the WAL sees it — or every later open
+        replays the same failure."""
+        store_dir = str(tmp_path / "store")
+        edges = Relation("E", Schema(("src", "dst")), [(1, 2), (2, 3)])
+        db = open_store(store_dir, num_shards=2, shard_attributes={"E": "nope"})
+        with pytest.raises(KeyError, match="nope"):
+            db.add_relation(edges)
+        with pytest.raises(KeyError, match="nope"):
+            db.replace_relation(edges)
+        assert db.info()["wal_records"] == 0
+        assert "E" not in db
+        db.add_relation(Relation("F", Schema(("a", "b")), [(1, 1)]))
+        before = db.info()["wal_records"]
+        with pytest.raises(KeyError, match="already exists"):
+            db.add_relation(Relation("F", Schema(("a", "b")), [(2, 2)]))
+        assert db.info()["wal_records"] == before == 1
+        db.close()
+
+        with open_store(store_dir) as recovered:
+            assert recovered.relation_names() == ("F",)
+            assert sorted(recovered.relation("F").sorted_rows()) == [(1, 1)]
+
+    def test_rejected_insert_is_not_logged(self, tmp_path):
+        with open_store(str(tmp_path / "store")) as db:
+            db.add_relation(Relation("E", Schema(("src", "dst")), [(1, 2)]))
+            before = db.info()["wal_records"]
+            with pytest.raises(ValueError, match="arity"):
+                db.insert_into("E", [(1, 2, 3)])
+            with pytest.raises(KeyError):
+                db.insert_into("missing", [(1, 2)])
+            assert db.info()["wal_records"] == before

@@ -87,13 +87,56 @@ class TestDamage:
         with pytest.raises(WalCorruptionError, match="record 0 is damaged"):
             MutationLog(path).replay()
 
-    def test_garbage_line_before_intact_records_refuses_to_replay(self, tmp_path):
+    def test_append_after_a_dropped_garbage_tail_replays(self, tmp_path):
+        """The scanner tolerates a damaged *final* line as a torn tail; the
+        next append must cut it away first, or the new (acknowledged) record
+        would fuse with the garbage — lost, and the damage made non-final."""
         path = wal_path(tmp_path)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("not a wal line\n")
         with MutationLog(path) as log:
-            # The scanner tolerated the damage as a torn tail at open time,
-            # but appending after it makes the damage non-final.
+            assert log.replay() == []
             log.append("insert", "E", rows=[[1, 2]])
-            with pytest.raises(WalCorruptionError):
-                log.replay()
+            assert [r.data["rows"] for r in log.replay()] == [[[1, 2]]]
+        with open(path, "rb") as handle:
+            assert b"not a wal line" not in handle.read()
+
+    @pytest.mark.parametrize("tear", ["mid-record", "missing-newline", "bad-checksum"])
+    def test_torn_tail_then_append_reopen_append_reopen(self, tmp_path, tear):
+        path = wal_path(tmp_path)
+        self.fill(path)  # seq 0, 1, 2
+        with open(path, "r+b") as handle:
+            handle.seek(0, 2)
+            if tear == "mid-record":
+                handle.truncate(handle.tell() - 7)
+            elif tear == "missing-newline":
+                handle.truncate(handle.tell() - 1)
+            else:
+                handle.seek(handle.tell() - 3)
+                handle.write(b"X")
+        with MutationLog(path) as log:
+            assert [r.seq for r in log.replay()] == [0, 1]
+            assert log.record_count() == 2  # re-scanning keeps the tear known
+            assert log.append("insert", "E", rows=[[7, 8]]).seq == 2
+        with MutationLog(path) as log:
+            assert [r.seq for r in log.replay()] == [0, 1, 2]
+            assert log.replay()[-1].data["rows"] == [[7, 8]]
+            assert log.append("insert", "E", rows=[[9, 9]]).seq == 3
+        with MutationLog(path) as log:
+            assert [r.data["rows"] for r in log.replay()] == [
+                [[0, 1]], [[1, 2]], [[7, 8]], [[9, 9]],
+            ]
+
+    def test_scanning_alone_never_modifies_the_file(self, tmp_path):
+        path = wal_path(tmp_path)
+        self.fill(path)
+        with open(path, "r+b") as handle:
+            handle.seek(0, 2)
+            handle.truncate(handle.tell() - 7)
+        with open(path, "rb") as handle:
+            torn = handle.read()
+        with MutationLog(path) as log:
+            log.replay()
+            log.record_count()
+        with open(path, "rb") as handle:
+            assert handle.read() == torn
