@@ -41,7 +41,7 @@ from repro.engines import (
     register_engine,
 )
 from repro.api.routing import CostRouter, EngineEstimate, RouteDecision
-from repro.api.resultset import ExecutionOutcome, ResultSet
+from repro.api.resultset import ResultSet
 from repro.api.statement import Statement, coerce_statement
 from repro.api.session import Explanation, ResultDelta, Session, Subscription
 from repro.service.pipeline import RESULT_REPLAY_COST
@@ -60,7 +60,6 @@ __all__ = [
     "CostRouter",
     "EngineEstimate",
     "RouteDecision",
-    "ExecutionOutcome",
     "ResultSet",
     "Statement",
     "coerce_statement",

@@ -13,46 +13,29 @@ publishes — a result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.api.routing import RouteDecision
 from repro.joins.plan import JoinPlan
 from repro.joins.stats import JoinStats
 from repro.relational.query import ConjunctiveQuery
-
-
-@dataclass
-class ExecutionOutcome:
-    """What a ResultSet's executor produces (one per ResultSet, memoised)."""
-
-    tuples: List[Tuple[int, ...]]
-    cost: float
-    from_cache: bool
-    stats: Optional[JoinStats] = None
-    plan: Optional[JoinPlan] = None
-    report: Optional[object] = None
-    count: Optional[int] = None
-    plan_cache_hit: bool = False
-    compiled: bool = False
-    scatter: Optional[object] = None
-    trace: Optional[object] = None  # finished repro.obs Span, when tracing
-    #: Graceful degradation (see repro.service.faults): a degraded outcome
-    #: is the union of the surviving shard fragments only; ``missing_shards``
-    #: lists the shards whose fragments were unavailable.
-    degraded: bool = False
-    missing_shards: Tuple[int, ...] = ()
+from repro.service.pipeline import CompletedQuery
 
 
 class ResultSet:
-    """Lazy, iterable view over one statement execution."""
+    """Lazy, iterable view over one statement execution.
+
+    ``executor`` runs the request pipeline once; every property reads
+    through its memoised :class:`~repro.service.pipeline.CompletedQuery`
+    (one without an engine execution is a result-cache replay).
+    """
 
     def __init__(
         self,
         query: ConjunctiveQuery,
         signature: str,
         backend: str,
-        executor: Callable[[], ExecutionOutcome],
+        executor: Callable[[], CompletedQuery],
         route: Optional[RouteDecision] = None,
     ):
         self.query = query
@@ -60,7 +43,7 @@ class ResultSet:
         self.backend = backend
         self.route = route
         self._executor = executor
-        self._outcome: Optional[ExecutionOutcome] = None
+        self._completed: Optional[CompletedQuery] = None
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -68,12 +51,17 @@ class ResultSet:
     @property
     def executed(self) -> bool:
         """Whether the execution has been forced yet."""
-        return self._outcome is not None
+        return self._completed is not None
 
-    def _force(self) -> ExecutionOutcome:
-        if self._outcome is None:
-            self._outcome = self._executor()
-        return self._outcome
+    def _force(self) -> CompletedQuery:
+        if self._completed is None:
+            self._completed = self._executor()
+        return self._completed
+
+    def _of_execution(self, attribute: str, replayed=None):
+        """``attribute`` of the engine execution (``replayed`` for a cache replay)."""
+        execution = self._force().execution
+        return replayed if execution is None else getattr(execution, attribute)
 
     # ------------------------------------------------------------------ #
     # Tuples
@@ -99,10 +87,7 @@ class ResultSet:
     @property
     def cardinality(self) -> int:
         """Result count (the aggregated count for count-only executions)."""
-        outcome = self._force()
-        if outcome.tuples:
-            return len(outcome.tuples)
-        return outcome.count if outcome.count is not None else 0
+        return self._of_execution("cardinality", len(self._force().tuples))
 
     # ------------------------------------------------------------------ #
     # Provenance
@@ -110,17 +95,18 @@ class ResultSet:
     @property
     def stats(self) -> Optional[JoinStats]:
         """Algorithm counters of the run (``None`` for cache replays)."""
-        return self._force().stats
+        return self._of_execution("stats")
 
     @property
     def plan(self) -> Optional[JoinPlan]:
         """The compiled plan the run used (``None`` for plan-blind engines)."""
-        return self._force().plan
+        plan = self._of_execution("plan")
+        return plan if plan is not None else self._force().prepared.plan
 
     @property
     def report(self) -> Optional[object]:
         """The accelerator run report, when the engine produced one."""
-        return self._force().report
+        return self._of_execution("report")
 
     @property
     def shard_stats(self) -> Optional[object]:
@@ -130,7 +116,7 @@ class ResultSet:
         statement ran over a sharded catalog; ``None`` for monolithic
         executions and cache replays.
         """
-        return self._force().scatter
+        return self._of_execution("scatter")
 
     @property
     def degraded(self) -> bool:
@@ -140,12 +126,12 @@ class ResultSet:
         plan; a degraded result is exactly the union of the surviving shard
         fragments and is never entered into the result cache.
         """
-        return self._force().degraded
+        return self._of_execution("degraded", False)
 
     @property
     def missing_shards(self) -> Tuple[int, ...]:
         """Shards whose fragments are absent from a degraded answer."""
-        return self._force().missing_shards
+        return self._of_execution("missing_shards", ())
 
     @property
     def trace(self) -> Optional[object]:
@@ -154,18 +140,19 @@ class ResultSet:
         ``None`` unless the owning session was built with ``trace=...``;
         forcing the ResultSet is what produces (and finishes) the trace.
         """
-        return self._force().trace
+        return self._force().prepared.trace
 
     @property
     def cost(self) -> float:
-        """Deterministic service cost of the run, in modelled nanoseconds."""
-        return self._force().cost
+        """Deterministic service cost of the run, in modelled nanoseconds
+        (the engine's cost, or the replay constant for a cache replay)."""
+        return self._force().service_time
 
     @property
     def from_cache(self) -> bool:
         """True when the tuples were replayed from the session result cache."""
-        return self._force().from_cache
+        return self._force().execution is None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        state = f"{len(self._outcome.tuples)} tuples" if self.executed else "pending"
+        state = f"{len(self._completed.tuples)} tuples" if self.executed else "pending"
         return f"ResultSet(query={self.query.name!r}, backend={self.backend!r}, {state})"

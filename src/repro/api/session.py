@@ -27,18 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from repro.api.resultset import ExecutionOutcome, ResultSet
+from repro.api.resultset import ResultSet
 from repro.api.routing import CostRouter, RouteDecision
 from repro.api.statement import Statement, coerce_statement
 from repro.engines import EngineProtocol, create_engine, engine_names
-from repro.joins.compiler import QueryCompiler
 from repro.joins.plan import JoinPlan
 from repro.relational.catalog import Database, MutationEvent
 from repro.relational.query import ConjunctiveQuery
 from repro.relational.sharding import shard_database
-from repro.service.faults import FaultPlan, RetryPolicy, check_on_shard_loss
-from repro.service.maintenance import ResultMaintainer, check_maintenance_mode
-from repro.service.pipeline import CompletedQuery, QueryPipeline
+from repro.service.maintenance import ResultMaintainer
+from repro.service.pipeline import CompletedQuery, QueryPipeline, check_pipeline_options
 from repro.util.validation import check_positive
 
 
@@ -135,40 +133,15 @@ class Explanation:
         return "\n".join(lines)
 
 
-def _outcome_of(completed: CompletedQuery) -> ExecutionOutcome:
-    """Map a pipeline completion onto the :class:`ResultSet` outcome."""
-    prepared, execution = completed.prepared, completed.execution
-    if execution is None:
-        return ExecutionOutcome(
-            completed.tuples, completed.service_time, from_cache=True, trace=prepared.trace
-        )
-    return ExecutionOutcome(
-        tuples=execution.tuples,
-        cost=execution.cost,
-        from_cache=False,
-        stats=execution.stats,
-        plan=execution.plan if execution.plan is not None else prepared.plan,
-        report=execution.report,
-        count=execution.count,
-        plan_cache_hit=completed.plan_cache_hit,
-        compiled=prepared.compiled,
-        scatter=execution.scatter,
-        trace=prepared.trace,
-        degraded=execution.degraded,
-        missing_shards=execution.missing_shards,
-    )
-
-
 class Session:
     """Unified facade over the catalog, the caches and the engine registry.
 
     Parameters
     ----------
     database:
-        The catalog statements run against (a fresh empty one by default).
-        The session subscribes its result cache to the catalog's
-        invalidation events, so mutations through :meth:`insert` (or the
-        catalog itself) drop dependent cached results.
+        The catalog statements run against (a fresh empty one by default);
+        the session's pipeline tracks its mutation events, whether they
+        come through :meth:`insert` or the catalog itself.
     engines:
         Engine names (resolved through the shared registry) and/or ready
         :class:`~repro.engines.EngineProtocol` instances.  Defaults to
@@ -184,28 +157,19 @@ class Session:
         used as-is.  The session keeps a shard-aware partial-result cache,
         so mutating one shard re-executes only that shard's fragment.
     concurrency / execution_backend:
-        How :meth:`serve` physically executes admitted requests.
+        How :meth:`serve` physically executes admitted requests: the
+        ``workers`` / ``backend`` of the session's
+        :class:`~repro.service.QueryService` (documented there).
         ``concurrency=1`` (default) keeps the deterministic virtual-time
-        loop; ``concurrency=N`` (N > 1) serves through a
-        :class:`~repro.service.backends.ThreadPoolBackend` with ``N``
-        workers — same results, cache contents and admission decisions,
-        with engine work overlapping on the host.  ``execution_backend``
-        pins a backend name from the registry (``"virtual"``,
-        ``"threads"``, or ``"process"`` — the latter ships plan-aware
-        engine work to worker processes over shared-memory trie segments,
-        see :mod:`repro.service.shm`) or a ready
-        :class:`~repro.service.backends.ExecutionBackend` instance.
-        Pooled backends own host resources (worker pools, shared-memory
-        segments); :meth:`close` releases them and is idempotent.
+        loop.  :meth:`close` releases a pooled backend's host resources.
     max_in_flight / max_queue_depth / seed:
         Admission-control knobs for :meth:`serve`.
     trace:
-        ``True`` (or a ready :class:`repro.obs.Tracer`) records a span tree
-        for every execution — the synchronous :meth:`execute` path finishes
-        one trace per forced :class:`ResultSet` (surfaced as
-        ``ResultSet.trace``), and :meth:`serve` shares the same tracer with
-        the service layer, so one export covers both paths.  Default
-        ``None`` keeps the zero-overhead no-op tracer.
+        The pipeline's ``tracer`` option under the session's spelling
+        (``True`` or a ready :class:`repro.obs.Tracer`): :meth:`execute`
+        finishes one trace per forced :class:`ResultSet`
+        (``ResultSet.trace``) and :meth:`serve` shares the tracer, so one
+        export covers both paths.
     storage_dir:
         Open (or initialise) the durable store at this directory and use it
         as the session's catalog — an existing store is *recovered*
@@ -214,40 +178,26 @@ class Session:
         ``shards``/``partitioner`` to create a durable sharded catalog.
         The session owns the store: :meth:`snapshot` persists, and
         :meth:`close` releases its file handles.
-    faults / on_shard_loss / retry_policy / replication_factor:
-        Fault-tolerance knobs for sharded catalogs (see
-        :mod:`repro.service.faults`).  ``faults`` arms a deterministic
-        fault injector from a :class:`~repro.service.faults.FaultPlan` or a
-        spec string like ``"slow:0*3;down:1@100-inf"``; ``on_shard_loss``
-        selects between raising a typed
-        :class:`~repro.service.faults.ShardUnavailableError` (``"fail"``,
-        default) and returning a flagged partial result (``"partial"`` —
-        see :attr:`ResultSet.degraded`); ``retry_policy`` overrides the
-        default timeout/backoff/hedging/breaker parameters; and
+    replication_factor:
         ``replication_factor > 1`` stores that many copies of every
-        partitioned fragment on distinct shards so retries can move to a
-        replica (rejected together with ``storage_dir``: durable stores do
-        not persist replicas).  All four thread through both
-        :meth:`execute` and :meth:`serve`.
-    maintenance:
-        How the session's caches track catalog mutations.  ``"recompute"``
-        (default, the historical behaviour) drops every dependent cached
-        result.  ``"incremental"`` patches cached results — and the
-        shard-partial cache of a sharded catalog — in place with
-        semi-naive delta joins (:mod:`repro.joins.delta`) for patchable
-        events (exact insert batches); anything else still drops, so a
-        stale answer is never served.  Also selects how
-        :meth:`subscribe` subscriptions are advanced.
+        partitioned fragment on distinct shards so the fault-tolerant
+        scatter path can retry on a replica (rejected together with
+        ``storage_dir``: durable stores do not persist replicas).
+    **pipeline_options:
+        Every other keyword goes to the session's
+        :class:`~repro.service.pipeline.QueryPipeline` — its parameter table
+        is the one place the serving options (``maintenance``, ``faults``,
+        ``on_shard_loss``, ``result_cache_capacity``, ...) are declared,
+        defaulted and validated.  They hold for both :meth:`execute` and
+        :meth:`serve`; ``maintenance`` also selects how :meth:`subscribe`
+        subscriptions are advanced.
     """
 
     def __init__(
         self,
         database: Optional[Database] = None,
         engines: Optional[Sequence[Union[str, EngineProtocol]]] = None,
-        compiler: Optional[QueryCompiler] = None,
         router: Optional[CostRouter] = None,
-        plan_cache_capacity: int = 128,
-        result_cache_capacity: int = 256,
         max_in_flight: int = 4,
         max_queue_depth: Optional[int] = None,
         seed: int = 2020,
@@ -258,17 +208,15 @@ class Session:
         execution_backend=None,
         trace=None,
         storage_dir: Optional[str] = None,
-        faults: Union[FaultPlan, str, None] = None,
-        on_shard_loss: str = "fail",
-        retry_policy: Optional[RetryPolicy] = None,
         replication_factor: int = 1,
-        maintenance: str = "recompute",
+        **pipeline_options,
     ):
         if routing not in ("auto", "rotate"):
             raise ValueError(f"routing must be 'auto' or 'rotate', got {routing!r}")
-        check_maintenance_mode(maintenance)
-        check_on_shard_loss(on_shard_loss)
         check_positive("concurrency", concurrency)
+        # The pipeline validates its own options, but it is built after the
+        # store below is opened; reject a bad one before creating anything.
+        check_pipeline_options(pipeline_options)
         if storage_dir is not None:
             if database is not None:
                 raise ValueError(
@@ -288,7 +236,6 @@ class Session:
                 num_shards=shards if shards > 1 else None,
                 partitioner=partitioner,
             )
-        self.storage_dir = storage_dir
         self._owns_database = storage_dir is not None
         if database is None:
             database = Database("session")
@@ -319,18 +266,9 @@ class Session:
         self._service = None
         self._closed = False
         self._subscriptions: list = []
+        pipeline_options.setdefault("tracer", trace)
         self.pipeline = QueryPipeline(
-            database,
-            compiler=compiler,
-            plan_cache_capacity=plan_cache_capacity,
-            result_cache_capacity=result_cache_capacity,
-            tracer=trace,
-            faults=faults,
-            seed=seed,
-            on_shard_loss=on_shard_loss,
-            retry_policy=retry_policy,
-            maintenance=maintenance,
-            clock=self._clock_now,
+            database, seed=seed, clock=self._clock_now, **pipeline_options
         )
         self.compiler = self.pipeline.compiler
         self.plan_cache = self.pipeline.plan_cache
@@ -539,7 +477,7 @@ class Session:
         engine = self.engines[decision.chosen]
         pipeline = self.pipeline
 
-        def run() -> ExecutionOutcome:
+        def run() -> CompletedQuery:
             # The sync path has no event loop: each forced execution runs
             # the pipeline's stages back to back in the next window of the
             # session's virtual-time cursor.  The cursor advances whether or
@@ -562,7 +500,7 @@ class Session:
             self._trace_clock = completed.finish_time
             if prepared.error is not None:
                 raise prepared.error
-            return _outcome_of(completed)
+            return completed
 
         return ResultSet(query, signature, engine.name, run, route=decision)
 

@@ -118,11 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = subparsers.add_parser("run", help="run one pattern query")
     run_parser.add_argument("query", help="pattern name (e.g. cycle3, clique4, diamond)")
-    run_parser.add_argument("--dataset", default="bitcoin", help="Table 2 dataset name")
-    run_parser.add_argument("--scale", type=float, default=0.01, help="dataset scale (0-1]")
-    run_parser.add_argument(
-        "--edge-list", default=None, help="run on a SNAP edge-list file instead of a dataset"
-    )
+    _add_dataset_arguments(run_parser)
     run_parser.add_argument(
         "--engine",
         default="triejax",
@@ -131,27 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
         "cost-based routing (default: the TrieJax accelerator model)",
     )
     run_parser.add_argument("--threads", type=int, default=32, help="hardware threads (triejax)")
-    run_parser.add_argument(
-        "--shards", type=int, default=1,
-        help="partition the catalog across N shards and execute by scatter-gather",
-    )
-    run_parser.add_argument(
-        "--partitioner", default="hash", choices=["hash", "range"],
-        help="how relations are partitioned across shards",
-    )
-    run_parser.add_argument(
-        "--backend",
-        default="virtual",
-        choices=list(EXECUTION_BACKEND_NAMES),
-        help="execution backend from the shared registry "
-        "(repro.service.backends): 'virtual' executes synchronously; "
-        "'threads'/'process' serve the query through the service layer on "
-        "a worker pool (same results, wall-clock timing printed)",
-    )
-    run_parser.add_argument(
-        "--workers", type=int, default=4,
-        help="worker count of a pooled execution backend",
-    )
+    _add_sharding_arguments(run_parser)
+    _add_execution_arguments(run_parser)
     run_parser.add_argument(
         "--count-only", action="store_true", help="aggregate mode: count matches, do not enumerate"
     )
@@ -167,11 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain_parser.add_argument(
         "query", help="pattern name (e.g. cycle3) or a datalog rule"
     )
-    explain_parser.add_argument("--dataset", default="bitcoin", help="Table 2 dataset name")
-    explain_parser.add_argument("--scale", type=float, default=0.01, help="dataset scale (0-1]")
-    explain_parser.add_argument(
-        "--edge-list", default=None, help="explain over a SNAP edge-list file instead"
-    )
+    _add_dataset_arguments(explain_parser)
     explain_parser.add_argument(
         "--engines",
         nargs="+",
@@ -184,14 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="'auto' (cost-based) or one engine name to pin",
     )
-    explain_parser.add_argument(
-        "--shards", type=int, default=1,
-        help="explain against an N-shard catalog (scatter-gather pricing)",
-    )
-    explain_parser.add_argument(
-        "--partitioner", default="hash", choices=["hash", "range"],
-        help="how relations are partitioned across shards",
-    )
+    _add_sharding_arguments(explain_parser)
 
     experiment_parser = subparsers.add_parser(
         "experiment", help="regenerate one of the paper's tables/figures"
@@ -215,11 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     workload_parser = subparsers.add_parser(
         "workload", help="serve a seeded query stream through the service subsystem"
     )
-    workload_parser.add_argument("--dataset", default="bitcoin", help="Table 2 dataset name")
-    workload_parser.add_argument("--scale", type=float, default=0.01, help="dataset scale (0-1]")
-    workload_parser.add_argument(
-        "--edge-list", default=None, help="serve a SNAP edge-list file instead of a dataset"
-    )
+    _add_dataset_arguments(workload_parser)
     workload_parser.add_argument(
         "--num-queries", type=int, default=100, help="stream length"
     )
@@ -239,20 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["rotate", "auto"],
         help="backend selection: round-robin rotation or cost-based routing",
     )
-    workload_parser.add_argument(
-        "--backend",
-        default="virtual",
-        choices=list(EXECUTION_BACKEND_NAMES),
-        help="execution backend from the shared registry "
-        "(repro.service.backends): deterministic virtual-time loop, a "
-        "thread pool, or a process pool over shared-memory trie segments "
-        "(same results and cache behaviour, wall-clock numbers in the "
-        "report)",
-    )
-    workload_parser.add_argument(
-        "--workers", type=int, default=4,
-        help="worker count of a pooled execution backend",
-    )
+    _add_execution_arguments(workload_parser)
     workload_parser.add_argument(
         "--mode",
         default="mixed",
@@ -271,14 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     workload_parser.add_argument(
         "--seed", type=int, default=2020, help="workload/admission RNG seed"
     )
-    workload_parser.add_argument(
-        "--shards", type=int, default=1,
-        help="partition the catalog across N shards and serve by scatter-gather",
-    )
-    workload_parser.add_argument(
-        "--partitioner", default="hash", choices=["hash", "range"],
-        help="how relations are partitioned across shards",
-    )
+    _add_sharding_arguments(workload_parser)
     workload_parser.add_argument(
         "--zipf", type=float, default=None, metavar="SKEW",
         help="draw query patterns with Zipf(SKEW) popularity instead of uniformly",
@@ -308,19 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
         "init", help="initialise a store from a dataset and snapshot it"
     )
     store_init.add_argument("dir", help="store directory to create")
-    store_init.add_argument("--dataset", default="bitcoin", help="Table 2 dataset name")
-    store_init.add_argument("--scale", type=float, default=0.01, help="dataset scale (0-1]")
-    store_init.add_argument(
-        "--edge-list", default=None, help="initialise from a SNAP edge-list file instead"
-    )
-    store_init.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="create a sharded store with N shards (default: monolithic)",
-    )
-    store_init.add_argument(
-        "--partitioner", default="hash", choices=["hash", "range"],
-        help="how a sharded store partitions relations",
-    )
+    _add_dataset_arguments(store_init)
+    # None (not 1) = monolithic: ``open_store`` tells "unsharded" from "1 shard".
+    _add_sharding_arguments(store_init, default_shards=None)
     store_init.add_argument(
         "--no-warm", action="store_true",
         help="skip pre-building trie indexes (warm tries become mmap'd "
@@ -478,6 +410,46 @@ def _populate_durable_catalog(catalog, args) -> None:
         catalog.add_relation(source.relation(name))
 
 
+def _add_dataset_arguments(parser) -> None:
+    """The graph a command loads (``run``, ``explain``, ``workload``, ``store init``)."""
+    parser.add_argument("--dataset", default="bitcoin", help="Table 2 dataset name")
+    parser.add_argument("--scale", type=float, default=0.01, help="dataset scale (0-1]")
+    parser.add_argument(
+        "--edge-list", default=None, help="load a SNAP edge-list file instead of a dataset"
+    )
+
+
+def _add_sharding_arguments(parser, default_shards: Optional[int] = 1) -> None:
+    """How the catalog is partitioned (same four commands)."""
+    parser.add_argument(
+        "--shards", type=int, default=default_shards, metavar="N",
+        help="partition the catalog across N shards; statements then run "
+        "(and are priced) by scatter-gather (default: monolithic)",
+    )
+    parser.add_argument(
+        "--partitioner", default="hash", choices=["hash", "range"],
+        help="how relations are partitioned across shards",
+    )
+
+
+def _add_execution_arguments(parser) -> None:
+    """Where admitted work physically runs (``run``, ``workload``)."""
+    parser.add_argument(
+        "--backend",
+        default="virtual",
+        choices=list(EXECUTION_BACKEND_NAMES),
+        help="execution backend from the shared registry "
+        "(repro.service.backends): the deterministic virtual-time loop "
+        "(``run`` executes synchronously), a thread pool, or a process pool "
+        "over shared-memory trie segments — same results and cache "
+        "behaviour, wall-clock numbers printed",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=4,
+        help="worker count of a pooled execution backend",
+    )
+
+
 def _add_fault_arguments(parser) -> None:
     """The fault-tolerance flags shared by ``run`` and ``workload``."""
     parser.add_argument(
@@ -523,15 +495,12 @@ def _add_session_arguments(parser) -> None:
 
 
 def _fault_session_kwargs(args) -> dict:
-    """Session kwargs for the fault flags; {} when all are at defaults."""
-    kwargs = {}
-    if getattr(args, "faults", None):
-        kwargs["faults"] = args.faults
-    if getattr(args, "on_shard_loss", "fail") != "fail":
-        kwargs["on_shard_loss"] = args.on_shard_loss
-    if getattr(args, "replication_factor", 1) != 1:
-        kwargs["replication_factor"] = args.replication_factor
-    return kwargs
+    """Session kwargs for the ``_add_fault_arguments`` flags."""
+    return {
+        "faults": args.faults or None,
+        "on_shard_loss": args.on_shard_loss,
+        "replication_factor": args.replication_factor,
+    }
 
 
 def _open_session(args, **session_kwargs) -> Session:

@@ -42,7 +42,6 @@ from repro.joins.delta import (
     DeltaPlan,
     DeltaPlanner,
     DeltaResult,
-    DeltaView,
     delta_alias,
     delta_rewrites,
     evaluate_delta,
@@ -75,7 +74,6 @@ __all__ = [
     "DeltaPlan",
     "DeltaPlanner",
     "DeltaResult",
-    "DeltaView",
     "delta_alias",
     "delta_rewrites",
     "evaluate_delta",

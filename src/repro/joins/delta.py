@@ -29,13 +29,12 @@ The machinery is deliberately thin over the existing compiler/engine stack:
   :class:`~repro.joins.plan.JoinPlan` runs through the same
   ``slot_program()`` machinery, so ``JoinStats`` accounting stays honest
   for delta joins.
-* :class:`DeltaView` is the read-only catalog the delta terms run against:
+* :func:`evaluate_delta` runs the union and returns the delta result.  The
+  terms run against an :class:`~repro.relational.catalog.OverlayCatalog`:
   delta aliases resolve to a private :class:`Database` holding the batch
   rows; every other name falls through to the base catalog (a
   :class:`Database`, :class:`~repro.relational.sharding.ShardedDatabase`
-  or :class:`~repro.relational.sharding.ShardView` — anything with the
-  catalog read surface).
-* :func:`evaluate_delta` runs the union and returns the delta result.
+  or a shard view — anything with the catalog read surface).
 """
 
 from __future__ import annotations
@@ -46,10 +45,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.joins.compiler import QueryCompiler
 from repro.joins.plan import JoinPlan
 from repro.joins.stats import JoinStats
-from repro.relational.catalog import Database
+from repro.relational.catalog import Database, OverlayCatalog
 from repro.relational.query import Atom, ConjunctiveQuery
 from repro.relational.relation import Relation
-from repro.relational.trie import TrieIndex
 
 Row = Tuple[int, ...]
 
@@ -94,63 +92,6 @@ def delta_rewrites(
             )
         )
     return tuple(rewrites)
-
-
-class DeltaView:
-    """The catalog one delta term runs against.
-
-    Resolves every delta alias to a private database holding the batch
-    rows and everything else to the base catalog, so a delta term reads
-    ``ΔR_i`` for its rebound atom and the live post-insert relations for
-    the rest.  Read-only: the serving layer mutates the base catalog, never
-    the view.
-    """
-
-    def __init__(self, base, delta_relations: Iterable[Relation]):
-        self._base = base
-        self._deltas = Database(f"{getattr(base, 'name', 'catalog')}~delta")
-        for relation in delta_relations:
-            self._deltas.add_relation(relation)
-        self.name = self._deltas.name
-
-    def _owns(self, name: str) -> bool:
-        return name in self._deltas
-
-    def relation(self, name: str) -> Relation:
-        if self._owns(name):
-            return self._deltas.relation(name)
-        return self._base.relation(name)
-
-    def relation_names(self) -> Tuple[str, ...]:
-        return tuple(self._base.relation_names()) + self._deltas.relation_names()
-
-    def __contains__(self, name: str) -> bool:
-        return self._owns(name) or name in self._base
-
-    def trie(self, relation_name: str, attribute_order: Sequence[str]) -> TrieIndex:
-        if self._owns(relation_name):
-            return self._deltas.trie(relation_name, attribute_order)
-        return self._base.trie(relation_name, attribute_order)
-
-    def trie_for_atom(self, atom: Atom, variable_order: Sequence[str]) -> TrieIndex:
-        if self._owns(atom.relation):
-            return self._deltas.trie_for_atom(atom, variable_order)
-        return self._base.trie_for_atom(atom, variable_order)
-
-    def validate_query(self, query: ConjunctiveQuery) -> None:
-        for atom in query.atoms:
-            relation = self.relation(atom.relation)
-            if atom.arity != relation.schema.arity:
-                raise ValueError(
-                    f"atom {atom} has arity {atom.arity}, but relation "
-                    f"{relation.name!r} has arity {relation.schema.arity}"
-                )
-
-    def total_tuples(self) -> int:
-        return self._base.total_tuples() + self._deltas.total_tuples()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"DeltaView(base={getattr(self._base, 'name', '?')!r})"
 
 
 @dataclass(frozen=True)
@@ -230,7 +171,9 @@ def evaluate_delta(
     query's atoms — to the genuinely-new rows just inserted into them.
     ``engine`` must be plan-aware (the maintainer uses LFTJ); every term
     runs its compiled :class:`JoinPlan` through the normal slot-program
-    machinery against a :class:`DeltaView`.
+    machinery against an overlay of ``catalog`` (named ``{catalog}~delta``)
+    in which each delta alias reads ``ΔR_i`` and every other name the live
+    post-insert relation.
     """
     changed = {
         name: tuple(rows)
@@ -240,18 +183,20 @@ def evaluate_delta(
     stats = JoinStats()
     if not changed:
         return DeltaResult(tuples=(), stats=stats, terms=0)
-    relations = []
+    batch = Database(f"{getattr(catalog, 'name', 'catalog')}~delta")
     for name, rows in sorted(changed.items()):
-        schema = catalog.relation(name).schema
-        relations.append(Relation(delta_alias(name), schema, rows))
-    view = DeltaView(catalog, relations)
+        alias = delta_alias(name)
+        batch.add_relation(Relation(alias, catalog.relation(name).schema, rows))
+    view = OverlayCatalog(
+        catalog, {alias: (batch, alias) for alias in batch.relation_names()}, batch.name
+    )
     results: set = set()
     terms = 0
     cost = 0.0
     for delta_plan in planner.plans_for(query, changed):
         execution = engine.execute(delta_plan.query, view, plan=delta_plan.plan)
         results.update(tuple(row) for row in execution.tuples)
-        _merge_stats(stats, execution.stats)
+        stats.add(execution.stats)
         cost += execution.cost
         terms += 1
     return DeltaResult(
@@ -259,31 +204,11 @@ def evaluate_delta(
     )
 
 
-def _merge_stats(into: JoinStats, stats: Optional[JoinStats]) -> None:
-    if stats is None:
-        return
-    into.output_tuples += stats.output_tuples
-    into.bindings_enumerated += stats.bindings_enumerated
-    into.intermediate_results += stats.intermediate_results
-    into.lub_searches += stats.lub_searches
-    into.index_element_reads += stats.index_element_reads
-    into.index_element_writes += stats.index_element_writes
-    into.cache_lookups += stats.cache_lookups
-    into.cache_hits += stats.cache_hits
-    into.cache_inserts += stats.cache_inserts
-    into.cache_evictions += stats.cache_evictions
-    for variable, matches in stats.per_variable_matches.items():
-        into.per_variable_matches[variable] = (
-            into.per_variable_matches.get(variable, 0) + matches
-        )
-
-
 __all__ = [
     "DELTA_SUFFIX",
     "DeltaPlan",
     "DeltaPlanner",
     "DeltaResult",
-    "DeltaView",
     "delta_alias",
     "delta_rewrites",
     "evaluate_delta",

@@ -13,7 +13,7 @@ counters into cycles, joules and DRAM accesses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 
 @dataclass
@@ -75,23 +75,28 @@ class JoinStats:
         """Reads plus writes against index/intermediate structures."""
         return self.index_element_reads + self.index_element_writes
 
+    def add(self, other: Optional["JoinStats"]) -> None:
+        """Accumulate ``other``'s counters into this object (``None`` adds nothing)."""
+        if other is None:
+            return
+        self.output_tuples += other.output_tuples
+        self.bindings_enumerated += other.bindings_enumerated
+        self.intermediate_results += other.intermediate_results
+        self.lub_searches += other.lub_searches
+        self.index_element_reads += other.index_element_reads
+        self.index_element_writes += other.index_element_writes
+        self.cache_lookups += other.cache_lookups
+        self.cache_hits += other.cache_hits
+        self.cache_inserts += other.cache_inserts
+        self.cache_evictions += other.cache_evictions
+        for variable, count in other.per_variable_matches.items():
+            self.record_match(variable, count)
+
     def merge(self, other: "JoinStats") -> "JoinStats":
         """Return a new :class:`JoinStats` with both objects' counters summed."""
-        merged = JoinStats(
-            output_tuples=self.output_tuples + other.output_tuples,
-            bindings_enumerated=self.bindings_enumerated + other.bindings_enumerated,
-            intermediate_results=self.intermediate_results + other.intermediate_results,
-            lub_searches=self.lub_searches + other.lub_searches,
-            index_element_reads=self.index_element_reads + other.index_element_reads,
-            index_element_writes=self.index_element_writes + other.index_element_writes,
-            cache_lookups=self.cache_lookups + other.cache_lookups,
-            cache_hits=self.cache_hits + other.cache_hits,
-            cache_inserts=self.cache_inserts + other.cache_inserts,
-            cache_evictions=self.cache_evictions + other.cache_evictions,
-        )
-        merged.per_variable_matches = dict(self.per_variable_matches)
-        for variable, count in other.per_variable_matches.items():
-            merged.record_match(variable, count)
+        merged = JoinStats()
+        merged.add(self)
+        merged.add(other)
         return merged
 
     #: Counters projected onto trace spans (the high-signal subset; the

@@ -33,13 +33,13 @@ from repro.relational.catalog import (
     Database,
     DeltaBatch,
     MutationEvent,
+    OverlayCatalog,
     RelationState,
 )
 from repro.relational.sharding import (
     HashPartitioner,
     RangePartitioner,
     ScatterSpec,
-    ShardView,
     ShardedDatabase,
     partitioner_from_spec,
     shard_alias,
@@ -82,11 +82,11 @@ __all__ = [
     "Database",
     "DeltaBatch",
     "MutationEvent",
+    "OverlayCatalog",
     "RelationState",
     "HashPartitioner",
     "RangePartitioner",
     "ScatterSpec",
-    "ShardView",
     "ShardedDatabase",
     "partitioner_from_spec",
     "shard_alias",

@@ -45,6 +45,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -246,6 +247,40 @@ class Catalog(Protocol):
     def unsubscribe_invalidation(self, callback: MutationListener) -> bool: ...
 
     def total_tuples(self) -> int: ...
+
+
+def ordered_attributes_for(
+    atom: Atom, attributes: Sequence[str], variable_order: Sequence[str]
+) -> Tuple[str, ...]:
+    """The trie attribute permutation ``atom`` needs under ``variable_order``.
+
+    ``attributes`` are the bound relation's own attribute names.  The atom
+    binds query variables to them by position; the trie levels must follow
+    the order in which the *query variables* are eliminated.  The one
+    derivation behind :meth:`Database.trie_for_atom` and the process
+    backend's segment keys (:mod:`repro.service.shm`), so exporter and
+    worker derive the same key from the same plan by construction.
+    """
+    if atom.arity != len(attributes):
+        raise ValueError(
+            f"atom {atom} has arity {atom.arity} but relation "
+            f"{atom.relation!r} has arity {len(attributes)}"
+        )
+    # Repeated variables bind several attributes; they keep atom order.
+    ordered: List[str] = []
+    for variable in variable_order:
+        for position, bound in enumerate(atom.variables):
+            if bound == variable:
+                attribute = attributes[position]
+                if attribute not in ordered:
+                    ordered.append(attribute)
+    if len(ordered) != len(attributes):
+        missing = [a for a in attributes if a not in ordered]
+        raise ValueError(
+            f"variable order {tuple(variable_order)!r} does not cover attributes "
+            f"{missing!r} of atom {atom}"
+        )
+    return tuple(ordered)
 
 
 class Database:
@@ -460,38 +495,12 @@ class Database:
     def trie_for_atom(
         self, atom: Atom, variable_order: Sequence[str]
     ) -> TrieIndex:
-        """Build the trie an engine needs to scan ``atom`` under ``variable_order``.
-
-        The atom binds query variables to the relation's attributes by
-        position; the trie levels must follow the order in which the *query
-        variables* are eliminated.  This helper translates the global
-        variable order into the per-relation attribute order and returns the
-        corresponding trie.
-        """
-        relation = self.relation(atom.relation)
-        if atom.arity != relation.schema.arity:
-            raise ValueError(
-                f"atom {atom} has arity {atom.arity} but relation "
-                f"{relation.name!r} has arity {relation.schema.arity}"
-            )
-        # Map: query variable -> relation attribute at the bound position.
-        # Repeated variables bind several attributes; they keep atom order.
-        ordered_attributes = []
-        for variable in variable_order:
-            for position, bound in enumerate(atom.variables):
-                if bound == variable:
-                    attribute = relation.schema.attributes[position]
-                    if attribute not in ordered_attributes:
-                        ordered_attributes.append(attribute)
-        if len(ordered_attributes) != relation.schema.arity:
-            missing = [
-                a for a in relation.schema.attributes if a not in ordered_attributes
-            ]
-            raise ValueError(
-                f"variable order {tuple(variable_order)!r} does not cover attributes "
-                f"{missing!r} of atom {atom}"
-            )
-        return self.trie(atom.relation, ordered_attributes)
+        """The trie an engine needs to scan ``atom`` under ``variable_order``
+        (levels in :func:`ordered_attributes_for` order)."""
+        attributes = self.relation(atom.relation).schema.attributes
+        return self.trie(
+            atom.relation, ordered_attributes_for(atom, attributes, variable_order)
+        )
 
     # ------------------------------------------------------------------ #
     # Validation / statistics
@@ -521,3 +530,67 @@ class Database:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Database({self.name!r}, relations={sorted(self._relations)})"
+
+
+class OverlayCatalog:
+    """A read-only catalog in which some names resolve elsewhere.
+
+    ``overlays`` maps a visible relation name to ``(database,
+    stored_name)``; every other name falls through to ``base`` (anything
+    with the :class:`Catalog` read surface, another overlay included).  A
+    scatter task's view maps the shard alias to the seed fragment's
+    :class:`Database` (:meth:`ShardedDatabase.shard_view
+    <repro.relational.sharding.ShardedDatabase.shard_view>`); a delta term's
+    view maps the delta aliases to a private database holding the batch
+    rows (:func:`repro.joins.delta.evaluate_delta`).  The serving layer
+    mutates the base catalog, never the view.
+    """
+
+    def __init__(self, base, overlays: Mapping[str, Tuple[Database, str]], name: str):
+        self.base = base
+        self.overlays = dict(overlays)
+        self.name = name
+
+    def relation(self, name: str) -> Relation:
+        target = self.overlays.get(name)
+        if target is None:
+            return self.base.relation(name)
+        return target[0].relation(target[1])
+
+    def relation_names(self) -> Tuple[str, ...]:
+        return tuple(self.base.relation_names()) + tuple(self.overlays)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.overlays or name in self.base
+
+    def trie(self, relation_name: str, attribute_order: Sequence[str]) -> TrieIndex:
+        target = self.overlays.get(relation_name)
+        if target is None:
+            return self.base.trie(relation_name, attribute_order)
+        return target[0].trie(target[1], attribute_order)
+
+    def trie_for_atom(self, atom: Atom, variable_order: Sequence[str]) -> TrieIndex:
+        target = self.overlays.get(atom.relation)
+        if target is None:
+            return self.base.trie_for_atom(atom, variable_order)
+        database, stored_name = target
+        return database.trie_for_atom(Atom(stored_name, atom.variables), variable_order)
+
+    def validate_query(self, query: ConjunctiveQuery) -> None:
+        for atom in query.atoms:
+            relation = self.relation(atom.relation)
+            if atom.arity != relation.schema.arity:
+                raise ValueError(
+                    f"atom {atom} has arity {atom.arity}, but relation "
+                    f"{relation.name!r} has arity {relation.schema.arity}"
+                )
+
+    def total_tuples(self) -> int:
+        """Stored tuples across every visible name (the overlaid ones included)."""
+        return self.base.total_tuples() + sum(
+            database.relation(stored_name).cardinality
+            for database, stored_name in self.overlays.values()
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+        return f"OverlayCatalog({self.name!r}, overlays={sorted(self.overlays)})"

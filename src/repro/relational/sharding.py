@@ -20,12 +20,13 @@ scatter task reads the full copy.
 **Scatter-gather.**  A query fans out by rewriting one *seed atom* — the
 first atom over a partitioned relation — to a shard-local alias
 (:func:`shard_alias`).  Shard ``i``'s task executes the rewritten query
-against a :class:`ShardView`, which resolves the alias to shard ``i``'s
-fragment and every other relation name to the global view.  Because the
-fragments partition the seed relation disjointly, the union of the per-shard
-results is exactly the monolithic result; when the seed relation is
-replicated instead, every task computes the full result and the gather step
-deduplicates.  :meth:`ShardedDatabase.scatter_spec` encodes this rewrite;
+against :meth:`ShardedDatabase.shard_view`, an
+:class:`~repro.relational.catalog.OverlayCatalog` that resolves the alias to
+shard ``i``'s fragment and every other relation name to the global view.
+Because the fragments partition the seed relation disjointly, the union of
+the per-shard results is exactly the monolithic result; when the seed
+relation is replicated instead, every task computes the full result and the
+gather step deduplicates.  :meth:`ShardedDatabase.scatter_spec` encodes this rewrite;
 :class:`repro.service.scatter.ScatterGatherExecutor` runs it.
 
 **Invalidation.**  :meth:`ShardedDatabase.insert_into` routes each row to
@@ -59,6 +60,7 @@ from repro.relational.catalog import (
     Database,
     MutationEvent,
     MutationListener,
+    OverlayCatalog,
     RelationState,
 )
 from repro.relational.query import Atom, ConjunctiveQuery
@@ -217,78 +219,6 @@ class ScatterSpec:
     alias: str
     query: ConjunctiveQuery
     partitioned: bool
-
-
-class ShardView:
-    """The catalog one scatter task runs against.
-
-    Resolves the spec's alias to shard ``shard_index``'s fragment of the
-    seed relation and every other name to the sharded catalog's global
-    view, so non-seed atoms read full relations (broadcast semantics) and
-    their tries are shared across all shard tasks.
-    """
-
-    def __init__(
-        self,
-        sharded: "ShardedDatabase",
-        shard_index: int,
-        spec: ScatterSpec,
-        replica: int = 0,
-    ):
-        self.sharded = sharded
-        self.shard_index = shard_index
-        self.spec = spec
-        self.replica = replica
-        suffix = f".r{replica}" if replica else ""
-        self.name = f"{sharded.name}.view{shard_index}{suffix}"
-
-    def _is_alias(self, name: str) -> bool:
-        return name == self.spec.alias
-
-    def relation(self, name: str) -> Relation:
-        if self._is_alias(name):
-            return self._seed_database().relation(self.spec.seed_relation)
-        return self.sharded.relation(name)
-
-    def relation_names(self) -> Tuple[str, ...]:
-        return self.sharded.relation_names() + (self.spec.alias,)
-
-    def __contains__(self, name: str) -> bool:
-        return self._is_alias(name) or name in self.sharded
-
-    def trie(self, relation_name: str, attribute_order: Sequence[str]) -> TrieIndex:
-        if self._is_alias(relation_name):
-            return self._seed_database().trie(self.spec.seed_relation, attribute_order)
-        return self.sharded.trie(relation_name, attribute_order)
-
-    def trie_for_atom(self, atom: Atom, variable_order: Sequence[str]) -> TrieIndex:
-        if self._is_alias(atom.relation):
-            real_atom = Atom(self.spec.seed_relation, atom.variables)
-            return self._seed_database().trie_for_atom(real_atom, variable_order)
-        return self.sharded.trie_for_atom(atom, variable_order)
-
-    def validate_query(self, query: ConjunctiveQuery) -> None:
-        for atom in query.atoms:
-            relation = self.relation(atom.relation)
-            if atom.arity != relation.schema.arity:
-                raise ValueError(
-                    f"atom {atom} has arity {atom.arity}, but relation "
-                    f"{relation.name!r} has arity {relation.schema.arity}"
-                )
-
-    def _seed_database(self) -> Database:
-        """The database holding this task's seed fragment (trie cache included)."""
-        if self.spec.partitioned:
-            return self.sharded.shard_replica_database(
-                self.spec.seed_relation, self.shard_index, self.replica
-            )
-        return self.sharded.global_database
-
-    def total_tuples(self) -> int:
-        return sum(self.relation(name).cardinality for name in self.sharded.relation_names())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"ShardView({self.name!r}, seed={self.spec.seed_relation!r})"
 
 
 # --------------------------------------------------------------------------- #
@@ -736,13 +666,27 @@ class ShardedDatabase:
             partitioned=self.is_partitioned(seed.relation),
         )
 
-    def shard_view(self, shard: int, spec: ScatterSpec, replica: int = 0) -> ShardView:
+    def shard_view(self, shard: int, spec: ScatterSpec, replica: int = 0) -> OverlayCatalog:
         """The catalog view shard ``shard``'s scatter task executes against.
 
-        ``replica`` selects which copy of the seed fragment the task reads
-        (0 is the primary); the fragment contents are identical either way.
+        Resolves the spec's alias to that shard's fragment of the seed
+        relation (the whole relation for a replicated seed) and every other
+        name to this catalog's global view, so non-seed atoms read full
+        relations (broadcast semantics) and their tries are shared across
+        all shard tasks.  ``replica`` selects which copy of the seed
+        fragment the task reads (0 is the primary); the fragment contents
+        are identical either way.
         """
-        return ShardView(self, shard, spec, replica=replica)
+        if spec.partitioned:
+            seed = self.shard_replica_database(spec.seed_relation, shard, replica)
+        else:
+            seed = self._global
+        suffix = f".r{replica}" if replica else ""
+        return OverlayCatalog(
+            self._global,
+            {spec.alias: (seed, spec.seed_relation)},
+            f"{self.name}.view{shard}{suffix}",
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -43,7 +43,8 @@ from repro.relational.query import ConjunctiveQuery
 from repro.service.caches import ResultCache
 from repro.service.metrics import RECORD_WINDOW
 
-#: The maintenance policies a service/session can run under.
+#: The policies a :class:`~repro.service.pipeline.QueryPipeline` runs under:
+#: the caches' own drops, or one :class:`ResultMaintainer` subscribed instead.
 MAINTENANCE_MODES = ("recompute", "incremental")
 
 
@@ -66,7 +67,6 @@ class MaintenanceReport:
     the delta joins run for this event (0 for pure drops).
     """
 
-    mode: str
     patchable: bool
     result_patched: int = 0
     result_dropped: int = 0
@@ -105,9 +105,6 @@ class ResultMaintainer:
         Plan-aware engine the delta terms run on; LFTJ by default — the
         cache-less engine keeps maintenance cost independent of any
         PJR-cache state.
-    mode:
-        ``"incremental"`` (patch when possible) or ``"recompute"``
-        (always drop; useful to A/B the two policies through one wiring).
     clock:
         Zero-argument callable giving the current virtual time, used for
         the scatter fault-path check (a fragment unreachable *now* cannot
@@ -121,7 +118,6 @@ class ResultMaintainer:
         scatter=None,
         compiler: Optional[QueryCompiler] = None,
         engine=None,
-        mode: str = "incremental",
         clock: Optional[Callable[[], float]] = None,
     ):
         self.catalog = catalog
@@ -130,7 +126,6 @@ class ResultMaintainer:
         self.compiler = compiler or QueryCompiler(enable_caching=True)
         self.planner = DeltaPlanner(self.compiler)
         self.engine = engine if engine is not None else create_engine("lftj")
-        self.mode = check_maintenance_mode(mode)
         self.clock = clock or (lambda: 0.0)
         #: Accumulated virtual-time cost of every delta join run so far.
         self.cost_ns = 0.0
@@ -149,13 +144,12 @@ class ResultMaintainer:
         (``catalog.subscribe_invalidation(maintainer.on_mutation)``) in
         place of the caches' ``invalidate`` methods.
         """
-        if self.mode != "incremental" or not event.patchable:
+        if not event.patchable:
             result_dropped = self.result_cache.invalidate(event)
             partial_dropped = 0
             if self.scatter is not None and self.scatter.partial_cache is not None:
                 partial_dropped = self.scatter.partial_cache.invalidate(event)
             report = MaintenanceReport(
-                mode=self.mode,
                 patchable=False,
                 result_dropped=result_dropped,
                 partial_dropped=partial_dropped,
@@ -170,7 +164,6 @@ class ResultMaintainer:
                 event, self.planner, self.engine, now=self.clock()
             )
         report = MaintenanceReport(
-            mode=self.mode,
             patchable=True,
             result_patched=patched,
             result_dropped=dropped,

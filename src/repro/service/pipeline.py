@@ -25,7 +25,9 @@ an already-chosen engine — routing policy stays with its owner.
 
 The constructor is also the single wiring site: it builds the plan, result
 and shard-partial caches, the scatter-gather executor, the fault injector
-and the incremental maintainer, and subscribes them to the catalog.
+and the incremental maintainer, and subscribes them to the catalog.  Its
+keywords are the one declaration of the serving options: ``Session`` and
+``QueryService`` forward whatever they do not consume themselves.
 """
 
 from __future__ import annotations
@@ -46,13 +48,29 @@ from repro.service.faults import (
     FaultPlan,
     RetryPolicy,
     ShardUnavailableError,
+    check_on_shard_loss,
     coerce_fault_plan,
 )
-from repro.service.maintenance import ResultMaintainer
+from repro.service.maintenance import ResultMaintainer, check_maintenance_mode
 from repro.service.scatter import ScatterGatherExecutor, ScatterGatherStats
 
 #: Virtual-time cost charged to a request answered from the result cache.
 RESULT_REPLAY_COST = 1.0
+
+#: LRU capacity of the plan cache (one entry per canonical signature).
+PLAN_CACHE_CAPACITY = 128
+
+
+def check_pipeline_options(options: Mapping[str, object]) -> None:
+    """Raise the ``ValueError`` :class:`QueryPipeline` would for ``options``.
+
+    Touches nothing: an owner that acquires resources ahead of its pipeline
+    (:class:`repro.api.Session` opening a durable store) calls it first.
+    """
+    if "maintenance" in options:
+        check_maintenance_mode(options["maintenance"])
+    if "on_shard_loss" in options:
+        check_on_shard_loss(options["on_shard_loss"])
 
 
 @dataclass(slots=True)
@@ -122,20 +140,44 @@ class QueryPipeline:
         The catalog queries run against; a
         :class:`~repro.relational.sharding.ShardedDatabase` gets a
         scatter-gather executor with a shard-partial cache.
-    compiler / plan_cache_capacity / result_cache_capacity:
-        The canonicalising compiler (a caching one by default) and the LRU
-        capacities of the plan cache and of the result and partial caches.
+    compiler:
+        The canonicalising :class:`~repro.joins.compiler.QueryCompiler`
+        shared by the plan cache, the scatter executor and the maintainer
+        (a caching one by default).
+    result_cache_capacity:
+        LRU capacity of the result cache and of the shard-partial cache
+        (the plan cache holds :data:`PLAN_CACHE_CAPACITY` plans).
     tracer:
-        A :class:`repro.obs.Tracer`, ``True`` for a fresh one, or ``None``
-        for the no-op tracer.
-    faults / seed / on_shard_loss / retry_policy:
-        Fault tolerance of the scatter path (:mod:`repro.service.faults`);
-        a non-empty fault plan arms the injector.
+        A :class:`repro.obs.Tracer`, or ``True`` for a fresh one, records a
+        span tree per query (admission wait, routing, plan probe, engine
+        execution with scatter legs) with deterministic ids: traces finish
+        in virtual-time completion order on every execution backend.
+        ``None`` is the no-op tracer (sites are guarded on ``tracer.enabled``).
+    faults / seed:
+        A :class:`~repro.service.faults.FaultPlan`, or a spec string like
+        ``"slow:0*3;down:1@100-inf"`` parsed under ``seed``
+        (:func:`repro.service.faults.parse_fault_spec`).  A non-empty plan
+        arms the deterministic injector: the scatter path gains the
+        retry/timeout/hedging attempt walk, and a ``crash:`` clause arms
+        the process backend's worker-crash trigger.
+    on_shard_loss:
+        ``"fail"`` (default): a shard lost on every replica raises a typed
+        :class:`~repro.service.faults.ShardUnavailableError`.
+        ``"partial"``: the query completes with the surviving fragments'
+        union, flagged ``degraded`` and never admitted into the result
+        cache as a complete answer.
+    retry_policy:
+        :class:`~repro.service.faults.RetryPolicy` overrides for the
+        fault-tolerant scatter path (timeouts, backoff, hedging, breaker).
     maintenance:
-        ``"recompute"`` subscribes the caches' ``invalidate`` to the
-        catalog; ``"incremental"`` subscribes one
+        How the caches track catalog mutations.  ``"recompute"`` (default)
+        subscribes the caches' ``invalidate``: every dependent entry drops.
+        ``"incremental"`` subscribes one
         :class:`~repro.service.maintenance.ResultMaintainer` that patches
-        both caches and falls back to drops per event.
+        cached results — and the shard-partial cache of a sharded catalog —
+        in place with semi-naive delta joins (:mod:`repro.joins.delta`) for
+        patchable events (exact insert batches); anything else still
+        drops, so a stale answer is never served.
     clock:
         Zero-argument callable giving the owner's current virtual time, read
         by the maintainer's fault-path check.
@@ -145,7 +187,6 @@ class QueryPipeline:
         self,
         database: Database,
         compiler: Optional[QueryCompiler] = None,
-        plan_cache_capacity: int = 128,
         result_cache_capacity: int = 256,
         tracer: Union[Tracer, bool, None] = None,
         faults: Union[FaultPlan, str, None] = None,
@@ -155,9 +196,10 @@ class QueryPipeline:
         maintenance: str = "recompute",
         clock: Optional[Callable[[], float]] = None,
     ):
+        check_pipeline_options({"maintenance": maintenance, "on_shard_loss": on_shard_loss})
         self.database = database
         self.compiler = compiler or QueryCompiler(enable_caching=True)
-        self.plan_cache = PlanCache(plan_cache_capacity)
+        self.plan_cache = PlanCache(PLAN_CACHE_CAPACITY)
         self.result_cache = ResultCache(result_cache_capacity)
         self.tracer = coerce_tracer(tracer)
         self.fault_plan = (
@@ -413,4 +455,11 @@ class QueryPipeline:
             self.tracer.finish(prepared.trace)
 
 
-__all__ = ["CompletedQuery", "PreparedQuery", "QueryPipeline", "RESULT_REPLAY_COST"]
+__all__ = [
+    "CompletedQuery",
+    "PLAN_CACHE_CAPACITY",
+    "PreparedQuery",
+    "QueryPipeline",
+    "RESULT_REPLAY_COST",
+    "check_pipeline_options",
+]

@@ -4,8 +4,8 @@ The executor takes any :class:`~repro.engines.EngineProtocol` engine and
 a :class:`~repro.relational.sharding.ShardedDatabase` and runs the catalog's
 :class:`~repro.relational.sharding.ScatterSpec`: the seed atom is rewritten
 to the shard alias, each shard's task executes the rewritten query against
-its :class:`~repro.relational.sharding.ShardView` (seed fragment local,
-everything else the shared global view), and the gather step merges the
+its :meth:`~repro.relational.sharding.ShardedDatabase.shard_view` (seed
+fragment local, everything else the shared global view), and the gather step merges the
 partial results — deduplicating, which matters when the seed relation is
 replicated and every task computes the full result.
 
@@ -192,25 +192,6 @@ class ScatterGatherStats:
                 f"  DEGRADED: missing shard(s) {list(self.missing_shards)}"
             )
         return "\n".join(lines)
-
-
-def _merge_join_stats(into: JoinStats, stats: Optional[JoinStats]) -> None:
-    if stats is None:
-        return
-    into.output_tuples += stats.output_tuples
-    into.bindings_enumerated += stats.bindings_enumerated
-    into.intermediate_results += stats.intermediate_results
-    into.lub_searches += stats.lub_searches
-    into.index_element_reads += stats.index_element_reads
-    into.index_element_writes += stats.index_element_writes
-    into.cache_lookups += stats.cache_lookups
-    into.cache_hits += stats.cache_hits
-    into.cache_inserts += stats.cache_inserts
-    into.cache_evictions += stats.cache_evictions
-    for variable, matches in stats.per_variable_matches.items():
-        into.per_variable_matches[variable] = (
-            into.per_variable_matches.get(variable, 0) + matches
-        )
 
 
 def partial_key(signature: str, shard: int) -> str:
@@ -457,27 +438,19 @@ class ScatterGatherExecutor:
                     0,
                 )
 
+        def view_of(shard: int):
+            return self.catalog.shard_view(shard, spec, replica=read_replica.get(shard, 0))
+
         def run_shard(shard: int) -> EngineExecution:
-            view = self.catalog.shard_view(
-                shard, spec, replica=read_replica.get(shard, 0)
-            )
             if plan is not None:
-                return engine.execute(spec.query, view, plan=plan)
-            return engine.execute(spec.query, view)
+                return engine.execute(spec.query, view_of(shard), plan=plan)
+            return engine.execute(spec.query, view_of(shard))
 
         wall_times: Dict[int, float] = {}
         offloaded = None
         if engine_runner is not None and plan is not None and to_compute:
             offloaded = engine_runner.run_shards(
-                engine,
-                spec.query,
-                plan,
-                {
-                    shard: self.catalog.shard_view(
-                        shard, spec, replica=read_replica.get(shard, 0)
-                    )
-                    for shard in to_compute
-                },
+                engine, spec.query, plan, {shard: view_of(shard) for shard in to_compute}
             )
         if offloaded is not None:
             executions = {}
@@ -549,7 +522,7 @@ class ScatterGatherExecutor:
             cacheable = cacheable and execution.cacheable
             if execution.count is not None:
                 counts.append(execution.count)
-            _merge_join_stats(aggregated, execution.stats)
+            aggregated.add(execution.stats)
             if self.partial_cache is not None and execution.cacheable:
                 key = partial_key(signature, shard)
                 entry = (
@@ -719,9 +692,7 @@ class ScatterGatherExecutor:
             ):
                 deltas[evt.relation] = rows
             if spec.seed_relation == evt.relation:
-                if not spec.partitioned:
-                    deltas[spec.alias] = rows
-                elif evt.shard == shard:
+                if not spec.partitioned or evt.shard == shard:
                     deltas[spec.alias] = rows
                 elif evt.shard is None:
                     # Whole-relation event on a partitioned seed: the rows

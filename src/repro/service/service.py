@@ -52,19 +52,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engines import EngineExecution, EngineProtocol
 from repro.engines import create_engine as create_backend
-from repro.joins.compiler import QueryCompiler
-from repro.obs.trace import Tracer
 from repro.relational.catalog import Database
 from repro.relational.query import ConjunctiveQuery
 from repro.service.admission import AdmissionController
 from repro.service.backends import ExecutionBackend, TaskMap, create_execution_backend
-from repro.service.faults import (
-    FaultPlan,
-    RetryPolicy,
-    ShardUnavailableError,
-    check_on_shard_loss,
-)
-from repro.service.maintenance import check_maintenance_mode
+from repro.service.faults import ShardUnavailableError
 from repro.service.metrics import QueryRecord, ServiceMetrics
 from repro.service.pipeline import CompletedQuery, PreparedQuery, QueryPipeline
 
@@ -127,10 +119,8 @@ class QueryService:
     Parameters
     ----------
     database:
-        The catalog queries run against.  The service subscribes to its
-        invalidation events: any mutation through the catalog drops the
-        dependent result-cache entries (compiled plans survive — they
-        depend only on query structure, never on data).
+        The catalog queries run against; the service builds its
+        :class:`~repro.service.pipeline.QueryPipeline` over it.
     backends:
         Backend names (resolved via the shared registry in
         :mod:`repro.engines`) and/or ready
@@ -144,18 +134,21 @@ class QueryService:
         cost estimates; ``None`` keeps the legacy round-robin rotation.
     pipeline:
         A ready :class:`~repro.service.pipeline.QueryPipeline` to serve
-        through, in place of ``database``/``storage_dir``: its catalog,
-        compiler, caches, tracer, fault and maintenance wiring are used
-        as-is and the matching keywords here are not consulted.  This is
-        how :class:`repro.api.Session` makes its synchronous path and its
+        through, in place of ``database``: its catalog, compiler, caches,
+        tracer, fault and maintenance wiring are used as-is.  This is how
+        :class:`repro.api.Session` makes its synchronous path and its
         service reuse each other's plans and results.
     backend / workers:
         The *execution* backend (how admitted requests physically run, see
         :mod:`repro.service.backends`): ``"virtual"`` (deterministic
         inline loop, the default), ``"threads"`` (engine work overlaps on
-        a ``workers``-wide host pool), or a ready
+        a ``workers``-wide host pool), ``"process"`` (plan-aware engine
+        work ships to worker processes over shared-memory trie segments,
+        see :mod:`repro.service.shm`), or a ready
         :class:`~repro.service.backends.ExecutionBackend`.  ``backend=None``
-        with ``workers > 1`` selects the threaded backend.
+        with ``workers > 1`` selects the threaded backend.  Same results,
+        cache contents and admission decisions on every backend; pooled
+        ones own host resources that :meth:`close` releases.
     backdated_arrivals:
         What :meth:`submit` does with an explicit ``arrival_time`` that
         lies before the persisted virtual clock: ``"warn"`` (default)
@@ -165,46 +158,21 @@ class QueryService:
         trigger the policy.
     max_in_flight / max_queue_depth / seed:
         Admission-control knobs (see
-        :class:`~repro.service.admission.AdmissionController`).
-    tracer:
-        A :class:`repro.obs.Tracer` (or ``True`` for a fresh one) records a
-        hierarchical span tree per request — admission wait, routing, plan
-        probe, engine execution with scatter legs — with deterministic ids
-        (traces finish in virtual-time completion order, identical on every
-        execution backend).  Default ``None`` is the no-op tracer: every
-        instrumentation site is guarded on ``tracer.enabled``, so the off
-        cost is a couple of attribute reads per request.
-    faults:
-        A :class:`repro.service.faults.FaultPlan` (or a spec string, see
-        :func:`repro.service.faults.parse_fault_spec`) arming deterministic
-        fault injection: the scatter executor gains the retry/timeout/
-        hedging attempt walk, and a ``crash:`` clause arms the process
-        backend's worker-crash trigger.
-    on_shard_loss:
-        ``"fail"`` (default): a shard lost on every replica raises a typed
-        :class:`~repro.service.faults.ShardUnavailableError` — surfaced on
-        the request's :class:`QueryOutcome` and re-raised by :meth:`serve`.
-        ``"partial"``: the request completes with the surviving fragments'
-        union, flagged on ``QueryRecord.degraded`` and never admitted into
-        the result cache as a complete answer.
-    retry_policy:
-        :class:`repro.service.faults.RetryPolicy` knobs for the
-        fault-tolerant scatter path (timeouts, backoff, hedging, breaker).
-    maintenance:
-        How the caches track catalog mutations: ``"recompute"`` (default)
-        drops dependent entries; ``"incremental"`` patches them in place
-        with semi-naive delta joins through a
-        :class:`~repro.service.maintenance.ResultMaintainer`
-        (non-patchable events still drop).
+        :class:`~repro.service.admission.AdmissionController`); ``seed``
+        also seeds the pipeline's fault plan.
+    **pipeline_options:
+        Every other keyword goes to the
+        :class:`~repro.service.pipeline.QueryPipeline` built over
+        ``database`` — its parameter table is the one place the serving
+        options (``maintenance``, ``faults``, ``tracer``, ...) are declared,
+        defaulted and validated.  Rejected together with ``pipeline=`` (a
+        ready pipeline is already wired).
     """
 
     def __init__(
         self,
         database: Optional[Database] = None,
         backends: Sequence[Union[str, EngineProtocol]] = ("lftj", "ctj"),
-        compiler: Optional[QueryCompiler] = None,
-        plan_cache_capacity: int = 128,
-        result_cache_capacity: int = 256,
         max_in_flight: int = 4,
         max_queue_depth: Optional[int] = None,
         seed: int = 2020,
@@ -212,16 +180,9 @@ class QueryService:
         backend: Union[str, ExecutionBackend, None] = None,
         workers: Optional[int] = None,
         backdated_arrivals: str = "warn",
-        tracer: Union[Tracer, bool, None] = None,
-        storage_dir: Optional[str] = None,
-        faults: Union[FaultPlan, str, None] = None,
-        on_shard_loss: str = "fail",
-        retry_policy: Optional[RetryPolicy] = None,
-        maintenance: str = "recompute",
         pipeline: Optional[QueryPipeline] = None,
+        **pipeline_options,
     ):
-        check_maintenance_mode(maintenance)
-        check_on_shard_loss(on_shard_loss)
         if not backends:
             raise ValueError("QueryService needs at least one backend")
         if backdated_arrivals not in BACKDATED_POLICIES:
@@ -229,32 +190,16 @@ class QueryService:
                 f"backdated_arrivals must be one of {BACKDATED_POLICIES}, "
                 f"got {backdated_arrivals!r}"
             )
-        if sum(given is not None for given in (database, storage_dir, pipeline)) > 1:
-            raise ValueError(
-                "pass only one of database=, storage_dir= or pipeline=: a "
-                "durable service owns the store it opens, and a pipeline "
-                "already holds its catalog"
-            )
-        if storage_dir is not None:
-            from repro.storage import open_store
-
-            database = open_store(storage_dir, name="service")
-        self._owns_database = storage_dir is not None
         if pipeline is None:
             if database is None:
-                raise ValueError("QueryService needs a database (or a storage_dir)")
+                raise ValueError("QueryService needs a database (or a pipeline)")
             pipeline = QueryPipeline(
-                database,
-                compiler=compiler,
-                plan_cache_capacity=plan_cache_capacity,
-                result_cache_capacity=result_cache_capacity,
-                tracer=tracer,
-                faults=faults,
-                seed=seed,
-                on_shard_loss=on_shard_loss,
-                retry_policy=retry_policy,
-                maintenance=maintenance,
-                clock=lambda: self._clock,
+                database, seed=seed, clock=lambda: self._clock, **pipeline_options
+            )
+        elif database is not None or pipeline_options:
+            raise ValueError(
+                "pipeline= already holds its catalog and wiring; it cannot be "
+                f"combined with database= or pipeline options {sorted(pipeline_options)}"
             )
         self.pipeline = pipeline
         self.database = pipeline.database
@@ -409,30 +354,10 @@ class QueryService:
         """Release the execution backend's host resources (worker pools,
         shared-memory segments).  Idempotent — tear-down paths often close
         both the session and the service they share a backend with.
-
-        A service opened with ``storage_dir=`` also releases its durable
-        store's file handles.
         """
-        if self._closed:
-            return
-        self._closed = True
-        self.execution_backend.close()
-        if self._owns_database:
-            self.database.close()
-
-    def snapshot(self):
-        """Fold the durable store's WAL into a fresh snapshot.
-
-        Only available when the service's catalog is durable (opened via
-        ``storage_dir=`` or constructed from :mod:`repro.storage`).
-        """
-        snapshot = getattr(self.database, "snapshot", None)
-        if snapshot is None:
-            raise RuntimeError(
-                "this service's catalog is not durable; open the service "
-                "with storage_dir=... to enable snapshots"
-            )
-        return snapshot()
+        if not self._closed:
+            self._closed = True
+            self.execution_backend.close()
 
     @property
     def rejected_requests(self) -> Tuple[int, ...]:

@@ -65,7 +65,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.engines import EngineExecution, EngineProtocol, SoftwareEngine
 from repro.joins.plan import JoinPlan
-from repro.relational.catalog import MutationEvent
+from repro.relational.catalog import MutationEvent, ordered_attributes_for
 from repro.relational.query import Atom, ConjunctiveQuery
 from repro.relational.trie import TrieIndex
 from repro.storage.segments import (
@@ -81,32 +81,6 @@ ATTACH_CACHE_LIMIT = 64
 #: attribute permutation of its levels (the PR 7 segment key, with the shard
 #: folded into the fragment's own trie).
 SegmentKey = Tuple[str, Tuple[str, ...]]
-
-
-def ordered_attributes_for(
-    atom: Atom, attributes: Sequence[str], variable_order: Sequence[str]
-) -> Tuple[str, ...]:
-    """The trie attribute permutation ``atom`` needs under ``variable_order``.
-
-    Mirrors :meth:`repro.relational.catalog.Database.trie_for_atom` exactly —
-    the orchestrator uses it to key exported segments and the worker catalog
-    uses it to look them up, so both sides derive the same key from the same
-    plan by construction.
-    """
-    ordered: list = []
-    for variable in variable_order:
-        for position, bound in enumerate(atom.variables):
-            if bound == variable:
-                attribute = attributes[position]
-                if attribute not in ordered:
-                    ordered.append(attribute)
-    if len(ordered) != len(attributes):
-        missing = [a for a in attributes if a not in ordered]
-        raise ValueError(
-            f"variable order {tuple(variable_order)!r} does not cover attributes "
-            f"{missing!r} of atom {atom}"
-        )
-    return tuple(ordered)
 
 
 @dataclass(frozen=True)
@@ -688,7 +662,7 @@ class SharedMemoryRunner:
     ) -> Optional[Dict[int, Tuple[EngineExecution, Optional[float]]]]:
         """Run one scatter fan-out's missed shards on the worker pool.
 
-        ``views`` maps shard index to its :class:`ShardView`; every shard
+        ``views`` maps shard index to its shard view; every shard
         ships as its own request (seed fragments resolve to per-shard tries,
         shared non-seed tries export once and are referenced by all).
         Returns ``None`` to decline the whole fan-out — per-shard fallback

@@ -16,13 +16,21 @@ from repro.graphs import pattern_query
 from repro.joins.delta import (
     DELTA_SUFFIX,
     DeltaPlanner,
-    DeltaView,
     delta_alias,
     delta_rewrites,
     evaluate_delta,
     is_delta_alias,
 )
-from repro.relational import Database, Relation, Schema
+from repro.relational import (
+    Atom,
+    Catalog,
+    ConjunctiveQuery,
+    Database,
+    OverlayCatalog,
+    Relation,
+    Schema,
+    shard_database,
+)
 from repro.service import workload_database
 
 #: Plan-aware engines the maintainer may run delta terms through.
@@ -67,18 +75,101 @@ class TestRewrites:
         assert delta_rewrites(pattern_query("cycle3"), ["other"]) == ()
 
 
+#: The read half of the ``Catalog`` protocol: all an engine, an estimator or
+#: the process backend's exporter ever calls on the catalog it is handed.
+CATALOG_READ_SURFACE = (
+    "relation",
+    "relation_names",
+    "__contains__",
+    "trie",
+    "trie_for_atom",
+    "validate_query",
+    "total_tuples",
+)
+
+
+def delta_view_of(query, base, deltas):
+    """The overlay ``evaluate_delta`` runs ``query``'s delta terms against."""
+    views = []
+    engine = create_engine("lftj")
+
+    class Capture:
+        def execute(self, query, database, plan=None):
+            views.append(database)
+            return engine.execute(query, database, plan=plan)
+
+    evaluate_delta(query, base, deltas, Capture(), DeltaPlanner())
+    return views[0]
+
+
+def edge_database():
+    base = Database("base")
+    base.add_relation(
+        Relation("E", Schema(("src", "dst")), [(1, 2), (2, 3), (3, 1), (4, 1)])
+    )
+    return base
+
+
+def overlay_views(kind):
+    """``(view, expected name, {visible name: its sorted rows})`` per kind.
+
+    The three shapes the serving layer builds: a scatter task's shard view,
+    a delta term's view, and the delta view ``scatter.maintain`` nests over
+    a shard view.
+    """
+    base = edge_database()
+    rows = {"E": base.relation("E").sorted_rows()}
+    if kind == "delta":
+        view = delta_view_of(pattern_query("path3"), base, {"E": [(7, 8)]})
+        rows[delta_alias("E")] = [(7, 8)]
+        return view, "base~delta", rows
+    sharded = shard_database(base, 2, name="sharded")
+    spec = sharded.scatter_spec(pattern_query("path3"))
+    shard_view = sharded.shard_view(1, spec)
+    rows[spec.alias] = sharded.shard_relation("E", 1).sorted_rows()
+    if kind == "shard":
+        return shard_view, "sharded.view1", rows
+    view = delta_view_of(spec.query, shard_view, {spec.alias: [(7, 8)]})
+    rows[delta_alias(spec.alias)] = [(7, 8)]
+    return view, "sharded.view1~delta", rows
+
+
 class TestDeltaView:
     def test_alias_resolves_to_batch_everything_else_to_base(self):
         base = Database("base")
         base.add_relation(Relation("E", Schema(("src", "dst")), [(1, 2), (2, 3)]))
-        view = DeltaView(
-            base, [Relation(delta_alias("E"), Schema(("src", "dst")), [(7, 8)])]
-        )
+        view = delta_view_of(pattern_query("path3"), base, {"E": [(7, 8)]})
         assert sorted(view.relation("E").sorted_rows()) == [(1, 2), (2, 3)]
         assert sorted(view.relation(delta_alias("E")).sorted_rows()) == [(7, 8)]
         assert delta_alias("E") in view and "E" in view
         assert view.total_tuples() == 3
         assert view.trie(delta_alias("E"), ("src", "dst")).num_tuples == 1
+
+    @pytest.mark.parametrize("kind", ["shard", "delta", "delta-over-shard"])
+    def test_every_view_is_one_overlay_with_the_catalog_read_surface(self, kind):
+        view, name, rows = overlay_views(kind)
+        assert isinstance(view, OverlayCatalog) and view.name == name
+        for member in CATALOG_READ_SURFACE:
+            assert hasattr(Catalog, member) and callable(getattr(view, member))
+        assert not hasattr(view, "insert_into")  # read-only by construction
+        assert set(view.relation_names()) == set(rows)
+        assert view.total_tuples() == sum(len(r) for r in rows.values())
+        for visible, expected in rows.items():
+            assert visible in view
+            assert view.relation(visible).sorted_rows() == expected
+            assert view.trie(visible, ("dst", "src")).num_tuples == len(expected)
+            atom = Atom(visible, ("x", "y"))
+            assert view.trie_for_atom(atom, ("y", "x")).attribute_order == ("dst", "src")
+        assert "missing" not in view
+        with pytest.raises(KeyError, match="missing"):
+            view.relation("missing")
+        everything = [Atom(visible, ("x", "y")) for visible in rows]
+        view.validate_query(ConjunctiveQuery("q", ("x", "y"), everything))
+        for visible in rows:
+            with pytest.raises(ValueError, match="has arity 3"):
+                view.validate_query(
+                    ConjunctiveQuery("q", ("x",), [Atom(visible, ("x", "y", "z"))])
+                )
 
 
 class TestPlannerMemoisation:

@@ -10,12 +10,14 @@ re-capture (only when a PR changes served behaviour on purpose)::
     PYTHONPATH=src python tests/test_request_path.py tests/data/request_path_goldens.json
 
 The rest pins the new invariants: one ``Statement`` per text, one signature
-string per α-class, bounded memos, a flat resident set, and running totals
-that equal a recount over every record ever served.
+string per α-class, bounded memos, a flat resident set, running totals
+that equal a recount over every record ever served, and one declaration of
+the serving options (``QueryPipeline``'s, forwarded by both front ends).
 """
 
 import dataclasses
 import gc
+import inspect
 import json
 import pickle
 import sys
@@ -48,6 +50,7 @@ from repro.service import (
 )
 from repro.service.maintenance import ResultMaintainer
 from repro.service.metrics import RECORD_WINDOW
+from repro.service.pipeline import QueryPipeline
 
 GOLDENS = Path(__file__).parent / "data" / "request_path_goldens.json"
 
@@ -404,6 +407,56 @@ def test_session_resolves_through_the_interned_statement():
     assert first.statement is second.statement is coerce_statement(SQL_PATH)
     assert first.query is second.query and first.signature is second.signature
     session.close()
+
+
+# --------------------------------------------------------------------------- #
+# The serving options are declared once, on QueryPipeline
+# --------------------------------------------------------------------------- #
+#: ``QueryPipeline``'s keywords a front end may forward (``clock`` is the
+#: front end's own wiring, ``database`` its first argument).
+PIPELINE_OPTIONS = {
+    name: parameter.default
+    for name, parameter in inspect.signature(QueryPipeline.__init__).parameters.items()
+    if name not in ("self", "database", "clock")
+}
+
+
+@pytest.mark.parametrize("front_end", [Session, QueryService])
+@pytest.mark.parametrize("option", sorted(PIPELINE_OPTIONS))
+def test_front_ends_accept_every_pipeline_option(front_end, option):
+    owner = front_end(_edge_database(), **{option: PIPELINE_OPTIONS[option]})
+    assert isinstance(owner.pipeline, QueryPipeline)
+    owner.close()
+
+
+def test_front_ends_reject_what_the_pipeline_does_not_declare():
+    assert "plan_cache_capacity" not in PIPELINE_OPTIONS
+    with pytest.raises(TypeError, match="plan_cache_capacity"):
+        Session(_edge_database(), plan_cache_capacity=1)
+    with pytest.raises(TypeError, match="bogus"):
+        QueryService(_edge_database(), bogus=1)
+
+
+@pytest.mark.parametrize("option", ["maintenance", "on_shard_loss"])
+def test_a_bad_option_is_rejected_before_the_store_is_created(option, tmp_path):
+    with pytest.raises(ValueError, match=option):
+        Session(storage_dir=str(tmp_path / "s"), **{option: "bogus"})
+    assert not (tmp_path / "s").exists()
+    for front_end in (Session, QueryService):
+        with pytest.raises(ValueError, match=option):
+            front_end(_edge_database(), **{option: "bogus"})
+
+
+def test_a_ready_pipeline_takes_no_catalog_and_no_options():
+    database = _edge_database()
+    pipeline = QueryPipeline(database)
+    assert QueryService(pipeline=pipeline, seed=7).pipeline is pipeline
+    with pytest.raises(ValueError, match="pipeline="):
+        QueryService(pipeline=pipeline, database=database)
+    with pytest.raises(ValueError, match="maintenance"):
+        QueryService(pipeline=pipeline, maintenance="incremental")
+    with pytest.raises(ValueError, match="database"):
+        QueryService()
 
 
 if __name__ == "__main__":

@@ -172,7 +172,7 @@ class TestResultMaintainer:
     def test_patched_entry_matches_recompute(self):
         database = triangle_database()
         cache = ResultCache(capacity=8)
-        maintainer = ResultMaintainer(database, cache, mode="incremental")
+        maintainer = ResultMaintainer(database, cache)
         database.subscribe_invalidation(maintainer.on_mutation)
         query = pattern_query("cycle3")
         baseline = sorted(maintainer.engine.execute(query, database).tuples)
@@ -188,7 +188,7 @@ class TestResultMaintainer:
     def test_define_event_always_drops(self):
         database = triangle_database()
         cache = ResultCache(capacity=8)
-        maintainer = ResultMaintainer(database, cache, mode="incremental")
+        maintainer = ResultMaintainer(database, cache)
         database.subscribe_invalidation(maintainer.on_mutation)
         cache.put_result("sig", [(1, 2)], ["E"], query=pattern_query("cycle3"))
         database.replace_relation(
@@ -197,16 +197,6 @@ class TestResultMaintainer:
         assert "sig" not in cache
         report = maintainer.reports[-1]
         assert not report.patchable and report.dropped >= 1
-
-    def test_recompute_mode_never_patches(self):
-        database = triangle_database()
-        cache = ResultCache(capacity=8)
-        maintainer = ResultMaintainer(database, cache, mode="recompute")
-        database.subscribe_invalidation(maintainer.on_mutation)
-        cache.put_result("sig", [(1, 2)], ["E"], query=pattern_query("cycle3"))
-        database.insert_into("E", [(9, 9)])
-        assert "sig" not in cache
-        assert cache.stats.patches == 0 and cache.stats.drops == 1
 
 
 # --------------------------------------------------------------------------- #
