@@ -65,19 +65,15 @@ def attach_scatter_legs(span: Span, scatter) -> None:
     span.attributes["scatter.seed_partitioned"] = scatter.seed_partitioned
     # Fault-tolerance outcome (repro.service.faults).  Attributes appear
     # only when nonzero, so fault-free traces stay byte-identical.
-    retries = getattr(scatter, "retries", 0)
-    timeouts = getattr(scatter, "timeouts", 0)
-    hedges = getattr(scatter, "hedges", 0)
-    missing = getattr(scatter, "missing_shards", ())
-    if retries:
-        span.attributes["scatter.retries"] = retries
-    if timeouts:
-        span.attributes["scatter.timeouts"] = timeouts
-    if hedges:
-        span.attributes["scatter.hedges"] = hedges
-    if missing:
+    if scatter.retries:
+        span.attributes["scatter.retries"] = scatter.retries
+    if scatter.timeouts:
+        span.attributes["scatter.timeouts"] = scatter.timeouts
+    if scatter.hedges:
+        span.attributes["scatter.hedges"] = scatter.hedges
+    if scatter.missing_shards:
         span.attributes["scatter.degraded"] = True
-        span.attributes["scatter.missing_shards"] = tuple(missing)
+        span.attributes["scatter.missing_shards"] = tuple(scatter.missing_shards)
     span.child("scatter_dispatch", start).end(start + dispatch_ns)
     legs_start = start + dispatch_ns
     for task in scatter.tasks:
@@ -92,26 +88,21 @@ def attach_scatter_legs(span: Span, scatter) -> None:
             },
         )
         leg.end(legs_start + task.cost_ns)
-        attempts = getattr(task, "attempts", 1)
-        if attempts > 1:
-            leg.attributes["attempts"] = attempts
+        if task.attempts > 1:
+            leg.attributes["attempts"] = task.attempts
             leg.event(
-                "retried",
-                legs_start,
-                attempts=attempts,
-                timeouts=getattr(task, "timeouts", 0),
+                "retried", legs_start, attempts=task.attempts, timeouts=task.timeouts
             )
-        if getattr(task, "timeouts", 0):
+        if task.timeouts:
             leg.attributes["timeouts"] = task.timeouts
-        if getattr(task, "hedged", False):
+        if task.hedged:
             leg.attributes["hedged"] = True
-        if getattr(task, "replica", 0):
+        if task.replica:
             leg.attributes["replica"] = task.replica
-        if getattr(task, "lost", False):
+        if task.lost:
             leg.attributes["lost"] = True
-        wall = getattr(task, "wall_seconds", None)
-        if wall is not None:
-            leg.wall_elapsed_s = wall
+        if task.wall_seconds is not None:
+            leg.wall_elapsed_s = task.wall_seconds
     gather_start = legs_start + scatter.critical_path_ns
     gather = span.child(
         "gather",

@@ -17,7 +17,7 @@ model need from a relational database:
 """
 
 from repro.relational.schema import Schema
-from repro.relational.relation import Relation, ValueDictionary, relation_from_pairs
+from repro.relational.relation import Relation, relation_from_pairs
 from repro.relational.trie import TrieIndex
 from repro.relational.layout import ArrayRegion, MemoryLayout
 from repro.relational.query import Atom, ConjunctiveQuery, single_relation_query
@@ -64,7 +64,6 @@ from repro.relational.statistics import (
 __all__ = [
     "Schema",
     "Relation",
-    "ValueDictionary",
     "relation_from_pairs",
     "TrieIndex",
     "ArrayRegion",

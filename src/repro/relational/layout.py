@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.relational.relation import ValueDictionary
 from repro.relational.trie import TrieIndex
 
 
@@ -113,20 +112,6 @@ class MemoryLayout:
                 )
             )
         return regions
-
-    def add_dictionary(self, key: str, dictionary: ValueDictionary) -> ArrayRegion:
-        """Allocate the decode array of a dictionary-encoded trie.
-
-        When a relation's value domain is sparse, its trie stores dense
-        dictionary codes and the decode array (code -> original value) is the
-        only extra structure the layout must account for; it is read once per
-        emitted result value, never during probing.
-        """
-        return self._allocate(f"{key}/dict", len(dictionary), self.element_size)
-
-    def dictionary_region(self, key: str) -> ArrayRegion:
-        """Region of trie ``key``'s dictionary decode array."""
-        return self.region(f"{key}/dict")
 
     def result_region(self) -> ArrayRegion:
         """The (lazily allocated) streamed-result output region."""

@@ -11,18 +11,10 @@ sort-merge joins do not need to re-sort on every use; :meth:`Relation.sorted_row
 extends the cache to *permuted* orders, so building several tries over the
 same relation (one per attribute order a query needs) sorts each permutation
 at most once between mutations.
-
-:class:`ValueDictionary` provides optional dictionary encoding for relations
-whose value domain is sparse (e.g. graphs with large, non-contiguous vertex
-ids): values map to dense codes ``0..n-1``, which shrinks index value arrays
-to the minimal integer width and is the layout knob
-:meth:`repro.relational.layout.MemoryLayout.add_dictionary` accounts for.
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.relational.schema import Schema
@@ -31,74 +23,6 @@ from repro.util.validation import check_type
 
 
 Row = Tuple[int, ...]
-
-
-class ValueDictionary:
-    """Dense dictionary encoding of a sorted value domain.
-
-    Codes are assigned in value order (``codes`` of a sorted input are
-    sorted), so encoding a relation preserves the relative order trie levels
-    rely on: a trie over encoded rows has the same shape as a trie over the
-    raw rows, just with smaller stored values.
-    """
-
-    def __init__(self, values: Iterable[int]):
-        domain = sorted(set(values))
-        try:
-            self._decode: Sequence[int] = array("q", domain)
-        except OverflowError:
-            # Values outside the signed 64-bit range: keep boxed storage,
-            # mirroring TrieIndex's fallback for the same inputs.
-            self._decode = domain
-        self._encode: Dict[int, int] = {
-            value: code for code, value in enumerate(self._decode)
-        }
-
-    def __len__(self) -> int:
-        return len(self._decode)
-
-    def __contains__(self, value: int) -> bool:
-        return value in self._encode
-
-    def encode_value(self, value: int) -> int:
-        """Dense code of ``value``; raises ``KeyError`` for unknown values."""
-        try:
-            return self._encode[value]
-        except KeyError:
-            raise KeyError(f"value {value} not in dictionary") from None
-
-    def decode_value(self, code: int) -> int:
-        if not (0 <= code < len(self._decode)):
-            raise IndexError(f"code {code} out of range for dictionary of {len(self._decode)}")
-        return self._decode[code]
-
-    def encode_row(self, row: Sequence[int]) -> Row:
-        encode = self._encode
-        return tuple(encode[v] for v in row)
-
-    def decode_row(self, row: Sequence[int]) -> Row:
-        decode = self._decode
-        return tuple(decode[c] for c in row)
-
-    def lowest_code_bound(self, value: int) -> int:
-        """Code of the smallest dictionary value ``>= value``.
-
-        Equals ``len(self)`` when every dictionary value is smaller — the
-        same "not found" convention as the LUB searches the codes feed.
-        """
-        return bisect_left(self._decode, value)
-
-    def memory_words(self) -> int:
-        """Words the decode array occupies in the flat layout."""
-        return len(self._decode)
-
-    @property
-    def density(self) -> float:
-        """``len(domain) / (max - min + 1)``; 1.0 means already dense."""
-        if not self._decode:
-            return 1.0
-        span = self._decode[-1] - self._decode[0] + 1
-        return len(self._decode) / span
 
 
 class Relation:
@@ -123,7 +47,6 @@ class Relation:
         self._rows: set = set()
         self._sorted_cache: List[Row] | None = None
         self._permuted_cache: Dict[Tuple[int, ...], List[Row]] = {}
-        self._dictionary: ValueDictionary | None = None
         for row in rows:
             self.insert(row)
 
@@ -161,7 +84,6 @@ class Relation:
         self._rows.add(normalized)
         self._sorted_cache = None
         self._permuted_cache.clear()
-        self._dictionary = None
         return True
 
     def insert_many(self, rows: Iterable[Sequence[int]]) -> int:
@@ -203,7 +125,6 @@ class Relation:
             permuted = sorted(tuple(row[i] for i in indexes) for row in added)
             self._permuted_cache[indexes] = splice_sorted(cached, permuted)
         self._rows.update(added)
-        self._dictionary = None
         return tuple(added)
 
     # ------------------------------------------------------------------ #
@@ -246,27 +167,6 @@ class Relation:
             cached = sorted(tuple(row[i] for i in indexes) for row in self._rows)
             self._permuted_cache[indexes] = cached
         return cached
-
-    def value_dictionary(self) -> ValueDictionary:
-        """The (cached) dense dictionary over the relation's active domain."""
-        if self._dictionary is None:
-            self._dictionary = ValueDictionary(
-                value for row in self._rows for value in row
-            )
-        return self._dictionary
-
-    def dictionary_encoded(self) -> Tuple["Relation", ValueDictionary]:
-        """A copy with values replaced by dense dictionary codes.
-
-        Returns ``(encoded_relation, dictionary)``; decode result tuples with
-        :meth:`ValueDictionary.decode_row`.  Useful for non-dense domains,
-        where the encoded trie stores small contiguous codes instead of raw
-        sparse ids.
-        """
-        dictionary = self.value_dictionary()
-        encoded = Relation(f"{self.name}_dict", self.schema)
-        encoded.insert_many(dictionary.encode_row(row) for row in self._rows)
-        return encoded, dictionary
 
     def column(self, attribute: str) -> List[int]:
         """Sorted distinct values of ``attribute``."""

@@ -244,7 +244,11 @@ class TrieIndex:
     # Enumeration helpers (used by tests and the naive engine)
     # ------------------------------------------------------------------ #
     def paths(self) -> Iterator[Tuple[int, ...]]:
-        """Yield every root-to-leaf path as a tuple (i.e. every stored row)."""
+        """Yield every root-to-leaf path as a tuple (i.e. every stored row).
+
+        Kept as a reference form for tests (and :meth:`to_relation`): no
+        engine walks tries this way.
+        """
         if not self._values or not self._values[0]:
             return
         yield from self._paths_from(0, self.root_range(), ())

@@ -35,11 +35,12 @@ Both event orders share one contract: arrivals are processed in
 ``(finish_time, dispatch_sequence)`` order, so ties never depend on host
 scheduling.
 
-**Shard fan-out.**  The threaded backend also hands the scatter-gather
-executor (:mod:`repro.service.scatter`) a ``task_map`` that runs per-shard
-tasks on a *separate* pool, so a sharded catalog's fan-out overlaps too.
-The pools are distinct on purpose: a request worker blocking on shard
-subtasks scheduled into its own saturated pool would deadlock.
+**Where engine work runs** is one hook, :meth:`ExecutionBackend.run_engine`,
+handed to every dispatched request: the pipeline's monolithic work passes
+it one catalog, a scatter fan-out (:mod:`repro.service.scatter`) one shard
+view per missed shard.  The threaded backend overlaps a fan-out on a
+*separate* shard pool — a request worker blocking on shard subtasks
+scheduled into its own saturated pool would deadlock.
 """
 
 from __future__ import annotations
@@ -50,32 +51,34 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from math import inf
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.util.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.service.service import QueryOutcome, QueryService, ServiceRequest
 
-#: A parallel-map hook: ``task_map(fn, items)`` returns ``[fn(i) for i in
-#: items]``, possibly computing the elements concurrently.  Results must be
-#: returned in input order.
-TaskMap = Callable[[Callable[[int], object], Sequence[int]], List[object]]
 
+def run_inline(engine, query, plan, catalogs: Sequence[object]) -> List[Tuple]:
+    """Run ``engine`` over each catalog on the calling thread, untimed.
 
-def serial_task_map(fn: Callable[[int], object], items: Sequence[int]) -> List[object]:
-    """The trivial task map: run every task inline, in order."""
-    return [fn(item) for item in items]
+    The virtual-time backend's :meth:`~ExecutionBackend.run_engine`, and the
+    default wherever no backend is involved (:meth:`repro.api.Session.execute`,
+    direct :meth:`~repro.service.scatter.ScatterGatherExecutor.execute`
+    callers).  No host timings, so virtual runs stay byte-reproducible.
+    """
+    return [(engine.execute(query, catalog, plan=plan), None) for catalog in catalogs]
 
 
 class ExecutionBackend(abc.ABC):
     """How admitted requests execute: the service's pluggable execution loop.
 
     Subclasses implement :meth:`_start` (begin executing one dispatched
-    request) and :meth:`_resolve` (block until its deterministic virtual
-    finish time is known).  The shared :meth:`drain` loop owns the event
-    order, so every subclass inherits the same deterministic admission/cache
-    behaviour and only changes *where* the engine work runs.
+    request), :meth:`_resolve` (block until its deterministic virtual
+    finish time is known) and :meth:`run_engine`.  The shared :meth:`drain`
+    loop owns the event order, so every subclass inherits the same
+    deterministic admission/cache behaviour and only changes *where* the
+    engine work runs.
     """
 
     #: Registry / report name ("virtual", "threads", ...).
@@ -103,6 +106,18 @@ class ExecutionBackend(abc.ABC):
 
         Returns the ``(outcome, completed)`` pair produced by
         :meth:`QueryService._finalize`.
+        """
+
+    @abc.abstractmethod
+    def run_engine(self, engine, query, plan, catalogs: Sequence[object]) -> List[Tuple]:
+        """Run ``engine`` over each of ``catalogs``; results in catalog order.
+
+        The one place that decides where engine work runs.  Each result is
+        ``(execution, wall_seconds)``: the host span of that call, or
+        ``None`` on a backend that records no host timings.  ``plan`` is
+        ``None`` for plan-blind engines.  May be called from any thread;
+        ``engine.execute`` is looked up at call time (instrumentation may
+        shadow it on the instance).
         """
 
     def close(self) -> None:
@@ -210,10 +225,12 @@ class VirtualTimeBackend(ExecutionBackend):
 
     name = "virtual"
 
+    run_engine = staticmethod(run_inline)
+
     def _start(
         self, service: "QueryService", request: "ServiceRequest", start_time: float
     ) -> object:
-        prepared = service._dispatch(request, start_time)
+        prepared = service._dispatch(request, start_time, self.run_engine)
         return service._finalize(request, prepared, prepared.run())
 
     def _resolve(self, service: "QueryService", handle: object):
@@ -232,11 +249,9 @@ class ThreadPoolBackend(ExecutionBackend):
         a closed-loop backlog's initial admissions run together, while a
         dispatch whose cache visibility depends on an earlier completion
         waits for it (see :meth:`ExecutionBackend.drain`); determinism is
-        the constraint, not the pool size.
-    shard_workers:
-        Worker threads of the *separate* pool the scatter-gather executor
-        fans per-shard tasks onto (defaults to ``workers``).  Separate so
-        a request worker waiting on its shard tasks cannot deadlock.
+        the constraint, not the pool size.  A scatter fan-out's shard tasks
+        run on a *separate* pool of the same width, so a request worker
+        waiting on its shard tasks cannot deadlock.
 
     Everything observable except wall-clock timings matches
     :class:`VirtualTimeBackend` exactly (see the module docstring).  On
@@ -248,72 +263,53 @@ class ThreadPoolBackend(ExecutionBackend):
 
     name = "threads"
 
-    def __init__(self, workers: int = 4, shard_workers: Optional[int] = None):
+    def __init__(self, workers: int = 4):
         check_positive("workers", workers)
-        if shard_workers is not None:
-            check_positive("shard_workers", shard_workers)
         self.workers = workers
-        self.shard_workers = shard_workers if shard_workers is not None else workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._shard_pool: Optional[ThreadPoolExecutor] = None
-        # Pools are created lazily; shard_task_map runs on concurrent
-        # request workers, so creation must not race (a losing duplicate
+        #: The "request" and "shard" pools, by name.
+        self._pools: Dict[str, ThreadPoolExecutor] = {}
+        # Pools are created lazily; run_engine runs on concurrent request
+        # workers, so creation must not race (a losing duplicate
         # executor would leak its threads past close()).
         self._pool_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Pools
     # ------------------------------------------------------------------ #
-    def _request_pool(self) -> ThreadPoolExecutor:
+    def _lazy_pool(self, name: str) -> ThreadPoolExecutor:
         with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="repro-request"
+            pool = self._pools.get(name)
+            if pool is None:
+                pool = self._pools[name] = ThreadPoolExecutor(
+                    max_workers=self.workers, thread_name_prefix=f"repro-{name}"
                 )
-            return self._pool
+            return pool
 
-    def shard_task_map(self, fn: Callable[[int], object], items: Sequence[int]):
-        """Run per-shard scatter tasks on the dedicated shard pool, in order."""
-        if len(items) <= 1:
-            return serial_task_map(fn, items)
-        with self._pool_lock:
-            if self._shard_pool is None:
-                self._shard_pool = ThreadPoolExecutor(
-                    max_workers=self.shard_workers, thread_name_prefix="repro-shard"
-                )
-            pool = self._shard_pool
-        return list(pool.map(fn, items))
+    def run_engine(self, engine, query, plan, catalogs: Sequence[object]) -> List[Tuple]:
+        """Every call timed; several catalogs overlap on the shard pool."""
+
+        def timed(catalog) -> Tuple:
+            wall_start = time.perf_counter()
+            execution = engine.execute(query, catalog, plan=plan)
+            return execution, time.perf_counter() - wall_start
+
+        if len(catalogs) <= 1:
+            return [timed(catalog) for catalog in catalogs]
+        return list(self._lazy_pool("shard").map(timed, catalogs))
 
     def close(self) -> None:
         with self._pool_lock:
-            pool, self._pool = self._pool, None
-            shard_pool, self._shard_pool = self._shard_pool, None
-        if pool is not None:
+            pools, self._pools = list(self._pools.values()), {}
+        for pool in pools:
             pool.shutdown(wait=True)
-        if shard_pool is not None:
-            shard_pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def _engine_runner(self, service: "QueryService"):
-        """The ``engine_runner`` dispatch hands executions to (``None`` here).
-
-        :class:`ProcessPoolBackend` overrides this to offer its
-        shared-memory worker pool; the threaded backend runs every work
-        closure on its own request threads.
-        """
-        return None
-
     def _start(
         self, service: "QueryService", request: "ServiceRequest", start_time: float
     ) -> object:
-        prepared = service._dispatch(
-            request,
-            start_time,
-            task_map=self.shard_task_map,
-            engine_runner=self._engine_runner(service),
-        )
+        prepared = service._dispatch(request, start_time, self.run_engine)
         if prepared.work is None:
             return (request, prepared, None)
 
@@ -322,7 +318,7 @@ class ThreadPoolBackend(ExecutionBackend):
             execution = prepared.work()
             return execution, time.perf_counter() - wall_start
 
-        future: Future = self._request_pool().submit(timed_work)
+        future: Future = self._lazy_pool("request").submit(timed_work)
         return (request, prepared, future)
 
     def _resolve(self, service: "QueryService", handle: object):
@@ -348,7 +344,7 @@ class ProcessPoolBackend(ThreadPoolBackend):
     genuinely overlap on host cores instead of serialising on the GIL.
 
     Executions that cannot ship faithfully (plan-blind engines, boxed
-    tries, a crashed worker pool) silently run the inline path instead, so
+    tries, a crashed worker pool) run on the threaded hook instead, so
     every observable stays bit-identical to :class:`VirtualTimeBackend`
     either way; ``tests/test_service_process_backend.py`` pins the
     equivalence and the segment lifecycle (all blocks unlinked by
@@ -357,23 +353,33 @@ class ProcessPoolBackend(ThreadPoolBackend):
 
     name = "process"
 
-    def __init__(self, workers: int = 4, shard_workers: Optional[int] = None):
-        super().__init__(workers=workers, shard_workers=shard_workers)
+    def __init__(self, workers: int = 4):
+        super().__init__(workers=workers)
         # Imported lazily at class-construction time (not module import) so
         # repro.service stays importable on platforms without POSIX shm.
         from repro.service.shm import SharedMemoryRunner
 
         self._runner = SharedMemoryRunner(workers=self.workers)
 
-    def _engine_runner(self, service: "QueryService"):
-        # First dispatch of a drain: bind on the orchestrator thread, before
-        # any request thread exists, so a fork start point is clean.
+    def _start(
+        self, service: "QueryService", request: "ServiceRequest", start_time: float
+    ) -> object:
+        # Bind on the orchestrator thread, before any request thread exists,
+        # so a fork start point is clean; a ``crash:`` fault clause arms the
+        # runner's deterministic worker-crash trigger.
         self._runner.bind(service.database)
-        return self._runner
+        injector = service.pipeline.injector
+        if injector is not None and injector.crash_after is not None:
+            self._runner.crash_after = injector.crash_after
+        return super()._start(service, request, start_time)
+
+    def run_engine(self, engine, query, plan, catalogs: Sequence[object]) -> List[Tuple]:
+        """Ship what the runner can to worker processes; thread the rest."""
+        return self._runner.run(engine, query, plan, catalogs, super().run_engine)
 
     def active_segments(self):
         """Names of the currently exported shared-memory blocks (sorted)."""
-        return self._runner.active_segments()
+        return self._runner.exporter.active_segments()
 
     @property
     def inline_fallbacks(self) -> int:
@@ -432,9 +438,8 @@ __all__ = [
     "EXECUTION_BACKEND_NAMES",
     "ExecutionBackend",
     "ProcessPoolBackend",
-    "TaskMap",
     "ThreadPoolBackend",
     "VirtualTimeBackend",
     "create_execution_backend",
-    "serial_task_map",
+    "run_inline",
 ]

@@ -11,6 +11,9 @@ the same four stages over the same caches:
    here, on the caller's thread.
 2. ``prepared.work()`` — the engine execution (or scatter-gather fan-out):
    a pure closure over the read-only catalog that may run on any thread.
+   Its engine calls go through one hook, ``run_engine``
+   (:meth:`repro.service.backends.ExecutionBackend.run_engine`), so the
+   execution backend alone decides where engine work runs.
 3. :meth:`QueryPipeline.finalize` — charge the virtual service time and
    close the trace's ``execute`` span.
 4. :meth:`QueryPipeline.publish` — the only point a fresh result, its shard
@@ -42,6 +45,7 @@ from repro.obs.instrument import annotate_execute_span
 from repro.obs.trace import Span, Tracer, coerce_tracer
 from repro.relational.catalog import Database
 from repro.relational.query import ConjunctiveQuery
+from repro.service.backends import run_inline
 from repro.service.caches import PlanCache, ResultCache
 from repro.service.faults import (
     FaultInjector,
@@ -309,8 +313,7 @@ class QueryPipeline:
         engine: EngineProtocol,
         start_time: float,
         trace: Optional[Span] = None,
-        task_map=None,
-        engine_runner=None,
+        run_engine=run_inline,
     ) -> PreparedQuery:
         """The deterministic stage of one query dispatched at ``start_time``.
 
@@ -320,12 +323,9 @@ class QueryPipeline:
         the plan cache for a plan-aware engine.  The returned ``work``
         closure touches no ordered state and may run on any thread.
 
-        ``task_map`` and ``engine_runner`` come from pooled execution
-        backends (:mod:`repro.service.backends`): the first overlaps the
-        per-shard tasks of a fan-out, the second
-        (:class:`repro.service.shm.SharedMemoryRunner`) may take over the
-        pure engine work of plan-aware executions and declines by returning
-        ``None``, in which case the inline closure runs unchanged.
+        ``run_engine`` is the execution backend's engine-work hook
+        (inline by default): the closure runs one catalog through it, or
+        hands it to the scatter fan-out for the missed shards.
         """
         prepared = PreparedQuery(query, signature, engine, start_time, trace)
         cached = self.result_cache.get(signature)
@@ -349,8 +349,7 @@ class QueryPipeline:
                         engine,
                         spec=spec,
                         collect_partials=prepared.partial_entries,
-                        task_map=task_map,
-                        engine_runner=engine_runner,
+                        run_engine=run_engine,
                         now=start_time,
                         breaker_gate=breaker_gate,
                     )
@@ -359,23 +358,19 @@ class QueryPipeline:
                     return None
 
             prepared.work = scatter_work
-        elif engine.plan_aware:
-            canonical, plan, hit = self.plan_for(query, signature)
-            prepared.plan = plan
-            prepared.plan_cache_hit = hit
-            prepared.compiled = not hit
-            if trace is not None:
-                trace.child("plan_cache", start_time, {"hit": hit, "compiled": not hit})
-            if engine_runner is not None:
-                prepared.work = engine_runner.global_work(
-                    engine, canonical, plan, self.database
-                )
-            if prepared.work is None:
-                prepared.work = lambda: engine.execute(canonical, self.database, plan=plan)
         else:
-            # Plan-blind engines (naive, pairwise) plan internally; the plan
-            # cache is neither consulted nor credited for them.
-            prepared.work = lambda: engine.execute(query, self.database)
+            # Plan-blind engines (naive, pairwise) plan internally and run the
+            # original query; the plan cache is neither consulted nor
+            # credited for them.
+            target, plan = query, None
+            if engine.plan_aware:
+                target, plan, hit = self.plan_for(query, signature)
+                prepared.plan = plan
+                prepared.plan_cache_hit = hit
+                prepared.compiled = not hit
+                if trace is not None:
+                    trace.child("plan_cache", start_time, {"hit": hit, "compiled": not hit})
+            prepared.work = lambda: run_engine(engine, target, plan, (self.database,))[0][0]
         return prepared
 
     def finalize(

@@ -29,20 +29,21 @@ dispatch charge and a per-tuple merge charge
 (:data:`~repro.relational.sharding.SCATTER_DISPATCH_COST_NS`,
 :data:`~repro.relational.sharding.SCATTER_MERGE_COST_PER_TUPLE_NS`).
 
-**Host concurrency.**  :meth:`ScatterGatherExecutor.execute` accepts a
-``task_map`` hook (see :mod:`repro.service.backends`): the per-shard engine
-executions of one fan-out then genuinely overlap on a worker pool.  The
-partial-cache probes stay sequential in shard order and the gather step
-assembles results in shard order, so every observable (tuples, costs,
-cache counters, aggregated stats) is identical to the serial fan-out.
+**Host concurrency.**  :meth:`ScatterGatherExecutor.execute` runs in three
+phases — probe the partial cache, run the missed shards, gather — and hands
+the middle one, as a single call, to the execution backend's ``run_engine``
+hook (:mod:`repro.service.backends`), which may overlap the shard
+executions on a worker pool or ship them to worker processes.  Probes and
+gather stay sequential in shard order on the calling thread, so every
+observable (tuples, costs, cache counters, aggregated stats) is identical
+whatever ran the middle phase.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.engines import EngineExecution, EngineProtocol
 from repro.joins.compiler import QueryCompiler
@@ -55,6 +56,7 @@ from repro.relational.sharding import (
     ScatterSpec,
     ShardedDatabase,
 )
+from repro.service.backends import run_inline
 from repro.service.caches import ResultCache, ShardDependency
 from repro.service.faults import (
     FaultInjector,
@@ -68,16 +70,21 @@ from repro.service.faults import (
 #: Virtual-time cost of replaying one shard's partial result from the cache.
 PARTIAL_REPLAY_COST_NS = 1.0
 
+#: One freshly computed shard partial: ``(key, tuples, dependencies, query)``.
+PartialEntry = Tuple[
+    str, List[Tuple[int, ...]], Tuple[ShardDependency, ...], ConjunctiveQuery
+]
+
 
 @dataclass(frozen=True)
 class ShardTaskStats:
     """What one shard contributed to a scatter-gather execution.
 
     ``wall_seconds`` is the host wall-clock span of the shard's engine
-    execution, measured only when the fan-out ran on a concurrent
-    ``task_map`` (``None`` for the serial fan-out and for cache replays) —
-    virtual runs stay free of host timings so their traces are
-    byte-reproducible.
+    execution, measured only by a pooled backend's ``run_engine`` hook
+    (``None`` under :func:`~repro.service.backends.run_inline` and for
+    cache replays) — virtual runs stay free of host timings so their
+    traces are byte-reproducible.
 
     The fault-tolerance fields describe the task's deterministic attempt
     walk (see :func:`repro.service.faults.schedule_task`): how many
@@ -317,20 +324,8 @@ class ScatterGatherExecutor:
         query: ConjunctiveQuery,
         engine: EngineProtocol,
         spec: Optional[ScatterSpec] = None,
-        collect_partials: Optional[
-            List[
-                Tuple[
-                    str,
-                    List[Tuple[int, ...]],
-                    Tuple[ShardDependency, ...],
-                    ConjunctiveQuery,
-                ]
-            ]
-        ] = None,
-        task_map: Optional[
-            Callable[[Callable[[int], EngineExecution], Sequence[int]], List[EngineExecution]]
-        ] = None,
-        engine_runner=None,
+        collect_partials: Optional[List[PartialEntry]] = None,
+        run_engine=run_inline,
         now: float = 0.0,
         breaker_gate: Optional[Dict[int, bool]] = None,
     ) -> EngineExecution:
@@ -344,149 +339,145 @@ class ScatterGatherExecutor:
         :class:`ScatterGatherStats` breakdown in ``scatter``.
 
         With ``collect_partials``, freshly computed per-shard partials are
-        appended to that list as ``(key, tuples, dependencies, query)`` instead of
-        entering the partial cache immediately — the virtual-time service
-        passes it so partials become visible at the request's *completion*
-        event, preserving the causality the result cache already honours
-        (a concurrent duplicate must not replay a result that has not
-        finished yet in virtual time).
+        appended to that list instead of entering the partial cache
+        immediately — the virtual-time service passes it so partials become
+        visible at the request's *completion* event, preserving the
+        causality the result cache already honours (a concurrent duplicate
+        must not replay a result that has not finished yet in virtual time).
 
-        ``task_map`` runs the per-shard engine executions (a concurrent
-        execution backend passes a worker-pool map; ``None`` runs them
-        inline).  It must return results in input order; everything ordered
-        — cache probes, gather, stats aggregation, partial publication —
-        happens in shard order on the calling thread either way.
-
-        ``engine_runner`` (the process backend's
-        :class:`repro.service.shm.SharedMemoryRunner`) gets first claim on
-        the missed shard tasks of plan-aware fan-outs — each shard becomes
-        one shared-memory work request in a worker process.  It declines
-        (returns ``None``) whenever the fan-out cannot ship faithfully,
-        and the ``task_map`` path runs instead; the per-shard executions
-        are bit-identical either way.
+        ``run_engine`` is the execution backend's engine-work hook
+        (:meth:`repro.service.backends.ExecutionBackend.run_engine`; inline
+        by default): one call runs every missed shard.
 
         **Fault tolerance.**  With an armed injector, ``now`` is the
-        request's virtual dispatch time and every computed shard's single
-        engine execution is layered under a deterministic attempt walk
-        (:func:`repro.service.faults.schedule_task`): failed attempts,
-        backoffs, hedges and the final success or give-up are pure
-        virtual-cost events, so a recoverable fault schedule yields
-        byte-identical results/stats/caches to the fault-free run.  A task
-        whose walk gives up is *lost*: its execution is discarded entirely
-        (no tuples, no JoinStats, no partial-cache entry), and the gather
-        step either raises :class:`ShardUnavailableError`
-        (``on_shard_loss="fail"``) or returns the surviving union flagged
-        degraded and non-cacheable.  ``breaker_gate`` is the per-node
-        circuit-breaker admission computed at dispatch
-        (:meth:`repro.service.pipeline.QueryPipeline.prepare`); when
-        ``None`` and faults are armed, the executor gates and observes its
-        own breakers inline (direct callers with no publish stage).
+        request's virtual dispatch time and the gather step charges each
+        computed shard its attempt walk (:meth:`_gather`); lost shards make
+        it raise :class:`ShardUnavailableError` (``on_shard_loss="fail"``)
+        or return the surviving union flagged degraded and non-cacheable.
+        ``breaker_gate`` is the per-node circuit-breaker admission computed
+        at dispatch (:meth:`repro.service.pipeline.QueryPipeline.prepare`);
+        when ``None`` and faults are armed, the executor gates and observes
+        its own breakers inline (direct callers with no publish stage).
         """
         if spec is None:
             spec = self.spec_for(query)
         if spec is None:
-            return self._execute_global(query, engine)
+            # No partitioned atom: one execution against the merged view.
+            plan = None
+            if engine.plan_aware:
+                _, query, plan = self.compiler.compile_canonical(query)
+            return run_engine(engine, query, plan, (self.catalog,))[0][0]
         signature = self.compiler.signature(query)
         self._spec_memo[signature] = spec
         plan = self._plan_for(signature, spec) if engine.plan_aware else None
-        injector = self.injector
-        own_gate = injector is not None and breaker_gate is None
+        own_gate = self.injector is not None and breaker_gate is None
         if own_gate:
             breaker_gate = self.breakers.gate(range(self.catalog.num_shards), now)
 
-        tasks: List[ShardTaskStats] = []
-        partials: List[List[Tuple[int, ...]]] = []
-        replayed_lengths: List[int] = []
-        counts: List[int] = []
-        aggregated = JoinStats()
-        computed_any = False
-        plan_used = False
-        cacheable = True
+        replayed = self._probe(signature)
+        missed = [s for s in range(self.catalog.num_shards) if s not in replayed]
+        computed = self._run(engine, spec, plan, missed, run_engine, now)
+        execution = self._gather(
+            spec, signature, plan, replayed, computed, collect_partials, now, breaker_gate
+        )
 
-        # Phase 1 — probe the partial cache sequentially in shard order
-        # (deterministic counters) and collect the shards left to compute.
-        fragment_sizes: Dict[int, int] = {}
+        stats = execution.scatter
+        if own_gate:
+            # Sequential caller: the execution is complete here, so observing
+            # at `now + cost` is the same deterministic point the service
+            # uses (the request's completion event).
+            self.observe_attempts(stats, now + execution.cost)
+        if execution.degraded and self.on_shard_loss == "fail":
+            error = ShardUnavailableError(
+                spec.seed_relation,
+                execution.missing_shards,
+                sum(task.attempts for task in stats.tasks if task.lost),
+                execution.cost,
+            )
+            # Carry the breakdown so the service can still feed the
+            # breakers and trace the failed fan-out at completion.
+            error.scatter = stats
+            raise error
+        return execution
+
+    def _probe(self, signature: str) -> Dict[int, List[Tuple[int, ...]]]:
+        """Phase 1 — cached partials by shard, probed in shard order."""
         replayed: Dict[int, List[Tuple[int, ...]]] = {}
-        to_compute: List[int] = []
-        for shard in range(self.catalog.num_shards):
-            fragment_sizes[shard] = self.catalog.shard_relation(
-                spec.seed_relation, shard
-            ).cardinality
-            key = partial_key(signature, shard)
-            cached = self.partial_cache.get(key) if self.partial_cache is not None else None
-            if cached is not None:
-                replayed[shard] = cached
-            else:
-                to_compute.append(shard)
+        if self.partial_cache is not None:
+            for shard in range(self.catalog.num_shards):
+                cached = self.partial_cache.get(partial_key(signature, shard))
+                if cached is not None:
+                    replayed[shard] = cached
+        return replayed
 
-        # Phase 2 — run the missed shard tasks, possibly on a worker pool.
-        # With faults armed, each task reads the first replica whose node is
-        # live at dispatch (fragment copies are identical, so the bytes are
-        # the same as the primary's); whether the task *survives* is decided
-        # by the attempt walk in phase 3, and a lost task's execution is
-        # discarded there.
-        read_replica: Dict[int, int] = {}
-        if injector is not None:
-            for shard in to_compute:
+    def _run(
+        self,
+        engine: EngineProtocol,
+        spec: ScatterSpec,
+        plan: Optional[JoinPlan],
+        shards: List[int],
+        run_engine,
+        now: float,
+    ) -> Dict[int, Tuple[EngineExecution, Optional[float]]]:
+        """Phase 2 — one ``run_engine`` call over the missed shards' views.
+
+        With faults armed, each task reads the first replica whose node is
+        live at dispatch (fragment copies are identical, so the bytes are
+        the same as the primary's); whether the task *survives* is decided
+        by the attempt walk in :meth:`_gather`.
+        """
+        injector = self.injector
+        views = []
+        for shard in shards:
+            replica = 0
+            if injector is not None:
                 nodes = self.catalog.replica_nodes(spec.seed_relation, shard)
-                read_replica[shard] = next(
-                    (
-                        r
-                        for r, node in enumerate(nodes)
-                        if not injector.is_down(node, now)
-                    ),
+                replica = next(
+                    (r for r, node in enumerate(nodes) if not injector.is_down(node, now)),
                     0,
                 )
+            views.append(self.catalog.shard_view(shard, spec, replica=replica))
+        return dict(zip(shards, run_engine(engine, spec.query, plan, views)))
 
-        def view_of(shard: int):
-            return self.catalog.shard_view(shard, spec, replica=read_replica.get(shard, 0))
+    def _gather(
+        self,
+        spec: ScatterSpec,
+        signature: str,
+        plan: Optional[JoinPlan],
+        replayed: Dict[int, List[Tuple[int, ...]]],
+        computed: Dict[int, Tuple[EngineExecution, Optional[float]]],
+        collect_partials: Optional[List[PartialEntry]],
+        now: float,
+        breaker_gate: Optional[Dict[int, bool]],
+    ) -> EngineExecution:
+        """Phase 3 — gather in shard order, identical whatever ran phase 2.
 
-        def run_shard(shard: int) -> EngineExecution:
-            if plan is not None:
-                return engine.execute(spec.query, view_of(shard), plan=plan)
-            return engine.execute(spec.query, view_of(shard))
-
-        wall_times: Dict[int, float] = {}
-        offloaded = None
-        if engine_runner is not None and plan is not None and to_compute:
-            offloaded = engine_runner.run_shards(
-                engine, spec.query, plan, {shard: view_of(shard) for shard in to_compute}
-            )
-        if offloaded is not None:
-            executions = {}
-            for shard in to_compute:
-                execution, wall = offloaded[shard]
-                executions[shard] = execution
-                if wall is not None:
-                    wall_times[shard] = wall
-        elif task_map is not None:
-            # Per-shard host spans: distinct keys per worker, so the dict
-            # writes cannot collide; the serial fan-out records none.
-            def timed_run(shard: int) -> EngineExecution:
-                wall_start = time.perf_counter()
-                execution = run_shard(shard)
-                wall_times[shard] = time.perf_counter() - wall_start
-                return execution
-
-            executions = dict(zip(to_compute, task_map(timed_run, to_compute)))
-        else:
-            executions = {shard: run_shard(shard) for shard in to_compute}
-
-        # Phase 3 — gather in shard order (identical to the serial fan-out).
+        With faults armed, each computed shard's one execution is charged
+        its deterministic attempt walk (:func:`repro.service.faults.schedule_task`):
+        failed attempts, backoffs, hedges and the final success or give-up
+        are pure virtual-cost events, so a recoverable fault schedule yields
+        byte-identical results/stats/caches to the fault-free run.  A task
+        whose walk gives up is *lost*: its execution is discarded wholesale
+        — no tuples, no stats, no partial-cache entry.
+        """
+        tasks: List[ShardTaskStats] = []
+        partials: List[List[Tuple[int, ...]]] = []
+        survivors: List[Tuple[int, EngineExecution]] = []
         attempt_outcomes: List[Tuple[int, bool]] = []
         for shard in range(self.catalog.num_shards):
-            fragment_size = fragment_sizes[shard]
+            fragment_size = self.catalog.shard_relation(
+                spec.seed_relation, shard
+            ).cardinality
             if shard in replayed:
                 cached = replayed[shard]
                 tasks.append(
                     ShardTaskStats(shard, len(cached), PARTIAL_REPLAY_COST_NS, True, fragment_size)
                 )
                 partials.append(cached)
-                replayed_lengths.append(len(cached))
                 continue
-            execution = executions[shard]
-            schedule = None
-            if injector is not None:
+            execution, wall = computed[shard]
+            cost_ns, walk = execution.cost, {}
+            if self.injector is not None:
                 schedule = schedule_task(
                     shard,
                     self.catalog.replica_nodes(spec.seed_relation, shard),
@@ -494,63 +485,65 @@ class ScatterGatherExecutor:
                     now,
                     signature,
                     self.retry_policy,
-                    injector,
+                    self.injector,
                     breaker_gate,
                 )
                 attempt_outcomes.extend(schedule.outcomes)
+                cost_ns = schedule.cost_ns
+                walk = dict(
+                    attempts=len(schedule.attempts),
+                    timeouts=schedule.timeouts,
+                    hedged=schedule.hedged,
+                )
                 if not schedule.ok:
-                    # Lost shard: the execution is discarded wholesale — no
-                    # tuples, no stats, no partial-cache entry — so a
-                    # degraded result is exactly the surviving union.
                     tasks.append(
-                        ShardTaskStats(
-                            shard,
-                            0,
-                            schedule.cost_ns,
-                            False,
-                            fragment_size,
-                            attempts=len(schedule.attempts),
-                            timeouts=schedule.timeouts,
-                            hedged=schedule.hedged,
-                            lost=True,
-                        )
+                        ShardTaskStats(shard, 0, cost_ns, False, fragment_size, lost=True, **walk)
                     )
                     partials.append([])
                     continue
-            computed_any = True
-            plan_used = plan_used or execution.plan_used
-            cacheable = cacheable and execution.cacheable
-            if execution.count is not None:
-                counts.append(execution.count)
-            aggregated.add(execution.stats)
-            if self.partial_cache is not None and execution.cacheable:
-                key = partial_key(signature, shard)
-                entry = (
-                    key,
-                    execution.tuples,
-                    self.dependencies_for(spec, shard),
-                    spec.query,
-                )
-                if collect_partials is not None:
-                    collect_partials.append(entry)
-                else:
-                    self.partial_cache.put_result(*entry)
+                walk["replica"] = schedule.replica
             tasks.append(
                 ShardTaskStats(
                     shard,
                     execution.cardinality,
-                    schedule.cost_ns if schedule is not None else execution.cost,
+                    cost_ns,
                     False,
                     fragment_size,
-                    wall_seconds=wall_times.get(shard),
-                    attempts=len(schedule.attempts) if schedule is not None else 1,
-                    timeouts=schedule.timeouts if schedule is not None else 0,
-                    hedged=schedule.hedged if schedule is not None else False,
-                    replica=schedule.replica if schedule is not None else 0,
+                    wall_seconds=wall,
+                    **walk,
                 )
             )
             partials.append(execution.tuples)
+            survivors.append((shard, execution))
 
+        entries = [] if collect_partials is None else collect_partials
+        if self.partial_cache is not None:
+            entries.extend(
+                (
+                    partial_key(signature, shard),
+                    execution.tuples,
+                    self.dependencies_for(spec, shard),
+                    spec.query,
+                )
+                for shard, execution in survivors
+                if execution.cacheable
+            )
+        if collect_partials is None:
+            self.publish_partials(entries)
+        executions = [execution for _shard, execution in survivors]
+        return self._merge(spec, plan, tasks, partials, executions, attempt_outcomes)
+
+    def _merge(
+        self,
+        spec: ScatterSpec,
+        plan: Optional[JoinPlan],
+        tasks: List[ShardTaskStats],
+        partials: List[List[Tuple[int, ...]]],
+        executions: List[EngineExecution],
+        attempt_outcomes: List[Tuple[int, bool]],
+    ) -> EngineExecution:
+        """Merge the gathered partials and charge the fan-out's virtual cost."""
+        counts = [e.count for e in executions if e.count is not None]
         gathered = sum(len(partial) for partial in partials)
         count: Optional[int] = None
         if counts:
@@ -561,7 +554,7 @@ class ScatterGatherExecutor:
             # while a replicated seed counts the same full result everywhere.
             merged: List[Tuple[int, ...]] = []
             if spec.partitioned:
-                count = sum(counts) + sum(replayed_lengths)
+                count = sum(counts) + sum(t.tuples for t in tasks if t.from_cache)
             else:
                 count = counts[0]
         elif spec.partitioned and set(spec.query.head_variables) == set(
@@ -573,7 +566,6 @@ class ScatterGatherExecutor:
             merged = [row for partial in partials for row in partial]
         else:
             merged = sorted(set().union(*partials)) if partials else []
-        duplicates_removed = 0 if counts else gathered - len(merged)
         merge_cost = SCATTER_MERGE_COST_PER_TUPLE_NS * gathered
         cost = (
             SCATTER_DISPATCH_COST_NS * len(tasks)
@@ -588,60 +580,32 @@ class ScatterGatherExecutor:
             missing = lost
         else:
             missing = lost if len(lost) == len(tasks) else ()
-        if missing:
-            cacheable = False
-        scatter_stats = ScatterGatherStats(
-            seed_relation=spec.seed_relation,
-            seed_partitioned=spec.partitioned,
-            tasks=tuple(tasks),
-            merged_tuples=len(merged),
-            duplicates_removed=duplicates_removed,
-            merge_cost_ns=merge_cost,
-            missing_shards=missing,
-            attempt_outcomes=tuple(attempt_outcomes),
-        )
-        if own_gate:
-            # Sequential caller: the execution is complete here, so observing
-            # at `now + cost` is the same deterministic point the service
-            # uses (the request's completion event).
-            self.observe_attempts(scatter_stats, now + cost)
-        if missing and self.on_shard_loss == "fail":
-            error = ShardUnavailableError(
-                spec.seed_relation,
-                missing,
-                sum(task.attempts for task in tasks if task.lost),
-                cost,
-            )
-            # Carry the breakdown so the service can still feed the
-            # breakers and trace the failed fan-out at completion.
-            error.scatter = scatter_stats
-            raise error
+        aggregated = JoinStats()
+        for execution in executions:
+            aggregated.add(execution.stats)
         return EngineExecution(
             tuples=merged,
             cost=cost,
-            plan_used=plan_used,
-            stats=aggregated if computed_any else None,
+            plan_used=any(execution.plan_used for execution in executions),
+            stats=aggregated if executions else None,
             plan=plan,
             count=count,
-            cacheable=cacheable,
-            scatter=scatter_stats,
+            cacheable=not missing and all(e.cacheable for e in executions),
+            scatter=ScatterGatherStats(
+                seed_relation=spec.seed_relation,
+                seed_partitioned=spec.partitioned,
+                tasks=tuple(tasks),
+                merged_tuples=len(merged),
+                duplicates_removed=0 if counts else gathered - len(merged),
+                merge_cost_ns=merge_cost,
+                missing_shards=missing,
+                attempt_outcomes=tuple(attempt_outcomes),
+            ),
             degraded=bool(missing),
             missing_shards=missing,
         )
 
-    def _execute_global(
-        self, query: ConjunctiveQuery, engine: EngineProtocol
-    ) -> EngineExecution:
-        """Single execution against the merged view (no partitioned atom)."""
-        if engine.plan_aware:
-            _, canonical, plan = self.compiler.compile_canonical(query)
-            return engine.execute(canonical, self.catalog, plan=plan)
-        return engine.execute(query, self.catalog)
-
-    def publish_partials(
-        self,
-        entries: List[Tuple],
-    ) -> None:
+    def publish_partials(self, entries: List[PartialEntry]) -> None:
         """Publish partials collected via ``collect_partials`` into the cache."""
         if self.partial_cache is None:
             return

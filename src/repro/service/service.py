@@ -55,7 +55,8 @@ from repro.engines import create_engine as create_backend
 from repro.relational.catalog import Database
 from repro.relational.query import ConjunctiveQuery
 from repro.service.admission import AdmissionController
-from repro.service.backends import ExecutionBackend, TaskMap, create_execution_backend
+from repro.service.backends import ExecutionBackend, create_execution_backend, run_inline
+from repro.service.caches import CacheStats
 from repro.service.faults import ShardUnavailableError
 from repro.service.metrics import QueryRecord, ServiceMetrics
 from repro.service.pipeline import CompletedQuery, PreparedQuery, QueryPipeline
@@ -235,12 +236,6 @@ class QueryService:
         # concurrently over the same admission/cache state.
         self._submit_lock = threading.Lock()
         self._drain_lock = threading.Lock()
-        # A ``crash:`` fault clause arms the process backend's crash trigger.
-        injector = pipeline.injector
-        if injector is not None and injector.crash_after is not None:
-            runner = getattr(self.execution_backend, "_runner", None)
-            if runner is not None:
-                runner.crash_after = injector.crash_after
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -381,27 +376,24 @@ class QueryService:
         """
         if not self.tracer.enabled:
             return self.database.insert_into(relation_name, rows)
-        results_before = self.result_cache.stats.invalidations
-        patches_before = self.result_cache.stats.patches
-        partial_cache = (
-            self.scatter.partial_cache if self.scatter is not None else None
+        # The stats objects, not the caches: a ResultCache is falsy
+        # (``__len__``) once the mutation empties it.
+        results = self.result_cache.stats
+        partials = (
+            self.scatter.partial_cache.stats if self.scatter is not None else CacheStats()
         )
-        partials_before = partial_cache.stats.invalidations if partial_cache else 0
-        partial_patches_before = partial_cache.stats.patches if partial_cache else 0
+        before = (results.invalidations, results.patches, partials.invalidations, partials.patches)
         inserted = self.database.insert_into(relation_name, rows)
-        partials_after = partial_cache.stats.invalidations if partial_cache else 0
-        partial_patches_after = partial_cache.stats.patches if partial_cache else 0
         self.tracer.emit(
             "catalog_mutation",
             self._clock,
             {
                 "relation": relation_name,
                 "rows_inserted": inserted,
-                "invalidated_results": self.result_cache.stats.invalidations
-                - results_before,
-                "invalidated_partials": partials_after - partials_before,
-                "patched_results": self.result_cache.stats.patches - patches_before,
-                "patched_partials": partial_patches_after - partial_patches_before,
+                "invalidated_results": results.invalidations - before[0],
+                "invalidated_partials": partials.invalidations - before[2],
+                "patched_results": results.patches - before[1],
+                "patched_partials": partials.patches - before[3],
             },
         )
         return inserted
@@ -423,15 +415,15 @@ class QueryService:
         self,
         request: ServiceRequest,
         start_time: float,
-        task_map: Optional[TaskMap] = None,
-        engine_runner=None,
+        run_engine=run_inline,
     ) -> PreparedQuery:
         """Choose the request's engine and run the pipeline's prepare stage.
 
         Runs on the orchestrator thread, in dispatch order: backend choice
         may consume rotation/router state, and the cache probes of
         :meth:`QueryPipeline.prepare` must happen in the virtual-time
-        oracle's order on every execution backend.
+        oracle's order on every execution backend.  ``run_engine`` is the
+        execution backend's engine-work hook.
         """
         pipeline = self.pipeline
         query = request.query
@@ -451,9 +443,7 @@ class QueryService:
                 },
                 arrival_time=request.arrival_time,
             )
-        return pipeline.prepare(
-            query, signature, backend, start_time, trace, task_map, engine_runner
-        )
+        return pipeline.prepare(query, signature, backend, start_time, trace, run_engine)
 
     def _finalize(
         self,

@@ -25,11 +25,11 @@ The pieces, in data-flow order:
 * :class:`SegmentCatalog` (worker) — just enough catalog surface for the
   slot-compiled engines (``validate_query`` + ``trie_for_atom``), resolving
   every trie by attaching its segment ``memoryview.cast('q')`` zero-copy.
-* :class:`SharedMemoryRunner` (orchestrator) — the ``engine_runner`` hook
-  the service and the scatter executor call: it owns the exporter and a
-  ``ProcessPoolExecutor`` and decides per execution whether to offload
-  (plan-aware picklable software engine, flat tries) or to report "run it
-  inline" by returning ``None``.
+* :class:`SharedMemoryRunner` (orchestrator) — what the process backend's
+  :meth:`~repro.service.backends.ExecutionBackend.run_engine` hook calls:
+  it owns the exporter and a ``ProcessPoolExecutor``, ships every catalog
+  it can (plan-aware picklable software engine, flat tries) and hands the
+  rest to the threaded hook.
 
 Determinism: the worker runs the exact same pickled engine over the exact
 same int64 arrays with the exact same plan, so the returned
@@ -61,7 +61,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context, shared_memory
 from multiprocessing import resource_tracker
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engines import EngineExecution, EngineProtocol, SoftwareEngine
 from repro.joins.plan import JoinPlan
@@ -391,9 +391,9 @@ def _warm_worker() -> int:
 
 
 class ProcessPoolBrokenWarning(RuntimeWarning):
-    """The worker pool died mid-serve; engine work continues inline.
+    """The worker pool died mid-serve; engine work continues in-process.
 
-    Results are unchanged (the inline path is bit-identical by
+    Results are unchanged (the in-process path is bit-identical by
     construction) — only the offload is lost.  Raised at most once per
     :class:`SharedMemoryRunner`; the count of executions that fell back is
     :attr:`SharedMemoryRunner.inline_fallbacks`, mirrored into
@@ -402,21 +402,18 @@ class ProcessPoolBrokenWarning(RuntimeWarning):
 
 
 class SharedMemoryRunner:
-    """The process backend's ``engine_runner``: offload-or-decline per call.
+    """The process backend's engine work: ship per catalog, or fall back.
 
-    The service's dispatch path asks :meth:`global_work` for a monolithic
-    plan-aware execution and the scatter executor asks :meth:`run_shards`
-    for a fan-out's missed shards; both return ``None`` whenever the
-    execution cannot be shipped faithfully (plan-blind engine, non-software
-    engine, unpicklable engine, boxed tries, broken pool), and the caller
-    runs the existing inline/threaded path instead — behaviour, not just
-    results, degrades gracefully.
+    :meth:`run` ships each catalog whose execution can run faithfully in a
+    worker and hands the rest (plan-blind, non-software or unpicklable
+    engine, boxed tries, broken pool) to the caller's fallback hook —
+    behaviour, not just results, degrades gracefully.
 
     ``crash_after`` is the deterministic worker-crash trigger of the fault
     harness (see :class:`repro.service.faults.WorkerCrashFault`): after that
     many offloaded work items the pool is declared broken, exercising the
     same fallback path a real worker death takes.  ``inline_fallbacks``
-    counts engine executions that ran inline *because the pool was broken*
+    counts engine executions that ran in-process *because the pool was broken*
     (capability declines — plan-blind engines, boxed tries — are the normal
     protocol and are not counted).
     """
@@ -430,7 +427,7 @@ class SharedMemoryRunner:
         self._lock = threading.Lock()
         self._broken = False
         self._closed = False
-        #: Engine executions that fell back inline after the pool broke.
+        #: Engine executions that fell back in-process after the pool broke.
         self.inline_fallbacks = 0
         #: Declare the pool broken after this many offloaded work items
         #: (``None`` disables the trigger).
@@ -497,9 +494,6 @@ class SharedMemoryRunner:
             except Exception:  # pragma: no cover - catalog already closed
                 pass
         self.exporter.close()
-
-    def active_segments(self) -> Tuple[str, ...]:
-        return self.exporter.active_segments()
 
     # ------------------------------------------------------------------ #
     # Offload decisions
@@ -578,7 +572,7 @@ class SharedMemoryRunner:
             stacklevel=3,
         )
 
-    def _note_inline_fallbacks(self, count: int = 1) -> None:
+    def _note_inline_fallbacks(self, count: int) -> None:
         with self._lock:
             self.inline_fallbacks += count
 
@@ -604,103 +598,54 @@ class SharedMemoryRunner:
         except RuntimeError:  # pool shut down under us
             return None
 
-    def _run(self, request: WorkRequest) -> Optional[Tuple[EngineExecution, float]]:
-        future = self._submit(request)
+    def _collect(self, future, plan: JoinPlan) -> Optional[Tuple[EngineExecution, float]]:
         if future is None:
             return None
         try:
-            return future.result()
+            execution, wall = future.result()
         except BrokenProcessPool:
             # A worker died mid-drain.  Mark the pool unusable (close()
-            # still unlinks every segment) and let the caller fall back to
-            # the inline path so the drain completes.
+            # still unlinks every segment) and fall back, so the drain
+            # completes.
             self._mark_broken("a worker process died mid-drain")
             return None
+        execution.plan = plan
+        return execution, wall
 
     # ------------------------------------------------------------------ #
-    # The engine_runner surface
+    # The engine-work surface
     # ------------------------------------------------------------------ #
-    def global_work(
+    def run(
         self,
         engine: EngineProtocol,
         query: ConjunctiveQuery,
-        plan: JoinPlan,
-        database,
-    ) -> Optional[Callable[[], EngineExecution]]:
-        """A work closure running the monolithic execution in a worker.
+        plan: Optional[JoinPlan],
+        catalogs: Sequence[object],
+        fallback: Callable[..., List[Tuple[EngineExecution, Optional[float]]]],
+    ) -> List[Tuple[EngineExecution, Optional[float]]]:
+        """Run ``engine`` over each catalog, in worker processes where it can.
 
-        ``None`` declines (plan-blind/unshippable engine): the caller keeps
-        its inline closure.  The returned closure itself falls back inline
-        on boxed tries or a broken pool, so it always produces the
-        bit-identical execution.
+        Each catalog (the monolithic database, a shard view) ships as its
+        own request — tries shared between catalogs export once — and every
+        request is submitted before any is collected.  The rest go to
+        ``fallback`` (the threaded ``run_engine``) in one call: all of them
+        for a plan-blind or unshippable engine, any catalog with a boxed
+        trie, and any the pool could not run; only those last ones count as
+        :attr:`inline_fallbacks`.  Returns ``(execution, wall_seconds)`` per
+        catalog, in catalog order, bit-identical either way.
         """
-        engine_bytes = self._engine_bytes(engine)
+        engine_bytes = self._engine_bytes(engine) if plan is not None else None
         if engine_bytes is None:
-            return None
-
-        def work() -> EngineExecution:
-            request = self._build_request(engine_bytes, query, plan, database)
-            outcome = self._run(request) if request is not None else None
-            if outcome is None:
-                # Boxed tries decline by protocol; a broken pool is a fault
-                # and this inline execution is counted as a fallback.
-                if request is not None and self._broken:
-                    self._note_inline_fallbacks()
-                return engine.execute(query, database, plan=plan)
-            execution, _worker_wall = outcome
-            execution.plan = plan
-            return execution
-
-        return work
-
-    def run_shards(
-        self,
-        engine: EngineProtocol,
-        query: ConjunctiveQuery,
-        plan: JoinPlan,
-        views: Dict[int, object],
-    ) -> Optional[Dict[int, Tuple[EngineExecution, Optional[float]]]]:
-        """Run one scatter fan-out's missed shards on the worker pool.
-
-        ``views`` maps shard index to its shard view; every shard
-        ships as its own request (seed fragments resolve to per-shard tries,
-        shared non-seed tries export once and are referenced by all).
-        Returns ``None`` to decline the whole fan-out — per-shard fallback
-        would change nothing observable, but all-or-nothing keeps the
-        wall-time accounting of one fan-out internally comparable.
-        """
-        engine_bytes = self._engine_bytes(engine)
-        if engine_bytes is None:
-            return None
-        requests: Dict[int, WorkRequest] = {}
-        for shard, view in views.items():
-            request = self._build_request(engine_bytes, query, plan, view)
-            if request is None:
-                return None
-            requests[shard] = request
-        futures = {}
-        for shard in sorted(requests):
-            future = self._submit(requests[shard])
-            if future is None:
-                if self._broken:
-                    # The caller re-runs the whole fan-out inline.
-                    self._note_inline_fallbacks(len(views))
-                return None
-            futures[shard] = future
-        results: Dict[int, Tuple[EngineExecution, Optional[float]]] = {}
-        failed = False
-        for shard in sorted(futures):
-            try:
-                execution, wall = futures[shard].result()
-            except BrokenProcessPool:
-                failed = True
-                continue
-            execution.plan = plan
-            results[shard] = (execution, wall)
-        if failed:
-            self._mark_broken("a worker process died mid-drain")
-            self._note_inline_fallbacks(len(views))
-            return None
+            return fallback(engine, query, plan, catalogs)
+        requests = [self._build_request(engine_bytes, query, plan, c) for c in catalogs]
+        futures = [self._submit(r) if r is not None else None for r in requests]
+        results = [self._collect(future, plan) for future in futures]
+        rest = [index for index, result in enumerate(results) if result is None]
+        if self._broken:
+            self._note_inline_fallbacks(sum(requests[i] is not None for i in rest))
+        redone = fallback(engine, query, plan, [catalogs[index] for index in rest])
+        for index, result in zip(rest, redone):
+            results[index] = result
         return results
 
 

@@ -107,11 +107,11 @@ def gallop(
 
     Identical result to :func:`lowest_upper_bound`, but it starts probing
     right at ``lo`` (where a leapfrog cursor already sits, so the answer is
-    usually nearby) and reports how many elements it actually compared.  This
-    is the reference form of the galloping scheme — the kernel
-    microbenchmarks time it, and tests pin it against
-    :func:`lowest_upper_bound` and use it as the landing-position oracle for
-    the depth kernel of :mod:`repro.joins.leapfrog`.  No window validation is
+    usually nearby) and reports how many elements it actually compared.  It
+    is kept as a reference form for tests, not run by any engine: tests pin
+    it against :func:`lowest_upper_bound` and use it as the landing-position
+    oracle for the depth kernel of :mod:`repro.joins.leapfrog`, and the
+    legacy kernel microbenchmark times it.  No window validation is
     performed — callers pass cursor positions that are valid by construction.
     """
     if hi is None:

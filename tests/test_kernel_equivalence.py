@@ -28,11 +28,9 @@ from repro.relational import (
     Atom,
     ConjunctiveQuery,
     Database,
-    MemoryLayout,
     Relation,
     Schema,
     TrieIndex,
-    ValueDictionary,
 )
 from repro.util.sorted_ops import gallop, lowest_upper_bound
 
@@ -619,55 +617,3 @@ class TestArrayBackedTrie:
         relation.insert((5, 0))
         assert relation.sorted_rows_in(("y", "x")) == [(0, 5), (2, 1), (4, 3)]
 
-
-class TestValueDictionary:
-    def test_round_trip_and_order_preservation(self):
-        dictionary = ValueDictionary([100, 7, 100, 3000])
-        assert len(dictionary) == 3
-        assert dictionary.encode_row((7, 100, 3000)) == (0, 1, 2)
-        assert dictionary.decode_row((0, 1, 2)) == (7, 100, 3000)
-        assert 7 in dictionary and 8 not in dictionary
-        with pytest.raises(KeyError):
-            dictionary.encode_value(8)
-        with pytest.raises(IndexError):
-            dictionary.decode_value(3)
-
-    def test_huge_values_fall_back_to_boxed_storage(self):
-        big = 1 << 70
-        dictionary = ValueDictionary([big, 3, big + 1])
-        assert dictionary.encode_value(big) == 1
-        assert dictionary.decode_row((0, 1, 2)) == (3, big, big + 1)
-
-    def test_lowest_code_bound_matches_lub_convention(self):
-        dictionary = ValueDictionary([10, 20, 30])
-        assert dictionary.lowest_code_bound(15) == 1
-        assert dictionary.lowest_code_bound(10) == 0
-        assert dictionary.lowest_code_bound(99) == 3
-
-    def test_encoded_relation_builds_equivalent_trie(self):
-        relation = Relation(
-            "R", Schema(("x", "y")), [(1000, 7), (1000, 2000), (5, 7)]
-        )
-        encoded, dictionary = relation.dictionary_encoded()
-        assert dictionary.density < 1.0
-        raw_paths = [tuple(row) for row in TrieIndex(relation).paths()]
-        decoded = [dictionary.decode_row(p) for p in TrieIndex(encoded).paths()]
-        assert decoded == raw_paths
-
-    def test_dictionary_cached_and_invalidated(self):
-        relation = Relation("R", Schema(("x",)), [(10,), (20,)])
-        first = relation.value_dictionary()
-        assert relation.value_dictionary() is first
-        relation.insert((30,))
-        assert relation.value_dictionary() is not first
-        assert len(relation.value_dictionary()) == 3
-
-    def test_layout_accounts_for_decode_array(self):
-        relation = Relation("R", Schema(("x", "y")), [(100, 7), (100, 9)])
-        trie = TrieIndex(relation)
-        dictionary = relation.value_dictionary()
-        layout = MemoryLayout()
-        layout.add_trie("t", trie)
-        region = layout.add_dictionary("t", dictionary)
-        assert region.num_elements == len(dictionary)
-        assert layout.dictionary_region("t") is region

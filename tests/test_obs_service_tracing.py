@@ -170,6 +170,26 @@ class TestMutationEvents:
         finally:
             service.close()
 
+    def test_mutation_that_empties_the_partial_cache_counts_its_drops(self):
+        # An emptied ResultCache is falsy (it defines __len__); the span must
+        # still read its counters.
+        database = shard_database(
+            workload_database(num_vertices=40, num_edges=200, seed=5), 2
+        )
+        service = QueryService(database, backends=("lftj",), tracer=True)
+        try:
+            service.serve(pattern_query("cycle3"))
+            partial_cache = service.scatter.partial_cache
+            assert len(partial_cache) == 2
+            service.insert_tuples("E", [(1, 39), (39, 2)])
+            assert len(partial_cache) == 0
+            event = service.tracer.spans[-1]
+            assert event.name == "catalog_mutation"
+            assert partial_cache.stats.drops == 2
+            assert event.attributes["invalidated_partials"] == 2
+        finally:
+            service.close()
+
     def test_untraced_insert_has_no_tracer_cost(self):
         service = QueryService(_database(), backends=("lftj",), seed=3)
         try:

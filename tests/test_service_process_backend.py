@@ -32,7 +32,7 @@ from repro.api import Session, create_engine
 from repro.graphs import pattern_query
 from repro.joins.compiler import QueryCompiler
 from repro.joins.plan import SlotProgram
-from repro.relational.catalog import MutationEvent
+from repro.relational.catalog import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.sharding import shard_database
@@ -49,6 +49,7 @@ from repro.service import (
     workload_database,
 )
 from repro.service.shm import (
+    ProcessPoolBrokenWarning,
     SegmentCatalog,
     SegmentHandle,
     SharedMemoryRunner,
@@ -289,9 +290,6 @@ class TestWorkerExecution:
         try:
             naive = create_engine("naive")  # plan-blind: never shipped
             assert runner._engine_bytes(naive) is None
-            database = workload_database(num_vertices=30, num_edges=120, seed=3)
-            canonical, plan = _compiled(pattern_query("cycle3"), database)
-            assert runner.global_work(naive, canonical, plan, database) is None
         finally:
             runner.close()
 
@@ -304,6 +302,68 @@ class TestWorkerExecution:
         )
         with pytest.raises(ValueError, match="does not cover"):
             ordered_attributes_for(atom, ("src", "dst"), ("x",))
+
+
+# --------------------------------------------------------------------------- #
+# The engine-work hook, on every execution backend
+# --------------------------------------------------------------------------- #
+class TestRunEngineHook:
+    @pytest.mark.parametrize("backend_name", EXECUTION_BACKEND_NAMES)
+    def test_run_engine_matches_inline_in_view_order(self, backend_name):
+        database = shard_database(
+            workload_database(num_vertices=40, num_edges=200, seed=5), 3
+        )
+        spec = database.scatter_spec(pattern_query("cycle3"))
+        plan = QueryCompiler(enable_caching=False).compile(spec.query)
+        views = [database.shard_view(shard, spec) for shard in range(3)]
+        engine = create_engine("lftj")
+        inline = [engine.execute(spec.query, view, plan=plan) for view in views]
+        backend = create_execution_backend(backend_name, workers=2)
+        try:
+            if backend_name == "process":
+                backend._runner.bind(database)  # as _start does
+            results = backend.run_engine(engine, spec.query, plan, views)
+            assert len(results) == len(inline)
+            for (execution, wall), expected in zip(results, inline):
+                assert execution.tuples == expected.tuples
+                assert execution.cost == expected.cost
+                assert execution.stats == expected.stats
+                assert (wall is None) == (backend_name == "virtual")
+            if backend_name != "process":
+                return
+            # Capability declines run the threaded hook and are not counted:
+            # a plan-blind engine (even when handed a plan) ...
+            naive = create_engine("naive")
+            blind = backend.run_engine(naive, spec.query, plan, views)
+            assert [e.tuples for e, _ in blind] == [
+                naive.execute(spec.query, view).tuples for view in views
+            ]
+            # ... and a catalog whose trie cannot be exported flat.
+            big = 2**70
+            boxed = Database("boxed")
+            boxed.add_relation(
+                Relation(
+                    "E",
+                    Schema(("src", "dst")),
+                    [(big, big + 1), (big + 1, big + 2), (big + 2, big)],
+                )
+            )
+            canonical, boxed_plan = _compiled(pattern_query("cycle3"), boxed)
+            [(execution, _wall)] = backend.run_engine(
+                engine, canonical, boxed_plan, [boxed]
+            )
+            expected = engine.execute(canonical, boxed, plan=boxed_plan)
+            assert len(expected.tuples) == 3
+            assert execution.tuples == expected.tuples
+            assert backend.inline_fallbacks == 0
+            # A broken pool falls back too, and every such call is counted.
+            backend._runner.crash_after = 0
+            with pytest.warns(ProcessPoolBrokenWarning):
+                crashed = backend.run_engine(engine, spec.query, plan, views)
+            assert [e.tuples for e, _ in crashed] == [e.tuples for e in inline]
+            assert backend.inline_fallbacks == 3
+        finally:
+            backend.close()
 
 
 # --------------------------------------------------------------------------- #

@@ -24,8 +24,9 @@ from repro.service import (
     run_workload,
     workload_database,
 )
+from repro.service.backends import run_inline
 from repro.service.caches import LRUCache, ResultCache
-from repro.service.scatter import partial_key
+from repro.service.scatter import PARTIAL_REPLAY_COST_NS, partial_key
 
 ENGINES = ("lftj", "ctj", "naive")
 PARTITIONERS = ("hash", "range")
@@ -121,6 +122,94 @@ class TestScatterGatherEquivalence:
         execution = executor.execute(pattern_query("cycle3"), create_engine("lftj"))
         assert execution.stats is not None
         assert execution.stats.index_element_reads > 0
+
+
+# --------------------------------------------------------------------------- #
+# The engine-work hook: probe -> one run_engine call -> gather
+# --------------------------------------------------------------------------- #
+def recording_hook(calls, wall=None):
+    """An inline ``run_engine`` hook that records each call and reports ``wall``."""
+
+    def hook(engine, query, plan, catalogs):
+        calls.append((query, plan, list(catalogs)))
+        results = run_inline(engine, query, plan, catalogs)
+        return [(execution, wall) for execution, _ in results]
+
+    return hook
+
+
+class TestScatterEngineHook:
+    def test_only_missed_shards_reach_the_hook_in_one_call(self):
+        sharded = two_relation_catalog(num_shards=3)
+        partial_cache = ResultCache(64)
+        sharded.subscribe_invalidation(partial_cache.invalidate)
+        executor = ScatterGatherExecutor(sharded, partial_cache)
+        query, engine = rs_path_query(), create_engine("lftj")
+
+        calls = []
+        first = executor.execute(query, engine, run_engine=recording_hook(calls))
+        [(_query, plan, views)] = calls
+        assert len(views) == 3 and plan is not None
+
+        calls.clear()
+        replay = executor.execute(query, engine, run_engine=recording_hook(calls))
+        assert sum(len(views) for _q, _p, views in calls) == 0
+        assert [t.from_cache for t in replay.scatter.tasks] == [True, True, True]
+        assert all(t.cost_ns == PARTIAL_REPLAY_COST_NS for t in replay.scatter.tasks)
+        assert all(t.wall_seconds is None for t in replay.scatter.tasks)
+        assert replay.tuples == first.tuples
+
+        partitioner = sharded.partitioner_for("R")
+        row = next((v, v + 100) for v in range(1000) if partitioner.shard_of(v) == 0)
+        sharded.insert_into("R", [row])
+        calls.clear()
+        after = executor.execute(query, engine, run_engine=recording_hook(calls))
+        [(_query, _plan, views)] = calls
+        assert len(views) == 1
+        assert [t.from_cache for t in after.scatter.tasks] == [False, True, True]
+
+    def test_fault_free_task_charges_its_execution_cost_and_hook_wall(self):
+        executor = ScatterGatherExecutor(two_relation_catalog(num_shards=2))
+        executions = []
+
+        def hook(engine, query, plan, catalogs):
+            results = run_inline(engine, query, plan, catalogs)
+            executions.extend(execution for execution, _ in results)
+            return [(execution, 0.25) for execution, _ in results]
+
+        execution = executor.execute(
+            rs_path_query(), create_engine("ctj"), run_engine=hook, now=1234.5678
+        )
+        tasks = execution.scatter.tasks
+        assert [t.cost_ns for t in tasks] == [e.cost for e in executions]
+        assert [t.tuples for t in tasks] == [e.cardinality for e in executions]
+        assert [t.wall_seconds for t in tasks] == [0.25, 0.25]
+        assert all(t.attempts == 1 and not t.lost for t in tasks)
+        # The default hook runs inline and records no host timings.
+        inline = executor.execute(rs_path_query(), create_engine("ctj"))
+        assert [t.wall_seconds for t in inline.scatter.tasks] == [None, None]
+        assert [t.cost_ns for t in inline.scatter.tasks] == [t.cost_ns for t in tasks]
+
+    @pytest.mark.parametrize("engine_name", ("lftj", "naive"))
+    def test_unpartitioned_query_hands_the_hook_one_catalog(self, engine_name):
+        sharded = shard_database(
+            graph_database(community_graph(30, 120, seed=7)), 3, replicate_threshold=10**6
+        )
+        query, engine = pattern_query("cycle3"), create_engine(engine_name)
+        calls = []
+        execution = ScatterGatherExecutor(sharded).execute(
+            query, engine, run_engine=recording_hook(calls)
+        )
+        [(ran, plan, catalogs)] = calls
+        assert len(catalogs) == 1 and catalogs[0] is sharded
+        if engine_name == "naive":
+            # Plan-blind: the original query, no plan.
+            assert ran is query and plan is None
+        else:
+            assert plan is not None
+        assert execution.scatter is None
+        reference = engine.execute(query, sharded.global_database)
+        assert set(execution.tuples) == set(reference.tuples)
 
 
 # --------------------------------------------------------------------------- #
