@@ -12,8 +12,8 @@ ordering; :meth:`Database.trie_for_atom` therefore keys its cache on the
 
 The catalog is also the **single mutation point** of the serving layer:
 :meth:`Database.insert_into` routes tuple insertions through the catalog so
-that trie indexes are rebuilt lazily and every subscriber registered via
-:meth:`Database.subscribe_invalidation` (e.g. the
+that cached trie indexes are extended (never rebuilt) and every subscriber
+registered via :meth:`Database.subscribe_invalidation` (e.g. the
 :class:`repro.service.QueryService` result cache) learns which relation
 changed.  Subscribers receive a structured :class:`MutationEvent` — which
 relation, which shard (``None`` for a monolithic catalog), and the exact
@@ -283,10 +283,39 @@ def ordered_attributes_for(
     return tuple(ordered)
 
 
-class Database:
+class MutationSource:
+    """Invalidation-subscriber bookkeeping, shared by every catalog that mutates."""
+
+    def __init__(self) -> None:
+        self._invalidation_listeners: List[MutationListener] = []
+
+    def subscribe_invalidation(self, callback: MutationListener) -> None:
+        """Call ``callback(event)`` with the :class:`MutationEvent` of every
+        (re)definition or mutation (``shard=None`` from a monolithic catalog)."""
+        self._invalidation_listeners.append(callback)
+
+    def unsubscribe_invalidation(self, callback: MutationListener) -> bool:
+        """Remove a previously subscribed callback; True if it was present.
+
+        Lets short-lived subscribers (e.g. a closed :class:`repro.api.Session`)
+        detach, so a long-lived catalog does not accumulate dead listeners.
+        """
+        try:
+            self._invalidation_listeners.remove(callback)
+            return True
+        except ValueError:
+            return False
+
+    def _notify(self, event: MutationEvent) -> None:
+        for callback in self._invalidation_listeners:
+            callback(event)
+
+
+class Database(MutationSource):
     """A named collection of relations with on-demand trie indexes."""
 
     def __init__(self, name: str = "db"):
+        super().__init__()
         self.name = name
         self._relations: Dict[str, Relation] = {}
         self._trie_cache: Dict[Tuple[str, Tuple[str, ...]], TrieIndex] = {}
@@ -295,7 +324,6 @@ class Database:
         # lock makes the lazy build happen exactly once instead of racing
         # the check-then-insert.
         self._trie_lock = threading.Lock()
-        self._invalidation_listeners: List[MutationListener] = []
 
     # ------------------------------------------------------------------ #
     # Relation management
@@ -344,8 +372,8 @@ class Database:
         """Insert ``rows`` into a stored relation; return how many were new.
 
         This is the mutation entry point of the serving layer: cached tries
-        for the relation are rebuilt from its already-spliced sorted rows
-        (no re-sort, see :meth:`_apply_delta`) and every
+        for the relation are extended with the new rows in one batched
+        pass (no rebuild, see :meth:`_apply_delta`) and every
         invalidation subscriber is notified with the exact
         :class:`DeltaBatch`, whether or not any row was actually new —
         callers cannot observe staleness either way, but cache layers above
@@ -365,48 +393,22 @@ class Database:
         self._apply_delta(relation_name, batch)
         return batch
 
-    def subscribe_invalidation(self, callback: MutationListener) -> None:
-        """Call ``callback(event)`` whenever a relation is (re)defined or mutated.
-
-        ``event`` is a :class:`MutationEvent`; a monolithic database always
-        reports ``shard=None`` (the whole relation changed).
-        """
-        self._invalidation_listeners.append(callback)
-
-    def unsubscribe_invalidation(self, callback: MutationListener) -> bool:
-        """Remove a previously subscribed callback; True if it was present.
-
-        Lets short-lived subscribers (e.g. a closed :class:`repro.api.Session`)
-        detach, so a long-lived catalog does not accumulate dead listeners.
-        """
-        try:
-            self._invalidation_listeners.remove(callback)
-            return True
-        except ValueError:
-            return False
-
-    def _invalidate(
-        self, relation_name: str, delta: int = 0, kind: str = "insert"
-    ) -> None:
+    def _invalidate(self, relation_name: str, delta: int, kind: str) -> None:
         with self._trie_lock:
             stale = [key for key in self._trie_cache if key[0] == relation_name]
             for key in stale:
                 del self._trie_cache[key]
-        event = MutationEvent(relation_name, shard=None, delta=delta, kind=kind)
-        for callback in self._invalidation_listeners:
-            callback(event)
+        self._notify(MutationEvent(relation_name, shard=None, delta=delta, kind=kind))
 
     def _apply_delta(self, relation_name: str, batch: DeltaBatch) -> None:
         """Extend cached tries with ``batch`` and notify subscribers.
 
-        Each cached trie of the relation is replaced by a new one built
-        from the relation's sorted rows in that order, which
-        :meth:`Relation.insert_batch` has already spliced the batch into —
-        one linear flat-build pass, no sort and no walk of the old trie
-        (readers holding the old trie keep a consistent snapshot).  A trie
-        whose tuple count no longer matches the relation — someone mutated
-        the :class:`Relation` behind the catalog's back — is evicted
-        instead, so the sort a rebuild then needs is paid lazily.
+        Each cached trie of the relation is replaced by its
+        :meth:`TrieIndex.extended` over the batch rows — one batched pass, no
+        rebuild; readers holding the old trie keep a consistent snapshot.  A
+        trie whose tuple count no longer matches the relation — someone
+        mutated the :class:`Relation` behind the catalog's back — is evicted
+        instead, and the next reader rebuilds it.
         """
         relation = self.relation(relation_name)
         with self._trie_lock:
@@ -419,10 +421,8 @@ class Database:
                 if trie.num_tuples + batch.count != relation.cardinality:
                     del self._trie_cache[key]
                 elif batch.rows:
-                    self._trie_cache[key] = TrieIndex(relation, trie.attribute_order)
-        event = MutationEvent(relation_name, shard=None, delta=batch, kind="insert")
-        for callback in self._invalidation_listeners:
-            callback(event)
+                    self._trie_cache[key] = trie.extended(relation, batch.rows)
+        self._notify(MutationEvent(relation_name, shard=None, delta=batch, kind="insert"))
 
     # ------------------------------------------------------------------ #
     # State hooks (what a durable layer persists and restores)
@@ -452,8 +452,8 @@ class Database:
         a sharded catalog passes its index) of every relation that has one —
         rows arrive sorted and deduplicated, so the sorted-row cache is
         pre-seeded — then installs that fragment's prebuilt tries in the
-        cache (the caller guarantees they match the rows; any later mutation
-        evicts them like any other cached trie), so the first query after a
+        cache (the caller guarantees they match the rows; a later insert
+        extends them like any other cached trie), so the first query after a
         restart maps files instead of rebuilding indexes.
         """
         for state in relations:

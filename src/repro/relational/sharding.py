@@ -59,7 +59,7 @@ from repro.relational.catalog import (
     CatalogState,
     Database,
     MutationEvent,
-    MutationListener,
+    MutationSource,
     OverlayCatalog,
     RelationState,
 )
@@ -224,7 +224,7 @@ class ScatterSpec:
 # --------------------------------------------------------------------------- #
 # The sharded catalog
 # --------------------------------------------------------------------------- #
-class ShardedDatabase:
+class ShardedDatabase(MutationSource):
     """A :class:`~repro.relational.catalog.Catalog` partitioned over N shards.
 
     Parameters
@@ -263,6 +263,7 @@ class ShardedDatabase:
         replicate_threshold: int = 0,
         replication_factor: int = 1,
     ):
+        super().__init__()
         check_positive("num_shards", num_shards)
         if not isinstance(replicate_threshold, int) or replicate_threshold < 0:
             raise ValueError(
@@ -297,7 +298,6 @@ class ShardedDatabase:
         self._partitioners: Dict[str, object] = {}
         self._shard_positions: Dict[str, int] = {}
         self._replicated: Set[str] = set()
-        self._invalidation_listeners: List[MutationListener] = []
 
     # ------------------------------------------------------------------ #
     # Relation management
@@ -611,22 +611,6 @@ class ShardedDatabase:
             inserted_total += batch.count
             self._notify(MutationEvent(relation_name, shard=shard, delta=batch))
         return inserted_total
-
-    def subscribe_invalidation(self, callback: MutationListener) -> None:
-        """Call ``callback(event)`` on every mutation; events carry shard ids."""
-        self._invalidation_listeners.append(callback)
-
-    def unsubscribe_invalidation(self, callback: MutationListener) -> bool:
-        """Remove a previously subscribed callback; True if it was present."""
-        try:
-            self._invalidation_listeners.remove(callback)
-            return True
-        except ValueError:
-            return False
-
-    def _notify(self, event: MutationEvent) -> None:
-        for callback in self._invalidation_listeners:
-            callback(event)
 
     # ------------------------------------------------------------------ #
     # Scatter planning

@@ -27,14 +27,22 @@ cache locality.  Construction performs a single sort (reusing the relation's
 cached sorted order, see :meth:`~repro.relational.relation.Relation.sorted_rows_in`)
 followed by one linear pass that emits every level's values and offsets
 together.
+
+Inserts never rebuild: :meth:`TrieIndex.extended` adds a batch of rows in
+one pass — O(|Δ|·arity) binary searches, then each touched level assembled
+once from slices of the old one — into a new trie, so readers of the old
+one keep their snapshot.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, List, Sequence, Tuple
+from bisect import bisect_left
+from itertools import repeat
+from operator import add, itemgetter
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from repro.relational.relation import Relation
+from repro.relational.relation import Relation, Row
 from repro.util.sorted_ops import is_strictly_sorted
 
 
@@ -159,6 +167,84 @@ class TrieIndex:
         if validate:
             trie._check_invariants()
         return trie
+
+    def extended(self, relation: Relation, rows: Iterable[Row]) -> "TrieIndex":
+        """A new trie over this trie's tuples plus ``rows``, built in one batched pass.
+
+        ``rows`` are tuples in ``relation``'s schema order that this trie
+        does not hold (a :class:`~repro.relational.catalog.DeltaBatch`).  No
+        old array is mutated; an untouched level keeps its object.  Levels
+        may be ``array('q')``, lists or ``memoryview``s; the result's are
+        ``array('q')``, or lists when a value needs boxed storage.
+        """
+        indexes = [relation.schema.index_of(a) for a in self.attribute_order]
+        if indexes != sorted(indexes):  # arity >= 2, so itemgetter returns tuples
+            rows = map(itemgetter(*indexes), rows)
+        inserts, grown = self._descend(sorted(rows))
+        boxed = isinstance(self._values[0], list)
+        try:
+            values = [_spliced(old, new, boxed) for old, new in zip(self._values, inserts)]
+        except OverflowError:  # a value outside 64 bits: every level boxed
+            boxed = True
+            values = [_spliced(old, new, boxed) for old, new in zip(self._values, inserts)]
+        offsets = [_shifted(old, parents, boxed) for old, parents in zip(self._offsets, grown)]
+        trie = TrieIndex.from_flat(
+            self.relation_name, self.attribute_order, values, offsets,
+            self._num_tuples + len(inserts[-1]),
+        )
+        trie._check_invariants()
+        return trie
+
+    def _descend(self, rows: Sequence[Row]):
+        """Where the sorted fresh ``rows`` add nodes, per level in merged order.
+
+        ``inserts[level]``: each new node's ``(position, value)``, placed
+        before old node ``position``.  ``grown[level]``: one ``[position,
+        is_new, children]`` per parent that gained children.  A row reuses
+        the previous row's path above their first differing value, then
+        bisects inside its parent's child range; below a new node, all are new.
+        """
+        values, offsets = self._values, self._offsets
+        last = len(values) - 1
+        inserts: List[list] = [[] for _ in values]
+        grown: List[list] = [[] for _ in offsets]
+        path = [0] * len(values)  # the previous row's node at each level
+        fresh = [True] * len(values)  # ... and whether that node is new
+        previous: Sequence = (None,)
+        for row in rows:
+            level = 0
+            while row[level] == previous[level]:
+                level += 1
+            previous = row
+            if level and fresh[level - 1]:
+                grown[level - 1][-1][2] += 1
+                position = offsets[level - 1][path[level - 1]]
+            else:
+                hi = offsets[level - 1][path[level - 1] + 1] if level else len(values[0])
+                lo = path[level] + (not fresh[level])
+                while True:
+                    level_values, value = values[level], row[level]
+                    position = bisect_left(level_values, value, lo, hi)
+                    if position == hi or level_values[position] != value:
+                        break
+                    path[level], fresh[level] = position, False
+                    lo, hi = offsets[level][position], offsets[level][position + 1]
+                    level += 1
+                if level:
+                    parents, parent = grown[level - 1], path[level - 1]
+                    if parents and parents[-1][0] == parent and not parents[-1][1]:
+                        parents[-1][2] += 1
+                    else:
+                        parents.append([parent, False, 1])
+            while True:
+                inserts[level].append((position, row[level]))
+                path[level], fresh[level] = position, True
+                if level == last:
+                    break
+                grown[level].append([position, True, 1])
+                position = offsets[level][position]
+                level += 1
+        return inserts, grown
 
     def _check_invariants(self) -> None:
         for level in range(self.num_levels - 1):
@@ -287,3 +373,46 @@ class TrieIndex:
             f"TrieIndex({self.relation_name!r}, order={self.attribute_order}, "
             f"tuples={self._num_tuples})"
         )
+
+
+def _owned(level: Sequence[int], boxed: bool, touched: bool):
+    """``level`` as a list when ``boxed``, else as an ``array('q')`` if
+    ``touched`` (an untouched ``array``/``memoryview`` level is kept)."""
+    if boxed:
+        return level if isinstance(level, list) else list(level)
+    if not touched or isinstance(level, array):
+        return level
+    owned = array("q")
+    owned.frombytes(level.cast("B"))
+    return owned
+
+
+def _spliced(level: Sequence[int], inserts, boxed: bool):
+    """``level`` with each ``(position, value)`` placed before old node ``position``."""
+    source = _owned(level, boxed, bool(inserts))
+    if not inserts:
+        return source
+    out, start = source[:0], 0
+    for position, value in inserts:
+        out += source[start:position]
+        out.append(value)
+        start = position
+    out += source[start:]
+    return out
+
+
+def _shifted(offsets: Sequence[int], parents, boxed: bool):
+    """CSR ``offsets`` after each ``[position, is_new, children]`` parent gained
+    children: old offsets shift by a count that steps after each such parent."""
+    source = _owned(offsets, boxed, bool(parents))
+    if not parents:
+        return source
+    out, start, shift = source[:0], 0, 0
+    for position, is_new, children in parents:
+        stop = position if is_new else position + 1
+        out.extend(map(add, source[start:stop], repeat(shift)) if shift else source[start:stop])
+        if is_new:
+            out.append(source[position] + shift)
+        start, shift = stop, shift + children
+    out.extend(map(add, source[start:], repeat(shift)))
+    return out

@@ -1,5 +1,7 @@
 """Tests for repro.util.sorted_ops — the reference binary-search primitives."""
 
+from array import array
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,19 +9,29 @@ from hypothesis import strategies as st
 from repro.util.sorted_ops import is_strictly_sorted, lowest_upper_bound
 
 
+def backings(values):
+    """``values`` in every backing a trie level comes in: a boxed list, an
+    ``array('q')`` and the ``memoryview`` a segment is adopted as."""
+    words = array("q", values)
+    return [list(values), words, memoryview(words.tobytes()).cast("q")]
+
+
 class TestIsStrictlySorted:
     def test_empty_and_singleton_are_sorted(self):
-        assert is_strictly_sorted([])
-        assert is_strictly_sorted([5])
+        for values in backings([]) + backings([5]):
+            assert is_strictly_sorted(values)
 
     def test_increasing_sequence(self):
-        assert is_strictly_sorted([1, 2, 3, 10])
+        for values in backings([1, 2, 3, 10]):
+            assert is_strictly_sorted(values)
 
     def test_duplicates_are_not_strictly_sorted(self):
-        assert not is_strictly_sorted([1, 2, 2, 3])
+        for values in backings([1, 2, 2, 3]):
+            assert not is_strictly_sorted(values)
 
     def test_decreasing_sequence(self):
-        assert not is_strictly_sorted([3, 1])
+        for values in backings([3, 1]):
+            assert not is_strictly_sorted(values)
 
 
 class TestLowestUpperBound:

@@ -1,7 +1,7 @@
 """The write path's seam: one splice primitive under every cached sorted list.
 
 Everything ``insert`` triggers — patching cached results, extending the
-relation's sorted-row caches, rebuilding cached tries, the delta joins that
+relation's sorted-row caches, extending cached tries, the delta joins that
 compute what to patch — is checked here against the plain oracles it
 replaced: ``sorted(set(old) | set(delta))``, a fresh sort, a fresh
 :class:`TrieIndex`, and recompute-difference.  Cases are drawn by
@@ -9,9 +9,10 @@ replaced: ``sorted(set(old) | set(delta))``, a fresh sort, a fresh
 keeps a patch O(Δ·log n).
 """
 
+import tempfile
 from itertools import permutations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engines import create_engine
@@ -21,10 +22,10 @@ from repro.relational import Atom, ConjunctiveQuery, Database, Relation, Schema
 from repro.relational.sharding import shard_database
 from repro.relational.trie import TrieIndex
 from repro.service import ResultCache
+from repro.storage import open_store
 from repro.util.sorted_ops import splice_sorted
 
 rows2 = st.tuples(st.integers(0, 12), st.integers(0, 12))
-rows3 = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
 
 
 # --------------------------------------------------------------------------- #
@@ -102,22 +103,21 @@ def test_second_patch_makes_o_delta_log_n_comparisons():
 # --------------------------------------------------------------------------- #
 # (c) cached tries and sorted-row caches after insert_batch, every catalog
 # --------------------------------------------------------------------------- #
-ATTRIBUTES = ("a", "b", "c")
-ORDERS = tuple(permutations(ATTRIBUTES))
-
-
 def levels(trie):
-    """A trie's flat arrays as plain lists, level by level."""
+    """A trie's flat arrays as plain lists, level by level, and which are boxed."""
+    values = [trie.level_values(level) for level in range(trie.num_levels)]
+    offsets = [trie.child_offsets(level) for level in range(trie.num_levels - 1)]
     return (
         trie.num_tuples,
-        [list(trie.level_values(level)) for level in range(trie.num_levels)],
-        [list(trie.child_offsets(level)) for level in range(trie.num_levels - 1)],
+        [list(level) for level in values],
+        [list(level) for level in offsets],
+        [isinstance(level, list) for level in values + offsets],
     )
 
 
 def backing_databases(catalog):
     """Every :class:`Database` whose trie cache an insert must keep right."""
-    if isinstance(catalog, Database):
+    if not hasattr(catalog, "scatter_spec"):  # monolithic, bare or durable
         return [catalog]
     if not catalog.is_partitioned("T"):  # an empty relation is broadcast
         return [catalog.global_database]
@@ -128,42 +128,75 @@ def backing_databases(catalog):
     return [catalog.global_database, *catalog.shard_databases, *replicas]
 
 
-@given(st.sets(rows3, max_size=25), st.lists(st.lists(rows3, max_size=6), max_size=5))
+def reopened_store(directory, relation, orders):
+    """A durable store holding ``relation`` whose cached tries were adopted
+    from segments (``memoryview`` levels) on reopen."""
+    store = open_store(directory)
+    store.add_relation(Relation(relation.name, relation.schema, relation.sorted_rows()))
+    for order in orders:
+        store.trie(relation.name, order)
+    store.snapshot()
+    store.close()
+    store = open_store(directory)
+    assert all(isinstance(t.level_values(0), memoryview) for t in store.cached_tries())
+    return store
+
+
+@st.composite
+def relation_and_batches(draw):
+    """An arity-1..4 relation (possibly empty) and insert batches whose
+    values may need boxed storage (>= 2**63)."""
+    arity = draw(st.integers(1, 4))
+    small = st.integers(0, 5)
+    rows = st.tuples(*[small] * arity)
+    fresh = st.tuples(*[small | st.integers(2**63, 2**63 + 1)] * arity)
+    initial = draw(st.sets(rows, max_size=25))
+    batches = draw(st.lists(st.lists(fresh, max_size=6), min_size=1, max_size=5))
+    return "abcd"[:arity], initial, batches
+
+
+@given(relation_and_batches())
 @settings(max_examples=60, deadline=None)
-def test_cached_tries_and_row_caches_track_every_insert(initial, batches):
+@example(("abc", set(), [[(0, 1, 2), (2**63, 0, 0)], [(0, 1, 3)]]))
+def test_cached_tries_and_row_caches_track_every_insert(case):
+    attributes, initial, batches = case
+    orders = tuple(permutations(attributes))
     mono = Database("mono")
-    mono.add_relation(Relation("T", Schema(ATTRIBUTES), initial))
+    mono.add_relation(Relation("T", Schema(tuple(attributes)), initial))
     sharded = shard_database(mono, 2, replication_factor=2)
-    for catalog in (mono, sharded):
-        model = set(initial)
-        for database in backing_databases(catalog):
-            for order in ORDERS:
-                database.trie("T", order)
-        for batch in batches:
-            model.update(batch)
-            held = [
-                (trie, levels(trie))
-                for database in backing_databases(catalog)
-                for trie in database.cached_tries()
-            ]
-            catalog.insert_into("T", batch)
-            for trie, before in held:
-                assert levels(trie) == before  # readers keep their snapshot
+    with tempfile.TemporaryDirectory() as directory:
+        durable = reopened_store(directory, mono.relation("T"), orders)
+        for catalog in (mono, sharded, durable):
+            model = set(initial)
             for database in backing_databases(catalog):
-                relation = database.relation("T")
-                stored = [row for row in model if row in relation]
-                assert len(stored) == relation.cardinality
-                assert relation.sorted_rows() == sorted(stored)
-                cached = {trie.attribute_order: trie for trie in database.cached_tries()}
-                assert set(cached) == set(ORDERS)
-                for order in ORDERS:
-                    indexes = [ATTRIBUTES.index(a) for a in order]
-                    assert relation.sorted_rows_in(order) == sorted(
-                        tuple(row[i] for i in indexes) for row in stored
-                    )
-                    fresh = TrieIndex(Relation("T", relation.schema, stored), order)
-                    assert levels(cached[order]) == levels(fresh)
-        assert catalog.relation("T").cardinality == len(model)
+                for order in orders:
+                    database.trie("T", order)
+            for batch in batches:
+                model.update(batch)
+                held = [
+                    (trie, levels(trie))
+                    for database in backing_databases(catalog)
+                    for trie in database.cached_tries()
+                ]
+                catalog.insert_into("T", batch)
+                for trie, before in held:
+                    assert levels(trie) == before  # readers keep their snapshot
+                for database in backing_databases(catalog):
+                    relation = database.relation("T")
+                    stored = [row for row in model if row in relation]
+                    assert len(stored) == relation.cardinality
+                    assert relation.sorted_rows() == sorted(stored)
+                    cached = {trie.attribute_order: trie for trie in database.cached_tries()}
+                    assert set(cached) == set(orders)
+                    for order in orders:
+                        indexes = [attributes.index(a) for a in order]
+                        assert relation.sorted_rows_in(order) == sorted(
+                            tuple(row[i] for i in indexes) for row in stored
+                        )
+                        fresh = TrieIndex(Relation("T", relation.schema, stored), order)
+                        assert levels(cached[order]) == levels(fresh)
+            assert catalog.relation("T").cardinality == len(model)
+        durable.close()
 
 
 # --------------------------------------------------------------------------- #
