@@ -9,13 +9,14 @@ both on the software side (the accelerator's count-only mode lives in
 
 ``count_matches``
     Exact COUNT(*) over a pattern query without materialising the result
-    tuples — the trie join enumerates bindings and only increments a counter,
-    so the (potentially huge) output never touches memory.  This is the
+    tuples — the trie join's plan kernel, generated with the ``count`` leaf
+    action, only increments a counter (or adds a leaf range's length), so
+    the (potentially huge) output never touches memory.  This is the
     aggregation mode the paper proposes for triangle counting.
 
 ``count_by_variable``
     Per-value counts of one output variable (e.g. triangles per vertex),
-    computed in one pass over the counting execution.
+    computed in one pass of the plan kernel with the ``group`` leaf action.
 
 ``estimate_count``
     Wander-join-style approximate counting: random root-to-leaf walks through
@@ -29,10 +30,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.joins.compiler import QueryCompiler
-from repro.joins.leapfrog import _TrieJoinExecution
+from repro.joins.leapfrog import resolve_slot_tables, run_plan
 from repro.joins.plan import JoinPlan
 from repro.joins.stats import JoinStats
 from repro.relational.catalog import Database
@@ -87,44 +88,6 @@ class SampleEstimate:
         return (max(0.0, self.estimate - margin), self.estimate + margin)
 
 
-class _CountingExecution(_TrieJoinExecution):
-    """A trie-join execution that counts full bindings instead of storing them."""
-
-    def __init__(self, plan: JoinPlan, database: Database, use_cache: bool):
-        super().__init__(plan, database, use_cache=use_cache, materialize=False)
-
-    @property
-    def count(self) -> int:
-        return self.stats.bindings_enumerated
-
-
-class _GroupingExecution(_TrieJoinExecution):
-    """A trie-join execution that counts bindings per value of one variable."""
-
-    def __init__(
-        self, plan: JoinPlan, database: Database, use_cache: bool, variable: str
-    ):
-        super().__init__(plan, database, use_cache=use_cache, materialize=False)
-        if variable not in plan.query.head_variables:
-            raise KeyError(
-                f"group-by variable {variable!r} is not a head variable of "
-                f"{plan.query.name!r}"
-            )
-        self.group_variable = variable
-        self._group_depth = plan.depth_of(variable)
-        self.counts: Dict[int, int] = {}
-
-    def _emit_leaf(self, values: Sequence[int]) -> None:  # noqa: D401 - see base class
-        super()._emit_leaf(values)
-        counts = self.counts
-        if self._group_depth == self._last:
-            for value in values:
-                counts[value] = counts.get(value, 0) + 1
-        else:
-            value = self.binding_values[self._group_depth]
-            counts[value] = counts.get(value, 0) + len(values)
-
-
 def count_matches(
     query: ConjunctiveQuery,
     database: Database,
@@ -135,11 +98,8 @@ def count_matches(
     database.validate_query(query)
     if plan is None:
         plan = QueryCompiler(enable_caching=use_cache).compile(query)
-    execution = _CountingExecution(plan, database, use_cache=use_cache)
-    execution.execute()
-    stats = execution.stats
-    stats.output_tuples = execution.count
-    return CountResult(query, execution.count, stats, plan)
+    count, stats = run_plan(plan, database, use_cache, action="count")
+    return CountResult(query, count, stats, plan)
 
 
 def count_by_variable(
@@ -158,11 +118,12 @@ def count_by_variable(
     database.validate_query(query)
     if plan is None:
         plan = QueryCompiler(enable_caching=use_cache).compile(query)
-    execution = _GroupingExecution(plan, database, use_cache=use_cache, variable=variable)
-    execution.execute()
-    stats = execution.stats
-    stats.output_tuples = stats.bindings_enumerated
-    return GroupedCountResult(query, variable, execution.counts, stats, plan)
+    if variable not in plan.query.head_variables:
+        raise KeyError(
+            f"group-by variable {variable!r} is not a head variable of {plan.query.name!r}"
+        )
+    counts, stats = run_plan(plan, database, use_cache, action="group", group_by=variable)
+    return GroupedCountResult(query, variable, counts, stats, plan)
 
 
 def estimate_count(
@@ -188,18 +149,11 @@ def estimate_count(
         plan = QueryCompiler(enable_caching=False).compile(query)
     rng = DeterministicRNG(seed)
 
-    tries = {}
-    for binding in plan.atom_bindings:
-        if binding.trie_key not in tries:
-            tries[binding.trie_key] = database.trie_for_atom(
-                binding.atom, plan.variable_order
-            )
-    if any(trie.num_tuples == 0 for trie in tries.values()):
+    # Resolve the slot program once; every walk reuses the same tries.
+    slot_tries, _depth_tables = resolve_slot_tables(plan, database)
+    if any(trie.num_tuples == 0 for trie in slot_tries):
         return SampleEstimate(query, 0.0, 0.0, num_samples, 0, plan)
-
-    # Resolve the slot program once; every walk reuses the same tables.
     program = plan.slot_program()
-    slot_tries = [tries[key] for key in program.trie_keys]
 
     weights: List[float] = []
     successes = 0

@@ -14,12 +14,14 @@ merely honours it.  The software cache is unbounded, mirroring CTJ's use of
 host memory; the bounded hardware PJR cache is modelled separately in
 :mod:`repro.core.pjr_cache`.
 
-Execution inherits the slot-compiled hot path of
-:class:`~repro.joins.leapfrog.LeapfrogTrieJoin`: cache keys are tuples of
-depth-indexed binding values and cached entries replay slot-addressed cursor
-positions (a leaf variable's entry is just its value sequence — leaf cursors
-are never read back — charged as if it carried them), so hits skip the
-leapfrog recomputation without a single string lookup.
+Execution is LFTJ's plan kernel (:mod:`repro.joins.leapfrog`) generated with
+the plan's cache points: at each cacheable depth the probe is inlined into
+the loop nest, keyed by the values bound at the key depths (one dict per
+depth).  A miss runs the depth's intersection into a new entry — per match
+its cursor indexes and value, or at the leaf just the value sequence, leaf
+cursors never being read back, charged as if it carried them — and inserts
+it; hit and miss then replay the entry through the same loop, so hits skip
+the leapfrog recomputation without a single string lookup.
 """
 
 from __future__ import annotations

@@ -10,32 +10,37 @@ property (together with the AGM bound) that makes the algorithm family
 attractive for hardware acceleration (paper Section 2.2).
 
 The implementation below is shared with :class:`~repro.joins.ctj.CachedTrieJoin`
-(which subclasses it and adds the partial-join-result cache) and mirrors the
+(which subclasses it and adds the partial-join-result cache) and with the
+counting aggregates of :mod:`repro.joins.aggregates`, and mirrors the
 structure of the accelerator model: the per-variable candidate ranges are what
 Midwife produces, the leapfrog intersection is MatchMaker + LUB, and the
-backtracking driver is Cupid.
+backtracking walk is Cupid.
 
-Hot-path layout: executions run off the plan's
-:class:`~repro.joins.plan.SlotProgram` — per-atom state (tries, cursor
-positions) is addressed by dense integer slot, never by string trie key — and
-the backtracking driver is iterative (a stack of per-depth match frames, no
-Python recursion).  "Candidate ranges → leapfrog intersection" has one
-implementation, the **depth kernel**: a source template instantiated once per
-depth *shape* (number of participants, which of them are root-level, leaf or
-not; memoised module-wide) as straight-line Python over scalar locals, and
-bound by each execution to its depths' arrays (:func:`bind_kernel`).  A
-lagging cursor catches up with one C-level ``bisect_left`` over the rest of
-its range, on whatever sequence backs the level (``array('q')``, ``list`` or
-an mmap/shared-memory ``memoryview``).  The deepest variable is handled in
-bulk: its whole intersection comes back as one value sequence (an array slice
-when a single atom participates) and is appended to the results with one
-C-level ``extend`` — no frame, cursor tuple or call per binding.
+Hot-path layout: the whole walk of a plan is **one generated function**, the
+*plan kernel* — the fixed loop nest the paper specialises into hardware.  It
+is instantiated once per plan *shape* (:func:`plan_shape`: per depth the
+participants and the enclosing cursor each parent offset reads, the CTJ cache
+points, the head depths and the leaf action; memoised module-wide, never
+stored on the plan) as straight-line Python over scalar locals, and called
+with the plan's level arrays (:func:`resolve_slot_tables`).  Depth ``d``'s
+cursors are the locals depth ``d + 1`` reads its candidate ranges through; a
+non-leaf match descends inline (past 18 depths, into a function nested in
+the kernel: CPython nests at most 20 blocks per function).  A lagging cursor
+catches up with one C-level ``bisect_left`` over the rest of its range, on
+whatever sequence backs the
+level (``array('q')``, ``list`` or an mmap/shared-memory ``memoryview``); a
+single-participant depth is one slice.  Where the compiler marked a depth
+cacheable (CTJ), the cache probe is inlined: a miss fills the entry, then hit
+and miss replay it through the same loop.  The leaf action is a template
+parameter — ``rows`` (append/extend head tuples), ``count`` or ``group``
+(per-value counts) — applied per value inside the intersection or, for a
+value sequence (a slice or a cache entry), in bulk.
 :class:`~repro.joins.stats.JoinStats` accounting is the LUB-unit model, not
 the implementation, and is unchanged from the reference implementation: each
 search charges the worst-case binary-search probe count of its window plus
 the landed value, each non-root range two offset reads, so the counters the
 accelerator and baseline cost models consume stay exactly comparable across
-engine versions.
+engine versions.  The charges accumulate in locals, flushed in a ``finally``.
 """
 
 from __future__ import annotations
@@ -43,8 +48,7 @@ from __future__ import annotations
 import linecache
 from bisect import bisect_left
 from itertools import repeat
-from textwrap import indent
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.joins.base import JoinEngine, JoinResult
 from repro.joins.compiler import QueryCompiler
@@ -53,11 +57,6 @@ from repro.joins.stats import JoinStats
 from repro.relational.catalog import Database
 from repro.relational.query import ConjunctiveQuery
 from repro.relational.trie import TrieIndex
-
-#: A single match of one variable: its value plus, per participating atom
-#: (in the depth's participant order), the absolute index of the value in
-#: that atom's level array.
-Match = Tuple[int, Tuple[int, ...]]
 
 
 def resolve_slot_tables(plan: JoinPlan, database: Database):
@@ -104,15 +103,54 @@ def resolve_slot_tables(plan: JoinPlan, database: Database):
     return slot_tries, depth_tables
 
 
-#: Per-participant pieces of the depth-kernel source (``{i}`` = participant).
-#: Candidate range of a non-root participant: what the Midwife unit produces,
-#: two reads of the parent's child-offsets array.  (A root-level participant's
-#: range is its whole level array; its end is bound once, outside the kernel.)
-_CHILD_RANGE = """\
-parent = positions[p{i}]
-c{i} = o{i}[parent]
-e{i} = o{i}[parent + 1]
-reads += 2
+#: A plan's kernel shape: ``(depths, head_depths, action, group_depth)``.
+Shape = Tuple[tuple, Tuple[int, ...], str, Optional[int]]
+
+
+def plan_shape(
+    plan: JoinPlan, use_cache: bool, action: str = "rows", group_by: Optional[str] = None
+) -> Shape:
+    """Everything the plan kernel's code depends on, and nothing else.
+
+    Per depth: each participant's parent cursor as ``(depth, participant)``
+    (``None`` at the root level) and the CTJ cache-key depths (``None`` when
+    the depth is not cached); then the head depths, the leaf action
+    (``"rows"``, ``"count"`` or ``"group"``) and the group-by depth.  Names
+    of variables and relations are not part of it, so α-renamed queries and
+    the delta planner's per-term plans share one kernel per shape.
+    """
+    program = plan.slot_program()
+    cursor_of: Dict[int, Tuple[int, int]] = {}
+    depths = []
+    for depth, depth_program in enumerate(program.depths):
+        parents = tuple(cursor_of.get(index) for index in depth_program.parent_indexes)
+        for i, index in enumerate(depth_program.position_indexes):
+            cursor_of[index] = (depth, i)
+        depths.append((parents, depth_program.cache_key_depths if use_cache else None))
+    group = None if group_by is None else plan.depth_of(group_by)
+    return tuple(depths), program.head_depths, action, group
+
+
+#: Prologue and epilogue of every plan kernel.  ``sink`` is the result list
+#: (``rows``) or the per-value counts (``group``); the return value is the
+#: per-depth match counts.
+_KERNEL = """\
+def kernel(stats, sink, {parameters}):
+    reads = lubs = lookups = hits = inserts = stored = writes = 0
+    {counters} = 0
+{setup}
+    try:
+{walk}
+    finally:
+        stats.index_element_reads += reads
+        stats.lub_searches += lubs
+        stats.cache_lookups += lookups
+        stats.cache_hits += hits
+        stats.cache_inserts += inserts
+        stats.intermediate_results += stored
+        stats.index_element_writes += writes
+        stats.bindings_enumerated += n{last}
+    return [{counters_list}]
 """
 #: One LUB search: move a lagging cursor to the first value ``>= m``.  The
 #: search is C-level; the charge is the LUB-unit model's — the worst-case
@@ -123,148 +161,273 @@ if v{i} < m:
     reads += (e{i} - c{i}).bit_length()
     c{i} = bisect_left(a{i}, m, c{i} + 1, e{i})
     if c{i} == e{i}:
-        {done}
+        break
     reads += 1
     v{i} = a{i}[c{i}]
 """
-_KERNEL = """\
-def bind(stats, positions, {parameters}):{root_ends}
-    def kernel():
-        reads = lubs = 0
-        try:
-{ranges}
-            reads += {k}
-            {loads}{out}
-            while True:
-                if {agree}:
-                    {emit}
-                    # Sibling values are distinct: the matched value cannot
-                    # reappear, so every cursor advances.
-{advance}
-                    reads += {k}
-                    {loads}
-                    continue
-                # Align to the maximum: every lagging cursor seeks to it.
-                m = v0
-{maximum}
-{seeks}
-        finally:
-            stats.index_element_reads += reads
-            stats.lub_searches += lubs
-    return kernel
-"""
 
-#: ``(roots, leaf) -> bind``: one generated kernel factory per depth shape.
-_KERNEL_FACTORIES: Dict[Tuple[Tuple[bool, ...], bool], Callable] = {}
+#: Depths per generated function.  CPython nests at most 20 blocks (the
+#: kernel's ``try`` and one loop per depth), so a deeper plan's loop nest
+#: continues in a nested function, ``walk{d}``, every this many depths.
+_DEPTHS_PER_FUNCTION = 18
+
+#: ``shape -> kernel``: one generated function per plan shape.
+_PLAN_KERNELS: Dict[Shape, Callable] = {}
 
 
-def kernel_source(roots: Sequence[bool], leaf: bool) -> Tuple[str, str]:
-    """``(pseudo-filename, source)`` of the depth kernel for one shape.
+def _tuple(names: List[str]) -> str:
+    return "(" + ", ".join(names) + ("," if len(names) == 1 else "") + ")"
 
-    A shape is which of the depth's ``k >= 2`` participants are root-level
-    (``roots``) and whether the depth is the leaf.  The source is
-    straight-line Python over scalar locals — per participant ``i`` its level
-    array ``a{i}``, cursor ``c{i}``, range end ``e{i}`` and current value
-    ``v{i}`` — defining ``bind(stats, positions, a0.., o{i}, p{i}..)``, which
-    returns the kernel bound to one depth's arrays (``o{i}``/``p{i}``: parent
-    offsets array and parent position index of each non-root participant).
-    The filename names the shape; it is what tracebacks and profiles show.
+
+def plan_source(shape: Shape) -> Tuple[str, str]:
+    """``(pseudo-filename, source)`` of the plan kernel for one shape.
+
+    Per depth ``d`` and participant ``i`` the locals are its level array
+    ``a{d}_{i}`` (a parameter, like the parent offsets ``o{d}_{i}`` of a
+    non-root participant), cursor ``c{d}_{i}``, range end ``e{d}_{i}`` and
+    current value ``v{d}_{i}``; ``x{d}`` is a value replayed from a sequence
+    and ``n{d}`` the depth's match count.  Depths from ``d`` on, for ``d`` a
+    positive multiple of ``_DEPTHS_PER_FUNCTION``, run in ``walk{d}``: a
+    function defined in the kernel, called where depth ``d`` would start
+    with the enclosing cursors and values those depths read, its counters
+    ``nonlocal``.  The filename names the shape; it is what tracebacks and
+    profiles show.
     """
-    ids = range(len(roots))
-    done = "return out" if leaf else "return"
+    depths, head, action, group = shape
+    last = len(depths) - 1
+    # Whether the leaf action has a per-value form (else it takes the whole
+    # value sequence under one prefix).
+    per_value = action == "count" or group == last or (action == "rows" and last in head)
+    inline = [
+        len(parents) > 1 and keys is None and (d < last or per_value)
+        for d, (parents, keys) in enumerate(depths)
+    ]
+    bound = [f"v{d}_0" if inline[d] else f"x{d}" for d in range(len(depths))]
+    lines: List[str] = []
 
-    def pieces(width: int, texts: Iterable[str]) -> str:
-        return indent("".join(texts), " " * width).rstrip("\n")
+    def emit(level: int, *texts: str) -> None:
+        lines.extend("    " * level + text for text in texts)
 
+    def leaf_each(level: int) -> None:
+        value = bound[last]
+        emit(level, f"n{last} += 1")
+        if action == "rows":
+            emit(level, f"append({_tuple([bound[h] for h in head])})")
+        elif action == "group":
+            emit(level, f"sink[{value}] = get({value}, 0) + 1")
+
+    def leaf_bulk(level: int, values: str) -> None:
+        emit(level, f"n{last} += len({values})")
+        if action == "rows" and last in head:
+            columns = [values if h == last else f"repeat({bound[h]})" for h in head]
+            emit(level, f"extend(zip({', '.join(columns)}))")
+        elif action == "rows":
+            # The leaf variable is projected out: every binding maps to the
+            # same head tuple, which the final dedup keeps once.
+            emit(level, f"if {values}:", f"    append({_tuple([bound[h] for h in head])})")
+        elif group == last:
+            emit(level, f"for value in {values}:", "    sink[value] = get(value, 0) + 1")
+        elif action == "group":
+            key = bound[group]
+            emit(level, f"if {values}:", f"    sink[{key}] = get({key}, 0) + len({values})")
+
+    def match(d: int, level: int) -> None:
+        if d == last:
+            leaf_each(level)
+        else:
+            emit(level, f"n{d} += 1")
+            depth(d + 1, level)
+
+    def produce(d: int, level: int, cached: bool) -> None:
+        """Depth ``d``'s candidate ranges and their intersection."""
+        parents = depths[d][0]
+        ids = range(len(parents))
+        a, o, c, e, v = ([f"{p}{d}_{i}" for i in ids] for p in "aocev")
+        above = {i: f"c{p[0]}_{p[1]}" for i, p in enumerate(parents) if p is not None}
+        if len(ids) == 1:
+            # Single participant: every value in its range matches.
+            if above:
+                emit(level, f"{c[0]} = {o[0]}[{above[0]}]", f"{e[0]} = {o[0]}[{above[0]} + 1]")
+                emit(level, f"reads += 2 + {e[0]} - {c[0]}")
+            else:
+                emit(level, f"{c[0]} = 0", f"reads += {e[0]}")
+            values = f"{a[0]}[{c[0]}:{e[0]}]"
+            if d < last:
+                values = f"enumerate({values}, {c[0]})"
+                values = f"list({values})" if cached else values
+            emit(level, f"entry{d} = {values}")
+            return
+        if not inline[d]:
+            emit(level, f"entry{d} = []")
+        body = level
+        if above:
+            # Candidate ranges: what Midwife produces, two reads of the
+            # parent's child-offsets array each; an empty one ends the depth.
+            ranges = " and ".join(
+                f"({c[i]} := {o[i]}[{p}]) < ({e[i]} := {o[i]}[{p} + 1])" for i, p in above.items()
+            )
+            emit(level, f"if {ranges}:")
+            body += 1
+        emit(body, *(f"{c[i]} = 0" for i in ids if i not in above))
+        loads = "; ".join(f"{v[i]} = {a[i]}[{c[i]}]" for i in ids)
+        emit(body, f"reads += {2 * len(above) + len(ids)}", loads, "while True:")
+        emit(body + 1, f"if {' == '.join(v)}:")
+        if inline[d]:
+            match(d, body + 2)
+        else:
+            emit(body + 2, f"entry{d}.append({v[0] if d == last else _tuple(c + v[:1])})")
+        # Sibling values are distinct: the matched value cannot reappear,
+        # so every cursor advances.
+        for i in ids:
+            emit(body + 2, f"{c[i]} += 1", f"if {c[i]} >= {e[i]}:", "    break")
+        emit(body + 2, f"reads += {len(ids)}", loads, "continue")
+        # Align to the maximum: every lagging cursor seeks to it.
+        emit(body + 1, f"m = {v[0]}")
+        for i in ids[1:]:
+            emit(body + 1, f"if {v[i]} > m:", f"    m = {v[i]}")
+        for i in ids:
+            emit(body + 1, *_SEEK.format(i=f"{d}_{i}").splitlines())
+        if above:
+            charge = str(2 * len(above))
+            for number, i in reversed(list(enumerate(above))[:-1]):
+                charge = f"{2 * number + 2} if {c[i]} >= {e[i]} else {charge}"
+            emit(level, "else:", f"    reads += {charge}")
+
+    def inherited(start: int) -> List[str]:
+        """The names depths ``>= start`` read from the depths above them
+        (the group-by variable is a head variable)."""
+        names = [bound[h] for h in head if h < start]
+        for parents, keys in depths[start:]:
+            names += [f"c{p[0]}_{p[1]}" for p in parents if p is not None and p[0] < start]
+            names += [bound[k] for k in keys or () if k < start]
+        return list(dict.fromkeys(names))
+
+    def depth(d: int, level: int) -> None:
+        if d > start and d % _DEPTHS_PER_FUNCTION == 0:
+            emit(level, f"walk{d}({', '.join(inherited(d))})")
+            return
+        parents, keys = depths[d]
+        width = len(parents) + 1  # a cached value is charged with its per-trie indexes
+        if keys is not None:
+            key = bound[keys[0]] if len(keys) == 1 else _tuple([bound[k] for k in keys])
+            emit(level, f"key = {key}", "lookups += 1", f"entry{d} = probe{d}(key)")
+            emit(level, f"if entry{d} is None:")
+            produce(d, level + 1, cached=True)
+            emit(level + 1, f"cache{d}[key] = entry{d}", "inserts += 1")
+            emit(level + 1, f"stored += len(entry{d})", f"writes += len(entry{d}) * {width}")
+            emit(level, "else:", "    hits += 1", f"    reads += len(entry{d}) * {width}")
+        else:
+            produce(d, level, cached=False)
+            if inline[d]:
+                return
+        if d == last:
+            leaf_bulk(level, f"entry{d}")
+        else:
+            cursors = "".join(f"c{d}_{i}, " for i in range(len(parents)))
+            emit(level, f"for {cursors}x{d} in entry{d}:")
+            match(d, level + 1)
+
+    walks = {}
+    for start in range(0, len(depths), _DEPTHS_PER_FUNCTION):
+        depth(start, 2)
+        walks[start] = "\n".join(lines)
+        lines.clear()
+    if action == "rows":
+        emit(1, "append = sink.append", "extend = sink.extend")
+    elif action == "group":
+        emit(1, "get = sink.get")
+    for d, (parents, keys) in enumerate(depths):
+        if keys is not None:
+            emit(1, f"cache{d} = {{}}", f"probe{d} = cache{d}.get")
+        emit(1, *(f"e{d}_{i} = len(a{d}_{i})" for i, p in enumerate(parents) if p is None))
+    counters = [f"n{d}" for d in range(len(depths))]
+    for start, walk in list(walks.items())[1:]:
+        own = counters[start : start + _DEPTHS_PER_FUNCTION]
+        emit(1, f"def walk{start}({', '.join(inherited(start))}):")
+        emit(2, f"nonlocal reads, lubs, lookups, hits, inserts, stored, writes, {', '.join(own)}")
+        lines.append(walk)
     source = _KERNEL.format(
         parameters=", ".join(
-            [f"a{i}" for i in ids] + [f"o{i}, p{i}" for i in ids if not roots[i]]
+            f"a{d}_{i}" + ("" if p is None else f", o{d}_{i}")
+            for d, (parents, _keys) in enumerate(depths)
+            for i, p in enumerate(parents)
         ),
-        root_ends="".join(f"\n    e{i} = len(a{i})" for i in ids if roots[i]),
-        k=len(roots),
-        ranges=pieces(
-            12,
-            (
-                (f"c{i} = 0\n" if roots[i] else _CHILD_RANGE.format(i=i))
-                + f"if c{i} >= e{i}:\n    return{' ()' if leaf else ''}\n"
-                for i in ids
-            ),
-        ),
-        loads="; ".join(f"v{i} = a{i}[c{i}]" for i in ids),
-        out="\n            out = []" if leaf else "",
-        agree=" == ".join(f"v{i}" for i in ids),
-        emit="out.append(v0)" if leaf else f"yield v0, ({', '.join(f'c{i}' for i in ids)})",
-        advance=pieces(20, (f"c{i} += 1\nif c{i} >= e{i}:\n    {done}\n" for i in ids)),
-        maximum=pieces(16, (f"if v{i} > m:\n    m = v{i}\n" for i in ids[1:])),
-        seeks=pieces(16, (_SEEK.format(i=i, done=done) for i in ids)),
+        counters=" = ".join(counters),
+        setup="\n".join(lines),
+        walk=walks[0],
+        last=last,
+        counters_list=", ".join(counters),
     )
-    name = "<repro.joins.leapfrog kernel k={} roots={} {}>".format(
-        len(roots), "".join("01"[root] for root in roots), "leaf" if leaf else "nonleaf"
+    described = "".join(
+        "[" + " ".join("r" if p is None else f"{p[0]}.{p[1]}" for p in parents) + "]"
+        + ("" if keys is None else "@" + ",".join(map(str, keys)))
+        for parents, keys in depths
+    )
+    name = "<repro.joins.leapfrog plan {} head={} {}>".format(
+        described, ",".join(map(str, head)), action if group is None else f"group={group}"
     )
     return name, source
 
 
-def bind_kernel(
-    arrays: Sequence[Sequence[int]],
-    parent_offsets: Sequence[Optional[Sequence[int]]],
-    parent_indexes: Sequence[int],
-    positions: List[int],
-    stats: JoinStats,
-    leaf: bool,
-) -> Callable[[], Iterable]:
-    """Bind one depth's "candidate ranges → leapfrog intersection" callable.
+def plan_kernel(shape: Shape) -> Callable:
+    """The generated kernel of ``shape`` (compiled on first use, then memoised).
 
-    Each call of the result intersects, under the current ``positions``, the
-    candidate ranges of the depth's participants.  At a non-leaf depth it
-    returns a lazy iterable of :data:`Match` — each carries, per
-    participant, the absolute index of the matched value in that trie's
-    level array (needed to expand the children at the next depth and to
-    populate cache entries); being lazy, it reads its ranges on the first
-    ``next()``.  At the leaf it returns the plain sequence of values.
-    Counters are accumulated into ``stats`` (also when a lazy result is
-    closed early).
+    Its source is registered in :mod:`linecache` under :func:`plan_source`'s
+    name (mtime ``None``: never checked against the file system), so
+    tracebacks show the generated lines.
     """
-    if len(arrays) == 1:
-        return _bind_single(
-            arrays[0], parent_offsets[0], parent_indexes[0], positions, stats, leaf
-        )
-    shape = (tuple(offsets is None for offsets in parent_offsets), leaf)
-    bind = _KERNEL_FACTORIES.get(shape)
-    if bind is None:
-        name, source = kernel_source(*shape)
-        # Registered so tracebacks show the generated lines (mtime None: the
-        # entry is never checked against the file system).
+    kernel = _PLAN_KERNELS.get(shape)
+    if kernel is None:
+        name, source = plan_source(shape)
         linecache.cache[name] = (len(source), None, source.splitlines(True), name)
-        namespace = {"bisect_left": bisect_left}
+        namespace = {"bisect_left": bisect_left, "repeat": repeat}
         exec(compile(source, name, "exec"), namespace)
-        bind = _KERNEL_FACTORIES[shape] = namespace["bind"]
-    children = [
-        argument
-        for offsets, parent in zip(parent_offsets, parent_indexes)
-        if offsets is not None
-        for argument in (offsets, parent)
-    ]
-    return bind(stats, positions, *arrays, *children)
+        kernel = _PLAN_KERNELS[shape] = namespace["kernel"]
+    return kernel
 
 
-def _bind_single(values, offsets, parent_index, positions, stats, leaf):
-    """Single participating atom: every value in its range matches (a slice)."""
+def run_plan(
+    plan: JoinPlan,
+    database: Database,
+    use_cache: bool,
+    action: str = "rows",
+    group_by: Optional[str] = None,
+):
+    """Run ``plan``'s kernel over ``database``: ``(outcome, stats)``.
 
-    def single():
-        if offsets is None:
-            lo, hi = 0, len(values)
-        else:
-            parent = positions[parent_index]
-            lo = offsets[parent]
-            hi = offsets[parent + 1]
-            stats.index_element_reads += 2
-        if lo >= hi:
-            return ()
-        stats.index_element_reads += hi - lo
-        matched = values[lo:hi]
-        return matched if leaf else zip(matched, zip(range(lo, hi)))
-
-    return single
+    ``action`` is the leaf action: ``"rows"`` returns the result tuples
+    (deduplicated, first appearance first, when the query projects),
+    ``"count"`` the number of full bindings and ``"group"`` the per-value
+    binding counts of head variable ``group_by`` (in first-emission order).
+    ``use_cache`` honours the plan's CTJ cache specs.
+    """
+    stats = JoinStats()
+    sink: object = {} if action == "group" else []
+    slot_tries, depth_tables = resolve_slot_tables(plan, database)
+    # An empty relation makes the whole join empty.
+    if all(trie.num_tuples for trie in slot_tries):
+        # The kernel's parameters: each participant's level array, then its
+        # parent offsets unless it is root-level.
+        tables = []
+        for _program, arrays, offsets, _positions, _parents in depth_tables:
+            for values, parent in zip(arrays, offsets):
+                tables.append(values)
+                if parent is not None:
+                    tables.append(parent)
+        kernel = plan_kernel(plan_shape(plan, use_cache, action, group_by))
+        counts = kernel(stats, sink, *tables)
+        for variable, count in zip(plan.variable_order, counts):
+            if count:
+                stats.record_match(variable, count)
+    if action != "rows":
+        stats.output_tuples = stats.bindings_enumerated
+        return (stats.bindings_enumerated if action == "count" else sink), stats
+    if not plan.query.is_full:
+        # Projection queries can repeat head tuples across distinct full
+        # bindings; results follow set semantics, so collapse them.
+        sink = list(dict.fromkeys(sink))
+    stats.output_tuples = len(sink)
+    return sink, stats
 
 
 class LeapfrogTrieJoin(JoinEngine):
@@ -294,191 +457,9 @@ class LeapfrogTrieJoin(JoinEngine):
         database.validate_query(query)
         if plan is None:
             plan = self.compiler.compile(query)
-        execution = _TrieJoinExecution(plan, database, use_cache=self._uses_cache())
-        tuples = execution.execute()
-        return JoinResult(query, tuples, execution.stats, plan)
+        tuples, stats = run_plan(plan, database, use_cache=self._uses_cache())
+        return JoinResult(query, tuples, stats, plan)
 
     def _uses_cache(self) -> bool:
         """Whether the execution should honour the plan's cache specs."""
         return False
-
-
-class _TrieJoinExecution:
-    """One LFTJ/CTJ execution: tries, cursor state, counters and (optionally) the cache.
-
-    The execution object is deliberately separate from the engine classes so
-    the accelerator model can reuse the exact same functional behaviour while
-    layering timing on top.
-
-    All per-atom state is slot-addressed: ``slot_tries[slot]`` is the trie of
-    the ``slot``-th atom binding and ``positions`` is one flat list holding
-    every slot's per-level cursor (``SlotProgram.position_base[slot] + level``).
-    Bound values live in ``binding_values``, indexed by depth in the global
-    variable order.
-    """
-
-    def __init__(
-        self,
-        plan: JoinPlan,
-        database: Database,
-        use_cache: bool,
-        materialize: bool = True,
-    ):
-        self.plan = plan
-        self.database = database
-        self.use_cache = use_cache
-        self.materialize = materialize
-        self.stats = JoinStats()
-        program = plan.slot_program()
-        self.program = program
-        self.slot_tries, self._depth_tables = resolve_slot_tables(plan, database)
-        self.positions: List[int] = [-1] * program.num_positions
-        self.binding_values: List[int] = [0] * plan.num_variables
-        self.results: List[Tuple[int, ...]] = []
-        # Software partial-join-result cache: (depth, key values) -> what
-        # _matches_at returned for them.  Unbounded, like CTJ's use of host
-        # memory; the bounded hardware PJR cache lives in repro.core.
-        self.cache: Dict[Tuple[int, Tuple[int, ...]], Sequence] = {}
-        self._match_counts: List[int] = [0] * plan.num_variables
-        self._last = plan.num_variables - 1
-        # One bound kernel per depth.  They live here, never on the plan:
-        # plans are pickled to process-pool workers, generated code is not.
-        self._kernels = [
-            bind_kernel(
-                arrays, offsets, parents, self.positions, self.stats, depth == self._last
-            )
-            for depth, (_dp, arrays, offsets, _pi, parents) in enumerate(self._depth_tables)
-        ]
-
-    # ------------------------------------------------------------------ #
-    # Execution driver
-    # ------------------------------------------------------------------ #
-    def execute(self) -> List[Tuple[int, ...]]:
-        if any(trie.num_tuples == 0 for trie in self.slot_tries):
-            # An empty relation makes the whole join empty.
-            return []
-        self._run()
-        order = self.plan.variable_order
-        for depth, count in enumerate(self._match_counts):
-            if count:
-                self.stats.record_match(order[depth], count)
-        if self.materialize and not self.plan.query.is_full:
-            # Projection queries can repeat head tuples across distinct full
-            # bindings; results follow set semantics, so collapse them.
-            self.results = list(dict.fromkeys(self.results))
-        self.stats.output_tuples = len(self.results)
-        return self.results
-
-    def _run(self) -> None:
-        """Iterative backtracking: one match-iterator frame per non-leaf depth.
-
-        A frame yields every match of its depth's variable under the current
-        prefix binding; exhausting a frame pops back to the parent, whose
-        iterator resumes where it left off.  The deepest variable never gets
-        a frame: under each match of the depth above it, its whole
-        intersection comes back as one value sequence and is emitted in bulk.
-        """
-        last = self._last
-        positions = self.positions
-        binding_values = self.binding_values
-        match_counts = self._match_counts
-        depth_tables = self._depth_tables
-        matches_at = self._matches_at
-        emit_leaf = self._emit_leaf
-        if last == 0:
-            values = matches_at(0)
-            if values:
-                emit_leaf(values)
-            return
-        stack = [iter(matches_at(0))]
-        push = stack.append
-        while stack:
-            depth = len(stack) - 1
-            position_indexes = depth_tables[depth][3]
-            above_leaf = depth + 1 == last
-            for value, indexes in stack[-1]:
-                match_counts[depth] += 1
-                binding_values[depth] = value
-                for i, index in zip(position_indexes, indexes):
-                    positions[i] = index
-                if above_leaf:
-                    values = matches_at(last)
-                    if values:
-                        emit_leaf(values)
-                    continue
-                push(iter(matches_at(depth + 1)))
-                break
-            else:
-                stack.pop()
-
-    def _emit_leaf(self, values: Sequence[int]) -> None:
-        """Emit one full binding per (non-empty) leaf value under the current prefix."""
-        last = self._last
-        self._match_counts[last] += len(values)
-        self.stats.bindings_enumerated += len(values)
-        if not self.materialize:
-            return
-        binding_values = self.binding_values
-        head_depths = self.program.head_depths
-        if last in head_depths:
-            self.results.extend(
-                zip(*[values if d == last else repeat(binding_values[d]) for d in head_depths])
-            )
-        else:
-            # The leaf variable is projected out: every binding maps to the
-            # same head tuple, which the final dedup keeps once.
-            self.results.append(tuple([binding_values[d] for d in head_depths]))
-
-    # ------------------------------------------------------------------ #
-    # Per-depth matches
-    # ------------------------------------------------------------------ #
-    def _matches_at(self, depth: int):
-        """The matches of ``depth``'s variable: cached replay or a live leapfrog.
-
-        Non-leaf depths get an iterable of :data:`Match`, computed lazily;
-        the leaf depth gets the whole value sequence (leaf cursor indexes
-        are never read back), which is also what its cache entries hold.
-        """
-        depth_program = self._depth_tables[depth][0]
-        key_depths = depth_program.cache_key_depths if self.use_cache else None
-        if key_depths is None:
-            return self._kernels[depth]()
-        binding_values = self.binding_values
-        key = (depth, tuple([binding_values[d] for d in key_depths]))
-        stats = self.stats
-        stats.cache_lookups += 1
-        cached = self.cache.get(key)
-        if cached is not None:
-            stats.cache_hits += 1
-            # Reading each cached value and its per-trie indexes replaces the
-            # leapfrog recomputation.
-            stats.index_element_reads += len(cached) * (
-                1 + len(depth_program.participants)
-            )
-            return cached
-        if depth == self._last:
-            values = self._kernels[depth]()
-            self._cache_insert(key, values)
-            return values
-        return self._fill_cache(key, self._kernels[depth]())
-
-    def _fill_cache(self, key, matches: Iterable[Match]) -> Iterator[Match]:
-        """Non-leaf miss path: pass matches through while recording the entry."""
-        entry: List[Match] = []
-        append = entry.append
-        try:
-            for match in matches:
-                append(match)
-                yield match
-        finally:
-            self._cache_insert(key, entry)
-
-    def _cache_insert(self, key, entry: Sequence) -> None:
-        """Store a completed entry under ``(depth, key values)`` and charge it."""
-        self.cache[key] = entry
-        stats = self.stats
-        stats.cache_inserts += 1
-        stats.intermediate_results += len(entry)
-        # A cached value is charged with its per-trie indexes, at every depth.
-        width = 1 + len(self._depth_tables[key[0]][0].participants)
-        stats.index_element_writes += len(entry) * width

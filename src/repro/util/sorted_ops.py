@@ -113,7 +113,7 @@ def gallop(
     usually nearby) and reports how many elements it actually compared.  It
     is kept as a reference form for tests, not run by any engine: tests pin
     it against :func:`lowest_upper_bound` and use it as the landing-position
-    oracle for the depth kernel of :mod:`repro.joins.leapfrog`, and the
+    oracle for the plan kernel of :mod:`repro.joins.leapfrog`, and the
     legacy kernel microbenchmark times it.  No window validation is
     performed — callers pass cursor positions that are valid by construction.
     """

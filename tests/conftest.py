@@ -3,6 +3,9 @@
 The fixtures build small, deterministic graph databases that are large enough
 to exercise every code path (cache hits, backtracking, multithreaded
 splitting) yet small enough that even the naive oracle finishes instantly.
+
+It also registers the ``ci`` hypothesis profile (``--hypothesis-profile=ci``):
+more examples and no deadline, for the properties CI runs longer.
 """
 
 import pytest
@@ -15,6 +18,13 @@ from repro.graphs import (
     preferential_attachment_graph,
     uniform_random_graph,
 )
+
+try:
+    from hypothesis import settings
+except ImportError:  # suites that run without hypothesis installed
+    pass
+else:
+    settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -1,28 +1,48 @@
 """Equivalence of the overhauled hot-path kernels with the seed semantics.
 
 The kernel overhauls (array-backed tries, slot-compiled cursor state, the
-iterative driver, the bulk leaf, the generated depth kernel with C-level
-seeks) must be *invisible* at every observable surface: result tuples (and
-their order), ``JoinStats`` counters, and the trie's flat-layout invariants.
-These tests pin that down with property-style checks across the engine x
-query correctness matrix, the depth kernel against a transcription of the
-interpreted leapfrog it replaced, and the storage-layer helpers.
+bulk leaf, the generated plan kernel with C-level seeks) must be *invisible*
+at every observable surface: result tuples (and their order), ``JoinStats``
+counters, and the trie's flat-layout invariants.  These tests pin that down
+with property-style checks across the engine x query correctness matrix, the
+plan kernel against a transcription of the interpreted driver and leapfrog
+it replaced, and the storage-layer helpers.
 """
 
 import linecache
 import pickle
 from array import array
 from bisect import bisect_left
-from itertools import accumulate, islice, product
+from itertools import accumulate, product, repeat
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import graph_database, pattern_query, uniform_random_graph
-from repro.joins import CachedTrieJoin, GenericJoin, LeapfrogTrieJoin, NaiveJoin
+from repro.api import create_engine
+from repro.graphs import (
+    graph_database,
+    pattern_query,
+    uniform_random_graph,
+)
+from repro.joins import (
+    CachedTrieJoin,
+    GenericJoin,
+    LeapfrogTrieJoin,
+    NaiveJoin,
+    QueryCompiler,
+    leapfrog,
+)
 from repro.joins.aggregates import count_by_variable, count_matches
-from repro.joins.leapfrog import bind_kernel, kernel_source
+from repro.joins.delta import DeltaPlanner, evaluate_delta
+from repro.joins.leapfrog import (
+    plan_kernel,
+    plan_shape,
+    plan_source,
+    resolve_slot_tables,
+    run_plan,
+)
 from repro.joins.stats import JoinStats
 from repro.relational import (
     Atom,
@@ -32,6 +52,7 @@ from repro.relational import (
     Schema,
     TrieIndex,
 )
+from repro.service import alpha_rename
 from repro.util.sorted_ops import gallop, lowest_upper_bound
 
 WCOJ_ENGINES = [LeapfrogTrieJoin(), CachedTrieJoin(), GenericJoin()]
@@ -365,7 +386,7 @@ class TestBulkLeafKernel:
 
 
 class TestGallopReference:
-    """``gallop`` supplies the landing positions of the depth-kernel oracle below."""
+    """``gallop`` supplies the landing positions of the plan-kernel oracle below."""
 
     @given(
         st.lists(st.integers(0, 100), max_size=40).map(lambda v: sorted(set(v))),
@@ -382,15 +403,16 @@ class TestGallopReference:
 
 
 def reference_kernel(arrays, parent_offsets, parent_indexes, positions, stats, leaf):
-    """The interpreted ``_intersect`` + ``_leapfrog`` the depth kernel replaced.
+    """The interpreted ``_intersect`` + ``_leapfrog`` the generated kernels replaced.
 
-    A plain-Python transcription, kept as the kernel's oracle: same signature
-    as :func:`bind_kernel`, list-held cursor state, ``max``/``min`` per pass,
+    A plain-Python transcription of one depth's candidate ranges and
+    leapfrog, kept as the oracle's intersection (:func:`reference_plan_run`
+    binds one per depth): list-held cursor state, ``max``/``min`` per pass,
     landing positions from :func:`gallop`.
     """
     k = len(arrays)
 
-    def leapfrog(cursors, ends):
+    def leapfrog_matches(cursors, ends):
         reads = k
         lubs = 0
         try:
@@ -440,7 +462,7 @@ def reference_kernel(arrays, parent_offsets, parent_indexes, positions, stats, l
             stats.index_element_reads += hi - lo
             values = arrays[0][lo:hi]
             return values if leaf else zip(values, zip(range(lo, hi)))
-        matches = leapfrog(cursors, ends)
+        matches = leapfrog_matches(cursors, ends)
         return list(matches) if leaf else matches
 
     return intersect
@@ -453,65 +475,176 @@ STORAGES = {
     "memoryview": lambda values: memoryview(array("q", values)),
 }
 
-_SIBLINGS = st.lists(st.integers(0, 14), max_size=10).map(lambda v: sorted(set(v)))
 
-#: One participant: the sibling groups of its level and the parent the cursor
-#: above it sits on.  Its candidate range is that parent's group.
-_PARTICIPANT = st.lists(_SIBLINGS, min_size=1, max_size=3).flatmap(
-    lambda groups: st.tuples(st.just(groups), st.integers(0, len(groups) - 1))
-)
+class StoredLevels:
+    """A catalog whose tries hand out every level in one :data:`STORAGES` form."""
+
+    def __init__(self, database, storage):
+        self.database, self.store = database, STORAGES[storage]
+
+    def trie_for_atom(self, atom, order):
+        trie = self.database.trie_for_atom(atom, order)
+        store = self.store
+        return SimpleNamespace(
+            num_tuples=trie.num_tuples,
+            level_values=lambda level: store(list(trie.level_values(level))),
+            child_offsets=lambda level: store(list(trie.child_offsets(level))),
+        )
 
 
-def depth_inputs(participants, roots, storage):
-    """``bind_kernel``'s data arguments for one depth under one root/non-root mix.
+def reference_plan_run(plan, database, use_cache, action="rows", group_by=None):
+    """The interpreted driver the plan kernel replaced, over :func:`reference_kernel`.
 
-    A root-level participant's level array is its candidate group alone; a
-    deeper one keeps every group behind CSR offsets and a parent position.
+    A transcription of the retired ``_TrieJoinExecution``: ``_run`` (an
+    explicit stack of lazy per-depth match iterators), ``_matches_at`` (the
+    software cache keyed ``(depth, key values)``), ``_fill_cache`` /
+    ``_cache_insert`` and ``_emit_leaf`` with the grouping override — one
+    bulk emit per non-empty leaf group.  Same signature and outcome as
+    :func:`run_plan`.
     """
-    store = STORAGES[storage]
-    arrays, parent_offsets, parent_indexes, positions = [], [], [], []
-    for (groups, parent), root in zip(participants, roots):
-        if root:
-            arrays.append(store(groups[parent]))
-            parent_offsets.append(None)
-            parent_indexes.append(-1)
-        else:
-            arrays.append(store([value for group in groups for value in group]))
-            parent_offsets.append(store([0, *accumulate(map(len, groups))]))
-            parent_indexes.append(len(positions))
-            positions.append(parent)
-    return arrays, parent_offsets, parent_indexes, positions
-
-
-def _relay(matches):
-    """A pass-through generator holding the only reference, like CTJ's ``_fill_cache``."""
-    for match in matches:
-        yield match
-
-
-def observe(bind, inputs, leaf, take=None):
-    """Matches and counters of one call; ``take`` closes the result after that many."""
     stats = JoinStats()
-    if take is None:
-        seen = list(bind(*inputs, stats, leaf)())
-    else:
-        relay = _relay(bind(*inputs, stats, leaf)())
-        seen = list(islice(relay, take))
-        relay.close()
-    return seen, stats.lub_searches, stats.index_element_reads
+    program = plan.slot_program()
+    slot_tries, depth_tables = resolve_slot_tables(plan, database)
+    positions = [-1] * program.num_positions
+    binding_values = [0] * plan.num_variables
+    match_counts = [0] * plan.num_variables
+    last = plan.num_variables - 1
+    group_depth = None if group_by is None else plan.depth_of(group_by)
+    results, counts, cache = [], {}, {}
+    kernels = [
+        reference_kernel(arrays, offsets, parents, positions, stats, depth == last)
+        for depth, (_program, arrays, offsets, _indexes, parents) in enumerate(depth_tables)
+    ]
+
+    def cache_insert(key, entry):
+        cache[key] = entry
+        stats.cache_inserts += 1
+        stats.intermediate_results += len(entry)
+        width = 1 + len(depth_tables[key[0]][0].participants)
+        stats.index_element_writes += len(entry) * width
+
+    def fill_cache(key, matches):
+        entry = []
+        try:
+            for match in matches:
+                entry.append(match)
+                yield match
+        finally:
+            cache_insert(key, entry)
+
+    def matches_at(depth):
+        depth_program = depth_tables[depth][0]
+        key_depths = depth_program.cache_key_depths if use_cache else None
+        if key_depths is None:
+            return kernels[depth]()
+        key = (depth, tuple(binding_values[d] for d in key_depths))
+        stats.cache_lookups += 1
+        cached = cache.get(key)
+        if cached is not None:
+            stats.cache_hits += 1
+            stats.index_element_reads += len(cached) * (1 + len(depth_program.participants))
+            return cached
+        if depth == last:
+            values = kernels[depth]()
+            cache_insert(key, values)
+            return values
+        return fill_cache(key, kernels[depth]())
+
+    def emit_leaf(values):
+        match_counts[last] += len(values)
+        stats.bindings_enumerated += len(values)
+        head_depths = program.head_depths
+        if action == "rows" and last in head_depths:
+            results.extend(
+                zip(*[values if d == last else repeat(binding_values[d]) for d in head_depths])
+            )
+        elif action == "rows":
+            results.append(tuple(binding_values[d] for d in head_depths))
+        elif action == "group" and group_depth == last:
+            for value in values:
+                counts[value] = counts.get(value, 0) + 1
+        elif action == "group":
+            value = binding_values[group_depth]
+            counts[value] = counts.get(value, 0) + len(values)
+
+    def run():
+        if last == 0:
+            values = matches_at(0)
+            if values:
+                emit_leaf(values)
+            return
+        stack = [iter(matches_at(0))]
+        while stack:
+            depth = len(stack) - 1
+            position_indexes = depth_tables[depth][3]
+            for value, indexes in stack[-1]:
+                match_counts[depth] += 1
+                binding_values[depth] = value
+                for i, index in zip(position_indexes, indexes):
+                    positions[i] = index
+                if depth + 1 == last:
+                    values = matches_at(last)
+                    if values:
+                        emit_leaf(values)
+                    continue
+                stack.append(iter(matches_at(depth + 1)))
+                break
+            else:
+                stack.pop()
+
+    if all(trie.num_tuples for trie in slot_tries):
+        run()
+        for depth, count in enumerate(match_counts):
+            if count:
+                stats.record_match(plan.variable_order[depth], count)
+    if action != "rows":
+        stats.output_tuples = stats.bindings_enumerated
+        return (stats.bindings_enumerated if action == "count" else counts), stats
+    if not plan.query.is_full:
+        results = list(dict.fromkeys(results))
+    stats.output_tuples = len(results)
+    return results, stats
 
 
-def assert_kernel_matches_reference(participants, leaf, storage, take=None):
-    for roots in product([True, False], repeat=len(participants)):
-        inputs = depth_inputs(participants, roots, storage)
-        assert observe(bind_kernel, inputs, leaf, take) == observe(
-            reference_kernel, inputs, leaf, take
-        ), roots
+def observe_plan(runner, plan, database, use_cache, action="rows", group_by=None):
+    """Everything one plan run shows: outcome (rows, count or groups, in order)
+    and the counters, with ``per_variable_matches`` in order."""
+    outcome, stats = runner(plan, database, use_cache, action, group_by)
+    if isinstance(outcome, dict):
+        outcome = list(outcome.items())
+    return outcome, stats.as_dict(), list(stats.per_variable_matches.items())
+
+
+def assert_plan_matches_reference(plan, database, use_cache, action="rows", group_by=None):
+    assert observe_plan(run_plan, plan, database, use_cache, action, group_by) == observe_plan(
+        reference_plan_run, plan, database, use_cache, action, group_by
+    )
+
+
+#: The query shapes of the plan oracle (each also under a drawn variable order).
+ORACLE_QUERIES = [
+    *(pattern_query(name) for name in ("path3", "cycle3", "cycle4", "clique4", "path4")),
+    ConjunctiveQuery("projected_leaf", ("x", "y"), _TRIANGLE),
+    ConjunctiveQuery("projected_path", ("x",), _PATH),
+    ConjunctiveQuery("repeated_var", ("x", "y"), [Atom("E", ("x", "y")), Atom("E", ("y", "x"))]),
+    ConjunctiveQuery("single_atom", ("y", "x"), [Atom("E", ("x", "y"))]),
+    ConjunctiveQuery("unary", ("x",), [Atom("V", ("x",)), Atom("E", ("x", "y"))]),
+    ConjunctiveQuery("self_loop", ("x",), [Atom("E", ("x", "x"))]),
+]
+
+_EDGES = st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=28)
+
+
+def oracle_database(edges, vertices) -> Database:
+    database = Database()
+    database.add_relation(Relation("E", Schema(("src", "dst")), sorted(edges)))
+    database.add_relation(Relation("V", Schema(("v",)), [(v,) for v in sorted(vertices)]))
+    return database
 
 
 #: Two-participant inputs that take each exit of the seek loop (these were the
 #: gallop edge cases: empty window, target past the end, single-element runs,
-#: cursor already at the answer).
+#: cursor already at the answer).  ``([group, ...], parent)`` per participant.
 EXIT_CASES = {
     "empty_range": [([[], [1, 2]], 0), ([[1, 2]], 0)],
     "empty_range_second": [([[1, 2]], 0), ([[3], []], 1)],
@@ -526,48 +659,119 @@ EXIT_CASES = {
     "overshoot_swaps_the_laggard": [([[1, 4, 8, 9]], 0), ([[2, 3, 9]], 0)],
 }
 
+_SIBLINGS = st.lists(st.integers(0, 14), max_size=10).map(lambda v: sorted(set(v)))
 
-class TestDepthKernel:
-    """The generated depth kernel against the interpreted leapfrog it replaced."""
+#: One participant: the sibling groups of its level and the parent the cursor
+#: above it sits on.  Its candidate range is that parent's group.
+_PARTICIPANT = st.lists(_SIBLINGS, min_size=1, max_size=3).flatmap(
+    lambda groups: st.tuples(st.just(groups), st.integers(0, len(groups) - 1))
+)
+
+
+def depth_plan(participants, roots, storage, leaf=True, use_cache=False):
+    """A plan whose variable ``v`` intersects one atom per participant.
+
+    Participant ``i`` is ``R{i}(v)`` over its parent's group (root-level) or
+    ``R{i}(u{i}, v)`` over every group, ``u{i}``'s value being the group's
+    index; ``v`` comes after the ``u``'s, so every group is a candidate
+    range.  The tries are stand-ins over the groups as given: unlike a built
+    trie's, a range may be empty.  Unless ``v`` is the ``leaf``, the first
+    atom carries one more variable ``w``, two children per value.
+    """
+    store = STORAGES[storage]
+    tries, atoms, order = {}, [], []
+    for i, ((groups, parent), root) in enumerate(zip(participants, roots)):
+        if root:
+            levels, offsets, variables = [groups[parent]], [], ("v",)
+        else:
+            levels = [list(range(len(groups))), [value for group in groups for value in group]]
+            offsets, variables = [[0, *accumulate(map(len, groups))]], (f"u{i}", "v")
+            order.append(f"u{i}")
+        if i == 0 and not leaf:
+            offsets.append(list(range(0, 2 * len(levels[-1]) + 1, 2)))
+            levels.append([value + shift for value in levels[-1] for shift in (100, 200)])
+            variables += ("w",)
+        tries[f"R{i}"] = SimpleNamespace(
+            num_tuples=len(levels[-1]),
+            level_values=lambda level, levels=levels: store(levels[level]),
+            child_offsets=lambda level, offsets=offsets: store(offsets[level]),
+        )
+        atoms.append(Atom(f"R{i}", variables))
+    order += ["v"] + ([] if leaf else ["w"])
+    query = ConjunctiveQuery("depth", tuple(order), atoms)
+    plan = QueryCompiler(enable_caching=use_cache).compile(query, variable_order=tuple(order))
+    catalog = SimpleNamespace(trie_for_atom=lambda atom, _order: tries[atom.relation])
+    return plan, catalog
+
+
+class TestPlanKernel:
+    """The generated plan kernel against the interpreted driver it replaced."""
+
+    @given(
+        st.sampled_from(ORACLE_QUERIES).flatmap(
+            lambda query: st.tuples(st.just(query), st.permutations(query.variables))
+        ),
+        _EDGES,
+        st.sets(st.integers(0, 7), max_size=6),
+        st.booleans(),
+        st.sampled_from(list(STORAGES)),
+        st.data(),
+    )
+    @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+    def test_plan_oracle(self, query_order, edges, vertices, use_cache, storage, data):
+        query, order = query_order
+        action, group_by = data.draw(
+            st.sampled_from([("rows", None), ("count", None)])
+            | st.sampled_from(query.head_variables).map(lambda variable: ("group", variable))
+        )
+        compiler = QueryCompiler(enable_caching=use_cache)
+        if query.name == "self_loop":
+            # The trie-join engines refuse a repeated variable within an atom.
+            with pytest.raises(ValueError):
+                compiler.compile(query, variable_order=tuple(order))
+            return
+        plan = compiler.compile(query, variable_order=tuple(order))
+        database = StoredLevels(oracle_database(edges, vertices), storage)
+        assert_plan_matches_reference(plan, database, use_cache, action, group_by)
+
+    @pytest.mark.parametrize("storage", list(STORAGES))
+    @pytest.mark.parametrize("leaf", [True, False], ids=["leaf", "nonleaf"])
+    @pytest.mark.parametrize("case", list(EXIT_CASES))
+    def test_every_exit(self, case, leaf, storage):
+        # Non-leaf with participant 0 root-level and 1 not, CTJ caches ``w``.
+        for roots, use_cache in product(product([True, False], repeat=2), [False, True]):
+            plan, catalog = depth_plan(EXIT_CASES[case], roots, storage, leaf, use_cache)
+            assert_plan_matches_reference(plan, catalog, use_cache)
 
     @pytest.mark.parametrize("storage", list(STORAGES))
     @pytest.mark.parametrize("leaf", [True, False], ids=["leaf", "nonleaf"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     @given(st.data())
     @settings(max_examples=40, deadline=None)
-    def test_matches_indexes_and_counters(self, k, leaf, storage, data):
+    def test_intersection_widths(self, k, leaf, storage, data):
         participants = data.draw(st.tuples(*[_PARTICIPANT] * k))
-        assert_kernel_matches_reference(participants, leaf, storage)
-
-    @pytest.mark.parametrize("storage", list(STORAGES))
-    @pytest.mark.parametrize("leaf", [True, False], ids=["leaf", "nonleaf"])
-    @pytest.mark.parametrize("case", list(EXIT_CASES))
-    def test_every_exit(self, case, leaf, storage):
-        assert_kernel_matches_reference(EXIT_CASES[case], leaf, storage)
-
-    @pytest.mark.parametrize("k", [2, 3])
-    @given(st.data(), st.integers(1, 3))
-    @settings(max_examples=60, deadline=None)
-    def test_result_closed_early_flushes_the_same_counters(self, k, data, take):
-        # CTJ's _fill_cache abandons its source when the driver drops it.
-        # (take >= 1: the kernel reads its ranges on the first next().)
-        participants = data.draw(st.tuples(*[_PARTICIPANT] * k))
-        assert_kernel_matches_reference(participants, False, "array", take)
+        roots = data.draw(st.tuples(*[st.booleans()] * k))
+        plan, catalog = depth_plan(participants, roots, storage, leaf)
+        assert len(plan.slot_program().depths[plan.depth_of("v")].participants) == k
+        assert_plan_matches_reference(plan, catalog, False)
 
     def test_source_is_registered_under_a_name_that_reads_as_the_shape(self):
-        name, source = kernel_source((True, False, False), False)
-        assert name == "<repro.joins.leapfrog kernel k=3 roots=100 nonleaf>"
-        assert source.count("bisect_left(") == 3  # one seek per participant
-        kernel = bind_kernel(
-            [[1], [1], ["x"]], [None, [0, 1], [0, 1]], [-1, 0, 1], [0, 0], JoinStats(), False
+        query = ConjunctiveQuery(
+            "u", ("x",), [Atom("V", ("x",)), Atom("W", ("x",)), Atom("V", ("x",))]
         )
+        plan = LeapfrogTrieJoin().compiler.compile(query)
+        shape = plan_shape(plan, use_cache=False)
+        name, source = plan_source(shape)
+        assert name == "<repro.joins.leapfrog plan [r r r] head=0 rows>"
+        assert source.count("bisect_left(") == 3  # one seek per participant
+        kernel = plan_kernel(shape)
         linecache.checkcache()
         assert linecache.getlines(name) == source.splitlines(True)
         with pytest.raises(TypeError) as raised:
-            list(kernel())
+            kernel(JoinStats(), [], [1], [1], ["x"])
         frame = raised.traceback[-1]
         assert str(frame.path) == name
-        assert str(frame.statement).strip() == "if v2 > m:"
+        assert str(frame.statement).strip() == "if v0_2 > m:"
 
     def test_plan_carries_no_generated_function(self):
         database = seeded_database(1)
@@ -578,6 +782,64 @@ class TestDepthKernel:
             again = engine.run(query, database, plan=plan)
             assert again.tuples == result.tuples
             assert again.stats.as_dict() == result.stats.as_dict()
+
+    @pytest.mark.parametrize("full", [True, False], ids=["full", "ends"])
+    @pytest.mark.parametrize("closed", [False, True], ids=["path", "cycle"])
+    @pytest.mark.parametrize("length", [18, 19, 20, 37, 40])
+    def test_plans_deeper_than_one_loop_nest(self, length, closed, full):
+        # Past 18 depths the loop nest continues in nested functions; a
+        # cycle's closing atom reads depth 0's cursor from the last one, and
+        # CTJ cache keys cross them whether or not the head names the key.
+        variables = [f"v{i}" for i in range(length)]
+        pairs = list(zip(variables, variables[1:])) + [(variables[-1], variables[0])] * closed
+        head = tuple(variables) if full else (variables[0], variables[-1])
+        query = ConjunctiveQuery("deep", head, [Atom("E", pair) for pair in pairs])
+        # A 4-cycle whose every vertex also has an edge to a dead end.
+        edges = {(i, (i + 1) % 4) for i in range(4)} | {(i, 4 + i) for i in range(4)}
+        database = oracle_database(edges, ())
+        actions = [("rows", None), ("count", None), ("group", "v0"), ("group", variables[-1])]
+        for use_cache, (action, group_by) in product([False, True], actions):
+            compiler = QueryCompiler(enable_caching=use_cache)
+            plan = compiler.compile(query, variable_order=tuple(variables))
+            shape = plan_shape(plan, use_cache, action, group_by)
+            assert plan_source(shape)[1].count("def walk") == (length - 1) // 18
+            assert_plan_matches_reference(plan, database, use_cache, action, group_by)
+        # A path ends on the cycle or at a dead end; a cycle closes iff 4 | length.
+        expected = 0 if closed and length % 4 else 4 if closed else 8
+        assert len(LeapfrogTrieJoin().run(query, database).tuples) == expected
+
+
+class TestKernelMemo:
+    """One generated function per plan *shape*: a long-lived service that
+    sees fresh variable names per request, or fresh delta batches, must not
+    grow one function per request."""
+
+    def test_alpha_renamed_queries_share_one_kernel(self, monkeypatch):
+        monkeypatch.setattr(leapfrog, "_PLAN_KERNELS", {})
+        database = seeded_database(5)
+        queries = [alpha_rename(pattern_query("cycle4"), tag) for tag in range(6)]
+        assert len({query.variables for query in queries}) == 6
+        shapes = set()
+        for engine in (LeapfrogTrieJoin(), CachedTrieJoin()):
+            for query in queries:
+                result = engine.run(query, database)
+                shapes.add(plan_shape(result.plan, engine.name == "ctj"))
+        assert len(shapes) == 2  # one per engine: CTJ caches two depths of cycle4
+        assert set(leapfrog._PLAN_KERNELS) == shapes
+
+    def test_delta_terms_share_one_kernel_per_shape(self, monkeypatch):
+        monkeypatch.setattr(leapfrog, "_PLAN_KERNELS", {})
+        database = graph_database(uniform_random_graph(16, 40, seed=3))
+        engine, planner, query = create_engine("lftj"), DeltaPlanner(), pattern_query("path3")
+        for batch in range(8):
+            rows = [(batch, 16 + batch), (16 + batch, (batch * 5) % 16)]
+            database.insert_into("E", rows)
+            evaluate_delta(query, database, {"E": rows}, engine, planner)
+        terms = planner.plans_for(query, ["E"])
+        assert len(terms) == 2  # one per atom of E
+        assert set(leapfrog._PLAN_KERNELS) == {
+            plan_shape(term.plan, use_cache=False) for term in terms
+        }
 
 
 class TestArrayBackedTrie:
