@@ -6,8 +6,8 @@ is guarded by ``if tracer.enabled`` and the engine inner loops are never
 instrumented at all, so running with the :data:`~repro.obs.NULL_TRACER`
 must cost nothing measurable on the kernel hot path.
 
-This module pins that contract with a min-of-N timing comparison on the
-``repro bench kernels`` cycle3 workload: the bare engine run against the same
+This module pins that contract with a min-of-N timing comparison on LFTJ
+cycle3 over ``bitcoin`` at scale 0.01: the bare engine run against the same
 run behind the exact guard pattern the serving layer uses.  Min-of-N
 de-noises scheduler jitter; the assertion allows 2% slack
 (:data:`MAX_OVERHEAD_RATIO`), two orders of magnitude above the true cost

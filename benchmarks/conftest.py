@@ -12,16 +12,9 @@ Environment knobs:
 ``REPRO_BENCH_SCALE``
     Fraction of the Table 2 dataset sizes to generate (default ``0.01``).
     Larger scales sharpen the intermediate-result gaps (they grow with
-    dataset size) at the cost of longer simulations.
-
-``REPRO_BENCH_SEED``
-    The single RNG seed of the benchmark harness (default ``2020``, the
-    paper's year).  Every stochastic benchmark input — synthetic graphs,
-    service workload streams, admission lotteries — must derive its
-    randomness from this seed (directly, or through the :func:`bench_rng`
-    fixture's ``fork`` streams) so that benchmark numbers are reproducible
-    run-to-run.  The Table 2 dataset stand-ins are seeded per-dataset by
-    ``repro.graphs.datasets`` and are unaffected by this knob.
+    dataset size) at the cost of longer simulations.  The Table 2 dataset
+    stand-ins are seeded per-dataset by ``repro.graphs.datasets``, so every
+    benchmark input is reproducible run-to-run.
 """
 
 import os
@@ -30,30 +23,9 @@ import pytest
 
 from repro.core import TrieJaxConfig
 from repro.eval import ExperimentContext
-from repro.util.rng import DeterministicRNG
 
 #: Dataset scale used by the benchmark harness (see module docstring).
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.01"))
-
-#: The harness-wide RNG seed (see module docstring).
-BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "2020"))
-
-
-@pytest.fixture(scope="session")
-def bench_seed() -> int:
-    """The documented harness seed, for benchmarks that seed components directly."""
-    return BENCH_SEED
-
-
-@pytest.fixture
-def bench_rng() -> DeterministicRNG:
-    """A fresh deterministic RNG rooted at :data:`BENCH_SEED`.
-
-    Function-scoped on purpose: every benchmark starts from the same stream
-    state, so adding or reordering benchmarks never shifts another
-    benchmark's random draws.
-    """
-    return DeterministicRNG(BENCH_SEED)
 
 
 @pytest.fixture(scope="session")

@@ -363,7 +363,7 @@ class Session:
 
         Exposes the per-mutation :class:`MaintenanceReport` history and the
         accumulated delta-join cost (``maintainer.cost_ns``, virtual ns) so
-        benchmarks can charge patching honestly against recomputation.
+        patching can be charged honestly against recomputation.
         """
         return self.pipeline.maintainer
 

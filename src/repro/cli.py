@@ -20,9 +20,6 @@ The CLI exposes the library's main entry points without writing any Python::
     python -m repro run cycle3 --dataset grqc --trace out.json --trace-format chrome
     python -m repro trace validate out.jsonl
     python -m repro trace summarize out.jsonl --limit 10
-    python -m repro bench kernels --output BENCH_kernels.json
-    python -m repro bench kernels --compare BENCH_kernels.json --run nightly
-    python -m repro bench all --smoke
     python -m repro workload --dataset grqc --update-fraction 0.3 --maintenance incremental
     python -m repro store init var/store --dataset grqc --scale 0.01
     python -m repro store info var/store
@@ -42,14 +39,7 @@ thread pool, or a process pool over shared-memory trie segments
 (``--backend threads|process --workers N``, same results with wall-clock
 numbers in the report; ``run`` accepts the same flags and serves the
 single query through the service layer) — and prints the service report
-(latencies, queue waits, cache hit rates); ``bench`` runs one of the
-suites declared in :mod:`repro.eval.suites` (``kernels``, ``storage``,
-``concurrency``, ``chaos``, ``ivm``) without pytest, seeded like the
-pytest benchmarks, optionally persisting a run-manifest artifact
-directory (``--run``) and diffing against a committed baseline
-(``--compare BENCH_<suite>.json``: nonzero exit on a timing regression or
-a missing kernel row or check) — ``bench all`` runs every suite against
-its committed ``BENCH_<suite>.json``; ``workload
+(latencies, queue waits, cache hit rates); ``workload
 --maintenance incremental`` serves with delta-patched caches instead of
 drop-and-recompute; ``store init|snapshot|recover|info`` manages
 a durable store directory (:mod:`repro.storage`) and ``run``/``workload``
@@ -57,7 +47,8 @@ accept ``--storage-dir`` to execute against one — recovering it on open and
 snapshotting it afterwards; ``run`` and ``workload`` accept ``--trace out`` (JSONL or
 ``--trace-format chrome`` for Perfetto) plus ``workload --metrics out.prom``
 for Prometheus-style exposition, and ``trace validate|summarize`` checks
-and analyses exported traces (see :mod:`repro.obs`).
+and analyses exported traces (see :mod:`repro.obs`).  Wall-clock
+benchmarking is not a subcommand: it is ``perf/run.py`` (``BENCHMARK.json``).
 
 All engine names resolve through the single registry in
 :mod:`repro.engines`; the CLI keeps no private engine table.
@@ -74,20 +65,7 @@ import repro
 from repro.api import AcceleratorEngine, Session, Statement, create_engine, engine_names
 from repro.baselines import default_baselines
 from repro.core import TrieJaxConfig
-from repro.eval import (
-    DEFAULT_REGRESSION_THRESHOLD,
-    DEFAULT_RESULTS_ROOT,
-    EXPERIMENT_REGISTRY,
-    SUITE_NAMES,
-    ExperimentContext,
-    compare_kernel_reports,
-    format_comparison,
-    format_kernel_report,
-    format_table,
-    load_report,
-    write_kernel_report,
-    write_run_artifacts,
-)
+from repro.eval import EXPERIMENT_REGISTRY, ExperimentContext, format_table
 from repro.graphs import (
     DATASET_NAMES,
     EXTRA_PATTERN_NAMES,
@@ -294,54 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     summarize_parser.add_argument(
         "--limit", type=int, default=None, metavar="N",
         help="show only the N slowest queries' critical paths",
-    )
-
-    bench_parser = subparsers.add_parser(
-        "bench", help="run a benchmark suite (repro.eval.suites) without pytest"
-    )
-    bench_parser.add_argument(
-        "suite", choices=[*SUITE_NAMES, "all"],
-        help="which suite to run (``all`` runs every suite and diffs each "
-        "against its committed BENCH_<suite>.json baseline)"
-    )
-    bench_parser.add_argument(
-        "--scale", type=float, default=None,
-        help="dataset scale (default: the suite's documented default)",
-    )
-    bench_parser.add_argument(
-        "--repeats", type=int, default=3, help="best-of-N timing repeats"
-    )
-    bench_parser.add_argument(
-        "--seed", type=int, default=None,
-        help="RNG seed (default: the benchmark-seed environment variable "
-        "documented in the README, else 2020)",
-    )
-    bench_parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny-scale correctness gate (single repeat, not timing-sensitive)",
-    )
-    bench_parser.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="also write the JSON report to PATH",
-    )
-    bench_parser.add_argument(
-        "--compare", default=None, metavar="BASELINE",
-        help="diff the run against a committed baseline report "
-        "(e.g. BENCH_kernels.json); exits nonzero on a regression beyond "
-        "the threshold or a missing kernel row or check",
-    )
-    bench_parser.add_argument(
-        "--threshold", type=float, default=None, metavar="FRACTION",
-        help="allowed slowdown before --compare fails (default 0.25 = 25%%)",
-    )
-    bench_parser.add_argument(
-        "--run", default=None, metavar="NAME",
-        help="persist the run as <results-root>/NAME/ with manifest.json, "
-        "metrics.jsonl and summary.json",
-    )
-    bench_parser.add_argument(
-        "--results-root", default=None, metavar="DIR",
-        help="artifact root for --run (default eval/results)",
     )
 
     return parser
@@ -858,63 +788,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import os.path
-
-    from repro.eval.suites import SUITES, run_suite
-
-    if args.suite == "all" and (args.output or args.run or args.compare):
-        # The umbrella regresses every suite against its own committed
-        # baseline; the single-report flags make no sense here.
-        print(
-            "bench all: --output/--run/--compare apply to single suites",
-            file=sys.stderr,
-        )
-        return 2
-    threshold = (
-        args.threshold if args.threshold is not None else DEFAULT_REGRESSION_THRESHOLD
-    )
-    exit_code = 0
-    for suite in SUITES if args.suite == "all" else (args.suite,):
-        report = run_suite(
-            suite, scale=args.scale, seed=args.seed, repeats=args.repeats, smoke=args.smoke
-        )
-        print(format_kernel_report(report))
-        if args.output:
-            write_kernel_report(report, args.output)
-            print(f"wrote {args.output}")
-        if args.run:
-            run_dir = write_run_artifacts(
-                args.run,
-                report,
-                results_root=args.results_root or DEFAULT_RESULTS_ROOT,
-                extra_manifest={"cli": {"suite": suite, "smoke": args.smoke}},
-            )
-            print(f"wrote run artifacts to {run_dir}")
-        for name, verdict in report["checks"].items():
-            if verdict == "fail":
-                print(f"FAIL: {suite} check {name!r} did not hold", file=sys.stderr)
-                exit_code = 1
-        baseline = args.compare
-        if args.suite == "all":
-            baseline = f"BENCH_{suite}.json"
-            if not os.path.exists(baseline):
-                print(f"note: no committed baseline {baseline}; comparison skipped")
-                baseline = None
-        if baseline:
-            comparison = compare_kernel_reports(
-                report, load_report(baseline), threshold=threshold
-            )
-            print(format_comparison(comparison))
-            if not comparison["ok"]:
-                print(
-                    f"FAIL: {suite} benchmarks regressed against {baseline}",
-                    file=sys.stderr,
-                )
-                exit_code = 1
-    return exit_code
-
-
 def _cmd_version() -> int:
     print(f"repro {repro.__version__}")
     return 0
@@ -944,8 +817,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_store(args)
     if args.command == "trace":
         return _cmd_trace(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     parser.error(f"unknown command {args.command!r}")  # pragma: no cover
     return 2  # pragma: no cover
 

@@ -175,7 +175,6 @@ class TrieJaxAccelerator:
     ) -> RunReport:
         total_cycles = scheduler.report.total_cycles
         runtime_ns = self.config.cycles_to_ns(total_cycles)
-        program.algorithm_stats.output_tuples = program.result_count
 
         energy = self._energy_breakdown(
             scheduler, hierarchy, pjr_cache, runtime_ns, total_cycles
@@ -191,7 +190,6 @@ class TrieJaxAccelerator:
             cache_levels=hierarchy.level_stats(),
             dram=hierarchy.dram_stats,
             pjr=pjr_cache.stats,
-            algorithm=program.algorithm_stats,
             energy=energy,
         )
 

@@ -27,7 +27,6 @@ from repro.core.operations import Operation, SpawnRequest
 from repro.core.pjr_cache import PJRCache
 from repro.core.thread_state import Task
 from repro.joins.plan import JoinPlan
-from repro.joins.stats import JoinStats
 from repro.relational.layout import MemoryLayout
 from repro.relational.trie import TrieIndex
 
@@ -75,7 +74,6 @@ class CupidProgram:
         self.matchmaker = MatchMakerUnit(config, self.lub)
         # Shared outputs of the whole run (appended to by every thread).
         self.results: List[Tuple[int, ...]] = []
-        self.algorithm_stats = JoinStats()
         self._result_region = layout.result_region()
         self._result_cursor = 0
         self._result_bytes_per_tuple = 4 * len(plan.query.head_variables)
@@ -137,10 +135,8 @@ class CupidProgram:
         if cache_spec is not None:
             key = (variable, tuple(binding[v] for v in cache_spec.key_variables))
             yield Operation("pjr", self.config.pjr_lookup_cycles, tag="pjr_lookup")
-            self.algorithm_stats.cache_lookups += 1
             cached = self.pjr_cache.lookup(key)
             if cached is not None:
-                self.algorithm_stats.cache_hits += 1
                 yield from self._replay_cached(depth, variable, cached, binding, positions)
                 return
             # Miss: compute the matches, cache them while descending.
@@ -161,8 +157,7 @@ class CupidProgram:
                 cache_context=(key, path_signature) if allocated else None,
             )
             if allocated:
-                if self.pjr_cache.finalize(key, path_signature):
-                    self.algorithm_stats.cache_inserts += 1
+                self.pjr_cache.finalize(key, path_signature)
             return
 
         matches = yield from self._find_matches(depth, variable, binding, positions)
@@ -219,8 +214,6 @@ class CupidProgram:
                 stored = self.pjr_cache.append(key, path_signature, (value, indexes))
                 if stored:
                     yield Operation("pjr", self.config.pjr_write_cycles, tag="pjr_write")
-                    self.algorithm_stats.intermediate_results += 1
-                    self.algorithm_stats.index_element_writes += 1 + len(indexes)
                 else:
                     # Overflow or ownership loss: stop trying to cache.
                     cache_context = None
@@ -238,7 +231,6 @@ class CupidProgram:
     ) -> Iterator[object]:
         yield Operation("cupid", self.config.cupid_cycles, tag="advance")
         binding[variable] = value
-        self.algorithm_stats.record_match(variable)
         for atom_binding in self.plan.bindings_with(variable):
             level = atom_binding.level_of(variable)
             positions[atom_binding.trie_key][level] = indexes[atom_binding.trie_key]
@@ -256,7 +248,6 @@ class CupidProgram:
         """Reuse a completed PJR entry instead of recomputing the leapfrog."""
         for value, indexes in cached:
             yield Operation("pjr", self.config.pjr_read_cycles, tag="pjr_read")
-            self.algorithm_stats.index_element_reads += 1 + len(indexes)
             yield from self._descend(depth, variable, value, dict(indexes), binding, positions)
 
     # ------------------------------------------------------------------ #
@@ -281,7 +272,6 @@ class CupidProgram:
                 lo, hi = yield from self.midwife.expand(
                     atom_binding.trie_key, trie, level - 1, parent_index
                 )
-                self.algorithm_stats.index_element_reads += 2
             if lo >= hi:
                 return []
             participants.append(
@@ -357,7 +347,6 @@ class CupidProgram:
     # ------------------------------------------------------------------ #
     def _emit(self, binding: Dict[str, int]) -> Iterator[object]:
         """Write one result tuple to the streaming output region (or count it)."""
-        self.algorithm_stats.bindings_enumerated += 1
         self.result_count += 1
         if self.count_only:
             # Aggregation mode: Cupid increments an on-chip counter, nothing

@@ -1,8 +1,7 @@
 """Run reports: everything one TrieJax execution produces besides the tuples.
 
 A :class:`RunReport` bundles the timing outcome of the scheduler, the memory
-system statistics, the PJR-cache behaviour, the algorithm-level counters and
-the energy breakdown.  The evaluation harness (``repro.eval``) consumes these
+system statistics, the PJR-cache behaviour and the energy breakdown.  The evaluation harness (``repro.eval``) consumes these
 reports to regenerate the paper's figures; examples print them directly.
 """
 
@@ -13,7 +12,6 @@ from typing import Dict, Optional
 
 from repro.core.pjr_cache import PJRCacheStats
 from repro.core.scheduler import SchedulerReport
-from repro.joins.stats import JoinStats
 from repro.memory.cache import CacheStats
 from repro.memory.dram import DRAMStats
 from repro.memory.energy import EnergyBreakdown
@@ -40,8 +38,6 @@ class RunReport:
         Memory-hierarchy statistics (L1, L2, LLC) and DRAM command counts.
     pjr:
         Partial-join-result cache statistics.
-    algorithm:
-        Algorithm-level counters (matches per variable, cache hits, ...).
     energy:
         Per-component energy breakdown (DRAM, LLC, L2, L1, PJR cache, core).
     """
@@ -56,7 +52,6 @@ class RunReport:
     cache_levels: Dict[str, CacheStats] = field(default_factory=dict)
     dram: DRAMStats = field(default_factory=DRAMStats)
     pjr: PJRCacheStats = field(default_factory=PJRCacheStats)
-    algorithm: JoinStats = field(default_factory=JoinStats)
     energy: EnergyBreakdown = field(default_factory=EnergyBreakdown)
 
     # ------------------------------------------------------------------ #

@@ -7,9 +7,10 @@ Usage pattern (also what the ``benchmarks/`` directory does)::
     context = ExperimentContext(scale=0.01)
     print(figure13(context).to_text())
 
-The ``repro bench`` suites live in :mod:`repro.eval.suites`, which this
-package deliberately does not import: it loads :mod:`repro.service`, whose
-metrics module imports :mod:`repro.eval.metrics`.
+The wall-clock benchmark is ``perf/`` (declared in ``BENCHMARK.json``);
+this package only regenerates the paper's tables and figures.  It must not
+import :mod:`repro.service`, whose metrics module imports
+:mod:`repro.eval.metrics`.
 """
 
 from repro.eval.metrics import (
@@ -35,18 +36,6 @@ from repro.eval.harness import (
     BASELINE_ORDER,
     DEFAULT_EVAL_SCALE,
     ExperimentContext,
-)
-from repro.eval.artifacts import (
-    DEFAULT_REGRESSION_THRESHOLD,
-    DEFAULT_RESULTS_ROOT,
-    SUITE_NAMES,
-    compare_kernel_reports,
-    format_comparison,
-    format_kernel_report,
-    kernel_metrics_rows,
-    load_report,
-    write_kernel_report,
-    write_run_artifacts,
 )
 from repro.eval.experiments import (
     ENERGY_COMPONENTS,
@@ -85,17 +74,7 @@ __all__ = [
     "indent",
     "BASELINE_ORDER",
     "DEFAULT_EVAL_SCALE",
-    "DEFAULT_REGRESSION_THRESHOLD",
-    "DEFAULT_RESULTS_ROOT",
     "ExperimentContext",
-    "SUITE_NAMES",
-    "compare_kernel_reports",
-    "format_comparison",
-    "format_kernel_report",
-    "kernel_metrics_rows",
-    "load_report",
-    "write_run_artifacts",
-    "write_kernel_report",
     "ENERGY_COMPONENTS",
     "EXPERIMENT_REGISTRY",
     "FIGURE14_THREAD_COUNTS",

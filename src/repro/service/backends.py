@@ -257,8 +257,8 @@ class ThreadPoolBackend(ExecutionBackend):
     :class:`VirtualTimeBackend` exactly (see the module docstring).  On
     CPython the GIL serialises pure-Python engine work, so wall-clock gains
     are modest unless engines release the GIL; the point of this backend is
-    the architecture (and honest wall-clock numbers), measured by
-    ``repro bench concurrency``.
+    the architecture (and honest wall-clock numbers).  No benchmark row
+    measures it yet (``perf/`` has no pooled workload).
     """
 
     name = "threads"

@@ -160,9 +160,10 @@ class ResultMaintainer:
         patched, dropped = self.result_cache.maintain(event, self._solve)
         partial_patched = partial_dropped = 0
         if self.scatter is not None and self.scatter.partial_cache is not None:
-            partial_patched, partial_dropped = self.scatter.maintain(
+            partial_patched, partial_dropped, partial_cost_ns = self.scatter.maintain(
                 event, self.planner, self.engine, now=self.clock()
             )
+            self.cost_ns += partial_cost_ns
         report = MaintenanceReport(
             patchable=True,
             result_patched=patched,

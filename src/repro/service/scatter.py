@@ -615,7 +615,9 @@ class ScatterGatherExecutor:
     # ------------------------------------------------------------------ #
     # Incremental maintenance of cached partials
     # ------------------------------------------------------------------ #
-    def maintain(self, event, planner, engine, now: float = 0.0) -> Tuple[int, int]:
+    def maintain(
+        self, event, planner, engine, now: float = 0.0
+    ) -> Tuple[int, int, float]:
         """Patch the cached shard partials a mutation event touches.
 
         The incremental alternative to subscribing ``partial_cache.invalidate``:
@@ -632,12 +634,15 @@ class ScatterGatherExecutor:
         to recompute, never to a wrong answer.  Any solver failure
         (unknown spec, raised error) falls back to the drop the same way.
 
-        Returns ``(patched, dropped)``.
+        Returns ``(patched, dropped, cost_ns)``; ``cost_ns`` is the engine
+        cost of the fragment delta joins, which the maintainer charges.
         """
         if self.partial_cache is None:
-            return (0, 0)
+            return (0, 0, 0.0)
+        cost_ns = 0.0
 
         def solve(key: str, query, evt):
+            nonlocal cost_ns
             signature, _, suffix = key.rpartition("#shard")
             spec = self._spec_memo.get(signature)
             if spec is None or not suffix.isdigit():
@@ -668,9 +673,12 @@ class ScatterGatherExecutor:
             view = self.catalog.shard_view(shard, spec)
             from repro.joins.delta import evaluate_delta
 
-            return evaluate_delta(spec.query, view, deltas, engine, planner).tuples
+            result = evaluate_delta(spec.query, view, deltas, engine, planner)
+            cost_ns += result.cost_ns
+            return result.tuples
 
-        return self.partial_cache.maintain(event, solve)
+        patched, dropped = self.partial_cache.maintain(event, solve)
+        return patched, dropped, cost_ns
 
     def invalidation_report(self) -> Optional[str]:
         """One report line for the partial cache, or ``None`` without one."""

@@ -7,8 +7,8 @@ bound* searches on sorted arrays: given a sorted array ``arr`` and a value
 holds the reference forms of that primitive: the plain binary search and the
 galloping (exponential) search that also reports its probe count.  The join
 engines' inner loops search with the C-level ``bisect.bisect_left`` (same
-landing index); these functions are what tests and the kernel
-microbenchmarks compare against.  :func:`splice_sorted` is the write path's
+landing index); these functions are what the tests compare against.
+:func:`splice_sorted` is the write path's
 one merge primitive (cached results, relation row caches).
 
 All functions operate on any indexable sequence of comparable values
@@ -113,9 +113,9 @@ def gallop(
     usually nearby) and reports how many elements it actually compared.  It
     is kept as a reference form for tests, not run by any engine: tests pin
     it against :func:`lowest_upper_bound` and use it as the landing-position
-    oracle for the plan kernel of :mod:`repro.joins.leapfrog`, and the
-    legacy kernel microbenchmark times it.  No window validation is
-    performed — callers pass cursor positions that are valid by construction.
+    oracle for the plan kernel of :mod:`repro.joins.leapfrog`.  No window
+    validation is performed — callers pass cursor positions that are valid
+    by construction.
     """
     if hi is None:
         hi = len(values)

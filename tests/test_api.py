@@ -447,6 +447,24 @@ class TestSessionServe:
         assert backends["cycle3"] == "triejax"
         assert backends["clique4"] == "triejax"
 
+    def test_cost_routing_beats_rotation_in_virtual_time(self, api_db):
+        """Rotation keeps feeding the materialising pairwise engine; the
+        router prices it out, so the served virtual makespan drops."""
+        from repro.service import WorkloadSpec, generate_requests
+
+        requests = generate_requests(
+            WorkloadSpec(num_queries=80, mode="closed", rename_fraction=0.0), seed=2020
+        )
+
+        def makespan(routing):
+            session = fresh_session(
+                api_db, engines=("ctj", "pairwise"), seed=2020, routing=routing
+            )
+            session.serve(requests)
+            return session.service.metrics.makespan
+
+        assert makespan("auto") < makespan("rotate")
+
     def test_rotate_mode_keeps_round_robin(self, api_db):
         from repro.service import WorkloadRequest
 

@@ -23,6 +23,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "figure99"])
 
+    def test_bench_is_not_a_command(self, capsys):
+        # perf/ is the one wall-clock benchmark; the CLI has no runner of its own.
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(["bench"])
+        assert raised.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_datasets_listing(self, capsys):
@@ -90,23 +97,6 @@ class TestCommands:
         )
         assert exit_code == 0
         assert "figure18" in capsys.readouterr().out
-
-    def test_bench_kernels_smoke(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SEED", "7")
-        report_path = tmp_path / "kernels.json"
-        assert main(["bench", "kernels", "--smoke", "--output", str(report_path)]) == 0
-        output = capsys.readouterr().out
-        assert "kernels microbenchmarks" in output
-        assert "engines_agree=pass" in output
-        import json
-
-        report = json.loads(report_path.read_text())
-        assert report["meta"]["seed"] == 7  # honours REPRO_BENCH_SEED
-        assert report["checks"]["engines_agree"] == "pass"
-
-    def test_bench_suite_restricted(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "nope"])
 
     def test_version_command(self, capsys):
         assert main(["version"]) == 0

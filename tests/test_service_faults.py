@@ -18,7 +18,8 @@ Four layers of pinning, mirroring the concurrency/process suites:
   threaded / process execution backends; unrecoverable loss must degrade
   to *exactly* the surviving union (``on_shard_loss="partial"``) or raise
   a typed error (``"fail"``), and a degraded answer must never enter the
-  result cache;
+  result cache; hedging a straggler must lower the virtual p99 latency
+  without changing an answer;
 * **observability** — the worker-crash trigger (one
   :class:`ProcessPoolBrokenWarning`, counted inline fallbacks, the report
   line), the service report's fault-tolerance line, the
@@ -37,6 +38,7 @@ import warnings
 import pytest
 
 from repro.api import Session, create_engine
+from repro.eval.metrics import percentile
 from repro.graphs import pattern_query
 from repro.relational.sharding import ShardedDatabase, shard_database
 from repro.service import (
@@ -75,6 +77,9 @@ REPEATS = max(1, int(os.environ.get("REPRO_CONCURRENCY_REPEATS", "1")))
 #: 200 ns failure cost plus 50 ns backoff, so attempt 1 lands at t=250,
 #: outside [0, 220) — exactly one retry, guaranteed recovery.
 TRANSIENT = "flaky:1@0-220"
+
+#: Shard 3 runs 8x slow for the whole stream; a hedge needs a replica.
+STRAGGLER = "slow:3*8"
 
 
 # --------------------------------------------------------------------------- #
@@ -640,7 +645,7 @@ def _fault_snapshot(
 #: (fault spec, session knobs) sweeps of the backend-equivalence contract.
 FAULT_SWEEPS = [
     (TRANSIENT, {}),
-    ("slow:3*8", {"retry_policy": RetryPolicy(hedge_threshold_ns=2000.0), "replication": 2}),
+    (STRAGGLER, {"retry_policy": RetryPolicy(hedge_threshold_ns=2000.0), "replication": 2}),
     ("down:2", {"replication": 2, "on_shard_loss": "partial"}),
     ("down:2", {"on_shard_loss": "partial"}),
 ]
@@ -676,6 +681,19 @@ class TestBackendEquivalenceUnderFaults:
         )
         assert replicated["tuples"] == clean["tuples"]
         assert replicated["degraded"] == 0
+
+    def test_hedging_caps_a_stragglers_p99_without_changing_answers(self):
+        def p99(snapshot):
+            return percentile([record.latency for record in snapshot["records"]], 99)
+
+        clean = _fault_snapshot("virtual", None, None)
+        unhedged = _fault_snapshot("virtual", None, STRAGGLER, replication=2)
+        hedged = _fault_snapshot(
+            "virtual", None, STRAGGLER, replication=2,
+            retry_policy=RetryPolicy(hedge_threshold_ns=2000.0),
+        )
+        assert hedged["tuples"] == unhedged["tuples"] == clean["tuples"]
+        assert p99(hedged) < p99(unhedged)
 
 
 # --------------------------------------------------------------------------- #

@@ -11,6 +11,10 @@ Three layers of contract:
   to the ``"recompute"`` control, across engines × partitioners × shard
   counts × execution backends, while actually patching (not silently
   dropping).
+* **Modelled cost** — on the same stream, Σ ``service_time`` plus the
+  maintainer's delta-join charge under ``incremental`` is below Σ
+  ``service_time`` under ``"recompute"``, and the charge is exactly the
+  engine cost of the delta joins run.
 * **Continuous queries** — :meth:`repro.api.Session.subscribe` streams
   result deltas: patched additions under incremental maintenance, full
   re-execute diffs (including removals) under recompute.
@@ -377,6 +381,64 @@ class TestWorkloadEquivalence:
             assert partial_stats.patches == 2  # shard 1's fragment
         finally:
             session.close()
+
+
+# --------------------------------------------------------------------------- #
+# Modelled cost: patching must be cheaper even with its delta joins charged
+# --------------------------------------------------------------------------- #
+def modelled_run(mode, shards, requests):
+    """Serve ``requests``; return results, Σ service_time, the maintainer's
+    charge, the engine cost of every delta join it ran, and the patch count
+    of the result and partial caches."""
+    database = workload_database(num_vertices=24, num_edges=90, seed=SEED)
+    session = Session(
+        database, engines=("lftj", "ctj"), routing="rotate", shards=shards,
+        seed=SEED, maintenance=mode,
+    )
+    delta_costs = []
+    if session.maintainer is not None:
+        engine = session.maintainer.engine
+        execute = engine.execute
+
+        def spy(*args, **kwargs):
+            execution = execute(*args, **kwargs)
+            delta_costs.append(execution.cost)
+            return execution
+
+        engine.execute = spy
+    try:
+        outcomes = run_workload(session.service, requests)
+        caches = [session.result_cache]
+        if session.service.scatter is not None:
+            caches.append(session.service.scatter.partial_cache)
+        return (
+            {rid: sorted(o.tuples) for rid, o in outcomes.items()},
+            sum(record.service_time for record in session.service.metrics.records),
+            session.maintainer.cost_ns if session.maintainer is not None else 0.0,
+            sum(delta_costs),
+            [cache.stats.patches for cache in caches],
+        )
+    finally:
+        session.close()
+
+
+class TestModelledCost:
+    @pytest.mark.parametrize("shards", (1, 2), ids=("mono", "sharded"))
+    def test_incremental_beats_recompute_with_delta_joins_charged(self, shards):
+        requests = generate_requests(update_heavy_spec(40), seed=SEED)
+        oracle, recompute_ns, _, _, recompute_patches = modelled_run(
+            "recompute", shards, requests
+        )
+        patched, service_ns, charged_ns, delta_ns, patches = modelled_run(
+            "incremental", shards, requests
+        )
+        assert patched == oracle
+        assert not any(recompute_patches) and all(patches)
+        # The maintainer charges exactly the engine cost of its delta joins,
+        # result-cache and shard-fragment ones alike ...
+        assert delta_ns > 0.0 and charged_ns == pytest.approx(delta_ns)
+        # ... and patching still costs less than dropping and recomputing.
+        assert service_ns + charged_ns < recompute_ns
 
 
 # --------------------------------------------------------------------------- #

@@ -585,8 +585,6 @@ class TestRegistryAndCli:
             ["run", "cycle3", "--backend", "process", "--workers", "2"]
         )
         assert run.backend == "process" and run.workers == 2
-        bench = parser.parse_args(["bench", "concurrency"])
-        assert bench.suite == "concurrency"
 
     def test_segment_handle_is_hashable_and_frozen(self):
         handle = SegmentHandle(name="repro-seg-1-1", nbytes=64, owner_pid=1)
