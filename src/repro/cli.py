@@ -46,7 +46,8 @@ a durable store directory (:mod:`repro.storage`) and ``run``/``workload``
 accept ``--storage-dir`` to execute against one — recovering it on open and
 snapshotting it afterwards; ``run`` and ``workload`` accept ``--trace out`` (JSONL or
 ``--trace-format chrome`` for Perfetto) plus ``workload --metrics out.prom``
-for Prometheus-style exposition, and ``trace validate|summarize`` checks
+for the Prometheus-style exposition
+(:meth:`repro.service.QueryService.exposition`), and ``trace validate|summarize`` checks
 and analyses exported traces (see :mod:`repro.obs`).  Wall-clock
 benchmarking is not a subcommand: it is ``perf/run.py`` (``BENCHMARK.json``).
 
@@ -475,10 +476,8 @@ def _finish_session(session, args) -> int:
         count = write_trace(session.tracer, args.trace, args.trace_format)
         print(f"wrote {count} {args.trace_format} trace record(s) to {args.trace}")
     if getattr(args, "metrics", None):
-        from repro.obs import service_registry
-
         with open(args.metrics, "w", encoding="utf-8") as handle:
-            handle.write(service_registry(session.service).render())
+            handle.write(session.service.exposition())
         print(f"wrote metrics exposition to {args.metrics}")
     if args.storage_dir:
         summary = session.snapshot()
@@ -658,8 +657,9 @@ def _cmd_workload(args) -> int:
     elapsed = time.perf_counter() - started
     print(f"served {len(outcomes)} requests in {elapsed:.2f}s wall "
           f"({len(outcomes) / elapsed:.1f} queries/sec)")
-    if session.service.rejected_requests:
-        print(f"rejected {len(session.service.rejected_requests)} requests (bounded queue)")
+    rejected = session.service.admission.stats.rejected
+    if rejected:
+        print(f"rejected {rejected} requests (bounded queue)")
     print(session.report())
     return _finish_session(session, args)
 

@@ -1,6 +1,6 @@
-"""Observability: hierarchical tracing, metrics and trace tooling.
+"""Observability: hierarchical tracing and trace tooling.
 
-The subsystem has four pieces:
+The subsystem has three pieces:
 
 * :mod:`repro.obs.trace` — :class:`Tracer` / :class:`Span`: hierarchical
   spans on two clocks (deterministic virtual time always, host wall time
@@ -8,14 +8,14 @@ The subsystem has four pieces:
   finish time in the serving layer's completion order.
 * :mod:`repro.obs.export` — JSONL (schema-versioned, byte-deterministic)
   and Chrome trace-event / Perfetto exporters plus the JSONL validator.
-* :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with Prometheus-style
-  text exposition and the :func:`service_registry` serving-layer projection.
 * :mod:`repro.obs.summarize` — per-phase latency breakdowns and per-query
   critical-path analysis over exported traces (``repro trace summarize``).
 
 Tracing is off by default everywhere (:data:`NULL_TRACER`); enable it with
 ``Session(trace=True)`` / ``QueryService(tracer=Tracer())`` or the CLI's
-``--trace`` flags.
+``--trace`` flags.  Serving metrics live beside the numbers they count:
+:meth:`repro.service.QueryService.exposition` renders them in the
+Prometheus text format (``repro workload --metrics``).
 """
 
 from repro.obs.export import (
@@ -36,14 +36,6 @@ from repro.obs.instrument import (
     attach_scatter_legs,
     join_stats_attributes,
 )
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS_NS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    service_registry,
-)
 from repro.obs.summarize import (
     build_trace_trees,
     critical_path,
@@ -63,11 +55,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "Counter",
-    "DEFAULT_LATENCY_BUCKETS_NS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "OPTIONAL_SPAN_FIELDS",
@@ -88,7 +75,6 @@ __all__ = [
     "phase_breakdown",
     "query_roots",
     "read_jsonl",
-    "service_registry",
     "span_to_dict",
     "summarize_trace",
     "validate_jsonl",

@@ -12,21 +12,90 @@ lifetime total; latency and queue-wait *distributions*
 until a service has completed more than the window, and labelled "last N of
 M requests" from then on.  Reports render through
 :mod:`repro.eval.reporting`, so they look like the paper's tables.
+
+:meth:`ServiceMetrics.exposition` renders the same numbers in the
+Prometheus text format (``repro workload --metrics out.prom``): counters
+from the running totals, histograms over the window.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.eval.metrics import summarise_latencies
 from repro.eval.reporting import format_latency_summary, format_table
+
+if TYPE_CHECKING:
+    from repro.service.admission import AdmissionStats
+    from repro.service.caches import CacheStats
 
 #: Records a :class:`ServiceMetrics` keeps (the latest ones).  No committed
 #: scenario, suite or test completes more than 400 requests per service, so
 #: every report they print is exact.
 RECORD_WINDOW = 4096
+
+#: Histogram bounds of the virtual-time families (modelled ns): the
+#: service's costs span cache replays (~1 ns) to heavy scatter fan-outs.
+LATENCY_BUCKETS_NS = (10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)
+#: Histogram bounds of the measured host wall-clock engine spans (seconds).
+WALL_BUCKETS_S = (0.001, 0.01, 0.1, 1.0, 10.0)
+#: The :class:`~repro.service.caches.CacheStats` counters exposed per cache.
+CACHE_OPS = ("lookups", "hits", "insertions", "evictions", "invalidations", "drops", "patches")
+
+
+def _number(value: float) -> str:
+    """Prometheus sample rendering: integers without a trailing ``.0``."""
+    if value == float("inf"):
+        return "+Inf"
+    if float(value).is_integer():
+        return str(int(value))
+    return repr(float(value))
+
+
+def _labels(names: Sequence[str], values: Sequence[str], le: Optional[float] = None) -> str:
+    parts = [f'{name}="{value}"' for name, value in zip(names, values)]
+    if le is not None:
+        parts.append(f'le="{_number(le)}"')
+    return "{" + ",".join(parts) + "}" if parts else ""
+
+
+def _family(
+    lines: List[str],
+    name: str,
+    kind: str,
+    description: str,
+    label_names: Sequence[str],
+    samples: Mapping[Tuple[str, ...], object],
+    buckets: Sequence[float] = (),
+) -> None:
+    """Append one ``repro_`` family: its header, then its samples by label set.
+
+    A counter or gauge sample is a number.  A histogram sample is its
+    observations in record order: each ``_bucket`` line counts those at or
+    below its bound (a bisect into the sorted values, so the counts are
+    cumulative by construction), then ``_sum`` and ``_count``.
+    """
+    name = f"repro_{name}"
+    lines += (f"# HELP {name} {description}", f"# TYPE {name} {kind}")
+    for key, value in sorted(samples.items()):
+        labels = _labels(label_names, key)
+        if kind != "histogram":
+            lines.append(f"{name}{labels} {_number(value)}")
+            continue
+        observed = sorted(value)
+        for bound in (*buckets, float("inf")):
+            count = bisect_right(observed, bound)
+            lines.append(f"{name}_bucket{_labels(label_names, key, bound)} {count}")
+        # Plain left-to-right adds in record order: sum() compensates on
+        # Python 3.12+, which can move the last digit.
+        total = 0.0
+        for observation in value:
+            total += observation
+        lines.append(f"{name}_sum{labels} {_number(total)}")
+        lines.append(f"{name}_count{labels} {len(observed)}")
 
 
 @dataclass(slots=True)
@@ -159,12 +228,6 @@ class ServiceMetrics:
         span = self.makespan
         return self.completed / span if span > 0 else 0.0
 
-    @property
-    def measured_executions(self) -> int:
-        """Requests that carried a measured host wall-clock span (zero for
-        virtual runs; cache hits run no engine on any backend)."""
-        return self.total().measured
-
     def wall_throughput(self) -> float:
         """Completed requests per host second spent inside :meth:`drain`.
 
@@ -186,22 +249,6 @@ class ServiceMetrics:
         total = self.total()
         lookups = total.requests - total.result_hits
         return total.plan_hits / lookups if lookups else 0.0
-
-    def compiles(self) -> int:
-        """How many requests paid a fresh compilation."""
-        return self.total().compiles
-
-    def total_retries(self) -> int:
-        """Scatter attempts beyond the first, summed over all requests."""
-        return self.total().retries
-
-    def degraded_results(self) -> int:
-        """Requests answered with a flagged partial (missing shards)."""
-        return self.total().degraded
-
-    def failed_requests(self) -> int:
-        """Requests that failed outright on unrecoverable shard loss."""
-        return self.total().failed
 
     # ------------------------------------------------------------------ #
     # Distributions over the window
@@ -330,3 +377,106 @@ class ServiceMetrics:
             format_table(priority_header, self.priority_rows()),
         ]
         return "\n".join(lines)
+
+    def exposition(
+        self,
+        caches: Sequence[Tuple[str, CacheStats]],
+        admission: AdmissionStats,
+        clock: float,
+    ) -> str:
+        """Prometheus text exposition of the service's metrics.
+
+        Counters are lifetime totals (``requests_total`` sums to
+        :attr:`completed` however long the service ran); the latency,
+        queue-wait and wall histograms are over the window.  ``caches``
+        names each cache's stats (``plan``, ``result`` and, on a scatter
+        path, ``shard_partial``); ``admission`` and ``clock`` are the
+        service's.  A label-less counter appears once its event has
+        happened, never as a zero.
+        """
+        total = self.total()
+        wall = [r.wall_elapsed for r in self.records if r.wall_elapsed is not None]
+        faults = (
+            ("retry", total.retries),
+            ("timeout", total.timeouts),
+            ("degraded", total.degraded),
+            ("failed", total.failed),
+            ("inline_fallback", self.inline_fallbacks),
+        )
+        lines: List[str] = []
+        _family(
+            lines, "requests_total", "counter",
+            "Completed requests by engine backend and priority class.",
+            ("backend", "priority"),
+            {key: totals.requests for key, totals in self.totals.items()},
+        )
+        _family(
+            lines, "result_cache_request_hits_total", "counter",
+            "Requests answered entirely from the result cache.",
+            (), {(): total.result_hits} if total.result_hits else {},
+        )
+        _family(
+            lines, "plan_compilations_total", "counter",
+            "Requests that paid a fresh plan compilation.",
+            (), {(): total.compiles} if total.compiles else {},
+        )
+        _family(
+            lines, "query_latency_virtual_ns", "histogram",
+            "End-to-end virtual-time latency (arrival to completion).",
+            ("backend",),
+            {(key,): [r.latency for r in group] for key, group in self.by_backend().items()},
+            LATENCY_BUCKETS_NS,
+        )
+        _family(
+            lines, "queue_wait_virtual_ns", "histogram",
+            "Virtual time between arrival and dispatch.",
+            ("priority",),
+            {
+                (key,): [r.queue_wait for r in group]
+                for key, group in self._window_by("priority").items()
+            },
+            LATENCY_BUCKETS_NS,
+        )
+        _family(
+            lines, "execution_wall_seconds", "histogram",
+            "Measured host wall-clock engine spans (threaded backend only).",
+            (), {(): wall} if wall else {}, WALL_BUCKETS_S,
+        )
+        _family(
+            lines, "fault_events_total", "counter",
+            "Fault-tolerance events of the scatter path (see repro.service.faults).",
+            ("kind",), {(kind,): count for kind, count in faults if count},
+        )
+        _family(
+            lines, "cache_operations_total", "counter",
+            "Cache activity by cache and operation.",
+            ("cache", "op"),
+            {(name, op): getattr(stats, op) for name, stats in caches for op in CACHE_OPS},
+        )
+        _family(
+            lines, "result_patches_total", "counter",
+            "Cached results patched in place by incremental maintenance.",
+            ("cache",),
+            {(name,): stats.patches for name, stats in caches if name != "plan"},
+        )
+        _family(
+            lines, "admission_requests_total", "counter",
+            "Admission-controller outcomes.",
+            ("outcome",),
+            {
+                ("submitted",): admission.submitted,
+                ("queued",): admission.queued,
+                ("rejected",): admission.rejected,
+            },
+        )
+        for name, description, value in (
+            ("admission_peak_in_flight", "Peak concurrently executing requests.",
+             admission.peak_in_flight),
+            ("admission_peak_queue_depth", "Peak admission queue depth.",
+             admission.peak_queue_depth),
+            ("virtual_clock_ns", "The service's persisted virtual clock.", clock),
+            ("drain_wall_seconds_total", "Host wall time spent inside drain().",
+             self.wall_drain_seconds),
+        ):
+            _family(lines, name, "gauge", description, (), {(): value})
+        return "\n".join(lines) + "\n"

@@ -47,8 +47,9 @@ from __future__ import annotations
 import threading
 import time
 import warnings
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engines import EngineExecution, EngineProtocol
 from repro.engines import create_engine as create_backend
@@ -58,7 +59,7 @@ from repro.service.admission import AdmissionController
 from repro.service.backends import ExecutionBackend, create_execution_backend, run_inline
 from repro.service.caches import CacheStats
 from repro.service.faults import ShardUnavailableError
-from repro.service.metrics import QueryRecord, ServiceMetrics
+from repro.service.metrics import RECORD_WINDOW, QueryRecord, ServiceMetrics
 from repro.service.pipeline import CompletedQuery, PreparedQuery, QueryPipeline
 
 #: Accepted ``backdated_arrivals`` policies.
@@ -224,7 +225,7 @@ class QueryService:
         self.execution_backend = create_execution_backend(backend, workers)
         self.backdated_arrivals = backdated_arrivals
         self._pending: List[ServiceRequest] = []
-        self._rejected: List[int] = []
+        self._rejected: Deque[int] = deque(maxlen=RECORD_WINDOW)
         self._next_request_id = 0
         self._next_rotation = 0
         self._last_arrival = 0.0
@@ -356,7 +357,9 @@ class QueryService:
 
     @property
     def rejected_requests(self) -> Tuple[int, ...]:
-        """Request ids rejected by the bounded admission queue."""
+        """Ids of the latest :data:`~repro.service.metrics.RECORD_WINDOW`
+        requests rejected by the bounded admission queue (the lifetime count
+        is ``admission.stats.rejected``)."""
         return tuple(self._rejected)
 
     # ------------------------------------------------------------------ #
@@ -523,3 +526,10 @@ class QueryService:
     def report(self) -> str:
         """Full service report: aggregate metrics plus cache/admission lines."""
         return self.metrics.summary(cache_lines=self.cache_report_lines())
+
+    def exposition(self) -> str:
+        """The service's metrics in Prometheus text format (``--metrics``)."""
+        caches = [("plan", self.plan_cache.stats), ("result", self.result_cache.stats)]
+        if self.scatter is not None and self.scatter.partial_cache is not None:
+            caches.append(("shard_partial", self.scatter.partial_cache.stats))
+        return self.metrics.exposition(caches, self.admission.stats, self._clock)

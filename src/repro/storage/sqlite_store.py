@@ -228,16 +228,6 @@ class SQLiteStore:
             )
         ]
 
-    def fragment_stats(self) -> List[Tuple[str, int, int, int]]:
-        """``(relation, shard, row_count, blob_bytes)`` for every fragment."""
-        return [
-            (relation, shard, count, length)
-            for relation, shard, count, length in self._conn.execute(
-                "SELECT relation, shard, count, length(data) FROM fragments "
-                "ORDER BY relation, shard"
-            )
-        ]
-
     def total_rows(self) -> int:
         """Stored row count across whole-relation fragments only."""
         value = self._conn.execute(

@@ -1,5 +1,5 @@
 """Unit tests of the observability primitives: spans, tracer, exporters,
-schema validation, summarization and the metrics registry."""
+schema validation and summarization."""
 
 import json
 
@@ -9,7 +9,6 @@ from repro.obs import (
     NULL_TRACER,
     PROCESS_TRACE_ID,
     SCHEMA_VERSION,
-    MetricsRegistry,
     NullTracer,
     Tracer,
     build_trace_trees,
@@ -207,52 +206,3 @@ class TestSummarize:
         roots = query_roots(build_trace_trees(read_jsonl(path)))
         names = [node.name for node in critical_path(roots[0])]
         assert names == ["query", "execute"]
-
-
-class TestMetricsRegistry:
-    def test_counter_gauge_histogram_exposition(self):
-        registry = MetricsRegistry(namespace="t")
-        requests = registry.counter("requests_total", "Requests.", labels=("backend",))
-        requests.labels(backend="lftj").inc()
-        requests.labels(backend="ctj").inc(2)
-        depth = registry.gauge("depth", "Queue depth.")
-        depth.set(3)
-        latency = registry.histogram("latency_ns", "Latency.", buckets=(10.0, 100.0))
-        for value in (5, 50, 500):
-            latency.observe(value)
-        text = registry.render()
-        assert "# HELP t_requests_total Requests." in text
-        assert "# TYPE t_requests_total counter" in text
-        assert 't_requests_total{backend="ctj"} 2' in text
-        assert "t_depth 3" in text
-        assert 't_latency_ns_bucket{le="10"} 1' in text
-        assert 't_latency_ns_bucket{le="+Inf"} 3' in text
-        assert "t_latency_ns_sum 555" in text
-        assert "t_latency_ns_count 3" in text
-
-    def test_label_sets_render_sorted_and_deterministic(self):
-        def build(order):
-            registry = MetricsRegistry(namespace="t")
-            counter = registry.counter("ops_total", "Ops.", labels=("op",))
-            for op in order:
-                counter.labels(op=op).inc()
-            return registry.render()
-
-        assert build(["b", "a", "c"]) == build(["c", "b", "a"])
-
-    def test_counter_rejects_negative(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.counter("bad_total").inc(-1)
-
-    def test_conflicting_registration_rejected(self):
-        registry = MetricsRegistry()
-        registry.counter("x_total", labels=("a",))
-        with pytest.raises(ValueError):
-            registry.gauge("x_total")
-        with pytest.raises(ValueError):
-            registry.counter("x_total", labels=("b",))
-        # Same type + labels returns the existing family.
-        assert registry.counter("x_total", labels=("a",)) is registry.counter(
-            "x_total", labels=("a",)
-        )

@@ -34,7 +34,6 @@ from repro.api import statement as statement_module
 from repro.graphs import graph_database, pattern_query
 from repro.graphs.graph import Graph
 from repro.joins.compiler import QueryCompiler, canonical_signature
-from repro.obs.metrics import service_registry
 from repro.relational import Database, Relation, Schema
 from repro.relational.datalog import DatalogSyntaxError
 from repro.relational.query import Atom, ConjunctiveQuery
@@ -333,10 +332,10 @@ def test_window_is_bounded_and_totals_are_lifetime(hot_service):
     assert metrics.plan_cache_hit_rate() == sum(
         r.plan_cache_hit for r in lookups
     ) / len(lookups)
-    assert metrics.compiles() == sum(r.compiled for r in shadow) > 0
-    assert metrics.total_retries() == metrics.total().timeouts == 0
-    assert metrics.degraded_results() == metrics.failed_requests() == 0
-    assert metrics.measured_executions == 0
+    total = metrics.total()
+    assert total.compiles == sum(r.compiled for r in shadow) > 0
+    assert total.retries == total.timeouts == total.degraded == total.failed == 0
+    assert total.measured == 0
     for backend in ("lftj", "ctj"):
         group = [r for r in shadow if r.backend == backend]
         total = metrics.total(backend=backend)
@@ -356,7 +355,7 @@ def test_window_is_bounded_and_totals_are_lifetime(hot_service):
     assert f"last {RECORD_WINDOW} of {len(shadow)} requests" in report
     requests_total = [
         int(line.rsplit(" ", 1)[1])
-        for line in service_registry(hot_service).render().splitlines()
+        for line in hot_service.exposition().splitlines()
         if line.startswith("repro_requests_total{")
     ]
     assert len(requests_total) == 6 and sum(requests_total) == metrics.completed

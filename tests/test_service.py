@@ -337,7 +337,7 @@ class TestWorkload:
         backends_used = set(service.metrics.by_backend())
         assert backends_used == {"lftj", "ctj"}
         # Five distinct patterns → exactly five compilations, ever.
-        assert service.metrics.compiles() == len(WorkloadSpec().queries)
+        assert service.metrics.total().compiles == len(WorkloadSpec().queries)
         assert service.result_cache.stats.hit_rate > 0.5
         report = service.report()
         assert "result-cache hit rate" in report

@@ -600,13 +600,13 @@ class TestWallClockMetrics:
         assert summary["count"] == 0
         assert summary["mean"] == 0.0 and summary["max"] == 0.0
 
-    def test_measured_executions_property(self):
+    def test_measured_executions_total(self):
         metrics = ServiceMetrics()
-        assert metrics.measured_executions == 0
+        assert metrics.total().measured == 0
         metrics.record(_record(0))
         metrics.record(_record(1, wall_elapsed=0.1))
         metrics.record(_record(2, wall_elapsed=0.0))  # zero is still measured
-        assert metrics.measured_executions == 2
+        assert metrics.total().measured == 2
 
     def test_wall_throughput_degenerate_denominators(self):
         # Records but no wall drain time (pure virtual run): no rate claim.

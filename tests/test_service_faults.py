@@ -632,8 +632,8 @@ def _fault_snapshot(
             "result_stats": service.result_cache.stats.as_dict(),
             "result_keys": service.result_cache.keys(),
             "admission": service.admission.stats.as_dict(),
-            "retries": service.metrics.total_retries(),
-            "degraded": service.metrics.degraded_results(),
+            "retries": service.metrics.total().retries,
+            "degraded": service.metrics.total().degraded,
         }
         if service.scatter is not None and service.scatter.partial_cache is not None:
             snapshot["partial_stats"] = service.scatter.partial_cache.stats.as_dict()
@@ -722,7 +722,7 @@ class TestServiceFaultSurface:
         try:
             with pytest.raises(ShardUnavailableError):
                 service.serve(pattern_query("cycle3", "E"))
-            assert service.metrics.failed_requests() == 1
+            assert service.metrics.total().failed == 1
             (record,) = service.metrics.records
             assert record.failed and not record.degraded
             assert "fault tolerance" in service.report()
@@ -735,7 +735,7 @@ class TestServiceFaultSurface:
             service.serve(pattern_query("cycle3", "E"))
             (record,) = service.metrics.records
             assert record.degraded and not record.failed
-            assert service.metrics.degraded_results() == 1
+            assert service.metrics.total().degraded == 1
         finally:
             service.close()
 
@@ -750,8 +750,6 @@ class TestServiceFaultSurface:
             service.close()
 
     def test_fault_events_metrics_family(self):
-        from repro.obs.metrics import service_registry
-
         service = _service(faults=TRANSIENT)
         try:
             outcomes = run_workload(
@@ -761,7 +759,7 @@ class TestServiceFaultSurface:
                 ),
             )
             assert outcomes
-            rendered = service_registry(service).render()
+            rendered = service.exposition()
             assert 'fault_events_total{kind="retry"}' in rendered
         finally:
             service.close()
