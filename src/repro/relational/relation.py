@@ -5,9 +5,12 @@ the graph edge list is a binary relation, query atoms bind relations to
 variables, tries are built from relations, and the pairwise-join engines
 materialise intermediate relations.
 
-Tuples are stored as plain Python tuples of ints.  The class keeps the tuple
-set deduplicated and offers sorted iteration so that trie construction and
-sort-merge joins do not need to re-sort on every use; :meth:`Relation.sorted_rows_in`
+Tuples are stored as plain Python tuples of ints, and every value is a
+signed 64-bit word: :meth:`Relation.normalize_row` is the one place rows
+enter, and it rejects anything else, so tries, segments and snapshots store
+one fixed-width format.  The class keeps the tuple set deduplicated and
+offers sorted iteration so that trie construction and sort-merge joins do
+not need to re-sort on every use; :meth:`Relation.sorted_rows_in`
 extends the cache to *permuted* orders, so building several tries over the
 same relation (one per attribute order a query needs) sorts each permutation
 at most once between mutations.
@@ -23,6 +26,9 @@ from repro.util.validation import check_type
 
 
 Row = Tuple[int, ...]
+
+#: The values a relation stores: one signed 64-bit machine word each.
+WORDS = range(-(2**63), 2**63)
 
 
 class Relation:
@@ -71,14 +77,31 @@ class Relation:
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
-    def insert(self, row: Sequence[int]) -> bool:
-        """Insert ``row``; return ``True`` if it was not already present."""
+    def normalize_row(self, row: Sequence[int]) -> Row:
+        """``row`` as a stored tuple: the relation's arity, every value an ``int``
+        in :data:`WORDS`; raises ``ValueError`` otherwise.
+
+        Every catalog runs its rows through this before changing any state
+        (a durable one before logging them), so a rejected batch leaves no
+        trace.
+        """
         if len(row) != self.schema.arity:
             raise ValueError(
                 f"row {tuple(row)!r} has arity {len(row)}, "
                 f"expected {self.schema.arity} for relation {self.name!r}"
             )
-        normalized = tuple(int(v) for v in row)
+        normalized = tuple(map(int, row))
+        for value in normalized:
+            if value not in WORDS:  # O(1): range membership of an int
+                raise ValueError(
+                    f"value {value} in row {normalized!r} is outside the signed 64-bit "
+                    f"range stored by relation {self.name!r}"
+                )
+        return normalized
+
+    def insert(self, row: Sequence[int]) -> bool:
+        """Insert ``row``; return ``True`` if it was not already present."""
+        normalized = self.normalize_row(row)
         if normalized in self._rows:
             return False
         self._rows.add(normalized)
@@ -108,12 +131,7 @@ class Relation:
         """
         fresh: set = set()
         for row in rows:
-            if len(row) != self.schema.arity:
-                raise ValueError(
-                    f"row {tuple(row)!r} has arity {len(row)}, "
-                    f"expected {self.schema.arity} for relation {self.name!r}"
-                )
-            normalized = tuple(int(v) for v in row)
+            normalized = self.normalize_row(row)
             if normalized not in self._rows:
                 fresh.add(normalized)
         if not fresh:

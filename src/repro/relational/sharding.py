@@ -583,8 +583,8 @@ class ShardedDatabase(MutationSource):
         entries whose dependent fragments did not change.  Inserts into a
         replicated relation emit a single ``shard=None`` event.
         """
-        self._global.relation(relation_name)  # raise early for unknown names
-        normalized = [tuple(int(v) for v in row) for row in rows]
+        relation = self._global.relation(relation_name)
+        normalized = [relation.normalize_row(row) for row in rows]  # before any state changes
         if relation_name in self._replicated:
             batch = self._global.insert_batch(relation_name, normalized)
             self._notify(MutationEvent(relation_name, shard=None, delta=batch))

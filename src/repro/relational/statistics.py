@@ -69,7 +69,9 @@ def _solve_cover_lp(
     num_atoms = len(atom_variables)
     try:
         from scipy.optimize import linprog
-
+    except ImportError:  # pragma: no cover - scipy missing
+        linprog = None
+    if linprog is not None:
         # Constraints: for each variable v, -sum_{i: v in atom_i} x_i <= -1.
         a_ub: List[List[float]] = []
         b_ub: List[float] = []
@@ -84,11 +86,9 @@ def _solve_cover_lp(
             bounds=[(0.0, 1.0)] * num_atoms,
             method="highs",
         )
-        if result.success:
+        if result.success:  # a failed solve falls through to the search below
             weights = tuple(float(w) for w in result.x)
             return weights, float(result.fun)
-    except Exception:  # pragma: no cover - scipy missing or solver failure
-        pass
 
     # Fallback: grid search over half-integral covers (optimal covers of
     # graphs — binary atoms — are always half-integral).

@@ -23,8 +23,11 @@ Both the level value arrays and the CSR offset arrays are backed by
 ``array('q')`` — one contiguous 64-bit machine word per element instead of a
 tuple of boxed Python ints — so a trie's physical footprint matches what
 :meth:`TrieIndex.memory_words` reports, and sequential probes enjoy real
-cache locality.  Construction performs a single sort (reusing the relation's
-cached sorted order, see :meth:`~repro.relational.relation.Relation.sorted_rows_in`)
+cache locality.  Words are the only storage: a relation holds only values
+in the signed 64-bit range (``Relation.normalize_row`` rejects the rest),
+and a level adopted from a segment is a ``memoryview`` of the same words.
+Construction performs a single sort (reusing the relation's cached sorted
+order, see :meth:`~repro.relational.relation.Relation.sorted_rows_in`)
 followed by one linear pass that emits every level's values and offsets
 together.
 
@@ -78,18 +81,11 @@ class TrieIndex:
         rows = relation.sorted_rows_in(self.attribute_order)
         arity = len(self.attribute_order)
         self._num_tuples = len(rows)
-        try:
-            self._values, self._offsets = self._build_flat(rows, arity, array_typecode="q")
-        except OverflowError:
-            # Values outside the signed 64-bit range: fall back to boxed
-            # storage (offsets are indices and always fit).
-            self._values, self._offsets = self._build_flat(rows, arity, array_typecode=None)
+        self._values, self._offsets = self._build_flat(rows, arity)
         self._check_invariants()
 
     @staticmethod
-    def _build_flat(
-        rows: Sequence[Tuple[int, ...]], arity: int, array_typecode: str | None
-    ):
+    def _build_flat(rows: Sequence[Tuple[int, ...]], arity: int):
         """One linear pass over the sorted distinct rows.
 
         Rows are strictly sorted, so a node boundary at ``level`` occurs
@@ -100,12 +96,8 @@ class TrieIndex:
         immediately).  This emits values and CSR offsets together — no
         re-sort, no per-group distinct-count rescan.
         """
-        if array_typecode is None:
-            values: List = [[] for _ in range(arity)]
-            offsets: List = [[] for _ in range(max(arity - 1, 0))]
-        else:
-            values = [array(array_typecode) for _ in range(arity)]
-            offsets = [array(array_typecode) for _ in range(max(arity - 1, 0))]
+        values = [array("q") for _ in range(arity)]
+        offsets = [array("q") for _ in range(max(arity - 1, 0))]
 
         if not rows:
             for level_offsets in offsets:
@@ -145,8 +137,8 @@ class TrieIndex:
 
         This is the durable-storage cold-start path: the persisted segment
         holds exactly ``values``/``offsets``, so adoption is O(1) per level
-        (the sequences may be ``array('q')``, plain lists, or zero-copy
-        ``memoryview`` slices over an ``mmap``).  ``validate`` runs the full
+        (the sequences are ``array('q')`` or zero-copy ``memoryview`` word
+        slices over an ``mmap``).  ``validate`` runs the full
         structural invariant check — O(n), so it is opt-in.
         """
         if len(values) != len(attribute_order):
@@ -174,20 +166,15 @@ class TrieIndex:
         ``rows`` are tuples in ``relation``'s schema order that this trie
         does not hold (a :class:`~repro.relational.catalog.DeltaBatch`).  No
         old array is mutated; an untouched level keeps its object.  Levels
-        may be ``array('q')``, lists or ``memoryview``s; the result's are
-        ``array('q')``, or lists when a value needs boxed storage.
+        may be ``array('q')`` or ``memoryview``s; a touched level comes back
+        as an ``array('q')``.
         """
         indexes = [relation.schema.index_of(a) for a in self.attribute_order]
         if indexes != sorted(indexes):  # arity >= 2, so itemgetter returns tuples
             rows = map(itemgetter(*indexes), rows)
         inserts, grown = self._descend(sorted(rows))
-        boxed = isinstance(self._values[0], list)
-        try:
-            values = [_spliced(old, new, boxed) for old, new in zip(self._values, inserts)]
-        except OverflowError:  # a value outside 64 bits: every level boxed
-            boxed = True
-            values = [_spliced(old, new, boxed) for old, new in zip(self._values, inserts)]
-        offsets = [_shifted(old, parents, boxed) for old, parents in zip(self._offsets, grown)]
+        values = [_spliced(old, new) for old, new in zip(self._values, inserts)]
+        offsets = [_shifted(old, parents) for old, parents in zip(self._offsets, grown)]
         trie = TrieIndex.from_flat(
             self.relation_name, self.attribute_order, values, offsets,
             self._num_tuples + len(inserts[-1]),
@@ -375,23 +362,20 @@ class TrieIndex:
         )
 
 
-def _owned(level: Sequence[int], boxed: bool, touched: bool):
-    """``level`` as a list when ``boxed``, else as an ``array('q')`` if
-    ``touched`` (an untouched ``array``/``memoryview`` level is kept)."""
-    if boxed:
-        return level if isinstance(level, list) else list(level)
-    if not touched or isinstance(level, array):
+def _owned(level: Sequence[int]) -> array:
+    """``level`` as an ``array('q')`` (a ``memoryview`` level is copied)."""
+    if isinstance(level, array):
         return level
     owned = array("q")
     owned.frombytes(level.cast("B"))
     return owned
 
 
-def _spliced(level: Sequence[int], inserts, boxed: bool):
+def _spliced(level: Sequence[int], inserts):
     """``level`` with each ``(position, value)`` placed before old node ``position``."""
-    source = _owned(level, boxed, bool(inserts))
     if not inserts:
-        return source
+        return level
+    source = _owned(level)
     out, start = source[:0], 0
     for position, value in inserts:
         out += source[start:position]
@@ -401,12 +385,12 @@ def _spliced(level: Sequence[int], inserts, boxed: bool):
     return out
 
 
-def _shifted(offsets: Sequence[int], parents, boxed: bool):
+def _shifted(offsets: Sequence[int], parents):
     """CSR ``offsets`` after each ``[position, is_new, children]`` parent gained
     children: old offsets shift by a count that steps after each such parent."""
-    source = _owned(offsets, boxed, bool(parents))
     if not parents:
-        return source
+        return offsets
+    source = _owned(offsets)
     out, start, shift = source[:0], 0, 0
     for position, is_new, children in parents:
         stop = position if is_new else position + 1

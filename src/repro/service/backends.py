@@ -343,8 +343,8 @@ class ProcessPoolBackend(ThreadPoolBackend):
     pickled engine + plan + segment handles.  Pure-Python engine loops then
     genuinely overlap on host cores instead of serialising on the GIL.
 
-    Executions that cannot ship faithfully (plan-blind engines, boxed
-    tries, a crashed worker pool) run on the threaded hook instead, so
+    Executions that cannot ship faithfully (plan-blind or unpicklable
+    engines, a crashed worker pool) run on the threaded hook instead, so
     every observable stays bit-identical to :class:`VirtualTimeBackend`
     either way; ``tests/test_service_process_backend.py`` pins the
     equivalence and the segment lifecycle (all blocks unlinked by

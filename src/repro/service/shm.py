@@ -28,8 +28,8 @@ The pieces, in data-flow order:
 * :class:`SharedMemoryRunner` (orchestrator) — what the process backend's
   :meth:`~repro.service.backends.ExecutionBackend.run_engine` hook calls:
   it owns the exporter and a ``ProcessPoolExecutor``, ships every catalog
-  it can (plan-aware picklable software engine, flat tries) and hands the
-  rest to the threaded hook.
+  it can (a plan-aware picklable software engine; every trie exports) and
+  hands the rest to the threaded hook.
 
 Determinism: the worker runs the exact same pickled engine over the exact
 same int64 arrays with the exact same plan, so the returned
@@ -68,11 +68,7 @@ from repro.joins.plan import JoinPlan
 from repro.relational.catalog import MutationEvent, ordered_attributes_for
 from repro.relational.query import Atom, ConjunctiveQuery
 from repro.relational.trie import TrieIndex
-from repro.storage.segments import (
-    decode_trie_segment,
-    encode_trie_segment,
-    trie_is_flat,
-)
+from repro.storage.segments import decode_trie_segment, encode_trie_segment
 
 #: Maximum shared-memory mappings one worker process keeps attached.
 ATTACH_CACHE_LIMIT = 64
@@ -264,8 +260,8 @@ class _ExportEntry:
 
     trie: TrieIndex
     relation: str
-    shm: Optional[shared_memory.SharedMemory]
-    handle: Optional[SegmentHandle]  # None: trie is boxed, not exportable
+    shm: shared_memory.SharedMemory
+    handle: SegmentHandle
 
 
 class TrieSegmentExporter:
@@ -290,23 +286,14 @@ class TrieSegmentExporter:
         self._entries: Dict[int, _ExportEntry] = {}
         self._closed = False
 
-    def export(self, trie: TrieIndex) -> Optional[SegmentHandle]:
-        """The segment handle of ``trie``, exporting on first sight.
-
-        Returns ``None`` for boxed tries (values outside int64) — they
-        cannot be attached zero-copy, so their executions stay inline.
-        """
+    def export(self, trie: TrieIndex) -> SegmentHandle:
+        """The segment handle of ``trie``, exporting on first sight."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("exporter is closed")
             entry = self._entries.get(id(trie))
             if entry is not None:
                 return entry.handle
-            if not trie_is_flat(trie):
-                self._entries[id(trie)] = _ExportEntry(
-                    trie, trie.relation_name, None, None
-                )
-                return None
             blob = encode_trie_segment(trie)
             while True:
                 name = f"repro-seg-{os.getpid()}-{next(self._generation)}"
@@ -343,13 +330,7 @@ class TrieSegmentExporter:
     def active_segments(self) -> Tuple[str, ...]:
         """Names of every currently linked shared-memory block (sorted)."""
         with self._lock:
-            return tuple(
-                sorted(
-                    entry.handle.name
-                    for entry in self._entries.values()
-                    if entry.handle is not None
-                )
-            )
+            return tuple(sorted(entry.handle.name for entry in self._entries.values()))
 
     def close(self) -> None:
         """Unlink every exported block.  Idempotent."""
@@ -361,8 +342,6 @@ class TrieSegmentExporter:
 
     @staticmethod
     def _release(entry: _ExportEntry) -> None:
-        if entry.shm is None:
-            return
         try:
             entry.shm.close()
         except BufferError:  # pragma: no cover - no exported views exist
@@ -406,16 +385,16 @@ class SharedMemoryRunner:
 
     :meth:`run` ships each catalog whose execution can run faithfully in a
     worker and hands the rest (plan-blind, non-software or unpicklable
-    engine, boxed tries, broken pool) to the caller's fallback hook —
-    behaviour, not just results, degrades gracefully.
+    engine, broken pool) to the caller's fallback hook — behaviour, not
+    just results, degrades gracefully.
 
     ``crash_after`` is the deterministic worker-crash trigger of the fault
     harness (see :class:`repro.service.faults.WorkerCrashFault`): after that
     many offloaded work items the pool is declared broken, exercising the
     same fallback path a real worker death takes.  ``inline_fallbacks``
     counts engine executions that ran in-process *because the pool was broken*
-    (capability declines — plan-blind engines, boxed tries — are the normal
-    protocol and are not counted).
+    (capability declines — plan-blind or unpicklable engines — are the
+    normal protocol and are not counted).
     """
 
     def __init__(self, workers: int = 4):
@@ -489,10 +468,7 @@ class SharedMemoryRunner:
         if pool is not None:
             pool.shutdown(wait=True)
         if database is not None:
-            try:
-                database.unsubscribe_invalidation(self.exporter.invalidate)
-            except Exception:  # pragma: no cover - catalog already closed
-                pass
+            database.unsubscribe_invalidation(self.exporter.invalidate)
         self.exporter.close()
 
     # ------------------------------------------------------------------ #
@@ -508,7 +484,7 @@ class SharedMemoryRunner:
             if isinstance(engine, SoftwareEngine) and engine.plan_aware:
                 try:
                     blob = pickle.dumps(engine)
-                except Exception:
+                except (pickle.PicklingError, TypeError, AttributeError):
                     blob = None
             self._engine_blobs[id(engine)] = (engine, blob)
             return blob
@@ -519,13 +495,13 @@ class SharedMemoryRunner:
         query: ConjunctiveQuery,
         plan: JoinPlan,
         catalog,
-    ) -> Optional[WorkRequest]:
+    ) -> WorkRequest:
         """Assemble the picklable request, exporting tries as needed.
 
         ``catalog`` is whatever the inline execution would have run against
         (the monolithic database, a shard view, a merged global view); its
         ``relation``/``trie_for_atom`` surface resolves aliases exactly as
-        the engine would.  Returns ``None`` when any trie is boxed.
+        the engine would.
         """
         schemas: Dict[str, Tuple[str, ...]] = {}
         for atom in query.atoms:
@@ -542,14 +518,10 @@ class SharedMemoryRunner:
                     atom, schemas[atom.relation], plan.variable_order
                 ),
             )
-            if key in segments:
-                continue
-            handle = self.exporter.export(
-                catalog.trie_for_atom(atom, plan.variable_order)
-            )
-            if handle is None:
-                return None
-            segments[key] = handle
+            if key not in segments:
+                segments[key] = self.exporter.export(
+                    catalog.trie_for_atom(atom, plan.variable_order)
+                )
         return WorkRequest(
             engine_bytes=engine_bytes,
             query=query,
@@ -629,20 +601,20 @@ class SharedMemoryRunner:
         own request — tries shared between catalogs export once — and every
         request is submitted before any is collected.  The rest go to
         ``fallback`` (the threaded ``run_engine``) in one call: all of them
-        for a plan-blind or unshippable engine, any catalog with a boxed
-        trie, and any the pool could not run; only those last ones count as
-        :attr:`inline_fallbacks`.  Returns ``(execution, wall_seconds)`` per
-        catalog, in catalog order, bit-identical either way.
+        for a plan-blind or unshippable engine, and any the pool could not
+        run; only those last ones count as :attr:`inline_fallbacks`.
+        Returns ``(execution, wall_seconds)`` per catalog, in catalog order,
+        bit-identical either way.
         """
         engine_bytes = self._engine_bytes(engine) if plan is not None else None
         if engine_bytes is None:
             return fallback(engine, query, plan, catalogs)
         requests = [self._build_request(engine_bytes, query, plan, c) for c in catalogs]
-        futures = [self._submit(r) if r is not None else None for r in requests]
+        futures = [self._submit(request) for request in requests]
         results = [self._collect(future, plan) for future in futures]
         rest = [index for index, result in enumerate(results) if result is None]
         if self._broken:
-            self._note_inline_fallbacks(sum(requests[i] is not None for i in rest))
+            self._note_inline_fallbacks(len(rest))
         redone = fallback(engine, query, plan, [catalogs[index] for index in rest])
         for index, result in zip(rest, redone):
             results[index] = result

@@ -46,7 +46,6 @@ from repro.storage.segments import (
     encode_trie_segment,
     read_segment_info,
     read_trie_segment,
-    trie_is_flat,
     write_trie_segment,
 )
 from repro.storage.sqlite_store import (
@@ -79,6 +78,5 @@ __all__ = [
     "read_trie_segment",
     "store_exists",
     "store_info",
-    "trie_is_flat",
     "write_trie_segment",
 ]

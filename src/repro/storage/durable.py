@@ -179,15 +179,8 @@ class DurableCatalog:
 
     def insert_into(self, relation_name: str, rows: Iterable[Sequence[int]]) -> int:
         """Durably insert ``rows``; returns how many were new."""
-        arity = self._catalog.relation(relation_name).schema.arity
-        normalized = []
-        for row in rows:
-            if len(row) != arity:
-                raise ValueError(
-                    f"row {tuple(row)!r} has arity {len(row)}, expected {arity} "
-                    f"for relation {relation_name!r}"
-                )
-            normalized.append(tuple(int(v) for v in row))
+        relation = self._catalog.relation(relation_name)
+        normalized = [relation.normalize_row(row) for row in rows]  # a rejected batch is never logged
         self._wal.append("insert", relation_name, rows=normalized)
         return self._catalog.insert_into(relation_name, normalized)
 
@@ -254,28 +247,38 @@ class DurableCatalog:
             self._replay(record)
 
     def _replay(self, record: WalRecord) -> None:
-        """Re-apply one logged mutation to the wrapped catalog (never re-logged)."""
+        """Re-apply one logged mutation to the wrapped catalog (never re-logged).
+
+        A record the catalog rejects (an unknown relation, a row it does not
+        accept) raises :class:`StoreFormatError` naming the record.
+        """
         rows = record.data.get("rows", ())  # the catalog normalises them, as it did live
-        if record.kind == "insert":
-            self._catalog.insert_into(record.relation, rows)
-        elif record.kind == "define":
-            # Whatever ``check_define`` resolved was logged beside the fixed keys.
-            placement = {
-                key: value
-                for key, value in record.data.items()
-                if key not in ("attributes", "rows", "replace")
-            }
-            # Always *replace*: replay must be idempotent so a crash between
-            # the snapshot commit and the WAL truncate still recovers (the
-            # record's effect is then already in the snapshot).
-            self._catalog.replace_relation(
-                Relation(record.relation, Schema(tuple(record.data["attributes"])), rows),
-                **placement,
-            )
-        else:
+        try:
+            if record.kind == "insert":
+                self._catalog.insert_into(record.relation, rows)
+            elif record.kind == "define":
+                # Whatever ``check_define`` resolved was logged beside the fixed keys.
+                placement = {
+                    key: value
+                    for key, value in record.data.items()
+                    if key not in ("attributes", "rows", "replace")
+                }
+                # Always *replace*: replay must be idempotent so a crash between
+                # the snapshot commit and the WAL truncate still recovers (the
+                # record's effect is then already in the snapshot).
+                self._catalog.replace_relation(
+                    Relation(record.relation, Schema(tuple(record.data["attributes"])), rows),
+                    **placement,
+                )
+            else:
+                raise StoreFormatError(
+                    f"mutation log record {record.seq} has unknown kind {record.kind!r}"
+                )
+        except (KeyError, ValueError) as error:
             raise StoreFormatError(
-                f"mutation log record {record.seq} has unknown kind {record.kind!r}"
-            )
+                f"store {self.storage_dir}: mutation log record {record.seq} "
+                f"({record.kind} into {record.relation!r}) does not replay: {error}"
+            ) from error
 
     # -- store management ------------------------------------------------- #
     def info(self) -> Dict:

@@ -28,8 +28,8 @@ CREATE TABLE IF NOT EXISTS fragments (
     -- -1 is the whole relation (monolithic / replicated / the sharded
     -- catalog's global copy); 0..N-1 are per-shard fragments.
     shard     INTEGER NOT NULL,
-    -- 'q': rows flattened to little-endian int64 words.  'json': portable
-    -- fallback for values outside the signed 64-bit range.
+    -- 'q', the only encoding: rows flattened to little-endian signed
+    -- 64-bit words (every stored value is one such word).
     encoding  TEXT    NOT NULL,
     arity     INTEGER NOT NULL,
     count     INTEGER NOT NULL,     -- number of rows in the fragment

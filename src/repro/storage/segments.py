@@ -2,18 +2,18 @@
 
 A *segment* is one trie — the flat EmptyHeaded layout of one
 (relation, attribute permutation, shard) triple — serialized as a single
-file.  The fast path writes each ``array('q')`` level verbatim (one 64-bit
-little-endian word per element), so reloading is a file map plus a couple of
-``memoryview.cast("q")`` calls instead of the O(n log n) sort-and-scan
-rebuild :class:`~repro.relational.trie.TrieIndex` performs from rows.  Tries
-that fell back to boxed storage (values outside the signed 64-bit range)
-serialize through a slower portable JSON payload, flagged in the header.
+file.  The payload is every ``array('q')`` level verbatim, in the one word
+format of :mod:`repro.storage.words` (one 64-bit little-endian word per
+element; a trie holds nothing else), so reloading is a file map plus a
+couple of ``memoryview.cast("q")`` calls instead of the O(n log n)
+sort-and-scan rebuild :class:`~repro.relational.trie.TrieIndex` performs
+from rows.
 
 File layout (all integers little-endian)::
 
     0   magic           8s   b"REPROTRI"
     8   version         u32  SEGMENT_FORMAT_VERSION
-    12  flags           u32  bit 0: boxed (JSON) payload
+    12  flags           u32  zero (a set bit is rejected)
     16  arity           u32  number of trie levels
     20  (reserved)      u32  zero
     24  num_tuples      u64  root-to-leaf paths
@@ -40,16 +40,15 @@ from __future__ import annotations
 import json
 import os
 import struct
-import sys
 import tempfile
 import zlib
-from array import array
 from dataclasses import dataclass
 from mmap import ACCESS_READ, mmap
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.relational.trie import TrieIndex
 from repro.storage.errors import SegmentFormatError
+from repro.storage.words import NATIVE_WORDS, WORD_BYTES, pack_words, unpack_words
 
 #: Magic bytes every segment file starts with.
 SEGMENT_MAGIC = b"REPROTRI"
@@ -57,36 +56,12 @@ SEGMENT_MAGIC = b"REPROTRI"
 #: Bump on any incompatible change to the header or payload layout.
 SEGMENT_FORMAT_VERSION = 1
 
-#: Header flag: the payload is the portable JSON encoding (boxed-list tries).
-FLAG_BOXED = 0x1
-
 _HEADER = struct.Struct("<8sIIIIQQQII")
 HEADER_SIZE = _HEADER.size
-
-_WORD = 8  # bytes per stored value (int64)
 
 
 def _align8(offset: int) -> int:
     return (offset + 7) & ~7
-
-
-def _is_flat(level: Sequence[int]) -> bool:
-    """Whether a trie level is 64-bit word storage (array/mmap view) vs boxed."""
-    if isinstance(level, array):
-        return level.typecode == "q"
-    if isinstance(level, memoryview):
-        return level.format == "q"
-    return False
-
-
-def _flat_bytes(level: Sequence[int]) -> bytes:
-    """Little-endian int64 bytes of one flat level (byteswapping if needed)."""
-    if isinstance(level, memoryview):
-        level = array("q", level)
-    if sys.byteorder != "little":  # pragma: no cover - big-endian hosts only
-        level = array("q", level)
-        level.byteswap()
-    return level.tobytes()
 
 
 @dataclass(frozen=True)
@@ -98,21 +73,7 @@ class SegmentInfo:
     attribute_order: Tuple[str, ...]
     shard: Optional[int]
     num_tuples: int
-    boxed: bool
     file_bytes: int
-
-
-def trie_is_flat(trie: TrieIndex) -> bool:
-    """Whether every level of ``trie`` is flat int64 storage (not boxed).
-
-    Flat tries serialize to the fast zero-copy payload; boxed tries (values
-    outside the signed 64-bit range) take the portable JSON route and cannot
-    be attached zero-copy from shared memory.
-    """
-    arity = trie.num_levels
-    levels = [trie.level_values(level) for level in range(arity)]
-    offsets = [trie.child_offsets(level) for level in range(max(arity - 1, 0))]
-    return all(_is_flat(level) for level in levels + offsets)
 
 
 def encode_trie_segment(trie: TrieIndex, shard: Optional[int] = None) -> bytes:
@@ -126,8 +87,6 @@ def encode_trie_segment(trie: TrieIndex, shard: Optional[int] = None) -> bytes:
     arity = trie.num_levels
     levels = [trie.level_values(level) for level in range(arity)]
     offsets = [trie.child_offsets(level) for level in range(max(arity - 1, 0))]
-    boxed = not all(_is_flat(level) for level in levels + offsets)
-
     meta = {
         "relation": trie.relation_name,
         "order": list(trie.attribute_order),
@@ -136,25 +95,11 @@ def encode_trie_segment(trie: TrieIndex, shard: Optional[int] = None) -> bytes:
         "shard": shard,
     }
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-    if boxed:
-        payload = json.dumps(
-            {
-                "values": [[int(v) for v in level] for level in levels],
-                "offsets": [[int(v) for v in level] for level in offsets],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
-        flags = FLAG_BOXED
-    else:
-        payload = b"".join(_flat_bytes(level) for level in levels + offsets)
-        flags = 0
-
+    payload = b"".join(pack_words(level) for level in levels + offsets)
     header = _HEADER.pack(
         SEGMENT_MAGIC,
         SEGMENT_FORMAT_VERSION,
-        flags,
+        0,  # flags
         arity,
         0,
         trie.num_tuples,
@@ -194,7 +139,7 @@ def write_trie_segment(path: str, trie: TrieIndex, shard: Optional[int] = None) 
     return len(blob)
 
 
-def _read_header(path: str, raw: bytes, file_size: int) -> Tuple[Dict, int, bool, int, int, int]:
+def _read_header(path: str, raw: bytes, file_size: int) -> Tuple[Dict, int, int, int, int]:
     """Decode + validate a segment header; returns meta and payload geometry."""
     if len(raw) < HEADER_SIZE:
         raise SegmentFormatError(
@@ -223,6 +168,11 @@ def _read_header(path: str, raw: bytes, file_size: int) -> Tuple[Dict, int, bool
             f"segment {path}: format version {version} is not supported "
             f"(this build reads version {SEGMENT_FORMAT_VERSION})"
         )
+    if flags:
+        raise SegmentFormatError(
+            f"segment {path}: header flags {flags:#x} are not supported (this "
+            "build reads only the 64-bit word payload) — rebuild the segment"
+        )
     payload_start = _align8(HEADER_SIZE + meta_len)
     expected_size = payload_start + payload_len
     if file_size != expected_size:
@@ -241,9 +191,8 @@ def _read_header(path: str, raw: bytes, file_size: int) -> Tuple[Dict, int, bool
         raise SegmentFormatError(
             f"segment {path}: meta block is not valid JSON ({error})"
         ) from None
-    boxed = bool(flags & FLAG_BOXED)
     sizes_words = sum(meta["level_sizes"]) + sum(meta["offset_sizes"])
-    if not boxed and payload_len != sizes_words * _WORD:
+    if payload_len != sizes_words * WORD_BYTES:
         raise SegmentFormatError(
             f"segment {path}: payload is {payload_len} bytes but the meta "
             f"block declares {sizes_words} words — corrupt"
@@ -253,7 +202,7 @@ def _read_header(path: str, raw: bytes, file_size: int) -> Tuple[Dict, int, bool
             f"segment {path}: meta declares {len(meta['level_sizes'])} levels "
             f"but the header arity is {arity}"
         )
-    return meta, num_tuples, boxed, payload_start, payload_len, payload_crc
+    return meta, num_tuples, payload_start, payload_len, payload_crc
 
 
 def read_segment_info(path: str) -> SegmentInfo:
@@ -266,14 +215,13 @@ def read_segment_info(path: str) -> SegmentInfo:
         if HEADER_SIZE + meta_len > len(raw):  # unusually large meta block
             with open(path, "rb") as handle:
                 raw = handle.read(_align8(HEADER_SIZE + meta_len))
-    meta, num_tuples, boxed, _start, _len, _crc = _read_header(path, raw, file_size)
+    meta, num_tuples, _start, _len, _crc = _read_header(path, raw, file_size)
     return SegmentInfo(
         path=path,
         relation=meta["relation"],
         attribute_order=tuple(meta["order"]),
         shard=meta["shard"],
         num_tuples=num_tuples,
-        boxed=boxed,
         file_bytes=file_size,
     )
 
@@ -309,7 +257,7 @@ def decode_trie_segment(
             declared = _align8(HEADER_SIZE + meta_len) + payload_len
             if declared <= total:
                 total = declared
-    meta, num_tuples, boxed, payload_start, payload_len, payload_crc = _read_header(
+    meta, num_tuples, payload_start, payload_len, payload_crc = _read_header(
         source, head, total
     )
     payload = view[payload_start : payload_start + payload_len]
@@ -318,31 +266,15 @@ def decode_trie_segment(
             f"segment {source}: payload checksum mismatch — data corrupt"
         )
 
-    if boxed:
-        try:
-            decoded = json.loads(bytes(payload).decode("utf-8"))
-            values = [list(map(int, level)) for level in decoded["values"]]
-            offsets = [list(map(int, level)) for level in decoded["offsets"]]
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as error:
-            raise SegmentFormatError(
-                f"segment {source}: boxed payload undecodable ({error})"
-            ) from None
-    else:
-        values, offsets = [], []
-        cursor = 0
-        little = sys.byteorder == "little"
-        for size in meta["level_sizes"] + meta["offset_sizes"]:
-            chunk = payload[cursor : cursor + size * _WORD]
-            cursor += size * _WORD
-            if zero_copy and little:
-                level: Sequence[int] = chunk.cast("q")
-            else:
-                level_array = array("q")
-                level_array.frombytes(bytes(chunk))
-                if not little:  # pragma: no cover - big-endian hosts only
-                    level_array.byteswap()
-                level = level_array
-            (values if len(values) < len(meta["level_sizes"]) else offsets).append(level)
+    values, offsets = [], []
+    cursor = 0
+    for size in meta["level_sizes"] + meta["offset_sizes"]:
+        chunk = payload[cursor : cursor + size * WORD_BYTES]
+        cursor += size * WORD_BYTES
+        level: Sequence[int] = (
+            chunk.cast("q") if zero_copy and NATIVE_WORDS else unpack_words(chunk)
+        )
+        (values if len(values) < len(meta["level_sizes"]) else offsets).append(level)
 
     return TrieIndex.from_flat(
         meta["relation"],
@@ -464,27 +396,15 @@ class TrieSegmentStore:
         return sum(info.file_bytes for info in self.entries())
 
 
-def adopt_segments(
-    segments: Iterable[SegmentInfo], use_mmap: bool = True
-) -> List[TrieIndex]:
-    """Load a batch of segments into ready tries (the cold-start path)."""
-    return [
-        read_trie_segment(info.path, use_mmap=use_mmap) for info in segments
-    ]
-
-
 __all__ = [
-    "FLAG_BOXED",
     "HEADER_SIZE",
     "SEGMENT_FORMAT_VERSION",
     "SEGMENT_MAGIC",
     "SegmentInfo",
     "TrieSegmentStore",
-    "adopt_segments",
     "decode_trie_segment",
     "encode_trie_segment",
     "read_segment_info",
     "read_trie_segment",
-    "trie_is_flat",
     "write_trie_segment",
 ]

@@ -2,12 +2,12 @@
 
 :class:`SQLiteStore` persists the *snapshot* half of a durable store: the
 relation catalog (names, schemas, placements, fitted partitioners) and every
-fragment's rows.  Rows are packed per fragment into a single blob — the
-fast encoding flattens the sorted rows into little-endian 64-bit words, so a
-fragment loads as one ``memcpy`` into ``array('q')`` plus a C-speed zip into
-tuples instead of a Python-level loop per row; values outside the signed
-64-bit range fall back to a portable JSON encoding, mirroring
-:class:`~repro.relational.trie.TrieIndex`'s boxed fallback.
+fragment's rows.  Rows are packed per fragment into a single blob: the
+sorted rows flattened into the one word format of :mod:`repro.storage.words`
+(little-endian signed 64-bit words, the only values a relation holds),
+stamped ``encoding='q'``.  A fragment loads as one ``memcpy`` into
+``array('q')`` plus a C-speed zip into tuples instead of a Python-level loop
+per row.
 
 The store is deliberately dumb: it neither knows about tries (segments.py)
 nor about pending mutations (wal.py).  ``durable.py`` composes the three.
@@ -18,12 +18,12 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-import sys
-from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.storage.errors import StoreFormatError
+from repro.storage.words import pack_words, unpack_words
 
 #: Bump on any incompatible change to the SQLite schema or blob encodings.
 STORE_FORMAT_VERSION = 1
@@ -37,43 +37,22 @@ Row = Tuple[int, ...]
 
 
 def pack_rows(rows: Sequence[Row]) -> Tuple[str, bytes]:
-    """Encode rows as ``(encoding, blob)`` — ``'q'`` fast path, ``'json'`` fallback."""
-    try:
-        flat = array("q")
-        for row in rows:
-            flat.extend(row)
-        if sys.byteorder != "little":  # pragma: no cover - big-endian hosts only
-            flat.byteswap()
-        return "q", flat.tobytes()
-    except OverflowError:
-        return "json", json.dumps(
-            [list(row) for row in rows], separators=(",", ":")
-        ).encode("utf-8")
+    """Encode rows as ``(encoding, blob)``: ``'q'``, the rows' words in order."""
+    return "q", pack_words(chain.from_iterable(rows))
 
 
 def unpack_rows(encoding: str, blob: bytes, arity: int, count: int) -> List[Row]:
     """Decode a fragment blob back into a list of int tuples."""
-    if encoding == "q":
-        flat = array("q")
-        flat.frombytes(blob)
-        if sys.byteorder != "little":  # pragma: no cover - big-endian hosts only
-            flat.byteswap()
-        if len(flat) != arity * count:
-            raise StoreFormatError(
-                f"fragment blob holds {len(flat)} words, expected "
-                f"{arity}x{count} — snapshot corrupt"
-            )
-        it = iter(flat)
-        return list(zip(*([it] * arity))) if arity else []
-    if encoding == "json":
-        rows = json.loads(blob.decode("utf-8"))
-        if len(rows) != count:
-            raise StoreFormatError(
-                f"fragment blob holds {len(rows)} rows, expected {count} "
-                "— snapshot corrupt"
-            )
-        return [tuple(int(v) for v in row) for row in rows]
-    raise StoreFormatError(f"unknown fragment encoding {encoding!r}")
+    if encoding != "q":
+        raise StoreFormatError(f"unknown fragment encoding {encoding!r}")
+    flat = unpack_words(blob)
+    if len(flat) != arity * count:
+        raise StoreFormatError(
+            f"fragment blob holds {len(flat)} words, expected "
+            f"{arity}x{count} — snapshot corrupt"
+        )
+    it = iter(flat)
+    return list(zip(*([it] * arity))) if arity else []
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,27 @@ class TestCatalogConformance:
         with pytest.raises(KeyError):
             catalog.insert_into("missing", [(1, 2)])
 
+    @pytest.mark.parametrize("bad_row", [(), (1, 2**63)], ids=["short", "outside-int64"])
+    def test_rejected_row_fails_the_batch_before_any_change(self, catalog, bad_row):
+        """A short row or a value past the signed 64-bit range raises
+        ``ValueError`` before any row, trie, event or WAL record changes."""
+
+        def observed():
+            return (
+                catalog.relation("E").sorted_rows(),
+                catalog.shard_cardinalities("E") if hasattr(catalog, "scatter_spec") else None,
+                catalog.info()["wal_records"] if isinstance(catalog, DurableCatalog) else None,
+            )
+
+        trie = catalog.trie("E", ("src", "dst"))
+        before, events = observed(), []
+        catalog.subscribe_invalidation(events.append)
+        with pytest.raises(ValueError, match="relation 'E'"):
+            catalog.insert_into("E", [(7, 8), bad_row])
+        assert observed() == before
+        assert catalog.trie("E", ("src", "dst")) is trie
+        assert events == []
+
     def test_invalidation_events_flow_until_unsubscribed(self, catalog):
         events = []
         catalog.subscribe_invalidation(events.append)

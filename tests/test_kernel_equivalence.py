@@ -468,9 +468,8 @@ def reference_kernel(arrays, parent_offsets, parent_indexes, positions, stats, l
     return intersect
 
 
-#: What can back a trie level: boxed values, machine words, an mmap/shm view.
+#: What can back a trie level: machine words, or an mmap/shm view of them.
 STORAGES = {
-    "list": list,
     "array": lambda values: array("q", values),
     "memoryview": lambda values: memoryview(array("q", values)),
 }
@@ -850,11 +849,13 @@ class TestArrayBackedTrie:
         assert isinstance(trie.child_offsets(0), array)
         assert trie.level_values(0).typecode == "q"
 
-    def test_huge_values_fall_back_to_boxed_storage(self):
-        big = 1 << 70
-        relation = Relation("R", Schema(("x", "y")), [(big, 1), (0, big)])
-        trie = TrieIndex(relation)
-        assert sorted(trie.paths()) == [(0, big), (big, 1)]
+    def test_values_outside_a_word_are_rejected(self):
+        lowest, highest = -(1 << 63), (1 << 63) - 1
+        relation = Relation("R", Schema(("x", "y")), [(lowest, highest), (0, lowest)])
+        assert list(TrieIndex(relation).paths()) == [(lowest, highest), (0, lowest)]
+        for value in (highest + 1, lowest - 1, 1 << 70):
+            with pytest.raises(ValueError, match=f"value {value} .* relation 'R'"):
+                Relation("R", Schema(("x", "y")), [(1, 2), (0, value)])
 
     @given(
         st.lists(

@@ -5,6 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.relational import Relation, Schema, relation_from_pairs
+from repro.relational.relation import WORDS
+
+WORD_MIN, WORD_MAX = WORDS[0], WORDS[-1]
 
 
 class TestSchema:
@@ -63,6 +66,26 @@ class TestRelation:
         relation = Relation("R", Schema(("x", "y")))
         with pytest.raises(ValueError, match="arity"):
             relation.insert((1, 2, 3))
+
+    def test_values_at_the_word_bounds_are_stored(self):
+        rows = [(WORD_MIN, WORD_MAX), (0, WORD_MIN), (2.0**62, -1)]
+        relation = Relation("R", Schema(("x", "y")), rows)
+        assert relation.sorted_rows() == [(WORD_MIN, WORD_MAX), (0, WORD_MIN), (2**62, -1)]
+        assert relation.insert_batch([(WORD_MAX, WORD_MAX)]) == ((WORD_MAX, WORD_MAX),)
+
+    @pytest.mark.parametrize("value", [WORD_MAX + 1, WORD_MIN - 1], ids=["above", "below"])
+    @pytest.mark.parametrize("entry", ["constructor", "insert", "insert_batch"])
+    def test_values_outside_a_word_are_rejected_before_any_change(self, entry, value):
+        """Every way in names the relation and the value; a batch fails whole."""
+        relation = Relation("R", Schema(("x", "y")), [(1, 2)])
+        insert = {
+            "constructor": lambda row: Relation("R", Schema(("x", "y")), [(3, 4), row]),
+            "insert": relation.insert,
+            "insert_batch": lambda row: relation.insert_batch([(3, 4), row]),
+        }[entry]
+        with pytest.raises(ValueError, match=f"value {value} .*relation 'R'"):
+            insert((5, value))
+        assert relation.sorted_rows() == [(1, 2)]
 
     def test_insert_many_returns_new_count(self):
         relation = Relation("R", Schema(("x", "y")))

@@ -36,7 +36,6 @@ from repro.relational.catalog import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.sharding import shard_database
-from repro.relational.trie import TrieIndex
 from repro.service import (
     EXECUTION_BACKEND_NAMES,
     EXECUTION_BACKENDS,
@@ -69,14 +68,6 @@ def _compiled(query, database):
     _signature, canonical, plan = compiler.compile_canonical(query)
     database.validate_query(canonical)
     return canonical, plan
-
-
-def _boxed_trie() -> TrieIndex:
-    """A trie whose values exceed int64 (cannot be exported flat)."""
-    relation = Relation(
-        "B", Schema(("src", "dst")), [(2**70, 1), (2**70 + 1, 2)]
-    )
-    return TrieIndex(relation, ("src", "dst"))
 
 
 # --------------------------------------------------------------------------- #
@@ -124,7 +115,6 @@ class TestPickling:
             request = runner._build_request(
                 runner._engine_bytes(engine), canonical, plan, database
             )
-            assert request is not None
             restored = pickle.loads(pickle.dumps(request))
             assert restored.engine_bytes == request.engine_bytes
             assert restored.schemas == request.schemas
@@ -166,16 +156,6 @@ class TestSegmentLifecycle:
 
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=handle.name)
-
-    def test_boxed_tries_decline_export(self):
-        exporter = TrieSegmentExporter()
-        try:
-            trie = _boxed_trie()
-            assert exporter.export(trie) is None
-            assert exporter.export(trie) is None  # negative-cached
-            assert exporter.active_segments() == ()
-        finally:
-            exporter.close()
 
     def test_mutation_invalidates_only_the_touched_relation(self):
         database = workload_database(num_vertices=30, num_edges=120, seed=3)
@@ -227,7 +207,6 @@ class TestWorkerExecution:
             request = runner._build_request(
                 runner._engine_bytes(engine), canonical, plan, database
             )
-            assert request is not None
             shipped, wall = execute_work_request(request)
             inline = engine.execute(canonical, database, plan=plan)
             assert sorted(shipped.tuples) == sorted(inline.tuples)
@@ -236,6 +215,34 @@ class TestWorkerExecution:
             assert shipped.plan_used == inline.plan_used
             assert shipped.plan is None  # stripped; orchestrator re-attaches
             assert wall >= 0.0
+        finally:
+            runner.close()
+
+    @pytest.mark.parametrize("engine_name", ["lftj", "ctj", "generic"])
+    def test_tries_at_the_word_bounds_ship(self, engine_name):
+        """Every trie exports: values at both ends of the 64-bit range attach
+        zero-copy in the worker and join exactly as inline."""
+        lowest, highest = -(2**63), 2**63 - 1
+        database = Database("bounds")
+        database.add_relation(
+            Relation(
+                "E",
+                Schema(("src", "dst")),
+                [(lowest, highest), (highest, 0), (0, lowest), (0, highest)],
+            )
+        )
+        canonical, plan = _compiled(pattern_query("cycle3"), database)
+        engine = create_engine(engine_name)
+        runner = SharedMemoryRunner(workers=1)
+        try:
+            request = runner._build_request(
+                runner._engine_bytes(engine), canonical, plan, database
+            )
+            shipped, _wall = execute_work_request(request)
+            inline = engine.execute(canonical, database, plan=plan)
+            assert len(inline.tuples) == 3
+            assert shipped.tuples == inline.tuples
+            assert shipped.stats == inline.stats
         finally:
             runner.close()
 
@@ -260,28 +267,6 @@ class TestWorkerExecution:
                         (alien,) + tuple(stranger.atoms[1:]),
                     )
                 )
-        finally:
-            runner.close()
-
-    def test_boxed_tries_make_build_request_decline(self):
-        database = workload_database(num_vertices=30, num_edges=120, seed=3)
-        canonical, plan = _compiled(pattern_query("cycle3"), database)
-        engine = create_engine("lftj")
-        runner = SharedMemoryRunner(workers=1)
-        try:
-            boxed = _boxed_trie()
-
-            class BoxedCatalog:
-                def relation(self, name):
-                    return database.relation(name)
-
-                def trie_for_atom(self, atom, order):
-                    return boxed
-
-            request = runner._build_request(
-                runner._engine_bytes(engine), canonical, plan, BoxedCatalog()
-            )
-            assert request is None  # offload declined, inline path runs
         finally:
             runner.close()
 
@@ -331,30 +316,13 @@ class TestRunEngineHook:
                 assert (wall is None) == (backend_name == "virtual")
             if backend_name != "process":
                 return
-            # Capability declines run the threaded hook and are not counted:
-            # a plan-blind engine (even when handed a plan) ...
+            # A capability decline runs the threaded hook and is not counted:
+            # a plan-blind engine, even when handed a plan.
             naive = create_engine("naive")
             blind = backend.run_engine(naive, spec.query, plan, views)
             assert [e.tuples for e, _ in blind] == [
                 naive.execute(spec.query, view).tuples for view in views
             ]
-            # ... and a catalog whose trie cannot be exported flat.
-            big = 2**70
-            boxed = Database("boxed")
-            boxed.add_relation(
-                Relation(
-                    "E",
-                    Schema(("src", "dst")),
-                    [(big, big + 1), (big + 1, big + 2), (big + 2, big)],
-                )
-            )
-            canonical, boxed_plan = _compiled(pattern_query("cycle3"), boxed)
-            [(execution, _wall)] = backend.run_engine(
-                engine, canonical, boxed_plan, [boxed]
-            )
-            expected = engine.execute(canonical, boxed, plan=boxed_plan)
-            assert len(expected.tuples) == 3
-            assert execution.tuples == expected.tuples
             assert backend.inline_fallbacks == 0
             # A broken pool falls back too, and every such call is counted.
             backend._runner.crash_after = 0

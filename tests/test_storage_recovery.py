@@ -19,7 +19,10 @@ from repro.joins.generic_join import GenericJoin
 from repro.joins.leapfrog import LeapfrogTrieJoin
 from repro.relational import Database, Relation, Schema, ShardedDatabase
 from repro.storage import (
+    MutationLog,
+    SQLiteStore,
     StorageError,
+    StoreFormatError,
     open_store,
     store_exists,
     store_info,
@@ -329,6 +332,48 @@ class TestValidateLogApply:
             before = db.info()["wal_records"]
             with pytest.raises(ValueError, match="arity"):
                 db.insert_into("E", [(1, 2, 3)])
+            with pytest.raises(ValueError, match="64-bit"):
+                db.insert_into("E", [(3, 4), (5, 2**63)])
             with pytest.raises(KeyError):
                 db.insert_into("missing", [(1, 2)])
             assert db.info()["wal_records"] == before
+
+    @pytest.mark.parametrize(
+        ("kind", "relation", "rows", "error"),
+        [
+            ("insert", "missing", [[1, 2]], "not found"),
+            ("insert", "E", [[3, 4], [5, 2**63]], "64-bit"),
+            ("define", "F", [[1, 2], [3]], "arity"),
+            ("define", "F", [[1, 2], [-(2**63) - 1, 0]], "64-bit"),
+        ],
+        ids=["insert-unknown", "insert-outside-int64", "define-short", "define-outside-int64"],
+    )
+    def test_a_logged_record_the_catalog_rejects_fails_typed(
+        self, tmp_path, kind, relation, rows, error
+    ):
+        """A WAL record replay cannot apply (an unknown relation, a short
+        row, or a value past the signed 64-bit range logged before such
+        values were rejected at insert) fails the open with a
+        StoreFormatError naming its seq."""
+        store_dir = tmp_path / "store"
+        with open_store(str(store_dir)) as db:
+            db.add_relation(Relation("E", Schema(("src", "dst")), [(1, 2)]))
+        with MutationLog(str(store_dir / "mutations.wal")) as wal:
+            data = {"attributes": ["a", "b"], "replace": False} if kind == "define" else {}
+            seq = wal.append(kind, relation, rows=rows, **data).seq
+        with pytest.raises(StoreFormatError, match=f"record {seq} .*{error}"):
+            open_store(str(store_dir))
+
+    def test_a_json_fragment_is_an_unknown_encoding(self, tmp_path):
+        """Fragments are 64-bit words only; the retired JSON encoding fails typed."""
+        store_dir = tmp_path / "store"
+        with open_store(str(store_dir)) as db:
+            db.add_relation(Relation("E", Schema(("src", "dst")), [(1, 2)]))
+            db.snapshot()
+        with SQLiteStore(str(store_dir / "catalog.sqlite")) as store:
+            store._conn.execute(
+                "UPDATE fragments SET encoding = 'json', data = ?", (b"[[1,2]]",)
+            )
+            store._conn.commit()
+        with pytest.raises(StoreFormatError, match="unknown fragment encoding 'json'"):
+            open_store(str(store_dir))

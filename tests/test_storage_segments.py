@@ -1,11 +1,10 @@
 """Trie segment serialization: round trips, mmap adoption, corruption.
 
 The segment format is the cold-start fast path — these tests pin down the
-contract :mod:`repro.storage.segments` documents: flat ``array('q')`` tries
-round-trip bit-exactly through the binary payload, boxed tries (values
-outside int64) round-trip through the flagged JSON payload, and every
-corruption mode (bad magic, wrong version, truncation, damaged meta or
-payload) fails with a :class:`SegmentFormatError` that names the file and
+contract :mod:`repro.storage.segments` documents: ``array('q')`` tries
+round-trip bit-exactly through the 64-bit word payload, and every
+corruption mode (bad magic, wrong version, a set flag bit, truncation,
+damaged meta or payload) fails with a :class:`SegmentFormatError` that names the file and
 the problem instead of producing a silently wrong trie.
 """
 
@@ -70,16 +69,13 @@ class TestRoundTrips:
         assert isinstance(reloaded.level_values(0), memoryview)
         assert reloaded.level_values(0).format == "q"
 
-    def test_boxed_trie_round_trips_with_flag(self, tmp_path):
-        """Values outside int64 force the boxed JSON payload, flagged in the header."""
-        huge = 2**70
-        trie = edge_trie([(huge, 1), (huge + 1, 2), (3, 4)], name="H")
-        path = str(tmp_path / "h.trie")
+    @pytest.mark.parametrize("use_mmap", [True, False], ids=["mmap", "copy"])
+    def test_word_extremes_round_trip(self, tmp_path, use_mmap):
+        lowest, highest = -(2**63), 2**63 - 1
+        trie = edge_trie([(lowest, highest), (lowest, 0), (highest, lowest)], name="X")
+        path = str(tmp_path / "x.trie")
         write_trie_segment(path, trie)
-        info = read_segment_info(path)
-        assert info.boxed
-        for use_mmap in (True, False):
-            assert_same_trie(read_trie_segment(path, use_mmap=use_mmap), trie)
+        assert_same_trie(read_trie_segment(path, use_mmap=use_mmap, validate=True), trie)
 
     def test_empty_relation_round_trips(self, tmp_path):
         trie = edge_trie([])
@@ -124,6 +120,15 @@ class TestCorruption:
         self.corrupt(path, len(SEGMENT_MAGIC), struct.pack("<I", 99))
         with pytest.raises(SegmentFormatError, match="version 99"):
             read_trie_segment(path)
+
+    def test_flagged_header_is_rejected(self, tmp_path):
+        """Bit 0 of ``flags`` once marked a JSON payload; the word payload is
+        the only one, so any set flag bit fails, on the info path too."""
+        path = self.write_segment(tmp_path)
+        self.corrupt(path, len(SEGMENT_MAGIC) + 4, struct.pack("<I", 1))
+        for read in (read_trie_segment, read_segment_info):
+            with pytest.raises(SegmentFormatError, match="flags 0x1"):
+                read(path)
 
     def test_truncated_header_is_rejected(self, tmp_path):
         path = self.write_segment(tmp_path)

@@ -10,8 +10,8 @@ from repro.util.sorted_ops import is_strictly_sorted, lowest_upper_bound
 
 
 def backings(values):
-    """``values`` in every backing a trie level comes in: a boxed list, an
-    ``array('q')`` and the ``memoryview`` a segment is adopted as."""
+    """``values`` as a plain list and in every backing a trie level comes in:
+    an ``array('q')`` and the ``memoryview`` a segment is adopted as."""
     words = array("q", values)
     return [list(values), words, memoryview(words.tobytes()).cast("q")]
 

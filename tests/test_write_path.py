@@ -4,14 +4,17 @@ Everything ``insert`` triggers — patching cached results, extending the
 relation's sorted-row caches, extending cached tries, the delta joins that
 compute what to patch — is checked here against the plain oracles it
 replaced: ``sorted(set(old) | set(delta))``, a fresh sort, a fresh
-:class:`TrieIndex`, and recompute-difference.  Cases are drawn by
-``hypothesis``; the one fixed-size test is the comparison-count guard that
-keeps a patch O(Δ·log n).
+:class:`TrieIndex`, and recompute-difference.  A batch holding a value
+outside the signed 64-bit range is rejected whole, before anything changes.
+Cases are drawn by ``hypothesis``; the one fixed-size test is the
+comparison-count guard that keeps a patch O(Δ·log n).
 """
 
 import tempfile
+from array import array
 from itertools import permutations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +22,7 @@ from repro.engines import create_engine
 from repro.joins import NaiveJoin
 from repro.joins.delta import DeltaPlanner, evaluate_delta
 from repro.relational import Atom, ConjunctiveQuery, Database, Relation, Schema
+from repro.relational.relation import WORDS
 from repro.relational.sharding import shard_database
 from repro.relational.trie import TrieIndex
 from repro.service import ResultCache
@@ -104,15 +108,11 @@ def test_second_patch_makes_o_delta_log_n_comparisons():
 # (c) cached tries and sorted-row caches after insert_batch, every catalog
 # --------------------------------------------------------------------------- #
 def levels(trie):
-    """A trie's flat arrays as plain lists, level by level, and which are boxed."""
+    """A trie's flat arrays as plain lists, level by level; every one is words."""
     values = [trie.level_values(level) for level in range(trie.num_levels)]
     offsets = [trie.child_offsets(level) for level in range(trie.num_levels - 1)]
-    return (
-        trie.num_tuples,
-        [list(level) for level in values],
-        [list(level) for level in offsets],
-        [isinstance(level, list) for level in values + offsets],
-    )
+    assert all(isinstance(level, (array, memoryview)) for level in values + offsets)
+    return trie.num_tuples, [list(level) for level in values], [list(level) for level in offsets]
 
 
 def backing_databases(catalog):
@@ -142,10 +142,21 @@ def reopened_store(directory, relation, orders):
     return store
 
 
+def stored_state(catalog):
+    """Every backing database's rows and cached tries, level by level."""
+    return [
+        (
+            list(database.relation("T").sorted_rows()),
+            sorted((trie.attribute_order, levels(trie)) for trie in database.cached_tries()),
+        )
+        for database in backing_databases(catalog)
+    ]
+
+
 @st.composite
 def relation_and_batches(draw):
-    """An arity-1..4 relation (possibly empty) and insert batches whose
-    values may need boxed storage (>= 2**63)."""
+    """An arity-1..4 relation (possibly empty) and insert batches, some
+    holding a value one past the signed 64-bit range (>= 2**63)."""
     arity = draw(st.integers(1, 4))
     small = st.integers(0, 5)
     rows = st.tuples(*[small] * arity)
@@ -172,6 +183,12 @@ def test_cached_tries_and_row_caches_track_every_insert(case):
                 for order in orders:
                     database.trie("T", order)
             for batch in batches:
+                if any(value not in WORDS for row in batch for value in row):
+                    before = stored_state(catalog), durable.info()["wal_records"]
+                    with pytest.raises(ValueError, match="outside the signed 64-bit range"):
+                        catalog.insert_into("T", batch)
+                    assert (stored_state(catalog), durable.info()["wal_records"]) == before
+                    continue
                 model.update(batch)
                 held = [
                     (trie, levels(trie))
