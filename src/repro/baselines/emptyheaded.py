@@ -3,13 +3,15 @@
 EmptyHeaded (Aberger et al., SIGMOD'16) compiles conjunctive queries to
 Generic Join executed with SIMD set intersections and static parallelism over
 the first join attribute.  The model runs our
-:class:`~repro.joins.generic_join.GenericJoin` engine (so results and work
-counters are real) and costs it with a profile that reflects EmptyHeaded's
-strengths relative to scalar CTJ: wider per-core throughput thanks to SIMD
-and better parallel efficiency, at the price of touching more index elements
-(it materialises each level's intersection rather than leapfrogging
-output-sensitively) — which is exactly the relationship the paper reports
-(EmptyHeaded ≈ 2× faster than CTJ, but ≈ 2.8× more main-memory accesses).
+:class:`~repro.joins.generic_join.GenericJoin` engine — the plan kernel of
+:mod:`repro.joins.leapfrog` in its ``materialise`` intersection mode, so
+results and work counters are real — and costs it with a profile that
+reflects EmptyHeaded's strengths relative to scalar CTJ: wider per-core
+throughput thanks to SIMD and better parallel efficiency, at the price of
+touching more index elements (it materialises each level's intersection
+rather than leapfrogging output-sensitively) — which is exactly the
+relationship the paper reports (EmptyHeaded ≈ 2× faster than CTJ, but ≈ 2.8×
+more main-memory accesses).
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ The package contains every join algorithm the paper's evaluation touches:
 * :class:`~repro.joins.ctj.CachedTrieJoin` — CTJ, LFTJ with the
   partial-join-result cache; the algorithmic core of TrieJax.
 * :class:`~repro.joins.generic_join.GenericJoin` — EmptyHeaded-style
-  materialising WCOJ.
+  materialising WCOJ: the LFTJ plan kernel in its ``materialise``
+  intersection mode (scan the smallest candidate range, probe the others,
+  collect the survivors per depth).
 * :class:`~repro.joins.pairwise.PairwiseJoin` — left-deep binary join trees
   over hash / sort-merge operators; the traditional approach underlying the
   Q100 and Graphicionado comparisons.

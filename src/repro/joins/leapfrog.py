@@ -10,31 +10,35 @@ property (together with the AGM bound) that makes the algorithm family
 attractive for hardware acceleration (paper Section 2.2).
 
 The implementation below is shared with :class:`~repro.joins.ctj.CachedTrieJoin`
-(which subclasses it and adds the partial-join-result cache) and with the
-counting aggregates of :mod:`repro.joins.aggregates`, and mirrors the
-structure of the accelerator model: the per-variable candidate ranges are what
-Midwife produces, the leapfrog intersection is MatchMaker + LUB, and the
-backtracking walk is Cupid.
+(which subclasses it and adds the partial-join-result cache), with
+:class:`~repro.joins.generic_join.GenericJoin` (its ``materialise``
+intersection mode) and with the counting aggregates of
+:mod:`repro.joins.aggregates`, and mirrors the structure of the accelerator
+model: the per-variable candidate ranges are what Midwife produces, the
+leapfrog intersection is MatchMaker + LUB, and the backtracking walk is Cupid.
 
 Hot-path layout: the whole walk of a plan is **one generated function**, the
 *plan kernel* — the fixed loop nest the paper specialises into hardware.  It
 is instantiated once per plan *shape* (:func:`plan_shape`: per depth the
 participants and the enclosing cursor each parent offset reads, the CTJ cache
-points, the head depths and the leaf action; memoised module-wide, never
-stored on the plan) as straight-line Python over scalar locals, and called
-with the plan's level arrays (:func:`resolve_slot_tables`).  Depth ``d``'s
-cursors are the locals depth ``d + 1`` reads its candidate ranges through; a
-non-leaf match descends inline (past 18 depths, into a function nested in
-the kernel: CPython nests at most 20 blocks per function).  A lagging cursor
-catches up with one C-level ``bisect_left`` over the rest of its range, on
-whatever sequence backs the
-level (``array('q')``, ``list`` or an mmap/shared-memory ``memoryview``); a
-single-participant depth is one slice.  Where the compiler marked a depth
-cacheable (CTJ), the cache probe is inlined: a miss fills the entry, then hit
-and miss replay it through the same loop.  The leaf action is a template
-parameter — ``rows`` (append/extend head tuples), ``count`` or ``group``
-(per-value counts) — applied per value inside the intersection or, for a
-value sequence (a slice or a cache entry), in bulk.
+points, the head depths, the leaf action and the intersection mode; memoised
+module-wide, never stored on the plan) as straight-line Python over scalar
+locals, and called with the plan's level arrays (:func:`resolve_slot_tables`).
+Depth ``d``'s cursors are the locals depth ``d + 1`` reads its candidate
+ranges through; a non-leaf match descends inline (past 18 depths, into a
+function nested in the kernel: CPython nests at most 20 blocks per function).
+A lagging cursor catches up with one C-level ``bisect_left`` over the rest of
+its range, on whatever sequence backs the level (``array('q')`` or an
+mmap/shared-memory ``memoryview``); a single-participant depth is one slice.
+The intersection is a template parameter: ``leapfrog`` seeks as above,
+``materialise`` (Generic Join) scans the smallest range, probes the others by
+bisection and collects the survivors in a list before descending.  Where the
+compiler marked a depth cacheable (CTJ), the cache probe is inlined: a miss
+fills the entry, then hit and miss replay it through the same loop.  The leaf
+action is a template parameter — ``rows`` (append/extend head tuples),
+``count`` or ``group`` (per-value counts) — applied per value inside the
+intersection or, for a value sequence (a slice, a cache entry or a
+materialised list), in bulk.
 :class:`~repro.joins.stats.JoinStats` accounting is the LUB-unit model, not
 the implementation, and is unchanged from the reference implementation: each
 search charges the worst-case binary-search probe count of its window plus
@@ -62,8 +66,9 @@ from repro.relational.trie import TrieIndex
 def resolve_slot_tables(plan: JoinPlan, database: Database):
     """Resolve a plan's slot program against ``database``'s tries.
 
-    Shared by every slot-compiled execution (LFTJ/CTJ here, Generic Join in
-    :mod:`repro.joins.generic_join`).  Returns ``(slot_tries, depth_tables)``:
+    Shared by the plan kernel (:func:`run_plan`: LFTJ, CTJ, Generic Join and
+    the aggregates) and the sampling estimator of :mod:`repro.joins.aggregates`.
+    Returns ``(slot_tries, depth_tables)``:
 
     * ``slot_tries[slot]`` — the :class:`TrieIndex` of the ``slot``-th atom
       binding, resolved exactly once (the catalog caches builds; bindings
@@ -103,21 +108,28 @@ def resolve_slot_tables(plan: JoinPlan, database: Database):
     return slot_tries, depth_tables
 
 
-#: A plan's kernel shape: ``(depths, head_depths, action, group_depth)``.
-Shape = Tuple[tuple, Tuple[int, ...], str, Optional[int]]
+#: A plan's kernel shape:
+#: ``(depths, head_depths, action, group_depth, intersection)``.
+Shape = Tuple[tuple, Tuple[int, ...], str, Optional[int], str]
 
 
 def plan_shape(
-    plan: JoinPlan, use_cache: bool, action: str = "rows", group_by: Optional[str] = None
+    plan: JoinPlan,
+    use_cache: bool,
+    action: str = "rows",
+    group_by: Optional[str] = None,
+    intersection: str = "leapfrog",
 ) -> Shape:
     """Everything the plan kernel's code depends on, and nothing else.
 
     Per depth: each participant's parent cursor as ``(depth, participant)``
     (``None`` at the root level) and the CTJ cache-key depths (``None`` when
     the depth is not cached); then the head depths, the leaf action
-    (``"rows"``, ``"count"`` or ``"group"``) and the group-by depth.  Names
-    of variables and relations are not part of it, so α-renamed queries and
-    the delta planner's per-term plans share one kernel per shape.
+    (``"rows"``, ``"count"`` or ``"group"``), the group-by depth and the
+    intersection mode (``"leapfrog"``, or Generic Join's ``"materialise"``,
+    which runs only with ``rows`` and no cache).  Names of variables and
+    relations are not part of it, so α-renamed queries and the delta
+    planner's per-term plans share one kernel per shape.
     """
     program = plan.slot_program()
     cursor_of: Dict[int, Tuple[int, int]] = {}
@@ -128,7 +140,7 @@ def plan_shape(
             cursor_of[index] = (depth, i)
         depths.append((parents, depth_program.cache_key_depths if use_cache else None))
     group = None if group_by is None else plan.depth_of(group_by)
-    return tuple(depths), program.head_depths, action, group
+    return tuple(depths), program.head_depths, action, group, intersection
 
 
 #: Prologue and epilogue of every plan kernel.  ``sink`` is the result list
@@ -165,6 +177,31 @@ if v{i} < m:
     reads += 1
     v{i} = a{i}[c{i}]
 """
+#: Generic Join's intersection (the ``materialise`` mode): scan the smallest
+#: candidate range (the lowest participant on a tie), probe the others in
+#: ascending range-size order with one bisection over the whole range each,
+#: stopping at the first miss, and materialise the survivors into
+#: ``entry{d}`` before iterating it.  The charges are EmptyHeaded's: a read
+#: per scanned value, a LUB search and the window's probe count per probe,
+#: and a write per materialised survivor.
+_SCAN = """\
+(_, s, scan, lo, hi, _), *probes = sorted([{ranges}])
+reads += {charge}hi - lo
+found = [0] * {k}
+for cs in range(lo, hi):
+    x = scan[cs]
+    for _, i, values, start, end, width in probes:
+        lubs += 1
+        reads += width
+        p = bisect_left(values, x, start, end)
+        if p == end or values[p] != x:
+            break
+        found[i] = p
+    else:
+        found[s] = cs
+        entry{d}.append({survivor})
+writes += len(entry{d})
+"""
 
 #: Depths per generated function.  CPython nests at most 20 blocks (the
 #: kernel's ``try`` and one loop per depth), so a deeper plan's loop nest
@@ -193,13 +230,14 @@ def plan_source(shape: Shape) -> Tuple[str, str]:
     ``nonlocal``.  The filename names the shape; it is what tracebacks and
     profiles show.
     """
-    depths, head, action, group = shape
+    depths, head, action, group, intersection = shape
+    materialise = intersection == "materialise"
     last = len(depths) - 1
     # Whether the leaf action has a per-value form (else it takes the whole
     # value sequence under one prefix).
     per_value = action == "count" or group == last or (action == "rows" and last in head)
     inline = [
-        len(parents) > 1 and keys is None and (d < last or per_value)
+        not materialise and len(parents) > 1 and keys is None and (d < last or per_value)
         for d, (parents, keys) in enumerate(depths)
     ]
     bound = [f"v{d}_0" if inline[d] else f"x{d}" for d in range(len(depths))]
@@ -251,6 +289,8 @@ def plan_source(shape: Shape) -> Tuple[str, str]:
                 emit(level, f"reads += 2 + {e[0]} - {c[0]}")
             else:
                 emit(level, f"{c[0]} = 0", f"reads += {e[0]}")
+            if materialise:
+                emit(level, f"writes += {e[0]} - {c[0]}")
             values = f"{a[0]}[{c[0]}:{e[0]}]"
             if d < last:
                 values = f"enumerate({values}, {c[0]})"
@@ -269,24 +309,34 @@ def plan_source(shape: Shape) -> Tuple[str, str]:
             emit(level, f"if {ranges}:")
             body += 1
         emit(body, *(f"{c[i]} = 0" for i in ids if i not in above))
-        loads = "; ".join(f"{v[i]} = {a[i]}[{c[i]}]" for i in ids)
-        emit(body, f"reads += {2 * len(above) + len(ids)}", loads, "while True:")
-        emit(body + 1, f"if {' == '.join(v)}:")
-        if inline[d]:
-            match(d, body + 2)
+        if materialise:
+            ranges = ", ".join(
+                f"({e[i]} - {c[i]}, {i}, {a[i]}, {c[i]}, {e[i]}, ({e[i]} - {c[i]}).bit_length())"
+                for i in ids
+            )
+            survivor = "x" if d == last else "(*found, x)"
+            charge = f"{2 * len(above)} + " if above else ""
+            source = _SCAN.format(ranges=ranges, charge=charge, k=len(ids), d=d, survivor=survivor)
+            emit(body, *source.splitlines())
         else:
-            emit(body + 2, f"entry{d}.append({v[0] if d == last else _tuple(c + v[:1])})")
-        # Sibling values are distinct: the matched value cannot reappear,
-        # so every cursor advances.
-        for i in ids:
-            emit(body + 2, f"{c[i]} += 1", f"if {c[i]} >= {e[i]}:", "    break")
-        emit(body + 2, f"reads += {len(ids)}", loads, "continue")
-        # Align to the maximum: every lagging cursor seeks to it.
-        emit(body + 1, f"m = {v[0]}")
-        for i in ids[1:]:
-            emit(body + 1, f"if {v[i]} > m:", f"    m = {v[i]}")
-        for i in ids:
-            emit(body + 1, *_SEEK.format(i=f"{d}_{i}").splitlines())
+            loads = "; ".join(f"{v[i]} = {a[i]}[{c[i]}]" for i in ids)
+            emit(body, f"reads += {2 * len(above) + len(ids)}", loads, "while True:")
+            emit(body + 1, f"if {' == '.join(v)}:")
+            if inline[d]:
+                match(d, body + 2)
+            else:
+                emit(body + 2, f"entry{d}.append({v[0] if d == last else _tuple(c + v[:1])})")
+            # Sibling values are distinct: the matched value cannot reappear,
+            # so every cursor advances.
+            for i in ids:
+                emit(body + 2, f"{c[i]} += 1", f"if {c[i]} >= {e[i]}:", "    break")
+            emit(body + 2, f"reads += {len(ids)}", loads, "continue")
+            # Align to the maximum: every lagging cursor seeks to it.
+            emit(body + 1, f"m = {v[0]}")
+            for i in ids[1:]:
+                emit(body + 1, f"if {v[i]} > m:", f"    m = {v[i]}")
+            for i in ids:
+                emit(body + 1, *_SEEK.format(i=f"{d}_{i}").splitlines())
         if above:
             charge = str(2 * len(above))
             for number, i in reversed(list(enumerate(above))[:-1]):
@@ -363,8 +413,11 @@ def plan_source(shape: Shape) -> Tuple[str, str]:
         + ("" if keys is None else "@" + ",".join(map(str, keys)))
         for parents, keys in depths
     )
-    name = "<repro.joins.leapfrog plan {} head={} {}>".format(
-        described, ",".join(map(str, head)), action if group is None else f"group={group}"
+    name = "<repro.joins.leapfrog plan {} head={} {}{}>".format(
+        described,
+        ",".join(map(str, head)),
+        action if group is None else f"group={group}",
+        " materialise" if materialise else "",
     )
     return name, source
 
@@ -392,6 +445,7 @@ def run_plan(
     use_cache: bool,
     action: str = "rows",
     group_by: Optional[str] = None,
+    intersection: str = "leapfrog",
 ):
     """Run ``plan``'s kernel over ``database``: ``(outcome, stats)``.
 
@@ -399,7 +453,8 @@ def run_plan(
     (deduplicated, first appearance first, when the query projects),
     ``"count"`` the number of full bindings and ``"group"`` the per-value
     binding counts of head variable ``group_by`` (in first-emission order).
-    ``use_cache`` honours the plan's CTJ cache specs.
+    ``use_cache`` honours the plan's CTJ cache specs; ``intersection`` is
+    the per-depth intersection mode (see :func:`plan_shape`).
     """
     stats = JoinStats()
     sink: object = {} if action == "group" else []
@@ -414,7 +469,7 @@ def run_plan(
                 tables.append(values)
                 if parent is not None:
                     tables.append(parent)
-        kernel = plan_kernel(plan_shape(plan, use_cache, action, group_by))
+        kernel = plan_kernel(plan_shape(plan, use_cache, action, group_by, intersection))
         counts = kernel(stats, sink, *tables)
         for variable, count in zip(plan.variable_order, counts):
             if count:

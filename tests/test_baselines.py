@@ -1,5 +1,8 @@
 """Tests for the baseline system models (CTJ, EmptyHeaded, Graphicionado, Q100)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.baselines import (
@@ -14,8 +17,15 @@ from repro.baselines import (
     WorkloadProfile,
     default_baselines,
 )
+from repro.eval.harness import DEFAULT_EVAL_SCALE, ExperimentContext
 from repro.graphs import PATTERN_NAMES, edges_database, pattern_query
 from repro.joins import NaiveJoin
+
+#: EmptyHeadedModel's estimates for the five Table 1 patterns on the two
+#: cheapest datasets of ``ExperimentContext()`` at ``DEFAULT_EVAL_SCALE``, as
+#: produced by Generic Join's own recursive walk before it became the plan
+#: kernel's ``materialise`` mode.
+EMPTYHEADED_GOLDENS = Path(__file__).parent / "data" / "emptyheaded_goldens.json"
 
 
 class TestCPUCostModel:
@@ -199,3 +209,22 @@ class TestBaselineSystems:
             output_tuples=5,
         )
         assert result.as_dict()["dataset"] is None
+
+
+class TestEmptyHeadedGolden:
+    def test_estimates_match_the_golden(self):
+        golden = json.loads(EMPTYHEADED_GOLDENS.read_text())
+        assert golden["scale"] == DEFAULT_EVAL_SCALE
+        assert golden["queries"] == list(PATTERN_NAMES)
+        context = ExperimentContext(datasets=golden["datasets"])
+        observed = {}
+        for query, dataset in context.workload_grid():
+            result = context.run_baseline("emptyheaded", query, dataset)
+            observed[f"{query}/{dataset}"] = {
+                "runtime_ns": result.runtime_ns,
+                "energy_nj": result.energy_nj,
+                "dram_accesses": result.dram_accesses,
+                "output_tuples": result.output_tuples,
+                "details": result.details,
+            }
+        assert observed == golden["cases"]

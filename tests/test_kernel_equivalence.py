@@ -6,13 +6,15 @@ at every observable surface: result tuples (and their order), ``JoinStats``
 counters, and the trie's flat-layout invariants.  These tests pin that down
 with property-style checks across the engine x query correctness matrix, the
 plan kernel against a transcription of the interpreted driver and leapfrog
-it replaced, and the storage-layer helpers.
+it replaced (and its ``materialise`` mode against Generic Join's retired
+recursive walk), and the storage-layer helpers.
 """
 
 import linecache
 import pickle
 from array import array
 from bisect import bisect_left
+from functools import partial
 from itertools import accumulate, product, repeat
 from types import SimpleNamespace
 
@@ -605,6 +607,91 @@ def reference_plan_run(plan, database, use_cache, action="rows", group_by=None):
     return results, stats
 
 
+def reference_generic_run(plan, database):
+    """Generic Join's own recursive walk, which the ``materialise`` kernel replaced.
+
+    A transcription of the retired ``_GenericJoinExecution``: ``execute``,
+    ``_search`` (one frame per depth, one leaf call per full binding) and
+    ``_materialised_intersection`` (scan the smallest candidate range, the
+    lowest participant on a tie, and probe the others in ascending range-size
+    order by bisection, stopping at the first miss; the survivors are
+    materialised as ``(value, indexes)`` before recursing).  Same outcome as
+    ``run_plan(plan, database, False, intersection="materialise")``.
+    """
+    stats = JoinStats()
+    program = plan.slot_program()
+    slot_tries, depth_tables = resolve_slot_tables(plan, database)
+    positions = [-1] * program.num_positions
+    binding_values = [0] * plan.num_variables
+    results = []
+
+    def materialised_intersection(depth):
+        _dp, arrays, parent_offsets, _pos_idx, parent_indexes = depth_tables[depth]
+        k = len(arrays)
+        ranges = []
+        for i in range(k):
+            offsets = parent_offsets[i]
+            if offsets is None:
+                lo, hi = 0, len(arrays[i])
+            else:
+                parent = positions[parent_indexes[i]]
+                lo = offsets[parent]
+                hi = offsets[parent + 1]
+                stats.index_element_reads += 2
+            if lo >= hi:
+                return []
+            ranges.append((lo, hi))
+        order = sorted(range(k), key=lambda i: ranges[i][1] - ranges[i][0])
+        seed, others = order[0], order[1:]
+        seed_values = arrays[seed]
+        seed_lo, seed_hi = ranges[seed]
+        matches = []
+        indexes = [0] * k
+        for position in range(seed_lo, seed_hi):
+            stats.index_element_reads += 1
+            value = seed_values[position]
+            indexes[seed] = position
+            survived = True
+            for i in others:
+                values = arrays[i]
+                lo, hi = ranges[i]
+                stats.lub_searches += 1
+                stats.index_element_reads += (hi - lo).bit_length()
+                probe = bisect_left(values, value, lo, hi)
+                if probe >= hi or values[probe] != value:
+                    survived = False
+                    break
+                indexes[i] = probe
+            if survived:
+                matches.append((value, tuple(indexes)))
+                stats.index_element_writes += 1
+        return matches
+
+    def search(depth):
+        if depth == plan.num_variables:
+            stats.bindings_enumerated += 1
+            results.append(tuple(binding_values[d] for d in program.head_depths))
+            return
+        matches = materialised_intersection(depth)
+        if not matches:
+            return
+        depth_program = depth_tables[depth][0]
+        stats.record_match(depth_program.variable, len(matches))
+        for value, indexes in matches:
+            binding_values[depth] = value
+            for i, index in zip(depth_program.position_indexes, indexes):
+                positions[i] = index
+            search(depth + 1)
+
+    if any(trie.num_tuples == 0 for trie in slot_tries):
+        return [], stats
+    search(0)
+    if not plan.query.is_full:
+        results = list(dict.fromkeys(results))
+    stats.output_tuples = len(results)
+    return results, stats
+
+
 def observe_plan(runner, plan, database, use_cache, action="rows", group_by=None):
     """Everything one plan run shows: outcome (rows, count or groups, in order)
     and the counters, with ``per_variable_matches`` in order."""
@@ -617,6 +704,14 @@ def observe_plan(runner, plan, database, use_cache, action="rows", group_by=None
 def assert_plan_matches_reference(plan, database, use_cache, action="rows", group_by=None):
     assert observe_plan(run_plan, plan, database, use_cache, action, group_by) == observe_plan(
         reference_plan_run, plan, database, use_cache, action, group_by
+    )
+
+
+def assert_generic_matches_reference(plan, database):
+    """Generic Join's leg: the ``materialise`` kernel against its retired walk."""
+    kernel = partial(run_plan, intersection="materialise")
+    assert observe_plan(kernel, plan, database, False) == observe_plan(
+        lambda plan, database, *_: reference_generic_run(plan, database), plan, database, False
     )
 
 
@@ -662,9 +757,23 @@ _SIBLINGS = st.lists(st.integers(0, 14), max_size=10).map(lambda v: sorted(set(v
 
 #: One participant: the sibling groups of its level and the parent the cursor
 #: above it sits on.  Its candidate range is that parent's group.
-_PARTICIPANT = st.lists(_SIBLINGS, min_size=1, max_size=3).flatmap(
-    lambda groups: st.tuples(st.just(groups), st.integers(0, len(groups) - 1))
-)
+def _participant(siblings):
+    return st.lists(siblings, min_size=1, max_size=3).flatmap(
+        lambda groups: st.tuples(st.just(groups), st.integers(0, len(groups) - 1))
+    )
+
+
+_PARTICIPANT = _participant(_SIBLINGS)
+
+
+def _tied(k):
+    """``k`` participants whose sibling groups all hold the same number of values."""
+    return st.integers(0, 6).flatmap(
+        lambda size: st.tuples(
+            *[_participant(st.sets(st.integers(0, 14), min_size=size, max_size=size).map(sorted))]
+            * k
+        )
+    )
 
 
 def depth_plan(participants, roots, storage, leaf=True, use_cache=False):
@@ -704,7 +813,8 @@ def depth_plan(participants, roots, storage, leaf=True, use_cache=False):
 
 
 class TestPlanKernel:
-    """The generated plan kernel against the interpreted driver it replaced."""
+    """The generated plan kernel against the interpreted driver it replaced,
+    and its ``materialise`` mode against Generic Join's retired walk."""
 
     @given(
         st.sampled_from(ORACLE_QUERIES).flatmap(
@@ -732,6 +842,7 @@ class TestPlanKernel:
         plan = compiler.compile(query, variable_order=tuple(order))
         database = StoredLevels(oracle_database(edges, vertices), storage)
         assert_plan_matches_reference(plan, database, use_cache, action, group_by)
+        assert_generic_matches_reference(plan, database)
 
     @pytest.mark.parametrize("storage", list(STORAGES))
     @pytest.mark.parametrize("leaf", [True, False], ids=["leaf", "nonleaf"])
@@ -741,6 +852,7 @@ class TestPlanKernel:
         for roots, use_cache in product(product([True, False], repeat=2), [False, True]):
             plan, catalog = depth_plan(EXIT_CASES[case], roots, storage, leaf, use_cache)
             assert_plan_matches_reference(plan, catalog, use_cache)
+            assert_generic_matches_reference(plan, catalog)
 
     @pytest.mark.parametrize("storage", list(STORAGES))
     @pytest.mark.parametrize("leaf", [True, False], ids=["leaf", "nonleaf"])
@@ -748,11 +860,14 @@ class TestPlanKernel:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_intersection_widths(self, k, leaf, storage, data):
-        participants = data.draw(st.tuples(*[_PARTICIPANT] * k))
+        # Equal-size candidate ranges exercise Generic Join's tie rule: the
+        # lowest participant is scanned, and probed first among equals.
+        participants = data.draw(st.tuples(*[_PARTICIPANT] * k) | _tied(k))
         roots = data.draw(st.tuples(*[st.booleans()] * k))
         plan, catalog = depth_plan(participants, roots, storage, leaf)
         assert len(plan.slot_program().depths[plan.depth_of("v")].participants) == k
         assert_plan_matches_reference(plan, catalog, False)
+        assert_generic_matches_reference(plan, catalog)
 
     def test_source_is_registered_under_a_name_that_reads_as_the_shape(self):
         query = ConjunctiveQuery(
@@ -771,6 +886,19 @@ class TestPlanKernel:
         frame = raised.traceback[-1]
         assert str(frame.path) == name
         assert str(frame.statement).strip() == "if v0_2 > m:"
+        # Generic Join's shape: the same plan under the materialise mode.
+        shape = plan_shape(plan, use_cache=False, intersection="materialise")
+        name, source = plan_source(shape)
+        assert name == "<repro.joins.leapfrog plan [r r r] head=0 rows materialise>"
+        assert source.count("bisect_left(") == 1  # one probe, whichever participant
+        kernel = plan_kernel(shape)
+        linecache.checkcache()
+        assert linecache.getlines(name) == source.splitlines(True)
+        with pytest.raises(TypeError) as raised:
+            kernel(JoinStats(), [], [1], [1], ["x"])
+        frame = raised.traceback[-1]
+        assert str(frame.path) == name
+        assert "bisect_left(" in str(frame.statement)
 
     def test_plan_carries_no_generated_function(self):
         database = seeded_database(1)
@@ -803,6 +931,9 @@ class TestPlanKernel:
             shape = plan_shape(plan, use_cache, action, group_by)
             assert plan_source(shape)[1].count("def walk") == (length - 1) // 18
             assert_plan_matches_reference(plan, database, use_cache, action, group_by)
+        shape = plan_shape(plan, False, intersection="materialise")
+        assert plan_source(shape)[1].count("def walk") == (length - 1) // 18
+        assert_generic_matches_reference(plan, database)
         # A path ends on the cycle or at a dead end; a cycle closes iff 4 | length.
         expected = 0 if closed and length % 4 else 4 if closed else 8
         assert len(LeapfrogTrieJoin().run(query, database).tuples) == expected
@@ -819,11 +950,16 @@ class TestKernelMemo:
         queries = [alpha_rename(pattern_query("cycle4"), tag) for tag in range(6)]
         assert len({query.variables for query in queries}) == 6
         shapes = set()
-        for engine in (LeapfrogTrieJoin(), CachedTrieJoin()):
+        for engine in (LeapfrogTrieJoin(), CachedTrieJoin(), GenericJoin()):
+            intersection = "materialise" if engine.name == "generic_join" else "leapfrog"
             for query in queries:
                 result = engine.run(query, database)
-                shapes.add(plan_shape(result.plan, engine.name == "ctj"))
-        assert len(shapes) == 2  # one per engine: CTJ caches two depths of cycle4
+                shapes.add(
+                    plan_shape(result.plan, engine.name == "ctj", intersection=intersection)
+                )
+        # One per engine: CTJ caches two depths of cycle4, and a materialise
+        # shape never shares a leapfrog kernel.
+        assert len(shapes) == 3
         assert set(leapfrog._PLAN_KERNELS) == shapes
 
     def test_delta_terms_share_one_kernel_per_shape(self, monkeypatch):
