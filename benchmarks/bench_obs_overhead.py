@@ -36,7 +36,7 @@ REPEATS = 7
 
 def _bare_pass(engine, query, database):
     for _ in range(ITERATIONS):
-        engine.run(query, database)
+        engine.execute(query, database)
 
 
 def _guarded_pass(engine, query, database, tracer=NULL_TRACER):
@@ -45,7 +45,7 @@ def _guarded_pass(engine, query, database, tracer=NULL_TRACER):
     for _ in range(ITERATIONS):
         if tracer.enabled:  # pragma: no cover - NULL_TRACER is always off
             raise AssertionError("NULL_TRACER must report enabled=False")
-        engine.run(query, database)
+        engine.execute(query, database)
 
 
 def _timed(fn, *args):
@@ -65,7 +65,7 @@ def measure_overhead(scale=0.01):
     query = pattern_query("cycle3")
     engine = LeapfrogTrieJoin()
     # Warm-up: build tries/plan caches outside the timed region.
-    engine.run(query, database)
+    engine.execute(query, database)
     bare = guarded = float("inf")
     for _ in range(REPEATS):
         bare = min(bare, _timed(_bare_pass, engine, query, database))

@@ -21,7 +21,7 @@ from repro.graphs import graph_database, load_dataset, pattern_query
 
 def run_cycles(query, database, config):
     """Total simulated cycles of one configuration."""
-    return TrieJaxAccelerator(config).run(query, database).report.total_cycles
+    return TrieJaxAccelerator(config).execute(query, database).report.total_cycles
 
 
 def main() -> None:

@@ -58,7 +58,7 @@ def main() -> None:
     print(f"  compiled to: {lateral_sql.to_datalog()}")
 
     engine = CachedTrieJoin()
-    accelerator = TrieJaxAccelerator()
+    accelerator = TrieJaxAccelerator(dataset_name="corporate_network")
 
     hunts = [
         ("lateral movement (3 hops)", pattern_query("path4")),
@@ -68,9 +68,9 @@ def main() -> None:
     rows = []
     findings = {}
     for label, query in hunts:
-        software = engine.run(query, database)
-        accelerated = accelerator.run(query, database, dataset_name="corporate_network")
-        assert accelerated.as_set() == set(software.tuples)
+        software = engine.execute(query, database)
+        accelerated = accelerator.execute(query, database)
+        assert set(accelerated.tuples) == set(software.tuples)
         findings[query.name] = software.tuples
         rows.append(
             (
@@ -103,7 +103,7 @@ def main() -> None:
     print(f"planted relay ring {tuple(ring)} found as rotations: {sorted(ring_hits)}")
 
     # The SQL query and the datalog pattern agree on the hop count.
-    sql_result = engine.run(lateral_sql, database)
+    sql_result = engine.execute(lateral_sql, database)
     print(
         f"\nSQL front end agrees with the pattern query: "
         f"{sql_result.cardinality} == {len(findings['path4'])}"

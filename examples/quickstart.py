@@ -29,14 +29,14 @@ def main() -> None:
     print(f"query  : {query.to_datalog()}")
 
     # --- Run on the accelerator model ------------------------------------ #
-    accelerator = TrieJaxAccelerator()
-    outcome = accelerator.run(query, database, dataset_name=graph.name)
+    accelerator = TrieJaxAccelerator(dataset_name=graph.name)
+    outcome = accelerator.execute(query, database)
     print(f"\nTrieJax found {outcome.cardinality} directed triangles")
     print(outcome.report.summary())
 
     # --- Cross-check against the software CTJ engine (public API) -------- #
     software = Session(database, engines=("ctj",)).execute(query, route="ctj")
-    assert software.to_set() == outcome.as_set(), "accelerator disagrees with CTJ!"
+    assert software.to_set() == set(outcome.tuples), "accelerator disagrees with CTJ!"
     print("\nsoftware CTJ agrees with the accelerator "
           f"({software.cardinality} triangles)")
 

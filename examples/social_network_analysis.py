@@ -42,7 +42,7 @@ def main() -> None:
 
     ctj = CachedTrieJoin()
     pairwise = PairwiseJoin("hash")
-    accelerator = TrieJaxAccelerator()
+    accelerator = TrieJaxAccelerator(dataset_name="social")
 
     rows = []
     for name, description in [
@@ -51,10 +51,10 @@ def main() -> None:
         ("path4", "influence chains of length 3"),
     ]:
         query = pattern_query(name)
-        wcoj_result = ctj.run(query, database)
-        pairwise_result = pairwise.run(query, database)
-        accelerated = accelerator.run(query, database, dataset_name="social")
-        assert accelerated.as_set() == set(wcoj_result.tuples)
+        wcoj_result = ctj.execute(query, database)
+        pairwise_result = pairwise.execute(query, database)
+        accelerated = accelerator.execute(query, database)
+        assert set(accelerated.tuples) == set(wcoj_result.tuples)
         rows.append(
             (
                 name,
@@ -85,13 +85,13 @@ def main() -> None:
     )
 
     # Who sits in the most triangles?  (A cheap centrality-like signal.)
-    triangles = ctj.run(pattern_query("cycle3"), database)
+    triangles = ctj.execute(pattern_query("cycle3"), database)
     print("\nusers appearing in the most mutual-follow triangles:")
     for user, count in busiest_members(triangles.tuples):
         print(f"  user {user:4d}: {count} triangles")
 
     # Show what the accelerator's cache did for the chain query.
-    chain = accelerator.run(pattern_query("path4"), database, dataset_name="social")
+    chain = accelerator.execute(pattern_query("path4"), database)
     pjr = chain.report.pjr
     print(
         f"\npath4 on TrieJax: PJR cache served {pjr.hits}/{pjr.lookups} lookups "

@@ -12,10 +12,12 @@ Everything a caller needs lives behind three objects and one registry:
 * :class:`~repro.api.resultset.ResultSet` — the lazy result surface
   (iterator of tuples, ``.to_list()``, ``.stats``, ``.plan``, ``.backend``).
 * the engine registry (:mod:`repro.engines`, re-exported here) — the one
-  table mapping engine names to :class:`~repro.engines.EngineProtocol` factories,
-  shared by the CLI, the service layer, the evaluation harness and the
-  benchmarks; and the cost router (:mod:`repro.api.routing`) that picks the
-  cheapest engine per query from the statistics estimates.
+  table mapping engine names to :class:`~repro.joins.base.EngineProtocol`
+  classes, shared by the CLI, the service layer, the evaluation harness and
+  the benchmarks — with the engine interface itself and the
+  :class:`~repro.core.TrieJaxAccelerator` engine; and the cost router
+  (:mod:`repro.api.routing`) that picks the cheapest engine per query from
+  the statistics estimates.
 
 Quick start::
 
@@ -28,18 +30,9 @@ Quick start::
     print(session.explain("clique4").describe())
 """
 
-from repro.engines import (
-    AcceleratorEngine,
-    CostModel,
-    ENGINE_FACTORIES,
-    EngineCapabilities,
-    EngineExecution,
-    EngineProtocol,
-    SoftwareEngine,
-    create_engine,
-    engine_names,
-    register_engine,
-)
+from repro.joins.base import CostModel, EngineCapabilities, EngineExecution, EngineProtocol
+from repro.core import TrieJaxAccelerator
+from repro.engines import ENGINE_FACTORIES, create_engine, engine_names, register_engine
 from repro.api.routing import CostRouter, EngineEstimate, RouteDecision
 from repro.api.resultset import ResultSet
 from repro.api.statement import Statement, coerce_statement
@@ -47,13 +40,12 @@ from repro.api.session import Explanation, ResultDelta, Session, Subscription
 from repro.service.pipeline import RESULT_REPLAY_COST
 
 __all__ = [
-    "AcceleratorEngine",
     "CostModel",
     "ENGINE_FACTORIES",
     "EngineCapabilities",
     "EngineExecution",
     "EngineProtocol",
-    "SoftwareEngine",
+    "TrieJaxAccelerator",
     "create_engine",
     "engine_names",
     "register_engine",

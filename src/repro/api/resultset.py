@@ -1,14 +1,12 @@
 """ResultSet: the lazy result surface returned by :meth:`Session.execute`.
 
-The old entry points returned bare ``JoinResult`` / ``BackendExecution``
-objects, each with a different shape.  A :class:`ResultSet` is the single
-API-boundary result type: it knows its query, canonical signature, routed
-engine and plan up front, and defers the actual execution until the tuples
-are first consumed (iteration, :meth:`to_list`, ``len``, ``.stats``...).
-Execution happens exactly once and is memoised; the caches of the owning
-:class:`~repro.api.session.Session` are populated at that moment, not at
-submit time, so a ResultSet that is never consumed never pays for — or
-publishes — a result.
+A :class:`ResultSet` is the single API-boundary result type: it knows its
+query, canonical signature, routed engine and plan up front, and defers the
+actual execution until the tuples are first consumed (iteration,
+:meth:`to_list`, ``len``, ``.stats``...).  Execution happens exactly once
+and is memoised; the caches of the owning :class:`~repro.api.session.Session`
+are populated at that moment, not at submit time, so a ResultSet that is
+never consumed never pays for — or publishes — a result.
 """
 
 from __future__ import annotations

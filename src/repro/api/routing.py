@@ -4,7 +4,7 @@ This implements the ROADMAP's multi-backend routing item: instead of the
 service's historical round-robin rotation, each query is priced against
 every candidate engine using the cardinality estimates of
 :mod:`repro.relational.statistics` and the engine's declared
-:class:`~repro.engines.CostModel`, and the cheapest eligible engine
+:class:`~repro.joins.base.CostModel`, and the cheapest eligible engine
 wins.  The estimates are pure functions of (query, database), so routing is
 deterministic and reproducible.
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple
 
-from repro.engines import EngineProtocol
+from repro.joins.base import EngineProtocol
 from repro.relational.catalog import Database
 from repro.relational.query import ConjunctiveQuery
 from repro.relational.sharding import SCATTER_DISPATCH_COST_NS

@@ -30,7 +30,8 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 from repro.api.resultset import ResultSet
 from repro.api.routing import CostRouter, RouteDecision
 from repro.api.statement import Statement, coerce_statement
-from repro.engines import EngineProtocol, create_engine, engine_names
+from repro.engines import create_engine, engine_names
+from repro.joins.base import EngineProtocol
 from repro.joins.plan import JoinPlan
 from repro.relational.catalog import Database, MutationEvent
 from repro.relational.query import ConjunctiveQuery
@@ -144,7 +145,7 @@ class Session:
         come through :meth:`insert` or the catalog itself.
     engines:
         Engine names (resolved through the shared registry) and/or ready
-        :class:`~repro.engines.EngineProtocol` instances.  Defaults to
+        :class:`~repro.joins.base.EngineProtocol` instances.  Defaults to
         every registered engine.
     routing:
         ``"auto"`` (default) routes unpinned work through the cost router;
@@ -250,6 +251,7 @@ class Session:
         self.router = router or CostRouter()
         self.routing = routing
         self._route_memo: Dict[Tuple[str, str], RouteDecision] = {}
+        self._service = None
         self.engines: Dict[str, EngineProtocol] = {}
         for entry in engines if engines is not None else engine_names():
             self.add_engine(create_engine(entry) if isinstance(entry, str) else entry)
@@ -263,7 +265,6 @@ class Session:
         # Virtual-time cursor of the synchronous execute() path: each forced
         # execution occupies [cursor, cursor + cost] on the trace timeline.
         self._trace_clock = 0.0
-        self._service = None
         self._closed = False
         self._subscriptions: list = []
         pipeline_options.setdefault("tracer", trace)
@@ -416,8 +417,10 @@ class Session:
     # Engine table
     # ------------------------------------------------------------------ #
     def add_engine(self, engine: EngineProtocol) -> None:
-        """Make ``engine`` available to this session (latest name wins)."""
+        """Make ``engine`` available to this session and its service (latest name wins)."""
         self.engines[engine.name] = engine
+        if self._service is not None:
+            self._service.add_backend(engine)
         # The candidate set changed; cached routing decisions are stale.
         self._route_memo.clear()
 
@@ -513,7 +516,7 @@ class Session:
         stmt, query, signature = self._resolve(statement)
         decision = self._route(query, route, signature, with_estimates=True)
         plan = None
-        if self.engines[decision.chosen].plan_aware:
+        if self.engines[decision.chosen].capabilities.supports_plans:
             _canonical, plan, _hit = self.pipeline.plan_for(query, signature)
         estimate = decision.estimate_for(decision.chosen)
         return Explanation(

@@ -56,7 +56,7 @@ class CTJSoftware(BaselineSystem):
         database: Database,
         dataset_name: Optional[str] = None,
     ) -> BaselineResult:
-        result = self.engine.run(query, database)
+        result = self.engine.execute(query, database)
         estimate = self.cost_model.estimate_from_stats(
             result.stats, output_arity=len(query.head_variables), profile=self.profile
         )

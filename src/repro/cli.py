@@ -63,7 +63,7 @@ import time
 from typing import Optional, Sequence
 
 import repro
-from repro.api import AcceleratorEngine, Session, Statement, create_engine, engine_names
+from repro.api import Session, Statement, TrieJaxAccelerator, create_engine, engine_names
 from repro.baselines import default_baselines
 from repro.core import TrieJaxConfig
 from repro.eval import EXPERIMENT_REGISTRY, ExperimentContext, format_table
@@ -323,7 +323,7 @@ def _session_engines(args) -> list:
     for name in engine_names():
         if name == "triejax":
             engines.append(
-                AcceleratorEngine(
+                TrieJaxAccelerator(
                     TrieJaxConfig(num_threads=args.threads),
                     aggregate="count" if args.count_only else None,
                     dataset_name=args.dataset if not args.edge_list else None,

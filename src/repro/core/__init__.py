@@ -19,7 +19,7 @@ from repro.core.matchmaker import MatchMakerUnit, Participant
 from repro.core.cupid import CupidProgram
 from repro.core.scheduler import ComponentUsage, Scheduler, SchedulerReport
 from repro.core.stats import RunReport
-from repro.core.accelerator import AcceleratorOutcome, TrieJaxAccelerator
+from repro.core.accelerator import TrieJaxAccelerator
 
 __all__ = [
     "MT_SCHEMES",
@@ -40,6 +40,5 @@ __all__ = [
     "Scheduler",
     "SchedulerReport",
     "RunReport",
-    "AcceleratorOutcome",
     "TrieJaxAccelerator",
 ]

@@ -1,31 +1,31 @@
-"""The TrieJax accelerator facade.
+"""The TrieJax accelerator model as an engine.
 
 :class:`TrieJaxAccelerator` wires together everything Section 3 describes —
 the CTJ compiler, the trie indexes laid out in memory, the Cupid /
 MatchMaker / Midwife / LUB datapath, the partial-join-result cache, the
-multithreaded scheduler and the shared memory hierarchy — behind a single
-call::
+multithreaded scheduler and the shared memory hierarchy — behind the one
+engine interface (:class:`~repro.joins.base.EngineProtocol`)::
 
-    accelerator = TrieJaxAccelerator()
-    outcome = accelerator.run(pattern_query("cycle3"), database)
-    outcome.report.summary()
+    execution = TrieJaxAccelerator().execute(pattern_query("cycle3"), database)
+    execution.report.summary()
 
 The functional result (the output tuples) is produced by the same execution
 that produces the timing, so the accelerator is always exactly as correct as
 the software CTJ implementation (the test suite checks both against the
-naive oracle).
+naive oracle).  The execution's cost is the modelled runtime in nanoseconds
+— the paper's hardware numbers, not host wall-clock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.config import TrieJaxConfig
 from repro.core.cupid import CupidProgram
 from repro.core.pjr_cache import PJRCache
 from repro.core.scheduler import Scheduler
 from repro.core.stats import RunReport
+from repro.joins.base import CostModel, EngineCapabilities, EngineExecution, EngineProtocol
 from repro.joins.compiler import QueryCompiler
 from repro.joins.plan import JoinPlan
 from repro.memory.energy import EnergyBreakdown, EnergyModel
@@ -36,76 +36,62 @@ from repro.relational.query import ConjunctiveQuery
 from repro.relational.trie import TrieIndex
 
 
-@dataclass
-class AcceleratorOutcome:
-    """Functional result plus the full run report of one accelerated query.
-
-    In the default enumeration mode ``tuples`` holds every result tuple and
-    ``count`` equals its length.  In count-only aggregation mode (the paper's
-    Section 5 extension, requested via ``aggregate="count"``), ``tuples`` is
-    empty and ``count`` carries the number of matched bindings.
-    """
-
-    tuples: List[Tuple[int, ...]]
-    report: RunReport
-    plan: JoinPlan
-    count: int = 0
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.tuples) if self.tuples else self.count
-
-    def as_set(self) -> set:
-        return set(self.tuples)
-
-
-class TrieJaxAccelerator:
+class TrieJaxAccelerator(EngineProtocol):
     """Cycle-approximate model of the TrieJax co-processor.
 
     Parameters
     ----------
     config:
         Hardware configuration; defaults to the paper's published design
-        point (2.38 GHz, 32 threads, 4 MB PJR cache, hybrid MT).
-    compiler:
-        CTJ query compiler.  The compiler's caching switch is forced to
-        follow ``config.enable_pjr_cache`` so plans and hardware agree.
+        point (2.38 GHz, 32 threads, 4 MB PJR cache, hybrid MT).  Plans the
+        engine compiles itself cache exactly when ``config.enable_pjr_cache``
+        is set, so plans and hardware agree.
+    aggregate:
+        ``None`` (default) enumerates the result tuples; ``"count"`` enables
+        the aggregation mode sketched in the paper's conclusion: matched
+        bindings are counted on-chip and never streamed to memory, which
+        removes the result-write DRAM traffic.  A count-only execution holds
+        no tuples, only ``count``, and is not cacheable.
+    dataset_name:
+        Label for the run report.
     """
+
+    name = "triejax"
+    capabilities = EngineCapabilities(
+        supports_plans=True,
+        cost_model=CostModel(
+            work_model="wcoj",
+            ns_per_unit=0.05,
+            offload_overhead_ns=10_000.0,
+            cyclic_penalty=1.0,
+        ),
+    )
 
     def __init__(
         self,
         config: Optional[TrieJaxConfig] = None,
-        compiler: Optional[QueryCompiler] = None,
+        aggregate: Optional[str] = None,
+        dataset_name: Optional[str] = None,
     ):
+        if aggregate not in (None, "count"):
+            raise ValueError(f"unsupported aggregate {aggregate!r}; use None or 'count'")
         self.config = config or TrieJaxConfig()
-        self.compiler = compiler or QueryCompiler(
-            enable_caching=self.config.enable_pjr_cache
-        )
+        self.aggregate = aggregate
+        self.dataset_name = dataset_name
+        self.compiler = QueryCompiler(enable_caching=self.config.enable_pjr_cache)
 
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def run(
+    def execute(
         self,
         query: ConjunctiveQuery,
         database: Database,
         plan: Optional[JoinPlan] = None,
-        dataset_name: Optional[str] = None,
-        aggregate: Optional[str] = None,
-    ) -> AcceleratorOutcome:
-        """Execute ``query`` against ``database`` on the modelled hardware.
-
-        Parameters
-        ----------
-        aggregate:
-            ``None`` (default) enumerates the result tuples; ``"count"``
-            enables the aggregation mode sketched in the paper's conclusion:
-            matched bindings are counted on-chip and never streamed to
-            memory, which removes the result-write DRAM traffic.
-        """
-        if aggregate not in (None, "count"):
-            raise ValueError(f"unsupported aggregate {aggregate!r}; use None or 'count'")
+    ) -> EngineExecution:
+        """Execute ``query`` against ``database`` on the modelled hardware."""
         database.validate_query(query)
+        plan_used = plan is not None
         if plan is None:
             plan = self.compiler.compile(query)
 
@@ -117,31 +103,32 @@ class TrieJaxAccelerator:
             bytes_per_value=self.config.pjr_bytes_per_value,
         )
         program = CupidProgram(
-            plan, tries, layout, self.config, pjr_cache, count_only=aggregate == "count"
+            plan, tries, layout, self.config, pjr_cache, count_only=self.aggregate == "count"
         )
         scheduler = Scheduler(self.config, hierarchy)
 
-        if program.empty_input():
-            report = self._build_report(
-                query, dataset_name, program, scheduler, hierarchy, pjr_cache
-            )
-            return AcceleratorOutcome([], report, plan, count=0)
+        tuples = []
+        if not program.empty_input():
+            scheduler.run(program, program.root_task())
+            # Flush any result bytes still sitting in the write-combining buffer.
+            hierarchy.flush_write_buffer(layout.result_region().base_address)
+            tuples = program.results
+            if not plan.query.is_full:
+                # Projection queries can repeat head tuples; keep set semantics
+                # (dict.fromkeys preserves first-appearance order in one pass).
+                tuples = list(dict.fromkeys(program.results))
+                program.results = tuples
 
-        scheduler.run(program, program.root_task())
-        # Flush any result bytes still sitting in the write-combining buffer.
-        hierarchy.flush_write_buffer(layout.result_region().base_address)
-
-        tuples = program.results
-        if not plan.query.is_full:
-            # Projection queries can repeat head tuples; keep set semantics
-            # (dict.fromkeys preserves first-appearance order in one pass).
-            tuples = list(dict.fromkeys(program.results))
-            program.results = tuples
-
-        report = self._build_report(
-            query, dataset_name, program, scheduler, hierarchy, pjr_cache
+        report = self._build_report(query, program, scheduler, hierarchy, pjr_cache)
+        return EngineExecution(
+            tuples=tuples,
+            cost=max(1.0, report.runtime_ns),
+            plan_used=plan_used,
+            plan=plan,
+            report=report,
+            count=program.result_count,
+            cacheable=self.aggregate is None,
         )
-        return AcceleratorOutcome(tuples, report, plan, count=program.result_count)
 
     # ------------------------------------------------------------------ #
     # Index construction
@@ -167,7 +154,6 @@ class TrieJaxAccelerator:
     def _build_report(
         self,
         query: ConjunctiveQuery,
-        dataset_name: Optional[str],
         program: CupidProgram,
         scheduler: Scheduler,
         hierarchy: MemoryHierarchy,
@@ -181,7 +167,7 @@ class TrieJaxAccelerator:
         )
         return RunReport(
             query_name=query.name,
-            dataset_name=dataset_name,
+            dataset_name=self.dataset_name,
             num_results=program.result_count,
             total_cycles=total_cycles,
             runtime_ns=runtime_ns,

@@ -26,9 +26,10 @@ from repro.baselines import (
     GraphicionadoModel,
     Q100Model,
 )
-from repro.core import AcceleratorOutcome, TrieJaxAccelerator, TrieJaxConfig
-from repro.engines import EngineExecution, create_engine
+from repro.core import TrieJaxAccelerator, TrieJaxConfig
+from repro.engines import create_engine
 from repro.graphs import DATASET_NAMES, PATTERN_NAMES, load_dataset, pattern_query
+from repro.joins.base import EngineExecution
 from repro.relational.catalog import Database
 from repro.util.validation import check_in_range
 
@@ -64,7 +65,7 @@ class ExperimentContext:
     def __post_init__(self) -> None:
         check_in_range("scale", self.scale, 1e-6, 1.0)
         self._databases: Dict[str, Database] = {}
-        self._triejax_runs: Dict[Tuple[str, str], AcceleratorOutcome] = {}
+        self._triejax_runs: Dict[Tuple[str, str], EngineExecution] = {}
         self._engines: Dict[str, object] = {}
         self._engine_runs: Dict[Tuple[str, str, str], EngineExecution] = {}
         self._baseline_runs: Dict[Tuple[str, str, str], BaselineResult] = {}
@@ -99,22 +100,18 @@ class ExperimentContext:
         query_name: str,
         dataset_name: str,
         config: Optional[TrieJaxConfig] = None,
-    ) -> AcceleratorOutcome:
+    ) -> EngineExecution:
         """Run TrieJax on (query, dataset); memoised for the default config."""
         if config is None or config is self.triejax_config:
             key = (query_name, dataset_name)
             if key not in self._triejax_runs:
-                accelerator = TrieJaxAccelerator(self.triejax_config)
-                self._triejax_runs[key] = accelerator.run(
-                    self.query(query_name),
-                    self.database(dataset_name),
-                    dataset_name=dataset_name,
+                accelerator = TrieJaxAccelerator(self.triejax_config, dataset_name=dataset_name)
+                self._triejax_runs[key] = accelerator.execute(
+                    self.query(query_name), self.database(dataset_name)
                 )
             return self._triejax_runs[key]
-        accelerator = TrieJaxAccelerator(config)
-        return accelerator.run(
-            self.query(query_name), self.database(dataset_name), dataset_name=dataset_name
-        )
+        accelerator = TrieJaxAccelerator(config, dataset_name=dataset_name)
+        return accelerator.execute(self.query(query_name), self.database(dataset_name))
 
     def run_engine(
         self, engine_name: str, query_name: str, dataset_name: str

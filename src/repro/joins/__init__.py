@@ -1,6 +1,8 @@
 """Join algorithms: the WCOJ family and the traditional pairwise baseline.
 
-The package contains every join algorithm the paper's evaluation touches:
+The package contains every join algorithm the paper's evaluation touches,
+each an :class:`~repro.joins.base.EngineProtocol` (the one engine interface,
+shared with the TrieJax model in :mod:`repro.core`):
 
 * :class:`~repro.joins.leapfrog.LeapfrogTrieJoin` — LFTJ, the cache-less
   worst-case optimal join (Veldhuizen).
@@ -24,7 +26,7 @@ the TrieJax accelerator model.
 from repro.joins.stats import JoinStats
 from repro.joins.plan import AtomBinding, CacheSpec, JoinPlan
 from repro.joins.compiler import QueryCompiler, compile_query
-from repro.joins.base import JoinEngine, JoinResult
+from repro.joins.base import CostModel, EngineCapabilities, EngineExecution, EngineProtocol
 from repro.joins.naive import NaiveJoin, evaluate_naive
 from repro.joins.leapfrog import LeapfrogTrieJoin
 from repro.joins.ctj import CachedTrieJoin
@@ -56,8 +58,10 @@ __all__ = [
     "JoinPlan",
     "QueryCompiler",
     "compile_query",
-    "JoinEngine",
-    "JoinResult",
+    "CostModel",
+    "EngineCapabilities",
+    "EngineExecution",
+    "EngineProtocol",
     "NaiveJoin",
     "evaluate_naive",
     "LeapfrogTrieJoin",

@@ -1,23 +1,22 @@
-"""Common interfaces shared by every join engine.
+"""The one engine interface every join algorithm and the accelerator implement.
 
-All engines — the WCOJ family (LFTJ, CTJ, Generic Join), the traditional
-pairwise engine and the naive oracle — expose the same entry point::
+The paper hands one CTJ-compiled plan to software LFTJ/CTJ and to TrieJax
+alike (conf_asplos_KalinskyKE20, Section 3.2).  Here every engine — the WCOJ
+family (LFTJ, CTJ, Generic Join), the traditional pairwise engine, the naive
+oracle and the TrieJax model — is an :class:`EngineProtocol`::
 
-    result = engine.run(query, database)
+    execution = engine.execute(query, database, plan=plan)
 
-and return a :class:`JoinResult` carrying the output tuples (in head-variable
-order), the compiled plan (when the engine uses one) and the
-:class:`~repro.joins.stats.JoinStats` counters the system models consume.
-Keeping the interface uniform lets the evaluation harness swap engines
-freely and lets the correctness tests compare any engine against the oracle.
-
-.. deprecated::
-    ``JoinEngine.run`` is no longer the repository's public entry point; it
-    is the internal SPI the algorithm implementations fill in.  Callers
-    should go through :class:`repro.api.Session` (or
-    :func:`repro.api.create_engine`, which wraps these engines behind the
-    unified :class:`repro.engines.EngineProtocol` with declared
-    capabilities and cost models).
+Each declares :class:`EngineCapabilities` — whether it consumes precompiled
+plans, whether it tolerates repeated variables within an atom, and a
+:class:`CostModel` the cost router uses to price it for a given query — and
+returns an :class:`EngineExecution` carrying the result tuples (in
+head-variable order), the deterministic service cost in **modelled
+nanoseconds** (the unit the service's virtual clock runs on), and provenance
+(the :class:`~repro.joins.stats.JoinStats` counters, the plan, the
+accelerator report).  The interface lives beside the algorithms so the
+accelerator model in :mod:`repro.core` can implement it without an import
+cycle; the registry of named engines is :mod:`repro.engines`.
 """
 
 from __future__ import annotations
@@ -32,50 +31,106 @@ from repro.relational.catalog import Database
 from repro.relational.query import ConjunctiveQuery
 
 
-@dataclass
-class JoinResult:
-    """Outcome of one join execution.
+@dataclass(frozen=True)
+class CostModel:
+    """How the cost router prices an engine for a query.
 
-    Attributes
-    ----------
-    query:
-        The executed query.
-    tuples:
-        Output tuples, each ordered by the query's head variables.  Engines
-        return a list (not a set) but never produce duplicates for the
-        set-semantics full conjunctive queries used in the paper.
-    stats:
-        Algorithm-level counters.
-    plan:
-        The compiled plan, when the engine is plan-driven (``None`` for the
-        naive oracle and the pairwise engine's relational plan is reported
-        separately).
+    ``work_model`` names the work estimator from
+    :mod:`repro.relational.statistics` (``"wcoj"``, ``"pairwise"`` or
+    ``"nested-loop"``); the estimated work is then scaled and offset::
+
+        cost_ns = offload_overhead_ns
+                + work * ns_per_unit * (cyclic_penalty if query is cyclic else 1)
+
+    ``cyclic_penalty`` models the random-access / recomputation tax software
+    engines pay on cyclic queries (the blowup the paper's Figures 17/18
+    measure); the accelerator's PJR cache and hardware pipeline flatten it
+    to 1 at the price of a fixed offload overhead.
     """
 
-    query: ConjunctiveQuery
+    work_model: str = "wcoj"
+    ns_per_unit: float = 1.0
+    offload_overhead_ns: float = 0.0
+    cyclic_penalty: float = 1.0
+
+
+@dataclass(frozen=True)
+class EngineCapabilities:
+    """What an engine can consume and how it should be priced."""
+
+    supports_plans: bool = False
+    supports_repeated_vars: bool = False
+    cost_model: CostModel = field(default_factory=CostModel)
+
+
+@dataclass
+class EngineExecution:
+    """Outcome of one engine execution.
+
+    ``tuples`` are the output tuples, each ordered by the query's head
+    variables, without duplicates (set semantics).  ``cost`` is the
+    deterministic service time in modelled nanoseconds; ``plan_used``
+    records whether the engine actually consumed the precompiled plan it was
+    handed (plan-blind engines ignore plans, and the plan cache must not
+    count a hit for them); ``cacheable`` is False for executions whose
+    tuples are not the full result set (for example count-only aggregation)
+    and therefore must not enter the result cache; ``scatter`` carries the
+    per-shard work breakdown (:class:`repro.service.scatter.ScatterGatherStats`)
+    when the execution was fanned out over a sharded catalog;
+    ``degraded``/``missing_shards`` flag a partial answer whose listed shard
+    fragments were unavailable (such an execution is never ``cacheable``).
+    """
+
     tuples: List[Tuple[int, ...]]
-    stats: JoinStats = field(default_factory=JoinStats)
+    cost: float
+    plan_used: bool
+    stats: Optional[JoinStats] = None
     plan: Optional[JoinPlan] = None
+    report: Optional[object] = None
+    count: Optional[int] = None
+    cacheable: bool = True
+    scatter: Optional[object] = None
+    degraded: bool = False
+    missing_shards: Tuple[int, ...] = ()
 
     @property
     def cardinality(self) -> int:
-        """Number of output tuples."""
-        return len(self.tuples)
-
-    def as_set(self) -> set:
-        """The output as a set of tuples (for order-insensitive comparison)."""
-        return set(self.tuples)
+        """Result count: the tuple count, or the aggregated count."""
+        if self.tuples:
+            return len(self.tuples)
+        return self.count if self.count is not None else 0
 
 
-class JoinEngine(abc.ABC):
-    """Abstract base class for join engines."""
+class EngineProtocol(abc.ABC):
+    """One way of executing a conjunctive query, with declared capabilities."""
 
-    #: Human-readable engine name used in reports.
+    #: Registry / report name.
     name: str = "engine"
+    #: Declared capabilities (plan support, repeated variables, cost model).
+    capabilities: EngineCapabilities = EngineCapabilities()
+
+    @property
+    def cost_model(self) -> CostModel:
+        return self.capabilities.cost_model
 
     @abc.abstractmethod
-    def run(self, query: ConjunctiveQuery, database: Database) -> JoinResult:
-        """Execute ``query`` against ``database`` and return the result."""
+    def execute(
+        self,
+        query: ConjunctiveQuery,
+        database: Database,
+        plan: Optional[JoinPlan] = None,
+    ) -> EngineExecution:
+        """Run ``query`` (compiled as ``plan`` when plan-aware) and cost it."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def software_cost(stats: JoinStats, rows: int) -> float:
+    """A software engine's service cost: one modelled ns per work unit.
+
+    The work units are the algorithm's abstract counters — index element
+    reads plus intermediate results plus output tuples — plus one for the
+    call itself.
+    """
+    return float(1 + stats.index_element_reads + stats.intermediate_results + rows)

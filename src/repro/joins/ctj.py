@@ -26,9 +26,7 @@ the leapfrog recomputation without a single string lookup.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.joins.compiler import QueryCompiler
+from repro.joins.base import CostModel, EngineCapabilities
 from repro.joins.leapfrog import LeapfrogTrieJoin
 
 
@@ -41,9 +39,7 @@ class CachedTrieJoin(LeapfrogTrieJoin):
     """
 
     name = "ctj"
-
-    def __init__(self, compiler: Optional[QueryCompiler] = None):
-        super().__init__(compiler or QueryCompiler(enable_caching=True))
-
-    def _uses_cache(self) -> bool:
-        return True
+    use_cache = True
+    capabilities = EngineCapabilities(
+        supports_plans=True, cost_model=CostModel(work_model="wcoj", cyclic_penalty=32.0)
+    )

@@ -23,32 +23,16 @@ others by binary search and writes the survivors into a list (one
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.joins.base import JoinEngine, JoinResult
-from repro.joins.compiler import QueryCompiler
-from repro.joins.leapfrog import run_plan
-from repro.joins.plan import JoinPlan
-from repro.relational.catalog import Database
-from repro.relational.query import ConjunctiveQuery
+from repro.joins.base import CostModel, EngineCapabilities
+from repro.joins.leapfrog import LeapfrogTrieJoin
 
 
-class GenericJoin(JoinEngine):
+class GenericJoin(LeapfrogTrieJoin):
     """Materialising (EmptyHeaded-style) worst-case optimal join."""
 
-    name = "generic_join"
-
-    def __init__(self, compiler: Optional[QueryCompiler] = None):
-        self.compiler = compiler or QueryCompiler(enable_caching=False)
-
-    def run(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        plan: Optional[JoinPlan] = None,
-    ) -> JoinResult:
-        database.validate_query(query)
-        if plan is None:
-            plan = self.compiler.compile(query)
-        tuples, stats = run_plan(plan, database, use_cache=False, intersection="materialise")
-        return JoinResult(query, tuples, stats, plan)
+    name = "generic"
+    intersection = "materialise"
+    capabilities = EngineCapabilities(
+        supports_plans=True,
+        cost_model=CostModel(work_model="wcoj", ns_per_unit=1.25, cyclic_penalty=40.0),
+    )

@@ -54,7 +54,13 @@ from bisect import bisect_left
 from itertools import repeat
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.joins.base import JoinEngine, JoinResult
+from repro.joins.base import (
+    CostModel,
+    EngineCapabilities,
+    EngineExecution,
+    EngineProtocol,
+    software_cost,
+)
 from repro.joins.compiler import QueryCompiler
 from repro.joins.plan import JoinPlan
 from repro.joins.stats import JoinStats
@@ -485,8 +491,12 @@ def run_plan(
     return sink, stats
 
 
-class LeapfrogTrieJoin(JoinEngine):
+class LeapfrogTrieJoin(EngineProtocol):
     """Plain (cache-less) LeapFrog TrieJoin.
+
+    CTJ and Generic Join are this engine with other class attributes:
+    ``use_cache`` honours the plan's CTJ cache specs and ``intersection``
+    picks the plan kernel's per-depth intersection mode.
 
     Parameters
     ----------
@@ -496,25 +506,28 @@ class LeapfrogTrieJoin(JoinEngine):
     """
 
     name = "lftj"
+    use_cache = False
+    intersection = "leapfrog"
+    capabilities = EngineCapabilities(
+        supports_plans=True, cost_model=CostModel(work_model="wcoj", cyclic_penalty=48.0)
+    )
 
     def __init__(self, compiler: Optional[QueryCompiler] = None):
-        self.compiler = compiler or QueryCompiler(enable_caching=False)
+        self.compiler = compiler or QueryCompiler(enable_caching=self.use_cache)
 
-    # ------------------------------------------------------------------ #
-    # Public API
-    # ------------------------------------------------------------------ #
-    def run(
+    def execute(
         self,
         query: ConjunctiveQuery,
         database: Database,
         plan: Optional[JoinPlan] = None,
-    ) -> JoinResult:
+    ) -> EngineExecution:
         database.validate_query(query)
+        plan_used = plan is not None
         if plan is None:
             plan = self.compiler.compile(query)
-        tuples, stats = run_plan(plan, database, use_cache=self._uses_cache())
-        return JoinResult(query, tuples, stats, plan)
-
-    def _uses_cache(self) -> bool:
-        """Whether the execution should honour the plan's cache specs."""
-        return False
+        tuples, stats = run_plan(
+            plan, database, use_cache=self.use_cache, intersection=self.intersection
+        )
+        return EngineExecution(
+            tuples, software_cost(stats, len(tuples)), plan_used, stats=stats, plan=plan
+        )

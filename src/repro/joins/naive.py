@@ -10,20 +10,38 @@ required to agree with it exactly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.joins.base import JoinEngine, JoinResult
+from repro.joins.base import (
+    CostModel,
+    EngineCapabilities,
+    EngineExecution,
+    EngineProtocol,
+    software_cost,
+)
+from repro.joins.plan import JoinPlan
 from repro.joins.stats import JoinStats
 from repro.relational.catalog import Database
 from repro.relational.query import Atom, ConjunctiveQuery
 
 
-class NaiveJoin(JoinEngine):
-    """Backtracking nested-loop engine (the correctness oracle)."""
+class NaiveJoin(EngineProtocol):
+    """Backtracking nested-loop engine (the correctness oracle).
+
+    Plan-blind: any plan it is handed is ignored.
+    """
 
     name = "naive"
+    capabilities = EngineCapabilities(
+        supports_repeated_vars=True, cost_model=CostModel(work_model="nested-loop")
+    )
 
-    def run(self, query: ConjunctiveQuery, database: Database) -> JoinResult:
+    def execute(
+        self,
+        query: ConjunctiveQuery,
+        database: Database,
+        plan: Optional[JoinPlan] = None,
+    ) -> EngineExecution:
         database.validate_query(query)
         stats = JoinStats()
         results: List[Tuple[int, ...]] = []
@@ -73,9 +91,9 @@ class NaiveJoin(JoinEngine):
 
         search(0)
         stats.output_tuples = len(results)
-        return JoinResult(query, results, stats, plan=None)
+        return EngineExecution(results, software_cost(stats, len(results)), False, stats=stats)
 
 
 def evaluate_naive(query: ConjunctiveQuery, database: Database) -> List[Tuple[int, ...]]:
     """Convenience wrapper returning just the sorted output tuples."""
-    return sorted(NaiveJoin().run(query, database).tuples)
+    return sorted(NaiveJoin().execute(query, database).tuples)

@@ -19,10 +19,17 @@ when no connected atom remains.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.joins.base import JoinEngine, JoinResult
+from repro.joins.base import (
+    CostModel,
+    EngineCapabilities,
+    EngineExecution,
+    EngineProtocol,
+    software_cost,
+)
 from repro.joins.hash_join import hash_join
+from repro.joins.plan import JoinPlan
 from repro.joins.sort_merge import sort_merge_join
 from repro.joins.stats import JoinStats
 from repro.relational.catalog import Database
@@ -31,7 +38,7 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
 
-class PairwiseJoin(JoinEngine):
+class PairwiseJoin(EngineProtocol):
     """Left-deep binary-join engine with materialised intermediates.
 
     Parameters
@@ -41,18 +48,30 @@ class PairwiseJoin(JoinEngine):
         the plan uses.  Q100 is modelled over ``"sort_merge"`` (its hardware
         has sort/merge-join operators); Graphicionado's message-passing
         expansion is closer to ``"hash"``.
+
+    Plan-blind: the engine plans its own join tree and ignores any plan it
+    is handed.
     """
+
+    name = "pairwise"
+    capabilities = EngineCapabilities(
+        cost_model=CostModel(work_model="pairwise", cyclic_penalty=32.0)
+    )
 
     def __init__(self, operator: str = "hash"):
         if operator not in ("hash", "sort_merge"):
             raise ValueError(f"unknown operator {operator!r}; use 'hash' or 'sort_merge'")
         self.operator = operator
-        self.name = f"pairwise_{operator}"
 
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    def run(self, query: ConjunctiveQuery, database: Database) -> JoinResult:
+    def execute(
+        self,
+        query: ConjunctiveQuery,
+        database: Database,
+        plan: Optional[JoinPlan] = None,
+    ) -> EngineExecution:
         database.validate_query(query)
         stats = JoinStats()
 
@@ -74,7 +93,7 @@ class PairwiseJoin(JoinEngine):
 
         tuples = self._project(query, current, stats)
         stats.output_tuples = len(tuples)
-        return JoinResult(query, tuples, stats, plan=None)
+        return EngineExecution(tuples, software_cost(stats, len(tuples)), False, stats=stats)
 
     # ------------------------------------------------------------------ #
     # Plan construction

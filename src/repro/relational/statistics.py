@@ -8,8 +8,9 @@ paper's triangle example: with every relation of size ``N`` the bound is
 ``N^{3/2}``, while any pairwise plan can materialise ``N^2`` intermediate
 tuples.
 
-This module computes that bound for arbitrary conjunctive queries (via the
-linear program over the query's hypergraph, solved with SciPy) plus a few
+This module computes that bound for arbitrary conjunctive queries (the
+linear program over the query's hypergraph, solved by a search over
+half-integral covers) plus a few
 related statistics the tests and examples use: the AGM exponent of the
 uniform-size case, and simple per-relation cardinality summaries.  The test
 suite uses :func:`agm_bound` as an oracle-free upper bound on every WCOJ
@@ -62,36 +63,13 @@ def _solve_cover_lp(
 ) -> Tuple[Tuple[float, ...], float]:
     """Minimise ``sum x_i * log_sizes_i`` s.t. every variable is covered.
 
-    Uses :func:`scipy.optimize.linprog` when available and falls back to a
-    small exhaustive search over vertex-of-polytope candidates otherwise
-    (adequate for the handful-of-atoms pattern queries this library targets).
+    An exhaustive search over half-integral covers (every weight 0, 1/2 or
+    1; a handful of atoms per pattern query keeps it cheap).  For binary
+    atoms — graph patterns — the cover polytope's vertices are half-integral,
+    so the search is exact; for wider atoms it returns a valid, possibly
+    looser, upper bound.
     """
     num_atoms = len(atom_variables)
-    try:
-        from scipy.optimize import linprog
-    except ImportError:  # pragma: no cover - scipy missing
-        linprog = None
-    if linprog is not None:
-        # Constraints: for each variable v, -sum_{i: v in atom_i} x_i <= -1.
-        a_ub: List[List[float]] = []
-        b_ub: List[float] = []
-        for variable in variable_names:
-            row = [-1.0 if variable in atom_variables[i] else 0.0 for i in range(num_atoms)]
-            a_ub.append(row)
-            b_ub.append(-1.0)
-        result = linprog(
-            c=list(log_sizes),
-            A_ub=a_ub,
-            b_ub=b_ub,
-            bounds=[(0.0, 1.0)] * num_atoms,
-            method="highs",
-        )
-        if result.success:  # a failed solve falls through to the search below
-            weights = tuple(float(w) for w in result.x)
-            return weights, float(result.fun)
-
-    # Fallback: grid search over half-integral covers (optimal covers of
-    # graphs — binary atoms — are always half-integral).
     best_weights: Tuple[float, ...] = (1.0,) * num_atoms
     best_objective = sum(log_sizes)
     steps = (0.0, 0.5, 1.0)

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Mapping, Optional, Tuple, Union
 
-from repro.engines import EngineExecution, EngineProtocol
+from repro.joins.base import EngineExecution, EngineProtocol
 from repro.joins.compiler import QueryCompiler
 from repro.joins.plan import JoinPlan
 from repro.obs.instrument import annotate_execute_span
@@ -119,7 +119,7 @@ class CompletedQuery:
     constant for a cache hit, or the time burned before a shard-loss
     failure.  ``plan_cache_hit`` is credited only when the engine actually
     consumed the plan it was handed (see
-    :attr:`repro.engines.EngineExecution.plan_used`).
+    :attr:`repro.joins.base.EngineExecution.plan_used`).
     """
 
     prepared: PreparedQuery
@@ -363,7 +363,7 @@ class QueryPipeline:
             # original query; the plan cache is neither consulted nor
             # credited for them.
             target, plan = query, None
-            if engine.plan_aware:
+            if engine.capabilities.supports_plans:
                 target, plan, hit = self.plan_for(query, signature)
                 prepared.plan = plan
                 prepared.plan_cache_hit = hit

@@ -1,6 +1,6 @@
 """Scatter-gather execution: fan one query out over a sharded catalog.
 
-The executor takes any :class:`~repro.engines.EngineProtocol` engine and
+The executor takes any :class:`~repro.joins.base.EngineProtocol` engine and
 a :class:`~repro.relational.sharding.ShardedDatabase` and runs the catalog's
 :class:`~repro.relational.sharding.ScatterSpec`: the seed atom is rewritten
 to the shard alias, each shard's task executes the rewritten query against
@@ -45,7 +45,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.engines import EngineExecution, EngineProtocol
+from repro.joins.base import EngineExecution, EngineProtocol
 from repro.joins.compiler import QueryCompiler
 from repro.joins.plan import JoinPlan
 from repro.joins.stats import JoinStats
@@ -364,12 +364,12 @@ class ScatterGatherExecutor:
         if spec is None:
             # No partitioned atom: one execution against the merged view.
             plan = None
-            if engine.plan_aware:
+            if engine.capabilities.supports_plans:
                 _, query, plan = self.compiler.compile_canonical(query)
             return run_engine(engine, query, plan, (self.catalog,))[0][0]
         signature = self.compiler.signature(query)
         self._spec_memo[signature] = spec
-        plan = self._plan_for(signature, spec) if engine.plan_aware else None
+        plan = self._plan_for(signature, spec) if engine.capabilities.supports_plans else None
         own_gate = self.injector is not None and breaker_gate is None
         if own_gate:
             breaker_gate = self.breakers.gate(range(self.catalog.num_shards), now)

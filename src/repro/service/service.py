@@ -51,8 +51,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.engines import EngineExecution, EngineProtocol
 from repro.engines import create_engine as create_backend
+from repro.joins.base import EngineExecution, EngineProtocol
 from repro.relational.catalog import Database
 from repro.relational.query import ConjunctiveQuery
 from repro.service.admission import AdmissionController
@@ -126,7 +126,7 @@ class QueryService:
     backends:
         Backend names (resolved via the shared registry in
         :mod:`repro.engines`) and/or ready
-        :class:`~repro.engines.EngineProtocol` instances.  Requests
+        :class:`~repro.joins.base.EngineProtocol` instances.  Requests
         that do not pin a backend either rotate round-robin through this
         list (the default) or, when ``router`` is given, go to the engine
         the cost router picks for each query.
@@ -215,9 +215,7 @@ class QueryService:
         self.backends: Dict[str, EngineProtocol] = {}
         self._rotation: List[str] = []
         for entry in backends:
-            engine = create_backend(entry) if isinstance(entry, str) else entry
-            self.backends[engine.name] = engine
-            self._rotation.append(engine.name)
+            self.add_backend(create_backend(entry) if isinstance(entry, str) else entry)
         self.admission: AdmissionController[ServiceRequest] = AdmissionController(
             max_in_flight=max_in_flight, max_queue_depth=max_queue_depth, seed=seed
         )
@@ -404,6 +402,12 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # Execution of one request
     # ------------------------------------------------------------------ #
+    def add_backend(self, engine: EngineProtocol) -> None:
+        """Serve with ``engine`` too (latest name wins; a new name joins the rotation)."""
+        if engine.name not in self.backends:
+            self._rotation.append(engine.name)
+        self.backends[engine.name] = engine
+
     def _choose_backend(self, request: ServiceRequest) -> EngineProtocol:
         if request.backend is not None:
             return self.backends[request.backend]

@@ -28,12 +28,13 @@ The pieces, in data-flow order:
 * :class:`SharedMemoryRunner` (orchestrator) — what the process backend's
   :meth:`~repro.service.backends.ExecutionBackend.run_engine` hook calls:
   it owns the exporter and a ``ProcessPoolExecutor``, ships every catalog
-  it can (a plan-aware picklable software engine; every trie exports) and
+  it can (a picklable plan-kernel engine — LFTJ, CTJ or Generic Join;
+  every trie exports) and
   hands the rest to the threaded hook.
 
 Determinism: the worker runs the exact same pickled engine over the exact
 same int64 arrays with the exact same plan, so the returned
-:class:`~repro.engines.EngineExecution` (tuples, cost, JoinStats) is
+:class:`~repro.joins.base.EngineExecution` (tuples, cost, JoinStats) is
 bit-identical to an inline execution; all *ordered* state (caches,
 admission, virtual clock, trace spans) never leaves the orchestrator.
 
@@ -63,7 +64,8 @@ from multiprocessing import get_all_start_methods, get_context, shared_memory
 from multiprocessing import resource_tracker
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engines import EngineExecution, EngineProtocol, SoftwareEngine
+from repro.joins.base import EngineExecution, EngineProtocol
+from repro.joins.leapfrog import LeapfrogTrieJoin
 from repro.joins.plan import JoinPlan
 from repro.relational.catalog import MutationEvent, ordered_attributes_for
 from repro.relational.query import Atom, ConjunctiveQuery
@@ -102,11 +104,10 @@ class WorkRequest:
     """A picklable engine execution: everything a worker needs, by value.
 
     ``engine_bytes`` is the pickled engine itself (not a registry name), so
-    worker-side cost constants (``ns_per_work_unit``) and configuration are
-    the orchestrator's, byte for byte.  ``schemas`` maps every relation name
-    the query mentions (shard aliases included) to its attribute tuple;
-    ``segments`` maps each :data:`SegmentKey` the plan resolves to its
-    exported block.
+    worker-side configuration is the orchestrator's, byte for byte.
+    ``schemas`` maps every relation name the query mentions (shard aliases
+    included) to its attribute tuple; ``segments`` maps each
+    :data:`SegmentKey` the plan resolves to its exported block.
     """
 
     engine_bytes: bytes
@@ -384,17 +385,17 @@ class SharedMemoryRunner:
     """The process backend's engine work: ship per catalog, or fall back.
 
     :meth:`run` ships each catalog whose execution can run faithfully in a
-    worker and hands the rest (plan-blind, non-software or unpicklable
-    engine, broken pool) to the caller's fallback hook — behaviour, not
-    just results, degrades gracefully.
+    worker and hands the rest (an engine other than LFTJ, CTJ and Generic
+    Join, an unpicklable one, a broken pool) to the caller's fallback hook —
+    behaviour, not just results, degrades gracefully.
 
     ``crash_after`` is the deterministic worker-crash trigger of the fault
     harness (see :class:`repro.service.faults.WorkerCrashFault`): after that
     many offloaded work items the pool is declared broken, exercising the
     same fallback path a real worker death takes.  ``inline_fallbacks``
     counts engine executions that ran in-process *because the pool was broken*
-    (capability declines — plan-blind or unpicklable engines — are the
-    normal protocol and are not counted).
+    (capability declines — engines that cannot ship — are the normal
+    protocol and are not counted).
     """
 
     def __init__(self, workers: int = 4):
@@ -481,7 +482,7 @@ class SharedMemoryRunner:
             if cached is not None:
                 return cached[1]
             blob: Optional[bytes] = None
-            if isinstance(engine, SoftwareEngine) and engine.plan_aware:
+            if isinstance(engine, LeapfrogTrieJoin):
                 try:
                     blob = pickle.dumps(engine)
                 except (pickle.PicklingError, TypeError, AttributeError):

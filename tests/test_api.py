@@ -11,10 +11,13 @@ import pytest
 
 from repro.api import (
     ENGINE_FACTORIES,
+    EngineCapabilities,
+    EngineExecution,
     EngineProtocol,
     ResultSet,
     Session,
     Statement,
+    TrieJaxAccelerator,
     coerce_statement,
     create_engine,
     engine_names,
@@ -22,7 +25,7 @@ from repro.api import (
 )
 from repro.api.routing import CostRouter
 from repro.graphs import pattern_query
-from repro.joins import NaiveJoin
+from repro.joins import CachedTrieJoin, GenericJoin, LeapfrogTrieJoin, NaiveJoin, PairwiseJoin
 from repro.relational.query import Atom, ConjunctiveQuery
 from repro.relational.statistics import (
     is_cyclic,
@@ -48,10 +51,15 @@ def fresh_session(api_db, **kwargs):
 # --------------------------------------------------------------------------- #
 class TestRegistry:
     def test_service_engines_shim_is_gone(self):
-        # The deprecated alias module was removed; repro.api.engines is the
-        # one registry.
+        # The deprecated alias module was removed; repro.engines is the one
+        # registry.
         with pytest.raises(ModuleNotFoundError):
             import repro.service.engines  # noqa: F401
+
+    def test_api_engines_alias_is_gone(self):
+        # The registry's historical import path; repro.api exports the names.
+        with pytest.raises(ModuleNotFoundError):
+            import repro.api.engines  # noqa: F401
 
     def test_cli_has_no_private_engine_table(self):
         import repro.cli as cli
@@ -59,8 +67,18 @@ class TestRegistry:
         assert not hasattr(cli, "_ENGINES")
 
     def test_every_builtin_engine_resolves_and_declares_capabilities(self):
-        for name in ("naive", "lftj", "ctj", "generic", "pairwise", "triejax"):
+        classes = {
+            "naive": NaiveJoin,
+            "lftj": LeapfrogTrieJoin,
+            "ctj": CachedTrieJoin,
+            "generic": GenericJoin,
+            "pairwise": PairwiseJoin,
+            "triejax": TrieJaxAccelerator,
+        }
+        for name, cls in classes.items():
             engine = create_engine(name)
+            # The algorithm (or the accelerator model) is the engine itself.
+            assert type(engine) is cls
             assert isinstance(engine, EngineProtocol)
             assert engine.name == name
             capabilities = engine.capabilities
@@ -79,8 +97,6 @@ class TestRegistry:
             name = "echo"
 
             def execute(self, query, database, plan=None):
-                from repro.api.engines import EngineExecution
-
                 return EngineExecution(tuples=[], cost=1.0, plan_used=False)
 
         register_engine("echo", EchoEngine)
@@ -205,8 +221,8 @@ class TestRouting:
         triejax_estimate = decision.estimate_for("triejax")
         assert not triejax_estimate.eligible
         result = session.execute(Statement.from_query(loops))
-        oracle = NaiveJoin().run(loops, session.database)
-        assert result.to_set() == oracle.as_set()
+        oracle = NaiveJoin().execute(loops, session.database)
+        assert result.to_set() == set(oracle.tuples)
 
     def test_no_eligible_engine_raises(self, api_db):
         loops = ConjunctiveQuery("loops", ("x",), [Atom("E", ("x", "x"))])
@@ -253,8 +269,8 @@ class TestSessionExecute:
         """ISSUE acceptance: auto-routed results equal the oracle on Table 1."""
         session = Session(api_db)
         result = session.execute(name, route="auto")
-        oracle = NaiveJoin().run(pattern_query(name), api_db)
-        assert result.to_set() == oracle.as_set()
+        oracle = NaiveJoin().execute(pattern_query(name), api_db)
+        assert result.to_set() == set(oracle.tuples)
 
     def test_resultset_is_lazy_and_memoised(self, api_db):
         calls = []
@@ -263,8 +279,6 @@ class TestSessionExecute:
             name = "counting"
 
             def execute(self, query, database, plan=None):
-                from repro.api.engines import EngineExecution
-
                 calls.append(query.name)
                 return EngineExecution(tuples=[(1, 2)], cost=1.0, plan_used=False)
 
@@ -340,8 +354,8 @@ class TestSessionExecute:
     def test_sql_statement_executes_end_to_end(self, api_db):
         session = fresh_session(api_db)
         result = session.execute("SELECT * FROM E AS a, E AS b WHERE a.dst = b.src")
-        oracle = NaiveJoin().run(pattern_query("path3"), session.database)
-        assert result.to_set() == oracle.as_set()
+        oracle = NaiveJoin().execute(pattern_query("path3"), session.database)
+        assert result.to_set() == set(oracle.tuples)
 
 
 # --------------------------------------------------------------------------- #
@@ -373,20 +387,16 @@ class TestPlanBlindAccounting:
         assert service.plan_cache.stats.hits == 0
 
     def test_plan_aware_engine_ignoring_plan_is_not_a_hit(self, api_db):
-        from repro.api.engines import EngineExecution
-
         class AmnesiacEngine(EngineProtocol):
             """Claims plan support but never consumes the plan it is given."""
 
             name = "amnesiac"
 
             def __init__(self):
-                from repro.api.engines import EngineCapabilities
-
                 self.capabilities = EngineCapabilities(supports_plans=True)
 
             def execute(self, query, database, plan=None):
-                result = NaiveJoin().run(query, database)
+                result = NaiveJoin().execute(query, database)
                 return EngineExecution(
                     tuples=result.tuples, cost=1.0, plan_used=False
                 )
@@ -476,3 +486,16 @@ class TestSessionServe:
         outcomes = session.serve(requests)
         used = sorted(o.record.backend for o in outcomes.values())
         assert used == ["ctj", "lftj"]
+
+    @pytest.mark.parametrize("routing", ["auto", "rotate"])
+    def test_engine_added_after_the_service_reaches_it(self, api_db, routing):
+        session = fresh_session(api_db, engines=("lftj",), routing=routing)
+        service = session.service  # built before the engine arrives
+        session.add_engine(create_engine("ctj"))
+        assert session.service is service
+        assert service.serve(pattern_query("path3"), backend="ctj").record.backend == "ctj"
+        served = {
+            service.serve(pattern_query(name)).record.backend for name in ("cycle3", "clique4")
+        }
+        # The router prices CTJ below LFTJ on cyclic queries; rotation takes both.
+        assert served == ({"ctj"} if routing == "auto" else {"lftj", "ctj"})

@@ -77,7 +77,7 @@ class TestVertexProgramEngine:
     @pytest.mark.parametrize("query_name", PATTERN_NAMES)
     def test_matches_oracle(self, small_community_db, query_name):
         query = pattern_query(query_name)
-        expected = set(NaiveJoin().run(query, small_community_db).tuples)
+        expected = set(NaiveJoin().execute(query, small_community_db).tuples)
         tuples, stats = VertexProgramEngine().run(query, small_community_db)
         assert set(tuples) == expected
         assert stats.supersteps == query.num_atoms
@@ -125,7 +125,7 @@ class TestBaselineSystems:
     @pytest.mark.parametrize("query_name", ["path3", "cycle3", "cycle4"])
     def test_result_tuples_match_oracle(self, small_community_db, system_cls, query_name):
         query = pattern_query(query_name)
-        expected = set(NaiveJoin().run(query, small_community_db).tuples)
+        expected = set(NaiveJoin().execute(query, small_community_db).tuples)
         result = system_cls().evaluate(query, small_community_db, dataset_name="community")
         assert set(result.tuples) == expected
         assert result.output_tuples == len(expected)

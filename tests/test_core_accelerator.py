@@ -18,22 +18,22 @@ from repro.relational import Database, Relation, Schema
 
 def run(query_name, database, config=None):
     accelerator = TrieJaxAccelerator(config or TrieJaxConfig())
-    return accelerator.run(pattern_query(query_name), database)
+    return accelerator.execute(pattern_query(query_name), database)
 
 
 class TestFunctionalCorrectness:
     @pytest.mark.parametrize("query_name", PATTERN_NAMES)
     def test_matches_software_ctj_on_community_graph(self, small_community_db, query_name):
-        expected = set(CachedTrieJoin().run(pattern_query(query_name), small_community_db).tuples)
+        expected = set(CachedTrieJoin().execute(pattern_query(query_name), small_community_db).tuples)
         outcome = run(query_name, small_community_db)
-        assert outcome.as_set() == expected
+        assert set(outcome.tuples) == expected
         assert outcome.cardinality == len(expected)
         assert outcome.report.num_results == len(expected)
 
     @pytest.mark.parametrize("query_name", ["path3", "cycle3", "cycle4"])
     def test_matches_oracle_on_powerlaw_graph(self, small_powerlaw_db, query_name):
-        expected = set(NaiveJoin().run(pattern_query(query_name), small_powerlaw_db).tuples)
-        assert run(query_name, small_powerlaw_db).as_set() == expected
+        expected = set(NaiveJoin().execute(pattern_query(query_name), small_powerlaw_db).tuples)
+        assert set(run(query_name, small_powerlaw_db).tuples) == expected
 
     def test_no_duplicate_results(self, small_community_db):
         outcome = run("cycle4", small_community_db)
@@ -54,26 +54,26 @@ class TestFunctionalCorrectness:
 
     @pytest.mark.parametrize("scheme", ["static", "dynamic", "hybrid"])
     def test_all_mt_schemes_are_exact(self, small_community_db, scheme):
-        expected = set(CachedTrieJoin().run(pattern_query("cycle4"), small_community_db).tuples)
+        expected = set(CachedTrieJoin().execute(pattern_query("cycle4"), small_community_db).tuples)
         config = TrieJaxConfig(num_threads=16, mt_scheme=scheme)
-        assert run("cycle4", small_community_db, config).as_set() == expected
+        assert set(run("cycle4", small_community_db, config).tuples) == expected
 
     def test_single_thread_is_exact(self, small_community_db):
-        expected = set(CachedTrieJoin().run(pattern_query("clique4"), small_community_db).tuples)
+        expected = set(CachedTrieJoin().execute(pattern_query("clique4"), small_community_db).tuples)
         config = TrieJaxConfig(num_threads=1)
-        assert run("clique4", small_community_db, config).as_set() == expected
+        assert set(run("clique4", small_community_db, config).tuples) == expected
 
     def test_pjr_disabled_is_exact(self, small_community_db):
-        expected = set(CachedTrieJoin().run(pattern_query("path4"), small_community_db).tuples)
+        expected = set(CachedTrieJoin().execute(pattern_query("path4"), small_community_db).tuples)
         config = TrieJaxConfig(enable_pjr_cache=False)
-        assert run("path4", small_community_db, config).as_set() == expected
+        assert set(run("path4", small_community_db, config).tuples) == expected
 
     def test_tiny_pjr_cache_is_exact(self, small_community_db):
         """Capacity pressure (evictions/overflows) must never change results."""
-        expected = set(CachedTrieJoin().run(pattern_query("cycle4"), small_community_db).tuples)
+        expected = set(CachedTrieJoin().execute(pattern_query("cycle4"), small_community_db).tuples)
         config = TrieJaxConfig(pjr_size_bytes=256, pjr_entry_capacity_values=4)
         outcome = run("cycle4", small_community_db, config)
-        assert outcome.as_set() == expected
+        assert set(outcome.tuples) == expected
 
 
 class TestMultithreadingBehaviour:
@@ -211,13 +211,11 @@ class TestPlanIntegration:
         query = pattern_query("cycle3")
         plan = compile_query(query, variable_order=("z", "y", "x"))
         accelerator = TrieJaxAccelerator()
-        outcome = accelerator.run(query, small_community_db, plan=plan)
-        expected = set(NaiveJoin().run(query, small_community_db).tuples)
-        assert outcome.as_set() == expected
+        outcome = accelerator.execute(query, small_community_db, plan=plan)
+        expected = set(NaiveJoin().execute(query, small_community_db).tuples)
+        assert set(outcome.tuples) == expected
 
     def test_dataset_name_is_recorded(self, small_community_db):
-        accelerator = TrieJaxAccelerator()
-        outcome = accelerator.run(
-            pattern_query("path3"), small_community_db, dataset_name="community"
-        )
+        accelerator = TrieJaxAccelerator(dataset_name="community")
+        outcome = accelerator.execute(pattern_query("path3"), small_community_db)
         assert outcome.report.dataset_name == "community"

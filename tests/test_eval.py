@@ -171,7 +171,7 @@ class TestExperimentContext:
             "path3", "bitcoin", TrieJaxConfig(num_threads=2)
         )
         assert custom is not default_run
-        assert custom.as_set() == default_run.as_set()
+        assert set(custom.tuples) == set(default_run.tuples)
 
 
 class TestTables:

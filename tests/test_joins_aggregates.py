@@ -25,7 +25,7 @@ class TestExactCounting:
     @pytest.mark.parametrize("query_name", ["path3", "cycle3", "cycle4", "clique4"])
     def test_count_matches_equals_enumeration(self, small_community_db, query_name):
         query = pattern_query(query_name)
-        enumerated = CachedTrieJoin().run(query, small_community_db)
+        enumerated = CachedTrieJoin().execute(query, small_community_db)
         counted = count_matches(query, small_community_db)
         assert counted.count == enumerated.cardinality
         assert counted.stats.output_tuples == counted.count
@@ -56,7 +56,7 @@ class TestExactCounting:
     def test_count_matches_oracle_property(self, edges, query_name):
         database = edges_database(edges)
         query = pattern_query(query_name)
-        expected = len(NaiveJoin().run(query, database).tuples)
+        expected = len(NaiveJoin().execute(query, database).tuples)
         assert count_matches(query, database).count == expected
 
 
@@ -64,7 +64,7 @@ class TestGroupedCounting:
     def test_triangle_count_per_vertex(self, small_community_db):
         query = pattern_query("cycle3")
         grouped = count_by_variable(query, small_community_db, "x")
-        enumerated = CachedTrieJoin().run(query, small_community_db)
+        enumerated = CachedTrieJoin().execute(query, small_community_db)
         # Reference: count triangles per first vertex from the enumeration.
         reference = {}
         for x, _y, _z in enumerated.tuples:
@@ -130,34 +130,30 @@ class TestApproximateCounting:
 class TestAcceleratorCountMode:
     def test_count_mode_matches_enumeration(self, small_community_db):
         query = pattern_query("cycle3")
-        accelerator = TrieJaxAccelerator()
-        enumerated = accelerator.run(query, small_community_db)
-        counted = accelerator.run(query, small_community_db, aggregate="count")
+        enumerated = TrieJaxAccelerator().execute(query, small_community_db)
+        counted = TrieJaxAccelerator(aggregate="count").execute(query, small_community_db)
         assert counted.count == enumerated.cardinality
         assert counted.tuples == []
         assert counted.cardinality == enumerated.cardinality
 
     def test_count_mode_eliminates_result_writes(self, small_community_db):
         query = pattern_query("path4")
-        accelerator = TrieJaxAccelerator()
-        enumerated = accelerator.run(query, small_community_db)
-        counted = accelerator.run(query, small_community_db, aggregate="count")
+        enumerated = TrieJaxAccelerator().execute(query, small_community_db)
+        counted = TrieJaxAccelerator(aggregate="count").execute(query, small_community_db)
         assert enumerated.report.dram.writes > 0
         assert counted.report.dram.writes == 0
         assert counted.report.total_cycles <= enumerated.report.total_cycles
 
     def test_count_mode_with_single_thread(self, small_community_db):
         query = pattern_query("cycle4")
-        accelerator = TrieJaxAccelerator(TrieJaxConfig(num_threads=1))
-        counted = accelerator.run(query, small_community_db, aggregate="count")
+        accelerator = TrieJaxAccelerator(TrieJaxConfig(num_threads=1), aggregate="count")
+        counted = accelerator.execute(query, small_community_db)
         exact = count_matches(query, small_community_db).count
         assert counted.count == exact
 
-    def test_unsupported_aggregate_rejected(self, small_community_db):
+    def test_unsupported_aggregate_rejected(self):
         with pytest.raises(ValueError):
-            TrieJaxAccelerator().run(
-                pattern_query("cycle3"), small_community_db, aggregate="sum"
-            )
+            TrieJaxAccelerator(aggregate="sum")
 
 
 class TestExtraPatterns:
@@ -171,15 +167,15 @@ class TestExtraPatterns:
             [(0, 1), (1, 2), (2, 0), (0, 2), (2, 3), (3, 0), (0, 3), (3, 4), (4, 0), (1, 3)]
         )
         query = pattern_query(name)
-        expected = set(NaiveJoin().run(query, database).tuples)
-        assert set(CachedTrieJoin().run(query, database).tuples) == expected
-        outcome = TrieJaxAccelerator().run(query, database)
-        assert outcome.as_set() == expected
+        expected = set(NaiveJoin().execute(query, database).tuples)
+        assert set(CachedTrieJoin().execute(query, database).tuples) == expected
+        outcome = TrieJaxAccelerator().execute(query, database)
+        assert set(outcome.tuples) == expected
 
     def test_star3_counts_ordered_neighbour_triples(self):
         database = edges_database([(0, 1), (0, 2), (0, 3)])
         query = pattern_query("star3")
-        result = CachedTrieJoin().run(query, database)
+        result = CachedTrieJoin().execute(query, database)
         # All ordered triples of distinct-or-equal neighbours: 3^3 = 27
         # (the pattern does not force a, b, c to differ).
         assert result.cardinality == 27

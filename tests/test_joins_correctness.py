@@ -39,9 +39,9 @@ ALL_ENGINES = [
 
 
 def assert_engines_agree(query, database):
-    reference = set(NaiveJoin().run(query, database).tuples)
+    reference = set(NaiveJoin().execute(query, database).tuples)
     for engine in ALL_ENGINES:
-        result = engine.run(query, database)
+        result = engine.execute(query, database)
         assert set(result.tuples) == reference, f"{engine.name} disagrees on {query.name}"
         assert len(result.tuples) == len(set(result.tuples)), f"{engine.name} duplicated"
         assert result.stats.output_tuples == result.cardinality
@@ -184,17 +184,17 @@ class TestPropertyBasedAgreement:
     @settings(max_examples=40, deadline=None)
     def test_wcoj_engines_match_oracle(self, database, query_name):
         query = pattern_query(query_name)
-        reference = set(NaiveJoin().run(query, database).tuples)
+        reference = set(NaiveJoin().execute(query, database).tuples)
         for engine in (LeapfrogTrieJoin(), CachedTrieJoin(), GenericJoin()):
-            assert set(engine.run(query, database).tuples) == reference
+            assert set(engine.execute(query, database).tuples) == reference
 
     @given(random_edge_databases(), st.sampled_from(["path3", "cycle3", "cycle4"]))
     @settings(max_examples=25, deadline=None)
     def test_pairwise_engines_match_oracle(self, database, query_name):
         query = pattern_query(query_name)
-        reference = set(NaiveJoin().run(query, database).tuples)
+        reference = set(NaiveJoin().execute(query, database).tuples)
         for engine in (PairwiseJoin("hash"), PairwiseJoin("sort_merge")):
-            assert set(engine.run(query, database).tuples) == reference
+            assert set(engine.execute(query, database).tuples) == reference
 
     @given(random_edge_databases())
     @settings(max_examples=25, deadline=None)
@@ -202,5 +202,5 @@ class TestPropertyBasedAgreement:
         """Worst-case optimality sanity check: |triangles| <= |E|^(3/2)."""
         query = pattern_query("cycle3")
         edge_count = database.relation("E").cardinality
-        result = CachedTrieJoin().run(query, database)
+        result = CachedTrieJoin().execute(query, database)
         assert result.cardinality <= max(1.0, edge_count ** 1.5) + 1e-9

@@ -11,7 +11,7 @@ slot-program machinery.
 
 import pytest
 
-from repro.api.engines import create_engine
+from repro.engines import create_engine
 from repro.graphs import pattern_query
 from repro.joins.delta import (
     DELTA_SUFFIX,

@@ -51,24 +51,24 @@ class TestJoinStats:
 class TestLFTJBehaviour:
     def test_lftj_materialises_nothing(self, small_community_db):
         for name in ("path3", "path4", "cycle3", "cycle4", "clique4"):
-            result = LeapfrogTrieJoin().run(pattern_query(name), small_community_db)
+            result = LeapfrogTrieJoin().execute(pattern_query(name), small_community_db)
             assert result.stats.intermediate_results == 0
             assert result.stats.cache_lookups == 0
 
     def test_lftj_counts_lub_searches(self, small_community_db):
-        result = LeapfrogTrieJoin().run(pattern_query("cycle3"), small_community_db)
+        result = LeapfrogTrieJoin().execute(pattern_query("cycle3"), small_community_db)
         assert result.stats.lub_searches > 0
         assert result.stats.index_element_reads > 0
 
     def test_plan_is_attached_to_result(self, small_community_db):
-        result = LeapfrogTrieJoin().run(pattern_query("path3"), small_community_db)
+        result = LeapfrogTrieJoin().execute(pattern_query("path3"), small_community_db)
         assert result.plan is not None
         assert result.plan.variable_order == ("x", "y", "z")
 
 
 class TestCTJBehaviour:
     def test_ctj_reuses_cached_partial_joins(self, small_community_db):
-        result = CachedTrieJoin().run(pattern_query("path4"), small_community_db)
+        result = CachedTrieJoin().execute(pattern_query("path4"), small_community_db)
         assert result.stats.cache_lookups > 0
         assert result.stats.cache_hits > 0
         assert result.stats.cache_hits <= result.stats.cache_lookups
@@ -76,35 +76,35 @@ class TestCTJBehaviour:
 
     def test_ctj_caches_nothing_for_cycle3_and_clique4(self, small_community_db):
         for name in ("cycle3", "clique4"):
-            result = CachedTrieJoin().run(pattern_query(name), small_community_db)
+            result = CachedTrieJoin().execute(pattern_query(name), small_community_db)
             assert result.stats.cache_lookups == 0
             assert result.stats.intermediate_results == 0
 
     def test_ctj_does_less_leapfrog_work_than_lftj(self, small_community_db):
         """Cache hits replace recomputation, so CTJ issues fewer LUB searches."""
         query = pattern_query("path4")
-        ctj = CachedTrieJoin().run(query, small_community_db)
-        lftj = LeapfrogTrieJoin().run(query, small_community_db)
+        ctj = CachedTrieJoin().execute(query, small_community_db)
+        lftj = LeapfrogTrieJoin().execute(query, small_community_db)
         assert ctj.stats.lub_searches <= lftj.stats.lub_searches
         assert ctj.stats.index_element_reads < lftj.stats.index_element_reads
 
     def test_ctj_intermediates_bounded_by_distinct_key_matches(self, small_community_db):
         """Cached values are partial joins, far fewer than the output."""
         query = pattern_query("path4")
-        result = CachedTrieJoin().run(query, small_community_db)
+        result = CachedTrieJoin().execute(query, small_community_db)
         assert result.stats.intermediate_results < result.cardinality
 
 
 class TestGenericJoinBehaviour:
     def test_generic_join_materialises_per_level_sets(self, small_community_db):
-        result = GenericJoin().run(pattern_query("cycle3"), small_community_db)
+        result = GenericJoin().execute(pattern_query("cycle3"), small_community_db)
         assert result.stats.index_element_writes > 0
 
     def test_generic_join_reads_more_than_ctj(self, small_community_db):
         """EmptyHeaded-style scanning touches more elements than cached leapfrogging."""
         query = pattern_query("path4")
-        generic = GenericJoin().run(query, small_community_db)
-        ctj = CachedTrieJoin().run(query, small_community_db)
+        generic = GenericJoin().execute(query, small_community_db)
+        ctj = CachedTrieJoin().execute(query, small_community_db)
         assert generic.stats.total_index_accesses > ctj.stats.total_index_accesses
 
 
@@ -117,18 +117,18 @@ class TestPairwiseBehaviour:
         """The Figure 18 relationship at test scale: pairwise >> CTJ intermediates."""
         for name in ("cycle4", "clique4"):
             query = pattern_query(name)
-            pairwise = PairwiseJoin("hash").run(query, small_community_db)
-            ctj = CachedTrieJoin().run(query, small_community_db)
+            pairwise = PairwiseJoin("hash").execute(query, small_community_db)
+            ctj = CachedTrieJoin().execute(query, small_community_db)
             assert pairwise.stats.intermediate_results > ctj.stats.intermediate_results
 
     def test_pairwise_path3_has_single_join_no_intermediates(self, small_community_db):
-        result = PairwiseJoin("hash").run(pattern_query("path3"), small_community_db)
+        result = PairwiseJoin("hash").execute(pattern_query("path3"), small_community_db)
         assert result.stats.intermediate_results == 0
 
     def test_hash_and_sort_merge_plans_agree(self, small_powerlaw_db):
         query = pattern_query("cycle4")
-        hash_result = PairwiseJoin("hash").run(query, small_powerlaw_db)
-        merge_result = PairwiseJoin("sort_merge").run(query, small_powerlaw_db)
+        hash_result = PairwiseJoin("hash").execute(query, small_powerlaw_db)
+        merge_result = PairwiseJoin("sort_merge").execute(query, small_powerlaw_db)
         assert set(hash_result.tuples) == set(merge_result.tuples)
         assert hash_result.stats.intermediate_results == merge_result.stats.intermediate_results
 
@@ -138,8 +138,8 @@ class TestPairwiseBehaviour:
 
         database = edges_database([(1, 1), (1, 2), (3, 3)])
         query = ConjunctiveQuery("loops", ("x",), [Atom("E", ("x", "x"))])
-        result = PairwiseJoin("hash").run(query, database)
-        reference = set(NaiveJoin().run(query, database).tuples)
+        result = PairwiseJoin("hash").execute(query, database)
+        reference = set(NaiveJoin().execute(query, database).tuples)
         assert set(result.tuples) == reference == {(1,), (3,)}
 
 

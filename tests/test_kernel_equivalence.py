@@ -82,9 +82,9 @@ class TestEngineEquivalenceMatrix:
     @pytest.mark.parametrize("query", MATRIX_QUERIES, ids=lambda q: q.name)
     def test_results_identical_to_oracle(self, seed, query):
         database = seeded_database(seed)
-        reference = sorted(NaiveJoin().run(query, database).tuples)
+        reference = sorted(NaiveJoin().execute(query, database).tuples)
         for engine in WCOJ_ENGINES:
-            result = engine.run(query, database)
+            result = engine.execute(query, database)
             assert sorted(result.tuples) == reference, engine.name
             # Results are duplicate-free even for projection paths.
             assert len(result.tuples) == len(set(result.tuples))
@@ -92,8 +92,8 @@ class TestEngineEquivalenceMatrix:
     @pytest.mark.parametrize("query", MATRIX_QUERIES, ids=lambda q: q.name)
     def test_join_stats_semantics(self, query):
         database = seeded_database(3)
-        lftj = LeapfrogTrieJoin().run(query, database)
-        ctj = CachedTrieJoin().run(query, database)
+        lftj = LeapfrogTrieJoin().execute(query, database)
+        ctj = CachedTrieJoin().execute(query, database)
         for result in (lftj, ctj):
             stats = result.stats
             assert stats.output_tuples == result.cardinality
@@ -118,7 +118,7 @@ class TestEngineEquivalenceMatrix:
             "proj", ("x",), [Atom("E", ("x", "y")), Atom("E", ("y", "z"))]
         )
         for engine in WCOJ_ENGINES:
-            tuples = engine.run(query, database).tuples
+            tuples = engine.execute(query, database).tuples
             assert tuples == list(dict.fromkeys(tuples))
             assert sorted(tuples) == sorted(set(tuples))
 
@@ -309,7 +309,7 @@ def leaf_database() -> Database:
 def run_leaf_case(engine, case):
     query, order = LEAF_CASES[case]
     plan = engine.compiler.compile(query, variable_order=tuple(order))
-    return engine.run(query, leaf_database(), plan=plan)
+    return engine.execute(query, leaf_database(), plan=plan)
 
 
 def observed_counters(result):
@@ -321,7 +321,7 @@ def observed_counters(result):
 def oracle_rows(query, order):
     """Rows in trie-join emission order, derived from the naive oracle."""
     full = ConjunctiveQuery("full", tuple(order), query.atoms)
-    bindings = sorted(NaiveJoin().run(full, leaf_database()).tuples)
+    bindings = sorted(NaiveJoin().execute(full, leaf_database()).tuples)
     columns = [order.index(v) for v in query.head_variables]
     return list(dict.fromkeys(tuple(row[c] for c in columns) for row in bindings))
 
@@ -904,9 +904,9 @@ class TestPlanKernel:
         database = seeded_database(1)
         query = pattern_query("cycle3")
         for engine in (LeapfrogTrieJoin(), CachedTrieJoin()):
-            result = engine.run(query, database)
+            result = engine.execute(query, database)
             plan = pickle.loads(pickle.dumps(result.plan))
-            again = engine.run(query, database, plan=plan)
+            again = engine.execute(query, database, plan=plan)
             assert again.tuples == result.tuples
             assert again.stats.as_dict() == result.stats.as_dict()
 
@@ -936,7 +936,7 @@ class TestPlanKernel:
         assert_generic_matches_reference(plan, database)
         # A path ends on the cycle or at a dead end; a cycle closes iff 4 | length.
         expected = 0 if closed and length % 4 else 4 if closed else 8
-        assert len(LeapfrogTrieJoin().run(query, database).tuples) == expected
+        assert len(LeapfrogTrieJoin().execute(query, database).tuples) == expected
 
 
 class TestKernelMemo:
@@ -951,9 +951,9 @@ class TestKernelMemo:
         assert len({query.variables for query in queries}) == 6
         shapes = set()
         for engine in (LeapfrogTrieJoin(), CachedTrieJoin(), GenericJoin()):
-            intersection = "materialise" if engine.name == "generic_join" else "leapfrog"
+            intersection = "materialise" if engine.name == "generic" else "leapfrog"
             for query in queries:
-                result = engine.run(query, database)
+                result = engine.execute(query, database)
                 shapes.add(
                     plan_shape(result.plan, engine.name == "ctj", intersection=intersection)
                 )

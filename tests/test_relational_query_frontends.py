@@ -172,7 +172,7 @@ class TestSQLFrontend:
         sql_query = parse_sql_join(
             "SELECT * FROM Posts as R, Likes as S WHERE R.postID=S.post", database
         )
-        result = NaiveJoin().run(sql_query, database)
+        result = NaiveJoin().execute(sql_query, database)
         assert result.cardinality == 2  # both posts have exactly one like
 
 

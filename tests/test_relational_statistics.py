@@ -60,7 +60,7 @@ class TestAGMBound:
     def test_output_never_exceeds_bound(self, small_community_db, query_name):
         """Worst-case optimality sanity: |output| <= AGM bound."""
         query = pattern_query(query_name)
-        result = CachedTrieJoin().run(query, small_community_db)
+        result = CachedTrieJoin().execute(query, small_community_db)
         bound = agm_bound(query, small_community_db)
         assert result.cardinality <= bound + 1e-6
 
@@ -70,7 +70,7 @@ class TestAGMBound:
         database = edges_database(edges)
         for name in ("cycle3", "cycle4"):
             query = pattern_query(name)
-            output = len(NaiveJoin().run(query, database).tuples)
+            output = len(NaiveJoin().execute(query, database).tuples)
             assert output <= agm_bound(query, database) + 1e-6
 
     def test_empty_relation_bound_is_one(self):

@@ -6,11 +6,11 @@ import sys
 
 import pytest
 
+from repro.engines import create_engine as create_backend
 from repro.graphs import pattern_query
 from repro.joins import NaiveJoin, QueryCompiler
 from repro.joins.compiler import canonical_signature
 from repro.relational.query import Atom, ConjunctiveQuery
-from repro.api.engines import create_engine as create_backend
 from repro.service import (
     AdmissionController,
     LRUCache,
@@ -95,8 +95,8 @@ class TestCanonicalization:
         query = alpha_rename(pattern_query("cycle3"), 9)
         _, canonical, plan = compiler.compile_canonical(query)
         via_canonical = engine.execute(canonical, small_community_db, plan=plan)
-        oracle = NaiveJoin().run(query, small_community_db)
-        assert set(via_canonical.tuples) == oracle.as_set()
+        oracle = NaiveJoin().execute(query, small_community_db)
+        assert set(via_canonical.tuples) == set(oracle.tuples)
 
 
 # --------------------------------------------------------------------------- #
@@ -206,8 +206,8 @@ class TestQueryService:
         service = QueryService(service_db, backends=("lftj",), seed=1)
         query = pattern_query("cycle3")
         outcome = service.serve(query)
-        oracle = NaiveJoin().run(query, service_db)
-        assert set(outcome.tuples) == oracle.as_set()
+        oracle = NaiveJoin().execute(query, service_db)
+        assert set(outcome.tuples) == set(oracle.tuples)
 
     def test_alpha_equivalent_queries_compile_exactly_once(self, service_db):
         compile_calls = []
@@ -252,8 +252,8 @@ class TestQueryService:
         assert not after.record.result_cache_hit
         assert (1001, 1002, 1003) in set(after.tuples)
         assert set(before.tuples) < set(after.tuples)
-        oracle = NaiveJoin().run(query, service_db)
-        assert set(after.tuples) == oracle.as_set()
+        oracle = NaiveJoin().execute(query, service_db)
+        assert set(after.tuples) == set(oracle.tuples)
 
     def test_repeat_query_hits_result_cache(self, service_db):
         service = QueryService(service_db, backends=("lftj",), seed=1)
@@ -363,8 +363,8 @@ class TestWorkload:
         spec = WorkloadSpec(num_queries=8, mode="closed", queries=("cycle3", "path3"))
         outcomes = run_workload(service, generate_requests(spec, seed=4))
         assert len(outcomes) == 8
-        oracle = NaiveJoin().run(pattern_query("cycle3"), service_db)
+        oracle = NaiveJoin().execute(pattern_query("cycle3"), service_db)
         cycle3_records = [
             o for o in outcomes.values() if o.record.signature.count(";") == 2
         ]
-        assert any(set(o.tuples) == oracle.as_set() for o in cycle3_records)
+        assert any(set(o.tuples) == set(oracle.tuples) for o in cycle3_records)

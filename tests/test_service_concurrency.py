@@ -29,8 +29,7 @@ import time
 
 import pytest
 
-from repro.api import coerce_statement
-from repro.api.engines import EngineCapabilities, EngineExecution, EngineProtocol
+from repro.api import EngineCapabilities, EngineExecution, EngineProtocol, coerce_statement
 from repro.graphs import pattern_query
 from repro.relational.sharding import shard_database
 from repro.service import (

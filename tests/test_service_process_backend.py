@@ -278,6 +278,17 @@ class TestWorkerExecution:
         finally:
             runner.close()
 
+    def test_exactly_the_plan_kernel_engines_ship(self):
+        runner = SharedMemoryRunner(workers=1)
+        try:
+            names = ("naive", "lftj", "ctj", "generic", "pairwise", "triejax")
+            shipped = {
+                name for name in names if runner._engine_bytes(create_engine(name)) is not None
+            }
+            assert shipped == {"lftj", "ctj", "generic"}
+        finally:
+            runner.close()
+
     def test_ordered_attributes_require_covering_order(self):
         query = pattern_query("cycle3")
         atom = query.atoms[0]

@@ -97,11 +97,11 @@ class TestScatterGatherEquivalence:
         assert execution.scatter.duplicates_removed == expected_duplicates
 
     def test_count_only_aggregation_sums_shard_counts(self, base_db, expected_results):
-        from repro.api import AcceleratorEngine
+        from repro.api import TrieJaxAccelerator
 
         sharded = shard_database(base_db, 2)
         executor = ScatterGatherExecutor(sharded)
-        engine = AcceleratorEngine(aggregate="count")
+        engine = TrieJaxAccelerator(aggregate="count")
         execution = executor.execute(pattern_query("cycle3"), engine)
         assert execution.tuples == []
         assert execution.count == len(expected_results["cycle3"])
@@ -110,9 +110,9 @@ class TestScatterGatherEquivalence:
         assert sum(t.tuples for t in execution.scatter.tasks) == execution.count
 
     def test_count_only_through_sharded_session(self, base_db, expected_results):
-        from repro.api import AcceleratorEngine
+        from repro.api import TrieJaxAccelerator
 
-        session = Session(base_db, engines=(AcceleratorEngine(aggregate="count"),), shards=2)
+        session = Session(base_db, engines=(TrieJaxAccelerator(aggregate="count"),), shards=2)
         result = session.execute(Statement.pattern("cycle3"), route="triejax")
         assert result.cardinality == len(expected_results["cycle3"])
 
@@ -288,7 +288,7 @@ class TestShardAwareInvalidation:
         assert partial_key(signature, 1) not in partial_cache
 
     def test_count_only_reconciles_with_replayed_partials(self):
-        from repro.api import AcceleratorEngine
+        from repro.api import TrieJaxAccelerator
 
         sharded = two_relation_catalog()
         partial_cache = ResultCache(64)
@@ -302,7 +302,7 @@ class TestShardAwareInvalidation:
         partitioner = sharded.partitioner_for("R")
         row = next((v, v + 50) for v in range(1000) if partitioner.shard_of(v) == 0)
         sharded.insert_into("R", [row])
-        execution = executor.execute(query, AcceleratorEngine(aggregate="count"))
+        execution = executor.execute(query, TrieJaxAccelerator(aggregate="count"))
         reference = create_engine("ctj").execute(query, sharded.global_database)
         assert execution.cardinality == len(reference.tuples)
 

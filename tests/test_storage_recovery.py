@@ -74,7 +74,7 @@ def run_all(catalog):
         for query_name in QUERIES:
             query = pattern_query(query_name)
             for attempt in (1, 2):
-                result = engine.run(query, catalog)
+                result = engine.execute(query, catalog)
                 observed[(engine_name, query_name, attempt)] = (
                     sorted(result.tuples),
                     result.stats.lub_searches,

@@ -245,11 +245,11 @@ def test_seeded_delta_terms_equal_recompute_difference(initial, batches, query, 
     database = Database("g")
     database.add_relation(Relation("E", Schema(("src", "dst")), initial))
     engine, planner, oracle = create_engine(engine_name), DeltaPlanner(), NaiveJoin()
-    before = oracle.run(query, database).as_set()
+    before = set(oracle.execute(query, database).tuples)
     for batch in batches:
         added = database.insert_batch("E", batch).rows
         delta = evaluate_delta(query, database, {"E": added}, engine, planner)
-        after = oracle.run(query, database).as_set()
+        after = set(oracle.execute(query, database).tuples)
         assert list(delta.tuples) == sorted(set(delta.tuples))
         assert before | set(delta.tuples) == after
         before = after
