@@ -18,7 +18,7 @@ naive oracle).  The execution's cost is the modelled runtime in nanoseconds
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.core.config import TrieJaxConfig
 from repro.core.cupid import CupidProgram
@@ -31,9 +31,7 @@ from repro.joins.plan import JoinPlan
 from repro.memory.energy import EnergyBreakdown, EnergyModel
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.relational.catalog import Database
-from repro.relational.layout import MemoryLayout
 from repro.relational.query import ConjunctiveQuery
-from repro.relational.trie import TrieIndex
 
 
 class TrieJaxAccelerator(EngineProtocol):
@@ -95,7 +93,6 @@ class TrieJaxAccelerator(EngineProtocol):
         if plan is None:
             plan = self.compiler.compile(query)
 
-        tries, layout = self._build_indexes(plan, database)
         hierarchy = MemoryHierarchy(self.config.hierarchy, self.config.dram)
         pjr_cache = PJRCache(
             capacity_bytes=self.config.pjr_size_bytes,
@@ -103,7 +100,7 @@ class TrieJaxAccelerator(EngineProtocol):
             bytes_per_value=self.config.pjr_bytes_per_value,
         )
         program = CupidProgram(
-            plan, tries, layout, self.config, pjr_cache, count_only=self.aggregate == "count"
+            plan, database, self.config, pjr_cache, count_only=self.aggregate == "count"
         )
         scheduler = Scheduler(self.config, hierarchy)
 
@@ -111,7 +108,7 @@ class TrieJaxAccelerator(EngineProtocol):
         if not program.empty_input():
             scheduler.run(program, program.root_task())
             # Flush any result bytes still sitting in the write-combining buffer.
-            hierarchy.flush_write_buffer(layout.result_region().base_address)
+            hierarchy.flush_write_buffer(program.result_region.base_address)
             tuples = program.results
             if not plan.query.is_full:
                 # Projection queries can repeat head tuples; keep set semantics
@@ -129,24 +126,6 @@ class TrieJaxAccelerator(EngineProtocol):
             count=program.result_count,
             cacheable=self.aggregate is None,
         )
-
-    # ------------------------------------------------------------------ #
-    # Index construction
-    # ------------------------------------------------------------------ #
-    def _build_indexes(
-        self, plan: JoinPlan, database: Database
-    ) -> Tuple[Dict[str, TrieIndex], MemoryLayout]:
-        """Build the per-atom tries and assign them addresses."""
-        tries: Dict[str, TrieIndex] = {}
-        layout = MemoryLayout()
-        for binding in plan.atom_bindings:
-            if binding.trie_key in tries:
-                continue
-            trie = database.trie_for_atom(binding.atom, plan.variable_order)
-            tries[binding.trie_key] = trie
-            layout.add_trie(binding.trie_key, trie)
-        layout.result_region()
-        return tries, layout
 
     # ------------------------------------------------------------------ #
     # Reporting

@@ -1,96 +1,156 @@
-"""Cupid: the full-join control unit.
+"""Cupid: the full-join control unit, and the one walk of the TrieJax model.
 
 Cupid owns the execution of the whole join (Figure 12): it walks the global
-variable order, asks Midwife for the children ranges of the current partial
-path, asks MatchMaker for the matches of the current variable, manages
-backtracking, consults and fills the partial-join-result cache, emits result
-tuples to the streaming write path, and drives the multithreading scheme by
-splitting its remaining work onto other hardware threads.
+variable order, has Midwife read the child ranges of the current partial
+path (Figure 11), has MatchMaker leapfrog the ranges with LUB binary
+searches (Figures 9 and 10), manages backtracking, consults and fills the
+partial-join-result cache, emits result tuples to the streaming write path,
+and drives the multithreading scheme by splitting its remaining work onto
+other hardware threads.
 
 In this model Cupid is a *program factory*: :meth:`CupidProgram.task_generator`
 returns a Python generator that narrates the work of one hardware thread
 (yielding :class:`~repro.core.operations.Operation` and
 :class:`~repro.core.operations.SpawnRequest` records) while computing the
 actual join results, so functional correctness and timing come from the same
-execution.
+execution.  The walk reads the plan kernel's own slot tables
+(:func:`~repro.joins.leapfrog.resolve_slot_tables`): bound values are a list
+indexed by depth, trie cursors one flat list of
+:attr:`~repro.joins.plan.SlotProgram.num_positions` entries, and a match is
+``(value, cursors)`` with one cursor per participant of its depth.  Every
+probed address still goes through
+:meth:`~repro.relational.layout.ArrayRegion.address_of` and its bounds check.
+
+MatchMaker enumerates *all* matches of a variable in one request.  The
+hardware interleaves match delivery with Cupid's descent, but the amount of
+work (LUB probes, value loads, coordination cycles) is the same; only the
+issue order differs, which is within the tolerance of this cycle-approximate
+model and is what makes dynamic work splitting straightforward.
+
+PJR cache versus CTJ's software cache.  With the cache on, the model makes
+exactly as many PJR lookups as CTJ makes ``cache_lookups`` over the same
+plan (``tests/test_model_contracts.py``).  Hits and inserts are *not* equal
+even at one thread with an unbounded cache: the model never caches an empty
+match list (:meth:`CupidProgram._explore` returns before ``try_allocate``),
+while CTJ does, so a key whose matches are empty misses again on every
+revisit.  Counterexample: gnu04 at scale 0.01, cycle4, hits 283 vs 363 and
+finalized entries 237 vs 1,440.  Only ``hits <= cache_hits`` and
+``entries_finalized <= cache_inserts`` hold.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config import TrieJaxConfig
-from repro.core.lub import LUBUnit
-from repro.core.matchmaker import MatchMakerUnit, Participant
-from repro.core.midwife import MidwifeUnit
 from repro.core.operations import Operation, SpawnRequest
 from repro.core.pjr_cache import PJRCache
-from repro.core.thread_state import Task
+from repro.joins.leapfrog import resolve_slot_tables
 from repro.joins.plan import JoinPlan
+from repro.relational.catalog import Database
 from repro.relational.layout import MemoryLayout
-from repro.relational.trie import TrieIndex
 
-Match = Tuple[int, Dict[str, int]]
+#: A match: the value plus the matched cursor of every participant.
+Match = Tuple[int, Tuple[int, ...]]
+
+
+class Task(NamedTuple):
+    """A unit of join work assignable to a hardware thread.
+
+    ``values`` holds the bound value of every depth ``< depth`` and
+    ``positions`` the flat trie cursors consistent with them.  When
+    ``pending`` is not ``None`` it lists the matches of the variable at
+    ``depth`` that this task iterates — how a thread hands "everything
+    after my current match" to a sibling thread without the sibling
+    recomputing the leapfrog (Section 3.4, Figure 8).  When ``None``, the
+    task computes the matches itself.
+    """
+
+    depth: int
+    values: Tuple[int, ...]
+    positions: Tuple[int, ...]
+    pending: Optional[Sequence[Match]]
 
 
 class CupidProgram:
     """Generates the per-thread work of one query execution.
 
-    Parameters
-    ----------
-    plan:
-        Compiled join plan (variable order, atom bindings, cache structure).
-    tries:
-        Trie index per atom trie key.
-    layout:
-        Address layout of the trie arrays and the result stream.
-    config:
-        Accelerator configuration.
-    pjr_cache:
-        The shared partial-join-result cache (may be ignored when the
-        configuration disables it).
+    Resolves the plan's slot tries once and lays them out in binding order,
+    then the result region.  Per depth it keeps, for each participant, the
+    level values with their region, the parent offsets with their region
+    (``None`` at the root) and the parent's flat position; plus the flat
+    positions the depth's matches set and its PJR key depths (``None``
+    unless the depth is cached and ``config.enable_pjr_cache`` is set).
     """
 
     def __init__(
         self,
         plan: JoinPlan,
-        tries: Dict[str, TrieIndex],
-        layout: MemoryLayout,
+        database: Database,
         config: TrieJaxConfig,
         pjr_cache: PJRCache,
         count_only: bool = False,
     ):
         self.plan = plan
-        self.tries = tries
-        self.layout = layout
         self.config = config
         self.pjr_cache = pjr_cache
         # Aggregation mode (the paper's Section 5 extension): bindings are
         # counted by Cupid and never streamed to memory.
         self.count_only = count_only
         self.result_count = 0
-        self.lub = LUBUnit(config, layout)
-        self.midwife = MidwifeUnit(config, layout)
-        self.matchmaker = MatchMakerUnit(config, self.lub)
         # Shared outputs of the whole run (appended to by every thread).
         self.results: List[Tuple[int, ...]] = []
-        self._result_region = layout.result_region()
+
+        program = plan.slot_program()
+        slot_tries, depth_tables = resolve_slot_tables(plan, database)
+        layout = MemoryLayout()
+        for key, trie in dict(zip(program.trie_keys, slot_tries)).items():
+            layout.add_trie(key, trie)
+        self.result_region = layout.result_region()
+        keys = program.trie_keys
+        self.tables = []
+        for depth_program, arrays, parent_offsets, targets, parents in depth_tables:
+            participants = tuple(
+                (
+                    values,
+                    layout.values_region(keys[slot], level),
+                    offsets,
+                    layout.offsets_region(keys[slot], level - 1) if level else None,
+                    parent,
+                )
+                for (slot, level), values, offsets, parent in zip(
+                    depth_program.participants, arrays, parent_offsets, parents
+                )
+            )
+            key_depths = depth_program.cache_key_depths if config.enable_pjr_cache else None
+            self.tables.append((depth_program.variable, participants, targets, key_depths))
+        self._empty = any(trie.num_tuples == 0 for trie in slot_tries)
+        self._num_positions = program.num_positions
+        self._head_depths = program.head_depths
         self._result_cursor = 0
         self._result_bytes_per_tuple = 4 * len(plan.query.head_variables)
+        self._dynamic = config.mt_scheme in ("dynamic", "hybrid") and config.num_threads > 1
+        # The operations that carry no address are the same record every time.
+        self._task_start = Operation("cupid", config.cupid_cycles, tag="task_start")
+        self._advance = Operation("cupid", config.cupid_cycles, tag="advance")
+        self._dispatch = Operation("cupid", config.cupid_cycles, tag="dispatch_matchmaker")
+        self._count = Operation("cupid", config.result_emit_cycles, tag="count")
+        self._match = Operation("matchmaker", config.matchmaker_cycles, tag="match")
+        self._seek = Operation("matchmaker", config.matchmaker_cycles, tag="seek")
+        self._pjr_lookup = Operation("pjr", config.pjr_lookup_cycles, tag="pjr_lookup")
+        self._pjr_read = Operation("pjr", config.pjr_read_cycles, tag="pjr_read")
+        self._pjr_write = Operation("pjr", config.pjr_write_cycles, tag="pjr_write")
 
     # ------------------------------------------------------------------ #
     # Task construction
     # ------------------------------------------------------------------ #
     def root_task(self) -> Task:
         """The task that explores the entire search space from depth zero."""
-        positions = {
-            binding.trie_key: [-1] * binding.depth for binding in self.plan.atom_bindings
-        }
-        return Task(depth=0, binding={}, positions=positions, pending_matches=None)
+        return Task(0, (0,) * self.plan.num_variables, (-1,) * self._num_positions, None)
 
     def empty_input(self) -> bool:
         """True when some relation is empty, making the whole join empty."""
-        return any(trie.num_tuples == 0 for trie in self.tries.values())
+        return self._empty
 
     # ------------------------------------------------------------------ #
     # Thread program
@@ -98,204 +158,188 @@ class CupidProgram:
     def task_generator(self, task: Task) -> Iterator[object]:
         """Work generator of one hardware thread executing ``task``."""
         # Query/state load: Cupid reads the compiled query structure.
-        yield Operation("cupid", self.config.cupid_cycles, tag="task_start")
-        binding = dict(task.binding)
-        positions = {key: list(pos) for key, pos in task.positions.items()}
-        if task.pending_matches is not None:
-            variable = self.plan.variable_at(task.depth)
+        yield self._task_start
+        values = list(task.values)
+        positions = list(task.positions)
+        if task.pending is not None:
             yield from self._iterate_matches(
-                task.depth,
-                variable,
-                list(task.pending_matches),
-                binding,
-                positions,
-                allow_split=self._dynamic_enabled(),
-                cache_context=None,
+                task.depth, list(task.pending), values, positions, self._dynamic, None
             )
         else:
-            yield from self._explore(task.depth, binding, positions)
+            yield from self._explore(task.depth, values, positions)
 
     # ------------------------------------------------------------------ #
     # Recursive exploration
     # ------------------------------------------------------------------ #
-    def _explore(
-        self,
-        depth: int,
-        binding: Dict[str, int],
-        positions: Dict[str, List[int]],
-    ) -> Iterator[object]:
-        if depth == self.plan.num_variables:
-            yield from self._emit(binding)
+    def _explore(self, depth: int, values: List[int], positions: List[int]) -> Iterator[object]:
+        if depth == len(self.tables):
+            yield from self._emit(values)
             return
-        variable = self.plan.variable_at(depth)
-        cache_spec = (
-            self.plan.cache_spec_for(variable) if self.config.enable_pjr_cache else None
-        )
+        variable, participants, _targets, key_depths = self.tables[depth]
 
-        if cache_spec is not None:
-            key = (variable, tuple(binding[v] for v in cache_spec.key_variables))
-            yield Operation("pjr", self.config.pjr_lookup_cycles, tag="pjr_lookup")
+        if key_depths is not None:
+            key = (variable, tuple(values[d] for d in key_depths))
+            yield self._pjr_lookup
             cached = self.pjr_cache.lookup(key)
             if cached is not None:
-                yield from self._replay_cached(depth, variable, cached, binding, positions)
+                # Reuse a completed PJR entry instead of recomputing the leapfrog.
+                for value, cursors in cached:
+                    yield self._pjr_read
+                    yield from self._descend(depth, value, cursors, values, positions)
                 return
             # Miss: compute the matches, cache them while descending.
-            matches = yield from self._find_matches(depth, variable, binding, positions)
+            matches = yield from self._find_matches(participants, positions)
             if not matches:
                 return
-            path_signature = tuple(
-                binding[v] for v in self.plan.variable_order[:depth]
-            )
+            path_signature = tuple(values[:depth])
             allocated = self.pjr_cache.try_allocate(key, path_signature)
             yield from self._iterate_matches(
                 depth,
-                variable,
                 matches,
-                binding,
+                values,
                 positions,
-                allow_split=False,
-                cache_context=(key, path_signature) if allocated else None,
+                False,
+                (key, path_signature) if allocated else None,
             )
             if allocated:
                 self.pjr_cache.finalize(key, path_signature)
             return
 
-        matches = yield from self._find_matches(depth, variable, binding, positions)
+        matches = yield from self._find_matches(participants, positions)
         if not matches:
             return
         if depth == 0:
-            yield from self._partition_root(variable, matches, binding, positions)
+            yield from self._partition_root(matches, values, positions)
             return
-        yield from self._iterate_matches(
-            depth,
-            variable,
-            matches,
-            binding,
-            positions,
-            allow_split=self._dynamic_enabled(),
-            cache_context=None,
-        )
+        yield from self._iterate_matches(depth, matches, values, positions, self._dynamic, None)
 
     def _iterate_matches(
         self,
         depth: int,
-        variable: str,
         matches: List[Match],
-        binding: Dict[str, int],
-        positions: Dict[str, List[int]],
+        values: List[int],
+        positions: List[int],
         allow_split: bool,
         cache_context: Optional[Tuple[Tuple[str, Tuple[int, ...]], Tuple[int, ...]]],
     ) -> Iterator[object]:
-        """Process the matches of ``variable`` at ``depth``, possibly splitting work."""
+        """Process the matches at ``depth``, possibly splitting work."""
         index = 0
         while index < len(matches):
-            remaining = len(matches) - index - 1
-            if allow_split and cache_context is None and remaining > 0:
+            if allow_split and index + 1 < len(matches):
                 # Dynamic MT: offer everything after the current match to an
                 # idle hardware thread (Section 3.4).
-                split_binding = dict(binding)
-                split_positions = {k: list(p) for k, p in positions.items()}
-                spawn = SpawnRequest(
-                    Task(
-                        depth=depth,
-                        binding=split_binding,
-                        positions=split_positions,
-                        pending_matches=matches[index + 1 :],
-                    ),
-                    force=False,
-                    cycles=self.config.spawn_cycles,
-                )
-                accepted = yield spawn
+                task = Task(depth, tuple(values), tuple(positions), matches[index + 1 :])
+                accepted = yield SpawnRequest(task, force=False, cycles=self.config.spawn_cycles)
                 if accepted:
                     matches = matches[: index + 1]
-            value, indexes = matches[index]
+            value, cursors = matches[index]
             if cache_context is not None:
                 key, path_signature = cache_context
-                stored = self.pjr_cache.append(key, path_signature, (value, indexes))
-                if stored:
-                    yield Operation("pjr", self.config.pjr_write_cycles, tag="pjr_write")
+                if self.pjr_cache.append(key, path_signature, matches[index]):
+                    yield self._pjr_write
                 else:
                     # Overflow or ownership loss: stop trying to cache.
                     cache_context = None
-            yield from self._descend(depth, variable, value, indexes, binding, positions)
+            yield from self._descend(depth, value, cursors, values, positions)
             index += 1
 
     def _descend(
         self,
         depth: int,
-        variable: str,
         value: int,
-        indexes: Dict[str, int],
-        binding: Dict[str, int],
-        positions: Dict[str, List[int]],
+        cursors: Sequence[int],
+        values: List[int],
+        positions: List[int],
     ) -> Iterator[object]:
-        yield Operation("cupid", self.config.cupid_cycles, tag="advance")
-        binding[variable] = value
-        for atom_binding in self.plan.bindings_with(variable):
-            level = atom_binding.level_of(variable)
-            positions[atom_binding.trie_key][level] = indexes[atom_binding.trie_key]
-        yield from self._explore(depth + 1, binding, positions)
-        del binding[variable]
-
-    def _replay_cached(
-        self,
-        depth: int,
-        variable: str,
-        cached: Sequence[Match],
-        binding: Dict[str, int],
-        positions: Dict[str, List[int]],
-    ) -> Iterator[object]:
-        """Reuse a completed PJR entry instead of recomputing the leapfrog."""
-        for value, indexes in cached:
-            yield Operation("pjr", self.config.pjr_read_cycles, tag="pjr_read")
-            yield from self._descend(depth, variable, value, dict(indexes), binding, positions)
+        yield self._advance
+        values[depth] = value
+        for target, cursor in zip(self.tables[depth][2], cursors):
+            positions[target] = cursor
+        yield from self._explore(depth + 1, values, positions)
 
     # ------------------------------------------------------------------ #
-    # Match computation
+    # Match computation: Midwife, then MatchMaker over LUB
     # ------------------------------------------------------------------ #
-    def _find_matches(
-        self,
-        depth: int,
-        variable: str,
-        binding: Dict[str, int],
-        positions: Dict[str, List[int]],
-    ) -> Iterator[object]:
-        """Build the participant ranges (via Midwife) and leapfrog them (via MatchMaker)."""
-        participants: List[Participant] = []
-        for atom_binding in self.plan.bindings_with(variable):
-            trie = self.tries[atom_binding.trie_key]
-            level = atom_binding.level_of(variable)
-            if level == 0:
-                lo, hi = trie.root_range()
+    def _find_matches(self, participants, positions: List[int]) -> Iterator[object]:
+        """Expand each participant's child range, then intersect the ranges.
+
+        Midwife reads two consecutive child offsets per non-root participant;
+        an empty range ends the depth before MatchMaker is dispatched.  One
+        participant is a scan with one LUB load per element.  Several are
+        leapfrogged align-to-max: a lagging cursor seeks the maximum with a
+        LUB binary search (one probe per iteration) and reloads its value;
+        a search past the range end ends the intersection.
+        """
+        arrays, regions, cursors, ends = [], [], [], []
+        for values, region, offsets, offsets_region, parent in participants:
+            if offsets is None:
+                lo, hi = 0, len(values)
             else:
-                parent_index = positions[atom_binding.trie_key][level - 1]
-                lo, hi = yield from self.midwife.expand(
-                    atom_binding.trie_key, trie, level - 1, parent_index
+                index = positions[parent]
+                addresses = (offsets_region.address_of(index), offsets_region.address_of(index + 1))
+                yield Operation(
+                    "midwife", self.config.midwife_cycles, addresses, tag="midwife_expand"
                 )
+                lo, hi = offsets[index], offsets[index + 1]
             if lo >= hi:
                 return []
-            participants.append(
-                Participant(
-                    trie_key=atom_binding.trie_key,
-                    values=trie.level_values(level),
-                    level=level,
-                    lo=lo,
-                    hi=hi,
-                )
-            )
-        yield Operation("cupid", self.config.cupid_cycles, tag="dispatch_matchmaker")
-        matches = yield from self.matchmaker.find_matches(participants)
-        return matches
+            arrays.append(values)
+            regions.append(region)
+            cursors.append(lo)
+            ends.append(hi)
+        yield self._dispatch
+
+        matches = []
+        if len(arrays) == 1:
+            for position in range(cursors[0], ends[0]):
+                yield self._lub(regions[0], position, "lub_load")
+                matches.append((arrays[0][position], (position,)))
+            return matches
+        count = len(arrays)
+        current = []
+        for i in range(count):
+            yield self._lub(regions[i], cursors[i], "lub_load")
+            current.append(arrays[i][cursors[i]])
+        while True:
+            target = max(current)
+            if current.count(target) == count:
+                yield self._match
+                matches.append((target, tuple(cursors)))
+                cursors = [cursor + 1 for cursor in cursors]
+                if any(cursor >= end for cursor, end in zip(cursors, ends)):
+                    return matches
+                for i in range(count):
+                    yield self._lub(regions[i], cursors[i], "lub_load")
+                    current[i] = arrays[i][cursors[i]]
+                continue
+            for i in range(count):
+                if current[i] >= target:
+                    continue
+                yield self._seek
+                values, region = arrays[i], regions[i]
+                lo, hi = cursors[i], ends[i]
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    yield self._lub(region, mid, "lub_probe")
+                    if values[mid] < target:
+                        lo = mid + 1
+                    else:
+                        hi = mid
+                if lo >= ends[i]:
+                    return matches
+                cursors[i] = lo
+                yield self._lub(region, lo, "lub_load")
+                current[i] = values[lo]
+
+    def _lub(self, region, index: int, tag: str) -> Operation:
+        """One LUB read of element ``index`` of ``region`` (a probe or a load)."""
+        return Operation("lub", self.config.lub_probe_cycles, (region.address_of(index),), tag=tag)
 
     # ------------------------------------------------------------------ #
     # Root-level work partitioning (static / hybrid MT)
     # ------------------------------------------------------------------ #
     def _partition_root(
-        self,
-        variable: str,
-        matches: List[Match],
-        binding: Dict[str, int],
-        positions: Dict[str, List[int]],
+        self, matches: List[Match], values: List[int], positions: List[int]
     ) -> Iterator[object]:
         """Split the first variable's matches across hardware threads.
 
@@ -308,8 +352,7 @@ class CupidProgram:
           iterated like any other level and work fans out through on-match
           splitting only.
         """
-        scheme = self.config.mt_scheme
-        if scheme in ("static", "hybrid") and len(matches) > 1:
+        if self.config.mt_scheme in ("static", "hybrid") and len(matches) > 1:
             num_chunks = min(self.config.num_threads, len(matches))
             chunk_size = (len(matches) + num_chunks - 1) // num_chunks
             chunks = [
@@ -317,47 +360,25 @@ class CupidProgram:
                 for start in range(0, len(matches), chunk_size)
             ]
             for chunk in chunks[1:]:
-                spawn = SpawnRequest(
-                    Task(
-                        depth=0,
-                        binding=dict(binding),
-                        positions={k: list(p) for k, p in positions.items()},
-                        pending_matches=chunk,
-                    ),
-                    force=True,
-                    cycles=self.config.spawn_cycles,
-                )
-                yield spawn
+                task = Task(0, tuple(values), tuple(positions), chunk)
+                yield SpawnRequest(task, force=True, cycles=self.config.spawn_cycles)
             matches = chunks[0]
-        yield from self._iterate_matches(
-            0,
-            variable,
-            matches,
-            binding,
-            positions,
-            allow_split=self._dynamic_enabled(),
-            cache_context=None,
-        )
-
-    def _dynamic_enabled(self) -> bool:
-        return self.config.mt_scheme in ("dynamic", "hybrid") and self.config.num_threads > 1
+        yield from self._iterate_matches(0, matches, values, positions, self._dynamic, None)
 
     # ------------------------------------------------------------------ #
     # Result emission
     # ------------------------------------------------------------------ #
-    def _emit(self, binding: Dict[str, int]) -> Iterator[object]:
+    def _emit(self, values: List[int]) -> Iterator[object]:
         """Write one result tuple to the streaming output region (or count it)."""
         self.result_count += 1
         if self.count_only:
             # Aggregation mode: Cupid increments an on-chip counter, nothing
             # is written to memory.
-            yield Operation("cupid", self.config.result_emit_cycles, tag="count")
+            yield self._count
             return
-        result = tuple(binding[v] for v in self.plan.query.head_variables)
-        self.results.append(result)
-        address = self._result_region.base_address + (
-            self._result_cursor % max(self._result_region.size_in_bytes, 1)
-        )
+        self.results.append(tuple(values[d] for d in self._head_depths))
+        region = self.result_region
+        address = region.base_address + (self._result_cursor % max(region.size_in_bytes, 1))
         self._result_cursor += self._result_bytes_per_tuple
         yield Operation(
             "cupid",

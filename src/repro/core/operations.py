@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
-    from repro.core.thread_state import Task
+    from repro.core.cupid import Task
 
 
 #: Names of the schedulable components, matching Figure 7.

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.util.validation import check_positive
 
 #: A cached match: the value plus its node index in every participating trie.
-CachedMatch = Tuple[int, Dict[str, int]]
+CachedMatch = Tuple[int, Tuple[int, ...]]
 #: Cache key: (cached variable, binding of its key variables).
 EntryKey = Tuple[str, Tuple[int, ...]]
 

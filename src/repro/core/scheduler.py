@@ -32,8 +32,18 @@ from typing import Deque, Dict, Iterator, List, Optional
 
 from repro.core.config import TrieJaxConfig
 from repro.core.operations import Operation, SpawnRequest
-from repro.core.thread_state import Task, ThreadStats
+from repro.core.cupid import Task
 from repro.memory.hierarchy import MemoryHierarchy
+
+
+@dataclass
+class ThreadStats:
+    """Per-hardware-thread activity accounting (for the run report)."""
+
+    tasks_executed: int = 0
+    operations_issued: int = 0
+    busy_cycles: int = 0
+    results_emitted: int = 0
 
 
 @dataclass

@@ -1,40 +1,68 @@
-"""Unit tests for the TrieJax building blocks: config, operations, PJR cache, units."""
+"""Unit tests for the TrieJax building blocks: config, operations, PJR cache and
+the Cupid walk's Midwife / MatchMaker / LUB steps."""
+
+import math
 
 import pytest
 
 from repro.core import (
     COMPONENT_NAMES,
-    LUBUnit,
-    MatchMakerUnit,
-    MidwifeUnit,
+    CupidProgram,
     Operation,
     PJRCache,
-    Participant,
     SpawnRequest,
     Task,
     TrieJaxConfig,
 )
-from repro.relational import MemoryLayout, Relation, Schema, TrieIndex
+from repro.joins import compile_query
+from repro.relational import ConjunctiveQuery, Database, Relation, Schema
+from repro.relational.query import Atom
+
+#: The two-level relation of the walk tests: root [1, 2, 4, 5], leaves [1, 2, 2, 4, 5].
+R_ROWS = [(1, 1), (1, 2), (2, 2), (4, 4), (5, 5)]
 
 
-def drain(generator):
-    """Run a unit generator to completion, returning (operations, return value)."""
-    operations = []
+def cupid(relations, atoms, order, config=None):
+    """A Cupid program over ``relations`` (``name -> rows``) for ``q(order) = atoms``."""
+    database = Database("unit")
+    for name, rows in relations.items():
+        arity = len(rows[0]) if rows else 1
+        schema = Schema(tuple(f"a{i}" for i in range(arity)))
+        database.add_relation(Relation(name, schema, rows))
+    query = ConjunctiveQuery(
+        "q", order, [Atom(name, variables) for name, variables in atoms]
+    )
+    plan = compile_query(query, variable_order=order, enable_caching=False)
+    return CupidProgram(
+        plan, database, config or TrieJaxConfig(num_threads=1), PJRCache(4096)
+    )
+
+
+def drive(program, task=None):
+    """Run one thread's generator to completion, declining every spawn."""
+    generator = program.task_generator(task or program.root_task())
+    operations, reply = [], None
     try:
         while True:
-            operations.append(next(generator))
-    except StopIteration as stop:
-        return operations, stop.value
+            item = generator.send(reply)
+            reply = False if isinstance(item, SpawnRequest) else None
+            operations.append(item)
+    except StopIteration:
+        return operations
 
 
-def build_trie_and_layout():
-    relation = Relation(
-        "R", Schema(("x", "y")), [(1, 1), (1, 2), (2, 2), (4, 4), (5, 5)]
-    )
-    trie = TrieIndex(relation)
-    layout = MemoryLayout()
-    layout.add_trie("R", trie)
-    return trie, layout
+def tagged(operations, tag):
+    return [op for op in operations if isinstance(op, Operation) and op.tag == tag]
+
+
+def region_of(program, depth, participant):
+    """The values region of one participant of one depth."""
+    _variable, participants, _targets, _key_depths = program.tables[depth]
+    return participants[participant][1]
+
+
+def inside(region, address):
+    return region.base_address <= address < region.base_address + region.size_in_bytes
 
 
 class TestConfig:
@@ -85,103 +113,140 @@ class TestOperations:
             Operation("lub", 1, write_bytes=-1)
 
     def test_spawn_request_defaults(self):
-        request = SpawnRequest(Task(depth=0))
+        request = SpawnRequest(Task(0, (), (), None))
         assert request.force is False
         assert request.cycles == 1
 
-    def test_task_clone_context_is_deep(self):
-        task = Task(depth=1, binding={"x": 1}, positions={"t": [0, 1]})
-        binding, positions = task.clone_context()
-        binding["x"] = 99
-        positions["t"][0] = 99
-        assert task.binding["x"] == 1
-        assert task.positions["t"][0] == 0
-        assert not task.is_replay
-        assert Task(depth=0, pending_matches=[]).is_replay
+    def test_spawned_task_carries_the_remaining_matches(self):
+        config = TrieJaxConfig(num_threads=4, mt_scheme="dynamic")
+        program = cupid({"R": [(1,), (2,), (4,), (5,)]}, [("R", ("x",))], ("x",), config)
+        generator = program.task_generator(program.root_task())
+        item = next(generator)
+        while not isinstance(item, SpawnRequest):
+            item = next(generator)
+        spawned = item.task
+        assert spawned.depth == 0
+        assert [value for value, _cursors in spawned.pending] == [2, 4, 5]
+        # Granted: this thread keeps only its current match ...
+        generator.send(True)
+        for _item in generator:
+            pass
+        assert program.results == [(1,)]
+        # ... and the sibling thread walks the rest from the snapshot.
+        drive(program, spawned)
+        assert program.results == [(1,), (2,), (4,), (5,)]
 
 
+class TestLUB:
+    """LUB: one probe per binary-search iteration, one load per cursor read."""
 
-class TestLUBUnit:
-    def test_probe_count_and_result(self):
-        trie, layout = build_trie_and_layout()
-        unit = LUBUnit(TrieJaxConfig(), layout)
-        values = trie.level_values(0)  # [1, 2, 4, 5]
-        operations, position = drain(unit.search("R", 0, values, 0, len(values), 4))
-        assert position == 2
-        assert all(op.component == "lub" for op in operations)
-        assert len(operations) <= 3  # ceil(log2(4)) + slack
-        region = layout.values_region("R", 0)
-        for op in operations:
-            assert region.base_address <= op.read_addresses[0] < region.base_address + region.size_in_bytes
+    def test_probe_count_and_addresses(self):
+        program = cupid(
+            {"R": [(1,), (2,), (4,), (5,)], "S": [(4,)]},
+            [("R", ("x",)), ("S", ("x",))],
+            ("x",),
+        )
+        operations = drive(program)
+        probes = tagged(operations, "lub_probe")
+        assert 0 < len(probes) <= math.ceil(math.log2(4)) + 1
+        region = region_of(program, 0, 0)
+        assert all(op.component == "lub" for op in probes)
+        assert all(inside(region, op.read_addresses[0]) for op in probes)
+        assert program.results == [(4,)]
 
-    def test_not_found_returns_hi(self):
-        trie, layout = build_trie_and_layout()
-        unit = LUBUnit(TrieJaxConfig(), layout)
-        values = trie.level_values(0)
-        _ops, position = drain(unit.search("R", 0, values, 0, len(values), 99))
-        assert position == len(values)
+    def test_lub_miss_ends_the_intersection(self):
+        program = cupid(
+            {"R": [(1,), (2,), (4,), (5,)], "S": [(99,)]},
+            [("R", ("x",)), ("S", ("x",))],
+            ("x",),
+        )
+        operations = drive(program)
+        assert program.results == []
+        assert tagged(operations, "match") == []
+        # The search that falls off R's range is the last thing MatchMaker does.
+        assert operations[-1].tag == "lub_probe"
+        assert len(tagged(operations, "seek")) == 1
 
-    def test_read_value_emits_one_load(self):
-        trie, layout = build_trie_and_layout()
-        unit = LUBUnit(TrieJaxConfig(), layout)
-        operations, index = drain(unit.read_value("R", 0, 2))
-        assert index == 2
-        assert len(operations) == 1
-        assert operations[0].tag == "lub_load"
+    def test_one_load_per_cursor_read(self):
+        program = cupid(
+            {"R": [(1,), (2,), (4,), (5,)], "S": [(2,), (4,)]},
+            [("R", ("x",)), ("S", ("x",))],
+            ("x",),
+        )
+        operations = drive(program)
+        loads = tagged(operations, "lub_load")
+        # Two initial reads, one after R's seek to 2, two after the match on 2.
+        assert len(loads) == 5
+        assert all(len(op.read_addresses) == 1 for op in loads)
+        assert program.results == [(2,), (4,)]
 
 
-class TestMidwifeUnit:
-    def test_expand_reads_two_offsets_and_returns_range(self):
-        trie, layout = build_trie_and_layout()
-        unit = MidwifeUnit(TrieJaxConfig(), layout)
-        operations, child_range = drain(unit.expand("R", trie, 0, 0))
-        assert child_range == trie.children_range(0, 0)
-        assert len(operations) == 1
-        assert len(operations[0].read_addresses) == 2
-        assert operations[0].component == "midwife"
+class TestMidwife:
+    def test_expand_reads_two_offsets_and_bounds_the_children(self):
+        program = cupid({"R": R_ROWS}, [("R", ("x", "y"))], ("x", "y"))
+        operations = drive(program)
+        expands = tagged(operations, "midwife_expand")
+        assert len(expands) == 4  # one per root value
+        _variable, participants, _targets, _key_depths = program.tables[1]
+        offsets_region = participants[0][3]
+        for op in expands:
+            assert op.component == "midwife"
+            first, second = op.read_addresses
+            assert second - first == offsets_region.element_size
+            assert inside(offsets_region, first) and inside(offsets_region, second)
+        # Each root value's children come out of exactly its two offsets.
+        assert program.results == R_ROWS
 
 
-class TestMatchMakerUnit:
-    def make_unit(self, layout):
-        config = TrieJaxConfig()
-        return MatchMakerUnit(config, LUBUnit(config, layout))
+class TestMatchMaker:
+    def test_single_participant_scans_its_range(self):
+        program = cupid({"R": R_ROWS}, [("R", ("x", "y"))], ("x", "y"))
+        operations = drive(program)
+        # Four root values plus five leaves, every one read once.
+        assert len(tagged(operations, "lub_load")) == 4 + 5
+        assert tagged(operations, "lub_probe") == []
 
-    def test_empty_participants(self):
-        _trie, layout = build_trie_and_layout()
-        unit = self.make_unit(layout)
-        operations, matches = drain(unit.find_matches([]))
-        assert matches == []
-        assert operations == []
+    def test_two_way_intersection_equals_the_set_intersection(self):
+        root, leaves = [1, 2, 4, 5], [2, 3, 4, 6]
+        program = cupid(
+            {"R": [(v,) for v in root], "S": [(v,) for v in leaves]},
+            [("R", ("x",)), ("S", ("x",))],
+            ("x",),
+        )
+        drive(program)
+        assert [row[0] for row in program.results] == sorted(set(root) & set(leaves))
 
-    def test_single_participant_scans_range(self):
-        trie, layout = build_trie_and_layout()
-        unit = self.make_unit(layout)
-        participant = Participant("R", trie.level_values(0), 0, 0, trie.level_size(0))
-        operations, matches = drain(unit.find_matches([participant]))
-        assert [value for value, _idx in matches] == list(trie.level_values(0))
-        assert len(operations) == trie.level_size(0)
+    def test_every_match_records_one_cursor_per_participant(self):
+        program = cupid(
+            {"R": [(1,), (2,), (4,), (5,)], "S": [(2,), (4,)]},
+            [("R", ("x",)), ("S", ("x",))],
+            ("x",),
+        )
+        _variable, participants, _targets, _key_depths = program.tables[0]
+        generator = program._find_matches(participants, [-1] * 2)
+        try:
+            while True:
+                next(generator)
+        except StopIteration as stop:
+            matches = stop.value
+        assert matches == [(2, (1, 0)), (4, (2, 1))]
+        for value, cursors in matches:
+            assert [p[0][c] for p, c in zip(participants, cursors)] == [value, value]
 
-    def test_two_way_intersection_matches_reference(self):
-        trie, layout = build_trie_and_layout()
-        layout_b = layout  # same layout namespace reused for a second logical range
-        unit = self.make_unit(layout)
-        level0 = Participant("R", trie.level_values(0), 0, 0, trie.level_size(0))
-        # Intersect the root [1,2,4,5] with the leaf level [1,2,2,4,5] range [0,5).
-        level1 = Participant("R", trie.level_values(1), 1, 0, trie.level_size(1))
-        operations, matches = drain(unit.find_matches([level0, level1]))
-        values = [value for value, _idx in matches]
-        assert values == sorted(set(trie.level_values(0)) & set(trie.level_values(1)))
-        # Every match records an index per participating trie key.
-        for _value, indexes in matches:
-            assert set(indexes) == {"R"}
-
-    def test_empty_range_short_circuits(self):
-        trie, layout = build_trie_and_layout()
-        unit = self.make_unit(layout)
-        empty = Participant("R", trie.level_values(0), 0, 2, 2)
-        other = Participant("R", trie.level_values(0), 0, 0, 4)
-        _ops, matches = drain(unit.find_matches([empty, other]))
-        assert matches == []
+    def test_empty_child_range_short_circuits_before_dispatch(self):
+        # S is empty, so y's range in S is empty: R's Midwife read still
+        # happens, MatchMaker is never dispatched for y.
+        program = cupid(
+            {"R": R_ROWS, "S": []},
+            [("R", ("x", "y")), ("S", ("y",))],
+            ("x", "y"),
+        )
+        assert program.empty_input()
+        operations = drive(program)
+        assert len(tagged(operations, "dispatch_matchmaker")) == 1  # x only
+        assert len(tagged(operations, "midwife_expand")) == 4
+        assert tagged(operations, "lub_probe") == []
+        assert program.results == []
 
 
 class TestPJRCache:
