@@ -123,7 +123,7 @@ class TrieJaxAccelerator(EngineProtocol):
             plan_used=plan_used,
             plan=plan,
             report=report,
-            count=program.result_count,
+            count=program.result_count if self.aggregate == "count" else None,
             cacheable=self.aggregate is None,
         )
 

@@ -116,6 +116,17 @@ class TestScatterGatherEquivalence:
         result = session.execute(Statement.pattern("cycle3"), route="triejax")
         assert result.cardinality == len(expected_results["cycle3"])
 
+    def test_enumerating_triejax_through_sharded_session(self, base_db, expected_results):
+        # An enumerating model execution carries no count, so the gather
+        # merges its rows instead of treating the shards as count-only --
+        # on the first call and on the result-cache hit after it.
+        session = Session(base_db, engines=("triejax",), shards=2)
+        for call in ("first", "cached"):
+            result = session.execute(Statement.pattern("cycle3"), route="triejax")
+            assert result.to_set() == expected_results["cycle3"], call
+            assert result.cardinality == len(expected_results["cycle3"]), call
+            assert result.from_cache == (call == "cached")
+
     def test_scatter_aggregates_engine_stats(self, base_db):
         sharded = shard_database(base_db, 2)
         executor = ScatterGatherExecutor(sharded)
