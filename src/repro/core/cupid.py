@@ -18,8 +18,8 @@ execution.  The walk reads the plan kernel's own slot tables
 indexed by depth, trie cursors one flat list of
 :attr:`~repro.joins.plan.SlotProgram.num_positions` entries, and a match is
 ``(value, cursors)`` with one cursor per participant of its depth.  Every
-probed address still goes through
-:meth:`~repro.relational.layout.ArrayRegion.address_of` and its bounds check.
+address goes through :meth:`~repro.relational.layout.ArrayRegion.address_of`
+and its bounds check.
 
 MatchMaker enumerates *all* matches of a variable in one request.  The
 hardware interleaves match delivery with Cupid's descent, but the amount of
@@ -72,15 +72,29 @@ class Task(NamedTuple):
     pending: Optional[Sequence[Match]]
 
 
+class DepthTable(NamedTuple):
+    """What the walk reads at one depth of the variable order.
+
+    ``participants`` holds, per atom binding that mentions ``variable``,
+    ``(values, values_region, offsets, offsets_region, parent)``: the level
+    values, the parent's child offsets (``None`` at the root level), their
+    address regions and the parent cursor's flat position.  ``targets`` are
+    the flat positions a match's cursors set; ``key_depths`` the PJR key
+    depths, or ``None`` when the depth is not cached.
+    """
+
+    variable: str
+    participants: tuple
+    targets: Tuple[int, ...]
+    key_depths: Optional[Tuple[int, ...]]
+
+
 class CupidProgram:
     """Generates the per-thread work of one query execution.
 
-    Resolves the plan's slot tries once and lays them out in binding order,
-    then the result region.  Per depth it keeps, for each participant, the
-    level values with their region, the parent offsets with their region
-    (``None`` at the root) and the parent's flat position; plus the flat
-    positions the depth's matches set and its PJR key depths (``None``
-    unless the depth is cached and ``config.enable_pjr_cache`` is set).
+    Resolves the plan's slot tries once, lays them out in binding order and
+    then the result region (so every address is fixed per execution), and
+    keeps one :class:`DepthTable` per depth.
     """
 
     def __init__(
@@ -123,7 +137,9 @@ class CupidProgram:
                 )
             )
             key_depths = depth_program.cache_key_depths if config.enable_pjr_cache else None
-            self.tables.append((depth_program.variable, participants, targets, key_depths))
+            self.tables.append(
+                DepthTable(depth_program.variable, participants, targets, key_depths)
+            )
         self._empty = any(trie.num_tuples == 0 for trie in slot_tries)
         self._num_positions = program.num_positions
         self._head_depths = program.head_depths
@@ -253,7 +269,7 @@ class CupidProgram:
     ) -> Iterator[object]:
         yield self._advance
         values[depth] = value
-        for target, cursor in zip(self.tables[depth][2], cursors):
+        for target, cursor in zip(self.tables[depth].targets, cursors):
             positions[target] = cursor
         yield from self._explore(depth + 1, values, positions)
 

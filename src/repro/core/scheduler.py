@@ -21,6 +21,8 @@ routing every memory access through the shared
   queue); forced requests (the static root partitioning) are always queued.
 
 The scheduler is deterministic: ties are broken by event sequence numbers.
+It also keeps the per-hardware-thread accounting (:class:`ThreadStats`) of
+the run report.
 """
 
 from __future__ import annotations

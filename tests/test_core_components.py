@@ -57,8 +57,10 @@ def tagged(operations, tag):
 
 def region_of(program, depth, participant):
     """The values region of one participant of one depth."""
-    _variable, participants, _targets, _key_depths = program.tables[depth]
-    return participants[participant][1]
+    _values, region, _offsets, _offsets_region, _parent = program.tables[depth].participants[
+        participant
+    ]
+    return region
 
 
 def inside(region, address):
@@ -187,8 +189,7 @@ class TestMidwife:
         operations = drive(program)
         expands = tagged(operations, "midwife_expand")
         assert len(expands) == 4  # one per root value
-        _variable, participants, _targets, _key_depths = program.tables[1]
-        offsets_region = participants[0][3]
+        _values, _region, _offsets, offsets_region, _parent = program.tables[1].participants[0]
         for op in expands:
             assert op.component == "midwife"
             first, second = op.read_addresses
@@ -222,7 +223,7 @@ class TestMatchMaker:
             [("R", ("x",)), ("S", ("x",))],
             ("x",),
         )
-        _variable, participants, _targets, _key_depths = program.tables[0]
+        participants = program.tables[0].participants
         generator = program._find_matches(participants, [-1] * 2)
         try:
             while True:

@@ -16,11 +16,11 @@ on every revisit.  The counterexample is gnu04 at scale 0.01, cycle4: hits
 import dataclasses
 
 import pytest
+from test_model_goldens import DATASET, SCALE, grid_configs
 
 from repro.core import TrieJaxAccelerator, TrieJaxConfig
 from repro.graphs import PATTERN_NAMES, graph_database, load_dataset, pattern_query
 from repro.joins import CachedTrieJoin, compile_query
-from test_model_goldens import DATASET, SCALE, grid_configs
 
 
 @pytest.fixture(scope="module")
