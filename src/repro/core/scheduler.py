@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterator, List, Optional
 
 from repro.core.config import TrieJaxConfig
-from repro.core.operations import Operation, SpawnRequest
 from repro.core.cupid import Task
+from repro.core.operations import Operation, SpawnRequest
 from repro.memory.hierarchy import MemoryHierarchy
 
 
