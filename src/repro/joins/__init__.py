@@ -43,6 +43,7 @@ from repro.joins.aggregates import (
     estimate_count,
 )
 from repro.joins.delta import (
+    DeltaCatalog,
     DeltaPlan,
     DeltaPlanner,
     DeltaResult,
@@ -77,6 +78,7 @@ __all__ = [
     "count_matches",
     "count_by_variable",
     "estimate_count",
+    "DeltaCatalog",
     "DeltaPlan",
     "DeltaPlanner",
     "DeltaResult",

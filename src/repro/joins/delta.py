@@ -29,12 +29,18 @@ The machinery is deliberately thin over the existing compiler/engine stack:
   :class:`~repro.joins.plan.JoinPlan` runs through the same
   ``slot_program()`` machinery, so ``JoinStats`` accounting stays honest
   for delta joins.
-* :func:`evaluate_delta` runs the union and returns the delta result.  The
-  terms run against an :class:`~repro.relational.catalog.OverlayCatalog`:
-  delta aliases resolve to a private :class:`Database` holding the batch
-  rows; every other name falls through to the base catalog (a
-  :class:`Database`, :class:`~repro.relational.sharding.ShardedDatabase`
-  or a shard view — anything with the catalog read surface).
+* :class:`DeltaCatalog` loads one batch's Δ rows *once* into one private
+  ``~delta`` :class:`Database` (each ``ΔR`` under its delta alias, tries
+  built on demand and cached there) and hands out
+  :class:`~repro.relational.catalog.OverlayCatalog` views over it: the
+  full catalog's, or any base catalog's (a shard view) with extra visible
+  names — a shard alias's Δ — resolving to the same stored ``ΔR``, so
+  every view of the batch shares one Δ trie per attribute order.
+* :func:`evaluate_delta` runs the union against one such view: every atom
+  whose relation's delta alias the view resolves is a delta term; every
+  other name falls through to the base catalog (a :class:`Database`,
+  :class:`~repro.relational.sharding.ShardedDatabase` or a shard view —
+  anything with the catalog read surface).
 """
 
 from __future__ import annotations
@@ -77,21 +83,19 @@ def delta_rewrites(
     therefore the compiler's heuristic variable order — is identical.
     """
     changed = set(relation_names)
-    rewrites: List[Tuple[int, ConjunctiveQuery]] = []
-    for index, atom in enumerate(query.atoms):
-        if atom.relation not in changed:
-            continue
-        atoms = list(query.atoms)
-        atoms[index] = Atom(delta_alias(atom.relation), atom.variables)
-        rewrites.append(
-            (
-                index,
-                ConjunctiveQuery(
-                    f"{query.name}@d{index}", query.head_variables, atoms
-                ),
-            )
-        )
-    return tuple(rewrites)
+    return tuple(
+        (index, _rewrite(query, index))
+        for index, atom in enumerate(query.atoms)
+        if atom.relation in changed
+    )
+
+
+def _rewrite(query: ConjunctiveQuery, index: int) -> ConjunctiveQuery:
+    """``query`` with atom ``index`` rebound to its relation's delta alias."""
+    atoms = list(query.atoms)
+    atom = atoms[index]
+    atoms[index] = Atom(delta_alias(atom.relation), atom.variables)
+    return ConjunctiveQuery(f"{query.name}@d{index}", query.head_variables, atoms)
 
 
 @dataclass(frozen=True)
@@ -120,14 +124,22 @@ class DeltaPlanner:
     def plans_for(
         self, query: ConjunctiveQuery, relation_names: Iterable[str]
     ) -> Tuple[DeltaPlan, ...]:
-        """The compiled delta terms of ``query`` for the changed relations."""
+        """The compiled delta terms of ``query`` for the changed relations.
+
+        A memoised term is found without rewriting ``query`` again: this
+        runs for every cached entry a mutation event patches.
+        """
         signature = self.compiler.signature(query)
+        changed = set(relation_names)
         plans: List[DeltaPlan] = []
-        for index, rewritten in delta_rewrites(query, relation_names):
-            key = (signature, query.atoms[index].relation, index)
+        for index, atom in enumerate(query.atoms):
+            if atom.relation not in changed:
+                continue
+            key = (signature, atom.relation, index)
             plan = self._memo.get(key)
             if plan is None:
-                seeds = rewritten.atoms[index].variables
+                rewritten = _rewrite(query, index)
+                seeds = atom.variables
                 base = self.compiler.choose_variable_order(rewritten)
                 order = sorted(base, key=lambda v: v not in seeds)  # stable
                 plan = DeltaPlan(
@@ -157,39 +169,86 @@ class DeltaResult:
     cost_ns: float = 0.0
 
 
-def evaluate_delta(
-    query: ConjunctiveQuery,
-    catalog,
-    deltas: Mapping[str, Sequence[Row]],
-    engine,
-    planner: DeltaPlanner,
-) -> DeltaResult:
-    """Evaluate what the inserted ``deltas`` rows added to ``query``'s result.
+class DeltaCatalog:
+    """One batch's Δ rows, loaded once into one private ``~delta`` database.
 
-    ``catalog`` is the *post-insert* catalog (any object with the catalog
-    read surface); ``deltas`` maps relation names — as they appear in the
-    query's atoms — to the genuinely-new rows just inserted into them.
-    ``engine`` must be plan-aware (the maintainer uses LFTJ); every term
-    runs its compiled :class:`JoinPlan` through the normal slot-program
-    machinery against an overlay of ``catalog`` (named ``{catalog}~delta``)
-    in which each delta alias reads ``ΔR_i`` and every other name the live
-    post-insert relation.
+    ``deltas`` maps relation names of ``catalog`` to the genuinely-new rows
+    just inserted into them; empty batches are left out.  The database
+    (each ``ΔR`` stored under its :func:`delta_alias`) is built on the
+    first view, and its tries on the first delta term that scans them —
+    cached in that one database — so a mutation event builds each Δ trie
+    at most once per attribute order, however many cached entries and
+    shard views it patches, and an event nobody reads builds nothing.
     """
-    changed = {
-        name: tuple(rows)
-        for name, rows in deltas.items()
-        if rows and name in set(query.relation_names())
-    }
+
+    def __init__(self, catalog, deltas: Mapping[str, Sequence[Row]]):
+        self.catalog = catalog
+        self.deltas = {name: tuple(rows) for name, rows in deltas.items() if rows}
+        self._database: Optional[Database] = None
+        self._view: Optional[OverlayCatalog] = None
+
+    @property
+    def database(self) -> Database:
+        """The ``~delta`` database holding every ``ΔR`` (built once)."""
+        if self._database is None:
+            batch = Database(f"{getattr(self.catalog, 'name', 'catalog')}~delta")
+            for name, rows in sorted(self.deltas.items()):
+                schema = self.catalog.relation(name).schema
+                batch.add_relation(Relation(delta_alias(name), schema, rows))
+            self._database = batch
+        return self._database
+
+    @property
+    def view(self) -> OverlayCatalog:
+        """``catalog`` with every changed relation's delta alias reading its Δ."""
+        if self._view is None:
+            self._view = self.overlay(self.catalog)
+        return self._view
+
+    def overlay(
+        self, base, aliases: Optional[Mapping[str, str]] = None
+    ) -> OverlayCatalog:
+        """``base`` with every changed relation's delta alias reading its Δ.
+
+        ``aliases`` maps further visible names to the changed relation
+        whose Δ they read: ``{"E@shard": "E"}`` makes ``E@shard@delta``
+        resolve to the stored ``E@delta`` — the same rows and the same
+        tries (a scatter task's seed alias, see
+        :meth:`~repro.service.scatter.ScatterGatherExecutor.maintain`).
+        """
+        database = self.database
+        names = {name: name for name in self.deltas}
+        names.update(aliases or {})
+        return OverlayCatalog(
+            base,
+            {
+                delta_alias(visible): (database, delta_alias(relation))
+                for visible, relation in names.items()
+            },
+            f"{getattr(base, 'name', 'catalog')}~delta",
+        )
+
+
+def evaluate_delta(
+    query: ConjunctiveQuery, view, engine, planner: DeltaPlanner
+) -> DeltaResult:
+    """Evaluate what a batch of inserted rows added to ``query``'s result.
+
+    ``view`` is a delta view of the *post-insert* catalog
+    (:attr:`DeltaCatalog.view` or :meth:`DeltaCatalog.overlay`): every
+    atom whose relation's delta alias it resolves is a delta term, reading
+    ``ΔR_i`` under the alias and the live post-insert relations under
+    every other name.  ``engine`` must be plan-aware (the maintainer uses
+    LFTJ); every term runs its compiled :class:`JoinPlan` through the
+    normal slot-program machinery against ``view`` itself, so every term
+    and every entry of one batch shares the view's Δ tries.
+    """
+    changed = [
+        name for name in query.relation_names() if delta_alias(name) in view
+    ]
     stats = JoinStats()
     if not changed:
         return DeltaResult(tuples=(), stats=stats, terms=0)
-    batch = Database(f"{getattr(catalog, 'name', 'catalog')}~delta")
-    for name, rows in sorted(changed.items()):
-        alias = delta_alias(name)
-        batch.add_relation(Relation(alias, catalog.relation(name).schema, rows))
-    view = OverlayCatalog(
-        catalog, {alias: (batch, alias) for alias in batch.relation_names()}, batch.name
-    )
     results: set = set()
     terms = 0
     cost = 0.0
@@ -206,6 +265,7 @@ def evaluate_delta(
 
 __all__ = [
     "DELTA_SUFFIX",
+    "DeltaCatalog",
     "DeltaPlan",
     "DeltaPlanner",
     "DeltaResult",

@@ -541,9 +541,9 @@ class OverlayCatalog:
     scatter task's view maps the shard alias to the seed fragment's
     :class:`Database` (:meth:`ShardedDatabase.shard_view
     <repro.relational.sharding.ShardedDatabase.shard_view>`); a delta term's
-    view maps the delta aliases to a private database holding the batch
-    rows (:func:`repro.joins.delta.evaluate_delta`).  The serving layer
-    mutates the base catalog, never the view.
+    view maps the delta aliases to the one database holding a mutation
+    event's batch rows (:class:`repro.joins.delta.DeltaCatalog`).  The
+    serving layer mutates the base catalog, never the view.
     """
 
     def __init__(self, base, overlays: Mapping[str, Tuple[Database, str]], name: str):

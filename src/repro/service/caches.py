@@ -247,10 +247,17 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
     one of two maintenance policies applies: :meth:`invalidate` *drops*
     exactly the entries whose dependencies intersect the mutated fragment
     (drop-and-recompute, counted as drops, not evictions), while
-    :meth:`maintain` *patches* dependent entries in place with the delta
-    result a solver computes (incremental maintenance, counted as
-    patches), dropping only what cannot be patched safely.  Entries pinned
-    to untouched shards survive either way.
+    :meth:`maintain` *patches* dependent entries with the delta result a
+    solver computes (incremental maintenance, counted as patches),
+    dropping only what cannot be patched safely.  Entries pinned to
+    untouched shards survive either way.
+
+    **Patches settle on read.**  A patch merges its delta into the entry's
+    *pending* run of rows and leaves the stored list alone; the next
+    :meth:`get` or :meth:`peek` settles the run into a new stored list
+    (one splice), so a write costs what its delta costs, and an entry
+    patched many times between reads pays one splice.  A list handed out
+    never changes: a patch does not touch it, and a settle replaces it.
     """
 
     def __init__(self, capacity: int):
@@ -262,13 +269,59 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
         # are patchable by the incremental-maintenance path.
         self._queries: Dict[str, ConjunctiveQuery] = {}
         # Keys whose stored list this cache itself made sorted and distinct
-        # (publishers promise neither); only those may be splice-patched.
+        # (publishers promise neither); only those may be splice-settled.
         self._normalised: Set[str] = set()
+        # key -> the sorted, distinct rows patched in since its last read.
+        self._pending: Dict[str, List[Tuple[int, ...]]] = {}
+
+    def get(self, key: str) -> Optional[List[Tuple[int, ...]]]:
+        """Return the cached rows (refreshing LRU order) or ``None``.
+
+        Settles the entry's pending patches first.  The body repeats
+        :meth:`LRUCache.get` rather than calling it: a hit costs one frame
+        and one lock acquisition, plus one dict probe.
+        """
+        with self._lock:
+            self.stats.lookups += 1
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+            if key in self._pending:
+                entry = self._settle(key, entry)
+            return entry
+
+    def peek(self, key: str) -> Optional[List[Tuple[int, ...]]]:
+        """The settled rows, without touching statistics or LRU order (tests)."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and key in self._pending:
+                entry = self._settle(key, entry)
+            return entry
+
+    def _settle(
+        self, key: str, entry: List[Tuple[int, ...]]
+    ) -> List[Tuple[int, ...]]:
+        """Merge ``key``'s pending rows into a new stored list; returns it.
+
+        The entry's first settle sorts it once (publishers hand in unsorted
+        lists); every later one splices.  Called with the lock held.
+        """
+        pending = self._pending.pop(key)
+        if key in self._normalised:
+            settled = splice_sorted(entry, pending)
+        else:
+            settled = sorted(set(entry).union(pending))
+            self._normalised.add(key)
+        self._entries[key] = settled
+        return settled
 
     def put(self, key: str, value: List[Tuple[int, ...]]) -> None:
         """Store ``value`` as published: its order is the publisher's again."""
         with self._lock:
             self._normalised.discard(key)
+            self._pending.pop(key, None)
             super().put(key, value)
 
     def put_result(
@@ -337,30 +390,26 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
     def patch_result(self, key: str, rows: Iterable[Tuple[int, ...]]) -> bool:
         """Merge delta ``rows`` into ``key``'s cached result.
 
-        The entry's tuples become the sorted set union of the old result
-        and the delta — set semantics, matching every engine's dedup on
-        merge.  The first non-empty patch of an entry sorts it once; every
-        later one splices the delta into a *new* list
-        (:func:`~repro.util.sorted_ops.splice_sorted`), so a list handed
-        out by :meth:`get` never changes.  An empty delta keeps the stored
-        list as it is.  Counted under ``patches`` (never ``replacements``);
-        LRU recency is left untouched, exactly like a drop would not have
-        refreshed it.  Returns ``False`` (and changes nothing) when the
-        key is absent — the caller then falls back to a drop.
+        The entry reads as the sorted set union of the old result and the
+        delta — set semantics, matching every engine's dedup on merge.  The
+        delta is spliced into the entry's pending run
+        (:func:`~repro.util.sorted_ops.splice_sorted`, O(p + k·log p) for p
+        pending and k new rows); the stored list is not touched, and the
+        next :meth:`get` / :meth:`peek` settles the run into a *new* list,
+        so a list handed out never changes.  An empty delta changes
+        nothing.  Counted under ``patches`` (never ``replacements``); LRU
+        recency is left untouched, exactly like a drop would not have
+        refreshed it.  Returns ``False`` (and changes nothing) when the key
+        is absent — the caller then falls back to a drop.
         """
         with self._lock:
-            current = self._entries.get(key)
-            if current is None:
+            if key not in self._entries:
                 return False
             self.stats.patches += 1
             delta = sorted({tuple(row) for row in rows})
-            if not delta:
-                return True
-            if key in self._normalised:
-                self._entries[key] = splice_sorted(current, delta)
-            else:
-                self._entries[key] = sorted(set(current) | set(delta))
-                self._normalised.add(key)
+            if delta:
+                pending = self._pending.get(key)
+                self._pending[key] = splice_sorted(pending, delta) if pending else delta
             return True
 
     def maintain(
@@ -406,6 +455,7 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
     def _drop_dependency_index(self, key: str) -> None:
         self._queries.pop(key, None)
         self._normalised.discard(key)
+        self._pending.pop(key, None)
         for relation, shard in self._dependencies.pop(key, ()):
             by_shard = self._dependents.get(relation)
             if by_shard is None:

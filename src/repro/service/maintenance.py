@@ -22,6 +22,12 @@ Two caches are maintained:
   the fault-injection path (a patch whose fragment is unreachable is lost —
   the entry drops).
 
+Both read one :class:`~repro.joins.delta.DeltaCatalog` per event: the
+event's rows are loaded once into one ``~delta`` database, and every delta
+join of the event — each result entry, each shard partial, each
+continuous-query subscriber — reads a view over it, so each Δ trie is
+built once per attribute order per event.
+
 The maintainer owns a dedicated plan-aware engine (LFTJ by default) and a
 :class:`~repro.joins.delta.DeltaPlanner` so delta-term plans are compiled
 once and maintenance work is accounted with real ``JoinStats``; the
@@ -37,7 +43,7 @@ from typing import Callable, Deque, Iterable, Optional, Tuple
 
 from repro.engines import create_engine
 from repro.joins.compiler import QueryCompiler
-from repro.joins.delta import DeltaPlanner, evaluate_delta
+from repro.joins.delta import DeltaCatalog, DeltaPlanner, evaluate_delta
 from repro.relational.catalog import MutationEvent
 from repro.relational.query import ConjunctiveQuery
 from repro.service.caches import ResultCache
@@ -86,6 +92,11 @@ class MaintenanceReport:
 class ResultMaintainer:
     """Routes catalog mutation events to patch-or-drop cache maintenance.
 
+    Each patchable event gets one :class:`~repro.joins.delta.DeltaCatalog`
+    (:meth:`delta_catalog`), shared by the result-cache solver, the
+    scatter executor's partial maintenance and :meth:`delta_for`; every
+    entry still runs its own :func:`~repro.joins.delta.evaluate_delta`.
+
     Parameters
     ----------
     catalog:
@@ -133,6 +144,9 @@ class ResultMaintainer:
         #: the service's ``metrics.records``; ``cost_ns`` and the caches'
         #: ``stats`` carry the lifetime totals).
         self.reports: Deque[MaintenanceReport] = deque(maxlen=RECORD_WINDOW)
+        # The latest event and its delta catalog.  Holding the event itself
+        # (not its id) means the identity check cannot match a recycled id.
+        self._event_delta: Optional[Tuple[MutationEvent, DeltaCatalog]] = None
 
     # ------------------------------------------------------------------ #
     # Event handling
@@ -161,7 +175,8 @@ class ResultMaintainer:
         partial_patched = partial_dropped = 0
         if self.scatter is not None and self.scatter.partial_cache is not None:
             partial_patched, partial_dropped, partial_cost_ns = self.scatter.maintain(
-                event, self.planner, self.engine, now=self.clock()
+                event, self.delta_catalog(event), self.planner, self.engine,
+                now=self.clock(),
             )
             self.cost_ns += partial_cost_ns
         report = MaintenanceReport(
@@ -178,6 +193,19 @@ class ResultMaintainer:
     # ------------------------------------------------------------------ #
     # Delta computation
     # ------------------------------------------------------------------ #
+    def delta_catalog(self, event: MutationEvent) -> DeltaCatalog:
+        """``event``'s delta catalog: made on its first use, then reused.
+
+        Its ``~delta`` database and tries are built lazily, on the first
+        delta term that reads them, so an event with no dependent entry and
+        no subscriber builds nothing.
+        """
+        memo = self._event_delta
+        if memo is None or memo[0] is not event:
+            memo = (event, DeltaCatalog(self.catalog, {event.relation: event.delta.rows}))
+            self._event_delta = memo
+        return memo[1]
+
     def delta_for(
         self, query: ConjunctiveQuery, event: MutationEvent
     ) -> Tuple[Tuple[int, ...], ...]:
@@ -185,14 +213,11 @@ class ResultMaintainer:
 
         Shared by the result-cache solver and continuous-query subscribers
         (:meth:`repro.api.session.Session.subscribe`); compiled delta plans
-        are memoised across both uses.
+        are memoised across both uses, and both read the event's one
+        :meth:`delta_catalog`.
         """
         result = evaluate_delta(
-            query,
-            self.catalog,
-            {event.relation: event.delta.rows},
-            self.engine,
-            self.planner,
+            query, self.delta_catalog(event).view, self.engine, self.planner
         )
         self.cost_ns += result.cost_ns
         return result.tuples

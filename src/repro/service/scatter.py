@@ -49,6 +49,7 @@ from repro.joins.base import EngineExecution, EngineProtocol
 from repro.joins.compiler import QueryCompiler
 from repro.joins.plan import JoinPlan
 from repro.joins.stats import JoinStats
+from repro.relational.catalog import OverlayCatalog
 from repro.relational.query import ConjunctiveQuery
 from repro.relational.sharding import (
     SCATTER_DISPATCH_COST_NS,
@@ -616,17 +617,20 @@ class ScatterGatherExecutor:
     # Incremental maintenance of cached partials
     # ------------------------------------------------------------------ #
     def maintain(
-        self, event, planner, engine, now: float = 0.0
+        self, event, delta, planner, engine, now: float = 0.0
     ) -> Tuple[int, int, float]:
         """Patch the cached shard partials a mutation event touches.
 
         The incremental alternative to subscribing ``partial_cache.invalidate``:
         for each dependent partial entry, the fragment's delta result is
-        computed by semi-naive delta joins against that shard's view — the
-        seed atom's delta is the slice of the batch routed to the entry's
-        shard (empty for sibling shards of a partitioned seed), and every
-        other atom over the mutated relation sees the whole batch through
-        the global view — and merged into the entry in place.
+        computed by semi-naive delta joins against that shard's view,
+        overlaid by the event's :class:`~repro.joins.delta.DeltaCatalog`
+        ``delta`` — the seed alias's Δ is the batch when it was routed to the
+        entry's shard (absent for sibling shards of a partitioned seed), and
+        every other atom over the mutated relation sees the whole batch
+        through the global view — and merged into the entry.  One delta view
+        per shard serves every entry of the event, and every view reads the
+        same stored Δ rows, so the Δ tries are built once per event.
 
         Composes with the PR 9 fault path: with an armed injector, a patch
         whose fragment is unreachable on every replica at virtual ``now``
@@ -640,6 +644,8 @@ class ScatterGatherExecutor:
         if self.partial_cache is None:
             return (0, 0, 0.0)
         cost_ns = 0.0
+        # Delta views by (shard, seed alias, whether the seed alias reads Δ).
+        views: Dict[Tuple[int, str, bool], OverlayCatalog] = {}
 
         def solve(key: str, query, evt):
             nonlocal cost_ns
@@ -652,28 +658,29 @@ class ScatterGatherExecutor:
                 nodes = self.catalog.replica_nodes(spec.seed_relation, shard)
                 if all(self.injector.is_down(node, now) for node in nodes):
                     return None  # lost patch → fragment drop
-            rows = evt.delta.rows
-            deltas: Dict[str, Tuple[Tuple[int, ...], ...]] = {}
-            if any(
-                atom.relation == evt.relation
-                for index, atom in enumerate(spec.query.atoms)
-                if index != spec.seed_index
-            ):
-                deltas[evt.relation] = rows
+            seeded = False
             if spec.seed_relation == evt.relation:
                 if not spec.partitioned or evt.shard == shard:
-                    deltas[spec.alias] = rows
+                    seeded = True
                 elif evt.shard is None:
                     # Whole-relation event on a partitioned seed: the rows
                     # cannot be attributed to fragments here, so drop.
                     return None
-            deltas = {name: batch for name, batch in deltas.items() if batch}
-            if not deltas:
+            unseeded = any(
+                atom.relation == evt.relation
+                for index, atom in enumerate(spec.query.atoms)
+                if index != spec.seed_index
+            )
+            if not evt.delta.rows or not (seeded or unseeded):
                 return ()  # dependency touched, fragment result unchanged
-            view = self.catalog.shard_view(shard, spec)
+            view = views.get((shard, spec.alias, seeded))
+            if view is None:
+                aliases = {spec.alias: evt.relation} if seeded else {}
+                view = delta.overlay(self.catalog.shard_view(shard, spec), aliases)
+                views[(shard, spec.alias, seeded)] = view
             from repro.joins.delta import evaluate_delta
 
-            result = evaluate_delta(spec.query, view, deltas, engine, planner)
+            result = evaluate_delta(spec.query, view, engine, planner)
             cost_ns += result.cost_ns
             return result.tuples
 

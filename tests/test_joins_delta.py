@@ -15,6 +15,7 @@ from repro.engines import create_engine
 from repro.graphs import pattern_query
 from repro.joins.delta import (
     DELTA_SUFFIX,
+    DeltaCatalog,
     DeltaPlanner,
     delta_alias,
     delta_rewrites,
@@ -98,7 +99,7 @@ def delta_view_of(query, base, deltas):
             views.append(database)
             return engine.execute(query, database, plan=plan)
 
-    evaluate_delta(query, base, deltas, Capture(), DeltaPlanner())
+    evaluate_delta(query, DeltaCatalog(base, deltas).view, Capture(), DeltaPlanner())
     return views[0]
 
 
@@ -213,7 +214,7 @@ class TestEvaluateDelta:
         for batch in batches:
             rows = fresh_rows(database, batch)
             result = evaluate_delta(
-                query, database, {"E": rows}, engine, planner
+                query, DeltaCatalog(database, {"E": rows}).view, engine, planner
             )
             after = set(engine.execute(query, database).tuples)
             assert after - before <= set(result.tuples)
@@ -224,8 +225,7 @@ class TestEvaluateDelta:
         database = workload_database(num_vertices=10, num_edges=20, seed=3)
         result = evaluate_delta(
             pattern_query("cycle3"),
-            database,
-            {"E": ()},
+            DeltaCatalog(database, {"E": ()}).view,
             create_engine("lftj"),
             DeltaPlanner(),
         )
@@ -233,10 +233,10 @@ class TestEvaluateDelta:
 
     def test_unrelated_relations_are_ignored(self):
         database = workload_database(num_vertices=10, num_edges=20, seed=3)
+        database.add_relation(Relation("other", Schema(("a", "b")), []))
         result = evaluate_delta(
             pattern_query("cycle3"),
-            database,
-            {"other": ((1, 2),)},
+            DeltaCatalog(database, {"other": ((1, 2),)}).view,
             create_engine("lftj"),
             DeltaPlanner(),
         )
@@ -247,8 +247,7 @@ class TestEvaluateDelta:
         rows = fresh_rows(database, [(1, 2), (2, 3), (3, 1)])
         result = evaluate_delta(
             pattern_query("cycle3"),
-            database,
-            {"E": rows},
+            DeltaCatalog(database, {"E": rows}).view,
             create_engine("lftj"),
             DeltaPlanner(),
         )

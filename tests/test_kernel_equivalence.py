@@ -37,7 +37,7 @@ from repro.joins import (
     leapfrog,
 )
 from repro.joins.aggregates import count_by_variable, count_matches
-from repro.joins.delta import DeltaPlanner, evaluate_delta
+from repro.joins.delta import DeltaCatalog, DeltaPlanner, evaluate_delta
 from repro.joins.leapfrog import (
     plan_kernel,
     plan_shape,
@@ -969,7 +969,7 @@ class TestKernelMemo:
         for batch in range(8):
             rows = [(batch, 16 + batch), (16 + batch, (batch * 5) % 16)]
             database.insert_into("E", rows)
-            evaluate_delta(query, database, {"E": rows}, engine, planner)
+            evaluate_delta(query, DeltaCatalog(database, {"E": rows}).view, engine, planner)
         terms = planner.plans_for(query, ["E"])
         assert len(terms) == 2  # one per atom of E
         assert set(leapfrog._PLAN_KERNELS) == {

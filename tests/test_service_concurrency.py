@@ -329,6 +329,58 @@ class TestCacheHammer:
             assert cache.dependencies_of(key) != ()
         assert len(cache) <= cache.capacity
 
+    @pytest.mark.parametrize("repeat", range(REPEATS))
+    def test_result_cache_concurrent_patch_and_read(self, repeat):
+        # Patches merge into a pending run that reads settle: a lost update
+        # there drops rows, and a settle racing a patch could change a list
+        # already handed out.
+        cache = ResultCache(capacity=8)
+        keys = ("a", "b", "c")
+        for key in keys:
+            cache.put_result(key, [(-1, -1)], ["E"])
+        threads, rounds = 6, 150
+        errors, handed_out = [], []
+        barrier = threading.Barrier(threads)
+
+        def worker(worker_id: int) -> None:
+            try:
+                barrier.wait()
+                for i in range(rounds):
+                    key = keys[(worker_id + i) % len(keys)]
+                    if worker_id % 2:
+                        rows = cache.get(key)
+                        handed_out.append((rows, list(rows)))
+                    else:
+                        cache.patch_result(key, [(worker_id, i), (i, worker_id)])
+            except Exception as exc:
+                errors.append(exc)
+
+        pool = [threading.Thread(target=worker, args=(t,)) for t in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert errors == []
+        patchers = [t for t in range(threads) if t % 2 == 0]
+        assert cache.stats.patches == len(patchers) * rounds
+        for index, key in enumerate(keys):
+            expected = {(-1, -1)} | {
+                row
+                for t in patchers
+                for i in range(rounds)
+                if (t + i) % len(keys) == index
+                for row in ((t, i), (i, t))
+            }
+            assert cache.peek(key) == sorted(expected)  # no patch was lost
+        for rows, snapshot in handed_out:
+            assert rows == snapshot == sorted(set(rows))
+
 
 # --------------------------------------------------------------------------- #
 # Admission hammer: slot accounting under concurrent submit/release

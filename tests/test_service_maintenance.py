@@ -18,6 +18,9 @@ Three layers of contract:
 * **Continuous queries** — :meth:`repro.api.Session.subscribe` streams
   result deltas: patched additions under incremental maintenance, full
   re-execute diffs (including removals) under recompute.
+* **Once per event** — one mutation event builds each Δ trie at most once
+  per attribute order and hands the delta joins at most one view per
+  shard plus one of the full catalog, subscribers included.
 
 ``REPRO_CONCURRENCY_REPEATS`` (CI's ivm job sets it > 1) re-runs the
 equivalence matrix so scheduling-dependent races get multiple chances to
@@ -28,10 +31,14 @@ import os
 
 import pytest
 
+import repro.relational.catalog as catalog_module
+import repro.service.maintenance as maintenance_module
 from repro.api import ResultDelta, Session
 from repro.graphs import pattern_query
+from repro.joins.delta import DeltaCatalog, is_delta_alias
 from repro.relational import Database, DeltaBatch, MutationEvent, Relation, Schema
 from repro.relational.sharding import shard_database
+from repro.relational.trie import TrieIndex
 from repro.service import (
     MAINTENANCE_MODES,
     QueryService,
@@ -507,3 +514,136 @@ class TestSubscribe:
                 pass  # context manager closes on exit
             session.insert("E", [(1, 2), (2, 21), (21, 1)])
             assert subscription.poll() == ()
+
+
+# --------------------------------------------------------------------------- #
+# Once per event: one delta catalog, its Δ tries shared by every delta join
+# --------------------------------------------------------------------------- #
+#: The patterns the serve_ivm benchmark keeps cached while it inserts.
+IVM_PATTERNS = ("path3", "cycle3", "cycle4", "clique4")
+
+
+def closing_edges(catalog, per_shard):
+    """Absent edges ``(c, a)`` closing a path ``a → b → c`` of ``E``,
+    ``per_shard`` of them routed to each shard (so results grow)."""
+    rows = set(catalog.relation("E").sorted_rows())
+    shard_of = catalog.partitioner_for("E").shard_of
+    wanted = dict.fromkeys(range(catalog.num_shards), per_shard)
+    batch = []
+    for a, b in sorted(rows):
+        for b2, c in sorted(rows):
+            edge = (c, a)
+            if b2 == b and c != a and edge not in rows and edge not in batch:
+                if wanted[shard_of(c)]:
+                    wanted[shard_of(c)] -= 1
+                    batch.append(edge)
+    assert not any(wanted.values())
+    return batch
+
+
+def watch_one_insert(monkeypatch, maintainer, catalog, insert):
+    """Run ``insert()``; per event, the Δ trie builds and the catalogs the
+    maintainer's engine was handed (captured while the event was handled)."""
+    events, builds, catalogs = [], [], []
+
+    def build(relation, order):
+        builds.append((len(events), relation.name, tuple(order)))
+        return TrieIndex(relation, order)
+
+    engine = maintainer.engine
+    execute = engine.execute
+
+    def spy(query, database, plan=None):
+        catalogs.append((len(events), database))
+        return execute(query, database, plan=plan)
+
+    monkeypatch.setattr(catalog_module, "TrieIndex", build)
+    monkeypatch.setattr(engine, "execute", spy)
+    catalog.subscribe_invalidation(events.append)  # after the maintainer
+    try:
+        insert()
+    finally:
+        catalog.unsubscribe_invalidation(events.append)
+    per_event = []
+    for index, _event in enumerate(events):
+        delta_builds = [
+            (name, order) for at, name, order in builds if at == index and is_delta_alias(name)
+        ]
+        views = {id(view): view for at, view in catalogs if at == index}
+        per_event.append((delta_builds, list(views.values())))
+    return events, per_event
+
+
+class TestOncePerEvent:
+    def test_one_delta_catalog_serves_every_entry_of_an_event(self, monkeypatch):
+        monolithic = workload_database(num_vertices=24, num_edges=90, seed=SEED)
+        catalog = shard_database(monolithic, 2, partitioner="hash")
+        service = QueryService(catalog, maintenance="incremental")
+        queries = [pattern_query(pattern) for pattern in IVM_PATTERNS]
+        for query in queries:
+            assert service.serve(query).error is None
+        caches = (service.result_cache, service.scatter.partial_cache)
+        before = {
+            (index, key): set(cache.peek(key))
+            for index, cache in enumerate(caches)
+            for key in cache.keys()
+        }
+        batch = closing_edges(catalog, per_shard=2)
+        events, per_event = watch_one_insert(
+            monkeypatch, service.maintainer, catalog,
+            lambda: service.insert_tuples("E", batch),
+        )
+        assert sorted(event.shard for event in events) == [0, 1]
+        for delta_builds, views in per_event:
+            # The parent rebuilt a Δ trie per entry (≈ 22 per event).
+            assert delta_builds and len(delta_builds) == len(set(delta_builds))
+            assert 1 <= len(views) <= 1 + catalog.num_shards
+        for cache in caches:  # both events touch every entry; none drops
+            assert (cache.stats.patches, cache.stats.drops) == (2 * len(cache), 0)
+        monkeypatch.undo()
+
+        # Every patched entry, result and shard partial, equals a recompute.
+        monolithic.insert_into("E", batch)
+        fresh = QueryService(shard_database(monolithic, 2, partitioner="hash"))
+        for query in queries:
+            fresh.serve(query)
+        grew = 0
+        for index, (cache, fresh_cache) in enumerate(
+            zip(caches, (fresh.result_cache, fresh.scatter.partial_cache))
+        ):
+            assert set(cache.keys()) == set(fresh_cache.keys())
+            for key in cache.keys():
+                assert sorted(cache.peek(key)) == sorted(set(fresh_cache.peek(key)))
+                grew += set(cache.peek(key)) != before[(index, key)]
+        assert grew  # the batch closed new cycles: the check is not vacuous
+        service.close()
+        fresh.close()
+
+    def test_subscribers_reuse_the_events_delta_catalog(self, monkeypatch):
+        database = workload_database(num_vertices=24, num_edges=90, seed=SEED)
+        with Session(database, shards=2, maintenance="incremental") as session:
+            query = pattern_query("cycle3")
+            session.execute(query)
+            subscription = session.subscribe(query)
+            made = []
+
+            class CountedDeltaCatalog(DeltaCatalog):
+                def __init__(self, *args, **kwargs):
+                    made.append(self)
+                    super().__init__(*args, **kwargs)
+
+            monkeypatch.setattr(maintenance_module, "DeltaCatalog", CountedDeltaCatalog)
+            batch = closing_edges(session.database, per_shard=1)
+            events, per_event = watch_one_insert(
+                monkeypatch, session.maintainer, session.database,
+                lambda: session.insert("E", batch),
+            )
+            assert len(made) == len(events) == 2  # one delta catalog per event
+            for delta_builds, views in per_event:
+                assert len(delta_builds) == len(set(delta_builds))
+                assert len(views) <= 1 + session.num_shards
+            monkeypatch.undo()
+            assert subscription.poll()  # the batch closed new triangles
+            assert subscription.result == tuple(
+                sorted(set(session.execute(query).tuples))
+            )

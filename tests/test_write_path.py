@@ -7,7 +7,9 @@ replaced: ``sorted(set(old) | set(delta))``, a fresh sort, a fresh
 :class:`TrieIndex`, and recompute-difference.  A batch holding a value
 outside the signed 64-bit range is rejected whole, before anything changes.
 Cases are drawn by ``hypothesis``; the one fixed-size test is the
-comparison-count guard that keeps a patch O(Δ·log n).
+comparison-count guard that keeps a patch and its read O(Δ·log n).
+Patches settle on read: the cache is held against a transcription of the
+copy-per-patch ``patch_result`` it replaced (:func:`reference_patch_result`).
 """
 
 import tempfile
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.engines import create_engine
 from repro.joins import NaiveJoin
-from repro.joins.delta import DeltaPlanner, evaluate_delta
+from repro.joins.delta import DeltaCatalog, DeltaPlanner, evaluate_delta
 from repro.relational import Atom, ConjunctiveQuery, Database, Relation, Schema
 from repro.relational.relation import WORDS
 from repro.relational.sharding import shard_database
@@ -93,15 +95,94 @@ def test_second_patch_makes_o_delta_log_n_comparisons():
     n, d = 50_000, 8
     cache = ResultCache(capacity=1)
     cache.put_result("k", [CountingRow((i, 2 * i)) for i in range(n)], ["E"])
-    assert cache.patch_result("k", [(0, 1)])  # first touch normalises, O(n log n)
+    assert cache.patch_result("k", [(0, 1)])
+    cache.peek("k")  # the first settle normalises, O(n log n)
     delta = [(i * (n // d), 1) for i in range(d)]  # (0, 1) is already there
     CountingRow.comparisons = 0
     assert cache.patch_result("k", delta)
+    entry = cache.peek("k")  # the settle splices the pending run in
     # ~d·log2(n) ≈ 130 for the splice; a re-sort or a timsort-merge of
     # ``base + fresh`` compares every stored row at least once.
     assert CountingRow.comparisons < n // 10
-    entry = cache.peek("k")
     assert len(entry) == n + d and entry == sorted(entry)
+
+
+def reference_patch_result(cache, key, rows):
+    """``ResultCache.patch_result`` as it was before patches settled on read:
+    every non-empty patch copies the stored list (the oracle)."""
+    with cache._lock:
+        current = cache._entries.get(key)
+        if current is None:
+            return False
+        cache.stats.patches += 1
+        delta = sorted({tuple(row) for row in rows})
+        if not delta:
+            return True
+        if key in cache._normalised:
+            cache._entries[key] = splice_sorted(current, delta)
+        else:
+            cache._entries[key] = sorted(set(current) | set(delta))
+            cache._normalised.add(key)
+        return True
+
+
+class ReferenceResultCache(ResultCache):
+    """The result cache with its copy-per-patch ``patch_result``; nothing is
+    ever pending, so its reads are the plain stored lists."""
+
+    patch_result = reference_patch_result
+
+
+#: One operation on a capacity-2 cache over three keys (so a fresh key
+#: evicts): ``(name, key, rows)``.
+cache_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["put_result", "put", "patch", "patch", "patch", "get", "peek", "discard", "clear"]
+        ),
+        st.sampled_from("abc"),
+        st.lists(rows2, max_size=6),
+    ),
+    max_size=24,
+)
+
+
+@given(cache_ops)
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+def test_patches_settle_on_read_like_the_copying_reference(ops):
+    cache, reference = ResultCache(capacity=2), ReferenceResultCache(capacity=2)
+    handed_out = []  # (list returned by a read, its contents then)
+    for name, key, rows in ops:
+        if name == "put_result":
+            published = list(dict.fromkeys(rows))  # distinct, publisher's order
+            cache.put_result(key, published, ["E"])
+            reference.put_result(key, list(published), ["E"])
+        elif name == "put":  # a bare put: no dependencies recorded
+            published = list(dict.fromkeys(rows))
+            cache.put(key, published)
+            reference.put(key, list(published))
+        elif name == "patch":
+            held = cache.peek(key) if not rows else None
+            assert cache.patch_result(key, rows) == reference.patch_result(key, rows)
+            if held is not None:
+                assert cache.peek(key) is held  # an empty delta keeps the list
+        elif name in ("get", "peek"):
+            got = getattr(cache, name)(key)
+            assert got == getattr(reference, name)(key)
+            if got is not None:
+                handed_out.append((got, list(got)))
+        elif name == "discard":
+            assert cache.discard(key) == reference.discard(key)
+        else:
+            cache.clear()
+            reference.clear()
+        assert cache.keys() == reference.keys()
+        assert set(cache._pending) <= set(cache.keys())  # nothing outlives its entry
+    assert cache.stats.as_dict() == reference.stats.as_dict()
+    for key in "abc":
+        assert cache.peek(key) == reference.peek(key)
+    for rows, snapshot in handed_out:
+        assert rows == snapshot  # no list handed out ever changed
 
 
 # --------------------------------------------------------------------------- #
@@ -248,7 +329,9 @@ def test_seeded_delta_terms_equal_recompute_difference(initial, batches, query, 
     before = set(oracle.execute(query, database).tuples)
     for batch in batches:
         added = database.insert_batch("E", batch).rows
-        delta = evaluate_delta(query, database, {"E": added}, engine, planner)
+        delta = evaluate_delta(
+            query, DeltaCatalog(database, {"E": added}).view, engine, planner
+        )
         after = set(oracle.execute(query, database).tuples)
         assert list(delta.tuples) == sorted(set(delta.tuples))
         assert before | set(delta.tuples) == after
