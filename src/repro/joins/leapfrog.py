@@ -28,8 +28,10 @@ Depth ``d``'s cursors are the locals depth ``d + 1`` reads its candidate
 ranges through; a non-leaf match descends inline (past 18 depths, into a
 function nested in the kernel: CPython nests at most 20 blocks per function).
 A lagging cursor catches up with one C-level ``bisect_left`` over the rest of
-its range, on whatever sequence backs the level (``array('q')`` or an
-mmap/shared-memory ``memoryview``); a single-participant depth is one slice.
+its range, on whatever sequence backs the level: a built level's ``list``,
+whose int objects are the relation's own, so a probe, a cursor load or an
+emitted row boxes nothing, or an mmap/shared-memory ``memoryview`` of words.
+A single-participant depth is one slice.
 The intersection is a template parameter: ``leapfrog`` seeks as above,
 ``materialise`` (Generic Join) scans the smallest range, probes the others by
 bisection and collects the survivors in a list before descending.  Where the

@@ -5,7 +5,7 @@ attribute, siblings sorted, every root-to-leaf path a tuple of the relation
 (Section 2.2.1 of the paper).  This module builds tries in the flat physical
 layout that TrieJax borrows from EmptyHeaded (Figure 6):
 
-* ``values[level]`` — one contiguous array per level holding the node values.
+* ``values[level]`` — one sequence per level holding the node values.
   Level 0 stores the distinct values of the first attribute; level ``i``
   stores, for every node of level ``i-1`` in order, that node's (sorted)
   children concatenated together.
@@ -19,13 +19,17 @@ The flat layout is what the accelerator's Midwife unit reads ("extract the
 child range of node ``i``") and what the LUB unit binary-searches, so the
 same object serves both the software engines and the hardware model.
 
-Both the level value arrays and the CSR offset arrays are backed by
-``array('q')`` — one contiguous 64-bit machine word per element instead of a
-tuple of boxed Python ints — so a trie's physical footprint matches what
-:meth:`TrieIndex.memory_words` reports, and sequential probes enjoy real
-cache locality.  Words are the only storage: a relation holds only values
-in the signed 64-bit range (``Relation.normalize_row`` rejects the rest),
-and a level adopted from a segment is a ``memoryview`` of the same words.
+A built value level is a ``list`` that references the relation rows' own
+int objects.  The ints already exist once, in the relation, so a level
+costs one pointer per node.  Reading it — every ``bisect_left`` probe,
+every cursor load, every emitted row — hands out that object instead of
+boxing a fresh int from a machine word, so an emitted row shares its ints
+with the relation.  The CSR offsets are positions the trie computes itself,
+so they stay ``array('q')``: one 64-bit word each.  Every value is still a
+word: a relation holds only values in the signed 64-bit range
+(``Relation.normalize_row`` rejects the rest), a segment or shared-memory
+payload packs each level into words (:func:`repro.storage.words.pack_words`),
+and a level adopted from one is a zero-copy ``memoryview`` of those words.
 Construction performs a single sort (reusing the relation's cached sorted
 order, see :meth:`~repro.relational.relation.Relation.sorted_rows_in`)
 followed by one linear pass that emits every level's values and offsets
@@ -96,7 +100,7 @@ class TrieIndex:
         immediately).  This emits values and CSR offsets together — no
         re-sort, no per-group distinct-count rescan.
         """
-        values = [array("q") for _ in range(arity)]
+        values: List[list] = [[] for _ in range(arity)]
         offsets = [array("q") for _ in range(max(arity - 1, 0))]
 
         if not rows:
@@ -137,9 +141,12 @@ class TrieIndex:
 
         This is the durable-storage cold-start path: the persisted segment
         holds exactly ``values``/``offsets``, so adoption is O(1) per level
-        (the sequences are ``array('q')`` or zero-copy ``memoryview`` word
-        slices over an ``mmap``).  ``validate`` runs the full
-        structural invariant check — O(n), so it is opt-in.
+        (the sequences are zero-copy ``memoryview`` word slices over an
+        ``mmap``, or ``array('q')`` copies of them).  :meth:`extended` adopts
+        its own levels here too: value lists, which cost a pointer per
+        element and share their ints with the relation, and ``array('q')``
+        offsets.  ``validate`` runs the full structural invariant check —
+        O(n), so it is opt-in.
         """
         if len(values) != len(attribute_order):
             raise ValueError(
@@ -165,9 +172,11 @@ class TrieIndex:
 
         ``rows`` are tuples in ``relation``'s schema order that this trie
         does not hold (a :class:`~repro.relational.catalog.DeltaBatch`).  No
-        old array is mutated; an untouched level keeps its object.  Levels
-        may be ``array('q')`` or ``memoryview``s; a touched level comes back
-        as an ``array('q')``.
+        old level is mutated; an untouched level keeps its object.  A
+        touched value level comes back as a ``list`` (a pointer per element:
+        old nodes keep their int objects, new ones reference the relation's
+        rows), a touched offsets level as an ``array('q')``, whether the old
+        level was a list, an ``array('q')`` or a ``memoryview``.
         """
         indexes = [relation.schema.index_of(a) for a in self.attribute_order]
         if indexes != sorted(indexes):  # arity >= 2, so itemgetter returns tuples
@@ -351,7 +360,10 @@ class TrieIndex:
         """Total number of machine words the flat layout occupies.
 
         Values and CSR offsets each count as one word; this is what the
-        memory models use to size the index footprint.
+        memory models use to size the index footprint (the accelerator's
+        layout).  It is not this process's footprint: an in-memory value
+        level is a list, one pointer per element to an int the relation
+        already owns.
         """
         return sum(len(v) for v in self._values) + sum(len(o) for o in self._offsets)
 
@@ -372,16 +384,17 @@ def _owned(level: Sequence[int]) -> array:
 
 
 def _spliced(level: Sequence[int], inserts):
-    """``level`` with each ``(position, value)`` placed before old node ``position``."""
+    """``level`` as a new list, each ``(position, value)`` placed before old
+    node ``position``."""
     if not inserts:
         return level
-    source = _owned(level)
-    out, start = source[:0], 0
+    out: list = []
+    start = 0
     for position, value in inserts:
-        out += source[start:position]
+        out += level[start:position]
         out.append(value)
         start = position
-    out += source[start:]
+    out += level[start:]
     return out
 
 

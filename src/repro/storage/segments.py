@@ -2,12 +2,13 @@
 
 A *segment* is one trie — the flat EmptyHeaded layout of one
 (relation, attribute permutation, shard) triple — serialized as a single
-file.  The payload is every ``array('q')`` level verbatim, in the one word
-format of :mod:`repro.storage.words` (one 64-bit little-endian word per
-element; a trie holds nothing else), so reloading is a file map plus a
-couple of ``memoryview.cast("q")`` calls instead of the O(n log n)
-sort-and-scan rebuild :class:`~repro.relational.trie.TrieIndex` performs
-from rows.
+file.  The payload is every level packed into the one word format of
+:mod:`repro.storage.words` (one 64-bit little-endian word per element; a
+trie holds nothing else): the bytes are the same whether a level is a
+built ``list`` of ints, an ``array('q')`` or a word ``memoryview``.
+Reloading is a file map plus a couple of ``memoryview.cast("q")`` calls
+instead of the O(n log n) sort-and-scan rebuild
+:class:`~repro.relational.trie.TrieIndex` performs from rows.
 
 File layout (all integers little-endian)::
 

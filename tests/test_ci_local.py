@@ -117,6 +117,19 @@ class TestWorkflow:
         passed, output, _ = ci_local.run_step(TREE_INVARIANTS[name], ROOT, dict(os.environ))
         assert passed, output
 
+    def test_word_format_refuses_array_value_levels_in_build_flat(self, tmp_path):
+        with open(os.path.join(ROOT, "src", "repro", "relational", "trie.py")) as handle:
+            source = handle.read()
+        built = "values: List[list] = [[] for _ in range(arity)]"
+        assert source.count(built) == 1
+        trie = tmp_path / "src" / "repro" / "relational" / "trie.py"
+        trie.parent.mkdir(parents=True)
+        step = TREE_INVARIANTS["One word format"]
+        words = 'values = [array("q") for _ in range(arity)]'
+        for level, passes in ((built, True), (words, False)):
+            trie.write_text(source.replace(built, level))
+            assert ci_local.run_step(step, str(tmp_path), dict(os.environ))[0] is passes, level
+
 
 class TestMain:
     def test_prints_one_line_per_step_and_fails_on_a_failing_step(

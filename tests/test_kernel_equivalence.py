@@ -55,6 +55,7 @@ from repro.relational import (
     TrieIndex,
 )
 from repro.service import alpha_rename
+from repro.storage import decode_trie_segment, encode_trie_segment
 from repro.util.sorted_ops import gallop, lowest_upper_bound
 
 WCOJ_ENGINES = [LeapfrogTrieJoin(), CachedTrieJoin(), GenericJoin()]
@@ -470,8 +471,10 @@ def reference_kernel(arrays, parent_offsets, parent_indexes, positions, stats, l
     return intersect
 
 
-#: What can back a trie level: machine words, or an mmap/shm view of them.
+#: What can back a trie level: a built level's list of the relation's ints,
+#: machine words, or an mmap/shm view of them.
 STORAGES = {
+    "list": list,
     "array": lambda values: array("q", values),
     "memoryview": lambda values: memoryview(array("q", values)),
 }
@@ -978,12 +981,61 @@ class TestKernelMemo:
 
 
 class TestArrayBackedTrie:
-    def test_levels_are_machine_word_arrays(self):
-        relation = Relation("R", Schema(("x", "y")), [(1, 2), (1, 3), (4, 5)])
-        trie = TrieIndex(relation)
-        assert isinstance(trie.level_values(0), array)
-        assert isinstance(trie.child_offsets(0), array)
-        assert trie.level_values(0).typecode == "q"
+    def test_value_levels_are_lists_offsets_word_arrays_adopted_levels_views(self):
+        lowest, highest = -(1 << 63), (1 << 63) - 1
+        rows = [(1, 2, 3), (1, 3, lowest), (4, highest, 5)]
+        relation = Relation("R", Schema(("x", "y", "z")), rows)
+        built = TrieIndex(relation, ("y", "x", "z"))
+        fresh = [(1, 2, 4), (7, lowest, 0)]
+        relation.insert_many(fresh)
+        extended = built.extended(relation, fresh)
+        adopted = decode_trie_segment(encode_trie_segment(built))
+        kinds = {
+            "built": (built, list, array),
+            "extended": (extended, list, array),
+            "adopted": (adopted, memoryview, memoryview),
+            "extended-adopted": (adopted.extended(relation, fresh), list, array),
+        }
+        for name, (trie, value_kind, offset_kind) in kinds.items():
+            values = [trie.level_values(level) for level in range(3)]
+            offsets = [trie.child_offsets(level) for level in range(2)]
+            assert all(type(level) is value_kind for level in values), name
+            assert all(type(level) is offset_kind for level in offsets), name
+            assert all(level.typecode == "q" for level in offsets if type(level) is array)
+            assert all(
+                level.format == "q" for level in values + offsets if type(level) is memoryview
+            )
+            words = [value for level in values for value in level]
+            assert all(type(value) is int and lowest <= value <= highest for value in words)
+        assert list(kinds["extended-adopted"][0].paths()) == list(extended.paths())
+
+    @pytest.mark.parametrize(
+        "pattern, leaf",
+        [("path3", "extend(zip("), ("cycle3", "append((")],
+        ids=["bulk-leaf", "per-value-leaf"],
+    )
+    def test_kernel_rows_reference_the_trie_levels_own_ints(self, pattern, leaf):
+        # Values above 256: CPython caches small ints, so every read of a
+        # machine word would box a fresh object here.
+        edges = [(1000 + a, 1000 + b) for a, b in uniform_random_graph(12, 40, seed=5).edges()]
+        relation = Relation("E", Schema(("src", "dst")), edges)
+        database = Database()
+        database.add_relation(relation)
+        plan = QueryCompiler().compile(pattern_query(pattern))
+        source = plan_source(plan_shape(plan, use_cache=False))[1]
+        assert [text for text in ("extend(zip(", "append((") if text in source] == [leaf]
+        rows, _stats = run_plan(plan, database, use_cache=False)
+        assert rows
+        slot_tries, _tables = resolve_slot_tables(plan, database)
+        owned = {id(value) for row in relation for value in row}
+        level_ints = {
+            id(value)
+            for trie in slot_tries
+            for level in range(trie.num_levels)
+            for value in trie.level_values(level)
+        }
+        assert level_ints <= owned
+        assert all(id(value) in level_ints for row in rows for value in row)
 
     def test_values_outside_a_word_are_rejected(self):
         lowest, highest = -(1 << 63), (1 << 63) - 1

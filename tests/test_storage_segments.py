@@ -1,8 +1,9 @@
 """Trie segment serialization: round trips, mmap adoption, corruption.
 
 The segment format is the cold-start fast path — these tests pin down the
-contract :mod:`repro.storage.segments` documents: ``array('q')`` tries
-round-trip bit-exactly through the 64-bit word payload, and every
+contract :mod:`repro.storage.segments` documents: tries round-trip
+bit-exactly through the 64-bit word payload, whose bytes do not depend on
+what container backs a level, and every
 corruption mode (bad magic, wrong version, a set flag bit, truncation,
 damaged meta or payload) fails with a :class:`SegmentFormatError` that names the file and
 the problem instead of producing a silently wrong trie.
@@ -10,13 +11,17 @@ the problem instead of producing a silently wrong trie.
 
 import os
 import struct
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.relational import Relation, Schema, TrieIndex
 from repro.storage import (
     SegmentFormatError,
     TrieSegmentStore,
+    encode_trie_segment,
     read_segment_info,
     read_trie_segment,
     write_trie_segment,
@@ -91,6 +96,31 @@ class TestRoundTrips:
         assert_same_trie(
             read_trie_segment(path, use_mmap=False, validate=True), edge_trie(ROWS)
         )
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda arity: st.tuples(
+                st.permutations(("a", "b", "c")[:arity]),
+                st.lists(st.tuples(*[st.integers(-(2**63), 2**63 - 1)] * arity), max_size=12),
+            )
+        ),
+        st.one_of(st.none(), st.integers(0, 3)),
+    )
+    @settings(max_examples=60)
+    def test_bytes_do_not_depend_on_the_level_container(self, order_rows, shard):
+        order, rows = order_rows
+        trie = TrieIndex(Relation("R", Schema(tuple(sorted(order))), rows), order)
+        values, offsets = levels_of(trie)
+        assert all(type(trie.level_values(level)) is list for level in range(len(values)))
+        words = TrieIndex.from_flat(
+            trie.relation_name,
+            trie.attribute_order,
+            [array("q", level) for level in values],
+            [array("q", level) for level in offsets],
+            trie.num_tuples,
+            validate=True,
+        )
+        assert encode_trie_segment(trie, shard) == encode_trie_segment(words, shard)
 
     def test_shard_tag_is_stored_in_meta(self, tmp_path):
         path = str(tmp_path / "e.trie")

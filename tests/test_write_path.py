@@ -189,11 +189,18 @@ def test_patches_settle_on_read_like_the_copying_reference(ops):
 # (c) cached tries and sorted-row caches after insert_batch, every catalog
 # --------------------------------------------------------------------------- #
 def levels(trie):
-    """A trie's flat arrays as plain lists, level by level; every one is words."""
+    """A trie's flat arrays as plain lists, level by level; every value is a word.
+
+    A value level is a list (built or extended) or an adopted ``memoryview``;
+    an offsets level is an ``array('q')`` or an adopted ``memoryview``.
+    """
     values = [trie.level_values(level) for level in range(trie.num_levels)]
     offsets = [trie.child_offsets(level) for level in range(trie.num_levels - 1)]
-    assert all(isinstance(level, (array, memoryview)) for level in values + offsets)
-    return trie.num_tuples, [list(level) for level in values], [list(level) for level in offsets]
+    assert all(isinstance(level, (list, memoryview)) for level in values)
+    assert all(isinstance(level, (array, memoryview)) for level in offsets)
+    values = [list(level) for level in values]
+    assert all(type(value) is int and value in WORDS for level in values for value in level)
+    return trie.num_tuples, values, [list(level) for level in offsets]
 
 
 def backing_databases(catalog):
