@@ -35,8 +35,8 @@ WORKFLOW = os.path.join(ROOT, ".github", "workflows", "ci.yml")
 
 #: Not copied into a job's working tree: VCS data, caches, run outputs.
 IGNORED = shutil.ignore_patterns(
-    ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks",
-    "*.egg-info", "ci-store",
+    ".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info",
+    "ci-store",
 )
 
 #: Output lines shown for a failing step.

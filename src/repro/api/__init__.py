@@ -14,7 +14,7 @@ Everything a caller needs lives behind three objects and one registry:
 * the engine registry (:mod:`repro.engines`, re-exported here) — the one
   table mapping engine names to :class:`~repro.joins.base.EngineProtocol`
   classes, shared by the CLI, the service layer, the evaluation harness and
-  the benchmarks — with the engine interface itself and the
+  the ``perf/`` benchmark — with the engine interface itself and the
   :class:`~repro.core.TrieJaxAccelerator` engine; and the cost router
   (:mod:`repro.api.routing`) that picks the cheapest engine per query from
   the statistics estimates.

@@ -14,7 +14,7 @@ declares its capabilities and cost model), and :func:`create_engine` /
 :func:`register_engine` resolve and extend it.  This is the *only* engine
 table in the repository: the CLI, :class:`repro.api.Session`,
 :class:`repro.service.QueryService`, the evaluation harness and the
-benchmarks all resolve engine names here.
+``perf/`` benchmark all resolve engine names here.
 """
 
 from __future__ import annotations

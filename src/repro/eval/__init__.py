@@ -1,6 +1,6 @@
 """Evaluation harness: regenerates every table and figure of the paper.
 
-Usage pattern (also what the ``benchmarks/`` directory does)::
+Usage pattern (``repro experiment NAME`` runs the same registry)::
 
     from repro.eval import ExperimentContext, figure13
 
@@ -16,8 +16,6 @@ import :mod:`repro.service`, whose metrics module imports
 from repro.eval.metrics import (
     arithmetic_mean,
     geometric_mean,
-    group_by,
-    normalise,
     percentile,
     reduction,
     speedup,
@@ -25,12 +23,9 @@ from repro.eval.metrics import (
     summarise_ratios,
 )
 from repro.eval.reporting import (
-    format_distribution,
     format_latency_summary,
     format_ratio_summary,
-    format_series,
     format_table,
-    indent,
 )
 from repro.eval.harness import (
     BASELINE_ORDER,
@@ -59,19 +54,14 @@ from repro.eval.experiments import (
 __all__ = [
     "arithmetic_mean",
     "geometric_mean",
-    "group_by",
-    "normalise",
     "percentile",
     "reduction",
     "speedup",
     "summarise_latencies",
     "summarise_ratios",
-    "format_distribution",
     "format_latency_summary",
     "format_ratio_summary",
-    "format_series",
     "format_table",
-    "indent",
     "BASELINE_ORDER",
     "DEFAULT_EVAL_SCALE",
     "ExperimentContext",

@@ -3,9 +3,9 @@
 Each ``table*``/``figure*`` function regenerates one artifact of Section 4
 (or the appendices) and returns an :class:`ExperimentResult`: structured rows
 plus summary lines phrased the way the paper phrases them ("TrieJax
-outperforms X by N× on average...").  The benchmark harness under
-``benchmarks/`` calls these functions — one bench per table/figure — and the
-EXPERIMENTS.md document records paper-versus-measured values.
+outperforms X by N× on average...").  ``repro experiment`` runs them through
+:data:`EXPERIMENT_REGISTRY`, and ``tests/test_eval.py`` checks their shape and
+each figure's direction on a tiny context.
 
 The functions accept an :class:`~repro.eval.harness.ExperimentContext`, so
 callers control the dataset scale, the query/dataset subset and the

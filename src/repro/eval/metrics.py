@@ -9,7 +9,7 @@ summarises its series the same way.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Sequence
 
 
 def speedup(baseline_time: float, accelerated_time: float) -> float:
@@ -89,21 +89,3 @@ def summarise_latencies(values: Sequence[float]) -> Dict[str, float]:
         "p95": percentile(values, 95),
         "max": float(max(values)),
     }
-
-
-def normalise(values: Sequence[float]) -> List[float]:
-    """Scale a series so it sums to one (used for energy distributions)."""
-    total = sum(values)
-    if total == 0:
-        return [0.0 for _ in values]
-    return [v / total for v in values]
-
-
-def group_by(
-    rows: Iterable[Dict[str, object]], key: str
-) -> Dict[object, List[Dict[str, object]]]:
-    """Group row dictionaries by one of their fields, preserving order."""
-    grouped: Dict[object, List[Dict[str, object]]] = {}
-    for row in rows:
-        grouped.setdefault(row[key], []).append(row)
-    return grouped

@@ -68,29 +68,3 @@ def format_latency_summary(
         f"p50 {summary['p50']:.1f}, p95 {summary['p95']:.1f}, "
         f"max {summary['max']:.1f} (n={int(summary['count'])})"
     )
-
-
-def format_distribution(
-    labels: Sequence[str], fractions: Sequence[float], width: int = 40
-) -> str:
-    """Render a single stacked-distribution row as labelled percentages plus a bar."""
-    parts = [f"{label} {fraction:.1%}" for label, fraction in zip(labels, fractions)]
-    bar = ""
-    for label, fraction in zip(labels, fractions):
-        segment = max(0, int(round(fraction * width)))
-        bar += (label[0] if label else "?") * segment
-    return ", ".join(parts) + "  |" + bar[:width] + "|"
-
-
-def format_series(
-    x_label: str,
-    y_label: str,
-    points: Sequence[Sequence[object]],
-    title: str | None = None,
-) -> str:
-    """Render an (x, y) series as a two-column table (for line-plot figures)."""
-    return format_table([x_label, y_label], points, title=title)
-
-
-def indent(text: str, prefix: str = "    ") -> str:
-    return "\n".join(prefix + line for line in text.splitlines())

@@ -16,11 +16,6 @@ from repro.graphs.generators import (
     uniform_random_graph,
     preferential_attachment_graph,
     community_graph,
-    deterministic_clique,
-    deterministic_cycle,
-    deterministic_path,
-    deterministic_star,
-    deterministic_bipartite,
 )
 from repro.graphs.datasets import (
     DatasetSpec,
@@ -34,10 +29,6 @@ from repro.graphs.patterns import (
     PATTERN_NAMES,
     EXTRA_PATTERN_NAMES,
     pattern_query,
-    multi_relation_pattern_query,
-    pattern_relation_symbols,
-    pattern_arity,
-    pattern_num_atoms,
     table1_rows,
 )
 from repro.graphs.loader import (
@@ -46,7 +37,6 @@ from repro.graphs.loader import (
     load_snap_edge_list,
     write_snap_edge_list,
     graph_database,
-    edges_database,
 )
 
 __all__ = [
@@ -54,11 +44,6 @@ __all__ = [
     "uniform_random_graph",
     "preferential_attachment_graph",
     "community_graph",
-    "deterministic_clique",
-    "deterministic_cycle",
-    "deterministic_path",
-    "deterministic_star",
-    "deterministic_bipartite",
     "DatasetSpec",
     "DATASET_SPECS",
     "DATASET_NAMES",
@@ -68,15 +53,10 @@ __all__ = [
     "PATTERN_NAMES",
     "EXTRA_PATTERN_NAMES",
     "pattern_query",
-    "multi_relation_pattern_query",
-    "pattern_relation_symbols",
-    "pattern_arity",
-    "pattern_num_atoms",
     "table1_rows",
     "EdgeListFormatError",
     "iter_snap_edges",
     "load_snap_edge_list",
     "write_snap_edge_list",
     "graph_database",
-    "edges_database",
 ]

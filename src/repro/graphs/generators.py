@@ -162,54 +162,3 @@ def _fill_remaining(graph: Graph, num_nodes: int, num_edges: int) -> None:
     # Saturated every possible edge (including self loops) and still short --
     # only possible if the caller asked for more edges than fit, which the
     # budget check rejects up front.
-
-
-def deterministic_clique(num_nodes: int, name: str = "clique") -> Graph:
-    """Complete directed graph (without self-loops) on ``num_nodes`` vertices."""
-    check_positive("num_nodes", num_nodes)
-    graph = Graph(name)
-    for source in range(num_nodes):
-        for target in range(num_nodes):
-            if source != target:
-                graph.add_edge(source, target)
-    return graph
-
-
-def deterministic_cycle(num_nodes: int, name: str = "cycle") -> Graph:
-    """Single directed cycle 0 -> 1 -> ... -> n-1 -> 0."""
-    check_positive("num_nodes", num_nodes)
-    graph = Graph(name)
-    for vertex in range(num_nodes):
-        graph.add_edge(vertex, (vertex + 1) % num_nodes)
-    return graph
-
-
-def deterministic_path(num_nodes: int, name: str = "path") -> Graph:
-    """Single directed path 0 -> 1 -> ... -> n-1."""
-    check_positive("num_nodes", num_nodes)
-    graph = Graph(name)
-    graph.add_vertex(0)
-    for vertex in range(num_nodes - 1):
-        graph.add_edge(vertex, vertex + 1)
-    return graph
-
-
-def deterministic_star(num_leaves: int, name: str = "star") -> Graph:
-    """Star graph: vertex 0 points to every leaf (hub-heavy corner case)."""
-    check_non_negative("num_leaves", num_leaves)
-    graph = Graph(name)
-    graph.add_vertex(0)
-    for leaf in range(1, num_leaves + 1):
-        graph.add_edge(0, leaf)
-    return graph
-
-
-def deterministic_bipartite(left: int, right: int, name: str = "bipartite") -> Graph:
-    """Complete bipartite graph: every left vertex points to every right vertex."""
-    check_positive("left", left)
-    check_positive("right", right)
-    graph = Graph(name)
-    for source in range(left):
-        for target in range(left, left + right):
-            graph.add_edge(source, target)
-    return graph

@@ -12,7 +12,7 @@ run every experiment on the real data instead of the synthetic stand-ins:
 from __future__ import annotations
 
 import os
-from typing import Iterable, Iterator, Tuple
+from typing import Iterator, Tuple
 
 from repro.graphs.graph import Graph
 from repro.relational.catalog import Database
@@ -80,12 +80,3 @@ def graph_database(
     database = Database(database_name or graph.name)
     database.add_relation(graph.to_relation(edge_relation))
     return database
-
-
-def edges_database(
-    edges: Iterable[Tuple[int, int]],
-    edge_relation: str = "E",
-    database_name: str = "edges",
-) -> Database:
-    """Shorthand used by tests: build a database straight from an edge iterable."""
-    return graph_database(Graph.from_edges(edges, database_name), edge_relation, database_name)

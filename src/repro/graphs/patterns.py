@@ -107,18 +107,6 @@ def pattern_query(name: str, edge_relation: str = "E") -> ConjunctiveQuery:
     return ConjunctiveQuery(name, head, atoms)
 
 
-def pattern_arity(name: str) -> int:
-    """Number of output variables of pattern ``name``."""
-    head, _edges = _pattern_definition(name)
-    return len(head)
-
-
-def pattern_num_atoms(name: str) -> int:
-    """Number of body atoms of pattern ``name``."""
-    _head, edges = _pattern_definition(name)
-    return len(edges)
-
-
 def table1_rows() -> List[Tuple[str, str]]:
     """Rows of Table 1: (query display name, datalog text with distinct symbols)."""
     display_names = {
@@ -137,27 +125,3 @@ def table1_rows() -> List[Tuple[str, str]]:
         datalog = f"{name}({','.join(head)}) = {','.join(atoms)}."
         rows.append((display_names[name], datalog))
     return rows
-
-
-def multi_relation_pattern_query(name: str) -> ConjunctiveQuery:
-    """The Table 1 form with distinct relation symbols ``R, S, T, ...``.
-
-    Useful for tests exercising genuinely multi-relation joins (each symbol
-    bound to a different stored relation), as in the paper's Figures 2 and 6
-    running examples.
-    """
-    if name not in _PATTERN_EDGES:
-        raise KeyError(
-            f"unknown pattern {name!r}; available patterns: {PATTERN_NAMES}"
-        )
-    head, edges = _PATTERN_EDGES[name]
-    atoms = [
-        Atom(symbol, pair) for symbol, pair in zip(_TABLE1_SYMBOLS, edges)
-    ]
-    return ConjunctiveQuery(name, head, atoms)
-
-
-def pattern_relation_symbols(name: str) -> Tuple[str, ...]:
-    """The distinct relation symbols used by the Table 1 form of ``name``."""
-    _head, edges = _PATTERN_EDGES[name]
-    return _TABLE1_SYMBOLS[: len(edges)]

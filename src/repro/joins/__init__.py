@@ -25,30 +25,21 @@ the TrieJax accelerator model.
 
 from repro.joins.stats import JoinStats
 from repro.joins.plan import AtomBinding, CacheSpec, JoinPlan
-from repro.joins.compiler import QueryCompiler, compile_query
+from repro.joins.compiler import QueryCompiler
 from repro.joins.base import CostModel, EngineCapabilities, EngineExecution, EngineProtocol
-from repro.joins.naive import NaiveJoin, evaluate_naive
+from repro.joins.naive import NaiveJoin
 from repro.joins.leapfrog import LeapfrogTrieJoin
 from repro.joins.ctj import CachedTrieJoin
 from repro.joins.generic_join import GenericJoin
 from repro.joins.hash_join import hash_join, natural_join_schema
 from repro.joins.sort_merge import sort_merge_join
 from repro.joins.pairwise import PairwiseJoin
-from repro.joins.aggregates import (
-    CountResult,
-    GroupedCountResult,
-    SampleEstimate,
-    count_matches,
-    count_by_variable,
-    estimate_count,
-)
 from repro.joins.delta import (
     DeltaCatalog,
     DeltaPlan,
     DeltaPlanner,
     DeltaResult,
     delta_alias,
-    delta_rewrites,
     evaluate_delta,
 )
 
@@ -58,13 +49,11 @@ __all__ = [
     "CacheSpec",
     "JoinPlan",
     "QueryCompiler",
-    "compile_query",
     "CostModel",
     "EngineCapabilities",
     "EngineExecution",
     "EngineProtocol",
     "NaiveJoin",
-    "evaluate_naive",
     "LeapfrogTrieJoin",
     "CachedTrieJoin",
     "GenericJoin",
@@ -72,17 +61,10 @@ __all__ = [
     "natural_join_schema",
     "sort_merge_join",
     "PairwiseJoin",
-    "CountResult",
-    "GroupedCountResult",
-    "SampleEstimate",
-    "count_matches",
-    "count_by_variable",
-    "estimate_count",
     "DeltaCatalog",
     "DeltaPlan",
     "DeltaPlanner",
     "DeltaResult",
     "delta_alias",
-    "delta_rewrites",
     "evaluate_delta",
 ]

@@ -270,12 +270,3 @@ class QueryCompiler:
         """Compile ``query`` and check it against ``database`` (arity/name errors)."""
         database.validate_query(query)
         return self.compile(query, variable_order)
-
-
-def compile_query(
-    query: ConjunctiveQuery,
-    variable_order: Optional[Sequence[str]] = None,
-    enable_caching: bool = True,
-) -> JoinPlan:
-    """Module-level shorthand: compile with a default-configured compiler."""
-    return QueryCompiler(enable_caching=enable_caching).compile(query, variable_order)

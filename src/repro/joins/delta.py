@@ -15,10 +15,9 @@ pre-insert snapshot of any relation is needed.
 
 The machinery is deliberately thin over the existing compiler/engine stack:
 
-* :func:`delta_rewrites` produces, per atom over a changed relation, the
-  query with that one atom rebound to the relation's *delta alias*
-  (``E`` → ``E@delta``).
-* :class:`DeltaPlanner` compiles each rewritten query through the normal
+* :class:`DeltaPlanner` rewrites the query once per atom over a changed
+  relation, rebinding that one atom to the relation's *delta alias*
+  (``E`` → ``E@delta``), and compiles each rewritten query through the normal
   :class:`~repro.joins.compiler.QueryCompiler` (memoised per signature and
   atom position) under a *delta-seeded* variable order: the base query's
   order, stably partitioned so the Δ atom's variables come first.  The
@@ -66,28 +65,6 @@ DELTA_SUFFIX = "@delta"
 def delta_alias(relation_name: str) -> str:
     """The delta-relation name atoms are rebound to (``E`` → ``E@delta``)."""
     return f"{relation_name}{DELTA_SUFFIX}"
-
-
-def is_delta_alias(name: str) -> bool:
-    return name.endswith(DELTA_SUFFIX)
-
-
-def delta_rewrites(
-    query: ConjunctiveQuery, relation_names: Iterable[str]
-) -> Tuple[Tuple[int, ConjunctiveQuery], ...]:
-    """Per-atom rewrites binding one atom to its relation's delta alias.
-
-    Returns ``(atom_index, rewritten_query)`` for every atom whose relation
-    is in ``relation_names``; the rewritten query differs from ``query``
-    only in that one atom's relation name, so its variable structure — and
-    therefore the compiler's heuristic variable order — is identical.
-    """
-    changed = set(relation_names)
-    return tuple(
-        (index, _rewrite(query, index))
-        for index, atom in enumerate(query.atoms)
-        if atom.relation in changed
-    )
 
 
 def _rewrite(query: ConjunctiveQuery, index: int) -> ConjunctiveQuery:
@@ -270,7 +247,5 @@ __all__ = [
     "DeltaPlanner",
     "DeltaResult",
     "delta_alias",
-    "delta_rewrites",
     "evaluate_delta",
-    "is_delta_alias",
 ]

@@ -10,19 +10,18 @@ property (together with the AGM bound) that makes the algorithm family
 attractive for hardware acceleration (paper Section 2.2).
 
 The implementation below is shared with :class:`~repro.joins.ctj.CachedTrieJoin`
-(which subclasses it and adds the partial-join-result cache), with
+(which subclasses it and adds the partial-join-result cache) and with
 :class:`~repro.joins.generic_join.GenericJoin` (its ``materialise``
-intersection mode) and with the counting aggregates of
-:mod:`repro.joins.aggregates`, and mirrors the structure of the accelerator
-model: the per-variable candidate ranges are what Midwife produces, the
-leapfrog intersection is MatchMaker + LUB, and the backtracking walk is Cupid.
+intersection mode), and mirrors the structure of the accelerator model: the
+per-variable candidate ranges are what Midwife produces, the leapfrog
+intersection is MatchMaker + LUB, and the backtracking walk is Cupid.
 
 Hot-path layout: the whole walk of a plan is **one generated function**, the
 *plan kernel* — the fixed loop nest the paper specialises into hardware.  It
 is instantiated once per plan *shape* (:func:`plan_shape`: per depth the
 participants and the enclosing cursor each parent offset reads, the CTJ cache
-points, the head depths, the leaf action and the intersection mode; memoised
-module-wide, never stored on the plan) as straight-line Python over scalar
+points, the head depths and the intersection mode; memoised module-wide,
+never stored on the plan) as straight-line Python over scalar
 locals, and called with the plan's level arrays (:func:`resolve_slot_tables`).
 Depth ``d``'s cursors are the locals depth ``d + 1`` reads its candidate
 ranges through; a non-leaf match descends inline (past 18 depths, into a
@@ -37,10 +36,8 @@ The intersection is a template parameter: ``leapfrog`` seeks as above,
 bisection and collects the survivors in a list before descending.  Where the
 compiler marked a depth cacheable (CTJ), the cache probe is inlined: a miss
 fills the entry, then hit and miss replay it through the same loop.  The leaf
-action is a template parameter — ``rows`` (append/extend head tuples),
-``count`` or ``group`` (per-value counts) — applied per value inside the
-intersection or, for a value sequence (a slice, a cache entry or a
-materialised list), in bulk.
+appends head tuples, per value inside the intersection or, for a value
+sequence (a slice, a cache entry or a materialised list), in bulk.
 :class:`~repro.joins.stats.JoinStats` accounting is the LUB-unit model, not
 the implementation, and is unchanged from the reference implementation: each
 search charges the worst-case binary-search probe count of its window plus
@@ -74,9 +71,9 @@ from repro.relational.trie import TrieIndex
 def resolve_slot_tables(plan: JoinPlan, database: Database):
     """Resolve a plan's slot program against ``database``'s tries.
 
-    Shared by the plan kernel (:func:`run_plan`: LFTJ, CTJ, Generic Join and
-    the aggregates) and the sampling estimator of :mod:`repro.joins.aggregates`.
-    Returns ``(slot_tries, depth_tables)``:
+    Shared by the plan kernel (:func:`run_plan`: LFTJ, CTJ and Generic Join)
+    and the TrieJax model's walk (:mod:`repro.core.cupid`).  Returns
+    ``(slot_tries, depth_tables)``:
 
     * ``slot_tries[slot]`` — the :class:`TrieIndex` of the ``slot``-th atom
       binding, resolved exactly once (the catalog caches builds; bindings
@@ -116,28 +113,20 @@ def resolve_slot_tables(plan: JoinPlan, database: Database):
     return slot_tries, depth_tables
 
 
-#: A plan's kernel shape:
-#: ``(depths, head_depths, action, group_depth, intersection)``.
-Shape = Tuple[tuple, Tuple[int, ...], str, Optional[int], str]
+#: A plan's kernel shape: ``(depths, head_depths, intersection)``.
+Shape = Tuple[tuple, Tuple[int, ...], str]
 
 
-def plan_shape(
-    plan: JoinPlan,
-    use_cache: bool,
-    action: str = "rows",
-    group_by: Optional[str] = None,
-    intersection: str = "leapfrog",
-) -> Shape:
+def plan_shape(plan: JoinPlan, use_cache: bool, intersection: str = "leapfrog") -> Shape:
     """Everything the plan kernel's code depends on, and nothing else.
 
     Per depth: each participant's parent cursor as ``(depth, participant)``
     (``None`` at the root level) and the CTJ cache-key depths (``None`` when
-    the depth is not cached); then the head depths, the leaf action
-    (``"rows"``, ``"count"`` or ``"group"``), the group-by depth and the
-    intersection mode (``"leapfrog"``, or Generic Join's ``"materialise"``,
-    which runs only with ``rows`` and no cache).  Names of variables and
-    relations are not part of it, so α-renamed queries and the delta
-    planner's per-term plans share one kernel per shape.
+    the depth is not cached); then the head depths and the intersection mode
+    (``"leapfrog"``, or Generic Join's ``"materialise"``, which runs with no
+    cache).  Names of variables and relations are not part of it, so
+    α-renamed queries and the delta planner's per-term plans share one
+    kernel per shape.
     """
     program = plan.slot_program()
     cursor_of: Dict[int, Tuple[int, int]] = {}
@@ -147,13 +136,11 @@ def plan_shape(
         for i, index in enumerate(depth_program.position_indexes):
             cursor_of[index] = (depth, i)
         depths.append((parents, depth_program.cache_key_depths if use_cache else None))
-    group = None if group_by is None else plan.depth_of(group_by)
-    return tuple(depths), program.head_depths, action, group, intersection
+    return tuple(depths), program.head_depths, intersection
 
 
-#: Prologue and epilogue of every plan kernel.  ``sink`` is the result list
-#: (``rows``) or the per-value counts (``group``); the return value is the
-#: per-depth match counts.
+#: Prologue and epilogue of every plan kernel.  ``sink`` is the result list;
+#: the return value is the per-depth match counts.
 _KERNEL = """\
 def kernel(stats, sink, {parameters}):
     reads = lubs = lookups = hits = inserts = stored = writes = 0
@@ -238,12 +225,12 @@ def plan_source(shape: Shape) -> Tuple[str, str]:
     ``nonlocal``.  The filename names the shape; it is what tracebacks and
     profiles show.
     """
-    depths, head, action, group, intersection = shape
+    depths, head, intersection = shape
     materialise = intersection == "materialise"
     last = len(depths) - 1
-    # Whether the leaf action has a per-value form (else it takes the whole
-    # value sequence under one prefix).
-    per_value = action == "count" or group == last or (action == "rows" and last in head)
+    # Whether the leaf has a per-value form (else it takes the whole value
+    # sequence under one prefix): when the head keeps the leaf variable.
+    per_value = last in head
     inline = [
         not materialise and len(parents) > 1 and keys is None and (d < last or per_value)
         for d, (parents, keys) in enumerate(depths)
@@ -255,27 +242,17 @@ def plan_source(shape: Shape) -> Tuple[str, str]:
         lines.extend("    " * level + text for text in texts)
 
     def leaf_each(level: int) -> None:
-        value = bound[last]
-        emit(level, f"n{last} += 1")
-        if action == "rows":
-            emit(level, f"append({_tuple([bound[h] for h in head])})")
-        elif action == "group":
-            emit(level, f"sink[{value}] = get({value}, 0) + 1")
+        emit(level, f"n{last} += 1", f"append({_tuple([bound[h] for h in head])})")
 
     def leaf_bulk(level: int, values: str) -> None:
         emit(level, f"n{last} += len({values})")
-        if action == "rows" and last in head:
+        if last in head:
             columns = [values if h == last else f"repeat({bound[h]})" for h in head]
             emit(level, f"extend(zip({', '.join(columns)}))")
-        elif action == "rows":
+        else:
             # The leaf variable is projected out: every binding maps to the
             # same head tuple, which the final dedup keeps once.
             emit(level, f"if {values}:", f"    append({_tuple([bound[h] for h in head])})")
-        elif group == last:
-            emit(level, f"for value in {values}:", "    sink[value] = get(value, 0) + 1")
-        elif action == "group":
-            key = bound[group]
-            emit(level, f"if {values}:", f"    sink[{key}] = get({key}, 0) + len({values})")
 
     def match(d: int, level: int) -> None:
         if d == last:
@@ -352,8 +329,7 @@ def plan_source(shape: Shape) -> Tuple[str, str]:
             emit(level, "else:", f"    reads += {charge}")
 
     def inherited(start: int) -> List[str]:
-        """The names depths ``>= start`` read from the depths above them
-        (the group-by variable is a head variable)."""
+        """The names depths ``>= start`` read from the depths above them."""
         names = [bound[h] for h in head if h < start]
         for parents, keys in depths[start:]:
             names += [f"c{p[0]}_{p[1]}" for p in parents if p is not None and p[0] < start]
@@ -390,10 +366,7 @@ def plan_source(shape: Shape) -> Tuple[str, str]:
         depth(start, 2)
         walks[start] = "\n".join(lines)
         lines.clear()
-    if action == "rows":
-        emit(1, "append = sink.append", "extend = sink.extend")
-    elif action == "group":
-        emit(1, "get = sink.get")
+    emit(1, "append = sink.append", "extend = sink.extend")
     for d, (parents, keys) in enumerate(depths):
         if keys is not None:
             emit(1, f"cache{d} = {{}}", f"probe{d} = cache{d}.get")
@@ -421,11 +394,8 @@ def plan_source(shape: Shape) -> Tuple[str, str]:
         + ("" if keys is None else "@" + ",".join(map(str, keys)))
         for parents, keys in depths
     )
-    name = "<repro.joins.leapfrog plan {} head={} {}{}>".format(
-        described,
-        ",".join(map(str, head)),
-        action if group is None else f"group={group}",
-        " materialise" if materialise else "",
+    name = "<repro.joins.leapfrog plan {} head={}{}>".format(
+        described, ",".join(map(str, head)), " materialise" if materialise else ""
     )
     return name, source
 
@@ -448,24 +418,17 @@ def plan_kernel(shape: Shape) -> Callable:
 
 
 def run_plan(
-    plan: JoinPlan,
-    database: Database,
-    use_cache: bool,
-    action: str = "rows",
-    group_by: Optional[str] = None,
-    intersection: str = "leapfrog",
+    plan: JoinPlan, database: Database, use_cache: bool, intersection: str = "leapfrog"
 ):
-    """Run ``plan``'s kernel over ``database``: ``(outcome, stats)``.
+    """Run ``plan``'s kernel over ``database``: ``(rows, stats)``.
 
-    ``action`` is the leaf action: ``"rows"`` returns the result tuples
-    (deduplicated, first appearance first, when the query projects),
-    ``"count"`` the number of full bindings and ``"group"`` the per-value
-    binding counts of head variable ``group_by`` (in first-emission order).
-    ``use_cache`` honours the plan's CTJ cache specs; ``intersection`` is
-    the per-depth intersection mode (see :func:`plan_shape`).
+    The rows are the result tuples (deduplicated, first appearance first,
+    when the query projects).  ``use_cache`` honours the plan's CTJ cache
+    specs; ``intersection`` is the per-depth intersection mode (see
+    :func:`plan_shape`).
     """
     stats = JoinStats()
-    sink: object = {} if action == "group" else []
+    sink: List[tuple] = []
     slot_tries, depth_tables = resolve_slot_tables(plan, database)
     # An empty relation makes the whole join empty.
     if all(trie.num_tuples for trie in slot_tries):
@@ -477,14 +440,11 @@ def run_plan(
                 tables.append(values)
                 if parent is not None:
                     tables.append(parent)
-        kernel = plan_kernel(plan_shape(plan, use_cache, action, group_by, intersection))
+        kernel = plan_kernel(plan_shape(plan, use_cache, intersection))
         counts = kernel(stats, sink, *tables)
         for variable, count in zip(plan.variable_order, counts):
             if count:
                 stats.record_match(variable, count)
-    if action != "rows":
-        stats.output_tuples = stats.bindings_enumerated
-        return (stats.bindings_enumerated if action == "count" else sink), stats
     if not plan.query.is_full:
         # Projection queries can repeat head tuples across distinct full
         # bindings; results follow set semantics, so collapse them.

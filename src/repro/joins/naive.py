@@ -92,8 +92,3 @@ class NaiveJoin(EngineProtocol):
         search(0)
         stats.output_tuples = len(results)
         return EngineExecution(results, software_cost(stats, len(results)), False, stats=stats)
-
-
-def evaluate_naive(query: ConjunctiveQuery, database: Database) -> List[Tuple[int, ...]]:
-    """Convenience wrapper returning just the sorted output tuples."""
-    return sorted(NaiveJoin().execute(query, database).tuples)

@@ -22,11 +22,6 @@ from repro.joins.stats import JoinStats
 from repro.obs.trace import Span
 from repro.relational.sharding import SCATTER_DISPATCH_COST_NS
 
-#: JoinStats counters attached to execute spans (the high-signal subset;
-#: ``per_variable_matches`` stays off spans to keep lines compact).
-JOIN_STAT_KEYS = JoinStats.TRACE_KEYS
-
-
 def join_stats_attributes(stats: Optional[JoinStats]) -> dict:
     """The span-attribute projection of one execution's engine counters."""
     if stats is None:
@@ -38,7 +33,7 @@ def annotate_execute_span(span: Span, execution) -> None:
     """Attach an engine execution's outcome to its ``execute`` span.
 
     Adds the modelled cost, result cardinality, plan usage and the
-    :data:`JOIN_STAT_KEYS` counters; a scatter fan-out additionally gets
+    ``JoinStats.TRACE_KEYS`` counters; a scatter fan-out additionally gets
     one child span per shard leg plus a ``gather`` leg (see
     :func:`attach_scatter_legs`).
     """
@@ -116,7 +111,6 @@ def attach_scatter_legs(span: Span, scatter) -> None:
 
 
 __all__ = [
-    "JOIN_STAT_KEYS",
     "annotate_execute_span",
     "attach_scatter_legs",
     "join_stats_attributes",

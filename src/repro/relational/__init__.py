@@ -17,14 +17,13 @@ model need from a relational database:
 """
 
 from repro.relational.schema import Schema
-from repro.relational.relation import Relation, relation_from_pairs
+from repro.relational.relation import Relation
 from repro.relational.trie import TrieIndex
 from repro.relational.layout import ArrayRegion, MemoryLayout
-from repro.relational.query import Atom, ConjunctiveQuery, single_relation_query
+from repro.relational.query import Atom, ConjunctiveQuery
 from repro.relational.datalog import (
     DatalogSyntaxError,
     parse_datalog,
-    parse_program,
 )
 from repro.relational.sql import SQLSyntaxError, parse_sql_join
 from repro.relational.catalog import (
@@ -46,13 +45,7 @@ from repro.relational.sharding import (
     shard_database,
 )
 from repro.relational.statistics import (
-    DatabaseStatistics,
-    FractionalEdgeCover,
     ScatterWorkEstimate,
-    agm_bound,
-    agm_exponent,
-    database_statistics,
-    fractional_edge_cover,
     is_alpha_acyclic,
     is_cyclic,
     nested_loop_work_estimate,
@@ -64,16 +57,13 @@ from repro.relational.statistics import (
 __all__ = [
     "Schema",
     "Relation",
-    "relation_from_pairs",
     "TrieIndex",
     "ArrayRegion",
     "MemoryLayout",
     "Atom",
     "ConjunctiveQuery",
-    "single_relation_query",
     "DatalogSyntaxError",
     "parse_datalog",
-    "parse_program",
     "SQLSyntaxError",
     "parse_sql_join",
     "Catalog",
@@ -90,13 +80,7 @@ __all__ = [
     "partitioner_from_spec",
     "shard_alias",
     "shard_database",
-    "DatabaseStatistics",
-    "FractionalEdgeCover",
     "ScatterWorkEstimate",
-    "agm_bound",
-    "agm_exponent",
-    "database_statistics",
-    "fractional_edge_cover",
     "is_alpha_acyclic",
     "is_cyclic",
     "nested_loop_work_estimate",

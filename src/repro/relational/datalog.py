@@ -97,14 +97,3 @@ def parse_datalog(text: str) -> ConjunctiveQuery:
         name, variables = _parse_atom_text(atom_text)
         atoms.append(Atom(name, variables))
     return ConjunctiveQuery(head_name, head_variables, atoms)
-
-
-def parse_program(text: str) -> List[ConjunctiveQuery]:
-    """Parse several period-terminated rules (one per line or separated by '.')."""
-    queries = []
-    for chunk in text.split("."):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        queries.append(parse_datalog(chunk + "."))
-    return queries

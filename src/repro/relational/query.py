@@ -14,7 +14,7 @@ LFTJ, CTJ and the TrieJax accelerator alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.util.validation import check_not_empty
 
@@ -163,11 +163,3 @@ class ConjunctiveQuery:
 
     def __hash__(self) -> int:
         return hash((self.name, self.head_variables, self.atoms))
-
-
-def single_relation_query(
-    name: str, relation: str, variables: Iterable[str]
-) -> ConjunctiveQuery:
-    """Build the trivial query that scans one relation (used in tests)."""
-    variables = tuple(variables)
-    return ConjunctiveQuery(name, variables, [Atom(relation, variables)])

@@ -248,10 +248,3 @@ class Relation:
             f"Relation(name={self.name!r}, schema={self.schema.attributes}, "
             f"cardinality={self.cardinality})"
         )
-
-
-def relation_from_pairs(
-    name: str, attr_a: str, attr_b: str, pairs: Iterable[Tuple[int, int]]
-) -> Relation:
-    """Convenience constructor for binary relations (graph edge lists)."""
-    return Relation(name, Schema((attr_a, attr_b)), pairs)

@@ -1,22 +1,14 @@
-"""Query and database statistics, including the AGM bound.
+"""Query statistics: the cardinality estimates behind cost-based routing.
 
 Section 2.1 of the paper builds on the AGM bound (Atserias, Grohe, Marx): the
 worst-case output size of a natural join is ``prod_i |R_i|^{x_i}`` minimised
 over *fractional edge covers* ``x`` of the query hypergraph, and an algorithm
-is worst-case optimal (WCOJ) when its running time matches that bound.  The
-paper's triangle example: with every relation of size ``N`` the bound is
-``N^{3/2}``, while any pairwise plan can materialise ``N^2`` intermediate
-tuples.
+is worst-case optimal (WCOJ) when its running time matches that bound.  No
+routing decision reads the bound itself; the test suite computes it
+(``tests/test_relational_statistics.py``) as an oracle-free upper bound on
+every WCOJ engine's output.
 
-This module computes that bound for arbitrary conjunctive queries (the
-linear program over the query's hypergraph, solved by a search over
-half-integral covers) plus a few
-related statistics the tests and examples use: the AGM exponent of the
-uniform-size case, and simple per-relation cardinality summaries.  The test
-suite uses :func:`agm_bound` as an oracle-free upper bound on every WCOJ
-engine's output.
-
-It also provides the cardinality-estimation primitives behind the public
+This module provides the cardinality-estimation primitives behind the public
 API's cost-based routing (:mod:`repro.api.routing`): the GYO α-acyclicity
 test (:func:`is_alpha_acyclic` / :func:`is_cyclic`) that separates the
 paper's path queries from its cycle/clique queries, per-atom selectivities
@@ -27,110 +19,11 @@ left-deep pairwise, and worst-case-optimal variable elimination).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.relational.catalog import Database
 from repro.relational.query import ConjunctiveQuery
-
-
-@dataclass(frozen=True)
-class FractionalEdgeCover:
-    """An optimal fractional edge cover of a query's hypergraph.
-
-    Attributes
-    ----------
-    weights:
-        One weight per body atom (by atom position), each in ``[0, 1]``.
-    agm_exponent_log:
-        The optimised objective ``sum_i x_i * log2(|R_i|)``; the AGM bound is
-        ``2 ** agm_exponent_log``.
-    """
-
-    weights: Tuple[float, ...]
-    agm_exponent_log: float
-
-    @property
-    def bound(self) -> float:
-        return 2.0 ** self.agm_exponent_log
-
-
-def _solve_cover_lp(
-    variable_names: Sequence[str],
-    atom_variables: Sequence[Sequence[str]],
-    log_sizes: Sequence[float],
-) -> Tuple[Tuple[float, ...], float]:
-    """Minimise ``sum x_i * log_sizes_i`` s.t. every variable is covered.
-
-    An exhaustive search over half-integral covers (every weight 0, 1/2 or
-    1; a handful of atoms per pattern query keeps it cheap).  For binary
-    atoms — graph patterns — the cover polytope's vertices are half-integral,
-    so the search is exact; for wider atoms it returns a valid, possibly
-    looser, upper bound.
-    """
-    num_atoms = len(atom_variables)
-    best_weights: Tuple[float, ...] = (1.0,) * num_atoms
-    best_objective = sum(log_sizes)
-    steps = (0.0, 0.5, 1.0)
-
-    def covered(weights: Sequence[float]) -> bool:
-        for variable in variable_names:
-            total = sum(
-                weights[i] for i in range(num_atoms) if variable in atom_variables[i]
-            )
-            if total < 1.0 - 1e-9:
-                return False
-        return True
-
-    def search(prefix: List[float]) -> None:
-        nonlocal best_weights, best_objective
-        if len(prefix) == num_atoms:
-            if covered(prefix):
-                objective = sum(w * s for w, s in zip(prefix, log_sizes))
-                if objective < best_objective - 1e-12:
-                    best_objective = objective
-                    best_weights = tuple(prefix)
-            return
-        for step in steps:
-            search(prefix + [step])
-
-    search([])
-    return best_weights, best_objective
-
-
-def fractional_edge_cover(
-    query: ConjunctiveQuery, database: Database
-) -> FractionalEdgeCover:
-    """Optimal fractional edge cover of ``query`` weighted by relation sizes."""
-    database.validate_query(query)
-    log_sizes = []
-    for atom in query.atoms:
-        cardinality = max(database.relation(atom.relation).cardinality, 1)
-        log_sizes.append(math.log2(cardinality))
-    weights, objective = _solve_cover_lp(
-        query.variables, [atom.variables for atom in query.atoms], log_sizes
-    )
-    return FractionalEdgeCover(weights, objective)
-
-
-def agm_bound(query: ConjunctiveQuery, database: Database) -> float:
-    """The AGM worst-case output bound of ``query`` over ``database``."""
-    return fractional_edge_cover(query, database).bound
-
-
-def agm_exponent(query: ConjunctiveQuery) -> float:
-    """The AGM exponent for the uniform case (every relation of size ``N``).
-
-    The bound is ``N ** agm_exponent(query)``; e.g. 1.5 for the triangle
-    query, 2.0 for the 4-cycle, and ``len(atoms)`` at most.
-    """
-    weights, objective = _solve_cover_lp(
-        query.variables,
-        [atom.variables for atom in query.atoms],
-        [1.0] * len(query.atoms),
-    )
-    return objective
 
 
 # --------------------------------------------------------------------------- #
@@ -336,32 +229,3 @@ def scatter_work_estimate(
         for shard in range(catalog.num_shards)
     )
     return ScatterWorkEstimate(per_shard)
-
-
-@dataclass(frozen=True)
-class DatabaseStatistics:
-    """Simple per-database summary used by reports and the examples."""
-
-    relation_cardinalities: Dict[str, int]
-    total_tuples: int
-    active_domain_size: int
-
-    @property
-    def largest_relation(self) -> Tuple[str, int]:
-        name = max(self.relation_cardinalities, key=self.relation_cardinalities.get)
-        return name, self.relation_cardinalities[name]
-
-
-def database_statistics(database: Database) -> DatabaseStatistics:
-    """Collect cardinality statistics for every relation in ``database``."""
-    cardinalities = {
-        name: database.relation(name).cardinality for name in database.relation_names()
-    }
-    domain = set()
-    for name in database.relation_names():
-        domain.update(database.relation(name).active_domain())
-    return DatabaseStatistics(
-        relation_cardinalities=cardinalities,
-        total_tuples=sum(cardinalities.values()),
-        active_domain_size=len(domain),
-    )

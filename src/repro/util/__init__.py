@@ -4,9 +4,7 @@ The modules in this package deliberately contain only small, dependency-free
 helpers that are used by several subsystems:
 
 ``sorted_ops``
-    Reference lowest-upper-bound / galloping-search primitives on sorted
-    integer arrays: the software analogue of the accelerator's LUB unit, and
-    the oracle the join engines' C-level searches are tested against.
+    The sortedness check and sorted splice of the trie and write paths.
 
 ``validation``
     Argument-checking helpers that raise consistent, descriptive exceptions.
@@ -17,8 +15,6 @@ helpers that are used by several subsystems:
 """
 
 from repro.util.sorted_ops import (
-    lowest_upper_bound,
-    gallop,
     is_strictly_sorted,
 )
 from repro.util.validation import (
@@ -31,8 +27,6 @@ from repro.util.validation import (
 from repro.util.rng import DeterministicRNG
 
 __all__ = [
-    "lowest_upper_bound",
-    "gallop",
     "is_strictly_sorted",
     "check_positive",
     "check_non_negative",

@@ -9,11 +9,10 @@ more examples and no deadline, for the properties CI runs longer.
 """
 
 import pytest
+from helpers import deterministic_clique, deterministic_cycle
 
 from repro.graphs import (
     community_graph,
-    deterministic_clique,
-    deterministic_cycle,
     graph_database,
     preferential_attachment_graph,
     uniform_random_graph,

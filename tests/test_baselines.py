@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from helpers import edges_database
 
 from repro.baselines import (
     BaselineResult,
@@ -18,7 +19,7 @@ from repro.baselines import (
     default_baselines,
 )
 from repro.eval.harness import DEFAULT_EVAL_SCALE, ExperimentContext
-from repro.graphs import PATTERN_NAMES, edges_database, pattern_query
+from repro.graphs import PATTERN_NAMES, pattern_query
 from repro.joins import NaiveJoin
 
 #: EmptyHeadedModel's estimates for the five Table 1 patterns on the two

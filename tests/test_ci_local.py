@@ -7,6 +7,8 @@ change that breaks one fails here and not only on a hosted runner.
 
 import importlib.util
 import os
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -129,6 +131,57 @@ class TestWorkflow:
         for level, passes in ((built, True), (words, False)):
             trie.write_text(source.replace(built, level))
             assert ci_local.run_step(step, str(tmp_path), dict(os.environ))[0] is passes, level
+
+
+class TestUnreadNames:
+    """The lint step backed by ``scripts/unread_names.py``: every top-level
+    ``src/`` name has a reader (it runs ``python``, so no grep/test step)."""
+
+    STEP = next(
+        step["run"]
+        for step in JOBS["lint"]["steps"]
+        if step.get("name") == "Every src/ name has a reader"
+    )
+
+    def scan(self, root):
+        assert self.STEP.split()[:2] == ["python", "scripts/unread_names.py"]
+        return subprocess.run(
+            [sys.executable, *self.STEP.split()[1:]],
+            cwd=root, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+
+    def copy_tree(self, tmp_path):
+        for folder in ("src", "scripts"):
+            shutil.copytree(
+                os.path.join(ROOT, folder), tmp_path / folder,
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+        return tmp_path / "src" / "repro" / "util"
+
+    def test_every_src_name_has_a_reader(self):
+        completed = self.scan(ROOT)
+        assert completed.returncode == 0, completed.stdout
+
+    def test_a_planted_unread_def_fails(self, tmp_path):
+        module = self.copy_tree(tmp_path) / "validation.py"
+        module.write_text(module.read_text() + "\n\ndef never_read():\n    return 0\n")
+        completed = self.scan(tmp_path)
+        assert completed.returncode == 1
+        [line] = completed.stdout.splitlines()
+        assert line.startswith("src/repro/util/validation.py:")
+        assert line.endswith(" repro.util.validation:never_read has no reader")
+
+    def test_an_allowlist_entry_a_src_module_reads_is_stale(self, tmp_path):
+        module = self.copy_tree(tmp_path) / "rng.py"
+        module.write_text(
+            module.read_text() + "\n\nfrom repro.graphs import community_graph\ncommunity_graph\n"
+        )
+        completed = self.scan(tmp_path)
+        assert completed.returncode == 1
+        assert completed.stdout.splitlines() == [
+            "ALLOWLIST entry repro.graphs.generators:community_graph is stale: "
+            "a src/ module reads it"
+        ]
 
 
 class TestMain:

@@ -9,10 +9,11 @@ consistent numbers).
 """
 
 import pytest
+from helpers import edges_database
 
 from repro.core import TrieJaxAccelerator, TrieJaxConfig
-from repro.graphs import PATTERN_NAMES, edges_database, pattern_query
-from repro.joins import CachedTrieJoin, NaiveJoin
+from repro.graphs import EXTRA_PATTERN_NAMES, PATTERN_NAMES, pattern_query
+from repro.joins import CachedTrieJoin, NaiveJoin, QueryCompiler
 from repro.relational import Database, Relation, Schema
 
 
@@ -206,10 +207,8 @@ class TestPlanIntegration:
         assert outcome.plan.cache_spec_for("z") is not None
 
     def test_explicit_plan_override(self, small_community_db):
-        from repro.joins import compile_query
-
         query = pattern_query("cycle3")
-        plan = compile_query(query, variable_order=("z", "y", "x"))
+        plan = QueryCompiler().compile(query, variable_order=("z", "y", "x"))
         accelerator = TrieJaxAccelerator()
         outcome = accelerator.execute(query, small_community_db, plan=plan)
         expected = set(NaiveJoin().execute(query, small_community_db).tuples)
@@ -219,3 +218,58 @@ class TestPlanIntegration:
         accelerator = TrieJaxAccelerator(dataset_name="community")
         outcome = accelerator.execute(pattern_query("path3"), small_community_db)
         assert outcome.report.dataset_name == "community"
+
+
+class TestAcceleratorCountMode:
+    """The paper's aggregation extension (Section 5): count without emitting."""
+
+    def test_count_mode_matches_enumeration(self, small_community_db):
+        query = pattern_query("cycle3")
+        enumerated = TrieJaxAccelerator().execute(query, small_community_db)
+        counted = TrieJaxAccelerator(aggregate="count").execute(query, small_community_db)
+        assert counted.count == enumerated.cardinality
+        assert counted.tuples == []
+        assert counted.cardinality == enumerated.cardinality
+
+    def test_count_mode_eliminates_result_writes(self, small_community_db):
+        query = pattern_query("path4")
+        enumerated = TrieJaxAccelerator().execute(query, small_community_db)
+        counted = TrieJaxAccelerator(aggregate="count").execute(query, small_community_db)
+        assert enumerated.report.dram.writes > 0
+        assert counted.report.dram.writes == 0
+        assert counted.report.total_cycles <= enumerated.report.total_cycles
+
+    def test_count_mode_with_single_thread(self, small_community_db):
+        query = pattern_query("cycle4")
+        accelerator = TrieJaxAccelerator(TrieJaxConfig(num_threads=1), aggregate="count")
+        counted = accelerator.execute(query, small_community_db)
+        assert counted.count == CachedTrieJoin().execute(query, small_community_db).cardinality
+
+    def test_unsupported_aggregate_rejected(self):
+        with pytest.raises(ValueError):
+            TrieJaxAccelerator(aggregate="sum")
+
+
+class TestExtraPatterns:
+    def test_extra_patterns_registered(self):
+        assert "diamond" in EXTRA_PATTERN_NAMES
+        assert "path5" in EXTRA_PATTERN_NAMES
+
+    @pytest.mark.parametrize("name", sorted(EXTRA_PATTERN_NAMES))
+    def test_extra_patterns_run_on_all_engines(self, name):
+        database = edges_database(
+            [(0, 1), (1, 2), (2, 0), (0, 2), (2, 3), (3, 0), (0, 3), (3, 4), (4, 0), (1, 3)]
+        )
+        query = pattern_query(name)
+        expected = set(NaiveJoin().execute(query, database).tuples)
+        assert set(CachedTrieJoin().execute(query, database).tuples) == expected
+        outcome = TrieJaxAccelerator().execute(query, database)
+        assert set(outcome.tuples) == expected
+
+    def test_star3_counts_ordered_neighbour_triples(self):
+        database = edges_database([(0, 1), (0, 2), (0, 3)])
+        query = pattern_query("star3")
+        result = CachedTrieJoin().execute(query, database)
+        # All ordered triples of distinct-or-equal neighbours: 3^3 = 27
+        # (the pattern does not force a, b, c to differ).
+        assert result.cardinality == 27

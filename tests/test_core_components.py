@@ -14,7 +14,7 @@ from repro.core import (
     Task,
     TrieJaxConfig,
 )
-from repro.joins import compile_query
+from repro.joins import QueryCompiler
 from repro.relational import ConjunctiveQuery, Database, Relation, Schema
 from repro.relational.query import Atom
 
@@ -32,7 +32,7 @@ def cupid(relations, atoms, order, config=None):
     query = ConjunctiveQuery(
         "q", order, [Atom(name, variables) for name, variables in atoms]
     )
-    plan = compile_query(query, variable_order=order, enable_caching=False)
+    plan = QueryCompiler(enable_caching=False).compile(query, variable_order=order)
     return CupidProgram(
         plan, database, config or TrieJaxConfig(num_threads=1), PJRCache(4096)
     )

@@ -23,7 +23,7 @@ from pathlib import Path
 from repro.core import TrieJaxAccelerator
 from repro.engines import create_engine
 from repro.graphs import PATTERN_NAMES, graph_database, load_dataset, pattern_query
-from repro.joins import PairwiseJoin, compile_query
+from repro.joins import PairwiseJoin, QueryCompiler
 
 GOLDENS = Path(__file__).parent / "data" / "engine_execution_goldens.json"
 DATASET, SCALE = "grqc", 0.005
@@ -60,7 +60,7 @@ def capture():
     for label, engine in grid_engines().items():
         for pattern in PATTERN_NAMES:
             query = pattern_query(pattern)
-            plan = compile_query(query)
+            plan = QueryCompiler().compile(query)
             cases[f"{label}/{pattern}"] = record(engine.execute(query, database, plan=plan))
             if label in OWN_PLAN_ENGINES:
                 cases[f"{label}/{pattern}/own-plan"] = record(engine.execute(query, database))

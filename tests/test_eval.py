@@ -1,8 +1,8 @@
 """Tests for the evaluation harness: metrics, reporting, context and experiments.
 
 The full-figure sweeps run at a very small scale here (a couple of datasets,
-tiny graphs) so the whole module stays fast; the benchmark harness under
-``benchmarks/`` runs the figures at their default scale.
+tiny graphs) so the whole module stays fast; ``repro experiment`` runs the
+same functions at any scale.
 """
 
 import pytest
@@ -22,13 +22,9 @@ from repro.eval import (
     figure16,
     figure17,
     figure18,
-    format_distribution,
     format_ratio_summary,
-    format_series,
     format_table,
     geometric_mean,
-    group_by,
-    normalise,
     percentile,
     reduction,
     speedup,
@@ -38,6 +34,8 @@ from repro.eval import (
     table2,
     table3,
 )
+from repro.graphs import dataset_spec, pattern_query
+from repro.relational import parse_datalog
 
 
 @pytest.fixture(scope="module")
@@ -72,16 +70,6 @@ class TestMetrics:
         assert summary["mean"] == pytest.approx(7.0 / 3.0)
         assert summary["geomean"] == pytest.approx(2.0)
         assert summarise_ratios([])["mean"] == 0.0
-
-    def test_normalise(self):
-        assert normalise([1.0, 1.0, 2.0]) == [0.25, 0.25, 0.5]
-        assert normalise([0.0, 0.0]) == [0.0, 0.0]
-
-    def test_group_by(self):
-        rows = [{"q": "a", "v": 1}, {"q": "b", "v": 2}, {"q": "a", "v": 3}]
-        grouped = group_by(rows, "q")
-        assert list(grouped) == ["a", "b"]
-        assert len(grouped["a"]) == 2
 
     def test_percentile_empty_series_degrades_to_zero(self):
         assert percentile([], 50) == 0.0
@@ -131,14 +119,6 @@ class TestReporting:
         assert "5.0x on average" in text
         assert "range 2.0x - 8.0x" in text
 
-    def test_format_distribution(self):
-        text = format_distribution(("DRAM", "L1"), (0.75, 0.25), width=8)
-        assert "DRAM 75.0%" in text and "|" in text
-
-    def test_format_series(self):
-        text = format_series("threads", "speedup", [("8T", 5.8), ("32T", 10.8)])
-        assert "8T" in text and "10.8" in text
-
 
 class TestExperimentContext:
     def test_database_and_runs_are_memoised(self, tiny_context):
@@ -180,6 +160,12 @@ class TestTables:
         assert len(result.rows) == 5
         assert any("clique4" in row[1] for row in result.rows)
         assert "table1" in result.to_text()
+        for display_name, datalog in result.rows:
+            query = parse_datalog(datalog)
+            assert display_name.lower().replace("-", "") == query.name
+            pattern = pattern_query(query.name)
+            assert query.head_variables == pattern.head_variables
+            assert [a.variables for a in query.atoms] == [a.variables for a in pattern.atoms]
 
     def test_table2_reports_paper_and_generated_sizes(self, tiny_context):
         result = table2(tiny_context)
@@ -189,11 +175,29 @@ class TestTables:
         assert bitcoin_row[6] > 0  # generated edges at this scale
         gnu31_row = next(row for row in result.rows if row[1] == "gnu31")
         assert gnu31_row[6] == 0  # not part of this context's sweep
+        for _snap, short, nodes, edges, _category, gen_nodes, gen_edges in result.rows:
+            spec = dataset_spec(short)
+            assert (spec.num_nodes, spec.num_edges) == (nodes, edges)
+            if short in tiny_context.datasets:
+                budget_nodes, budget_edges = spec.scaled_counts(tiny_context.scale)
+                assert gen_edges == budget_edges
+                assert gen_nodes <= budget_nodes  # isolated vertices carry no edges
 
     def test_table3_mentions_both_platforms(self, tiny_context):
         text = table3(tiny_context).to_text()
         assert "TrieJax core @ 2.38GHz" in text
         assert "Xeon" in text
+        # The default configuration is the paper's design point.
+        text = table3(ExperimentContext(scale=0.004)).to_text()
+        assert "PRJ" not in text  # spelled PJR (the paper's table has a typo)
+        for entry in (
+            "PJR 4MB SRAM",
+            "32 threads",
+            "L1D RO 32KB",
+            "5.31 mm2",
+            "16 x Xeon E5-2630 v3 cores",
+        ):
+            assert entry in text
 
 
 class TestFigures:
@@ -209,31 +213,56 @@ class TestFigures:
         result = figure13(tiny_context)
         ratios = result.column("ctj/TrieJax")
         assert sum(ratios) / len(ratios) > 1.0
+        # The WCOJ software systems are TrieJax's closest competitors.
+        mean = {
+            system: summarise_ratios(result.column(f"{system}/TrieJax"))["mean"]
+            for system in ("ctj", "emptyheaded", "q100")
+        }
+        assert mean["emptyheaded"] > 1.0
+        assert mean["q100"] > mean["emptyheaded"]
+        assert mean["ctj"] > mean["emptyheaded"]
 
     def test_figure14_thread_scaling(self, tiny_context):
         result = figure14(
             tiny_context,
-            thread_counts=(1, 4, 16),
+            thread_counts=(1, 4, 8, 16, 32, 64),
             queries=("cycle4",),
             datasets=("bitcoin",),
         )
         speedups = dict(result.rows)
         assert speedups["1T"] == pytest.approx(1.0)
         assert speedups["16T"] > speedups["4T"] > 1.0
+        # Monotone up to 32 threads, saturated after.
+        assert speedups["8T"] > speedups["4T"]
+        assert speedups["32T"] >= speedups["8T"] > 2.0
+        assert speedups["64T"] / speedups["32T"] < 1.3
 
     def test_figure15_fractions_sum_to_one_and_dram_dominates(self, tiny_context):
         result = figure15(tiny_context)
         assert list(result.headers)[1:] == [f"{c} fraction" for c in ENERGY_COMPONENTS]
+        pjr = list(result.headers).index("PJR cache fraction")
         for row in result.rows:
             fractions = row[1:]
             assert sum(fractions) == pytest.approx(1.0)
-            assert fractions[0] > 0.5  # DRAM share
+            assert fractions[0] > 0.6  # DRAM share (paper: 74-90%)
+            # The PJR cache never dominates; cycle3 and clique4 never use it.
+            assert row[pjr] < 0.15
+            if row[0] in ("cycle3", "clique4"):
+                assert row[pjr] < 0.05
+        assert [row[0] for row in result.rows] == list(tiny_context.queries)
         assert any("DRAM accounts for" in line for line in result.summaries)
 
     def test_figure16_energy_reductions_exceed_one(self, tiny_context):
         result = figure16(tiny_context)
-        for name in ("q100/TrieJax", "ctj/TrieJax"):
-            assert all(value > 1.0 for value in result.column(name))
+        for system in tiny_context.baseline_names():
+            assert all(value > 1.0 for value in result.column(f"{system}/TrieJax"))
+        # Graphicionado, with its accelerator scaling, pays the least energy.
+        mean = {
+            system: summarise_ratios(result.column(f"{system}/TrieJax"))["mean"]
+            for system in tiny_context.baseline_names()
+        }
+        assert mean["q100"] > mean["graphicionado"]
+        assert mean["ctj"] > mean["emptyheaded"] > mean["graphicionado"]
 
     def test_figure17_access_ordering(self, tiny_context):
         result = figure17(tiny_context)
@@ -241,11 +270,17 @@ class TestFigures:
         q100 = result.column("q100")
         assert all(q >= c for q, c in zip(q100, ctj))
         assert len(result.summaries) == 3
+        mean = {
+            system: sum(result.column(system)) / len(result.rows)
+            for system in ("ctj", "emptyheaded", "graphicionado", "q100")
+        }
+        assert mean["ctj"] <= mean["emptyheaded"] < mean["q100"]
+        assert mean["ctj"] < mean["graphicionado"]
 
     def test_figure18_ctj_fewer_intermediates(self, tiny_context):
         result = figure18(tiny_context, queries=("path4", "cycle4"), datasets=("bitcoin",))
         for _query, _dataset, ctj_ir, pairwise_ir in result.rows:
-            assert ctj_ir <= pairwise_ir
+            assert ctj_ir < pairwise_ir  # both queries are cacheable
         assert len(result.summaries) == 2
 
     def test_figure18_clique4_caches_nothing(self, tiny_context):
@@ -257,20 +292,29 @@ class TestFigures:
 class TestAblations:
     def test_write_bypass_ablation(self, tiny_context):
         result = ablation_write_bypass(
-            tiny_context, queries=("path3",), datasets=("bitcoin",)
+            tiny_context, queries=("path4", "path3", "cycle3"), datasets=("bitcoin",)
         )
         for row in result.rows:
             assert row[4] >= 1.0  # bypass never hurts
+        benefit = {row[0]: row[4] for row in result.rows}
+        # The write-heavy path4 benefits at least as much as cycle3.
+        assert benefit["path4"] >= benefit["cycle3"]
 
     def test_pjr_ablation_reports_hit_rates(self, tiny_context):
         result = ablation_pjr_cache(tiny_context, datasets=("bitcoin",))
         by_query = {row[0]: row for row in result.rows}
-        assert by_query["cycle4"][5] > 0.0      # cacheable query hits the PJR
+        for query in ("path3", "cycle4"):
+            assert by_query[query][5] > 0.0     # cacheable query hits the PJR
+            assert by_query[query][4] >= 0.999  # and loses time without it
         assert by_query["cycle3"][5] == 0.0     # nothing cacheable
+        assert by_query["cycle3"][4] == pytest.approx(1.0, abs=0.05)
 
     def test_mt_scheme_ablation_runs_all_schemes(self, tiny_context):
         result = ablation_mt_scheme(tiny_context, datasets=("bitcoin",))
         assert all(row[2] > 0 and row[3] > 0 and row[4] > 0 for row in result.rows)
+        # Hybrid is competitive with both pure schemes (within ~20%).
+        assert geometric_mean([row[2] / row[4] for row in result.rows]) > 0.8
+        assert geometric_mean([row[3] / row[4] for row in result.rows]) > 0.8
 
 
 class TestRegistryAndResult:

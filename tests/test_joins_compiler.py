@@ -3,7 +3,7 @@
 import pytest
 
 from repro.graphs import pattern_query
-from repro.joins import JoinPlan, QueryCompiler, compile_query
+from repro.joins import JoinPlan, QueryCompiler
 from repro.joins.compiler import canonical_form, canonical_signature
 from repro.relational import Atom, ConjunctiveQuery
 
@@ -20,17 +20,17 @@ class TestVariableOrder:
         ],
     )
     def test_pattern_queries_get_paper_order(self, name, expected):
-        plan = compile_query(pattern_query(name))
+        plan = QueryCompiler().compile(pattern_query(name))
         assert plan.variable_order == expected
 
     def test_explicit_order_override(self):
         query = pattern_query("cycle3")
-        plan = compile_query(query, variable_order=("z", "y", "x"))
+        plan = QueryCompiler().compile(query, variable_order=("z", "y", "x"))
         assert plan.variable_order == ("z", "y", "x")
 
     def test_explicit_order_must_cover_variables(self):
         with pytest.raises(ValueError):
-            compile_query(pattern_query("cycle3"), variable_order=("x", "y"))
+            QueryCompiler().compile(pattern_query("cycle3"), variable_order=("x", "y"))
 
     def test_order_stays_connected(self):
         # Star-shaped query: a joins with b, c, d through separate atoms.
@@ -49,7 +49,7 @@ class TestVariableOrder:
 
 class TestAtomBindings:
     def test_levels_follow_global_order(self):
-        plan = compile_query(pattern_query("cycle3"))
+        plan = QueryCompiler().compile(pattern_query("cycle3"))
         for binding in plan.atom_bindings:
             levels = sorted(binding.variable_levels.values())
             assert levels == list(range(binding.depth))
@@ -62,32 +62,32 @@ class TestAtomBindings:
         assert closing.variable_at_level(0) == "x"
 
     def test_variable_at_level_unknown(self):
-        plan = compile_query(pattern_query("path3"))
+        plan = QueryCompiler().compile(pattern_query("path3"))
         with pytest.raises(KeyError):
             plan.atom_bindings[0].variable_at_level(7)
 
     def test_trie_keys_unique_per_atom(self):
-        plan = compile_query(pattern_query("clique4"))
+        plan = QueryCompiler().compile(pattern_query("clique4"))
         keys = [binding.trie_key for binding in plan.atom_bindings]
         assert len(set(keys)) == len(keys)
 
     def test_repeated_variable_atom_rejected(self):
         query = ConjunctiveQuery("loop", ("x",), [Atom("E", ("x", "x"))])
         with pytest.raises(ValueError, match="repeats a variable"):
-            compile_query(query)
+            QueryCompiler().compile(query)
 
 
 class TestCacheStructure:
     def test_path4_caches_z_keyed_by_y(self):
         """The paper's running example: Path-4 caches z keyed by y (Figure 3)."""
-        plan = compile_query(pattern_query("path4"))
+        plan = QueryCompiler().compile(pattern_query("path4"))
         spec = plan.cache_spec_for("z")
         assert spec is not None
         assert spec.key_variables == ("y",)
         assert "x" in spec.reuse_variables
 
     def test_cycle4_caches_z(self):
-        plan = compile_query(pattern_query("cycle4"))
+        plan = QueryCompiler().compile(pattern_query("cycle4"))
         assert plan.uses_cache
         spec = plan.cache_spec_for("z")
         assert spec is not None and spec.key_variables == ("y",)
@@ -95,22 +95,22 @@ class TestCacheStructure:
     def test_cycle3_and_clique4_cache_nothing(self):
         """Paper Section 4.4: no valid intermediate-result caches for these queries."""
         for name in ("cycle3", "clique4"):
-            plan = compile_query(pattern_query(name))
+            plan = QueryCompiler().compile(pattern_query(name))
             assert not plan.uses_cache
             assert plan.cache_specs == ()
 
     def test_first_variable_never_cached(self):
         for name in ("path3", "path4", "cycle3", "cycle4", "clique4"):
-            plan = compile_query(pattern_query(name))
+            plan = QueryCompiler().compile(pattern_query(name))
             assert plan.cache_spec_for(plan.variable_order[0]) is None
 
     def test_caching_disabled_compiler(self):
-        plan = compile_query(pattern_query("path4"), enable_caching=False)
+        plan = QueryCompiler(enable_caching=False).compile(pattern_query("path4"))
         assert not plan.uses_cache
 
     def test_cache_key_is_proper_subset_of_earlier_variables(self):
         for name in ("path3", "path4", "cycle4"):
-            plan = compile_query(pattern_query(name))
+            plan = QueryCompiler().compile(pattern_query(name))
             for spec in plan.cache_specs:
                 depth = plan.depth_of(spec.cached_variable)
                 earlier = set(plan.variable_order[:depth])
@@ -129,7 +129,7 @@ class TestJoinPlan:
             JoinPlan(query, ("x", "y", "z"), bindings[:1])
 
     def test_depth_and_lookup_helpers(self):
-        plan = compile_query(pattern_query("cycle4"))
+        plan = QueryCompiler().compile(pattern_query("cycle4"))
         assert plan.num_variables == 4
         assert plan.depth_of("w") == 3
         assert plan.variable_at(0) == "x"
@@ -138,8 +138,8 @@ class TestJoinPlan:
             plan.depth_of("q")
 
     def test_describe_mentions_cache_state(self):
-        cached_plan = compile_query(pattern_query("path4"))
-        uncached_plan = compile_query(pattern_query("clique4"))
+        cached_plan = QueryCompiler().compile(pattern_query("path4"))
+        uncached_plan = QueryCompiler().compile(pattern_query("clique4"))
         assert "cache:" in cached_plan.describe()
         assert "none" in uncached_plan.describe()
 

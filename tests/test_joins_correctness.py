@@ -7,16 +7,18 @@ same set of answers as nested-loop evaluation.
 """
 
 import pytest
+from helpers import (
+    deterministic_path,
+    deterministic_star,
+    edges_database,
+    multi_relation_pattern_query,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import (
     PATTERN_NAMES,
-    deterministic_path,
-    deterministic_star,
-    edges_database,
     graph_database,
-    multi_relation_pattern_query,
     pattern_query,
 )
 from repro.joins import (
@@ -25,7 +27,6 @@ from repro.joins import (
     LeapfrogTrieJoin,
     NaiveJoin,
     PairwiseJoin,
-    evaluate_naive,
 )
 from repro.relational import Atom, ConjunctiveQuery, Database, Relation, Schema
 
@@ -157,11 +158,6 @@ class TestEdgeCases:
         database = edges_database([(5, 5)])
         reference = assert_engines_agree(pattern_query("cycle3"), database)
         assert reference == {(5, 5, 5)}
-
-    def test_evaluate_naive_helper_sorted(self):
-        database = edges_database([(0, 1), (1, 2)])
-        tuples = evaluate_naive(pattern_query("path3"), database)
-        assert tuples == sorted(tuples)
 
 
 @st.composite

@@ -9,8 +9,9 @@ natural joins.
 """
 
 import pytest
+from helpers import edges_database
 
-from repro.graphs import community_graph, edges_database, pattern_query
+from repro.graphs import community_graph, pattern_query
 from repro.joins import (
     CachedTrieJoin,
     GenericJoin,

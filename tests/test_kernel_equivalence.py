@@ -19,6 +19,7 @@ from itertools import accumulate, product, repeat
 from types import SimpleNamespace
 
 import pytest
+from helpers import gallop, lowest_upper_bound
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +37,6 @@ from repro.joins import (
     QueryCompiler,
     leapfrog,
 )
-from repro.joins.aggregates import count_by_variable, count_matches
 from repro.joins.delta import DeltaCatalog, DeltaPlanner, evaluate_delta
 from repro.joins.leapfrog import (
     plan_kernel,
@@ -56,7 +56,6 @@ from repro.relational import (
 )
 from repro.service import alpha_rename
 from repro.storage import decode_trie_segment, encode_trie_segment
-from repro.util.sorted_ops import gallop, lowest_upper_bound
 
 WCOJ_ENGINES = [LeapfrogTrieJoin(), CachedTrieJoin(), GenericJoin()]
 
@@ -364,29 +363,6 @@ class TestBulkLeafKernel:
         with pytest.raises(ValueError):
             ConjunctiveQuery("q", (), [Atom("E", ("x", "y"))])
 
-    @pytest.mark.parametrize("use_cache", [False, True], ids=["lftj", "ctj"])
-    @pytest.mark.parametrize("variable", ["z", "x", "y"])
-    @pytest.mark.parametrize("case", ["leaf_last", "leaf_k1_cached"])
-    def test_grouped_counts_on_leaf_and_prefix_variables(self, case, variable, use_cache):
-        query, order = LEAF_CASES[case]
-        engine = CachedTrieJoin() if use_cache else LeapfrogTrieJoin()
-        plan = engine.compiler.compile(query, variable_order=tuple(order))
-        grouped = count_by_variable(
-            query, leaf_database(), variable, plan=plan, use_cache=use_cache
-        )
-        column = query.head_variables.index(variable)
-        expected = {}
-        for row in oracle_rows(query, order):
-            expected[row[column]] = expected.get(row[column], 0) + 1
-        assert grouped.counts == expected
-        # Groups appear in first-emission order, as with per-binding emit.
-        assert list(grouped.counts) == list(expected)
-        counters = LEAF_PINNED[case][engine.name]
-        assert observed_counters(grouped) == counters
-        assert count_matches(query, leaf_database(), plan=plan, use_cache=use_cache).count == (
-            counters["bindings_enumerated"]
-        )
-
 
 class TestGallopReference:
     """``gallop`` supplies the landing positions of the plan-kernel oracle below."""
@@ -496,15 +472,14 @@ class StoredLevels:
         )
 
 
-def reference_plan_run(plan, database, use_cache, action="rows", group_by=None):
+def reference_plan_run(plan, database, use_cache):
     """The interpreted driver the plan kernel replaced, over :func:`reference_kernel`.
 
     A transcription of the retired ``_TrieJoinExecution``: ``_run`` (an
     explicit stack of lazy per-depth match iterators), ``_matches_at`` (the
     software cache keyed ``(depth, key values)``), ``_fill_cache`` /
-    ``_cache_insert`` and ``_emit_leaf`` with the grouping override — one
-    bulk emit per non-empty leaf group.  Same signature and outcome as
-    :func:`run_plan`.
+    ``_cache_insert`` and ``_emit_leaf`` — one bulk emit per non-empty leaf
+    group.  Same outcome as :func:`run_plan`.
     """
     stats = JoinStats()
     program = plan.slot_program()
@@ -513,8 +488,7 @@ def reference_plan_run(plan, database, use_cache, action="rows", group_by=None):
     binding_values = [0] * plan.num_variables
     match_counts = [0] * plan.num_variables
     last = plan.num_variables - 1
-    group_depth = None if group_by is None else plan.depth_of(group_by)
-    results, counts, cache = [], {}, {}
+    results, cache = [], {}
     kernels = [
         reference_kernel(arrays, offsets, parents, positions, stats, depth == last)
         for depth, (_program, arrays, offsets, _indexes, parents) in enumerate(depth_tables)
@@ -558,18 +532,12 @@ def reference_plan_run(plan, database, use_cache, action="rows", group_by=None):
         match_counts[last] += len(values)
         stats.bindings_enumerated += len(values)
         head_depths = program.head_depths
-        if action == "rows" and last in head_depths:
+        if last in head_depths:
             results.extend(
                 zip(*[values if d == last else repeat(binding_values[d]) for d in head_depths])
             )
-        elif action == "rows":
+        else:
             results.append(tuple(binding_values[d] for d in head_depths))
-        elif action == "group" and group_depth == last:
-            for value in values:
-                counts[value] = counts.get(value, 0) + 1
-        elif action == "group":
-            value = binding_values[group_depth]
-            counts[value] = counts.get(value, 0) + len(values)
 
     def run():
         if last == 0:
@@ -601,9 +569,6 @@ def reference_plan_run(plan, database, use_cache, action="rows", group_by=None):
         for depth, count in enumerate(match_counts):
             if count:
                 stats.record_match(plan.variable_order[depth], count)
-    if action != "rows":
-        stats.output_tuples = stats.bindings_enumerated
-        return (stats.bindings_enumerated if action == "count" else counts), stats
     if not plan.query.is_full:
         results = list(dict.fromkeys(results))
     stats.output_tuples = len(results)
@@ -695,18 +660,16 @@ def reference_generic_run(plan, database):
     return results, stats
 
 
-def observe_plan(runner, plan, database, use_cache, action="rows", group_by=None):
-    """Everything one plan run shows: outcome (rows, count or groups, in order)
-    and the counters, with ``per_variable_matches`` in order."""
-    outcome, stats = runner(plan, database, use_cache, action, group_by)
-    if isinstance(outcome, dict):
-        outcome = list(outcome.items())
-    return outcome, stats.as_dict(), list(stats.per_variable_matches.items())
+def observe_plan(runner, plan, database, use_cache):
+    """Everything one plan run shows: the rows in order and the counters,
+    with ``per_variable_matches`` in order."""
+    rows, stats = runner(plan, database, use_cache)
+    return rows, stats.as_dict(), list(stats.per_variable_matches.items())
 
 
-def assert_plan_matches_reference(plan, database, use_cache, action="rows", group_by=None):
-    assert observe_plan(run_plan, plan, database, use_cache, action, group_by) == observe_plan(
-        reference_plan_run, plan, database, use_cache, action, group_by
+def assert_plan_matches_reference(plan, database, use_cache):
+    assert observe_plan(run_plan, plan, database, use_cache) == observe_plan(
+        reference_plan_run, plan, database, use_cache
     )
 
 
@@ -827,15 +790,10 @@ class TestPlanKernel:
         st.sets(st.integers(0, 7), max_size=6),
         st.booleans(),
         st.sampled_from(list(STORAGES)),
-        st.data(),
     )
     @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
-    def test_plan_oracle(self, query_order, edges, vertices, use_cache, storage, data):
+    def test_plan_oracle(self, query_order, edges, vertices, use_cache, storage):
         query, order = query_order
-        action, group_by = data.draw(
-            st.sampled_from([("rows", None), ("count", None)])
-            | st.sampled_from(query.head_variables).map(lambda variable: ("group", variable))
-        )
         compiler = QueryCompiler(enable_caching=use_cache)
         if query.name == "self_loop":
             # The trie-join engines refuse a repeated variable within an atom.
@@ -844,7 +802,7 @@ class TestPlanKernel:
             return
         plan = compiler.compile(query, variable_order=tuple(order))
         database = StoredLevels(oracle_database(edges, vertices), storage)
-        assert_plan_matches_reference(plan, database, use_cache, action, group_by)
+        assert_plan_matches_reference(plan, database, use_cache)
         assert_generic_matches_reference(plan, database)
 
     @pytest.mark.parametrize("storage", list(STORAGES))
@@ -879,7 +837,7 @@ class TestPlanKernel:
         plan = LeapfrogTrieJoin().compiler.compile(query)
         shape = plan_shape(plan, use_cache=False)
         name, source = plan_source(shape)
-        assert name == "<repro.joins.leapfrog plan [r r r] head=0 rows>"
+        assert name == "<repro.joins.leapfrog plan [r r r] head=0>"
         assert source.count("bisect_left(") == 3  # one seek per participant
         kernel = plan_kernel(shape)
         linecache.checkcache()
@@ -892,7 +850,7 @@ class TestPlanKernel:
         # Generic Join's shape: the same plan under the materialise mode.
         shape = plan_shape(plan, use_cache=False, intersection="materialise")
         name, source = plan_source(shape)
-        assert name == "<repro.joins.leapfrog plan [r r r] head=0 rows materialise>"
+        assert name == "<repro.joins.leapfrog plan [r r r] head=0 materialise>"
         assert source.count("bisect_left(") == 1  # one probe, whichever participant
         kernel = plan_kernel(shape)
         linecache.checkcache()
@@ -927,13 +885,12 @@ class TestPlanKernel:
         # A 4-cycle whose every vertex also has an edge to a dead end.
         edges = {(i, (i + 1) % 4) for i in range(4)} | {(i, 4 + i) for i in range(4)}
         database = oracle_database(edges, ())
-        actions = [("rows", None), ("count", None), ("group", "v0"), ("group", variables[-1])]
-        for use_cache, (action, group_by) in product([False, True], actions):
+        for use_cache in (False, True):
             compiler = QueryCompiler(enable_caching=use_cache)
             plan = compiler.compile(query, variable_order=tuple(variables))
-            shape = plan_shape(plan, use_cache, action, group_by)
+            shape = plan_shape(plan, use_cache)
             assert plan_source(shape)[1].count("def walk") == (length - 1) // 18
-            assert_plan_matches_reference(plan, database, use_cache, action, group_by)
+            assert_plan_matches_reference(plan, database, use_cache)
         shape = plan_shape(plan, False, intersection="materialise")
         assert plan_source(shape)[1].count("def walk") == (length - 1) // 18
         assert_generic_matches_reference(plan, database)

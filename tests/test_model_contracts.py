@@ -20,7 +20,7 @@ from test_model_goldens import DATASET, SCALE, grid_configs
 
 from repro.core import TrieJaxAccelerator, TrieJaxConfig
 from repro.graphs import PATTERN_NAMES, graph_database, load_dataset, pattern_query
-from repro.joins import CachedTrieJoin, compile_query
+from repro.joins import CachedTrieJoin, QueryCompiler
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +31,10 @@ def database():
 @pytest.fixture(scope="module")
 def ctj_stats(database):
     """CTJ's counters per pattern, over the plan a PJR-enabled model compiles."""
+    compiler = QueryCompiler()
     return {
         pattern: CachedTrieJoin()
-        .execute(pattern_query(pattern), database, plan=compile_query(pattern_query(pattern)))
+        .execute(pattern_query(pattern), database, plan=compiler.compile(pattern_query(pattern)))
         .stats
         for pattern in PATTERN_NAMES
     }

@@ -12,9 +12,7 @@ from repro.relational import (
     SQLSyntaxError,
     Schema,
     parse_datalog,
-    parse_program,
     parse_sql_join,
-    single_relation_query,
 )
 
 
@@ -61,11 +59,6 @@ class TestAtomAndQuery:
         assert pattern_query("path3") != pattern_query("cycle3")
         assert pattern_query("path3") != "path3"  # NotImplemented branch
 
-    def test_single_relation_query(self):
-        query = single_relation_query("scan", "E", ("a", "b"))
-        assert query.num_atoms == 1
-        assert query.head_variables == ("a", "b")
-
 
 class TestDatalogParser:
     def test_parse_simple_rule(self):
@@ -77,12 +70,6 @@ class TestDatalogParser:
     def test_parse_without_trailing_period(self):
         query = parse_datalog("q(x) = R(x, y)")
         assert query.name == "q"
-
-    def test_parse_program_multiple_rules(self):
-        queries = parse_program(
-            "p(x,y) = R(x,y). q(x,z) = R(x,y), R(y,z)."
-        )
-        assert [q.name for q in queries] == ["p", "q"]
 
     @pytest.mark.parametrize(
         "text",

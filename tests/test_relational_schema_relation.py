@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.relational import Relation, Schema, relation_from_pairs
+from repro.relational import Relation, Schema
 from repro.relational.relation import WORDS
 
 WORD_MIN, WORD_MAX = WORDS[0], WORDS[-1]
@@ -129,11 +129,6 @@ class TestRelation:
     def test_size_in_bytes(self):
         relation = Relation("R", Schema(("x", "y")), [(1, 2), (3, 4)])
         assert relation.size_in_bytes() == 2 * 2 * 4
-
-    def test_relation_from_pairs(self):
-        relation = relation_from_pairs("E", "src", "dst", [(0, 1), (1, 2)])
-        assert relation.schema.attributes == ("src", "dst")
-        assert relation.cardinality == 2
 
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), max_size=60))
     def test_set_semantics(self, pairs):

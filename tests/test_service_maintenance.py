@@ -35,7 +35,7 @@ import repro.relational.catalog as catalog_module
 import repro.service.maintenance as maintenance_module
 from repro.api import ResultDelta, Session
 from repro.graphs import pattern_query
-from repro.joins.delta import DeltaCatalog, is_delta_alias
+from repro.joins.delta import DELTA_SUFFIX, DeltaCatalog
 from repro.relational import Database, DeltaBatch, MutationEvent, Relation, Schema
 from repro.relational.sharding import shard_database
 from repro.relational.trie import TrieIndex
@@ -567,7 +567,9 @@ def watch_one_insert(monkeypatch, maintainer, catalog, insert):
     per_event = []
     for index, _event in enumerate(events):
         delta_builds = [
-            (name, order) for at, name, order in builds if at == index and is_delta_alias(name)
+            (name, order)
+            for at, name, order in builds
+            if at == index and name.endswith(DELTA_SUFFIX)
         ]
         views = {id(view): view for at, view in catalogs if at == index}
         per_event.append((delta_builds, list(views.values())))

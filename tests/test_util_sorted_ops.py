@@ -3,10 +3,11 @@
 from array import array
 
 import pytest
+from helpers import lowest_upper_bound
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.sorted_ops import is_strictly_sorted, lowest_upper_bound
+from repro.util.sorted_ops import is_strictly_sorted
 
 
 def backings(values):
