@@ -5,6 +5,7 @@ invariants (the lint job's ``grep`` / ``test`` steps) inside tier-1, so a
 change that breaks one fails here and not only on a hosted runner.
 """
 
+import ast
 import importlib.util
 import os
 import shutil
@@ -21,6 +22,11 @@ _spec = importlib.util.spec_from_file_location(
 )
 ci_local = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ci_local)
+_spec = importlib.util.spec_from_file_location(
+    "unread_names", os.path.join(ROOT, "scripts", "unread_names.py")
+)
+unread_names = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(unread_names)
 
 with open(ci_local.WORKFLOW, encoding="utf-8") as _handle:
     JOBS = yaml.safe_load(_handle)["jobs"]
@@ -181,6 +187,101 @@ class TestUnreadNames:
         assert completed.stdout.splitlines() == [
             "ALLOWLIST entry repro.graphs.generators:community_graph is stale: "
             "a src/ module reads it"
+        ]
+
+
+def unread_in(tmp_path, modules, kept=()):
+    """The unread symbols of a ``src/`` tree holding ``modules`` (path → text)."""
+    for rel, text in modules.items():
+        path = tmp_path / "src" / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    symbols, readers = unread_names.load(str(tmp_path / "src"))
+    return sorted(unread_names.unread(symbols, readers, kept))
+
+
+class TestUnreadNamesRules:
+    """The scan's rules, on small planted trees."""
+
+    @pytest.mark.parametrize(
+        "statement, names",
+        [
+            ("def f():\n    pass", ["f"]),
+            ("async def f():\n    pass", ["f"]),
+            ("class C:\n    pass", ["C"]),
+            ("X = 1", ["X"]),
+            ("X = Y = 1", ["X", "Y"]),
+            ("X: int = 1", ["X"]),
+            ("a, b = 1, 2", []),
+            ("__all__ = ['f']", []),
+            ("import os", []),
+            ("if True:\n    X = 1", []),
+        ],
+        ids=[
+            "def", "async_def", "class", "assign", "chained_assign", "annotated",
+            "tuple_target", "dunder", "import", "nested",
+        ],
+    )
+    def test_defined_names(self, statement, names):
+        [node] = ast.parse(statement).body
+        assert unread_names.defined_names(node) == names
+
+    def test_a_read_is_a_loaded_name_or_an_attribute(self):
+        tree = ast.parse("x = y.z + w")
+        assert sorted(unread_names.reads(tree)) == ["w", "y", "z"]
+
+    def test_module_names_drop_the_package_init(self, tmp_path):
+        src = str(tmp_path)
+        for rel, name in (("a/b.py", "a.b"), ("a/__init__.py", "a"), ("top.py", "top")):
+            assert unread_names.module_name(src, os.path.join(src, rel)) == name
+
+    def test_a_name_another_module_reads_is_live(self, tmp_path):
+        assert unread_in(tmp_path, {
+            "pkg/a.py": "def f():\n    return 1\n",
+            "pkg/b.py": "from pkg.a import f\nVALUE = f()\nprint(VALUE)\n",
+        }) == []
+
+    def test_a_read_by_its_own_module_outside_its_body_counts(self, tmp_path):
+        assert unread_in(tmp_path, {
+            "pkg/a.py": "def f():\n    return 1\n\nprint(f())\n",
+        }) == []
+
+    def test_a_def_that_only_calls_itself_is_unread(self, tmp_path):
+        assert unread_in(tmp_path, {
+            "pkg/a.py": "def f(n):\n    return f(n - 1) if n else 0\n",
+        }) == ["pkg.a:f"]
+
+    def test_the_scan_is_transitive(self, tmp_path):
+        # ``helper`` is read only from the body of the unread ``f``.
+        assert unread_in(tmp_path, {
+            "pkg/a.py": "def helper():\n    return 1\n\ndef f():\n    return helper()\n",
+        }) == ["pkg.a:f", "pkg.a:helper"]
+
+    def test_a_kept_symbol_holds_what_it_reads_live(self, tmp_path):
+        modules = {
+            "pkg/a.py": "def helper():\n    return 1\n\ndef f():\n    return helper()\n",
+        }
+        assert unread_in(tmp_path, modules, kept=("pkg.a:f",)) == []
+
+    def test_a_re_export_alone_is_not_a_read(self, tmp_path):
+        assert unread_in(tmp_path, {
+            "pkg/__init__.py": "from pkg.a import f\n\n__all__ = ['f']\n",
+            "pkg/a.py": "def f():\n    return 1\n",
+        }) == ["pkg.a:f"]
+
+    def test_every_allowlist_entry_names_a_reader_that_exists(self):
+        for key, reader in unread_names.ALLOWLIST.items():
+            assert ":" in key and reader.strip(), key
+            for word in reader.replace(";", " ").split():
+                if word.endswith((".py", ".md")):
+                    assert os.path.exists(os.path.join(ROOT, word)), (key, word)
+
+    def test_an_allowlist_entry_naming_no_symbol_is_stale(self, monkeypatch, capsys):
+        allowlist = dict(unread_names.ALLOWLIST, **{"repro.nowhere:ghost": "nothing"})
+        monkeypatch.setattr(unread_names, "ALLOWLIST", allowlist)
+        assert unread_names.main() == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "ALLOWLIST entry repro.nowhere:ghost is stale: no such symbol"
         ]
 
 

@@ -10,11 +10,19 @@ consistent numbers).
 
 import pytest
 from helpers import edges_database
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import TrieJaxAccelerator, TrieJaxConfig
+from repro.core import MT_SCHEMES, TrieJaxAccelerator, TrieJaxConfig
 from repro.graphs import EXTRA_PATTERN_NAMES, PATTERN_NAMES, pattern_query
 from repro.joins import CachedTrieJoin, NaiveJoin, QueryCompiler
 from repro.relational import Database, Relation, Schema
+
+
+#: Five vertices with triangles, 4-cycles and 4-cliques for every pattern.
+SMALL_GRAPH = edges_database(
+    [(0, 1), (1, 2), (2, 0), (0, 2), (2, 3), (3, 0), (0, 3), (3, 4), (4, 0), (1, 3)]
+)
 
 
 def run(query_name, database, config=None):
@@ -249,6 +257,43 @@ class TestAcceleratorCountMode:
         with pytest.raises(ValueError):
             TrieJaxAccelerator(aggregate="sum")
 
+    @pytest.mark.parametrize("name", PATTERN_NAMES + EXTRA_PATTERN_NAMES)
+    def test_count_mode_matches_the_oracle_on_every_pattern(self, name):
+        query = pattern_query(name)
+        counted = TrieJaxAccelerator(aggregate="count").execute(query, SMALL_GRAPH)
+        assert counted.count == len(NaiveJoin().execute(query, SMALL_GRAPH).tuples)
+
+    @pytest.mark.parametrize("mt_scheme", MT_SCHEMES)
+    def test_count_mode_under_every_mt_scheme(self, small_community_db, mt_scheme):
+        query = pattern_query("cycle4")
+        config = TrieJaxConfig(num_threads=8, mt_scheme=mt_scheme)
+        counted = TrieJaxAccelerator(config, aggregate="count").execute(query, small_community_db)
+        assert counted.count == CachedTrieJoin().execute(query, small_community_db).cardinality
+
+    def test_count_mode_without_the_pjr_cache(self, small_community_db):
+        query = pattern_query("path4")
+        config = TrieJaxConfig(enable_pjr_cache=False)
+        counted = TrieJaxAccelerator(config, aggregate="count").execute(query, small_community_db)
+        assert counted.count == CachedTrieJoin().execute(query, small_community_db).cardinality
+        assert counted.report.dram.writes == 0
+
+    def test_count_on_an_empty_graph(self):
+        counted = TrieJaxAccelerator(aggregate="count").execute(
+            pattern_query("cycle3"), edges_database([])
+        )
+        assert counted.count == 0
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40),
+        st.sampled_from(["path3", "cycle3", "cycle4"]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_count_mode_oracle_property(self, edges, query_name):
+        database = edges_database(edges)
+        query = pattern_query(query_name)
+        counted = TrieJaxAccelerator(aggregate="count").execute(query, database)
+        assert counted.count == len(NaiveJoin().execute(query, database).tuples)
+
 
 class TestExtraPatterns:
     def test_extra_patterns_registered(self):
@@ -257,9 +302,7 @@ class TestExtraPatterns:
 
     @pytest.mark.parametrize("name", sorted(EXTRA_PATTERN_NAMES))
     def test_extra_patterns_run_on_all_engines(self, name):
-        database = edges_database(
-            [(0, 1), (1, 2), (2, 0), (0, 2), (2, 3), (3, 0), (0, 3), (3, 4), (4, 0), (1, 3)]
-        )
+        database = SMALL_GRAPH
         query = pattern_query(name)
         expected = set(NaiveJoin().execute(query, database).tuples)
         assert set(CachedTrieJoin().execute(query, database).tuples) == expected

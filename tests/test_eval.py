@@ -49,6 +49,37 @@ def tiny_context():
     )
 
 
+@pytest.fixture(scope="module")
+def speedups(tiny_context):
+    """Figure 14's speedup per thread count on one workload."""
+    result = figure14(
+        tiny_context,
+        thread_counts=(1, 4, 8, 16, 32, 64),
+        queries=("cycle4",),
+        datasets=("bitcoin",),
+    )
+    return dict(result.rows)
+
+
+@pytest.fixture(scope="module")
+def write_bypass(tiny_context):
+    return ablation_write_bypass(
+        tiny_context, queries=("path4", "path3", "cycle3"), datasets=("bitcoin",)
+    )
+
+
+@pytest.fixture(scope="module")
+def pjr_by_query(tiny_context):
+    """The PJR ablation's row per query on one dataset."""
+    result = ablation_pjr_cache(tiny_context, datasets=("bitcoin",))
+    return {row[0]: row for row in result.rows}
+
+
+@pytest.fixture(scope="module")
+def mt_ablation(tiny_context):
+    return ablation_mt_scheme(tiny_context, datasets=("bitcoin",))
+
+
 class TestMetrics:
     def test_speedup_and_reduction(self):
         assert speedup(100.0, 10.0) == pytest.approx(10.0)
@@ -160,7 +191,9 @@ class TestTables:
         assert len(result.rows) == 5
         assert any("clique4" in row[1] for row in result.rows)
         assert "table1" in result.to_text()
-        for display_name, datalog in result.rows:
+
+    def test_table1_datalog_parses_back_to_each_pattern(self):
+        for display_name, datalog in table1().rows:
             query = parse_datalog(datalog)
             assert display_name.lower().replace("-", "") == query.name
             pattern = pattern_query(query.name)
@@ -175,7 +208,11 @@ class TestTables:
         assert bitcoin_row[6] > 0  # generated edges at this scale
         gnu31_row = next(row for row in result.rows if row[1] == "gnu31")
         assert gnu31_row[6] == 0  # not part of this context's sweep
-        for _snap, short, nodes, edges, _category, gen_nodes, gen_edges in result.rows:
+
+    def test_table2_generated_sizes_meet_the_scaled_budgets(self, tiny_context):
+        for _snap, short, nodes, edges, _category, gen_nodes, gen_edges in table2(
+            tiny_context
+        ).rows:
             spec = dataset_spec(short)
             assert (spec.num_nodes, spec.num_edges) == (nodes, edges)
             if short in tiny_context.datasets:
@@ -187,7 +224,8 @@ class TestTables:
         text = table3(tiny_context).to_text()
         assert "TrieJax core @ 2.38GHz" in text
         assert "Xeon" in text
-        # The default configuration is the paper's design point.
+
+    def test_table3_defaults_are_the_papers_design_point(self):
         text = table3(ExperimentContext(scale=0.004)).to_text()
         assert "PRJ" not in text  # spelled PJR (the paper's table has a typo)
         for entry in (
@@ -213,7 +251,9 @@ class TestFigures:
         result = figure13(tiny_context)
         ratios = result.column("ctj/TrieJax")
         assert sum(ratios) / len(ratios) > 1.0
-        # The WCOJ software systems are TrieJax's closest competitors.
+
+    def test_figure13_wcoj_software_is_the_closest_competitor(self, tiny_context):
+        result = figure13(tiny_context)
         mean = {
             system: summarise_ratios(result.column(f"{system}/TrieJax"))["mean"]
             for system in ("ctj", "emptyheaded", "q100")
@@ -222,17 +262,11 @@ class TestFigures:
         assert mean["q100"] > mean["emptyheaded"]
         assert mean["ctj"] > mean["emptyheaded"]
 
-    def test_figure14_thread_scaling(self, tiny_context):
-        result = figure14(
-            tiny_context,
-            thread_counts=(1, 4, 8, 16, 32, 64),
-            queries=("cycle4",),
-            datasets=("bitcoin",),
-        )
-        speedups = dict(result.rows)
+    def test_figure14_thread_scaling(self, speedups):
         assert speedups["1T"] == pytest.approx(1.0)
         assert speedups["16T"] > speedups["4T"] > 1.0
-        # Monotone up to 32 threads, saturated after.
+
+    def test_figure14_speedup_grows_to_32_threads_then_saturates(self, speedups):
         assert speedups["8T"] > speedups["4T"]
         assert speedups["32T"] >= speedups["8T"] > 2.0
         assert speedups["64T"] / speedups["32T"] < 1.3
@@ -240,23 +274,29 @@ class TestFigures:
     def test_figure15_fractions_sum_to_one_and_dram_dominates(self, tiny_context):
         result = figure15(tiny_context)
         assert list(result.headers)[1:] == [f"{c} fraction" for c in ENERGY_COMPONENTS]
-        pjr = list(result.headers).index("PJR cache fraction")
         for row in result.rows:
             fractions = row[1:]
             assert sum(fractions) == pytest.approx(1.0)
             assert fractions[0] > 0.6  # DRAM share (paper: 74-90%)
-            # The PJR cache never dominates; cycle3 and clique4 never use it.
-            assert row[pjr] < 0.15
-            if row[0] in ("cycle3", "clique4"):
-                assert row[pjr] < 0.05
         assert [row[0] for row in result.rows] == list(tiny_context.queries)
         assert any("DRAM accounts for" in line for line in result.summaries)
+
+    def test_figure15_pjr_cache_never_dominates(self, tiny_context):
+        result = figure15(tiny_context)
+        pjr = list(result.headers).index("PJR cache fraction")
+        for row in result.rows:
+            assert row[pjr] < 0.15
+            if row[0] in ("cycle3", "clique4"):  # nothing cacheable
+                assert row[pjr] < 0.05
 
     def test_figure16_energy_reductions_exceed_one(self, tiny_context):
         result = figure16(tiny_context)
         for system in tiny_context.baseline_names():
             assert all(value > 1.0 for value in result.column(f"{system}/TrieJax"))
-        # Graphicionado, with its accelerator scaling, pays the least energy.
+
+    def test_figure16_graphicionado_pays_the_least_energy(self, tiny_context):
+        # Graphicionado, with its accelerator scaling, is the cheapest baseline.
+        result = figure16(tiny_context)
         mean = {
             system: summarise_ratios(result.column(f"{system}/TrieJax"))["mean"]
             for system in tiny_context.baseline_names()
@@ -270,6 +310,9 @@ class TestFigures:
         q100 = result.column("q100")
         assert all(q >= c for q, c in zip(q100, ctj))
         assert len(result.summaries) == 3
+
+    def test_figure17_average_access_ordering(self, tiny_context):
+        result = figure17(tiny_context)
         mean = {
             system: sum(result.column(system)) / len(result.rows)
             for system in ("ctj", "emptyheaded", "graphicionado", "q100")
@@ -290,31 +333,31 @@ class TestFigures:
 
 
 class TestAblations:
-    def test_write_bypass_ablation(self, tiny_context):
-        result = ablation_write_bypass(
-            tiny_context, queries=("path4", "path3", "cycle3"), datasets=("bitcoin",)
-        )
-        for row in result.rows:
+    def test_write_bypass_ablation(self, write_bypass):
+        for row in write_bypass.rows:
             assert row[4] >= 1.0  # bypass never hurts
-        benefit = {row[0]: row[4] for row in result.rows}
-        # The write-heavy path4 benefits at least as much as cycle3.
-        assert benefit["path4"] >= benefit["cycle3"]
 
-    def test_pjr_ablation_reports_hit_rates(self, tiny_context):
-        result = ablation_pjr_cache(tiny_context, datasets=("bitcoin",))
-        by_query = {row[0]: row for row in result.rows}
+    def test_write_bypass_helps_path4_at_least_as_much_as_cycle3(self, write_bypass):
+        benefit = {row[0]: row[4] for row in write_bypass.rows}
+        assert benefit["path4"] >= benefit["cycle3"]  # path4 is the write-heavy one
+
+    def test_pjr_ablation_reports_hit_rates(self, pjr_by_query):
         for query in ("path3", "cycle4"):
-            assert by_query[query][5] > 0.0     # cacheable query hits the PJR
-            assert by_query[query][4] >= 0.999  # and loses time without it
-        assert by_query["cycle3"][5] == 0.0     # nothing cacheable
-        assert by_query["cycle3"][4] == pytest.approx(1.0, abs=0.05)
+            assert pjr_by_query[query][5] > 0.0     # cacheable query hits the PJR
+        assert pjr_by_query["cycle3"][5] == 0.0     # nothing cacheable
 
-    def test_mt_scheme_ablation_runs_all_schemes(self, tiny_context):
-        result = ablation_mt_scheme(tiny_context, datasets=("bitcoin",))
-        assert all(row[2] > 0 and row[3] > 0 and row[4] > 0 for row in result.rows)
-        # Hybrid is competitive with both pure schemes (within ~20%).
-        assert geometric_mean([row[2] / row[4] for row in result.rows]) > 0.8
-        assert geometric_mean([row[3] / row[4] for row in result.rows]) > 0.8
+    def test_pjr_ablation_slows_only_cacheable_queries(self, pjr_by_query):
+        for query in ("path3", "cycle4"):
+            assert pjr_by_query[query][4] >= 0.999  # loses time without the PJR
+        assert pjr_by_query["cycle3"][4] == pytest.approx(1.0, abs=0.05)
+
+    def test_mt_scheme_ablation_runs_all_schemes(self, mt_ablation):
+        assert all(row[2] > 0 and row[3] > 0 and row[4] > 0 for row in mt_ablation.rows)
+
+    def test_mt_hybrid_is_competitive_with_both_pure_schemes(self, mt_ablation):
+        # Within ~20% of each pure scheme.
+        assert geometric_mean([row[2] / row[4] for row in mt_ablation.rows]) > 0.8
+        assert geometric_mean([row[3] / row[4] for row in mt_ablation.rows]) > 0.8
 
 
 class TestRegistryAndResult:
