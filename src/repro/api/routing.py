@@ -140,12 +140,8 @@ class CostRouter:
                 # Sharded catalogs price the scatter-gather plan: shards run
                 # in parallel, so the slowest shard's work is the critical
                 # path, plus a fixed dispatch charge per shard task.
-                scatter = (
-                    scatter_work_estimate(query, database, work_model)
-                    if num_shards > 1
-                    else None
-                )
-                if scatter is not None:
+                if num_shards > 1:
+                    scatter = scatter_work_estimate(query, database, work_model)
                     work_by_model[work_model] = (scatter.parallel, num_shards)
                 else:
                     if work_model != "nested-loop" and domain is None:

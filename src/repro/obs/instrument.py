@@ -57,7 +57,9 @@ def attach_scatter_legs(span: Span, scatter) -> None:
     dispatch_ns = SCATTER_DISPATCH_COST_NS * len(scatter.tasks)
     span.attributes["scatter.shards"] = scatter.num_shards
     span.attributes["scatter.seed_relation"] = scatter.seed_relation
-    span.attributes["scatter.seed_partitioned"] = scatter.seed_partitioned
+    # Every relation of a sharded catalog is partitioned, so the seed is too;
+    # the constant attribute stays so traces written before match new ones.
+    span.attributes["scatter.seed_partitioned"] = True
     # Fault-tolerance outcome (repro.service.faults).  Attributes appear
     # only when nonzero, so fault-free traces stay byte-identical.
     if scatter.retries:

@@ -144,8 +144,7 @@ class MutationEvent:
     shard:
         Shard the change landed in, or ``None`` when the catalog is
         monolithic / the change touches the relation as a whole (a
-        (re)definition, or an insert into a replicated relation).  Cache
-        layers treat ``None`` as "every shard".
+        (re)definition).  Cache layers treat ``None`` as "every shard".
     delta:
         The :class:`DeltaBatch` of the mutation — the rows actually added
         plus their count.  A bare integer is accepted for compatibility
@@ -193,7 +192,7 @@ class RelationState:
 
     name: str
     attributes: Tuple[str, ...]
-    placement: str  # 'single' | 'partitioned' | 'replicated'
+    placement: str  # 'single' (monolithic) | 'partitioned' (sharded, on the first attribute)
     fragments: Dict[Optional[int], Sequence[Row]]
     shard_attribute: Optional[str] = None
     partitioner: Optional[Dict[str, Any]] = None
@@ -328,16 +327,15 @@ class Database(MutationSource):
     # ------------------------------------------------------------------ #
     # Relation management
     # ------------------------------------------------------------------ #
-    def check_define(self, relation: Relation, replace: bool = False) -> Dict[str, Any]:
+    def check_define(self, relation: Relation, replace: bool = False) -> None:
         """Validate a (re)definition without touching any state.
 
-        Raises what :meth:`add_relation` / :meth:`replace_relation` would and
-        returns the resolved placement keywords (none here).  A write-ahead
-        layer calls this *before* logging, so a rejected definition is never logged.
+        Raises what :meth:`add_relation` / :meth:`replace_relation` would.  A
+        write-ahead layer calls this *before* logging, so a rejected
+        definition is never logged.
         """
         if not replace and relation.name in self._relations:
             raise KeyError(f"relation {relation.name!r} already exists in {self.name!r}")
-        return {}
 
     def add_relation(self, relation: Relation) -> None:
         """Register ``relation``; its name must be unused."""

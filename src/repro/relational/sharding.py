@@ -5,28 +5,26 @@ direction.  A :class:`ShardedDatabase` satisfies the same
 :class:`~repro.relational.catalog.Catalog` protocol a
 :class:`~repro.relational.catalog.Database` does — engines, statistics and
 the service layer keep working unchanged against its merged (global) view —
-while additionally splitting each *partitioned* relation into ``num_shards``
-disjoint fragments, each stored in its own shard :class:`Database` with its
-own lazily built trie indexes.
+while additionally splitting every relation into ``num_shards`` disjoint
+fragments, each stored in its own shard :class:`Database` with its own
+lazily built trie indexes.
 
-**Partitioning.**  Each relation is partitioned on one chosen attribute
-(the first attribute by default — for an edge relation, the source vertex)
-by either a multiplicative :class:`HashPartitioner` or a
-:class:`RangePartitioner` whose boundaries are fitted to the attribute's
-value distribution at registration time.  Small relations can instead be
-**replicated** (broadcast): they stay whole in the global view and every
-scatter task reads the full copy.
+**Partitioning.**  Every relation is partitioned on its first attribute
+(for an edge relation, the source vertex) by either a multiplicative
+:class:`HashPartitioner` or a :class:`RangePartitioner` whose boundaries
+are fitted to the attribute's value distribution at registration time —
+the software form of the paper's split of the first variable's values
+across threads (Section 3.4).
 
-**Scatter-gather.**  A query fans out by rewriting one *seed atom* — the
-first atom over a partitioned relation — to a shard-local alias
-(:func:`shard_alias`).  Shard ``i``'s task executes the rewritten query
-against :meth:`ShardedDatabase.shard_view`, an
+**Scatter-gather.**  A query fans out by rewriting its *seed atom* — the
+first atom of its body — to a shard-local alias (:func:`shard_alias`).
+Shard ``i``'s task executes the rewritten query against
+:meth:`ShardedDatabase.shard_view`, an
 :class:`~repro.relational.catalog.OverlayCatalog` that resolves the alias to
 shard ``i``'s fragment and every other relation name to the global view.
 Because the fragments partition the seed relation disjointly, the union of
-the per-shard results is exactly the monolithic result; when the seed
-relation is replicated instead, every task computes the full result and the
-gather step deduplicates.  :meth:`ShardedDatabase.scatter_spec` encodes this rewrite;
+the per-shard results is exactly the monolithic result.
+:meth:`ShardedDatabase.scatter_spec` encodes this rewrite;
 :class:`repro.service.scatter.ScatterGatherExecutor` runs it.
 
 **Invalidation.**  :meth:`ShardedDatabase.insert_into` routes each row to
@@ -38,7 +36,6 @@ whose dependent (relation, shard) fragments changed.
 from __future__ import annotations
 
 import bisect
-import json
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -50,9 +47,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
-    Union,
 )
 
 from repro.relational.catalog import (
@@ -167,16 +162,9 @@ PARTITIONER_KINDS: Dict[str, Callable[[int], object]] = {
 }
 
 
-def make_partitioner(kind: Union[str, Callable[[int], object]], num_shards: int):
-    """Instantiate a partitioner from a registered name or a factory."""
-    if callable(kind):
-        return kind(num_shards)
-    try:
-        return PARTITIONER_KINDS[kind](num_shards)
-    except KeyError:
-        raise ValueError(
-            f"unknown partitioner {kind!r}; choose from {sorted(PARTITIONER_KINDS)}"
-        ) from None
+def make_partitioner(kind: str, num_shards: int):
+    """Instantiate a partitioner from its registered name."""
+    return PARTITIONER_KINDS[kind](num_shards)
 
 
 def partitioner_from_spec(spec: Mapping[str, Any]):
@@ -207,18 +195,12 @@ class ScatterSpec:
         The rewritten query (identical to the original except the seed
         atom's relation name).  Shard-independent: one compiled plan for it
         serves every shard.
-    partitioned:
-        Whether the seed relation is partitioned.  ``True`` makes the
-        per-shard results disjoint (gather concatenates); ``False`` means a
-        replicated seed — every task computes the full result and the
-        gather step must deduplicate.
     """
 
     seed_index: int
     seed_relation: str
     alias: str
     query: ConjunctiveQuery
-    partitioned: bool
 
 
 # --------------------------------------------------------------------------- #
@@ -235,18 +217,10 @@ class ShardedDatabase(MutationSource):
         Number of shard databases.  ``1`` is allowed (useful as the
         degenerate point of shard-count sweeps).
     partitioner:
-        ``"hash"``, ``"range"``, or a factory ``num_shards -> partitioner``.
-        Each partitioned relation gets its own instance (range boundaries
-        are per-relation).
-    shard_attributes:
-        Optional per-relation override of the attribute partitioned on
-        (default: the relation's first attribute, e.g. the edge source
-        vertex).
-    replicate_threshold:
-        Relations registered with at most this many tuples are replicated
-        (broadcast) instead of partitioned.  ``0`` partitions everything.
+        ``"hash"`` or ``"range"``.  Each relation gets its own instance
+        (range boundaries are per-relation), fitted on its first attribute.
     replication_factor:
-        Copies kept of every *partitioned* fragment.  Replica ``r`` of
+        Copies kept of every fragment.  Replica ``r`` of
         fragment ``i`` lives on node ``(i + r) % num_shards``, so losing
         one node leaves every fragment reachable when the factor is >= 2.
         ``1`` (the default) keeps only the primary — no fault tolerance,
@@ -258,17 +232,14 @@ class ShardedDatabase(MutationSource):
         self,
         name: str = "sharded",
         num_shards: int = 2,
-        partitioner: Union[str, Callable[[int], object]] = "hash",
-        shard_attributes: Optional[Mapping[str, str]] = None,
-        replicate_threshold: int = 0,
+        partitioner: str = "hash",
         replication_factor: int = 1,
     ):
         super().__init__()
         check_positive("num_shards", num_shards)
-        if not isinstance(replicate_threshold, int) or replicate_threshold < 0:
+        if not isinstance(partitioner, str) or partitioner not in PARTITIONER_KINDS:
             raise ValueError(
-                f"replicate_threshold must be a non-negative tuple count, got "
-                f"{replicate_threshold!r}; use 0 to partition every relation"
+                f"unknown partitioner {partitioner!r}; choose from {sorted(PARTITIONER_KINDS)}"
             )
         if not isinstance(replication_factor, int) or replication_factor < 1:
             raise ValueError(
@@ -284,9 +255,7 @@ class ShardedDatabase(MutationSource):
         self.name = name
         self.num_shards = num_shards
         self.partitioner_kind = partitioner
-        self.replicate_threshold = replicate_threshold
         self.replication_factor = replication_factor
-        self._shard_attributes: Dict[str, str] = dict(shard_attributes or {})
         self._global = Database(f"{name}.global")
         self._shards: Tuple[Database, ...] = tuple(
             Database(f"{name}.shard{i}") for i in range(num_shards)
@@ -296,73 +265,44 @@ class ShardedDatabase(MutationSource):
         #: own trie cache, standing in for the fragment's host node.
         self._replicas: Dict[Tuple[str, int, int], Database] = {}
         self._partitioners: Dict[str, object] = {}
-        self._shard_positions: Dict[str, int] = {}
-        self._replicated: Set[str] = set()
 
     # ------------------------------------------------------------------ #
     # Relation management
     # ------------------------------------------------------------------ #
-    def check_define(
-        self, relation: Relation, replace: bool = False, replicate: Optional[bool] = None
-    ) -> Dict[str, Any]:
-        """Validate a (re)definition and resolve its placement; touches nothing.
+    def check_define(self, relation: Relation, replace: bool = False) -> None:
+        """Validate a (re)definition; touches nothing.
 
-        Checks the name is free (unless replacing) and a partitioned
-        placement's shard attribute exists; returns ``replicate`` resolved
-        against ``replicate_threshold``.  Both mutators (and a write-ahead
-        layer, before logging) go through this: a rejected definition leaves no trace.
+        Checks the name is free (unless replacing).  Both mutators (and a
+        write-ahead layer, before logging) go through this: a rejected
+        definition leaves no trace.
         """
         if not replace and relation.name in self._global:
             raise KeyError(f"relation {relation.name!r} already exists in {self.name!r}")
-        if replicate is None:
-            replicate = relation.cardinality <= self.replicate_threshold
-        if not replicate:
-            self._shard_position(relation)
-        return {"replicate": replicate}
 
-    def _shard_position(self, relation: Relation) -> int:
-        attribute = self._shard_attributes.get(relation.name, relation.schema.attributes[0])
-        return relation.schema.index_of(attribute)
+    def add_relation(self, relation: Relation) -> None:
+        """Register ``relation``; its name must be unused."""
+        self.check_define(relation)
+        self.replace_relation(relation)
 
-    def add_relation(self, relation: Relation, replicate: Optional[bool] = None) -> None:
-        """Register ``relation``, partitioning (or replicating) its rows.
+    def replace_relation(self, relation: Relation) -> None:
+        """Register ``relation``, replacing (and re-partitioning) any existing one.
 
-        ``replicate`` forces the placement; by default relations at or
-        below ``replicate_threshold`` tuples are replicated.
+        The one registration step: clear what the name held, then fit a
+        partitioner on the first attribute and split the rows.
         """
-        self._install(relation, **self.check_define(relation, replicate=replicate))
-
-    def replace_relation(self, relation: Relation, replicate: Optional[bool] = None) -> None:
-        """Register ``relation``, replacing (and re-partitioning) any existing one."""
-        self._install(relation, **self.check_define(relation, True, replicate))
-
-    def _install(self, relation: Relation, replicate: bool) -> None:
-        """The one registration step: clear what the name held, then store
-        the relation whole (replicated) or fit a partitioner and split it."""
         name = relation.name
         self._global.replace_relation(relation)
-        self._replicated.discard(name)
-        self._partitioners.pop(name, None)
-        self._shard_positions.pop(name, None)
         for key in [k for k in self._replicas if k[0] == name]:
             del self._replicas[key]
-        if replicate:
-            self._replicated.add(name)
-            for shard in self._shards:
-                if name in shard:
-                    shard.replace_relation(Relation(name, relation.schema))
-        else:
-            position = self._shard_position(relation)
-            partitioner = make_partitioner(self.partitioner_kind, self.num_shards)
-            partitioner.fit([row[position] for row in relation.sorted_rows()])
-            fragments = [Relation(name, relation.schema) for _ in self._shards]
-            for row in relation.sorted_rows():
-                fragments[partitioner.shard_of(row[position])].insert(row)
-            self._partitioners[name] = partitioner
-            self._shard_positions[name] = position
-            for shard, fragment in zip(self._shards, fragments):
-                shard.replace_relation(fragment)
-            self._build_replicas(name)
+        partitioner = make_partitioner(self.partitioner_kind, self.num_shards)
+        partitioner.fit([row[0] for row in relation.sorted_rows()])
+        fragments = [Relation(name, relation.schema) for _ in self._shards]
+        for row in relation.sorted_rows():
+            fragments[partitioner.shard_of(row[0])].insert(row)
+        self._partitioners[name] = partitioner
+        for shard, fragment in zip(self._shards, fragments):
+            shard.replace_relation(fragment)
+        self._build_replicas(name)
         self._notify(
             MutationEvent(name, shard=None, delta=relation.cardinality, kind="define")
         )
@@ -390,19 +330,17 @@ class ShardedDatabase(MutationSource):
         relations = []
         for name in self.relation_names():
             relation = self._global.relation(name)
-            partitioned = name not in self._replicated
             fragments = {None: relation.sorted_rows()}
-            if partitioned:
-                for shard, shard_db in enumerate(self._shards):
-                    fragments[shard] = shard_db.relation(name).sorted_rows()
+            for shard, shard_db in enumerate(self._shards):
+                fragments[shard] = shard_db.relation(name).sorted_rows()
             relations.append(
                 RelationState(
                     name,
                     relation.schema.attributes,
-                    "partitioned" if partitioned else "replicated",
+                    "partitioned",
                     fragments,
                     self.shard_attribute(name),
-                    self._partitioners[name].to_spec() if partitioned else None,
+                    self._partitioners[name].to_spec(),
                 )
             )
         tries = [(trie, None) for trie in self._global.cached_tries()]
@@ -412,8 +350,6 @@ class ShardedDatabase(MutationSource):
             "catalog_kind": "sharded",
             "num_shards": str(self.num_shards),
             "partitioner_kind": self.partitioner_kind,
-            "replicate_threshold": str(self.replicate_threshold),
-            "shard_attributes": json.dumps(self._shard_attributes, sort_keys=True),
         }
         return CatalogState(shape, tuple(relations), tuple(tries))
 
@@ -428,26 +364,24 @@ class ShardedDatabase(MutationSource):
         from the *fitted* partitioner specs (a :class:`RangePartitioner`
         keeps its stored boundaries) — re-partitioning would refit on
         post-mutation data and route future inserts differently than the
-        original catalog did.
+        original catalog did.  A relation that is not partitioned on its
+        first attribute raises :class:`ValueError` before anything loads.
         """
         relations, tries = list(relations), list(tries)
+        for state in relations:
+            first = state.attributes[:1]
+            if state.placement != "partitioned" or state.shard_attribute not in first:
+                raise ValueError(
+                    f"relation {state.name!r} has placement {state.placement!r} on "
+                    f"{state.shard_attribute!r}; a sharded catalog partitions every "
+                    "relation on its first attribute"
+                )
         self._global.load_state(relations, tries)
         for shard, shard_db in enumerate(self._shards):
             shard_db.load_state(relations, tries, fragment=shard)
         for state in relations:
-            if state.placement == "replicated":
-                self._replicated.add(state.name)
-            elif state.placement == "partitioned":
-                self._partitioners[state.name] = partitioner_from_spec(state.partitioner or {})
-                self._shard_positions[state.name] = state.attributes.index(
-                    state.shard_attribute
-                )
-                self._build_replicas(state.name)  # KeyError if a fragment is missing
-            else:
-                raise ValueError(
-                    f"relation {state.name!r} has placement {state.placement!r}, "
-                    "which a sharded catalog cannot hold"
-                )
+            self._partitioners[state.name] = partitioner_from_spec(state.partitioner or {})
+            self._build_replicas(state.name)  # KeyError if a fragment is missing
 
     # ------------------------------------------------------------------ #
     # Catalog read surface (delegates to the merged global view)
@@ -489,43 +423,26 @@ class ShardedDatabase(MutationSource):
 
     @property
     def shard_databases(self) -> Tuple[Database, ...]:
-        """The per-shard databases holding the partitioned fragments."""
+        """The per-shard databases holding the fragments."""
         return self._shards
 
-    def is_partitioned(self, name: str) -> bool:
-        """Whether ``name`` is partitioned (as opposed to replicated)."""
-        self._global.relation(name)  # raise for unknown names
-        return name not in self._replicated
-
-    def is_replicated(self, name: str) -> bool:
-        return name in self._replicated
-
-    def shard_attribute(self, name: str) -> Optional[str]:
-        """Attribute a partitioned relation is split on (``None`` if replicated)."""
-        if not self.is_partitioned(name):
-            return None
-        position = self._shard_positions[name]
-        return self._global.relation(name).schema.attributes[position]
+    def shard_attribute(self, name: str) -> str:
+        """Attribute ``name`` is split on: always its first."""
+        return self._global.relation(name).schema.attributes[0]
 
     def partitioner_for(self, name: str):
-        """The fitted partitioner of a partitioned relation (``None`` if replicated)."""
+        """The fitted partitioner of ``name`` (``None`` for an unknown name)."""
         return self._partitioners.get(name)
 
     def shard_relation(self, name: str, shard: int) -> Relation:
-        """Shard ``shard``'s fragment of ``name`` (the full relation if replicated)."""
-        if name in self._replicated:
-            return self._global.relation(name)
+        """Shard ``shard``'s fragment of ``name``."""
         return self._shards[shard].relation(name)
 
     def replica_nodes(self, name: str, shard: int) -> Tuple[int, ...]:
         """Nodes hosting ``name``'s fragment ``shard``, primary first.
 
-        Replica ``r`` lives on node ``(shard + r) % num_shards``; a
-        replicated (broadcast) relation reads locally on every node, so
-        its only entry is the shard itself.
+        Replica ``r`` lives on node ``(shard + r) % num_shards``.
         """
-        if name in self._replicated:
-            return (shard,)
         return tuple(
             (shard + r) % self.num_shards for r in range(self.replication_factor)
         )
@@ -543,7 +460,7 @@ class ShardedDatabase(MutationSource):
             ) from None
 
     def shard_cardinalities(self, name: str) -> Tuple[int, ...]:
-        """Per-shard fragment sizes of ``name`` (full size per shard if replicated)."""
+        """Per-shard fragment sizes of ``name``."""
         return tuple(
             self.shard_relation(name, shard).cardinality
             for shard in range(self.num_shards)
@@ -558,18 +475,11 @@ class ShardedDatabase(MutationSource):
         )
         lines = [f"catalog {self.name!r}: {self.num_shards} shard(s){replication}"]
         for name in self.relation_names():
-            if self.is_replicated(name):
-                lines.append(
-                    f"  {name}: replicated "
-                    f"({self._global.relation(name).cardinality} tuples per shard)"
-                )
-            else:
-                partitioner = self._partitioners[name]
-                counts = "/".join(str(c) for c in self.shard_cardinalities(name))
-                lines.append(
-                    f"  {name}: partitioned on {self.shard_attribute(name)!r} "
-                    f"by {partitioner.describe()}, fragments {counts}"
-                )
+            counts = "/".join(str(c) for c in self.shard_cardinalities(name))
+            lines.append(
+                f"  {name}: partitioned on {self.shard_attribute(name)!r} "
+                f"by {self._partitioners[name].describe()}, fragments {counts}"
+            )
         return "\n".join(lines)
 
     # ------------------------------------------------------------------ #
@@ -580,20 +490,14 @@ class ShardedDatabase(MutationSource):
 
         Emits one :class:`MutationEvent` per shard that received rows (with
         that shard's actual new-row delta), so shard-aware caches keep
-        entries whose dependent fragments did not change.  Inserts into a
-        replicated relation emit a single ``shard=None`` event.
+        entries whose dependent fragments did not change.
         """
         relation = self._global.relation(relation_name)
         normalized = [relation.normalize_row(row) for row in rows]  # before any state changes
-        if relation_name in self._replicated:
-            batch = self._global.insert_batch(relation_name, normalized)
-            self._notify(MutationEvent(relation_name, shard=None, delta=batch))
-            return batch.count
-        position = self._shard_positions[relation_name]
         partitioner = self._partitioners[relation_name]
         by_shard: Dict[int, List[Tuple[int, ...]]] = {}
         for row in normalized:
-            by_shard.setdefault(partitioner.shard_of(row[position]), []).append(row)
+            by_shard.setdefault(partitioner.shard_of(row[0]), []).append(row)
         # The merged global view updates before any event fires: incremental
         # maintainers run their delta joins from inside the notification, and
         # the post-state semi-naive rewrite needs every non-delta atom to
@@ -615,56 +519,39 @@ class ShardedDatabase(MutationSource):
     # ------------------------------------------------------------------ #
     # Scatter planning
     # ------------------------------------------------------------------ #
-    def scatter_spec(
-        self, query: ConjunctiveQuery, seed_atom: Optional[int] = None
-    ) -> Optional[ScatterSpec]:
-        """How ``query`` fans out over this catalog's shards, or ``None``.
+    def scatter_spec(self, query: ConjunctiveQuery) -> ScatterSpec:
+        """How ``query`` fans out over this catalog's shards.
 
-        The seed is the first atom over a partitioned relation (or the
-        caller's ``seed_atom`` override, which may name a replicated
-        relation to force broadcast fan-out — the gather step then
-        deduplicates).  Returns ``None`` when no atom binds a partitioned
-        relation: the query reads only replicated data and a single
-        execution against the global view is strictly cheaper.
+        The seed is the query's first atom: every relation is partitioned,
+        so whichever relation it binds, its fragments split the result
+        disjointly.
         """
         self.validate_query(query)
-        if seed_atom is None:
-            for index, atom in enumerate(query.atoms):
-                if self.is_partitioned(atom.relation):
-                    seed_atom = index
-                    break
-            else:
-                return None
-        seed = query.atoms[seed_atom]
+        seed = query.atoms[0]
         alias = shard_alias(seed.relation)
-        atoms = list(query.atoms)
-        atoms[seed_atom] = Atom(alias, seed.variables)
         rewritten = ConjunctiveQuery(
-            f"{query.name}@scatter", query.head_variables, atoms
+            f"{query.name}@scatter",
+            query.head_variables,
+            [Atom(alias, seed.variables), *query.atoms[1:]],
         )
         return ScatterSpec(
-            seed_index=seed_atom,
+            seed_index=0,
             seed_relation=seed.relation,
             alias=alias,
             query=rewritten,
-            partitioned=self.is_partitioned(seed.relation),
         )
 
     def shard_view(self, shard: int, spec: ScatterSpec, replica: int = 0) -> OverlayCatalog:
         """The catalog view shard ``shard``'s scatter task executes against.
 
         Resolves the spec's alias to that shard's fragment of the seed
-        relation (the whole relation for a replicated seed) and every other
-        name to this catalog's global view, so non-seed atoms read full
-        relations (broadcast semantics) and their tries are shared across
-        all shard tasks.  ``replica`` selects which copy of the seed
+        relation and every other name to this catalog's global view, so
+        non-seed atoms read full relations and their tries are shared
+        across all shard tasks.  ``replica`` selects which copy of the seed
         fragment the task reads (0 is the primary); the fragment contents
         are identical either way.
         """
-        if spec.partitioned:
-            seed = self.shard_replica_database(spec.seed_relation, shard, replica)
-        else:
-            seed = self._global
+        seed = self.shard_replica_database(spec.seed_relation, shard, replica)
         suffix = f".r{replica}" if replica else ""
         return OverlayCatalog(
             self._global,
@@ -682,9 +569,7 @@ class ShardedDatabase(MutationSource):
 def shard_database(
     database: Database,
     num_shards: int,
-    partitioner: Union[str, Callable[[int], object]] = "hash",
-    shard_attributes: Optional[Mapping[str, str]] = None,
-    replicate_threshold: int = 0,
+    partitioner: str = "hash",
     name: Optional[str] = None,
     replication_factor: int = 1,
 ) -> ShardedDatabase:
@@ -697,8 +582,6 @@ def shard_database(
         name or f"{database.name}.x{num_shards}",
         num_shards=num_shards,
         partitioner=partitioner,
-        shard_attributes=shard_attributes,
-        replicate_threshold=replicate_threshold,
         replication_factor=replication_factor,
     )
     for relation_name in database.relation_names():

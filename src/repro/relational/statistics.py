@@ -209,8 +209,7 @@ def scatter_work_estimate(
     ``catalog`` is duck-typed: anything exposing the
     :class:`repro.relational.sharding.ShardedDatabase` scatter surface
     (``scatter_spec`` / ``shard_view`` / ``num_shards``) qualifies.  Returns
-    ``None`` when the catalog is monolithic or no atom of ``query`` binds a
-    partitioned relation (a single global execution is cheaper then).
+    ``None`` when the catalog is monolithic.
 
     Each shard's estimate prices the *rewritten* query against that shard's
     view, so the seed atom's selectivity reflects the fragment cardinality
@@ -218,11 +217,9 @@ def scatter_work_estimate(
     the data a scatter task reads.
     """
     spec_builder = getattr(catalog, "scatter_spec", None)
-    if spec_builder is None or getattr(catalog, "num_shards", 1) < 1:
+    if spec_builder is None:
         return None
     spec = spec_builder(query)
-    if spec is None:
-        return None
     estimator = _SHARD_WORK_ESTIMATORS.get(work_model, _SHARD_WORK_ESTIMATORS["wcoj"])
     per_shard = tuple(
         estimator(spec.query, catalog.shard_view(shard, spec))

@@ -335,8 +335,8 @@ class QueryPipeline:
                 trace.event("result_cache_hit", start_time, signature=signature)
             return prepared
         scatter = self.scatter
-        spec = scatter.spec_for(query) if scatter is not None else None
-        if spec is not None:
+        if scatter is not None:
+            spec = scatter.spec_for(query)
             # Breaker admission is read here, on the caller's thread; pooled
             # backends then see the gate the virtual-time oracle computed.
             # Outcomes feed back in publish, never from worker threads.

@@ -6,8 +6,10 @@ a :class:`~repro.relational.sharding.ShardedDatabase` and runs the catalog's
 to the shard alias, each shard's task executes the rewritten query against
 its :meth:`~repro.relational.sharding.ShardedDatabase.shard_view` (seed
 fragment local, everything else the shared global view), and the gather step merges the
-partial results — deduplicating, which matters when the seed relation is
-replicated and every task computes the full result.
+partial results.  Every relation of the catalog is partitioned on its first
+attribute, so the seed fragments split the result disjointly: the gather
+concatenates the partials in shard order and deduplicates only under a
+projection, where two fragments can yield the same projected row.
 
 **Plans.**  The rewritten query is shard-independent, so plan-aware engines
 compile it exactly once per canonical signature; the compiled plan is
@@ -127,7 +129,6 @@ class ScatterGatherStats:
     """
 
     seed_relation: str
-    seed_partitioned: bool
     tasks: Tuple[ShardTaskStats, ...]
     merged_tuples: int
     duplicates_removed: int
@@ -168,8 +169,7 @@ class ScatterGatherStats:
         lines = [
             (
                 f"scatter-gather over {self.num_shards} shard(s) of "
-                f"{self.seed_relation!r} "
-                f"({'partitioned' if self.seed_partitioned else 'replicated'} seed)"
+                f"{self.seed_relation!r} (partitioned seed)"
             )
         ]
         for task in self.tasks:
@@ -253,12 +253,13 @@ class ScatterGatherExecutor:
         self.injector = injector
         self.on_shard_loss = check_on_shard_loss(on_shard_loss)
         self.breakers = NodeBreakers(self.retry_policy)
-        # Rewritten plans by (canonical signature, seed index): pure query
-        # structure, shared by every shard and never invalidated by data.
+        # Rewritten plans by canonical signature (the seed is always atom 0):
+        # pure query structure, shared by every shard and never invalidated
+        # by data.
         # Locked: concurrent requests may compile the same signature from
         # worker threads; compilation is deterministic, so serialising it
         # only avoids duplicate work and a torn check-then-insert.
-        self._plan_memo: Dict[Tuple[str, int], JoinPlan] = {}
+        self._plan_memo: Dict[str, JoinPlan] = {}
         self._plan_lock = threading.Lock()
         # Scatter spec by signature, recorded at execute time so the
         # incremental-maintenance path (see maintain) can rebuild a shard's
@@ -292,18 +293,15 @@ class ScatterGatherExecutor:
         if stats.attempt_outcomes:
             self.breakers.observe(stats.attempt_outcomes, now)
 
-    def spec_for(self, query: ConjunctiveQuery) -> Optional[ScatterSpec]:
-        """The catalog's scatter spec for ``query`` (``None`` = run globally)."""
+    def spec_for(self, query: ConjunctiveQuery) -> ScatterSpec:
+        """The catalog's scatter spec for ``query``."""
         return self.catalog.scatter_spec(query)
 
     def dependencies_for(
         self, spec: ScatterSpec, shard: int
     ) -> Tuple[ShardDependency, ...]:
         """The exact fragment read set of shard ``shard``'s task."""
-        seed: ShardDependency = (
-            spec.seed_relation,
-            shard if spec.partitioned else None,
-        )
+        seed: ShardDependency = (spec.seed_relation, shard)
         others = tuple(
             (atom.relation, None)
             for index, atom in enumerate(spec.query.atoms)
@@ -312,12 +310,11 @@ class ScatterGatherExecutor:
         return tuple(dict.fromkeys((seed,) + others))
 
     def _plan_for(self, signature: str, spec: ScatterSpec) -> JoinPlan:
-        key = (signature, spec.seed_index)
         with self._plan_lock:
-            plan = self._plan_memo.get(key)
+            plan = self._plan_memo.get(signature)
             if plan is None:
                 plan = self.compiler.compile(spec.query)
-                self._plan_memo[key] = plan
+                self._plan_memo[signature] = plan
             return plan
 
     def execute(
@@ -332,10 +329,7 @@ class ScatterGatherExecutor:
     ) -> EngineExecution:
         """Scatter ``query`` over the shards through ``engine`` and gather.
 
-        Falls back to one execution against the catalog's global view when
-        no atom binds a partitioned relation (pass a ``spec`` built with an
-        explicit ``seed_atom`` to force broadcast fan-out instead).  The
-        returned execution carries the merged tuples, the critical-path
+        The returned execution carries the merged tuples, the critical-path
         virtual-time cost, aggregated engine counters, and a
         :class:`ScatterGatherStats` breakdown in ``scatter``.
 
@@ -362,12 +356,6 @@ class ScatterGatherExecutor:
         """
         if spec is None:
             spec = self.spec_for(query)
-        if spec is None:
-            # No partitioned atom: one execution against the merged view.
-            plan = None
-            if engine.capabilities.supports_plans:
-                _, query, plan = self.compiler.compile_canonical(query)
-            return run_engine(engine, query, plan, (self.catalog,))[0][0]
         signature = self.compiler.signature(query)
         self._spec_memo[signature] = spec
         plan = self._plan_for(signature, spec) if engine.capabilities.supports_plans else None
@@ -551,16 +539,10 @@ class ScatterGatherExecutor:
             # Count-only execution (possibly mixed with replayed tuple
             # partials written earlier by an enumerating engine): the result
             # is a pure count — a replayed partial contributes its length,
-            # and for a partitioned seed the disjoint per-shard counts sum,
-            # while a replicated seed counts the same full result everywhere.
+            # and the disjoint per-shard counts sum.
             merged: List[Tuple[int, ...]] = []
-            if spec.partitioned:
-                count = sum(counts) + sum(t.tuples for t in tasks if t.from_cache)
-            else:
-                count = counts[0]
-        elif spec.partitioned and set(spec.query.head_variables) == set(
-            spec.query.variables
-        ):
+            count = sum(counts) + sum(t.tuples for t in tasks if t.from_cache)
+        elif set(spec.query.head_variables) == set(spec.query.variables):
             # Disjoint partials (the seed fragments partition the relation
             # and no projection can alias bindings): concatenation in shard
             # order is the merged result, no dedup pass needed.
@@ -573,14 +555,8 @@ class ScatterGatherExecutor:
             + max((task.cost_ns for task in tasks), default=0.0)
             + merge_cost
         )
-        # Degradation contract.  A lost fragment of a partitioned seed is
-        # missing from the union; a replicated-seed fan-out computes the full
-        # result on every task, so it only degrades when *every* task is lost.
-        lost = tuple(task.shard for task in tasks if task.lost)
-        if spec.partitioned:
-            missing = lost
-        else:
-            missing = lost if len(lost) == len(tasks) else ()
+        # Degradation contract: a lost fragment is missing from the union.
+        missing = tuple(task.shard for task in tasks if task.lost)
         aggregated = JoinStats()
         for execution in executions:
             aggregated.add(execution.stats)
@@ -594,7 +570,6 @@ class ScatterGatherExecutor:
             cacheable=not missing and all(e.cacheable for e in executions),
             scatter=ScatterGatherStats(
                 seed_relation=spec.seed_relation,
-                seed_partitioned=spec.partitioned,
                 tasks=tuple(tasks),
                 merged_tuples=len(merged),
                 duplicates_removed=0 if counts else gathered - len(merged),
@@ -626,9 +601,9 @@ class ScatterGatherExecutor:
         computed by semi-naive delta joins against that shard's view,
         overlaid by the event's :class:`~repro.joins.delta.DeltaCatalog`
         ``delta`` — the seed alias's Δ is the batch when it was routed to the
-        entry's shard (absent for sibling shards of a partitioned seed), and
-        every other atom over the mutated relation sees the whole batch
-        through the global view — and merged into the entry.  One delta view
+        entry's shard (absent for its sibling shards), and every other atom
+        over the mutated relation sees the whole batch through the global
+        view — and merged into the entry.  One delta view
         per shard serves every entry of the event, and every view reads the
         same stored Δ rows, so the Δ tries are built once per event.
 
@@ -654,18 +629,13 @@ class ScatterGatherExecutor:
             if spec is None or not suffix.isdigit():
                 return None
             shard = int(suffix)
-            if self.injector is not None and spec.partitioned:
+            if self.injector is not None:
                 nodes = self.catalog.replica_nodes(spec.seed_relation, shard)
                 if all(self.injector.is_down(node, now) for node in nodes):
                     return None  # lost patch → fragment drop
-            seeded = False
-            if spec.seed_relation == evt.relation:
-                if not spec.partitioned or evt.shard == shard:
-                    seeded = True
-                elif evt.shard is None:
-                    # Whole-relation event on a partitioned seed: the rows
-                    # cannot be attributed to fragments here, so drop.
-                    return None
+            # Every insert event of a sharded catalog names the shard its
+            # rows were routed to.
+            seeded = spec.seed_relation == evt.relation and evt.shard == shard
             unseeded = any(
                 atom.relation == evt.relation
                 for index, atom in enumerate(spec.query.atoms)

@@ -38,8 +38,8 @@ same virtual-time event order, results and cache contents either way.
 **Event-order contract.**  Arrivals are served in ``(arrival_time,
 request_id)`` order — equal-time requests always dispatch in submission
 order — and the virtual clock never moves backwards: a *back-dated*
-submission (explicit ``arrival_time`` before the persisted clock) is
-rejected or warned about per the ``backdated_arrivals`` policy.
+submission (explicit ``arrival_time`` before the persisted clock) warns
+with :class:`BackdatedArrivalWarning` and drains clamped to the clock.
 """
 
 from __future__ import annotations
@@ -62,18 +62,13 @@ from repro.service.faults import ShardUnavailableError
 from repro.service.metrics import RECORD_WINDOW, QueryRecord, ServiceMetrics
 from repro.service.pipeline import CompletedQuery, PreparedQuery, QueryPipeline
 
-#: Accepted ``backdated_arrivals`` policies.
-BACKDATED_POLICIES = ("warn", "raise")
-
 
 class BackdatedArrivalWarning(UserWarning):
     """An explicitly-dated submission lay before the persisted virtual clock.
 
-    The request will be clamped to the clock when it drains (the clock
-    never moves backwards), which can reorder it relative to what its
-    literal arrival time suggested.  Construct the service with
-    ``backdated_arrivals="raise"`` to have :meth:`QueryService.submit`
-    reject such submissions instead.
+    :meth:`QueryService.submit` still enqueues the request; it is clamped
+    to the clock when it drains (the clock never moves backwards), which
+    can reorder it relative to what its literal arrival time suggested.
 
     Re-exported as :class:`repro.service.BackdatedArrivalWarning` — it is
     part of the public submit surface.  The governing **arrival-order
@@ -151,13 +146,6 @@ class QueryService:
         with ``workers > 1`` selects the threaded backend.  Same results,
         cache contents and admission decisions on every backend; pooled
         ones own host resources that :meth:`close` releases.
-    backdated_arrivals:
-        What :meth:`submit` does with an explicit ``arrival_time`` that
-        lies before the persisted virtual clock: ``"warn"`` (default)
-        accepts it with a :class:`BackdatedArrivalWarning` (it drains
-        clamped to the clock); ``"raise"`` rejects the submission with
-        ``ValueError``.  Service-dated arrivals ("arrive now") never
-        trigger the policy.
     max_in_flight / max_queue_depth / seed:
         Admission-control knobs (see
         :class:`~repro.service.admission.AdmissionController`); ``seed``
@@ -181,17 +169,11 @@ class QueryService:
         router=None,
         backend: Union[str, ExecutionBackend, None] = None,
         workers: Optional[int] = None,
-        backdated_arrivals: str = "warn",
         pipeline: Optional[QueryPipeline] = None,
         **pipeline_options,
     ):
         if not backends:
             raise ValueError("QueryService needs at least one backend")
-        if backdated_arrivals not in BACKDATED_POLICIES:
-            raise ValueError(
-                f"backdated_arrivals must be one of {BACKDATED_POLICIES}, "
-                f"got {backdated_arrivals!r}"
-            )
         if pipeline is None:
             if database is None:
                 raise ValueError("QueryService needs a database (or a pipeline)")
@@ -221,7 +203,6 @@ class QueryService:
         )
         self.metrics = ServiceMetrics()
         self.execution_backend = create_execution_backend(backend, workers)
-        self.backdated_arrivals = backdated_arrivals
         self._pending: List[ServiceRequest] = []
         self._rejected: Deque[int] = deque(maxlen=RECORD_WINDOW)
         self._next_request_id = 0
@@ -251,9 +232,8 @@ class QueryService:
         ``arrival_time`` is in virtual time; omitted, the request arrives
         together with the latest submission so far (a closed-loop backlog).
         Dating an arrival before the current :attr:`clock` is back-dating:
-        per the ``backdated_arrivals`` policy the submission warns
-        (:class:`BackdatedArrivalWarning`; it drains clamped to the clock)
-        or is rejected with ``ValueError`` and nothing is enqueued.
+        the submission warns (:class:`BackdatedArrivalWarning`) and drains
+        clamped to the clock.
         """
         if backend is not None and backend not in self.backends:
             raise KeyError(
@@ -266,8 +246,6 @@ class QueryService:
                 f"clock {self._clock:.1f}; the virtual clock never moves "
                 f"backwards, so the request would drain at {self._clock:.1f}"
             )
-            if self.backdated_arrivals == "raise":
-                raise ValueError(message)
             warnings.warn(message, BackdatedArrivalWarning, stacklevel=2)
         with self._submit_lock:
             if arrival_time is None:
@@ -292,7 +270,7 @@ class QueryService:
         """Claim the pending requests, apply the arrival-order contract.
 
         Arrivals before the persisted clock are clamped to it (the
-        ``backdated_arrivals`` policy already fired at :meth:`submit`;
+        :class:`BackdatedArrivalWarning` already fired at :meth:`submit`;
         service-dated ones simply mean "arrive now").  The returned list is
         sorted by ``(arrival_time, request_id)``, so equal-time requests
         enter admission in submission order, independent of drain boundaries.

@@ -7,8 +7,8 @@ catalog::
     DurableCatalog → {Database | ShardedDatabase} → Database units
 
 Every mutation goes **validate → log → apply**: the wrapped catalog checks
-it (and resolves placement) without touching state, the record is fsynced to
-the WAL, then the mutation is applied — so a rejected mutation is never
+it without touching state, the record is fsynced to the WAL, then the
+mutation is applied — so a rejected mutation is never
 logged and a logged one always replays.  A torn final WAL record (a crash
 mid-append) is dropped on replay and truncated away before the next append.
 Layout of a store directory and the recovery contract are documented in

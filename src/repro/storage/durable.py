@@ -16,12 +16,12 @@ satisfies the :class:`~repro.relational.catalog.Catalog` protocol by
 forwarding every read to the wrapped catalog — which therefore behaves
 *identically* to a bare one (same tries, same mutation events) — and owns
 only the three mutators, each as **validate → log → apply**: the wrapped
-catalog checks the mutation and resolves its placement without touching any
-state, the record is appended (fsynced) to the WAL, and only then is the
-mutation applied.  A mutation the catalog rejects is therefore never logged,
-and a logged one always replays.  :meth:`DurableCatalog.snapshot` folds the
-log into the SQLite snapshot plus one trie segment per currently cached
-index, from the wrapped catalog's ``dump_state()``.
+catalog checks the mutation without touching any state, the record is
+appended (fsynced) to the WAL, and only then is the mutation applied.  A
+mutation the catalog rejects is therefore never logged, and a logged one
+always replays.  :meth:`DurableCatalog.snapshot` folds the log into the
+SQLite snapshot plus one trie segment per currently cached index, from the
+wrapped catalog's ``dump_state()``.
 
 **Recovery** (on open of an existing store) is the wrapped catalog's own
 ``load_state(...)`` over the snapshot — packed fragments adopt straight into
@@ -45,7 +45,6 @@ file is unlinked, so live adopted tries are unaffected.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 from typing import Dict, Iterable, Iterator, Optional, Sequence
@@ -88,21 +87,15 @@ class DurableCatalog:
     catalog's scatter surface — is the wrapped catalog's.
     """
 
-    def __init__(self, catalog, storage_dir: str, use_segments: bool = True):
+    def __init__(self, catalog, storage_dir: str):
         if catalog.relation_names():
             raise StorageError(
                 f"catalog {catalog.name!r} already holds relations; the durable "
                 "layer wraps an empty catalog and fills it from the store"
             )
         shape = catalog.dump_state().shape
-        if not all(isinstance(value, str) for value in shape.values()):
-            raise StorageError(
-                "a durable sharded catalog needs a named partitioner "
-                "('hash' or 'range'); custom factories cannot be persisted"
-            )
         self._catalog = catalog
         self.storage_dir = storage_dir
-        self._use_segments = use_segments
         self._store = SQLiteStore(os.path.join(storage_dir, CATALOG_FILENAME))  # creates the dir
         self._wal = MutationLog(os.path.join(storage_dir, WAL_FILENAME))
         self._segments = TrieSegmentStore(os.path.join(storage_dir, SEGMENTS_DIRNAME))
@@ -156,26 +149,25 @@ class DurableCatalog:
         return getattr(self._catalog, attribute)
 
     # -- mutators: validate → log → apply -------------------------------- #
-    def add_relation(self, relation: Relation, **placement) -> None:
+    def add_relation(self, relation: Relation) -> None:
         """Durably register ``relation`` (its name must be unused)."""
-        self._define(relation, False, placement)
+        self._define(relation, False)
 
-    def replace_relation(self, relation: Relation, **placement) -> None:
+    def replace_relation(self, relation: Relation) -> None:
         """Durably register ``relation``, replacing any existing one."""
-        self._define(relation, True, placement)
+        self._define(relation, True)
 
-    def _define(self, relation: Relation, replace: bool, placement: Dict) -> None:
-        resolved = self._catalog.check_define(relation, replace=replace, **placement)
+    def _define(self, relation: Relation, replace: bool) -> None:
+        self._catalog.check_define(relation, replace=replace)
         self._wal.append(
             "define",
             relation.name,
             attributes=list(relation.schema.attributes),
             rows=relation.sorted_rows(),
             replace=replace,
-            **resolved,
         )
         apply = self._catalog.replace_relation if replace else self._catalog.add_relation
-        apply(relation, **resolved)
+        apply(relation)
 
     def insert_into(self, relation_name: str, rows: Iterable[Sequence[int]]) -> int:
         """Durably insert ``rows``; returns how many were new."""
@@ -207,14 +199,13 @@ class DurableCatalog:
             ],
             meta_updates={"snapshot_seq": str(snapshot_seq)},
         )
-        tries = state.tries if self._use_segments else ()
-        for trie, shard in tries:
+        for trie, shard in state.tries:
             self._segments.save(trie, shard=shard)
         self._wal.reset()
         return {
             "snapshot_seq": snapshot_seq,
             "relations": len(state.relations),
-            "segments": len(tries),
+            "segments": len(state.tries),
         }
 
     def _recover(self) -> None:
@@ -234,8 +225,7 @@ class DurableCatalog:
             )
             for record in self._store.load_relations()
         ]
-        entries = self._segments.entries() if self._use_segments else ()
-        tries = ((read_trie_segment(entry.path), entry.shard) for entry in entries)
+        tries = ((read_trie_segment(entry.path), entry.shard) for entry in self._segments.entries())
         try:
             self._catalog.load_state(relations, tries)
         except (KeyError, TypeError, ValueError) as error:
@@ -257,18 +247,18 @@ class DurableCatalog:
             if record.kind == "insert":
                 self._catalog.insert_into(record.relation, rows)
             elif record.kind == "define":
-                # Whatever ``check_define`` resolved was logged beside the fixed keys.
-                placement = {
-                    key: value
-                    for key, value in record.data.items()
-                    if key not in ("attributes", "rows", "replace")
-                }
+                if record.data.get("replicate", False) is not False:
+                    # A store may carry the placement a sharded definition was
+                    # once logged with; only the partitioned one (False) fits.
+                    raise ValueError(
+                        f"placement replicate={record.data['replicate']!r}; a sharded "
+                        "catalog partitions every relation on its first attribute"
+                    )
                 # Always *replace*: replay must be idempotent so a crash between
                 # the snapshot commit and the WAL truncate still recovers (the
                 # record's effect is then already in the snapshot).
                 self._catalog.replace_relation(
-                    Relation(record.relation, Schema(tuple(record.data["attributes"])), rows),
-                    **placement,
+                    Relation(record.relation, Schema(tuple(record.data["attributes"])), rows)
                 )
             else:
                 raise StoreFormatError(
@@ -349,9 +339,6 @@ def open_store(
     name: Optional[str] = None,
     num_shards: Optional[int] = None,
     partitioner: str = "hash",
-    shard_attributes=None,
-    replicate_threshold: int = 0,
-    use_segments: bool = True,
 ) -> DurableCatalog:
     """Open (recovering) or initialise the durable store at ``storage_dir``.
 
@@ -368,19 +355,11 @@ def open_store(
             if num_shards is None:
                 num_shards = int(meta.get("num_shards", "2"))
             partitioner = meta.get("partitioner_kind", "hash")
-            shard_attributes = json.loads(meta.get("shard_attributes", "{}"))
-            replicate_threshold = int(meta.get("replicate_threshold", "0"))
     if num_shards is None:
         catalog = Database(name or "durable")
     else:
-        catalog = ShardedDatabase(
-            name or "durable",
-            num_shards=num_shards,
-            partitioner=partitioner,
-            shard_attributes=shard_attributes,
-            replicate_threshold=replicate_threshold,
-        )
-    return DurableCatalog(catalog, storage_dir, use_segments=use_segments)
+        catalog = ShardedDatabase(name or "durable", num_shards=num_shards, partitioner=partitioner)
+    return DurableCatalog(catalog, storage_dir)
 
 
 __all__ = [

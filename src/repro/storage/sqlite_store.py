@@ -61,7 +61,7 @@ class RelationRecord:
 
     name: str
     attributes: Tuple[str, ...]
-    placement: str  # 'single' | 'partitioned' | 'replicated'
+    placement: str  # 'single' (monolithic) | 'partitioned' (sharded, on the first attribute)
     shard_attribute: Optional[str] = None
     partitioner: Optional[Dict] = None  # {'kind', 'num_shards', 'boundaries'}
 

@@ -44,7 +44,7 @@ class WalRecord:
     """One durable mutation.
 
     ``kind`` is ``"insert"`` or ``"define"``; ``data`` carries the payload
-    needed to re-apply it (rows always; attributes/placement for defines).
+    needed to re-apply it (rows always; attributes and ``replace`` for defines).
     """
 
     seq: int

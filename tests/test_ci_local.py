@@ -138,6 +138,22 @@ class TestWorkflow:
             trie.write_text(source.replace(built, level))
             assert ci_local.run_step(step, str(tmp_path), dict(os.environ))[0] is passes, level
 
+    def test_partition_guard_refuses_a_partitioner_factory_or_placement_knob(self, tmp_path):
+        with open(os.path.join(ROOT, "src", "repro", "relational", "sharding.py")) as handle:
+            source = handle.read()
+        named = "    return PARTITIONER_KINDS[kind](num_shards)\n"
+        assert source.count(named) == 1
+        factory = "    if callable(kind):\n        return kind(num_shards)\n" + named
+        knob = source.replace("replication_factor: int = 1,", "replicate_threshold: int = 0,")
+        assert knob != source
+        sharding = tmp_path / "src" / "repro" / "relational" / "sharding.py"
+        sharding.parent.mkdir(parents=True)
+        step = TREE_INVARIANTS["A sharded catalog partitions every relation"]
+        for text, passes in ((source, True), (source.replace(named, factory), False),
+                             (knob, False)):
+            sharding.write_text(text)
+            assert ci_local.run_step(step, str(tmp_path), dict(os.environ))[0] is passes
+
 
 class TestUnreadNames:
     """The lint step backed by ``scripts/unread_names.py``: every top-level

@@ -12,14 +12,10 @@ import pytest
 from repro.graphs import community_graph, graph_database, pattern_query
 from repro.relational import (
     Catalog,
-    Database,
     DeltaBatch,
     HashPartitioner,
     MutationEvent,
     RangePartitioner,
-    Relation,
-    Schema,
-    ShardedDatabase,
     scatter_work_estimate,
     shard_alias,
     shard_database,
@@ -83,41 +79,6 @@ class TestShardedDatabase:
         assert seen == full
         assert set(sharded.relation("E").sorted_rows()) == full  # global view
 
-    def test_replication_keeps_relation_whole(self, base_db):
-        sharded = ShardedDatabase("s", num_shards=3)
-        small = Relation("dims", Schema(("k", "v")), [(1, 10), (2, 20)])
-        sharded.add_relation(small, replicate=True)
-        assert sharded.is_replicated("dims")
-        assert not sharded.is_partitioned("dims")
-        for shard in range(3):
-            assert sharded.shard_relation("dims", shard).cardinality == 2
-        assert sharded.shard_attribute("dims") is None
-
-    def test_rejected_definition_touches_no_state(self):
-        """A bad shard attribute must fail before the global view, the
-        partitioner table or any fragment sees the relation."""
-        sharded = ShardedDatabase("s", num_shards=2, shard_attributes={"E": "nope"})
-        edges = Relation("E", Schema(("src", "dst")), [(1, 2), (2, 3)])
-        events = []
-        sharded.subscribe_invalidation(events.append)
-        for define in (sharded.add_relation, sharded.replace_relation):
-            with pytest.raises(KeyError, match="nope"):
-                define(edges)
-            assert "E" not in sharded
-            assert all("E" not in shard for shard in sharded.shard_databases)
-            assert sharded.partitioner_for("E") is None and not events
-        sharded.add_relation(edges, replicate=True)  # no shard attribute needed
-        assert sharded.insert_into("E", [(5, 6)]) == 1
-
-    def test_replicate_threshold_places_small_relations(self):
-        sharded = ShardedDatabase("s", num_shards=2, replicate_threshold=3)
-        sharded.add_relation(Relation("tiny", Schema(("a", "b")), [(1, 2)]))
-        sharded.add_relation(
-            Relation("big", Schema(("a", "b")), [(i, i + 1) for i in range(10)])
-        )
-        assert sharded.is_replicated("tiny")
-        assert sharded.is_partitioned("big")
-
     def test_insert_routes_rows_and_emits_shard_events(self, base_db):
         sharded = shard_database(base_db, 4, partitioner="hash")
         events = []
@@ -178,25 +139,11 @@ class TestScatterSpec:
     def test_seed_is_first_partitioned_atom(self, base_db):
         sharded = shard_database(base_db, 2)
         spec = sharded.scatter_spec(pattern_query("cycle3"))
-        assert spec is not None and spec.partitioned
         assert spec.seed_index == 0 and spec.seed_relation == "E"
         assert spec.query.atoms[0].relation == shard_alias("E")
         assert all(atom.relation == "E" for atom in spec.query.atoms[1:])
         # Head and variables are untouched by the rewrite.
         assert spec.query.head_variables == pattern_query("cycle3").head_variables
-
-    def test_no_partitioned_atom_yields_none(self):
-        sharded = ShardedDatabase("s", num_shards=2)
-        sharded.add_relation(
-            Relation("dims", Schema(("a", "b")), [(1, 2)]), replicate=True
-        )
-        from repro.relational.query import Atom, ConjunctiveQuery
-
-        query = ConjunctiveQuery("q", ("x", "y"), [Atom("dims", ("x", "y"))])
-        assert sharded.scatter_spec(query) is None
-        # A forced seed over the replicated relation fans out anyway.
-        forced = sharded.scatter_spec(query, seed_atom=0)
-        assert forced is not None and not forced.partitioned
 
     def test_shard_view_resolves_alias_to_fragment(self, base_db):
         sharded = shard_database(base_db, 2)

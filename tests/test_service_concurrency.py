@@ -551,21 +551,6 @@ class TestArrivalContract:
         )
         assert outcomes[request_id].record.arrival_time >= service.metrics.records[0].finish_time
 
-    def test_backdated_arrival_raises_under_strict_policy(self):
-        service = QueryService(
-            _build_database(1, seed=5),
-            backends=("lftj",),
-            backdated_arrivals="raise",
-        )
-        service.serve(pattern_query("cycle3"))
-        with pytest.raises(ValueError, match="before the service clock"):
-            service.submit(pattern_query("path3"), arrival_time=0.0)
-        # The rejected submission was never enqueued: the service is not
-        # wedged, later valid traffic serves normally.
-        outcome = service.serve(pattern_query("path3"))
-        assert outcome.record.result_count == outcome.cardinality
-        assert service.admission.in_flight == 0
-
     def test_service_dated_arrivals_never_warn(self, recwarn):
         """Omitted arrival times mean "now"; clamping them is not an error."""
         service = QueryService(_build_database(1, seed=5), backends=("lftj",))
@@ -575,12 +560,6 @@ class TestArrivalContract:
         assert not [
             w for w in recwarn.list if issubclass(w.category, BackdatedArrivalWarning)
         ]
-
-    def test_invalid_backdated_policy_rejected(self):
-        with pytest.raises(ValueError, match="backdated_arrivals"):
-            QueryService(
-                _build_database(1, seed=5), backends=("lftj",), backdated_arrivals="ignore"
-            )
 
 
 # --------------------------------------------------------------------------- #

@@ -434,8 +434,6 @@ class TestReplication:
             ({"replication_factor": 1.5}, "replication_factor"),
             ({"replication_factor": "2"}, "replication_factor"),
             ({"replication_factor": 5}, "exceeds num_shards"),
-            ({"replicate_threshold": -1}, "replicate_threshold"),
-            ({"replicate_threshold": 0.5}, "replicate_threshold"),
         ],
     )
     def test_invalid_replication_knobs_rejected(self, kwargs, match):
@@ -485,17 +483,6 @@ class TestReplication:
         )
         with pytest.raises(ValueError, match="no replica 1"):
             database.shard_replica_database("E", 0, 1)
-
-    def test_replicated_relations_stay_local(self):
-        database = ShardedDatabase(
-            num_shards=4, replicate_threshold=10, replication_factor=2
-        )
-        from repro.relational.relation import Relation
-        from repro.relational.schema import Schema
-
-        database.add_relation(Relation("S", Schema(("a", "b")), [(1, 2)]))
-        # Broadcast relations already live everywhere; no rotation needed.
-        assert database.replica_nodes("S", 2) == (2,)
 
 
 # --------------------------------------------------------------------------- #

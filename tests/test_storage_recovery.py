@@ -17,7 +17,7 @@ from repro.graphs import pattern_query
 from repro.joins.ctj import CachedTrieJoin
 from repro.joins.generic_join import GenericJoin
 from repro.joins.leapfrog import LeapfrogTrieJoin
-from repro.relational import Database, Relation, Schema, ShardedDatabase
+from repro.relational import Database, HashPartitioner, Relation, Schema, ShardedDatabase
 from repro.storage import (
     MutationLog,
     SQLiteStore,
@@ -303,18 +303,11 @@ class TestValidateLogApply:
             assert db.info()["wal_records"] == 3
 
     def test_rejected_define_is_not_logged_and_store_reopens(self, tmp_path):
-        """A definition the catalog rejects (bad shard attribute, duplicate
-        name) must raise *before* the WAL sees it — or every later open
-        replays the same failure."""
+        """A definition the catalog rejects (a duplicate name) must raise
+        *before* the WAL sees it — or every later open replays the same
+        failure."""
         store_dir = str(tmp_path / "store")
-        edges = Relation("E", Schema(("src", "dst")), [(1, 2), (2, 3)])
-        db = open_store(store_dir, num_shards=2, shard_attributes={"E": "nope"})
-        with pytest.raises(KeyError, match="nope"):
-            db.add_relation(edges)
-        with pytest.raises(KeyError, match="nope"):
-            db.replace_relation(edges)
-        assert db.info()["wal_records"] == 0
-        assert "E" not in db
+        db = open_store(store_dir, num_shards=2)
         db.add_relation(Relation("F", Schema(("a", "b")), [(1, 1)]))
         before = db.info()["wal_records"]
         with pytest.raises(KeyError, match="already exists"):
@@ -377,3 +370,73 @@ class TestValidateLogApply:
             store._conn.commit()
         with pytest.raises(StoreFormatError, match="unknown fragment encoding 'json'"):
             open_store(str(store_dir))
+
+
+class TestStoreCompatibility:
+    """Stores written while a sharded catalog could also broadcast a relation
+    (``replicate_threshold``) or split it on another attribute
+    (``shard_attributes``).  The usual shape — every relation partitioned on
+    its first attribute — opens unchanged; any other layout fails typed."""
+
+    EDGES = [(i, (i * 7) % 23) for i in range(1, 40)]
+
+    def older_sharded_store(self, store_dir):
+        """What ``repro store init --shards 2`` wrote before: a snapshot with
+        warm tries, the two retired meta keys, and (after later commands) a
+        WAL ``define`` that logged its resolved placement."""
+        with open_store(store_dir, name="gate", num_shards=2) as db:
+            db.add_relation(Relation("E", Schema(("src", "dst")), self.EDGES))
+            db.trie("E", ("src", "dst"))
+            db.snapshot()
+        with SQLiteStore(f"{store_dir}/catalog.sqlite") as store:
+            store.set_meta("replicate_threshold", "0")
+            store.set_meta("shard_attributes", "{}")
+        with MutationLog(f"{store_dir}/mutations.wal") as wal:
+            wal.append(
+                "define", "F", attributes=["a", "b"], rows=[[1, 2], [2, 3]],
+                replace=False, replicate=False,
+            )
+            wal.append("insert", "E", rows=[[100, 1], [101, 2]])
+
+    def test_the_older_sharded_shape_opens_and_answers_identically(self, tmp_path):
+        store_dir = str(tmp_path / "store")
+        self.older_sharded_store(store_dir)
+        reference = ShardedDatabase("gate", num_shards=2)
+        reference.add_relation(Relation("E", Schema(("src", "dst")), self.EDGES))
+        reference.add_relation(Relation("F", Schema(("a", "b")), [(1, 2), (2, 3)]))
+        reference.insert_into("E", [(100, 1), (101, 2)])
+        with open_store(store_dir) as recovered:
+            assert recovered.info()["wal_records"] == 2
+            assert_equivalent(recovered, reference)
+            assert recovered.dump_state().relations == reference.dump_state().relations
+
+    @pytest.mark.parametrize(
+        "layout", ["replicated-row", "non-first-shard-attribute", "replicated-define"]
+    )
+    def test_a_layout_other_than_first_attribute_partitioning_fails_typed(
+        self, tmp_path, layout
+    ):
+        store_dir = str(tmp_path / "store")
+        self.older_sharded_store(store_dir)
+        with SQLiteStore(f"{store_dir}/catalog.sqlite") as store:
+            if layout == "replicated-row":
+                store._conn.execute(
+                    "UPDATE relations SET placement = 'replicated', "
+                    "shard_attribute = NULL, partitioner = NULL"
+                )
+                store._conn.execute("DELETE FROM fragments WHERE shard >= 0")
+            elif layout == "non-first-shard-attribute":
+                store._conn.execute("UPDATE relations SET shard_attribute = 'dst'")
+            store._conn.commit()
+        if layout == "replicated-define":
+            with MutationLog(f"{store_dir}/mutations.wal") as wal:
+                wal.append(
+                    "define", "D", attributes=["k", "v"], rows=[[1, 10]],
+                    replace=False, replicate=True,
+                )
+        with pytest.raises(StoreFormatError, match="first attribute"):
+            open_store(store_dir)
+
+    def test_a_partitioner_factory_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown partitioner"):
+            ShardedDatabase("gate", num_shards=2, partitioner=lambda n: HashPartitioner(n))

@@ -8,14 +8,10 @@ reopens, crash-reopens (no ``close()``), and crashes that leave a torn
 half-record at the WAL tail.  After every step the store must be
 *equivalent* to the reference — ``tests/test_storage_recovery.py``'s
 ``assert_equivalent`` (rows, per-shard fragments, every engine's results and
-work counters), plus placements, fitted range boundaries and the number of
-pending WAL records (a rejected mutation logs nothing).
+work counters), plus shard attributes, fitted range boundaries and the
+number of pending WAL records (a rejected mutation logs nothing).
 
-The machine runs once per base catalog kind.  One deliberate restriction:
-re-defining an existing relation keeps its placement (partitioned stays
-partitioned) — a live ``ShardedDatabase`` that turns a partitioned relation
-into a replicated one keeps empty, never-read fragments in its shard units,
-which a recovered catalog has no reason to recreate.
+The machine runs once per base catalog kind.
 """
 
 import os
@@ -31,7 +27,7 @@ from test_storage_recovery import assert_equivalent
 from repro.relational import Database, Relation, Schema, ShardedDatabase
 from repro.storage import open_store
 
-SHARDED = {"num_shards": 2, "replicate_threshold": 2}
+SHARDED = {"num_shards": 2}
 #: base kind -> (reference factory, the matching ``open_store`` keywords)
 BASES = {
     "database": (lambda: Database("sm"), {}),
@@ -49,7 +45,6 @@ SCHEMAS = {"E": Schema(("src", "dst")), "F": Schema(("a", "b")), "G": Schema(("a
 NAMES = st.sampled_from(sorted(SCHEMAS))
 VALUES = st.integers(min_value=0, max_value=7)
 ROWS = st.lists(st.tuples(VALUES, VALUES), max_size=12)
-PLACEMENTS = st.sampled_from([None, True, False])
 
 
 class StorageMachine(RuleBasedStateMachine):
@@ -83,13 +78,6 @@ class StorageMachine(RuleBasedStateMachine):
         if outcomes[0][0] == "ok":
             self.pending += 1
 
-    def placement(self, name, drawn):
-        if self.base == "database":
-            return {}
-        if name in self.reference:  # see the module docstring
-            return {"replicate": self.reference.is_replicated(name)}
-        return {"replicate": drawn}
-
     def reopen(self):
         self.store = open_store(self.directory)
         assert self.store.name == "sm"
@@ -99,17 +87,13 @@ class StorageMachine(RuleBasedStateMachine):
     def define_edges(self, rows):
         self.both(lambda c: c.add_relation(Relation("E", SCHEMAS["E"], rows)))
 
-    @rule(name=NAMES, rows=ROWS, replicate=PLACEMENTS)
-    def add(self, name, rows, replicate):
-        placement = self.placement(name, replicate)
-        self.both(lambda c: c.add_relation(Relation(name, SCHEMAS[name], rows), **placement))
+    @rule(name=NAMES, rows=ROWS)
+    def add(self, name, rows):
+        self.both(lambda c: c.add_relation(Relation(name, SCHEMAS[name], rows)))
 
-    @rule(name=NAMES, rows=ROWS, replicate=PLACEMENTS)
-    def replace(self, name, rows, replicate):
-        placement = self.placement(name, replicate)
-        self.both(
-            lambda c: c.replace_relation(Relation(name, SCHEMAS[name], rows), **placement)
-        )
+    @rule(name=NAMES, rows=ROWS)
+    def replace(self, name, rows):
+        self.both(lambda c: c.replace_relation(Relation(name, SCHEMAS[name], rows)))
 
     @rule(name=NAMES, rows=ROWS)
     def insert(self, name, rows):
@@ -166,13 +150,11 @@ class StorageMachine(RuleBasedStateMachine):
         if self.base == "database":
             return
         for name in self.reference.relation_names():
-            assert self.store.is_replicated(name) == self.reference.is_replicated(name)
-            if not self.reference.is_replicated(name):
-                assert (
-                    self.store.partitioner_for(name).to_spec()
-                    == self.reference.partitioner_for(name).to_spec()
-                ), f"partitioner of {name!r} was refit or lost"
-                assert self.store.shard_attribute(name) == self.reference.shard_attribute(name)
+            assert (
+                self.store.partitioner_for(name).to_spec()
+                == self.reference.partitioner_for(name).to_spec()
+            ), f"partitioner of {name!r} was refit or lost"
+            assert self.store.shard_attribute(name) == self.reference.shard_attribute(name)
 
 
 def machine_for(base_kind):

@@ -207,8 +207,6 @@ def backing_databases(catalog):
     """Every :class:`Database` whose trie cache an insert must keep right."""
     if not hasattr(catalog, "scatter_spec"):  # monolithic, bare or durable
         return [catalog]
-    if not catalog.is_partitioned("T"):  # an empty relation is broadcast
-        return [catalog.global_database]
     replicas = [
         catalog.shard_replica_database("T", shard, 1)
         for shard in range(catalog.num_shards)
