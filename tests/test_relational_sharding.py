@@ -10,12 +10,16 @@ cardinalities.
 import pytest
 
 from repro.graphs import community_graph, graph_database, pattern_query
+from repro.relational.query import Atom, ConjunctiveQuery
 from repro.relational import (
     Catalog,
     DeltaBatch,
     HashPartitioner,
     MutationEvent,
     RangePartitioner,
+    Relation,
+    Schema,
+    ShardedDatabase,
     scatter_work_estimate,
     shard_alias,
     shard_database,
@@ -78,6 +82,34 @@ class TestShardedDatabase:
             seen |= rows
         assert seen == full
         assert set(sharded.relation("E").sorted_rows()) == full  # global view
+
+    @pytest.mark.parametrize(
+        ("kwargs", "match"),
+        [
+            ({"num_shards": 0}, "num_shards"),
+            ({"partitioner": "modulo"}, "unknown partitioner"),
+            ({"partitioner": None}, "unknown partitioner"),
+        ],
+    )
+    def test_invalid_layout_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ShardedDatabase("s", **kwargs)
+
+    def test_rejected_definition_touches_no_state(self, base_db):
+        """A duplicate name must fail before the global view, the
+        partitioner table or any fragment sees the new rows."""
+        sharded = shard_database(base_db, 2)
+        partitioner = sharded.partitioner_for("E")
+        fragments = [sharded.shard_relation("E", s).sorted_rows() for s in range(2)]
+        events = []
+        sharded.subscribe_invalidation(events.append)
+        impostor = Relation("E", Schema(("src", "dst")), [(90001, 90002)])
+        with pytest.raises(KeyError, match="already exists"):
+            sharded.add_relation(impostor)
+        assert sharded.relation("E").sorted_rows() == base_db.relation("E").sorted_rows()
+        assert sharded.partitioner_for("E") is partitioner and not events
+        assert [sharded.shard_relation("E", s).sorted_rows() for s in range(2)] == fragments
+        assert sharded.insert_into("E", [(90003, 90004)]) == 1
 
     def test_insert_routes_rows_and_emits_shard_events(self, base_db):
         sharded = shard_database(base_db, 4, partitioner="hash")
@@ -144,6 +176,19 @@ class TestScatterSpec:
         assert all(atom.relation == "E" for atom in spec.query.atoms[1:])
         # Head and variables are untouched by the rewrite.
         assert spec.query.head_variables == pattern_query("cycle3").head_variables
+
+    def test_a_small_first_relation_seeds_the_fan_out(self, base_db):
+        """Any relation, however small, is partitioned, so it can seed."""
+        sharded = shard_database(base_db, 3)
+        sharded.add_relation(Relation("dims", Schema(("k", "v")), [(1, 10), (2, 20)]))
+        assert sum(sharded.shard_cardinalities("dims")) == 2
+        query = ConjunctiveQuery(
+            "q", ("k", "v", "w"), [Atom("dims", ("k", "v")), Atom("E", ("k", "w"))]
+        )
+        spec = sharded.scatter_spec(query)
+        assert spec.seed_index == 0 and spec.seed_relation == "dims"
+        assert spec.query.atoms[0] == Atom(shard_alias("dims"), ("k", "v"))
+        assert spec.query.atoms[1:] == query.atoms[1:]
 
     def test_shard_view_resolves_alias_to_fragment(self, base_db):
         sharded = shard_database(base_db, 2)

@@ -477,6 +477,26 @@ class TestReplication:
             assert list(replica) == rows
         assert inserted == 2  # the new rows actually landed somewhere
 
+    def test_small_relation_fragments_are_replicated_too(self):
+        # One row over four shards: three fragments are empty, and each
+        # still has a replica that later inserts keep in step.
+        from repro.relational.relation import Relation
+        from repro.relational.schema import Schema
+
+        database = ShardedDatabase(num_shards=4, replication_factor=2)
+        database.add_relation(Relation("S", Schema(("a", "b")), [(1, 2)]))
+        assert sum(database.shard_cardinalities("S")) == 1
+        assert database.replica_nodes("S", 2) == (2, 3)
+        partitioner = database.partitioner_for("S")
+        empty = next(s for s in range(4) if database.shard_cardinalities("S")[s] == 0)
+        row = next((v, v) for v in range(100, 10_000) if partitioner.shard_of(v) == empty)
+        assert database.insert_into("S", [row]) == 1
+        for shard in range(4):
+            primary = database.shard_relation("S", shard)
+            replica = database.shard_replica_database("S", shard, 1).relation("S")
+            assert list(replica) == list(primary)
+        assert row in database.shard_relation("S", empty)
+
     def test_unknown_replica_index_rejected(self):
         database = shard_database(
             workload_database(num_vertices=30, num_edges=120, seed=3), 4

@@ -175,6 +175,32 @@ class TestScatterEngineHook:
         assert len(views) == 1
         assert [t.from_cache for t in after.scatter.tasks] == [False, True, True]
 
+    @pytest.mark.parametrize("engine_name", ("lftj", "naive"))
+    def test_a_small_seed_relation_hands_the_hook_one_view_per_shard(self, engine_name):
+        # Two rows over three shards leave at least one fragment empty, yet
+        # every shard still gets a task.
+        sharded = two_relation_catalog(num_shards=3)
+        sharded.add_relation(Relation("dims", Schema(("k", "v")), [(1, 10), (2, 20)]))
+        query = ConjunctiveQuery(
+            "dims_r", ("k", "v", "w"), [Atom("dims", ("k", "v")), Atom("R", ("k", "w"))]
+        )
+        engine, calls = create_engine(engine_name), []
+        execution = ScatterGatherExecutor(sharded).execute(
+            query, engine, run_engine=recording_hook(calls)
+        )
+        [(ran, plan, views)] = calls
+        assert ran == sharded.scatter_spec(query).query
+        assert len(views) == 3 and all(view is not sharded for view in views)
+        # Plan-blind engines get no plan; plan-driven ones share one.
+        assert (plan is None) == (engine_name == "naive")
+        assert execution.scatter.num_shards == 3
+        # Each dims row meets exactly one R row, so a task yields its fragment.
+        fragments = sharded.shard_cardinalities("dims")
+        assert [t.tuples for t in execution.scatter.tasks] == list(fragments)
+        assert 0 in fragments
+        reference = engine.execute(query, sharded.global_database)
+        assert execution.tuples == sorted(set(reference.tuples))
+
     def test_fault_free_task_charges_its_execution_cost_and_hook_wall(self):
         executor = ScatterGatherExecutor(two_relation_catalog(num_shards=2))
         executions = []
