@@ -13,13 +13,14 @@ returns a Python generator that narrates the work of one hardware thread
 (yielding :class:`~repro.core.operations.Operation` and
 :class:`~repro.core.operations.SpawnRequest` records) while computing the
 actual join results, so functional correctness and timing come from the same
-execution.  The walk reads the plan kernel's own slot tables
-(:func:`~repro.joins.leapfrog.resolve_slot_tables`): bound values are a list
-indexed by depth, trie cursors one flat list of
-:attr:`~repro.joins.plan.SlotProgram.num_positions` entries, and a match is
-``(value, cursors)`` with one cursor per participant of its depth.  Every
-address goes through :meth:`~repro.relational.layout.ArrayRegion.address_of`
-and its bounds check.
+execution.  The walk reads the plan kernel's own binding
+(:func:`~repro.joins.leapfrog.resolve_slot_tables`: one trie per distinct
+trie key and the kernel's parameter list, regrouped here per depth and
+participant): bound values are a list indexed by depth, trie cursors one
+flat list of :attr:`~repro.joins.plan.SlotProgram.num_positions` entries,
+and a match is ``(value, cursors)`` with one cursor per participant of its
+depth.  Every address goes through
+:meth:`~repro.relational.layout.ArrayRegion.address_of` and its bounds check.
 
 MatchMaker enumerates *all* matches of a variable in one request.  The
 hardware interleaves match delivery with Cupid's descent, but the amount of
@@ -92,7 +93,7 @@ class DepthTable(NamedTuple):
 class CupidProgram:
     """Generates the per-thread work of one query execution.
 
-    Resolves the plan's slot tries once, lays them out in binding order and
+    Resolves the plan's tries once, lays them out in binding order and
     then the result region (so every address is fixed per execution), and
     keeps one :class:`DepthTable` per depth.
     """
@@ -116,31 +117,40 @@ class CupidProgram:
         self.results: List[Tuple[int, ...]] = []
 
         program = plan.slot_program()
-        slot_tries, depth_tables = resolve_slot_tables(plan, database)
-        layout = MemoryLayout()
-        for key, trie in dict(zip(program.trie_keys, slot_tries)).items():
-            layout.add_trie(key, trie)
-        self.result_region = layout.result_region()
+        tries, tables = resolve_slot_tables(plan, database)
         keys = program.trie_keys
+        layout = MemoryLayout()
+        for slot, trie in zip(program.trie_slots, tries):
+            layout.add_trie(keys[slot], trie)
+        self.result_region = layout.result_region()
+        parameters = iter(tables)
         self.tables = []
-        for depth_program, arrays, parent_offsets, targets, parents in depth_tables:
-            participants = tuple(
-                (
-                    values,
-                    layout.values_region(keys[slot], level),
-                    offsets,
-                    layout.offsets_region(keys[slot], level - 1) if level else None,
-                    parent,
+        for depth_program in program.depths:
+            participants = []
+            for (slot, level), parent in zip(
+                depth_program.participants, depth_program.parent_indexes
+            ):
+                values = next(parameters)
+                offsets = next(parameters) if level else None
+                participants.append(
+                    (
+                        values,
+                        layout.values_region(keys[slot], level),
+                        offsets,
+                        layout.offsets_region(keys[slot], level - 1) if level else None,
+                        parent,
+                    )
                 )
-                for (slot, level), values, offsets, parent in zip(
-                    depth_program.participants, arrays, parent_offsets, parents
-                )
-            )
             key_depths = depth_program.cache_key_depths if config.enable_pjr_cache else None
             self.tables.append(
-                DepthTable(depth_program.variable, participants, targets, key_depths)
+                DepthTable(
+                    depth_program.variable,
+                    tuple(participants),
+                    depth_program.position_indexes,
+                    key_depths,
+                )
             )
-        self._empty = any(trie.num_tuples == 0 for trie in slot_tries)
+        self._empty = any(trie.num_tuples == 0 for trie in tries)
         self._num_positions = program.num_positions
         self._head_depths = program.head_depths
         self._result_cursor = 0

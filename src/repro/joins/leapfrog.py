@@ -20,9 +20,14 @@ Hot-path layout: the whole walk of a plan is **one generated function**, the
 *plan kernel* — the fixed loop nest the paper specialises into hardware.  It
 is instantiated once per plan *shape* (:func:`plan_shape`: per depth the
 participants and the enclosing cursor each parent offset reads, the CTJ cache
-points, the head depths and the intersection mode; memoised module-wide,
-never stored on the plan) as straight-line Python over scalar
-locals, and called with the plan's level arrays (:func:`resolve_slot_tables`).
+points, the head depths and the intersection mode; one kernel per shape
+module-wide) as straight-line Python over scalar locals.  A plan keeps its
+kernel per ``(use_cache, intersection)`` (:attr:`JoinPlan.kernels
+<repro.joins.plan.JoinPlan.kernels>`, never pickled) and its parameter
+layout in its slot program, so a warm run derives neither: it looks up each
+distinct trie once in the catalog — tries are replaced on every insert, so
+nothing catalog-dependent is kept — and calls the kernel with their level
+arrays (:func:`resolve_slot_tables`).
 Depth ``d``'s cursors are the locals depth ``d + 1`` reads its candidate
 ranges through; a non-leaf match descends inline (past 18 depths, into a
 function nested in the kernel: CPython nests at most 20 blocks per function).
@@ -65,52 +70,32 @@ from repro.joins.plan import JoinPlan
 from repro.joins.stats import JoinStats
 from repro.relational.catalog import Database
 from repro.relational.query import ConjunctiveQuery
-from repro.relational.trie import TrieIndex
 
 
 def resolve_slot_tables(plan: JoinPlan, database: Database):
-    """Resolve a plan's slot program against ``database``'s tries.
+    """Bind a plan's slot program to ``database``'s current tries.
 
     Shared by the plan kernel (:func:`run_plan`: LFTJ, CTJ and Generic Join)
     and the TrieJax model's walk (:mod:`repro.core.cupid`).  Returns
-    ``(slot_tries, depth_tables)``:
+    ``(tries, tables)``:
 
-    * ``slot_tries[slot]`` — the :class:`TrieIndex` of the ``slot``-th atom
-      binding, resolved exactly once (the catalog caches builds; bindings
-      sharing a trie key share the object);
-    * ``depth_tables[d]`` — the tuple ``(depth_program, arrays,
-      parent_offsets, position_indexes, parent_indexes)`` the inner loops
-      read: per participant its level value array and its parent CSR offsets
-      array (``None`` at the root level), plus the flat position indexes of
-      the depth's cursors.
+    * ``tries[t]`` — the :class:`TrieIndex` of the plan's ``t``-th distinct
+      trie key (:attr:`~repro.joins.plan.SlotProgram.trie_slots`): one
+      ``trie_for_atom`` lookup each, on every call, because a catalog
+      replaces its tries on every insert;
+    * ``tables`` — the plan kernel's parameters in
+      :attr:`~repro.joins.plan.SlotProgram.parameters` order: per depth, per
+      participant, its level value array and then, below the root level,
+      its parent's child offsets array.
     """
     program = plan.slot_program()
-    tries_by_key: Dict[str, TrieIndex] = {}
-    slot_tries: List[TrieIndex] = []
-    for binding in plan.atom_bindings:
-        trie = tries_by_key.get(binding.trie_key)
-        if trie is None:
-            trie = database.trie_for_atom(binding.atom, plan.variable_order)
-            tries_by_key[binding.trie_key] = trie
-        slot_tries.append(trie)
-    depth_tables = []
-    for depth_program in program.depths:
-        arrays = []
-        parent_offsets = []
-        for slot, level in depth_program.participants:
-            trie = slot_tries[slot]
-            arrays.append(trie.level_values(level))
-            parent_offsets.append(trie.child_offsets(level - 1) if level > 0 else None)
-        depth_tables.append(
-            (
-                depth_program,
-                tuple(arrays),
-                tuple(parent_offsets),
-                depth_program.position_indexes,
-                depth_program.parent_indexes,
-            )
-        )
-    return slot_tries, depth_tables
+    bindings, order = plan.atom_bindings, plan.variable_order
+    tries = [database.trie_for_atom(bindings[slot].atom, order) for slot in program.trie_slots]
+    tables = [
+        tries[trie].child_offsets(level) if offsets else tries[trie].level_values(level)
+        for trie, level, offsets in program.parameters
+    ]
+    return tries, tables
 
 
 #: A plan's kernel shape: ``(depths, head_depths, intersection)``.
@@ -425,27 +410,24 @@ def run_plan(
     The rows are the result tuples (deduplicated, first appearance first,
     when the query projects).  ``use_cache`` honours the plan's CTJ cache
     specs; ``intersection`` is the per-depth intersection mode (see
-    :func:`plan_shape`).
+    :func:`plan_shape`).  The kernel is looked up on the plan
+    (:attr:`JoinPlan.kernels <repro.joins.plan.JoinPlan.kernels>`), so a
+    warm plan derives no shape; only its tries are resolved per call.
     """
     stats = JoinStats()
     sink: List[tuple] = []
-    slot_tries, depth_tables = resolve_slot_tables(plan, database)
+    tries, tables = resolve_slot_tables(plan, database)
     # An empty relation makes the whole join empty.
-    if all(trie.num_tuples for trie in slot_tries):
-        # The kernel's parameters: each participant's level array, then its
-        # parent offsets unless it is root-level.
-        tables = []
-        for _program, arrays, offsets, _positions, _parents in depth_tables:
-            for values, parent in zip(arrays, offsets):
-                tables.append(values)
-                if parent is not None:
-                    tables.append(parent)
-        kernel = plan_kernel(plan_shape(plan, use_cache, intersection))
+    if all(trie.num_tuples for trie in tries):
+        kernel = plan.kernels.get((use_cache, intersection))
+        if kernel is None:
+            kernel = plan_kernel(plan_shape(plan, use_cache, intersection))
+            plan.kernels[use_cache, intersection] = kernel
         counts = kernel(stats, sink, *tables)
         for variable, count in zip(plan.variable_order, counts):
             if count:
                 stats.record_match(variable, count)
-    if not plan.query.is_full:
+    if not plan.slot_program().full:
         # Projection queries can repeat head tuples across distinct full
         # bindings; results follow set semantics, so collapse them.
         sink = list(dict.fromkeys(sink))

@@ -18,16 +18,22 @@ exactly aligned.
 
 For the hot execution path, :meth:`JoinPlan.slot_program` compiles the plan
 one step further into a :class:`SlotProgram`: every atom binding becomes a
-dense integer *slot*, and every depth of the variable order precomputes the
-``(slot, level)`` cursors that participate.  Executions address all per-atom
-state (tries, cursor positions) by slot index instead of hashing string trie
-keys on every leapfrog step.
+dense integer *slot*, every depth of the variable order precomputes the
+``(slot, level)`` cursors that participate, and the generated kernel's
+parameter layout (which trie level or offsets array each parameter reads) is
+fixed.  Executions address all per-atom state (tries, cursor positions) by
+slot index instead of hashing string trie keys on every leapfrog step.
+
+Everything derived from the plan alone is computed once per process and
+kept on the plan (the slot program, the engines' generated kernels); nothing
+derived from a catalog is, because a catalog replaces its tries on every
+insert.  None of it is pickled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.relational.query import Atom, ConjunctiveQuery
 
@@ -131,13 +137,22 @@ class DepthProgram:
 class SlotProgram:
     """The plan lowered to dense integer addressing.
 
-    One slot per atom binding; ``trie_keys[slot]`` is the binding's trie key
-    (used once, to resolve the actual :class:`~repro.relational.trie.TrieIndex`
-    objects), ``position_base[slot]`` the offset of the slot's cursors in a
-    flattened position array of ``num_positions`` entries, ``depths[d]`` the
-    precompiled participants of the ``d``-th variable, and ``head_depths``
-    the depth of each head variable (for result-tuple extraction without a
-    name-keyed binding dict).
+    One slot per atom binding; ``trie_keys[slot]`` is the binding's trie key,
+    ``position_base[slot]`` the offset of the slot's cursors in a flattened
+    position array of ``num_positions`` entries, ``depths[d]`` the
+    precompiled participants of the ``d``-th variable, ``head_depths`` the
+    depth of each head variable (for result-tuple extraction without a
+    name-keyed binding dict) and ``full`` whether the head keeps every
+    variable (else results are deduplicated).
+
+    The binding to a catalog's tries: ``trie_slots`` holds the first slot of
+    each distinct trie key, in slot order, so an execution resolves one
+    :class:`~repro.relational.trie.TrieIndex` per entry; ``parameters`` is
+    the plan kernel's parameter list as ``(trie, level, offsets)`` — index
+    into ``trie_slots``, trie level, and whether the parameter is that
+    level's child offsets rather than its values.  Per depth, per
+    participant, it lists the participant's level values and then, below
+    the root, its parent level's child offsets.
     """
 
     trie_keys: Tuple[str, ...]
@@ -145,6 +160,9 @@ class SlotProgram:
     num_positions: int
     depths: Tuple[DepthProgram, ...]
     head_depths: Tuple[int, ...]
+    full: bool
+    trie_slots: Tuple[int, ...]
+    parameters: Tuple[Tuple[int, int, bool], ...]
 
     @property
     def num_slots(self) -> int:
@@ -177,6 +195,9 @@ class JoinPlan:
         self._cache_by_variable: Dict[str, CacheSpec] = {
             spec.cached_variable: spec for spec in cache_specs
         }
+        #: The engines' generated kernels, per ``(use_cache, intersection)``
+        #: (filled by :func:`repro.joins.leapfrog.run_plan`; never pickled).
+        self.kernels: Dict[Tuple[bool, str], Callable] = {}
 
     # ------------------------------------------------------------------ #
     # Variable-order helpers
@@ -217,15 +238,18 @@ class JoinPlan:
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> Dict[str, object]:
         # Plans travel to worker processes (repro.service.shm); ship only
-        # the declarative structure.  The slot program is a deterministic
-        # pure function of it, so each process recompiles lazily instead of
-        # paying the pickle bytes.
+        # the declarative structure.  The slot program and the kernels are
+        # deterministic pure functions of it, so each process rebuilds them
+        # lazily instead of paying the pickle bytes (a kernel is generated
+        # code, which does not pickle at all).
         state = dict(self.__dict__)
         state.pop("_slot_program", None)
+        state.pop("kernels")
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state)
+        self.kernels = {}
 
     def _compile_slots(self) -> SlotProgram:
         trie_keys = tuple(binding.trie_key for binding in self.atom_bindings)
@@ -264,12 +288,25 @@ class JoinPlan:
                 )
             )
         head_depths = tuple(self.depth_of(v) for v in self.query.head_variables)
+        trie_index: Dict[str, int] = {}
+        for key in trie_keys:
+            trie_index.setdefault(key, len(trie_index))
+        parameters: List[Tuple[int, int, bool]] = []
+        for depth_program in depths:
+            for slot, level in depth_program.participants:
+                trie = trie_index[trie_keys[slot]]
+                parameters.append((trie, level, False))
+                if level > 0:
+                    parameters.append((trie, level - 1, True))
         return SlotProgram(
             trie_keys=trie_keys,
             position_base=tuple(position_base),
             num_positions=total,
             depths=tuple(depths),
             head_depths=head_depths,
+            full=set(head_depths) == set(range(len(depths))),
+            trie_slots=tuple(trie_keys.index(key) for key in trie_index),
+            parameters=tuple(parameters),
         )
 
     # ------------------------------------------------------------------ #

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import (
     Any,
     Callable,
@@ -282,6 +283,18 @@ def ordered_attributes_for(
     return tuple(ordered)
 
 
+@lru_cache(maxsize=1024)
+def _trie_order(
+    atom: Atom, attributes: Tuple[str, ...], variable_order: Tuple[str, ...]
+) -> Tuple[str, ...]:
+    """:func:`ordered_attributes_for`, memoised (bounded, hashable arguments).
+
+    Every engine run looks up each atom's trie, so the catalogs' per-run
+    path derives each ``(atom, attributes, variable_order)`` order once.
+    """
+    return ordered_attributes_for(atom, attributes, variable_order)
+
+
 class MutationSource:
     """Invalidation-subscriber bookkeeping, shared by every catalog that mutates."""
 
@@ -496,9 +509,7 @@ class Database(MutationSource):
         """The trie an engine needs to scan ``atom`` under ``variable_order``
         (levels in :func:`ordered_attributes_for` order)."""
         attributes = self.relation(atom.relation).schema.attributes
-        return self.trie(
-            atom.relation, ordered_attributes_for(atom, attributes, variable_order)
-        )
+        return self.trie(atom.relation, _trie_order(atom, attributes, tuple(variable_order)))
 
     # ------------------------------------------------------------------ #
     # Validation / statistics
@@ -571,8 +582,10 @@ class OverlayCatalog:
         target = self.overlays.get(atom.relation)
         if target is None:
             return self.base.trie_for_atom(atom, variable_order)
+        # The stored relation binds the atom's variables in the same positions.
         database, stored_name = target
-        return database.trie_for_atom(Atom(stored_name, atom.variables), variable_order)
+        attributes = database.relation(stored_name).schema.attributes
+        return database.trie(stored_name, _trie_order(atom, attributes, tuple(variable_order)))
 
     def validate_query(self, query: ConjunctiveQuery) -> None:
         for atom in query.atoms:

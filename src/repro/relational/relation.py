@@ -13,7 +13,9 @@ offers sorted iteration so that trie construction and sort-merge joins do
 not need to re-sort on every use; :meth:`Relation.sorted_rows_in`
 extends the cache to *permuted* orders, so building several tries over the
 same relation (one per attribute order a query needs) sorts each permutation
-at most once between mutations.
+at most once between mutations.  Every mutation drops those caches: a
+catalog extends its cached tries in place of re-reading them, so only a
+trie first built in a new order, or a snapshot, sorts again.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.relational.schema import Schema
-from repro.util.sorted_ops import splice_sorted
 from repro.util.validation import check_type
 
 
@@ -64,9 +65,10 @@ class Relation:
 
         The durable-storage restore path loads fragments in exactly that
         form, so this skips per-row normalisation and pre-seeds the
-        sorted-rows cache — the first trie build after a cold start pays no
-        re-sort.  Callers must guarantee the invariants; they are not
-        checked here.
+        sorted-rows cache — the first schema-order trie build after a cold
+        start pays no re-sort (until the first insert drops the cache, see
+        :meth:`insert_batch`).  Callers must guarantee the invariants; they
+        are not checked here.
         """
         relation = cls(name, schema)
         rows = list(sorted_rows)
@@ -120,12 +122,15 @@ class Relation:
     def insert_batch(self, rows: Iterable[Sequence[int]]) -> Tuple[Row, ...]:
         """Insert a batch and return the genuinely-new rows, sorted.
 
-        Unlike per-row :meth:`insert`, the sorted-rows caches are kept: the
-        (sorted) delta is spliced into a new list per cached order
-        (:func:`~repro.util.sorted_ops.splice_sorted`), so the next trie
-        build after a batch insert pays no re-sort and a list handed out
-        earlier is unchanged.  The returned rows are normalised,
-        deduplicated against both the stored set and the batch itself, and
+        Like per-row :meth:`insert`, a batch that adds rows drops the
+        sorted-rows caches.  The catalog extends its cached tries from the
+        returned rows (:meth:`TrieIndex.extended
+        <repro.relational.trie.TrieIndex.extended>`) without reading them,
+        so a re-sort is paid only by a rare reader — a trie first built in
+        a new order, or a snapshot (``dump_state``) — and no permuted copy
+        of the rows is kept alive between them.  A list handed out earlier
+        is never mutated.  The returned rows are normalised, deduplicated
+        against both the stored set and the batch itself, and
         lexicographically ascending — exactly the canonical form
         :class:`repro.relational.catalog.DeltaBatch` carries.
         """
@@ -137,12 +142,9 @@ class Relation:
         if not fresh:
             return ()
         added = sorted(fresh)
-        if self._sorted_cache is not None:
-            self._sorted_cache = splice_sorted(self._sorted_cache, added)
-        for indexes, cached in self._permuted_cache.items():
-            permuted = sorted(tuple(row[i] for i in indexes) for row in added)
-            self._permuted_cache[indexes] = splice_sorted(cached, permuted)
         self._rows.update(added)
+        self._sorted_cache = None
+        self._permuted_cache.clear()
         return tuple(added)
 
     # ------------------------------------------------------------------ #
@@ -173,9 +175,10 @@ class Relation:
 
         ``attributes`` must be a permutation of the schema.  The schema order
         delegates to :meth:`sorted_rows`; every other permutation is sorted
-        once and cached until the next mutation, so repeated trie builds over
-        the same relation (one per attribute order a query's atoms need)
-        never re-sort.
+        once and cached until the next mutation (any insert, batched or not,
+        drops the cache), so repeated trie builds over the same relation
+        (one per attribute order a query's atoms need) never re-sort between
+        mutations.
         """
         indexes = tuple(self.schema.index_of(a) for a in attributes)
         if indexes == tuple(range(self.schema.arity)):

@@ -1,8 +1,9 @@
 """Primitives on sorted sequences.
 
 :func:`is_strictly_sorted` is the trie sibling-array invariant, checked on
-every trie built or extended; :func:`splice_sorted` is the write path's one
-merge primitive (cached results, relation row caches, trie levels).  The
+every trie built or extended; :func:`splice_sorted` is the result cache's
+merge primitive (a patch into an entry's pending run, the run into the
+entry).  The
 join engines' *lowest upper bound* searches (the LeapFrog TrieJoin inner
 loop, and the TrieJax LUB unit's) are C-level ``bisect.bisect_left`` calls
 inside the generated plan kernel of :mod:`repro.joins.leapfrog`.

@@ -472,6 +472,36 @@ class StoredLevels:
         )
 
 
+def reference_slot_tables(plan, database):
+    """The retired per-depth form of ``resolve_slot_tables``: ``(slot_tries,
+    depth_tables)``, one trie per atom binding (shared per trie key) and per
+    depth ``(depth_program, arrays, parent_offsets, position_indexes,
+    parent_indexes)``, with ``None`` offsets at the root level.  Resolved
+    from the plan's bindings, not from the kernel's parameter layout, so the
+    references below check that layout too."""
+    program = plan.slot_program()
+    tries_by_key, slot_tries = {}, []
+    for binding in plan.atom_bindings:
+        if binding.trie_key not in tries_by_key:
+            tries_by_key[binding.trie_key] = database.trie_for_atom(
+                binding.atom, plan.variable_order
+            )
+        slot_tries.append(tries_by_key[binding.trie_key])
+    depth_tables = []
+    for depth_program in program.depths:
+        tries = [(slot_tries[slot], level) for slot, level in depth_program.participants]
+        depth_tables.append(
+            (
+                depth_program,
+                tuple(trie.level_values(level) for trie, level in tries),
+                tuple(trie.child_offsets(level - 1) if level else None for trie, level in tries),
+                depth_program.position_indexes,
+                depth_program.parent_indexes,
+            )
+        )
+    return slot_tries, depth_tables
+
+
 def reference_plan_run(plan, database, use_cache):
     """The interpreted driver the plan kernel replaced, over :func:`reference_kernel`.
 
@@ -483,7 +513,7 @@ def reference_plan_run(plan, database, use_cache):
     """
     stats = JoinStats()
     program = plan.slot_program()
-    slot_tries, depth_tables = resolve_slot_tables(plan, database)
+    slot_tries, depth_tables = reference_slot_tables(plan, database)
     positions = [-1] * program.num_positions
     binding_values = [0] * plan.num_variables
     match_counts = [0] * plan.num_variables
@@ -588,7 +618,7 @@ def reference_generic_run(plan, database):
     """
     stats = JoinStats()
     program = plan.slot_program()
-    slot_tries, depth_tables = resolve_slot_tables(plan, database)
+    slot_tries, depth_tables = reference_slot_tables(plan, database)
     positions = [-1] * program.num_positions
     binding_values = [0] * plan.num_variables
     results = []
@@ -983,11 +1013,11 @@ class TestArrayBackedTrie:
         assert [text for text in ("extend(zip(", "append((") if text in source] == [leaf]
         rows, _stats = run_plan(plan, database, use_cache=False)
         assert rows
-        slot_tries, _tables = resolve_slot_tables(plan, database)
+        tries, _tables = resolve_slot_tables(plan, database)
         owned = {id(value) for row in relation for value in row}
         level_ints = {
             id(value)
-            for trie in slot_tries
+            for trie in tries
             for level in range(trie.num_levels)
             for value in trie.level_values(level)
         }
@@ -1024,4 +1054,24 @@ class TestArrayBackedTrie:
         assert relation.sorted_rows_in(("x", "y")) is relation.sorted_rows()
         relation.insert((5, 0))
         assert relation.sorted_rows_in(("y", "x")) == [(0, 5), (2, 1), (4, 3)]
+        # A batch insert drops both caches; the next reader sorts afresh,
+        # and a list handed out before the batch is unchanged.
+        permuted, ordered = relation.sorted_rows_in(("y", "x")), relation.sorted_rows()
+        assert relation.insert_batch([(0, 9), (3, 4), (6, 1)]) == ((0, 9), (6, 1))
+        assert permuted == [(0, 5), (2, 1), (4, 3)]
+        assert ordered == [(1, 2), (3, 4), (5, 0)]
+        rows = {(1, 2), (3, 4), (5, 0), (0, 9), (6, 1)}
+        assert relation.sorted_rows() == sorted(rows)
+        assert relation.sorted_rows_in(("y", "x")) == sorted((y, x) for x, y in rows)
+        assert relation.sorted_rows_in(("y", "x")) is relation.sorted_rows_in(("y", "x"))
+        # A trie first built in a new order after the batch equals a fresh build.
+        relation.insert_batch([(7, 7)])
+        fresh = Relation("R", Schema(("x", "y")), rows | {(7, 7)})
+        for order in (("y", "x"), ("x", "y")):
+            built, expected = TrieIndex(relation, order), TrieIndex(fresh, order)
+            assert list(built.paths()) == list(expected.paths())
+            assert [list(built.level_values(level)) for level in range(2)] == [
+                list(expected.level_values(level)) for level in range(2)
+            ]
+            assert list(built.child_offsets(0)) == list(expected.child_offsets(0))
 
