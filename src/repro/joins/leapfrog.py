@@ -35,6 +35,9 @@ A lagging cursor catches up with one C-level ``bisect_left`` over the rest of
 its range, on whatever sequence backs the level: a built level's ``list``,
 whose int objects are the relation's own, so a probe, a cursor load or an
 emitted row boxes nothing, or an mmap/shared-memory ``memoryview`` of words.
+A root-level cursor's range is its whole level, so it first probes the
+trie's value→index map (:meth:`~repro.relational.trie.TrieIndex.root_positions`,
+passed in by :func:`run_plan`) and bisects only for an absent target.
 A single-participant depth is one slice.
 The intersection is a template parameter: ``leapfrog`` seeks as above,
 ``materialise`` (Generic Join) scans the smallest range, probes the others by
@@ -145,13 +148,14 @@ def kernel(stats, sink, {parameters}):
     return [{counters_list}]
 """
 #: One LUB search: move a lagging cursor to the first value ``>= m``.  The
-#: search is C-level; the charge is the LUB-unit model's — the worst-case
+#: search is C-level (at the root level a dict probe first, which lands any
+#: present value); the charge is the LUB-unit model's — the worst-case
 #: binary probe count of the whole remaining window, plus the landed value.
 _SEEK = """\
 if v{i} < m:
     lubs += 1
     reads += (e{i} - c{i}).bit_length()
-    c{i} = bisect_left(a{i}, m, c{i} + 1, e{i})
+    c{i} = {landed}bisect_left(a{i}, m, c{i} + 1, e{i})
     if c{i} == e{i}:
         break
     reads += 1
@@ -201,7 +205,8 @@ def plan_source(shape: Shape) -> Tuple[str, str]:
 
     Per depth ``d`` and participant ``i`` the locals are its level array
     ``a{d}_{i}`` (a parameter, like the parent offsets ``o{d}_{i}`` of a
-    non-root participant), cursor ``c{d}_{i}``, range end ``e{d}_{i}`` and
+    non-root participant and, last, the root-position probe ``r{d}_{i}`` of a
+    root one that seeks), cursor ``c{d}_{i}``, range end ``e{d}_{i}`` and
     current value ``v{d}_{i}``; ``x{d}`` is a value replayed from a sequence
     and ``n{d}`` the depth's match count.  Depths from ``d`` on, for ``d`` a
     positive multiple of ``_DEPTHS_PER_FUNCTION``, run in ``walk{d}``: a
@@ -306,7 +311,9 @@ def plan_source(shape: Shape) -> Tuple[str, str]:
             for i in ids[1:]:
                 emit(body + 1, f"if {v[i]} > m:", f"    m = {v[i]}")
             for i in ids:
-                emit(body + 1, *_SEEK.format(i=f"{d}_{i}").splitlines())
+                # ``a[c] < m``, so a root value's index is past ``c`` as bisect_left's is.
+                landed = f"p if (p := r{d}_{i}(m)) is not None else " if i not in above else ""
+                emit(body + 1, *_SEEK.format(i=f"{d}_{i}", landed=landed).splitlines())
         if above:
             charge = str(2 * len(above))
             for number, i in reversed(list(enumerate(above))[:-1]):
@@ -357,6 +364,10 @@ def plan_source(shape: Shape) -> Tuple[str, str]:
             emit(1, f"cache{d} = {{}}", f"probe{d} = cache{d}.get")
         emit(1, *(f"e{d}_{i} = len(a{d}_{i})" for i, p in enumerate(parents) if p is None))
     counters = [f"n{d}" for d in range(len(depths))]
+    roots = "".join(
+        f", r{d}_{i}" for d, (parents, _keys) in enumerate(depths) if len(parents) > 1
+        for i, p in enumerate(parents) if p is None and not materialise
+    )
     for start, walk in list(walks.items())[1:]:
         own = counters[start : start + _DEPTHS_PER_FUNCTION]
         emit(1, f"def walk{start}({', '.join(inherited(start))}):")
@@ -367,7 +378,7 @@ def plan_source(shape: Shape) -> Tuple[str, str]:
             f"a{d}_{i}" + ("" if p is None else f", o{d}_{i}")
             for d, (parents, _keys) in enumerate(depths)
             for i, p in enumerate(parents)
-        ),
+        ) + roots,
         counters=" = ".join(counters),
         setup="\n".join(lines),
         walk=walks[0],
@@ -412,10 +423,13 @@ def run_plan(
     specs; ``intersection`` is the per-depth intersection mode (see
     :func:`plan_shape`).  The kernel is looked up on the plan
     (:attr:`JoinPlan.kernels <repro.joins.plan.JoinPlan.kernels>`), so a
-    warm plan derives no shape; only its tries are resolved per call.
+    warm plan derives no shape; only its tries are resolved per call.  The
+    leapfrog kernel also takes the ``.get`` of each root-level seeker's
+    :meth:`~repro.relational.trie.TrieIndex.root_positions` map.
     """
     stats = JoinStats()
     sink: List[tuple] = []
+    program = plan.slot_program()
     tries, tables = resolve_slot_tables(plan, database)
     # An empty relation makes the whole join empty.
     if all(trie.num_tuples for trie in tries):
@@ -423,11 +437,13 @@ def run_plan(
         if kernel is None:
             kernel = plan_kernel(plan_shape(plan, use_cache, intersection))
             plan.kernels[use_cache, intersection] = kernel
+        if intersection != "materialise":
+            tables += [tries[trie].root_positions().get for trie in program.root_seeks]
         counts = kernel(stats, sink, *tables)
         for variable, count in zip(plan.variable_order, counts):
             if count:
                 stats.record_match(variable, count)
-    if not plan.slot_program().full:
+    if not program.full:
         # Projection queries can repeat head tuples across distinct full
         # bindings; results follow set semantics, so collapse them.
         sink = list(dict.fromkeys(sink))

@@ -152,7 +152,11 @@ class SlotProgram:
     into ``trie_slots``, trie level, and whether the parameter is that
     level's child offsets rather than its values.  Per depth, per
     participant, it lists the participant's level values and then, below
-    the root, its parent level's child offsets.
+    the root, its parent level's child offsets.  ``root_seeks`` names, in
+    the same order, the trie (index into ``trie_slots``) of every root-level
+    participant at a depth with two or more participants: the leapfrog
+    kernel takes those tries' root-position probes as its last parameters
+    (:meth:`~repro.relational.trie.TrieIndex.root_positions`).
     """
 
     trie_keys: Tuple[str, ...]
@@ -163,6 +167,7 @@ class SlotProgram:
     full: bool
     trie_slots: Tuple[int, ...]
     parameters: Tuple[Tuple[int, int, bool], ...]
+    root_seeks: Tuple[int, ...]
 
     @property
     def num_slots(self) -> int:
@@ -292,12 +297,16 @@ class JoinPlan:
         for key in trie_keys:
             trie_index.setdefault(key, len(trie_index))
         parameters: List[Tuple[int, int, bool]] = []
+        root_seeks: List[int] = []
         for depth_program in depths:
-            for slot, level in depth_program.participants:
+            participants = depth_program.participants
+            for slot, level in participants:
                 trie = trie_index[trie_keys[slot]]
                 parameters.append((trie, level, False))
                 if level > 0:
                     parameters.append((trie, level - 1, True))
+                elif len(participants) > 1:
+                    root_seeks.append(trie)
         return SlotProgram(
             trie_keys=trie_keys,
             position_base=tuple(position_base),
@@ -307,6 +316,7 @@ class JoinPlan:
             full=set(head_depths) == set(range(len(depths))),
             trie_slots=tuple(trie_keys.index(key) for key in trie_index),
             parameters=tuple(parameters),
+            root_seeks=tuple(root_seeks),
         )
 
     # ------------------------------------------------------------------ #

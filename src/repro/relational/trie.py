@@ -39,6 +39,13 @@ Inserts never rebuild: :meth:`TrieIndex.extended` adds a batch of rows in
 one pass — O(|Δ|·arity) binary searches, then each touched level assembled
 once from slices of the old one — into a new trie, so readers of the old
 one keep their snapshot.
+
+Beside the flat layout, the host keeps one map per trie that the
+accelerator's layout has no room for: :meth:`TrieIndex.root_positions`,
+each root value's index, so the plan kernel lands a root-level seek whose
+target is present with one dict probe instead of a bisection.  It is built
+on first use, never persisted, and carried over by :meth:`extended` while
+the root level is unchanged.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from array import array
 from bisect import bisect_left
 from itertools import repeat
 from operator import add, itemgetter
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.relational.relation import Relation, Row
 from repro.util.sorted_ops import is_strictly_sorted
@@ -76,6 +83,7 @@ class TrieIndex:
             )
         self.relation_name = relation.name
         self.attribute_order: Tuple[str, ...] = tuple(attribute_order)
+        self._root_positions: Optional[Dict[int, int]] = None
         self._build(relation)
 
     # ------------------------------------------------------------------ #
@@ -163,6 +171,7 @@ class TrieIndex:
         trie._values = list(values)
         trie._offsets = list(offsets)
         trie._num_tuples = num_tuples
+        trie._root_positions = None
         if validate:
             trie._check_invariants()
         return trie
@@ -189,6 +198,8 @@ class TrieIndex:
             self._num_tuples + len(inserts[-1]),
         )
         trie._check_invariants()
+        if not inserts[0]:
+            trie._root_positions = self._root_positions
         return trie
 
     def _descend(self, rows: Sequence[Row]):
@@ -287,6 +298,24 @@ class TrieIndex:
     def level_values(self, level: int) -> Sequence[int]:
         """The flat value array of ``level``."""
         return self._values[level]
+
+    def root_positions(self) -> Dict[int, int]:
+        """Map each root value to its index in :meth:`level_values` ``(0)``.
+
+        Host-only: the plan kernel probes it before bisecting a root-level
+        seek (:mod:`repro.joins.leapfrog`); the accelerator model never reads
+        it and :meth:`memory_words` does not count it.  Built on first use
+        with one C-level pass and kept for this trie's lifetime — the root
+        level never changes under it — and shared with the trie
+        :meth:`extended` returns when the batch adds no root value.  Threads
+        that race on the first use each build an equal map and the last
+        store wins, which is benign.  Never persisted.
+        """
+        positions = self._root_positions
+        if positions is None:
+            level = self._values[0]
+            positions = self._root_positions = dict(zip(level, range(len(level))))
+        return positions
 
     def level_size(self, level: int) -> int:
         """Number of nodes stored at ``level``."""

@@ -469,7 +469,13 @@ class StoredLevels:
             num_tuples=trie.num_tuples,
             level_values=lambda level: store(list(trie.level_values(level))),
             child_offsets=lambda level: store(list(trie.child_offsets(level))),
+            root_positions=lambda: positions(store(list(trie.level_values(0)))),
         )
+
+
+def positions(level, forget=()):
+    """A root-position map of ``level``, less the values in ``forget``."""
+    return {value: i for i, value in enumerate(level) if value not in forget}
 
 
 def reference_slot_tables(plan, database):
@@ -772,7 +778,7 @@ def _tied(k):
     )
 
 
-def depth_plan(participants, roots, storage, leaf=True, use_cache=False):
+def depth_plan(participants, roots, storage, leaf=True, use_cache=False, forget=()):
     """A plan whose variable ``v`` intersects one atom per participant.
 
     Participant ``i`` is ``R{i}(v)`` over its parent's group (root-level) or
@@ -780,7 +786,9 @@ def depth_plan(participants, roots, storage, leaf=True, use_cache=False):
     index; ``v`` comes after the ``u``'s, so every group is a candidate
     range.  The tries are stand-ins over the groups as given: unlike a built
     trie's, a range may be empty.  Unless ``v`` is the ``leaf``, the first
-    atom carries one more variable ``w``, two children per value.
+    atom carries one more variable ``w``, two children per value.  The
+    root-position maps leave out the values in ``forget``: a seek to one
+    falls back to bisection, as a seek to an absent value does.
     """
     store = STORAGES[storage]
     tries, atoms, order = {}, [], []
@@ -799,6 +807,7 @@ def depth_plan(participants, roots, storage, leaf=True, use_cache=False):
             num_tuples=len(levels[-1]),
             level_values=lambda level, levels=levels: store(levels[level]),
             child_offsets=lambda level, offsets=offsets: store(offsets[level]),
+            root_positions=lambda levels=levels: positions(store(levels[0]), forget),
         )
         atoms.append(Atom(f"R{i}", variables))
     order += ["v"] + ([] if leaf else ["w"])
@@ -860,6 +869,41 @@ class TestPlanKernel:
         assert_plan_matches_reference(plan, catalog, False)
         assert_generic_matches_reference(plan, catalog)
 
+    @pytest.mark.parametrize("storage", list(STORAGES))
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_root_seeks_to_absent_or_forgotten_values(self, storage, data):
+        # At least two root-level participants, so both seek through their
+        # maps; a value a map forgets bisects like an absent one.
+        k = data.draw(st.integers(2, 4))
+        participants = data.draw(st.tuples(*[_PARTICIPANT] * k))
+        roots = (True, True, *data.draw(st.tuples(*[st.booleans()] * (k - 2))))
+        leaf, use_cache = data.draw(st.booleans()), data.draw(st.booleans())
+        forget = data.draw(st.sets(st.integers(0, 14)))
+        plan, catalog = depth_plan(participants, roots, storage, leaf, use_cache, forget)
+        assert len(plan.slot_program().root_seeks) >= 2
+        assert_plan_matches_reference(plan, catalog, use_cache)
+
+    def test_root_seeks_probe_the_map_and_bisect_on_a_miss(self):
+        plan, catalog = depth_plan([([[1, 4, 6, 9]], 0), ([[2, 4, 5, 9]], 0)], (True, True), "list")
+        probes = []
+
+        class Probed(dict):
+            def get(self, value):
+                probes.append((value, dict.get(self, value)))
+                return dict.get(self, value)
+
+        def trie_for_atom(atom, order):
+            trie = catalog.trie_for_atom(atom, order)
+            positions = Probed(trie.root_positions())
+            return SimpleNamespace(**{**vars(trie), "root_positions": lambda: positions})
+
+        probed = SimpleNamespace(trie_for_atom=trie_for_atom)
+        assert_plan_matches_reference(plan, probed, False)
+        # 2 is absent (bisects to 4), 4 lands, 6 is absent (bisects to 9), 9 lands.
+        assert probes == [(2, None), (4, 1), (6, None), (9, 3)]
+        assert run_plan(plan, probed, False)[0] == [(4,), (9,)]
+
     def test_source_is_registered_under_a_name_that_reads_as_the_shape(self):
         query = ConjunctiveQuery(
             "u", ("x",), [Atom("V", ("x",)), Atom("W", ("x",)), Atom("V", ("x",))]
@@ -873,7 +917,7 @@ class TestPlanKernel:
         linecache.checkcache()
         assert linecache.getlines(name) == source.splitlines(True)
         with pytest.raises(TypeError) as raised:
-            kernel(JoinStats(), [], [1], [1], ["x"])
+            kernel(JoinStats(), [], [1], [1], ["x"], *[{}.get] * 3)  # three root probes
         frame = raised.traceback[-1]
         assert str(frame.path) == name
         assert str(frame.statement).strip() == "if v0_2 > m:"
