@@ -2,11 +2,10 @@
 
 The :class:`repro.api.Session` facade is the repository's single entry
 point: it owns the database, the plan/result caches and the engine
-registry, and routes every statement to the cheapest engine using the
-cardinality estimates in ``repro.relational.statistics`` — acyclic paths
-stay on the software Cached TrieJoin, heavy cyclic patterns go to the
-TrieJax accelerator model, exactly the division of labour the paper
-motivates.
+registry.  A statement that names no engine runs on the first eligible
+engine of a fixed software-engine order (``lftj`` > ``ctj`` > ``generic``
+> ``pairwise``); the TrieJax accelerator model and the naive oracle run
+only when pinned by name.
 
 Run with::
 
@@ -31,12 +30,12 @@ def main() -> None:
     assert by_pattern == by_datalog  # canonical-signature identity
     assert by_sql.signature(session.database) == by_pattern.signature()
 
-    # --- Cost-based routing ----------------------------------------------- #
+    # --- Routing: "auto" or a pinned engine -------------------------------- #
     for name in ("path3", "cycle3", "clique4"):
-        explanation = session.explain(name)
-        print(f"{name:<8} -> {explanation.decision.chosen:<8} "
-              f"(~{explanation.estimated_cost_ns:.0f} modelled ns, "
-              f"{'cyclic' if explanation.decision.cyclic else 'acyclic'})")
+        decision = session.explain(name).decision
+        print(f"{name:<8} -> {decision.chosen:<8} ({decision.reason})")
+    modelled = session.execute("clique4", route="triejax")  # the TrieJax model
+    print(f"clique4 pinned to {modelled.backend}: {modelled.cardinality} matches")
 
     # --- Lazy, cached execution ------------------------------------------- #
     triangles = session.execute(by_pattern)          # nothing runs yet
@@ -45,8 +44,8 @@ def main() -> None:
     print(f"replayed from cache: {replay.from_cache} "
           f"(cost {replay.cost:.1f} ns vs {triangles.cost:.1f} ns)")
 
-    # --- The full routing table ------------------------------------------- #
-    print("\n" + session.explain("cycle4").decision.describe())
+    # --- Query shape, chosen engine and plan ------------------------------ #
+    print("\n" + session.explain("cycle4").describe())
 
     # --- Concurrent serving through the same caches ----------------------- #
     outcomes = session.serve(WorkloadSpec(num_queries=60, mode="mixed"))

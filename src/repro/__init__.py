@@ -32,8 +32,8 @@ stack described in the paper in pure Python:
 ``repro.api``
     **The public API**: :class:`~repro.api.Session` /
     :class:`~repro.api.Statement` / :class:`~repro.api.ResultSet` over the
-    unified engine protocol, the single engine registry, and cost-based
-    routing.  Start here.
+    unified engine protocol, the single engine registry, and ``"auto"``
+    routing over a fixed software-engine order.  Start here.
 
 Quick start::
 
@@ -41,7 +41,7 @@ Quick start::
     from repro.graphs import load_dataset, graph_database
 
     session = Session(graph_database(load_dataset("wiki", scale=0.01)))
-    triangles = session.execute("cycle3")          # cost-routed automatically
+    triangles = session.execute("cycle3")          # runs on lftj ("auto")
     print(len(triangles.to_list()), "triangles via", triangles.backend)
 """
 

@@ -15,9 +15,9 @@ Everything a caller needs lives behind three objects and one registry:
   table mapping engine names to :class:`~repro.joins.base.EngineProtocol`
   classes, shared by the CLI, the service layer, the evaluation harness and
   the ``perf/`` benchmark — with the engine interface itself and the
-  :class:`~repro.core.TrieJaxAccelerator` engine; and the cost router
-  (:mod:`repro.api.routing`) that picks the cheapest engine per query from
-  the statistics estimates.
+  :class:`~repro.core.TrieJaxAccelerator` engine; and the router
+  (:mod:`repro.api.routing`) that resolves ``"auto"`` to the first eligible
+  engine of a fixed software-engine order.
 
 Quick start::
 
@@ -30,17 +30,16 @@ Quick start::
     print(session.explain("clique4").describe())
 """
 
-from repro.joins.base import CostModel, EngineCapabilities, EngineExecution, EngineProtocol
+from repro.joins.base import EngineCapabilities, EngineExecution, EngineProtocol
 from repro.core import TrieJaxAccelerator
 from repro.engines import ENGINE_FACTORIES, create_engine, engine_names, register_engine
-from repro.api.routing import CostRouter, EngineEstimate, RouteDecision
+from repro.api.routing import AUTO_ORDER, RouteDecision, Router
 from repro.api.resultset import ResultSet
 from repro.api.statement import Statement, coerce_statement
 from repro.api.session import Explanation, ResultDelta, Session, Subscription
 from repro.service.pipeline import RESULT_REPLAY_COST
 
 __all__ = [
-    "CostModel",
     "ENGINE_FACTORIES",
     "EngineCapabilities",
     "EngineExecution",
@@ -49,9 +48,9 @@ __all__ = [
     "create_engine",
     "engine_names",
     "register_engine",
-    "CostRouter",
-    "EngineEstimate",
+    "AUTO_ORDER",
     "RouteDecision",
+    "Router",
     "ResultSet",
     "Statement",
     "coerce_statement",

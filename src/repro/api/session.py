@@ -2,21 +2,22 @@
 
 A :class:`Session` owns a :class:`~repro.relational.catalog.Database`, the
 plan and result caches, an engine table resolved through the shared
-registry (:mod:`repro.engines`), a cost router (:mod:`repro.api.routing`)
+registry (:mod:`repro.engines`), a router (:mod:`repro.api.routing`)
 and the request pipeline (:mod:`repro.service.pipeline`) that holds the
 caches and executes every statement.  It exposes three verbs::
 
     session = Session(database)
     session.execute("cycle3")            # -> ResultSet (lazy, cached, routed)
-    session.explain("cycle3")            # -> Explanation (route, plan, costs)
+    session.explain("cycle3")            # -> Explanation (route and plan)
     session.serve(WorkloadSpec(...))     # -> concurrent serving via repro.service
 
 ``execute`` is the synchronous single-statement path: resolve the statement,
-route it (cost-based by default, or pinned to a named engine), and return a
-lazy :class:`~repro.api.resultset.ResultSet` that runs the pipeline's
-prepare → execute → finalize → publish stages when first consumed; the
-result cache answers α-equivalent repeats without touching an engine, and
-the plan cache compiles each canonical signature exactly once.  ``serve``
+route it (to a fixed software-engine order by default, or to a named
+engine), and return a lazy :class:`~repro.api.resultset.ResultSet` that
+runs the pipeline's prepare → execute → finalize → publish stages when
+first consumed; the result cache answers α-equivalent repeats without
+touching an engine, and the plan cache compiles each canonical signature
+exactly once.  ``serve``
 hands a whole request stream to :class:`repro.service.QueryService` over
 the *same* pipeline object (plus this session's engine instances and
 router), so results cached by either path are visible to both.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.api.resultset import ResultSet
-from repro.api.routing import CostRouter, RouteDecision
+from repro.api.routing import RouteDecision, Router
 from repro.api.statement import Statement, coerce_statement
 from repro.engines import create_engine, engine_names
 from repro.joins.base import EngineProtocol
@@ -36,6 +37,7 @@ from repro.joins.plan import JoinPlan
 from repro.relational.catalog import Database, MutationEvent
 from repro.relational.query import ConjunctiveQuery
 from repro.relational.sharding import shard_database
+from repro.relational.statistics import is_cyclic
 from repro.service.maintenance import ResultMaintainer
 from repro.service.pipeline import CompletedQuery, QueryPipeline, check_pipeline_options
 from repro.util.validation import check_positive
@@ -118,12 +120,12 @@ class Explanation:
     signature: str
     decision: RouteDecision
     plan: Optional[JoinPlan]
-    estimated_cost_ns: float
 
     def describe(self) -> str:
         lines = [
             f"statement       : {self.query.to_datalog()}",
             f"signature       : {self.signature}",
+            f"query shape     : {'cyclic' if is_cyclic(self.query) else 'acyclic'}",
             self.decision.describe(),
         ]
         if self.plan is not None:
@@ -148,8 +150,9 @@ class Session:
         :class:`~repro.joins.base.EngineProtocol` instances.  Defaults to
         every registered engine.
     routing:
-        ``"auto"`` (default) routes unpinned work through the cost router;
-        ``"rotate"`` keeps the legacy round-robin when serving workloads.
+        ``"auto"`` (default) runs unpinned work on the first eligible engine
+        of :data:`~repro.api.routing.AUTO_ORDER`; ``"rotate"`` serves
+        workloads round-robin over the engines instead.
     shards / partitioner:
         ``shards > 1`` re-partitions the database into a
         :class:`~repro.relational.sharding.ShardedDatabase` (``"hash"`` or
@@ -198,7 +201,6 @@ class Session:
         self,
         database: Optional[Database] = None,
         engines: Optional[Sequence[Union[str, EngineProtocol]]] = None,
-        router: Optional[CostRouter] = None,
         max_in_flight: int = 4,
         max_queue_depth: Optional[int] = None,
         seed: int = 2020,
@@ -248,9 +250,8 @@ class Session:
                 replication_factor=replication_factor,
             )
         self.database = database
-        self.router = router or CostRouter()
+        self.router = Router()
         self.routing = routing
-        self._route_memo: Dict[Tuple[str, str], RouteDecision] = {}
         self._service = None
         self.engines: Dict[str, EngineProtocol] = {}
         for entry in engines if engines is not None else engine_names():
@@ -280,8 +281,6 @@ class Session:
         database.subscribe_invalidation(self._on_catalog_mutation)
 
     def _on_catalog_mutation(self, event: MutationEvent) -> None:
-        # Cost estimates depend on relation statistics; recompute on change.
-        self._route_memo.clear()
         if self._subscriptions:
             self._notify_subscriptions(event)
 
@@ -421,8 +420,6 @@ class Session:
         self.engines[engine.name] = engine
         if self._service is not None:
             self._service.add_backend(engine)
-        # The candidate set changed; cached routing decisions are stale.
-        self._route_memo.clear()
 
     def engine_names(self) -> Tuple[str, ...]:
         """Engines configured on this session, sorted."""
@@ -431,29 +428,12 @@ class Session:
     # ------------------------------------------------------------------ #
     # Routing
     # ------------------------------------------------------------------ #
-    def _route(
-        self,
-        query: ConjunctiveQuery,
-        route: Optional[str],
-        signature: str,
-        with_estimates: bool = False,
-    ) -> RouteDecision:
-        """Route ``query``; auto decisions are memoised per signature.
-
-        Estimates are pure functions of (query structure, relation
-        statistics), so one decision per canonical signature holds until
-        the catalog mutates (the memo is cleared on invalidation events).
-        """
+    def _route(self, query: ConjunctiveQuery, route: Optional[str]) -> RouteDecision:
+        """Route ``query``: ``"auto"`` (or ``None``) through the fixed order,
+        any other value pins that engine."""
         if route in (None, "auto"):
-            key = (signature, "auto")
-            if key not in self._route_memo:
-                self._route_memo[key] = self.router.choose(
-                    query, self.database, self.engines
-                )
-            return self._route_memo[key]
-        return self.router.pinned(
-            route, query, self.database, self.engines, with_estimates=with_estimates
-        )
+            return self.router.choose(query, self.engines)
+        return self.router.pinned(route, self.engines)
 
     # ------------------------------------------------------------------ #
     # Single-statement execution
@@ -470,13 +450,14 @@ class Session:
 
         ``statement`` may be a :class:`Statement`, a ``ConjunctiveQuery``,
         or a string (SQL, datalog, or a pattern name).  ``route="auto"``
-        picks the cheapest eligible engine from the cost estimates; any
-        configured engine name pins the choice.  Execution is deferred to
-        the first consumption of the ResultSet and memoised; the result
-        cache is consulted/populated at that moment.
+        runs the first eligible engine of
+        :data:`~repro.api.routing.AUTO_ORDER`; any configured engine name
+        pins the choice.  Execution is deferred to the first consumption of
+        the ResultSet and memoised; the result cache is consulted/populated
+        at that moment.
         """
         _stmt, query, signature = self._resolve(statement)
-        decision = self._route(query, route, signature)
+        decision = self._route(query, route)
         engine = self.engines[decision.chosen]
         pipeline = self.pipeline
 
@@ -508,25 +489,17 @@ class Session:
         return ResultSet(query, signature, engine.name, run, route=decision)
 
     def explain(self, statement: object, route: str = "auto") -> Explanation:
-        """Describe how ``statement`` would run: route, costs and plan.
+        """Describe how ``statement`` would run: route and plan.
 
         Explaining a plan-aware route compiles (and caches) the canonical
         plan but executes nothing.
         """
         stmt, query, signature = self._resolve(statement)
-        decision = self._route(query, route, signature, with_estimates=True)
+        decision = self._route(query, route)
         plan = None
         if self.engines[decision.chosen].capabilities.supports_plans:
             _canonical, plan, _hit = self.pipeline.plan_for(query, signature)
-        estimate = decision.estimate_for(decision.chosen)
-        return Explanation(
-            statement=stmt,
-            query=query,
-            signature=signature,
-            decision=decision,
-            plan=plan,
-            estimated_cost_ns=estimate.cost_ns if estimate else float("nan"),
-        )
+        return Explanation(stmt, query, signature, decision, plan)
 
     # ------------------------------------------------------------------ #
     # Concurrent serving (delegates to repro.service)
@@ -537,7 +510,7 @@ class Session:
 
         The service runs over this session's pipeline (catalog, compiler,
         caches, tracer, fault and maintenance wiring), engine instances and
-        — under ``routing="auto"`` — its cost router, so the two execution
+        — under ``routing="auto"`` — its router, so the two execution
         paths reuse each other's cached plans and results.
         """
         if self._service is None:

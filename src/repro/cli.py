@@ -12,7 +12,7 @@ The CLI exposes the library's main entry points without writing any Python::
     python -m repro experiment figure14 --scale 0.01
     python -m repro compare cycle4 --dataset bitcoin --scale 0.01
     python -m repro workload --dataset grqc --num-queries 200 --backends lftj ctj
-    python -m repro workload --dataset grqc --route auto --backends ctj triejax
+    python -m repro workload --dataset grqc --route auto --backends ctj pairwise
     python -m repro workload --dataset grqc --backend threads --workers 4
     python -m repro workload --dataset grqc --backend process --workers 4
     python -m repro run cycle3 --dataset grqc --backend process --workers 2
@@ -28,14 +28,16 @@ The CLI exposes the library's main entry points without writing any Python::
     python -m repro version
 
 ``run`` executes one pattern query on any engine in the shared registry
-(:mod:`repro.engines`; ``auto`` routes on cost); ``explain`` prints the
-chosen route, per-engine cost estimates and the compiled plan without
-executing; ``experiment`` regenerates one of the paper's tables/figures;
-``compare`` pits TrieJax against the four baseline systems on a single
-workload; ``workload`` serves a seeded stream of mixed queries through the
-:mod:`repro.service` subsystem — rotating round-robin or cost-routed
-(``--route auto``), on the deterministic virtual-time loop, a concurrent
-thread pool, or a process pool over shared-memory trie segments
+(:mod:`repro.engines`; ``auto`` runs the first engine of a fixed
+software-engine order, ``lftj`` > ``ctj`` > ``generic`` > ``pairwise``,
+that can take the query); ``explain`` prints the query shape, the chosen
+engine and the compiled plan without executing; ``experiment`` regenerates
+one of the paper's tables/figures; ``compare`` pits TrieJax against the
+four baseline systems on a single workload; ``workload`` serves a seeded
+stream of mixed queries through the :mod:`repro.service` subsystem —
+rotating round-robin or on the fixed software-engine order (``--route
+auto``), on the deterministic virtual-time loop, a concurrent thread pool,
+or a process pool over shared-memory trie segments
 (``--backend threads|process --workers N``, same results with wall-clock
 numbers in the report; ``run`` accepts the same flags and serves the
 single query through the service layer) — and prints the service report
@@ -102,8 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         default="triejax",
         choices=["auto"] + list(engine_names()),
-        help="execution engine from the shared registry, or 'auto' for "
-        "cost-based routing (default: the TrieJax accelerator model)",
+        help="execution engine from the shared registry, or 'auto' for the "
+        "first eligible engine of the fixed software-engine order "
+        "lftj > ctj > generic > pairwise (default: the TrieJax accelerator model)",
     )
     run_parser.add_argument("--threads", type=int, default=32, help="hardware threads (triejax)")
     _add_sharding_arguments(run_parser)
@@ -118,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_session_arguments(run_parser)
 
     explain_parser = subparsers.add_parser(
-        "explain", help="print the chosen route, plan and estimated cost of a query"
+        "explain", help="print the query shape, chosen engine and plan of a query"
     )
     explain_parser.add_argument(
         "query", help="pattern name (e.g. cycle3) or a datalog rule"
@@ -134,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain_parser.add_argument(
         "--route",
         default="auto",
-        help="'auto' (cost-based) or one engine name to pin",
+        help="'auto' (the fixed software-engine order lftj > ctj > generic > "
+        "pairwise) or one engine name to pin",
     )
     _add_sharding_arguments(explain_parser)
 
@@ -178,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--route",
         default="rotate",
         choices=["rotate", "auto"],
-        help="backend selection: round-robin rotation or cost-based routing",
+        help="backend selection: round-robin rotation, or 'auto' for the first "
+        "eligible backend of the fixed software-engine order",
     )
     _add_execution_arguments(workload_parser)
     workload_parser.add_argument(
@@ -355,7 +360,7 @@ def _add_sharding_arguments(parser, default_shards: Optional[int] = 1) -> None:
     parser.add_argument(
         "--shards", type=int, default=default_shards, metavar="N",
         help="partition the catalog across N shards; statements then run "
-        "(and are priced) by scatter-gather (default: monolithic)",
+        "by scatter-gather (default: monolithic)",
     )
     parser.add_argument(
         "--partitioner", default="hash", choices=["hash", "range"],

@@ -25,7 +25,7 @@ from repro.core.cupid import CupidProgram
 from repro.core.pjr_cache import PJRCache
 from repro.core.scheduler import Scheduler
 from repro.core.stats import RunReport
-from repro.joins.base import CostModel, EngineCapabilities, EngineExecution, EngineProtocol
+from repro.joins.base import EngineCapabilities, EngineExecution, EngineProtocol
 from repro.joins.compiler import QueryCompiler
 from repro.joins.plan import JoinPlan
 from repro.memory.energy import EnergyBreakdown, EnergyModel
@@ -55,15 +55,7 @@ class TrieJaxAccelerator(EngineProtocol):
     """
 
     name = "triejax"
-    capabilities = EngineCapabilities(
-        supports_plans=True,
-        cost_model=CostModel(
-            work_model="wcoj",
-            ns_per_unit=0.05,
-            offload_overhead_ns=10_000.0,
-            cyclic_penalty=1.0,
-        ),
-    )
+    capabilities = EngineCapabilities(supports_plans=True)
 
     def __init__(
         self,

@@ -26,7 +26,7 @@ the TrieJax accelerator model.
 from repro.joins.stats import JoinStats
 from repro.joins.plan import AtomBinding, CacheSpec, JoinPlan
 from repro.joins.compiler import QueryCompiler
-from repro.joins.base import CostModel, EngineCapabilities, EngineExecution, EngineProtocol
+from repro.joins.base import EngineCapabilities, EngineExecution, EngineProtocol
 from repro.joins.naive import NaiveJoin
 from repro.joins.leapfrog import LeapfrogTrieJoin
 from repro.joins.ctj import CachedTrieJoin
@@ -49,7 +49,6 @@ __all__ = [
     "CacheSpec",
     "JoinPlan",
     "QueryCompiler",
-    "CostModel",
     "EngineCapabilities",
     "EngineExecution",
     "EngineProtocol",

@@ -8,21 +8,22 @@ oracle and the TrieJax model — is an :class:`EngineProtocol`::
     execution = engine.execute(query, database, plan=plan)
 
 Each declares :class:`EngineCapabilities` — whether it consumes precompiled
-plans, whether it tolerates repeated variables within an atom, and a
-:class:`CostModel` the cost router uses to price it for a given query — and
-returns an :class:`EngineExecution` carrying the result tuples (in
-head-variable order), the deterministic service cost in **modelled
-nanoseconds** (the unit the service's virtual clock runs on), and provenance
-(the :class:`~repro.joins.stats.JoinStats` counters, the plan, the
-accelerator report).  The interface lives beside the algorithms so the
-accelerator model in :mod:`repro.core` can implement it without an import
-cycle; the registry of named engines is :mod:`repro.engines`.
+plans and whether it tolerates repeated variables within an atom, which
+``"auto"`` routing checks while it walks a fixed software-engine order
+(:mod:`repro.api.routing`) — and returns an :class:`EngineExecution`
+carrying the result tuples (in head-variable order), the deterministic
+service cost in **modelled nanoseconds** (the unit the service's virtual
+clock runs on), and provenance (the :class:`~repro.joins.stats.JoinStats`
+counters, the plan, the accelerator report).  The interface lives beside
+the algorithms so the accelerator model in :mod:`repro.core` can implement
+it without an import cycle; the registry of named engines is
+:mod:`repro.engines`.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.joins.plan import JoinPlan
@@ -32,35 +33,11 @@ from repro.relational.query import ConjunctiveQuery
 
 
 @dataclass(frozen=True)
-class CostModel:
-    """How the cost router prices an engine for a query.
-
-    ``work_model`` names the work estimator from
-    :mod:`repro.relational.statistics` (``"wcoj"``, ``"pairwise"`` or
-    ``"nested-loop"``); the estimated work is then scaled and offset::
-
-        cost_ns = offload_overhead_ns
-                + work * ns_per_unit * (cyclic_penalty if query is cyclic else 1)
-
-    ``cyclic_penalty`` models the random-access / recomputation tax software
-    engines pay on cyclic queries (the blowup the paper's Figures 17/18
-    measure); the accelerator's PJR cache and hardware pipeline flatten it
-    to 1 at the price of a fixed offload overhead.
-    """
-
-    work_model: str = "wcoj"
-    ns_per_unit: float = 1.0
-    offload_overhead_ns: float = 0.0
-    cyclic_penalty: float = 1.0
-
-
-@dataclass(frozen=True)
 class EngineCapabilities:
-    """What an engine can consume and how it should be priced."""
+    """What an engine can consume."""
 
     supports_plans: bool = False
     supports_repeated_vars: bool = False
-    cost_model: CostModel = field(default_factory=CostModel)
 
 
 @dataclass
@@ -106,12 +83,8 @@ class EngineProtocol(abc.ABC):
 
     #: Registry / report name.
     name: str = "engine"
-    #: Declared capabilities (plan support, repeated variables, cost model).
+    #: Declared capabilities (plan support, repeated variables).
     capabilities: EngineCapabilities = EngineCapabilities()
-
-    @property
-    def cost_model(self) -> CostModel:
-        return self.capabilities.cost_model
 
     @abc.abstractmethod
     def execute(

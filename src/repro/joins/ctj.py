@@ -26,7 +26,6 @@ the leapfrog recomputation without a single string lookup.
 
 from __future__ import annotations
 
-from repro.joins.base import CostModel, EngineCapabilities
 from repro.joins.leapfrog import LeapfrogTrieJoin
 
 
@@ -40,6 +39,3 @@ class CachedTrieJoin(LeapfrogTrieJoin):
 
     name = "ctj"
     use_cache = True
-    capabilities = EngineCapabilities(
-        supports_plans=True, cost_model=CostModel(work_model="wcoj", cyclic_penalty=32.0)
-    )

@@ -23,7 +23,6 @@ others by binary search and writes the survivors into a list (one
 
 from __future__ import annotations
 
-from repro.joins.base import CostModel, EngineCapabilities
 from repro.joins.leapfrog import LeapfrogTrieJoin
 
 
@@ -32,7 +31,3 @@ class GenericJoin(LeapfrogTrieJoin):
 
     name = "generic"
     intersection = "materialise"
-    capabilities = EngineCapabilities(
-        supports_plans=True,
-        cost_model=CostModel(work_model="wcoj", ns_per_unit=1.25, cyclic_penalty=40.0),
-    )

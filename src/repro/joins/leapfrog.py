@@ -62,7 +62,6 @@ from itertools import repeat
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.joins.base import (
-    CostModel,
     EngineCapabilities,
     EngineExecution,
     EngineProtocol,
@@ -468,9 +467,7 @@ class LeapfrogTrieJoin(EngineProtocol):
     name = "lftj"
     use_cache = False
     intersection = "leapfrog"
-    capabilities = EngineCapabilities(
-        supports_plans=True, cost_model=CostModel(work_model="wcoj", cyclic_penalty=48.0)
-    )
+    capabilities = EngineCapabilities(supports_plans=True)
 
     def __init__(self, compiler: Optional[QueryCompiler] = None):
         self.compiler = compiler or QueryCompiler(enable_caching=self.use_cache)

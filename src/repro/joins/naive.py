@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.joins.base import (
-    CostModel,
     EngineCapabilities,
     EngineExecution,
     EngineProtocol,
@@ -32,9 +31,7 @@ class NaiveJoin(EngineProtocol):
     """
 
     name = "naive"
-    capabilities = EngineCapabilities(
-        supports_repeated_vars=True, cost_model=CostModel(work_model="nested-loop")
-    )
+    capabilities = EngineCapabilities(supports_repeated_vars=True)
 
     def execute(
         self,

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.joins.base import (
-    CostModel,
     EngineCapabilities,
     EngineExecution,
     EngineProtocol,
@@ -54,9 +53,7 @@ class PairwiseJoin(EngineProtocol):
     """
 
     name = "pairwise"
-    capabilities = EngineCapabilities(
-        cost_model=CostModel(work_model="pairwise", cyclic_penalty=32.0)
-    )
+    capabilities = EngineCapabilities(supports_repeated_vars=True)
 
     def __init__(self, operator: str = "hash"):
         if operator not in ("hash", "sort_merge"):

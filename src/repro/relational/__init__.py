@@ -45,13 +45,8 @@ from repro.relational.sharding import (
     shard_database,
 )
 from repro.relational.statistics import (
-    ScatterWorkEstimate,
     is_alpha_acyclic,
     is_cyclic,
-    nested_loop_work_estimate,
-    pairwise_work_estimate,
-    scatter_work_estimate,
-    wcoj_work_estimate,
 )
 
 __all__ = [
@@ -80,11 +75,6 @@ __all__ = [
     "partitioner_from_spec",
     "shard_alias",
     "shard_database",
-    "ScatterWorkEstimate",
     "is_alpha_acyclic",
     "is_cyclic",
-    "nested_loop_work_estimate",
-    "pairwise_work_estimate",
-    "scatter_work_estimate",
-    "wcoj_work_estimate",
 ]

@@ -46,7 +46,7 @@ Engines live in :mod:`repro.engines` (the single registry shared with
 *execution-loop* abstraction from :mod:`repro.service.backends`.
 :class:`QueryService` itself is most conveniently reached through
 :meth:`repro.api.Session.serve`, which shares the session's caches and
-cost router.
+router.
 """
 
 from repro.service.admission import (

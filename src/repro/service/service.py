@@ -124,11 +124,11 @@ class QueryService:
         :class:`~repro.joins.base.EngineProtocol` instances.  Requests
         that do not pin a backend either rotate round-robin through this
         list (the default) or, when ``router`` is given, go to the engine
-        the cost router picks for each query.
+        the router picks for each query.
     router:
-        A :class:`repro.api.routing.CostRouter` (or compatible) used to
-        choose the backend of unpinned requests from the statistics-based
-        cost estimates; ``None`` keeps the legacy round-robin rotation.
+        A :class:`repro.api.routing.Router` (or compatible) that chooses
+        the backend of unpinned requests from a fixed software-engine
+        order; ``None`` keeps the round-robin rotation.
     pipeline:
         A ready :class:`~repro.service.pipeline.QueryPipeline` to serve
         through, in place of ``database``: its catalog, compiler, caches,
@@ -390,7 +390,7 @@ class QueryService:
         if request.backend is not None:
             return self.backends[request.backend]
         if self.router is not None:
-            decision = self.router.choose(request.query, self.database, self.backends)
+            decision = self.router.choose(request.query, self.backends)
             return self.backends[decision.chosen]
         name = self._rotation[self._next_rotation % len(self._rotation)]
         self._next_rotation += 1

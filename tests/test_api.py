@@ -2,10 +2,12 @@
 
 Covers the tentpole pieces of the Session/Statement/ResultSet redesign:
 the unified engine protocol and single registry, statement identity across
-the three front-ends, lazy result sets, cost-based routing driven by
-``relational/statistics``, cache accounting (including the plan-blind
-regression), and the ISSUE acceptance scenario.
+the three front-ends, lazy result sets, ``"auto"`` routing over a fixed
+software-engine order, cache accounting (including the plan-blind
+regression), and the acceptance scenario.
 """
+
+import itertools
 
 import pytest
 
@@ -23,17 +25,27 @@ from repro.api import (
     engine_names,
     register_engine,
 )
-from repro.api.routing import CostRouter
+from repro.api.routing import Router
 from repro.graphs import pattern_query
 from repro.joins import CachedTrieJoin, GenericJoin, LeapfrogTrieJoin, NaiveJoin, PairwiseJoin
 from repro.relational.query import Atom, ConjunctiveQuery
-from repro.relational.statistics import (
-    is_cyclic,
-    nested_loop_work_estimate,
-    pairwise_work_estimate,
-    wcoj_work_estimate,
-)
+from repro.relational.statistics import is_cyclic
 from repro.service import QueryService, workload_database
+
+#: The paper's Table 1 patterns.
+TABLE1_PATTERNS = ("path3", "path4", "cycle3", "cycle4", "clique4")
+
+#: The order ``"auto"`` walks, best first (measured: CHANGES.md).
+SOFTWARE_ORDER = ("lftj", "ctj", "generic", "pairwise")
+
+#: Every non-empty set of built-in engines, as sorted name tuples.
+ENGINE_SUBSETS = [
+    subset
+    for size in range(1, 7)
+    for subset in itertools.combinations(
+        ("ctj", "generic", "lftj", "naive", "pairwise", "triejax"), size
+    )
+]
 
 
 @pytest.fixture(scope="module")
@@ -81,11 +93,11 @@ class TestRegistry:
             assert type(engine) is cls
             assert isinstance(engine, EngineProtocol)
             assert engine.name == name
-            capabilities = engine.capabilities
-            assert capabilities.cost_model.work_model in (
-                "wcoj",
-                "pairwise",
-                "nested-loop",
+            assert isinstance(engine.capabilities, EngineCapabilities)
+            # The naive oracle and the pairwise engine turn R(x, x) into a
+            # selection; the trie joins and the model reject it.
+            assert engine.capabilities.supports_repeated_vars == (
+                name in ("naive", "pairwise")
             )
 
     def test_unknown_engine_rejected(self):
@@ -175,7 +187,7 @@ class TestStatement:
 
 
 # --------------------------------------------------------------------------- #
-# Cost-based routing
+# "auto": a fixed software-engine order
 # --------------------------------------------------------------------------- #
 class TestRouting:
     def test_cyclicity_classification(self):
@@ -186,43 +198,36 @@ class TestRouting:
         assert is_cyclic(pattern_query("cycle4"))
         assert is_cyclic(pattern_query("clique4"))
 
-    def test_work_estimates_are_positive_and_deterministic(self, api_db):
-        query = pattern_query("cycle3")
-        for estimator in (wcoj_work_estimate, pairwise_work_estimate,
-                          nested_loop_work_estimate):
-            first = estimator(query, api_db)
-            assert first >= 1.0
-            assert estimator(query, api_db) == first
+    @pytest.mark.parametrize("engines", ENGINE_SUBSETS, ids="+".join)
+    @pytest.mark.parametrize("name", TABLE1_PATTERNS)
+    def test_auto_runs_the_first_configured_engine_of_the_order(self, api_db, name, engines):
+        """``triejax`` (other hardware) and ``naive`` (the oracle) run only
+        when pinned: with any engine of the order configured, ``"auto"``
+        takes the first one; with none, it refuses and asks for a pin."""
+        session = Session(api_db, engines=engines)
+        try:
+            expected = next((e for e in SOFTWARE_ORDER if e in engines), None)
+            if expected is None:
+                with pytest.raises(ValueError, match="pin one"):
+                    session.explain(name)
+            else:
+                assert session.explain(name).decision.chosen == expected
+        finally:
+            session.close()
 
-    def test_acceptance_routes_differ_between_path_and_cyclic(self, api_db):
-        """ISSUE acceptance: Cycle-3/Clique-4 route differently from Path-2."""
+    def test_repeated_variable_query_routes_to_pairwise(self, api_db):
         session = Session(api_db)
-        path_route = session.explain("path3").decision.chosen
-        cycle_route = session.explain("cycle3").decision.chosen
-        clique_route = session.explain("clique4").decision.chosen
-        assert path_route == "ctj"          # small/acyclic → software CTJ
-        assert cycle_route == "triejax"     # heavy cyclic → accelerator model
-        assert clique_route == "triejax"
-        assert path_route != cycle_route
-
-    def test_routing_estimates_cover_every_engine(self, api_db):
-        session = Session(api_db)
-        decision = session.explain("cycle4").decision
-        assert {est.engine for est in decision.estimates} == set(session.engine_names())
-        chosen = decision.estimate_for(decision.chosen)
-        eligible_costs = [e.cost_ns for e in decision.estimates if e.eligible]
-        assert chosen.cost_ns == min(eligible_costs)
-
-    def test_repeated_variable_query_routes_to_naive(self, api_db):
         loops = ConjunctiveQuery("loops", ("x",), [Atom("E", ("x", "x"))])
-        session = Session(api_db)
-        decision = session.explain(Statement.from_query(loops)).decision
-        assert decision.chosen == "naive"
-        triejax_estimate = decision.estimate_for("triejax")
-        assert not triejax_estimate.eligible
-        result = session.execute(Statement.from_query(loops))
-        oracle = NaiveJoin().execute(loops, session.database)
-        assert result.to_set() == set(oracle.tuples)
+        looped = ConjunctiveQuery(
+            "looped", ("x", "y"), [Atom("E", ("x", "x")), Atom("E", ("x", "y"))]
+        )
+        for query in (loops, looped):
+            decision = session.explain(Statement.from_query(query)).decision
+            assert decision.chosen == "pairwise"
+            result = session.execute(Statement.from_query(query))
+            oracle = NaiveJoin().execute(query, session.database)
+            assert result.backend == "pairwise"
+            assert result.to_set() == set(oracle.tuples)
 
     def test_no_eligible_engine_raises(self, api_db):
         loops = ConjunctiveQuery("loops", ("x",), [Atom("E", ("x", "x"))])
@@ -236,41 +241,42 @@ class TestRouting:
             session.execute("cycle3", route="lftj")
 
     def test_router_is_deterministic(self, api_db):
-        router = CostRouter()
+        router = Router()
         session = Session(api_db)
-        first = router.choose(pattern_query("cycle4"), api_db, session.engines)
-        second = router.choose(pattern_query("cycle4"), api_db, session.engines)
+        first = router.choose(pattern_query("cycle4"), session.engines)
+        second = router.choose(pattern_query("cycle4"), session.engines)
         assert first == second
 
-    def test_auto_route_memoised_until_catalog_mutates(self, api_db):
+    @pytest.mark.parametrize("engine", ["lftj", "ctj", "generic", "pairwise", "naive", "triejax"])
+    def test_a_named_route_goes_through_router_pinned(self, api_db, engine):
+        session = fresh_session(api_db, engines=(engine,))
+        router = session.router
+        inner = router.pinned
         calls = []
 
-        class SpyRouter(CostRouter):
-            def choose(self, query, database, engines):
-                calls.append(query.name)
-                return super().choose(query, database, engines)
+        def spy(engine_name, engines):
+            calls.append(engine_name)
+            return inner(engine_name, engines)
 
-        session = fresh_session(api_db, router=SpyRouter())
-        session.execute("cycle3")
-        session.execute("cycle3")
-        session.execute("q(a,b,c) = E(a,b), E(b,c), E(c,a).")  # α-equivalent
-        assert len(calls) == 1  # one decision per canonical signature
-        session.insert("E", [(8101, 8102)])  # statistics changed
-        session.execute("cycle3")
-        assert len(calls) == 2
+        router.pinned = spy  # shadowed on the instance, as perf/spans.py does
+        assert session.execute("path3", route=engine).backend == engine
+        assert session.explain("path3", route=engine).decision.chosen == engine
+        assert calls == [engine, engine]
 
 
 # --------------------------------------------------------------------------- #
 # Session execution + ResultSet laziness
 # --------------------------------------------------------------------------- #
 class TestSessionExecute:
-    @pytest.mark.parametrize("name", ["path3", "path4", "cycle3", "cycle4", "clique4"])
+    @pytest.mark.parametrize("name", TABLE1_PATTERNS)
     def test_auto_route_matches_naive_oracle(self, api_db, name):
-        """ISSUE acceptance: auto-routed results equal the oracle on Table 1."""
+        """Auto-routed results equal the oracle on Table 1 (on lftj, not
+        the cycle-level model)."""
         session = Session(api_db)
         result = session.execute(name, route="auto")
         oracle = NaiveJoin().execute(pattern_query(name), api_db)
         assert result.to_set() == set(oracle.tuples)
+        assert result.backend == "lftj"
 
     def test_resultset_is_lazy_and_memoised(self, api_db):
         calls = []
@@ -329,10 +335,10 @@ class TestSessionExecute:
         session = fresh_session(api_db)
         explanation = session.explain("cycle4")
         assert explanation.plan is not None
-        assert explanation.decision.chosen in session.engine_names()
-        assert explanation.estimated_cost_ns > 0
+        assert explanation.decision.chosen == "lftj"
         text = explanation.describe()
-        assert "chosen engine" in text and "cost" in text
+        assert "query shape     : cyclic" in text
+        assert "chosen engine   : lftj" in text
         assert session.result_cache.stats.lookups == 0  # nothing executed
 
     def test_close_detaches_from_shared_catalog(self):
@@ -442,24 +448,26 @@ class TestSessionServe:
         record = next(iter(outcomes.values())).record
         assert record.result_cache_hit  # served from the session's cache
 
-    def test_cost_routed_service_uses_statistics_routing(self, api_db):
+    def test_auto_routed_service_follows_the_fixed_order(self, api_db):
         from repro.service import WorkloadRequest
 
-        session = fresh_session(api_db, engines=("ctj", "triejax"), routing="auto")
+        session = fresh_session(
+            api_db, engines=("triejax", "pairwise", "ctj"), routing="auto"
+        )
+        loops = ConjunctiveQuery("loops", ("x",), [Atom("E", ("x", "x"))])
         requests = [
-            WorkloadRequest(pattern_query(name), "normal", 0.0, None)
-            for name in ("path3", "cycle3", "clique4", "path4")
+            WorkloadRequest(query, "normal", 0.0, None)
+            for query in [pattern_query(name) for name in TABLE1_PATTERNS] + [loops]
         ]
         outcomes = session.serve(requests)
         backends = {o.record.query_name: o.record.backend for o in outcomes.values()}
-        assert backends["path3"] == "ctj"
-        assert backends["path4"] == "ctj"
-        assert backends["cycle3"] == "triejax"
-        assert backends["clique4"] == "triejax"
+        # ctj precedes pairwise in the order; triejax is never routed to.
+        assert backends == {**dict.fromkeys(TABLE1_PATTERNS, "ctj"), "loops": "pairwise"}
 
-    def test_cost_routing_beats_rotation_in_virtual_time(self, api_db):
+    def test_auto_routing_beats_rotation_in_virtual_time(self, api_db):
         """Rotation keeps feeding the materialising pairwise engine; the
-        router prices it out, so the served virtual makespan drops."""
+        fixed order never picks it over CTJ, so the served virtual
+        makespan drops."""
         from repro.service import WorkloadSpec, generate_requests
 
         requests = generate_requests(
@@ -489,13 +497,13 @@ class TestSessionServe:
 
     @pytest.mark.parametrize("routing", ["auto", "rotate"])
     def test_engine_added_after_the_service_reaches_it(self, api_db, routing):
-        session = fresh_session(api_db, engines=("lftj",), routing=routing)
+        session = fresh_session(api_db, engines=("ctj",), routing=routing)
         service = session.service  # built before the engine arrives
-        session.add_engine(create_engine("ctj"))
+        session.add_engine(create_engine("lftj"))
         assert session.service is service
-        assert service.serve(pattern_query("path3"), backend="ctj").record.backend == "ctj"
+        assert service.serve(pattern_query("path3"), backend="lftj").record.backend == "lftj"
         served = {
             service.serve(pattern_query(name)).record.backend for name in ("cycle3", "clique4")
         }
-        # The router prices CTJ below LFTJ on cyclic queries; rotation takes both.
-        assert served == ({"ctj"} if routing == "auto" else {"lftj", "ctj"})
+        # LFTJ heads the fixed order; rotation takes both.
+        assert served == ({"lftj"} if routing == "auto" else {"lftj", "ctj"})

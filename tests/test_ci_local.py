@@ -154,6 +154,19 @@ class TestWorkflow:
             sharding.write_text(text)
             assert ci_local.run_step(step, str(tmp_path), dict(os.environ))[0] is passes
 
+    def test_one_auto_route_refuses_a_cost_model_but_not_the_cpu_baseline(self, tmp_path):
+        step = TREE_INVARIANTS["One auto route"]
+        module = tmp_path / "src" / "repro" / "joins" / "base.py"
+        module.parent.mkdir(parents=True)
+        for text, passes in (
+            ("model = CPUCostModel(cpu_config)\n", True),
+            ("capabilities = EngineCapabilities(cost_model=CostModel())\n", False),
+            ("work = wcoj_work_estimate(query, database)\n", False),
+            ("self._route_memo = {}\n", False),
+        ):
+            module.write_text(text)
+            assert ci_local.run_step(step, str(tmp_path), dict(os.environ))[0] is passes, text
+
 
 class TestUnreadNames:
     """The lint step backed by ``scripts/unread_names.py``: every top-level

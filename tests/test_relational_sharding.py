@@ -1,10 +1,9 @@
-"""Sharded catalog semantics: partitioners, fragments, events, estimates.
+"""Sharded catalog semantics: partitioners, fragments, events.
 
 The invariants under test are the ones scatter-gather correctness rests on:
 fragments of a partitioned relation are disjoint and their union is the
-global relation; routing is deterministic; mutation events carry the shard
-the change landed in; and the per-shard work estimates see fragment
-cardinalities.
+global relation; routing is deterministic; and mutation events carry the
+shard the change landed in.
 """
 
 import pytest
@@ -20,7 +19,6 @@ from repro.relational import (
     Relation,
     Schema,
     ShardedDatabase,
-    scatter_work_estimate,
     shard_alias,
     shard_database,
 )
@@ -208,28 +206,3 @@ class TestScatterSpec:
         assert trie.num_tuples == sharded.shard_relation("E", 0).cardinality
         full_trie = view.trie_for_atom(spec.query.atoms[1], ("x", "y", "z"))
         assert full_trie.num_tuples == sharded.relation("E").cardinality
-
-
-# --------------------------------------------------------------------------- #
-# Per-shard work estimation
-# --------------------------------------------------------------------------- #
-class TestScatterWorkEstimates:
-    def test_monolithic_catalog_has_no_scatter_estimate(self, base_db):
-        assert scatter_work_estimate(pattern_query("cycle3"), base_db) is None
-
-    @pytest.mark.parametrize("model", ["wcoj", "pairwise", "nested-loop"])
-    def test_per_shard_estimates_cover_all_shards(self, base_db, model):
-        sharded = shard_database(base_db, 4)
-        estimate = scatter_work_estimate(pattern_query("cycle3"), sharded, model)
-        assert estimate is not None and estimate.num_shards == 4
-        assert all(work >= 1.0 for work in estimate.per_shard)
-        assert estimate.parallel == max(estimate.per_shard)
-        assert estimate.total == pytest.approx(sum(estimate.per_shard))
-
-    def test_parallel_work_shrinks_with_shard_count(self, base_db):
-        query = pattern_query("cycle3")
-        sharded2 = shard_database(base_db, 2)
-        sharded4 = shard_database(base_db, 4)
-        two = scatter_work_estimate(query, sharded2)
-        four = scatter_work_estimate(query, sharded4)
-        assert four.parallel < two.parallel

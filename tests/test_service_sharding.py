@@ -12,7 +12,6 @@ while queries after it observe the new data.
 import pytest
 
 from repro.api import Session, Statement, create_engine
-from repro.api.routing import CostRouter
 from repro.graphs import community_graph, graph_database, pattern_query
 from repro.relational import Database, Relation, Schema, shard_database
 from repro.relational.query import Atom, ConjunctiveQuery
@@ -427,28 +426,23 @@ class TestMutationDuringWorkload:
 
 
 # --------------------------------------------------------------------------- #
-# Cost routing over sharded catalogs
+# "auto" routing over sharded catalogs
 # --------------------------------------------------------------------------- #
 class TestShardedRouting:
-    def test_estimates_price_scatter_gather(self, base_db):
-        sharded = shard_database(base_db, 4)
-        engines = {name: create_engine(name) for name in ("lftj", "ctj")}
-        router = CostRouter()
-        query = pattern_query("cycle3")
-        _, mono = router.estimates(query, base_db, engines)
-        _, scattered = router.estimates(query, sharded, engines)
-        for m, s in zip(mono, scattered):
-            assert m.shards == 1 and s.shards == 4
-            assert "scatter-gather" in s.reason
-            # The critical path of 4 parallel shards beats one big run.
-            assert s.cost_ns < m.cost_ns
+    @pytest.mark.parametrize("name", ["path3", "path4", "cycle3", "cycle4", "clique4"])
+    def test_two_shards_route_like_the_monolithic_session(self, base_db, name):
+        monolithic = Session(base_db)
+        sharded = Session(base_db, shards=2)
+        assert sharded.num_shards == 2
+        chosen = monolithic.explain(name).decision.chosen
+        assert sharded.explain(name).decision.chosen == chosen == "lftj"
+        monolithic.close()
+        sharded.close()
 
     def test_routing_still_picks_an_engine(self, base_db):
         sharded = shard_database(base_db, 2)
         session = Session(sharded, engines=("lftj", "ctj", "naive"))
-        explanation = session.explain("cycle3")
-        assert explanation.decision.chosen in ("lftj", "ctj", "naive")
-        assert any(est.shards == 2 for est in explanation.decision.estimates)
+        assert session.explain("cycle3").decision.chosen == "lftj"
 
 
 # --------------------------------------------------------------------------- #
