@@ -165,7 +165,7 @@ class Session:
         ``workers`` / ``backend`` of the session's
         :class:`~repro.service.QueryService` (documented there).
         ``concurrency=1`` (default) keeps the deterministic virtual-time
-        loop.  :meth:`close` releases a pooled backend's host resources.
+        loop.  :meth:`close` releases the process backend's host resources.
     max_in_flight / max_queue_depth / seed:
         Admission-control knobs for :meth:`serve`.
     trace:
@@ -479,7 +479,7 @@ class Session:
                     {"pinned": route not in (None, "auto")},
                 )
             prepared = pipeline.prepare(query, signature, engine, start, trace)
-            completed = pipeline.finalize(prepared, prepared.run())
+            completed = pipeline.finalize(prepared, *prepared.collect())
             pipeline.publish(completed)
             self._trace_clock = completed.finish_time
             if prepared.error is not None:

@@ -13,7 +13,6 @@ The CLI exposes the library's main entry points without writing any Python::
     python -m repro compare cycle4 --dataset bitcoin --scale 0.01
     python -m repro workload --dataset grqc --num-queries 200 --backends lftj ctj
     python -m repro workload --dataset grqc --route auto --backends ctj pairwise
-    python -m repro workload --dataset grqc --backend threads --workers 4
     python -m repro workload --dataset grqc --backend process --workers 4
     python -m repro run cycle3 --dataset grqc --backend process --workers 2
     python -m repro workload --dataset grqc --trace out.jsonl --metrics out.prom
@@ -36,12 +35,11 @@ one of the paper's tables/figures; ``compare`` pits TrieJax against the
 four baseline systems on a single workload; ``workload`` serves a seeded
 stream of mixed queries through the :mod:`repro.service` subsystem —
 rotating round-robin or on the fixed software-engine order (``--route
-auto``), on the deterministic virtual-time loop, a concurrent thread pool,
-or a process pool over shared-memory trie segments
-(``--backend threads|process --workers N``, same results with wall-clock
-numbers in the report; ``run`` accepts the same flags and serves the
-single query through the service layer) — and prints the service report
-(latencies, queue waits, cache hit rates); ``workload
+auto``), on the deterministic virtual-time loop or a process pool over
+shared-memory trie segments (``--backend process --workers N``, same
+results with wall-clock numbers in the report; ``run`` accepts the same
+flags and serves the single query through the service layer) — and prints
+the service report (latencies, queue waits, cache hit rates); ``workload
 --maintenance incremental`` serves with delta-patched caches instead of
 drop-and-recompute; ``store init|snapshot|recover|info`` manages
 a durable store directory (:mod:`repro.storage`) and ``run``/``workload``
@@ -376,13 +374,13 @@ def _add_execution_arguments(parser) -> None:
         choices=list(EXECUTION_BACKEND_NAMES),
         help="execution backend from the shared registry "
         "(repro.service.backends): the deterministic virtual-time loop "
-        "(``run`` executes synchronously), a thread pool, or a process pool "
-        "over shared-memory trie segments — same results and cache "
+        "(``run`` executes synchronously) or a process pool over "
+        "shared-memory trie segments — same results and cache "
         "behaviour, wall-clock numbers printed",
     )
     parser.add_argument(
         "--workers", type=int, default=4,
-        help="worker count of a pooled execution backend",
+        help="worker processes of the process backend",
     )
 
 
@@ -535,8 +533,8 @@ def _cmd_run(args) -> int:
 def _run_on_service(session, statement, args) -> int:
     """Serve a single ``run`` query through the session's service layer.
 
-    The pooled execution backends (``--backend threads|process``) live
-    behind :class:`repro.service.QueryService`, so the query goes through
+    The process backend (``--backend process``) lives behind
+    :class:`repro.service.QueryService`, so the query goes through
     submit/drain — the engine work actually runs on the configured worker
     pool, while results and cache behaviour match the synchronous path.
     """

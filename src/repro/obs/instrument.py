@@ -9,9 +9,9 @@ span, and the per-shard scatter/gather legs reconstructed from a
 
 Shard legs are *derived* spans: they are laid out in virtual time from the
 recorded per-task costs using the same model the executor charges
-(``dispatch * n + critical path + merge``), rather than traced live on
-worker threads — that keeps worker threads free of tracer calls and makes
-the leg layout identical under the serial and concurrent fan-outs.
+(``dispatch * n + critical path + merge``), rather than traced live in
+worker processes — that keeps workers free of tracer calls and makes the
+leg layout identical under the inline and process fan-outs.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ scatter leg — on **two clocks**:
   seeded workload, whatever execution backend runs the work.
 * ``wall_elapsed_s`` is the *host* wall-clock span of the phase, recorded
   only when a real execution backend measured one
-  (:class:`~repro.service.backends.ThreadPoolBackend`).  Virtual runs carry
+  (:class:`~repro.service.backends.ProcessPoolBackend`).  Virtual runs carry
   no wall fields at all, so their exported traces are byte-identical
   run-to-run.
 
@@ -19,7 +19,7 @@ order) and ``span_id`` (pre-order walk of the tree) when a root span is
 finished.  The serving layer finishes every query trace at the request's
 virtual-time *completion* event, which both execution backends process in
 the same order — so ids, parentage and ordering are identical under
-:class:`VirtualTimeBackend` and :class:`ThreadPoolBackend` by construction.
+:class:`VirtualTimeBackend` and :class:`ProcessPoolBackend` by construction.
 
 **Zero overhead when off.**  The default tracer everywhere is
 :data:`NULL_TRACER`, whose ``enabled`` flag is ``False``; instrumented code
@@ -31,7 +31,6 @@ are not instrumented).  ``benchmarks/bench_obs_overhead.py`` pins the
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
@@ -161,9 +160,8 @@ class Tracer:
     appends the root to :attr:`spans`.  Export through
     :mod:`repro.obs.export` (JSONL / Chrome trace-event format).
 
-    Id assignment happens under a lock, but determinism is the *caller's*
-    ordering contract: the serving layer finishes traces only from its
-    orchestrator thread, in virtual-time completion order.
+    Determinism is the *caller's* ordering contract: the serving layer
+    finishes traces in virtual-time completion order.
     """
 
     #: Instrumented code guards every tracing block on this flag.
@@ -174,7 +172,6 @@ class Tracer:
         self.spans: List[Span] = []
         self._next_trace_id = 0
         self._next_span_id = 1
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Span lifecycle
@@ -190,18 +187,17 @@ class Tracer:
 
     def finish(self, root: Span) -> Span:
         """Seal a trace: assign deterministic ids and record the root."""
-        with self._lock:
-            if root.trace_id is None:
-                root.trace_id = self._next_trace_id
-                self._next_trace_id += 1
-            for span in root.walk():
-                span.trace_id = root.trace_id
-                span.span_id = self._next_span_id
-                self._next_span_id += 1
-                for child in span.children:
-                    child.parent_id = span.span_id
-            root.parent_id = None
-            self.spans.append(root)
+        if root.trace_id is None:
+            root.trace_id = self._next_trace_id
+            self._next_trace_id += 1
+        for span in root.walk():
+            span.trace_id = root.trace_id
+            span.span_id = self._next_span_id
+            self._next_span_id += 1
+            for child in span.children:
+                child.parent_id = span.span_id
+        root.parent_id = None
+        self.spans.append(root)
         return root
 
     def emit(
@@ -225,16 +221,13 @@ class Tracer:
     # ------------------------------------------------------------------ #
     def clear(self) -> None:
         """Drop collected spans and reset id counters (fresh trace session)."""
-        with self._lock:
-            self.spans.clear()
-            self._next_trace_id = 0
-            self._next_span_id = 1
+        self.spans.clear()
+        self._next_trace_id = 0
+        self._next_span_id = 1
 
     def all_spans(self) -> List[Span]:
         """Every finished span, flattened in (emission, pre-order) order."""
-        with self._lock:
-            roots = list(self.spans)
-        return [span for root in roots for span in root.walk()]
+        return [span for root in self.spans for span in root.walk()]
 
     def __len__(self) -> int:
         return len(self.spans)

@@ -36,7 +36,6 @@ from it).  This package knows nothing about files and never imports
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import (
@@ -331,11 +330,6 @@ class Database(MutationSource):
         self.name = name
         self._relations: Dict[str, Relation] = {}
         self._trie_cache: Dict[Tuple[str, Tuple[str, ...]], TrieIndex] = {}
-        # Concurrent engine executions (the service's threaded backend)
-        # request tries for the same (relation, order) simultaneously; the
-        # lock makes the lazy build happen exactly once instead of racing
-        # the check-then-insert.
-        self._trie_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Relation management
@@ -405,10 +399,9 @@ class Database(MutationSource):
         return batch
 
     def _invalidate(self, relation_name: str, delta: int, kind: str) -> None:
-        with self._trie_lock:
-            stale = [key for key in self._trie_cache if key[0] == relation_name]
-            for key in stale:
-                del self._trie_cache[key]
+        stale = [key for key in self._trie_cache if key[0] == relation_name]
+        for key in stale:
+            del self._trie_cache[key]
         self._notify(MutationEvent(relation_name, shard=None, delta=delta, kind=kind))
 
     def _apply_delta(self, relation_name: str, batch: DeltaBatch) -> None:
@@ -422,17 +415,16 @@ class Database(MutationSource):
         instead, and the next reader rebuilds it.
         """
         relation = self.relation(relation_name)
-        with self._trie_lock:
-            stale = [
-                (key, trie)
-                for key, trie in self._trie_cache.items()
-                if key[0] == relation_name
-            ]
-            for key, trie in stale:
-                if trie.num_tuples + batch.count != relation.cardinality:
-                    del self._trie_cache[key]
-                elif batch.rows:
-                    self._trie_cache[key] = trie.extended(relation, batch.rows)
+        stale = [
+            (key, trie)
+            for key, trie in self._trie_cache.items()
+            if key[0] == relation_name
+        ]
+        for key, trie in stale:
+            if trie.num_tuples + batch.count != relation.cardinality:
+                del self._trie_cache[key]
+            elif batch.rows:
+                self._trie_cache[key] = trie.extended(relation, batch.rows)
         self._notify(MutationEvent(relation_name, shard=None, delta=batch, kind="insert"))
 
     # ------------------------------------------------------------------ #
@@ -474,18 +466,16 @@ class Database(MutationSource):
                         state.name, Schema(state.attributes), state.fragments[fragment]
                     )
                 )
-        with self._trie_lock:
-            for trie, shard in tries:
-                if shard == fragment and trie.relation_name in self._relations:
-                    self._trie_cache[(trie.relation_name, trie.attribute_order)] = trie
+        for trie, shard in tries:
+            if shard == fragment and trie.relation_name in self._relations:
+                self._trie_cache[(trie.relation_name, trie.attribute_order)] = trie
 
     # ------------------------------------------------------------------ #
     # Trie construction
     # ------------------------------------------------------------------ #
     def cached_tries(self) -> Tuple[TrieIndex, ...]:
         """Snapshot of the currently cached (built or adopted) tries."""
-        with self._trie_lock:
-            return tuple(self._trie_cache.values())
+        return tuple(self._trie_cache.values())
 
     def trie(self, relation_name: str, attribute_order: Sequence[str]) -> TrieIndex:
         """Return (building if needed) the trie of ``relation_name`` in the given order.
@@ -495,13 +485,11 @@ class Database(MutationSource):
         per engine per experiment.
         """
         key = (relation_name, tuple(attribute_order))
-        with self._trie_lock:
-            trie = self._trie_cache.get(key)
-            if trie is None:
-                relation = self.relation(relation_name)
-                trie = TrieIndex(relation, attribute_order)
-                self._trie_cache[key] = trie
-            return trie
+        trie = self._trie_cache.get(key)
+        if trie is None:
+            trie = TrieIndex(self.relation(relation_name), attribute_order)
+            self._trie_cache[key] = trie
+        return trie
 
     def trie_for_atom(
         self, atom: Atom, variable_order: Sequence[str]

@@ -307,9 +307,8 @@ class TrieIndex:
         it and :meth:`memory_words` does not count it.  Built on first use
         with one C-level pass and kept for this trie's lifetime — the root
         level never changes under it — and shared with the trie
-        :meth:`extended` returns when the batch adds no root value.  Threads
-        that race on the first use each build an equal map and the last
-        store wins, which is benign.  Never persisted.
+        :meth:`extended` returns when the batch adds no root value.  Never
+        persisted.
         """
         positions = self._root_positions
         if positions is None:

@@ -24,10 +24,9 @@ semi-naive delta joins (:mod:`repro.joins.delta`).
 
 *How* admitted requests physically execute is pluggable too
 (:mod:`repro.service.backends`): :class:`VirtualTimeBackend` is the
-deterministic virtual-time oracle, :class:`ThreadPoolBackend` overlaps the
-engine work on a host worker pool, and :class:`ProcessPoolBackend` ships
-it to worker processes over shared-memory trie segments
-(:mod:`repro.service.shm`) to escape the GIL — all while keeping the same
+deterministic virtual-time oracle and :class:`ProcessPoolBackend` ships
+the engine work to worker processes over shared-memory trie segments
+(:mod:`repro.service.shm`) to escape the GIL — both keeping the same
 deterministic event order (identical results, cache contents and admission
 decisions — see ``QueryService(backend=..., workers=...)``).
 
@@ -60,7 +59,6 @@ from repro.service.backends import (
     EXECUTION_BACKENDS,
     ExecutionBackend,
     ProcessPoolBackend,
-    ThreadPoolBackend,
     VirtualTimeBackend,
     create_execution_backend,
 )
@@ -122,7 +120,6 @@ __all__ = [
     "EXECUTION_BACKEND_NAMES",
     "ExecutionBackend",
     "ProcessPoolBackend",
-    "ThreadPoolBackend",
     "VirtualTimeBackend",
     "create_execution_backend",
     "BackdatedArrivalWarning",

@@ -20,11 +20,12 @@ Within a class, requests dispatch in submission order (FIFO, sequence
 numbers assigned at submit time).
 
 Slot accounting (`submit`/`next_request`/`release`) and the activity
-counters are guarded by an internal lock: the event loop may be driven from
-any thread while others probe ``in_flight``/``queue_depth``, and unguarded
-read-modify-write sequences (``self._in_flight += 1``, peak tracking) would
-lose updates and leak slots.  Determinism is unaffected — the seeded lottery
-is only drawn under the lock, in the event-loop order the backend guarantees.
+counters are guarded by an internal lock.  The service drives the controller
+from its one draining thread, but the class is exported and a caller may
+share it between threads, where unguarded read-modify-write sequences
+(``self._in_flight += 1``, peak tracking) would lose updates and leak slots;
+``tests/test_service_concurrency.py`` hammers it.  Determinism is unaffected
+— the seeded lottery is only drawn under the lock, in the event-loop order.
 """
 
 from __future__ import annotations

@@ -24,15 +24,14 @@ the same style of hit/miss/eviction counters as
 :class:`~repro.core.pjr_cache.PJRCacheStats` so service reports can show
 plan- and result-reuse rates side by side.
 
-**Thread safety.**  The serving layer's threaded execution backend
-(:class:`repro.service.backends.ThreadPoolBackend`) reads these caches from
-worker threads — the scatter-gather executor probes the per-shard partial
-cache from every concurrent request.  Unsynchronised, the ``OrderedDict``
-corrupts (``move_to_end`` racing a structural mutation) and the ``+=``
-stats counters lose updates, so every public operation takes the cache's
-internal re-entrant lock.  The lock protects *individual operations*; the
-cross-operation ordering that determinism needs (get-before-publish) is the
-execution backend's job.
+**Thread safety.**  The serving layer touches these caches from one thread
+(the one that drains), but the caches are exported classes a caller may
+share between threads.  Unsynchronised, the ``OrderedDict`` corrupts
+(``move_to_end`` racing a structural mutation) and the ``+=`` stats
+counters lose updates, so every public operation takes the cache's internal
+re-entrant lock; ``tests/test_service_concurrency.py`` hammers it.  The lock
+protects *individual operations*; the cross-operation ordering that
+determinism needs (get-before-publish) is the event loop's job.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ injection in virtual time".  This module supplies both halves:
   worker-crash trigger, every one scheduled on the *service clock* (modelled
   nanoseconds).  Each primitive is a pure function of ``(node, now)`` plus a
   seeded hash, never of host scheduling or mutable counters, so an identical
-  fault plan produces bit-identical behaviour on the virtual, threaded and
-  process backends — the property the fault-equivalence suite pins.
+  fault plan produces bit-identical behaviour on the virtual and process
+  backends — the property the fault-equivalence suite pins.
 * **Tolerance** — :class:`RetryPolicy` (per-task timeouts, capped
   exponential backoff, hedged duplicate dispatch), :class:`CircuitBreaker` /
   :class:`NodeBreakers` (per-node closed → open → half-open gating on the
@@ -30,7 +30,6 @@ JoinStats and no cache entries) — exactly the degradation contract
 from __future__ import annotations
 
 import math
-import threading
 import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -441,15 +440,14 @@ class NodeBreakers:
     """Per-node circuit breakers, mutated only at deterministic points.
 
     The scatter path *reads* breakers at dispatch (to build a gate) and
-    *writes* them at completion — both on the orchestrator thread, in
-    virtual-time order — so pooled backends observe the same admission
-    decisions as the virtual-time oracle.
+    *writes* them at completion — both in virtual-time order — so every
+    execution backend observes the same admission decisions as the
+    virtual-time oracle.
     """
 
     def __init__(self, policy: RetryPolicy):
         self.policy = policy
         self._breakers: Dict[int, CircuitBreaker] = {}
-        self._lock = threading.Lock()
 
     def _breaker(self, node: int) -> CircuitBreaker:
         breaker = self._breakers.get(node)
@@ -462,23 +460,20 @@ class NodeBreakers:
 
     def gate(self, nodes: Iterable[int], now: float) -> Dict[int, bool]:
         """Admission verdict per node at virtual ``now``."""
-        with self._lock:
-            return {node: self._breaker(node).allow(now) for node in nodes}
+        return {node: self._breaker(node).allow(now) for node in nodes}
 
     def observe(self, outcomes: Iterable[Tuple[int, bool]], now: float) -> None:
         """Record ``(node, ok)`` attempt outcomes at virtual ``now``."""
-        with self._lock:
-            for node, ok in outcomes:
-                breaker = self._breaker(node)
-                if ok:
-                    breaker.record_success(now)
-                else:
-                    breaker.record_failure(now)
+        for node, ok in outcomes:
+            breaker = self._breaker(node)
+            if ok:
+                breaker.record_success(now)
+            else:
+                breaker.record_failure(now)
 
     def state(self, node: int) -> str:
-        with self._lock:
-            breaker = self._breakers.get(node)
-            return breaker.state if breaker is not None else "closed"
+        breaker = self._breakers.get(node)
+        return breaker.state if breaker is not None else "closed"
 
 
 # --------------------------------------------------------------------------- #

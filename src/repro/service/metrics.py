@@ -105,9 +105,9 @@ class QueryRecord:
     Times are in the service's virtual clock (modelled nanoseconds, see
     :mod:`repro.engines`); ``service_time`` is the backend-charged
     cost, a small constant for result-cache hits.  ``wall_elapsed`` is the
-    *host* wall-clock span (seconds) of the request's engine work when a
-    concurrent execution backend measured one — ``None`` under the
-    virtual-time backend and for cache hits (no engine ran).  Virtual and
+    *host* wall-clock span (seconds) of the request's engine work when the
+    process backend measured one (a fan-out's slowest shard) — ``None``
+    under the virtual-time backend and for cache hits (no engine ran).  Virtual and
     wall clocks are different units on purpose: virtual time is the
     deterministic model, wall time is the measurement.
     """
@@ -262,9 +262,9 @@ class ServiceMetrics:
     def wall_execution_summary(self) -> Dict[str, float]:
         """Host wall-clock spans of measured engine work (seconds).
 
-        Only records with a measured ``wall_elapsed`` contribute (pooled
-        backends measure; the virtual backend and cache hits do not), so
-        ``count`` may be below the window's length.  A pure virtual run
+        Only records with a measured ``wall_elapsed`` contribute (the
+        process backend measures; the virtual backend and cache hits do
+        not), so ``count`` may be below the window's length.  A pure virtual run
         yields the zero summary ``{"count": 0, "mean": 0.0, "p50": 0.0,
         "p95": 0.0, "max": 0.0}``; this never raises.
         """
@@ -439,7 +439,7 @@ class ServiceMetrics:
         )
         _family(
             lines, "execution_wall_seconds", "histogram",
-            "Measured host wall-clock engine spans (threaded backend only).",
+            "Measured host wall-clock engine spans (process backend only).",
             (), {(): wall} if wall else {}, WALL_BUCKETS_S,
         )
         _family(

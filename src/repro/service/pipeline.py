@@ -1,4 +1,4 @@
-"""The request pipeline: one prepare → execute → finalize → publish path.
+"""The request pipeline: one prepare → collect → finalize → publish path.
 
 The paper hands *one* CTJ-compiled plan unchanged to every executor
 (conf_asplos_KalinskyKE20, Section 3.2); :class:`QueryPipeline` is the one
@@ -7,13 +7,13 @@ the same four stages over the same caches:
 
 1. :meth:`QueryPipeline.prepare` — result-cache probe, then (on a miss)
    the scatter spec of a sharded catalog or the plan-cache probe/compile
-   for a plan-aware engine.  Everything whose *order* is observable runs
-   here, on the caller's thread.
-2. ``prepared.work()`` — the engine execution (or scatter-gather fan-out):
-   a pure closure over the read-only catalog that may run on any thread.
-   Its engine calls go through one hook, ``run_engine``
-   (:meth:`repro.service.backends.ExecutionBackend.run_engine`), so the
+   for a plan-aware engine, and the engine work's submission.  Everything
+   whose *order* is observable runs here.  The engine calls go through one
+   hook, ``submit_engine``
+   (:meth:`repro.service.backends.ExecutionBackend.submit_engine`), so the
    execution backend alone decides where engine work runs.
+2. :meth:`PreparedQuery.collect` — waits for the submitted engine work
+   (and gathers a scatter-gather fan-out).
 3. :meth:`QueryPipeline.finalize` — charge the virtual service time and
    close the trace's ``execute`` span.
 4. :meth:`QueryPipeline.publish` — the only point a fresh result, its shard
@@ -45,7 +45,7 @@ from repro.obs.instrument import annotate_execute_span
 from repro.obs.trace import Span, Tracer, coerce_tracer
 from repro.relational.catalog import Database
 from repro.relational.query import ConjunctiveQuery
-from repro.service.backends import run_inline
+from repro.service.backends import submit_inline
 from repro.service.caches import PlanCache, ResultCache
 from repro.service.faults import (
     FaultInjector,
@@ -81,10 +81,11 @@ def check_pipeline_options(options: Mapping[str, object]) -> None:
 class PreparedQuery:
     """The deterministic prepare stage of one query, engine work still pending.
 
-    ``work`` is the engine execution itself — ``None`` when the result cache
-    already answered (``tuples`` is then the cached answer).  ``error`` is
-    set by ``work`` when a scatter fan-out lost a shard on every replica
-    under ``on_shard_loss="fail"``: the typed failure travels to
+    ``work`` collects the submitted engine execution as ``(execution,
+    wall_seconds)`` — ``None`` when the result cache already answered
+    (``tuples`` is then the cached answer).  ``error`` is set by ``work``
+    when a scatter fan-out lost a shard on every replica under
+    ``on_shard_loss="fail"``: the typed failure travels to
     :meth:`QueryPipeline.finalize` instead of tearing down the caller's loop.
     """
 
@@ -93,7 +94,7 @@ class PreparedQuery:
     engine: EngineProtocol
     start_time: float
     trace: Optional[Span] = None  # root span of the query's trace, if tracing
-    work: Optional[Callable[[], Optional[EngineExecution]]] = None
+    work: Optional[Callable[[], Tuple[Optional[EngineExecution], Optional[float]]]] = None
     tuples: Optional[List[Tuple[int, ...]]] = None
     plan: Optional[JoinPlan] = None
     plan_cache_hit: bool = False
@@ -105,9 +106,14 @@ class PreparedQuery:
     def result_cache_hit(self) -> bool:
         return self.tuples is not None
 
-    def run(self) -> Optional[EngineExecution]:
-        """Run the pending engine work inline (``None`` for a cache hit)."""
-        return self.work() if self.work is not None else None
+    def collect(self) -> Tuple[Optional[EngineExecution], Optional[float]]:
+        """``(execution, wall_seconds)`` of the submitted engine work.
+
+        ``(None, None)`` for a cache hit or a lost fan-out; the wall is the
+        backend's host span of the engine work (a fan-out's slowest shard),
+        ``None`` where nothing was measured.
+        """
+        return self.work() if self.work is not None else (None, None)
 
 
 @dataclass(slots=True)
@@ -313,19 +319,18 @@ class QueryPipeline:
         engine: EngineProtocol,
         start_time: float,
         trace: Optional[Span] = None,
-        run_engine=run_inline,
+        submit_engine=submit_inline,
     ) -> PreparedQuery:
         """The deterministic stage of one query dispatched at ``start_time``.
 
-        Probes the result cache; on a miss, builds the scatter fan-out of a
-        sharded catalog (the executor owns the rewritten plans and the
+        Probes the result cache; on a miss, submits the scatter fan-out of
+        a sharded catalog (the executor owns the rewritten plans and the
         per-shard partial cache, so the plan cache is bypassed) or probes
-        the plan cache for a plan-aware engine.  The returned ``work``
-        closure touches no ordered state and may run on any thread.
+        the plan cache for a plan-aware engine and submits one catalog.
+        The returned ``work`` step collects, and touches no ordered state.
 
-        ``run_engine`` is the execution backend's engine-work hook
-        (inline by default): the closure runs one catalog through it, or
-        hands it to the scatter fan-out for the missed shards.
+        ``submit_engine`` is the execution backend's engine-work hook
+        (inline by default).
         """
         prepared = PreparedQuery(query, signature, engine, start_time, trace)
         cached = self.result_cache.get(signature)
@@ -337,25 +342,25 @@ class QueryPipeline:
         scatter = self.scatter
         if scatter is not None:
             spec = scatter.spec_for(query)
-            # Breaker admission is read here, on the caller's thread; pooled
-            # backends then see the gate the virtual-time oracle computed.
-            # Outcomes feed back in publish, never from worker threads.
-            breaker_gate = scatter.breaker_gate(start_time)
+            # Breaker admission is read at dispatch and outcomes feed back
+            # in publish, so every backend sees the oracle's gate.
+            gather = scatter.submit(
+                query,
+                engine,
+                spec=spec,
+                collect_partials=prepared.partial_entries,
+                submit_engine=submit_engine,
+                now=start_time,
+                breaker_gate=scatter.breaker_gate(start_time),
+            )
 
-            def scatter_work() -> Optional[EngineExecution]:
+            def scatter_work() -> Tuple[Optional[EngineExecution], Optional[float]]:
                 try:
-                    return scatter.execute(
-                        query,
-                        engine,
-                        spec=spec,
-                        collect_partials=prepared.partial_entries,
-                        run_engine=run_engine,
-                        now=start_time,
-                        breaker_gate=breaker_gate,
-                    )
+                    execution = gather()
                 except ShardUnavailableError as error:
                     prepared.error = error
-                    return None
+                    return None, None
+                return execution, execution.scatter.wall_seconds
 
             prepared.work = scatter_work
         else:
@@ -370,7 +375,8 @@ class QueryPipeline:
                 prepared.compiled = not hit
                 if trace is not None:
                     trace.child("plan_cache", start_time, {"hit": hit, "compiled": not hit})
-            prepared.work = lambda: run_engine(engine, target, plan, (self.database,))[0][0]
+            collect = submit_engine(engine, target, plan, (self.database,))
+            prepared.work = lambda: collect()[0]
         return prepared
 
     def finalize(

@@ -31,21 +31,20 @@ dispatch charge and a per-tuple merge charge
 (:data:`~repro.relational.sharding.SCATTER_DISPATCH_COST_NS`,
 :data:`~repro.relational.sharding.SCATTER_MERGE_COST_PER_TUPLE_NS`).
 
-**Host concurrency.**  :meth:`ScatterGatherExecutor.execute` runs in three
-phases — probe the partial cache, run the missed shards, gather — and hands
-the middle one, as a single call, to the execution backend's ``run_engine``
-hook (:mod:`repro.service.backends`), which may overlap the shard
-executions on a worker pool or ship them to worker processes.  Probes and
-gather stay sequential in shard order on the calling thread, so every
-observable (tuples, costs, cache counters, aggregated stats) is identical
-whatever ran the middle phase.
+**Host concurrency.**  :meth:`ScatterGatherExecutor.submit` probes the
+partial cache and hands the missed shards, as a single call, to the
+execution backend's ``submit_engine`` hook (:mod:`repro.service.backends`),
+which may ship the shard executions to worker processes; the collect step
+it returns gathers.  Probes and gather stay sequential in shard order on the
+calling thread, so every observable (tuples, costs, cache counters,
+aggregated stats) is identical whatever ran the shards.
+:meth:`~ScatterGatherExecutor.execute` is submit-then-collect.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.joins.base import EngineExecution, EngineProtocol
 from repro.joins.compiler import QueryCompiler
@@ -59,7 +58,7 @@ from repro.relational.sharding import (
     ScatterSpec,
     ShardedDatabase,
 )
-from repro.service.backends import run_inline
+from repro.service.backends import Collect, submit_inline
 from repro.service.caches import ResultCache, ShardDependency
 from repro.service.faults import (
     FaultInjector,
@@ -84,9 +83,9 @@ class ShardTaskStats:
     """What one shard contributed to a scatter-gather execution.
 
     ``wall_seconds`` is the host wall-clock span of the shard's engine
-    execution, measured only by a pooled backend's ``run_engine`` hook
-    (``None`` under :func:`~repro.service.backends.run_inline` and for
-    cache replays) — virtual runs stay free of host timings so their
+    execution, measured only by the process backend's ``submit_engine``
+    hook (``None`` under :func:`~repro.service.backends.submit_inline` and
+    for cache replays) — virtual runs stay free of host timings so their
     traces are byte-reproducible.
 
     The fault-tolerance fields describe the task's deterministic attempt
@@ -164,6 +163,12 @@ class ScatterGatherStats:
     @property
     def hedges(self) -> int:
         return sum(1 for task in self.tasks if task.hedged)
+
+    @property
+    def wall_seconds(self) -> Optional[float]:
+        """The slowest measured shard's host wall seconds (``None``: none measured)."""
+        walls = [task.wall_seconds for task in self.tasks if task.wall_seconds is not None]
+        return max(walls) if walls else None
 
     def describe(self) -> str:
         lines = [
@@ -256,11 +261,7 @@ class ScatterGatherExecutor:
         # Rewritten plans by canonical signature (the seed is always atom 0):
         # pure query structure, shared by every shard and never invalidated
         # by data.
-        # Locked: concurrent requests may compile the same signature from
-        # worker threads; compilation is deterministic, so serialising it
-        # only avoids duplicate work and a torn check-then-insert.
         self._plan_memo: Dict[str, JoinPlan] = {}
-        self._plan_lock = threading.Lock()
         # Scatter spec by signature, recorded at execute time so the
         # incremental-maintenance path (see maintain) can rebuild a shard's
         # view when patching its cached partial.
@@ -277,8 +278,8 @@ class ScatterGatherExecutor:
     def breaker_gate(self, now: float) -> Optional[Dict[int, bool]]:
         """Per-node breaker admission at virtual ``now`` (None when unarmed).
 
-        Called on the orchestrator thread at *dispatch*, so pooled backends
-        see the same admission decisions as the virtual-time oracle.
+        Called at *dispatch*, so the gate is the one the virtual-time oracle
+        computes, whenever the shard work is collected.
         """
         if not self.fault_tolerant:
             return None
@@ -287,8 +288,7 @@ class ScatterGatherExecutor:
     def observe_attempts(self, stats: ScatterGatherStats, now: float) -> None:
         """Feed an execution's attempt outcomes to the breakers at ``now``.
 
-        Called at the request's *completion* event (orchestrator thread,
-        virtual-time order) — never from worker threads.
+        Called at the request's *completion* event, in virtual-time order.
         """
         if stats.attempt_outcomes:
             self.breakers.observe(stats.attempt_outcomes, now)
@@ -310,12 +310,11 @@ class ScatterGatherExecutor:
         return tuple(dict.fromkeys((seed,) + others))
 
     def _plan_for(self, signature: str, spec: ScatterSpec) -> JoinPlan:
-        with self._plan_lock:
-            plan = self._plan_memo.get(signature)
-            if plan is None:
-                plan = self.compiler.compile(spec.query)
-                self._plan_memo[signature] = plan
-            return plan
+        plan = self._plan_memo.get(signature)
+        if plan is None:
+            plan = self.compiler.compile(spec.query)
+            self._plan_memo[signature] = plan
+        return plan
 
     def execute(
         self,
@@ -323,15 +322,35 @@ class ScatterGatherExecutor:
         engine: EngineProtocol,
         spec: Optional[ScatterSpec] = None,
         collect_partials: Optional[List[PartialEntry]] = None,
-        run_engine=run_inline,
+        submit_engine=submit_inline,
         now: float = 0.0,
         breaker_gate: Optional[Dict[int, bool]] = None,
     ) -> EngineExecution:
         """Scatter ``query`` over the shards through ``engine`` and gather.
 
-        The returned execution carries the merged tuples, the critical-path
+        :meth:`submit` then its collect step, for callers that wait.  The
+        returned execution carries the merged tuples, the critical-path
         virtual-time cost, aggregated engine counters, and a
         :class:`ScatterGatherStats` breakdown in ``scatter``.
+        """
+        return self.submit(
+            query, engine, spec, collect_partials, submit_engine, now, breaker_gate
+        )()
+
+    def submit(
+        self,
+        query: ConjunctiveQuery,
+        engine: EngineProtocol,
+        spec: Optional[ScatterSpec] = None,
+        collect_partials: Optional[List[PartialEntry]] = None,
+        submit_engine=submit_inline,
+        now: float = 0.0,
+        breaker_gate: Optional[Dict[int, bool]] = None,
+    ) -> Callable[[], EngineExecution]:
+        """Probe the partial cache and submit the missed shards' engine work.
+
+        Returns the collect step, which gathers the execution :meth:`execute`
+        returns.
 
         With ``collect_partials``, freshly computed per-shard partials are
         appended to that list instead of entering the partial cache
@@ -340,19 +359,20 @@ class ScatterGatherExecutor:
         causality the result cache already honours (a concurrent duplicate
         must not replay a result that has not finished yet in virtual time).
 
-        ``run_engine`` is the execution backend's engine-work hook
-        (:meth:`repro.service.backends.ExecutionBackend.run_engine`; inline
-        by default): one call runs every missed shard.
+        ``submit_engine`` is the execution backend's engine-work hook
+        (:meth:`repro.service.backends.ExecutionBackend.submit_engine`;
+        inline by default): one call submits every missed shard.
 
         **Fault tolerance.**  With an armed injector, ``now`` is the
         request's virtual dispatch time and the gather step charges each
         computed shard its attempt walk (:meth:`_gather`); lost shards make
-        it raise :class:`ShardUnavailableError` (``on_shard_loss="fail"``)
-        or return the surviving union flagged degraded and non-cacheable.
-        ``breaker_gate`` is the per-node circuit-breaker admission computed
-        at dispatch (:meth:`repro.service.pipeline.QueryPipeline.prepare`);
-        when ``None`` and faults are armed, the executor gates and observes
-        its own breakers inline (direct callers with no publish stage).
+        the collect step raise :class:`ShardUnavailableError`
+        (``on_shard_loss="fail"``) or return the surviving union flagged
+        degraded and non-cacheable.  ``breaker_gate`` is the per-node
+        circuit-breaker admission computed at dispatch
+        (:meth:`repro.service.pipeline.QueryPipeline.prepare`); when
+        ``None`` and faults are armed, the executor gates and observes its
+        own breakers (direct callers with no publish stage).
         """
         if spec is None:
             spec = self.spec_for(query)
@@ -365,29 +385,33 @@ class ScatterGatherExecutor:
 
         replayed = self._probe(signature)
         missed = [s for s in range(self.catalog.num_shards) if s not in replayed]
-        computed = self._run(engine, spec, plan, missed, run_engine, now)
-        execution = self._gather(
-            spec, signature, plan, replayed, computed, collect_partials, now, breaker_gate
-        )
+        collect = self._submit_shards(engine, spec, plan, missed, submit_engine, now)
 
-        stats = execution.scatter
-        if own_gate:
-            # Sequential caller: the execution is complete here, so observing
-            # at `now + cost` is the same deterministic point the service
-            # uses (the request's completion event).
-            self.observe_attempts(stats, now + execution.cost)
-        if execution.degraded and self.on_shard_loss == "fail":
-            error = ShardUnavailableError(
-                spec.seed_relation,
-                execution.missing_shards,
-                sum(task.attempts for task in stats.tasks if task.lost),
-                execution.cost,
+        def gather() -> EngineExecution:
+            computed = dict(zip(missed, collect()))
+            execution = self._gather(
+                spec, signature, plan, replayed, computed, collect_partials, now, breaker_gate
             )
-            # Carry the breakdown so the service can still feed the
-            # breakers and trace the failed fan-out at completion.
-            error.scatter = stats
-            raise error
-        return execution
+            stats = execution.scatter
+            if own_gate:
+                # No publish stage: the execution is complete here, so
+                # observing at `now + cost` is the same deterministic point
+                # the service uses (the request's completion event).
+                self.observe_attempts(stats, now + execution.cost)
+            if execution.degraded and self.on_shard_loss == "fail":
+                error = ShardUnavailableError(
+                    spec.seed_relation,
+                    execution.missing_shards,
+                    sum(task.attempts for task in stats.tasks if task.lost),
+                    execution.cost,
+                )
+                # Carry the breakdown so the service can still feed the
+                # breakers and trace the failed fan-out at completion.
+                error.scatter = stats
+                raise error
+            return execution
+
+        return gather
 
     def _probe(self, signature: str) -> Dict[int, List[Tuple[int, ...]]]:
         """Phase 1 — cached partials by shard, probed in shard order."""
@@ -399,16 +423,16 @@ class ScatterGatherExecutor:
                     replayed[shard] = cached
         return replayed
 
-    def _run(
+    def _submit_shards(
         self,
         engine: EngineProtocol,
         spec: ScatterSpec,
         plan: Optional[JoinPlan],
         shards: List[int],
-        run_engine,
+        submit_engine,
         now: float,
-    ) -> Dict[int, Tuple[EngineExecution, Optional[float]]]:
-        """Phase 2 — one ``run_engine`` call over the missed shards' views.
+    ) -> Collect:
+        """Phase 2 — one ``submit_engine`` call over the missed shards' views.
 
         With faults armed, each task reads the first replica whose node is
         live at dispatch (fragment copies are identical, so the bytes are
@@ -426,7 +450,7 @@ class ScatterGatherExecutor:
                     0,
                 )
             views.append(self.catalog.shard_view(shard, spec, replica=replica))
-        return dict(zip(shards, run_engine(engine, spec.query, plan, views)))
+        return submit_engine(engine, spec.query, plan, views)
 
     def _gather(
         self,

@@ -32,7 +32,7 @@ backend choice, admission, the event loop and metrics around it.
 
 *Where* executions physically run is pluggable
 (:mod:`repro.service.backends`): inline on the draining thread (the
-deterministic oracle, the default) or overlapped on a host worker pool —
+deterministic oracle, the default) or overlapped in worker processes —
 same virtual-time event order, results and cache contents either way.
 
 **Event-order contract.**  Arrivals are served in ``(arrival_time,
@@ -49,14 +49,14 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engines import create_engine as create_backend
 from repro.joins.base import EngineExecution, EngineProtocol
 from repro.relational.catalog import Database
 from repro.relational.query import ConjunctiveQuery
 from repro.service.admission import AdmissionController
-from repro.service.backends import ExecutionBackend, create_execution_backend, run_inline
+from repro.service.backends import Collect, ExecutionBackend, create_execution_backend
 from repro.service.caches import CacheStats
 from repro.service.faults import ShardUnavailableError
 from repro.service.metrics import RECORD_WINDOW, QueryRecord, ServiceMetrics
@@ -138,14 +138,13 @@ class QueryService:
     backend / workers:
         The *execution* backend (how admitted requests physically run, see
         :mod:`repro.service.backends`): ``"virtual"`` (deterministic
-        inline loop, the default), ``"threads"`` (engine work overlaps on
-        a ``workers``-wide host pool), ``"process"`` (plan-aware engine
-        work ships to worker processes over shared-memory trie segments,
-        see :mod:`repro.service.shm`), or a ready
+        inline loop, the default), ``"process"`` (plan-aware engine work
+        ships to ``workers`` worker processes over shared-memory trie
+        segments, see :mod:`repro.service.shm`), or a ready
         :class:`~repro.service.backends.ExecutionBackend`.  ``backend=None``
-        with ``workers > 1`` selects the threaded backend.  Same results,
-        cache contents and admission decisions on every backend; pooled
-        ones own host resources that :meth:`close` releases.
+        with ``workers > 1`` selects the process backend.  Same results,
+        cache contents and admission decisions on every backend; the
+        process backend owns host resources that :meth:`close` releases.
     max_in_flight / max_queue_depth / seed:
         Admission-control knobs (see
         :class:`~repro.service.admission.AdmissionController`); ``seed``
@@ -210,12 +209,11 @@ class QueryService:
         self._last_arrival = 0.0
         self._clock = 0.0
         self._closed = False
-        # Submission state (ids, pending list, last arrival) may be touched
-        # from worker threads of a closed-loop driver; the drain lock
-        # serialises whole drains so two threads never run the event loop
-        # concurrently over the same admission/cache state.
+        # The one boundary lock: callers may submit from several threads
+        # while one thread drains, so the submission state (ids, pending
+        # list, last arrival) is handed over under it.  Everything a drain
+        # touches stays on the draining thread.
         self._submit_lock = threading.Lock()
-        self._drain_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -293,18 +291,18 @@ class QueryService:
         The clock carries over from previous drains, and fresh results are
         published to the result cache at their completion event, never
         earlier.  Rejected requests (bounded queue) appear in
-        :attr:`rejected_requests`, not in the returned outcomes.
+        :attr:`rejected_requests`, not in the returned outcomes.  One thread
+        drains; others may :meth:`submit` meanwhile.
         """
-        with self._drain_lock:
-            arrivals = self._take_arrivals()
-            started = time.perf_counter()
-            try:
-                return self.execution_backend.drain(self, arrivals)
-            finally:
-                self.metrics.wall_drain_seconds += time.perf_counter() - started
-                # Surface the process backend's permanent inline fallback
-                # (broken worker pool) in the service report.
-                self.metrics.inline_fallbacks = self.execution_backend.inline_fallbacks
+        arrivals = self._take_arrivals()
+        started = time.perf_counter()
+        try:
+            return self.execution_backend.drain(self, arrivals)
+        finally:
+            self.metrics.wall_drain_seconds += time.perf_counter() - started
+            # Surface the process backend's permanent inline fallback
+            # (broken worker pool) in the service report.
+            self.metrics.inline_fallbacks = self.execution_backend.inline_fallbacks
 
     def serve(
         self, query: ConjunctiveQuery, priority: str = "normal", backend: Optional[str] = None
@@ -400,15 +398,15 @@ class QueryService:
         self,
         request: ServiceRequest,
         start_time: float,
-        run_engine=run_inline,
+        submit_engine: Callable[..., Collect],
     ) -> PreparedQuery:
         """Choose the request's engine and run the pipeline's prepare stage.
 
-        Runs on the orchestrator thread, in dispatch order: backend choice
-        may consume rotation/router state, and the cache probes of
-        :meth:`QueryPipeline.prepare` must happen in the virtual-time
-        oracle's order on every execution backend.  ``run_engine`` is the
-        execution backend's engine-work hook.
+        Runs in dispatch order: backend choice may consume rotation/router
+        state, and the cache probes of :meth:`QueryPipeline.prepare` must
+        happen in the virtual-time oracle's order on every execution
+        backend.  ``submit_engine`` is the execution backend's engine-work
+        hook.
         """
         pipeline = self.pipeline
         query = request.query
@@ -428,7 +426,7 @@ class QueryService:
                 },
                 arrival_time=request.arrival_time,
             )
-        return pipeline.prepare(query, signature, backend, start_time, trace, run_engine)
+        return pipeline.prepare(query, signature, backend, start_time, trace, submit_engine)
 
     def _finalize(
         self,

@@ -26,11 +26,11 @@ The pieces, in data-flow order:
   slot-compiled engines (``validate_query`` + ``trie_for_atom``), resolving
   every trie by attaching its segment ``memoryview.cast('q')`` zero-copy.
 * :class:`SharedMemoryRunner` (orchestrator) — what the process backend's
-  :meth:`~repro.service.backends.ExecutionBackend.run_engine` hook calls:
+  :meth:`~repro.service.backends.ExecutionBackend.submit_engine` hook calls:
   it owns the exporter and a ``ProcessPoolExecutor``, ships every catalog
   it can (a picklable plan-kernel engine — LFTJ, CTJ or Generic Join;
-  every trie exports) and
-  hands the rest to the threaded hook.
+  every trie exports) and runs the rest inline, on the orchestrator
+  thread.
 
 Determinism: the worker runs the exact same pickled engine over the exact
 same int64 arrays with the exact same plan, so the returned
@@ -53,7 +53,6 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
-import threading
 import time
 import warnings
 from collections import OrderedDict
@@ -273,8 +272,6 @@ class TrieSegmentExporter:
     tracks exactly the data generation workers must see.  Mutation events
     (:meth:`invalidate`) unlink every segment of the touched relation —
     conservative across shards, matching the catalog's own trie eviction.
-    Thread-safe: concurrent request threads may export while building work
-    requests.
     """
 
     #: Process-global name generation.  Worker-side attach caches key by
@@ -283,34 +280,30 @@ class TrieSegmentExporter:
     _generation = itertools.count(1)
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._entries: Dict[int, _ExportEntry] = {}
         self._closed = False
 
     def export(self, trie: TrieIndex) -> SegmentHandle:
         """The segment handle of ``trie``, exporting on first sight."""
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("exporter is closed")
-            entry = self._entries.get(id(trie))
-            if entry is not None:
-                return entry.handle
-            blob = encode_trie_segment(trie)
-            while True:
-                name = f"repro-seg-{os.getpid()}-{next(self._generation)}"
-                try:
-                    shm = shared_memory.SharedMemory(
-                        name=name, create=True, size=max(len(blob), 1)
-                    )
-                    break
-                except FileExistsError:  # stale block from a dead process
-                    continue
-            shm.buf[: len(blob)] = blob
-            handle = SegmentHandle(name=name, nbytes=len(blob), owner_pid=os.getpid())
-            self._entries[id(trie)] = _ExportEntry(
-                trie, trie.relation_name, shm, handle
-            )
-            return handle
+        if self._closed:
+            raise RuntimeError("exporter is closed")
+        entry = self._entries.get(id(trie))
+        if entry is not None:
+            return entry.handle
+        blob = encode_trie_segment(trie)
+        while True:
+            name = f"repro-seg-{os.getpid()}-{next(self._generation)}"
+            try:
+                shm = shared_memory.SharedMemory(
+                    name=name, create=True, size=max(len(blob), 1)
+                )
+                break
+            except FileExistsError:  # stale block from a dead process
+                continue
+        shm.buf[: len(blob)] = blob
+        handle = SegmentHandle(name=name, nbytes=len(blob), owner_pid=os.getpid())
+        self._entries[id(trie)] = _ExportEntry(trie, trie.relation_name, shm, handle)
+        return handle
 
     def invalidate(self, event: MutationEvent) -> None:
         """Drop every segment of the mutated relation (all shards).
@@ -319,25 +312,22 @@ class TrieSegmentExporter:
         global trie and every shard fragment — exactly the tries the
         catalog itself is about to rebuild.
         """
-        with self._lock:
-            stale = [
-                key
-                for key, entry in self._entries.items()
-                if entry.relation == event.relation
-            ]
-            for key in stale:
-                self._release(self._entries.pop(key))
+        stale = [
+            key
+            for key, entry in self._entries.items()
+            if entry.relation == event.relation
+        ]
+        for key in stale:
+            self._release(self._entries.pop(key))
 
     def active_segments(self) -> Tuple[str, ...]:
         """Names of every currently linked shared-memory block (sorted)."""
-        with self._lock:
-            return tuple(sorted(entry.handle.name for entry in self._entries.values()))
+        return tuple(sorted(entry.handle.name for entry in self._entries.values()))
 
     def close(self) -> None:
         """Unlink every exported block.  Idempotent."""
-        with self._lock:
-            entries, self._entries = list(self._entries.values()), {}
-            self._closed = True
+        entries, self._entries = list(self._entries.values()), {}
+        self._closed = True
         for entry in entries:
             self._release(entry)
 
@@ -381,13 +371,28 @@ class ProcessPoolBrokenWarning(RuntimeWarning):
     """
 
 
-class SharedMemoryRunner:
-    """The process backend's engine work: ship per catalog, or fall back.
+def _run_here(
+    engine: EngineProtocol,
+    query: ConjunctiveQuery,
+    plan: Optional[JoinPlan],
+    catalogs: Sequence[object],
+) -> List[Tuple[EngineExecution, float]]:
+    """Run ``engine`` over each catalog on this thread, timing each call."""
+    results = []
+    for catalog in catalogs:
+        wall_start = time.perf_counter()
+        execution = engine.execute(query, catalog, plan=plan)
+        results.append((execution, time.perf_counter() - wall_start))
+    return results
 
-    :meth:`run` ships each catalog whose execution can run faithfully in a
-    worker and hands the rest (an engine other than LFTJ, CTJ and Generic
-    Join, an unpicklable one, a broken pool) to the caller's fallback hook —
-    behaviour, not just results, degrades gracefully.
+
+class SharedMemoryRunner:
+    """The process backend's engine work: ship per catalog, or run it here.
+
+    :meth:`submit` ships each catalog whose execution can run faithfully in
+    a worker and runs the rest (an engine other than LFTJ, CTJ and Generic
+    Join, an unpicklable one, a broken pool) inline on the orchestrator
+    thread — behaviour, not just results, degrades gracefully.
 
     ``crash_after`` is the deterministic worker-crash trigger of the fault
     harness (see :class:`repro.service.faults.WorkerCrashFault`): after that
@@ -404,7 +409,6 @@ class SharedMemoryRunner:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._database = None
         self._engine_blobs: Dict[int, Tuple[EngineProtocol, Optional[bytes]]] = {}
-        self._lock = threading.Lock()
         self._broken = False
         self._closed = False
         #: Engine executions that fell back in-process after the pool broke.
@@ -418,12 +422,10 @@ class SharedMemoryRunner:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def bind(self, database) -> None:
-        """Attach to the served catalog (orchestrator thread, first drain).
+        """Attach to the served catalog (first drain) and start the workers.
 
         Subscribes segment invalidation to the catalog's mutation events and
-        creates the worker pool — on the orchestrator thread, before any
-        request thread runs, so a ``fork`` start can never duplicate a
-        thread holding a lock.
+        creates the worker pool.
         """
         if self._closed:
             raise RuntimeError("runner is closed")
@@ -446,26 +448,24 @@ class SharedMemoryRunner:
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers, mp_context=get_context(_start_method())
         )
-        # Spawn every worker NOW, while bind() runs on the orchestrator
-        # thread and no request threads exist.  The executor otherwise
-        # forks workers lazily on first submit — from a request-pool
-        # thread, while sibling threads run engine work — and a fork taken
-        # mid-acquire of any lock leaves the child's copy locked forever
-        # (the worker then never drains its call queue and the drain
-        # deadlocks).  The warm-up tasks overlap, so each submit finds
-        # every existing worker busy and forks the next one.
+        # Spawn every worker NOW, before the first work item.  The executor
+        # otherwise may fork workers lazily on a later submit, while its own
+        # queue-feeder and manager threads run, and a fork taken mid-acquire
+        # of one of their locks leaves the child's copy locked forever (the
+        # worker then never drains its call queue and the drain deadlocks).
+        # The warm-up tasks overlap, so each submit finds every existing
+        # worker busy and forks the next one.
         warmups = [self._pool.submit(_warm_worker) for _ in range(self.workers)]
         for future in warmups:
             future.result()
 
     def close(self) -> None:
         """Shut the pool down and unlink every segment.  Idempotent."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            pool, self._pool = self._pool, None
-            database, self._database = self._database, None
+        if self._closed:
+            return
+        self._closed = True
+        pool, self._pool = self._pool, None
+        database, self._database = self._database, None
         if pool is not None:
             pool.shutdown(wait=True)
         if database is not None:
@@ -477,18 +477,17 @@ class SharedMemoryRunner:
     # ------------------------------------------------------------------ #
     def _engine_bytes(self, engine: EngineProtocol) -> Optional[bytes]:
         """Pickled ``engine``, or ``None`` when it cannot be shipped."""
-        with self._lock:
-            cached = self._engine_blobs.get(id(engine))
-            if cached is not None:
-                return cached[1]
-            blob: Optional[bytes] = None
-            if isinstance(engine, LeapfrogTrieJoin):
-                try:
-                    blob = pickle.dumps(engine)
-                except (pickle.PicklingError, TypeError, AttributeError):
-                    blob = None
-            self._engine_blobs[id(engine)] = (engine, blob)
-            return blob
+        cached = self._engine_blobs.get(id(engine))
+        if cached is not None:
+            return cached[1]
+        blob: Optional[bytes] = None
+        if isinstance(engine, LeapfrogTrieJoin):
+            try:
+                blob = pickle.dumps(engine)
+            except (pickle.PicklingError, TypeError, AttributeError):
+                blob = None
+        self._engine_blobs[id(engine)] = (engine, blob)
+        return blob
 
     def _build_request(
         self,
@@ -533,10 +532,9 @@ class SharedMemoryRunner:
 
     def _mark_broken(self, reason: str) -> None:
         """Declare the pool unusable; warn exactly once per runner."""
-        with self._lock:
-            if self._broken:
-                return
-            self._broken = True
+        if self._broken:
+            return
+        self._broken = True
         warnings.warn(
             f"process pool broken ({reason}); subsequent engine executions "
             f"run inline on the orchestrator — results are unchanged, only "
@@ -545,29 +543,24 @@ class SharedMemoryRunner:
             stacklevel=3,
         )
 
-    def _note_inline_fallbacks(self, count: int) -> None:
-        with self._lock:
-            self.inline_fallbacks += count
-
     def _submit(self, request: WorkRequest):
-        with self._lock:
-            crash = (
-                not self._closed
-                and not self._broken
-                and self.crash_after is not None
-                and self._work_count >= self.crash_after
-            )
-        if crash:
+        if (
+            not self._closed
+            and not self._broken
+            and self.crash_after is not None
+            and self._work_count >= self.crash_after
+        ):
             self._mark_broken(
                 f"simulated worker crash after {self.crash_after} work item(s)"
             )
-        with self._lock:
-            if self._closed or self._broken or self._pool is None:
-                return None
-            self._work_count += 1
-            pool = self._pool
+        if self._closed or self._broken or self._pool is None:
+            return None
+        self._work_count += 1
         try:
-            return pool.submit(execute_work_request, request)
+            return self._pool.submit(execute_work_request, request)
+        except BrokenProcessPool:  # a worker died since the last collect
+            self._mark_broken("a worker process died mid-drain")
+            return None
         except RuntimeError:  # pool shut down under us
             return None
 
@@ -588,38 +581,44 @@ class SharedMemoryRunner:
     # ------------------------------------------------------------------ #
     # The engine-work surface
     # ------------------------------------------------------------------ #
-    def run(
+    def submit(
         self,
         engine: EngineProtocol,
         query: ConjunctiveQuery,
         plan: Optional[JoinPlan],
         catalogs: Sequence[object],
-        fallback: Callable[..., List[Tuple[EngineExecution, Optional[float]]]],
-    ) -> List[Tuple[EngineExecution, Optional[float]]]:
-        """Run ``engine`` over each catalog, in worker processes where it can.
+    ) -> Callable[[], List[Tuple[EngineExecution, float]]]:
+        """Start ``engine`` over each catalog; return the collect step.
 
         Each catalog (the monolithic database, a shard view) ships as its
-        own request — tries shared between catalogs export once — and every
-        request is submitted before any is collected.  The rest go to
-        ``fallback`` (the threaded ``run_engine``) in one call: all of them
-        for a plan-blind or unshippable engine, and any the pool could not
-        run; only those last ones count as :attr:`inline_fallbacks`.
-        Returns ``(execution, wall_seconds)`` per catalog, in catalog order,
-        bit-identical either way.
+        own request — tries shared between catalogs export once — and is
+        submitted here; the collect step waits for the futures.  A
+        plan-blind or unshippable engine runs every catalog inline, here;
+        any catalog the pool could not run is redone inline by the collect
+        step, and only those last ones count as :attr:`inline_fallbacks`.
+        The collect step gives ``(execution, wall_seconds)`` per catalog, in
+        catalog order, bit-identical either way.
         """
         engine_bytes = self._engine_bytes(engine) if plan is not None else None
         if engine_bytes is None:
-            return fallback(engine, query, plan, catalogs)
-        requests = [self._build_request(engine_bytes, query, plan, c) for c in catalogs]
-        futures = [self._submit(request) for request in requests]
-        results = [self._collect(future, plan) for future in futures]
-        rest = [index for index, result in enumerate(results) if result is None]
-        if self._broken:
-            self._note_inline_fallbacks(len(rest))
-        redone = fallback(engine, query, plan, [catalogs[index] for index in rest])
-        for index, result in zip(rest, redone):
-            results[index] = result
-        return results
+            results = _run_here(engine, query, plan, catalogs)
+            return lambda: results
+        futures = [
+            self._submit(self._build_request(engine_bytes, query, plan, catalog))
+            for catalog in catalogs
+        ]
+
+        def collect() -> List[Tuple[EngineExecution, float]]:
+            results = [self._collect(future, plan) for future in futures]
+            rest = [index for index, result in enumerate(results) if result is None]
+            if self._broken:
+                self.inline_fallbacks += len(rest)
+            redone = _run_here(engine, query, plan, [catalogs[index] for index in rest])
+            for index, result in zip(rest, redone):
+                results[index] = result
+            return results
+
+        return collect
 
 
 __all__ = [

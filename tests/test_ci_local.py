@@ -168,6 +168,27 @@ class TestWorkflow:
             assert ci_local.run_step(step, str(tmp_path), dict(os.environ))[0] is passes, text
 
 
+    def test_one_orchestrator_thread_refuses_a_thread_pool_or_a_stray_lock(self, tmp_path):
+        step = TREE_INVARIANTS["One orchestrator thread"]
+        service = tmp_path / "src" / "repro" / "service"
+        service.mkdir(parents=True)
+        for name, text, passes in (
+            ("caches.py", "import threading\n", True),
+            ("admission.py", "import threading\n", True),
+            ("service.py", "import threading\nlock = threading.Lock()\n", True),
+            ("shm.py", "import threading\n", False),
+            ("scatter.py", "    from threading import Lock\n", False),
+            ("backends.py", "class ThreadPoolBackend(ExecutionBackend):\n", False),
+            ("backends.py", "from concurrent.futures import ThreadPoolExecutor\n", False),
+            ("service.py", "        self._drain_lock = Lock()\n", False),
+            ("catalog.py", "        with self._trie_lock:\n", False),
+        ):
+            for module in service.iterdir():
+                module.unlink()
+            (service / name).write_text(text)
+            assert ci_local.run_step(step, str(tmp_path), dict(os.environ))[0] is passes, text
+
+
 class TestUnreadNames:
     """The lint step backed by ``scripts/unread_names.py``: every top-level
     ``src/`` name has a reader (it runs ``python``, so no grep/test step)."""

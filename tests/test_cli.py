@@ -145,7 +145,7 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["workload", "--backends", "warp-drive"])
 
-    def test_workload_threaded_backend(self, capsys):
+    def test_workload_process_backend(self, capsys):
         exit_code = main(
             [
                 "workload",
@@ -156,7 +156,7 @@ class TestCommands:
                 "--num-queries",
                 "30",
                 "--backend",
-                "threads",
+                "process",
                 "--workers",
                 "2",
                 "--seed",
@@ -166,7 +166,7 @@ class TestCommands:
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "requests completed   : 30" in output
-        # The threaded backend measures host spans and reports them.
+        # The process backend measures host spans and reports them.
         assert "host drain time" in output
         assert "host execution" in output
 

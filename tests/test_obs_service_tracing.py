@@ -4,13 +4,13 @@ The acceptance properties of the observability layer:
 
 * a traced seeded workload on the virtual backend exports **byte-identical**
   JSONL run-to-run;
-* the threaded backend produces the **same span tree** (ids, parentage,
+* the process backend produces the **same span tree** (ids, parentage,
   virtual times, attributes) — only wall-clock fields differ;
 * every query's root span covers exactly the request's recorded latency,
   and its admission + execute children account for all of it;
 * catalog mutations emit process-lane events carrying invalidation counts;
 * scatter-gather executions expose per-shard legs, with wall timings only
-  where the concurrent fan-out measured them.
+  where the process backend measured them.
 """
 
 import io
@@ -80,19 +80,19 @@ class TestDeterminism:
         assert first.encode() == second.encode()
 
     @pytest.mark.parametrize("shards", [1, 2])
-    def test_threads_same_tree_only_wall_differs(self, shards):
+    def test_process_same_tree_only_wall_differs(self, shards):
         virtual = _traced_workload_jsonl("virtual", shards=shards)
-        threaded = _traced_workload_jsonl("threads", workers=4, shards=shards)
-        assert _strip_wall(virtual) == _strip_wall(threaded)
-        # The threaded run did measure wall time somewhere...
-        assert any("wall_elapsed_s" in json.loads(line) for line in threaded.splitlines())
+        pooled = _traced_workload_jsonl("process", workers=2, shards=shards)
+        assert _strip_wall(virtual) == _strip_wall(pooled)
+        # The process run did measure wall time somewhere...
+        assert any("wall_elapsed_s" in json.loads(line) for line in pooled.splitlines())
         # ...and the virtual run nowhere.
         assert all(
             "wall_elapsed_s" not in json.loads(line) for line in virtual.splitlines()
         )
 
     def test_exported_spans_are_schema_valid(self):
-        for line in _traced_workload_jsonl("threads", workers=4).splitlines():
+        for line in _traced_workload_jsonl("process", workers=2).splitlines():
             assert validate_span_dict(json.loads(line)) == []
 
 
@@ -235,8 +235,8 @@ class TestScatterLegs:
         # Serial fan-out measures no per-shard wall time.
         assert all(leg.wall_elapsed_s is None for leg in shard_legs)
 
-    def test_threaded_scatter_legs_carry_wall_time(self):
-        (root,) = self._sharded_roots("threads", workers=4)
+    def test_process_scatter_legs_carry_wall_time(self):
+        (root,) = self._sharded_roots("process", workers=2)
         execute = root.find("execute")
         shard_legs = [c for c in execute.children if c.name == "shard"]
         measured = [leg for leg in shard_legs if leg.wall_elapsed_s is not None]

@@ -60,7 +60,7 @@ GOLDENS = Path(__file__).parent / "data" / "request_path_goldens.json"
 def _scenario(name: str, backend: str = "virtual"):
     """``(service, request stream)`` of one pinned scenario."""
     database = workload_database(num_vertices=50, num_edges=240, seed=5)
-    workers = 3 if backend == "threads" else None
+    workers = 3 if backend == "process" else None
     if name == "monolithic_rotate":
         service = QueryService(
             database, backends=("lftj", "ctj"), seed=11, backend=backend, workers=workers
@@ -136,8 +136,8 @@ def test_virtual_run_reproduces_the_parent_commit(name, goldens):
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_threads_agree_with_virtual(name, goldens):
-    assert capture(name, "threads") == goldens[name]
+def test_process_agrees_with_virtual(name, goldens):
+    assert capture(name, "process") == goldens[name]
 
 
 def test_scenarios_exercise_what_they_claim(goldens):

@@ -1,56 +1,47 @@
-"""Concurrency tests: execution backends, cache/admission thread safety.
+"""Concurrency tests: backend resolution, cache/admission thread safety.
 
 Three layers of pinning:
 
-* the **equivalence harness** asserts the threaded execution backend
-  produces bit-identical result sets, per-request records, cache contents
-  and counters, and admission decisions to the deterministic virtual-time
-  backend for the same seeded workload — monolithic and sharded catalogs,
-  mid-stream mutations included;
+* **backend resolution**: ``workers > 1`` with no backend named gives the
+  process backend (its equivalence with the virtual-time oracle lives in
+  ``tests/test_service_process_backend.py``);
 * **hammer tests** drive the LRU caches and the admission controller from
-  many threads and assert the invariants the PR 5 locking fixes protect
-  (no corrupted ``OrderedDict``, no lost counter updates, no leaked
-  admission slots);
+  many threads and assert the invariants their locks protect (no corrupted
+  ``OrderedDict``, no lost counter updates, no leaked admission slots),
+  and eight threads submit to one service while one thread drains it;
 * **regression tests** pin the arrival-order contract: equal-time requests
   drain in ``(arrival_time, request_id)`` order, and explicitly back-dated
   arrivals warn (or raise) instead of being silently clamped.
 
 ``REPRO_CONCURRENCY_REPEATS`` (CI's concurrency-stress job sets it > 1)
-re-runs the seeded equivalence and hammer cases, so scheduling-dependent
-races get multiple chances to surface while the default local run stays
-fast.
+re-runs the seeded hammer cases, so scheduling-dependent races get multiple
+chances to surface while the default local run stays fast.
 """
 
-import dataclasses
 import os
 import sys
 import threading
-import time
 
 import pytest
 
-from repro.api import EngineCapabilities, EngineExecution, EngineProtocol, coerce_statement
+from repro.api import coerce_statement
 from repro.graphs import pattern_query
-from repro.relational.sharding import shard_database
 from repro.service import (
     AdmissionController,
     BackdatedArrivalWarning,
     LRUCache,
+    ProcessPoolBackend,
     QueryService,
     ResultCache,
     ServiceMetrics,
-    ThreadPoolBackend,
     VirtualTimeBackend,
-    WorkloadSpec,
     alpha_rename,
     create_execution_backend,
-    generate_requests,
-    run_workload,
     workload_database,
 )
 from repro.service.metrics import QueryRecord
 
-#: Seeded repeats of the stress/equivalence cases (CI sets this higher).
+#: Seeded repeats of the stress cases (CI sets this higher).
 REPEATS = max(1, int(os.environ.get("REPRO_CONCURRENCY_REPEATS", "1")))
 
 
@@ -61,9 +52,9 @@ class TestBackendResolution:
     def test_default_is_virtual(self):
         assert isinstance(create_execution_backend(None), VirtualTimeBackend)
 
-    def test_workers_above_one_select_threads(self):
+    def test_workers_above_one_select_process(self):
         backend = create_execution_backend(None, workers=3)
-        assert isinstance(backend, ThreadPoolBackend)
+        assert isinstance(backend, ProcessPoolBackend)
         assert backend.workers == 3
         backend.close()
 
@@ -72,175 +63,26 @@ class TestBackendResolution:
 
     def test_names_resolve(self):
         assert isinstance(create_execution_backend("virtual"), VirtualTimeBackend)
-        backend = create_execution_backend("threads", workers=2)
-        assert isinstance(backend, ThreadPoolBackend)
+        backend = create_execution_backend("process", workers=2)
+        assert isinstance(backend, ProcessPoolBackend)
         backend.close()
 
     def test_instances_pass_through(self):
         backend = VirtualTimeBackend()
         assert create_execution_backend(backend) is backend
 
-    def test_unknown_name_rejected(self):
+    @pytest.mark.parametrize("name", ["fibers", "threads"])
+    def test_unknown_name_rejected(self, name):
         with pytest.raises(KeyError, match="unknown execution backend"):
-            create_execution_backend("fibers")
+            create_execution_backend(name)
 
     def test_invalid_worker_counts_rejected(self):
         with pytest.raises(ValueError):
-            ThreadPoolBackend(workers=0)
+            ProcessPoolBackend(workers=0)
 
 
-# --------------------------------------------------------------------------- #
-# Threaded-vs-virtual equivalence harness
-# --------------------------------------------------------------------------- #
-def _build_database(shards: int, seed: int):
-    database = workload_database(num_vertices=50, num_edges=240, seed=seed)
-    if shards > 1:
-        database = shard_database(database, shards)
-    return database
-
-
-def _snapshot(service: QueryService, outcomes) -> dict:
-    """Everything the acceptance criteria compare, wall-clock excluded."""
-    snapshot = {
-        "tuples": {rid: outcome.tuples for rid, outcome in outcomes.items()},
-        # Records minus the wall-clock span (the one legitimate difference).
-        "records": [
-            dataclasses.replace(record, wall_elapsed=None)
-            for record in service.metrics.records
-        ],
-        "plan_stats": service.plan_cache.stats.as_dict(),
-        "plan_keys": service.plan_cache.keys(),
-        "result_stats": service.result_cache.stats.as_dict(),
-        "result_keys": service.result_cache.keys(),
-        "admission": service.admission.stats.as_dict(),
-        "rejected": service.rejected_requests,
-    }
-    if service.scatter is not None and service.scatter.partial_cache is not None:
-        snapshot["partial_stats"] = service.scatter.partial_cache.stats.as_dict()
-        snapshot["partial_keys"] = service.scatter.partial_cache.keys()
-    return snapshot
-
-
-def _run_workload_snapshot(
-    backend: str, workers, shards: int = 1, seed: int = 11, stream_seed: int = 7
-) -> dict:
-    service = QueryService(
-        _build_database(shards, seed=5),
-        backends=("lftj", "ctj"),
-        max_in_flight=4,
-        seed=seed,
-        backend=backend,
-        workers=workers,
-    )
-    spec = WorkloadSpec(
-        num_queries=60,
-        mode="mixed",
-        rename_fraction=0.5,
-        update_fraction=0.1,
-        update_domain=50,
-    )
-    try:
-        outcomes = run_workload(service, generate_requests(spec, seed=stream_seed))
-        snapshot = _snapshot(service, outcomes)
-        snapshot["in_flight_after"] = service.admission.in_flight
-        snapshot["wall_spans"] = sum(
-            1 for r in service.metrics.records if r.wall_elapsed is not None
-        )
-        return snapshot
-    finally:
-        service.close()
-
-
-class TestThreadedEquivalence:
-    """Acceptance: threads(workers ∈ {1, 4}) ≡ virtual, caches included."""
-
-    @pytest.mark.parametrize("repeat", range(REPEATS))
-    @pytest.mark.parametrize("shards", [1, 2])
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_threaded_matches_virtual(self, workers, shards, repeat):
-        baseline = _run_workload_snapshot("virtual", None, shards=shards)
-        threaded = _run_workload_snapshot("threads", workers, shards=shards)
-        assert threaded["in_flight_after"] == 0  # no leaked admission slots
-        assert threaded["wall_spans"] > 0  # the pool actually measured work
-        baseline.pop("wall_spans"), threaded.pop("wall_spans")
-        baseline.pop("in_flight_after"), threaded.pop("in_flight_after")
-        assert threaded == baseline
-
-    def test_threaded_backend_actually_overlaps_engine_work(self):
-        """The headline feature: same-window dispatches run concurrently.
-
-        A closed-loop backlog's first ``max_in_flight`` admissions (and,
-        with equal service times, each subsequent dispatch wave) must
-        execute simultaneously on the pool — pinned by counting concurrent
-        entries into a slow instrumented engine.
-        """
-
-        class SlowCountingEngine(EngineProtocol):
-            name = "slow"
-            capabilities = EngineCapabilities()  # plan-blind
-
-            def __init__(self):
-                self._gate = threading.Lock()
-                self.active = 0
-                self.max_active = 0
-
-            def execute(self, query, database, plan=None):
-                with self._gate:
-                    self.active += 1
-                    self.max_active = max(self.max_active, self.active)
-                time.sleep(0.02)
-                with self._gate:
-                    self.active -= 1
-                # Non-cacheable, constant cost: every request recomputes
-                # and every dispatch wave shares one completion time.
-                return EngineExecution(
-                    tuples=[], cost=10.0, plan_used=False, cacheable=False
-                )
-
-        engine = SlowCountingEngine()
-        service = QueryService(
-            _build_database(1, seed=5),
-            backends=(engine,),
-            max_in_flight=4,
-            backend="threads",
-            workers=4,
-        )
-        try:
-            for _ in range(8):
-                service.submit(pattern_query("cycle3"))
-            outcomes = service.drain()
-        finally:
-            service.close()
-        assert len(outcomes) == 8
-        assert engine.max_active == 4
-
-    def test_threaded_records_wall_spans_virtual_does_not(self):
-        virtual = _run_workload_snapshot("virtual", None)
-        threaded = _run_workload_snapshot("threads", 2)
-        assert virtual["wall_spans"] == 0
-        assert threaded["wall_spans"] > 0
-
-    def test_session_concurrency_matches_serial(self):
-        from repro.api import Session
-
-        def serve(concurrency):
-            session = Session(
-                _build_database(1, seed=5),
-                engines=("lftj", "ctj"),
-                routing="rotate",
-                seed=11,
-                concurrency=concurrency,
-            )
-            spec = WorkloadSpec(num_queries=40, mode="closed", rename_fraction=0.5)
-            with session:
-                outcomes = session.serve(spec, seed=7)
-                return (
-                    {rid: o.tuples for rid, o in outcomes.items()},
-                    session.result_cache.stats.as_dict(),
-                    session.service.admission.stats.as_dict(),
-                )
-
-        assert serve(1) == serve(4)
+def _build_database():
+    return workload_database(num_vertices=50, num_edges=240, seed=5)
 
 
 # --------------------------------------------------------------------------- #
@@ -432,7 +274,7 @@ class TestAdmissionHammer:
     @pytest.mark.parametrize("repeat", range(REPEATS))
     def test_shared_statements_under_concurrent_submit_and_drain(self, repeat):
         """Eight submitters share interned statements while one thread drains."""
-        database = _build_database(1, seed=5)
+        database = _build_database()
         service = QueryService(database, backends=("lftj", "ctj"))
         texts = ["path3", "cycle3", "path4", "cycle4"]
         for tag in range(30):
@@ -503,24 +345,6 @@ class TestAdmissionHammer:
         assert service.metrics.completed == len(texts) + len(submitted)
         assert service.admission.in_flight == 0
 
-    def test_threaded_drain_leaves_no_slots_held(self):
-        service = QueryService(
-            _build_database(1, seed=5),
-            backends=("lftj",),
-            max_in_flight=2,
-            backend="threads",
-            workers=3,
-        )
-        try:
-            for index in range(6):
-                service.submit(pattern_query("cycle3" if index % 2 else "path3"))
-            outcomes = service.drain()
-            assert len(outcomes) == 6
-            assert service.admission.in_flight == 0
-            assert service.admission.queue_depth == 0
-        finally:
-            service.close()
-
 
 # --------------------------------------------------------------------------- #
 # Arrival-order contract: tie-break and back-dated arrivals
@@ -528,7 +352,7 @@ class TestAdmissionHammer:
 class TestArrivalContract:
     def test_equal_time_requests_dispatch_in_request_id_order(self):
         service = QueryService(
-            _build_database(1, seed=5), backends=("lftj",), max_in_flight=1
+            _build_database(), backends=("lftj",), max_in_flight=1
         )
         ids = [
             service.submit(pattern_query("cycle3"), arrival_time=5.0)
@@ -539,7 +363,7 @@ class TestArrivalContract:
         assert [r.request_id for r in started] == ids
 
     def test_backdated_explicit_arrival_warns_and_clamps(self):
-        service = QueryService(_build_database(1, seed=5), backends=("lftj",))
+        service = QueryService(_build_database(), backends=("lftj",))
         service.serve(pattern_query("cycle3"))  # advances the clock
         assert service.clock > 0.0
         with pytest.warns(BackdatedArrivalWarning, match="never moves backwards"):
@@ -553,7 +377,7 @@ class TestArrivalContract:
 
     def test_service_dated_arrivals_never_warn(self, recwarn):
         """Omitted arrival times mean "now"; clamping them is not an error."""
-        service = QueryService(_build_database(1, seed=5), backends=("lftj",))
+        service = QueryService(_build_database(), backends=("lftj",))
         service.serve(pattern_query("cycle3"))
         service.submit(pattern_query("path3"))  # service-dated
         service.drain()

@@ -14,8 +14,8 @@ Four layers of pinning, mirroring the concurrency/process suites:
 * **equivalence** — the byte-equality contract: a recoverable fault plan
   (transient windows, stragglers, outages covered by replicas) must leave
   results, JoinStats, records and every cache observable identical to the
-  fault-free run, on the sync Session path and across the virtual /
-  threaded / process execution backends; unrecoverable loss must degrade
+  fault-free run, on the sync Session path and across the virtual and
+  process execution backends; unrecoverable loss must degrade
   to *exactly* the surviving union (``on_shard_loss="partial"``) or raise
   a typed error (``"fail"``), and a degraded answer must never enter the
   result cache; hedging a straggler must lower the virtual p99 latency
@@ -665,15 +665,9 @@ class TestBackendEquivalenceUnderFaults:
         FAULT_SWEEPS,
         ids=["flaky", "straggler", "replica", "partial"],
     )
-    def test_threads_match_virtual(self, faults, knobs, repeat):
+    def test_process_matches_virtual(self, faults, knobs, repeat):
         baseline = _fault_snapshot("virtual", None, faults, **knobs)
-        threaded = _fault_snapshot("threads", 4, faults, **knobs)
-        assert threaded == baseline
-
-    @pytest.mark.parametrize("repeat", range(REPEATS))
-    def test_process_matches_virtual(self, repeat):
-        baseline = _fault_snapshot("virtual", None, TRANSIENT)
-        pooled = _fault_snapshot("process", 2, TRANSIENT)
+        pooled = _fault_snapshot("process", 2, faults, **knobs)
         assert pooled == baseline
 
     def test_recoverable_faults_leave_observables_byte_identical(self):

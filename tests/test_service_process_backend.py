@@ -1,6 +1,6 @@
 """Process-backend tests: pickling, shared-memory segments, equivalence.
 
-Four layers of pinning, mirroring ``tests/test_service_concurrency.py``:
+Five layers of pinning:
 
 * **pickling** — ``SlotProgram``, ``JoinPlan`` (drops its cached slot
   program, recompiles identically), engines and whole ``WorkRequest``
@@ -12,6 +12,9 @@ Four layers of pinning, mirroring ``tests/test_service_concurrency.py``:
   must produce the bit-identical ``EngineExecution`` (tuples, cost,
   JoinStats) of an inline run, and ``SegmentCatalog`` must reject queries
   whose relations were not shipped;
+* **overlap** — the drain loop submits every already-ordered in-flight
+  request's engine work before it collects any, from its one thread, and
+  records the workers' engine wall time;
 * **equivalence harness** — the process backend must reproduce the
   virtual-time oracle's result sets, records, cache contents and
   admission decisions over engines × hash/range partitioners ×
@@ -19,7 +22,7 @@ Four layers of pinning, mirroring ``tests/test_service_concurrency.py``:
   mid-drain (inline fallback), and tear down without leaking a segment.
 
 ``REPRO_CONCURRENCY_REPEATS`` (CI sets it > 1) re-runs the seeded
-equivalence cases, matching the thread-backend suite.
+equivalence cases.
 """
 
 import dataclasses
@@ -303,9 +306,9 @@ class TestWorkerExecution:
 # --------------------------------------------------------------------------- #
 # The engine-work hook, on every execution backend
 # --------------------------------------------------------------------------- #
-class TestRunEngineHook:
+class TestSubmitEngineHook:
     @pytest.mark.parametrize("backend_name", EXECUTION_BACKEND_NAMES)
-    def test_run_engine_matches_inline_in_view_order(self, backend_name):
+    def test_submit_engine_matches_inline_in_view_order(self, backend_name):
         database = shard_database(
             workload_database(num_vertices=40, num_edges=200, seed=5), 3
         )
@@ -317,8 +320,8 @@ class TestRunEngineHook:
         backend = create_execution_backend(backend_name, workers=2)
         try:
             if backend_name == "process":
-                backend._runner.bind(database)  # as _start does
-            results = backend.run_engine(engine, spec.query, plan, views)
+                backend._runner.bind(database)  # as drain does
+            results = backend.submit_engine(engine, spec.query, plan, views)()
             assert len(results) == len(inline)
             for (execution, wall), expected in zip(results, inline):
                 assert execution.tuples == expected.tuples
@@ -327,26 +330,117 @@ class TestRunEngineHook:
                 assert (wall is None) == (backend_name == "virtual")
             if backend_name != "process":
                 return
-            # A capability decline runs the threaded hook and is not counted:
-            # a plan-blind engine, even when handed a plan.
+            # A capability decline runs inline at submit, timed, and is not
+            # counted: a plan-blind engine, even when handed a plan.
             naive = create_engine("naive")
-            blind = backend.run_engine(naive, spec.query, plan, views)
+            blind = backend.submit_engine(naive, spec.query, plan, views)()
             assert [e.tuples for e, _ in blind] == [
                 naive.execute(spec.query, view).tuples for view in views
             ]
+            assert all(wall is not None for _, wall in blind)
             assert backend.inline_fallbacks == 0
             # A broken pool falls back too, and every such call is counted.
             backend._runner.crash_after = 0
             with pytest.warns(ProcessPoolBrokenWarning):
-                crashed = backend.run_engine(engine, spec.query, plan, views)
+                crashed = backend.submit_engine(engine, spec.query, plan, views)()
             assert [e.tuples for e, _ in crashed] == [e.tuples for e in inline]
             assert backend.inline_fallbacks == 3
         finally:
             backend.close()
 
 
+class TestOverlapWithoutThreads:
+    """Cross-request overlap comes from the drain loop, not from threads."""
+
+    def test_ordered_in_flight_requests_all_submit_before_any_collects(
+        self, monkeypatch
+    ):
+        service = QueryService(
+            _build_database(1, seed=5),
+            backends=("lftj",),
+            max_in_flight=4,
+            backend="process",
+            workers=2,
+        )
+        runner = service.execution_backend._runner
+        events = []
+        submit = runner.submit
+
+        def spy(engine, query, plan, catalogs):
+            index = sum(1 for event in events if event[0] == "submit")
+            events.append(("submit", index))
+            collect = submit(engine, query, plan, catalogs)
+
+            def spied_collect():
+                events.append(("collect", index))
+                return collect()
+
+            return spied_collect
+
+        monkeypatch.setattr(runner, "submit", spy)
+        try:
+            # A closed-loop backlog of four distinct queries: all four are
+            # admitted at t = 0, so their event order is already decided.
+            for pattern in ("path3", "cycle3", "path4", "cycle4"):
+                service.submit(pattern_query(pattern))
+            outcomes = service.drain()
+        finally:
+            service.close()
+        assert len(outcomes) == 4
+        assert [kind for kind, _ in events] == ["submit"] * 4 + ["collect"] * 4
+        assert [index for _, index in events[4:]] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_process_records_carry_the_workers_wall_and_virtual_none(self, shards):
+        def records(backend):
+            service = QueryService(
+                _build_database(shards, seed=5),
+                backends=("lftj",),
+                backend=backend,
+                workers=2 if backend == "process" else None,
+            )
+            try:
+                outcome = service.serve(pattern_query("cycle3"))
+                hit = service.serve(pattern_query("cycle3"))
+            finally:
+                service.close()
+            return outcome.record, hit.record
+
+        virtual, virtual_hit = records("virtual")
+        pooled, pooled_hit = records("process")
+        assert virtual.wall_elapsed is None and virtual_hit.wall_elapsed is None
+        assert pooled_hit.wall_elapsed is None  # a cache hit runs no engine
+        assert pooled.wall_elapsed is not None and pooled.wall_elapsed >= 0
+
+    def test_a_fan_out_records_its_slowest_shard(self):
+        database = _build_database(2, seed=5)
+        service = QueryService(
+            database, backends=("lftj",), backend="process", workers=2
+        )
+        walls = []
+        submit = service.scatter.submit
+
+        def spy(*args, **kwargs):
+            gather = submit(*args, **kwargs)
+
+            def spied_gather():
+                execution = gather()
+                walls.extend(task.wall_seconds for task in execution.scatter.tasks)
+                return execution
+
+            return spied_gather
+
+        service.scatter.submit = spy
+        try:
+            record = service.serve(pattern_query("cycle3")).record
+        finally:
+            service.close()
+        assert len(walls) == 2 and None not in walls
+        assert record.wall_elapsed == max(walls)
+
+
 # --------------------------------------------------------------------------- #
-# Process-vs-virtual equivalence harness (mirrors the threads suite)
+# Process-vs-virtual equivalence harness
 # --------------------------------------------------------------------------- #
 def _build_database(shards: int, seed: int, partitioner: str = "hash"):
     database = workload_database(num_vertices=50, num_edges=240, seed=seed)
@@ -401,7 +495,10 @@ def _run_workload_snapshot(
     try:
         outcomes = run_workload(service, generate_requests(spec, seed=stream_seed))
         snapshot = _snapshot(service, outcomes)
-        snapshot["in_flight_after"] = service.admission.in_flight
+        snapshot["in_flight_after"] = (
+            service.admission.in_flight,
+            service.admission.queue_depth,
+        )
         snapshot["wall_spans"] = sum(
             1 for r in service.metrics.records if r.wall_elapsed is not None
         )
@@ -433,7 +530,7 @@ class TestProcessEquivalence:
         processed = _run_workload_snapshot(
             "process", 2, shards=shards, partitioner=partitioner
         )
-        assert processed["in_flight_after"] == 0
+        assert processed["in_flight_after"] == (0, 0)  # no slot held, none queued
         assert processed["wall_spans"] > 0  # the pool actually measured work
         assert processed.pop("segments_after_close") == 0  # zero leaks
         processed.pop("segments_live")
@@ -470,11 +567,13 @@ class TestProcessEquivalence:
             # ... then every worker dies mid-stream.
             for process in list(runner._pool._processes.values()):
                 process.kill()
-            outcomes.update(run_workload(service, requests[10:]))
+            with pytest.warns(ProcessPoolBrokenWarning):
+                outcomes.update(run_workload(service, requests[10:]))
             snapshot = _snapshot(service, outcomes)
         finally:
             service.close()
         assert snapshot == baseline  # inline fallback, same observables
+        assert service.metrics.inline_fallbacks > 0
         assert service.execution_backend.active_segments() == ()
 
     def test_session_process_backend_matches_serial(self):
@@ -496,7 +595,8 @@ class TestProcessEquivalence:
                     session.service.admission.stats.as_dict(),
                 )
 
-        assert serve(None, 1) == serve("process", 2)
+        # workers > 1 with no backend named resolves to the process backend.
+        assert serve(None, 1) == serve("process", 2) == serve(None, 2)
 
 
 # --------------------------------------------------------------------------- #

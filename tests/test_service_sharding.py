@@ -23,7 +23,7 @@ from repro.service import (
     run_workload,
     workload_database,
 )
-from repro.service.backends import run_inline
+from repro.service.backends import submit_inline
 from repro.service.caches import LRUCache, ResultCache
 from repro.service.scatter import PARTIAL_REPLAY_COST_NS, partial_key
 
@@ -131,15 +131,15 @@ class TestScatterGatherEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# The engine-work hook: probe -> one run_engine call -> gather
+# The engine-work hook: probe -> one submit_engine call -> gather
 # --------------------------------------------------------------------------- #
 def recording_hook(calls, wall=None):
-    """An inline ``run_engine`` hook that records each call and reports ``wall``."""
+    """An inline ``submit_engine`` hook that records each call and reports ``wall``."""
 
     def hook(engine, query, plan, catalogs):
         calls.append((query, plan, list(catalogs)))
-        results = run_inline(engine, query, plan, catalogs)
-        return [(execution, wall) for execution, _ in results]
+        results = submit_inline(engine, query, plan, catalogs)()
+        return lambda: [(execution, wall) for execution, _ in results]
 
     return hook
 
@@ -153,12 +153,12 @@ class TestScatterEngineHook:
         query, engine = rs_path_query(), create_engine("lftj")
 
         calls = []
-        first = executor.execute(query, engine, run_engine=recording_hook(calls))
+        first = executor.execute(query, engine, submit_engine=recording_hook(calls))
         [(_query, plan, views)] = calls
         assert len(views) == 3 and plan is not None
 
         calls.clear()
-        replay = executor.execute(query, engine, run_engine=recording_hook(calls))
+        replay = executor.execute(query, engine, submit_engine=recording_hook(calls))
         assert sum(len(views) for _q, _p, views in calls) == 0
         assert [t.from_cache for t in replay.scatter.tasks] == [True, True, True]
         assert all(t.cost_ns == PARTIAL_REPLAY_COST_NS for t in replay.scatter.tasks)
@@ -169,7 +169,7 @@ class TestScatterEngineHook:
         row = next((v, v + 100) for v in range(1000) if partitioner.shard_of(v) == 0)
         sharded.insert_into("R", [row])
         calls.clear()
-        after = executor.execute(query, engine, run_engine=recording_hook(calls))
+        after = executor.execute(query, engine, submit_engine=recording_hook(calls))
         [(_query, _plan, views)] = calls
         assert len(views) == 1
         assert [t.from_cache for t in after.scatter.tasks] == [False, True, True]
@@ -185,7 +185,7 @@ class TestScatterEngineHook:
         )
         engine, calls = create_engine(engine_name), []
         execution = ScatterGatherExecutor(sharded).execute(
-            query, engine, run_engine=recording_hook(calls)
+            query, engine, submit_engine=recording_hook(calls)
         )
         [(ran, plan, views)] = calls
         assert ran == sharded.scatter_spec(query).query
@@ -205,12 +205,12 @@ class TestScatterEngineHook:
         executions = []
 
         def hook(engine, query, plan, catalogs):
-            results = run_inline(engine, query, plan, catalogs)
+            results = submit_inline(engine, query, plan, catalogs)()
             executions.extend(execution for execution, _ in results)
-            return [(execution, 0.25) for execution, _ in results]
+            return lambda: [(execution, 0.25) for execution, _ in results]
 
         execution = executor.execute(
-            rs_path_query(), create_engine("ctj"), run_engine=hook, now=1234.5678
+            rs_path_query(), create_engine("ctj"), submit_engine=hook, now=1234.5678
         )
         tasks = execution.scatter.tasks
         assert [t.cost_ns for t in tasks] == [e.cost for e in executions]
