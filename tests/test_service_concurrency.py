@@ -345,6 +345,25 @@ class TestAdmissionHammer:
         assert service.metrics.completed == len(texts) + len(submitted)
         assert service.admission.in_flight == 0
 
+    def test_process_drain_leaves_no_slots_held(self):
+        """Six requests through two slots on a process pool: none stay held."""
+        service = QueryService(
+            _build_database(),
+            backends=("lftj",),
+            max_in_flight=2,
+            backend="process",
+            workers=3,
+        )
+        try:
+            for index in range(6):
+                service.submit(pattern_query("cycle3" if index % 2 else "path3"))
+            outcomes = service.drain()
+            assert len(outcomes) == 6
+            assert service.admission.in_flight == 0
+            assert service.admission.queue_depth == 0
+        finally:
+            service.close()
+
 
 # --------------------------------------------------------------------------- #
 # Arrival-order contract: tie-break and back-dated arrivals

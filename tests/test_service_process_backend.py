@@ -515,6 +515,22 @@ def _run_workload_snapshot(
     return snapshot
 
 
+def _assert_process_matches_virtual(workers: int, shards: int, partitioner: str):
+    baseline = _run_workload_snapshot(
+        "virtual", None, shards=shards, partitioner=partitioner
+    )
+    processed = _run_workload_snapshot(
+        "process", workers, shards=shards, partitioner=partitioner
+    )
+    assert processed["in_flight_after"] == (0, 0)  # no slot held, none queued
+    assert processed["wall_spans"] > 0  # the pool actually measured work
+    assert processed.pop("segments_after_close") == 0  # zero leaks
+    processed.pop("segments_live")
+    for transient in ("wall_spans", "in_flight_after"):
+        baseline.pop(transient), processed.pop(transient)
+    assert processed == baseline
+
+
 class TestProcessEquivalence:
     """Acceptance: process ≡ virtual over partitioners × shards, zero leaks."""
 
@@ -524,19 +540,14 @@ class TestProcessEquivalence:
         [(1, "hash"), (2, "hash"), (2, "range")],
     )
     def test_process_matches_virtual(self, shards, partitioner, repeat):
-        baseline = _run_workload_snapshot(
-            "virtual", None, shards=shards, partitioner=partitioner
-        )
-        processed = _run_workload_snapshot(
-            "process", 2, shards=shards, partitioner=partitioner
-        )
-        assert processed["in_flight_after"] == (0, 0)  # no slot held, none queued
-        assert processed["wall_spans"] > 0  # the pool actually measured work
-        assert processed.pop("segments_after_close") == 0  # zero leaks
-        processed.pop("segments_live")
-        for transient in ("wall_spans", "in_flight_after"):
-            baseline.pop(transient), processed.pop(transient)
-        assert processed == baseline
+        _assert_process_matches_virtual(2, shards, partitioner)
+
+    @pytest.mark.parametrize("repeat", range(REPEATS))
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_worker_count_leaves_observables_unchanged(self, workers, shards, repeat):
+        """One worker serialises every submit; four outnumber the in-flight cap."""
+        _assert_process_matches_virtual(workers, shards, "hash")
 
     def test_worker_crash_mid_drain_falls_back_inline(self):
         """Killing every worker must not change observables or leak blocks."""
