@@ -24,7 +24,7 @@ The JSONL span schema (one object per line)::
       "end_ns": 2120.0,        # virtual time, >= start_ns
       "attributes": {...},     # flat or one-level-nested JSON values
       "events": [{"name": ..., "t_ns": ..., "attributes": {...}}, ...],
-      "wall_elapsed_s": 0.004  # optional: measured host span (threads only)
+      "wall_elapsed_s": 0.004  # optional: measured host span (process backend only)
     }
 """
 

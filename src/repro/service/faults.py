@@ -400,7 +400,6 @@ class RetryPolicy:
 class CircuitBreaker:
     """Closed → open → half-open breaker on the virtual clock.
 
-    Not thread-safe on its own; :class:`NodeBreakers` serialises access.
     State machine: ``breaker_threshold`` consecutive failures open the
     breaker; after ``breaker_reset_ns`` of virtual time the next
     :meth:`allow` admits a single half-open probe; the probe's success

@@ -141,6 +141,20 @@ class CompletedQuery:
         return self.prepared.start_time + self.service_time
 
 
+def _settled(run: Callable[[], EngineExecution]) -> Callable[[], EngineExecution]:
+    """Call ``run`` now; the returned step gives its execution or re-raises."""
+    try:
+        execution = run()
+    except ShardUnavailableError as error:
+        lost = error  # ``error`` is unbound when the handler ends
+
+        def fail() -> EngineExecution:
+            raise lost
+
+        return fail
+    return lambda: execution
+
+
 class QueryPipeline:
     """The shared caches, executors and stages behind every query.
 
@@ -330,7 +344,9 @@ class QueryPipeline:
         The returned ``work`` step collects, and touches no ordered state.
 
         ``submit_engine`` is the execution backend's engine-work hook
-        (inline by default).
+        (inline by default).  An inline hook finishes the fan-out here,
+        through :meth:`ScatterGatherExecutor.execute`; a pooled one leaves
+        the gather to ``work``.
         """
         prepared = PreparedQuery(query, signature, engine, start_time, trace)
         cached = self.result_cache.get(signature)
@@ -341,18 +357,23 @@ class QueryPipeline:
             return prepared
         scatter = self.scatter
         if scatter is not None:
-            spec = scatter.spec_for(query)
-            # Breaker admission is read at dispatch and outcomes feed back
-            # in publish, so every backend sees the oracle's gate.
-            gather = scatter.submit(
-                query,
-                engine,
-                spec=spec,
+            options = dict(
+                spec=scatter.spec_for(query),
                 collect_partials=prepared.partial_entries,
                 submit_engine=submit_engine,
                 now=start_time,
+                # Breaker admission is read at dispatch and outcomes feed
+                # back in publish, so every backend sees the oracle's gate.
                 breaker_gate=scatter.breaker_gate(start_time),
             )
+            if submit_engine is submit_inline:
+                # Inline work is done at submit, so nothing can overlap:
+                # gather now through ``execute``, looked up on the executor
+                # at this call (profilers time the served fan-out by
+                # shadowing it there).
+                gather = _settled(lambda: scatter.execute(query, engine, **options))
+            else:
+                gather = scatter.submit(query, engine, **options)
 
             def scatter_work() -> Tuple[Optional[EngineExecution], Optional[float]]:
                 try:

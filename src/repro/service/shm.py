@@ -53,6 +53,7 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
+import sys
 import time
 import warnings
 from collections import OrderedDict
@@ -371,6 +372,16 @@ class ProcessPoolBrokenWarning(RuntimeWarning):
     """
 
 
+def _caller_stacklevel() -> int:
+    """The ``warnings.warn`` stack level, from its caller here, of the first
+    frame outside this module: a pool breaks at submit or at collect, at
+    different depths, and the warning names the caller's line either way."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename == __file__:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _run_here(
     engine: EngineProtocol,
     query: ConjunctiveQuery,
@@ -540,7 +551,7 @@ class SharedMemoryRunner:
             f"run inline on the orchestrator — results are unchanged, only "
             f"the offload is lost",
             ProcessPoolBrokenWarning,
-            stacklevel=3,
+            stacklevel=_caller_stacklevel(),
         )
 
     def _submit(self, request: WorkRequest):

@@ -31,6 +31,8 @@ import pickle
 
 import pytest
 
+import repro.service.backends as backends_module
+import repro.service.shm as shm_module
 from repro.api import Session, create_engine
 from repro.graphs import pattern_query
 from repro.joins.compiler import QueryCompiler
@@ -341,8 +343,10 @@ class TestSubmitEngineHook:
             assert backend.inline_fallbacks == 0
             # A broken pool falls back too, and every such call is counted.
             backend._runner.crash_after = 0
-            with pytest.warns(ProcessPoolBrokenWarning):
+            with pytest.warns(ProcessPoolBrokenWarning) as warned:
                 crashed = backend.submit_engine(engine, spec.query, plan, views)()
+            # The warning names the caller's line, not the runner's own.
+            assert [w.filename for w in warned.list] == [backends_module.__file__]
             assert [e.tuples for e, _ in crashed] == [e.tuples for e in inline]
             assert backend.inline_fallbacks == 3
         finally:
@@ -578,8 +582,9 @@ class TestProcessEquivalence:
             # ... then every worker dies mid-stream.
             for process in list(runner._pool._processes.values()):
                 process.kill()
-            with pytest.warns(ProcessPoolBrokenWarning):
+            with pytest.warns(ProcessPoolBrokenWarning) as warned:
                 outcomes.update(run_workload(service, requests[10:]))
+            assert shm_module.__file__ not in {w.filename for w in warned.list}
             snapshot = _snapshot(service, outcomes)
         finally:
             service.close()

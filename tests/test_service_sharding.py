@@ -342,6 +342,23 @@ class TestShardAwareInvalidation:
         monkeypatch.setattr(service.scatter, "spec_for", calls.append)
         assert service.serve(rs_path_query()).record.result_cache_hit and not calls
 
+    def test_a_served_virtual_fan_out_runs_through_execute(self, monkeypatch):
+        # Profilers time the served fan-out by shadowing ``execute`` on the
+        # live executor, so the virtual backend must call it on each miss.
+        service = QueryService(two_relation_catalog(), backends=("ctj",), seed=1)
+        execute, gathered = service.scatter.execute, []
+
+        def timed(*args, **kwargs):
+            execution = execute(*args, **kwargs)
+            gathered.append(len(execution.tuples))
+            return execution
+
+        monkeypatch.setattr(service.scatter, "execute", timed)
+        outcome = service.serve(rs_path_query())
+        assert gathered == [len(outcome.tuples)] and gathered[0] > 0
+        service.serve(rs_path_query())  # a result-cache hit fans nothing out
+        assert len(gathered) == 1
+
     def test_result_cache_keeps_entries_of_unrelated_relations(self):
         sharded = two_relation_catalog()
         cache = ResultCache(16)
