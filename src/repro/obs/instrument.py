@@ -64,10 +64,6 @@ def attach_scatter_legs(span: Span, scatter) -> None:
     # only when nonzero, so fault-free traces stay byte-identical.
     if scatter.retries:
         span.attributes["scatter.retries"] = scatter.retries
-    if scatter.timeouts:
-        span.attributes["scatter.timeouts"] = scatter.timeouts
-    if scatter.hedges:
-        span.attributes["scatter.hedges"] = scatter.hedges
     if scatter.missing_shards:
         span.attributes["scatter.degraded"] = True
         span.attributes["scatter.missing_shards"] = tuple(scatter.missing_shards)
@@ -87,13 +83,7 @@ def attach_scatter_legs(span: Span, scatter) -> None:
         leg.end(legs_start + task.cost_ns)
         if task.attempts > 1:
             leg.attributes["attempts"] = task.attempts
-            leg.event(
-                "retried", legs_start, attempts=task.attempts, timeouts=task.timeouts
-            )
-        if task.timeouts:
-            leg.attributes["timeouts"] = task.timeouts
-        if task.hedged:
-            leg.attributes["hedged"] = True
+            leg.event("retried", legs_start, attempts=task.attempts)
         if task.replica:
             leg.attributes["replica"] = task.replica
         if task.lost:

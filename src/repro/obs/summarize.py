@@ -129,29 +129,27 @@ def critical_path_rows(roots: Sequence[SpanNode]) -> List[Tuple[object, ...]]:
 def fault_rows(roots: Sequence[SpanNode]) -> List[Tuple[object, ...]]:
     """One row per query that hit fault-tolerance machinery.
 
-    Sums the ``scatter.retries`` / ``scatter.timeouts`` / ``scatter.hedges``
-    attributes the serving stack attaches to execute spans (only when
-    nonzero — see :func:`repro.obs.instrument.attach_scatter_legs`), plus
-    the degraded/failed flags.  Queries with no fault activity produce no
+    Sums the ``scatter.retries`` attributes the serving stack attaches to
+    execute spans (only when nonzero — see
+    :func:`repro.obs.instrument.attach_scatter_legs`), plus the
+    degraded/failed flags.  Queries with no fault activity produce no
     row, so fault-free traces summarize without this section.
     """
     rows: List[Tuple[object, ...]] = []
     for root in query_roots(roots):
-        retries = timeouts = hedges = 0
+        retries = 0
         missing: Tuple[object, ...] = ()
         degraded = failed = False
         for node in root.walk():
             attrs = node.attributes
             retries += int(attrs.get("scatter.retries", 0) or 0)
-            timeouts += int(attrs.get("scatter.timeouts", 0) or 0)
-            hedges += int(attrs.get("scatter.hedges", 0) or 0)
             if attrs.get("scatter.degraded"):
                 degraded = True
                 missing = tuple(attrs.get("scatter.missing_shards", ()) or ())
             if attrs.get("failed"):
                 failed = True
                 missing = tuple(attrs.get("missing_shards", ()) or ()) or missing
-        if retries or timeouts or hedges or degraded or failed:
+        if retries or degraded or failed:
             if failed:
                 outcome = "failed"
             elif degraded:
@@ -166,8 +164,6 @@ def fault_rows(roots: Sequence[SpanNode]) -> List[Tuple[object, ...]]:
                     root.attributes.get("request_id", ""),
                     root.attributes.get("query", ""),
                     retries,
-                    timeouts,
-                    hedges,
                     outcome,
                 )
             )
@@ -228,7 +224,7 @@ def summarize_trace(
         lines.append("")
         lines.append(
             format_table(
-                ["trace", "request", "query", "retries", "timeouts", "hedges", "outcome"],
+                ["trace", "request", "query", "retries", "outcome"],
                 faults,
                 title="fault tolerance",
             )

@@ -75,7 +75,6 @@ from repro.service.faults import (
     FaultPlan,
     NodeBreakers,
     OutageFault,
-    RetryPolicy,
     ShardUnavailableError,
     SlowdownFault,
     TaskAttempt,
@@ -136,7 +135,6 @@ __all__ = [
     "FaultPlan",
     "NodeBreakers",
     "OutageFault",
-    "RetryPolicy",
     "ShardUnavailableError",
     "SlowdownFault",
     "TaskAttempt",

@@ -10,18 +10,18 @@ injection in virtual time".  This module supplies both halves:
   seeded hash, never of host scheduling or mutable counters, so an identical
   fault plan produces bit-identical behaviour on the virtual and process
   backends — the property the fault-equivalence suite pins.
-* **Tolerance** — :class:`RetryPolicy` (per-task timeouts, capped
-  exponential backoff, hedged duplicate dispatch), :class:`CircuitBreaker` /
-  :class:`NodeBreakers` (per-node closed → open → half-open gating on the
-  virtual clock), and :func:`schedule_task`, the pure "attempt walk" the
-  scatter executor uses to turn one real engine execution into a
-  deterministic timeline of failed attempts, backoffs and the eventual
-  success or give-up.
+* **Tolerance** — fixed retry constants (:data:`MAX_ATTEMPTS` attempts
+  with capped exponential :func:`backoff_ns` between them, retrying on the
+  next replica), :class:`CircuitBreaker` / :class:`NodeBreakers` (per-node
+  closed → open → half-open gating on the virtual clock), and
+  :func:`schedule_task`, the pure "attempt walk" the scatter executor uses
+  to turn one real engine execution into a deterministic timeline of
+  failed attempts, backoffs and the eventual success or give-up.
 
 The attempt walk is the trick that keeps the byte-equality contract cheap:
 replica fragments are identical by construction, so the engine only ever
-runs **once** per shard; retries, timeouts and hedges are virtual-cost
-events layered on top of that single execution's base cost.  A shard whose
+runs **once** per shard; retries and backoffs are virtual-cost events
+layered on top of that single execution's base cost.  A shard whose
 replicas are all unavailable contributes *no* execution (and therefore no
 JoinStats and no cache entries) — exactly the degradation contract
 :class:`~repro.service.scatter.ScatterGatherExecutor` enforces.
@@ -32,17 +32,24 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from repro.service.scatter import ScatterGatherStats
 
 __all__ = [
+    "BACKOFF_BASE_NS",
+    "BACKOFF_CAP_NS",
     "BREAKER_FAST_FAIL_COST_NS",
+    "BREAKER_RESET_NS",
+    "BREAKER_THRESHOLD",
     "CircuitBreaker",
     "FaultInjector",
     "FaultPlan",
+    "MAX_ATTEMPTS",
     "NodeBreakers",
     "OUTAGE_DETECT_COST_NS",
     "OutageFault",
-    "RetryPolicy",
     "ShardUnavailableError",
     "SlowdownFault",
     "TRANSIENT_FAILURE_COST_NS",
@@ -50,6 +57,7 @@ __all__ = [
     "TaskSchedule",
     "TransientFault",
     "WorkerCrashFault",
+    "backoff_ns",
     "check_on_shard_loss",
     "coerce_fault_plan",
     "parse_fault_spec",
@@ -62,6 +70,21 @@ OUTAGE_DETECT_COST_NS = 50.0
 TRANSIENT_FAILURE_COST_NS = 200.0
 #: Virtual cost of skipping a node whose circuit breaker is open.
 BREAKER_FAST_FAIL_COST_NS = 5.0
+#: Attempts one shard task gets before it is lost (attempt ``k`` targets
+#: replica ``k % replication``).
+MAX_ATTEMPTS = 4
+#: Backoff after failed attempt ``k``: ``BACKOFF_BASE_NS * 2**k``, capped.
+BACKOFF_BASE_NS = 50.0
+BACKOFF_CAP_NS = 800.0
+#: Consecutive failures that open a node's breaker, and the virtual time
+#: before an open breaker admits its half-open probe.
+BREAKER_THRESHOLD = 5
+BREAKER_RESET_NS = 10_000.0
+
+
+def backoff_ns(attempt: int) -> float:
+    """Backoff charged after failed attempt ``attempt`` (0-based)."""
+    return min(BACKOFF_BASE_NS * (2.0**attempt), BACKOFF_CAP_NS)
 
 
 class ShardUnavailableError(RuntimeError):
@@ -70,8 +93,9 @@ class ShardUnavailableError(RuntimeError):
     Raised by the scatter executor when ``on_shard_loss="fail"`` (the
     default).  Carries enough context to build a failed
     :class:`~repro.service.metrics.QueryRecord`: the seed relation, the
-    shards that were lost, how many attempts each burned, and the total
-    virtual cost the query accrued before giving up.
+    shards that were lost, how many attempts each burned, the total
+    virtual cost the query accrued before giving up, and the fan-out's
+    :class:`~repro.service.scatter.ScatterGatherStats`.
     """
 
     def __init__(
@@ -80,11 +104,15 @@ class ShardUnavailableError(RuntimeError):
         shards: Sequence[int],
         attempts: int,
         cost_ns: float,
+        scatter: ScatterGatherStats,
     ):
         self.relation = relation
         self.shards = tuple(shards)
         self.attempts = attempts
         self.cost_ns = cost_ns
+        #: The failed fan-out's breakdown, so the service can still feed
+        #: the breakers and trace it at completion.
+        self.scatter = scatter
         plural = "s" if len(self.shards) != 1 else ""
         super().__init__(
             f"shard{plural} {list(self.shards)} of relation {relation!r} "
@@ -103,6 +131,13 @@ def check_on_shard_loss(policy: str) -> str:
 # --------------------------------------------------------------------------- #
 # Fault primitives — pure windows on the virtual clock
 # --------------------------------------------------------------------------- #
+def _check_window(start: float, end: float) -> None:
+    """Reject a window that is NaN-bounded or not ``0 <= start < end``."""
+    # Written positively so a NaN bound (every comparison False) fails.
+    if not 0 <= start < end:
+        raise ValueError(f"window [{start!r}, {end!r}) must satisfy 0 <= START < END")
+
+
 @dataclass(frozen=True)
 class SlowdownFault:
     """Node ``node`` runs ``factor``× slower while ``start <= now < end``."""
@@ -111,6 +146,13 @@ class SlowdownFault:
     factor: float
     start: float = 0.0
     end: float = math.inf
+
+    def __post_init__(self):
+        if not (math.isfinite(self.factor) and self.factor > 0):
+            raise ValueError(
+                f"slowdown factor must be finite and positive, got {self.factor!r}"
+            )
+        _check_window(self.start, self.end)
 
     def active(self, now: float) -> bool:
         return self.start <= now < self.end
@@ -130,6 +172,13 @@ class TransientFault:
     end: float
     probability: float = 1.0
 
+    def __post_init__(self):
+        _check_window(self.start, self.end)
+        if not 0.0 < self.probability <= 1.0:
+            raise ValueError(
+                f"flaky probability must be in (0, 1], got {self.probability!r}"
+            )
+
     def active(self, now: float) -> bool:
         return self.start <= now < self.end
 
@@ -144,6 +193,9 @@ class OutageFault:
     node: int
     start: float = 0.0
     end: float = math.inf
+
+    def __post_init__(self):
+        _check_window(self.start, self.end)
 
     def active(self, now: float) -> bool:
         return self.start <= now < self.end
@@ -171,8 +223,6 @@ def _parse_window(text: str) -> Tuple[float, float]:
         raise ValueError(f"expected START-END window, got {text!r}")
     start = float(start_text)
     end = math.inf if end_text.strip().lower() == "inf" else float(end_text)
-    if start < 0 or end <= start:
-        raise ValueError(f"window {text!r} must satisfy 0 <= START < END")
     return start, end
 
 
@@ -199,7 +249,7 @@ def parse_fault_spec(spec: str, seed: int = 2020) -> "FaultPlan":
             continue
         kind, sep, rest = clause.partition(":")
         if not sep:
-            raise ValueError(f"fault clause {clause!r} missing ':'")
+            raise ValueError(f"bad fault clause {clause!r}: missing ':'")
         kind = kind.strip().lower()
         rest = rest.strip()
         try:
@@ -209,8 +259,6 @@ def parse_fault_spec(spec: str, seed: int = 2020) -> "FaultPlan":
                 if not sep2:
                     raise ValueError("slow clause needs NODE*FACTOR")
                 factor = float(factor_text)
-                if factor <= 0:
-                    raise ValueError("slowdown factor must be positive")
                 start, end = _parse_window(window) if window else (0.0, math.inf)
                 slowdowns.append(
                     SlowdownFault(int(node_text), factor, start, end)
@@ -222,8 +270,6 @@ def parse_fault_spec(spec: str, seed: int = 2020) -> "FaultPlan":
                 window, _, prob_text = window.partition(":")
                 start, end = _parse_window(window)
                 probability = float(prob_text) if prob_text else 1.0
-                if not 0.0 < probability <= 1.0:
-                    raise ValueError("flaky probability must be in (0, 1]")
                 transients.append(
                     TransientFault(int(target), start, end, probability)
                 )
@@ -353,62 +399,18 @@ class FaultInjector:
 
 
 # --------------------------------------------------------------------------- #
-# Retry policy
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Per-task timeout, retry, backoff, hedging and breaker knobs.
-
-    All times are modelled nanoseconds on the service clock.
-
-    ``task_timeout_ns=None`` disables timeouts (an attempt only fails via
-    injected faults); ``hedge_threshold_ns=None`` disables hedged dispatch.
-    An attempt whose effective cost *equals* the timeout still succeeds —
-    the deadline is inclusive (pinned by the unit suite).
-    """
-
-    task_timeout_ns: Optional[float] = None
-    max_attempts: int = 4
-    backoff_base_ns: float = 50.0
-    backoff_cap_ns: float = 800.0
-    hedge_threshold_ns: Optional[float] = None
-    breaker_threshold: int = 5
-    breaker_reset_ns: float = 10_000.0
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.task_timeout_ns is not None and self.task_timeout_ns <= 0:
-            raise ValueError("task_timeout_ns must be positive or None")
-        if self.backoff_base_ns < 0 or self.backoff_cap_ns < 0:
-            raise ValueError("backoff values must be non-negative")
-        if self.hedge_threshold_ns is not None and self.hedge_threshold_ns <= 0:
-            raise ValueError("hedge_threshold_ns must be positive or None")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
-        if self.breaker_reset_ns <= 0:
-            raise ValueError("breaker_reset_ns must be positive")
-
-    def backoff_ns(self, attempt: int) -> float:
-        """Backoff charged after failed attempt ``attempt`` (0-based)."""
-        return min(self.backoff_base_ns * (2.0**attempt), self.backoff_cap_ns)
-
-
-# --------------------------------------------------------------------------- #
 # Circuit breaker
 # --------------------------------------------------------------------------- #
 class CircuitBreaker:
     """Closed → open → half-open breaker on the virtual clock.
 
-    State machine: ``breaker_threshold`` consecutive failures open the
-    breaker; after ``breaker_reset_ns`` of virtual time the next
+    State machine: :data:`BREAKER_THRESHOLD` consecutive failures open the
+    breaker; after :data:`BREAKER_RESET_NS` of virtual time the next
     :meth:`allow` admits a single half-open probe; the probe's success
     closes the breaker, its failure re-opens it for a fresh reset window.
     """
 
-    def __init__(self, threshold: int = 5, reset_ns: float = 10_000.0):
-        self.threshold = threshold
-        self.reset_ns = reset_ns
+    def __init__(self):
         self.state = "closed"
         self.failures = 0
         self.opened_at = 0.0
@@ -417,7 +419,7 @@ class CircuitBreaker:
         if self.state == "closed":
             return True
         if self.state == "open":
-            if now >= self.opened_at + self.reset_ns:
+            if now >= self.opened_at + BREAKER_RESET_NS:
                 self.state = "half_open"
                 return True  # the single half-open probe
             return False
@@ -425,7 +427,7 @@ class CircuitBreaker:
 
     def record_failure(self, now: float) -> None:
         self.failures += 1
-        if self.state == "half_open" or self.failures >= self.threshold:
+        if self.state == "half_open" or self.failures >= BREAKER_THRESHOLD:
             self.state = "open"
             self.opened_at = now
             self.failures = 0
@@ -444,17 +446,13 @@ class NodeBreakers:
     virtual-time oracle.
     """
 
-    def __init__(self, policy: RetryPolicy):
-        self.policy = policy
+    def __init__(self):
         self._breakers: Dict[int, CircuitBreaker] = {}
 
     def _breaker(self, node: int) -> CircuitBreaker:
         breaker = self._breakers.get(node)
         if breaker is None:
-            breaker = CircuitBreaker(
-                self.policy.breaker_threshold, self.policy.breaker_reset_ns
-            )
-            self._breakers[node] = breaker
+            breaker = self._breakers[node] = CircuitBreaker()
         return breaker
 
     def gate(self, nodes: Iterable[int], now: float) -> Dict[int, bool]:
@@ -484,10 +482,9 @@ class TaskAttempt:
 
     node: int
     replica: int
-    outcome: str  # "ok" | "transient" | "timeout" | "outage" | "breaker_open"
+    outcome: str  # "ok" | "transient" | "outage" | "breaker_open"
     cost_ns: float
     backoff_ns: float = 0.0
-    hedged: bool = False
 
     @property
     def ok(self) -> bool:
@@ -513,14 +510,6 @@ class TaskSchedule:
         return max(0, len(self.attempts) - 1)
 
     @property
-    def timeouts(self) -> int:
-        return sum(1 for a in self.attempts if a.outcome == "timeout")
-
-    @property
-    def hedged(self) -> bool:
-        return any(a.hedged for a in self.attempts)
-
-    @property
     def outcomes(self) -> Tuple[Tuple[int, bool], ...]:
         """``(node, ok)`` per attempt, for breaker observation."""
         return tuple((a.node, a.ok) for a in self.attempts)
@@ -532,95 +521,50 @@ def schedule_task(
     base_cost_ns: float,
     start_ns: float,
     signature: str,
-    policy: RetryPolicy,
     injector: Optional[FaultInjector],
     gate: Optional[Mapping[int, bool]] = None,
 ) -> TaskSchedule:
     """Walk one shard task's attempts through the fault plan, in pure math.
 
     ``nodes[r]`` is the node hosting replica ``r``; attempt ``k`` targets
-    replica ``k % len(nodes)``.  Every quantity is a pure function of the
-    inputs, so the walk is bit-identical on every backend.  Rules:
+    replica ``k % len(nodes)``, for at most :data:`MAX_ATTEMPTS` attempts.
+    Every quantity is a pure function of the inputs, so the walk is
+    bit-identical on every backend.  Rules:
 
     * an open breaker gate fails the attempt fast — except on the *last*
       attempt, which always runs for real (last-resort rule: a recoverable
       schedule must never be lost purely to breaker state);
     * an outage is detected for :data:`OUTAGE_DETECT_COST_NS`;
     * a transient failure burns :data:`TRANSIENT_FAILURE_COST_NS`;
-    * otherwise the attempt costs ``base_cost_ns`` × the node's slowdown;
-      if that exceeds ``hedge_threshold_ns`` a duplicate dispatch to the
-      next replica may win; if the winner still exceeds the (inclusive)
-      task timeout the attempt burns exactly the timeout and retries;
-    * failed attempts are followed by capped exponential backoff.
+    * otherwise the attempt succeeds at ``base_cost_ns`` × the node's
+      slowdown;
+    * failed attempts are followed by :func:`backoff_ns` (none after the
+      last).
     """
     if not nodes:
         raise ValueError("schedule_task needs at least one replica node")
     attempts: List[TaskAttempt] = []
     now = start_ns
-    last = policy.max_attempts - 1
-    for k in range(policy.max_attempts):
+    last = MAX_ATTEMPTS - 1
+    for k in range(MAX_ATTEMPTS):
         replica = k % len(nodes)
         node = nodes[replica]
         allowed = True if gate is None else gate.get(node, True)
-        attempt: Optional[TaskAttempt] = None
         if not allowed and k < last:
-            attempt = TaskAttempt(
-                node, replica, "breaker_open", BREAKER_FAST_FAIL_COST_NS
-            )
+            outcome, cost = "breaker_open", BREAKER_FAST_FAIL_COST_NS
         elif injector is not None and injector.is_down(node, now):
-            attempt = TaskAttempt(node, replica, "outage", OUTAGE_DETECT_COST_NS)
+            outcome, cost = "outage", OUTAGE_DETECT_COST_NS
         elif injector is not None and injector.transient_fails(
             node, now, signature, shard, k
         ):
-            attempt = TaskAttempt(
-                node, replica, "transient", TRANSIENT_FAILURE_COST_NS
-            )
+            outcome, cost = "transient", TRANSIENT_FAILURE_COST_NS
         else:
-            eff = base_cost_ns * (
+            cost = base_cost_ns * (
                 injector.slowdown(node, now) if injector is not None else 1.0
             )
-            hedged = False
-            win_replica = replica
-            if (
-                policy.hedge_threshold_ns is not None
-                and len(nodes) > 1
-                and eff > policy.hedge_threshold_ns
-            ):
-                alt_replica = (replica + 1) % len(nodes)
-                alt_node = nodes[alt_replica]
-                hedge_at = now + policy.hedge_threshold_ns
-                if not (injector is not None and injector.is_down(alt_node, hedge_at)):
-                    alt_eff = policy.hedge_threshold_ns + base_cost_ns * (
-                        injector.slowdown(alt_node, hedge_at)
-                        if injector is not None
-                        else 1.0
-                    )
-                    if alt_eff < eff:
-                        eff = alt_eff
-                        hedged = True
-                        win_replica = alt_replica
-            if policy.task_timeout_ns is None or eff <= policy.task_timeout_ns:
-                attempts.append(
-                    TaskAttempt(
-                        nodes[win_replica], win_replica, "ok", eff, hedged=hedged
-                    )
-                )
-                now += eff
-                return TaskSchedule(
-                    shard, tuple(attempts), True, now - start_ns
-                )
-            attempt = TaskAttempt(
-                node, replica, "timeout", policy.task_timeout_ns, hedged=hedged
-            )
-        backoff = policy.backoff_ns(k) if k < last else 0.0
-        attempt = TaskAttempt(
-            attempt.node,
-            attempt.replica,
-            attempt.outcome,
-            attempt.cost_ns,
-            backoff_ns=backoff,
-            hedged=attempt.hedged,
-        )
-        attempts.append(attempt)
-        now += attempt.cost_ns + backoff
+            attempts.append(TaskAttempt(node, replica, "ok", cost))
+            return TaskSchedule(shard, tuple(attempts), True, now + cost - start_ns)
+        backoff = backoff_ns(k) if k < last else 0.0
+        attempts.append(TaskAttempt(node, replica, outcome, cost, backoff))
+        now += cost + backoff
     return TaskSchedule(shard, tuple(attempts), False, now - start_ns)

@@ -127,11 +127,10 @@ class QueryRecord:
     compiled: bool
     wall_elapsed: Optional[float] = None
     #: Fault-tolerance outcome (see repro.service.faults): how many scatter
-    #: attempts beyond the first the request burned, how many of those timed
-    #: out, whether the answer is a flagged partial (missing shards), and
-    #: whether the request failed outright (on_shard_loss="fail").
+    #: attempts beyond the first the request burned, whether the answer is a
+    #: flagged partial (missing shards), and whether the request failed
+    #: outright (on_shard_loss="fail").
     retries: int = 0
-    timeouts: int = 0
     degraded: bool = False
     failed: bool = False
 
@@ -155,7 +154,6 @@ class ClassTotals:
     plan_hits: int = 0
     compiles: int = 0
     retries: int = 0
-    timeouts: int = 0
     degraded: int = 0
     failed: int = 0
     measured: int = 0
@@ -193,7 +191,6 @@ class ServiceMetrics:
         totals.plan_hits += record.plan_cache_hit
         totals.compiles += record.compiled
         totals.retries += record.retries
-        totals.timeouts += record.timeouts
         totals.degraded += record.degraded
         totals.failed += record.failed
         totals.measured += record.wall_elapsed is not None
@@ -348,10 +345,10 @@ class ServiceMetrics:
                 f"host drain time      : {self.wall_drain_seconds:.3f} s wall "
                 f"({self.wall_throughput():.1f} requests/s)"
             )
-        if total.retries or total.timeouts or total.degraded or total.failed:
+        if total.retries or total.degraded or total.failed:
             lines.append(
-                f"fault tolerance      : {total.retries} retries, {total.timeouts} "
-                f"timeouts, {total.degraded} degraded, {total.failed} failed"
+                f"fault tolerance      : {total.retries} retries, "
+                f"{total.degraded} degraded, {total.failed} failed"
             )
         if self.inline_fallbacks:
             lines.append(
@@ -398,7 +395,6 @@ class ServiceMetrics:
         wall = [r.wall_elapsed for r in self.records if r.wall_elapsed is not None]
         faults = (
             ("retry", total.retries),
-            ("timeout", total.timeouts),
             ("degraded", total.degraded),
             ("failed", total.failed),
             ("inline_fallback", self.inline_fallbacks),

@@ -50,7 +50,6 @@ from repro.service.caches import PlanCache, ResultCache
 from repro.service.faults import (
     FaultInjector,
     FaultPlan,
-    RetryPolicy,
     ShardUnavailableError,
     check_on_shard_loss,
     coerce_fault_plan,
@@ -182,17 +181,15 @@ class QueryPipeline:
         ``"slow:0*3;down:1@100-inf"`` parsed under ``seed``
         (:func:`repro.service.faults.parse_fault_spec`).  A non-empty plan
         arms the deterministic injector: the scatter path gains the
-        retry/timeout/hedging attempt walk, and a ``crash:`` clause arms
-        the process backend's worker-crash trigger.
+        retry-on-replica attempt walk (fixed constants in
+        :mod:`repro.service.faults`), and a ``crash:`` clause arms the
+        process backend's worker-crash trigger.
     on_shard_loss:
         ``"fail"`` (default): a shard lost on every replica raises a typed
         :class:`~repro.service.faults.ShardUnavailableError`.
         ``"partial"``: the query completes with the surviving fragments'
         union, flagged ``degraded`` and never admitted into the result
         cache as a complete answer.
-    retry_policy:
-        :class:`~repro.service.faults.RetryPolicy` overrides for the
-        fault-tolerant scatter path (timeouts, backoff, hedging, breaker).
     maintenance:
         How the caches track catalog mutations.  ``"recompute"`` (default)
         subscribes the caches' ``invalidate``: every dependent entry drops.
@@ -216,7 +213,6 @@ class QueryPipeline:
         faults: Union[FaultPlan, str, None] = None,
         seed: int = 2020,
         on_shard_loss: str = "fail",
-        retry_policy: Optional[RetryPolicy] = None,
         maintenance: str = "recompute",
         clock: Optional[Callable[[], float]] = None,
     ):
@@ -242,7 +238,6 @@ class QueryPipeline:
                 database,
                 ResultCache(result_cache_capacity),
                 compiler=self.compiler,
-                retry_policy=retry_policy,
                 injector=self.injector,
                 on_shard_loss=on_shard_loss,
             )
@@ -419,7 +414,7 @@ class QueryPipeline:
             # Unrecoverable shard loss: charge the virtual time burned
             # before giving up, and keep the breakdown for the breakers.
             tuples, service_time = [], max(error.cost_ns, RESULT_REPLAY_COST)
-            scatter_stats = getattr(error, "scatter", None)
+            scatter_stats = error.scatter
         else:
             tuples, service_time = prepared.tuples, RESULT_REPLAY_COST
         completed = CompletedQuery(

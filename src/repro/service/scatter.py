@@ -63,7 +63,6 @@ from repro.service.caches import ResultCache, ShardDependency
 from repro.service.faults import (
     FaultInjector,
     NodeBreakers,
-    RetryPolicy,
     ShardUnavailableError,
     check_on_shard_loss,
     schedule_task,
@@ -90,8 +89,7 @@ class ShardTaskStats:
 
     The fault-tolerance fields describe the task's deterministic attempt
     walk (see :func:`repro.service.faults.schedule_task`): how many
-    attempts it burned, how many of those timed out, whether a hedged
-    duplicate dispatch won, which replica finally served it, and — for a
+    attempts it burned, which replica finally served it, and — for a
     ``lost`` task — that no replica could, in which case ``tuples`` is 0
     and ``cost_ns`` is the virtual time burned before giving up.
     """
@@ -103,8 +101,6 @@ class ShardTaskStats:
     fragment_cardinality: int
     wall_seconds: Optional[float] = None
     attempts: int = 1
-    timeouts: int = 0
-    hedged: bool = False
     replica: int = 0
     lost: bool = False
 
@@ -157,14 +153,6 @@ class ScatterGatherStats:
         return sum(task.retries for task in self.tasks)
 
     @property
-    def timeouts(self) -> int:
-        return sum(task.timeouts for task in self.tasks)
-
-    @property
-    def hedges(self) -> int:
-        return sum(1 for task in self.tasks if task.hedged)
-
-    @property
     def wall_seconds(self) -> Optional[float]:
         """The slowest measured shard's host wall seconds (``None``: none measured)."""
         walls = [task.wall_seconds for task in self.tasks if task.wall_seconds is not None]
@@ -188,8 +176,6 @@ class ScatterGatherStats:
                     source += f", {task.retries} retr{'ies' if task.retries != 1 else 'y'}"
                 if task.replica:
                     source += f", replica {task.replica}"
-                if task.hedged:
-                    source += ", hedged"
             lines.append(
                 f"  shard {task.shard}: {task.tuples} tuples from "
                 f"{task.fragment_cardinality} fragment rows, "
@@ -228,9 +214,6 @@ class ScatterGatherExecutor:
     compiler:
         Query compiler used for the rewritten scatter queries (plan-aware
         engines only).
-    retry_policy:
-        Timeout/backoff/hedging/breaker knobs for the fault-tolerant path
-        (defaults to :class:`~repro.service.faults.RetryPolicy`).
     injector:
         A :class:`~repro.service.faults.FaultInjector`.  Its presence is
         what arms the fault-tolerant attempt walk; ``None`` (the default)
@@ -247,17 +230,15 @@ class ScatterGatherExecutor:
         catalog: ShardedDatabase,
         partial_cache: Optional[ResultCache] = None,
         compiler: Optional[QueryCompiler] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         injector: Optional[FaultInjector] = None,
         on_shard_loss: str = "fail",
     ):
         self.catalog = catalog
         self.partial_cache = partial_cache
         self.compiler = compiler or QueryCompiler(enable_caching=True)
-        self.retry_policy = retry_policy or RetryPolicy()
         self.injector = injector
         self.on_shard_loss = check_on_shard_loss(on_shard_loss)
-        self.breakers = NodeBreakers(self.retry_policy)
+        self.breakers = NodeBreakers()
         # Rewritten plans by canonical signature (the seed is always atom 0):
         # pure query structure, shared by every shard and never invalidated
         # by data.
@@ -399,16 +380,13 @@ class ScatterGatherExecutor:
                 # the service uses (the request's completion event).
                 self.observe_attempts(stats, now + execution.cost)
             if execution.degraded and self.on_shard_loss == "fail":
-                error = ShardUnavailableError(
+                raise ShardUnavailableError(
                     spec.seed_relation,
                     execution.missing_shards,
                     sum(task.attempts for task in stats.tasks if task.lost),
                     execution.cost,
+                    stats,
                 )
-                # Carry the breakdown so the service can still feed the
-                # breakers and trace the failed fan-out at completion.
-                error.scatter = stats
-                raise error
             return execution
 
         return gather
@@ -467,7 +445,7 @@ class ScatterGatherExecutor:
 
         With faults armed, each computed shard's one execution is charged
         its deterministic attempt walk (:func:`repro.service.faults.schedule_task`):
-        failed attempts, backoffs, hedges and the final success or give-up
+        failed attempts, backoffs and the final success or give-up
         are pure virtual-cost events, so a recoverable fault schedule yields
         byte-identical results/stats/caches to the fault-free run.  A task
         whose walk gives up is *lost*: its execution is discarded wholesale
@@ -497,17 +475,12 @@ class ScatterGatherExecutor:
                     execution.cost,
                     now,
                     signature,
-                    self.retry_policy,
                     self.injector,
                     breaker_gate,
                 )
                 attempt_outcomes.extend(schedule.outcomes)
                 cost_ns = schedule.cost_ns
-                walk = dict(
-                    attempts=len(schedule.attempts),
-                    timeouts=schedule.timeouts,
-                    hedged=schedule.hedged,
-                )
+                walk = dict(attempts=len(schedule.attempts))
                 if not schedule.ok:
                     tasks.append(
                         ShardTaskStats(shard, 0, cost_ns, False, fragment_size, lost=True, **walk)

@@ -455,7 +455,6 @@ class QueryService:
             prepared.compiled,
             wall_elapsed,
             stats.retries if stats is not None else 0,
-            stats.timeouts if stats is not None else 0,
             execution is not None and execution.degraded,
             prepared.error is not None,
         )

@@ -334,7 +334,7 @@ def test_window_is_bounded_and_totals_are_lifetime(hot_service):
     ) / len(lookups)
     total = metrics.total()
     assert total.compiles == sum(r.compiled for r in shadow) > 0
-    assert total.retries == total.timeouts == total.degraded == total.failed == 0
+    assert total.retries == total.degraded == total.failed == 0
     assert total.measured == 0
     for backend in ("lftj", "ctj"):
         group = [r for r in shadow if r.backend == backend]
