@@ -170,6 +170,20 @@ class TestCommands:
         assert "host drain time" in output
         assert "host execution" in output
 
+    @pytest.mark.parametrize(
+        "spec", ["slow:0*nan", "slow:0*inf", "down:1@nan", "flaky:1@nan-nan"]
+    )
+    def test_workload_rejects_non_finite_fault_values(self, spec):
+        # These used to crash the drain loop (IndexError) or arm a fault
+        # that never fires; now the session refuses the spec up front.
+        with pytest.raises(ValueError, match="bad fault clause"):
+            main(
+                [
+                    "workload", "--dataset", "grqc", "--scale", "0.005",
+                    "--num-queries", "4", "--shards", "2", "--faults", spec,
+                ]
+            )
+
     def test_workload_rejects_unknown_execution_backend(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["workload", "--backend", "fibers"])

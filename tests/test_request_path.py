@@ -436,6 +436,15 @@ def test_front_ends_reject_what_the_pipeline_does_not_declare():
         QueryService(_edge_database(), bogus=1)
 
 
+@pytest.mark.parametrize("front_end", [Session, QueryService, QueryPipeline])
+def test_the_retry_walk_takes_no_policy_keyword(front_end):
+    # The attempt walk runs on service.faults' constants; no front end
+    # accepts a policy object any more.
+    assert "retry_policy" not in PIPELINE_OPTIONS
+    with pytest.raises(TypeError, match="retry_policy"):
+        front_end(_edge_database(), retry_policy=None)
+
+
 @pytest.mark.parametrize("option", ["maintenance", "on_shard_loss"])
 def test_a_bad_option_is_rejected_before_the_store_is_created(option, tmp_path):
     with pytest.raises(ValueError, match=option):

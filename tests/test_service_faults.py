@@ -151,6 +151,73 @@ class TestFaultSpecGrammar:
         with pytest.raises(ValueError, match="probability"):
             FaultPlan(transients=(TransientFault(1, 0.0, 10.0, math.nan),))
 
+    @pytest.mark.parametrize(
+        ("build", "match"),
+        [
+            pytest.param(
+                lambda: SlowdownFault(0, 0.0), "finite and positive", id="slow-zero"
+            ),
+            pytest.param(
+                lambda: SlowdownFault(0, -2.0), "finite and positive", id="slow-negative"
+            ),
+            pytest.param(
+                lambda: SlowdownFault(0, math.nan), "finite and positive", id="slow-nan"
+            ),
+            pytest.param(
+                lambda: SlowdownFault(0, -math.inf),
+                "finite and positive",
+                id="slow-minus-inf",
+            ),
+            pytest.param(
+                lambda: SlowdownFault(0, 2.0, 10.0, 10.0),
+                "0 <= START < END",
+                id="slow-empty-window",
+            ),
+            pytest.param(
+                lambda: OutageFault(1, -1.0), "0 <= START < END", id="down-negative-start"
+            ),
+            pytest.param(
+                lambda: OutageFault(1, 0.0, math.nan),
+                "0 <= START < END",
+                id="down-nan-end",
+            ),
+            pytest.param(
+                lambda: OutageFault(1, 20.0, 10.0),
+                "0 <= START < END",
+                id="down-inverted",
+            ),
+            pytest.param(
+                lambda: TransientFault(1, math.nan, 10.0),
+                "0 <= START < END",
+                id="flaky-nan-start",
+            ),
+            pytest.param(
+                lambda: TransientFault(1, 0.0, 10.0, 0.0), "probability", id="flaky-p0"
+            ),
+            pytest.param(
+                lambda: TransientFault(1, 0.0, 10.0, 1.5), "probability", id="flaky-p>1"
+            ),
+        ],
+    )
+    def test_each_primitive_validates_itself(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    @pytest.mark.parametrize(
+        ("field", "fault"),
+        [
+            pytest.param("slowdowns", SlowdownFault(0, 1e-9), id="slow-tiny-factor"),
+            pytest.param("outages", OutageFault(1, 0.0, math.inf), id="down-forever"),
+            pytest.param(
+                "transients", TransientFault(1, 0.0, 1e-9, 1.0), id="flaky-certain"
+            ),
+        ],
+    )
+    def test_edge_values_inside_the_rules_are_accepted(self, field, fault):
+        plan = FaultPlan(**{field: (fault,)})
+        assert not plan.empty
+        assert FaultPlan.parse(plan.describe()) == plan  # the spec round-trips
+
     def test_describe_and_empty(self):
         assert FaultPlan().empty
         assert FaultPlan().describe() == "(no faults)"
