@@ -153,11 +153,11 @@ class Session:
         ``"auto"`` (default) runs unpinned work on the first eligible engine
         of :data:`~repro.api.routing.AUTO_ORDER`; ``"rotate"`` serves
         workloads round-robin over the engines instead.
-    shards / partitioner:
+    shards:
         ``shards > 1`` re-partitions the database into a
-        :class:`~repro.relational.sharding.ShardedDatabase` (``"hash"`` or
-        ``"range"`` over each relation's first attribute) and executes
-        statements by scatter-gather; a database that is already sharded is
+        :class:`~repro.relational.sharding.ShardedDatabase` (hashed on each
+        relation's first attribute) and executes statements by
+        scatter-gather; a database that is already sharded is
         used as-is.  The session keeps a shard-aware partial-result cache,
         so mutating one shard re-executes only that shard's fragment.
     concurrency / execution_backend:
@@ -179,7 +179,7 @@ class Session:
         as the session's catalog — an existing store is *recovered*
         (snapshot + mmap'd trie segments + WAL replay) before the first
         statement runs.  Mutually exclusive with ``database``; combine with
-        ``shards``/``partitioner`` to create a durable sharded catalog.
+        ``shards`` to create a durable sharded catalog.
         The session owns the store: :meth:`snapshot` persists, and
         :meth:`close` releases its file handles.
     replication_factor:
@@ -206,7 +206,6 @@ class Session:
         seed: int = 2020,
         routing: str = "auto",
         shards: int = 1,
-        partitioner: str = "hash",
         concurrency: int = 1,
         execution_backend=None,
         trace=None,
@@ -237,17 +236,13 @@ class Session:
                 storage_dir,
                 name="session",
                 num_shards=shards if shards > 1 else None,
-                partitioner=partitioner,
             )
         self._owns_database = storage_dir is not None
         if database is None:
             database = Database("session")
         if shards > 1 and not hasattr(database, "scatter_spec"):
             database = shard_database(
-                database,
-                shards,
-                partitioner=partitioner,
-                replication_factor=replication_factor,
+                database, shards, replication_factor=replication_factor
             )
         self.database = database
         self.router = Router()

@@ -360,10 +360,6 @@ def _add_sharding_arguments(parser, default_shards: Optional[int] = 1) -> None:
         help="partition the catalog across N shards; statements then run "
         "by scatter-gather (default: monolithic)",
     )
-    parser.add_argument(
-        "--partitioner", default="hash", choices=["hash", "range"],
-        help="how relations are partitioned across shards",
-    )
 
 
 def _add_execution_arguments(parser) -> None:
@@ -499,7 +495,6 @@ def _cmd_run(args) -> int:
         args,
         engines=_session_engines(args),
         shards=args.shards,
-        partitioner=args.partitioner,
         trace=bool(args.trace),
         execution_backend=args.backend,
         concurrency=args.workers if args.backend != "virtual" else 1,
@@ -561,12 +556,7 @@ def _run_on_service(session, statement, args) -> int:
 
 def _cmd_explain(args) -> int:
     database = _load_database(args)
-    session = Session(
-        database,
-        engines=args.engines,
-        shards=args.shards,
-        partitioner=args.partitioner,
-    )
+    session = Session(database, engines=args.engines, shards=args.shards)
     statement = (
         Statement.from_datalog(args.query)
         if "(" in args.query
@@ -633,7 +623,6 @@ def _cmd_workload(args) -> int:
         seed=args.seed,
         routing=args.route if args.route == "auto" else "rotate",
         shards=args.shards,
-        partitioner=args.partitioner,
         execution_backend=args.backend,
         concurrency=args.workers if args.backend != "virtual" else 1,
         maintenance=args.maintenance,
@@ -705,9 +694,7 @@ def _cmd_store(args) -> int:
             print(f"store already exists at {args.dir}; use 'store snapshot' "
                   "or 'store recover'", file=sys.stderr)
             return 1
-        store = open_store(
-            args.dir, num_shards=args.shards, partitioner=args.partitioner
-        )
+        store = open_store(args.dir, num_shards=args.shards)
         _populate_durable_catalog(store, args)
         warmed = 0 if args.no_warm else _warm_store_tries(store)
         summary = store.snapshot()

@@ -37,10 +37,8 @@ from repro.relational.catalog import (
 )
 from repro.relational.sharding import (
     HashPartitioner,
-    RangePartitioner,
     ScatterSpec,
     ShardedDatabase,
-    partitioner_from_spec,
     shard_alias,
     shard_database,
 )
@@ -69,10 +67,8 @@ __all__ = [
     "OverlayCatalog",
     "RelationState",
     "HashPartitioner",
-    "RangePartitioner",
     "ScatterSpec",
     "ShardedDatabase",
-    "partitioner_from_spec",
     "shard_alias",
     "shard_database",
     "is_alpha_acyclic",

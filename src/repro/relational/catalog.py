@@ -187,7 +187,7 @@ class RelationState:
 
     ``fragments`` maps ``None`` to the whole relation's sorted rows and, for
     a ``"partitioned"`` relation, each shard index to that shard's sorted
-    rows; ``partitioner`` is the fitted partitioner's ``to_spec()``.
+    rows; ``partitioner`` is ``{"kind": "hash", "num_shards": N}`` there.
     """
 
     name: str

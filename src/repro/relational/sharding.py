@@ -10,11 +10,11 @@ fragments, each stored in its own shard :class:`Database` with its own
 lazily built trie indexes.
 
 **Partitioning.**  Every relation is partitioned on its first attribute
-(for an edge relation, the source vertex) by either a multiplicative
-:class:`HashPartitioner` or a :class:`RangePartitioner` whose boundaries
-are fitted to the attribute's value distribution at registration time —
-the software form of the paper's split of the first variable's values
-across threads (Section 3.4).
+(for an edge relation, the source vertex) by one multiplicative
+:class:`HashPartitioner` — the software form of the paper's split of the
+first variable's values across threads (Section 3.4).  A value's shard
+depends on nothing but the value, so one partitioner routes every
+relation and there is no fitted state to persist.
 
 **Scatter-gather.**  A query fans out by rewriting its *seed atom* — the
 first atom of its body — to a shard-local alias (:func:`shard_alias`).
@@ -35,20 +35,8 @@ whose dependent (relation, shard) fragments changed.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.relational.catalog import (
     CatalogState,
@@ -87,93 +75,15 @@ class HashPartitioner:
     datasets — whose vertex ids cluster by community — still balance.
     """
 
-    kind = "hash"
-
     def __init__(self, num_shards: int):
         check_positive("num_shards", num_shards)
         self.num_shards = num_shards
-
-    def fit(self, values: Sequence[int]) -> None:
-        """Hash partitioning is data-independent; fitting is a no-op."""
 
     def shard_of(self, value: int) -> int:
         return ((int(value) * 2654435761) & 0xFFFFFFFF) % self.num_shards
 
     def describe(self) -> str:
         return f"hash({self.num_shards})"
-
-    def to_spec(self) -> Dict[str, Any]:
-        """JSON-able ``kind`` + constructor keywords (:func:`partitioner_from_spec`)."""
-        return {"kind": self.kind, "num_shards": self.num_shards}
-
-
-class RangePartitioner:
-    """Contiguous value ranges of the shard attribute.
-
-    Boundaries are fitted once, when the relation is registered: the sorted
-    distinct attribute values are split into ``num_shards`` equal-count
-    runs.  Rows inserted later are routed against the *fitted* boundaries
-    (values beyond the last boundary land in the final shard), matching how
-    a production range-sharded store splits on observed keys rather than
-    rebalancing on every insert.
-    """
-
-    kind = "range"
-
-    def __init__(self, num_shards: int, boundaries: Optional[Sequence[int]] = None):
-        check_positive("num_shards", num_shards)
-        self.num_shards = num_shards
-        #: ``num_shards - 1`` ascending cut points; value ``v`` goes to the
-        #: first shard whose boundary exceeds it.
-        self.boundaries: Tuple[int, ...] = tuple(boundaries or ())
-
-    def fit(self, values: Sequence[int]) -> None:
-        distinct = sorted(set(values))
-        if not distinct or self.num_shards == 1:
-            self.boundaries = ()
-            return
-        cuts: List[int] = []
-        for shard in range(1, self.num_shards):
-            index = (shard * len(distinct)) // self.num_shards
-            cuts.append(distinct[min(index, len(distinct) - 1)])
-        # Strictly increasing cut points (duplicates collapse a shard to
-        # empty, which shard_of handles by never routing to it).
-        self.boundaries = tuple(dict.fromkeys(cuts))
-
-    def shard_of(self, value: int) -> int:
-        return min(bisect.bisect_right(self.boundaries, int(value)), self.num_shards - 1)
-
-    def describe(self) -> str:
-        return f"range({self.num_shards}, cuts={list(self.boundaries)})"
-
-    def to_spec(self) -> Dict[str, Any]:
-        """JSON-able ``kind`` + constructor keywords, fitted boundaries included."""
-        return {
-            "kind": self.kind,
-            "num_shards": self.num_shards,
-            "boundaries": list(self.boundaries),
-        }
-
-
-#: Built-in partitioner factories, by name.
-PARTITIONER_KINDS: Dict[str, Callable[[int], object]] = {
-    "hash": HashPartitioner,
-    "range": RangePartitioner,
-}
-
-
-def make_partitioner(kind: str, num_shards: int):
-    """Instantiate a partitioner from its registered name."""
-    return PARTITIONER_KINDS[kind](num_shards)
-
-
-def partitioner_from_spec(spec: Mapping[str, Any]):
-    """Rebuild a *fitted* built-in partitioner from its ``to_spec()`` output."""
-    keywords = dict(spec)
-    kind = keywords.pop("kind", None)
-    if kind not in PARTITIONER_KINDS:
-        raise ValueError(f"unknown persisted partitioner kind {kind!r}")
-    return PARTITIONER_KINDS[kind](**keywords)
 
 
 # --------------------------------------------------------------------------- #
@@ -185,10 +95,8 @@ class ScatterSpec:
 
     Attributes
     ----------
-    seed_index:
-        Position of the seed atom in the original query's body.
     seed_relation:
-        The stored relation that atom binds.
+        The stored relation the seed atom (the query's first) binds.
     alias:
         Reserved name the seed atom is rewritten to (see :func:`shard_alias`).
     query:
@@ -197,7 +105,6 @@ class ScatterSpec:
         serves every shard.
     """
 
-    seed_index: int
     seed_relation: str
     alias: str
     query: ConjunctiveQuery
@@ -216,9 +123,6 @@ class ShardedDatabase(MutationSource):
     num_shards:
         Number of shard databases.  ``1`` is allowed (useful as the
         degenerate point of shard-count sweeps).
-    partitioner:
-        ``"hash"`` or ``"range"``.  Each relation gets its own instance
-        (range boundaries are per-relation), fitted on its first attribute.
     replication_factor:
         Copies kept of every fragment.  Replica ``r`` of
         fragment ``i`` lives on node ``(i + r) % num_shards``, so losing
@@ -232,15 +136,10 @@ class ShardedDatabase(MutationSource):
         self,
         name: str = "sharded",
         num_shards: int = 2,
-        partitioner: str = "hash",
         replication_factor: int = 1,
     ):
         super().__init__()
         check_positive("num_shards", num_shards)
-        if not isinstance(partitioner, str) or partitioner not in PARTITIONER_KINDS:
-            raise ValueError(
-                f"unknown partitioner {partitioner!r}; choose from {sorted(PARTITIONER_KINDS)}"
-            )
         if not isinstance(replication_factor, int) or replication_factor < 1:
             raise ValueError(
                 f"replication_factor must be an integer >= 1, got "
@@ -254,7 +153,6 @@ class ShardedDatabase(MutationSource):
             )
         self.name = name
         self.num_shards = num_shards
-        self.partitioner_kind = partitioner
         self.replication_factor = replication_factor
         self._global = Database(f"{name}.global")
         self._shards: Tuple[Database, ...] = tuple(
@@ -264,7 +162,8 @@ class ShardedDatabase(MutationSource):
         #: Each is a lightweight Database holding one fragment copy with its
         #: own trie cache, standing in for the fragment's host node.
         self._replicas: Dict[Tuple[str, int, int], Database] = {}
-        self._partitioners: Dict[str, object] = {}
+        #: Routes every relation's rows by their first value.
+        self._partitioner = HashPartitioner(num_shards)
 
     # ------------------------------------------------------------------ #
     # Relation management
@@ -287,19 +186,16 @@ class ShardedDatabase(MutationSource):
     def replace_relation(self, relation: Relation) -> None:
         """Register ``relation``, replacing (and re-partitioning) any existing one.
 
-        The one registration step: clear what the name held, then fit a
-        partitioner on the first attribute and split the rows.
+        The one registration step: clear what the name held, then split
+        the rows by the hash of their first value.
         """
         name = relation.name
         self._global.replace_relation(relation)
         for key in [k for k in self._replicas if k[0] == name]:
             del self._replicas[key]
-        partitioner = make_partitioner(self.partitioner_kind, self.num_shards)
-        partitioner.fit([row[0] for row in relation.sorted_rows()])
         fragments = [Relation(name, relation.schema) for _ in self._shards]
         for row in relation.sorted_rows():
-            fragments[partitioner.shard_of(row[0])].insert(row)
-        self._partitioners[name] = partitioner
+            fragments[self._partitioner.shard_of(row[0])].insert(row)
         for shard, fragment in zip(self._shards, fragments):
             shard.replace_relation(fragment)
         self._build_replicas(name)
@@ -326,7 +222,7 @@ class ShardedDatabase(MutationSource):
     # State hooks (what a durable layer persists and restores)
     # ------------------------------------------------------------------ #
     def dump_state(self) -> CatalogState:
-        """Whole relations, per-shard fragments, fitted partitioners, cached tries."""
+        """Whole relations, per-shard fragments, the partitioner, cached tries."""
         relations = []
         for name in self.relation_names():
             relation = self._global.relation(name)
@@ -340,7 +236,7 @@ class ShardedDatabase(MutationSource):
                     "partitioned",
                     fragments,
                     self.shard_attribute(name),
-                    self._partitioners[name].to_spec(),
+                    self._partitioner_spec(),
                 )
             )
         tries = [(trie, None) for trie in self._global.cached_tries()]
@@ -349,7 +245,7 @@ class ShardedDatabase(MutationSource):
         shape = {
             "catalog_kind": "sharded",
             "num_shards": str(self.num_shards),
-            "partitioner_kind": self.partitioner_kind,
+            "partitioner_kind": "hash",
         }
         return CatalogState(shape, tuple(relations), tuple(tries))
 
@@ -358,14 +254,11 @@ class ShardedDatabase(MutationSource):
         relations: Iterable[RelationState],
         tries: Iterable[Tuple[TrieIndex, Optional[int]]] = (),
     ) -> None:
-        """Rebuild from :meth:`dump_state` output without refitting anything.
+        """Rebuild from :meth:`dump_state` output without re-partitioning.
 
-        Every unit loads its own fragment and tries; routing is restored
-        from the *fitted* partitioner specs (a :class:`RangePartitioner`
-        keeps its stored boundaries) — re-partitioning would refit on
-        post-mutation data and route future inserts differently than the
-        original catalog did.  A relation that is not partitioned on its
-        first attribute raises :class:`ValueError` before anything loads.
+        Every unit loads its own fragment and tries.  A relation that is
+        not hash-partitioned over this catalog's shards on its first
+        attribute raises :class:`ValueError` before anything loads.
         """
         relations, tries = list(relations), list(tries)
         for state in relations:
@@ -376,12 +269,20 @@ class ShardedDatabase(MutationSource):
                     f"{state.shard_attribute!r}; a sharded catalog partitions every "
                     "relation on its first attribute"
                 )
+            if state.partitioner != self._partitioner_spec():
+                raise ValueError(
+                    f"relation {state.name!r} has partitioner {state.partitioner!r}; "
+                    f"a sharded catalog hashes every relation over its {self.num_shards} shards"
+                )
         self._global.load_state(relations, tries)
         for shard, shard_db in enumerate(self._shards):
             shard_db.load_state(relations, tries, fragment=shard)
         for state in relations:
-            self._partitioners[state.name] = partitioner_from_spec(state.partitioner or {})
             self._build_replicas(state.name)  # KeyError if a fragment is missing
+
+    def _partitioner_spec(self) -> Dict[str, Any]:
+        """The partitioner record a durable layer stores with each relation."""
+        return {"kind": "hash", "num_shards": self.num_shards}
 
     # ------------------------------------------------------------------ #
     # Catalog read surface (delegates to the merged global view)
@@ -430,9 +331,9 @@ class ShardedDatabase(MutationSource):
         """Attribute ``name`` is split on: always its first."""
         return self._global.relation(name).schema.attributes[0]
 
-    def partitioner_for(self, name: str):
-        """The fitted partitioner of ``name`` (``None`` for an unknown name)."""
-        return self._partitioners.get(name)
+    def partitioner_for(self, name: str) -> Optional[HashPartitioner]:
+        """The partitioner routing ``name`` (``None`` for an unknown name)."""
+        return self._partitioner if name in self._global else None
 
     def shard_relation(self, name: str, shard: int) -> Relation:
         """Shard ``shard``'s fragment of ``name``."""
@@ -478,7 +379,7 @@ class ShardedDatabase(MutationSource):
             counts = "/".join(str(c) for c in self.shard_cardinalities(name))
             lines.append(
                 f"  {name}: partitioned on {self.shard_attribute(name)!r} "
-                f"by {self._partitioners[name].describe()}, fragments {counts}"
+                f"by {self._partitioner.describe()}, fragments {counts}"
             )
         return "\n".join(lines)
 
@@ -494,10 +395,9 @@ class ShardedDatabase(MutationSource):
         """
         relation = self._global.relation(relation_name)
         normalized = [relation.normalize_row(row) for row in rows]  # before any state changes
-        partitioner = self._partitioners[relation_name]
         by_shard: Dict[int, List[Tuple[int, ...]]] = {}
         for row in normalized:
-            by_shard.setdefault(partitioner.shard_of(row[0]), []).append(row)
+            by_shard.setdefault(self._partitioner.shard_of(row[0]), []).append(row)
         # The merged global view updates before any event fires: incremental
         # maintainers run their delta joins from inside the notification, and
         # the post-state semi-naive rewrite needs every non-delta atom to
@@ -535,7 +435,6 @@ class ShardedDatabase(MutationSource):
             [Atom(alias, seed.variables), *query.atoms[1:]],
         )
         return ScatterSpec(
-            seed_index=0,
             seed_relation=seed.relation,
             alias=alias,
             query=rewritten,
@@ -577,11 +476,16 @@ def shard_database(
 
     Rows are copied (not shared), so mutating the source database afterwards
     cannot desynchronise the fragments from the sharded global view.
+    ``partitioner`` accepts only ``"hash"``, the one shard layout.
     """
+    if partitioner != "hash":
+        raise ValueError(
+            f"unknown partitioner {partitioner!r}; every sharded catalog hashes "
+            "its relations on their first attribute"
+        )
     sharded = ShardedDatabase(
         name or f"{database.name}.x{num_shards}",
         num_shards=num_shards,
-        partitioner=partitioner,
         replication_factor=replication_factor,
     )
     for relation_name in database.relation_names():

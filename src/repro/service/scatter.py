@@ -283,11 +283,7 @@ class ScatterGatherExecutor:
     ) -> Tuple[ShardDependency, ...]:
         """The exact fragment read set of shard ``shard``'s task."""
         seed: ShardDependency = (spec.seed_relation, shard)
-        others = tuple(
-            (atom.relation, None)
-            for index, atom in enumerate(spec.query.atoms)
-            if index != spec.seed_index
-        )
+        others = tuple((atom.relation, None) for atom in spec.query.atoms[1:])
         return tuple(dict.fromkeys((seed,) + others))
 
     def _plan_for(self, signature: str, spec: ScatterSpec) -> JoinPlan:
@@ -633,11 +629,7 @@ class ScatterGatherExecutor:
             # Every insert event of a sharded catalog names the shard its
             # rows were routed to.
             seeded = spec.seed_relation == evt.relation and evt.shard == shard
-            unseeded = any(
-                atom.relation == evt.relation
-                for index, atom in enumerate(spec.query.atoms)
-                if index != spec.seed_index
-            )
+            unseeded = any(atom.relation == evt.relation for atom in spec.query.atoms[1:])
             if not evt.delta.rows or not (seeded or unseeded):
                 return ()  # dependency touched, fragment result unchanged
             view = views.get((shard, spec.alias, seeded))

@@ -16,7 +16,7 @@ Layout of a store directory and the recovery contract are documented in
 
     from repro.storage import open_store
 
-    db = open_store("var/store", num_shards=2, partitioner="range")
+    db = open_store("var/store", num_shards=2)
     ...
     db.snapshot()   # fold the WAL into the snapshot + persist cached tries
     db.close()

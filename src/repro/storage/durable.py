@@ -25,13 +25,13 @@ wrapped catalog's ``dump_state()``.
 
 **Recovery** (on open of an existing store) is the wrapped catalog's own
 ``load_state(...)`` over the snapshot — packed fragments adopt straight into
-relations with their sorted-row cache pre-seeded; a sharded catalog's
-*fitted* partitioners are restored exactly, never refit; every trie segment
-is adopted via ``mmap`` (zero-copy — cold start maps files instead of
-rebuilding indexes) — followed by replaying the WAL into the wrapped catalog
-through its normal mutation entry points, which also re-invalidates the
-adopted tries of any relation the log touches, so a recovered catalog can
-never serve an index that is stale with respect to the replayed rows.
+relations with their sorted-row cache pre-seeded, never re-partitioned;
+every trie segment is adopted via ``mmap`` (zero-copy — cold start maps
+files instead of rebuilding indexes) — followed by replaying the WAL into
+the wrapped catalog through its normal mutation entry points, which also
+re-invalidates the adopted tries of any relation the log touches, so a
+recovered catalog can never serve an index that is stale with respect to
+the replayed rows.
 Replay is idempotent (re-inserting is a set no-op; re-defining replaces), so
 a crash *during* :meth:`DurableCatalog.snapshot` — after the SQLite commit,
 before the WAL truncate — recovers correctly on the next open.  A torn final
@@ -106,7 +106,7 @@ class DurableCatalog:
                 for key, value in stamps.items():
                     self._store.set_meta(key, value)
             else:
-                for key in ("catalog_kind", "num_shards"):
+                for key in ("catalog_kind", "num_shards", "partitioner_kind"):
                     if stored.get(key) != shape.get(key):
                         raise StoreFormatError(
                             f"store {storage_dir} was created with {key} "
@@ -338,14 +338,15 @@ def open_store(
     storage_dir: str,
     name: Optional[str] = None,
     num_shards: Optional[int] = None,
-    partitioner: str = "hash",
 ) -> DurableCatalog:
     """Open (recovering) or initialise the durable store at ``storage_dir``.
 
     ``num_shards=None`` means "whatever shape the store has" (a fresh store
     becomes monolithic); an integer — including 1 — requests a sharded
     catalog and must match an existing store's shard count.  An existing
-    store's stamped name and partitioning settings win over the arguments.
+    store's stamped name and shard count win over the arguments; a store
+    stamped with a partitioner other than ``"hash"`` raises
+    :class:`StoreFormatError`.
     """
     if store_exists(storage_dir):
         with SQLiteStore(os.path.join(storage_dir, CATALOG_FILENAME)) as store:
@@ -354,11 +355,10 @@ def open_store(
         if meta.get("catalog_kind") == "sharded":
             if num_shards is None:
                 num_shards = int(meta.get("num_shards", "2"))
-            partitioner = meta.get("partitioner_kind", "hash")
     if num_shards is None:
         catalog = Database(name or "durable")
     else:
-        catalog = ShardedDatabase(name or "durable", num_shards=num_shards, partitioner=partitioner)
+        catalog = ShardedDatabase(name or "durable", num_shards=num_shards)
     return DurableCatalog(catalog, storage_dir)
 
 

@@ -1,7 +1,7 @@
 """SQLite-backed catalog snapshots.
 
 :class:`SQLiteStore` persists the *snapshot* half of a durable store: the
-relation catalog (names, schemas, placements, fitted partitioners) and every
+relation catalog (names, schemas, placements, partitioner records) and every
 fragment's rows.  Rows are packed per fragment into a single blob: the
 sorted rows flattened into the one word format of :mod:`repro.storage.words`
 (little-endian signed 64-bit words, the only values a relation holds),
@@ -63,7 +63,7 @@ class RelationRecord:
     attributes: Tuple[str, ...]
     placement: str  # 'single' (monolithic) | 'partitioned' (sharded, on the first attribute)
     shard_attribute: Optional[str] = None
-    partitioner: Optional[Dict] = None  # {'kind', 'num_shards', 'boundaries'}
+    partitioner: Optional[Dict] = None  # {'kind': 'hash', 'num_shards': N}; partitioned only
 
 
 class SQLiteStore:

@@ -34,12 +34,7 @@ EDGES = [(1, 2), (1, 3), (2, 3), (3, 1), (4, 1), (4, 5)]
 #: The in-memory catalogs, by name; every one is tested bare and durable.
 BASES = {
     "database": lambda: Database("conformance"),
-    "sharded-hash": lambda: ShardedDatabase(
-        "conformance", num_shards=2, partitioner="hash"
-    ),
-    "sharded-range": lambda: ShardedDatabase(
-        "conformance", num_shards=2, partitioner="range"
-    ),
+    "sharded-hash": lambda: ShardedDatabase("conformance", num_shards=2),
 }
 LAYERS = ("plain", "durable")
 CATALOG_KINDS = tuple(f"{base}/{layer}" for base in BASES for layer in LAYERS)

@@ -138,20 +138,30 @@ class TestWorkflow:
             trie.write_text(source.replace(built, level))
             assert ci_local.run_step(step, str(tmp_path), dict(os.environ))[0] is passes, level
 
-    def test_partition_guard_refuses_a_partitioner_factory_or_placement_knob(self, tmp_path):
+    def test_partition_guard_refuses_a_second_partitioner_or_a_layout_knob(self, tmp_path):
         with open(os.path.join(ROOT, "src", "repro", "relational", "sharding.py")) as handle:
-            source = handle.read()
-        named = "    return PARTITIONER_KINDS[kind](num_shards)\n"
-        assert source.count(named) == 1
-        factory = "    if callable(kind):\n        return kind(num_shards)\n" + named
-        knob = source.replace("replication_factor: int = 1,", "replicate_threshold: int = 0,")
-        assert knob != source
-        sharding = tmp_path / "src" / "repro" / "relational" / "sharding.py"
-        sharding.parent.mkdir(parents=True)
+            sharding_source = handle.read()
+        with open(os.path.join(ROOT, "src", "repro", "cli.py")) as handle:
+            cli_source = handle.read()
+        hashed = "class HashPartitioner:\n"
+        assert sharding_source.count(hashed) == 1
+        ranged = sharding_source.replace(hashed, "class RangePartitioner:\n    pass\n\n\n" + hashed)
+        knob = sharding_source.replace(
+            "replication_factor: int = 1,", "replicate_threshold: int = 0,"
+        )
+        assert knob != sharding_source
+        flag = cli_source + 'parser.add_argument("--partitioner", default="hash")\n'
+        module_dir = tmp_path / "src" / "repro"
+        (module_dir / "relational").mkdir(parents=True)
         step = TREE_INVARIANTS["A sharded catalog partitions every relation"]
-        for text, passes in ((source, True), (source.replace(named, factory), False),
-                             (knob, False)):
-            sharding.write_text(text)
+        for sharding, cli, passes in (
+            (sharding_source, cli_source, True),
+            (ranged, cli_source, False),
+            (knob, cli_source, False),
+            (sharding_source, flag, False),
+        ):
+            (module_dir / "relational" / "sharding.py").write_text(sharding)
+            (module_dir / "cli.py").write_text(cli)
             assert ci_local.run_step(step, str(tmp_path), dict(os.environ))[0] is passes
 
     def test_one_auto_route_refuses_a_cost_model_but_not_the_cpu_baseline(self, tmp_path):

@@ -30,6 +30,18 @@ class TestParser:
         assert raised.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [["run", "cycle3"], ["explain", "cycle3"], ["workload"], ["store", "init", "d"]]
+    )
+    def test_partitioner_is_not_an_option(self, command, capsys):
+        # Every sharded catalog hashes on the first attribute: no layout flag.
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(command + ["--help"])
+        assert raised.value.code == 0
+        assert "--partitioner" not in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--shards", "2", "--partitioner", "hash"])
+
 
 class TestCommands:
     def test_datasets_listing(self, capsys):
@@ -294,11 +306,12 @@ class TestStoreCommands:
         assert "snapshot_seq" in info
 
     def test_store_init_sharded(self, tmp_path, capsys):
-        store_dir = self._init(tmp_path, "--shards", "2", "--partitioner", "range")
+        store_dir = self._init(tmp_path, "--shards", "2")
         capsys.readouterr()
         assert main(["store", "info", store_dir]) == 0
         info = capsys.readouterr().out
-        assert "sharded" in info and "range" in info
+        assert "sharded" in info
+        assert "  partitioner     : hash" in info.splitlines()
 
     def test_store_init_refuses_existing(self, tmp_path, capsys):
         store_dir = self._init(tmp_path)

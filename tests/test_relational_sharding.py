@@ -1,4 +1,4 @@
-"""Sharded catalog semantics: partitioners, fragments, events.
+"""Sharded catalog semantics: the hash partitioner, fragments, events.
 
 The invariants under test are the ones scatter-gather correctness rests on:
 fragments of a partitioned relation are disjoint and their union is the
@@ -15,7 +15,6 @@ from repro.relational import (
     DeltaBatch,
     HashPartitioner,
     MutationEvent,
-    RangePartitioner,
     Relation,
     Schema,
     ShardedDatabase,
@@ -23,7 +22,6 @@ from repro.relational import (
     shard_database,
 )
 
-PARTITIONERS = ("hash", "range")
 SHARD_COUNTS = (1, 2, 4)
 
 
@@ -33,9 +31,9 @@ def base_db():
 
 
 # --------------------------------------------------------------------------- #
-# Partitioners
+# The partitioner
 # --------------------------------------------------------------------------- #
-class TestPartitioners:
+class TestHashPartitioner:
     def test_hash_partitioner_is_deterministic_and_in_range(self):
         partitioner = HashPartitioner(4)
         shards = [partitioner.shard_of(v) for v in range(200)]
@@ -44,20 +42,16 @@ class TestPartitioners:
         # A multiplicative hash must not map consecutive ids to one shard.
         assert len(set(shards)) == 4
 
-    def test_range_partitioner_fits_equal_count_runs(self):
-        partitioner = RangePartitioner(3)
-        partitioner.fit(list(range(30)))
-        assert len(partitioner.boundaries) == 2
-        shards = [partitioner.shard_of(v) for v in range(30)]
-        assert shards == sorted(shards)  # contiguous ranges
-        assert set(shards) == {0, 1, 2}
-        # Values beyond the fitted domain land in the last shard.
-        assert partitioner.shard_of(10_000) == 2
+    def test_single_shard_partitioner_routes_everything_to_zero(self):
+        assert {HashPartitioner(1).shard_of(v) for v in range(50)} == {0}
 
-    def test_single_shard_partitioners_route_everything_to_zero(self):
-        for kind in (HashPartitioner(1), RangePartitioner(1)):
-            kind.fit([1, 2, 3])
-            assert {kind.shard_of(v) for v in range(50)} == {0}
+    def test_one_partitioner_routes_every_relation(self, base_db):
+        sharded = shard_database(base_db, 4)
+        sharded.add_relation(Relation("dims", Schema(("k", "v")), [(1, 10), (2, 20)]))
+        partitioner = sharded.partitioner_for("E")
+        assert sharded.partitioner_for("dims") is partitioner
+        assert partitioner.num_shards == 4
+        assert sharded.partitioner_for("missing") is None
 
 
 # --------------------------------------------------------------------------- #
@@ -68,10 +62,9 @@ class TestShardedDatabase:
         assert isinstance(base_db, Catalog)
         assert isinstance(shard_database(base_db, 2), Catalog)
 
-    @pytest.mark.parametrize("partitioner", PARTITIONERS)
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_fragments_partition_the_relation(self, base_db, partitioner, num_shards):
-        sharded = shard_database(base_db, num_shards, partitioner=partitioner)
+    def test_fragments_partition_the_relation(self, base_db, num_shards):
+        sharded = shard_database(base_db, num_shards)
         full = set(base_db.relation("E").sorted_rows())
         seen = set()
         for shard in range(num_shards):
@@ -81,21 +74,40 @@ class TestShardedDatabase:
         assert seen == full
         assert set(sharded.relation("E").sorted_rows()) == full  # global view
 
-    @pytest.mark.parametrize(
-        ("kwargs", "match"),
-        [
-            ({"num_shards": 0}, "num_shards"),
-            ({"partitioner": "modulo"}, "unknown partitioner"),
-            ({"partitioner": None}, "unknown partitioner"),
-        ],
-    )
-    def test_invalid_layout_rejected(self, kwargs, match):
-        with pytest.raises(ValueError, match=match):
-            ShardedDatabase("s", **kwargs)
+    def test_invalid_layout_rejected(self):
+        with pytest.raises(ValueError, match="num_shards"):
+            ShardedDatabase("s", num_shards=0)
+
+    def test_the_partitioner_is_not_a_knob(self):
+        with pytest.raises(TypeError, match="partitioner"):
+            ShardedDatabase("s", partitioner="hash")
+
+    @pytest.mark.parametrize("partitioner", ["range", "modulo", None])
+    def test_shard_database_accepts_only_hash(self, base_db, partitioner):
+        with pytest.raises(ValueError, match="unknown partitioner"):
+            shard_database(base_db, 2, partitioner=partitioner)
+        assert shard_database(base_db, 2, partitioner="hash").num_shards == 2
+
+    def test_an_empty_fragment_stays_routable(self):
+        """At 4 shards, first values that all hash to shards 0-2 leave
+        shard 3's fragment empty; it still loads, reads and takes inserts."""
+        sharded = ShardedDatabase("probe", num_shards=4)
+        sharded.add_relation(Relation("R", Schema(("a", "b"))))
+        shard_of = sharded.partitioner_for("R").shard_of
+        rows = [(v, v + 1) for v in range(200) if shard_of(v) != 3][:40]
+        sharded.replace_relation(Relation("R", Schema(("a", "b")), rows))
+        counts = sharded.shard_cardinalities("R")
+        assert counts[3] == 0 and sum(counts) == 40 and all(counts[:3])
+        events = []
+        sharded.subscribe_invalidation(events.append)
+        late = next((v, v) for v in range(200, 1000) if shard_of(v) == 3)
+        assert sharded.insert_into("R", [late]) == 1
+        assert sharded.shard_relation("R", 3).sorted_rows() == [late]
+        assert [event.shard for event in events] == [3]
 
     def test_rejected_definition_touches_no_state(self, base_db):
-        """A duplicate name must fail before the global view, the
-        partitioner table or any fragment sees the new rows."""
+        """A duplicate name must fail before the global view or any
+        fragment sees the new rows."""
         sharded = shard_database(base_db, 2)
         partitioner = sharded.partitioner_for("E")
         fragments = [sharded.shard_relation("E", s).sorted_rows() for s in range(2)]
@@ -110,7 +122,7 @@ class TestShardedDatabase:
         assert sharded.insert_into("E", [(90003, 90004)]) == 1
 
     def test_insert_routes_rows_and_emits_shard_events(self, base_db):
-        sharded = shard_database(base_db, 4, partitioner="hash")
+        sharded = shard_database(base_db, 4)
         events = []
         sharded.subscribe_invalidation(events.append)
         partitioner = sharded.partitioner_for("E")
@@ -157,9 +169,9 @@ class TestShardedDatabase:
         assert events == []
 
     def test_describe_names_layout(self, base_db):
-        sharded = shard_database(base_db, 2, partitioner="range")
+        sharded = shard_database(base_db, 2)
         text = sharded.describe()
-        assert "2 shard(s)" in text and "partitioned on 'src'" in text
+        assert "2 shard(s)" in text and "partitioned on 'src' by hash(2)" in text
 
 
 # --------------------------------------------------------------------------- #
@@ -169,7 +181,7 @@ class TestScatterSpec:
     def test_seed_is_first_partitioned_atom(self, base_db):
         sharded = shard_database(base_db, 2)
         spec = sharded.scatter_spec(pattern_query("cycle3"))
-        assert spec.seed_index == 0 and spec.seed_relation == "E"
+        assert spec.seed_relation == "E"
         assert spec.query.atoms[0].relation == shard_alias("E")
         assert all(atom.relation == "E" for atom in spec.query.atoms[1:])
         # Head and variables are untouched by the rewrite.
@@ -184,7 +196,7 @@ class TestScatterSpec:
             "q", ("k", "v", "w"), [Atom("dims", ("k", "v")), Atom("E", ("k", "w"))]
         )
         spec = sharded.scatter_spec(query)
-        assert spec.seed_index == 0 and spec.seed_relation == "dims"
+        assert spec.seed_relation == "dims"
         assert spec.query.atoms[0] == Atom(shard_alias("dims"), ("k", "v"))
         assert spec.query.atoms[1:] == query.atoms[1:]
 

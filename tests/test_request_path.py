@@ -68,7 +68,7 @@ def _scenario(name: str, backend: str = "virtual"):
         spec = WorkloadSpec(num_queries=80, mode="mixed", rename_fraction=0.5)
     elif name == "sharded_incremental":
         service = QueryService(
-            shard_database(database, 2, partitioner="hash"),
+            shard_database(database, 2),
             backends=("lftj", "ctj"),
             seed=11,
             maintenance="incremental",

@@ -8,8 +8,8 @@ Three layers of contract:
   solver exception → drop; never a wrong answer).
 * **Equivalence** — a Zipf update-heavy workload served under
   ``maintenance="incremental"`` returns byte-identical per-request results
-  to the ``"recompute"`` control, across engines × partitioners × shard
-  counts × execution backends, while actually patching (not silently
+  to the ``"recompute"`` control, across engines × shard counts ×
+  execution backends, while actually patching (not silently
   dropping).
 * **Modelled cost** — on the same stream, Σ ``service_time`` plus the
   maintainer's delta-join charge under ``incremental`` is below Σ
@@ -213,8 +213,6 @@ class TestResultMaintainer:
 # --------------------------------------------------------------------------- #
 # Workload equivalence: incremental ≡ recompute across the serving matrix
 # --------------------------------------------------------------------------- #
-#: (catalog label, shards, partitioner): shards=1 ignores the partitioner.
-CATALOGS = (("mono", 1, "hash"), ("hash2", 2, "hash"), ("range2", 2, "range"))
 ENGINES = ("lftj", "ctj", "generic")
 
 
@@ -229,14 +227,13 @@ def update_heavy_spec(num_queries):
     )
 
 
-def served_results(mode, engine, shards, partitioner, backend, requests, seed):
+def served_results(mode, engine, shards, backend, requests, seed):
     database = workload_database(num_vertices=24, num_edges=90, seed=seed)
     session = Session(
         database,
         engines=(engine,),
         routing="rotate",
         shards=shards,
-        partitioner=partitioner,
         execution_backend=backend,
         concurrency=2 if backend != "virtual" else 1,
         max_in_flight=4,
@@ -254,18 +251,16 @@ def served_results(mode, engine, shards, partitioner, backend, requests, seed):
 
 class TestWorkloadEquivalence:
     @pytest.mark.parametrize("repeat", range(REPEATS))
-    @pytest.mark.parametrize("label,shards,partitioner", CATALOGS)
+    @pytest.mark.parametrize("shards", (1, 2), ids=("mono", "hash2"))
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_incremental_matches_recompute(
-        self, engine, label, shards, partitioner, repeat
-    ):
+    def test_incremental_matches_recompute(self, engine, shards, repeat):
         seed = SEED + repeat
         requests = generate_requests(update_heavy_spec(20), seed=seed)
         oracle, oracle_patches, _ = served_results(
-            "recompute", engine, shards, partitioner, "virtual", requests, seed
+            "recompute", engine, shards, "virtual", requests, seed
         )
         patched, patches, drops = served_results(
-            "incremental", engine, shards, partitioner, "virtual", requests, seed
+            "incremental", engine, shards, "virtual", requests, seed
         )
         assert patched == oracle
         assert oracle_patches == 0
@@ -275,12 +270,8 @@ class TestWorkloadEquivalence:
     def test_process_backend_matches_its_recompute_control(self, repeat):
         seed = SEED + repeat
         requests = generate_requests(update_heavy_spec(16), seed=seed)
-        oracle, _, _ = served_results(
-            "recompute", "lftj", 2, "hash", "process", requests, seed
-        )
-        patched, patches, _ = served_results(
-            "incremental", "lftj", 2, "hash", "process", requests, seed
-        )
+        oracle, _, _ = served_results("recompute", "lftj", 2, "process", requests, seed)
+        patched, patches, _ = served_results("incremental", "lftj", 2, "process", requests, seed)
         assert patched == oracle
         assert patches > 0
 
@@ -575,7 +566,7 @@ def watch_one_insert(monkeypatch, maintainer, catalog, insert):
 class TestOncePerEvent:
     def test_one_delta_catalog_serves_every_entry_of_an_event(self, monkeypatch):
         monolithic = workload_database(num_vertices=24, num_edges=90, seed=SEED)
-        catalog = shard_database(monolithic, 2, partitioner="hash")
+        catalog = shard_database(monolithic, 2)
         service = QueryService(catalog, maintenance="incremental")
         queries = [pattern_query(pattern) for pattern in IVM_PATTERNS]
         for query in queries:
@@ -602,7 +593,7 @@ class TestOncePerEvent:
 
         # Every patched entry, result and shard partial, equals a recompute.
         monolithic.insert_into("E", batch)
-        fresh = QueryService(shard_database(monolithic, 2, partitioner="hash"))
+        fresh = QueryService(shard_database(monolithic, 2))
         for query in queries:
             fresh.serve(query)
         grew = 0

@@ -17,9 +17,9 @@ Five layers of pinning:
   records the workers' engine wall time;
 * **equivalence harness** — the process backend must reproduce the
   virtual-time oracle's result sets, records, cache contents and
-  admission decisions over engines × hash/range partitioners ×
-  shards {1, 2} with mid-stream updates, survive a worker crash
-  mid-drain (inline fallback), and tear down without leaking a segment.
+  admission decisions over engines × shards {1, 2} with mid-stream
+  updates, survive a worker crash mid-drain (inline fallback), and tear
+  down without leaking a segment.
 
 ``REPRO_CONCURRENCY_REPEATS`` (CI sets it > 1) re-runs the seeded
 equivalence cases.
@@ -446,10 +446,10 @@ class TestOverlapWithoutThreads:
 # --------------------------------------------------------------------------- #
 # Process-vs-virtual equivalence harness
 # --------------------------------------------------------------------------- #
-def _build_database(shards: int, seed: int, partitioner: str = "hash"):
+def _build_database(shards: int, seed: int):
     database = workload_database(num_vertices=50, num_edges=240, seed=seed)
     if shards > 1:
-        database = shard_database(database, shards, partitioner=partitioner)
+        database = shard_database(database, shards)
     return database
 
 
@@ -477,12 +477,11 @@ def _run_workload_snapshot(
     backend: str,
     workers,
     shards: int = 1,
-    partitioner: str = "hash",
     seed: int = 11,
     stream_seed: int = 7,
 ) -> dict:
     service = QueryService(
-        _build_database(shards, seed=5, partitioner=partitioner),
+        _build_database(shards, seed=5),
         backends=("lftj", "ctj"),
         max_in_flight=4,
         seed=seed,
@@ -519,13 +518,9 @@ def _run_workload_snapshot(
     return snapshot
 
 
-def _assert_process_matches_virtual(workers: int, shards: int, partitioner: str):
-    baseline = _run_workload_snapshot(
-        "virtual", None, shards=shards, partitioner=partitioner
-    )
-    processed = _run_workload_snapshot(
-        "process", workers, shards=shards, partitioner=partitioner
-    )
+def _assert_process_matches_virtual(workers: int, shards: int):
+    baseline = _run_workload_snapshot("virtual", None, shards=shards)
+    processed = _run_workload_snapshot("process", workers, shards=shards)
     assert processed["in_flight_after"] == (0, 0)  # no slot held, none queued
     assert processed["wall_spans"] > 0  # the pool actually measured work
     assert processed.pop("segments_after_close") == 0  # zero leaks
@@ -536,22 +531,19 @@ def _assert_process_matches_virtual(workers: int, shards: int, partitioner: str)
 
 
 class TestProcessEquivalence:
-    """Acceptance: process ≡ virtual over partitioners × shards, zero leaks."""
+    """Acceptance: process ≡ virtual over shard counts, zero leaks."""
 
     @pytest.mark.parametrize("repeat", range(REPEATS))
-    @pytest.mark.parametrize(
-        ("shards", "partitioner"),
-        [(1, "hash"), (2, "hash"), (2, "range")],
-    )
-    def test_process_matches_virtual(self, shards, partitioner, repeat):
-        _assert_process_matches_virtual(2, shards, partitioner)
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_process_matches_virtual(self, shards, repeat):
+        _assert_process_matches_virtual(2, shards)
 
     @pytest.mark.parametrize("repeat", range(REPEATS))
     @pytest.mark.parametrize("shards", [1, 2])
     @pytest.mark.parametrize("workers", [1, 4])
     def test_worker_count_leaves_observables_unchanged(self, workers, shards, repeat):
         """One worker serialises every submit; four outnumber the in-flight cap."""
-        _assert_process_matches_virtual(workers, shards, "hash")
+        _assert_process_matches_virtual(workers, shards)
 
     def test_worker_crash_mid_drain_falls_back_inline(self):
         """Killing every worker must not change observables or leak blocks."""

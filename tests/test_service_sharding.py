@@ -2,7 +2,7 @@
 
 The acceptance scenario of the sharding refactor: a cyclic (triangle) and an
 acyclic (path) query return identical results on ``Database`` and
-``ShardedDatabase`` for both partitioners and shard counts 1/2/4 across
+``ShardedDatabase`` for shard counts 1/2/4 across
 multiple engines; inserting into one shard invalidates only the result-cache
 entries dependent on that (relation, shard) pair; and a mutation landing in
 the middle of a running workload leaves untouched shards' partials alive
@@ -28,7 +28,6 @@ from repro.service.caches import LRUCache, ResultCache
 from repro.service.scatter import PARTIAL_REPLAY_COST_NS, partial_key
 
 ENGINES = ("lftj", "ctj", "naive")
-PARTITIONERS = ("hash", "range")
 SHARD_COUNTS = (1, 2, 4)
 ACCEPTANCE_QUERIES = ("cycle3", "path3")
 
@@ -54,13 +53,12 @@ def expected_results(base_db):
 # --------------------------------------------------------------------------- #
 class TestScatterGatherEquivalence:
     @pytest.mark.parametrize("engine_name", ENGINES)
-    @pytest.mark.parametrize("partitioner", PARTITIONERS)
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     @pytest.mark.parametrize("query_name", ACCEPTANCE_QUERIES)
     def test_executor_matches_monolithic(
-        self, base_db, expected_results, engine_name, partitioner, num_shards, query_name
+        self, base_db, expected_results, engine_name, num_shards, query_name
     ):
-        sharded = shard_database(base_db, num_shards, partitioner=partitioner)
+        sharded = shard_database(base_db, num_shards)
         executor = ScatterGatherExecutor(sharded)
         execution = executor.execute(pattern_query(query_name), create_engine(engine_name))
         assert set(execution.tuples) == expected_results[query_name]
@@ -69,6 +67,27 @@ class TestScatterGatherEquivalence:
         # Partitioned seeds produce disjoint partials: nothing merged away.
         assert execution.scatter.duplicates_removed == 0
         assert execution.cost > 0.0
+
+    @pytest.mark.parametrize("engine_name", ENGINES)
+    def test_an_empty_seed_fragment_matches_monolithic(self, engine_name):
+        # Seed rows whose first values all hash to shards 0-2: shard 3's
+        # task reads an empty fragment and must add nothing.
+        database = graph_database(community_graph(60, 300, seed=2020))
+        sharded = shard_database(database, 4)
+        shard_of = sharded.partitioner_for("E").shard_of
+        rows = [(v, v + 100) for v in range(60) if shard_of(v) != 3]
+        hub = Relation("hub", Schema(("k", "v")), rows)
+        database.add_relation(hub)
+        sharded.add_relation(hub)
+        query = ConjunctiveQuery(
+            "hub_out", ("x", "w", "y"), [Atom("hub", ("x", "w")), Atom("E", ("x", "y"))]
+        )
+        engine = create_engine(engine_name)
+        execution = ScatterGatherExecutor(sharded).execute(query, engine)
+        assert sharded.shard_cardinalities("hub")[3] == 0
+        assert execution.scatter.tasks[3].tuples == 0
+        reference = sorted(set(engine.execute(query, database).tuples))
+        assert reference and sorted(execution.tuples) == reference
 
     @pytest.mark.parametrize("query_name", ACCEPTANCE_QUERIES)
     def test_session_shards_matches_monolithic(self, base_db, expected_results, query_name):
@@ -235,7 +254,7 @@ def two_relation_catalog(num_shards=2):
     database.add_relation(
         Relation("S", Schema(("a", "b")), [(i + 1, i + 2) for i in range(20)])
     )
-    return shard_database(database, num_shards, partitioner="range")
+    return shard_database(database, num_shards)
 
 
 def rs_path_query():
@@ -382,7 +401,7 @@ class TestShardAwareInvalidation:
 class TestMutationDuringWorkload:
     def test_mid_stream_update_invalidates_and_refreshes(self):
         database = workload_database(num_vertices=40, num_edges=200, seed=11)
-        sharded = shard_database(database, 2, partitioner="hash")
+        sharded = shard_database(database, 2)
         service = QueryService(sharded, backends=("ctj",), seed=11)
         query = pattern_query("cycle3")
 

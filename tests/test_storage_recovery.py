@@ -4,11 +4,10 @@ A recovered store must be indistinguishable from a freshly built in-memory
 catalog over the same logical rows: byte-identical relation fragments,
 byte-identical query results, identical JoinStats, and identical cache
 behaviour (a re-run hits the same cached tries and does the same work).
-That property is exercised across engines (lftj + ctj), partitioning
-schemes (hash + range) and shard counts {1, 2}, under a Zipf-skewed,
-update-heavy mutation mix with a snapshot taken mid-workload and further
-mutations left pending in the WAL — the crash-between-snapshots case the
-durable tier exists for.
+That property is exercised across engines (lftj + ctj) and shard counts
+{1, 2}, under a Zipf-skewed, update-heavy mutation mix with a snapshot
+taken mid-workload and further mutations left pending in the WAL — the
+crash-between-snapshots case the durable tier exists for.
 """
 
 import pytest
@@ -17,7 +16,8 @@ from repro.graphs import pattern_query
 from repro.joins.ctj import CachedTrieJoin
 from repro.joins.generic_join import GenericJoin
 from repro.joins.leapfrog import LeapfrogTrieJoin
-from repro.relational import Database, HashPartitioner, Relation, Schema, ShardedDatabase
+from repro.api import Session
+from repro.relational import Database, Relation, Schema, ShardedDatabase
 from repro.storage import (
     MutationLog,
     SQLiteStore,
@@ -29,7 +29,6 @@ from repro.storage import (
 )
 from repro.util.rng import DeterministicRNG
 
-PARTITIONERS = ("hash", "range")
 SHARD_COUNTS = (1, 2)
 ENGINES = {
     "lftj": LeapfrogTrieJoin,
@@ -160,21 +159,14 @@ class TestMonolithicRecovery:
 
 
 class TestShardedRecovery:
-    @pytest.mark.parametrize("partitioner", PARTITIONERS)
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_equivalence_across_partitioners_and_shards(
-        self, tmp_path, partitioner, num_shards
-    ):
+    def test_equivalence_across_shard_counts(self, tmp_path, num_shards):
         store_dir = str(tmp_path / "store")
         seed_edges = sorted(set(zipf_edges(DeterministicRNG(11), BASE_EDGES)))
         workload = update_heavy_workload(13)
 
-        db = open_store(
-            store_dir, name="gate", num_shards=num_shards, partitioner=partitioner
-        )
-        reference = ShardedDatabase(
-            "gate", num_shards=num_shards, partitioner=partitioner
-        )
+        db = open_store(store_dir, name="gate", num_shards=num_shards)
+        reference = ShardedDatabase("gate", num_shards=num_shards)
         for catalog in (db, reference):
             catalog.add_relation(Relation("E", Schema(("src", "dst")), seed_edges))
 
@@ -191,27 +183,25 @@ class TestShardedRecovery:
         finally:
             recovered.close()
 
-    def test_range_boundaries_are_restored_not_refit(self, tmp_path):
-        """Recovery must route by the *persisted* boundaries even though the
-        relation has since grown rows that would fit differently."""
+    def test_a_recovered_store_routes_new_rows_as_before(self, tmp_path):
+        """Rows inserted after recovery land in the shards the live catalog
+        would have chosen: the hash depends on the value alone."""
         store_dir = str(tmp_path / "store")
-        db = open_store(
-            store_dir, name="gate", num_shards=2, partitioner="range"
-        )
-        db.add_relation(
-            Relation("E", Schema(("src", "dst")), [(i, i + 1) for i in range(1, 21)])
-        )
-        fitted = db._partitioners["E"].boundaries
-        db.snapshot()
-        # Rows far beyond the fitted domain: a refit would move the boundary.
-        db.insert_into("E", [(1000 + i, 1000 + i + 1) for i in range(20)])
-        db.close()
-
-        recovered = open_store(store_dir, name="gate")
-        try:
-            assert recovered._partitioners["E"].boundaries == fitted
-        finally:
-            recovered.close()
+        rows = [(i, i + 1) for i in range(1, 21)]
+        reference = ShardedDatabase("gate", num_shards=2)
+        with open_store(store_dir, name="gate", num_shards=2) as db:
+            for catalog in (db, reference):
+                catalog.add_relation(Relation("E", Schema(("src", "dst")), rows))
+            db.snapshot()
+        late = [(1000 + i, 1000 + i + 1) for i in range(20)]
+        with open_store(store_dir, name="gate") as recovered:
+            assert recovered.insert_into("E", late) == reference.insert_into("E", late)
+            for shard in range(2):
+                assert (
+                    recovered.shard_relation("E", shard).sorted_rows()
+                    == reference.shard_relation("E", shard).sorted_rows()
+                )
+            assert all(recovered.shard_cardinalities("E"))
 
 
 class TestStoreHandling:
@@ -437,6 +427,35 @@ class TestStoreCompatibility:
         with pytest.raises(StoreFormatError, match="first attribute"):
             open_store(store_dir)
 
-    def test_a_partitioner_factory_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown partitioner"):
-            ShardedDatabase("gate", num_shards=2, partitioner=lambda n: HashPartitioner(n))
+    @pytest.mark.parametrize("where", ["meta", "relation-record"])
+    def test_a_store_stamped_with_another_partitioner_fails_typed(self, tmp_path, where):
+        store_dir = str(tmp_path / "store")
+        with open_store(store_dir, name="gate", num_shards=2) as db:
+            db.add_relation(Relation("E", Schema(("src", "dst")), self.EDGES))
+            db.snapshot()
+        with SQLiteStore(f"{store_dir}/catalog.sqlite") as store:
+            if where == "meta":
+                store.set_meta("partitioner_kind", "range")
+            else:
+                store._conn.execute(
+                    "UPDATE relations SET partitioner = ?",
+                    ('{"boundaries": [10], "kind": "range", "num_shards": 2}',),
+                )
+                store._conn.commit()
+        with pytest.raises(StoreFormatError, match="range"):
+            open_store(store_dir)
+        with pytest.raises(StoreFormatError, match="range"):
+            Session(storage_dir=store_dir, shards=2)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda tmp: ShardedDatabase("gate", num_shards=2, partitioner="hash"),
+            lambda tmp: open_store(str(tmp / "store"), num_shards=2, partitioner="hash"),
+            lambda tmp: Session(shards=2, partitioner="hash"),
+        ],
+        ids=["ShardedDatabase", "open_store", "Session"],
+    )
+    def test_the_partitioner_keyword_is_gone(self, tmp_path, factory):
+        with pytest.raises(TypeError, match="partitioner"):
+            factory(tmp_path)
