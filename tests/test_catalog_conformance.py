@@ -35,6 +35,9 @@ EDGES = [(1, 2), (1, 3), (2, 3), (3, 1), (4, 1), (4, 5)]
 BASES = {
     "database": lambda: Database("conformance"),
     "sharded-hash": lambda: ShardedDatabase("conformance", num_shards=2),
+    # Four first values over eight shards: at least half the fragments of
+    # every relation are empty, so each behaviour also runs over them.
+    "sharded-hash-8": lambda: ShardedDatabase("conformance", num_shards=8),
 }
 LAYERS = ("plain", "durable")
 CATALOG_KINDS = tuple(f"{base}/{layer}" for base in BASES for layer in LAYERS)

@@ -22,7 +22,7 @@ from repro.relational import (
     shard_database,
 )
 
-SHARD_COUNTS = (1, 2, 4)
+SHARD_COUNTS = (1, 2, 3, 4)
 
 
 @pytest.fixture()

@@ -251,7 +251,7 @@ def served_results(mode, engine, shards, backend, requests, seed):
 
 class TestWorkloadEquivalence:
     @pytest.mark.parametrize("repeat", range(REPEATS))
-    @pytest.mark.parametrize("shards", (1, 2), ids=("mono", "hash2"))
+    @pytest.mark.parametrize("shards", (1, 2, 4), ids=("mono", "hash2", "hash4"))
     @pytest.mark.parametrize("engine", ENGINES)
     def test_incremental_matches_recompute(self, engine, shards, repeat):
         seed = SEED + repeat
@@ -276,7 +276,7 @@ class TestWorkloadEquivalence:
         assert patches > 0
 
     @pytest.mark.parametrize("maintenance", MAINTENANCE_MODES)
-    @pytest.mark.parametrize("shards", (1, 2), ids=("mono", "hash2"))
+    @pytest.mark.parametrize("shards", (1, 2, 4), ids=("mono", "hash2", "hash4"))
     @pytest.mark.parametrize("engine", ("lftj", "ctj", "naive"))
     def test_sync_execute_matches_a_fresh_served_run(self, engine, shards, maintenance):
         """Sync = served: one statement stream through ``Session.execute``

@@ -28,7 +28,7 @@ from repro.service.caches import LRUCache, ResultCache
 from repro.service.scatter import PARTIAL_REPLAY_COST_NS, partial_key
 
 ENGINES = ("lftj", "ctj", "naive")
-SHARD_COUNTS = (1, 2, 4)
+SHARD_COUNTS = (1, 2, 3, 4)
 ACCEPTANCE_QUERIES = ("cycle3", "path3")
 
 

@@ -29,7 +29,7 @@ from repro.storage import (
 )
 from repro.util.rng import DeterministicRNG
 
-SHARD_COUNTS = (1, 2)
+SHARD_COUNTS = (1, 2, 4)
 ENGINES = {
     "lftj": LeapfrogTrieJoin,
     "ctj": CachedTrieJoin,
