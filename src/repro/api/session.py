@@ -38,6 +38,8 @@ from repro.relational.catalog import Database, MutationEvent
 from repro.relational.query import ConjunctiveQuery
 from repro.relational.sharding import shard_database
 from repro.relational.statistics import is_cyclic
+from repro.service.admission import check_admission_bounds
+from repro.service.backends import check_execution_backend
 from repro.service.maintenance import ResultMaintainer
 from repro.service.pipeline import CompletedQuery, QueryPipeline, check_pipeline_options
 from repro.util.validation import check_positive
@@ -70,11 +72,10 @@ class Subscription:
     Consume with :meth:`poll` (drains queued deltas) and :attr:`result`
     (the maintained result, sorted).  :meth:`close` detaches it.
 
-    Under ``maintenance="incremental"`` patchable insert events update the
-    snapshot with a semi-naive delta join; everything else — and every
-    event in ``"recompute"`` mode — re-executes the statement and diffs,
-    so removed rows (relation redefinitions) are reported correctly in
-    both modes.
+    Patchable insert events update the snapshot with a semi-naive delta
+    join; every other event (a relation redefinition, an inexact batch)
+    re-executes the statement and diffs, so removed rows are reported
+    correctly.
     """
 
     def __init__(self, session: "Session", query: ConjunctiveQuery, signature: str):
@@ -190,11 +191,12 @@ class Session:
     **pipeline_options:
         Every other keyword goes to the session's
         :class:`~repro.service.pipeline.QueryPipeline` — its parameter table
-        is the one place the serving options (``maintenance``, ``faults``,
+        is the one place the serving options (``faults``,
         ``on_shard_loss``, ``result_cache_capacity``, ...) are declared,
         defaulted and validated.  They hold for both :meth:`execute` and
-        :meth:`serve`; ``maintenance`` also selects how :meth:`subscribe`
-        subscriptions are advanced.
+        :meth:`serve`.  Cached results track catalog mutations through the
+        pipeline's one maintainer (:attr:`maintainer`): patched by delta
+        joins where an event allows it, dropped where it does not.
     """
 
     def __init__(
@@ -216,9 +218,16 @@ class Session:
         if routing not in ("auto", "rotate"):
             raise ValueError(f"routing must be 'auto' or 'rotate', got {routing!r}")
         check_positive("concurrency", concurrency)
-        # The pipeline validates its own options, but it is built after the
-        # store below is opened; reject a bad one before creating anything.
+        # The pipeline and the service validate their own options, but they
+        # are built after the store below is opened; reject a bad option or
+        # engine name before creating anything.
         check_pipeline_options(pipeline_options)
+        check_admission_bounds(max_in_flight, max_queue_depth)
+        check_execution_backend(execution_backend)
+        resolved = [
+            create_engine(entry) if isinstance(entry, str) else entry
+            for entry in (engines if engines is not None else engine_names())
+        ]
         if storage_dir is not None:
             if database is not None:
                 raise ValueError(
@@ -249,8 +258,8 @@ class Session:
         self.routing = routing
         self._service = None
         self.engines: Dict[str, EngineProtocol] = {}
-        for entry in engines if engines is not None else engine_names():
-            self.add_engine(create_engine(entry) if isinstance(entry, str) else entry)
+        for engine in resolved:
+            self.add_engine(engine)
         if not self.engines:
             raise ValueError("Session needs at least one engine")
         self.max_in_flight = max_in_flight
@@ -289,8 +298,8 @@ class Session:
         result and is kept up to date as the catalog mutates: each mutation
         touching the query's relations updates :attr:`Subscription.result`
         and queues a :class:`ResultDelta` for :meth:`Subscription.poll`.
-        Under ``maintenance="incremental"`` the update is a semi-naive
-        delta join; otherwise the statement is re-executed and diffed.
+        A patchable insert event updates it with a semi-naive delta join;
+        any other event re-executes the statement and diffs.
         """
         _stmt, query, signature = self._resolve(statement)
         subscription = Subscription(self, query, signature)
@@ -307,7 +316,7 @@ class Session:
         """
         maintainer = self.pipeline.maintainer
         # The maintainer patches exactly the patchable events.
-        incremental = maintainer is not None and event.patchable
+        incremental = event.patchable
         for subscription in list(self._subscriptions):
             if event.relation not in subscription.query.relation_names():
                 continue
@@ -353,8 +362,8 @@ class Session:
         return getattr(self.database, "num_shards", 1)
 
     @property
-    def maintainer(self) -> Optional[ResultMaintainer]:
-        """The incremental maintainer, or ``None`` under ``recompute``.
+    def maintainer(self) -> ResultMaintainer:
+        """The pipeline's incremental maintainer.
 
         Exposes the per-mutation :class:`MaintenanceReport` history and the
         accumulated delta-join cost (``maintainer.cost_ns``, virtual ns) so
@@ -546,7 +555,8 @@ class Session:
     # Catalog mutation
     # ------------------------------------------------------------------ #
     def insert(self, relation_name: str, rows) -> int:
-        """Insert tuples through the catalog; dependent cached results drop."""
+        """Insert tuples through the catalog; dependent cached results are
+        patched with the rows the batch adds to them."""
         return self.database.insert_into(relation_name, rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -19,7 +19,7 @@ The CLI exposes the library's main entry points without writing any Python::
     python -m repro run cycle3 --dataset grqc --trace out.json --trace-format chrome
     python -m repro trace validate out.jsonl
     python -m repro trace summarize out.jsonl --limit 10
-    python -m repro workload --dataset grqc --update-fraction 0.3 --maintenance incremental
+    python -m repro workload --dataset grqc --update-fraction 0.3
     python -m repro store init var/store --dataset grqc --scale 0.01
     python -m repro store info var/store
     python -m repro run cycle3 --storage-dir var/store
@@ -40,9 +40,10 @@ shared-memory trie segments (``--backend process --workers N``, same
 results with wall-clock numbers in the report; ``run`` accepts the same
 flags and serves the single query through the service layer) — and prints
 the service report (latencies, queue waits, cache hit rates); ``workload
---maintenance incremental`` serves with delta-patched caches instead of
-drop-and-recompute; ``store init|snapshot|recover|info`` manages
-a durable store directory (:mod:`repro.storage`) and ``run``/``workload``
+--update-fraction F`` mixes inserts into the stream, and cached results
+are patched with delta joins rather than dropped;
+``store init|snapshot|recover|info`` manages a durable store directory
+(:mod:`repro.storage`) and ``run``/``workload``
 accept ``--storage-dir`` to execute against one — recovering it on open and
 snapshotting it afterwards; ``run`` and ``workload`` accept ``--trace out`` (JSONL or
 ``--trace-format chrome`` for Perfetto) plus ``workload --metrics out.prom``
@@ -209,13 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     workload_parser.add_argument(
         "--update-fraction", type=float, default=0.0, metavar="F",
-        help="fraction of the stream that inserts edges (stresses invalidation)",
-    )
-    workload_parser.add_argument(
-        "--maintenance", default="recompute", choices=["recompute", "incremental"],
-        help="how catalog mutations reach cached results: drop dependent "
-        "entries and recompute on the next request, or patch them in place "
-        "with semi-naive delta joins",
+        help="fraction of the stream that inserts edges (stresses cache maintenance)",
     )
     workload_parser.add_argument(
         "--metrics", default=None, metavar="PATH",
@@ -625,7 +620,6 @@ def _cmd_workload(args) -> int:
         shards=args.shards,
         execution_backend=args.backend,
         concurrency=args.workers if args.backend != "virtual" else 1,
-        maintenance=args.maintenance,
         trace=bool(args.trace),
         **_fault_session_kwargs(args),
     )

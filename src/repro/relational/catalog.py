@@ -170,8 +170,8 @@ class MutationEvent:
     def patchable(self) -> bool:
         """True when the event carries exact rows a maintainer can patch with.
 
-        Relation (re)definitions and inexact batches force the historical
-        drop-and-recompute path; exact insert batches (including empty
+        Relation (re)definitions and inexact batches force the maintainer's
+        drop-and-recompute fallback; exact insert batches (including empty
         ones — every submitted row was a duplicate) can be patched.
         """
         return self.kind == "insert" and self.delta.exact

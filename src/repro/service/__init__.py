@@ -17,10 +17,11 @@ pluggable engine registry (:mod:`repro.engines`: naive, LFTJ, CTJ,
 Generic Join, pairwise, and the TrieJax accelerator model);
 :mod:`repro.service.workload` drives it with seeded open/closed-loop query
 streams and :mod:`repro.service.metrics` aggregates per-request records
-into service reports.  Catalog mutations flow to the caches under one of
-two maintenance policies (:mod:`repro.service.maintenance`): drop dependent
-entries and recompute on the next request, or patch them in place with
-semi-naive delta joins (:mod:`repro.joins.delta`).
+into service reports.  Catalog mutations flow to the caches through one
+maintenance policy (:mod:`repro.service.maintenance`): dependent entries
+are patched in place with semi-naive delta joins (:mod:`repro.joins.delta`),
+and dropped for recompute on the next request only where an event cannot
+be patched.
 
 *How* admitted requests physically execute is pluggable too
 (:mod:`repro.service.backends`): :class:`VirtualTimeBackend` is the
@@ -63,12 +64,7 @@ from repro.service.backends import (
     create_execution_backend,
 )
 from repro.service.caches import CacheStats, LRUCache, PlanCache, ResultCache
-from repro.service.maintenance import (
-    MAINTENANCE_MODES,
-    MaintenanceReport,
-    ResultMaintainer,
-    check_maintenance_mode,
-)
+from repro.service.maintenance import MaintenanceReport, ResultMaintainer
 from repro.service.faults import (
     CircuitBreaker,
     FaultInjector,
@@ -126,10 +122,8 @@ __all__ = [
     "LRUCache",
     "PlanCache",
     "ResultCache",
-    "MAINTENANCE_MODES",
     "MaintenanceReport",
     "ResultMaintainer",
-    "check_maintenance_mode",
     "CircuitBreaker",
     "FaultInjector",
     "FaultPlan",

@@ -63,6 +63,13 @@ class AdmissionStats:
         return asdict(self)
 
 
+def check_admission_bounds(max_in_flight: int, max_queue_depth: Optional[int]) -> None:
+    """Raise the ``ValueError`` :class:`AdmissionController` would for these bounds."""
+    check_positive("max_in_flight", max_in_flight)
+    if max_queue_depth is not None:
+        check_positive("max_queue_depth", max_queue_depth)
+
+
 class AdmissionController(Generic[T]):
     """Caps in-flight work and arbitrates queued requests by priority.
 
@@ -85,9 +92,7 @@ class AdmissionController(Generic[T]):
         max_queue_depth: Optional[int] = None,
         seed: int = 2020,
     ):
-        check_positive("max_in_flight", max_in_flight)
-        if max_queue_depth is not None:
-            check_positive("max_queue_depth", max_queue_depth)
+        check_admission_bounds(max_in_flight, max_queue_depth)
         self.max_in_flight = max_in_flight
         self.max_queue_depth = max_queue_depth
         self.stats = AdmissionStats()

@@ -284,6 +284,18 @@ EXECUTION_BACKENDS: Dict[str, Callable[..., ExecutionBackend]] = {
 EXECUTION_BACKEND_NAMES = tuple(sorted(EXECUTION_BACKENDS))
 
 
+def check_execution_backend(backend: Union[str, ExecutionBackend, None]) -> None:
+    """Raise the ``KeyError`` :func:`create_execution_backend` would for
+    ``backend``; builds nothing."""
+    if backend is None or isinstance(backend, ExecutionBackend):
+        return
+    if backend not in EXECUTION_BACKENDS:
+        raise KeyError(
+            f"unknown execution backend {backend!r}; "
+            f"registered: {', '.join(EXECUTION_BACKEND_NAMES)}"
+        )
+
+
 def create_execution_backend(
     backend: Union[str, ExecutionBackend, None],
     workers: Optional[int] = None,
@@ -299,14 +311,8 @@ def create_execution_backend(
         return backend
     if backend is None:
         backend = "process" if workers is not None and workers > 1 else "virtual"
-    try:
-        factory = EXECUTION_BACKENDS[backend]
-    except KeyError:
-        raise KeyError(
-            f"unknown execution backend {backend!r}; "
-            f"registered: {', '.join(EXECUTION_BACKEND_NAMES)}"
-        ) from None
-    return factory(workers=workers)
+    check_execution_backend(backend)
+    return EXECUTION_BACKENDS[backend](workers=workers)
 
 
 __all__ = [

@@ -243,13 +243,13 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
     Every entry records the (relation, shard) fragments its result was
     computed from — plain relation names mean "every shard".  When the
     catalog reports a :class:`~repro.relational.catalog.MutationEvent`,
-    one of two maintenance policies applies: :meth:`invalidate` *drops*
-    exactly the entries whose dependencies intersect the mutated fragment
-    (drop-and-recompute, counted as drops, not evictions), while
-    :meth:`maintain` *patches* dependent entries with the delta result a
-    solver computes (incremental maintenance, counted as patches),
-    dropping only what cannot be patched safely.  Entries pinned to
-    untouched shards survive either way.
+    the pipeline's :class:`~repro.service.maintenance.ResultMaintainer`
+    calls :meth:`maintain`, which *patches* dependent entries with the
+    delta result a solver computes (counted as patches), or, for an event
+    it cannot patch, :meth:`invalidate`, which *drops* exactly the entries
+    whose dependencies intersect the mutated fragment (counted as drops,
+    not evictions).  Entries pinned to untouched shards survive either
+    way.
 
     **Patches settle on read.**  A patch merges its delta into the entry's
     *pending* run of rows and leaves the stored list alone; the next
@@ -372,8 +372,8 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
     def invalidate(self, event: MutationEvent) -> int:
         """Drop every entry dependent on the mutated fragment; return the count.
 
-        This is the drop-and-recompute maintenance policy; see
-        :meth:`maintain` for the delta-patching alternative.
+        The maintainer's fallback for events it cannot patch; see
+        :meth:`maintain` for the patch path.
         """
         dropped = 0
         for key in self.dependent_keys(event):
@@ -418,7 +418,7 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
     ) -> Tuple[int, int]:
         """Patch-or-drop every entry the mutation touches; ``(patched, dropped)``.
 
-        The incremental-maintenance policy: for each dependent entry that
+        The maintainer's patch path: for each dependent entry that
         recorded its query, ``solver(key, query, event)`` computes the
         delta result rows (typically a semi-naive delta join, see
         :mod:`repro.joins.delta`); the entry is patched in place with them.

@@ -1,16 +1,15 @@
 """Incremental view maintenance: patch cached results instead of dropping them.
 
-Historically every catalog mutation flowed straight into
-``ResultCache.invalidate`` — drop-and-recompute: any entry touching the
-mutated relation was discarded and the next request paid the full join
-again.  :class:`ResultMaintainer` is the alternative wiring: it subscribes
-to the catalog's mutation events and, for *patchable* events (exact insert
-batches, see :attr:`repro.relational.catalog.MutationEvent.patchable`),
-computes each dependent entry's **delta result** with a semi-naive delta
-join (:func:`repro.joins.delta.evaluate_delta`) and merges it into the
-cached entry in place.  Non-patchable events — relation (re)definitions,
-inexact batches — and any solver failure fall back to the historical drop,
-so maintenance can degrade to recompute but never to a wrong answer.
+Every :class:`~repro.service.pipeline.QueryPipeline` tracks its catalog
+through one :class:`ResultMaintainer`: it subscribes to the catalog's
+mutation events and, for *patchable* events (exact insert batches, see
+:attr:`repro.relational.catalog.MutationEvent.patchable`), computes each
+dependent entry's **delta result** with a semi-naive delta join
+(:func:`repro.joins.delta.evaluate_delta`) and merges it into the cached
+entry in place, so the next request does not pay the full join again.
+Non-patchable events — relation (re)definitions, inexact batches — and any
+solver failure fall back to ``ResultCache.invalidate``'s drop, so
+maintenance can degrade to recompute but never to a wrong answer.
 
 Two caches are maintained:
 
@@ -48,20 +47,6 @@ from repro.relational.catalog import MutationEvent
 from repro.relational.query import ConjunctiveQuery
 from repro.service.caches import ResultCache
 from repro.service.metrics import RECORD_WINDOW
-
-#: The policies a :class:`~repro.service.pipeline.QueryPipeline` runs under:
-#: the caches' own drops, or one :class:`ResultMaintainer` subscribed instead.
-MAINTENANCE_MODES = ("recompute", "incremental")
-
-
-def check_maintenance_mode(mode: str) -> str:
-    """Validate a maintenance mode name; returns it for chaining."""
-    if mode not in MAINTENANCE_MODES:
-        raise ValueError(
-            f"maintenance must be one of {MAINTENANCE_MODES}, got {mode!r}"
-        )
-    return mode
-
 
 @dataclass(frozen=True)
 class MaintenanceReport:
@@ -154,9 +139,10 @@ class ResultMaintainer:
     def on_mutation(self, event: MutationEvent) -> MaintenanceReport:
         """Maintain both caches for one mutation event; returns the report.
 
-        This is the method to subscribe to the catalog
-        (``catalog.subscribe_invalidation(maintainer.on_mutation)``) in
-        place of the caches' ``invalidate`` methods.
+        This is the one method :class:`~repro.service.pipeline.QueryPipeline`
+        subscribes to the catalog
+        (``catalog.subscribe_invalidation(maintainer.on_mutation)``); the
+        caches' ``invalidate`` methods run only from here.
         """
         if not event.patchable:
             result_dropped = self.result_cache.invalidate(event)
@@ -231,8 +217,6 @@ class ResultMaintainer:
 
 
 __all__ = [
-    "MAINTENANCE_MODES",
     "MaintenanceReport",
     "ResultMaintainer",
-    "check_maintenance_mode",
 ]

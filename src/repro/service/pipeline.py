@@ -28,9 +28,11 @@ an already-chosen engine — routing policy stays with its owner.
 
 The constructor is also the single wiring site: it builds the plan, result
 and shard-partial caches, the scatter-gather executor, the fault injector
-and the incremental maintainer, and subscribes them to the catalog.  Its
-keywords are the one declaration of the serving options: ``Session`` and
-``QueryService`` forward whatever they do not consume themselves.
+and the incremental maintainer, and subscribes the maintainer to the
+catalog: cached entries are patched by delta joins where an event allows it
+and dropped where it does not.  Its keywords are the one declaration of the
+serving options: ``Session`` and ``QueryService`` forward whatever they do
+not consume themselves.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from repro.service.faults import (
     check_on_shard_loss,
     coerce_fault_plan,
 )
-from repro.service.maintenance import ResultMaintainer, check_maintenance_mode
+from repro.service.maintenance import ResultMaintainer
 from repro.service.scatter import ScatterGatherExecutor, ScatterGatherStats
 
 #: Virtual-time cost charged to a request answered from the result cache.
@@ -70,8 +72,11 @@ def check_pipeline_options(options: Mapping[str, object]) -> None:
     Touches nothing: an owner that acquires resources ahead of its pipeline
     (:class:`repro.api.Session` opening a durable store) calls it first.
     """
-    if "maintenance" in options:
-        check_maintenance_mode(options["maintenance"])
+    if options.get("maintenance", "incremental") != "incremental":
+        raise ValueError(
+            "maintenance accepts only 'incremental', got "
+            f"{options['maintenance']!r}"
+        )
     if "on_shard_loss" in options:
         check_on_shard_loss(options["on_shard_loss"])
 
@@ -191,14 +196,13 @@ class QueryPipeline:
         union, flagged ``degraded`` and never admitted into the result
         cache as a complete answer.
     maintenance:
-        How the caches track catalog mutations.  ``"recompute"`` (default)
-        subscribes the caches' ``invalidate``: every dependent entry drops.
-        ``"incremental"`` subscribes one
-        :class:`~repro.service.maintenance.ResultMaintainer` that patches
-        cached results — and the shard-partial cache of a sharded catalog —
-        in place with semi-naive delta joins (:mod:`repro.joins.delta`) for
-        patchable events (exact insert batches); anything else still
-        drops, so a stale answer is never served.
+        Accepts only ``"incremental"``, the one policy: kept for callers
+        that still name it.  The caches track catalog mutations through
+        one :class:`~repro.service.maintenance.ResultMaintainer` that
+        patches cached results — and the shard-partial cache of a sharded
+        catalog — in place with semi-naive delta joins
+        (:mod:`repro.joins.delta`) for patchable events (exact insert
+        batches); anything else drops, so a stale answer is never served.
     clock:
         Zero-argument callable giving the owner's current virtual time, read
         by the maintainer's fault-path check.
@@ -213,7 +217,7 @@ class QueryPipeline:
         faults: Union[FaultPlan, str, None] = None,
         seed: int = 2020,
         on_shard_loss: str = "fail",
-        maintenance: str = "recompute",
+        maintenance: str = "incremental",
         clock: Optional[Callable[[], float]] = None,
     ):
         check_pipeline_options({"maintenance": maintenance, "on_shard_loss": on_shard_loss})
@@ -241,35 +245,18 @@ class QueryPipeline:
                 injector=self.injector,
                 on_shard_loss=on_shard_loss,
             )
-        self.maintainer: Optional[ResultMaintainer] = None
-        if maintenance == "incremental":
-            self.maintainer = ResultMaintainer(
-                database,
-                self.result_cache,
-                scatter=self.scatter,
-                compiler=self.compiler,
-                clock=clock,
-            )
-        for listener in self._mutation_listeners():
-            database.subscribe_invalidation(listener)
-
-    def _mutation_listeners(self) -> List[Callable]:
-        """What tracks the catalog: the maintainer, or each cache's drop.
-
-        Never both — a partial cache subscribed to plain invalidation would
-        drop the fragments the maintainer just patched.
-        """
-        if self.maintainer is not None:
-            return [self.maintainer.on_mutation]
-        listeners = [self.result_cache.invalidate]
-        if self.scatter is not None:
-            listeners.append(self.scatter.partial_cache.invalidate)
-        return listeners
+        self.maintainer = ResultMaintainer(
+            database,
+            self.result_cache,
+            scatter=self.scatter,
+            compiler=self.compiler,
+            clock=clock,
+        )
+        database.subscribe_invalidation(self.maintainer.on_mutation)
 
     def detach(self) -> None:
         """Stop tracking catalog mutations (cached entries go stale)."""
-        for listener in self._mutation_listeners():
-            self.database.unsubscribe_invalidation(listener)
+        self.database.unsubscribe_invalidation(self.maintainer.on_mutation)
 
     # ------------------------------------------------------------------ #
     # Stages

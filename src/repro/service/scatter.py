@@ -589,8 +589,9 @@ class ScatterGatherExecutor:
     ) -> Tuple[int, int, float]:
         """Patch the cached shard partials a mutation event touches.
 
-        The incremental alternative to subscribing ``partial_cache.invalidate``:
-        for each dependent partial entry, the fragment's delta result is
+        Called by the pipeline's maintainer for a patchable event (it calls
+        ``partial_cache.invalidate`` for the rest): for each dependent
+        partial entry, the fragment's delta result is
         computed by semi-naive delta joins against that shard's view,
         overlaid by the event's :class:`~repro.joins.delta.DeltaCatalog`
         ``delta`` — the seed alias's Δ is the batch when it was routed to the

@@ -55,8 +55,13 @@ from repro.engines import create_engine as create_backend
 from repro.joins.base import EngineExecution, EngineProtocol
 from repro.relational.catalog import Database
 from repro.relational.query import ConjunctiveQuery
-from repro.service.admission import AdmissionController
-from repro.service.backends import Collect, ExecutionBackend, create_execution_backend
+from repro.service.admission import AdmissionController, check_admission_bounds
+from repro.service.backends import (
+    Collect,
+    ExecutionBackend,
+    check_execution_backend,
+    create_execution_backend,
+)
 from repro.service.caches import CacheStats
 from repro.service.faults import ShardUnavailableError
 from repro.service.metrics import RECORD_WINDOW, QueryRecord, ServiceMetrics
@@ -153,7 +158,7 @@ class QueryService:
         Every other keyword goes to the
         :class:`~repro.service.pipeline.QueryPipeline` built over
         ``database`` — its parameter table is the one place the serving
-        options (``maintenance``, ``faults``, ``tracer``, ...) are declared,
+        options (``faults``, ``on_shard_loss``, ``tracer``, ...) are declared,
         defaulted and validated.  Rejected together with ``pipeline=`` (a
         ready pipeline is already wired).
     """
@@ -173,6 +178,12 @@ class QueryService:
     ):
         if not backends:
             raise ValueError("QueryService needs at least one backend")
+        # Everything that can be refused is checked before the pipeline
+        # subscribes its maintainer, so a refused service leaves no listener
+        # on the catalog.
+        check_admission_bounds(max_in_flight, max_queue_depth)
+        check_execution_backend(backend)
+        engines = [create_backend(e) if isinstance(e, str) else e for e in backends]
         if pipeline is None:
             if database is None:
                 raise ValueError("QueryService needs a database (or a pipeline)")
@@ -195,8 +206,8 @@ class QueryService:
         self.router = router
         self.backends: Dict[str, EngineProtocol] = {}
         self._rotation: List[str] = []
-        for entry in backends:
-            self.add_backend(create_backend(entry) if isinstance(entry, str) else entry)
+        for engine in engines:
+            self.add_backend(engine)
         self.admission: AdmissionController[ServiceRequest] = AdmissionController(
             max_in_flight=max_in_flight, max_queue_depth=max_queue_depth, seed=seed
         )
@@ -342,9 +353,8 @@ class QueryService:
     def insert_tuples(self, relation_name: str, rows) -> int:
         """Mutate the catalog through the service.
 
-        Dependent cached results drop under ``maintenance="recompute"``;
-        under ``"incremental"`` they are patched with the delta result
-        (only non-patchable events and failed solvers still drop).
+        Dependent cached results are patched with the delta result (only
+        non-patchable events and failed solvers drop them).
 
         With tracing on, the mutation (and the cache invalidations it
         triggered) is recorded as a process-level event span on the

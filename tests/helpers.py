@@ -6,7 +6,7 @@ the LeapFrog TrieJoin (and of the TrieJax LUB unit) in its reference forms —
 the plain binary search and the galloping search that reports its probe
 count — which the plan kernel's C-level ``bisect_left`` seeks are held
 against.  The builders are fixed graphs and databases for correctness
-tests.
+tests, and one catalog redefinition that forces cached results to drop.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Tuple
 
 from repro.graphs import Graph, graph_database, pattern_query
-from repro.relational import Atom, ConjunctiveQuery, Database
+from repro.relational import Atom, ConjunctiveQuery, Database, Relation
 from repro.util.validation import check_non_negative, check_positive
 
 
@@ -106,6 +106,19 @@ def gallop(
 def edges_database(edges: Iterable[Tuple[int, int]]) -> Database:
     """A database named ``edges`` whose one relation ``E`` holds ``edges``."""
     return graph_database(Graph.from_edges(edges, "edges"))
+
+
+def redefine_with(database: Database, name: str, rows: Iterable[Tuple[int, ...]]) -> None:
+    """Redefine relation ``name`` of ``database`` as its rows plus ``rows``.
+
+    A redefinition is a ``define`` event, which no maintainer can patch:
+    every cached result that reads ``name`` drops and the next read
+    re-executes against the new relation.
+    """
+    relation = database.relation(name)
+    database.replace_relation(
+        Relation(name, relation.schema, [*relation.sorted_rows(), *rows])
+    )
 
 
 def multi_relation_pattern_query(name: str) -> ConjunctiveQuery:

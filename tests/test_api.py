@@ -10,6 +10,7 @@ regression), and the acceptance scenario.
 import itertools
 
 import pytest
+from helpers import redefine_with
 
 from repro.api import (
     ENGINE_FACTORIES,
@@ -312,7 +313,7 @@ class TestSessionExecute:
         session = fresh_session(api_db, engines=("ctj",))
         session.execute("q(a,b,c) = E(a,b), E(b,c), E(c,a).").to_list()
         assert session.plan_cache.stats.insertions == 1
-        session.insert("E", [(9001, 9002)])  # drop the cached result, keep the plan
+        redefine_with(session.database, "E", [(9001, 9002)])  # drop the result, keep the plan
         session.execute("tri(p,q,r) = E(p,q), E(q,r), E(r,p).").to_list()
         assert session.plan_cache.stats.insertions == 1
         assert session.plan_cache.stats.hits == 1
@@ -322,7 +323,10 @@ class TestSessionExecute:
         before = session.execute("path3").to_set()
         session.insert("E", [(5001, 5002), (5002, 5003)])
         after = session.execute("path3")
-        assert not after.from_cache
+        # The insert patched the cached result in place: the repeat reads
+        # it from the cache and sees the new path.
+        assert after.from_cache
+        assert session.result_cache.stats.patches == 1
         assert (5001, 5002, 5003) in after.to_set()
         assert before < after.to_set()
 
@@ -414,7 +418,7 @@ class TestPlanBlindAccounting:
         )
         query = pattern_query("cycle3")
         service.serve(query)
-        service.insert_tuples("E", [(7101, 7102)])
+        redefine_with(service.database, "E", [(7101, 7102)])  # drop the result
         outcome = service.serve(query)
         # The cache *was* consulted (the engine claims plan support), but a
         # backend that reports plan_used=False must not be credited.

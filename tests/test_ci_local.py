@@ -164,6 +164,25 @@ class TestWorkflow:
             (module_dir / "cli.py").write_text(cli)
             assert ci_local.run_step(step, str(tmp_path), dict(os.environ))[0] is passes
 
+    def test_one_maintenance_policy_refuses_a_policy_list_or_flag(self, tmp_path):
+        with open(os.path.join(ROOT, "src", "repro", "service", "maintenance.py")) as handle:
+            maintenance_source = handle.read()
+        with open(os.path.join(ROOT, "src", "repro", "cli.py")) as handle:
+            cli_source = handle.read()
+        modes = maintenance_source + 'MAINTENANCE_MODES = ("recompute", "incremental")\n'
+        flag = cli_source + 'parser.add_argument("--maintenance", default="recompute")\n'
+        module_dir = tmp_path / "src" / "repro"
+        (module_dir / "service").mkdir(parents=True)
+        step = TREE_INVARIANTS["One maintenance policy"]
+        for maintenance, cli, passes in (
+            (maintenance_source, cli_source, True),
+            (modes, cli_source, False),
+            (maintenance_source, flag, False),
+        ):
+            (module_dir / "service" / "maintenance.py").write_text(maintenance)
+            (module_dir / "cli.py").write_text(cli)
+            assert ci_local.run_step(step, str(tmp_path), dict(os.environ))[0] is passes
+
     def test_one_auto_route_refuses_a_cost_model_but_not_the_cpu_baseline(self, tmp_path):
         step = TREE_INVARIANTS["One auto route"]
         module = tmp_path / "src" / "repro" / "joins" / "base.py"

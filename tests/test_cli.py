@@ -42,6 +42,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(command + ["--shards", "2", "--partitioner", "hash"])
 
+    def test_maintenance_is_not_an_option(self, capsys):
+        # Every pipeline patches cached results by delta joins: no policy flag.
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(["workload", "--help"])
+        assert raised.value.code == 0
+        assert "--maintenance" not in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["workload", "--maintenance", "recompute"])
+
 
 class TestCommands:
     def test_datasets_listing(self, capsys):

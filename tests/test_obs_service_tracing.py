@@ -172,11 +172,16 @@ class TestMutationEvents:
 
     def test_mutation_that_empties_the_partial_cache_counts_its_drops(self):
         # An emptied ResultCache is falsy (it defines __len__); the span must
-        # still read its counters.
+        # still read its counters.  Both shards' nodes go down after the
+        # warm-up read, so the insert cannot patch either fragment and both
+        # partials drop.
         database = shard_database(
             workload_database(num_vertices=40, num_edges=200, seed=5), 2
         )
-        service = QueryService(database, backends=("lftj",), tracer=True)
+        service = QueryService(
+            database, backends=("lftj",), tracer=True,
+            faults="down:0@1; down:1@1", on_shard_loss="partial",
+        )
         try:
             service.serve(pattern_query("cycle3"))
             partial_cache = service.scatter.partial_cache

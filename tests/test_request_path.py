@@ -445,14 +445,31 @@ def test_the_retry_walk_takes_no_policy_keyword(front_end):
         front_end(_edge_database(), retry_policy=None)
 
 
-@pytest.mark.parametrize("option", ["maintenance", "on_shard_loss"])
+#: A ``Session`` keyword → (a bad value, the error it raises, what the
+#: message names, ``QueryService``'s keyword for it).
+BAD_OPTIONS = {
+    "maintenance": ("bogus", ValueError, "maintenance", "maintenance"),
+    "on_shard_loss": ("bogus", ValueError, "on_shard_loss", "on_shard_loss"),
+    "max_in_flight": (0, ValueError, "max_in_flight", "max_in_flight"),
+    "max_queue_depth": (0, ValueError, "max_queue_depth", "max_queue_depth"),
+    "execution_backend": ("bogus", KeyError, "execution backend", "backend"),
+    "engines": (("bogus",), KeyError, "unknown engine", "backends"),
+}
+
+
+@pytest.mark.parametrize("option", list(BAD_OPTIONS))
 def test_a_bad_option_is_rejected_before_the_store_is_created(option, tmp_path):
-    with pytest.raises(ValueError, match=option):
-        Session(storage_dir=str(tmp_path / "s"), **{option: "bogus"})
+    value, error, named, service_option = BAD_OPTIONS[option]
+    with pytest.raises(error, match=named):
+        Session(storage_dir=str(tmp_path / "s"), **{option: value})
     assert not (tmp_path / "s").exists()
-    for front_end in (Session, QueryService):
-        with pytest.raises(ValueError, match=option):
-            front_end(_edge_database(), **{option: "bogus"})
+    # Refused before anything subscribes to the caller's catalog.
+    database = _edge_database()
+    with pytest.raises(error, match=named):
+        Session(database, **{option: value})
+    with pytest.raises(error, match=named):
+        QueryService(database, **{service_option: value})
+    assert not database._invalidation_listeners
 
 
 def test_a_ready_pipeline_takes_no_catalog_and_no_options():

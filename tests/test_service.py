@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from helpers import redefine_with
 
 from repro.engines import create_engine as create_backend
 from repro.graphs import pattern_query
@@ -236,7 +237,7 @@ class TestQueryService:
         query = pattern_query("path3")
         service.serve(query)
         assert service.plan_cache.stats.hits == 0
-        service.insert_tuples("E", [(997, 998)])  # drops the cached result
+        redefine_with(service_db, "E", [(997, 998)])  # drops the cached result
         outcome = service.serve(query)
         assert service.plan_cache.stats.hits == 1  # replan avoided, re-executed
         assert service.result_cache.stats.invalidations >= 1
@@ -249,7 +250,9 @@ class TestQueryService:
         # A fresh 2-path through two brand-new vertices must appear.
         service.insert_tuples("E", [(1001, 1002), (1002, 1003)])
         after = service.serve(query)
-        assert not after.record.result_cache_hit
+        # Patched in place by the insert's delta join, then read back.
+        assert after.record.result_cache_hit
+        assert service.result_cache.stats.patches == 1
         assert (1001, 1002, 1003) in set(after.tuples)
         assert set(before.tuples) < set(after.tuples)
         oracle = NaiveJoin().execute(query, service_db)

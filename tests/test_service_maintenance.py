@@ -6,18 +6,18 @@ Three layers of contract:
   vs ``patches``: zero/empty edge cases, the derived sum, and the
   patch-or-drop fallback ladder (no recorded query, solver ``None``,
   solver exception → drop; never a wrong answer).
-* **Equivalence** — a Zipf update-heavy workload served under
-  ``maintenance="incremental"`` returns byte-identical per-request results
-  to the ``"recompute"`` control, across engines × shard counts ×
-  execution backends, while actually patching (not silently
-  dropping).
+* **Equivalence** — a Zipf update-heavy workload served by the pipeline's
+  maintainer returns byte-identical per-request results to a
+  drop-and-recompute control (:func:`recompute_control`), across engines ×
+  shard counts × execution backends, while actually patching (not
+  silently dropping).
 * **Modelled cost** — on the same stream, Σ ``service_time`` plus the
-  maintainer's delta-join charge under ``incremental`` is below Σ
-  ``service_time`` under ``"recompute"``, and the charge is exactly the
-  engine cost of the delta joins run.
+  maintainer's delta-join charge is below Σ ``service_time`` under the
+  control, and the charge is exactly the engine cost of the delta joins
+  run.
 * **Continuous queries** — :meth:`repro.api.Session.subscribe` streams
-  result deltas: patched additions under incremental maintenance, full
-  re-execute diffs (including removals) under recompute.
+  result deltas: patched additions for insert batches, full re-execute
+  diffs (including removals) for relation redefinitions.
 * **Once per event** — one mutation event builds each Δ trie at most once
   per attribute order and hands the delta joins at most one view per
   shard plus one of the full catalog, subscribers included.
@@ -40,16 +40,16 @@ from repro.relational import Database, DeltaBatch, MutationEvent, Relation, Sche
 from repro.relational.sharding import shard_database
 from repro.relational.trie import TrieIndex
 from repro.service import (
-    MAINTENANCE_MODES,
+    QueryPipeline,
     QueryService,
     ResultCache,
     ResultMaintainer,
     WorkloadSpec,
-    check_maintenance_mode,
     generate_requests,
     run_workload,
     workload_database,
 )
+from repro.storage import open_store
 
 #: Seeded repeats of the equivalence matrix (CI sets this higher).
 REPEATS = max(1, int(os.environ.get("REPRO_CONCURRENCY_REPEATS", "1")))
@@ -136,10 +136,7 @@ class TestCacheCounters:
             assert ("1 solver errors" in summary) == bool(errors)
 
     def test_solver_errors_reach_the_service_report_only_when_nonzero(self):
-        service = QueryService(
-            workload_database(num_vertices=12, num_edges=30, seed=SEED),
-            maintenance="incremental",
-        )
+        service = QueryService(workload_database(num_vertices=12, num_edges=30, seed=SEED))
         before = service.serve(pattern_query("cycle3")).tuples
         assert "solver errors" not in service.report()
 
@@ -154,11 +151,35 @@ class TestCacheCounters:
         assert set(before) <= set(service.serve(pattern_query("cycle3")).tuples)
 
     def test_mode_validation(self):
-        assert set(MAINTENANCE_MODES) == {"recompute", "incremental"}
-        for mode in MAINTENANCE_MODES:
-            check_maintenance_mode(mode)
-        with pytest.raises(ValueError):
-            check_maintenance_mode("magic")
+        database = triangle_database()
+        pipeline = QueryPipeline(database, maintenance="incremental")
+        assert isinstance(pipeline.maintainer, ResultMaintainer)
+        for mode in ("recompute", "magic"):
+            with pytest.raises(ValueError, match="maintenance"):
+                QueryPipeline(database, maintenance=mode)
+
+    @pytest.mark.parametrize("kind", ("mono", "sharded", "durable"))
+    def test_every_catalog_is_tracked_by_one_maintainer(self, kind, tmp_path):
+        def catalog(name):
+            database = triangle_database()
+            if kind == "sharded":
+                return shard_database(database, 2)
+            if kind == "durable":
+                store = open_store(str(tmp_path / name))
+                store.add_relation(database.relation("E"))
+                return store
+            return database
+
+        for owner in (Session(catalog("session")), QueryService(catalog("service"))):
+            assert isinstance(owner.maintainer, ResultMaintainer)
+            assert owner.maintainer is owner.pipeline.maintainer
+            query = pattern_query("cycle3")
+            owner.pipeline.result_cache.put_result("k", [(1, 2, 3)], ["E"], query=query)
+            owner.database.insert_into("E", [(3, 5)])
+            assert owner.maintainer.reports[-1].result_patched == 1
+            owner.close()
+            if kind == "durable":
+                owner.database.close()
 
     def test_patchable_requires_exact_insert(self):
         assert insert_event([(1, 2)]).patchable
@@ -216,6 +237,17 @@ class TestResultMaintainer:
 ENGINES = ("lftj", "ctj", "generic")
 
 
+def recompute_control(pipeline):
+    """Rewire ``pipeline`` to drop-and-recompute, the oracle maintenance is
+    held against: its maintainer stops tracking the catalog and every
+    mutation drops each dependent result and shard partial, so the next
+    read recomputes it from the mutated catalog."""
+    pipeline.detach()
+    pipeline.database.subscribe_invalidation(pipeline.result_cache.invalidate)
+    if pipeline.scatter is not None:
+        pipeline.database.subscribe_invalidation(pipeline.scatter.partial_cache.invalidate)
+
+
 def update_heavy_spec(num_queries):
     return WorkloadSpec(
         num_queries=num_queries,
@@ -227,7 +259,7 @@ def update_heavy_spec(num_queries):
     )
 
 
-def served_results(mode, engine, shards, backend, requests, seed):
+def served_results(engine, shards, backend, requests, seed, control=False):
     database = workload_database(num_vertices=24, num_edges=90, seed=seed)
     session = Session(
         database,
@@ -238,8 +270,9 @@ def served_results(mode, engine, shards, backend, requests, seed):
         concurrency=2 if backend != "virtual" else 1,
         max_in_flight=4,
         seed=seed,
-        maintenance=mode,
     )
+    if control:
+        recompute_control(session.pipeline)
     try:
         outcomes = run_workload(session.service, requests)
         results = {rid: sorted(o.tuples) for rid, o in outcomes.items()}
@@ -257,11 +290,9 @@ class TestWorkloadEquivalence:
         seed = SEED + repeat
         requests = generate_requests(update_heavy_spec(20), seed=seed)
         oracle, oracle_patches, _ = served_results(
-            "recompute", engine, shards, "virtual", requests, seed
+            engine, shards, "virtual", requests, seed, control=True
         )
-        patched, patches, drops = served_results(
-            "incremental", engine, shards, "virtual", requests, seed
-        )
+        patched, patches, drops = served_results(engine, shards, "virtual", requests, seed)
         assert patched == oracle
         assert oracle_patches == 0
         assert patches > 0 and drops == 0
@@ -270,15 +301,16 @@ class TestWorkloadEquivalence:
     def test_process_backend_matches_its_recompute_control(self, repeat):
         seed = SEED + repeat
         requests = generate_requests(update_heavy_spec(16), seed=seed)
-        oracle, _, _ = served_results("recompute", "lftj", 2, "process", requests, seed)
-        patched, patches, _ = served_results("incremental", "lftj", 2, "process", requests, seed)
+        oracle, oracle_patches, _ = served_results(
+            "lftj", 2, "process", requests, seed, control=True
+        )
+        patched, patches, _ = served_results("lftj", 2, "process", requests, seed)
         assert patched == oracle
-        assert patches > 0
+        assert oracle_patches == 0 and patches > 0
 
-    @pytest.mark.parametrize("maintenance", MAINTENANCE_MODES)
     @pytest.mark.parametrize("shards", (1, 2, 4), ids=("mono", "hash2", "hash4"))
     @pytest.mark.parametrize("engine", ("lftj", "ctj", "naive"))
-    def test_sync_execute_matches_a_fresh_served_run(self, engine, shards, maintenance):
+    def test_sync_execute_matches_a_fresh_served_run(self, engine, shards):
         """Sync = served: one statement stream through ``Session.execute``
         and through a fresh ``QueryService.serve`` crosses the same pipeline
         stages, so rows, virtual-time windows, engine counters and every
@@ -305,10 +337,8 @@ class TestWorkloadEquivalence:
             )
 
         requests = generate_requests(update_heavy_spec(24), seed=SEED)
-        session = Session(catalog(), engines=(engine,), maintenance=maintenance, trace=True)
-        service = QueryService(
-            catalog(), backends=(engine,), maintenance=maintenance, tracer=True
-        )
+        session = Session(catalog(), engines=(engine,), trace=True)
+        service = QueryService(catalog(), backends=(engine,), tracer=True)
         try:
             for request in requests:
                 if request.kind == "update":
@@ -330,13 +360,7 @@ class TestWorkloadEquivalence:
         seed = SEED
         requests = generate_requests(update_heavy_spec(20), seed=seed)
         database = workload_database(num_vertices=24, num_edges=90, seed=seed)
-        session = Session(
-            database,
-            engines=("lftj",),
-            shards=2,
-            seed=seed,
-            maintenance="incremental",
-        )
+        session = Session(database, engines=("lftj",), shards=2, seed=seed)
         try:
             run_workload(session.service, requests)
             partial_stats = session.service.scatter.partial_cache.stats
@@ -357,7 +381,6 @@ class TestWorkloadEquivalence:
             engines=("lftj",),
             shards=2,
             seed=SEED,
-            maintenance="incremental",
             faults="down:0@1",
             on_shard_loss="partial",
         )
@@ -380,26 +403,26 @@ class TestWorkloadEquivalence:
 # --------------------------------------------------------------------------- #
 # Modelled cost: patching must be cheaper even with its delta joins charged
 # --------------------------------------------------------------------------- #
-def modelled_run(mode, shards, requests):
+def modelled_run(shards, requests, control=False):
     """Serve ``requests``; return results, Σ service_time, the maintainer's
     charge, the engine cost of every delta join it ran, and the patch count
     of the result and partial caches."""
     database = workload_database(num_vertices=24, num_edges=90, seed=SEED)
     session = Session(
-        database, engines=("lftj", "ctj"), routing="rotate", shards=shards,
-        seed=SEED, maintenance=mode,
+        database, engines=("lftj", "ctj"), routing="rotate", shards=shards, seed=SEED,
     )
+    if control:
+        recompute_control(session.pipeline)
     delta_costs = []
-    if session.maintainer is not None:
-        engine = session.maintainer.engine
-        execute = engine.execute
+    engine = session.maintainer.engine
+    execute = engine.execute
 
-        def spy(*args, **kwargs):
-            execution = execute(*args, **kwargs)
-            delta_costs.append(execution.cost)
-            return execution
+    def spy(*args, **kwargs):
+        execution = execute(*args, **kwargs)
+        delta_costs.append(execution.cost)
+        return execution
 
-        engine.execute = spy
+    engine.execute = spy
     try:
         outcomes = run_workload(session.service, requests)
         caches = [session.result_cache]
@@ -408,7 +431,7 @@ def modelled_run(mode, shards, requests):
         return (
             {rid: sorted(o.tuples) for rid, o in outcomes.items()},
             sum(record.service_time for record in session.service.metrics.records),
-            session.maintainer.cost_ns if session.maintainer is not None else 0.0,
+            session.maintainer.cost_ns,
             sum(delta_costs),
             [cache.stats.patches for cache in caches],
         )
@@ -421,11 +444,9 @@ class TestModelledCost:
     def test_incremental_beats_recompute_with_delta_joins_charged(self, shards):
         requests = generate_requests(update_heavy_spec(40), seed=SEED)
         oracle, recompute_ns, _, _, recompute_patches = modelled_run(
-            "recompute", shards, requests
+            shards, requests, control=True
         )
-        patched, service_ns, charged_ns, delta_ns, patches = modelled_run(
-            "incremental", shards, requests
-        )
+        patched, service_ns, charged_ns, delta_ns, patches = modelled_run(shards, requests)
         assert patched == oracle
         assert not any(recompute_patches) and all(patches)
         # The maintainer charges exactly the engine cost of its delta joins,
@@ -441,7 +462,7 @@ class TestModelledCost:
 class TestSubscribe:
     def test_snapshot_and_incremental_additions(self):
         database = workload_database(num_vertices=24, num_edges=90, seed=SEED)
-        with Session(database, maintenance="incremental") as session:
+        with Session(database) as session:
             engine_truth = lambda: tuple(
                 sorted(set(session.execute(pattern_query("cycle3")).tuples))
             )
@@ -460,7 +481,7 @@ class TestSubscribe:
 
     def test_recompute_mode_diffs_by_full_reexecution(self):
         database = workload_database(num_vertices=24, num_edges=90, seed=SEED)
-        with Session(database, maintenance="recompute") as session:
+        with Session(database) as session:
             subscription = session.subscribe(pattern_query("cycle3"))
             assert subscription.result  # triangle-rich seed graph
             # A redefinition shrinks the relation: only a full re-execute
@@ -478,7 +499,7 @@ class TestSubscribe:
     def test_unrelated_mutations_do_not_wake_subscribers(self):
         database = workload_database(num_vertices=24, num_edges=90, seed=SEED)
         database.add_relation(Relation("other", Schema(("a", "b")), [(1, 1)]))
-        with Session(database, maintenance="incremental") as session:
+        with Session(database) as session:
             subscription = session.subscribe(pattern_query("cycle3"))
             session.insert("other", [(2, 2)])
             assert subscription.poll() == ()
@@ -496,7 +517,7 @@ class TestSubscribe:
 
     def test_close_detaches_the_subscription(self):
         database = workload_database(num_vertices=24, num_edges=90, seed=SEED)
-        with Session(database, maintenance="incremental") as session:
+        with Session(database) as session:
             with session.subscribe(pattern_query("cycle3")) as subscription:
                 pass  # context manager closes on exit
             session.insert("E", [(1, 2), (2, 21), (21, 1)])
@@ -567,7 +588,7 @@ class TestOncePerEvent:
     def test_one_delta_catalog_serves_every_entry_of_an_event(self, monkeypatch):
         monolithic = workload_database(num_vertices=24, num_edges=90, seed=SEED)
         catalog = shard_database(monolithic, 2)
-        service = QueryService(catalog, maintenance="incremental")
+        service = QueryService(catalog)
         queries = [pattern_query(pattern) for pattern in IVM_PATTERNS]
         for query in queries:
             assert service.serve(query).error is None
@@ -610,7 +631,7 @@ class TestOncePerEvent:
 
     def test_subscribers_reuse_the_events_delta_catalog(self, monkeypatch):
         database = workload_database(num_vertices=24, num_edges=90, seed=SEED)
-        with Session(database, shards=2, maintenance="incremental") as session:
+        with Session(database, shards=2) as session:
             query = pattern_query("cycle3")
             session.execute(query)
             subscription = session.subscribe(query)

@@ -453,9 +453,12 @@ class TestMutationDuringWorkload:
         signature = service.compiler.signature(query)
         partitioner = sharded.partitioner_for("R")
         row = next((v, v + 77) for v in range(1000) if partitioner.shard_of(v) == 1)
+        untouched = partial_cache.peek(partial_key(signature, 0))
         service.insert_tuples("R", [row])
-        assert partial_key(signature, 0) in partial_cache
-        assert partial_key(signature, 1) not in partial_cache
+        # Only the fragment the row was routed to is maintained.
+        assert partial_cache.peek(partial_key(signature, 0)) == untouched
+        assert partial_key(signature, 1) in partial_cache
+        assert (partial_cache.stats.patches, partial_cache.stats.drops) == (1, 0)
         outcome = service.serve(query)
         reference = create_engine("ctj").execute(query, sharded.global_database)
         assert set(outcome.tuples) == set(reference.tuples)
