@@ -273,9 +273,7 @@ class Session:
         self._closed = False
         self._subscriptions: list = []
         pipeline_options.setdefault("tracer", trace)
-        self.pipeline = QueryPipeline(
-            database, seed=seed, clock=self._clock_now, **pipeline_options
-        )
+        self.pipeline = QueryPipeline(database, seed=seed, **pipeline_options)
         self.compiler = self.pipeline.compiler
         self.plan_cache = self.pipeline.plan_cache
         self.result_cache = self.pipeline.result_cache
@@ -309,13 +307,14 @@ class Session:
     def _notify_subscriptions(self, event: MutationEvent) -> None:
         """Advance every live subscription past one catalog mutation.
 
-        Runs inside the catalog's notification, *after* the caches were
-        maintained for the event — the recompute diff below may therefore
-        be answered straight from the (already patched or dropped) result
-        cache.  A delta is queued only when the result actually changed.
+        Runs inside the catalog's notification, *after* the maintainer
+        logged the event or dropped what it made stale — the recompute diff
+        below may therefore be answered straight from the result cache,
+        patched on that read.  A delta is queued only when the result
+        actually changed.
         """
         maintainer = self.pipeline.maintainer
-        # The maintainer patches exactly the patchable events.
+        # The maintainer logs exactly the patchable events.
         incremental = event.patchable
         for subscription in list(self._subscriptions):
             if event.relation not in subscription.query.relation_names():
@@ -343,18 +342,6 @@ class Session:
                         incremental=incremental,
                     )
                 )
-
-    def _clock_now(self) -> float:
-        """The session's best-estimate virtual time, for maintenance checks.
-
-        The sync ``execute()`` path advances ``_trace_clock``; workloads
-        served through :attr:`service` advance the service's own clock.
-        The maintainer reads whichever is further along.
-        """
-        clock = self._trace_clock
-        if self._service is not None:
-            clock = max(clock, self._service.clock)
-        return clock
 
     @property
     def num_shards(self) -> int:
@@ -469,8 +456,8 @@ class Session:
             # The sync path has no event loop: each forced execution runs
             # the pipeline's stages back to back in the next window of the
             # session's virtual-time cursor.  The cursor advances whether or
-            # not a trace is recorded — the incremental maintainer's fault
-            # checks read it (an unreachable fragment cannot be patched *now*).
+            # not a trace is recorded — a partial patched on read checks its
+            # faults at it (an unreachable fragment cannot be patched *now*).
             start = self._trace_clock
             trace = None
             if pipeline.tracer.enabled:
@@ -555,8 +542,14 @@ class Session:
     # Catalog mutation
     # ------------------------------------------------------------------ #
     def insert(self, relation_name: str, rows) -> int:
-        """Insert tuples through the catalog; dependent cached results are
-        patched with the rows the batch adds to them."""
+        """Insert tuples through the catalog; returns how many were new.
+
+        The batch is logged, not applied to the caches: a dependent cached
+        result is patched with every row it lacks by one delta join when
+        it is next read (the read pays, in virtual time too).  A live
+        :class:`Subscription` is the one eager reader and gets its delta
+        now.
+        """
         return self.database.insert_into(relation_name, rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -30,11 +30,11 @@ The machinery is deliberately thin over the existing compiler/engine stack:
   for delta joins.
 * :class:`DeltaCatalog` loads one batch's Δ rows *once* into one private
   ``~delta`` :class:`Database` (each ``ΔR`` under its delta alias, tries
-  built on demand and cached there) and hands out
-  :class:`~repro.relational.catalog.OverlayCatalog` views over it: the
-  full catalog's, or any base catalog's (a shard view) with extra visible
-  names — a shard alias's Δ — resolving to the same stored ``ΔR``, so
-  every view of the batch shares one Δ trie per attribute order.
+  built on demand and cached there) and hands out one
+  :class:`~repro.relational.catalog.OverlayCatalog` view over its base
+  catalog — the full catalog, or a shard view whose alias names the seed
+  fragment's Δ — so every delta join over the batch shares one Δ trie per
+  attribute order.
 * :func:`evaluate_delta` runs the union against one such view: every atom
   whose relation's delta alias the view resolves is a delta term; every
   other name falls through to the base catalog (a :class:`Database`,
@@ -149,13 +149,13 @@ class DeltaResult:
 class DeltaCatalog:
     """One batch's Δ rows, loaded once into one private ``~delta`` database.
 
-    ``deltas`` maps relation names of ``catalog`` to the genuinely-new rows
-    just inserted into them; empty batches are left out.  The database
-    (each ``ΔR`` stored under its :func:`delta_alias`) is built on the
-    first view, and its tries on the first delta term that scans them —
-    cached in that one database — so a mutation event builds each Δ trie
-    at most once per attribute order, however many cached entries and
-    shard views it patches, and an event nobody reads builds nothing.
+    ``deltas`` maps names ``catalog`` resolves to the genuinely-new rows
+    inserted into them; empty batches are left out.  The database (each
+    ``ΔR`` stored under its :func:`delta_alias`) is built on the first
+    view, and its tries on the first delta term that scans them — cached
+    in that one database — so a batch builds each Δ trie at most once per
+    attribute order, however many delta joins read it, and a batch nobody
+    reads builds nothing.
     """
 
     def __init__(self, catalog, deltas: Mapping[str, Sequence[Row]]):
@@ -177,33 +177,15 @@ class DeltaCatalog:
 
     @property
     def view(self) -> OverlayCatalog:
-        """``catalog`` with every changed relation's delta alias reading its Δ."""
+        """``catalog`` with every changed name's delta alias reading its Δ."""
         if self._view is None:
-            self._view = self.overlay(self.catalog)
+            database = self.database
+            self._view = OverlayCatalog(
+                self.catalog,
+                {delta_alias(name): (database, delta_alias(name)) for name in self.deltas},
+                f"{getattr(self.catalog, 'name', 'catalog')}~delta",
+            )
         return self._view
-
-    def overlay(
-        self, base, aliases: Optional[Mapping[str, str]] = None
-    ) -> OverlayCatalog:
-        """``base`` with every changed relation's delta alias reading its Δ.
-
-        ``aliases`` maps further visible names to the changed relation
-        whose Δ they read: ``{"E@shard": "E"}`` makes ``E@shard@delta``
-        resolve to the stored ``E@delta`` — the same rows and the same
-        tries (a scatter task's seed alias, see
-        :meth:`~repro.service.scatter.ScatterGatherExecutor.maintain`).
-        """
-        database = self.database
-        names = {name: name for name in self.deltas}
-        names.update(aliases or {})
-        return OverlayCatalog(
-            base,
-            {
-                delta_alias(visible): (database, delta_alias(relation))
-                for visible, relation in names.items()
-            },
-            f"{getattr(base, 'name', 'catalog')}~delta",
-        )
 
 
 def evaluate_delta(
@@ -212,13 +194,13 @@ def evaluate_delta(
     """Evaluate what a batch of inserted rows added to ``query``'s result.
 
     ``view`` is a delta view of the *post-insert* catalog
-    (:attr:`DeltaCatalog.view` or :meth:`DeltaCatalog.overlay`): every
+    (:attr:`DeltaCatalog.view`): every
     atom whose relation's delta alias it resolves is a delta term, reading
     ``ΔR_i`` under the alias and the live post-insert relations under
     every other name.  ``engine`` must be plan-aware (the maintainer uses
     LFTJ); every term runs its compiled :class:`JoinPlan` through the
     normal slot-program machinery against ``view`` itself, so every term
-    and every entry of one batch shares the view's Δ tries.
+    reading one batch shares the view's Δ tries.
     """
     changed = [
         name for name in query.relation_names() if delta_alias(name) in view

@@ -398,10 +398,11 @@ class ShardedDatabase(MutationSource):
         by_shard: Dict[int, List[Tuple[int, ...]]] = {}
         for row in normalized:
             by_shard.setdefault(self._partitioner.shard_of(row[0]), []).append(row)
-        # The merged global view updates before any event fires: incremental
-        # maintainers run their delta joins from inside the notification, and
+        # The merged global view updates before any event fires: a
+        # subscriber runs its delta joins from inside the notification, and
         # the post-state semi-naive rewrite needs every non-delta atom to
-        # read the fully post-insert relation.
+        # read the fully post-insert relation (a cache read patches from
+        # the logged rows against the same global view).
         self._global.insert_into(relation_name, normalized)
         inserted_total = 0
         for shard in sorted(by_shard):

@@ -8,9 +8,9 @@ requests with two LRU caches keyed by the canonical query signature
 * the **plan cache** stores ``(canonical_query, JoinPlan)`` pairs so that
   α-equivalent queries are compiled exactly once;
 * the **result cache** stores complete result-tuple lists together with the
-  set of (relation, shard) fragments they were computed from, and drops
-  exactly the dependent entries when the catalog reports a
-  :class:`~repro.relational.catalog.MutationEvent`.
+  set of (relation, shard) fragments they were computed from.  Insert
+  events are logged, and an entry is patched when it is next read; an
+  event that cannot be patched drops exactly the dependent entries.
 
 Result-cache dependencies are **shard-aware**: each dependency is a
 ``(relation, shard)`` pair where ``shard=None`` means "the whole relation".
@@ -39,7 +39,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import groupby
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Generic,
@@ -52,11 +54,15 @@ from typing import (
     Union,
 )
 
+from repro.joins.delta import DeltaResult
 from repro.joins.plan import JoinPlan
 from repro.relational.catalog import MutationEvent
 from repro.relational.query import ConjunctiveQuery
-from repro.util.sorted_ops import splice_sorted
+from repro.util.sorted_ops import is_strictly_sorted, splice_sorted
 from repro.util.validation import check_positive
+
+if TYPE_CHECKING:
+    from repro.service.maintenance import InsertLog
 
 V = TypeVar("V")
 
@@ -82,13 +88,13 @@ class CacheStats:
     ``replacement``.  Entries leave the cache through exactly one of
     ``evictions`` (capacity pressure), ``drops`` (a targeted
     :meth:`LRUCache.discard`) or ``clears`` (a bulk :meth:`LRUCache.clear`),
-    so service reports can tell reuse loss from staleness loss.  A mutation
-    handled by the incremental-maintenance path *patches* an entry in place
-    instead of dropping it (``patches``); ``invalidations`` is the derived
-    total of mutation-triggered touches, ``drops + patches``, preserving
-    the historical counter for reports and trace events.  A maintenance
-    solver that *raised* still degrades its entry to a drop, but is counted
-    under ``solver_errors`` so the failure is visible.
+    so service reports can tell reuse loss from staleness loss.  A read
+    that catches an entry up with the inserts it missed *patches* it in
+    place instead of dropping it (``patches``); ``invalidations`` is the
+    derived total of mutation-triggered touches, ``drops + patches``,
+    preserving the historical counter for reports and trace events.  A
+    maintenance solver that *raised* still degrades its entry to a drop,
+    but is counted under ``solver_errors`` so the failure is visible.
     """
 
     lookups: int = 0
@@ -237,26 +243,34 @@ class PlanCache(LRUCache[Tuple[ConjunctiveQuery, JoinPlan]]):
     """LRU cache of compiled canonical plans, keyed by query signature."""
 
 
+#: A cache's patch solver, called as ``solver(key, query, since, now)`` for
+#: an entry synced at log position ``since`` and read at virtual time
+#: ``now``: every row the entry lacks with the engine cost of finding them,
+#: or ``None`` when the entry cannot be patched (it is dropped).
+Solver = Callable[[str, ConjunctiveQuery, int, float], Optional[DeltaResult]]
+
+
 class ResultCache(LRUCache[List[Tuple[int, ...]]]):
     """LRU cache of complete query results with shard-aware invalidation.
 
     Every entry records the (relation, shard) fragments its result was
-    computed from — plain relation names mean "every shard".  When the
-    catalog reports a :class:`~repro.relational.catalog.MutationEvent`,
-    the pipeline's :class:`~repro.service.maintenance.ResultMaintainer`
-    calls :meth:`maintain`, which *patches* dependent entries with the
-    delta result a solver computes (counted as patches), or, for an event
-    it cannot patch, :meth:`invalidate`, which *drops* exactly the entries
-    whose dependencies intersect the mutated fragment (counted as drops,
-    not evictions).  Entries pinned to untouched shards survive either
-    way.
+    computed from — plain relation names mean "every shard".  The
+    pipeline's :class:`~repro.service.maintenance.ResultMaintainer`
+    attaches its insert log and a patch solver (:meth:`attach`): from then
+    on every entry records the log position it is up to date with.  For an
+    event it cannot patch, the maintainer calls :meth:`invalidate`, which
+    *drops* exactly the entries whose dependencies intersect the mutated
+    fragment (counted as drops, not evictions); entries pinned to
+    untouched shards survive.
 
-    **Patches settle on read.**  A patch merges its delta into the entry's
-    *pending* run of rows and leaves the stored list alone; the next
-    :meth:`get` or :meth:`peek` settles the run into a new stored list
-    (one splice), so a write costs what its delta costs, and an entry
-    patched many times between reads pays one splice.  A list handed out
-    never changes: a patch does not touch it, and a settle replaces it.
+    **Patches settle on read.**  An insert only appends to the log.  A
+    :meth:`get` or :meth:`peek` of an entry that is behind asks the solver
+    once for every row the entry lacks — one delta join, however many
+    insert events it missed — hands them to :meth:`patch_result`, and
+    settles the entry into a new stored list (one merge).  An entry nobody
+    reads pays nothing, and :meth:`expire` drops one whose backlog outgrew
+    its relation.  A list handed out never changes: a patch does not
+    touch it, and a settle replaces it.
     """
 
     def __init__(self, capacity: int):
@@ -272,47 +286,124 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
         self._normalised: Set[str] = set()
         # key -> the sorted, distinct rows patched in since its last read.
         self._pending: Dict[str, List[Tuple[int, ...]]] = {}
+        #: The maintainer's insert log and patch solver (see :meth:`attach`).
+        self.log: Optional["InsertLog"] = None
+        self.solver: Optional[Solver] = None
+        #: Virtual-time cost of every patch this cache's reads ran; a reader
+        #: charges the difference across its read.
+        self.maintenance_ns = 0.0
+        # key -> the log position the entry is up to date with.
+        self._synced: Dict[str, int] = {}
+        # relation -> its dependent keys, least recently synced first (so
+        # oldest log position first: a sync moves a key to the end).
+        self._order: Dict[str, "OrderedDict[str, None]"] = {}
 
-    def get(self, key: str) -> Optional[List[Tuple[int, ...]]]:
+    def attach(self, log: "InsertLog", solver: Solver) -> None:
+        """Patch every entry on read from ``log`` through ``solver``.
+
+        Entries already cached count as up to date with the log's current
+        position.
+        """
+        with self._lock:
+            self.log, self.solver = log, solver
+            for key in self._dependencies:
+                self._sync(key)
+
+    def get(self, key: str, now: float = 0.0) -> Optional[List[Tuple[int, ...]]]:
         """Return the cached rows (refreshing LRU order) or ``None``.
 
-        Settles the entry's pending patches first.  The body repeats
-        :meth:`LRUCache.get` rather than calling it: a hit costs one frame
-        and one lock acquisition, plus one dict probe.
+        An entry behind the insert log is patched first (see the class
+        docstring), with the fault checks at virtual time ``now``; one the
+        patch drops is a miss.  The body repeats :meth:`LRUCache.get` rather
+        than calling it: a hit costs one frame and one lock acquisition,
+        plus two dict probes.
         """
         with self._lock:
             self.stats.lookups += 1
             entry = self._entries.get(key)
             if entry is None:
                 return None
+            synced = self._synced.get(key)
+            if key in self._pending or (synced is not None and synced != self.log.position):
+                entry = self._refresh(key, entry, now)
+                if entry is None:
+                    return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            if key in self._pending:
-                entry = self._settle(key, entry)
             return entry
 
-    def peek(self, key: str) -> Optional[List[Tuple[int, ...]]]:
-        """The settled rows, without touching statistics or LRU order (tests)."""
+    def peek(self, key: str, now: float = 0.0) -> Optional[List[Tuple[int, ...]]]:
+        """The up-to-date rows, without touching lookups, hits or LRU order.
+
+        Patches an entry that is behind, exactly like :meth:`get`.
+        """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and key in self._pending:
-                entry = self._settle(key, entry)
-            return entry
+            return None if entry is None else self._refresh(key, entry, now)
+
+    def _refresh(
+        self, key: str, entry: List[Tuple[int, ...]], now: float
+    ) -> Optional[List[Tuple[int, ...]]]:
+        """Patch ``key`` up to the log and settle it; ``None`` if it dropped."""
+        synced = self._synced.get(key)
+        if synced is not None and synced != self.log.position:
+            if not self._catch_up(key, synced, now):
+                return None
+        if key in self._pending:
+            entry = self._settle(key, entry)
+        return entry
+
+    def _catch_up(self, key: str, since: int, now: float) -> bool:
+        """Patch ``key`` with every row it lacks; ``False`` if it dropped instead.
+
+        One solver call covers every relation the entry depends on.  An
+        entry without a recorded query, a solver returning ``None`` and a
+        raising solver (counted under ``solver_errors``) all drop it.
+        """
+        self._sync(key)
+        relations = {relation for relation, _ in self._dependencies[key]}
+        if not any(self.log.backlog(relation, since) for relation in relations):
+            return True
+        query = self._queries.get(key)
+        result = None
+        if query is not None:
+            try:
+                result = self.solver(key, query, since, now)
+            except Exception:
+                self.stats.solver_errors += 1
+        if result is None:
+            self.discard(key)
+            return False
+        self.maintenance_ns += result.cost_ns
+        self.patch_result(key, result.tuples)
+        return True
+
+    def _sync(self, key: str) -> None:
+        """Mark ``key`` up to date with the log's current position."""
+        self._synced[key] = self.log.position
+        for relation, _shard in self._dependencies[key]:
+            order = self._order.setdefault(relation, OrderedDict())
+            order[key] = None
+            order.move_to_end(key)
 
     def _settle(
         self, key: str, entry: List[Tuple[int, ...]]
     ) -> List[Tuple[int, ...]]:
         """Merge ``key``'s pending rows into a new stored list; returns it.
 
-        The entry's first settle sorts it once (publishers hand in unsorted
-        lists); every later one splices.  Called with the lock held.
+        The result is the sorted set union of the entry and its pending
+        rows.  The entry's first settle sorts it once (publishers hand in
+        unsorted lists, and may repeat a row) and drops adjacent repeats
+        only when the sorted list is not strictly increasing; every settle
+        then splices.  Called with the lock held.
         """
         pending = self._pending.pop(key)
-        if key in self._normalised:
-            settled = splice_sorted(entry, pending)
-        else:
-            settled = sorted(set(entry).union(pending))
+        if key not in self._normalised:
+            entry = sorted(entry)
+            if not is_strictly_sorted(entry):
+                entry = [row for row, _ in groupby(entry)]
             self._normalised.add(key)
+        settled = splice_sorted(entry, pending)
         self._entries[key] = settled
         return settled
 
@@ -336,8 +427,10 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
         ``(relation, shard)`` pairs (fragment-level, as produced by the
         scatter-gather executor's per-shard partial results).  ``query``
         records what the entry answers: entries carrying their query can be
-        *patched* in place by incremental maintenance (see :meth:`maintain`)
-        instead of dropped; entries without one always drop.
+        *patched* on read by incremental maintenance instead of dropped;
+        entries without one drop on their first read after an insert into
+        a relation they depend on.  The entry is up to date with the
+        insert log's current position.
         """
         dependencies = tuple(
             dict.fromkeys(normalize_dependency(d) for d in relation_names)
@@ -351,6 +444,8 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
             if query is not None:
                 self._queries[key] = query
             self.put(key, tuples)
+            if self.log is not None:
+                self._sync(key)
 
     def dependent_keys(self, event: MutationEvent) -> Tuple[str, ...]:
         """The keys a mutation event touches, in deterministic (sorted) order.
@@ -372,8 +467,7 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
     def invalidate(self, event: MutationEvent) -> int:
         """Drop every entry dependent on the mutated fragment; return the count.
 
-        The maintainer's fallback for events it cannot patch; see
-        :meth:`maintain` for the patch path.
+        The maintainer's path for events it cannot patch.
         """
         dropped = 0
         for key in self.dependent_keys(event):
@@ -381,10 +475,35 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
                 dropped += 1
         return dropped
 
-    def query_of(self, key: str) -> Optional[ConjunctiveQuery]:
-        """The query recorded for ``key`` at :meth:`put_result` time, if any."""
+    def expire(self, relation: str, cardinality: int) -> int:
+        """Drop the entries whose backlog of ``relation`` outgrew it; the count.
+
+        The maintainer calls it after each logged insert with the
+        relation's current row count.  An entry whose backlog — the rows
+        logged since its position, all of them in the relation now —
+        exceeds the rows the relation held at that position would read
+        more new rows in its delta join than a recompute reads old ones, so
+        it is dropped instead.  The backlog only grows toward the least
+        recently synced entries, so the walk stops at the first entry that
+        stays.
+        """
+        dropped = 0
         with self._lock:
-            return self._queries.get(key)
+            order = self._order.get(relation)
+            while order:
+                key = next(iter(order))
+                backlog = self.log.backlog(relation, self._synced[key])
+                if backlog <= cardinality - backlog:
+                    break
+                self.discard(key)
+                dropped += 1
+        return dropped
+
+    def oldest(self, relation: str) -> Optional[int]:
+        """The oldest log position of an entry depending on ``relation``."""
+        with self._lock:
+            order = self._order.get(relation)
+            return self._synced[next(iter(order))] if order else None
 
     def patch_result(self, key: str, rows: Iterable[Tuple[int, ...]]) -> bool:
         """Merge delta ``rows`` into ``key``'s cached result.
@@ -394,12 +513,11 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
         delta is spliced into the entry's pending run
         (:func:`~repro.util.sorted_ops.splice_sorted`, O(p + k·log p) for p
         pending and k new rows); the stored list is not touched, and the
-        next :meth:`get` / :meth:`peek` settles the run into a *new* list,
-        so a list handed out never changes.  An empty delta changes
-        nothing.  Counted under ``patches`` (never ``replacements``); LRU
-        recency is left untouched, exactly like a drop would not have
-        refreshed it.  Returns ``False`` (and changes nothing) when the key
-        is absent — the caller then falls back to a drop.
+        read settles the run into a *new* list, so a list handed out never
+        changes.  An empty delta changes nothing.  Counted under
+        ``patches`` (never ``replacements``); LRU recency is left
+        untouched.  Returns ``False`` (and changes nothing) when the key is
+        absent.
         """
         with self._lock:
             if key not in self._entries:
@@ -410,37 +528,6 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
                 pending = self._pending.get(key)
                 self._pending[key] = splice_sorted(pending, delta) if pending else delta
             return True
-
-    def maintain(
-        self,
-        event: MutationEvent,
-        solver: "Callable[[str, ConjunctiveQuery, MutationEvent], Optional[Iterable[Tuple[int, ...]]]]",
-    ) -> Tuple[int, int]:
-        """Patch-or-drop every entry the mutation touches; ``(patched, dropped)``.
-
-        The maintainer's patch path: for each dependent entry that
-        recorded its query, ``solver(key, query, event)`` computes the
-        delta result rows (typically a semi-naive delta join, see
-        :mod:`repro.joins.delta`); the entry is patched in place with them.
-        A solver that returns ``None`` or raises — or an entry without a
-        recorded query — falls back to the drop path, so maintenance can
-        never leave a wrong answer behind.
-        """
-        patched = dropped = 0
-        for key in self.dependent_keys(event):
-            query = self.query_of(key)
-            rows: Optional[Iterable[Tuple[int, ...]]] = None
-            if query is not None:
-                try:
-                    rows = solver(key, query, event)
-                except Exception:
-                    with self._lock:
-                        self.stats.solver_errors += 1
-            if rows is not None and self.patch_result(key, rows):
-                patched += 1
-            elif self.discard(key):
-                dropped += 1
-        return patched, dropped
 
     def invalidate_relation(self, relation_name: str) -> int:
         """Drop every entry computed from any shard of ``relation_name``."""
@@ -455,7 +542,13 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
         self._queries.pop(key, None)
         self._normalised.discard(key)
         self._pending.pop(key, None)
+        self._synced.pop(key, None)
         for relation, shard in self._dependencies.pop(key, ()):
+            order = self._order.get(relation)
+            if order is not None:
+                order.pop(key, None)
+                if not order:
+                    del self._order[relation]
             by_shard = self._dependents.get(relation)
             if by_shard is None:
                 continue

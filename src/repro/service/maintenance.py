@@ -1,73 +1,161 @@
-"""Incremental view maintenance: patch cached results instead of dropping them.
+"""Incremental view maintenance: patch cached results on read, over an insert log.
 
 Every :class:`~repro.service.pipeline.QueryPipeline` tracks its catalog
-through one :class:`ResultMaintainer`: it subscribes to the catalog's
-mutation events and, for *patchable* events (exact insert batches, see
-:attr:`repro.relational.catalog.MutationEvent.patchable`), computes each
-dependent entry's **delta result** with a semi-naive delta join
-(:func:`repro.joins.delta.evaluate_delta`) and merges it into the cached
-entry in place, so the next request does not pay the full join again.
-Non-patchable events — relation (re)definitions, inexact batches — and any
-solver failure fall back to ``ResultCache.invalidate``'s drop, so
-maintenance can degrade to recompute but never to a wrong answer.
+through one :class:`ResultMaintainer`.  Maintenance is *deferred* (Colby,
+Griffin, Libkin, Mumick & Trickey, SIGMOD 1996): an insert event only
+appends its rows to the maintainer's :class:`InsertLog`, and every cached
+entry records the log position it is up to date with.  A read of an entry
+that is behind — ``ResultCache.get`` / ``peek``, and the scatter
+executor's partial probe — runs **one** semi-naive delta join
+(:func:`repro.joins.delta.evaluate_delta`) over every row logged since that
+position and merges the result, so an entry pays once per read however
+many insert events it missed, and an entry evicted before anyone reads it
+pays nothing.  Non-patchable events — relation (re)definitions, inexact
+batches — still drop their dependent entries at once, and a solver failure
+degrades to the same drop, so maintenance can degrade to recompute but
+never to a wrong answer.
 
 Two caches are maintained:
 
 * the **result cache** of complete query results: the delta join runs
-  against the full catalog, with the event's rows as the only delta;
+  against the full catalog, with the logged rows as the only delta;
 * the **shard-partial cache** behind a scatter-gather executor (when one is
-  present): delegated to :meth:`ScatterGatherExecutor.maintain`, which
-  patches only the fragment entries the event's shard touches and respects
-  the fault-injection path (a patch whose fragment is unreachable is lost —
-  the entry drops).
+  present): :meth:`ScatterGatherExecutor.maintain
+  <repro.service.scatter.ScatterGatherExecutor.maintain>` seeds the
+  fragment's Δ with the logged rows hashed to the entry's own shard and
+  respects the fault-injection path (a patch whose fragment is unreachable
+  at the reading request's virtual time is lost — the entry drops).
 
-Both read one :class:`~repro.joins.delta.DeltaCatalog` per event: the
-event's rows are loaded once into one ``~delta`` database, and every delta
-join of the event — each result entry, each shard partial, each
-continuous-query subscriber — reads a view over it, so each Δ trie is
-built once per attribute order per event.
+**The log is bounded.**  It truncates below the oldest live entry's
+position.  Every logged row is in its relation, so the log never holds
+more than one copy of each relation.  An insert that leaves an entry with
+a backlog larger than the rows its relation held at the entry's position
+drops that entry (its delta join would read more new rows than a
+recompute reads old ones), so the log holds at most half of a relation
+that keeps growing under an entry nobody reads.
+
+A :class:`~repro.api.Subscription` is the one eager reader: it still gets
+one delta join per insert event (:meth:`ResultMaintainer.delta_for`).
 
 The maintainer owns a dedicated plan-aware engine (LFTJ by default) and a
 :class:`~repro.joins.delta.DeltaPlanner` so delta-term plans are compiled
 once and maintenance work is accounted with real ``JoinStats``; the
-accumulated virtual-time cost is surfaced as :attr:`cost_ns` for the
-service's clock and traces.
+accumulated virtual-time cost is surfaced as :attr:`cost_ns`, and each
+cache adds a read's share to the reading request's service time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Iterable, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.engines import create_engine
 from repro.joins.compiler import QueryCompiler
-from repro.joins.delta import DeltaCatalog, DeltaPlanner, evaluate_delta
+from repro.joins.delta import DeltaCatalog, DeltaPlanner, DeltaResult, evaluate_delta
 from repro.relational.catalog import MutationEvent
 from repro.relational.query import ConjunctiveQuery
 from repro.service.caches import ResultCache
 from repro.service.metrics import RECORD_WINDOW
 
+Row = Tuple[int, ...]
+
+
+class InsertLog:
+    """Append-only log of the rows each relation gained, by insert batch.
+
+    :attr:`position` counts the non-empty batches appended so far.  A cached
+    entry *synced at* position ``p`` reflects every batch below ``p``;
+    :meth:`since` gives the rows it lacks and :meth:`backlog` their count
+    for one relation.  :meth:`truncate` forgets the batches no live entry
+    lacks.
+    """
+
+    def __init__(self) -> None:
+        self.position = 0
+        # relation -> the kept rows, oldest first.
+        self._rows: Dict[str, List[Row]] = {}
+        # relation -> per kept batch, its position and the absolute offset
+        # of its first row (absolute: counted from the relation's first
+        # logged row, truncated ones included).
+        self._positions: Dict[str, List[int]] = {}
+        self._offsets: Dict[str, List[int]] = {}
+        # relation -> absolute offset of its first kept row.
+        self._base: Dict[str, int] = {}
+
+    def append(self, relation: str, rows: Sequence[Row]) -> None:
+        """Log one insert batch of ``relation`` (an empty one is not a batch)."""
+        if not rows:
+            return
+        kept = self._rows.setdefault(relation, [])
+        self._positions.setdefault(relation, []).append(self.position)
+        self._offsets.setdefault(relation, []).append(
+            self._base.setdefault(relation, 0) + len(kept)
+        )
+        kept.extend(rows)
+        self.position += 1
+
+    def _start(self, relation: str, position: int) -> int:
+        """Index into the kept rows of the first row logged at ``position`` or later."""
+        positions = self._positions.get(relation)
+        if not positions:
+            return 0
+        batch = bisect_left(positions, position)
+        if batch == len(positions):
+            return len(self._rows[relation])
+        return self._offsets[relation][batch] - self._base[relation]
+
+    def backlog(self, relation: str, position: int) -> int:
+        """How many rows ``relation`` gained from ``position`` on."""
+        kept = self._rows.get(relation)
+        return len(kept) - self._start(relation, position) if kept else 0
+
+    def since(self, position: int) -> Dict[str, List[Row]]:
+        """Every relation's rows logged from ``position`` on (none left out)."""
+        deltas = {}
+        for relation, kept in self._rows.items():
+            rows = kept[self._start(relation, position):]
+            if rows:
+                deltas[relation] = rows
+        return deltas
+
+    def truncate(self, relation: str, position: int) -> None:
+        """Forget ``relation``'s batches logged below ``position``."""
+        positions = self._positions.get(relation)
+        if not positions:
+            return
+        batch = bisect_left(positions, position)
+        if batch == len(positions):
+            for table in (self._rows, self._positions, self._offsets, self._base):
+                del table[relation]
+            return
+        start = self._offsets[relation][batch]
+        del self._rows[relation][: start - self._base[relation]]
+        del positions[:batch]
+        del self._offsets[relation][:batch]
+        self._base[relation] = start
+
+    def __len__(self) -> int:
+        """Rows kept, over every relation."""
+        return sum(len(kept) for kept in self._rows.values())
+
+
 @dataclass(frozen=True)
 class MaintenanceReport:
     """What one mutation event did to the caches.
 
-    ``patchable`` records whether the incremental path was even attempted;
-    a ``False`` means the event forced drop-and-recompute (and the drop
-    counts land in ``*_dropped``).  ``cost_ns`` is the virtual-time cost of
-    the delta joins run for this event (0 for pure drops).
+    ``patchable`` records whether the event was logged for read-time
+    patching; a ``False`` means it forced drop-and-recompute of every
+    dependent entry.  The drop counts land in ``*_dropped``: for a
+    patchable event they are the entries whose backlog outgrew their
+    relation.  Patches happen on read, so they are counted by the caches'
+    ``stats.patches``, not here.
     """
 
     patchable: bool
-    result_patched: int = 0
     result_dropped: int = 0
-    partial_patched: int = 0
     partial_dropped: int = 0
-    cost_ns: float = 0.0
-
-    @property
-    def patched(self) -> int:
-        return self.result_patched + self.partial_patched
 
     @property
     def dropped(self) -> int:
@@ -75,12 +163,7 @@ class MaintenanceReport:
 
 
 class ResultMaintainer:
-    """Routes catalog mutation events to patch-or-drop cache maintenance.
-
-    Each patchable event gets one :class:`~repro.joins.delta.DeltaCatalog`
-    (:meth:`delta_catalog`), shared by the result-cache solver, the
-    scatter executor's partial maintenance and :meth:`delta_for`; every
-    entry still runs its own :func:`~repro.joins.delta.evaluate_delta`.
+    """Logs catalog mutations and patches cached entries when they are read.
 
     Parameters
     ----------
@@ -101,10 +184,6 @@ class ResultMaintainer:
         Plan-aware engine the delta terms run on; LFTJ by default — the
         cache-less engine keeps maintenance cost independent of any
         PJR-cache state.
-    clock:
-        Zero-argument callable giving the current virtual time, used for
-        the scatter fault-path check (a fragment unreachable *now* cannot
-        be patched).  Defaults to a constant 0.0.
     """
 
     def __init__(
@@ -114,7 +193,6 @@ class ResultMaintainer:
         scatter=None,
         compiler: Optional[QueryCompiler] = None,
         engine=None,
-        clock: Optional[Callable[[], float]] = None,
     ):
         self.catalog = catalog
         self.result_cache = result_cache
@@ -122,57 +200,54 @@ class ResultMaintainer:
         self.compiler = compiler or QueryCompiler(enable_caching=True)
         self.planner = DeltaPlanner(self.compiler)
         self.engine = engine if engine is not None else create_engine("lftj")
-        self.clock = clock or (lambda: 0.0)
         #: Accumulated virtual-time cost of every delta join run so far.
         self.cost_ns = 0.0
         #: The latest per-mutation reports, in event order (a window, like
         #: the service's ``metrics.records``; ``cost_ns`` and the caches'
         #: ``stats`` carry the lifetime totals).
         self.reports: Deque[MaintenanceReport] = deque(maxlen=RECORD_WINDOW)
-        # The latest event and its delta catalog.  Holding the event itself
-        # (not its id) means the identity check cannot match a recycled id.
+        #: Every row inserted since the oldest live entry's position.
+        self.log = InsertLog()
+        self.caches: Tuple[ResultCache, ...] = (result_cache,)
+        result_cache.attach(self.log, self._solve)
+        if scatter is not None and scatter.partial_cache is not None:
+            scatter.partial_cache.attach(self.log, self._solve_partial)
+            self.caches += (scatter.partial_cache,)
+        # The latest event and its delta catalog (subscriptions), and the
+        # latest (since, log position) and its delta catalog (reads).
+        # Holding the event itself (not its id) means the identity check
+        # cannot match a recycled id.
         self._event_delta: Optional[Tuple[MutationEvent, DeltaCatalog]] = None
+        self._read_delta: Optional[Tuple[Tuple[int, int], DeltaCatalog]] = None
 
     # ------------------------------------------------------------------ #
     # Event handling
     # ------------------------------------------------------------------ #
     def on_mutation(self, event: MutationEvent) -> MaintenanceReport:
-        """Maintain both caches for one mutation event; returns the report.
+        """Log one mutation event, or drop what it makes stale; returns the report.
 
         This is the one method :class:`~repro.service.pipeline.QueryPipeline`
         subscribes to the catalog
-        (``catalog.subscribe_invalidation(maintainer.on_mutation)``); the
-        caches' ``invalidate`` methods run only from here.
+        (``catalog.subscribe_invalidation(maintainer.on_mutation)``).  A
+        patchable event appends its rows to :attr:`log` and runs no delta
+        join: each dependent entry catches up when it is next read.  The
+        entries whose backlog outgrew the relation are dropped
+        (:meth:`ResultCache.expire <repro.service.caches.ResultCache.expire>`),
+        and the log forgets what no live entry lacks.  Any other event
+        drops its dependent entries at once.
         """
-        if not event.patchable:
-            result_dropped = self.result_cache.invalidate(event)
-            partial_dropped = 0
-            if self.scatter is not None and self.scatter.partial_cache is not None:
-                partial_dropped = self.scatter.partial_cache.invalidate(event)
-            report = MaintenanceReport(
-                patchable=False,
-                result_dropped=result_dropped,
-                partial_dropped=partial_dropped,
-            )
-            self.reports.append(report)
-            return report
-        cost_before = self.cost_ns
-        patched, dropped = self.result_cache.maintain(event, self._solve)
-        partial_patched = partial_dropped = 0
-        if self.scatter is not None and self.scatter.partial_cache is not None:
-            partial_patched, partial_dropped, partial_cost_ns = self.scatter.maintain(
-                event, self.delta_catalog(event), self.planner, self.engine,
-                now=self.clock(),
-            )
-            self.cost_ns += partial_cost_ns
-        report = MaintenanceReport(
-            patchable=True,
-            result_patched=patched,
-            result_dropped=dropped,
-            partial_patched=partial_patched,
-            partial_dropped=partial_dropped,
-            cost_ns=self.cost_ns - cost_before,
+        relation = event.relation
+        if event.patchable:
+            self.log.append(relation, event.delta.rows)
+            cardinality = self.catalog.relation(relation).cardinality
+            dropped = [cache.expire(relation, cardinality) for cache in self.caches]
+        else:
+            dropped = [cache.invalidate(event) for cache in self.caches]
+        oldest = [cache.oldest(relation) for cache in self.caches]
+        self.log.truncate(
+            relation, min((p for p in oldest if p is not None), default=self.log.position)
         )
+        report = MaintenanceReport(event.patchable, *dropped)
         self.reports.append(report)
         return report
 
@@ -183,8 +258,8 @@ class ResultMaintainer:
         """``event``'s delta catalog: made on its first use, then reused.
 
         Its ``~delta`` database and tries are built lazily, on the first
-        delta term that reads them, so an event with no dependent entry and
-        no subscriber builds nothing.
+        delta term that reads them, so an event with no subscriber builds
+        nothing.
         """
         memo = self._event_delta
         if memo is None or memo[0] is not event:
@@ -197,10 +272,9 @@ class ResultMaintainer:
     ) -> Tuple[Tuple[int, ...], ...]:
         """The rows ``event`` added to ``query``'s result (sorted).
 
-        Shared by the result-cache solver and continuous-query subscribers
-        (:meth:`repro.api.session.Session.subscribe`); compiled delta plans
-        are memoised across both uses, and both read the event's one
-        :meth:`delta_catalog`.
+        The eager path of continuous-query subscribers
+        (:meth:`repro.api.session.Session.subscribe`): every subscription
+        of the event reads its one :meth:`delta_catalog`.
         """
         result = evaluate_delta(
             query, self.delta_catalog(event).view, self.engine, self.planner
@@ -208,15 +282,43 @@ class ResultMaintainer:
         self.cost_ns += result.cost_ns
         return result.tuples
 
+    def _since(self, position: int) -> DeltaCatalog:
+        """The delta catalog of every row logged from ``position`` on.
+
+        Entries synced at the same position and read before the next insert
+        share it, and with it its Δ tries.
+        """
+        key = (position, self.log.position)
+        memo = self._read_delta
+        if memo is None or memo[0] != key:
+            memo = (key, DeltaCatalog(self.catalog, self.log.since(position)))
+            self._read_delta = memo
+        return memo[1]
+
     def _solve(
-        self, key: str, query: ConjunctiveQuery, event: MutationEvent
-    ) -> Optional[Iterable[Tuple[int, ...]]]:
-        """Delta rows one cached entry gains from ``event`` (None = drop)."""
-        del key  # full-result entries need no per-key context
-        return self.delta_for(query, event)
+        self, key: str, query: ConjunctiveQuery, since: int, now: float
+    ) -> DeltaResult:
+        """What a result entry synced at ``since`` lacks: one delta join."""
+        del key, now  # full results need no per-key context or fault check
+        result = evaluate_delta(query, self._since(since).view, self.engine, self.planner)
+        self.cost_ns += result.cost_ns
+        return result
+
+    def _solve_partial(
+        self, key: str, query: ConjunctiveQuery, since: int, now: float
+    ) -> Optional[DeltaResult]:
+        """What a shard partial synced at ``since`` lacks (``None``: drop it)."""
+        del query  # the executor rebuilds the fragment's query from its spec
+        result = self.scatter.maintain(
+            key, self._since(since).deltas, self.engine, self.planner, now
+        )
+        if result is not None:
+            self.cost_ns += result.cost_ns
+        return result
 
 
 __all__ = [
+    "InsertLog",
     "MaintenanceReport",
     "ResultMaintainer",
 ]

@@ -29,8 +29,9 @@ an already-chosen engine — routing policy stays with its owner.
 The constructor is also the single wiring site: it builds the plan, result
 and shard-partial caches, the scatter-gather executor, the fault injector
 and the incremental maintainer, and subscribes the maintainer to the
-catalog: cached entries are patched by delta joins where an event allows it
-and dropped where it does not.  Its keywords are the one declaration of the
+catalog: an insert is logged and each cached entry is patched by one delta
+join when it is next read; an event that cannot be patched drops its
+dependent entries at once.  Its keywords are the one declaration of the
 serving options: ``Session`` and ``QueryService`` forward whatever they do
 not consume themselves.
 """
@@ -87,7 +88,8 @@ class PreparedQuery:
 
     ``work`` collects the submitted engine execution as ``(execution,
     wall_seconds)`` — ``None`` when the result cache already answered
-    (``tuples`` is then the cached answer).  ``error`` is set by ``work``
+    (``tuples`` is then the cached answer, and ``maintenance_ns`` the
+    virtual cost of the patch its read ran).  ``error`` is set by ``work``
     when a scatter fan-out lost a shard on every replica under
     ``on_shard_loss="fail"``: the typed failure travels to
     :meth:`QueryPipeline.finalize` instead of tearing down the caller's loop.
@@ -105,6 +107,7 @@ class PreparedQuery:
     compiled: bool = False
     partial_entries: List = field(default_factory=list)
     error: Optional[ShardUnavailableError] = None
+    maintenance_ns: float = 0.0
 
     @property
     def result_cache_hit(self) -> bool:
@@ -126,8 +129,8 @@ class CompletedQuery:
 
     ``service_time`` is the virtual time the query occupied from
     ``prepared.start_time``: the engine's deterministic cost, the replay
-    constant for a cache hit, or the time burned before a shard-loss
-    failure.  ``plan_cache_hit`` is credited only when the engine actually
+    constant plus the read's patch cost for a cache hit, or the time
+    burned before a shard-loss failure.  ``plan_cache_hit`` is credited only when the engine actually
     consumed the plan it was handed (see
     :attr:`repro.joins.base.EngineExecution.plan_used`).
     """
@@ -198,14 +201,12 @@ class QueryPipeline:
     maintenance:
         Accepts only ``"incremental"``, the one policy: kept for callers
         that still name it.  The caches track catalog mutations through
-        one :class:`~repro.service.maintenance.ResultMaintainer` that
-        patches cached results — and the shard-partial cache of a sharded
-        catalog — in place with semi-naive delta joins
-        (:mod:`repro.joins.delta`) for patchable events (exact insert
-        batches); anything else drops, so a stale answer is never served.
-    clock:
-        Zero-argument callable giving the owner's current virtual time, read
-        by the maintainer's fault-path check.
+        one :class:`~repro.service.maintenance.ResultMaintainer`: it logs
+        patchable events (exact insert batches), and a read of a cached
+        result — or of a shard partial of a sharded catalog — that is
+        behind the log patches it with one semi-naive delta join
+        (:mod:`repro.joins.delta`), charged to the reading request;
+        anything else drops, so a stale answer is never served.
     """
 
     def __init__(
@@ -218,7 +219,6 @@ class QueryPipeline:
         seed: int = 2020,
         on_shard_loss: str = "fail",
         maintenance: str = "incremental",
-        clock: Optional[Callable[[], float]] = None,
     ):
         check_pipeline_options({"maintenance": maintenance, "on_shard_loss": on_shard_loss})
         self.database = database
@@ -250,7 +250,6 @@ class QueryPipeline:
             self.result_cache,
             scatter=self.scatter,
             compiler=self.compiler,
-            clock=clock,
         )
         database.subscribe_invalidation(self.maintainer.on_mutation)
 
@@ -331,9 +330,11 @@ class QueryPipeline:
         the gather to ``work``.
         """
         prepared = PreparedQuery(query, signature, engine, start_time, trace)
-        cached = self.result_cache.get(signature)
+        spent = self.result_cache.maintenance_ns
+        cached = self.result_cache.get(signature, start_time)
         if cached is not None:
             prepared.tuples = cached
+            prepared.maintenance_ns = self.result_cache.maintenance_ns - spent
             if trace is not None:
                 trace.event("result_cache_hit", start_time, signature=signature)
             return prepared
@@ -403,7 +404,8 @@ class QueryPipeline:
             tuples, service_time = [], max(error.cost_ns, RESULT_REPLAY_COST)
             scatter_stats = error.scatter
         else:
-            tuples, service_time = prepared.tuples, RESULT_REPLAY_COST
+            tuples = prepared.tuples
+            service_time = RESULT_REPLAY_COST + prepared.maintenance_ns
         completed = CompletedQuery(
             prepared, execution, tuples, service_time, plan_cache_hit, scatter_stats
         )

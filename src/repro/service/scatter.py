@@ -17,13 +17,14 @@ memoised here (plans depend only on query structure, never on data) and
 handed to every shard task.
 
 **Partial-result reuse.**  With a ``partial_cache`` (a shard-aware
-:class:`~repro.service.caches.ResultCache` subscribed to the catalog's
-mutation events), each shard's partial result is cached under
-``(signature, shard)`` with its true read set as dependencies: the seed
-fragment ``(seed_relation, shard)`` plus every non-seed relation as a
-whole.  Inserting into one shard of the seed relation therefore invalidates
-only that shard's partials — re-executing the query replays every other
-shard from cache and recomputes one fragment.
+:class:`~repro.service.caches.ResultCache` the pipeline's maintainer
+keeps), each shard's partial result is cached under ``(signature, shard)``
+with its true read set as dependencies: the seed fragment
+``(seed_relation, shard)`` plus every non-seed relation as a whole.  The
+probe patches a partial that is behind the insert log (:meth:`maintain`);
+an event that cannot be patched drops only the partials of the shard it
+names, so re-executing the query replays every other shard from cache and
+recomputes one fragment.
 
 **Virtual time.**  Shards run concurrently in the service's model: the
 execution's cost is the slowest task (critical path) plus a per-task
@@ -44,13 +45,13 @@ aggregated stats) is identical whatever ran the shards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import repro.joins.delta as delta_joins
 from repro.joins.base import EngineExecution, EngineProtocol
 from repro.joins.compiler import QueryCompiler
 from repro.joins.plan import JoinPlan
 from repro.joins.stats import JoinStats
-from repro.relational.catalog import OverlayCatalog
 from repro.relational.query import ConjunctiveQuery
 from repro.relational.sharding import (
     SCATTER_DISPATCH_COST_NS,
@@ -207,10 +208,10 @@ class ScatterGatherExecutor:
         The sharded catalog to fan out over.
     partial_cache:
         Optional shard-aware result cache for per-shard partials.  The
-        *caller* owns its invalidation wiring
-        (:class:`repro.service.pipeline.QueryPipeline` subscribes it to the
-        catalog's mutation events); the executor only reads and populates
-        it.
+        *caller* owns its maintenance wiring
+        (:class:`repro.service.pipeline.QueryPipeline`'s maintainer attaches
+        its insert log to it, with :meth:`maintain` as the patch solver);
+        the executor reads and populates it.
     compiler:
         Query compiler used for the rewritten scatter queries (plan-aware
         engines only).
@@ -360,7 +361,7 @@ class ScatterGatherExecutor:
         if own_gate:
             breaker_gate = self.breakers.gate(range(self.catalog.num_shards), now)
 
-        replayed = self._probe(signature)
+        replayed = self._probe(signature, now)
         missed = [s for s in range(self.catalog.num_shards) if s not in replayed]
         collect = self._submit_shards(engine, spec, plan, missed, submit_engine, now)
 
@@ -387,14 +388,22 @@ class ScatterGatherExecutor:
 
         return gather
 
-    def _probe(self, signature: str) -> Dict[int, List[Tuple[int, ...]]]:
-        """Phase 1 — cached partials by shard, probed in shard order."""
-        replayed: Dict[int, List[Tuple[int, ...]]] = {}
-        if self.partial_cache is not None:
+    def _probe(
+        self, signature: str, now: float
+    ) -> Dict[int, Tuple[List[Tuple[int, ...]], float]]:
+        """Phase 1 — cached partials by shard, probed in shard order.
+
+        Each replay carries the virtual-time cost of the patch its read ran
+        (0 for a partial that was up to date).
+        """
+        replayed: Dict[int, Tuple[List[Tuple[int, ...]], float]] = {}
+        cache = self.partial_cache
+        if cache is not None:
             for shard in range(self.catalog.num_shards):
-                cached = self.partial_cache.get(partial_key(signature, shard))
+                spent = cache.maintenance_ns
+                cached = cache.get(partial_key(signature, shard), now)
                 if cached is not None:
-                    replayed[shard] = cached
+                    replayed[shard] = (cached, cache.maintenance_ns - spent)
         return replayed
 
     def _submit_shards(
@@ -431,7 +440,7 @@ class ScatterGatherExecutor:
         spec: ScatterSpec,
         signature: str,
         plan: Optional[JoinPlan],
-        replayed: Dict[int, List[Tuple[int, ...]]],
+        replayed: Dict[int, Tuple[List[Tuple[int, ...]], float]],
         computed: Dict[int, Tuple[EngineExecution, Optional[float]]],
         collect_partials: Optional[List[PartialEntry]],
         now: float,
@@ -456,9 +465,11 @@ class ScatterGatherExecutor:
                 spec.seed_relation, shard
             ).cardinality
             if shard in replayed:
-                cached = replayed[shard]
+                cached, patch_ns = replayed[shard]
                 tasks.append(
-                    ShardTaskStats(shard, len(cached), PARTIAL_REPLAY_COST_NS, True, fragment_size)
+                    ShardTaskStats(
+                        shard, len(cached), PARTIAL_REPLAY_COST_NS + patch_ns, True, fragment_size
+                    )
                 )
                 partials.append(cached)
                 continue
@@ -585,67 +596,54 @@ class ScatterGatherExecutor:
     # Incremental maintenance of cached partials
     # ------------------------------------------------------------------ #
     def maintain(
-        self, event, delta, planner, engine, now: float = 0.0
-    ) -> Tuple[int, int, float]:
-        """Patch the cached shard partials a mutation event touches.
+        self,
+        key: str,
+        deltas: Mapping[str, Sequence[Tuple[int, ...]]],
+        engine,
+        planner,
+        now: float = 0.0,
+    ) -> Optional["delta_joins.DeltaResult"]:
+        """The rows the cached partial ``key`` lacks, given the rows logged since it.
 
-        Called by the pipeline's maintainer for a patchable event (it calls
-        ``partial_cache.invalidate`` for the rest): for each dependent
-        partial entry, the fragment's delta result is
-        computed by semi-naive delta joins against that shard's view,
-        overlaid by the event's :class:`~repro.joins.delta.DeltaCatalog`
-        ``delta`` — the seed alias's Δ is the batch when it was routed to the
-        entry's shard (absent for its sibling shards), and every other atom
-        over the mutated relation sees the whole batch through the global
-        view — and merged into the entry.  One delta view
-        per shard serves every entry of the event, and every view reads the
-        same stored Δ rows, so the Δ tries are built once per event.
+        The partial cache's patch solver, run when a probe at virtual time
+        ``now`` reads a partial that is behind the insert log (the
+        pipeline's maintainer passes ``deltas``, every relation's rows
+        logged since the partial's position).  The fragment's delta join
+        runs against its shard's view under one
+        :class:`~repro.joins.delta.DeltaCatalog`: the seed alias's Δ is the
+        logged rows of the seed relation that hash to the partial's own
+        shard, and every non-seed atom sees its relation's whole Δ through
+        the global view.  One :func:`~repro.joins.delta.evaluate_delta`
+        covers every insert event since the partial was last read; none
+        runs when no logged row reaches the fragment.
 
-        Composes with the PR 9 fault path: with an armed injector, a patch
-        whose fragment is unreachable on every replica at virtual ``now``
-        is *lost* and the entry is dropped instead — a lost patch degrades
-        to recompute, never to a wrong answer.  Any solver failure
-        (unknown spec, raised error) falls back to the drop the same way.
-
-        Returns ``(patched, dropped, cost_ns)``; ``cost_ns`` is the engine
-        cost of the fragment delta joins, which the maintainer charges.
+        Composes with the fault path: with an armed injector, a patch whose
+        fragment is unreachable on every replica at ``now`` is *lost*, and
+        ``None`` tells the cache to drop the entry instead — a lost patch
+        degrades to recompute, never to a wrong answer.  An unknown spec
+        returns ``None`` the same way.
         """
-        if self.partial_cache is None:
-            return (0, 0, 0.0)
-        cost_ns = 0.0
-        # Delta views by (shard, seed alias, whether the seed alias reads Δ).
-        views: Dict[Tuple[int, str, bool], OverlayCatalog] = {}
-
-        def solve(key: str, query, evt):
-            nonlocal cost_ns
-            signature, _, suffix = key.rpartition("#shard")
-            spec = self._spec_memo.get(signature)
-            if spec is None or not suffix.isdigit():
-                return None
-            shard = int(suffix)
-            if self.injector is not None:
-                nodes = self.catalog.replica_nodes(spec.seed_relation, shard)
-                if all(self.injector.is_down(node, now) for node in nodes):
-                    return None  # lost patch → fragment drop
-            # Every insert event of a sharded catalog names the shard its
-            # rows were routed to.
-            seeded = spec.seed_relation == evt.relation and evt.shard == shard
-            unseeded = any(atom.relation == evt.relation for atom in spec.query.atoms[1:])
-            if not evt.delta.rows or not (seeded or unseeded):
-                return ()  # dependency touched, fragment result unchanged
-            view = views.get((shard, spec.alias, seeded))
-            if view is None:
-                aliases = {spec.alias: evt.relation} if seeded else {}
-                view = delta.overlay(self.catalog.shard_view(shard, spec), aliases)
-                views[(shard, spec.alias, seeded)] = view
-            from repro.joins.delta import evaluate_delta
-
-            result = evaluate_delta(spec.query, view, engine, planner)
-            cost_ns += result.cost_ns
-            return result.tuples
-
-        patched, dropped = self.partial_cache.maintain(event, solve)
-        return patched, dropped, cost_ns
+        signature, _, suffix = key.rpartition("#shard")
+        spec = self._spec_memo.get(signature)
+        if spec is None or not suffix.isdigit():
+            return None
+        shard = int(suffix)
+        if self.injector is not None:
+            nodes = self.catalog.replica_nodes(spec.seed_relation, shard)
+            if all(self.injector.is_down(node, now) for node in nodes):
+                return None  # lost patch → fragment drop
+        shard_of = self.catalog.partitioner_for(spec.seed_relation).shard_of
+        unseeded = {atom.relation for atom in spec.query.atoms[1:]}
+        fragment = {name: rows for name, rows in deltas.items() if name in unseeded}
+        seeded = [
+            row for row in deltas.get(spec.seed_relation, ()) if shard_of(row[0]) == shard
+        ]
+        if seeded:
+            fragment[spec.alias] = seeded
+        if not fragment:
+            return delta_joins.DeltaResult(tuples=(), stats=JoinStats(), terms=0)
+        view = delta_joins.DeltaCatalog(self.catalog.shard_view(shard, spec), fragment).view
+        return delta_joins.evaluate_delta(spec.query, view, engine, planner)
 
     def invalidation_report(self) -> Optional[str]:
         """One report line for the partial cache, or ``None`` without one."""

@@ -187,9 +187,7 @@ class QueryService:
         if pipeline is None:
             if database is None:
                 raise ValueError("QueryService needs a database (or a pipeline)")
-            pipeline = QueryPipeline(
-                database, seed=seed, clock=lambda: self._clock, **pipeline_options
-            )
+            pipeline = QueryPipeline(database, seed=seed, **pipeline_options)
         elif database is not None or pipeline_options:
             raise ValueError(
                 "pipeline= already holds its catalog and wiring; it cannot be "
@@ -353,8 +351,11 @@ class QueryService:
     def insert_tuples(self, relation_name: str, rows) -> int:
         """Mutate the catalog through the service.
 
-        Dependent cached results are patched with the delta result (only
-        non-patchable events and failed solvers drop them).
+        The batch is logged: a dependent cached result or shard partial is
+        patched by one delta join when a request next reads it, and that
+        request's service time pays for it.  Only non-patchable events,
+        entries whose backlog outgrew their relation and failed solvers
+        drop entries.
 
         With tracing on, the mutation (and the cache invalidations it
         triggered) is recorded as a process-level event span on the

@@ -183,6 +183,23 @@ class TestWorkflow:
             (module_dir / "cli.py").write_text(cli)
             assert ci_local.run_step(step, str(tmp_path), dict(os.environ))[0] is passes
 
+    def test_maintain_once_per_read_refuses_a_set_copy_in_the_settle(self, tmp_path):
+        with open(os.path.join(ROOT, "src", "repro", "service", "caches.py")) as handle:
+            source = handle.read()
+        sort = "entry = sorted(entry)\n"
+        assert source.count(sort) == 1
+        copying = source.replace(sort, "entry = sorted(set(entry))\n")
+        module = tmp_path / "src" / "repro" / "service" / "caches.py"
+        module.parent.mkdir(parents=True)
+        delta = tmp_path / "src" / "repro" / "joins" / "delta.py"
+        delta.parent.mkdir(parents=True)
+        with open(os.path.join(ROOT, "src", "repro", "joins", "delta.py")) as handle:
+            delta.write_text(handle.read())
+        step = TREE_INVARIANTS["Maintain once per read"]
+        for text, passes in ((source, True), (copying, False)):
+            module.write_text(text)
+            assert ci_local.run_step(step, str(tmp_path), dict(os.environ))[0] is passes
+
     def test_one_auto_route_refuses_a_cost_model_but_not_the_cpu_baseline(self, tmp_path):
         step = TREE_INVARIANTS["One auto route"]
         module = tmp_path / "src" / "repro" / "joins" / "base.py"

@@ -166,27 +166,29 @@ class TestMutationEvents:
             assert event.trace_id == PROCESS_TRACE_ID
             assert event.attributes["relation"] == "E"
             assert event.attributes["rows_inserted"] == 2
-            assert event.attributes["invalidated_results"] >= 1
+            # The insert is logged; the cached result is patched when read.
+            assert event.attributes["invalidated_results"] == 0
+            assert event.attributes["patched_results"] == 0
+            service.serve(pattern_query("cycle3"))
+            assert service.result_cache.stats.patches == 1
         finally:
             service.close()
 
     def test_mutation_that_empties_the_partial_cache_counts_its_drops(self):
         # An emptied ResultCache is falsy (it defines __len__); the span must
-        # still read its counters.  Both shards' nodes go down after the
-        # warm-up read, so the insert cannot patch either fragment and both
-        # partials drop.
+        # still read its counters.  The insert more than doubles the
+        # relation, so every cached entry's backlog outgrows what the
+        # relation held when it was cached, and both partials drop.
         database = shard_database(
             workload_database(num_vertices=40, num_edges=200, seed=5), 2
         )
-        service = QueryService(
-            database, backends=("lftj",), tracer=True,
-            faults="down:0@1; down:1@1", on_shard_loss="partial",
-        )
+        service = QueryService(database, backends=("lftj",), tracer=True)
         try:
             service.serve(pattern_query("cycle3"))
             partial_cache = service.scatter.partial_cache
             assert len(partial_cache) == 2
-            service.insert_tuples("E", [(1, 39), (39, 2)])
+            size = database.relation("E").cardinality
+            service.insert_tuples("E", [(100 + i, 200 + i) for i in range(size + 1)])
             assert len(partial_cache) == 0
             event = service.tracer.spans[-1]
             assert event.name == "catalog_mutation"

@@ -395,7 +395,7 @@ def test_maintenance_reports_are_a_window():
     service.serve(pattern_query("cycle3"))
     service.insert_tuples("E", [(3, 4)])
     service.insert_tuples("E", [(4, 1)])
-    assert len(maintainer.reports) == 2 and maintainer.reports[-1].result_patched == 1
+    assert len(maintainer.reports) == 2 and maintainer.reports[-1].patchable
     service.close()
 
 

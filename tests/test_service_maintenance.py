@@ -4,23 +4,26 @@ Three layers of contract:
 
 * **Counters** — the result cache's ``invalidations`` split into ``drops``
   vs ``patches``: zero/empty edge cases, the derived sum, and the
-  patch-or-drop fallback ladder (no recorded query, solver ``None``,
-  solver exception → drop; never a wrong answer).
+  patch-or-drop fallback ladder a read walks (no recorded query, solver
+  ``None``, solver exception → drop; never a wrong answer).
 * **Equivalence** — a Zipf update-heavy workload served by the pipeline's
   maintainer returns byte-identical per-request results to a
   drop-and-recompute control (:func:`recompute_control`), across engines ×
   shard counts × execution backends, while actually patching (not
   silently dropping).
-* **Modelled cost** — on the same stream, Σ ``service_time`` plus the
-  maintainer's delta-join charge is below Σ ``service_time`` under the
-  control, and the charge is exactly the engine cost of the delta joins
-  run.
+* **Modelled cost** — on the same stream, Σ ``service_time`` (each read
+  charged the delta joins its patches ran) is below Σ ``service_time``
+  under the control, and the maintainer's charge is exactly the engine
+  cost of the delta joins run.
 * **Continuous queries** — :meth:`repro.api.Session.subscribe` streams
   result deltas: patched additions for insert batches, full re-execute
   diffs (including removals) for relation redefinitions.
-* **Once per event** — one mutation event builds each Δ trie at most once
-  per attribute order and hands the delta joins at most one view per
-  shard plus one of the full catalog, subscribers included.
+* **Maintain on read** — an insert only logs its rows: each cached entry
+  runs one delta join per read that finds it behind, however many events
+  it missed, and none when it is evicted unread; a live subscription still
+  gets one per event; the log truncates below the oldest live entry; an
+  entry whose backlog outgrew its relation drops instead of patching; and
+  the first settle of a published list is the sorted set union.
 
 ``REPRO_CONCURRENCY_REPEATS`` (CI's ivm job sets it > 1) re-runs the
 equivalence matrix so scheduling-dependent races get multiple chances to
@@ -31,12 +34,19 @@ import os
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.joins.delta as delta_module
 import repro.relational.catalog as catalog_module
 import repro.service.maintenance as maintenance_module
 from repro.api import ResultDelta, Session
+from repro.engines import create_engine
 from repro.graphs import pattern_query
-from repro.joins.delta import DELTA_SUFFIX, DeltaCatalog
+from repro.joins.delta import DELTA_SUFFIX, DeltaCatalog, DeltaResult
+from repro.joins.stats import JoinStats
 from repro.relational import Database, DeltaBatch, MutationEvent, Relation, Schema
+from repro.relational.query import Atom, ConjunctiveQuery
 from repro.relational.sharding import shard_database
 from repro.relational.trie import TrieIndex
 from repro.service import (
@@ -49,6 +59,8 @@ from repro.service import (
     run_workload,
     workload_database,
 )
+from repro.service.maintenance import InsertLog
+from repro.service.scatter import partial_key
 from repro.storage import open_store
 
 #: Seeded repeats of the equivalence matrix (CI sets this higher).
@@ -61,6 +73,31 @@ def insert_event(rows, shard=None):
     return MutationEvent(
         "E", shard=shard, delta=DeltaBatch.from_rows(rows), kind="insert"
     )
+
+
+def attached_cache(solver, capacity=4):
+    """A result cache patched on read from a fresh log through ``solver``."""
+    cache = ResultCache(capacity=capacity)
+    log = InsertLog()
+    cache.attach(log, solver)
+    return cache, log
+
+
+@pytest.fixture
+def delta_calls(monkeypatch):
+    """The query name of every ``evaluate_delta`` call, in call order.
+
+    Both names are counted: the maintainer calls its module's, the scatter
+    executor looks it up in ``repro.joins.delta`` at each call.
+    """
+    calls = []
+    for module in (maintenance_module, delta_module):
+        def counted(query, view, engine, planner, _inner=module.evaluate_delta):
+            calls.append(query.name)
+            return _inner(query, view, engine, planner)
+
+        monkeypatch.setattr(module, "evaluate_delta", counted)
+    return calls
 
 
 # --------------------------------------------------------------------------- #
@@ -107,28 +144,38 @@ class TestCacheCounters:
         assert cache.dependent_keys(insert_event([(1, 2)], shard=0)) == ("a", "c")
         assert cache.dependent_keys(MutationEvent("other", delta=1)) == ()
 
-    def test_maintain_patches_entries_with_queries_drops_the_rest(self):
-        cache = ResultCache(capacity=8)
+    def test_a_read_patches_entries_with_queries_and_drops_the_rest(self):
+        solved = []
+
+        def solver(key, query, since, now):
+            solved.append((key, since, now))
+            return DeltaResult(((9, 9),), JoinStats(), 1, cost_ns=5.0)
+
+        cache, log = attached_cache(solver, capacity=8)
         cache.put_result("with", [(1, 2)], ["E"], query=pattern_query("cycle3"))
         cache.put_result("without", [(1, 2)], ["E"])  # no query recorded
-        patched, dropped = cache.maintain(
-            insert_event([(9, 9)]), lambda key, query, event: [(9, 9)]
-        )
-        assert (patched, dropped) == (1, 1)
-        assert cache.peek("with") == [(1, 2), (9, 9)]
-        assert "without" not in cache
+        cache.put_result("elsewhere", [(1, 2)], ["F"])
+        log.append("E", [(9, 9)])
+        assert cache.stats.patches == 0  # an insert only logs
+        assert cache.get("with", 7.0) == [(1, 2), (9, 9)]
+        assert cache.get("without") is None and "without" not in cache
+        assert cache.get("elsewhere") == [(1, 2)]  # no row of F logged
+        assert solved == [("with", 0, 7.0)]
         assert cache.stats.patches == 1 and cache.stats.drops == 1
+        assert cache.maintenance_ns == 5.0
+        assert cache.get("with") == [(1, 2), (9, 9)] and len(solved) == 1
 
     def test_solver_none_and_solver_exception_fall_back_to_drop(self):
-        def boom(key, query, event):
+        def boom(key, query, since, now):
             raise RuntimeError("boom")
 
-        for solver, errors in ((lambda key, query, event: None, 0), (boom, 1)):
-            cache = ResultCache(capacity=4)
+        for solver, errors in ((lambda key, query, since, now: None, 0), (boom, 1)):
+            cache, log = attached_cache(solver)
             cache.put_result("k", [(1, 2)], ["E"], query=pattern_query("cycle3"))
-            patched, dropped = cache.maintain(insert_event([(9, 9)]), solver)
-            assert (patched, dropped) == (0, 1)
+            log.append("E", [(9, 9)])
+            assert cache.get("k") is None  # the drop makes the read a miss
             assert "k" not in cache
+            assert (cache.stats.drops, cache.stats.misses) == (1, 1)
             # A raising solver degrades to the same drop, but is counted.
             assert cache.stats.solver_errors == errors
             assert cache.stats.as_dict()["solver_errors"] == errors
@@ -143,12 +190,15 @@ class TestCacheCounters:
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        service.maintainer.delta_for = boom
+        service.result_cache.solver = boom
         service.insert_tuples("E", [(0, 11), (11, 5)])
+        assert service.result_cache.stats.solver_errors == 0  # logged only
+        # The read's patch fails and degrades to a drop: the same read
+        # recomputes, never a wrong answer.
+        after = service.serve(pattern_query("cycle3")).tuples
         assert service.result_cache.stats.solver_errors == 1
         assert "1 drops, 0 patches, 1 solver errors" in service.report()
-        # Degraded to a drop: the next read recomputes, never a wrong answer.
-        assert set(before) <= set(service.serve(pattern_query("cycle3")).tuples)
+        assert set(before) <= set(after)
 
     def test_mode_validation(self):
         database = triangle_database()
@@ -174,9 +224,11 @@ class TestCacheCounters:
             assert isinstance(owner.maintainer, ResultMaintainer)
             assert owner.maintainer is owner.pipeline.maintainer
             query = pattern_query("cycle3")
-            owner.pipeline.result_cache.put_result("k", [(1, 2, 3)], ["E"], query=query)
+            cache = owner.pipeline.result_cache
+            cache.put_result("k", [(1, 2, 3)], ["E"], query=query)
             owner.database.insert_into("E", [(3, 5)])
-            assert owner.maintainer.reports[-1].result_patched == 1
+            assert owner.maintainer.reports[-1].patchable
+            assert cache.peek("k") == [(1, 2, 3)] and cache.stats.patches == 1
             owner.close()
             if kind == "durable":
                 owner.database.close()
@@ -213,9 +265,9 @@ class TestResultMaintainer:
         recomputed = sorted(maintainer.engine.execute(query, database).tuples)
         assert cache.peek("sig") == recomputed
         report = maintainer.reports[-1]
-        assert report.patchable and report.result_patched == 1
-        assert report.cost_ns > 0.0
-        assert maintainer.cost_ns >= report.cost_ns
+        assert report.patchable and report.dropped == 0
+        assert cache.stats.patches == 1
+        assert maintainer.cost_ns > 0.0 and cache.maintenance_ns == maintainer.cost_ns
 
     def test_define_event_always_drops(self):
         database = triangle_database()
@@ -357,24 +409,33 @@ class TestWorkloadEquivalence:
             service.close()
 
     def test_fragment_patches_flow_through_the_partial_cache(self):
-        seed = SEED
-        requests = generate_requests(update_heavy_spec(20), seed=seed)
-        database = workload_database(num_vertices=24, num_edges=90, seed=seed)
-        session = Session(database, engines=("lftj",), shards=2, seed=seed)
+        # Partials are read only on a result-cache miss: with the result
+        # entry discarded, the next read probes both fragments behind the
+        # log, and each patches once for both shard events of the insert.
+        database = workload_database(num_vertices=24, num_edges=90, seed=SEED)
+        session = Session(database, engines=("lftj",), shards=2, seed=SEED)
         try:
-            run_workload(session.service, requests)
+            query = pattern_query("cycle3")
+            assert session.execute(query).tuples
+            session.insert("E", closing_edges(session.database, per_shard=1))
             partial_stats = session.service.scatter.partial_cache.stats
-            assert partial_stats.patches > 0
-            assert partial_stats.drops == 0
+            assert (partial_stats.patches, partial_stats.drops) == (0, 0)
+            session.result_cache.discard(session.compiler.signature(query))
+            result = session.execute(query)
+            assert result.shard_stats.replayed_shards == (0, 1)
+            assert (partial_stats.patches, partial_stats.drops) == (2, 0)
+            truth = create_engine("lftj").execute(query, session.database.global_database)
+            assert sorted(result.tuples) == sorted(set(truth.tuples))
         finally:
             session.close()
 
     def test_lost_patch_degrades_to_fragment_drop(self):
-        # Node 0 goes down just after virtual time 1: the warm-up query
-        # caches both shard fragments while the cluster is healthy, and the
-        # insert then finds every replica of shard 0 unreachable — its
-        # fragment must *drop* (recompute on next read), never be patched
-        # with rows the dead node cannot vouch for; shard 1 still patches.
+        # Node 0 goes down at virtual time 1: the warm-up query caches both
+        # shard fragments while the cluster is healthy, the insert is only
+        # logged, and the read after it (past time 1) finds every replica
+        # of shard 0 unreachable — its fragment must *drop* (recompute),
+        # never be patched with rows the dead node cannot vouch for; shard
+        # 1 still patches, once for both shard events of the batch.
         database = workload_database(num_vertices=24, num_edges=90, seed=SEED)
         session = Session(
             database,
@@ -385,17 +446,16 @@ class TestWorkloadEquivalence:
             on_shard_loss="partial",
         )
         try:
-            assert session.execute(pattern_query("cycle3")).tuples
+            query = pattern_query("cycle3")
+            assert session.execute(query).tuples
             partial_stats = session.service.scatter.partial_cache.stats
-            assert partial_stats.patches == 0 and partial_stats.drops == 0
-            # The batch splits across both shards, so two shard events
-            # fire: shard 0's fragment drops at the first (its only node
-            # is unreachable); shard 1's fragment patches at both (the
-            # rewritten query reads E whole-relation in its non-seed
-            # atoms, so every event touches it).
             session.insert("E", [(1, 2), (2, 9), (9, 1)])
+            assert (partial_stats.patches, partial_stats.drops) == (0, 0)
+            session.result_cache.discard(session.compiler.signature(query))
+            result = session.execute(query)
+            assert result.shard_stats.missing_shards == (0,)  # recompute lost it
             assert partial_stats.drops == 1  # shard 0's fragment
-            assert partial_stats.patches == 2  # shard 1's fragment
+            assert partial_stats.patches == 1  # shard 1's fragment
         finally:
             session.close()
 
@@ -448,12 +508,14 @@ class TestModelledCost:
         )
         patched, service_ns, charged_ns, delta_ns, patches = modelled_run(shards, requests)
         assert patched == oracle
-        assert not any(recompute_patches) and all(patches)
-        # The maintainer charges exactly the engine cost of its delta joins,
-        # result-cache and shard-fragment ones alike ...
+        # Shard partials are read, and so patched, only on a result-cache
+        # miss, which this stream never has for a cached signature.
+        assert not any(recompute_patches) and patches[0]
+        # The maintainer charges exactly the engine cost of its delta joins ...
         assert delta_ns > 0.0 and charged_ns == pytest.approx(delta_ns)
-        # ... and patching still costs less than dropping and recomputing.
-        assert service_ns + charged_ns < recompute_ns
+        # ... every read pays its patch in its service time, and patching
+        # still costs less than dropping and recomputing.
+        assert charged_ns < service_ns < recompute_ns
 
 
 # --------------------------------------------------------------------------- #
@@ -525,7 +587,8 @@ class TestSubscribe:
 
 
 # --------------------------------------------------------------------------- #
-# Once per event: one delta catalog, its Δ tries shared by every delta join
+# Once per read: one delta join per entry behind the log, one delta catalog
+# per backlog; subscribers keep one per event
 # --------------------------------------------------------------------------- #
 #: The patterns the serve_ivm benchmark keeps cached while it inserts.
 IVM_PATTERNS = ("path3", "cycle3", "cycle4", "clique4")
@@ -533,10 +596,14 @@ IVM_PATTERNS = ("path3", "cycle3", "cycle4", "clique4")
 
 def closing_edges(catalog, per_shard):
     """Absent edges ``(c, a)`` closing a path ``a → b → c`` of ``E``,
-    ``per_shard`` of them routed to each shard (so results grow)."""
+    ``per_shard`` of them routed to each shard (so results grow); a
+    monolithic catalog is one shard."""
     rows = set(catalog.relation("E").sorted_rows())
-    shard_of = catalog.partitioner_for("E").shard_of
-    wanted = dict.fromkeys(range(catalog.num_shards), per_shard)
+    if hasattr(catalog, "partitioner_for"):
+        shards, shard_of = catalog.num_shards, catalog.partitioner_for("E").shard_of
+    else:
+        shards, shard_of = 1, lambda value: 0
+    wanted = dict.fromkeys(range(shards), per_shard)
     batch = []
     for a, b in sorted(rows):
         for b2, c in sorted(rows):
@@ -584,8 +651,8 @@ def watch_one_insert(monkeypatch, maintainer, catalog, insert):
     return events, per_event
 
 
-class TestOncePerEvent:
-    def test_one_delta_catalog_serves_every_entry_of_an_event(self, monkeypatch):
+class TestOncePerRead:
+    def test_a_read_runs_one_delta_join_per_entry_behind_the_log(self, delta_calls):
         monolithic = workload_database(num_vertices=24, num_edges=90, seed=SEED)
         catalog = shard_database(monolithic, 2)
         service = QueryService(catalog)
@@ -599,21 +666,20 @@ class TestOncePerEvent:
             for key in cache.keys()
         }
         batch = closing_edges(catalog, per_shard=2)
-        events, per_event = watch_one_insert(
-            monkeypatch, service.maintainer, catalog,
-            lambda: service.insert_tuples("E", batch),
-        )
-        assert sorted(event.shard for event in events) == [0, 1]
-        for delta_builds, views in per_event:
-            # The parent rebuilt a Δ trie per entry (≈ 22 per event).
-            assert delta_builds and len(delta_builds) == len(set(delta_builds))
-            assert 1 <= len(views) <= 1 + catalog.num_shards
-        for cache in caches:  # both events touch every entry; none drops
-            assert (cache.stats.patches, cache.stats.drops) == (2 * len(cache), 0)
-        monkeypatch.undo()
+        service.insert_tuples("E", batch)
+        service.insert_tuples("E", closing_edges(catalog, per_shard=1))
+        assert delta_calls == []  # four shard events, no delta join
+        for query in queries:
+            service.serve(query)
+        # One per result entry; no shard partial was read.
+        assert sorted(delta_calls) == sorted(query.name for query in queries)
+        assert caches[1].stats.patches == 0
+        for query in queries:
+            service.serve(query)
+        assert len(delta_calls) == len(queries)  # caught up: nothing more
 
-        # Every patched entry, result and shard partial, equals a recompute.
-        monolithic.insert_into("E", batch)
+        # Every entry, result and shard partial, equals a recompute once read.
+        monolithic.insert_into("E", catalog.relation("E").sorted_rows())
         fresh = QueryService(shard_database(monolithic, 2))
         for query in queries:
             fresh.serve(query)
@@ -626,8 +692,40 @@ class TestOncePerEvent:
                 assert sorted(cache.peek(key)) == sorted(set(fresh_cache.peek(key)))
                 grew += set(cache.peek(key)) != before[(index, key)]
         assert grew  # the batch closed new cycles: the check is not vacuous
+        assert (caches[1].stats.patches, caches[1].stats.drops) == (len(caches[1]), 0)
         service.close()
         fresh.close()
+
+    def test_one_delta_catalog_serves_the_reads_of_one_backlog(self, monkeypatch):
+        catalog = shard_database(workload_database(num_vertices=24, num_edges=90, seed=SEED), 2)
+        service = QueryService(catalog)
+        queries = [pattern_query(pattern) for pattern in IVM_PATTERNS]
+        for query in queries:
+            service.serve(query)
+        service.insert_tuples("E", closing_edges(catalog, per_shard=2))
+        made = []
+
+        class CountedDeltaCatalog(DeltaCatalog):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(maintenance_module, "DeltaCatalog", CountedDeltaCatalog)
+        builds = []
+
+        def build(relation, order):
+            builds.append((relation.name, tuple(order)))
+            return TrieIndex(relation, order)
+
+        monkeypatch.setattr(catalog_module, "TrieIndex", build)
+        for query in queries:
+            service.serve(query)
+        # Every entry was synced at the same position: the four reads share
+        # one delta catalog, so each Δ trie is built once per attribute order.
+        assert len(made) == 1
+        delta_builds = [b for b in builds if b[0].endswith(DELTA_SUFFIX)]
+        assert delta_builds and len(delta_builds) == len(set(delta_builds))
+        service.close()
 
     def test_subscribers_reuse_the_events_delta_catalog(self, monkeypatch):
         database = workload_database(num_vertices=24, num_edges=90, seed=SEED)
@@ -657,3 +755,137 @@ class TestOncePerEvent:
             assert subscription.result == tuple(
                 sorted(set(session.execute(query).tuples))
             )
+
+
+# --------------------------------------------------------------------------- #
+# Maintain on read: what an insert defers, and what bounds the log
+# --------------------------------------------------------------------------- #
+def logged_maintainer(database=None, capacity=8):
+    """A monolithic catalog (the triangle one by default) whose result cache
+    a maintainer keeps."""
+    database = database if database is not None else triangle_database()
+    cache = ResultCache(capacity=capacity)
+    maintainer = ResultMaintainer(database, cache)
+    database.subscribe_invalidation(maintainer.on_mutation)
+    return database, cache, maintainer
+
+
+class TestMaintainOnRead:
+    def test_an_entry_evicted_before_it_is_read_runs_none(self, delta_calls):
+        database, cache, maintainer = logged_maintainer(capacity=1)
+        cache.put_result("a", [(1, 2, 3)], ["E"], query=pattern_query("cycle3"))
+        database.insert_into("E", [(3, 4), (4, 2)])
+        cache.put_result("b", [], ["E"], query=pattern_query("path3"))  # evicts "a"
+        assert "a" not in cache and cache.stats.evictions == 1
+        assert cache.get("b") == [] and delta_calls == []
+        database.insert_into("E", [(5, 5)])
+        assert len(maintainer.log) == 1  # nothing live lacks the first batch
+
+    @pytest.mark.parametrize("events", (1, 3))
+    def test_k_insert_events_between_two_reads_run_one_per_entry(self, events, delta_calls):
+        database, cache, _ = logged_maintainer(
+            workload_database(num_vertices=24, num_edges=90, seed=SEED)
+        )
+        engine = create_engine("lftj")
+        queries = {"c": pattern_query("cycle3"), "p": pattern_query("path3")}
+        for key, query in queries.items():
+            cache.put_result(key, engine.execute(query, database).tuples, ["E"], query=query)
+        before = {key: set(cache.get(key)) for key in queries}
+        for batch in closing_edges(database, per_shard=events):
+            database.insert_into("E", [batch])
+        for key, query in queries.items():
+            assert cache.get(key) == sorted(set(engine.execute(query, database).tuples))
+        assert sorted(delta_calls) == ["cycle3", "path3"]
+        assert cache.stats.patches == 2
+        assert set(cache.get("c")) > before["c"]  # the batches closed triangles
+
+    def test_a_write_only_stream_runs_none_but_a_subscription_one_per_event(
+        self, delta_calls
+    ):
+        database = workload_database(num_vertices=24, num_edges=90, seed=SEED)
+        with Session(database) as session:
+            assert session.execute(pattern_query("path3")).tuples  # cached
+            subscription = session.subscribe(pattern_query("cycle3"))
+            for edge in ((1, 30), (30, 31), (31, 1)):
+                session.insert("E", [edge])
+            assert delta_calls == ["cycle3"] * 3  # the subscription's only
+            assert session.result_cache.stats.patches == 0
+            assert subscription.result == tuple(
+                sorted(set(session.execute(pattern_query("cycle3")).tuples))
+            )
+
+    def test_the_log_truncates_once_the_oldest_entry_catches_up(self):
+        database, cache, maintainer = logged_maintainer()
+        cache.put_result("c", [(1, 2, 3)], ["E"], query=pattern_query("cycle3"))
+        cache.put_result("p", [], ["E"], query=pattern_query("path3"))
+        database.insert_into("E", [(3, 4), (4, 5)])
+        assert len(maintainer.log) == 2
+        cache.get("c")
+        database.insert_into("E", [(5, 6)])
+        assert len(maintainer.log) == 3  # "p" still lacks the first batch
+        cache.get("c")
+        cache.get("p")
+        database.insert_into("E", [(6, 7)])
+        assert len(maintainer.log) == 1  # only what both entries lack
+        assert maintainer.log.since(0) == {"E": [(6, 7)]}
+        cache.discard("c")
+        cache.discard("p")
+        database.insert_into("E", [(7, 8)])
+        assert len(maintainer.log) == 0  # nothing live: nothing kept
+
+    def test_the_backlog_rule_drops_the_entry_instead_of_patching_it(self, delta_calls):
+        database, cache, maintainer = logged_maintainer()
+        cache.put_result("c", [(1, 2, 3)], ["E"], query=pattern_query("cycle3"))
+        assert database.relation("E").cardinality == 4
+        database.insert_into("E", [(3, 4), (4, 5), (5, 6)])  # 3 new beside 4 old
+        assert "c" in cache and maintainer.reports[-1].dropped == 0
+        database.insert_into("E", [(6, 7), (7, 8)])  # 5 new beside 4 old
+        assert "c" not in cache
+        assert maintainer.reports[-1].result_dropped == 1
+        assert (cache.stats.drops, cache.stats.patches) == (1, 0)
+        assert delta_calls == [] and len(maintainer.log) == 0
+
+    def test_a_non_patchable_event_still_drops_at_once(self, delta_calls):
+        database = workload_database(num_vertices=24, num_edges=90, seed=SEED)
+        database.add_relation(Relation("F", Schema(("src", "dst")), [(1, 2), (2, 3)]))
+        service = QueryService(shard_database(database, 2))
+        # E is read only by the seed atom, so each partial depends on its
+        # own shard of E (and on the whole of F).
+        query = ConjunctiveQuery(
+            "ef", ("x", "y", "z"), [Atom("E", ("x", "y")), Atom("F", ("y", "z"))]
+        )
+        service.serve(query)
+        partials = service.scatter.partial_cache
+        signature = service.compiler.signature(query)
+        service.maintainer.on_mutation(MutationEvent("E", shard=0, delta=3))  # inexact
+        report = service.maintainer.reports[-1]
+        assert not report.patchable
+        assert (report.result_dropped, report.partial_dropped) == (1, 1)
+        assert signature not in service.result_cache
+        assert partial_key(signature, 1) in partials  # another shard's fragment
+        assert delta_calls == []
+        service.close()
+
+
+rows = st.tuples(st.integers(0, 6), st.integers(0, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entry=st.lists(rows, max_size=20),
+    patches=st.lists(st.tuples(st.lists(rows, max_size=6), st.booleans()), max_size=6),
+)
+def test_settled_rows_are_the_sorted_set_union(entry, patches):
+    """Whatever the published order and repeats, and whenever reads settle,
+    an entry reads as ``sorted(set(entry) | set(delta))``."""
+    cache = ResultCache(capacity=2)
+    cache.put_result("k", list(entry), ["E"], query=pattern_query("path3"))
+    union, merged = set(entry), False
+    for delta, read in patches:
+        assert cache.patch_result("k", delta)
+        union.update(delta)
+        merged = merged or bool(delta)
+        if read and merged:
+            assert cache.get("k") == sorted(union)
+    # An entry no non-empty delta reached keeps the publisher's list.
+    assert cache.peek("k") == (sorted(union) if merged else entry)
