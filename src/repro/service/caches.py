@@ -266,11 +266,10 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
     **Patches settle on read.**  An insert only appends to the log.  A
     :meth:`get` or :meth:`peek` of an entry that is behind asks the solver
     once for every row the entry lacks — one delta join, however many
-    insert events it missed — hands them to :meth:`patch_result`, and
-    settles the entry into a new stored list (one merge).  An entry nobody
-    reads pays nothing, and :meth:`expire` drops one whose backlog outgrew
-    its relation.  A list handed out never changes: a patch does not
-    touch it, and a settle replaces it.
+    insert events it missed — and :meth:`patch_result` merges them into a
+    new stored list (one merge per read).  An entry nobody reads pays
+    nothing, and :meth:`expire` drops one whose backlog outgrew its
+    relation.  A list handed out never changes: a merge replaces it.
     """
 
     def __init__(self, capacity: int):
@@ -282,10 +281,8 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
         # are patchable by the incremental-maintenance path.
         self._queries: Dict[str, ConjunctiveQuery] = {}
         # Keys whose stored list this cache itself made sorted and distinct
-        # (publishers promise neither); only those may be splice-settled.
+        # (publishers promise neither); only those may be spliced as they are.
         self._normalised: Set[str] = set()
-        # key -> the sorted, distinct rows patched in since its last read.
-        self._pending: Dict[str, List[Tuple[int, ...]]] = {}
         #: The maintainer's insert log and patch solver (see :meth:`attach`).
         self.log: Optional["InsertLog"] = None
         self.solver: Optional[Solver] = None
@@ -316,7 +313,7 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
         docstring), with the fault checks at virtual time ``now``; one the
         patch drops is a miss.  The body repeats :meth:`LRUCache.get` rather
         than calling it: a hit costs one frame and one lock acquisition,
-        plus two dict probes.
+        plus one dict probe.
         """
         with self._lock:
             self.stats.lookups += 1
@@ -324,8 +321,8 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
             if entry is None:
                 return None
             synced = self._synced.get(key)
-            if key in self._pending or (synced is not None and synced != self.log.position):
-                entry = self._refresh(key, entry, now)
+            if synced is not None and synced != self.log.position:
+                entry = self._catch_up(key, synced, now)
                 if entry is None:
                     return None
             self._entries.move_to_end(key)
@@ -339,22 +336,15 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
         """
         with self._lock:
             entry = self._entries.get(key)
-            return None if entry is None else self._refresh(key, entry, now)
+            synced = self._synced.get(key)
+            if entry is not None and synced is not None and synced != self.log.position:
+                entry = self._catch_up(key, synced, now)
+            return entry
 
-    def _refresh(
-        self, key: str, entry: List[Tuple[int, ...]], now: float
+    def _catch_up(
+        self, key: str, since: int, now: float
     ) -> Optional[List[Tuple[int, ...]]]:
-        """Patch ``key`` up to the log and settle it; ``None`` if it dropped."""
-        synced = self._synced.get(key)
-        if synced is not None and synced != self.log.position:
-            if not self._catch_up(key, synced, now):
-                return None
-        if key in self._pending:
-            entry = self._settle(key, entry)
-        return entry
-
-    def _catch_up(self, key: str, since: int, now: float) -> bool:
-        """Patch ``key`` with every row it lacks; ``False`` if it dropped instead.
+        """Patch ``key`` with every row it lacks; its rows, or ``None`` if it dropped.
 
         One solver call covers every relation the entry depends on.  An
         entry without a recorded query, a solver returning ``None`` and a
@@ -363,7 +353,7 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
         self._sync(key)
         relations = {relation for relation, _ in self._dependencies[key]}
         if not any(self.log.backlog(relation, since) for relation in relations):
-            return True
+            return self._entries[key]
         query = self._queries.get(key)
         result = None
         if query is not None:
@@ -373,10 +363,10 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
                 self.stats.solver_errors += 1
         if result is None:
             self.discard(key)
-            return False
+            return None
         self.maintenance_ns += result.cost_ns
         self.patch_result(key, result.tuples)
-        return True
+        return self._entries[key]
 
     def _sync(self, key: str) -> None:
         """Mark ``key`` up to date with the log's current position."""
@@ -386,32 +376,27 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
             order[key] = None
             order.move_to_end(key)
 
-    def _settle(
-        self, key: str, entry: List[Tuple[int, ...]]
-    ) -> List[Tuple[int, ...]]:
-        """Merge ``key``'s pending rows into a new stored list; returns it.
+    def _merge(self, key: str, delta: List[Tuple[int, ...]]) -> None:
+        """Replace ``key``'s stored list by its sorted set union with ``delta``.
 
-        The result is the sorted set union of the entry and its pending
-        rows.  The entry's first settle sorts it once (publishers hand in
-        unsorted lists, and may repeat a row) and drops adjacent repeats
-        only when the sorted list is not strictly increasing; every settle
-        then splices.  Called with the lock held.
+        ``delta`` is sorted and distinct.  The entry's first merge sorts the
+        published list once (publishers hand in unsorted lists, and may
+        repeat a row) and drops adjacent repeats only when the sorted list
+        is not strictly increasing; every merge then splices, so no set of
+        the whole entry is ever built.  Called with the lock held.
         """
-        pending = self._pending.pop(key)
+        entry = self._entries[key]
         if key not in self._normalised:
             entry = sorted(entry)
             if not is_strictly_sorted(entry):
                 entry = [row for row, _ in groupby(entry)]
             self._normalised.add(key)
-        settled = splice_sorted(entry, pending)
-        self._entries[key] = settled
-        return settled
+        self._entries[key] = splice_sorted(entry, delta)
 
     def put(self, key: str, value: List[Tuple[int, ...]]) -> None:
         """Store ``value`` as published: its order is the publisher's again."""
         with self._lock:
             self._normalised.discard(key)
-            self._pending.pop(key, None)
             super().put(key, value)
 
     def put_result(
@@ -509,15 +494,14 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
         """Merge delta ``rows`` into ``key``'s cached result.
 
         The entry reads as the sorted set union of the old result and the
-        delta — set semantics, matching every engine's dedup on merge.  The
-        delta is spliced into the entry's pending run
-        (:func:`~repro.util.sorted_ops.splice_sorted`, O(p + k·log p) for p
-        pending and k new rows); the stored list is not touched, and the
-        read settles the run into a *new* list, so a list handed out never
-        changes.  An empty delta changes nothing.  Counted under
-        ``patches`` (never ``replacements``); LRU recency is left
-        untouched.  Returns ``False`` (and changes nothing) when the key is
-        absent.
+        delta — set semantics, matching every engine's dedup on merge.  A
+        read that catches the entry up calls it once with every row the
+        entry lacks; the one merge (:func:`~repro.util.sorted_ops.splice_sorted`,
+        O(k·log n) comparisons for k new rows plus a copy) builds a *new*
+        stored list, so a list handed out never changes.  An empty delta
+        keeps the stored list.  Counted under ``patches`` (never
+        ``replacements``); LRU recency is left untouched.  Returns ``False``
+        (and changes nothing) when the key is absent.
         """
         with self._lock:
             if key not in self._entries:
@@ -525,8 +509,7 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
             self.stats.patches += 1
             delta = sorted({tuple(row) for row in rows})
             if delta:
-                pending = self._pending.get(key)
-                self._pending[key] = splice_sorted(pending, delta) if pending else delta
+                self._merge(key, delta)
             return True
 
     def invalidate_relation(self, relation_name: str) -> int:
@@ -541,7 +524,6 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
     def _drop_dependency_index(self, key: str) -> None:
         self._queries.pop(key, None)
         self._normalised.discard(key)
-        self._pending.pop(key, None)
         self._synced.pop(key, None)
         for relation, shard in self._dependencies.pop(key, ()):
             order = self._order.get(relation)

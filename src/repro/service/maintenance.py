@@ -214,11 +214,11 @@ class ResultMaintainer:
             scatter.partial_cache.attach(self.log, self._solve_partial)
             self.caches += (scatter.partial_cache,)
         # The latest event and its delta catalog (subscriptions), and the
-        # latest (since, log position) and its delta catalog (reads).
-        # Holding the event itself (not its id) means the identity check
-        # cannot match a recycled id.
+        # latest backlog's start and its delta catalog (reads, until the
+        # next event).  Holding the event itself (not its id) means the
+        # identity check cannot match a recycled id.
         self._event_delta: Optional[Tuple[MutationEvent, DeltaCatalog]] = None
-        self._read_delta: Optional[Tuple[Tuple[int, int], DeltaCatalog]] = None
+        self._read_delta: Optional[Tuple[int, DeltaCatalog]] = None
 
     # ------------------------------------------------------------------ #
     # Event handling
@@ -237,6 +237,7 @@ class ResultMaintainer:
         drops its dependent entries at once.
         """
         relation = event.relation
+        self._read_delta = None  # its rows may predate a redefinition
         if event.patchable:
             self.log.append(relation, event.delta.rows)
             cardinality = self.catalog.relation(relation).cardinality
@@ -288,10 +289,9 @@ class ResultMaintainer:
         Entries synced at the same position and read before the next insert
         share it, and with it its Δ tries.
         """
-        key = (position, self.log.position)
         memo = self._read_delta
-        if memo is None or memo[0] != key:
-            memo = (key, DeltaCatalog(self.catalog, self.log.since(position)))
+        if memo is None or memo[0] != position:
+            memo = (position, DeltaCatalog(self.catalog, self.log.since(position)))
             self._read_delta = memo
         return memo[1]
 

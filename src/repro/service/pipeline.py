@@ -130,8 +130,8 @@ class CompletedQuery:
     ``service_time`` is the virtual time the query occupied from
     ``prepared.start_time``: the engine's deterministic cost, the replay
     constant plus the read's patch cost for a cache hit, or the time
-    burned before a shard-loss failure.  ``plan_cache_hit`` is credited only when the engine actually
-    consumed the plan it was handed (see
+    burned before a shard-loss failure.  ``plan_cache_hit`` is credited
+    only when the engine actually consumed the plan it was handed (see
     :attr:`repro.joins.base.EngineExecution.plan_used`).
     """
 

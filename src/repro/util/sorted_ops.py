@@ -2,8 +2,7 @@
 
 :func:`is_strictly_sorted` is the trie sibling-array invariant, checked on
 every trie built or extended; :func:`splice_sorted` is the result cache's
-merge primitive (a patch into an entry's pending run, the run into the
-entry).  The
+merge primitive (a read's delta rows into the entry).  The
 join engines' *lowest upper bound* searches (the LeapFrog TrieJoin inner
 loop, and the TrieJax LUB unit's) are C-level ``bisect.bisect_left`` calls
 inside the generated plan kernel of :mod:`repro.joins.leapfrog`.

@@ -173,9 +173,9 @@ class TestCacheHammer:
 
     @pytest.mark.parametrize("repeat", range(REPEATS))
     def test_result_cache_concurrent_patch_and_read(self, repeat):
-        # Patches merge into a pending run that reads settle: a lost update
-        # there drops rows, and a settle racing a patch could change a list
-        # already handed out.
+        # Patches merge into a new stored list: a lost update there drops
+        # rows, and a merge racing a read could change a list already
+        # handed out.
         cache = ResultCache(capacity=8)
         keys = ("a", "b", "c")
         for key in keys:

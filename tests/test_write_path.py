@@ -96,11 +96,11 @@ def test_second_patch_makes_o_delta_log_n_comparisons():
     cache = ResultCache(capacity=1)
     cache.put_result("k", [CountingRow((i, 2 * i)) for i in range(n)], ["E"])
     assert cache.patch_result("k", [(0, 1)])
-    cache.peek("k")  # the first settle normalises, O(n log n)
+    cache.peek("k")  # the first merge normalised, O(n log n)
     delta = [(i * (n // d), 1) for i in range(d)]  # (0, 1) is already there
     CountingRow.comparisons = 0
     assert cache.patch_result("k", delta)
-    entry = cache.peek("k")  # the settle splices the pending run in
+    entry = cache.peek("k")  # the merge spliced the delta in
     # ~d·log2(n) ≈ 130 for the splice; a re-sort or a timsort-merge of
     # ``base + fresh`` compares every stored row at least once.
     assert CountingRow.comparisons < n // 10
@@ -177,7 +177,6 @@ def test_patches_settle_on_read_like_the_copying_reference(ops):
             cache.clear()
             reference.clear()
         assert cache.keys() == reference.keys()
-        assert set(cache._pending) <= set(cache.keys())  # nothing outlives its entry
     assert cache.stats.as_dict() == reference.stats.as_dict()
     for key in "abc":
         assert cache.peek(key) == reference.peek(key)
