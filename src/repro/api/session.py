@@ -73,7 +73,7 @@ class Subscription:
     (the maintained result, sorted).  :meth:`close` detaches it.
 
     Patchable insert events update the snapshot with a semi-naive delta
-    join; every other event (a relation redefinition, an inexact batch)
+    join; a relation redefinition
     re-executes the statement and diffs, so removed rows are reported
     correctly.
     """
@@ -159,8 +159,8 @@ class Session:
         :class:`~repro.relational.sharding.ShardedDatabase` (hashed on each
         relation's first attribute) and executes statements by
         scatter-gather; a database that is already sharded is
-        used as-is.  The session keeps a shard-aware partial-result cache,
-        so mutating one shard re-executes only that shard's fragment.
+        used as-is.  The session keeps a partial-result cache whose
+        entries a read patches from the inserted rows hashed to their shard.
     concurrency / execution_backend:
         How :meth:`serve` physically executes admitted requests: the
         ``workers`` / ``backend`` of the session's

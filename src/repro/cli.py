@@ -641,7 +641,7 @@ def _cmd_workload(args) -> int:
     started = time.perf_counter()
     outcomes = session.serve(requests)
     elapsed = time.perf_counter() - started
-    print(f"served {len(outcomes)} requests in {elapsed:.2f}s wall "
+    print(f"served {len(outcomes)} requests in {elapsed:.3f}s wall "
           f"({len(outcomes) / elapsed:.1f} queries/sec)")
     rejected = session.service.admission.stats.rejected
     if rejected:

@@ -16,10 +16,10 @@ that cached trie indexes are extended (never rebuilt) and every subscriber
 registered via :meth:`Database.subscribe_invalidation` (e.g. the
 :class:`repro.service.QueryService` result cache) learns which relation
 changed.  Subscribers receive a structured :class:`MutationEvent` — which
-relation, which shard (``None`` for a monolithic catalog), and the exact
-:class:`DeltaBatch` of rows added — so cache layers can invalidate per
-(relation, shard) fragment, or patch maintained results in place with the
-delta rows, instead of dropping everything that mentions the relation.
+relation, which shard (``None`` for a monolithic catalog), and for an
+insert the exact :class:`DeltaBatch` of rows added — so cache layers can
+patch maintained results in place with the delta rows; only a
+(re)definition makes them drop what mentions the relation.
 
 The read/write surface every engine and service component relies on is
 captured by the :class:`Catalog` protocol; :class:`Database` is its
@@ -36,7 +36,7 @@ from it).  This package knows nothing about files and never imports
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import (
     Any,
@@ -50,7 +50,6 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
-    Union,
     runtime_checkable,
 )
 
@@ -60,77 +59,30 @@ from repro.relational.schema import Schema
 from repro.relational.trie import TrieIndex
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DeltaBatch:
-    """The exact rows one catalog mutation added, in canonical form.
+    """The exact rows one catalog insert added, in canonical form.
 
     Every catalog (monolithic or sharded, bare or behind the durable layer)
     emits the same canonical batch for the same mutation: ``rows`` are the
     genuinely-new tuples (normalised ints, deduplicated against both the
     stored relation and the submitted batch) in ascending lexicographic
-    order, and ``count`` is their number.  Maintenance layers join these
-    rows against the existing tries to patch cached results in place
-    (semi-naive delta evaluation) instead of dropping them.
-
-    A batch may also be *inexact*: ``count`` rows changed but the rows
-    themselves are unknown (a relation (re)definition, or an event built
-    from a bare integer delta by :class:`MutationEvent`).  Inexact batches
-    cannot be patched — consumers must fall back to drop-and-recompute;
-    :attr:`exact` distinguishes the two.
-
-    For compatibility with the historical ``delta``-as-int contract the
-    batch compares equal to integers (``batch == 2`` means two rows
-    changed) and participates in ``sum(...)`` via integer addition.
+    order.  Maintenance layers join these rows against the existing tries
+    to patch cached results in place (semi-naive delta evaluation) instead
+    of dropping them.
     """
 
     rows: Tuple[Row, ...] = ()
-    count: int = 0
 
     @classmethod
     def from_rows(cls, rows: Iterable[Row]) -> "DeltaBatch":
         """Canonical batch over already-new, already-normalised rows."""
-        canonical = tuple(sorted(rows))
-        return cls(rows=canonical, count=len(canonical))
+        return cls(rows=tuple(sorted(rows)))
 
     @property
-    def exact(self) -> bool:
-        """True when ``rows`` accounts for every changed tuple."""
-        return len(self.rows) == self.count
-
-    def __len__(self) -> int:
+    def count(self) -> int:
+        """How many rows the insert added."""
         return len(self.rows)
-
-    def __int__(self) -> int:
-        return self.count
-
-    def __bool__(self) -> bool:
-        return self.count > 0
-
-    def __iter__(self) -> Iterator[Row]:
-        return iter(self.rows)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            return self.count + other
-        if isinstance(other, DeltaBatch):
-            return self.count + other.count
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.count == other
-        if isinstance(other, DeltaBatch):
-            return self.rows == other.rows and self.count == other.count
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.count))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        shown = "exact" if self.exact else "inexact"
-        return f"DeltaBatch(count={self.count}, {shown})"
 
 
 @dataclass(frozen=True)
@@ -142,16 +94,14 @@ class MutationEvent:
     relation:
         Name of the stored relation that changed.
     shard:
-        Shard the change landed in, or ``None`` when the catalog is
-        monolithic / the change touches the relation as a whole (a
-        (re)definition).  Cache layers treat ``None`` as "every shard".
+        Shard an insert landed in, or ``None`` when the catalog is
+        monolithic or the change touches the relation as a whole (a
+        (re)definition).
     delta:
-        The :class:`DeltaBatch` of the mutation — the rows actually added
-        plus their count.  A bare integer is accepted for compatibility
-        and coerced to an inexact batch (count only, no rows).  A count of
-        ``0`` means the catalog mutated conservatively (e.g. every
-        submitted row was a duplicate) — subscribers still invalidate,
-        matching the conservative contract of :meth:`Database.insert_into`.
+        An insert's :class:`DeltaBatch` — the rows actually added.  An
+        empty batch means every submitted row was a duplicate; subscribers
+        still hear of it, matching the conservative contract of
+        :meth:`Database.insert_into`.  A definition carries none.
     kind:
         ``"insert"`` for row insertions, ``"define"`` for relation
         (re)definitions.
@@ -159,22 +109,17 @@ class MutationEvent:
 
     relation: str
     shard: Optional[int] = None
-    delta: Union[DeltaBatch, int] = field(default=0)
+    delta: Optional[DeltaBatch] = None
     kind: str = "insert"
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.delta, DeltaBatch):
-            object.__setattr__(self, "delta", DeltaBatch(count=int(self.delta)))
 
     @property
     def patchable(self) -> bool:
-        """True when the event carries exact rows a maintainer can patch with.
+        """True for an insert, whose exact rows a maintainer can patch with.
 
-        Relation (re)definitions and inexact batches force the maintainer's
-        drop-and-recompute fallback; exact insert batches (including empty
-        ones — every submitted row was a duplicate) can be patched.
+        A relation (re)definition forces the maintainer's drop-and-recompute
+        fallback.
         """
-        return self.kind == "insert" and self.delta.exact
+        return self.kind == "insert"
 
 
 #: Signature of an invalidation subscriber.
@@ -348,12 +293,12 @@ class Database(MutationSource):
         """Register ``relation``; its name must be unused."""
         self.check_define(relation)
         self._relations[relation.name] = relation
-        self._invalidate(relation.name, delta=relation.cardinality, kind="define")
+        self._invalidate(relation.name)
 
     def replace_relation(self, relation: Relation) -> None:
         """Register ``relation``, replacing any existing one of the same name."""
         self._relations[relation.name] = relation
-        self._invalidate(relation.name, delta=relation.cardinality, kind="define")
+        self._invalidate(relation.name)
 
     def relation(self, name: str) -> Relation:
         try:
@@ -398,11 +343,11 @@ class Database(MutationSource):
         self._apply_delta(relation_name, batch)
         return batch
 
-    def _invalidate(self, relation_name: str, delta: int, kind: str) -> None:
+    def _invalidate(self, relation_name: str) -> None:
         stale = [key for key in self._trie_cache if key[0] == relation_name]
         for key in stale:
             del self._trie_cache[key]
-        self._notify(MutationEvent(relation_name, shard=None, delta=delta, kind=kind))
+        self._notify(MutationEvent(relation_name, kind="define"))
 
     def _apply_delta(self, relation_name: str, batch: DeltaBatch) -> None:
         """Extend cached tries with ``batch`` and notify subscribers.
@@ -425,7 +370,7 @@ class Database(MutationSource):
                 del self._trie_cache[key]
             elif batch.rows:
                 self._trie_cache[key] = trie.extended(relation, batch.rows)
-        self._notify(MutationEvent(relation_name, shard=None, delta=batch, kind="insert"))
+        self._notify(MutationEvent(relation_name, delta=batch))
 
     # ------------------------------------------------------------------ #
     # State hooks (what a durable layer persists and restores)

@@ -29,8 +29,8 @@ the per-shard results is exactly the monolithic result.
 
 **Invalidation.**  :meth:`ShardedDatabase.insert_into` routes each row to
 its shard and emits one :class:`~repro.relational.catalog.MutationEvent`
-per shard that received rows, so shard-aware caches drop only the entries
-whose dependent (relation, shard) fragments changed.
+per shard that received rows, each carrying that shard's exact batch; a
+cached shard partial is patched from the rows hashed to its own shard.
 """
 
 from __future__ import annotations
@@ -199,9 +199,7 @@ class ShardedDatabase(MutationSource):
         for shard, fragment in zip(self._shards, fragments):
             shard.replace_relation(fragment)
         self._build_replicas(name)
-        self._notify(
-            MutationEvent(name, shard=None, delta=relation.cardinality, kind="define")
-        )
+        self._notify(MutationEvent(name, kind="define"))
 
     def _build_replicas(self, name: str) -> None:
         """Copy ``name``'s fragments onto their replica nodes.
@@ -389,9 +387,8 @@ class ShardedDatabase(MutationSource):
     def insert_into(self, relation_name: str, rows: Iterable[Sequence[int]]) -> int:
         """Insert ``rows``, routing each to its shard; return how many were new.
 
-        Emits one :class:`MutationEvent` per shard that received rows (with
-        that shard's actual new-row delta), so shard-aware caches keep
-        entries whose dependent fragments did not change.
+        Emits one :class:`MutationEvent` per shard that received rows, with
+        that shard's actual new-row delta.
         """
         relation = self._global.relation(relation_name)
         normalized = [relation.normalize_row(row) for row in rows]  # before any state changes

@@ -8,16 +8,14 @@ requests with two LRU caches keyed by the canonical query signature
 * the **plan cache** stores ``(canonical_query, JoinPlan)`` pairs so that
   α-equivalent queries are compiled exactly once;
 * the **result cache** stores complete result-tuple lists together with the
-  set of (relation, shard) fragments they were computed from.  Insert
-  events are logged, and an entry is patched when it is next read; an
-  event that cannot be patched drops exactly the dependent entries.
+  names of the relations they were computed from.  Insert events are
+  logged, and an entry is patched when it is next read; a relation
+  (re)definition drops every entry that depends on the relation.
 
-Result-cache dependencies are **shard-aware**: each dependency is a
-``(relation, shard)`` pair where ``shard=None`` means "the whole relation".
-A mutation event for shard ``i`` drops entries depending on ``(rel, i)`` or
-``(rel, None)``; entries pinned to *other* shards survive.  The
-scatter-gather executor (:mod:`repro.service.scatter`) uses this to keep
-per-shard partial results alive across mutations of sibling shards.
+The scatter-gather executor (:mod:`repro.service.scatter`) keeps its
+per-shard partial results in a second result cache; what makes it shard
+aware is its patch solver, which seeds a partial's delta join with only the
+logged rows that hash to the partial's shard.
 
 Both caches are bounded by entry count and evict in LRU order, and both keep
 the same style of hit/miss/eviction counters as
@@ -51,7 +49,6 @@ from typing import (
     Set,
     Tuple,
     TypeVar,
-    Union,
 )
 
 from repro.joins.delta import DeltaResult
@@ -65,19 +62,6 @@ if TYPE_CHECKING:
     from repro.service.maintenance import InsertLog
 
 V = TypeVar("V")
-
-#: One result-cache dependency: a relation name, optionally pinned to a
-#: shard.  Plain strings are accepted anywhere a dependency is and mean
-#: "the whole relation" (shard ``None``).
-ShardDependency = Tuple[str, Optional[int]]
-
-
-def normalize_dependency(dependency: Union[str, ShardDependency]) -> ShardDependency:
-    """Coerce a relation name or (relation, shard) pair to a ShardDependency."""
-    if isinstance(dependency, str):
-        return (dependency, None)
-    relation, shard = dependency
-    return (relation, shard)
 
 
 @dataclass
@@ -251,17 +235,15 @@ Solver = Callable[[str, ConjunctiveQuery, int, float], Optional[DeltaResult]]
 
 
 class ResultCache(LRUCache[List[Tuple[int, ...]]]):
-    """LRU cache of complete query results with shard-aware invalidation.
+    """LRU cache of complete query results, maintained per relation.
 
-    Every entry records the (relation, shard) fragments its result was
-    computed from — plain relation names mean "every shard".  The
-    pipeline's :class:`~repro.service.maintenance.ResultMaintainer`
+    Every entry records the names of the relations its result was computed
+    from.  The pipeline's :class:`~repro.service.maintenance.ResultMaintainer`
     attaches its insert log and a patch solver (:meth:`attach`): from then
     on every entry records the log position it is up to date with.  For an
     event it cannot patch, the maintainer calls :meth:`invalidate`, which
-    *drops* exactly the entries whose dependencies intersect the mutated
-    fragment (counted as drops, not evictions); entries pinned to
-    untouched shards survive.
+    *drops* exactly the entries that depend on the mutated relation
+    (counted as drops, not evictions).
 
     **Patches settle on read.**  An insert only appends to the log.  A
     :meth:`get` or :meth:`peek` of an entry that is behind asks the solver
@@ -274,9 +256,9 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
 
     def __init__(self, capacity: int):
         super().__init__(capacity)
-        # relation -> shard (None = whole relation) -> dependent keys.
-        self._dependents: Dict[str, Dict[Optional[int], Set[str]]] = {}
-        self._dependencies: Dict[str, Tuple[ShardDependency, ...]] = {}
+        # relation -> dependent keys, and key -> its relations.
+        self._dependents: Dict[str, Set[str]] = {}
+        self._dependencies: Dict[str, Tuple[str, ...]] = {}
         # key -> the query the entry answers; only entries that recorded one
         # are patchable by the incremental-maintenance path.
         self._queries: Dict[str, ConjunctiveQuery] = {}
@@ -351,8 +333,7 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
         raising solver (counted under ``solver_errors``) all drop it.
         """
         self._sync(key)
-        relations = {relation for relation, _ in self._dependencies[key]}
-        if not any(self.log.backlog(relation, since) for relation in relations):
+        if not any(self.log.backlog(relation, since) for relation in self._dependencies[key]):
             return self._entries[key]
         query = self._queries.get(key)
         result = None
@@ -371,7 +352,7 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
     def _sync(self, key: str) -> None:
         """Mark ``key`` up to date with the log's current position."""
         self._synced[key] = self.log.position
-        for relation, _shard in self._dependencies[key]:
+        for relation in self._dependencies[key]:
             order = self._order.setdefault(relation, OrderedDict())
             order[key] = None
             order.move_to_end(key)
@@ -403,29 +384,24 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
         self,
         key: str,
         tuples: List[Tuple[int, ...]],
-        relation_names: Iterable[Union[str, ShardDependency]],
+        relation_names: Iterable[str],
         query: Optional[ConjunctiveQuery] = None,
     ) -> None:
         """Cache ``tuples`` for ``key``, depending on ``relation_names``.
 
-        Dependencies may be bare relation names (whole-relation) and/or
-        ``(relation, shard)`` pairs (fragment-level, as produced by the
-        scatter-gather executor's per-shard partial results).  ``query``
-        records what the entry answers: entries carrying their query can be
-        *patched* on read by incremental maintenance instead of dropped;
-        entries without one drop on their first read after an insert into
-        a relation they depend on.  The entry is up to date with the
-        insert log's current position.
+        ``query`` records what the entry answers: entries carrying their
+        query can be *patched* on read by incremental maintenance instead of
+        dropped; entries without one drop on their first read after an
+        insert into a relation they depend on.  The entry is up to date with
+        the insert log's current position.
         """
-        dependencies = tuple(
-            dict.fromkeys(normalize_dependency(d) for d in relation_names)
-        )
+        dependencies = tuple(dict.fromkeys(relation_names))
         with self._lock:
             if key in self._dependencies:
                 self._drop_dependency_index(key)
             self._dependencies[key] = dependencies
-            for relation, shard in dependencies:
-                self._dependents.setdefault(relation, {}).setdefault(shard, set()).add(key)
+            for relation in dependencies:
+                self._dependents.setdefault(relation, set()).add(key)
             if query is not None:
                 self._queries[key] = query
             self.put(key, tuples)
@@ -433,24 +409,12 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
                 self._sync(key)
 
     def dependent_keys(self, event: MutationEvent) -> Tuple[str, ...]:
-        """The keys a mutation event touches, in deterministic (sorted) order.
-
-        A whole-relation event (``shard=None``) selects every entry that
-        mentions the relation at any shard; a shard event selects entries
-        depending on that shard or on the whole relation.
-        """
+        """The keys that depend on the event's relation, in sorted order."""
         with self._lock:
-            by_shard = self._dependents.get(event.relation)
-            if not by_shard:
-                return ()
-            if event.shard is None:
-                keys: Set[str] = set().union(*by_shard.values())
-            else:
-                keys = set(by_shard.get(None, ())) | set(by_shard.get(event.shard, ()))
-            return tuple(sorted(keys))
+            return tuple(sorted(self._dependents.get(event.relation, ())))
 
     def invalidate(self, event: MutationEvent) -> int:
-        """Drop every entry dependent on the mutated fragment; return the count.
+        """Drop every entry dependent on the mutated relation; return the count.
 
         The maintainer's path for events it cannot patch.
         """
@@ -513,11 +477,11 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
             return True
 
     def invalidate_relation(self, relation_name: str) -> int:
-        """Drop every entry computed from any shard of ``relation_name``."""
-        return self.invalidate(MutationEvent(relation_name))
+        """Drop every entry computed from ``relation_name``."""
+        return self.invalidate(MutationEvent(relation_name, kind="define"))
 
-    def dependencies_of(self, key: str) -> Tuple[ShardDependency, ...]:
-        """The fragment dependencies recorded for ``key`` (tests/debugging)."""
+    def dependencies_of(self, key: str) -> Tuple[str, ...]:
+        """The relation names recorded for ``key`` (tests/debugging)."""
         with self._lock:
             return self._dependencies.get(key, ())
 
@@ -525,21 +489,15 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
         self._queries.pop(key, None)
         self._normalised.discard(key)
         self._synced.pop(key, None)
-        for relation, shard in self._dependencies.pop(key, ()):
+        for relation in self._dependencies.pop(key, ()):
             order = self._order.get(relation)
             if order is not None:
                 order.pop(key, None)
                 if not order:
                     del self._order[relation]
-            by_shard = self._dependents.get(relation)
-            if by_shard is None:
-                continue
-            dependents = by_shard.get(shard)
-            if dependents is not None:
-                dependents.discard(key)
-                if not dependents:
-                    del by_shard[shard]
-            if not by_shard:
+            dependents = self._dependents[relation]
+            dependents.discard(key)
+            if not dependents:
                 del self._dependents[relation]
 
     def _on_evict(self, key: str) -> None:

@@ -10,8 +10,8 @@ executor's partial probe — runs **one** semi-naive delta join
 (:func:`repro.joins.delta.evaluate_delta`) over every row logged since that
 position and merges the result, so an entry pays once per read however
 many insert events it missed, and an entry evicted before anyone reads it
-pays nothing.  Non-patchable events — relation (re)definitions, inexact
-batches — still drop their dependent entries at once, and a solver failure
+pays nothing.  Relation (re)definitions, the one non-patchable event,
+still drop their dependent entries at once, and a solver failure
 degrades to the same drop, so maintenance can degrade to recompute but
 never to a wrong answer.
 
@@ -97,10 +97,11 @@ class InsertLog:
         self.position += 1
 
     def _start(self, relation: str, position: int) -> int:
-        """Index into the kept rows of the first row logged at ``position`` or later."""
-        positions = self._positions.get(relation)
-        if not positions:
-            return 0
+        """Index into the kept rows of the first row logged at ``position`` or later.
+
+        ``relation`` has kept rows: every caller checks first.
+        """
+        positions = self._positions[relation]
         batch = bisect_left(positions, position)
         if batch == len(positions):
             return len(self._rows[relation])

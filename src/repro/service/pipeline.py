@@ -202,7 +202,7 @@ class QueryPipeline:
         Accepts only ``"incremental"``, the one policy: kept for callers
         that still name it.  The caches track catalog mutations through
         one :class:`~repro.service.maintenance.ResultMaintainer`: it logs
-        patchable events (exact insert batches), and a read of a cached
+        insert batches, and a read of a cached
         result — or of a shard partial of a sharded catalog — that is
         behind the log patches it with one semi-naive delta join
         (:mod:`repro.joins.delta`), charged to the reading request;

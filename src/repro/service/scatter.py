@@ -16,15 +16,13 @@ compile it exactly once per canonical signature; the compiled plan is
 memoised here (plans depend only on query structure, never on data) and
 handed to every shard task.
 
-**Partial-result reuse.**  With a ``partial_cache`` (a shard-aware
+**Partial-result reuse.**  With a ``partial_cache`` (a
 :class:`~repro.service.caches.ResultCache` the pipeline's maintainer
 keeps), each shard's partial result is cached under ``(signature, shard)``
-with its true read set as dependencies: the seed fragment
-``(seed_relation, shard)`` plus every non-seed relation as a whole.  The
-probe patches a partial that is behind the insert log (:meth:`maintain`);
-an event that cannot be patched drops only the partials of the shard it
-names, so re-executing the query replays every other shard from cache and
-recomputes one fragment.
+with the query's relations as dependencies.  The probe patches a partial
+that is behind the insert log (:meth:`maintain`), seeding its delta join
+with only the logged rows that hash to its shard; a re-executed query
+replays every cached shard and recomputes only the missing fragments.
 
 **Virtual time.**  Shards run concurrently in the service's model: the
 execution's cost is the slowest task (critical path) plus a per-task
@@ -60,7 +58,7 @@ from repro.relational.sharding import (
     ShardedDatabase,
 )
 from repro.service.backends import Collect, submit_inline
-from repro.service.caches import ResultCache, ShardDependency
+from repro.service.caches import ResultCache
 from repro.service.faults import (
     FaultInjector,
     NodeBreakers,
@@ -72,10 +70,8 @@ from repro.service.faults import (
 #: Virtual-time cost of replaying one shard's partial result from the cache.
 PARTIAL_REPLAY_COST_NS = 1.0
 
-#: One freshly computed shard partial: ``(key, tuples, dependencies, query)``.
-PartialEntry = Tuple[
-    str, List[Tuple[int, ...]], Tuple[ShardDependency, ...], ConjunctiveQuery
-]
+#: One freshly computed shard partial: ``(key, tuples, relation names, query)``.
+PartialEntry = Tuple[str, List[Tuple[int, ...]], Tuple[str, ...], ConjunctiveQuery]
 
 
 @dataclass(frozen=True)
@@ -207,7 +203,7 @@ class ScatterGatherExecutor:
     catalog:
         The sharded catalog to fan out over.
     partial_cache:
-        Optional shard-aware result cache for per-shard partials.  The
+        Optional result cache for per-shard partials.  The
         *caller* owns its maintenance wiring
         (:class:`repro.service.pipeline.QueryPipeline`'s maintainer attaches
         its insert log to it, with :meth:`maintain` as the patch solver);
@@ -278,14 +274,6 @@ class ScatterGatherExecutor:
     def spec_for(self, query: ConjunctiveQuery) -> ScatterSpec:
         """The catalog's scatter spec for ``query``."""
         return self.catalog.scatter_spec(query)
-
-    def dependencies_for(
-        self, spec: ScatterSpec, shard: int
-    ) -> Tuple[ShardDependency, ...]:
-        """The exact fragment read set of shard ``shard``'s task."""
-        seed: ShardDependency = (spec.seed_relation, shard)
-        others = tuple((atom.relation, None) for atom in spec.query.atoms[1:])
-        return tuple(dict.fromkeys((seed,) + others))
 
     def _plan_for(self, signature: str, spec: ScatterSpec) -> JoinPlan:
         plan = self._plan_memo.get(signature)
@@ -511,13 +499,10 @@ class ScatterGatherExecutor:
 
         entries = [] if collect_partials is None else collect_partials
         if self.partial_cache is not None:
+            # The seed alias stands for the seed relation (put_result dedups).
+            relations = (spec.seed_relation, *spec.query.relation_names()[1:])
             entries.extend(
-                (
-                    partial_key(signature, shard),
-                    execution.tuples,
-                    self.dependencies_for(spec, shard),
-                    spec.query,
-                )
+                (partial_key(signature, shard), execution.tuples, relations, spec.query)
                 for shard, execution in survivors
                 if execution.cacheable
             )
@@ -620,13 +605,12 @@ class ScatterGatherExecutor:
         Composes with the fault path: with an armed injector, a patch whose
         fragment is unreachable on every replica at ``now`` is *lost*, and
         ``None`` tells the cache to drop the entry instead — a lost patch
-        degrades to recompute, never to a wrong answer.  An unknown spec
-        returns ``None`` the same way.
+        degrades to recompute, never to a wrong answer.  ``key`` comes from
+        :func:`partial_key`, and :meth:`submit` records the spec before any
+        partial of it is published.
         """
         signature, _, suffix = key.rpartition("#shard")
-        spec = self._spec_memo.get(signature)
-        if spec is None or not suffix.isdigit():
-            return None
+        spec = self._spec_memo[signature]
         shard = int(suffix)
         if self.injector is not None:
             nodes = self.catalog.replica_nodes(spec.seed_relation, shard)

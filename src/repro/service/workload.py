@@ -23,7 +23,7 @@ does:
   result cache sees a realistic hot set;
 * ``update_fraction`` turns that fraction of the stream into catalog
   *inserts* (seeded random edges), interleaved with the queries, so
-  (shard-aware) invalidation is actually exercised mid-run rather than
+  cache maintenance is actually exercised mid-run rather than
   only between runs.
 
 Everything is driven by one :class:`~repro.util.rng.DeterministicRNG` seed,

@@ -142,7 +142,7 @@ class TestCatalogConformance:
         catalog.insert_into("E", [(7, 8)])
         assert events and events[-1].relation == "E"
         assert events[-1].kind == "insert"
-        assert events[-1].delta == 1
+        assert events[-1].delta == DeltaBatch(((7, 8),))
         assert isinstance(events[-1], MutationEvent)
         assert catalog.unsubscribe_invalidation(events.append)
         catalog.insert_into("E", [(8, 9)])
@@ -166,10 +166,10 @@ class TestDeltaBatchConformance:
     """Every catalog emits the same canonical delta batches for one stream.
 
     Sharded catalogs fire one event per touched shard, so the *number* of
-    events may differ — but per mutation, the merged rows (sorted), the
-    summed counts and the exactness flag must be byte-identical across all
-    implementations, or incremental maintenance would patch differently
-    depending on which catalog backs the service.
+    events may differ — but per mutation, the merged rows (sorted) and the
+    summed counts must be byte-identical across all implementations, or
+    incremental maintenance would patch differently depending on which
+    catalog backs the service.
     """
 
     def _observe(self, kind, tmp_path):
@@ -182,7 +182,7 @@ class TestDeltaBatchConformance:
                 events.clear()
                 inserted = instance.insert_into("E", batch)
                 assert all(isinstance(e.delta, DeltaBatch) for e in events)
-                assert all(e.delta.exact for e in events)
+                assert all(e.patchable for e in events)
                 assert all(e.kind == "insert" and e.relation == "E" for e in events)
                 merged = tuple(sorted(row for e in events for row in e.delta.rows))
                 counts = sum(e.delta.count for e in events)
@@ -205,7 +205,7 @@ class TestDeltaBatchConformance:
             assert observed[kind] == reference, kind
 
     @pytest.mark.parametrize("kind", CATALOG_KINDS)
-    def test_define_events_are_inexact(self, kind, tmp_path):
+    def test_define_events_carry_no_batch(self, kind, tmp_path):
         instance = make_catalog(kind, tmp_path)
         try:
             events = []
@@ -213,7 +213,7 @@ class TestDeltaBatchConformance:
             instance.replace_relation(edge_relation())  # redefinition
             assert events
             assert all(e.kind == "define" for e in events)
-            assert all(not e.delta.exact for e in events if e.delta.count)
+            assert all(e.delta is None for e in events)
             assert all(not e.patchable for e in events)
         finally:
             close = getattr(instance, "close", None)
@@ -237,14 +237,11 @@ class TestDurableLayerIsTransparent:
                     instance.insert_into("E", batch)
                 instance.replace_relation(edge_relation())
                 instance.add_relation(Relation("F", Schema(("a",)), [(1,), (2,)]))
-                observed[layer] = [
-                    (e.relation, e.shard, e.kind, e.delta.rows, e.delta.count)
-                    for e in events
-                ]
+                observed[layer] = events
             finally:
                 getattr(instance, "close", lambda: None)()
         assert observed["durable"] == observed["plain"]
-        assert {kind for _, _, kind, _, _ in observed["plain"]} == {"insert", "define"}
+        assert {e.kind for e in observed["plain"]} == {"insert", "define"}
 
     @pytest.mark.parametrize("base", list(BASES))
     def test_copy_and_pickle_probes_do_not_recurse(self, base, tmp_path):

@@ -165,23 +165,28 @@ class TestWorkflow:
             assert ci_local.run_step(step, str(tmp_path), dict(os.environ))[0] is passes
 
     def test_one_maintenance_policy_refuses_a_policy_list_or_flag(self, tmp_path):
-        with open(os.path.join(ROOT, "src", "repro", "service", "maintenance.py")) as handle:
-            maintenance_source = handle.read()
-        with open(os.path.join(ROOT, "src", "repro", "cli.py")) as handle:
-            cli_source = handle.read()
-        modes = maintenance_source + 'MAINTENANCE_MODES = ("recompute", "incremental")\n'
-        flag = cli_source + 'parser.add_argument("--maintenance", default="recompute")\n'
+        sources = {}
+        for path in ("service/maintenance.py", "cli.py", "relational/catalog.py"):
+            with open(os.path.join(ROOT, "src", "repro", path)) as handle:
+                sources[path] = handle.read()
+        modes = 'MAINTENANCE_MODES = ("recompute", "incremental")\n'
+        flag = 'parser.add_argument("--maintenance", default="recompute")\n'
+        pinned = "ShardDependency = Tuple[str, Optional[int]]\n"
+        as_int = "    def __int__(self) -> int:\n        return len(self.rows)\n"
         module_dir = tmp_path / "src" / "repro"
         (module_dir / "service").mkdir(parents=True)
+        (module_dir / "relational").mkdir()
         step = TREE_INVARIANTS["One maintenance policy"]
-        for maintenance, cli, passes in (
-            (maintenance_source, cli_source, True),
-            (modes, cli_source, False),
-            (maintenance_source, flag, False),
+        for planted, passes in (
+            ({}, True),
+            ({"service/maintenance.py": modes}, False),
+            ({"cli.py": flag}, False),
+            ({"service/maintenance.py": pinned}, False),
+            ({"relational/catalog.py": as_int}, False),
         ):
-            (module_dir / "service" / "maintenance.py").write_text(maintenance)
-            (module_dir / "cli.py").write_text(cli)
-            assert ci_local.run_step(step, str(tmp_path), dict(os.environ))[0] is passes
+            for path, source in sources.items():
+                (module_dir / path).write_text(source + planted.get(path, ""))
+            assert ci_local.run_step(step, str(tmp_path), dict(os.environ))[0] is passes, planted
 
     def test_maintain_once_per_read_refuses_a_set_copy_in_the_settle(self, tmp_path):
         with open(os.path.join(ROOT, "src", "repro", "service", "caches.py")) as handle:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 import repro
@@ -88,6 +90,22 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "intermediate results" in output
 
+    def test_run_on_a_sharded_catalog_describes_the_fan_out(self, capsys):
+        argv = ["run", "cycle3", "--dataset", "grqc", "--scale", "0.01", "--shards", "2"]
+        assert main(argv) == 0
+        output = capsys.readouterr().out
+        assert "scatter-gather over 2 shard(s)" in output
+        assert re.findall(r"^  shard (\d+): ", output, re.M) == ["0", "1"]
+
+    def test_run_on_the_process_backend_serves_through_the_service(self, capsys):
+        argv = ["run", "cycle3", "--dataset", "grqc", "--scale", "0.01"]
+        assert main(argv + ["--backend", "process", "--workers", "2"]) == 0
+        output = capsys.readouterr().out
+        assert "via the process backend (2 worker(s), " in output
+        assert main(argv) == 0  # the virtual backend finds the same matches
+        matches = re.findall(r"^matches: (\d+)$", output + capsys.readouterr().out, re.M)
+        assert len(matches) == 2 and matches[0] == matches[1]
+
     def test_run_on_edge_list_file(self, tmp_path, capsys):
         graph = community_graph(30, 120, seed=3)
         path = str(tmp_path / "graph.txt")
@@ -148,6 +166,8 @@ class TestCommands:
         )
         assert exit_code == 0
         output = capsys.readouterr().out
+        # Wall time to the millisecond: sub-second runs differ in that digit.
+        assert re.search(r"^served 40 requests in \d+\.\d{3}s wall \(", output, re.M)
         assert "queries/sec" in output
         assert "result-cache hit rate" in output
         assert "lftj" in output and "ctj" in output

@@ -139,7 +139,7 @@ class TestShardedDatabase:
             assert after[shard] - before[shard] == expected_delta
         assert {event.shard for event in events} == touched
         assert all(isinstance(event, MutationEvent) for event in events)
-        assert sum(event.delta for event in events) == 3
+        assert sum(event.delta.count for event in events) == 3
         assert all(event.relation == "E" for event in events)
 
     def test_duplicate_insert_emits_conservative_zero_delta_event(self, base_db):
@@ -148,7 +148,7 @@ class TestShardedDatabase:
         events = []
         sharded.subscribe_invalidation(events.append)
         assert sharded.insert_into("E", [existing]) == 0
-        assert len(events) == 1 and events[0].delta == 0
+        assert len(events) == 1 and events[0].delta == DeltaBatch()
 
     def test_monolithic_database_emits_whole_relation_events(self, base_db):
         events = []

@@ -148,12 +148,13 @@ class TestCacheHammer:
                 barrier.wait()
                 for i in range(200):
                     key = f"sig{(worker_id + i) % 40}"
+                    relation = "EF"[worker_id % 2]
                     if i % 3 == 0:
-                        cache.put_result(key, [(i,)], [("E", worker_id % 2)])
+                        cache.put_result(key, [(i,)], [relation])
                     elif i % 3 == 1:
                         cache.get(key)
                     else:
-                        cache.invalidate(MutationEvent("E", shard=worker_id % 2))
+                        cache.invalidate(MutationEvent(relation, kind="define"))
             except Exception as exc:
                 errors.append(exc)
 

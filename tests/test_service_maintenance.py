@@ -135,14 +135,16 @@ class TestCacheCounters:
         assert cache.patch_result("k", [(0, 0), (1, 2)])
         assert cache.peek("k") == [(0, 0), (1, 2), (3, 4)]
 
-    def test_dependent_keys_are_sorted_and_shard_aware(self):
+    def test_dependent_keys_are_sorted_and_per_relation(self):
         cache = ResultCache(capacity=8)
-        cache.put_result("b", [], [("E", 1)])
-        cache.put_result("a", [], [("E", 0)])
-        cache.put_result("c", [], ["E"])
-        assert cache.dependent_keys(insert_event([(1, 2)])) == ("a", "b", "c")
-        assert cache.dependent_keys(insert_event([(1, 2)], shard=0)) == ("a", "c")
-        assert cache.dependent_keys(MutationEvent("other", delta=1)) == ()
+        cache.put_result("b", [], ["E"])
+        cache.put_result("a", [], ["F", "E"])
+        cache.put_result("c", [], ["F"])
+        assert cache.dependencies_of("a") == ("F", "E")
+        assert cache.dependent_keys(insert_event([(1, 2)])) == ("a", "b")
+        # A shard's insert touches every entry of its relation.
+        assert cache.dependent_keys(insert_event([(1, 2)], shard=0)) == ("a", "b")
+        assert cache.dependent_keys(MutationEvent("other", kind="define")) == ()
 
     def test_a_read_patches_entries_with_queries_and_drops_the_rest(self):
         solved = []
@@ -235,10 +237,9 @@ class TestCacheCounters:
 
     def test_patchable_requires_exact_insert(self):
         assert insert_event([(1, 2)]).patchable
-        assert not MutationEvent("E", delta=3, kind="insert").patchable  # inexact
-        assert not MutationEvent(
-            "E", delta=DeltaBatch.from_rows([(1, 2)]), kind="define"
-        ).patchable
+        assert insert_event([]).patchable  # every submitted row was a duplicate
+        assert insert_event([(3, 4), (1, 2)]).delta.rows == ((1, 2), (3, 4))
+        assert not MutationEvent("E", kind="define").patchable
 
 
 # --------------------------------------------------------------------------- #
@@ -833,6 +834,32 @@ class TestMaintainOnRead:
         database.insert_into("E", [(7, 8)])
         assert len(maintainer.log) == 0  # nothing live: nothing kept
 
+    @pytest.mark.parametrize("shards", (1, 2))
+    def test_an_entry_behind_on_one_relation_only_patches_to_a_recompute(self, shards):
+        database = Database("rs")
+        for name, offset in (("R", 0), ("S", 1)):
+            rows = [(i + offset, i + offset + 1) for i in range(10)]
+            database.add_relation(Relation(name, Schema(("a", "b")), rows))
+        catalog = shard_database(database, shards) if shards > 1 else database
+        service = QueryService(catalog, backends=("lftj",))
+        query = ConjunctiveQuery(
+            "rs", ("x", "y", "z"), [Atom("R", ("x", "y")), Atom("S", ("y", "z"))]
+        )
+        service.serve(query)
+        service.insert_tuples("R", [(20, 5), (30, 40)])
+        service.serve(query)  # catches up with R's batch
+        service.insert_tuples("S", [(40, 41), (21, 22)])
+        # R's batch is still logged, but none of R's is newer than the entry.
+        assert len(service.maintainer.log) == 4
+        outcome = service.serve(query)
+        assert outcome.record.result_cache_hit
+        truth = create_engine("lftj").execute(query, getattr(catalog, "global_database", catalog))
+        assert sorted(outcome.tuples) == sorted(set(truth.tuples))
+        assert (30, 40, 41) in outcome.tuples
+        stats = service.result_cache.stats
+        assert (stats.patches, stats.drops) == (2, 0)
+        service.close()
+
     def test_the_backlog_rule_drops_the_entry_instead_of_patching_it(self, delta_calls):
         database, cache, maintainer = logged_maintainer()
         cache.put_result("c", [(1, 2, 3)], ["E"], query=pattern_query("cycle3"))
@@ -849,20 +876,18 @@ class TestMaintainOnRead:
         database = workload_database(num_vertices=24, num_edges=90, seed=SEED)
         database.add_relation(Relation("F", Schema(("src", "dst")), [(1, 2), (2, 3)]))
         service = QueryService(shard_database(database, 2))
-        # E is read only by the seed atom, so each partial depends on its
-        # own shard of E (and on the whole of F).
         query = ConjunctiveQuery(
             "ef", ("x", "y", "z"), [Atom("E", ("x", "y")), Atom("F", ("y", "z"))]
         )
         service.serve(query)
         partials = service.scatter.partial_cache
         signature = service.compiler.signature(query)
-        service.maintainer.on_mutation(MutationEvent("E", shard=0, delta=3))  # inexact
+        service.maintainer.on_mutation(MutationEvent("F", kind="define"))
         report = service.maintainer.reports[-1]
         assert not report.patchable
-        assert (report.result_dropped, report.partial_dropped) == (1, 1)
+        assert (report.result_dropped, report.partial_dropped) == (1, 2)
         assert signature not in service.result_cache
-        assert partial_key(signature, 1) in partials  # another shard's fragment
+        assert not any(partial_key(signature, shard) in partials for shard in (0, 1))
         assert delta_calls == []
         service.close()
 

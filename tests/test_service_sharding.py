@@ -167,7 +167,6 @@ class TestScatterEngineHook:
     def test_only_missed_shards_reach_the_hook_in_one_call(self):
         sharded = two_relation_catalog(num_shards=3)
         partial_cache = ResultCache(64)
-        sharded.subscribe_invalidation(partial_cache.invalidate)
         executor = ScatterGatherExecutor(sharded, partial_cache)
         query, engine = rs_path_query(), create_engine("lftj")
 
@@ -187,6 +186,7 @@ class TestScatterEngineHook:
         partitioner = sharded.partitioner_for("R")
         row = next((v, v + 100) for v in range(1000) if partitioner.shard_of(v) == 0)
         sharded.insert_into("R", [row])
+        partial_cache.discard(partial_key(executor.compiler.signature(query), 0))
         calls.clear()
         after = executor.execute(query, engine, submit_engine=recording_hook(calls))
         [(_query, _plan, views)] = calls
@@ -264,22 +264,20 @@ def rs_path_query():
 
 
 class TestShardAwareInvalidation:
-    def test_partials_record_fragment_dependencies(self):
+    def test_partials_depend_on_their_query_relations(self):
         sharded = two_relation_catalog()
         partial_cache = ResultCache(64)
-        sharded.subscribe_invalidation(partial_cache.invalidate)
         executor = ScatterGatherExecutor(sharded, partial_cache)
         query = rs_path_query()
         executor.execute(query, create_engine("ctj"))
         signature = executor.compiler.signature(query)
-        deps0 = partial_cache.dependencies_of(partial_key(signature, 0))
-        assert ("R", 0) in deps0 and ("S", None) in deps0
-        assert ("R", 1) not in deps0
+        for shard in (0, 1):
+            # The seed alias is recorded as the seed relation it stands for.
+            assert partial_cache.dependencies_of(partial_key(signature, shard)) == ("R", "S")
 
     def test_insert_into_one_shard_drops_only_that_partial(self):
         sharded = two_relation_catalog()
         partial_cache = ResultCache(64)
-        sharded.subscribe_invalidation(partial_cache.invalidate)
         executor = ScatterGatherExecutor(sharded, partial_cache)
         query = rs_path_query()
         engine = create_engine("ctj")
@@ -288,13 +286,13 @@ class TestShardAwareInvalidation:
         assert partial_key(signature, 0) in partial_cache
         assert partial_key(signature, 1) in partial_cache
 
-        # Route an insert to shard 0 of R only.
+        # Route an insert to shard 0 of R only and drop that shard's partial.
         partitioner = sharded.partitioner_for("R")
         row = next(
             (v, v + 100) for v in range(1000) if partitioner.shard_of(v) == 0
         )
         sharded.insert_into("R", [row])
-        assert partial_key(signature, 0) not in partial_cache  # dependent: dropped
+        assert partial_cache.discard(partial_key(signature, 0))
         assert partial_key(signature, 1) in partial_cache  # untouched shard: kept
 
         # Re-execution replays shard 1 and recomputes only shard 0.
@@ -322,7 +320,6 @@ class TestShardAwareInvalidation:
 
         sharded = two_relation_catalog()
         partial_cache = ResultCache(64)
-        sharded.subscribe_invalidation(partial_cache.invalidate)
         executor = ScatterGatherExecutor(sharded, partial_cache)
         query = rs_path_query()
         executor.execute(query, create_engine("ctj"))  # caches both partials
@@ -332,7 +329,9 @@ class TestShardAwareInvalidation:
         partitioner = sharded.partitioner_for("R")
         row = next((v, v + 50) for v in range(1000) if partitioner.shard_of(v) == 0)
         sharded.insert_into("R", [row])
+        partial_cache.discard(partial_key(executor.compiler.signature(query), 0))
         execution = executor.execute(query, TrieJaxAccelerator(aggregate="count"))
+        assert execution.scatter.replayed_shards == (1,)
         reference = create_engine("ctj").execute(query, sharded.global_database)
         assert execution.cardinality == len(reference.tuples)
 
@@ -382,17 +381,17 @@ class TestShardAwareInvalidation:
         sharded = two_relation_catalog()
         cache = ResultCache(16)
         sharded.subscribe_invalidation(cache.invalidate)
-        cache.put_result("q_r", [(1,)], [("R", 0)])
-        cache.put_result("q_r1", [(2,)], [("R", 1)])
+        cache.put_result("q_r", [(1,)], ["R"])
+        cache.put_result("q_rs", [(2,)], ["R", "S"])
         cache.put_result("q_s", [(3,)], ["S"])
         partitioner = sharded.partitioner_for("R")
         row = next((v, v + 1) for v in range(1000) if partitioner.shard_of(v) == 0)
         dropped_before = cache.stats.invalidations
         sharded.insert_into("R", [row])
-        assert "q_r" not in cache  # dependent on (R, 0)
-        assert "q_r1" in cache  # pinned to the untouched shard
+        # An insert into one shard of R drops every entry that reads R.
+        assert "q_r" not in cache and "q_rs" not in cache
         assert "q_s" in cache  # different relation entirely
-        assert cache.stats.invalidations == dropped_before + 1
+        assert cache.stats.invalidations == dropped_before + 2
 
 
 # --------------------------------------------------------------------------- #
@@ -549,16 +548,16 @@ class TestLRUCacheStatsAccounting:
 
     def test_result_cache_clear_cleans_dependency_index(self):
         cache = ResultCache(capacity=8)
-        cache.put_result("q1", [(1,)], [("E", 0)])
+        cache.put_result("q1", [(1,)], ["E"])
         cache.clear()
         assert cache.stats.clears == 1
         assert cache.invalidate_relation("E") == 0  # index fully cleaned
 
     def test_put_result_replacement_rebinds_dependencies(self):
         cache = ResultCache(capacity=8)
-        cache.put_result("q", [(1,)], [("E", 0)])
-        cache.put_result("q", [(2,)], [("F", 1)])
+        cache.put_result("q", [(1,)], ["E"])
+        cache.put_result("q", [(2,)], ["F"])
         assert cache.stats.replacements == 1
-        assert cache.dependencies_of("q") == (("F", 1),)
+        assert cache.dependencies_of("q") == ("F",)
         assert cache.invalidate_relation("E") == 0  # stale index entry gone
         assert cache.invalidate_relation("F") == 1
