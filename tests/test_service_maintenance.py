@@ -914,3 +914,58 @@ def test_settled_rows_are_the_sorted_set_union(entry, patches):
             assert cache.get("k") == sorted(union)
     # An entry no non-empty delta reached keeps the publisher's list.
     assert cache.peek("k") == (sorted(union) if merged else entry)
+
+
+#: ``ends(x, z) = E(x, y), E(y, z)``: one row can come from many paths, so a
+#: new path may yield a row the result already holds.
+ENDS = ConjunctiveQuery("ends", ("x", "z"), [Atom("E", ("x", "y")), Atom("E", ("y", "z"))])
+vertex = st.integers(0, 5)
+edges = st.lists(st.tuples(vertex, vertex), max_size=10)
+stream = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), edges),
+        st.tuples(st.just("repeat"), st.integers(1, 4)),  # rows ``E`` holds
+        st.tuples(st.just("define"), st.integers(0, 6)),  # ``E`` shrinks
+        st.tuples(st.just("poll"), st.none()),
+    ),
+    max_size=12,
+)
+
+
+@pytest.mark.parametrize("shards", (1, 2), ids=("mono", "sharded"))
+@pytest.mark.parametrize("pattern", ("cycle3", "path3", "ends"))
+@settings(max_examples=25, deadline=None)
+@given(initial=edges, operations=stream)
+def test_a_subscription_polls_to_the_executed_result(shards, pattern, initial, operations):
+    """Whatever inserts, all-duplicate batches and shrinking redefinitions
+    a subscription sees, a poll leaves ``result`` equal to executing the
+    query, and the deltas it returned replay the creation snapshot onto it."""
+    query = ENDS if pattern == "ends" else pattern_query(pattern)
+    database = Database("live")
+    database.add_relation(Relation("E", Schema(("src", "dst")), initial))
+    with Session(database, engines=("lftj",), shards=shards) as session:
+        subscription = session.subscribe(query)
+        replayed = set(subscription.result)
+
+        def poll():
+            for delta in subscription.poll():
+                assert not replayed.intersection(delta.added)
+                assert replayed.issuperset(delta.removed)
+                replayed.update(delta.added)
+                replayed.difference_update(delta.removed)
+            assert subscription.result == tuple(sorted(set(session.execute(query).tuples)))
+            assert tuple(sorted(replayed)) == subscription.result
+
+        for kind, argument in operations:
+            held = session.database.relation("E").sorted_rows()
+            if kind == "insert":
+                session.insert("E", argument)
+            elif kind == "repeat":
+                session.insert("E", held[:argument])
+            elif kind == "define":
+                session.database.replace_relation(
+                    Relation("E", Schema(("src", "dst")), held[:argument])
+                )
+            else:
+                poll()
+        poll()
