@@ -34,7 +34,7 @@ from repro.api.statement import Statement, coerce_statement
 from repro.engines import create_engine, engine_names
 from repro.joins.base import EngineProtocol
 from repro.joins.plan import JoinPlan
-from repro.relational.catalog import Database, MutationEvent
+from repro.relational.catalog import Database
 from repro.relational.query import ConjunctiveQuery
 from repro.relational.sharding import shard_database
 from repro.relational.statistics import is_cyclic
@@ -47,63 +47,82 @@ from repro.util.validation import check_positive
 
 @dataclass(frozen=True)
 class ResultDelta:
-    """One change to a subscribed query's result, delivered on mutation.
+    """How a subscribed query's result changed between two polls.
 
     ``added``/``removed`` are the rows that entered/left the result
-    (sorted).  ``relation``/``shard`` identify the mutation that caused the
-    change; ``incremental`` records whether the delta was computed by a
+    (sorted); ``incremental`` records whether the delta was computed by a
     semi-naive delta join (patch path) or by a full re-execution diff.
     """
 
-    relation: str
-    shard: Optional[int]
     added: Tuple[Tuple[int, ...], ...]
     removed: Tuple[Tuple[int, ...], ...]
     incremental: bool = False
 
 
 class Subscription:
-    """A continuous query: a live result set plus a stream of deltas.
+    """A continuous query: a result snapshot that each poll catches up.
 
-    Created by :meth:`Session.subscribe`.  The subscription snapshots the
-    statement's current result at creation; every subsequent catalog
-    mutation that touches the query's relations updates the snapshot and
-    queues a :class:`ResultDelta` (only when the result actually changed).
-    Consume with :meth:`poll` (drains queued deltas) and :attr:`result`
-    (the maintained result, sorted).  :meth:`close` detaches it.
+    Created by :meth:`Session.subscribe`.  :attr:`result` is the
+    statement's result as of the last :meth:`poll` (or the creation).  The
+    subscription is one more reader of the maintainer's insert log: it
+    records the log ``position`` of its snapshot, which holds back the
+    log's truncation like a live cache entry's, and an insert runs no
+    delta join for it.  :meth:`close` detaches it.
 
-    Patchable insert events update the snapshot with a semi-naive delta
-    join; a relation redefinition
-    re-executes the statement and diffs, so removed rows are reported
-    correctly.
+    A relation redefinition, or a backlog that outgrew its relation, makes
+    it ``stale``: the next poll re-executes the statement and diffs, so
+    removed rows are reported correctly.
     """
 
     def __init__(self, session: "Session", query: ConjunctiveQuery, signature: str):
         self._session = session
         self.query = query
         self.signature = signature
-        self._snapshot: set = set(
-            tuple(row) for row in session.execute(query).tuples
-        )
-        self._pending: list = []
+        self.relations = frozenset(query.relation_names())
+        self._snapshot: set = set(tuple(row) for row in session.execute(query).tuples)
+        self.position = session.maintainer.log.position
+        self.stale = False
         self.closed = False
 
     @property
     def result(self) -> Tuple[Tuple[int, ...], ...]:
-        """The maintained result as of the last observed mutation (sorted)."""
+        """The result as of the last poll (sorted)."""
         return tuple(sorted(self._snapshot))
 
     def poll(self) -> Tuple[ResultDelta, ...]:
-        """Drain and return the deltas queued since the last poll."""
-        pending, self._pending = self._pending, []
-        return tuple(pending)
+        """Catch :attr:`result` up with the catalog; ``()`` or the one change.
+
+        A live subscription runs one delta join over every row logged
+        since its position (charged to ``maintainer.cost_ns``) and keeps
+        the rows its snapshot lacks; a stale one re-executes and diffs.  A
+        closed one returns ``()``.
+        """
+        if self.closed:
+            return ()
+        maintainer = self._session.maintainer
+        incremental, removed = not self.stale, ()
+        if self.stale:
+            current = {tuple(row) for row in self._session.execute(self.query).tuples}
+            added = current - self._snapshot
+            removed = tuple(sorted(self._snapshot - current))
+            self._snapshot = current
+        elif any(maintainer.log.backlog(name, self.position) for name in self.relations):
+            delta = maintainer.solve(self.signature, self.query, self.position, 0.0)
+            added = {row for row in delta.tuples if row not in self._snapshot}
+            self._snapshot.update(added)
+        else:
+            added = ()
+        self.position, self.stale = maintainer.log.position, False
+        if not (added or removed):
+            return ()
+        return (ResultDelta(tuple(sorted(added)), removed, incremental),)
 
     def close(self) -> None:
-        """Stop maintaining this subscription (idempotent)."""
+        """Stop maintaining this subscription and release its log position (idempotent)."""
         self.closed = True
-        self._session._subscriptions = [
-            s for s in self._session._subscriptions if s is not self
-        ]
+        subscriptions = self._session.maintainer.subscriptions
+        if self in subscriptions:
+            subscriptions.remove(self)
 
     def __enter__(self) -> "Subscription":
         return self
@@ -218,6 +237,11 @@ class Session:
         if routing not in ("auto", "rotate"):
             raise ValueError(f"routing must be 'auto' or 'rotate', got {routing!r}")
         check_positive("concurrency", concurrency)
+        if database is not None and not hasattr(database, "subscribe_invalidation"):
+            raise TypeError(
+                f"database must be a catalog, got {type(database).__name__}; "
+                "build one from a graph with repro.graphs.loader.graph_database"
+            )
         # The pipeline and the service validate their own options, but they
         # are built after the store below is opened; reject a bad option or
         # engine name before creating anything.
@@ -271,20 +295,12 @@ class Session:
         # execution occupies [cursor, cursor + cost] on the trace timeline.
         self._trace_clock = 0.0
         self._closed = False
-        self._subscriptions: list = []
         pipeline_options.setdefault("tracer", trace)
         self.pipeline = QueryPipeline(database, seed=seed, **pipeline_options)
         self.compiler = self.pipeline.compiler
         self.plan_cache = self.pipeline.plan_cache
         self.result_cache = self.pipeline.result_cache
         self.tracer = self.pipeline.tracer
-        # Subscribed after the pipeline's own listeners, so the caches are
-        # already maintained for an event when subscriptions are advanced.
-        database.subscribe_invalidation(self._on_catalog_mutation)
-
-    def _on_catalog_mutation(self, event: MutationEvent) -> None:
-        if self._subscriptions:
-            self._notify_subscriptions(event)
 
     # ------------------------------------------------------------------ #
     # Continuous queries
@@ -293,55 +309,16 @@ class Session:
         """Register ``statement`` as a continuous query; returns its handle.
 
         The returned :class:`Subscription` carries the statement's current
-        result and is kept up to date as the catalog mutates: each mutation
-        touching the query's relations updates :attr:`Subscription.result`
-        and queues a :class:`ResultDelta` for :meth:`Subscription.poll`.
-        A patchable insert event updates it with a semi-naive delta join;
-        any other event re-executes the statement and diffs.
+        result.  :attr:`Subscription.result` is the result as of the last
+        :meth:`Subscription.poll`: each poll catches it up with every
+        mutation since and returns the change as one :class:`ResultDelta`
+        (one delta join over the inserted rows; a re-execute diff after a
+        redefinition).
         """
         _stmt, query, signature = self._resolve(statement)
         subscription = Subscription(self, query, signature)
-        self._subscriptions.append(subscription)
+        self.maintainer.subscriptions.append(subscription)
         return subscription
-
-    def _notify_subscriptions(self, event: MutationEvent) -> None:
-        """Advance every live subscription past one catalog mutation.
-
-        Runs inside the catalog's notification, *after* the maintainer
-        logged the event or dropped what it made stale — the recompute diff
-        below may therefore be answered straight from the result cache,
-        patched on that read.  A delta is queued only when the result
-        actually changed.
-        """
-        maintainer = self.pipeline.maintainer
-        # The maintainer logs exactly the patchable events.
-        incremental = event.patchable
-        for subscription in list(self._subscriptions):
-            if event.relation not in subscription.query.relation_names():
-                continue
-            added: Tuple[Tuple[int, ...], ...]
-            removed: Tuple[Tuple[int, ...], ...] = ()
-            if incremental:
-                delta = maintainer.delta_for(subscription.query, event)
-                added = tuple(
-                    sorted(t for t in delta if t not in subscription._snapshot)
-                )
-                subscription._snapshot.update(added)
-            else:
-                current = {tuple(row) for row in self.execute(subscription.query).tuples}
-                added = tuple(sorted(current - subscription._snapshot))
-                removed = tuple(sorted(subscription._snapshot - current))
-                subscription._snapshot = current
-            if added or removed:
-                subscription._pending.append(
-                    ResultDelta(
-                        relation=event.relation,
-                        shard=event.shard,
-                        added=added,
-                        removed=removed,
-                        incremental=incremental,
-                    )
-                )
 
     @property
     def num_shards(self) -> int:
@@ -352,27 +329,26 @@ class Session:
     def maintainer(self) -> ResultMaintainer:
         """The pipeline's incremental maintainer.
 
-        Exposes the per-mutation :class:`MaintenanceReport` history and the
-        accumulated delta-join cost (``maintainer.cost_ns``, virtual ns) so
-        patching can be charged honestly against recomputation.
+        Exposes the per-mutation :class:`MaintenanceReport` history, the
+        accumulated delta-join cost of cache reads and subscription polls
+        (``maintainer.cost_ns``, virtual ns) so patching can be charged
+        honestly against recomputation, and the live subscriptions.
         """
         return self.pipeline.maintainer
 
     def close(self) -> None:
         """Detach this session from its catalog (idempotent).
 
-        Unsubscribes the invalidation callbacks (the session's and its
-        pipeline's), so short-lived sessions over a long-lived shared
-        database do not accumulate dead listeners, and marks every live
-        :class:`Subscription` closed.  A closed session can still execute;
-        its cached results simply stop tracking catalog mutations.
+        Unsubscribes the pipeline's invalidation callback, so short-lived
+        sessions over a long-lived shared database do not accumulate dead
+        listeners, and closes every live :class:`Subscription`.  A closed
+        session can still execute; its cached results simply stop tracking
+        catalog mutations.
         """
         if not self._closed:
-            self.database.unsubscribe_invalidation(self._on_catalog_mutation)
             self.pipeline.detach()
-            for subscription in self._subscriptions:
-                subscription.closed = True
-            self._subscriptions = []
+            for subscription in list(self.maintainer.subscriptions):
+                subscription.close()
             if self._service is not None:
                 self._service.close()  # shut down execution-backend pools
             if self._owns_database:
@@ -546,9 +522,8 @@ class Session:
 
         The batch is logged, not applied to the caches: a dependent cached
         result is patched with every row it lacks by one delta join when
-        it is next read (the read pays, in virtual time too).  A live
-        :class:`Subscription` is the one eager reader and gets its delta
-        now.
+        it is next read (the read pays, in virtual time too), and a live
+        :class:`Subscription` catches up when it is next polled.
         """
         return self.database.insert_into(relation_name, rows)
 

@@ -134,7 +134,8 @@ class DeltaResult:
     ``tuples`` are the delta result rows (sorted, deduplicated across
     terms); note they may overlap the pre-insert result when an inserted
     row only adds a new *witness* for an existing result tuple — patching
-    merges by set union, and subscribers diff against their snapshot.
+    merges by set union, and a subscription's poll keeps only the rows
+    its snapshot lacks.
     ``stats`` aggregates the per-term ``JoinStats`` and ``cost_ns`` the
     per-term virtual-time engine costs, so maintenance work is accounted
     with the same honesty as foreground executions.

@@ -34,8 +34,9 @@ drops that entry (its delta join would read more new rows than a
 recompute reads old ones), so the log holds at most half of a relation
 that keeps growing under an entry nobody reads.
 
-A :class:`~repro.api.Subscription` is the one eager reader: it still gets
-one delta join per insert event (:meth:`ResultMaintainer.delta_for`).
+A :class:`~repro.api.Subscription` is one more reader of the log: its
+position holds back truncation like a live entry's, and a poll runs one
+delta join over its backlog.
 
 The maintainer owns a dedicated plan-aware engine (LFTJ by default) and a
 :class:`~repro.joins.delta.DeltaPlanner` so delta-term plans are compiled
@@ -210,15 +211,16 @@ class ResultMaintainer:
         #: Every row inserted since the oldest live entry's position.
         self.log = InsertLog()
         self.caches: Tuple[ResultCache, ...] = (result_cache,)
-        result_cache.attach(self.log, self._solve)
+        result_cache.attach(self.log, self.solve)
         if scatter is not None and scatter.partial_cache is not None:
             scatter.partial_cache.attach(self.log, self._solve_partial)
             self.caches += (scatter.partial_cache,)
-        # The latest event and its delta catalog (subscriptions), and the
-        # latest backlog's start and its delta catalog (reads, until the
-        # next event).  Holding the event itself (not its id) means the
-        # identity check cannot match a recycled id.
-        self._event_delta: Optional[Tuple[MutationEvent, DeltaCatalog]] = None
+        #: Live subscriptions (:class:`~repro.api.Subscription`): one that
+        #: is not ``stale`` holds back the log of its ``relations`` at its
+        #: ``position``, like a live entry.
+        self.subscriptions: List = []
+        # The latest backlog's start and its delta catalog (reads and polls,
+        # until the next event).
         self._read_delta: Optional[Tuple[int, DeltaCatalog]] = None
 
     # ------------------------------------------------------------------ #
@@ -234,11 +236,14 @@ class ResultMaintainer:
         join: each dependent entry catches up when it is next read.  The
         entries whose backlog outgrew the relation are dropped
         (:meth:`ResultCache.expire <repro.service.caches.ResultCache.expire>`),
-        and the log forgets what no live entry lacks.  Any other event
-        drops its dependent entries at once.
+        and the log forgets what no live entry or subscription lacks.  Any
+        other event drops its dependent entries at once.  A subscription of
+        the relation goes stale (its next poll re-executes) on such an
+        event, or when its backlog outgrew the relation.
         """
         relation = event.relation
         self._read_delta = None  # its rows may predate a redefinition
+        cardinality = None
         if event.patchable:
             self.log.append(relation, event.delta.rows)
             cardinality = self.catalog.relation(relation).cardinality
@@ -246,6 +251,13 @@ class ResultMaintainer:
         else:
             dropped = [cache.invalidate(event) for cache in self.caches]
         oldest = [cache.oldest(relation) for cache in self.caches]
+        for subscription in self.subscriptions:
+            if subscription.stale or relation not in subscription.relations:
+                continue
+            backlog = self.log.backlog(relation, subscription.position)
+            subscription.stale = cardinality is None or backlog > cardinality - backlog
+            if not subscription.stale:
+                oldest.append(subscription.position)
         self.log.truncate(
             relation, min((p for p in oldest if p is not None), default=self.log.position)
         )
@@ -256,39 +268,11 @@ class ResultMaintainer:
     # ------------------------------------------------------------------ #
     # Delta computation
     # ------------------------------------------------------------------ #
-    def delta_catalog(self, event: MutationEvent) -> DeltaCatalog:
-        """``event``'s delta catalog: made on its first use, then reused.
-
-        Its ``~delta`` database and tries are built lazily, on the first
-        delta term that reads them, so an event with no subscriber builds
-        nothing.
-        """
-        memo = self._event_delta
-        if memo is None or memo[0] is not event:
-            memo = (event, DeltaCatalog(self.catalog, {event.relation: event.delta.rows}))
-            self._event_delta = memo
-        return memo[1]
-
-    def delta_for(
-        self, query: ConjunctiveQuery, event: MutationEvent
-    ) -> Tuple[Tuple[int, ...], ...]:
-        """The rows ``event`` added to ``query``'s result (sorted).
-
-        The eager path of continuous-query subscribers
-        (:meth:`repro.api.session.Session.subscribe`): every subscription
-        of the event reads its one :meth:`delta_catalog`.
-        """
-        result = evaluate_delta(
-            query, self.delta_catalog(event).view, self.engine, self.planner
-        )
-        self.cost_ns += result.cost_ns
-        return result.tuples
-
     def _since(self, position: int) -> DeltaCatalog:
         """The delta catalog of every row logged from ``position`` on.
 
-        Entries synced at the same position and read before the next insert
-        share it, and with it its Δ tries.
+        Entries and subscriptions synced at the same position and read
+        before the next insert share it, and with it its Δ tries.
         """
         memo = self._read_delta
         if memo is None or memo[0] != position:
@@ -296,10 +280,10 @@ class ResultMaintainer:
             self._read_delta = memo
         return memo[1]
 
-    def _solve(
+    def solve(
         self, key: str, query: ConjunctiveQuery, since: int, now: float
     ) -> DeltaResult:
-        """What a result entry synced at ``since`` lacks: one delta join."""
+        """What a result entry or subscription synced at ``since`` lacks: one delta join."""
         del key, now  # full results need no per-key context or fault check
         result = evaluate_delta(query, self._since(since).view, self.engine, self.planner)
         self.cost_ns += result.cost_ns

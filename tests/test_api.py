@@ -27,7 +27,7 @@ from repro.api import (
     register_engine,
 )
 from repro.api.routing import Router
-from repro.graphs import pattern_query
+from repro.graphs import pattern_query, uniform_random_graph
 from repro.joins import CachedTrieJoin, GenericJoin, LeapfrogTrieJoin, NaiveJoin, PairwiseJoin
 from repro.relational.query import Atom, ConjunctiveQuery
 from repro.relational.statistics import is_cyclic
@@ -350,10 +350,23 @@ class TestSessionExecute:
         baseline = len(database._invalidation_listeners)
         with Session(database, engines=("ctj",)) as session:
             session.execute("cycle3").to_list()
-            # The pipeline's cache listener plus the session's own.
-            assert len(database._invalidation_listeners) > baseline
+            session.subscribe("cycle3")
+            # The pipeline's maintainer is the one listener, subscriptions included.
+            assert database._invalidation_listeners[baseline:] == [
+                session.maintainer.on_mutation
+            ]
         assert len(database._invalidation_listeners) == baseline
         session.close()  # idempotent
+
+    @pytest.mark.parametrize("shards", (1, 2))
+    def test_a_graph_is_refused_before_anything_is_opened(self, shards, tmp_path):
+        graph = uniform_random_graph(12, 30, seed=3)
+        with pytest.raises(TypeError, match="repro.graphs.loader.graph_database"):
+            Session(graph, shards=shards)
+        # The check runs before the durable store would be opened.
+        with pytest.raises(TypeError, match="graph_database"):
+            Session(graph, shards=shards, storage_dir=str(tmp_path / "store"))
+        assert not (tmp_path / "store").exists()
 
     def test_durable_session_rejects_replication(self, tmp_path):
         # open_store never persists replicas; silently dropping the factor

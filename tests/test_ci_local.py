@@ -173,6 +173,7 @@ class TestWorkflow:
         flag = 'parser.add_argument("--maintenance", default="recompute")\n'
         pinned = "ShardDependency = Tuple[str, Optional[int]]\n"
         as_int = "    def __int__(self) -> int:\n        return len(self.rows)\n"
+        eager = "    def delta_for(self, query, event):\n        return ()\n"
         module_dir = tmp_path / "src" / "repro"
         (module_dir / "service").mkdir(parents=True)
         (module_dir / "relational").mkdir()
@@ -183,6 +184,7 @@ class TestWorkflow:
             ({"cli.py": flag}, False),
             ({"service/maintenance.py": pinned}, False),
             ({"relational/catalog.py": as_int}, False),
+            ({"service/maintenance.py": eager}, False),
         ):
             for path, source in sources.items():
                 (module_dir / path).write_text(source + planted.get(path, ""))

@@ -15,15 +15,16 @@ Three layers of contract:
   charged the delta joins its patches ran) is below Σ ``service_time``
   under the control, and the maintainer's charge is exactly the engine
   cost of the delta joins run.
-* **Continuous queries** — :meth:`repro.api.Session.subscribe` streams
-  result deltas: patched additions for insert batches, full re-execute
-  diffs (including removals) for relation redefinitions.
+* **Continuous queries** — :meth:`repro.api.Session.subscribe` returns a
+  snapshot each poll catches up: patched additions for insert batches,
+  full re-execute diffs (including removals) for relation redefinitions.
 * **Maintain on read** — an insert only logs its rows: each cached entry
   runs one delta join per read that finds it behind, however many events
-  it missed, and none when it is evicted unread; a live subscription still
-  gets one per event; the log truncates below the oldest live entry; an
-  entry whose backlog outgrew its relation drops instead of patching; and
-  the first settle of a published list is the sorted set union.
+  it missed, and none when it is evicted unread; a subscription is one
+  more reader and runs one per poll; the log truncates below the oldest
+  live entry or subscription; an entry whose backlog outgrew its relation
+  drops instead of patching; and the first settle of a published list is
+  the sorted set union.
 
 ``REPRO_CONCURRENCY_REPEATS`` (CI's ivm job sets it > 1) re-runs the
 equivalence matrix so scheduling-dependent races get multiple chances to
@@ -537,7 +538,7 @@ class TestSubscribe:
             assert len(deltas) == 1
             (delta,) = deltas
             assert isinstance(delta, ResultDelta)
-            assert delta.incremental and delta.relation == "E"
+            assert delta.incremental
             assert delta.added and not delta.removed
             assert subscription.result == engine_truth()
             assert subscription.poll() == ()  # drained
@@ -588,8 +589,8 @@ class TestSubscribe:
 
 
 # --------------------------------------------------------------------------- #
-# Once per read: one delta join per entry behind the log, one delta catalog
-# per backlog; subscribers keep one per event
+# Once per read: one delta join per entry behind the log or poll, one delta
+# catalog per backlog
 # --------------------------------------------------------------------------- #
 #: The patterns the serve_ivm benchmark keeps cached while it inserts.
 IVM_PATTERNS = ("path3", "cycle3", "cycle4", "clique4")
@@ -615,41 +616,6 @@ def closing_edges(catalog, per_shard):
                     batch.append(edge)
     assert not any(wanted.values())
     return batch
-
-
-def watch_one_insert(monkeypatch, maintainer, catalog, insert):
-    """Run ``insert()``; per event, the Δ trie builds and the catalogs the
-    maintainer's engine was handed (captured while the event was handled)."""
-    events, builds, catalogs = [], [], []
-
-    def build(relation, order):
-        builds.append((len(events), relation.name, tuple(order)))
-        return TrieIndex(relation, order)
-
-    engine = maintainer.engine
-    execute = engine.execute
-
-    def spy(query, database, plan=None):
-        catalogs.append((len(events), database))
-        return execute(query, database, plan=plan)
-
-    monkeypatch.setattr(catalog_module, "TrieIndex", build)
-    monkeypatch.setattr(engine, "execute", spy)
-    catalog.subscribe_invalidation(events.append)  # after the maintainer
-    try:
-        insert()
-    finally:
-        catalog.unsubscribe_invalidation(events.append)
-    per_event = []
-    for index, _event in enumerate(events):
-        delta_builds = [
-            (name, order)
-            for at, name, order in builds
-            if at == index and name.endswith(DELTA_SUFFIX)
-        ]
-        views = {id(view): view for at, view in catalogs if at == index}
-        per_event.append((delta_builds, list(views.values())))
-    return events, per_event
 
 
 class TestOncePerRead:
@@ -728,12 +694,15 @@ class TestOncePerRead:
         assert delta_builds and len(delta_builds) == len(set(delta_builds))
         service.close()
 
-    def test_subscribers_reuse_the_events_delta_catalog(self, monkeypatch):
+    def test_a_poll_and_a_read_of_one_backlog_share_its_delta_catalog(
+        self, monkeypatch
+    ):
         database = workload_database(num_vertices=24, num_edges=90, seed=SEED)
         with Session(database, shards=2) as session:
             query = pattern_query("cycle3")
-            session.execute(query)
-            subscription = session.subscribe(query)
+            signature = session.compiler.signature(query)
+            subscription = session.subscribe(query)  # the entry is synced here too
+            session.insert("E", closing_edges(session.database, per_shard=1))
             made = []
 
             class CountedDeltaCatalog(DeltaCatalog):
@@ -742,17 +711,20 @@ class TestOncePerRead:
                     super().__init__(*args, **kwargs)
 
             monkeypatch.setattr(maintenance_module, "DeltaCatalog", CountedDeltaCatalog)
-            batch = closing_edges(session.database, per_shard=1)
-            events, per_event = watch_one_insert(
-                monkeypatch, session.maintainer, session.database,
-                lambda: session.insert("E", batch),
-            )
-            assert len(made) == len(events) == 2  # one delta catalog per event
-            for delta_builds, views in per_event:
-                assert len(delta_builds) == len(set(delta_builds))
-                assert len(views) <= 1 + session.num_shards
-            monkeypatch.undo()
+            builds = []
+
+            def build(relation, order):
+                builds.append((relation.name, tuple(order)))
+                return TrieIndex(relation, order)
+
+            monkeypatch.setattr(catalog_module, "TrieIndex", build)
             assert subscription.poll()  # the batch closed new triangles
+            assert session.result_cache.get(signature) is not None
+            assert session.result_cache.stats.patches == 1
+            assert len(made) == 1
+            delta_builds = [b for b in builds if b[0].endswith(DELTA_SUFFIX)]
+            assert delta_builds and len(delta_builds) == len(set(delta_builds))
+            monkeypatch.undo()
             assert subscription.result == tuple(
                 sorted(set(session.execute(query).tuples))
             )
@@ -800,20 +772,62 @@ class TestMaintainOnRead:
         assert cache.stats.patches == 2
         assert set(cache.get("c")) > before["c"]  # the batches closed triangles
 
-    def test_a_write_only_stream_runs_none_but_a_subscription_one_per_event(
-        self, delta_calls
-    ):
+    def test_a_write_only_stream_runs_none_and_a_poll_one(self, delta_calls):
         database = workload_database(num_vertices=24, num_edges=90, seed=SEED)
         with Session(database) as session:
             assert session.execute(pattern_query("path3")).tuples  # cached
             subscription = session.subscribe(pattern_query("cycle3"))
             for edge in ((1, 30), (30, 31), (31, 1)):
                 session.insert("E", [edge])
-            assert delta_calls == ["cycle3"] * 3  # the subscription's only
+            assert delta_calls == []  # a live subscription runs none either
+            (delta,) = subscription.poll()
+            assert delta.incremental and (1, 30, 31) in delta.added
+            assert delta_calls == ["cycle3"]  # one for the whole backlog
             assert session.result_cache.stats.patches == 0
             assert subscription.result == tuple(
                 sorted(set(session.execute(pattern_query("cycle3")).tuples))
             )
+
+    def test_a_live_subscription_holds_the_log_and_close_releases_it(self):
+        database = triangle_database()
+        with Session(database, engines=("lftj",)) as session:
+            subscription = session.subscribe(pattern_query("cycle3"))
+            session.result_cache.clear()  # the subscription is the one reader
+            log = session.maintainer.log
+            database.insert_into("E", [(3, 4)])
+            database.insert_into("E", [(4, 5)])
+            assert len(log) == 2  # what the subscription lacks
+            assert subscription.poll() == ()  # no new triangle
+            database.insert_into("E", [(5, 6)])
+            assert len(log) == 1
+            subscription.close()
+            assert session.maintainer.subscriptions == []
+            database.insert_into("E", [(6, 7)])
+            assert len(log) == 0  # nothing live: nothing kept
+            assert subscription.poll() == ()
+            subscription.close()  # idempotent
+
+    def test_a_subscription_that_never_polls_does_not_pin_the_log(self):
+        database = triangle_database()
+        with Session(database, engines=("lftj",)) as session:
+            query = pattern_query("cycle3")
+            subscription = session.subscribe(query)
+            session.result_cache.clear()  # the subscription is the one reader
+            log = session.maintainer.log
+            edges = ((2, 4), (4, 3), (1, 4), (4, 4), (3, 2))
+            for logged, edge in enumerate(edges[:4], start=1):
+                database.insert_into("E", [edge])
+                assert len(log) == logged and not subscription.stale
+            # A fifth row against the four ``E`` held at the subscription's
+            # position: the backlog outgrew the relation, the log forgets it.
+            database.insert_into("E", [edges[4]])
+            assert subscription.stale and len(log) == 0
+            (delta,) = subscription.poll()
+            assert not delta.incremental and delta.added and not delta.removed
+            assert subscription.result == tuple(sorted(set(session.execute(query).tuples)))
+            session.result_cache.clear()
+            database.insert_into("E", [(3, 3)])
+            assert len(log) == 1  # polled: it holds the log again
 
     def test_the_log_truncates_once_the_oldest_entry_catches_up(self):
         database, cache, maintainer = logged_maintainer()
