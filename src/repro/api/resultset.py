@@ -150,7 +150,3 @@ class ResultSet:
     def from_cache(self) -> bool:
         """True when the tuples were replayed from the session result cache."""
         return self._force().execution is None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        state = f"{len(self._completed.tuples)} tuples" if self.executed else "pending"
-        return f"ResultSet(query={self.query.name!r}, backend={self.backend!r}, {state})"

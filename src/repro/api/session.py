@@ -388,10 +388,6 @@ class Session:
         if self._service is not None:
             self._service.add_backend(engine)
 
-    def engine_names(self) -> Tuple[str, ...]:
-        """Engines configured on this session, sorted."""
-        return tuple(sorted(self.engines))
-
     # ------------------------------------------------------------------ #
     # Routing
     # ------------------------------------------------------------------ #
@@ -526,9 +522,3 @@ class Session:
         :class:`Subscription` catches up when it is next polled.
         """
         return self.database.insert_into(relation_name, rows)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"Session(database={self.database.name!r}, "
-            f"engines={list(self.engine_names())}, routing={self.routing!r})"
-        )

@@ -162,9 +162,6 @@ class Statement:
     def __hash__(self) -> int:
         return hash(self._identity())
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Statement({self.kind!r}, {self.label!r})"
-
 
 @lru_cache(maxsize=STATEMENT_MEMO_SIZE)
 def _statement_from_text(obj: str) -> Statement:

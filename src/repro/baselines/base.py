@@ -105,6 +105,3 @@ class BaselineSystem(abc.ABC):
         dataset_name: Optional[str] = None,
     ) -> BaselineResult:
         """Estimate this system's performance on ``query`` over ``database``."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"{type(self).__name__}(name={self.name!r})"

@@ -213,12 +213,8 @@ class _AdjacencyIndex:
     def _ensure(self, relation_name: str) -> None:
         if relation_name in self._successors:
             return
+        # run() validated the query and _apply_atom admits binary atoms only.
         relation = self._database.relation(relation_name)
-        if relation.schema.arity != 2:
-            raise ValueError(
-                f"vertex-programming adjacency requires binary relations, "
-                f"{relation_name!r} has arity {relation.schema.arity}"
-            )
         successors: Dict[int, List[int]] = {}
         predecessors: Dict[int, List[int]] = {}
         edges: Set[Tuple[int, int]] = set()

@@ -799,11 +799,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_workload(args)
     if args.command == "store":
         return _cmd_store(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2  # pragma: no cover
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    return _cmd_trace(args)  # the parser admits no other command

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
+if TYPE_CHECKING:
     from repro.core.cupid import Task
 
 

@@ -125,12 +125,10 @@ class Scheduler:
         self._program = program
         self._start_task_on_slot(0, initial_task, start_time=0)
 
+        # A slot has at most one pending event, and only while it runs a task.
         while self._event_heap:
             time, _seq, slot = heapq.heappop(self._event_heap)
-            generator = self._generators[slot]
-            if generator is None:
-                continue
-            self._step_thread(slot, generator, time)
+            self._step_thread(slot, self._generators[slot], time)
 
         self.report.total_cycles = self._finish_time()
         self.report.component_busy_cycles = {
@@ -160,7 +158,7 @@ class Scheduler:
             self._handle_spawn(slot, item, time)
         elif isinstance(item, Operation):
             self._handle_operation(slot, item, time)
-        else:  # pragma: no cover - defensive: unknown yield type is a bug
+        else:
             raise TypeError(
                 f"thread {slot} yielded unsupported item {type(item).__name__}"
             )

@@ -154,6 +154,3 @@ class Graph:
             if source in keep and target in keep:
                 sub.add_edge(source, target)
         return sub
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Graph({self.name!r}, V={self.num_vertices}, E={self.num_edges})"

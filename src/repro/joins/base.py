@@ -95,7 +95,7 @@ class EngineProtocol(abc.ABC):
     ) -> EngineExecution:
         """Run ``query`` (compiled as ``plan`` when plan-aware) and cost it."""
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+    def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
 

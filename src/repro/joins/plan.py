@@ -369,9 +369,3 @@ class JoinPlan:
         else:
             lines.append("  cache: none (no cacheable variable)")
         return "\n".join(lines)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"JoinPlan(query={self.query.name!r}, order={self.variable_order}, "
-            f"cached={tuple(self._cache_by_variable)})"
-        )

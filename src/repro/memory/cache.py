@@ -183,9 +183,3 @@ class SetAssociativeCache:
     def lines_resident(self) -> int:
         """Number of lines currently cached."""
         return sum(len(ways) for ways in self._sets.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"SetAssociativeCache({self.name!r}, {self.size_bytes}B, "
-            f"{self.associativity}-way, line={self.line_size}B)"
-        )

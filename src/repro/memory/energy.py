@@ -78,9 +78,6 @@ class EnergyBreakdown:
             return {name: 0.0 for name in self.components}
         return {name: value / total for name, value in self.components.items()}
 
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self.components)
-
     def merge(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
         merged = EnergyBreakdown(dict(self.components))
         for name, value in other.components.items():

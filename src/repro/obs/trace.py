@@ -143,12 +143,6 @@ class Span:
                 return span
         return None
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"Span({self.name!r}, [{self.start_ns}, {self.end_ns}], "
-            f"{len(self.children)} children)"
-        )
-
 
 class Tracer:
     """Collects finished trace trees and assigns their deterministic ids.
@@ -246,7 +240,7 @@ class NullTracer(Tracer):
     def __init__(self) -> None:
         super().__init__()
 
-    def begin(self, name, start_ns, attributes=None) -> Span:  # pragma: no cover
+    def begin(self, name, start_ns, attributes=None) -> Span:
         return Span(name, start_ns, attributes)
 
     def finish(self, root: Span) -> Span:

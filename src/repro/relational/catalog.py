@@ -43,7 +43,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -312,9 +311,6 @@ class Database(MutationSource):
     def __contains__(self, name: str) -> bool:
         return name in self._relations
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._relations)
-
     def relation_names(self) -> Tuple[str, ...]:
         return tuple(self._relations)
 
@@ -470,9 +466,6 @@ class Database(MutationSource):
         """Approximate raw storage footprint of all relations."""
         return sum(r.size_in_bytes(bytes_per_value) for r in self._relations.values())
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Database({self.name!r}, relations={sorted(self._relations)})"
-
 
 class OverlayCatalog:
     """A read-only catalog in which some names resolve elsewhere.
@@ -535,6 +528,3 @@ class OverlayCatalog:
             database.relation(stored_name).cardinality
             for database, stored_name in self.overlays.values()
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"OverlayCatalog({self.name!r}, overlays={sorted(self.overlays)})"

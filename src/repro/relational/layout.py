@@ -15,7 +15,7 @@ the paper's write-bypass path, Section 3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.relational.trie import TrieIndex
 
@@ -143,10 +143,6 @@ class MemoryLayout:
     def offsets_region(self, key: str, level: int) -> ArrayRegion:
         """Region of trie ``key``'s child-offsets array at ``level``."""
         return self.region(f"{key}/offsets/{level}")
-
-    def regions(self) -> Tuple[ArrayRegion, ...]:
-        """All allocated regions."""
-        return tuple(self._regions.values())
 
     @property
     def total_index_bytes(self) -> int:

@@ -149,9 +149,6 @@ class ConjunctiveQuery:
         body = ", ".join(str(atom) for atom in self.atoms)
         return f"{head} = {body}."
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"ConjunctiveQuery({self.to_datalog()!r})"
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConjunctiveQuery):
             return NotImplemented

@@ -245,9 +245,3 @@ class Relation:
         reordered = Relation(self.name, Schema(attributes))
         reordered.insert_many(tuple(row[i] for i in indexes) for row in self._rows)
         return reordered
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"Relation(name={self.name!r}, schema={self.schema.attributes}, "
-            f"cardinality={self.cardinality})"
-        )

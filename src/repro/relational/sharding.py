@@ -36,7 +36,7 @@ cached shard partial is patched from the rows hashed to its own shard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.relational.catalog import (
     CatalogState,
@@ -294,9 +294,6 @@ class ShardedDatabase(MutationSource):
     def __contains__(self, name: str) -> bool:
         return name in self._global
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._global)
-
     def trie(self, relation_name: str, attribute_order: Sequence[str]) -> TrieIndex:
         return self._global.trie(relation_name, attribute_order)
 
@@ -454,12 +451,6 @@ class ShardedDatabase(MutationSource):
             self._global,
             {spec.alias: (seed, spec.seed_relation)},
             f"{self.name}.view{shard}{suffix}",
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"ShardedDatabase({self.name!r}, shards={self.num_shards}, "
-            f"relations={sorted(self.relation_names())})"
         )
 
 

@@ -395,12 +395,6 @@ class TrieIndex:
         """
         return sum(len(v) for v in self._values) + sum(len(o) for o in self._offsets)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"TrieIndex({self.relation_name!r}, order={self.attribute_order}, "
-            f"tuples={self._num_tuples})"
-        )
-
 
 def _owned(level: Sequence[int]) -> array:
     """``level`` as an ``array('q')`` (a ``memoryview`` level is copied)."""

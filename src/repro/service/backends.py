@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 from repro.util.validation import check_positive
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+if TYPE_CHECKING:
     from repro.service.service import QueryOutcome, QueryService, ServiceRequest
 
 #: What :meth:`ExecutionBackend.submit_engine` returns: the collect step,
@@ -185,9 +185,6 @@ class ExecutionBackend(abc.ABC):
                     service._rejected.append(request.request_id)
         service._clock = clock
         return outcomes
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"{type(self).__name__}(name={self.name!r})"
 
 
 class VirtualTimeBackend(ExecutionBackend):

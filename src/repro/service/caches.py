@@ -180,11 +180,6 @@ class LRUCache(Generic[V]):
                 self._on_evict(victim_key)
                 self.stats.evictions += 1
 
-    def peek(self, key: str) -> Optional[V]:
-        """Inspect an entry without touching statistics or LRU order (tests)."""
-        with self._lock:
-            return self._entries.get(key)
-
     def discard(self, key: str) -> bool:
         """Drop ``key`` (an invalidation drop, not an eviction); True if present."""
         with self._lock:
@@ -280,13 +275,10 @@ class ResultCache(LRUCache[List[Tuple[int, ...]]]):
     def attach(self, log: "InsertLog", solver: Solver) -> None:
         """Patch every entry on read from ``log`` through ``solver``.
 
-        Entries already cached count as up to date with the log's current
-        position.
+        The maintainer attaches each cache while it is still empty.
         """
         with self._lock:
             self.log, self.solver = log, solver
-            for key in self._dependencies:
-                self._sync(key)
 
     def get(self, key: str, now: float = 0.0) -> Optional[List[Tuple[int, ...]]]:
         """Return the cached rows (refreshing LRU order) or ``None``.

@@ -142,10 +142,6 @@ class ScatterGatherStats:
         return max((task.cost_ns for task in self.tasks), default=0.0)
 
     @property
-    def degraded(self) -> bool:
-        return bool(self.missing_shards)
-
-    @property
     def retries(self) -> int:
         return sum(task.retries for task in self.tasks)
 

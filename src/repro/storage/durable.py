@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import os
 import shutil
-from typing import Dict, Iterable, Iterator, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.relational.catalog import Database, RelationState
 from repro.relational.relation import Relation
@@ -134,9 +134,6 @@ class DurableCatalog:
 
     def __contains__(self, name: str) -> bool:
         return name in self._catalog
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._catalog)
 
     def __getattr__(self, attribute: str):
         # Reached only for names this class does not define: shard

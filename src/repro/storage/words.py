@@ -24,7 +24,7 @@ NATIVE_WORDS = sys.byteorder == "little"
 def pack_words(words: Iterable[int]) -> bytes:
     """Little-endian bytes of ``words`` (an ``array('q')``, a word view or any ints)."""
     flat = words if isinstance(words, array) and NATIVE_WORDS else array("q", words)
-    if not NATIVE_WORDS:  # pragma: no cover - big-endian hosts only
+    if not NATIVE_WORDS:
         flat.byteswap()
     return flat.tobytes()
 
@@ -33,7 +33,7 @@ def unpack_words(data) -> array:
     """The words in the little-endian bytes ``data``, copied into an ``array('q')``."""
     flat = array("q")
     flat.frombytes(data)
-    if not NATIVE_WORDS:  # pragma: no cover - big-endian hosts only
+    if not NATIVE_WORDS:
         flat.byteswap()
     return flat
 

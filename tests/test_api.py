@@ -345,6 +345,18 @@ class TestSessionExecute:
         assert "chosen engine   : lftj" in text
         assert session.result_cache.stats.lookups == 0  # nothing executed
 
+    def test_a_plan_blind_route_has_no_plan(self, api_db):
+        session = fresh_session(api_db)
+        text = session.explain("cycle3", route="naive").describe()
+        assert text.endswith("plan            : (engine plans internally)")
+        assert session.execute("cycle3", route="naive").plan is None
+        planned = session.execute("cycle4")
+        assert planned.plan is not None and planned.plan.query.num_atoms == 4
+
+    def test_a_statement_equals_only_a_statement(self):
+        assert Statement.pattern("cycle3") != "cycle3"
+        assert Statement.pattern("cycle3") == Statement.pattern("cycle3")
+
     def test_close_detaches_from_shared_catalog(self):
         database = workload_database(num_vertices=40, num_edges=180, seed=5)
         baseline = len(database._invalidation_listeners)
@@ -373,6 +385,33 @@ class TestSessionExecute:
         # would leave retries with no replica to move to.
         with pytest.raises(ValueError, match="do not persist replicas"):
             Session(storage_dir=str(tmp_path), shards=2, replication_factor=2)
+
+    def test_bad_construction_is_refused(self, api_db, tmp_path):
+        with pytest.raises(ValueError, match="routing must be 'auto' or 'rotate', got 'fastest'"):
+            Session(api_db, routing="fastest")
+        with pytest.raises(ValueError, match="pass either database= or storage_dir="):
+            Session(api_db, storage_dir=str(tmp_path / "store"))
+        assert not (tmp_path / "store").exists()
+        with pytest.raises(ValueError, match="Session needs at least one engine"):
+            Session(api_db, engines=())
+
+    def test_an_engine_object_as_a_backend_name_is_refused_by_its_repr(self, api_db):
+        message = r"unknown execution backend LeapfrogTrieJoin\(name='lftj'\)"
+        with pytest.raises(KeyError, match=message):
+            Session(api_db, execution_backend=LeapfrogTrieJoin())
+
+    def test_snapshot_needs_a_durable_catalog(self, api_db):
+        with pytest.raises(RuntimeError, match="catalog is not durable"):
+            fresh_session(api_db).snapshot()
+
+    def test_the_package_re_exports_the_api_lazily(self):
+        import repro
+        import repro.api
+
+        for name in ("Session", "Statement", "ResultSet"):
+            assert getattr(repro, name) is getattr(repro.api, name)
+        with pytest.raises(AttributeError, match="no attribute 'Sessions'"):
+            repro.Sessions
 
     def test_sql_statement_executes_end_to_end(self, api_db):
         session = fresh_session(api_db)

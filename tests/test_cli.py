@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import glob
+import json
+import os
 import re
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 import repro
 from repro.cli import build_parser, main
 from repro.graphs import community_graph, write_snap_edge_list
+from repro.storage import MutationLog
 
 
 class TestParser:
@@ -106,6 +110,31 @@ class TestCommands:
         matches = re.findall(r"^matches: (\d+)$", output + capsys.readouterr().out, re.M)
         assert len(matches) == 2 and matches[0] == matches[1]
 
+    def test_show_results_prints_the_same_rows_on_either_backend(self, capsys):
+        argv = ["run", "cycle3", "--dataset", "grqc", "--scale", "0.01", "--engine", "lftj",
+                "--show-results", "1000"]
+        printed = []
+        for extra in ([], ["--backend", "process", "--workers", "2"]):
+            assert main(argv + extra) == 0
+            printed.append(sorted(
+                line for line in capsys.readouterr().out.splitlines()
+                if re.fullmatch(r"  \d+, \d+, \d+", line)
+            ))
+        assert printed[0] and printed[0] == printed[1]
+
+    @pytest.mark.parametrize("query", ["clique4", "ends(x, z) = E(x, y), E(y, z)."])
+    def test_explain_prints_the_route_and_plan(self, query, capsys):
+        argv = ["explain", query, "--dataset", "grqc", "--scale", "0.005", "--shards", "2"]
+        assert main(argv) == 0
+        output = capsys.readouterr().out
+        assert re.search(r"^chosen engine   : lftj ", output, re.M)
+        assert "  variable order: " in output
+
+    def test_run_on_the_auto_route_names_the_engine(self, capsys):
+        argv = ["run", "cycle3", "--dataset", "grqc", "--scale", "0.005", "--engine", "auto"]
+        assert main(argv) == 0
+        assert "\nrouted to: lftj\n" in capsys.readouterr().out
+
     def test_run_on_edge_list_file(self, tmp_path, capsys):
         graph = community_graph(30, 120, seed=3)
         path = str(tmp_path / "graph.txt")
@@ -171,6 +200,19 @@ class TestCommands:
         assert "queries/sec" in output
         assert "result-cache hit rate" in output
         assert "lftj" in output and "ctj" in output
+
+    def test_workload_draws_only_the_named_queries(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        argv = ["workload", "--dataset", "grqc", "--scale", "0.005", "--num-queries", "6",
+                "--backends", "lftj", "--queries", "path3", "--seed", "3",
+                "--trace", str(trace)]
+        assert main(argv) == 0
+        assert "requests completed   : 6" in capsys.readouterr().out
+        names = {
+            span["attributes"]["query"] for span in map(json.loads, trace.read_text().splitlines())
+            if span["name"] == "query"
+        }
+        assert names and all(re.fullmatch(r"path3(_r\d+)?", name) for name in names)
 
     def test_workload_on_edge_list(self, tmp_path, capsys):
         graph = community_graph(30, 120, seed=3)
@@ -300,6 +342,14 @@ class TestTraceCommands:
         assert "per-phase virtual-time breakdown" in output
         assert "critical path" in output
 
+    def test_trace_validate_lists_fifty_problems_and_counts_the_rest(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("[1]\n" * 53)
+        assert main(["trace", "validate", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 52 and err[50] == "... and 3 more"
+        assert err[-1] == f"FAIL: 53 schema problem(s) in {path}"
+
     def test_trace_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["trace"])
@@ -382,6 +432,32 @@ class TestStoreCommands:
         capsys.readouterr()
         assert main(["store", "snapshot", store_dir]) == 0
         assert "snapshot" in capsys.readouterr().out
+
+    def test_a_store_command_on_a_missing_store_fails(self, tmp_path, capsys):
+        assert main(["store", "info", str(tmp_path / "nowhere")]) == 1
+        assert "no durable store at" in capsys.readouterr().err
+
+    def test_recover_reports_a_logged_record_that_does_not_replay(self, tmp_path, capsys):
+        store_dir = self._init(tmp_path)
+        with MutationLog(os.path.join(store_dir, "mutations.wal")) as wal:
+            wal.append("insert", "missing", rows=[[1, 2]])
+        capsys.readouterr()
+        assert main(["store", "recover", store_dir]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("recovery failed:") and "does not replay" in err
+
+    def test_recover_verify_reports_a_damaged_segment(self, tmp_path, capsys):
+        store_dir = self._init(tmp_path)
+        (segment, *_) = sorted(glob.glob(os.path.join(store_dir, "**", "*.trie"), recursive=True))
+        with open(segment, "r+b") as handle:
+            handle.seek(-1, os.SEEK_END)  # the last payload byte, inverted
+            last = handle.read(1)[0]
+            handle.seek(-1, os.SEEK_END)
+            handle.write(bytes([last ^ 0xFF]))
+        capsys.readouterr()
+        assert main(["store", "recover", store_dir, "--verify"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("segment verification failed:") and "payload checksum" in err
 
     def test_existing_store_wins_over_dataset_flags(self, tmp_path, capsys):
         """Against an existing store the dataset/edge-list flags only matter

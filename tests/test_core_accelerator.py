@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.core import MT_SCHEMES, TrieJaxAccelerator, TrieJaxConfig
 from repro.graphs import EXTRA_PATTERN_NAMES, PATTERN_NAMES, pattern_query
 from repro.joins import CachedTrieJoin, NaiveJoin, QueryCompiler
-from repro.relational import Database, Relation, Schema
+from repro.relational import Database, Relation, Schema, parse_datalog
 
 
 #: Five vertices with triangles, 4-cycles and 4-cliques for every pattern.
@@ -44,6 +44,22 @@ class TestFunctionalCorrectness:
         expected = set(NaiveJoin().execute(pattern_query(query_name), small_powerlaw_db).tuples)
         assert set(run(query_name, small_powerlaw_db).tuples) == expected
 
+    @pytest.mark.parametrize(
+        "rule", ["ends(x, z) = E(x, y), E(y, z).", "src(x) = E(x, y), E(y, z), E(z, x)."]
+    )
+    def test_a_projecting_query_matches_the_oracle_without_repeats(
+        self, small_community_db, rule
+    ):
+        # A head that drops body variables repeats head tuples in the walk;
+        # the model keeps set semantics, in the walk's first-seen order.
+        query = parse_datalog(rule)
+        assert not query.is_full
+        expected = NaiveJoin().execute(query, small_community_db).tuples
+        outcome = TrieJaxAccelerator().execute(query, small_community_db)
+        assert len(outcome.tuples) == len(set(outcome.tuples)) == len(set(expected))
+        assert set(outcome.tuples) == set(expected)
+        assert outcome.report.num_results > len(outcome.tuples)  # the walk repeated
+
     def test_no_duplicate_results(self, small_community_db):
         outcome = run("cycle4", small_community_db)
         assert len(outcome.tuples) == len(set(outcome.tuples))
@@ -54,6 +70,7 @@ class TestFunctionalCorrectness:
         outcome = run("cycle3", database)
         assert outcome.tuples == []
         assert outcome.report.total_cycles == 0
+        assert outcome.report.average_threads_active == 0.0
 
     def test_no_match_query(self):
         database = edges_database([(0, 1), (2, 3)])

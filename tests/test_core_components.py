@@ -10,11 +10,13 @@ from repro.core import (
     CupidProgram,
     Operation,
     PJRCache,
+    Scheduler,
     SpawnRequest,
     Task,
     TrieJaxConfig,
 )
 from repro.joins import QueryCompiler
+from repro.memory import MemoryHierarchy
 from repro.relational import ConjunctiveQuery, Database, Relation, Schema
 from repro.relational.query import Atom
 
@@ -137,6 +139,18 @@ class TestOperations:
         # ... and the sibling thread walks the rest from the snapshot.
         drive(program, spawned)
         assert program.results == [(1,), (2,), (4,), (5,)]
+
+
+class TestScheduler:
+    def test_a_thread_that_yields_neither_operation_nor_spawn_fails(self):
+        class Program:
+            def task_generator(self, task):
+                yield task
+
+        config = TrieJaxConfig(num_threads=2)
+        scheduler = Scheduler(config, MemoryHierarchy(config.hierarchy, config.dram))
+        with pytest.raises(TypeError, match="thread 0 yielded unsupported item str"):
+            scheduler.run(Program(), "not an operation")
 
 
 class TestLUB:

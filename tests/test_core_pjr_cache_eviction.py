@@ -28,6 +28,16 @@ def small_cache():
     return PJRCache(capacity_bytes=48, entry_capacity_values=4, bytes_per_value=8)
 
 
+class TestCapacityRejection:
+    def test_a_match_larger_than_the_whole_cache_is_rejected(self):
+        cache = PJRCache(capacity_bytes=8, entry_capacity_values=4, bytes_per_value=8)
+        key, signature = ("z", (1,)), (1,)
+        assert cache.try_allocate(key, signature)
+        assert not cache.append(key, signature, (7, {"t": 7, "u": 8}))
+        assert cache.stats.capacity_rejections == 1
+        assert cache.bytes_used == 0 and cache.stats.evictions == 0
+
+
 class TestEvictionOrder:
     def test_fill_past_capacity_evicts_lru(self, small_cache):
         keys = [build_entry(small_cache, i, [10 * i, 10 * i + 1]) for i in range(3)]

@@ -1,5 +1,6 @@
 """Tests for the graph substrate: graphs, generators, datasets, patterns and I/O."""
 
+import dataclasses
 import os
 
 import pytest
@@ -82,6 +83,11 @@ class TestGraph:
 
 
 class TestGenerators:
+    @pytest.mark.parametrize("probability", [-0.1, 1.5])
+    def test_community_graph_rejects_an_intra_probability_outside_0_1(self, probability):
+        with pytest.raises(ValueError, match=r"intra_probability must be in \[0, 1\]"):
+            community_graph(20, 40, seed=1, intra_probability=probability)
+
     def test_uniform_graph_exact_counts(self):
         graph = uniform_random_graph(50, 300, seed=3)
         assert graph.num_vertices == 50
@@ -131,6 +137,14 @@ class TestGenerators:
 
 
 class TestDatasets:
+    def test_a_spec_with_an_unknown_generator_is_refused(self, monkeypatch):
+        import repro.graphs.datasets as datasets
+
+        broken = dataclasses.replace(dataset_spec("grqc"), generator="lattice")
+        monkeypatch.setattr(datasets, "dataset_spec", lambda name: broken)
+        with pytest.raises(ValueError, match="dataset 'grqc' has unknown generator 'lattice'"):
+            load_dataset("grqc", scale=0.01)
+
     def test_registry_matches_table2(self):
         assert set(DATASET_NAMES) == set(DATASET_SPECS)
         rows = table2_rows()

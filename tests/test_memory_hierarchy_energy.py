@@ -39,6 +39,15 @@ class TestMemoryHierarchy:
         stats = hierarchy.level_stats()
         assert stats["LLC"].reads > 0
 
+    def test_an_l2_hit_costs_l1_plus_l2_latency(self):
+        config = HierarchyConfig(
+            l1_size_bytes=128, l1_associativity=2, l2_size_bytes=256, l2_associativity=2
+        )
+        hierarchy = MemoryHierarchy(config)
+        for line in range(3):  # L1 keeps lines 1 and 2; L2 keeps all three
+            hierarchy.read(line * 64)
+        assert hierarchy.read(0) == config.l1_latency + config.l2_latency
+
     def test_write_buffer_absorbs_small_writes(self):
         hierarchy = MemoryHierarchy()
         latencies = [hierarchy.write(1 << 20, num_bytes=4) for _ in range(15)]

@@ -10,7 +10,8 @@ The acceptance properties of the observability layer:
   and its admission + execute children account for all of it;
 * catalog mutations emit process-lane events carrying invalidation counts;
 * scatter-gather executions expose per-shard legs, with wall timings only
-  where the process backend measured them.
+  where the process backend measured them;
+* a degraded and a failed answer export valid spans that summarize as such.
 """
 
 import io
@@ -20,10 +21,18 @@ import pytest
 
 from repro.api import Session
 from repro.graphs import pattern_query
-from repro.obs import PROCESS_TRACE_ID, Tracer, validate_span_dict, write_jsonl
+from repro.obs import (
+    PROCESS_TRACE_ID,
+    Tracer,
+    read_jsonl,
+    summarize_trace,
+    validate_span_dict,
+    write_jsonl,
+)
 from repro.relational.sharding import shard_database
 from repro.service import (
     QueryService,
+    ShardUnavailableError,
     WorkloadSpec,
     generate_requests,
     run_workload,
@@ -249,6 +258,65 @@ class TestScatterLegs:
         measured = [leg for leg in shard_legs if leg.wall_elapsed_s is not None]
         assert measured, "concurrent fan-out should measure per-shard wall time"
         assert all(leg.wall_elapsed_s >= 0 for leg in measured)
+
+
+class TestTracedShardLoss:
+    """A ``down:`` fault plan, traced under both shard-loss policies."""
+
+    def _traced(self, tmp_path, on_shard_loss, faults, **options):
+        session = Session(
+            workload_database(num_vertices=40, num_edges=200, seed=5),
+            engines=("lftj",),
+            shards=4,
+            faults=faults,
+            on_shard_loss=on_shard_loss,
+            trace=True,
+            **options,
+        )
+        with session:
+            try:
+                outcome = session.execute(pattern_query("cycle3", "E"))
+                outcome.tuples
+            except ShardUnavailableError as error:
+                outcome = error
+            path = str(tmp_path / f"{on_shard_loss}.jsonl")
+            write_jsonl(session.tracer, path)
+        spans = read_jsonl(path)
+        assert all(validate_span_dict(span) == [] for span in spans)
+        (execute,) = [span for span in spans if span["name"] == "execute"]
+        return outcome, execute, spans, summarize_trace(path)
+
+    def test_a_degraded_answer_exports_its_lost_and_replica_legs(self, tmp_path):
+        # Shard 2 and its replica's node are down; shard 3 retries onto its
+        # replica on node 1.
+        result, execute, spans, summary = self._traced(
+            tmp_path, "partial", "down:2; down:3", replication_factor=2
+        )
+        assert result.degraded and result.missing_shards == (2,)
+        assert execute["attributes"]["scatter.degraded"] is True
+        assert execute["attributes"]["scatter.missing_shards"] == [2]
+        assert execute["attributes"]["scatter.retries"] >= 1
+        legs = {
+            span["attributes"]["shard"]: span for span in spans if span["name"] == "shard"
+        }
+        assert legs[2]["attributes"]["lost"] is True
+        assert legs[3]["attributes"]["replica"] == 1
+        assert [event["name"] for event in legs[3]["events"]] == ["retried"]
+        assert "degraded (missing 2)" in summary
+        text = result.shard_stats.describe()
+        assert "shard 2: 0 tuples" in text and "LOST after 4 attempt(s)" in text
+        assert "(computed, 1 retry, replica 1)" in text
+        assert text.endswith("DEGRADED: missing shard(s) [2]")
+
+    def test_a_failed_answer_exports_a_failed_execute_span(self, tmp_path):
+        error, execute, _, summary = self._traced(tmp_path, "fail", "down:2")
+        assert isinstance(error, ShardUnavailableError) and error.shards == (2,)
+        attributes = execute["attributes"]
+        assert attributes["failed"] is True
+        assert attributes["error"] == "shard_unavailable"
+        assert attributes["missing_shards"] == [2]
+        assert attributes["cost_ns"] == execute["end_ns"] - execute["start_ns"]
+        assert "failed" in summary.split("fault tolerance")[1]
 
 
 class TestSessionTracing:

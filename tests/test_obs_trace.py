@@ -1,6 +1,7 @@
 """Unit tests of the observability primitives: spans, tracer, exporters,
 schema validation and summarization."""
 
+import io
 import json
 
 import pytest
@@ -15,14 +16,17 @@ from repro.obs import (
     chrome_trace_events,
     coerce_tracer,
     critical_path,
+    join_stats_attributes,
     phase_breakdown,
     query_roots,
     read_jsonl,
     span_to_dict,
+    summarize_trace,
     validate_jsonl,
     validate_span_dict,
     write_chrome_trace,
     write_jsonl,
+    write_trace,
 )
 
 
@@ -161,6 +165,42 @@ class TestJsonlExport:
         errors = validate_jsonl(str(path))
         assert errors and errors[0].startswith("line 2:")
 
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            ({"schema": 99}, f"schema 99 != supported {SCHEMA_VERSION}"),
+            ({"trace_id": "t"}, "trace_id must be an integer"),
+            ({"span_id": "s"}, "span_id must be an integer"),
+            ({"span_id": 0}, "span_id must be >= 1"),
+            ({"parent_id": "p"}, "parent_id must be an integer or null"),
+            ({"name": ""}, "name must be a non-empty string"),
+            ({"start_ns": "early"}, "start_ns must be a number"),
+            ({"end_ns": None}, "end_ns must be a number"),
+            ({"start_ns": 10.0, "end_ns": 5.0}, "end_ns must be >= start_ns"),
+            ({"attributes": []}, "attributes must be an object"),
+            ({"events": {}}, "events must be an array"),
+            ({"events": [3]}, "events[0] must be an object"),
+            ({"events": [{"name": 3, "t_ns": 0}]}, "events[0].name must be a string"),
+            ({"events": [{"name": "e", "t_ns": "now"}]}, "events[0].t_ns must be a number"),
+            (
+                {"events": [{"name": "e", "t_ns": 0, "attributes": []}]},
+                "events[0].attributes must be an object",
+            ),
+            ({"wall_elapsed_s": "fast"}, "wall_elapsed_s must be a number when present"),
+            ({"surprise": 1}, "unknown field 'surprise'"),
+        ],
+    )
+    def test_each_check_names_its_problem(self, change, error):
+        good = span_to_dict(next(iter(_sample_tracer().all_spans())))
+        assert validate_span_dict(good) == []
+        assert validate_span_dict({**good, **change}) == [error]
+
+    def test_a_line_that_is_not_an_object_or_lacks_a_field_is_rejected(self):
+        good = span_to_dict(next(iter(_sample_tracer().all_spans())))
+        assert validate_span_dict([good]) == ["span line must be a JSON object, got list"]
+        del good["name"]
+        assert validate_span_dict(good) == ["missing required field 'name'"]
+
     def test_bool_does_not_pass_as_number(self):
         good = span_to_dict(next(iter(_sample_tracer().all_spans())))
         assert validate_span_dict({**good, "start_ns": True})
@@ -188,7 +228,61 @@ class TestChromeExport:
         assert document["otherData"]["schema"] == SCHEMA_VERSION
 
 
+class TestExportPaths:
+    """The stream and wall-time branches of the exporters and readers."""
+
+    def test_chrome_export_to_a_stream_carries_measured_wall_time(self):
+        tracer = Tracer()
+        root = tracer.begin("query", 0.0)
+        root.end(10.0)
+        root.wall_elapsed_s = 0.25
+        tracer.finish(root)
+        buffer = io.StringIO()
+        count = write_chrome_trace(tracer, buffer)
+        assert buffer.getvalue().endswith("}\n")
+        events = json.loads(buffer.getvalue())["traceEvents"]
+        assert len(events) == count
+        (span,) = [event for event in events if event["ph"] == "X"]
+        assert span["args"] == {"wall_elapsed_s": 0.25}
+
+    def test_an_unknown_trace_format_is_refused(self, tmp_path):
+        path = tmp_path / "trace.xml"
+        with pytest.raises(ValueError, match="unknown trace format 'xml'"):
+            write_trace(_sample_tracer(), str(path), "xml")
+        assert not path.exists()
+
+    def test_validation_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_jsonl(_sample_tracer(), str(path))
+        path.write_text(path.read_text().replace("\n", "\n\n", 1))
+        assert validate_jsonl(str(path)) == []
+
+    def test_join_stats_project_to_no_attributes_without_stats(self):
+        assert join_stats_attributes(None) == {}
+
+
 class TestSummarize:
+    def test_a_trace_without_queries_summarizes_its_header(self, tmp_path):
+        tracer = Tracer()
+        tracer.emit("catalog_mutation", 0.0, {"relation": "E"})
+        path = str(tmp_path / "events.jsonl")
+        write_jsonl(tracer, path)
+        assert summarize_trace(path).splitlines() == [
+            f"trace: {path}",
+            "  spans      : 1",
+            "  queries    : 0",
+            "  events     : 1 process-level",
+        ]
+
+    def test_measured_roots_are_counted_as_wall_fields(self, tmp_path):
+        tracer = _sample_tracer()
+        first = tracer.all_spans()[0]
+        assert first.name == "query"
+        first.wall_elapsed_s = 0.5
+        path = str(tmp_path / "trace.jsonl")
+        write_jsonl(tracer, path)
+        assert "  wall fields: 1 spans carry host timings" in summarize_trace(path)
+
     def test_tree_rebuild_and_breakdown(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
         write_jsonl(_sample_tracer(), path)

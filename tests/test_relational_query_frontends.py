@@ -1,5 +1,7 @@
 """Tests for conjunctive queries, the datalog parser, the SQL front end and the catalog."""
 
+import re
+
 import pytest
 
 from repro.graphs import pattern_query
@@ -87,6 +89,17 @@ class TestDatalogParser:
         with pytest.raises(DatalogSyntaxError):
             parse_datalog(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("q(x) = R(x) S(x)", "malformed atom: 'R(x) S(x)'"),
+            ("q(x) = R(x)), S(x)", "unbalanced parentheses in body"),
+        ],
+    )
+    def test_each_body_error_names_its_problem(self, text, message):
+        with pytest.raises(DatalogSyntaxError, match=re.escape(message)):
+            parse_datalog(text)
+
     def test_table1_queries_parse(self):
         from repro.graphs.patterns import table1_rows
 
@@ -152,6 +165,17 @@ class TestSQLFrontend:
         with pytest.raises(SQLSyntaxError):
             parse_sql_join(sql, self.make_database())
 
+    @pytest.mark.parametrize(
+        "sql, message",
+        [
+            ("SELECT * FROM Posts R S", "unsupported FROM item: 'Posts R S'"),
+            ("SELECT R.nope FROM Posts as R", "unknown column 'R.nope' in SELECT list"),
+        ],
+    )
+    def test_each_clause_error_names_its_problem(self, sql, message):
+        with pytest.raises(SQLSyntaxError, match=re.escape(message)):
+            parse_sql_join(sql, self.make_database())
+
     def test_sql_and_datalog_agree_on_results(self):
         from repro.joins import NaiveJoin
 
@@ -164,6 +188,16 @@ class TestSQLFrontend:
 
 
 class TestDatabase:
+    def test_an_insert_evicts_a_trie_whose_relation_changed_behind_the_catalog(self):
+        database = Database("db")
+        database.add_relation(Relation("R", Schema(("x", "y")), [(1, 2)]))
+        stale = database.trie("R", ("x", "y"))
+        database.relation("R").insert((3, 4))  # not through the catalog
+        database.insert_into("R", [(5, 6)])
+        rebuilt = database.trie("R", ("x", "y"))
+        assert rebuilt is not stale
+        assert rebuilt.num_tuples == 3 and list(rebuilt.level_values(0)) == [1, 3, 5]
+
     def test_add_and_lookup(self):
         database = Database("db")
         relation = Relation("R", Schema(("x", "y")), [(1, 2)])

@@ -62,6 +62,20 @@ class TestShardedDatabase:
         assert isinstance(base_db, Catalog)
         assert isinstance(shard_database(base_db, 2), Catalog)
 
+    def test_redefining_a_relation_rebuilds_its_replicas(self):
+        sharded = ShardedDatabase("r", num_shards=2, replication_factor=2)
+        sharded.add_relation(Relation("E", Schema(("src", "dst")), [(1, 2), (2, 3)]))
+        sharded.replace_relation(Relation("E", Schema(("src", "dst")), [(7, 8)]))
+        for shard in range(2):
+            replica = sharded.shard_replica_database("E", shard, 1)
+            assert replica.relation("E").sorted_rows() == (
+                sharded.shard_relation("E", shard).sorted_rows()
+            )
+        assert sorted(
+            row for shard in range(2)
+            for row in sharded.shard_replica_database("E", shard, 1).relation("E").sorted_rows()
+        ) == [(7, 8)]
+
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_fragments_partition_the_relation(self, base_db, num_shards):
         sharded = shard_database(base_db, num_shards)

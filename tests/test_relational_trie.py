@@ -108,6 +108,38 @@ class TestTrieConstruction:
                 assert is_strictly_sorted(group)
 
 
+    def test_adopting_flat_arrays_checks_the_level_counts(self):
+        with pytest.raises(ValueError, match="expected 2 value levels, got 1"):
+            TrieIndex.from_flat("R", ("x", "y"), [[1]], [], 1)
+        with pytest.raises(ValueError, match="expected 1 offset levels, got 0"):
+            TrieIndex.from_flat("R", ("x", "y"), [[1], [2]], [], 1)
+
+    @pytest.mark.parametrize(
+        "values, offsets, problem",
+        [
+            ([[1, 2], [5, 6]], [[0, 2]], "offsets length mismatch at level 0"),
+            ([[1, 2], [5, 6]], [[0, 1, 1]], "child offsets do not cover level 1"),
+            ([[2, 1], [5, 6]], [[0, 1, 2]], "root level not strictly sorted"),
+        ],
+    )
+    def test_validated_adoption_rejects_broken_arrays(self, values, offsets, problem):
+        TrieIndex.from_flat("R", ("x", "y"), values, offsets, 2)  # unchecked
+        with pytest.raises(AssertionError, match=problem):
+            TrieIndex.from_flat("R", ("x", "y"), values, offsets, 2, validate=True)
+
+    def test_extending_under_existing_prefixes_keeps_upper_offsets(self):
+        # A row under an existing two-value prefix grows no level-1 node, so
+        # the level-0 offsets carry over unshifted.
+        relation = Relation("R", Schema(("x", "y", "z")), [(1, 2, 3), (4, 5, 6)])
+        trie = TrieIndex(relation)
+        relation.insert_many([(1, 2, 4)])
+        extended = trie.extended(relation, [(1, 2, 4)])
+        fresh = TrieIndex(relation)
+        for level in range(3):
+            assert list(extended.level_values(level)) == list(fresh.level_values(level))
+        for level in range(2):
+            assert list(extended.child_offsets(level)) == list(fresh.child_offsets(level))
+
 
 class TestMemoryLayout:
     def test_regions_are_disjoint_and_aligned(self):

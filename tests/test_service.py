@@ -146,6 +146,12 @@ class TestLRUCache:
 # Admission control
 # --------------------------------------------------------------------------- #
 class TestAdmissionController:
+    def test_an_unknown_priority_is_refused(self):
+        controller = AdmissionController(max_in_flight=2, seed=1)
+        with pytest.raises(KeyError, match="unknown priority 'urgent'"):
+            controller.submit("r1", priority="urgent")
+        assert controller.stats.submitted == 0
+
     def test_caps_in_flight_and_queues(self):
         controller = AdmissionController(max_in_flight=2, seed=1)
         assert controller.submit("r1") == "admitted"
@@ -203,6 +209,10 @@ def service_db():
 
 
 class TestQueryService:
+    def test_a_service_needs_a_backend(self, service_db):
+        with pytest.raises(ValueError, match="QueryService needs at least one backend"):
+            QueryService(service_db, backends=())
+
     def test_results_match_oracle(self, service_db):
         service = QueryService(service_db, backends=("lftj",), seed=1)
         query = pattern_query("cycle3")
@@ -300,6 +310,10 @@ class TestQueryService:
 # Workload driver + end-to-end acceptance
 # --------------------------------------------------------------------------- #
 class TestWorkload:
+    def test_a_spec_needs_a_query(self):
+        with pytest.raises(ValueError, match="queries must name at least one pattern"):
+            WorkloadSpec(num_queries=5, queries=())
+
     def test_generation_is_deterministic(self):
         spec = WorkloadSpec(num_queries=50, mode="mixed")
         a = generate_requests(spec, seed=11)

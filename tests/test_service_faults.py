@@ -135,6 +135,7 @@ class TestFaultSpecGrammar:
             "slow:0*inf",
             "down:1@nan",  # NaN window bounds
             "flaky:1@nan-nan",
+            "flaky:1@5",  # a window with no END
         ],
     )
     def test_bad_clauses_raise(self, spec):

@@ -25,9 +25,12 @@ Five layers of pinning:
 equivalence cases.
 """
 
+import collections
 import dataclasses
+import itertools
 import os
 import pickle
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -38,6 +41,7 @@ from repro.graphs import pattern_query
 from repro.joins.compiler import QueryCompiler
 from repro.joins.plan import SlotProgram
 from repro.relational.catalog import Database
+from repro.relational.query import Atom, ConjunctiveQuery
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.sharding import shard_database
@@ -643,6 +647,147 @@ class TestTeardown:
         runner.close()
         with pytest.raises(RuntimeError, match="closed"):
             runner.bind(workload_database(num_vertices=20, num_edges=60, seed=1))
+
+
+class TestFailurePaths:
+    """The orchestrator's and the attach cache's recovery branches."""
+
+    def test_a_runner_binds_one_catalog(self):
+        runner = SharedMemoryRunner(workers=1)
+        try:
+            database = workload_database(num_vertices=20, num_edges=60, seed=1)
+            runner.bind(database)
+            runner.bind(database)  # the same catalog again is a no-op
+            with pytest.raises(RuntimeError, match="already bound to a different catalog"):
+                runner.bind(workload_database(num_vertices=20, num_edges=60, seed=2))
+        finally:
+            runner.close()
+
+    def test_an_engine_that_does_not_pickle_runs_inline(self):
+        engine = create_engine("lftj")
+        engine.hook = lambda: None  # a local lambda does not pickle
+        runner = SharedMemoryRunner(workers=1)
+        try:
+            assert runner._engine_bytes(engine) is None
+        finally:
+            runner.close()
+
+    def test_a_pool_lost_at_submit_or_collect_falls_back_once(self):
+        database = workload_database(num_vertices=30, num_edges=120, seed=3)
+        canonical, plan = _compiled(pattern_query("cycle3"), database)
+        runner = SharedMemoryRunner(workers=1)
+
+        class LostPool:
+            def submit(self, *args):
+                raise BrokenProcessPool("a worker died")
+
+            def shutdown(self, *args, **kwargs):
+                pass
+
+        class LostFuture:
+            def result(self):
+                raise BrokenProcessPool("a worker died")
+
+        try:
+            runner.bind(database)
+            request = runner._build_request(
+                runner._engine_bytes(create_engine("lftj")), canonical, plan, database
+            )
+            runner._pool.shutdown(wait=True)
+            assert runner._submit(request) is None  # shut down under us: no warning
+            runner._pool = LostPool()
+            with pytest.warns(ProcessPoolBrokenWarning) as warned:
+                assert runner._submit(request) is None
+                assert runner._collect(LostFuture(), plan) is None
+            assert len(warned) == 1
+            fresh = SharedMemoryRunner(workers=1)
+            with pytest.warns(ProcessPoolBrokenWarning) as warned:
+                assert fresh._collect(LostFuture(), plan) is None
+            assert len(warned) == 1 and fresh._broken
+            fresh.close()
+        finally:
+            runner.close()
+
+    def test_export_skips_a_name_a_dead_process_left_behind(self, monkeypatch):
+        from multiprocessing import shared_memory
+
+        generation = 10**9
+        stale = shared_memory.SharedMemory(
+            name=f"repro-seg-{os.getpid()}-{generation}", create=True, size=8
+        )
+        monkeypatch.setattr(TrieSegmentExporter, "_generation", itertools.count(generation))
+        exporter = TrieSegmentExporter()
+        try:
+            database = workload_database(num_vertices=20, num_edges=60, seed=1)
+            handle = exporter.export(database.trie("E", ("src", "dst")))
+            assert handle.name == f"repro-seg-{os.getpid()}-{generation + 1}"
+        finally:
+            exporter.close()
+            stale.close()
+            stale.unlink()
+
+    def test_release_tolerates_live_views_and_a_block_already_unlinked(self):
+        database = workload_database(num_vertices=20, num_edges=60, seed=1)
+        trie = database.trie("E", ("src", "dst"))
+        exporter = TrieSegmentExporter()
+        handle = exporter.export(trie)
+        block = exporter._entries[id(trie)].shm
+        view = block.buf[:8]  # an exported pointer: close() raises BufferError
+        block.unlink()  # unlink() at close then raises FileNotFoundError
+        exporter.close()
+        assert exporter.active_segments() == ()
+        view.release()
+        block.close()
+        from multiprocessing import shared_memory
+
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=handle.name)
+
+    def test_the_attach_cache_reuses_and_evicts_mappings(self, monkeypatch):
+        monkeypatch.setattr(shm_module, "_ATTACHED", collections.OrderedDict())
+        monkeypatch.setattr(shm_module, "ATTACH_CACHE_LIMIT", 1)
+        database = workload_database(num_vertices=20, num_edges=60, seed=1)
+        exporter = TrieSegmentExporter()
+        blocks = []
+        try:
+            first = exporter.export(database.trie("E", ("src", "dst")))
+            second = exporter.export(database.trie("E", ("dst", "src")))
+            held = shm_module._attach_segment(first)
+            assert shm_module._attach_segment(first) is held  # a cache hit
+            blocks.append(shm_module._ATTACHED[first.name][0])
+            # Attaching a second block evicts the first; ``held`` still views
+            # its mapping, so the close is skipped and the trie stays readable.
+            shm_module._attach_segment(second)
+            assert list(shm_module._ATTACHED) == [second.name]
+            assert list(held.level_values(0)) == list(
+                database.trie("E", ("src", "dst")).level_values(0)
+            )
+            del held
+        finally:
+            while shm_module._ATTACHED:
+                _name, (block, trie) = shm_module._ATTACHED.popitem()
+                del trie
+                blocks.append(block)
+            for block in blocks:
+                block.close()
+            exporter.close()
+
+    def test_a_segment_catalog_rejects_wrong_arity_and_unshipped_orders(self):
+        database = workload_database(num_vertices=30, num_edges=120, seed=3)
+        canonical, plan = _compiled(pattern_query("path3"), database)
+        runner = SharedMemoryRunner(workers=1)
+        try:
+            request = runner._build_request(
+                runner._engine_bytes(create_engine("lftj")), canonical, plan, database
+            )
+            catalog = SegmentCatalog(request)
+            ternary = ConjunctiveQuery("t", ("x", "y", "z"), (Atom("E", ("x", "y", "z")),))
+            with pytest.raises(ValueError, match="has arity 3, but relation 'E' has arity 2"):
+                catalog.validate_query(ternary)
+            with pytest.raises(KeyError, match="no segment shipped for trie"):
+                catalog.trie_for_atom(Atom("E", ("x", "y")), ("y", "x"))
+        finally:
+            runner.close()
 
 
 # --------------------------------------------------------------------------- #

@@ -9,6 +9,8 @@ the middle of a running workload leaves untouched shards' partials alive
 while queries after it observe the new data.
 """
 
+import re
+
 import pytest
 
 from repro.api import Session, Statement, create_engine
@@ -192,6 +194,16 @@ class TestScatterEngineHook:
         [(_query, _plan, views)] = calls
         assert len(views) == 1
         assert [t.from_cache for t in after.scatter.tasks] == [False, True, True]
+
+    def test_a_replayed_fan_out_describes_its_cache_legs(self):
+        sharded = two_relation_catalog(num_shards=2)
+        executor = ScatterGatherExecutor(sharded, ResultCache(64))
+        query, engine = rs_path_query(), create_engine("lftj")
+        executor.execute(query, engine)
+        text = executor.execute(query, engine).scatter.describe()
+        assert re.findall(r"^  shard (\d+): .*\(cache replay\)$", text, re.M) == ["0", "1"]
+        assert executor.invalidation_report() is not None
+        assert ScatterGatherExecutor(sharded).invalidation_report() is None
 
     @pytest.mark.parametrize("engine_name", ("lftj", "naive"))
     def test_a_small_seed_relation_hands_the_hook_one_view_per_shard(self, engine_name):

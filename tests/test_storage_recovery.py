@@ -19,6 +19,7 @@ from repro.joins.leapfrog import LeapfrogTrieJoin
 from repro.api import Session
 from repro.relational import Database, Relation, Schema, ShardedDatabase
 from repro.storage import (
+    DurableCatalog,
     MutationLog,
     SQLiteStore,
     StorageError,
@@ -359,6 +360,54 @@ class TestValidateLogApply:
             )
             store._conn.commit()
         with pytest.raises(StoreFormatError, match="unknown fragment encoding 'json'"):
+            open_store(str(store_dir))
+
+
+    def test_a_failed_snapshot_write_keeps_the_previous_snapshot(self, tmp_path):
+        store_dir = tmp_path / "store"
+        with open_store(str(store_dir)) as db:
+            db.add_relation(Relation("E", Schema(("src", "dst")), [(1, 2)]))
+            db.snapshot()
+        with SQLiteStore(str(store_dir / "catalog.sqlite")) as store:
+            (shard,) = store.fragment_shards("E")
+            before = store.load_fragment("E", shard)
+
+            def fragments():
+                yield ("E", shard, [(9, 9)], 2)
+                raise OSError("disk gone")
+
+            with pytest.raises(OSError, match="disk gone"):
+                store.write_snapshot(store.load_relations(), fragments())
+            assert store.load_fragment("E", shard) == before
+            with pytest.raises(KeyError, match="no fragment \\('E', shard 99\\)"):
+                store.load_fragment("E", 99)
+
+    def test_a_logged_record_of_unknown_kind_fails_typed(self, tmp_path):
+        store_dir = tmp_path / "store"
+        with open_store(str(store_dir)) as db:
+            db.add_relation(Relation("E", Schema(("src", "dst")), [(1, 2)]))
+        with MutationLog(str(store_dir / "mutations.wal")) as wal:
+            seq = wal.append("delete", "E", rows=[[1, 2]]).seq
+        with pytest.raises(StoreFormatError, match=f"record {seq} has unknown kind 'delete'"):
+            open_store(str(store_dir))
+
+    def test_the_durable_layer_wraps_only_an_empty_catalog(self, tmp_path):
+        database = Database("full")
+        database.add_relation(Relation("E", Schema(("src", "dst")), [(1, 2)]))
+        with pytest.raises(StorageError, match="'full' already holds relations"):
+            DurableCatalog(database, str(tmp_path / "store"))
+        assert not (tmp_path / "store").exists()
+        with pytest.raises(StorageError, match="no durable store at"):
+            store_info(str(tmp_path / "store"))
+
+    def test_a_store_of_another_format_version_fails_typed(self, tmp_path):
+        store_dir = tmp_path / "store"
+        with open_store(str(store_dir)) as db:
+            db.add_relation(Relation("E", Schema(("src", "dst")), [(1, 2)]))
+            db.snapshot()
+        with SQLiteStore(str(store_dir / "catalog.sqlite")) as store:
+            store.set_meta("format_version", "999")
+        with pytest.raises(StoreFormatError, match="format version 999 is not supported"):
             open_store(str(store_dir))
 
 

@@ -9,8 +9,10 @@ damaged meta or payload) fails with a :class:`SegmentFormatError` that names the
 the problem instead of producing a silently wrong trie.
 """
 
+import json
 import os
 import struct
+import zlib
 from array import array
 
 import pytest
@@ -26,7 +28,17 @@ from repro.storage import (
     read_trie_segment,
     write_trie_segment,
 )
-from repro.storage.segments import HEADER_SIZE, SEGMENT_MAGIC
+from repro.storage.segments import (
+    HEADER_SIZE,
+    SEGMENT_FORMAT_VERSION,
+    SEGMENT_MAGIC,
+    decode_trie_segment,
+)
+
+#: The on-disk header: magic, version, flags, arity, reserved, tuples,
+#: meta length, payload length, meta CRC, payload CRC.
+HEADER = struct.Struct("<8sIIIIQQQII")
+assert HEADER.size == HEADER_SIZE
 
 
 def edge_trie(rows, order=None, name="E"):
@@ -189,12 +201,78 @@ class TestCorruption:
         with pytest.raises(SegmentFormatError, match="payload checksum"):
             read_trie_segment(path, validate=True)
 
+    @staticmethod
+    def forge(tmp_path, meta, payload=b"", arity=2):
+        """A segment file whose header checksums match ``meta`` (bytes or a
+        dict) and ``payload``, so only the meta block's content is wrong."""
+        if isinstance(meta, dict):
+            meta = json.dumps(meta).encode("utf-8")
+        header = HEADER.pack(
+            SEGMENT_MAGIC, SEGMENT_FORMAT_VERSION, 0, arity, 0, 0,
+            len(meta), len(payload), zlib.crc32(meta), zlib.crc32(payload),
+        )
+        padding = b"\0" * (-(HEADER_SIZE + len(meta)) % 8)
+        path = str(tmp_path / "forged.trie")
+        with open(path, "wb") as handle:
+            handle.write(header + meta + padding + payload)
+        return path
+
+    def test_a_meta_block_that_is_not_json_is_rejected(self, tmp_path):
+        path = self.forge(tmp_path, b"{not json")
+        for read in (read_trie_segment, read_segment_info):
+            with pytest.raises(SegmentFormatError, match="meta block is not valid JSON"):
+                read(path)
+
+    def test_a_payload_size_the_meta_does_not_declare_is_rejected(self, tmp_path):
+        meta = {"relation": "E", "order": ["src", "dst"], "shard": None,
+                "level_sizes": [1, 2], "offset_sizes": [2]}
+        path = self.forge(tmp_path, meta, payload=b"\0" * 8 * 4)
+        with pytest.raises(SegmentFormatError, match="declares 5 words"):
+            read_trie_segment(path)
+
+    def test_a_level_count_other_than_the_arity_is_rejected(self, tmp_path):
+        meta = {"relation": "E", "order": ["src", "dst"], "shard": None,
+                "level_sizes": [1], "offset_sizes": []}
+        path = self.forge(tmp_path, meta, payload=b"\0" * 8, arity=2)
+        with pytest.raises(SegmentFormatError, match="1 levels but the header arity is 2"):
+            read_trie_segment(path)
+
+    def test_a_meta_block_past_the_first_read_is_read_whole(self, tmp_path):
+        # The header and info readers read 4 KiB first; a longer meta block
+        # (here a long relation name) takes a second, exact read.
+        trie = edge_trie(ROWS, name="R" * 5000)
+        path = str(tmp_path / "long.trie")
+        write_trie_segment(path, trie, shard=3)
+        info = read_segment_info(path)
+        assert (info.relation, info.shard, info.num_tuples) == ("R" * 5000, 3, len(ROWS))
+        assert_same_trie(decode_trie_segment(encode_trie_segment(trie)), trie)
+        assert_same_trie(read_trie_segment(path), trie)
+
     def test_not_a_segment_file(self, tmp_path):
         path = str(tmp_path / "junk.trie")
         with open(path, "wb") as handle:
             handle.write(b"hello")
         with pytest.raises(SegmentFormatError, match="smaller than"):
             read_trie_segment(path)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("temp_survives", [True, False])
+    def test_a_failed_write_leaves_neither_file_nor_temp(
+        self, tmp_path, monkeypatch, temp_survives
+    ):
+        """A write that fails before its rename removes its temp file (or
+        finds it already gone) and re-raises; the target never appears."""
+
+        def failing_replace(source, target):
+            if not temp_survives:
+                os.unlink(source)
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            write_trie_segment(str(tmp_path / "e.trie"), edge_trie(ROWS))
+        assert os.listdir(tmp_path) == []
 
 
 class TestSegmentStore:
@@ -226,6 +304,15 @@ class TestSegmentStore:
         store.save(edge_trie([(7, 8)], name="F"))
         assert store.discard_relation("E") == 2
         assert [e.relation for e in store.entries()] == ["F"]
+
+    def test_discard_leaves_a_directory_that_holds_other_files(self, tmp_path):
+        store = TrieSegmentStore(str(tmp_path / "segments"))
+        directory = os.path.dirname(store.save(edge_trie(ROWS)))
+        with open(os.path.join(directory, "notes.txt"), "w") as handle:
+            handle.write("not a segment")
+        assert store.discard_relation("E") == 1
+        assert os.listdir(directory) == ["notes.txt"]
+        assert store.entries() == []
 
     def test_hostile_relation_names_stay_inside_the_store(self, tmp_path):
         """Separators and dots in relation names must not escape the root."""

@@ -8,6 +8,8 @@ after being durably written — raises :class:`WalCorruptionError` rather than
 guessing past the hole.
 """
 
+import zlib
+
 import pytest
 
 from repro.storage import MutationLog, WalCorruptionError, WalRecord
@@ -84,6 +86,26 @@ class TestDamage:
         with open(path, "r+b") as handle:
             handle.seek(12)  # inside record 0's payload
             handle.write(b"X")
+        with pytest.raises(WalCorruptionError, match="record 0 is damaged"):
+            MutationLog(path).replay()
+
+    @pytest.mark.parametrize(
+        "payload", ['{"seq": 0, "kind": "insert"', '{"kind": "insert", "relation": "E"}', "[0]"],
+        ids=["not_json", "missing_seq", "not_an_object"],
+    )
+    def test_a_checksummed_record_that_does_not_decode_is_damage(self, tmp_path, payload):
+        """The checksum matches but the payload is no record: mid-log it is
+        damage, at the tail a torn append."""
+        def framed(text):
+            return f"{zlib.crc32(text.encode('utf-8')):08x} {text}\n"
+
+        path = wal_path(tmp_path)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(framed(payload))
+        assert MutationLog(path).replay() == []
+        intact = WalRecord(seq=1, kind="insert", relation="E", data={"rows": [[1, 2]]})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(framed(intact.to_json()))
         with pytest.raises(WalCorruptionError, match="record 0 is damaged"):
             MutationLog(path).replay()
 

@@ -40,6 +40,8 @@ class TestValidation:
         check_type("v", 3, (int, float))
         with pytest.raises(TypeError, match="must be of type str"):
             check_type("s", 3, str)
+        with pytest.raises(TypeError, match="must be of type int or float, got str"):
+            check_type("v", "3", (int, float))
 
     def test_check_not_empty(self):
         check_not_empty("items", [1])
@@ -53,6 +55,20 @@ class TestValidation:
 
 
 class TestDeterministicRNG:
+    def test_weighted_choice_rejects_no_candidates_and_no_weight(self):
+        rng = DeterministicRNG(1)
+        with pytest.raises(ValueError, match="at least one candidate"):
+            rng.weighted_choice({})
+        with pytest.raises(ValueError, match="sum to a positive value, got 0.0"):
+            rng.weighted_choice({"a": 0.0, "b": 0.0})
+
+    def test_weighted_choice_falls_back_to_the_last_key_on_round_off(self):
+        # The largest draw below 1 leaves the ticket at exactly 0.0 after the
+        # last weight, not below it.
+        rng = DeterministicRNG(1)
+        rng.random = lambda: 1 - 2**-53
+        assert rng.weighted_choice({"a": 0.1, "b": 0.2, "c": 0.7}) == "c"
+
     def test_requires_integer_seed(self):
         with pytest.raises(TypeError):
             DeterministicRNG("seed")  # type: ignore[arg-type]
